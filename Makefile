@@ -62,7 +62,7 @@ serve-smoke:
 # Short 256-connection wall-clock drive over both wire formats, failing on
 # any dropped response or zero admission-window coalescing — the serving
 # tier's promises at real concurrency, in seconds instead of the full
-# post_wire measurement's minutes.
+# ServeLoad measurement's minutes.
 serve-bench-smoke:
 	$(GO) test -run TestServeBenchSmoke ./internal/serve
 

@@ -1,19 +1,17 @@
 package fielddb
 
-// The approximate aggregate tier: ApproxAggregate answers "how many cells —
-// and how much area — fall in this value interval" from a few dedicated
-// summary pages, with a certified error bound, in O(1) page reads at any
-// selectivity. When the certified bound exceeds the caller's tolerance the
+// The approximate aggregate tier: ApproxAggregateContext answers "how many
+// cells — and how much area — fall in this value interval" from a few
+// dedicated summary pages, with a certified error bound, in O(1) page reads at
+// any selectivity. When the certified bound exceeds the caller's tolerance the
 // exact pipeline runs instead, so the answer is never silently worse than
 // asked for. See DESIGN.md §5.11.
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"fielddb/internal/core"
-	"fielddb/internal/geom"
 )
 
 // AggregateResult is the outcome of an aggregate query over a value interval:
@@ -22,167 +20,21 @@ import (
 // true, bounds zero).
 type AggregateResult = core.AggregateResult
 
-// DefaultApproxMaxErr is the aggregate error tolerance used when neither the
-// call (maxErr == 0) nor Options.ApproxMaxErr chose one: one percent of the
-// field, measured on the matched-area fraction.
+// DefaultApproxMaxErr is the aggregate error tolerance used when the call
+// does not choose one (maxErr == 0): one percent of the field, measured on
+// the matched-area fraction.
 const DefaultApproxMaxErr = 0.01
 
-// resolveMaxErr folds one call's tolerance argument with the surface's
-// configured default: NaN and negative values are rejected with
-// ErrBadTolerance, 0 selects the default, +Inf passes through (it accepts any
-// certified bound — the serving tier's degraded mode).
-func resolveMaxErr(maxErr, dflt float64) (float64, error) {
+// resolveMaxErr validates one call's tolerance argument: NaN and negative
+// values are rejected with ErrBadTolerance, 0 selects DefaultApproxMaxErr,
+// +Inf passes through (it accepts any certified bound — the serving tier's
+// degraded mode).
+func resolveMaxErr(maxErr float64) (float64, error) {
 	if math.IsNaN(maxErr) || maxErr < 0 {
 		return 0, fmt.Errorf("%w %g", ErrBadTolerance, maxErr)
 	}
 	if maxErr == 0 {
-		return dflt, nil
-	}
-	return maxErr, nil
-}
-
-// checkApproxMaxErr validates the Options / OpenIndexOptions tolerance knob
-// at open time, resolving 0 to DefaultApproxMaxErr.
-func checkApproxMaxErr(v float64) (float64, error) {
-	if math.IsNaN(v) || v < 0 {
-		return 0, fmt.Errorf("%w: ApproxMaxErr %g", ErrBadTolerance, v)
-	}
-	if v == 0 {
 		return DefaultApproxMaxErr, nil
 	}
-	return v, nil
-}
-
-// ApproxAggregate answers the aggregate query "how many cells, and how much
-// area, have a value in [lo, hi]" with a certified error tolerance of maxErr
-// on the matched-area fraction. Indexes with a field summary (every
-// partition-based or tiled index built at the current version) answer from
-// the summary pages — at most four physical reads at any selectivity — and
-// fall back to the exact pipeline when the certified bound exceeds maxErr;
-// methods without a summary (LinearScan, I-All, Auto) always answer exactly.
-// maxErr 0 selects the configured default (Options.ApproxMaxErr, or
-// DefaultApproxMaxErr); +Inf accepts any certified bound; NaN and negative
-// values fail with ErrBadTolerance.
-func (db *DB) ApproxAggregate(lo, hi, maxErr float64) (*AggregateResult, error) {
-	return db.ApproxAggregateContext(context.Background(), lo, hi, maxErr)
-}
-
-// ApproxAggregateContext is ApproxAggregate with cancellation of the exact
-// fallback pipeline (the summary probe itself is a handful of page reads).
-func (db *DB) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr float64) (*AggregateResult, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	return aggregateOn(ctx, db.index, lo, hi, maxErr, db.approxMaxErr)
-}
-
-// ApproxAggregate answers the aggregate query against the stored pages, with
-// the same contract as DB.ApproxAggregate.
-func (s *StoredIndex) ApproxAggregate(lo, hi, maxErr float64) (*AggregateResult, error) {
-	return s.ApproxAggregateContext(context.Background(), lo, hi, maxErr)
-}
-
-// ApproxAggregateContext is ApproxAggregate with cancellation. A file written
-// before the summary format (catalog v5) has no summary pages and always
-// answers exactly.
-func (s *StoredIndex) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr float64) (*AggregateResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	return aggregateOn(ctx, s.index, lo, hi, maxErr, s.approxMaxErr)
-}
-
-// ApproxAggregate answers the aggregate query at the snapshot's pinned epoch:
-// the summary pages are read as they were at acquisition (update batches
-// version them copy-on-write like any data page), so the certified bounds
-// describe the pinned field state.
-func (s *Snapshot) ApproxAggregate(lo, hi, maxErr float64) (*AggregateResult, error) {
-	return s.ApproxAggregateContext(context.Background(), lo, hi, maxErr)
-}
-
-// ApproxAggregateContext is ApproxAggregate with cancellation.
-func (s *Snapshot) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr float64) (*AggregateResult, error) {
-	if err := s.db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	tol, err := resolveMaxErr(maxErr, s.db.approxMaxErr)
-	if err != nil {
-		return nil, err
-	}
-	q := geom.Interval{Lo: lo, Hi: hi}
-	if aq, ok := s.snap.(core.AggregateQuerier); ok {
-		return aq.AggregateContext(ctx, q, tol)
-	}
-	// Methods without an aggregate-capable snapshot (LinearScan, I-All, Auto)
-	// answer exactly through the pinned query path.
-	exact, err := s.snap.QueryContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return core.AggregateFromExact(q, tol, exact, s.stats.Cells), nil
-}
-
-// aggregateOn is the shared dispatch behind DB and StoredIndex aggregates:
-// validate, resolve the tolerance, and route to the index's summary-backed
-// AggregateQuerier capability or the exact fallback.
-func aggregateOn(ctx context.Context, idx core.Index, lo, hi, maxErr, dflt float64) (*AggregateResult, error) {
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	tol, err := resolveMaxErr(maxErr, dflt)
-	if err != nil {
-		return nil, err
-	}
-	q := geom.Interval{Lo: lo, Hi: hi}
-	if aq, ok := idx.(core.AggregateQuerier); ok {
-		return aq.AggregateContext(ctx, q, tol)
-	}
-	return core.AggregateExact(ctx, idx, q, tol, idx.Stats().Cells)
-}
-
-// ApproxValueQuery answers F⁻¹(lo ≤ w ≤ hi) approximately from the stored
-// subfield metadata, as DB.ApproxValueQuery does; a tiled file has no
-// subfield partition and fails with ErrNoPartition.
-func (s *StoredIndex) ApproxValueQuery(lo, hi float64) (*ApproxResult, error) {
-	return s.ApproxValueQueryContext(context.Background(), lo, hi)
-}
-
-// ApproxValueQueryContext is ApproxValueQuery with cancellation.
-func (s *StoredIndex) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (*ApproxResult, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	aq, ok := s.index.(core.ApproxQuerier)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, s.Method())
-	}
-	return aq.ApproxQueryContext(ctx, geom.Interval{Lo: lo, Hi: hi})
-}
-
-// ApproxValueQuery answers F⁻¹(lo ≤ w ≤ hi) approximately at the snapshot's
-// pinned state: the subfield metadata is read from the partition state pinned
-// at acquisition, so a later re-cut never leaks into the answer.
-func (s *Snapshot) ApproxValueQuery(lo, hi float64) (*ApproxResult, error) {
-	return s.ApproxValueQueryContext(context.Background(), lo, hi)
-}
-
-// ApproxValueQueryContext is ApproxValueQuery with cancellation.
-func (s *Snapshot) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (*ApproxResult, error) {
-	if err := s.db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	aq, ok := s.snap.(core.ApproxQuerier)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, s.method)
-	}
-	return aq.ApproxQueryContext(ctx, geom.Interval{Lo: lo, Hi: hi})
+	return maxErr, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -38,7 +39,7 @@ func runMetricsDemo(side, queries int, asJSON bool) {
 		if _, err := db.ValueQuery(lo, lo+step); err != nil {
 			fail(err)
 		}
-		if _, err := db.ApproxValueQuery(lo, lo+step); err != nil {
+		if _, err := db.ApproxValueQueryContext(context.Background(), lo, lo+step); err != nil {
 			fail(err)
 		}
 		frac := float64(i+1) / float64(queries+1)

@@ -1,6 +1,7 @@
 package fielddb
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -24,6 +25,7 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	vr := dem.ValueRange()
 	b := dem.Bounds()
 	baseVal := db.IOStats()
@@ -59,11 +61,11 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 						b.Min.Y+rng.Float64()*b.Height(),
 					)
 					// A point outside every cell is fine; its reads count too.
-					_, st, _ := db.PointQueryStats(p)
+					_, st, _ := db.PointQueryStatsContext(ctx, p)
 					sp = st
 				case 2:
 					level := vr.Lo + vr.Length()*(0.2+0.6*rng.Float64())
-					cr, err := db.ContourMap(level)
+					cr, err := db.ContourMapContext(ctx, level)
 					if err != nil {
 						t.Error(err)
 						return
@@ -71,7 +73,7 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 					val = cr.IO
 				case 3:
 					lo := vr.Lo + vr.Length()*rng.Float64()*0.5
-					ar, err := db.ApproxValueQuery(lo, lo+vr.Length()*0.1)
+					ar, err := db.ApproxValueQueryContext(ctx, lo, lo+vr.Length()*0.1)
 					if err != nil {
 						t.Error(err)
 						return

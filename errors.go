@@ -18,19 +18,19 @@ var (
 	// ErrUnknownMethod reports an Options.Method the facade doesn't know.
 	ErrUnknownMethod = errors.New("fielddb: unknown method")
 	// ErrNoPartition reports an operation that needs a partition-based value
-	// index — subfield summaries (ApproxValueQuery, Subfields) or the on-disk
-	// format (SaveIndex) — on a method without one (LinearScan, I-All).
+	// index — subfield summaries (ApproxValueQueryContext, Subfields) or the
+	// on-disk format (SaveIndex) — on a method without one (LinearScan, I-All).
 	ErrNoPartition = errors.New("fielddb: no subfield partition")
-	// ErrClosed reports a query or save against a DB or StoredIndex after
-	// Close.
+	// ErrClosed reports a query or save against a DB, StoredIndex or Snapshot
+	// after Close.
 	ErrClosed = errors.New("fielddb: database is closed")
 	// ErrBadConjunction reports an And call whose arguments cannot form a
 	// conjunctive query: no conditions, mismatched slice lengths, or a nil
 	// *DB element.
 	ErrBadConjunction = errors.New("fielddb: invalid conjunctive query")
 	// ErrBadTiling reports an Options combination the tiled planner cannot
-	// build: TileSide with Auto or IAll, TileSide 1, NoIntervalSidecar under
-	// tiling, or an unknown SidecarCodec.
+	// build: TileSide with Auto or IAll, TileSide 1, or an unknown
+	// SidecarCodec.
 	ErrBadTiling = errors.New("fielddb: invalid tiling options")
 	// ErrNonFiniteBound reports a NaN or ±Inf query value — an interval end,
 	// an open bound (ValueAbove/ValueBelow), a contour level, or a point
@@ -41,16 +41,22 @@ var (
 	// surface without a spatial index — a StoredIndex, whose database file
 	// carries only the value index.
 	ErrNoSpatialIndex = errors.New("fielddb: no spatial index")
-	// ErrBadTolerance reports an unusable aggregate error tolerance: NaN or
-	// negative, as a query argument (ApproxAggregate) or a configuration knob
-	// (Options.ApproxMaxErr). Zero is not an error — it means "the configured
-	// default"; +Inf is valid and accepts any certified bound.
+	// ErrBadTolerance reports an unusable aggregate error tolerance: a NaN or
+	// negative maxErr argument to ApproxAggregateContext. Zero is not an error
+	// — it means DefaultApproxMaxErr; +Inf is valid and accepts any certified
+	// bound.
 	ErrBadTolerance = errors.New("fielddb: invalid error tolerance")
 )
 
-// ErrUpdatesUnsupported reports UpdateSamples on a configuration that cannot
-// apply live updates: an immutable field, the IQuad method (its spatial
-// recursion is not maintained incrementally), or an index reopened from a
-// pre-sidecar (version-1) file. Re-exported from internal/core so errors.Is
-// works across the facade boundary.
-var ErrUpdatesUnsupported = core.ErrUpdatesUnsupported
+// Errors re-exported from internal/core, so errors.Is works across the
+// facade boundary.
+var (
+	// ErrUpdatesUnsupported reports UpdateSamples on a configuration that
+	// cannot apply live updates: an immutable field, or the IQuad method (its
+	// spatial recursion is not maintained incrementally).
+	ErrUpdatesUnsupported = core.ErrUpdatesUnsupported
+	// ErrUnsupportedVersion reports OpenIndex on a database file whose
+	// superblock or catalog names a catalog version other than the one this
+	// build reads and writes.
+	ErrUnsupportedVersion = core.ErrUnsupportedVersion
+)

@@ -1,12 +1,18 @@
 package fielddb
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"fielddb/internal/core"
 	"fielddb/internal/geom"
+	"fielddb/internal/storage"
 )
 
 // TestFacadeTypedErrors is the error-path table test: every facade validation
@@ -27,6 +33,7 @@ func TestFacadeTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scan.Close()
+	ctx := context.Background()
 	vr := dem.ValueRange()
 	iv := Interval{Lo: vr.Lo, Hi: vr.Hi}
 
@@ -55,7 +62,7 @@ func TestFacadeTypedErrors(t *testing.T) {
 		},
 		{
 			name: "approx query inverted interval",
-			run:  func() error { _, err := hilbert.ApproxValueQuery(2, -2); return err },
+			run:  func() error { _, err := hilbert.ApproxValueQueryContext(ctx, 2, -2); return err },
 			want: ErrInvertedInterval,
 		},
 		{
@@ -86,7 +93,7 @@ func TestFacadeTypedErrors(t *testing.T) {
 		},
 		{
 			name: "approx query without partition",
-			run:  func() error { _, err := scan.ApproxValueQuery(vr.Lo, vr.Hi); return err },
+			run:  func() error { _, err := scan.ApproxValueQueryContext(ctx, vr.Lo, vr.Hi); return err },
 			want: ErrNoPartition,
 		},
 		{
@@ -108,7 +115,7 @@ func TestFacadeTypedErrors(t *testing.T) {
 		},
 		{
 			name: "approx query after close",
-			run:  func() error { _, err := closed.ApproxValueQuery(vr.Lo, vr.Hi); return err },
+			run:  func() error { _, err := closed.ApproxValueQueryContext(ctx, vr.Lo, vr.Hi); return err },
 			want: ErrClosed,
 		},
 		{
@@ -214,7 +221,7 @@ func TestOpenIndexWith(t *testing.T) {
 
 	col := NewTraceCollector(4)
 	s, err := OpenIndexWith(path, OpenIndexOptions{
-		ColdCache: true,
+		PoolPages: 64,
 		Workers:   2,
 		Tracer:    col,
 	})
@@ -246,5 +253,69 @@ func TestOpenIndexWith(t *testing.T) {
 	}
 	if _, err := s.ValueQuery(vr.Lo, vr.Hi); !errors.Is(err, ErrClosed) {
 		t.Fatalf("query after close: %v", err)
+	}
+}
+
+// TestUnsupportedVersionsRefused: a database file whose superblock or catalog
+// header names any catalog version but the current one is refused with the
+// typed error — by both core open paths and by the facade — before anything
+// else in it is interpreted.
+func TestUnsupportedVersionsRefused(t *testing.T) {
+	dem, err := TerrainDEM(32, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const ps = storage.DefaultPageSize
+	for _, kind := range []struct {
+		name string
+		opts Options
+		open func(path string) error
+	}{
+		{"flat", Options{}, func(path string) error {
+			_, err := core.OpenFile(path, storage.DefaultDiskModel, 0)
+			return err
+		}},
+		{"tiled", Options{Method: LinearScan, TileSide: 8}, func(path string) error {
+			_, err := core.OpenTiledFile(path, storage.DefaultDiskModel, 0)
+			return err
+		}},
+	} {
+		db, err := Open(dem, kind.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := filepath.Join(dir, kind.name+".fidx")
+		if err := db.SaveIndex(fresh); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		raw, err := os.ReadFile(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		super := len(raw) - ps
+		catalog := int(binary.LittleEndian.Uint32(raw[super+8:])) * ps
+		for _, word := range []struct {
+			name string
+			off  int
+		}{{"superblock", super + 4}, {"catalog", catalog + 4}} {
+			for _, version := range []uint32{0, 1, 2, 3, 4, 6} {
+				t.Run(fmt.Sprintf("%s/%s/v%d", kind.name, word.name, version), func(t *testing.T) {
+					tampered := append([]byte(nil), raw...)
+					binary.LittleEndian.PutUint32(tampered[word.off:], version)
+					path := filepath.Join(t.TempDir(), "tampered.fidx")
+					if err := os.WriteFile(path, tampered, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if err := kind.open(path); !errors.Is(err, core.ErrUnsupportedVersion) {
+						t.Fatalf("core open: %v, want ErrUnsupportedVersion", err)
+					}
+					if _, err := OpenIndex(path); !errors.Is(err, ErrUnsupportedVersion) {
+						t.Fatalf("OpenIndex: %v, want ErrUnsupportedVersion", err)
+					}
+				})
+			}
+		}
 	}
 }

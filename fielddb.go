@@ -32,19 +32,15 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"fielddb/internal/contour"
 	"fielddb/internal/core"
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
 	"fielddb/internal/obs"
 	"fielddb/internal/rstar"
-	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
-	"fielddb/internal/subfield"
 	"fielddb/internal/tin"
 	"fielddb/internal/workload"
 )
@@ -116,45 +112,21 @@ const (
 	Auto       = core.MethodAuto
 )
 
-// Options configures Open.
+// Options configures Open. Everything else about a database is fixed: 4 KiB
+// pages (as in the paper's experiments), a 65536-page sharded buffer pool per
+// store, the default simulated disk model, Hilbert linearization under the
+// paper's cost model (Epsilon = 1), an Interval-Quadtree threshold of 1/16 of
+// the value range, and an interval sidecar on every index. Comparisons across
+// those axes are measurement exercises and run through internal/bench.
 type Options struct {
 	// Method selects the value index; the default is IHilbert, the paper's
 	// proposed method.
 	Method Method
-	// PageSize is the storage page size in bytes (default 4096, as in the
-	// paper's experiments).
-	PageSize int
-	// PoolPages is the shared buffer-pool capacity in pages. The facade
-	// default is 65536 (256 MiB of 4 KiB pages); note this differs from
-	// storage.NewPager, where a zero pool size disables caching — to run
-	// the facade without a pool, set ColdCache instead. Per-query I/O
-	// statistics always model a cold start regardless of pool contents.
-	PoolPages int
-	// ColdCache disables the shared buffer pool entirely: every page
-	// access goes to the simulated disk. This is the facade's spelling of
-	// storage.NewPager's poolPages == 0, which PoolPages == 0 deliberately
-	// does not mean (it selects the 65536-page default above).
-	ColdCache bool
-	// PoolShards pins the buffer pool's shard count (rounded down to a
-	// power of two). 0 picks the storage default: sharded for large pools
-	// so concurrent queries touching different pages lock different
-	// shards, single-sharded for small ones. Sharding affects only lock
-	// contention — per-query I/O statistics are unchanged.
-	PoolShards int
 	// Workers bounds the worker pool that parallelizes index construction
 	// and the refinement step of value queries (one work unit per subfield
 	// cell run). 0 or 1 means sequential; results and per-query I/O stats
 	// are identical regardless of Workers.
 	Workers int
-	// CostEpsilon overrides the subfield cost model constant (default 1,
-	// the paper's worked example).
-	CostEpsilon float64
-	// QuadMaxSizeFrac sets the Interval Quadtree threshold as a fraction
-	// of the value range (only for Method == IQuad; default 1/16).
-	QuadMaxSizeFrac float64
-	// Curve overrides the space-filling curve ("hilbert", "zorder",
-	// "gray"; default "hilbert").
-	Curve string
 	// TileSide, when positive, splits the field into TileSide×TileSide-cell
 	// tiles, each a self-contained partition with its own heap segment,
 	// interval sidecar and index, under a scatter-gather planner that prunes
@@ -163,33 +135,19 @@ type Options struct {
 	// value band touches only the tiles whose summary intersects it. Answers
 	// are byte-identical to the untiled build of the same Method. TileSide
 	// must be at least 2; Auto and IAll do not tile (ErrBadTiling). The
-	// default, zero, builds the single-partition index as before.
+	// default, zero, builds the single-partition index.
 	TileSide int
 	// SidecarCodec selects the interval sidecar's page codec: "raw" (FSC1,
 	// fixed 255 entries per 4 KiB page) or "packed" (FSC2, delta-encoded and
 	// bit-packed, typically 3-6× the entries per page and proportionally
-	// fewer filter reads). Empty selects raw, the legacy layout. Answers are
-	// byte-identical under either codec.
+	// fewer filter reads). Empty selects raw. Answers are byte-identical
+	// under either codec.
 	SidecarCodec string
-	// NoIntervalSidecar disables the columnar interval sidecar that is
-	// otherwise built alongside every value index: packed (min, max) pages
-	// in heap order that let filter passes test cell intervals without
-	// touching cell pages. The zero value — sidecar on — is the default
-	// because LinearScan's filter step reads over 6× fewer pages through
-	// it; answers are byte-identical either way.
-	NoIntervalSidecar bool
-	// DiskModel overrides the simulated disk cost model.
-	DiskModel *storage.DiskModel
 	// Tracer, when set, receives one QueryTrace per finished query (value,
 	// point, approximate, and contour-assembly alike). Nil — the default —
 	// disables tracing entirely; the nil-tracer path adds no allocations to
 	// the query pipeline. See also DB.SetTracer.
 	Tracer Tracer
-	// ApproxMaxErr is the default error tolerance for aggregate queries
-	// (ApproxAggregate with maxErr 0), measured on the matched-area fraction.
-	// 0 selects DefaultApproxMaxErr (1%); NaN and negative values fail Open
-	// with ErrBadTolerance; +Inf accepts any certified bound.
-	ApproxMaxErr float64
 	// BatchWindow, when positive, turns on admission-window batching for
 	// concurrent value queries: queries arriving within the window are
 	// grouped and executed as one shared scan (a single filter pass over the
@@ -198,35 +156,31 @@ type Options struct {
 	// its per-query I/O statistics — is byte-identical to solo execution; a
 	// group of one takes the plain solo path, so the window's only cost is
 	// up to BatchWindow of added latency per query. The default, zero, keeps
-	// today's behavior: every query executes alone. Batching applies to
-	// LinearScan, I-All and partition-based methods; Auto plans per query
-	// and always executes solo. See also DB.ValueQueryBatch, which batches
-	// an explicit slice of intervals without any window.
+	// every query executing alone. Batching applies to LinearScan, I-All and
+	// partition-based methods; Auto plans per query and always executes solo.
+	// See also DB.ValueQueryBatch, which batches an explicit slice of
+	// intervals without any window.
 	BatchWindow time.Duration
 }
 
+// defaultPoolPages is the buffer-pool capacity of every store the facade
+// opens: 65536 pages (256 MiB of 4 KiB pages). Per-query I/O statistics model
+// a cold start regardless of pool contents.
+const defaultPoolPages = 1 << 16
+
 // DB is an opened continuous-field database: one field, one value index,
-// and one spatial index, each on its own paged store.
+// and one spatial index, each on its own paged store. Its query methods are
+// the embedded surface's (see Querier).
 type DB struct {
+	surface
 	field   Field
 	index   core.Index
 	spatial *core.SpatialIndex
 	pager   *storage.Pager // value index store
 	spPager *storage.Pager // spatial index store
-	tracer  obs.Tracer
-	metrics *obs.Metrics
-	batcher *core.Batcher // nil unless Options.BatchWindow armed it
-	closed  atomic.Bool
-	// approxMaxErr is the resolved default aggregate tolerance
-	// (Options.ApproxMaxErr, or DefaultApproxMaxErr).
-	approxMaxErr float64
 	// updateMu serializes UpdateSamples batches across the two stores; no
 	// query path takes it.
 	updateMu sync.Mutex
-	// vrange caches the field's value range for ValueAbove/ValueBelow.
-	// UpdateSamples keeps it current (conservatively wide mid-batch); reading
-	// field.ValueRange() directly would race with an updater's SetSample.
-	vrange atomic.Pointer[geom.Interval]
 }
 
 // Open builds the value and spatial indexes for f.
@@ -244,33 +198,9 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	if f.NumCells() == 0 {
 		return nil, fmt.Errorf("fielddb: field has no cells")
 	}
-	pageSize := opts.PageSize
-	if pageSize == 0 {
-		pageSize = storage.DefaultPageSize
-	}
-	pool := opts.PoolPages
-	if opts.ColdCache {
-		pool = 0
-	} else if pool == 0 {
-		pool = 1 << 16
-	}
-	model := storage.DefaultDiskModel
-	if opts.DiskModel != nil {
-		model = *opts.DiskModel
-	}
-	pager := storage.NewPagerShards(storage.NewMemDisk(pageSize), model, pool, opts.PoolShards)
-
 	method := opts.Method
 	if method == "" {
 		method = IHilbert
-	}
-	var curve sfc.Curve
-	if opts.Curve != "" {
-		var err error
-		curve, err = sfc.New(opts.Curve, 16, 2)
-		if err != nil {
-			return nil, fmt.Errorf("fielddb: %w", err)
-		}
 	}
 	switch method {
 	case Auto, LinearScan, IAll, IHilbert, IQuad:
@@ -280,31 +210,21 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	if opts.SidecarCodec != "" && !storage.ValidSidecarCodec(opts.SidecarCodec) {
 		return nil, fmt.Errorf("%w: unknown sidecar codec %q", ErrBadTiling, opts.SidecarCodec)
 	}
-	if opts.SidecarCodec != "" && opts.NoIntervalSidecar {
-		return nil, fmt.Errorf("%w: SidecarCodec with NoIntervalSidecar", ErrBadTiling)
-	}
-	approxMaxErr, tolErr := checkApproxMaxErr(opts.ApproxMaxErr)
-	if tolErr != nil {
-		return nil, tolErr
-	}
-	cost := subfield.CostModel{Epsilon: opts.CostEpsilon}
-	quadMaxSize := func() float64 {
-		frac := opts.QuadMaxSizeFrac
-		if frac <= 0 {
-			frac = 1.0 / 16
-		}
-		return f.ValueRange().Length()*frac + 1
-	}
 	if opts.TileSide != 0 {
 		switch {
 		case opts.TileSide < 2:
 			return nil, fmt.Errorf("%w: tile side %d (need at least 2)", ErrBadTiling, opts.TileSide)
 		case method == Auto || method == IAll:
 			return nil, fmt.Errorf("%w: method %s does not tile", ErrBadTiling, method)
-		case opts.NoIntervalSidecar:
-			return nil, fmt.Errorf("%w: tiling requires the interval sidecar", ErrBadTiling)
 		}
 	}
+	newPager := func() *storage.Pager {
+		return storage.NewPagerShards(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages, 0)
+	}
+	pager := newPager()
+	vr := f.ValueRange()
+	// The Interval Quadtree threshold: 1/16 of the value range.
+	quadMaxSize := vr.Length()/16 + 1
 	buildValue := func() (core.Index, error) {
 		if opts.TileSide != 0 {
 			topts := core.TiledOptions{
@@ -314,38 +234,25 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 				Workers:  opts.Workers,
 			}
 			if method == IQuad {
-				topts.MaxSize = quadMaxSize()
+				topts.MaxSize = quadMaxSize
 			}
 			return core.BuildTiledCtx(ctx, f, pager, topts)
 		}
+		hilbert := core.HilbertOptions{Workers: opts.Workers, Codec: opts.SidecarCodec}
 		switch method {
 		case Auto:
-			return core.BuildAutoCtx(ctx, f, pager, core.AutoOptions{
-				Hilbert: core.HilbertOptions{
-					Curve: curve, Cost: cost, Workers: opts.Workers,
-					NoSidecar: opts.NoIntervalSidecar, Codec: opts.SidecarCodec,
-				},
-			})
+			return core.BuildAutoCtx(ctx, f, pager, core.AutoOptions{Hilbert: hilbert})
 		case LinearScan:
-			return core.BuildLinearScanWith(ctx, f, pager, core.LinearScanOptions{
-				NoSidecar: opts.NoIntervalSidecar, Codec: opts.SidecarCodec,
-			})
+			return core.BuildLinearScanWith(ctx, f, pager, core.LinearScanOptions{Codec: opts.SidecarCodec})
 		case IAll:
-			return core.BuildIAllCtx(ctx, f, pager, core.IAllOptions{
-				NoSidecar: opts.NoIntervalSidecar, Codec: opts.SidecarCodec,
-			})
+			return core.BuildIAllCtx(ctx, f, pager, core.IAllOptions{Codec: opts.SidecarCodec})
 		case IHilbert:
-			return core.BuildIHilbertCtx(ctx, f, pager, core.HilbertOptions{
-				Curve: curve, Cost: cost, Workers: opts.Workers,
-				NoSidecar: opts.NoIntervalSidecar, Codec: opts.SidecarCodec,
-			})
+			return core.BuildIHilbertCtx(ctx, f, pager, hilbert)
 		case IQuad:
 			return core.BuildIQuadCtx(ctx, f, pager, core.ThresholdOptions{
-				MaxSize:   quadMaxSize(),
-				Cost:      cost,
-				Workers:   opts.Workers,
-				NoSidecar: opts.NoIntervalSidecar,
-				Codec:     opts.SidecarCodec,
+				MaxSize: quadMaxSize,
+				Workers: opts.Workers,
+				Codec:   opts.SidecarCodec,
 			})
 		default:
 			panic("unreachable: method validated above")
@@ -353,9 +260,9 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	}
 	// The spatial index gets its own pager so Q1 and Q2 accounting stay
 	// independent.
-	spPager := storage.NewPagerShards(storage.NewMemDisk(pageSize), model, pool, opts.PoolShards)
+	spPager := newPager()
 	buildSpatial := func() (*core.SpatialIndex, error) {
-		return core.BuildSpatialCtx(ctx, f, spPager, rstar.Params{PageSize: pageSize})
+		return core.BuildSpatialCtx(ctx, f, spPager, rstar.Params{PageSize: storage.DefaultPageSize})
 	}
 
 	var (
@@ -390,14 +297,17 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	db := &DB{
 		field: f, index: idx, spatial: sp,
 		pager: pager, spPager: spPager,
-		tracer:       opts.Tracer,
-		metrics:      obs.NewMetrics(),
-		approxMaxErr: approxMaxErr,
 	}
-	vr := f.ValueRange()
+	db.method = idx.Method()
+	db.stats = idx.Stats
+	db.engine = idx.(core.ContextQuerier) // every core index polls ctx
+	db.point = sp
+	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	db.vrange.Store(&vr)
-	if opts.BatchWindow > 0 {
-		if bq, ok := idx.(core.BatchQuerier); ok {
+	// Auto plans per query: it is neither batchable nor window-coalescible.
+	if bq, ok := idx.(core.BatchQuerier); ok {
+		db.batch = bq
+		if opts.BatchWindow > 0 {
 			db.batcher = core.NewBatcher(bq, opts.BatchWindow)
 		}
 	}
@@ -407,24 +317,24 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 
 // installObservers (re)installs the trace/metrics sinks on both indexes.
 func (db *DB) installObservers() {
-	ob := obs.Observer{Tracer: db.tracer, Metrics: db.metrics}
 	if o, ok := db.index.(interface{ SetObserver(obs.Observer) }); ok {
-		o.SetObserver(ob)
+		o.SetObserver(*db.ob)
 	}
-	db.spatial.SetObserver(ob)
+	db.spatial.SetObserver(*db.ob)
 }
 
 // SetTracer installs (or, with nil, removes) the per-query tracer. Like
 // SetWorkers it is safe only between queries, not while queries run.
 func (db *DB) SetTracer(t Tracer) {
-	db.tracer = t
+	db.ob.Tracer = t
 	db.installObservers()
 }
 
 // Close marks the database closed and releases both stores (a no-op for the
 // in-memory disks Open builds on, but it makes the lifecycle explicit and
 // fails subsequent queries fast). Close is idempotent; it does not wait for
-// in-flight queries. Queries after Close return ErrClosed.
+// in-flight queries. Queries after Close — through the DB or any Snapshot of
+// it — return ErrClosed.
 func (db *DB) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
@@ -436,26 +346,8 @@ func (db *DB) Close() error {
 	return err
 }
 
-// checkOpen guards every query path against use after Close.
-func (db *DB) checkOpen() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return nil
-}
-
 // Field returns the underlying field.
 func (db *DB) Field() Field { return db.field }
-
-// Method returns the value-index strategy in use.
-func (db *DB) Method() Method { return db.index.Method() }
-
-// Stats describes the built value index.
-func (db *DB) Stats() IndexStats { return db.index.Stats() }
-
-// ValueRange returns the field's value-domain coverage, kept current across
-// update batches (conservatively wide while a batch is mid-flight).
-func (db *DB) ValueRange() Interval { return db.valueRange() }
 
 // SetWorkers rebounds the refinement worker pool for subsequent value
 // queries. It is safe only between queries, not while queries run.
@@ -465,245 +357,10 @@ func (db *DB) SetWorkers(n int) {
 	}
 }
 
-// ValueQuery answers the field value query F⁻¹(lo ≤ w ≤ hi): the exact
-// regions where the field's value lies in [lo, hi]. With lo == hi the answer
-// geometry is returned as isolines. Safe for concurrent use.
-func (db *DB) ValueQuery(lo, hi float64) (*Result, error) {
-	return db.ValueQueryContext(context.Background(), lo, hi)
-}
-
-// ValueQueryContext is ValueQuery with cancellation: ctx is polled between
-// subfield cell runs (and, under Workers > 1, between refinement work units),
-// so a canceled query stops mid-refinement and returns ctx's error. Safe for
-// concurrent use.
-func (db *DB) ValueQueryContext(ctx context.Context, lo, hi float64) (*Result, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	q := geom.Interval{Lo: lo, Hi: hi}
-	if db.batcher != nil {
-		return db.batcher.QueryContext(ctx, q)
-	}
-	if cq, ok := db.index.(core.ContextQuerier); ok {
-		return cq.QueryContext(ctx, q)
-	}
-	return db.index.Query(q)
-}
-
-// ValueQueryBatch answers several value queries as one shared scan: a single
-// filter pass evaluates every query's predicate, the union of their
-// candidate cell runs is fetched once, and each decoded cell is handed to
-// every query it satisfies. Results are positionally aligned with intervals
-// and each is byte-identical — geometry and per-query I/O statistics alike —
-// to what ValueQuery would return solo; batching changes only the physical
-// I/O (visible in Metrics as batch physical pages and coalesced pages
-// saved). ctx cancels the whole batch. Unlike BatchWindow, no admission
-// delay is involved: the batch is explicit.
-//
-// The first failing query determines the returned error (wrapped with its
-// position); the slice still carries every successful query's result, with
-// nil at failed positions. All intervals are validated before any I/O. With
-// Method Auto, queries execute sequentially (the planner picks an access
-// path per query, so there is no shared scan to coalesce).
-func (db *DB) ValueQueryBatch(ctx context.Context, intervals []Interval) ([]*Result, error) {
-	out, _, err := db.ValueQueryBatchStats(ctx, intervals)
-	return out, err
-}
-
-// ValueQueryBatchStats is ValueQueryBatch plus the batch-level execution
-// summary the per-member results cannot carry: the physical (deduplicated)
-// I/O the shared scan performed and the attributed reads the coalescing
-// saved. With Method Auto (no shared scan) the stats are synthesized from
-// the sequential members, with zero savings.
-func (db *DB) ValueQueryBatchStats(ctx context.Context, intervals []Interval) ([]*Result, BatchStats, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, BatchStats{}, err
-	}
-	if err := checkBatch(intervals); err != nil {
-		return nil, BatchStats{}, err
-	}
-	bq, ok := db.index.(core.BatchQuerier)
-	if !ok {
-		// Auto has no shared scan; answer sequentially through the planner.
-		out := make([]*Result, len(intervals))
-		st := BatchStats{Size: len(intervals)}
-		var firstErr error
-		for i, iv := range intervals {
-			res, err := db.ValueQueryContext(ctx, iv.Lo, iv.Hi)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("query %d: %w", i, err)
-				}
-				continue
-			}
-			out[i] = res
-			st.Physical = st.Physical.Add(res.IO)
-			st.AttributedReads += res.IO.Reads
-		}
-		return out, st, firstErr
-	}
-	members := make([]core.BatchQuery, len(intervals))
-	for i, iv := range intervals {
-		members[i] = core.BatchQuery{Ctx: ctx, Query: iv}
-	}
-	results, st := bq.QueryBatch(members)
-	out, err := collectBatch(results)
-	return out, st, err
-}
-
-// ValueAbove answers "where is the value at least lo" (the urban noise
-// query of the paper's introduction).
-func (db *DB) ValueAbove(lo float64) (*Result, error) {
-	return db.ValueAboveContext(context.Background(), lo)
-}
-
-// ValueAboveContext is ValueAbove with cancellation. The open end of the
-// interval comes from the facade's cached value range, so it is safe to call
-// while an update batch runs.
-func (db *DB) ValueAboveContext(ctx context.Context, lo float64) (*Result, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkValue(lo); err != nil {
-		return nil, err
-	}
-	return db.ValueQueryContext(ctx, lo, db.valueRange().Hi)
-}
-
-// ValueBelow answers "where is the value at most hi".
-func (db *DB) ValueBelow(hi float64) (*Result, error) {
-	return db.ValueBelowContext(context.Background(), hi)
-}
-
-// ValueBelowContext is ValueBelow with cancellation; like ValueAboveContext
-// it reads the open end of the interval from the cached value range.
-func (db *DB) ValueBelowContext(ctx context.Context, hi float64) (*Result, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkValue(hi); err != nil {
-		return nil, err
-	}
-	return db.ValueQueryContext(ctx, db.valueRange().Lo, hi)
-}
-
-// ApproxResult is the outcome of an approximate value query answered from
-// subfield metadata alone (no cell pages read).
-type ApproxResult = core.ApproxResult
-
-// ApproxValueQuery answers F⁻¹(lo ≤ w ≤ hi) approximately using only the
-// subfield R*-tree and per-subfield summaries (the paper's §3 suggestion of
-// storing e.g. the average value per subfield): an upper bound on matching
-// cells and a summary average, at filter-step cost. Only partition-based
-// methods support it.
-func (db *DB) ApproxValueQuery(lo, hi float64) (*ApproxResult, error) {
-	return db.ApproxValueQueryContext(context.Background(), lo, hi)
-}
-
-// ApproxValueQueryContext is ApproxValueQuery with cancellation.
-func (db *DB) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (*ApproxResult, error) {
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	// Validate the interval first: a bad interval is a bad interval no
-	// matter which method is in use, so the caller gets the same error
-	// ValueQuery would give instead of a method-capability complaint.
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	p, ok := db.index.(*core.Partitioned)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, db.Method())
-	}
-	return p.ApproxQueryContext(ctx, geom.Interval{Lo: lo, Hi: hi})
-}
-
-// Polyline is a connected isoline chain; closed contours repeat their first
-// point at the end.
-type Polyline = contour.Polyline
-
-// ContourResult is an assembled isoline map plus the I/O its value query
-// cost.
-type ContourResult struct {
-	Polylines []Polyline
-	IO        storage.Stats
-}
-
-// ContourMap answers the exact value query F⁻¹(w = level), assembles the
-// per-cell isoline segments into connected polylines, and reports the
-// query's own I/O statistics.
-func (db *DB) ContourMap(level float64) (*ContourResult, error) {
-	return db.ContourMapContext(context.Background(), level)
-}
-
-// ContourMapContext is ContourMap with cancellation of the underlying value
-// query. The assembly stage emits its own trace (kind "contour", one
-// contour-assemble span reading no pages) so a tracer sees both the query and
-// the post-processing it paid for.
-func (db *DB) ContourMapContext(ctx context.Context, level float64) (*ContourResult, error) {
-	res, err := db.ValueQueryContext(ctx, level, level)
-	if err != nil {
-		return nil, err
-	}
-	return assembleContours(db.tracer, db.metrics, db.Method(), level, res), nil
-}
-
-// Contours answers the exact value query F⁻¹(w = level) and assembles the
-// per-cell isoline segments into connected polylines — an isoline map
-// extracted through the value index instead of an exhaustive scan.
-func (db *DB) Contours(level float64) ([]Polyline, error) {
-	return db.ContoursContext(context.Background(), level)
-}
-
-// ContoursContext is Contours with cancellation of the underlying value
-// query: ContourMapContext reduced to the polylines.
-func (db *DB) ContoursContext(ctx context.Context, level float64) ([]Polyline, error) {
-	cr, err := db.ContourMapContext(ctx, level)
-	if err != nil {
-		return nil, err
-	}
-	return cr.Polylines, nil
-}
-
-// PointQuery answers the conventional query F(v'): the interpolated value at
-// point p, through the spatial R*-tree.
-func (db *DB) PointQuery(p Point) (float64, error) {
-	w, _, err := db.PointQueryStatsContext(context.Background(), p)
-	return w, err
-}
-
-// PointQueryContext is PointQuery with cancellation, polled between candidate
-// cell fetches.
-func (db *DB) PointQueryContext(ctx context.Context, p Point) (float64, error) {
-	w, _, err := db.PointQueryStatsContext(ctx, p)
-	return w, err
-}
-
-// PointQueryStats is PointQuery plus the query's own I/O statistics against
-// the spatial index's store.
-func (db *DB) PointQueryStats(p Point) (float64, storage.Stats, error) {
-	return db.PointQueryStatsContext(context.Background(), p)
-}
-
-// PointQueryStatsContext is PointQueryStats with cancellation.
-func (db *DB) PointQueryStatsContext(ctx context.Context, p Point) (float64, storage.Stats, error) {
-	if err := db.checkOpen(); err != nil {
-		return 0, storage.Stats{}, err
-	}
-	if err := checkPoint(p); err != nil {
-		return 0, storage.Stats{}, err
-	}
-	return db.spatial.PointQueryContext(ctx, p)
-}
-
-// Subfields returns the subfield partition of the value index, or nil for
-// methods without one (LinearScan, I-All). The cells of each subfield are
-// copies and safe to retain.
-func (db *DB) Subfields() []Subfield {
-	p, ok := db.index.(*core.Partitioned)
+// subfields copies the subfield partition out of a partition-based index;
+// nil for any other.
+func subfields(idx core.Index) []Subfield {
+	p, ok := idx.(*core.Partitioned)
 	if !ok {
 		return nil
 	}
@@ -716,6 +373,11 @@ func (db *DB) Subfields() []Subfield {
 	})
 	return out
 }
+
+// Subfields returns the subfield partition of the value index, or nil for
+// methods without one (LinearScan, I-All). The cells of each subfield are
+// copies and safe to retain.
+func (db *DB) Subfields() []Subfield { return subfields(db.index) }
 
 // TileInfo describes one tile of a tiled value index: its cell count,
 // spatial MBR, and (min, max) value summary — the planner's prune inputs.
@@ -750,17 +412,12 @@ type EngineMetrics struct {
 	// ValueIO and SpatialIO are the cumulative per-store page statistics
 	// (identical to IOStats and SpatialIOStats).
 	ValueIO, SpatialIO storage.Stats
-	// ValuePool and SpatialPool are per-shard buffer-pool hit/miss counters;
-	// nil when the pool is disabled (ColdCache).
+	// ValuePool and SpatialPool are per-shard buffer-pool hit/miss counters.
 	ValuePool, SpatialPool []storage.PoolShardStats
 }
 
 // poolLine renders one store's pool shards as an aggregate hit ratio.
 func poolLine(b *strings.Builder, name string, shards []storage.PoolShardStats) {
-	if shards == nil {
-		fmt.Fprintf(b, "  %-8s disabled\n", name)
-		return
-	}
 	var hits, misses int64
 	for _, s := range shards {
 		hits += s.Hits
@@ -792,57 +449,17 @@ func (m EngineMetrics) String() string {
 	return b.String()
 }
 
-// QueryMetrics returns the engine-level metrics registry snapshot alone —
-// the Querier-interface view of Metrics, shared with StoredIndex and
-// Snapshot, whose surfaces have no per-store breakdown.
-func (db *DB) QueryMetrics() MetricsSnapshot { return db.metrics.Snapshot() }
-
 // Metrics returns a point-in-time snapshot of the DB's observability state:
 // engine-level query metrics plus per-store I/O and buffer-pool statistics.
 // It is safe to call concurrently with queries.
 func (db *DB) Metrics() EngineMetrics {
 	return EngineMetrics{
-		Engine:      db.metrics.Snapshot(),
+		Engine:      db.QueryMetrics(),
 		ValueIO:     db.pager.Stats(),
 		SpatialIO:   db.spatial.IOStats(),
 		ValuePool:   db.pager.PoolShardStats(),
 		SpatialPool: db.spatial.PoolShardStats(),
 	}
-}
-
-// And runs a conjunctive value query across databases sharing the same
-// spatial domain: region where every db's value lies in its interval.
-func And(dbs []*DB, intervals []Interval) (*core.ConjunctiveResult, error) {
-	return AndContext(context.Background(), dbs, intervals)
-}
-
-// AndContext is And with cancellation and argument validation: the condition
-// lists must be non-empty and of equal length, every *DB must be non-nil and
-// open, and every interval must be well-formed. Shape errors wrap
-// ErrBadConjunction; per-condition errors wrap ErrClosed or
-// ErrInvertedInterval and name the offending condition.
-func AndContext(ctx context.Context, dbs []*DB, intervals []Interval) (*core.ConjunctiveResult, error) {
-	if len(dbs) == 0 {
-		return nil, fmt.Errorf("%w: no conditions", ErrBadConjunction)
-	}
-	if len(dbs) != len(intervals) {
-		return nil, fmt.Errorf("%w: %d databases but %d intervals",
-			ErrBadConjunction, len(dbs), len(intervals))
-	}
-	idxs := make([]core.Index, len(dbs))
-	for i, db := range dbs {
-		if db == nil {
-			return nil, fmt.Errorf("%w: nil database at condition %d", ErrBadConjunction, i)
-		}
-		if err := db.checkOpen(); err != nil {
-			return nil, fmt.Errorf("%w (condition %d)", err, i)
-		}
-		if err := checkInterval(intervals[i].Lo, intervals[i].Hi); err != nil {
-			return nil, fmt.Errorf("%w (condition %d)", err, i)
-		}
-		idxs[i] = db.index
-	}
-	return core.ConjunctiveQueryContext(ctx, idxs, intervals)
 }
 
 // SaveIndex writes the built value index (cell heap, R*-tree pages and
@@ -879,41 +496,25 @@ type storedCore interface {
 // StoredIndex is a value index opened from a database file written by
 // SaveIndex: it answers value queries straight from the file's pages,
 // without the original Field. Both file kinds open through it — untiled
-// partitioned indexes and tiled directories alike.
+// partitioned indexes and tiled directories alike. Its query methods are the
+// embedded surface's (see Querier); a stored file carries only the value
+// index, so point queries fail with ErrNoSpatialIndex.
 type StoredIndex struct {
-	index   storedCore
-	tracer  obs.Tracer
-	metrics *obs.Metrics
-	batcher *core.Batcher // nil unless OpenIndexOptions.BatchWindow armed it
-	closed  atomic.Bool
-	// vrange is the stored partition's value-domain coverage, cached at open
-	// for ValueAbove/ValueBelow (a stored file has no Field to ask).
-	vrange Interval
-	// approxMaxErr is the resolved default aggregate tolerance.
-	approxMaxErr float64
+	surface
+	index storedCore
 }
 
 // OpenIndexOptions configures OpenIndexWith. The zero value matches
-// OpenIndex: default disk model, a 65536-page buffer pool, default sharding,
-// sequential refinement, no tracer.
+// OpenIndex: a 65536-page buffer pool, sequential refinement, no tracer, no
+// admission window.
 type OpenIndexOptions struct {
 	// PoolPages is the buffer-pool capacity in pages (default 65536, as for
-	// Open); set ColdCache to disable caching entirely.
+	// Open).
 	PoolPages int
-	// ColdCache disables the buffer pool: every page access goes to the
-	// simulated disk.
-	ColdCache bool
-	// PoolShards pins the pool's shard count; 0 picks the storage default.
-	PoolShards int
-	// DiskModel overrides the simulated disk cost model.
-	DiskModel *storage.DiskModel
 	// Workers bounds the refinement worker pool (0 or 1 means sequential).
 	Workers int
 	// Tracer, when set, receives one QueryTrace per finished query.
 	Tracer Tracer
-	// ApproxMaxErr is the default aggregate error tolerance, as for
-	// Options.ApproxMaxErr (0 selects DefaultApproxMaxErr).
-	ApproxMaxErr float64
 	// BatchWindow, when positive, arms the same admission-window group commit
 	// Options.BatchWindow gives a live DB: concurrent value queries arriving
 	// within the window coalesce onto one shared scan of the stored pages.
@@ -926,27 +527,15 @@ func OpenIndex(path string) (*StoredIndex, error) {
 }
 
 // OpenIndexWith opens a database file written by SaveIndex, with control over
-// the buffer pool, the disk model, refinement parallelism, and tracing.
+// the buffer pool, refinement parallelism, tracing, and the admission window.
+// A file written at any other catalog version fails with
+// ErrUnsupportedVersion.
 func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
-	approxMaxErr, tolErr := checkApproxMaxErr(opts.ApproxMaxErr)
-	if tolErr != nil {
-		return nil, tolErr
-	}
 	pool := opts.PoolPages
-	if opts.ColdCache {
-		pool = 0
-	} else if pool == 0 {
-		pool = 1 << 16
+	if pool == 0 {
+		pool = defaultPoolPages
 	}
-	var model storage.DiskModel
-	if opts.DiskModel != nil {
-		model = *opts.DiskModel
-	}
-	idx, err := core.OpenStoredWith(path, core.OpenFileOptions{
-		Model:      model,
-		PoolPages:  pool,
-		PoolShards: opts.PoolShards,
-	})
+	idx, err := core.OpenStoredWith(path, core.OpenFileOptions{PoolPages: pool})
 	if err != nil {
 		return nil, err
 	}
@@ -957,15 +546,20 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if opts.Workers > 0 {
 		p.SetWorkers(opts.Workers)
 	}
-	s := &StoredIndex{
-		index: p, tracer: opts.Tracer, metrics: obs.NewMetrics(),
-		vrange:       p.ValueRange(),
-		approxMaxErr: approxMaxErr,
-	}
+	s := &StoredIndex{index: p}
+	s.method = p.Method()
+	s.stats = p.Stats
+	s.engine = p
+	s.batch = p
+	s.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
+	// A stored file has no Field to ask: the partition's value-domain
+	// coverage is cached once, here.
+	vr := p.ValueRange()
+	s.vrange.Store(&vr)
 	if opts.BatchWindow > 0 {
 		s.batcher = core.NewBatcher(p, opts.BatchWindow)
 	}
-	p.SetObserver(obs.Observer{Tracer: s.tracer, Metrics: s.metrics})
+	p.SetObserver(*s.ob)
 	return s, nil
 }
 
@@ -978,184 +572,24 @@ func (s *StoredIndex) Close() error {
 	return s.index.Close()
 }
 
-// Method returns the stored index's strategy.
-func (s *StoredIndex) Method() Method { return s.index.Method() }
-
-// Stats describes the stored index.
-func (s *StoredIndex) Stats() IndexStats { return s.index.Stats() }
-
-// ValueRange returns the stored partition's value-domain coverage, cached at
-// open.
-func (s *StoredIndex) ValueRange() Interval { return s.vrange }
-
 // SetWorkers rebounds the refinement worker pool for subsequent value
 // queries. It is safe only between queries, not while queries run.
 func (s *StoredIndex) SetWorkers(n int) { s.index.SetWorkers(n) }
 
-// Metrics returns a snapshot of the stored index's cumulative engine metrics.
-func (s *StoredIndex) Metrics() MetricsSnapshot { return s.metrics.Snapshot() }
-
-// QueryMetrics is Metrics under its Querier-interface name, shared with DB
-// and Snapshot.
-func (s *StoredIndex) QueryMetrics() MetricsSnapshot { return s.metrics.Snapshot() }
+// Metrics returns a snapshot of the stored index's cumulative engine metrics
+// (the same snapshot as QueryMetrics).
+func (s *StoredIndex) Metrics() MetricsSnapshot { return s.QueryMetrics() }
 
 // SetTracer installs (or, with nil, removes) the per-query tracer. Like
 // SetWorkers it is safe only between queries, not while queries run.
 func (s *StoredIndex) SetTracer(t Tracer) {
-	s.tracer = t
-	s.index.SetObserver(obs.Observer{Tracer: s.tracer, Metrics: s.metrics})
-}
-
-// ValueQuery answers F⁻¹(lo ≤ w ≤ hi) from the stored pages. Safe for
-// concurrent use.
-func (s *StoredIndex) ValueQuery(lo, hi float64) (*Result, error) {
-	return s.ValueQueryContext(context.Background(), lo, hi)
-}
-
-// ValueQueryContext is ValueQuery with cancellation, polled between subfield
-// cell runs and refinement work units.
-func (s *StoredIndex) ValueQueryContext(ctx context.Context, lo, hi float64) (*Result, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	q := geom.Interval{Lo: lo, Hi: hi}
-	if s.batcher != nil {
-		return s.batcher.QueryContext(ctx, q)
-	}
-	return s.index.QueryContext(ctx, q)
-}
-
-// ValueAbove answers "where is the value at least lo" against the stored
-// partition's value range.
-func (s *StoredIndex) ValueAbove(lo float64) (*Result, error) {
-	return s.ValueAboveContext(context.Background(), lo)
-}
-
-// ValueAboveContext is ValueAbove with cancellation. The open end of the
-// interval is the stored partition's value-domain coverage, cached at open.
-func (s *StoredIndex) ValueAboveContext(ctx context.Context, lo float64) (*Result, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := checkValue(lo); err != nil {
-		return nil, err
-	}
-	return s.ValueQueryContext(ctx, lo, s.vrange.Hi)
-}
-
-// ValueBelow answers "where is the value at most hi".
-func (s *StoredIndex) ValueBelow(hi float64) (*Result, error) {
-	return s.ValueBelowContext(context.Background(), hi)
-}
-
-// ValueBelowContext is ValueBelow with cancellation; like ValueAboveContext
-// it reads the open end of the interval from the cached value range.
-func (s *StoredIndex) ValueBelowContext(ctx context.Context, hi float64) (*Result, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := checkValue(hi); err != nil {
-		return nil, err
-	}
-	return s.ValueQueryContext(ctx, s.vrange.Lo, hi)
-}
-
-// ValueQueryBatch answers several value queries from the stored pages as one
-// shared scan, with the same contract as DB.ValueQueryBatch: positionally
-// aligned results, each byte-identical to a solo ValueQuery, first failure
-// wrapped with its position.
-func (s *StoredIndex) ValueQueryBatch(ctx context.Context, intervals []Interval) ([]*Result, error) {
-	out, _, err := s.ValueQueryBatchStats(ctx, intervals)
-	return out, err
-}
-
-// ValueQueryBatchStats is ValueQueryBatch plus the batch-level execution
-// summary, as for DB.ValueQueryBatchStats.
-func (s *StoredIndex) ValueQueryBatchStats(ctx context.Context, intervals []Interval) ([]*Result, BatchStats, error) {
-	if s.closed.Load() {
-		return nil, BatchStats{}, ErrClosed
-	}
-	if err := checkBatch(intervals); err != nil {
-		return nil, BatchStats{}, err
-	}
-	members := make([]core.BatchQuery, len(intervals))
-	for i, iv := range intervals {
-		members[i] = core.BatchQuery{Ctx: ctx, Query: iv}
-	}
-	results, st := s.index.QueryBatch(members)
-	out, err := collectBatch(results)
-	return out, st, err
-}
-
-// PointQuery answers the conventional query F(v') — but a stored index file
-// carries only the value index, so it always fails with ErrNoSpatialIndex.
-// The method exists so a StoredIndex satisfies the full Querier surface with
-// a typed capability error rather than a missing method.
-func (s *StoredIndex) PointQuery(p Point) (float64, error) {
-	return s.PointQueryContext(context.Background(), p)
-}
-
-// PointQueryContext is PointQuery with cancellation; it fails with
-// ErrNoSpatialIndex after the usual open and finiteness checks.
-func (s *StoredIndex) PointQueryContext(ctx context.Context, p Point) (float64, error) {
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := checkPoint(p); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("%w: stored index files carry no spatial index", ErrNoSpatialIndex)
-}
-
-// ContourMap answers F⁻¹(w = level) from the stored pages and assembles the
-// isoline map, as DB.ContourMap does.
-func (s *StoredIndex) ContourMap(level float64) (*ContourResult, error) {
-	return s.ContourMapContext(context.Background(), level)
-}
-
-// ContourMapContext is ContourMap with cancellation of the underlying value
-// query.
-func (s *StoredIndex) ContourMapContext(ctx context.Context, level float64) (*ContourResult, error) {
-	res, err := s.ValueQueryContext(ctx, level, level)
-	if err != nil {
-		return nil, err
-	}
-	return assembleContours(s.tracer, s.metrics, s.Method(), level, res), nil
-}
-
-// Contours answers F⁻¹(w = level) reduced to the polylines.
-func (s *StoredIndex) Contours(level float64) ([]Polyline, error) {
-	return s.ContoursContext(context.Background(), level)
-}
-
-// ContoursContext is Contours with cancellation.
-func (s *StoredIndex) ContoursContext(ctx context.Context, level float64) ([]Polyline, error) {
-	cr, err := s.ContourMapContext(ctx, level)
-	if err != nil {
-		return nil, err
-	}
-	return cr.Polylines, nil
+	s.ob.Tracer = t
+	s.index.SetObserver(*s.ob)
 }
 
 // Subfields returns the stored partition, or nil for a tiled file (the tile
 // directory is not a subfield partition).
-func (s *StoredIndex) Subfields() []Subfield {
-	p, ok := s.index.(*core.Partitioned)
-	if !ok {
-		return nil
-	}
-	var out []Subfield
-	p.ForEachGroup(func(_ int, iv Interval, cells []CellID) bool {
-		cp := make([]CellID, len(cells))
-		copy(cp, cells)
-		out = append(out, Subfield{Interval: iv, Cells: cp})
-		return true
-	})
-	return out
-}
+func (s *StoredIndex) Subfields() []Subfield { return subfields(s.index) }
 
 // TerrainDEM builds a deterministic fractal terrain DEM with side×side
 // cells (side must be a power of two) — a convenient realistic dataset for

@@ -47,9 +47,6 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := Open(dem, Options{Method: "bogus"}); err == nil {
 		t.Fatal("bogus method accepted")
 	}
-	if _, err := Open(dem, Options{Curve: "bogus"}); err == nil {
-		t.Fatal("bogus curve accepted")
-	}
 }
 
 func TestAllMethodsViaFacade(t *testing.T) {

@@ -102,7 +102,7 @@ func ValueRangeMeasure() (map[string]Row, error) {
 // baselineSections is the precedence order for picking rows out of a
 // multi-section BENCH_BASELINE.json when no section is named: newest
 // recorded state first.
-var baselineSections = []string{"post_approx", "post_wire", "post_serve", "post_tiled", "post_mvcc", "post_batch", "post_sidecar", "post_obs", "post", "pre"}
+var baselineSections = []string{"post_approx", "pre"}
 
 // LoadRows reads benchmark rows from path. Two layouts are accepted: a flat
 // {name: row} map (what -bench-json writes) and the checked-in

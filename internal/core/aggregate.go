@@ -187,7 +187,7 @@ func exactToResult(q geom.Interval, maxErr float64, exact *Result, totalCells in
 // query's endpoints; when the certified fraction bound is within maxErr the
 // estimate is the answer, otherwise the exact filter + refinement pipeline
 // runs under the same pinned state and trace and its cost is added to the
-// query's. An index without a summary (a pre-version-5 file) always answers
+// query's. An index whose file declares no summary pages always answers
 // exactly.
 func (p *Partitioned) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
 	if q.IsEmpty() {
@@ -213,8 +213,7 @@ func (p *Partitioned) Aggregate(q geom.Interval, maxErr float64) (*AggregateResu
 // must hold a pin at s.epoch for the duration of the call.
 func (p *Partitioned) aggregateAt(s *partState, o *observed, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
 	if p.sumPages == 0 {
-		// No summary (pre-version-5 file): the exact pipeline is the only
-		// answer. The total area is unknown there, so Fraction stays 0.
+		// No summary pages: the exact pipeline is the only answer. The total area is unknown there, so Fraction stays 0.
 		exact, err := p.valueQueryAt(s, o, ctx, tb, q)
 		if err != nil {
 			return nil, err
@@ -367,50 +366,48 @@ func (t *TiledIndex) aggregateAt(s *tiledState, o *observed, ctx context.Context
 	qc := beginQueryAt(t.pager, s.epoch)
 	qc.AttachTrace(tb)
 	qc.BeginSpan(obs.PhaseSummary)
-	if t.tileArea != nil {
-		count, area := 0.0, 0.0
-		composed := true
-		for ti := range t.tiles {
-			vr := s.vr[ti]
-			if !vr.Intersects(q) {
-				continue
-			}
-			if q.Lo <= vr.Lo && vr.Hi <= q.Hi {
-				// The tile's whole value range lies inside the query: every
-				// member cell matches, and the per-tile summary carries the
-				// exact count and area. Value summaries only ever widen under
-				// updates, so a covered test stays a sound (if conservative)
-				// exactness certificate across epochs.
-				count += float64(len(t.tiles[ti].ids))
-				area += t.tileArea[ti]
-				continue
-			}
-			composed = false
-			break
+	count, area := 0.0, 0.0
+	composed := true
+	for ti := range t.tiles {
+		vr := s.vr[ti]
+		if !vr.Intersects(q) {
+			continue
 		}
-		if composed {
-			qc.EndSpan()
-			res := &AggregateResult{
-				Query:      q,
-				MaxErr:     maxErr,
-				Count:      count,
-				Area:       area,
-				TotalCells: float64(t.cells),
-				TotalArea:  t.totArea,
-				Approx:     true,
-			}
-			if t.totArea > 0 {
-				res.Fraction = area / t.totArea
-			}
-			res.IO = qc.Stats()
-			qc.Release()
-			o.recordIO(res.IO, 0, res.IO)
-			o.recordAggregate(false)
-			return res, nil
+		if q.Lo <= vr.Lo && vr.Hi <= q.Hi {
+			// The tile's whole value range lies inside the query: every
+			// member cell matches, and the per-tile summary carries the
+			// exact count and area. Value summaries only ever widen under
+			// updates, so a covered test stays a sound (if conservative)
+			// exactness certificate across epochs.
+			count += float64(len(t.tiles[ti].ids))
+			area += t.tileArea[ti]
+			continue
 		}
+		composed = false
+		break
+	}
+	if composed {
+		qc.EndSpan()
+		res := &AggregateResult{
+			Query:      q,
+			MaxErr:     maxErr,
+			Count:      count,
+			Area:       area,
+			TotalCells: float64(t.cells),
+			TotalArea:  t.totArea,
+			Approx:     true,
+		}
+		if t.totArea > 0 {
+			res.Fraction = area / t.totArea
+		}
+		res.IO = qc.Stats()
+		qc.Release()
+		o.recordIO(res.IO, 0, res.IO)
+		o.recordAggregate(false)
+		return res, nil
 	}
 	if t.sumPages == 0 {
-		// Pre-version-5 file: no global summary to consult.
+		// No global summary pages to consult.
 		qc.EndSpan()
 		qc.Release()
 		exact, err := t.valueQueryAt(s, ctx, tb, q, nil)
@@ -469,27 +466,11 @@ func (s *tiledSnapshot) AggregateContext(ctx context.Context, q geom.Interval, m
 	return res, err
 }
 
-// AggregateExact answers an aggregate query through any index's exact
-// pipeline — the shared fallback for methods without field summaries
-// (LinearScan, I-All, Auto): the answer is exact, the cost is the full query
-// cost, and the field-wide area denominator is unknown (Fraction stays 0).
-func AggregateExact(ctx context.Context, idx Index, q geom.Interval, maxErr float64, totalCells int) (*AggregateResult, error) {
-	var exact *Result
-	var err error
-	if cq, ok := idx.(ContextQuerier); ok {
-		exact, err = cq.QueryContext(ctx, q)
-	} else {
-		exact, err = idx.Query(q)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return AggregateFromExact(q, maxErr, exact, totalCells), nil
-}
-
 // AggregateFromExact packages a finished exact query as an aggregate answer
-// with unknown area denominator — the facade's fallback for surfaces that ran
-// the exact pipeline themselves (a pinned snapshot of a summary-less method).
+// — the facade's fallback for methods without field summaries (LinearScan,
+// I-All, Auto), live or pinned: the answer is exact, the cost is the full
+// query cost, and the field-wide area denominator is unknown (Fraction stays
+// 0).
 func AggregateFromExact(q geom.Interval, maxErr float64, exact *Result, totalCells int) *AggregateResult {
 	res := exactToResult(q, maxErr, exact, totalCells, 0)
 	res.Fallback = true

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -126,11 +125,10 @@ func TestAggregateCertifiedBounds(t *testing.T) {
 	}
 }
 
-// TestAggregateRoundtripAndCompat: the summary survives SaveFile/OpenFile
-// byte-identically (version 5), and older files — written by this build at
-// their own version — open fine and answer aggregates through the exact
-// pipeline only.
-func TestAggregateRoundtripAndCompat(t *testing.T) {
+// TestAggregateRoundtrip: the summary survives SaveFile/OpenFile
+// byte-identically, and an index that declares no summary pages answers
+// aggregates through the exact pipeline only.
+func TestAggregateRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
 	if err != nil {
@@ -168,44 +166,27 @@ func TestAggregateRoundtripAndCompat(t *testing.T) {
 		}
 	}
 
-	// Genuine older files: no summary tail, exact answers only.
-	for name, version := range map[string]uint32{
-		"v1": legacyCatalogVersion, "v2": catalogVersionV2,
-		"v3": catalogVersionV3, "v4": catalogVersionV4,
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(dir, name+".fidx")
-			if err := built.saveFileVersion(path, version); err != nil {
-				t.Fatal(err)
-			}
-			old, err := OpenFile(path, storage.DefaultDiskModel, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer old.Close()
-			if old.sumPages != 0 {
-				t.Fatalf("%s file reports %d summary pages", name, old.sumPages)
-			}
-			q := queries[4]
-			count, _ := bruteAggregate(f, q)
-			res, err := old.Aggregate(q, math.Inf(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Approx || !res.Fallback || res.Count != float64(count) {
-				t.Fatalf("%s aggregate = %+v, want exact count %d", name, res, count)
-			}
-			if res.Fraction != 0 || res.TotalArea != 0 {
-				t.Fatalf("%s invented an area denominator: %+v", name, res)
-			}
-		})
+	// A file that declares no summary pages answers exactly and invents no
+	// area denominator.
+	opened.sumPages = 0
+	q := queries[4]
+	count, _ := bruteAggregate(f, q)
+	res, err := opened.Aggregate(q, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Approx || !res.Fallback || res.Count != float64(count) {
+		t.Fatalf("summary-less aggregate = %+v, want exact count %d", res, count)
+	}
+	if res.Fraction != 0 || res.TotalArea != 0 {
+		t.Fatalf("summary-less aggregate invented an area denominator: %+v", res)
 	}
 }
 
 // TestAggregateTiled covers the tiled planner's three stages: zero-read tile
 // composition when every intersecting tile is covered, the bounded global
 // summary otherwise, and the exact scatter-gather past the tolerance — plus
-// the version-5 roundtrip and version-4 (no-tail) compatibility.
+// the save/open roundtrip and the summary-less exact path.
 func TestAggregateTiled(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	ti, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
@@ -243,7 +224,7 @@ func TestAggregateTiled(t *testing.T) {
 		}
 	}
 
-	// Version-5 roundtrip.
+	// Save/open roundtrip.
 	path := filepath.Join(t.TempDir(), "tiled.fdbt")
 	if err := ti.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -269,31 +250,17 @@ func TestAggregateTiled(t *testing.T) {
 		checkCertified(t, "tiled reopened", got, count, area)
 	}
 
-	// A version-4 tiled catalog is the version-5 blob minus the aggregate
-	// tail (per-tile areas + summary geometry), with the version field
-	// rewritten — exactly what the old writer produced. It must open with no
-	// summary and answer aggregates through the exact scatter-gather path.
-	disk, blob, err := readCatalogBlob(path, storage.DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4 := append([]byte(nil), blob[:len(blob)-(len(ti.tiles)*8+8)]...)
-	binary.LittleEndian.PutUint32(v4[4:8], catalogVersionV4)
-	old, err := decodeTiledCatalog(v4, storage.NewPagerShards(disk, storage.DefaultDiskModel, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.sumPages != 0 || old.tileArea != nil {
-		t.Fatalf("v4 tiled file carries summary state: pages %d, areas %v", old.sumPages, old.tileArea)
-	}
+	// With no global summary pages declared, a query the tile composition
+	// cannot answer takes the exact scatter-gather path.
+	opened.sumPages = 0
 	q := aggregateQueries(f, 33)[5]
 	count, _ := bruteAggregate(f, q)
-	res, err := old.Aggregate(q, math.Inf(1))
+	res, err := opened.Aggregate(q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Approx || !res.Fallback || res.Count != float64(count) {
-		t.Fatalf("v4 tiled aggregate = %+v, want exact count %d", res, count)
+		t.Fatalf("summary-less tiled aggregate = %+v, want exact count %d", res, count)
 	}
 }
 

@@ -324,12 +324,6 @@ func mergePageRuns(runs []pageRun) []pageRun {
 			if r.last > last.last {
 				last.last = r.last
 			}
-			if r.posLo < last.posLo {
-				last.posLo = r.posLo
-			}
-			if r.posHi > last.posHi {
-				last.posHi = r.posHi
-			}
 			continue
 		}
 		merged = append(merged, r)
@@ -714,16 +708,12 @@ func (ia *IAll) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 // QueryBatch implements BatchQuerier: per-member tree searches select each
 // member's subfield runs, the union of all merged runs is scanned once, and
 // each record folds into every member whose runs cover its page — solo
-// scanRun semantics per member. With sidecar-filtered refinement armed
-// (SetSidecarRefine, an opt-in that reads only per-member-surviving pages)
-// there is no whole-run fetch to coalesce, so members execute solo inside
-// the batch.
+// scanRun semantics per member.
 func (p *Partitioned) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	if len(members) == 0 {
 		return nil, BatchStats{}
 	}
-	useSidecar := p.sidecarRefine && p.sidecar != nil && p.rids != nil
-	if len(members) == 1 || useSidecar {
+	if len(members) == 1 {
 		return sequentialBatch(&p.observed, p, members)
 	}
 	s, release := p.pinState()

@@ -362,43 +362,6 @@ func TestBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchSidecarRefineFallback checks the partitioned fallback: with
-// sidecar-filtered refinement armed there is no shared whole-run fetch to
-// coalesce, so QueryBatch executes members solo — and still answers exactly.
-func TestBatchSidecarRefineFallback(t *testing.T) {
-	f := testDEM(t, 64, 0.6)
-	vr := f.ValueRange()
-	ih, err := BuildIHilbert(f, newPager(), HilbertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ih.SetSidecarRefine(true) {
-		t.Fatal("could not arm sidecar refinement")
-	}
-	qs := randomQuerySet(rand.New(rand.NewSource(31)), vr, 4)
-	solo := soloResults(t, ih, qs)
-	members := make([]BatchQuery, len(qs))
-	for i, q := range qs {
-		members[i] = BatchQuery{Query: q}
-	}
-	results, st := idxQueryBatch(ih, members)
-	for i := range results {
-		if results[i].Err != nil {
-			t.Fatalf("member %d: %v", i, results[i].Err)
-		}
-		if !reflect.DeepEqual(solo[i], results[i].Res) {
-			t.Fatalf("member %d diverges from solo under sidecar refinement", i)
-		}
-	}
-	if st.PagesSaved != 0 {
-		t.Fatalf("sequential fallback reported %d saved pages", st.PagesSaved)
-	}
-}
-
-func idxQueryBatch(idx BatchQuerier, members []BatchQuery) ([]BatchResult, BatchStats) {
-	return idx.QueryBatch(members)
-}
-
 // TestBatcherWindow checks the admission window: concurrent queries answer
 // exactly as solo, a lone query takes the solo path, and a canceled member
 // fails alone without stranding its group.

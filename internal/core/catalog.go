@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,6 +26,8 @@ import (
 // Catalog blob (little endian):
 //
 //	magic "FCAT", version u32
+//	tile count u32 (0 for an untiled file; > 0 selects the tiled directory
+//	layout of catalog_tiled.go instead of the body below)
 //	method: u16 length + bytes
 //	cells u64
 //	heap page count u64, then that many page ids u32
@@ -33,60 +36,37 @@ import (
 //	    interval lo, hi f64; avg f64; firstPage, lastPage u32;
 //	    startRef, endRef u64
 //	cell order: cells × u32
-//	version ≥ 2 appends the interval-sidecar geometry:
-//	    sidecar first page u32, sidecar pages u32
+//	interval-sidecar geometry: sidecar first page u32, sidecar pages u32
 //	    and, when sidecar pages > 0:
 //	        sidecar count u64
 //	        heap page first-positions: heap page count × u32 (the heap
 //	        position of each page's first record, for reconstructing
 //	        position ↦ RID without reading cell pages)
-//	version ≥ 3 appends the live-update state:
+//	live-update state:
 //	    epoch u64 (the storage epoch the saved pages materialize; SaveFile
 //	    writes the current epoch's overlay view into the base pages, so the
 //	    opened store resumes epoch numbering instead of restarting at 0)
 //	    cost epsilon f64, threshold max size f64 (the partitioning rule the
 //	    index was built with, so update batches re-derive group boundaries
 //	    with the same §3 cost bound)
+//	sidecar codec name: u16 length + bytes (empty without a sidecar)
+//	    and, for the packed codec, its page directory:
+//	        first-position count u64, then that many u32 (the sidecar
+//	        position of each packed page's first entry — variable-rate
+//	        pages cannot derive it from arithmetic the way FSC1 does)
+//	field-summary geometry: summary first page u32, summary pages u32 (0/0
+//	    when the index carries no summary; the pages themselves — the
+//	    encoded approx blob — ride in the snapshotted page range like tree
+//	    and sidecar pages do)
 //
-// version ≥ 4 inserts a tile-count u32 immediately after the version word
-// (0 for an untiled file, in which case the version-3 body follows
-// unchanged) and appends the sidecar codec:
-//
-//	codec name: u16 length + bytes (empty without a sidecar)
-//	and, for the packed codec, its page directory:
-//	    first-position count u64, then that many u32 (the sidecar
-//	    position of each packed page's first entry — variable-rate
-//	    pages cannot derive it from arithmetic the way FSC1 does)
-//
-// A tile count > 0 selects the tiled directory layout instead (see
-// catalog_tiled.go): per-tile MBR and value summaries followed by each
-// tile's embedded geometry.
-//
-// version ≥ 5 appends the aggregate tier's field-summary geometry:
-//
-//	summary first page u32, summary pages u32 (0/0 when the index carries
-//	no summary; the pages themselves — the encoded approx blob — ride in
-//	the snapshotted page range like tree and sidecar pages do)
-//
-// Older files still open: decodeCatalog accepts every prior version. A
-// version-1 index has no sidecar (every query takes the heap-file fallback
-// path); version-1 and version-2 indexes open at epoch 0 with the default
-// cost model; pre-version-4 files always carry raw-codec sidecars;
-// pre-version-5 files have no field summary, so aggregate queries on them
-// always take the exact path. Re-encoding a file at an older version writes
-// it byte-identically to that version's writer.
-const (
-	catalogVersion       = 5
-	catalogVersionV4     = 4
-	catalogVersionV3     = 3
-	catalogVersionV2     = 2
-	legacyCatalogVersion = 1
-)
+// This is the one layout read or written. A file whose superblock or catalog
+// header carries any other version is refused with ErrUnsupportedVersion
+// before anything else in it is interpreted.
+const catalogVersion = 5
 
-// validCatalogVersion reports whether v names a readable catalog layout.
-func validCatalogVersion(v uint32) bool {
-	return v >= legacyCatalogVersion && v <= catalogVersion
-}
+// ErrUnsupportedVersion reports a database file whose superblock or catalog
+// header names a catalog version other than the current one.
+var ErrUnsupportedVersion = errors.New("core: unsupported catalog version")
 
 var (
 	catalogMagic    = [4]byte{'F', 'C', 'A', 'T'}
@@ -97,12 +77,6 @@ var (
 // sidecar, and catalog — to a single database file that OpenFile can query
 // without rebuilding.
 func (p *Partitioned) SaveFile(path string) error {
-	return p.saveFileVersion(path, catalogVersion)
-}
-
-// saveFileVersion is SaveFile at an explicit catalog version; the legacy
-// version is kept writable so tests can produce genuine pre-sidecar files.
-func (p *Partitioned) saveFileVersion(path string, version uint32) error {
 	// Serialize with update batches: the snapshot below must capture the heap,
 	// sidecar and tree pages of one published state, not a commit in flight.
 	p.updMu.Lock()
@@ -121,7 +95,12 @@ func (p *Partitioned) saveFileVersion(path string, version uint32) error {
 	if err := p.pager.SnapshotTo(disk); err != nil {
 		return fmt.Errorf("core: snapshot: %w", err)
 	}
-	blob := p.encodeCatalog(version)
+	return writeCatalog(disk, p.encodeCatalog())
+}
+
+// writeCatalog appends the catalog blob and the superblock that locates it
+// to a disk already holding the index's pages, then closes the disk.
+func writeCatalog(disk *storage.FileDisk, blob []byte) error {
 	catalogStart := disk.NumPages()
 	ps := disk.PageSize()
 	for off := 0; off < len(blob); off += ps {
@@ -146,7 +125,7 @@ func (p *Partitioned) saveFileVersion(path string, version uint32) error {
 	}
 	super := make([]byte, ps)
 	copy(super[0:4], superblockMagic[:])
-	binary.LittleEndian.PutUint32(super[4:8], version)
+	binary.LittleEndian.PutUint32(super[4:8], catalogVersion)
 	binary.LittleEndian.PutUint32(super[8:12], uint32(catalogStart))
 	binary.LittleEndian.PutUint32(super[12:16], uint32(catalogPages))
 	binary.LittleEndian.PutUint64(super[16:24], uint64(len(blob)))
@@ -156,14 +135,12 @@ func (p *Partitioned) saveFileVersion(path string, version uint32) error {
 	return disk.Close()
 }
 
-func (p *Partitioned) encodeCatalog(version uint32) []byte {
+func (p *Partitioned) encodeCatalog() []byte {
 	st := p.snap.Load()
 	var b bytes.Buffer
 	b.Write(catalogMagic[:])
-	writeU32(&b, version)
-	if version >= 4 {
-		writeU32(&b, 0) // tile count: a Partitioned save is always untiled
-	}
+	writeU32(&b, catalogVersion)
+	writeU32(&b, 0) // tile count: a Partitioned save is always untiled
 	method := []byte(p.method)
 	writeU16(&b, uint16(len(method)))
 	b.Write(method)
@@ -189,53 +166,40 @@ func (p *Partitioned) encodeCatalog(version uint32) []byte {
 	for _, id := range p.order {
 		writeU32(&b, uint32(id))
 	}
-	if version >= 2 {
-		sidecarPages := 0
-		if p.sidecar != nil && p.rids != nil {
-			sidecarPages = p.sidecar.NumPages()
-		}
-		if sidecarPages > 0 {
-			writeU32(&b, uint32(p.sidecar.FirstPage()))
-			writeU32(&b, uint32(sidecarPages))
-			writeU64(&b, uint64(p.sidecar.Count()))
-			// First heap position of every heap page, so opening the file
-			// can rebuild position ↦ RID (slots are append-ordered within a
-			// page) without touching cell pages.
-			pi := -1
-			var prev storage.PageID
-			for pos, rid := range p.rids {
-				if pi < 0 || rid.Page != prev {
-					writeU32(&b, uint32(pos))
-					pi++
-					prev = rid.Page
-				}
-			}
-		} else {
-			writeU32(&b, 0)
-			writeU32(&b, 0)
-		}
+	codec := ""
+	if p.sidecar != nil && p.sidecar.NumPages() > 0 {
+		codec = p.sidecar.Codec()
+		writeU32(&b, uint32(p.sidecar.FirstPage()))
+		writeU32(&b, uint32(p.sidecar.NumPages()))
+		writeU64(&b, uint64(p.sidecar.Count()))
+		writePageFirstPositions(&b, p.rids)
+	} else {
+		writeU32(&b, 0)
+		writeU32(&b, 0)
 	}
-	if version >= 3 {
-		writeU64(&b, st.epoch)
-		writeF64(&b, p.cost.Epsilon)
-		writeF64(&b, p.maxSize)
-	}
-	if version >= 4 {
-		codec := ""
-		if p.sidecar != nil && p.rids != nil && p.sidecar.NumPages() > 0 {
-			codec = p.sidecar.Codec()
-		}
-		writeCodecTail(&b, codec, p.sidecar)
-	}
-	if version >= 5 {
-		writeU32(&b, uint32(p.sumFirst))
-		writeU32(&b, uint32(p.sumPages))
-	}
+	writeU64(&b, st.epoch)
+	writeF64(&b, p.cost.Epsilon)
+	writeF64(&b, p.maxSize)
+	writeCodecTail(&b, codec, p.sidecar)
+	writeU32(&b, uint32(p.sumFirst))
+	writeU32(&b, uint32(p.sumPages))
 	return b.Bytes()
 }
 
-// writeCodecTail appends the version-4 sidecar-codec section: the codec name
-// and, for packed sidecars, the page directory OpenIntervalSidecarPacked
+// writePageFirstPositions appends the first heap position of every heap
+// page, so opening the file can rebuild position ↦ RID (slots are
+// append-ordered within a page) without touching cell pages.
+func writePageFirstPositions(b *bytes.Buffer, rids []storage.RID) {
+	var prev storage.PageID
+	for pos, rid := range rids {
+		if pos == 0 || rid.Page != prev {
+			writeU32(b, uint32(pos))
+			prev = rid.Page
+		}
+	}
+}
+
+// writeCodecTail appends the sidecar-codec section: the codec name and, for packed sidecars, the page directory OpenIntervalSidecarPacked
 // needs to reopen them.
 func writeCodecTail(b *bytes.Buffer, codec string, sc *storage.IntervalSidecar) {
 	writeU16(b, uint16(len(codec)))
@@ -326,9 +290,9 @@ func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, erro
 		disk.Close()
 		return nil, nil, fmt.Errorf("core: %s: bad superblock magic", path)
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:8]); !validCatalogVersion(v) {
+	if v := binary.LittleEndian.Uint32(buf[4:8]); v != catalogVersion {
 		disk.Close()
-		return nil, nil, fmt.Errorf("core: %s: unsupported catalog version %d", path, v)
+		return nil, nil, fmt.Errorf("core: %s: superblock: %w %d", path, ErrUnsupportedVersion, v)
 	}
 	catalogStart := int(binary.LittleEndian.Uint32(buf[8:12]))
 	catalogPages := int(binary.LittleEndian.Uint32(buf[12:16]))
@@ -346,19 +310,38 @@ func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, erro
 		}
 		blob = append(blob, buf...)
 	}
-	return disk, blob[:blobLen], nil
+	blob = blob[:blobLen]
+	if err := checkCatalogHeader(blob); err != nil {
+		disk.Close()
+		return nil, nil, fmt.Errorf("core: %s: %w", path, err)
+	}
+	return disk, blob, nil
 }
 
-// catalogTileCount peeks a catalog blob's tile-count discriminator: 0 for
-// every untiled layout (and every pre-version-4 file), the tile count for a
-// tiled directory.
+// catalogHeaderLen is the fixed catalog prefix every layout shares: magic,
+// version, tile count.
+const catalogHeaderLen = 12
+
+// checkCatalogHeader validates a catalog blob's magic and version — the gate
+// in front of both decoders, so neither interprets a layout it was not
+// written for.
+func checkCatalogHeader(blob []byte) error {
+	if len(blob) < catalogHeaderLen {
+		return fmt.Errorf("catalog truncated")
+	}
+	if !bytes.Equal(blob[0:4], catalogMagic[:]) {
+		return fmt.Errorf("bad catalog magic")
+	}
+	if v := binary.LittleEndian.Uint32(blob[4:8]); v != catalogVersion {
+		return fmt.Errorf("catalog: %w %d", ErrUnsupportedVersion, v)
+	}
+	return nil
+}
+
+// catalogTileCount reads a validated catalog blob's tile-count
+// discriminator: 0 for the untiled layout, the tile count for a tiled
+// directory.
 func catalogTileCount(blob []byte) int {
-	if len(blob) < 12 || !bytes.Equal(blob[0:4], catalogMagic[:]) {
-		return 0
-	}
-	if binary.LittleEndian.Uint32(blob[4:8]) < 4 {
-		return 0
-	}
 	return int(binary.LittleEndian.Uint32(blob[8:12]))
 }
 
@@ -377,9 +360,9 @@ func openFilePageSize(path string, pageSize int, opts OpenFileOptions) (*Partiti
 		return nil, fmt.Errorf("core: %s: %w", path, err)
 	}
 	pager := storage.NewPagerShards(disk, opts.Model, opts.PoolPages, opts.PoolShards)
-	// Resume epoch numbering where the saved store left off (0 for files
-	// written before version 3): SaveFile materialized that epoch's overlay
-	// view into the base pages, so the opened store is that epoch, verbatim.
+	// Resume epoch numbering where the saved store left off: SaveFile
+	// materialized that epoch's overlay view into the base pages, so the
+	// opened store is that epoch, verbatim.
 	pager.SetEpoch(dec.epoch)
 	dec.p.pager = pager
 	dec.p.heap = storage.OpenHeapFile(pager, dec.heapPages, dec.cells)
@@ -389,22 +372,9 @@ func openFilePageSize(path string, pageSize int, opts OpenFileOptions) (*Partiti
 		disk.Close()
 		return nil, err
 	}
-	// Restore the partitioning rule for update batches. Pre-version-3 files
-	// carry no cost model: fall back to the paper's default and, for
-	// I-Threshold, re-derive the size bound from the loosest saved group (every
-	// group respected it at build time, so the max is a faithful floor).
+	// Restore the partitioning rule for update batches.
 	dec.p.cost = subfield.CostModel{Epsilon: dec.epsilon}
-	if dec.p.cost.Epsilon == 0 {
-		dec.p.cost = subfield.DefaultCostModel
-	}
 	dec.p.maxSize = dec.maxSize
-	if dec.p.maxSize == 0 && (dec.p.method == MethodIThresh || dec.p.method == MethodIQuad) {
-		for _, g := range dec.groups {
-			if s := dec.p.cost.Size(g.interval); s > dec.p.maxSize {
-				dec.p.maxSize = s
-			}
-		}
-	}
 	dec.p.sumFirst = dec.sumFirst
 	dec.p.sumPages = dec.sumPages
 	dec.p.snap.Store(&partState{epoch: dec.epoch, tree: tree, groups: dec.groups})
@@ -415,25 +385,44 @@ func openFilePageSize(path string, pageSize int, opts OpenFileOptions) (*Partiti
 			return nil, fmt.Errorf("core: %s: %w", path, err)
 		}
 		dec.p.sidecar = sc
-		// Rebuild position ↦ RID from the per-page first positions: slots
-		// are assigned in append order within each page.
-		rids := make([]storage.RID, dec.cells)
-		for pi, id := range dec.heapPages {
-			next := dec.cells
-			if pi+1 < len(dec.pageFirstPos) {
-				next = dec.pageFirstPos[pi+1]
-			}
-			for pos := dec.pageFirstPos[pi]; pos < next; pos++ {
-				rids[pos] = storage.RID{Page: id, Slot: uint16(pos - dec.pageFirstPos[pi])}
-			}
-		}
-		dec.p.rids = rids
+		dec.p.rids = ridsFromFirstPositions(dec.heapPages, dec.pageFirstPos, dec.cells)
 	}
 	return dec.p, nil
 }
 
-// openSidecarAs reopens a persisted sidecar segment under its saved codec;
-// an empty codec (every pre-version-4 file) means the raw FSC1 layout.
+// readPageFirstPositions decodes writePageFirstPositions' section for a heap
+// of numPages pages holding cells records, rejecting positions that do not
+// start at 0 and ascend strictly below cells.
+func readPageFirstPositions(r *byteReader, numPages, cells int) ([]int, error) {
+	firstPos := make([]int, numPages)
+	for i := range firstPos {
+		firstPos[i] = int(r.u32())
+		if r.err == nil && (firstPos[i] >= cells ||
+			(i == 0 && firstPos[i] != 0) ||
+			(i > 0 && firstPos[i] <= firstPos[i-1])) {
+			return nil, fmt.Errorf("corrupt page positions")
+		}
+	}
+	return firstPos, nil
+}
+
+// ridsFromFirstPositions rebuilds position ↦ RID from the per-page first
+// positions: slots are assigned in append order within each page.
+func ridsFromFirstPositions(heapPages []storage.PageID, firstPos []int, cells int) []storage.RID {
+	rids := make([]storage.RID, cells)
+	for pi, id := range heapPages {
+		next := cells
+		if pi+1 < len(firstPos) {
+			next = firstPos[pi+1]
+		}
+		for pos := firstPos[pi]; pos < next; pos++ {
+			rids[pos] = storage.RID{Page: id, Slot: uint16(pos - firstPos[pi])}
+		}
+	}
+	return rids
+}
+
+// openSidecarAs reopens a persisted sidecar segment under its saved codec.
 func openSidecarAs(pager *storage.Pager, codec string, first storage.PageID, pages, count int, firstPos []uint32) (*storage.IntervalSidecar, error) {
 	if codec == storage.SidecarCodecPacked {
 		return storage.OpenIntervalSidecarPacked(pager, first, count, firstPos)
@@ -463,22 +452,10 @@ type decodedCatalog struct {
 	sumPages        int
 }
 
+// decodeCatalog decodes the untiled body of a catalog blob whose header
+// checkCatalogHeader accepted.
 func decodeCatalog(blob []byte) (*decodedCatalog, error) {
-	r := &byteReader{buf: blob}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if magic != catalogMagic {
-		return nil, fmt.Errorf("bad catalog magic")
-	}
-	version := r.u32()
-	if !validCatalogVersion(version) {
-		return nil, fmt.Errorf("unsupported catalog version %d", version)
-	}
-	if version >= 4 {
-		if tiles := r.u32(); tiles != 0 {
-			return nil, fmt.Errorf("tiled catalog (%d tiles) has no untiled decoding", tiles)
-		}
-	}
+	r := &byteReader{buf: blob, off: catalogHeaderLen}
 	methodLen := int(r.u16())
 	method := make([]byte, methodLen)
 	r.bytes(method)
@@ -529,55 +506,34 @@ func decodeCatalog(blob []byte) (*decodedCatalog, error) {
 	for i := range order {
 		order[i] = field.CellID(r.u32())
 	}
-	sidecarFirst := storage.PageID(0)
-	sidecarPages, sidecarCount := 0, 0
+	sidecarFirst := storage.PageID(r.u32())
+	sidecarPages := int(r.u32())
+	sidecarCount := 0
 	var pageFirstPos []int
-	if version >= 2 {
-		sidecarFirst = storage.PageID(r.u32())
-		sidecarPages = int(r.u32())
-		if sidecarPages > 0 {
-			sidecarCount = int(r.u64())
-			if r.err != nil || sidecarCount != cells {
-				return nil, fmt.Errorf("corrupt sidecar geometry")
-			}
-			pageFirstPos = make([]int, numPages)
-			for i := range pageFirstPos {
-				pageFirstPos[i] = int(r.u32())
-				if r.err == nil && (pageFirstPos[i] >= cells ||
-					(i == 0 && pageFirstPos[i] != 0) ||
-					(i > 0 && pageFirstPos[i] <= pageFirstPos[i-1])) {
-					return nil, fmt.Errorf("corrupt sidecar page positions")
-				}
-			}
+	if sidecarPages > 0 {
+		sidecarCount = int(r.u64())
+		if r.err != nil || sidecarCount != cells {
+			return nil, fmt.Errorf("corrupt sidecar geometry")
+		}
+		var err error
+		if pageFirstPos, err = readPageFirstPositions(r, numPages, cells); err != nil {
+			return nil, fmt.Errorf("sidecar: %w", err)
 		}
 	}
-	var epoch uint64
-	var epsilon, maxSize float64
-	if version >= 3 {
-		epoch = r.u64()
-		epsilon = r.f64()
-		maxSize = r.f64()
-		if r.err == nil && (math.IsNaN(epsilon) || epsilon < 0 || math.IsNaN(maxSize) || maxSize < 0) {
-			return nil, fmt.Errorf("corrupt update state")
-		}
+	epoch := r.u64()
+	epsilon := r.f64()
+	maxSize := r.f64()
+	if r.err == nil && (math.IsNaN(epsilon) || epsilon < 0 || math.IsNaN(maxSize) || maxSize < 0) {
+		return nil, fmt.Errorf("corrupt update state")
 	}
-	var codec string
-	var sidecarFirstPos []uint32
-	if version >= 4 {
-		var cerr error
-		codec, sidecarFirstPos, cerr = readCodecTail(r, sidecarPages)
-		if cerr != nil {
-			return nil, cerr
-		}
+	codec, sidecarFirstPos, err := readCodecTail(r, sidecarPages)
+	if err != nil {
+		return nil, err
 	}
-	var sumFirst storage.PageID
-	sumPages := 0
-	if version >= 5 {
-		sumFirst = storage.PageID(r.u32())
-		sumPages = int(r.u32())
-		if r.err == nil && (sumPages < 0 || sumPages > 1<<16) {
-			return nil, fmt.Errorf("corrupt summary geometry")
-		}
+	sumFirst := storage.PageID(r.u32())
+	sumPages := int(r.u32())
+	if r.err == nil && (sumPages < 0 || sumPages > 1<<16) {
+		return nil, fmt.Errorf("corrupt summary geometry")
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("catalog truncated")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"fielddb/internal/field"
@@ -10,8 +9,8 @@ import (
 	"fielddb/internal/storage"
 )
 
-// Tiled catalog layout (version 4, tile count > 0). After the shared header
-// (magic "FCAT", version u32, tile count u32):
+// Tiled catalog layout (tile count > 0). After the shared header (magic
+// "FCAT", version u32, tile count u32):
 //
 //	inner method: u16 length + bytes (always "LinearScan" today)
 //	codec: u16 length + bytes (shared by every tile's sidecar)
@@ -28,24 +27,18 @@ import (
 //	        heap page first-positions: heap page count × u32
 //	        codec tail: for the packed codec, first-position count u64 +
 //	        that many u32 (see writeCodecTail)
+//	the aggregate tier's tail:
+//	    per tile, in tile order: total cell area f64 (the covered-tile
+//	    composition weight)
+//	    global summary first page u32, summary pages u32 (0/0 when absent)
 //
 // The per-tile MBR and value summary ARE the planner's prune inputs, so an
 // opened file prunes exactly like the build it was saved from. Only
 // Tiled-LinearScan indexes have an on-disk format — the partitioned inner
 // methods would need a subfield tree per tile, which nothing requires yet.
-//
-// Version 5 appends the aggregate tier's tail after the per-tile blocks:
-//
-//	per tile, in tile order: total cell area f64 (the covered-tile
-//	composition weight)
-//	global summary first page u32, summary pages u32 (0/0 when absent)
-//
-// decodeTiledCatalog accepts versions 4 and 5; a version-4 file opens with
-// no tile areas and no global summary, so its aggregate queries always take
-// the exact scatter-gather path.
 
 // SaveFile writes the tiled index — every tile's heap segment and sidecar,
-// plus the version-4 tile directory — to a single database file that
+// plus the tile directory — to a single database file that
 // OpenTiledFile can query without rebuilding. Only LinearScan-inner tiled
 // indexes can be saved.
 func (t *TiledIndex) SaveFile(path string) error {
@@ -70,39 +63,7 @@ func (t *TiledIndex) SaveFile(path string) error {
 	if err := t.pager.SnapshotTo(disk); err != nil {
 		return fmt.Errorf("core: snapshot: %w", err)
 	}
-	blob := t.encodeTiledCatalog()
-	catalogStart := disk.NumPages()
-	ps := disk.PageSize()
-	for off := 0; off < len(blob); off += ps {
-		end := off + ps
-		if end > len(blob) {
-			end = len(blob)
-		}
-		id, err := disk.Alloc()
-		if err != nil {
-			return err
-		}
-		page := make([]byte, ps)
-		copy(page, blob[off:end])
-		if err := disk.WritePage(id, page); err != nil {
-			return err
-		}
-	}
-	catalogPages := disk.NumPages() - catalogStart
-	superID, err := disk.Alloc()
-	if err != nil {
-		return err
-	}
-	super := make([]byte, ps)
-	copy(super[0:4], superblockMagic[:])
-	binary.LittleEndian.PutUint32(super[4:8], catalogVersion)
-	binary.LittleEndian.PutUint32(super[8:12], uint32(catalogStart))
-	binary.LittleEndian.PutUint32(super[12:16], uint32(catalogPages))
-	binary.LittleEndian.PutUint64(super[16:24], uint64(len(blob)))
-	if err := disk.WritePage(superID, super); err != nil {
-		return err
-	}
-	return disk.Close()
+	return writeCatalog(disk, t.encodeTiledCatalog())
 }
 
 func (t *TiledIndex) encodeTiledCatalog() []byte {
@@ -146,18 +107,7 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 		if ls.sidecar != nil {
 			writeU32(&b, uint32(ls.sidecar.FirstPage()))
 			writeU32(&b, uint32(ls.sidecar.NumPages()))
-			// First heap position of every heap page, as in the untiled
-			// version-2 section, to rebuild position ↦ RID without reading
-			// cell pages.
-			pi := -1
-			var prev storage.PageID
-			for pos, rid := range ls.rids {
-				if pi < 0 || rid.Page != prev {
-					writeU32(&b, uint32(pos))
-					pi++
-					prev = rid.Page
-				}
-			}
+			writePageFirstPositions(&b, ls.rids)
 			writeCodecTail(&b, codec, ls.sidecar)
 		} else {
 			writeU32(&b, 0)
@@ -165,11 +115,7 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 		}
 	}
 	for ti := range t.tiles {
-		area := 0.0
-		if t.tileArea != nil {
-			area = t.tileArea[ti]
-		}
-		writeF64(&b, area)
+		writeF64(&b, t.tileArea[ti])
 	}
 	writeU32(&b, uint32(t.sumFirst))
 	writeU32(&b, uint32(t.sumPages))
@@ -224,18 +170,11 @@ func OpenTiledFileWith(path string, opts OpenFileOptions) (*TiledIndex, error) {
 	return t, nil
 }
 
+// decodeTiledCatalog decodes the tiled directory of a catalog blob whose
+// header checkCatalogHeader accepted.
 func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) {
-	r := &byteReader{buf: blob}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if magic != catalogMagic {
-		return nil, fmt.Errorf("bad catalog magic")
-	}
-	version := r.u32()
-	if version != catalogVersion && version != catalogVersionV4 {
-		return nil, fmt.Errorf("unsupported tiled catalog version %d", version)
-	}
-	numTiles := int(r.u32())
+	r := &byteReader{buf: blob, off: catalogHeaderLen}
+	numTiles := catalogTileCount(blob)
 	methodLen := int(r.u16())
 	method := make([]byte, methodLen)
 	r.bytes(method)
@@ -309,14 +248,9 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 			cells: ncells,
 		}
 		if sidecarPages > 0 {
-			pageFirstPos := make([]int, numPages)
-			for i := range pageFirstPos {
-				pageFirstPos[i] = int(r.u32())
-				if r.err == nil && (pageFirstPos[i] >= ncells ||
-					(i == 0 && pageFirstPos[i] != 0) ||
-					(i > 0 && pageFirstPos[i] <= pageFirstPos[i-1])) {
-					return nil, fmt.Errorf("corrupt tile %d page positions", ti)
-				}
+			pageFirstPos, err := readPageFirstPositions(r, numPages, ncells)
+			if err != nil {
+				return nil, fmt.Errorf("tile %d: %w", ti, err)
 			}
 			tileCodec, firstPos, cerr := readCodecTail(r, sidecarPages)
 			if cerr != nil {
@@ -330,17 +264,7 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 				return nil, fmt.Errorf("tile %d: %w", ti, err)
 			}
 			ls.sidecar = sc
-			rids := make([]storage.RID, ncells)
-			for pi, id := range heapPages {
-				next := ncells
-				if pi+1 < len(pageFirstPos) {
-					next = pageFirstPos[pi+1]
-				}
-				for pos := pageFirstPos[pi]; pos < next; pos++ {
-					rids[pos] = storage.RID{Page: id, Slot: uint16(pos - pageFirstPos[pi])}
-				}
-			}
-			ls.rids = rids
+			ls.rids = ridsFromFirstPositions(heapPages, pageFirstPos, ncells)
 		}
 		// view stays nil: queries never touch it, and ApplyUpdates rebuilds
 		// it from the caller's field on first use.
@@ -348,20 +272,16 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		vr = append(vr, iv)
 		covered += ncells
 	}
-	if version >= 5 {
-		tileArea := make([]float64, numTiles)
-		tot := 0.0
-		for i := range tileArea {
-			tileArea[i] = r.f64()
-			tot += tileArea[i]
-		}
-		sumFirst := storage.PageID(r.u32())
-		sumPages := int(r.u32())
-		if r.err == nil && (sumPages < 0 || sumPages > 1<<16) {
-			return nil, fmt.Errorf("corrupt summary geometry")
-		}
-		t.tileArea, t.totArea = tileArea, tot
-		t.sumFirst, t.sumPages = sumFirst, sumPages
+	tileArea := make([]float64, numTiles)
+	for i := range tileArea {
+		tileArea[i] = r.f64()
+		t.totArea += tileArea[i]
+	}
+	t.tileArea = tileArea
+	t.sumFirst = storage.PageID(r.u32())
+	t.sumPages = int(r.u32())
+	if r.err == nil && (t.sumPages < 0 || t.sumPages > 1<<16) {
+		return nil, fmt.Errorf("corrupt summary geometry")
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("catalog truncated")

@@ -356,6 +356,7 @@ func TestIHilbertWithAlternativeCurves(t *testing.T) {
 	vr := f.ValueRange()
 	q := geom.Interval{Lo: vr.Lo + vr.Length()*0.4, Hi: vr.Lo + vr.Length()*0.5}
 	wantCells, _ := bruteForce(f, q)
+	var areas []float64
 	for _, name := range []string{"hilbert", "zorder", "gray"} {
 		curve, err := sfc.New(name, 16, 2)
 		if err != nil {
@@ -371,6 +372,13 @@ func TestIHilbertWithAlternativeCurves(t *testing.T) {
 		}
 		if res.CellsMatched != len(wantCells) {
 			t.Fatalf("%s: matched %d, want %d", name, res.CellsMatched, len(wantCells))
+		}
+		areas = append(areas, res.Area)
+	}
+	// The curve changes the partition, not the answer.
+	for i := 1; i < len(areas); i++ {
+		if math.Abs(areas[i]-areas[0]) > 1e-9*(1+areas[0]) {
+			t.Fatalf("curve changed answers: %v", areas)
 		}
 	}
 }

@@ -54,13 +54,10 @@ type Partitioned struct {
 	snap  atomic.Pointer[partState]
 	order []field.CellID // heap-file cell order (partition order)
 	cells int
-	// rids maps heap position to record id (nil for pre-sidecar files);
-	// sidecar is the packed interval segment (nil when disabled or absent).
+	// rids maps heap position to record id (nil for a file saved without a
+	// sidecar); sidecar is the packed interval segment (nil when disabled).
 	rids    []storage.RID
 	sidecar *storage.IntervalSidecar
-	// sidecarRefine switches the refinement step to sidecar-filtered page
-	// fetches; see SetSidecarRefine for why this is off by default.
-	sidecarRefine bool
 	// workers bounds the goroutines of the parallel refinement step; 0 or 1
 	// keeps the query single-threaded.
 	workers int
@@ -77,8 +74,8 @@ type Partitioned struct {
 	posOf   map[field.CellID]int
 
 	// Field-summary state for the aggregate tier: the contiguous page run
-	// holding the encoded approx summary (sumPages == 0 when absent — a
-	// pre-version-5 file opens without one and answers aggregates exactly),
+	// holding the encoded approx summary (sumPages == 0 when absent: such an
+	// index answers aggregates exactly),
 	// and each cell's planar area in heap order (nil for file-opened indexes;
 	// when present, update batches refit the summary instead of widening its
 	// certified slack).
@@ -112,23 +109,6 @@ func (p *Partitioned) pinState() (*partState, func()) {
 	}
 }
 
-// SetSidecarRefine toggles sidecar-filtered refinement: each merged run's
-// intervals are tested on the sidecar first and only heap pages holding a
-// matching cell are read. It reports whether the mode is armed (the index
-// must carry a sidecar; pre-sidecar files cannot).
-//
-// The mode is off by default because it is a measured loss on this
-// workload: on the Hilbert layout 95–97% of merged-run pages already hold a
-// matching cell at the paper's selectivities — value clustering is exactly
-// what the subfield partitioning buys — so the sidecar reads add more pages
-// than the few all-miss heap pages they skip. The switch exists for layouts
-// or workloads with value-impure runs, and as the identity oracle the tests
-// use to verify the sidecar path end to end.
-func (p *Partitioned) SetSidecarRefine(on bool) bool {
-	p.sidecarRefine = on && p.sidecar != nil && p.rids != nil
-	return p.sidecarRefine
-}
-
 // SetWorkers bounds the worker pool that parallelizes the refinement step
 // across subfield cell runs. One run is one sequential-I/O unit, so the
 // answer regions and the per-query accounting are identical to the
@@ -159,7 +139,7 @@ type HilbertOptions struct {
 	// parallelism. 0 or 1 means single-threaded.
 	Workers int
 	// NoSidecar skips building the columnar interval sidecar (and with it
-	// the SetSidecarRefine mode and the sidecar catalog fields).
+	// the sidecar catalog fields).
 	NoSidecar bool
 	// Codec selects the sidecar page codec (storage.SidecarCodecRaw or
 	// storage.SidecarCodecPacked); empty selects the raw legacy layout.
@@ -518,24 +498,21 @@ func (p *Partitioned) ForEachGroup(fn func(group int, iv geom.Interval, cells []
 }
 
 // pageRun is one contiguous stretch of heap-file pages — one sequential-I/O
-// unit of the refinement step — together with the heap-position range of the
-// member subfields' cells (used by the sidecar-filtered refinement to scan
-// the matching stretch of the interval columns).
-type pageRun struct{ first, last, posLo, posHi int }
+// unit of the refinement step.
+type pageRun struct{ first, last int }
 
 // mergeGroupRuns sorts the selected subfields' page runs and merges
 // overlapping or adjacent ones: consecutive subfields share boundary pages,
-// and reading each merged run once keeps the I/O sequential. Subfields tile
-// the heap in position order, so a merged run's position range is the min/max
-// over its members; it can cover an interleaved unselected subfield, whose
-// cells are provably non-matching (their group interval missed the query) and
-// filter out like any other. It is a free function over one state's groups so
-// the batch executor and the snapshot pipelines share it.
+// and reading each merged run once keeps the I/O sequential. A merged run can
+// cover an interleaved unselected subfield, whose cells are provably
+// non-matching (their group interval missed the query) and filter out like
+// any other. It is a free function over one state's groups so the batch
+// executor and the snapshot pipelines share it.
 func mergeGroupRuns(groups []groupMeta, selected []int) []pageRun {
 	runs := make([]pageRun, 0, len(selected))
 	for _, gi := range selected {
 		g := groups[gi]
-		runs = append(runs, pageRun{g.firstPage, g.lastPage, g.startRef, g.endRef})
+		runs = append(runs, pageRun{g.firstPage, g.lastPage})
 	}
 	sort.Slice(runs, func(i, j int) bool { return runs[i].first < runs[j].first })
 	merged := runs[:1]
@@ -544,12 +521,6 @@ func mergeGroupRuns(groups []groupMeta, selected []int) []pageRun {
 		if r.first <= last.last+1 {
 			if r.last > last.last {
 				last.last = r.last
-			}
-			if r.posLo < last.posLo {
-				last.posLo = r.posLo
-			}
-			if r.posHi > last.posHi {
-				last.posHi = r.posHi
 			}
 			continue
 		}
@@ -582,42 +553,6 @@ func (p *Partitioned) scanRun(ctx context.Context, qc *storage.QueryCtx, r pageR
 		return err
 	}
 	return cellErr
-}
-
-// scanRunSidecar is scanRun with the interval tests served by the sidecar:
-// the run's position range is scanned from the packed columns (sequential,
-// ~255 intervals per page), and only heap pages holding a surviving cell
-// are read, grouped into sub-runs by fetchPositions. Matching cells fold in
-// ascending position order — the order scanRun visits them — so Regions,
-// Isolines, Area and the matched/tested counters are identical to scanRun's;
-// only the page accounting differs (that being the point). sidecarReads
-// receives the run's sidecar page-read count for metric attribution.
-func (p *Partitioned) scanRunSidecar(ctx context.Context, qc *storage.QueryCtx, r pageRun, q geom.Interval, res *Result, sidecarReads *int) error {
-	pb := getPosBuf()
-	defer putPosBuf(pb)
-	before := qc.LocalStats().Reads
-	var scanErr error
-	err := p.sidecar.ScanRange(qc, r.posLo, r.posHi, func(base int, lo, hi []float64) bool {
-		pb.pos = field.FilterIntervals(pb.pos, int32(base), lo, hi, q.Lo, q.Hi)
-		scanErr = ctx.Err()
-		return scanErr == nil
-	})
-	*sidecarReads += qc.LocalStats().Reads - before
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		return err
-	}
-	res.CellsFetched += r.posHi - r.posLo
-	var c field.Cell
-	return fetchPositions(ctx, qc, p.rids, pb.pos, func(rec []byte) error {
-		if err := field.DecodeCell(rec, &c); err != nil {
-			return err
-		}
-		estimateMatched(res, &c, q)
-		return nil
-	})
 }
 
 // Query implements Index: Step 1 (filter) finds the subfields whose
@@ -682,8 +617,6 @@ func (p *Partitioned) valueQueryAt(s *partState, o *observed, ctx context.Contex
 		return res, nil
 	}
 	merged := mergeGroupRuns(s.groups, selected)
-	useSidecar := p.sidecarRefine && p.sidecar != nil && p.rids != nil
-	sidecarReads := 0
 
 	qc.BeginSpan(obs.PhaseRefine)
 	workers := clampWorkers(p.workers)
@@ -692,19 +625,13 @@ func (p *Partitioned) valueQueryAt(s *partState, o *observed, ctx context.Contex
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			var err error
-			if useSidecar {
-				err = p.scanRunSidecar(ctx, qc, r, q, res, &sidecarReads)
-			} else {
-				err = p.scanRun(ctx, qc, r, q, res)
-			}
-			if err != nil {
+			if err := p.scanRun(ctx, qc, r, q, res); err != nil {
 				return nil, err
 			}
 		}
 		qc.EndSpan()
 		res.IO = qc.Stats()
-		o.recordIO(filterIO, sidecarReads, res.IO)
+		o.recordIO(filterIO, 0, res.IO)
 		return res, nil
 	}
 
@@ -722,7 +649,6 @@ func (p *Partitioned) valueQueryAt(s *partState, o *observed, ctx context.Contex
 	}
 	partials := make([]*Result, len(merged))
 	ctxs := make([]*storage.QueryCtx, len(merged))
-	sideReads := make([]int, len(merged))
 	err = parallelDoCtx(ctx, workers, len(merged), func(i int) error {
 		var t0 time.Time
 		if timed {
@@ -730,14 +656,8 @@ func (p *Partitioned) valueQueryAt(s *partState, o *observed, ctx context.Contex
 		}
 		child := qc.Fork()
 		part := &Result{Query: q}
-		var runErr error
-		if useSidecar {
-			runErr = p.scanRunSidecar(ctx, child, merged[i], q, part, &sideReads[i])
-		} else {
-			runErr = p.scanRun(ctx, child, merged[i], q, part)
-		}
-		if runErr != nil {
-			return runErr
+		if err := p.scanRun(ctx, child, merged[i], q, part); err != nil {
+			return err
 		}
 		partials[i] = part
 		ctxs[i] = child
@@ -759,14 +679,13 @@ func (p *Partitioned) valueQueryAt(s *partState, o *observed, ctx context.Contex
 		res.Regions = append(res.Regions, part.Regions...)
 		res.Isolines = append(res.Isolines, part.Isolines...)
 		qc.Merge(ctxs[i])
-		sidecarReads += sideReads[i]
 	}
 	for _, pg := range res.Regions {
 		res.Area += pg.Area()
 	}
 	qc.EndSpan()
 	res.IO = qc.Stats()
-	o.recordIO(filterIO, sidecarReads, res.IO)
+	o.recordIO(filterIO, 0, res.IO)
 	return res, nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -221,55 +220,8 @@ func TestIAllSidecarToggleIdentity(t *testing.T) {
 	}
 }
 
-// TestPartitionedSidecarRefine forces the opt-in sidecar-filtered refinement
-// on I-Hilbert and checks it returns the same answer geometry as the default
-// whole-run path, sequentially and under a parallel refinement pool.
-func TestPartitionedSidecarRefine(t *testing.T) {
-	ctx := context.Background()
-	f := testDEM(t, 32, 0.6)
-	def, err := BuildIHilbertCtx(ctx, f, newPager(), HilbertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced, err := BuildIHilbertCtx(ctx, f, newPager(), HilbertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !forced.SetSidecarRefine(true) {
-		t.Fatal("SetSidecarRefine refused with a sidecar present")
-	}
-	noSC, err := BuildIHilbertCtx(ctx, f, newPager(), HilbertOptions{NoSidecar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noSC.SetSidecarRefine(true) {
-		t.Fatal("SetSidecarRefine armed without a sidecar")
-	}
-	for _, workers := range []int{1, 4} {
-		def.SetWorkers(workers)
-		forced.SetWorkers(workers)
-		for _, q := range testQueries(f) {
-			a, err := def.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := forced.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The forced mode counts intervals tested per run rather than per
-			// fetched page, so CellsFetched may differ; the answer must not.
-			if a.CandidateGroups != b.CandidateGroups || a.CellsMatched != b.CellsMatched ||
-				a.Area != b.Area || !reflect.DeepEqual(a.Regions, b.Regions) ||
-				!reflect.DeepEqual(a.Isolines, b.Isolines) {
-				t.Fatalf("workers=%d query %v: forced sidecar refinement diverged", workers, q)
-			}
-		}
-	}
-}
-
-// TestSaveFileSidecarRoundtrip: a version-2 file round-trips the sidecar —
-// geometry, position map, and the forced refinement mode all survive reopen.
+// TestSaveFileSidecarRoundtrip: a saved file round-trips the sidecar —
+// geometry and position map both survive reopen.
 func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
@@ -292,9 +244,6 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 		t.Fatal("reconstructed position map differs from the built one")
 	}
 	checkSidecarIdentity(t, opened.pager, opened.heap, opened.rids, opened.sidecar, opened.cells)
-	if !opened.SetSidecarRefine(true) || !built.SetSidecarRefine(true) {
-		t.Fatal("SetSidecarRefine refused on a v2 index")
-	}
 	for _, q := range testQueries(f) {
 		a, err := built.Query(q)
 		if err != nil {
@@ -310,158 +259,81 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	}
 }
 
-// TestOpenFileLegacyV1 writes genuine legacy files — pre-sidecar version 1
-// and pre-epoch version 2 — and checks the fallback contracts: both open, v1
-// reports no sidecar and its forced mode refuses to arm, v2 keeps its sidecar
-// but opens at epoch 0, and every query on either answers exactly like the
-// current (version 3) format.
-func TestOpenFileLegacyV1(t *testing.T) {
+// TestOpenFileNoSidecar: a file saved from a NoSidecar build opens without
+// a sidecar or position map, answers exactly like the sidecar-carrying file
+// of the same field, keeps per-query page accounting reconciled (published
+// per-query stats sum to the store totals), and serves the batch executor
+// with member results byte-identical to solo.
+func TestOpenFileNoSidecar(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	v1Path := filepath.Join(dir, "legacy.fidx")
-	v2Path := filepath.Join(dir, "presepoch.fidx")
-	curPath := filepath.Join(dir, "current.fidx")
-	if err := built.saveFileVersion(v1Path, legacyCatalogVersion); err != nil {
-		t.Fatal(err)
-	}
-	if err := built.saveFileVersion(v2Path, catalogVersionV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := built.SaveFile(curPath); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := OpenFile(v1Path, storage.DefaultDiskModel, 8192)
-	if err != nil {
-		t.Fatalf("v1 file did not open: %v", err)
-	}
-	defer legacy.Close()
-	midway, err := OpenFile(v2Path, storage.DefaultDiskModel, 8192)
-	if err != nil {
-		t.Fatalf("v2 file did not open: %v", err)
-	}
-	defer midway.Close()
-	current, err := OpenFile(curPath, storage.DefaultDiskModel, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer current.Close()
-	if legacy.sidecar != nil || legacy.rids != nil {
-		t.Fatal("v1 file decoded a sidecar")
-	}
-	if legacy.Stats().SidecarPages != 0 {
-		t.Fatalf("v1 stats claim %d sidecar pages", legacy.Stats().SidecarPages)
-	}
-	if legacy.SetSidecarRefine(true) {
-		t.Fatal("SetSidecarRefine armed on a pre-sidecar file")
-	}
-	if midway.sidecar == nil || midway.Stats().SidecarPages == 0 {
-		t.Fatal("v2 file lost its sidecar")
-	}
-	if e := midway.pager.CurrentEpoch(); e != 0 {
-		t.Fatalf("v2 file opened at epoch %d, want 0", e)
-	}
-	rng := rand.New(rand.NewSource(9))
-	vr := f.ValueRange()
-	queries := testQueries(f)
-	for trial := 0; trial < 10; trial++ {
-		lo := vr.Lo + rng.Float64()*vr.Length()
-		queries = append(queries, geom.Interval{Lo: lo, Hi: lo + rng.Float64()*vr.Length()*0.1})
-	}
-	for _, q := range queries {
-		a, err := legacy.Query(q)
+	open := func(name string, opts HilbertOptions) *Partitioned {
+		t.Helper()
+		built, err := BuildIHilbert(f, newPager(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := midway.Query(q)
+		path := filepath.Join(dir, name)
+		if err := built.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := OpenFile(path, storage.DefaultDiskModel, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := current.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
-			t.Fatalf("query %v: v1 answer diverged from current format", q)
-		}
-		if !reflect.DeepEqual(answerOf(m), answerOf(b)) {
-			t.Fatalf("query %v: v2 answer diverged from current format", q)
-		}
+		t.Cleanup(func() { opened.Close() })
+		return opened
 	}
-}
-
-// TestOpenFileLegacyV1Accounting closes the v1→v2 coverage gap: on a genuine
-// pre-sidecar file, per-query page accounting still reconciles (published
-// per-query stats sum to the store totals), a refused SetSidecarRefine
-// leaves answers and accounting untouched, and the batch executor serves the
-// legacy index with member results byte-identical to solo.
-func TestOpenFileLegacyV1Accounting(t *testing.T) {
-	f := testDEM(t, 32, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
-	if err != nil {
-		t.Fatal(err)
+	bare := open("bare.fidx", HilbertOptions{NoSidecar: true})
+	current := open("sidecar.fidx", HilbertOptions{})
+	if bare.sidecar != nil || bare.rids != nil || bare.Stats().SidecarPages != 0 {
+		t.Fatal("sidecar-less file decoded a sidecar")
 	}
-	v1Path := filepath.Join(t.TempDir(), "legacy.fidx")
-	if err := built.saveFileVersion(v1Path, legacyCatalogVersion); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := OpenFile(v1Path, storage.DefaultDiskModel, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
 
 	queries := testQueries(f)
 	solo := make([]*Result, len(queries))
 	published := storage.Stats{}
-	before := legacy.pager.Stats()
+	before := bare.pager.Stats()
 	for i, q := range queries {
-		solo[i], err = legacy.QueryContext(context.Background(), q)
+		res, err := bare.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		published = published.Add(solo[i].IO)
+		solo[i] = res
+		published = published.Add(res.IO)
 	}
-	if got := legacy.pager.Stats().Sub(before); got != published {
+	if got := bare.pager.Stats().Sub(before); got != published {
 		t.Fatalf("store totals advanced by %+v, published per-query stats sum to %+v", got, published)
 	}
 
-	// A refused opt-in must not perturb answers or accounting.
-	if legacy.SetSidecarRefine(true) {
-		t.Fatal("SetSidecarRefine armed on a v1 file")
-	}
 	for i, q := range queries {
-		res, err := legacy.QueryContext(context.Background(), q)
+		want, err := current.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(solo[i], res) {
-			t.Fatalf("query %v changed after refused SetSidecarRefine", q)
+		if !reflect.DeepEqual(answerOf(solo[i]), answerOf(want)) {
+			t.Fatalf("query %v: sidecar-less answer diverged from the sidecar file's", q)
 		}
 	}
 
-	// The batch executor takes the shared-scan path (no sidecar to refine
-	// with) and every member must equal its solo answer, I/O included.
+	// Every batch member must equal its solo answer, I/O included.
 	members := make([]BatchQuery, len(queries))
 	for i, q := range queries {
 		members[i] = BatchQuery{Query: q}
 	}
-	before = legacy.pager.Stats()
-	results, st := legacy.QueryBatch(members)
+	before = bare.pager.Stats()
+	results, st := bare.QueryBatch(members)
 	batchPublished := storage.Stats{}
 	for i := range results {
 		if results[i].Err != nil {
 			t.Fatalf("member %d: %v", i, results[i].Err)
 		}
 		if !reflect.DeepEqual(solo[i], results[i].Res) {
-			t.Fatalf("member %d: batched answer on v1 file diverged from solo", i)
+			t.Fatalf("member %d: batched answer on sidecar-less file diverged from solo", i)
 		}
 		batchPublished = batchPublished.Add(results[i].Res.IO)
 	}
-	if got := legacy.pager.Stats().Sub(before); got != batchPublished {
+	if got := bare.pager.Stats().Sub(before); got != batchPublished {
 		t.Fatalf("batch: store totals advanced by %+v, published member stats sum to %+v", got, batchPublished)
 	}
 	if st.AttributedReads != batchPublished.Reads {

@@ -140,8 +140,7 @@ type TiledIndex struct {
 	snap     atomic.Pointer[tiledState]
 	workers  int
 	// Aggregate-tier state: the global field summary's page run (sumPages ==
-	// 0 when absent — a pre-version-5 file), each tile's total cell area
-	// (nil when opened from a pre-version-5 file), and the field-wide area.
+	// 0 when absent), each tile's total cell area, and the field-wide area.
 	// Tile areas never change under value updates (vertices never move), so
 	// they stay exact for the index's lifetime.
 	sumFirst storage.PageID
@@ -930,6 +929,7 @@ func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates 
 	var pending []pendingPart
 	indexPages := 0
 	regrouped := false
+	qc.BeginSpan(obs.PhaseMaintain)
 	if t.inner != MethodLinearScan {
 		for _, ti := range involved {
 			p := t.tiles[ti].idx.(*Partitioned)
@@ -954,6 +954,7 @@ func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates 
 		}
 		approx.PatchWiden(page, float64(changedCells), changedArea)
 	}
+	qc.EndSpan()
 	res := &UpdateResult{
 		SamplesApplied:    len(updates),
 		CellsTouched:      len(cells),

@@ -20,8 +20,7 @@ import (
 // The shared pipeline requires LinearScan tiles with sidecars (the only
 // configuration whose filter pass is shareable: one comparison loop serves
 // all K predicates). Partitioned inner methods run their members solo inside
-// the batch — per-member tree searches have no shared scan to coalesce,
-// matching Partitioned's own sidecarRefine fallback.
+// the batch — per-member tree searches have no shared scan to coalesce.
 
 // QueryBatch implements BatchQuerier.
 func (t *TiledIndex) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {

@@ -17,8 +17,9 @@ import (
 
 // ErrUpdatesUnsupported is returned by ApplyUpdates when the index (or the
 // file it was opened from) cannot apply live updates: I-Quad regrouping needs
-// the spatial quadtree recursion the update path does not reproduce, and
-// pre-sidecar (version-1) files carry no position map to locate cell records.
+// the spatial quadtree recursion the update path does not reproduce, and a
+// file saved without an interval sidecar carries no position map to locate
+// cell records.
 var ErrUpdatesUnsupported = errors.New("core: index does not support live updates")
 
 // SampleUpdate assigns a new value to one field sample (a grid vertex or TIN
@@ -388,8 +389,8 @@ func maintainIAllTree(qc *storage.QueryCtx, cur *rstar.Tree, pager *storage.Page
 // and the R*-tree is patched incrementally; when a boundary moved, the
 // partition is re-cut and a fresh tree built — exactly the groups a rebuild
 // from scratch on the mutated field would produce (the heap order is the
-// geometric linearization, which updates never change). I-Quad and
-// pre-sidecar files do not support updates.
+// geometric linearization, which updates never change). I-Quad and files
+// saved without a sidecar do not support updates.
 func (p *Partitioned) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
 	p.updMu.Lock()
 	defer p.updMu.Unlock()
@@ -467,6 +468,10 @@ func (p *Partitioned) applyUpdates(ctx context.Context, f field.Mutable, updates
 		}
 	}
 	qc.EndSpan()
+	// One maintenance span covers the regrouping (greedy re-cut, tree patch or
+	// rebuild) and the summary refit, so an update's trace accounts for the
+	// time and the page reads of both.
+	qc.BeginSpan(obs.PhaseMaintain)
 	tree, groups, indexPages, regrouped, err := p.maintainPartition(qc, cur, changed)
 	if err != nil {
 		return fail(err)
@@ -480,6 +485,7 @@ func (p *Partitioned) applyUpdates(ctx context.Context, f field.Mutable, updates
 			return fail(err)
 		}
 	}
+	qc.EndSpan()
 	res := &UpdateResult{
 		SamplesApplied:    len(updates),
 		CellsTouched:      len(cells),
@@ -535,7 +541,7 @@ func (p *Partitioned) ensureUpdateState(qc *storage.QueryCtx) error {
 
 // maintainPartition re-derives the subfield partition from the updated
 // interval column and returns the next snapshot's tree and groups. The caller
-// must hold updMu; p.ivs is current.
+// must hold updMu and an open PhaseMaintain span on qc; p.ivs is current.
 func (p *Partitioned) maintainPartition(qc *storage.QueryCtx, cur *partState, changed bool) (*rstar.Tree, []groupMeta, int, bool, error) {
 	if !changed {
 		return cur.tree, cur.groups, 0, false, nil
@@ -576,7 +582,6 @@ func (p *Partitioned) refreshGroups(qc *storage.QueryCtx, cur *partState, next [
 	copy(groups, cur.groups)
 	var work *rstar.Tree
 	indexPages := 0
-	qc.BeginSpan(obs.PhaseMaintain)
 	for gi, g := range next {
 		old := &groups[gi]
 		avg := groupAvg(p.ivs, g.Start, g.End)
@@ -600,7 +605,6 @@ func (p *Partitioned) refreshGroups(qc *storage.QueryCtx, cur *partState, next [
 		old.interval = g.Interval
 		old.avg = avg
 	}
-	qc.EndSpan()
 	tree := cur.tree
 	if work != nil {
 		if err := work.Persist(p.pager); err != nil {

@@ -347,18 +347,23 @@ func TestUpdateValidationAndUnsupported(t *testing.T) {
 		t.Fatalf("I-Quad update err = %v", err)
 	}
 
-	// Pre-sidecar (v1) files carry no position map: updates are refused.
-	v1Path := filepath.Join(t.TempDir(), "legacy.fidx")
-	if err := p.saveFileVersion(v1Path, legacyCatalogVersion); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := OpenFile(v1Path, storage.DefaultDiskModel, 0)
+	// A file saved without a sidecar carries no position map: updates are
+	// refused.
+	bare, err := BuildIHilbert(f, newPager(), HilbertOptions{NoSidecar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if _, err := legacy.ApplyUpdates(ctx, f, []SampleUpdate{{Sample: 3, Value: 5}}); !errors.Is(err, ErrUpdatesUnsupported) {
-		t.Fatalf("v1-file update err = %v", err)
+	barePath := filepath.Join(t.TempDir(), "bare.fidx")
+	if err := bare.SaveFile(barePath); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenFile(barePath, storage.DefaultDiskModel, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if _, err := opened.ApplyUpdates(ctx, f, []SampleUpdate{{Sample: 3, Value: 5}}); !errors.Is(err, ErrUpdatesUnsupported) {
+		t.Fatalf("sidecar-less file update err = %v", err)
 	}
 }
 

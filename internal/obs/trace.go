@@ -62,8 +62,9 @@ const (
 	// are reads — the pages written at commit are reported through Metrics.
 	PhasePatch
 	// PhaseMaintain is the index-maintenance step of a KindUpdate trace:
-	// hydrating the value R*-tree and recomputing subfield metadata. Page
-	// counts are the tree-node reads of the hydration.
+	// re-deriving the subfield partition, patching or rebuilding the value
+	// R*-tree, and refreshing the field summary. Page counts are the
+	// tree-node reads of a hydration and the summary-page staging reads.
 	PhaseMaintain
 	// PhaseTilePrune is the tiled planner's prune step: testing every tile's
 	// (min, max) value summary (and MBR, for spatial queries) against the
@@ -108,7 +109,8 @@ const (
 	// emit their own KindValue traces with attributed (as-if-solo) counts.
 	KindBatch = "batch"
 	// KindUpdate marks the trace of one UpdateSamples batch: a patch span
-	// (staging reads) followed by an index-maintain span (tree hydration).
+	// (staging reads) followed by an index-maintain span (regrouping, tree
+	// maintenance, summary refresh).
 	// Lo carries the number of sample updates, Hi the number of cells
 	// touched; the trace IO is the batch's read activity — writes land in
 	// Metrics as UpdatePagesWritten.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,7 +50,7 @@ func TestServeAggregateGolden(t *testing.T) {
 		{"tight tolerance falls back", vr.Lo + vr.Length()*0.3, vr.Lo + vr.Length()*0.7, 1e-12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := db.ApproxAggregate(tc.lo, tc.hi, tc.maxErr)
+			want, err := db.ApproxAggregateContext(context.Background(), tc.lo, tc.hi, tc.maxErr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,7 @@ func TestWireAggregateEquivalence(t *testing.T) {
 
 	// Degraded shape: an infinite resolved tolerance rides the f64 natively in
 	// the frame and encodes as null in JSON.
-	res, err := db.ApproxAggregate(lo, hi, math.Inf(1))
+	res, err := db.ApproxAggregateContext(context.Background(), lo, hi, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}

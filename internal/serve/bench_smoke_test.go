@@ -11,7 +11,7 @@ import (
 // TestServeBenchSmoke is the `make serve-bench-smoke` gate: a short
 // 256-connection wall-clock drive through a window-armed server that fails
 // on any dropped response or on zero coalescing — the two serving-tier
-// promises the full post_wire measurement also asserts, checked here in
+// promises the full ServeLoad measurement also asserts, checked here in
 // seconds instead of minutes. Both wire formats drive the same server; the
 // binary drive validates its first frame per worker via DecodeFrame.
 func TestServeBenchSmoke(t *testing.T) {

@@ -3,7 +3,7 @@ package serve
 // The load-generation half of the serving tier: a deterministic HTTP query
 // driver (RunLoad, the engine of cmd/fieldload) and the bench-pipeline entry
 // (ServeLoadMeasure) that folds end-to-end serving costs into the
-// BENCH_BASELINE.json regression gate as the post_serve/post_wire sections.
+// BENCH_BASELINE.json regression gate as the Serve/… and ServeLoad/… rows.
 //
 // Two kinds of rows come out, matching the two accounting planes the rest of
 // the pipeline already distinguishes. The Serve/... rows are gated: explicit
@@ -376,8 +376,7 @@ const ServeClients = bench.ConcurrentClients
 var WireLoadConns = []int{256, 1024, 2048}
 
 // ServeLoadMeasure runs the serving-tier benchmark suite on the bench
-// fixture terrain and returns its rows for the post_serve/post_wire baseline
-// sections.
+// fixture terrain and returns its rows for the baseline.
 //
 // Gated rows (Serve/<method>/sel=S/clients=16): the 64-query rotation of
 // each (method, selectivity) cell crosses HTTP as explicit /batch requests
@@ -394,7 +393,7 @@ var WireLoadConns = []int{256, 1024, 2048}
 // WireLoadConns connections with geometry payloads, once per wire format,
 // failing on any non-2xx response. ServeEncode/... rows isolate the pooled
 // encode path: allocations, bytes, and wall time per response envelope for
-// both formats (the allocs_op/b_op columns the post_wire notes cite).
+// both formats (the allocs_op/b_op columns DESIGN.md §5.12 cites).
 func ServeLoadMeasure() (map[string]bench.Row, error) {
 	f, err := bench.FixtureTerrain(0, 0)
 	if err != nil {
@@ -588,7 +587,7 @@ func measureAllocs(runs int, f func()) float64 {
 // encodeMeasure isolates the pooled encode path on a mid-band range result:
 // allocations per response (allocs_op), payload bytes (b_op), and wall time
 // (ns_op) for each wire format, with and without geometry. These are the
-// numbers behind the post_wire claim that the encoder — not the engine — got
+// numbers behind the claim that the encoder — not the engine — got
 // cheaper: end-to-end allocations are dominated by query execution, so the
 // encode-path delta is recorded on its own.
 func encodeMeasure(f fielddb.Field, rows map[string]bench.Row) error {

@@ -80,9 +80,8 @@ type Config struct {
 	// 429 and 503 responses; 0 means one second.
 	RetryAfter time.Duration
 	// ApproxMaxErr is the aggregate endpoint's default error tolerance when
-	// the client sends no max_err parameter; 0 defers to the queried
-	// surface's own default (fielddb.DefaultApproxMaxErr unless the surface
-	// was opened with Options.ApproxMaxErr).
+	// the client sends no max_err parameter; 0 defers to
+	// fielddb.DefaultApproxMaxErr.
 	ApproxMaxErr float64
 	// DegradeToApprox changes what happens to an aggregate request when its
 	// field's budget and the overflow pool are exhausted: instead of

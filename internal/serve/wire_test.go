@@ -522,7 +522,7 @@ func TestStreamedGeometryByteIdentity(t *testing.T) {
 
 	t.Run("contour", func(t *testing.T) {
 		level := vr.Lo + vr.Length()*0.5
-		cr, err := db.ContourMap(level)
+		cr, err := db.ContourMapContext(context.Background(), level)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,9 @@ package fielddb
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"fielddb/internal/core"
 	"fielddb/internal/field"
-	"fielddb/internal/geom"
 	"fielddb/internal/storage"
 )
 
@@ -54,8 +52,8 @@ type UpdateStats struct {
 // cell records are all brought to the new state.
 //
 // Updates require a mutable field (grid.DEM and tin.TIN qualify) and a
-// supporting value index; IQuad and indexes reopened from pre-sidecar files
-// return ErrUpdatesUnsupported. Concurrent UpdateSamples calls serialize.
+// supporting value index; IQuad returns ErrUpdatesUnsupported. Concurrent
+// UpdateSamples calls serialize.
 //
 // On error before the value index commits, nothing changed. If the spatial
 // store's patch fails after the value index committed (possible only with an
@@ -75,7 +73,7 @@ func (db *DB) UpdateSamples(ctx context.Context, updates []SampleUpdate) (*Updat
 	}
 	up, ok := db.index.(core.Updater)
 	if !ok {
-		return nil, fmt.Errorf("%w: method %s", ErrUpdatesUnsupported, db.Method())
+		return nil, fmt.Errorf("%w: method %s", ErrUpdatesUnsupported, db.method)
 	}
 	db.updateMu.Lock()
 	defer db.updateMu.Unlock()
@@ -125,33 +123,23 @@ func (db *DB) widenRange(updates []SampleUpdate) {
 	}
 }
 
-// valueRange returns the cached field value range, kept current (or
-// conservatively wide, mid-update) by UpdateSamples. Reading the field's own
-// ValueRange here would race with a concurrent updater's SetSample.
-func (db *DB) valueRange() Interval {
-	return *db.vrange.Load()
-}
-
 // Snapshot is a pinned point-in-time view of the database: every query
 // through the handle answers against the storage epochs and index state that
 // were current at acquisition, byte for byte, regardless of update batches
 // committing in the meantime. Value queries read the value store's pinned
 // epoch; point queries read the spatial store's (the R*-tree's geometry never
 // changes under live updates, so pinning its heap pages pins the whole
-// answer). Holding a snapshot keeps both epochs' page versions alive
-// (delaying overlay compaction), so Close it when done; Close is idempotent.
-// Queries through a snapshot trace and meter exactly like live queries.
+// answer). Method, Stats and ValueRange are captured at acquisition too: an
+// update batch may re-cut the partition or move the value range, and the
+// snapshot's answers must keep describing the pinned state. Holding a
+// snapshot keeps both epochs' page versions alive (delaying overlay
+// compaction), so Close it when done. Its query methods are the embedded
+// surface's (see Querier); they trace and meter exactly like live queries,
+// and after Close — the snapshot's or its DB's — they return ErrClosed.
 type Snapshot struct {
-	db     *DB
+	surface
 	snap   core.Snapshot
 	spSnap *core.SpatialSnapshot
-	// method, stats and vrange are captured at acquisition: an update batch
-	// may re-cut the partition (changing Stats) or move the value range, and
-	// the snapshot's answers must keep describing the pinned state.
-	method Method
-	stats  IndexStats
-	vrange Interval
-	once   sync.Once
 }
 
 // Snapshot acquires a pinned point-in-time view of the value and spatial
@@ -162,167 +150,30 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	}
 	sq, ok := db.index.(core.SnapshotQuerier)
 	if !ok {
-		return nil, fmt.Errorf("%w: method %s has no snapshots", ErrUpdatesUnsupported, db.Method())
+		return nil, fmt.Errorf("%w: method %s has no snapshots", ErrUpdatesUnsupported, db.method)
 	}
-	return &Snapshot{
-		db:     db,
-		snap:   sq.AcquireSnapshot(),
-		spSnap: db.spatial.AcquireSnapshot(),
-		method: db.Method(),
-		stats:  db.Stats(),
-		vrange: db.valueRange(),
-	}, nil
+	s := &Snapshot{snap: sq.AcquireSnapshot(), spSnap: db.spatial.AcquireSnapshot()}
+	s.method = db.method
+	s.owner = &db.closed
+	stats := db.Stats()
+	s.stats = func() IndexStats { return stats }
+	s.engine = s.snap
+	s.point = s.spSnap
+	s.ob = db.ob
+	vr := db.ValueRange()
+	s.vrange.Store(&vr)
+	return s, nil
 }
 
 // Epoch returns the value store's storage epoch the snapshot reads.
 func (s *Snapshot) Epoch() uint64 { return s.snap.Epoch() }
 
-// Method returns the value-index strategy, as captured at acquisition.
-func (s *Snapshot) Method() Method { return s.method }
-
-// Stats describes the value index as it stood at acquisition (a later update
-// batch may re-cut the live partition; the snapshot keeps describing the
-// pinned state).
-func (s *Snapshot) Stats() IndexStats { return s.stats }
-
-// ValueRange returns the value-domain coverage captured at acquisition.
-func (s *Snapshot) ValueRange() Interval { return s.vrange }
-
-// ValueQuery answers F⁻¹(lo ≤ w ≤ hi) at the snapshot's epoch.
-func (s *Snapshot) ValueQuery(lo, hi float64) (*Result, error) {
-	return s.ValueQueryContext(context.Background(), lo, hi)
-}
-
-// ValueQueryContext is ValueQuery with cancellation.
-func (s *Snapshot) ValueQueryContext(ctx context.Context, lo, hi float64) (*Result, error) {
-	if err := s.db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkInterval(lo, hi); err != nil {
-		return nil, err
-	}
-	return s.snap.QueryContext(ctx, geom.Interval{Lo: lo, Hi: hi})
-}
-
-// ValueAbove answers "where is the value at least lo" at the snapshot's
-// epoch; the open end of the interval is the value range captured at
-// acquisition.
-func (s *Snapshot) ValueAbove(lo float64) (*Result, error) {
-	return s.ValueAboveContext(context.Background(), lo)
-}
-
-// ValueAboveContext is ValueAbove with cancellation.
-func (s *Snapshot) ValueAboveContext(ctx context.Context, lo float64) (*Result, error) {
-	if err := checkValue(lo); err != nil {
-		return nil, err
-	}
-	return s.ValueQueryContext(ctx, lo, s.vrange.Hi)
-}
-
-// ValueBelow answers "where is the value at most hi" at the snapshot's epoch.
-func (s *Snapshot) ValueBelow(hi float64) (*Result, error) {
-	return s.ValueBelowContext(context.Background(), hi)
-}
-
-// ValueBelowContext is ValueBelow with cancellation.
-func (s *Snapshot) ValueBelowContext(ctx context.Context, hi float64) (*Result, error) {
-	if err := checkValue(hi); err != nil {
-		return nil, err
-	}
-	return s.ValueQueryContext(ctx, s.vrange.Lo, hi)
-}
-
-// ValueQueryBatch answers several value queries at the snapshot's epoch. The
-// result contract matches DB.ValueQueryBatch — positionally aligned results,
-// first failure wrapped with its position — but execution is sequential
-// pinned-epoch queries, not a shared scan: the batch executor coalesces over
-// the live index's current state, while a snapshot must answer at its pin.
-func (s *Snapshot) ValueQueryBatch(ctx context.Context, intervals []Interval) ([]*Result, error) {
-	if err := s.db.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkBatch(intervals); err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(intervals))
-	var firstErr error
-	for i, iv := range intervals {
-		res, err := s.snap.QueryContext(ctx, geom.Interval{Lo: iv.Lo, Hi: iv.Hi})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("query %d: %w", i, err)
-			}
-			continue
-		}
-		out[i] = res
-	}
-	return out, firstErr
-}
-
-// PointQuery answers the conventional query F(v') at the snapshot's pinned
-// spatial epoch.
-func (s *Snapshot) PointQuery(p Point) (float64, error) {
-	return s.PointQueryContext(context.Background(), p)
-}
-
-// PointQueryContext is PointQuery with cancellation.
-func (s *Snapshot) PointQueryContext(ctx context.Context, p Point) (float64, error) {
-	w, _, err := s.PointQueryStatsContext(ctx, p)
-	return w, err
-}
-
-// PointQueryStatsContext is PointQueryContext plus the query's own I/O
-// statistics against the spatial store.
-func (s *Snapshot) PointQueryStatsContext(ctx context.Context, p Point) (float64, storage.Stats, error) {
-	if err := s.db.checkOpen(); err != nil {
-		return 0, storage.Stats{}, err
-	}
-	if err := checkPoint(p); err != nil {
-		return 0, storage.Stats{}, err
-	}
-	return s.spSnap.PointQueryContext(ctx, p)
-}
-
-// ContourMap answers F⁻¹(w = level) at the snapshot's epoch and assembles
-// the isoline map.
-func (s *Snapshot) ContourMap(level float64) (*ContourResult, error) {
-	return s.ContourMapContext(context.Background(), level)
-}
-
-// ContourMapContext is ContourMap with cancellation of the underlying value
-// query.
-func (s *Snapshot) ContourMapContext(ctx context.Context, level float64) (*ContourResult, error) {
-	res, err := s.ValueQueryContext(ctx, level, level)
-	if err != nil {
-		return nil, err
-	}
-	return assembleContours(s.db.tracer, s.db.metrics, s.method, level, res), nil
-}
-
-// Contours answers F⁻¹(w = level) at the snapshot's epoch, reduced to the
-// polylines.
-func (s *Snapshot) Contours(level float64) ([]Polyline, error) {
-	return s.ContoursContext(context.Background(), level)
-}
-
-// ContoursContext is Contours with cancellation.
-func (s *Snapshot) ContoursContext(ctx context.Context, level float64) ([]Polyline, error) {
-	cr, err := s.ContourMapContext(ctx, level)
-	if err != nil {
-		return nil, err
-	}
-	return cr.Polylines, nil
-}
-
-// QueryMetrics returns the owning DB's engine metrics snapshot — snapshot
-// queries meter into the same registry as live ones.
-func (s *Snapshot) QueryMetrics() MetricsSnapshot { return s.db.metrics.Snapshot() }
-
-// Close releases both epoch pins. Safe to call more than once.
+// Close releases both epoch pins; queries through the snapshot afterwards
+// return ErrClosed. Safe to call more than once.
 func (s *Snapshot) Close() error {
-	s.once.Do(func() {
+	if s.closed.CompareAndSwap(false, true) {
 		s.snap.Close()
 		s.spSnap.Close()
-	})
+	}
 	return nil
 }

@@ -266,7 +266,7 @@ func TestLiveUpdateStress(t *testing.T) {
 					addVal(res.IO)
 				case 3: // conventional query on the spatial store
 					pt := geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
-					_, st, err := db.PointQueryStats(pt)
+					_, st, err := db.PointQueryStatsContext(ctx, pt)
 					if err != nil {
 						t.Error(err)
 						return

@@ -64,6 +64,7 @@ func TestTraceReconciliation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	vr := dem.ValueRange()
 	for _, method := range []Method{LinearScan, IAll, IHilbert, IQuad, Auto} {
 		t.Run(string(method), func(t *testing.T) {
@@ -108,7 +109,7 @@ func TestTraceReconciliation(t *testing.T) {
 				}
 			}
 			// Conventional (point) query against the spatial store.
-			_, st, err := db.PointQueryStats(geom.Pt(12.5, 40.25))
+			_, st, err := db.PointQueryStatsContext(ctx, geom.Pt(12.5, 40.25))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +119,7 @@ func TestTraceReconciliation(t *testing.T) {
 			}
 			checkTrace(t, tr, st)
 			// Approximate query (partition-based methods only).
-			if ar, err := db.ApproxValueQuery(vr.Lo, vr.Lo+vr.Length()*0.25); err == nil {
+			if ar, err := db.ApproxValueQueryContext(ctx, vr.Lo, vr.Lo+vr.Length()*0.25); err == nil {
 				tr := rec.last(t)
 				if tr.Kind != obs.KindApprox {
 					t.Fatalf("approx kind %q", tr.Kind)
@@ -129,6 +130,52 @@ func TestTraceReconciliation(t *testing.T) {
 			}
 		})
 	}
+
+	// An update batch traces too: a regrouping batch's maintenance (greedy
+	// re-cut, tree rebuild, summary refit) runs under an index-maintain span,
+	// and the span pages sum to the batch's published read activity.
+	t.Run("update", func(t *testing.T) {
+		dem, err := TerrainDEM(64, 42) // UpdateSamples mutates the field
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingTracer{}
+		db, err := Open(dem, Options{Method: IHilbert, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		// Push a quarter of the samples far above the old range: interval
+		// lengths in that block explode, so the §3 cost bound re-cuts.
+		var updates []SampleUpdate
+		for s := 0; s < dem.NumSamples()/4; s++ {
+			updates = append(updates, SampleUpdate{Sample: s, Value: dem.SampleValue(s) + 3*vr.Length()})
+		}
+		st, err := db.UpdateSamples(ctx, updates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Regrouped {
+			t.Fatal("batch did not regroup; the case is vacuous")
+		}
+		var tr *QueryTrace
+		for _, c := range rec.traces {
+			if c.Kind == obs.KindUpdate && c.Method == string(IHilbert) {
+				tr = c
+			}
+		}
+		if tr == nil {
+			t.Fatal("no update trace from the value index")
+		}
+		checkTrace(t, tr, st.IO)
+		maintain := false
+		for _, sp := range tr.Spans {
+			maintain = maintain || sp.Phase == obs.PhaseMaintain
+		}
+		if !maintain {
+			t.Fatalf("no index-maintain span in %v", tr.Spans)
+		}
+	})
 }
 
 // TestTraceReconciliationParallel re-runs the invariant with a parallel
@@ -153,48 +200,6 @@ func TestTraceReconciliationParallel(t *testing.T) {
 	checkTrace(t, rec.last(t), res.IO)
 }
 
-// TestTraceReconciliationSidecarRefine re-runs the invariant with the opt-in
-// sidecar-filtered refinement forced on a partition index, sequentially and
-// with a parallel pool: the per-run sidecar reads of every worker must land
-// in the span sums and in Result.IO.
-func TestTraceReconciliationSidecarRefine(t *testing.T) {
-	dem, err := TerrainDEM(64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr := dem.ValueRange()
-	for _, workers := range []int{1, 4} {
-		rec := &recordingTracer{}
-		db, err := Open(dem, Options{Method: IHilbert, Workers: workers, Tracer: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, ok := db.index.(interface{ SetSidecarRefine(bool) bool })
-		if !ok || !sr.SetSidecarRefine(true) {
-			t.Fatal("could not force sidecar refinement")
-		}
-		for _, iv := range [][2]float64{
-			{vr.Lo + vr.Length()*0.4, vr.Lo + vr.Length()*0.5},
-			{vr.Lo, vr.Hi},
-		} {
-			res, err := db.ValueQuery(iv[0], iv[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkTrace(t, rec.last(t), res.IO)
-		}
-		m := db.Metrics()
-		if m.Engine.SidecarPagesRead == 0 {
-			t.Fatalf("workers=%d: forced mode recorded no sidecar reads", workers)
-		}
-		engineReads := m.Engine.IndexPagesRead + m.Engine.SidecarPagesRead + m.Engine.CellPagesRead
-		if engineReads != int64(m.ValueIO.Reads) {
-			t.Fatalf("workers=%d: engine reads %d != store reads %d", workers, engineReads, m.ValueIO.Reads)
-		}
-		db.Close()
-	}
-}
-
 func TestContourTrace(t *testing.T) {
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
@@ -208,8 +213,9 @@ func TestContourTrace(t *testing.T) {
 	// SetTracer after Open must reinstall the sinks.
 	col := NewTraceCollector(8)
 	db.SetTracer(col)
+	ctx := context.Background()
 	vr := dem.ValueRange()
-	if _, err := db.ContourMap(vr.Lo + vr.Length()*0.5); err != nil {
+	if _, err := db.ContourMapContext(ctx, vr.Lo+vr.Length()*0.5); err != nil {
 		t.Fatal(err)
 	}
 	traces := col.Traces()
@@ -241,6 +247,7 @@ func TestMetricsRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	ctx := context.Background()
 	vr := dem.ValueRange()
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -250,7 +257,7 @@ func TestMetricsRegistry(t *testing.T) {
 		if _, err := db.PointQuery(geom.Pt(20.5, 30.5)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.ApproxValueQuery(vr.Lo, vr.Lo+vr.Length()*0.3); err != nil {
+		if _, err := db.ApproxValueQueryContext(ctx, vr.Lo, vr.Lo+vr.Length()*0.3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,16 +332,6 @@ func TestMetricsRegistry(t *testing.T) {
 	lsReads := lm.Engine.IndexPagesRead + lm.Engine.SidecarPagesRead + lm.Engine.CellPagesRead
 	if lsReads != int64(lm.ValueIO.Reads) {
 		t.Fatalf("LinearScan engine reads %d != store reads %d", lsReads, lm.ValueIO.Reads)
-	}
-
-	// ColdCache runs report no pool shards.
-	db2, err := Open(dem, Options{ColdCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if m2 := db2.Metrics(); m2.ValuePool != nil || m2.SpatialPool != nil {
-		t.Fatal("pool stats present with ColdCache")
 	}
 }
 

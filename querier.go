@@ -2,39 +2,42 @@ package fielddb
 
 // The unified query surface. Three handle types answer queries — a live *DB,
 // a *StoredIndex reopened from a database file, and a pinned *Snapshot — and
-// before this interface existed their method sets drifted: context-free and
-// context-taking variants were duplicated inconsistently, open-ended value
-// queries existed only on DB, and point queries only on DB. Querier is the
-// contract that keeps them in lockstep: the serving tier (internal/serve,
-// cmd/fieldserve) binds only to it, compile-time assertions below hold all
-// three implementations to it, and a shared conformance test table
-// (querier_conformance_test.go) asserts the implementations agree on both
-// answers and error behavior.
+// they answer through one implementation: the unexported surface type below
+// holds validation, dispatch, batch collection, capability routing and
+// contour assembly exactly once, and the handles embed it as thin owners of
+// state. Querier is the exported contract over that implementation: the
+// serving tier (internal/serve, cmd/fieldserve) binds only to it, and a
+// shared conformance test table (querier_conformance_test.go) drives all
+// three handles through it.
 //
-// Context-taking methods are the canonical surface; the context-free names
-// (ValueQuery, ValueAbove, Contours, ...) are one-line conveniences wrapping
-// them with context.Background().
+// Context-taking methods are the surface; the five context-free names the
+// examples and command-line tools call (ValueQuery, ValueAbove, ValueBelow,
+// PointQuery, Contours) are conveniences over them with
+// context.Background().
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"fielddb/internal/contour"
 	"fielddb/internal/core"
+	"fielddb/internal/geom"
 	"fielddb/internal/obs"
+	"fielddb/internal/storage"
 )
 
 // Querier is the query surface shared by *DB, *StoredIndex and *Snapshot:
 // everything a read-side client — the HTTP serving tier above all — needs
 // from an opened continuous-field database.
 //
-// All methods are safe for concurrent use. Value intervals and bounds are
-// validated before any I/O: a hi < lo interval fails with
-// ErrInvertedInterval, a NaN or ±Inf value with ErrNonFiniteBound, and both
-// wrap the offending values so callers can branch with errors.Is. A closed
-// surface fails every query with ErrClosed.
+// All methods are safe for concurrent use. Every method validates in the
+// same order before any I/O: a closed surface fails with ErrClosed, then a
+// NaN or ±Inf value with ErrNonFiniteBound, then a hi < lo interval with
+// ErrInvertedInterval, then a bad tolerance with ErrBadTolerance; the errors
+// wrap the offending values so callers can branch with errors.Is.
 //
 // Not every implementation supports every operation natively: a StoredIndex
 // has no spatial index (PointQueryContext returns ErrNoSpatialIndex), and a
@@ -73,8 +76,8 @@ type Querier interface {
 	// a value in [lo, hi]" within a certified error tolerance of maxErr on the
 	// matched-area fraction, reading at most a handful of summary pages; when
 	// the certified bound exceeds maxErr (or the index has no summary) the
-	// exact pipeline answers instead. maxErr 0 selects the surface's
-	// configured default; NaN and negative fail with ErrBadTolerance.
+	// exact pipeline answers instead. maxErr 0 selects DefaultApproxMaxErr;
+	// NaN and negative fail with ErrBadTolerance.
 	ApproxAggregateContext(ctx context.Context, lo, hi, maxErr float64) (*AggregateResult, error)
 	// PointQueryContext answers the conventional query F(v'): the
 	// interpolated value at point p.
@@ -89,8 +92,8 @@ type Querier interface {
 	QueryMetrics() MetricsSnapshot
 }
 
-// The three query surfaces implement Querier; these assertions break the
-// build — not a runtime path — the moment one drifts.
+// The three handles satisfy Querier through the embedded surface; these
+// assertions break the build — not a runtime path — the moment one drifts.
 var (
 	_ Querier = (*DB)(nil)
 	_ Querier = (*StoredIndex)(nil)
@@ -105,9 +108,347 @@ type BatchStats = core.BatchStats
 // ConjunctiveResult is the outcome of a conjunctive (And) query.
 type ConjunctiveResult = core.ConjunctiveResult
 
-// checkValue rejects NaN and ±Inf query values with ErrNonFiniteBound. It is
-// the finiteness half of the validation every Querier surface applies before
-// touching an index.
+// ApproxResult is the outcome of an approximate value query answered from
+// subfield metadata alone (no cell pages read).
+type ApproxResult = core.ApproxResult
+
+// Polyline is a connected isoline chain; closed contours repeat their first
+// point at the end.
+type Polyline = contour.Polyline
+
+// ContourResult is an assembled isoline map plus the I/O its value query
+// cost.
+type ContourResult struct {
+	Polylines []Polyline
+	IO        storage.Stats
+}
+
+// pointQuerier is the conventional-query target of a surface: the spatial
+// index of a live DB or its pinned snapshot.
+type pointQuerier interface {
+	PointQueryContext(ctx context.Context, p geom.Point) (float64, storage.Stats, error)
+}
+
+// surface is the one implementation of Querier. *DB, *StoredIndex and
+// *Snapshot embed it and differ only in the values below, all fixed when the
+// handle is opened or acquired — nothing is built per query.
+type surface struct {
+	method Method
+	// closed is the handle's own flag; owner, on a Snapshot, is its DB's
+	// flag too: closing either closes the snapshot's surface.
+	closed atomic.Bool
+	owner  *atomic.Bool
+	// vrange completes the open-ended intervals of ValueAbove/ValueBelow.
+	// Only a live DB stores to it after open (UpdateSamples keeps it current);
+	// reading the field's own ValueRange instead would race with an updater's
+	// SetSample.
+	vrange atomic.Pointer[Interval]
+	// stats describes the value index: live on a DB or StoredIndex, captured
+	// at acquisition on a Snapshot (an update batch may re-cut the partition).
+	stats func() IndexStats
+	// engine answers solo value queries and carries the optional approximate
+	// and aggregate capabilities: the core index, or the pinned core snapshot.
+	engine core.ContextQuerier
+	// batcher, when an admission window is armed, takes solo value queries in
+	// engine's place and coalesces concurrent ones onto shared scans.
+	batcher *core.Batcher
+	// batch executes an explicit batch as one shared scan. Nil — Auto, which
+	// plans per query, and snapshots, which must answer at their pin — runs
+	// the members as sequential engine queries.
+	batch core.BatchQuerier
+	// point answers conventional queries; nil (a stored file carries only the
+	// value index) fails them with ErrNoSpatialIndex.
+	point pointQuerier
+	// ob is where contour assembly traces and meters. A Snapshot shares its
+	// DB's, so SetTracer reaches snapshot queries the way it reaches the
+	// engine's own traces.
+	ob *obs.Observer
+}
+
+// checkOpen guards every query path against use after Close.
+func (s *surface) checkOpen() error {
+	if s.closed.Load() || (s.owner != nil && s.owner.Load()) {
+		return ErrClosed
+	}
+	return nil
+}
+
+// Method returns the value-index strategy in use.
+func (s *surface) Method() Method { return s.method }
+
+// Stats describes the value index (as it stood at acquisition, on a
+// Snapshot).
+func (s *surface) Stats() IndexStats { return s.stats() }
+
+// ValueRange returns the value-domain coverage: kept current across update
+// batches on a live DB (conservatively wide while a batch is mid-flight),
+// fixed at open or acquisition otherwise.
+func (s *surface) ValueRange() Interval { return *s.vrange.Load() }
+
+// QueryMetrics returns the engine-level metrics registry snapshot — a
+// Snapshot's queries meter into its DB's registry.
+func (s *surface) QueryMetrics() MetricsSnapshot { return s.ob.Metrics.Snapshot() }
+
+// ValueQueryContext answers the field value query F⁻¹(lo ≤ w ≤ hi): the exact
+// regions where the field's value lies in [lo, hi]. With lo == hi the answer
+// geometry is returned as isolines. ctx is polled between subfield cell runs
+// (and, under Workers > 1, between refinement work units), so a canceled
+// query stops mid-refinement and returns ctx's error.
+func (s *surface) ValueQueryContext(ctx context.Context, lo, hi float64) (*Result, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := checkInterval(lo, hi); err != nil {
+		return nil, err
+	}
+	q := Interval{Lo: lo, Hi: hi}
+	if s.batcher != nil {
+		return s.batcher.QueryContext(ctx, q)
+	}
+	return s.engine.QueryContext(ctx, q)
+}
+
+// ValueQuery is ValueQueryContext without cancellation.
+func (s *surface) ValueQuery(lo, hi float64) (*Result, error) {
+	return s.ValueQueryContext(context.Background(), lo, hi)
+}
+
+// ValueAboveContext answers "where is the value at least lo" (the urban noise
+// query of the paper's introduction). The open end of the interval comes from
+// ValueRange, so it is safe to call while an update batch runs.
+func (s *surface) ValueAboveContext(ctx context.Context, lo float64) (*Result, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := checkValue(lo); err != nil {
+		return nil, err
+	}
+	return s.ValueQueryContext(ctx, lo, s.ValueRange().Hi)
+}
+
+// ValueAbove is ValueAboveContext without cancellation.
+func (s *surface) ValueAbove(lo float64) (*Result, error) {
+	return s.ValueAboveContext(context.Background(), lo)
+}
+
+// ValueBelowContext answers "where is the value at most hi".
+func (s *surface) ValueBelowContext(ctx context.Context, hi float64) (*Result, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := checkValue(hi); err != nil {
+		return nil, err
+	}
+	return s.ValueQueryContext(ctx, s.ValueRange().Lo, hi)
+}
+
+// ValueBelow is ValueBelowContext without cancellation.
+func (s *surface) ValueBelow(hi float64) (*Result, error) {
+	return s.ValueBelowContext(context.Background(), hi)
+}
+
+// ValueQueryBatch answers several value queries as one shared scan: a single
+// filter pass evaluates every query's predicate, the union of their
+// candidate cell runs is fetched once, and each decoded cell is handed to
+// every query it satisfies. Results are positionally aligned with intervals
+// and each is byte-identical — geometry and per-query I/O statistics alike —
+// to what ValueQueryContext would return solo; batching changes only the
+// physical I/O (visible in Metrics as batch physical pages and coalesced
+// pages saved). ctx cancels the whole batch. Unlike BatchWindow, no admission
+// delay is involved: the batch is explicit.
+//
+// The first failing query determines the returned error (wrapped with its
+// position); the slice still carries every successful query's result, with
+// nil at failed positions. All intervals are validated before any I/O. With
+// Method Auto (the planner picks an access path per query) and on a Snapshot
+// (which must answer at its pin, while the batch executor coalesces over the
+// live index's current state) the queries execute sequentially.
+func (s *surface) ValueQueryBatch(ctx context.Context, intervals []Interval) ([]*Result, error) {
+	out, _, err := s.ValueQueryBatchStats(ctx, intervals)
+	return out, err
+}
+
+// ValueQueryBatchStats is ValueQueryBatch plus the batch-level execution
+// summary the per-member results cannot carry: the physical (deduplicated)
+// I/O the shared scan performed and the attributed reads the coalescing
+// saved. Where the queries execute sequentially the stats are synthesized
+// from the members, with zero savings.
+func (s *surface) ValueQueryBatchStats(ctx context.Context, intervals []Interval) ([]*Result, BatchStats, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, BatchStats{}, err
+	}
+	if len(intervals) == 0 {
+		return nil, BatchStats{}, fmt.Errorf("%w: empty batch", ErrBadConjunction)
+	}
+	for i, iv := range intervals {
+		if err := checkInterval(iv.Lo, iv.Hi); err != nil {
+			return nil, BatchStats{}, fmt.Errorf("%w (query %d)", err, i)
+		}
+	}
+	var results []core.BatchResult
+	var st BatchStats
+	if s.batch != nil {
+		members := make([]core.BatchQuery, len(intervals))
+		for i, iv := range intervals {
+			members[i] = core.BatchQuery{Ctx: ctx, Query: iv}
+		}
+		results, st = s.batch.QueryBatch(members)
+	} else {
+		results = make([]core.BatchResult, len(intervals))
+		st.Size = len(intervals)
+		for i, iv := range intervals {
+			res, err := s.engine.QueryContext(ctx, iv)
+			results[i] = core.BatchResult{Res: res, Err: err}
+			if err == nil {
+				st.Physical = st.Physical.Add(res.IO)
+				st.AttributedReads += res.IO.Reads
+			}
+		}
+	}
+	// Positionally aligned results with nil at failed slots, first failure
+	// wrapped with its position.
+	out := make([]*Result, len(results))
+	var firstErr error
+	for i, r := range results {
+		if r.Err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("query %d: %w", i, r.Err)
+			}
+			continue
+		}
+		out[i] = r.Res
+	}
+	return out, st, firstErr
+}
+
+// ApproxValueQueryContext answers F⁻¹(lo ≤ w ≤ hi) approximately using only
+// the subfield R*-tree and per-subfield summaries (the paper's §3 suggestion
+// of storing e.g. the average value per subfield): an upper bound on matching
+// cells and a summary average, at filter-step cost. Only partition-based
+// methods support it (a tiled file has no subfield partition); a Snapshot
+// reads the partition state pinned at acquisition, so a later re-cut never
+// leaks into the answer.
+func (s *surface) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (*ApproxResult, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	// Validate the interval before the capability: a bad interval is a bad
+	// interval no matter which method is in use.
+	if err := checkInterval(lo, hi); err != nil {
+		return nil, err
+	}
+	aq, ok := s.engine.(core.ApproxQuerier)
+	if !ok {
+		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, s.method)
+	}
+	return aq.ApproxQueryContext(ctx, Interval{Lo: lo, Hi: hi})
+}
+
+// ApproxAggregateContext answers the aggregate query "how many cells, and how
+// much area, have a value in [lo, hi]" with a certified error tolerance of
+// maxErr on the matched-area fraction. Indexes with a field summary (every
+// partition-based or tiled index) answer from the summary pages — at most
+// four physical reads at any selectivity — and fall back to the exact
+// pipeline when the certified bound exceeds maxErr; methods without a summary
+// (LinearScan, I-All, Auto) always answer exactly. A Snapshot reads the
+// summary pages as they were at acquisition (update batches version them
+// copy-on-write like any data page), so its certified bounds describe the
+// pinned field state. maxErr 0 selects DefaultApproxMaxErr; +Inf accepts any
+// certified bound; NaN and negative values fail with ErrBadTolerance. ctx
+// cancels the exact fallback pipeline (the summary probe itself is a handful
+// of page reads).
+func (s *surface) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr float64) (*AggregateResult, error) {
+	if err := s.checkOpen(); err != nil {
+		return nil, err
+	}
+	if err := checkInterval(lo, hi); err != nil {
+		return nil, err
+	}
+	tol, err := resolveMaxErr(maxErr)
+	if err != nil {
+		return nil, err
+	}
+	q := Interval{Lo: lo, Hi: hi}
+	if aq, ok := s.engine.(core.AggregateQuerier); ok {
+		return aq.AggregateContext(ctx, q, tol)
+	}
+	exact, err := s.engine.QueryContext(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return core.AggregateFromExact(q, tol, exact, s.stats().Cells), nil
+}
+
+// PointQueryStatsContext answers the conventional query F(v'): the
+// interpolated value at point p, through the spatial R*-tree (at the pinned
+// spatial epoch, on a Snapshot), plus the query's own I/O statistics against
+// the spatial store. ctx is polled between candidate cell fetches. A
+// StoredIndex fails with ErrNoSpatialIndex after the usual open and
+// finiteness checks — the method exists there so the handle satisfies the
+// full Querier surface with a typed capability error.
+func (s *surface) PointQueryStatsContext(ctx context.Context, p Point) (float64, storage.Stats, error) {
+	if err := s.checkOpen(); err != nil {
+		return 0, storage.Stats{}, err
+	}
+	if err := checkValue(p.X); err != nil {
+		return 0, storage.Stats{}, err
+	}
+	if err := checkValue(p.Y); err != nil {
+		return 0, storage.Stats{}, err
+	}
+	if s.point == nil {
+		return 0, storage.Stats{}, fmt.Errorf("%w: stored index files carry no spatial index", ErrNoSpatialIndex)
+	}
+	return s.point.PointQueryContext(ctx, p)
+}
+
+// PointQueryContext is PointQueryStatsContext reduced to the value.
+func (s *surface) PointQueryContext(ctx context.Context, p Point) (float64, error) {
+	w, _, err := s.PointQueryStatsContext(ctx, p)
+	return w, err
+}
+
+// PointQuery is PointQueryContext without cancellation.
+func (s *surface) PointQuery(p Point) (float64, error) {
+	return s.PointQueryContext(context.Background(), p)
+}
+
+// ContourMapContext answers the exact value query F⁻¹(w = level), assembles
+// the per-cell isoline segments into connected polylines — an isoline map
+// extracted through the value index instead of an exhaustive scan — and
+// reports the query's own I/O statistics. The assembly stage emits its own
+// trace (kind "contour", one contour-assemble span reading no pages) so a
+// tracer sees both the query and the post-processing it paid for.
+func (s *surface) ContourMapContext(ctx context.Context, level float64) (*ContourResult, error) {
+	res, err := s.ValueQueryContext(ctx, level, level)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	tb := obs.Begin(s.ob.Tracer, string(s.method), obs.KindContour, level, level)
+	tb.BeginSpan(obs.PhaseContour, obs.PageCounts{})
+	polylines := contour.Assemble(res.Isolines, 1e-9)
+	tb.EndSpan(obs.PageCounts{})
+	tb.Finish(nil)
+	s.ob.Metrics.RecordContour(time.Since(start))
+	return &ContourResult{Polylines: polylines, IO: res.IO}, nil
+}
+
+// ContoursContext is ContourMapContext reduced to the polylines.
+func (s *surface) ContoursContext(ctx context.Context, level float64) ([]Polyline, error) {
+	cr, err := s.ContourMapContext(ctx, level)
+	if err != nil {
+		return nil, err
+	}
+	return cr.Polylines, nil
+}
+
+// Contours is ContoursContext without cancellation.
+func (s *surface) Contours(level float64) ([]Polyline, error) {
+	return s.ContoursContext(context.Background(), level)
+}
+
+// checkValue rejects NaN and ±Inf query values with ErrNonFiniteBound.
 func checkValue(v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("%w %g", ErrNonFiniteBound, v)
@@ -133,102 +474,31 @@ func checkInterval(lo, hi float64) error {
 	return nil
 }
 
-// checkPoint validates a conventional query's coordinates the way
-// checkInterval validates value bounds.
-func checkPoint(p Point) error {
-	if err := checkValue(p.X); err != nil {
-		return err
-	}
-	return checkValue(p.Y)
+// And runs a conjunctive value query across databases sharing the same
+// spatial domain: region where every db's value lies in its interval.
+func And(dbs []*DB, intervals []Interval) (*ConjunctiveResult, error) {
+	return AndContext(context.Background(), dbs, intervals)
 }
 
-// checkBatch validates a batch's shape and every member interval, wrapping
-// per-member failures with their position.
-func checkBatch(intervals []Interval) error {
-	if len(intervals) == 0 {
-		return fmt.Errorf("%w: empty batch", ErrBadConjunction)
+// AndContext is And with cancellation: AndQueriers over live databases.
+func AndContext(ctx context.Context, dbs []*DB, intervals []Interval) (*ConjunctiveResult, error) {
+	qs := make([]Querier, len(dbs))
+	for i, db := range dbs {
+		qs[i] = db
 	}
-	for i, iv := range intervals {
-		if err := checkInterval(iv.Lo, iv.Hi); err != nil {
-			return fmt.Errorf("%w (query %d)", err, i)
-		}
-	}
-	return nil
-}
-
-// collectBatch folds core batch results into the facade contract:
-// positionally aligned results with nil at failed slots, first failure
-// wrapped with its position.
-func collectBatch(results []core.BatchResult) ([]*Result, error) {
-	out := make([]*Result, len(results))
-	var firstErr error
-	for i, r := range results {
-		if r.Err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("query %d: %w", i, r.Err)
-			}
-			continue
-		}
-		out[i] = r.Res
-	}
-	return out, firstErr
-}
-
-// assembleContours is the shared post-processing stage behind every
-// ContourMapContext: isoline assembly over a finished zero-width query,
-// emitting its own trace (kind "contour", one contour-assemble span reading
-// no pages) and metering the assembly.
-func assembleContours(tracer Tracer, metrics *obs.Metrics, method Method, level float64, res *Result) *ContourResult {
-	var start time.Time
-	if metrics != nil {
-		start = time.Now()
-	}
-	tb := obs.Begin(tracer, string(method), obs.KindContour, level, level)
-	tb.BeginSpan(obs.PhaseContour, obs.PageCounts{})
-	polylines := contour.Assemble(res.Isolines, 1e-9)
-	tb.EndSpan(obs.PageCounts{})
-	tb.Finish(nil)
-	if metrics != nil {
-		metrics.RecordContour(time.Since(start))
-	}
-	return &ContourResult{Polylines: polylines, IO: res.IO}
-}
-
-// conjoinable is the unexported capability behind AndQueriers: a surface
-// that can contribute its core value index to a conjunctive query. *DB and
-// *StoredIndex implement it; a *Snapshot does not (its pinned state is not a
-// standalone index), so snapshots cannot join conjunctions.
-type conjoinable interface {
-	conjunctionIndex() (core.Index, error)
-}
-
-func (db *DB) conjunctionIndex() (core.Index, error) {
-	if db == nil {
-		return nil, fmt.Errorf("%w: nil database", ErrBadConjunction)
-	}
-	if err := db.checkOpen(); err != nil {
-		return nil, err
-	}
-	return db.index, nil
-}
-
-func (s *StoredIndex) conjunctionIndex() (core.Index, error) {
-	if s == nil {
-		return nil, fmt.Errorf("%w: nil stored index", ErrBadConjunction)
-	}
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	return s.index, nil
+	return AndQueriers(ctx, qs, intervals)
 }
 
 // AndQueriers runs a conjunctive value query across query surfaces sharing
 // the same spatial domain: the region where every surface's value lies in
-// its interval. It is AndContext generalized over the Querier interface, so
-// live databases and stored indexes mix freely in one conjunction. Surfaces
-// that cannot contribute an index to a shared conjunction — snapshots, or
-// third-party Querier implementations — fail with ErrBadConjunction naming
-// the condition.
+// its interval. Live databases and stored indexes mix freely in one
+// conjunction. The condition lists must be non-empty and of equal length,
+// every surface must be non-nil and open, and every interval well-formed:
+// shape errors wrap ErrBadConjunction; per-condition errors wrap ErrClosed,
+// ErrNonFiniteBound or ErrInvertedInterval and name the offending condition.
+// Surfaces that cannot contribute an index to a shared conjunction —
+// snapshots, whose pinned state is not a standalone index, or third-party
+// Querier implementations — fail with ErrBadConjunction naming the condition.
 func AndQueriers(ctx context.Context, qs []Querier, intervals []Interval) (*ConjunctiveResult, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("%w: no conditions", ErrBadConjunction)
@@ -239,19 +509,29 @@ func AndQueriers(ctx context.Context, qs []Querier, intervals []Interval) (*Conj
 	}
 	idxs := make([]core.Index, len(qs))
 	for i, q := range qs {
-		c, ok := q.(conjoinable)
-		if !ok {
+		var s *surface
+		switch h := q.(type) {
+		case *DB:
+			if h != nil {
+				s = &h.surface
+			}
+		case *StoredIndex:
+			if h != nil {
+				s = &h.surface
+			}
+		}
+		if s == nil {
 			return nil, fmt.Errorf("%w: surface %T cannot join a conjunction (condition %d)",
 				ErrBadConjunction, q, i)
 		}
-		idx, err := c.conjunctionIndex()
-		if err != nil {
+		if err := s.checkOpen(); err != nil {
 			return nil, fmt.Errorf("%w (condition %d)", err, i)
 		}
 		if err := checkInterval(intervals[i].Lo, intervals[i].Hi); err != nil {
 			return nil, fmt.Errorf("%w (condition %d)", err, i)
 		}
-		idxs[i] = idx
+		// A DB's or StoredIndex's engine is its core index.
+		idxs[i] = s.engine.(core.Index)
 	}
 	return core.ConjunctiveQueryContext(ctx, idxs, intervals)
 }

@@ -330,10 +330,31 @@ func TestQuerierConformanceClosed(t *testing.T) {
 	db.Close()
 	si.Close()
 
+	// A snapshot closed on its own: its DB stays open and commits an update
+	// batch afterwards, compacting away the epoch the snapshot had pinned.
 	ctx := context.Background()
+	liveDEM, err := TerrainDEM(32, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Open(liveDEM, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	snap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	if _, err := live.UpdateSamples(ctx, []SampleUpdate{{Sample: 5, Value: liveDEM.SampleValue(5) + 1}}); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, s := range []conformanceSurface{
 		{name: "DB", q: db, spatial: true},
 		{name: "StoredIndex", q: si},
+		{name: "Snapshot", q: snap, spatial: true},
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			if _, err := s.q.ValueQueryContext(ctx, 0, 1); !errors.Is(err, ErrClosed) {
@@ -341,6 +362,9 @@ func TestQuerierConformanceClosed(t *testing.T) {
 			}
 			if _, err := s.q.ValueAboveContext(ctx, 0); !errors.Is(err, ErrClosed) {
 				t.Fatalf("above after close: %v", err)
+			}
+			if _, err := s.q.ValueBelowContext(ctx, 0); !errors.Is(err, ErrClosed) {
+				t.Fatalf("below after close: %v", err)
 			}
 			if _, err := s.q.ValueQueryBatch(ctx, []Interval{{Lo: 0, Hi: 1}}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("batch after close: %v", err)
@@ -351,11 +375,50 @@ func TestQuerierConformanceClosed(t *testing.T) {
 			if _, err := s.q.ContourMapContext(ctx, 0.5); !errors.Is(err, ErrClosed) {
 				t.Fatalf("contour after close: %v", err)
 			}
+			if _, err := s.q.ContoursContext(ctx, 0.5); !errors.Is(err, ErrClosed) {
+				t.Fatalf("contours after close: %v", err)
+			}
 			if _, err := s.q.ApproxAggregateContext(ctx, 0, 1, 0.1); !errors.Is(err, ErrClosed) {
 				t.Fatalf("aggregate after close: %v", err)
 			}
 			if _, err := s.q.ApproxValueQueryContext(ctx, 0, 1); !errors.Is(err, ErrClosed) {
 				t.Fatalf("approx value query after close: %v", err)
+			}
+			// The accessors keep answering on a closed handle.
+			s.q.Method()
+			s.q.Stats()
+			s.q.ValueRange()
+			s.q.QueryMetrics()
+
+			// Closed is checked before the arguments on every method: a NaN
+			// bound on a closed handle is still ErrClosed.
+			nan := math.NaN()
+			if _, err := s.q.ValueQueryContext(ctx, nan, 1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN range after close: %v", err)
+			}
+			if _, err := s.q.ValueAboveContext(ctx, nan); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN above after close: %v", err)
+			}
+			if _, err := s.q.ValueBelowContext(ctx, nan); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN below after close: %v", err)
+			}
+			if _, err := s.q.ValueQueryBatch(ctx, []Interval{{Lo: nan, Hi: 1}}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN batch after close: %v", err)
+			}
+			if _, err := s.q.PointQueryContext(ctx, Point{X: nan, Y: 1}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN point after close: %v", err)
+			}
+			if _, err := s.q.ContourMapContext(ctx, nan); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN contour after close: %v", err)
+			}
+			if _, err := s.q.ContoursContext(ctx, nan); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN contours after close: %v", err)
+			}
+			if _, err := s.q.ApproxAggregateContext(ctx, nan, 1, 0.1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN aggregate after close: %v", err)
+			}
+			if _, err := s.q.ApproxValueQueryContext(ctx, nan, 1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("NaN approx value query after close: %v", err)
 			}
 		})
 	}

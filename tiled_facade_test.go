@@ -78,9 +78,7 @@ func TestTiledFacadeValidation(t *testing.T) {
 		{TileSide: 1},
 		{TileSide: 8, Method: Auto},
 		{TileSide: 8, Method: IAll},
-		{TileSide: 8, NoIntervalSidecar: true},
 		{SidecarCodec: "bogus"},
-		{SidecarCodec: "packed", NoIntervalSidecar: true},
 	}
 	for _, opts := range bad {
 		if _, err := Open(dem, opts); !errors.Is(err, ErrBadTiling) {
