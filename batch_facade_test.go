@@ -108,8 +108,8 @@ func TestBatchTraceReconciliation(t *testing.T) {
 }
 
 // TestValueQueryBatchMatchesSolo checks the explicit batch API returns
-// byte-identical results to solo queries, on a shared-scan method and on
-// Auto's sequential fallback.
+// byte-identical results to solo queries as one shared scan — on every method
+// the planner included, and on a Snapshot at its pin.
 func TestValueQueryBatchMatchesSolo(t *testing.T) {
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
@@ -137,16 +137,60 @@ func TestValueQueryBatchMatchesSolo(t *testing.T) {
 				t.Fatalf("%s query %d: batched result diverges from solo", method, i)
 			}
 		}
-		m := db.Metrics().Engine
-		if method == Auto {
-			// Auto plans per query: no shared scan, no batch metrics.
-			if m.Batches != 0 {
-				t.Fatalf("Auto recorded %d batches", m.Batches)
-			}
-		} else if m.Batches != 1 {
+		if m := db.Metrics().Engine; m.Batches != 1 {
 			t.Fatalf("%s recorded %d batches", method, m.Batches)
 		}
 		db.Close()
+	}
+
+	// A Snapshot's batch coalesces too, and every member answers at the pin:
+	// identical (geometry and IO) to the snapshot's solo query, different from
+	// the live answer after an interval-changing update.
+	dem, err = TerrainDEM(64, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dem, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	var updates []SampleUpdate
+	for s := 0; s < 200; s++ {
+		updates = append(updates, SampleUpdate{Sample: s * 7, Value: vr.Lo + vr.Length()*0.5})
+	}
+	if _, err := db.UpdateSamples(context.Background(), updates); err != nil {
+		t.Fatal(err)
+	}
+	results, st, err := snap.ValueQueryBatchStats(context.Background(), intervals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PagesSaved <= 0 {
+		t.Fatalf("snapshot batch saved no pages: %+v", st)
+	}
+	moved := false
+	for i, iv := range intervals {
+		pinned, err := snap.ValueQueryContext(context.Background(), iv.Lo, iv.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pinned, results[i]) {
+			t.Fatalf("snapshot query %d: batched result diverges from solo at the pin", i)
+		}
+		live, err := db.ValueQuery(iv.Lo, iv.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved = moved || !reflect.DeepEqual(live.Regions, pinned.Regions)
+	}
+	if !moved {
+		t.Fatal("update changed no live answer; the pinned comparison is vacuous")
 	}
 }
 

@@ -90,13 +90,11 @@ func BenchmarkValueRange(b *testing.B) {
 			b.Fatal(err)
 		}
 		workerCounts := []int{1}
-		if _, ok := idx.(interface{ SetWorkers(int) }); ok {
+		if spec.ParallelRefine {
 			workerCounts = append(workerCounts, 4)
 		}
 		for _, workers := range workerCounts {
-			if w, ok := idx.(interface{ SetWorkers(int) }); ok {
-				w.SetWorkers(workers)
-			}
+			idx.(core.Engine).SetWorkers(workers)
 			for _, sel := range bench.Selectivities {
 				queries := workload.Queries(vr, sel, 64, 4217+int64(sel*1e6))
 				name := fmt.Sprintf("%s/sel=%.2f", spec.Label, sel)
@@ -142,10 +140,7 @@ func BenchmarkValueRangeConcurrent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bq, ok := idx.(core.BatchQuerier)
-		if !ok {
-			continue
-		}
+		bq := idx.(core.Engine)
 		for _, sel := range bench.Selectivities {
 			queries := workload.Queries(vr, sel, 64, 4217+int64(sel*1e6))
 			name := fmt.Sprintf("Concurrent/%s/sel=%.2f/clients=%d", spec.Label, sel, bench.ConcurrentClients)

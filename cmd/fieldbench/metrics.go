@@ -23,8 +23,8 @@ func runMetricsDemo(side, queries int, asJSON bool) {
 	if err != nil {
 		fail(err)
 	}
-	// I-Hilbert (the default) is the one method serving all four query kinds:
-	// the planner (Auto) has no subfield summaries for approximate queries.
+	// I-Hilbert (the default) serves all four query kinds; LinearScan and
+	// I-All have no subfield summaries for approximate queries.
 	db, err := fielddb.Open(dem, fielddb.Options{})
 	if err != nil {
 		fail(err)

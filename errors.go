@@ -17,10 +17,6 @@ var (
 	ErrInvertedInterval = errors.New("fielddb: inverted interval")
 	// ErrUnknownMethod reports an Options.Method the facade doesn't know.
 	ErrUnknownMethod = errors.New("fielddb: unknown method")
-	// ErrNoPartition reports an operation that needs a partition-based value
-	// index — subfield summaries (ApproxValueQueryContext, Subfields) or the
-	// on-disk format (SaveIndex) — on a method without one (LinearScan, I-All).
-	ErrNoPartition = errors.New("fielddb: no subfield partition")
 	// ErrClosed reports a query or save against a DB, StoredIndex or Snapshot
 	// after Close.
 	ErrClosed = errors.New("fielddb: database is closed")
@@ -51,6 +47,10 @@ var (
 // Errors re-exported from internal/core, so errors.Is works across the
 // facade boundary.
 var (
+	// ErrNoPartition reports an operation that needs a partition-based value
+	// index — subfield summaries (ApproxValueQueryContext) or the on-disk
+	// format (SaveIndex) — on a configuration without one.
+	ErrNoPartition = core.ErrNoPartition
 	// ErrUpdatesUnsupported reports UpdateSamples on a configuration that
 	// cannot apply live updates: an immutable field, or the IQuad method (its
 	// spatial recursion is not maintained incrementally).

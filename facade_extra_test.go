@@ -163,6 +163,9 @@ func TestAutoMethodFacade(t *testing.T) {
 	if db.Method() != Auto {
 		t.Fatalf("method = %s", db.Method())
 	}
+	if len(db.Subfields()) == 0 {
+		t.Fatal("Auto reports no subfields: it is I-Hilbert's partition behind a planner")
+	}
 	vr := dem.ValueRange()
 	res, err := db.ValueQuery(vr.Lo, vr.Hi)
 	if err != nil {

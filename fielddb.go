@@ -21,10 +21,10 @@
 //	w, _ := db.PointQuery(geom.Pt(12.5, 90.25))     // conventional query
 //
 // The heavy lifting lives in the internal packages (documented in
-// DESIGN.md): internal/core implements LinearScan, I-All, I-Hilbert and the
-// Interval-Quadtree comparator over a paged storage layer with a simulated
-// disk clock; internal/bench regenerates every figure of the paper's
-// evaluation.
+// DESIGN.md): internal/core runs LinearScan, I-All, I-Hilbert and the
+// Interval-Quadtree comparator on one query executor over a paged storage
+// layer with a simulated disk clock; internal/bench regenerates every figure
+// of the paper's evaluation.
 package fielddb
 
 import (
@@ -156,10 +156,8 @@ type Options struct {
 	// its per-query I/O statistics — is byte-identical to solo execution; a
 	// group of one takes the plain solo path, so the window's only cost is
 	// up to BatchWindow of added latency per query. The default, zero, keeps
-	// every query executing alone. Batching applies to LinearScan, I-All and
-	// partition-based methods; Auto plans per query and always executes solo.
-	// See also DB.ValueQueryBatch, which batches an explicit slice of
-	// intervals without any window.
+	// every query executing alone. See also DB.ValueQueryBatch, which batches
+	// an explicit slice of intervals without any window.
 	BatchWindow time.Duration
 }
 
@@ -174,7 +172,6 @@ const defaultPoolPages = 1 << 16
 type DB struct {
 	surface
 	field   Field
-	index   core.Index
 	spatial *core.SpatialIndex
 	pager   *storage.Pager // value index store
 	spPager *storage.Pager // spatial index store
@@ -225,7 +222,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	vr := f.ValueRange()
 	// The Interval Quadtree threshold: 1/16 of the value range.
 	quadMaxSize := vr.Length()/16 + 1
-	buildValue := func() (core.Index, error) {
+	buildValue := func() (core.Engine, error) {
 		if opts.TileSide != 0 {
 			topts := core.TiledOptions{
 				Method:   method,
@@ -266,7 +263,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	}
 
 	var (
-		idx   core.Index
+		idx   core.Engine
 		sp    *core.SpatialIndex
 		err   error
 		spErr error
@@ -295,21 +292,15 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("fielddb: spatial index: %w", spErr)
 	}
 	db := &DB{
-		field: f, index: idx, spatial: sp,
+		field: f, spatial: sp,
 		pager: pager, spPager: spPager,
 	}
-	db.method = idx.Method()
-	db.stats = idx.Stats
-	db.engine = idx.(core.ContextQuerier) // every core index polls ctx
+	db.index = idx
 	db.point = sp
 	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	db.vrange.Store(&vr)
-	// Auto plans per query: it is neither batchable nor window-coalescible.
-	if bq, ok := idx.(core.BatchQuerier); ok {
-		db.batch = bq
-		if opts.BatchWindow > 0 {
-			db.batcher = core.NewBatcher(bq, opts.BatchWindow)
-		}
+	if opts.BatchWindow > 0 {
+		db.batcher = core.NewBatcher(idx, opts.BatchWindow)
 	}
 	db.installObservers()
 	return db, nil
@@ -317,9 +308,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 
 // installObservers (re)installs the trace/metrics sinks on both indexes.
 func (db *DB) installObservers() {
-	if o, ok := db.index.(interface{ SetObserver(obs.Observer) }); ok {
-		o.SetObserver(*db.ob)
-	}
+	db.index.SetObserver(*db.ob)
 	db.spatial.SetObserver(*db.ob)
 }
 
@@ -351,33 +340,7 @@ func (db *DB) Field() Field { return db.field }
 
 // SetWorkers rebounds the refinement worker pool for subsequent value
 // queries. It is safe only between queries, not while queries run.
-func (db *DB) SetWorkers(n int) {
-	if w, ok := db.index.(interface{ SetWorkers(int) }); ok {
-		w.SetWorkers(n)
-	}
-}
-
-// subfields copies the subfield partition out of a partition-based index;
-// nil for any other.
-func subfields(idx core.Index) []Subfield {
-	p, ok := idx.(*core.Partitioned)
-	if !ok {
-		return nil
-	}
-	var out []Subfield
-	p.ForEachGroup(func(_ int, iv Interval, cells []CellID) bool {
-		cp := make([]CellID, len(cells))
-		copy(cp, cells)
-		out = append(out, Subfield{Interval: iv, Cells: cp})
-		return true
-	})
-	return out
-}
-
-// Subfields returns the subfield partition of the value index, or nil for
-// methods without one (LinearScan, I-All). The cells of each subfield are
-// copies and safe to retain.
-func (db *DB) Subfields() []Subfield { return subfields(db.index) }
+func (db *DB) SetWorkers(n int) { db.index.SetWorkers(n) }
 
 // TileInfo describes one tile of a tiled value index: its cell count,
 // spatial MBR, and (min, max) value summary — the planner's prune inputs.
@@ -385,12 +348,7 @@ type TileInfo = core.TileInfo
 
 // Tiles returns the tile directory of a tiled value index (Options.TileSide
 // was set), or nil for a single-partition index.
-func (db *DB) Tiles() []TileInfo {
-	if t, ok := db.index.(*core.TiledIndex); ok {
-		return t.Tiles()
-	}
-	return nil
-}
+func (db *DB) Tiles() []TileInfo { return db.index.Tiles() }
 
 // IOStats returns the cumulative page-access statistics of the value index's
 // store. Across any set of (possibly concurrent) queries, the increase of
@@ -466,31 +424,13 @@ func (db *DB) Metrics() EngineMetrics {
 // catalog) to a single database file that OpenIndex can query without
 // rebuilding. Partition-based methods (I-Hilbert, I-Quad, I-Threshold) and
 // Tiled-LinearScan can be saved; a tiled file carries the full tile
-// directory, so the reopened index prunes exactly like this one.
+// directory, so the reopened index prunes exactly like this one. Every other
+// configuration fails with ErrNoPartition.
 func (db *DB) SaveIndex(path string) error {
 	if err := db.checkOpen(); err != nil {
 		return err
 	}
-	switch idx := db.index.(type) {
-	case *core.Partitioned:
-		return idx.SaveFile(path)
-	case *core.TiledIndex:
-		return idx.SaveFile(path)
-	default:
-		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, db.Method())
-	}
-}
-
-// storedCore is what a StoredIndex needs from the index decoded out of a
-// database file. *core.Partitioned and *core.TiledIndex both implement it.
-type storedCore interface {
-	core.Index
-	core.ContextQuerier
-	core.BatchQuerier
-	ValueRange() geom.Interval
-	Close() error
-	SetWorkers(int)
-	SetObserver(obs.Observer)
+	return db.index.SaveFile(path)
 }
 
 // StoredIndex is a value index opened from a database file written by
@@ -501,7 +441,6 @@ type storedCore interface {
 // index, so point queries fail with ErrNoSpatialIndex.
 type StoredIndex struct {
 	surface
-	index storedCore
 }
 
 // OpenIndexOptions configures OpenIndexWith. The zero value matches
@@ -535,22 +474,15 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if pool == 0 {
 		pool = defaultPoolPages
 	}
-	idx, err := core.OpenStoredWith(path, core.OpenFileOptions{PoolPages: pool})
+	p, err := core.OpenStoredWith(path, core.OpenFileOptions{PoolPages: pool})
 	if err != nil {
 		return nil, err
-	}
-	p, ok := idx.(storedCore)
-	if !ok {
-		return nil, fmt.Errorf("fielddb: %s: unsupported stored index type %T", path, idx)
 	}
 	if opts.Workers > 0 {
 		p.SetWorkers(opts.Workers)
 	}
-	s := &StoredIndex{index: p}
-	s.method = p.Method()
-	s.stats = p.Stats
-	s.engine = p
-	s.batch = p
+	s := &StoredIndex{}
+	s.index = p
 	s.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	// A stored file has no Field to ask: the partition's value-domain
 	// coverage is cached once, here.
@@ -586,10 +518,6 @@ func (s *StoredIndex) SetTracer(t Tracer) {
 	s.ob.Tracer = t
 	s.index.SetObserver(*s.ob)
 }
-
-// Subfields returns the stored partition, or nil for a tiled file (the tile
-// directory is not a subfield partition).
-func (s *StoredIndex) Subfields() []Subfield { return subfields(s.index) }
 
 // TerrainDEM builds a deterministic fractal terrain DEM with side×side
 // cells (side must be a power of two) — a convenient realistic dataset for

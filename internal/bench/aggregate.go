@@ -1,20 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"fielddb/internal/core"
-	"fielddb/internal/geom"
 	"fielddb/internal/storage"
 )
-
-// aggregator is the capability AggregateMeasure drives: both summary-carrying
-// index families (Partitioned and the tiled planner) implement it.
-type aggregator interface {
-	Aggregate(q geom.Interval, maxErr float64) (*core.AggregateResult, error)
-}
 
 // AggregateMeasure runs the aggregate tier's exact-vs-approx cost/error
 // curves on the fixture terrain: per summary-carrying index family and
@@ -38,12 +32,12 @@ func AggregateMeasure(side int) (map[string]Row, error) {
 	vr := f.ValueRange()
 	specs := []struct {
 		label string
-		build func(pager *storage.Pager) (core.Index, error)
+		build func(pager *storage.Pager) (core.Engine, error)
 	}{
-		{"I-Hilbert", func(pager *storage.Pager) (core.Index, error) {
+		{"I-Hilbert", func(pager *storage.Pager) (core.Engine, error) {
 			return core.BuildIHilbert(f, pager, core.HilbertOptions{})
 		}},
-		{"Tiled-LinearScan/packed", func(pager *storage.Pager) (core.Index, error) {
+		{"Tiled-LinearScan/packed", func(pager *storage.Pager) (core.Engine, error) {
 			return core.BuildTiled(f, pager, core.TiledOptions{
 				TileSide: side / 8, Codec: storage.SidecarCodecPacked,
 			})
@@ -55,10 +49,6 @@ func AggregateMeasure(side int) (map[string]Row, error) {
 		idx, err := spec.build(pager)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.label, err)
-		}
-		agg, ok := idx.(aggregator)
-		if !ok {
-			return nil, fmt.Errorf("%s: no aggregate capability", spec.label)
 		}
 		for _, sel := range Selectivities {
 			queries := FixtureQueries(vr, sel, 64)
@@ -86,7 +76,7 @@ func AggregateMeasure(side int) (map[string]Row, error) {
 			var apSimNs, apPages, errBound, errTrue float64
 			start = time.Now()
 			for i, q := range queries {
-				res, err := agg.Aggregate(q, math.Inf(1))
+				res, err := idx.AggregateContext(context.Background(), q, math.Inf(1))
 				if err != nil {
 					return nil, fmt.Errorf("%s/approx: %w", base, err)
 				}

@@ -27,6 +27,9 @@ import (
 type IndexSpec struct {
 	Label string
 	Build func(field.Field, *storage.Pager) (core.Index, error)
+	// ParallelRefine marks the spec whose refinement forks across page runs
+	// under SetWorkers: the value-range suite measures it at workers=4 too.
+	ParallelRefine bool
 }
 
 // Experiment describes one figure of the paper.

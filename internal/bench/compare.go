@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"fielddb/internal/core"
 	"fielddb/internal/storage"
 )
 
@@ -64,13 +65,11 @@ func ValueRangeMeasure() (map[string]Row, error) {
 			return nil, fmt.Errorf("%s: %w", spec.Label, err)
 		}
 		workerCounts := []int{1}
-		if _, ok := idx.(interface{ SetWorkers(int) }); ok {
+		if spec.ParallelRefine {
 			workerCounts = append(workerCounts, 4)
 		}
 		for _, workers := range workerCounts {
-			if w, ok := idx.(interface{ SetWorkers(int) }); ok {
-				w.SetWorkers(workers)
-			}
+			idx.(core.Engine).SetWorkers(workers)
 			for _, sel := range Selectivities {
 				queries := FixtureQueries(vr, sel, 64)
 				name := fmt.Sprintf("%s/sel=%.2f", spec.Label, sel)

@@ -37,10 +37,7 @@ func ConcurrentMeasure() (map[string]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Label, err)
 		}
-		bq, ok := idx.(core.BatchQuerier)
-		if !ok {
-			continue
-		}
+		bq := idx.(core.Engine)
 		for _, sel := range Selectivities {
 			queries := FixtureQueries(vr, sel, 64)
 			name := fmt.Sprintf("Concurrent/%s/sel=%.2f/clients=%d", spec.Label, sel, ConcurrentClients)

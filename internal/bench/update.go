@@ -72,10 +72,7 @@ func UpdateLoadMeasure() (map[string]Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Label, err)
 		}
-		up, ok := idx.(core.Updater)
-		if !ok {
-			continue
-		}
+		up := idx.(core.Engine)
 		vr := f.ValueRange()
 		rng := rand.New(rand.NewSource(FixtureSeed))
 		name := fmt.Sprintf("UpdateLoad/%s/batch=%d", spec.Label, UpdateBatchSize)
@@ -112,7 +109,7 @@ func UpdateLoadMeasure() (map[string]Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", spec.Label, err)
 			}
-			up := idx.(core.Updater)
+			up := idx.(core.Engine)
 			vr := f.ValueRange()
 			rng := rand.New(rand.NewSource(FixtureSeed + int64(sel*1e6)))
 			queries := FixtureQueries(vr, sel, 64)

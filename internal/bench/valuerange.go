@@ -19,7 +19,9 @@ var Selectivities = []float64{0.01, 0.05, 0.10}
 // benchmark suite: the no-index baseline, the per-cell-interval baseline,
 // and the paper's proposed method. I-All uses bulk loading here — the suite
 // measures the query path, and tuple-by-tuple insertion only slows the
-// one-time setup without changing the read-path behavior under test.
+// one-time setup without changing the read-path behavior under test. Every
+// spec builds a core.Engine; Build returns core.Index because the figure
+// experiments also list the reference baselines, which are only that.
 func ValueRangeSpecs() []IndexSpec {
 	return []IndexSpec{
 		{Label: string(core.MethodLinearScan), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
@@ -28,7 +30,7 @@ func ValueRangeSpecs() []IndexSpec {
 		{Label: string(core.MethodIAll), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
 			return core.BuildIAll(f, p, core.IAllOptions{BulkLoad: true})
 		}},
-		{Label: string(core.MethodIHilbert), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
+		{Label: string(core.MethodIHilbert), ParallelRefine: true, Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
 			return core.BuildIHilbert(f, p, core.HilbertOptions{})
 		}},
 	}

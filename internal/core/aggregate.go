@@ -55,16 +55,6 @@ type AggregateResult struct {
 	IO storage.Stats
 }
 
-// AggregateQuerier is the optional capability of an index (or snapshot) that
-// answers aggregate queries: approximately within a certified error bound
-// when its field summary is tight enough, exactly otherwise. maxErr is the
-// tolerated error on the matched-area fraction; +Inf accepts any certified
-// bound (the serving tier's degraded mode), 0 and below are rejected by the
-// facade before reaching the index.
-type AggregateQuerier interface {
-	AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error)
-}
-
 // buildSummary fits and persists the field summary for a freshly built
 // index: the four cumulative distributions over ivs (cell counts and areas)
 // are fitted into at most summaryPages worth of segments and written to a
@@ -182,51 +172,30 @@ func exactToResult(q geom.Interval, maxErr float64, exact *Result, totalCells in
 	return res
 }
 
-// AggregateContext implements AggregateQuerier: the summary pages are read
-// (at most summaryPages physical accesses, sequential) and evaluated at the
-// query's endpoints; when the certified fraction bound is within maxErr the
-// estimate is the answer, otherwise the exact filter + refinement pipeline
-// runs under the same pinned state and trace and its cost is added to the
-// query's. An index whose file declares no summary pages always answers
-// exactly.
-func (p *Partitioned) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	if err := ctx.Err(); err != nil {
+// aggregateExact answers an aggregate query through the exact pipeline alone
+// — the answer of an index without summary pages. totalArea 0 means the
+// field-wide area is unknown there, so Fraction stays 0.
+func (o *observed) aggregateExact(q geom.Interval, maxErr float64, cells int, totalArea float64, exact func() (*Result, error)) (*AggregateResult, error) {
+	ex, err := exact()
+	if err != nil {
 		return nil, err
 	}
-	tb, start := p.startQuery(string(p.method), obs.KindAggregate, q.Lo, q.Hi)
-	s, release := p.pinState()
-	res, err := p.aggregateAt(s, &p.observed, ctx, tb, q, maxErr)
-	release()
-	p.endQuery(tb, start, err)
-	return res, err
+	res := exactToResult(q, maxErr, ex, cells, totalArea)
+	res.Fallback = true
+	o.recordAggregate(true)
+	return res, nil
 }
 
-// Aggregate is AggregateContext without cancellation.
-func (p *Partitioned) Aggregate(q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	return p.AggregateContext(context.Background(), q, maxErr)
-}
-
-// aggregateAt answers one aggregate query against a pinned state. The caller
-// must hold a pin at s.epoch for the duration of the call.
-func (p *Partitioned) aggregateAt(s *partState, o *observed, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	if p.sumPages == 0 {
-		// No summary pages: the exact pipeline is the only answer. The total area is unknown there, so Fraction stays 0.
-		exact, err := p.valueQueryAt(s, o, ctx, tb, q)
-		if err != nil {
-			return nil, err
-		}
-		res := exactToResult(q, maxErr, exact, p.cells, 0)
-		res.Fallback = true
-		o.recordAggregate(true)
-		return res, nil
-	}
-	qc := beginQueryAt(p.pager, s.epoch)
-	qc.AttachTrace(tb)
-	qc.BeginSpan(obs.PhaseSummary)
-	buf, err := readSummary(qc, p.sumFirst, p.sumPages)
+// aggregateSummary probes the summary pages [first, first+pages) through qc —
+// whose PhaseSummary span the caller has opened — and evaluates them at the
+// query's endpoints: at most summaryPages physical accesses, sequential. When
+// the certified fraction bound is within maxErr the estimate is the answer;
+// otherwise exact runs (under the caller's pin and trace) and the answer
+// becomes exact. The summary probe stays in the query's accounting either way
+// — it was a real cost — and the summary header still supplies the field-wide
+// denominators. qc is published and released here.
+func (o *observed) aggregateSummary(qc *storage.QueryCtx, first storage.PageID, pages int, q geom.Interval, maxErr float64, cells int, exact func() (*Result, error)) (*AggregateResult, error) {
+	buf, err := readSummary(qc, first, pages)
 	if err != nil {
 		qc.Release()
 		return nil, err
@@ -234,7 +203,6 @@ func (p *Partitioned) aggregateAt(s *partState, o *observed, ctx context.Context
 	est, err := approx.EvalEncoded(buf, q.Lo, q.Hi)
 	qc.EndSpan()
 	sumIO := qc.Stats()
-	qc.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -245,21 +213,53 @@ func (p *Partitioned) aggregateAt(s *partState, o *observed, ctx context.Context
 		o.recordAggregate(false)
 		return res, nil
 	}
-	// The certified bound exceeds the tolerance: run the exact pipeline under
-	// the same pin and trace. The summary probe stays in the query's
-	// accounting (it was a real cost), and the answer becomes exact — the
-	// summary header still supplies the field-wide denominators.
-	exact, err := p.valueQueryAt(s, o, ctx, tb, q)
+	ex, err := exact()
 	if err != nil {
 		return nil, err
 	}
-	res = exactToResult(q, maxErr, exact, p.cells, est.TotalArea)
+	res = exactToResult(q, maxErr, ex, cells, est.TotalArea)
 	res.TotalCells = est.N
 	res.Fallback = true
-	res.IO = addStats(sumIO, exact.IO)
+	res.IO = addStats(sumIO, ex.IO)
 	o.recordIO(sumIO, 0, sumIO)
 	o.recordAggregate(true)
 	return res, nil
+}
+
+// AggregateContext implements Engine: summary probe, then the exact filter +
+// refinement pipeline under the same pinned state and trace when the
+// certified bound exceeds maxErr. An index without summary pages — every
+// method but the partitioned family, or a file that declares none — answers
+// exactly; on a snapshot the summary pages are read as they were at the pin
+// (update batches version them copy-on-write like any data page).
+func (e *executor) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
+	if q.IsEmpty() {
+		return nil, errEmptyQuery
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	tb, start := e.startQuery(string(e.method), obs.KindAggregate, q.Lo, q.Hi)
+	st, release := e.pinState()
+	exact := func() (*Result, error) { return e.queryAt(st, ctx, tb, q) }
+	var res *AggregateResult
+	var err error
+	if e.sumPages == 0 {
+		res, err = e.aggregateExact(q, maxErr, e.cells, 0, exact)
+	} else {
+		qc := beginQueryAt(e.pager, st.epoch)
+		qc.AttachTrace(tb)
+		qc.BeginSpan(obs.PhaseSummary)
+		res, err = e.aggregateSummary(qc, e.sumFirst, e.sumPages, q, maxErr, e.cells, exact)
+	}
+	release()
+	e.endQuery(tb, start, err)
+	return res, err
+}
+
+// Aggregate is AggregateContext without cancellation.
+func (e *executor) Aggregate(q geom.Interval, maxErr float64) (*AggregateResult, error) {
+	return e.AggregateContext(context.Background(), q, maxErr)
 }
 
 // maintainSummary keeps the field summary truthful across an update batch
@@ -280,30 +280,30 @@ func (p *Partitioned) aggregateAt(s *partState, o *observed, ctx context.Context
 //     touched-cell count and area. Each touched cell shifts each cumulative
 //     distribution by at most one count and its own area, so the stale
 //     segments plus the accumulated slack remain a certified bound.
-func (p *Partitioned) maintainSummary(st *overlayStage, cellsTouched int, touchedArea float64) error {
-	if p.sumPages == 0 {
+func (ix *valueIndex) maintainSummary(st *overlayStage, cellsTouched int, touchedArea float64) error {
+	if ix.sumPages == 0 {
 		return nil
 	}
-	if p.areas != nil {
-		sum, err := approx.Build(p.ivs, p.areas, p.sumPages*p.pager.PageSize())
+	if ix.areas != nil {
+		sum, err := approx.Build(ix.ivs, ix.areas, ix.sumPages*ix.pager.PageSize())
 		if err != nil {
 			return err
 		}
 		blob := sum.Encode()
-		ps := p.pager.PageSize()
-		if len(blob) > p.sumPages*ps {
-			return fmt.Errorf("core: refitted summary %d bytes exceeds %d pages", len(blob), p.sumPages)
+		ps := ix.pager.PageSize()
+		if len(blob) > ix.sumPages*ps {
+			return fmt.Errorf("core: refitted summary %d bytes exceeds %d pages", len(blob), ix.sumPages)
 		}
-		for i := 0; i < p.sumPages; i++ {
+		for i := 0; i < ix.sumPages; i++ {
 			page := make([]byte, ps)
 			if off := i * ps; off < len(blob) {
 				copy(page, blob[off:])
 			}
-			st.pages[p.sumFirst+storage.PageID(i)] = page
+			st.pages[ix.sumFirst+storage.PageID(i)] = page
 		}
 		return nil
 	}
-	page, err := st.page(p.sumFirst)
+	page, err := st.page(ix.sumFirst)
 	if err != nil {
 		return err
 	}
@@ -311,25 +311,7 @@ func (p *Partitioned) maintainSummary(st *overlayStage, cellsTouched int, touche
 	return nil
 }
 
-// AggregateContext implements AggregateQuerier on a pinned snapshot: the
-// query runs at the snapshot's epoch, reading the summary pages as they were
-// when the snapshot was acquired (update batches version them copy-on-write
-// like any data page).
-func (s *partSnapshot) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	o := &s.p.observed
-	tb, start := o.startQuery(string(s.p.method), obs.KindAggregate, q.Lo, q.Hi)
-	res, err := s.p.aggregateAt(s.st, o, ctx, tb, q, maxErr)
-	o.endQuery(tb, start, err)
-	return res, err
-}
-
-// AggregateContext implements AggregateQuerier for the tiled planner. The
+// AggregateContext implements Engine for the tiled planner. The
 // answer is composed in three escalating stages:
 //
 //  1. Tile composition — when every tile is either disjoint from the query
@@ -342,14 +324,14 @@ func (s *partSnapshot) AggregateContext(ctx context.Context, q geom.Interval, ma
 //     prune/scatter/gather pipeline runs under the same pinned state.
 func (t *TiledIndex) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
 	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
+		return nil, errEmptyQuery
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	tb, start := t.startQuery(t.label, obs.KindAggregate, q.Lo, q.Hi)
 	s, release := t.pinState()
-	res, err := t.aggregateAt(s, &t.observed, ctx, tb, q, maxErr)
+	res, err := t.aggregateAt(s, ctx, tb, q, maxErr)
 	release()
 	t.endQuery(tb, start, err)
 	return res, err
@@ -362,7 +344,7 @@ func (t *TiledIndex) Aggregate(q geom.Interval, maxErr float64) (*AggregateResul
 
 // aggregateAt answers one aggregate query against a pinned tiled state. The
 // caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) aggregateAt(s *tiledState, o *observed, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
+func (t *TiledIndex) aggregateAt(s *tiledState, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
 	qc := beginQueryAt(t.pager, s.epoch)
 	qc.AttachTrace(tb)
 	qc.BeginSpan(obs.PhaseSummary)
@@ -401,85 +383,16 @@ func (t *TiledIndex) aggregateAt(s *tiledState, o *observed, ctx context.Context
 			res.Fraction = area / t.totArea
 		}
 		res.IO = qc.Stats()
-		qc.Release()
-		o.recordIO(res.IO, 0, res.IO)
-		o.recordAggregate(false)
+		t.recordIO(res.IO, 0, res.IO)
+		t.recordAggregate(false)
 		return res, nil
 	}
+	exact := func() (*Result, error) { return t.queryAt(s, ctx, tb, q, nil) }
 	if t.sumPages == 0 {
 		// No global summary pages to consult.
 		qc.EndSpan()
 		qc.Release()
-		exact, err := t.valueQueryAt(s, ctx, tb, q, nil)
-		if err != nil {
-			return nil, err
-		}
-		res := exactToResult(q, maxErr, exact, t.cells, t.totArea)
-		res.Fallback = true
-		o.recordAggregate(true)
-		return res, nil
+		return t.aggregateExact(q, maxErr, t.cells, t.totArea, exact)
 	}
-	buf, err := readSummary(qc, t.sumFirst, t.sumPages)
-	if err != nil {
-		qc.Release()
-		return nil, err
-	}
-	est, err := approx.EvalEncoded(buf, q.Lo, q.Hi)
-	qc.EndSpan()
-	sumIO := qc.Stats()
-	qc.Release()
-	if err != nil {
-		return nil, err
-	}
-	res := estimateToResult(q, maxErr, est)
-	if _, fb := est.Fraction(); fb <= maxErr {
-		res.IO = sumIO
-		o.recordIO(res.IO, 0, res.IO)
-		o.recordAggregate(false)
-		return res, nil
-	}
-	exact, err := t.valueQueryAt(s, ctx, tb, q, nil)
-	if err != nil {
-		return nil, err
-	}
-	res = exactToResult(q, maxErr, exact, t.cells, est.TotalArea)
-	res.TotalCells = est.N
-	res.Fallback = true
-	res.IO = addStats(sumIO, exact.IO)
-	o.recordIO(sumIO, 0, sumIO)
-	o.recordAggregate(true)
-	return res, nil
+	return t.aggregateSummary(qc, t.sumFirst, t.sumPages, q, maxErr, t.cells, exact)
 }
-
-// AggregateContext implements AggregateQuerier on a pinned tiled snapshot.
-func (s *tiledSnapshot) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	o := &s.t.observed
-	tb, start := o.startQuery(s.t.label, obs.KindAggregate, q.Lo, q.Hi)
-	res, err := s.t.aggregateAt(s.st, o, ctx, tb, q, maxErr)
-	o.endQuery(tb, start, err)
-	return res, err
-}
-
-// AggregateFromExact packages a finished exact query as an aggregate answer
-// — the facade's fallback for methods without field summaries (LinearScan,
-// I-All, Auto), live or pinned: the answer is exact, the cost is the full
-// query cost, and the field-wide area denominator is unknown (Fraction stays
-// 0).
-func AggregateFromExact(q geom.Interval, maxErr float64, exact *Result, totalCells int) *AggregateResult {
-	res := exactToResult(q, maxErr, exact, totalCells, 0)
-	res.Fallback = true
-	return res
-}
-
-var (
-	_ AggregateQuerier = (*Partitioned)(nil)
-	_ AggregateQuerier = (*partSnapshot)(nil)
-	_ AggregateQuerier = (*TiledIndex)(nil)
-	_ AggregateQuerier = (*tiledSnapshot)(nil)
-)

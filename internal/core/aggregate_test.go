@@ -288,7 +288,7 @@ func TestAggregateMaintainedUnderUpdates(t *testing.T) {
 	}
 	snap := p.AcquireSnapshot()
 	defer snap.Close()
-	sq := snap.(AggregateQuerier)
+	sq := snap // a snapshot is the same engine at the pin
 
 	if _, err := p.ApplyUpdates(ctx, f, testUpdates(f, 40, 11)); err != nil {
 		t.Fatal(err)

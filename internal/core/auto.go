@@ -2,10 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -20,47 +16,6 @@ import (
 // low selectivity while a pure sequential scan is hard to beat when most
 // cells match anyway.
 const MethodAuto Method = "I-Auto"
-
-// Auto wraps an I-Hilbert index with a selectivity-based choice of access
-// path over the same heap file.
-type Auto struct {
-	part *Partitioned
-	// state pairs the partition state the planner dispatches into with the
-	// histogram version built from the same field contents. They are
-	// published together, atomically, so a reader never plans on a histogram
-	// from one epoch and refines against another.
-	state atomic.Pointer[autoState]
-	cells int
-	// scanThreshold is the estimated matched-cell fraction above which the
-	// planner prefers the sequential scan.
-	scanThreshold float64
-	// scanQueries / filterQueries count the planner's decisions; updated
-	// atomically so concurrent queries don't corrupt them.
-	scanQueries   atomic.Int64
-	filterQueries atomic.Int64
-	// updMu serializes the planner's own publish step across update batches
-	// (the underlying index serializes the heavy work on its own updMu).
-	updMu sync.Mutex
-	observed
-}
-
-// autoState is one epoch's immutable planner view.
-type autoState struct {
-	ps *partState
-	h  *autoHist
-}
-
-// pinState loads the current planner state and pins its epoch, retrying
-// across the commit/publish window exactly like Partitioned.pinState.
-func (a *Auto) pinState() (*autoState, func()) {
-	for {
-		st := a.state.Load()
-		if a.part.pager.PinEpoch(st.ps.epoch) {
-			return st, func() { a.part.pager.UnpinEpoch(st.ps.epoch) }
-		}
-		runtime.Gosched()
-	}
-}
 
 // autoHist is one immutable histogram version: bins[i] counts cells whose
 // interval intersects the i-th equi-width bin of [lo, lo + len(bins)*width].
@@ -125,19 +80,11 @@ func (h *autoHist) estimate(q geom.Interval, cells int) float64 {
 
 // ScanQueries returns how many queries the planner answered with the
 // sequential-scan access path.
-func (a *Auto) ScanQueries() int { return int(a.scanQueries.Load()) }
+func (e *executor) ScanQueries() int { return int(e.scanQueries.Load()) }
 
 // FilterQueries returns how many queries the planner answered with the
 // subfield filter pipeline.
-func (a *Auto) FilterQueries() int { return int(a.filterQueries.Load()) }
-
-// SetWorkers bounds the refinement worker pool of the underlying I-Hilbert
-// index (the scan path stays single-threaded: it is one sequential run).
-func (a *Auto) SetWorkers(n int) { a.part.SetWorkers(n) }
-
-// SetObserver installs the trace/metrics sinks. Queries are traced and
-// counted under "I-Auto" whichever access path the planner picks.
-func (a *Auto) SetObserver(ob obs.Observer) { a.setObs(ob, string(MethodAuto)) }
+func (e *executor) FilterQueries() int { return int(e.filterQueries.Load()) }
 
 // AutoOptions tunes BuildAuto.
 type AutoOptions struct {
@@ -170,94 +117,54 @@ func BuildAutoCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts
 	if threshold <= 0 || threshold >= 1 {
 		threshold = 0.45
 	}
-	a := &Auto{
-		part:          part,
-		cells:         f.NumCells(),
-		scanThreshold: threshold,
-	}
-	a.state.Store(&autoState{ps: part.snap.Load(), h: buildAutoHist(f, bins)})
-	return a, nil
+	// The same index under the planner's hooks: the histogram is published in
+	// the same state as the partition it plans over, so a reader never plans
+	// on a histogram from one epoch and refines against another.
+	ix := part.valueIndex
+	ix.method, ix.scanThreshold = MethodAuto, threshold
+	st := *ix.snap.Load()
+	st.hist = buildAutoHist(f, bins)
+	return &Auto{newExecutor(ix, &st)}, nil
 }
 
 // EstimateSelectivity returns the histogram's (over-)estimate of the
 // fraction of cells whose interval intersects q.
-func (a *Auto) EstimateSelectivity(q geom.Interval) float64 {
-	if a.cells == 0 || q.IsEmpty() {
+func (e *executor) EstimateSelectivity(q geom.Interval) float64 {
+	if e.cells == 0 || q.IsEmpty() {
 		return 0
 	}
-	return a.state.Load().h.estimate(q, a.cells)
+	return e.cur().hist.estimate(q, e.cells)
 }
 
-// Method implements Index.
-func (a *Auto) Method() Method { return MethodAuto }
-
-// Stats implements Index.
-func (a *Auto) Stats() IndexStats {
-	st := a.part.Stats()
-	st.Method = MethodAuto
-	return st
-}
-
-// Query implements Index: plan, then run the chosen access path.
-func (a *Auto) Query(q geom.Interval) (*Result, error) {
-	return a.QueryContext(context.Background(), q)
-}
-
-// QueryContext implements ContextQuerier. The trace carries a plan span (the
-// histogram estimate, no page reads) followed by the chosen access path's own
-// spans — the filter pipeline's filter+refine, or the scan path's single
-// refine.
-func (a *Auto) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	tb, start := a.startQuery(string(MethodAuto), obs.KindValue, q.Lo, q.Hi)
-	res, err := a.autoQuery(ctx, tb, q)
-	a.endQuery(tb, start, err)
-	return res, err
-}
-
-func (a *Auto) autoQuery(ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
-	st, release := a.pinState()
-	defer release()
-	return a.autoQueryAt(st.ps, st.h, ctx, tb, q)
-}
-
-// autoQueryAt plans and runs against one pinned partition state and one
-// histogram version; the caller must hold a pin at s.epoch.
-func (a *Auto) autoQueryAt(s *partState, h *autoHist, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
-	tb.BeginSpan(obs.PhasePlan, obs.PageCounts{})
+// planCandidates is I-Auto's filter: the partitioned filter behind a planner.
+// The plan span carries the histogram estimate (no page reads); past the
+// threshold the whole heap is the one candidate run — the scan access path —
+// and otherwise the subfield tree selects runs as for I-Hilbert.
+func (ix *valueIndex) planCandidates(st *state, pr *probe) error {
+	pr.begin(obs.PhasePlan)
 	sel := 0.0
-	if a.cells > 0 {
-		sel = h.estimate(q, a.cells)
+	if ix.cells > 0 {
+		sel = st.hist.estimate(pr.q, ix.cells)
 	}
-	tb.EndSpan(obs.PageCounts{})
-	if sel > a.scanThreshold {
-		a.scanQueries.Add(1)
-		return a.scanAllAt(s.epoch, ctx, tb, q)
+	pr.end()
+	if sel > ix.scanThreshold {
+		ix.scanQueries.Add(1)
+		return ix.heapCandidates(st, pr)
 	}
-	a.filterQueries.Add(1)
-	return a.part.valueQueryAt(s, &a.observed, ctx, tb, q)
+	ix.filterQueries.Add(1)
+	return ix.groupCandidates(st, pr)
 }
 
-// scanAllAt runs the LinearScan access path over the partitioned index's own
-// heap file at the pinned epoch.
-func (a *Auto) scanAllAt(epoch uint64, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
-	qc := beginQueryAt(a.part.pager, epoch)
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	res := &Result{Query: q}
-	qc.BeginSpan(obs.PhaseRefine)
-	if err := scanEstimate(ctx, a.part.heap, qc, q, res); err != nil {
-		return nil, err
+// maintainPlanned is I-Auto's maintenance: the partition's, plus a histogram
+// rebuilt from the mutated field whenever a cell interval moved.
+func (ix *valueIndex) maintainPlanned(stage *overlayStage, f field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+	next, indexPages, regrouped, err := ix.maintainGroups(stage, f, cur, ch)
+	if err != nil {
+		return nil, 0, false, err
 	}
-	qc.EndSpan()
-	res.IO = qc.Stats()
-	a.recordIO(storage.Stats{}, 0, res.IO)
-	return res, nil
+	next.hist = cur.hist
+	if len(ch.cells) > 0 {
+		next.hist = buildAutoHist(f, len(cur.hist.bins))
+	}
+	return next, indexPages, regrouped, nil
 }
-
-var (
-	_ Index          = (*Auto)(nil)
-	_ ContextQuerier = (*Auto)(nil)
-)

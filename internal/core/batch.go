@@ -2,16 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
-	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 )
 
@@ -77,13 +74,6 @@ type BatchStats struct {
 	PagesSaved int
 }
 
-// BatchQuerier is the optional capability of an Index that can execute
-// several value queries as one shared scan. Member results are
-// byte-identical to sequential solo QueryContext calls.
-type BatchQuerier interface {
-	QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats)
-}
-
 // batchMember is the per-member execution state inside one QueryBatch call.
 type batchMember struct {
 	ctx     context.Context
@@ -92,6 +82,8 @@ type batchMember struct {
 	tb      *obs.TraceBuilder
 	start   time.Time
 	res     *Result
+	rs      resultSink // refines into res
+	sink    sink       // where the member's survivors go: &rs, or a tile arena
 	err     error
 	started bool // startQuery ran (false only for empty-interval members)
 
@@ -123,7 +115,7 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 		}
 		m.q = bq.Query
 		if m.q.IsEmpty() {
-			m.err = fmt.Errorf("core: empty query interval")
+			m.err = errEmptyQuery
 			continue
 		}
 		m.tb, m.start = o.startQuery(method, obs.KindValue, m.q.Lo, m.q.Hi)
@@ -131,6 +123,8 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 		m.qc = beginQueryAt(pager, epoch)
 		m.qc.AttachTrace(m.tb)
 		m.res = &Result{Query: m.q}
+		m.rs = resultSink{m.res}
+		m.sink = &m.rs
 		if err := m.ctx.Err(); err != nil {
 			m.err = err
 		}
@@ -214,7 +208,7 @@ func (o *observed) endBatch(bo batchObs, size int, shared, filters storage.Stats
 // sequentialBatch executes members one by one through the solo pipeline —
 // the group-of-one case of the admission window, and the fallback of modes
 // with nothing to coalesce — then records a zero-savings batch.
-func sequentialBatch(o *observed, idx ContextQuerier, members []BatchQuery) ([]BatchResult, BatchStats) {
+func sequentialBatch(o *observed, query func(context.Context, geom.Interval) (*Result, error), members []BatchQuery) ([]BatchResult, BatchStats) {
 	out := make([]BatchResult, len(members))
 	var phys storage.Stats
 	for i, bq := range members {
@@ -222,7 +216,7 @@ func sequentialBatch(o *observed, idx ContextQuerier, members []BatchQuery) ([]B
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		res, err := idx.QueryContext(ctx, bq.Query)
+		res, err := query(ctx, bq.Query)
 		out[i] = BatchResult{Res: res, Err: err}
 		if err == nil {
 			phys = phys.Add(res.IO)
@@ -262,9 +256,6 @@ func failLive(ms []batchMember, err error) {
 	}
 }
 
-// physRun is one contiguous PageID range of the shared fetch.
-type physRun struct{ first, last storage.PageID }
-
 // appendPosRuns appends the page runs of one member's ascending survivor
 // positions to dst, using fetchPositions' exact run-extension rule — next
 // survivor on the same page or the page immediately after — so every page
@@ -286,49 +277,6 @@ func appendPosRuns(dst []physRun, rids []storage.RID, pos []int32) []physRun {
 		i = j
 	}
 	return dst
-}
-
-// mergePhysRuns sorts PageID runs and merges overlapping or adjacent ones
-// into the maximal deduplicated runs the batch fetches once.
-func mergePhysRuns(runs []physRun) []physRun {
-	if len(runs) == 0 {
-		return runs
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].first < runs[j].first })
-	merged := runs[:1]
-	for _, r := range runs[1:] {
-		last := &merged[len(merged)-1]
-		if r.first <= last.last+1 {
-			if r.last > last.last {
-				last.last = r.last
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	return merged
-}
-
-// mergePageRuns is mergeRuns' sort-and-merge step applied to an
-// already-materialized page-index run list (the union of several members'
-// merged runs).
-func mergePageRuns(runs []pageRun) []pageRun {
-	if len(runs) == 0 {
-		return runs
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].first < runs[j].first })
-	merged := runs[:1]
-	for _, r := range runs[1:] {
-		last := &merged[len(merged)-1]
-		if r.first <= last.last+1 {
-			if r.last > last.last {
-				last.last = r.last
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	return merged
 }
 
 // chargePositions replays the attributed accounting of a solo
@@ -361,17 +309,16 @@ func chargeRuns(qc *storage.QueryCtx, pages []storage.PageID, runs []pageRun) {
 	}
 }
 
-// demuxPositions is the shared refinement of the position-based families:
-// the union runs are fetched once through phys, and each surviving record
-// is handed to every member holding that position, in ascending position
-// order — each member's fold order is exactly its solo fetchPositions
-// order, and each distinct record is decoded once no matter how many
-// members hold it. prefiltered selects the LinearScan-sidecar semantics
-// (positions already passed the interval test: decode + estimateMatched)
-// over the I-All candidate semantics (estimateRecord: count, test the
-// partial decode, full-decode only on a match).
-func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember, union []physRun, prefiltered bool) {
-	var c field.Cell
+// demuxPositions is the shared refinement of the position-based methods: the
+// union runs are fetched once through phys, and each record is offered to
+// every member holding that position, in ascending position order — each
+// member's fold order is exactly its solo fetchPositions order, and each
+// distinct record is decoded once no matter how many members take it. tested
+// selects the sidecar semantics (positions already passed the interval test:
+// every holder takes the record) over the I-All candidate semantics (count,
+// test the partial decode, take it only on a match).
+func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember, union []physRun, tested bool) {
+	var sv survivor
 	processed := 0
 	for _, ur := range union {
 		if pollMembers(ms) == 0 {
@@ -398,11 +345,10 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 				}
 				rec, recErr := storage.RecordInPage(page, rids[best].Slot)
 				var iv geom.Interval
-				var ivErr error
-				if recErr == nil && !prefiltered {
-					iv, ivErr = field.CellIntervalFromRecord(rec)
+				if recErr == nil && !tested {
+					iv, recErr = field.CellIntervalFromRecord(rec)
 				}
-				decoded := false
+				sv.reset(rec)
 				for i := range ms {
 					m := &ms[i]
 					if !m.live() || m.cur >= len(m.pos) || m.pos[m.cur] != best {
@@ -413,24 +359,13 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 						m.err = recErr
 						continue
 					}
-					if !prefiltered {
-						if ivErr != nil {
-							m.err = ivErr
-							continue
-						}
+					if !tested {
 						m.res.CellsFetched++
 						if !iv.Intersects(m.q) {
 							continue
 						}
 					}
-					if !decoded {
-						if derr := field.DecodeCell(rec, &c); derr != nil {
-							m.err = derr
-							continue
-						}
-						decoded = true
-					}
-					estimateMatched(m.res, &c, m.q)
+					m.err = m.sink.add(&sv)
 				}
 				processed++
 				if processed%fetchCancelStride == 0 {
@@ -447,14 +382,13 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 	}
 }
 
-// demuxRuns is the shared refinement of the run-based families: the union
-// of the members' merged page-index runs is scanned once through phys, and
-// each record is folded into every member whose own runs cover its page —
-// estimateRecord semantics, exactly what a solo scanRun performs, with the
-// partial and full decodes done once per record regardless of how many
-// members cover it.
+// demuxRuns is the shared refinement of the run-based methods: the union of
+// the members' merged page-index runs is scanned once through phys, and each
+// record is folded into every member whose own runs cover its page — exactly
+// what a solo scanRuns performs, with the partial and full decodes done once
+// per record regardless of how many members cover it.
 func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember, union []pageRun, covered []bool) {
-	var c field.Cell
+	var sv survivor
 	processed := 0
 	pi := -1
 	var curID storage.PageID
@@ -481,7 +415,7 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 			var iv geom.Interval
 			var ivErr error
 			parsed := false
-			decoded := false
+			sv.reset(rec)
 			for i := range ms {
 				m := &ms[i]
 				if !covered[i] || m.err != nil {
@@ -496,17 +430,9 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 					continue
 				}
 				m.res.CellsFetched++
-				if !iv.Intersects(m.q) {
-					continue
+				if iv.Intersects(m.q) {
+					m.err = m.sink.add(&sv)
 				}
-				if !decoded {
-					if derr := field.DecodeCell(rec, &c); derr != nil {
-						m.err = derr
-						continue
-					}
-					decoded = true
-				}
-				estimateMatched(m.res, &c, m.q)
 			}
 			processed++
 			if processed%scanCancelStride == 0 {
@@ -523,59 +449,144 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 	}
 }
 
-// QueryBatch implements BatchQuerier: one sidecar pass evaluates every
-// member's predicate, the union of the members' surviving heap runs is
-// fetched once, and each decoded cell is demultiplexed to every member it
-// satisfies. Without a sidecar the whole heap is scanned once for all
-// members. Member results — including Result.IO — are byte-identical to
-// solo QueryContext calls.
-func (ls *LinearScan) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
+// QueryBatch implements Engine — the one batch driver. Every member's
+// candidates are found on the member's own context (the filter I/O of a tree
+// search is not shareable across different intervals; a sidecar pass is, so a
+// sidecar-served scan evaluates all K predicates in one physical pass
+// instead), each member replays the exact page-charge sequence of its solo
+// fetch, and the union of the members' positions or runs is fetched once and
+// demultiplexed. Member results — including Result.IO — are byte-identical to
+// solo QueryContext calls; a batch of one takes the solo path itself.
+func (e *executor) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	if len(members) == 0 {
 		return nil, BatchStats{}
 	}
 	if len(members) == 1 {
-		return sequentialBatch(&ls.observed, ls, members)
+		return sequentialBatch(&e.observed, e.QueryContext, members)
 	}
-	epoch, release := pinCurrentEpoch(ls.pager)
+	st, release := e.pinState()
 	defer release()
-	bo := ls.startBatch(string(MethodLinearScan), members)
-	ms := ls.beginMembers(string(MethodLinearScan), ls.pager, epoch, members)
-	phys := beginQueryAt(ls.pager, epoch)
+	bo := e.startBatch(string(e.method), members)
+	ms := e.beginMembers(string(e.method), e.pager, st.epoch, members)
+	phys := beginQueryAt(e.pager, st.epoch)
 	defer phys.Release()
 	bb := getBatchBuf(len(members))
 	defer putBatchBuf(bb)
-	if ls.sidecar != nil {
-		ls.batchSidecar(ms, phys, bb)
+	var filters storage.Stats
+	if e.tested {
+		e.sharedCandidates(ms, phys, bb)
 	} else {
-		ls.batchScan(ms, phys, bb)
+		filters = e.memberCandidates(st, ms, bb)
 	}
-	results, attributed := ls.finishMembers(ms)
-	return results, ls.endBatch(bo, len(members), phys.LocalStats(), storage.Stats{}, attributed)
+	// Attributed replay: each live member opens its refinement span and
+	// charges its solo fetch, page for page. A run-based filter that selected
+	// nothing publishes as solo's early return does (no refine span,
+	// filter-only IO).
+	pages := e.heap.Pages()
+	for i := range ms {
+		m := &ms[i]
+		if !m.live() || (!e.byPos && len(m.runs) == 0) {
+			continue
+		}
+		m.qc.BeginSpan(obs.PhaseRefine)
+		if e.byPos {
+			chargePositions(m.qc, e.rids, m.pos)
+			bb.prs = appendPosRuns(bb.prs, e.rids, m.pos)
+		} else {
+			chargeRuns(m.qc, pages, m.runs)
+			bb.runs = append(bb.runs, m.runs...)
+		}
+	}
+	if e.byPos {
+		demuxPositions(phys, e.rids, ms, mergeRuns(bb.prs), e.tested)
+	} else {
+		demuxRuns(phys, e.heap, ms, mergeRuns(bb.runs), bb.cov)
+	}
+	results, attributed := e.finishMembers(ms)
+	return results, e.endBatch(bo, len(members), phys.LocalStats(), filters, attributed)
 }
 
-// batchSidecar is the sidecar-served shared pipeline of a LinearScan batch.
-func (ls *LinearScan) batchSidecar(ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
+// memberCandidates runs the method's candidates hook once per live member,
+// on the member's own context and under its own trace, and returns the
+// members' summed filter I/O.
+func (e *executor) memberCandidates(st *state, ms []batchMember, bb *batchBuf) storage.Stats {
+	var filters storage.Stats
+	pr := getProbe()
+	own := pr.pos
+	for i := range ms {
+		m := &ms[i]
+		if !m.live() {
+			continue
+		}
+		// The member's positions outlive the probe: they land in the batch's
+		// own pooled buffer.
+		pr.pos = bb.pos[i]
+		pr.reset(m.ctx, m.qc, m.q, true)
+		err := e.candidates(st, pr)
+		bb.pos[i] = pr.pos
+		if err != nil {
+			m.err = err
+			continue
+		}
+		m.pos, m.runs, m.filter = pr.pos, pr.runs, pr.filter
+		m.res.CandidateGroups, m.res.CellsFetched = pr.groups, pr.fetched
+		filters = filters.Add(pr.filter)
+	}
+	pr.pos = own
+	putProbe(pr)
+	return filters
+}
+
+// sharedCandidates is the batch filter of a sidecar-served scan, the one
+// method whose filter pass is shareable: one physical pass over the packed
+// interval columns evaluates all K predicates per entry, and each live member
+// is charged the full sidecar scan — its exact solo charge sequence.
+func (e *executor) sharedCandidates(ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
 	if pollMembers(ms) == 0 {
 		return
 	}
 	for i := range ms {
-		m := &ms[i]
-		if m.live() {
-			bb.qlo[i], bb.qhi[i] = m.q.Lo, m.q.Hi
+		if m := &ms[i]; m.live() {
 			m.qc.BeginSpan(obs.PhaseSidecar)
+		}
+	}
+	if !e.filterShared(ms, nil, phys, bb) {
+		return
+	}
+	for i := range ms {
+		m := &ms[i]
+		if !m.live() {
+			continue
+		}
+		m.pos = bb.pos[i]
+		m.sidecarReads = e.chargeSidecar(m.qc)
+		m.qc.EndSpan()
+		m.res.CellsFetched = e.cells
+	}
+}
+
+// filterShared evaluates the predicates of the live members flagged in `in`
+// (every live member when nil) in one pass over the sidecar through phys,
+// leaving each one's surviving positions in bb.pos. NaN bounds keep the other
+// members from accumulating positions; a member canceled mid-scan goes NaN
+// too, and the scan stops early once no flagged member remains. A storage
+// error fails every live member — each would have hit it solo — and reports
+// false.
+func (ix *valueIndex) filterShared(ms []batchMember, in []bool, phys *storage.QueryCtx, bb *batchBuf) bool {
+	for i := range ms {
+		bb.pos[i] = bb.pos[i][:0]
+		if m := &ms[i]; m.live() && (in == nil || in[i]) {
+			bb.qlo[i], bb.qhi[i] = m.q.Lo, m.q.Hi
 		} else {
 			bb.qlo[i], bb.qhi[i] = math.NaN(), math.NaN()
 		}
 	}
-	// One physical pass over the packed interval columns evaluates all K
-	// predicates per entry; NaN bounds keep dead members from accumulating
-	// positions.
-	err := ls.sidecar.ScanRange(phys, 0, ls.cells, func(base int, lo, hi []float64) bool {
+	err := ix.sidecar.ScanRange(phys, 0, ix.cells, func(base int, lo, hi []float64) bool {
 		field.FilterIntervalsMulti(bb.pos, int32(base), lo, hi, bb.qlo, bb.qhi)
 		live := 0
 		for i := range ms {
 			m := &ms[i]
-			if !m.live() {
+			if !m.live() || math.IsNaN(bb.qlo[i]) {
 				continue
 			}
 			if cerr := m.ctx.Err(); cerr != nil {
@@ -589,182 +600,17 @@ func (ls *LinearScan) batchSidecar(ms []batchMember, phys *storage.QueryCtx, bb 
 	})
 	if err != nil {
 		failLive(ms, err)
-		return
 	}
-	// Attributed replay: each live member charges the full sidecar scan and
-	// its own surviving heap pages — the exact solo charge sequence.
-	scFirst := ls.sidecar.FirstPage()
-	scLast := scFirst + storage.PageID(ls.sidecar.NumPages()-1)
-	for i := range ms {
-		m := &ms[i]
-		if !m.live() {
-			continue
-		}
-		m.pos = bb.pos[i]
-		m.qc.ChargeRun(scFirst, scLast)
-		m.qc.EndSpan()
-		m.sidecarReads = m.qc.LocalStats().Reads
-		m.res.CellsFetched = ls.cells
-		m.qc.BeginSpan(obs.PhaseRefine)
-		chargePositions(m.qc, ls.rids, m.pos)
-	}
-	union := bb.prs[:0]
-	for i := range ms {
-		if m := &ms[i]; m.live() {
-			union = appendPosRuns(union, ls.rids, m.pos)
-		}
-	}
-	bb.prs = union
-	demuxPositions(phys, ls.rids, ms, mergePhysRuns(union), true)
+	return err == nil
 }
 
-// batchScan is the no-sidecar shared pipeline: one whole-heap scan folds
-// every record into every live member, replacing K identical full scans.
-func (ls *LinearScan) batchScan(ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
-	n := ls.heap.NumPages()
-	if n == 0 || pollMembers(ms) == 0 {
-		return
-	}
-	bb.runs = append(bb.runs[:0], pageRun{first: 0, last: n - 1})
-	pages := ls.heap.Pages()
-	for i := range ms {
-		m := &ms[i]
-		if !m.live() {
-			continue
-		}
-		m.runs = bb.runs
-		m.qc.BeginSpan(obs.PhaseRefine)
-		chargeRuns(m.qc, pages, m.runs)
-	}
-	demuxRuns(phys, ls.heap, ms, bb.runs, bb.cov)
-}
-
-// QueryBatch implements BatchQuerier: the filter step stays per member (K
-// tree searches — index reads are not shareable across different query
-// intervals), then the union of all members' sorted candidate positions is
-// fetched once from the heap and demultiplexed with I-All's estimateRecord
-// semantics.
-func (ia *IAll) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
-	if len(members) == 0 {
-		return nil, BatchStats{}
-	}
-	if len(members) == 1 {
-		return sequentialBatch(&ia.observed, ia, members)
-	}
-	s, release := ia.pinState()
-	defer release()
-	bo := ia.startBatch(string(MethodIAll), members)
-	ms := ia.beginMembers(string(MethodIAll), ia.pager, s.epoch, members)
-	phys := beginQueryAt(ia.pager, s.epoch)
-	defer phys.Release()
-	bb := getBatchBuf(len(members))
-	defer putBatchBuf(bb)
-	var filters storage.Stats
-	for i := range ms {
-		m := &ms[i]
-		if !m.live() {
-			continue
-		}
-		sb := iallScratch.Get().(*iallBuf)
-		candidates := sb.candidates[:0]
-		m.qc.BeginSpan(obs.PhaseFilter)
-		err := s.tree.PagedSearchCtx(m.qc, rstar.Interval1D(m.q.Lo, m.q.Hi), func(e rstar.Entry) bool {
-			candidates = append(candidates, e.Data)
-			return true
-		})
-		sb.candidates = candidates
-		if err != nil {
-			iallScratch.Put(sb)
-			m.err = err
-			continue
-		}
-		m.qc.EndSpan()
-		m.filter = m.qc.LocalStats()
-		filters = filters.Add(m.filter)
-		m.res.CandidateGroups = len(candidates)
-		pos := bb.pos[i][:0]
-		for _, id := range candidates {
-			pos = append(pos, int32(id))
-		}
-		iallScratch.Put(sb)
-		sort.Slice(pos, func(x, y int) bool { return pos[x] < pos[y] })
-		bb.pos[i] = pos
-		m.pos = pos
-		m.qc.BeginSpan(obs.PhaseRefine)
-		chargePositions(m.qc, ia.rids, pos)
-	}
-	union := bb.prs[:0]
-	for i := range ms {
-		if m := &ms[i]; m.live() {
-			union = appendPosRuns(union, ia.rids, m.pos)
-		}
-	}
-	bb.prs = union
-	demuxPositions(phys, ia.rids, ms, mergePhysRuns(union), false)
-	results, attributed := ia.finishMembers(ms)
-	return results, ia.endBatch(bo, len(members), phys.LocalStats(), filters, attributed)
-}
-
-// QueryBatch implements BatchQuerier: per-member tree searches select each
-// member's subfield runs, the union of all merged runs is scanned once, and
-// each record folds into every member whose runs cover its page — solo
-// scanRun semantics per member.
-func (p *Partitioned) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
-	if len(members) == 0 {
-		return nil, BatchStats{}
-	}
-	if len(members) == 1 {
-		return sequentialBatch(&p.observed, p, members)
-	}
-	s, release := p.pinState()
-	defer release()
-	bo := p.startBatch(string(p.method), members)
-	ms := p.beginMembers(string(p.method), p.pager, s.epoch, members)
-	phys := beginQueryAt(p.pager, s.epoch)
-	defer phys.Release()
-	bb := getBatchBuf(len(members))
-	defer putBatchBuf(bb)
-	var filters storage.Stats
-	pages := p.heap.Pages()
-	for i := range ms {
-		m := &ms[i]
-		if !m.live() {
-			continue
-		}
-		selected := bb.sel[:0]
-		m.qc.BeginSpan(obs.PhaseFilter)
-		err := s.tree.PagedSearchCtx(m.qc, rstar.Interval1D(m.q.Lo, m.q.Hi), func(e rstar.Entry) bool {
-			selected = append(selected, int(e.Data))
-			return true
-		})
-		bb.sel = selected
-		if err != nil {
-			m.err = err
-			continue
-		}
-		m.qc.EndSpan()
-		m.filter = m.qc.LocalStats()
-		filters = filters.Add(m.filter)
-		m.res.CandidateGroups = len(selected)
-		if len(selected) == 0 {
-			// Filter-only query: finishMembers publishes it exactly as
-			// solo's early return does (no refine span, filter-only IO).
-			continue
-		}
-		m.runs = mergeGroupRuns(s.groups, selected)
-		m.qc.BeginSpan(obs.PhaseRefine)
-		chargeRuns(m.qc, pages, m.runs)
-	}
-	union := bb.runs[:0]
-	for i := range ms {
-		if m := &ms[i]; m.live() {
-			union = append(union, m.runs...)
-		}
-	}
-	bb.runs = union
-	demuxRuns(phys, p.heap, ms, mergePageRuns(union), bb.cov)
-	results, attributed := p.finishMembers(ms)
-	return results, p.endBatch(bo, len(members), phys.LocalStats(), filters, attributed)
+// chargeSidecar replays a solo sidecar pass on a member's context — the whole
+// segment as one run — and returns the reads it charged.
+func (ix *valueIndex) chargeSidecar(qc *storage.QueryCtx) int {
+	before := qc.LocalStats().Reads
+	first := ix.sidecar.FirstPage()
+	qc.ChargeRun(first, first+storage.PageID(ix.sidecar.NumPages()-1))
+	return qc.LocalStats().Reads - before
 }
 
 // Batcher groups concurrent value queries arriving within a fixed admission
@@ -775,7 +621,7 @@ func (p *Partitioned) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStat
 // path, so an idle database with a window configured answers byte-identically
 // to one without; the window only ever delays a query by at most its length.
 type Batcher struct {
-	idx    BatchQuerier
+	idx    Engine
 	window time.Duration
 
 	mu  sync.Mutex
@@ -794,7 +640,7 @@ type batchGroup struct {
 
 // NewBatcher returns a Batcher executing groups on idx after the given
 // admission window.
-func NewBatcher(idx BatchQuerier, window time.Duration) *Batcher {
+func NewBatcher(idx Engine, window time.Duration) *Batcher {
 	return &Batcher{idx: idx, window: window}
 }
 
@@ -834,9 +680,3 @@ func (b *Batcher) QueryContext(ctx context.Context, q geom.Interval) (*Result, e
 	r := g.results[0]
 	return r.Res, r.Err
 }
-
-var (
-	_ BatchQuerier = (*LinearScan)(nil)
-	_ BatchQuerier = (*IAll)(nil)
-	_ BatchQuerier = (*Partitioned)(nil)
-)

@@ -15,18 +15,11 @@ import (
 	"fielddb/internal/geom"
 )
 
-// batchIndex is an index that answers queries solo and batched.
-type batchIndex interface {
-	Index
-	ContextQuerier
-	BatchQuerier
-}
-
-// buildBatchable builds every batch-capable index flavor over f, each on its
-// own pager, keyed by a descriptive name.
-func buildBatchable(t testing.TB, f field.Field) map[string]batchIndex {
+// buildBatchable builds every executor flavor over f, each on its own pager,
+// keyed by a descriptive name.
+func buildBatchable(t testing.TB, f field.Field) map[string]Engine {
 	t.Helper()
-	out := map[string]batchIndex{}
+	out := map[string]Engine{}
 	ls, err := BuildLinearScan(f, newPager())
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +51,13 @@ func buildBatchable(t testing.TB, f field.Field) map[string]batchIndex {
 		t.Fatal(err)
 	}
 	out["I-Quad"] = iq
+	// The planner with a threshold low enough that the trial sets mix scan-path
+	// and filter-path members in one batch.
+	au, err := BuildAuto(f, newPager(), AutoOptions{ScanThreshold: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["I-Auto"] = au
 	return out
 }
 
@@ -92,7 +92,7 @@ func randomQuerySet(rng *rand.Rand, vr geom.Interval, k int) []geom.Interval {
 }
 
 // soloResults answers qs one at a time through the solo pipeline.
-func soloResults(t *testing.T, idx batchIndex, qs []geom.Interval) []*Result {
+func soloResults(t *testing.T, idx Engine, qs []geom.Interval) []*Result {
 	t.Helper()
 	out := make([]*Result, len(qs))
 	for i, q := range qs {

@@ -75,13 +75,17 @@ var (
 
 // SaveFile writes the built index — cell heap, R*-tree pages, interval
 // sidecar, and catalog — to a single database file that OpenFile can query
-// without rebuilding.
-func (p *Partitioned) SaveFile(path string) error {
+// without rebuilding. Only the partitioned family has an on-disk format (the
+// catalog stores a subfield tree; the planner's histogram has none).
+func (e *executor) SaveFile(path string) error {
+	if e.order == nil || e.method == MethodAuto {
+		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, e.method)
+	}
 	// Serialize with update batches: the snapshot below must capture the heap,
 	// sidecar and tree pages of one published state, not a commit in flight.
-	p.updMu.Lock()
-	defer p.updMu.Unlock()
-	disk, err := storage.OpenFileDisk(path, p.pager.PageSize())
+	e.updMu.Lock()
+	defer e.updMu.Unlock()
+	disk, err := storage.OpenFileDisk(path, e.pager.PageSize())
 	if err != nil {
 		return err
 	}
@@ -89,13 +93,13 @@ func (p *Partitioned) SaveFile(path string) error {
 	if disk.NumPages() != 0 {
 		return fmt.Errorf("core: %s is not empty", path)
 	}
-	if err := p.heap.Flush(); err != nil {
+	if err := e.heap.Flush(); err != nil {
 		return err
 	}
-	if err := p.pager.SnapshotTo(disk); err != nil {
+	if err := e.pager.SnapshotTo(disk); err != nil {
 		return fmt.Errorf("core: snapshot: %w", err)
 	}
-	return writeCatalog(disk, p.encodeCatalog())
+	return writeCatalog(disk, e.encodeCatalog())
 }
 
 // writeCatalog appends the catalog blob and the superblock that locates it
@@ -135,17 +139,17 @@ func writeCatalog(disk *storage.FileDisk, blob []byte) error {
 	return disk.Close()
 }
 
-func (p *Partitioned) encodeCatalog() []byte {
-	st := p.snap.Load()
+func (ix *valueIndex) encodeCatalog() []byte {
+	st := ix.snap.Load()
 	var b bytes.Buffer
 	b.Write(catalogMagic[:])
 	writeU32(&b, catalogVersion)
 	writeU32(&b, 0) // tile count: a Partitioned save is always untiled
-	method := []byte(p.method)
+	method := []byte(ix.method)
 	writeU16(&b, uint16(len(method)))
 	b.Write(method)
-	writeU64(&b, uint64(p.cells))
-	pages := p.heap.Pages()
+	writeU64(&b, uint64(ix.cells))
+	pages := ix.heap.Pages()
 	writeU64(&b, uint64(len(pages)))
 	for _, id := range pages {
 		writeU32(&b, uint32(id))
@@ -163,26 +167,26 @@ func (p *Partitioned) encodeCatalog() []byte {
 		writeU64(&b, uint64(g.startRef))
 		writeU64(&b, uint64(g.endRef))
 	}
-	for _, id := range p.order {
+	for _, id := range ix.order {
 		writeU32(&b, uint32(id))
 	}
 	codec := ""
-	if p.sidecar != nil && p.sidecar.NumPages() > 0 {
-		codec = p.sidecar.Codec()
-		writeU32(&b, uint32(p.sidecar.FirstPage()))
-		writeU32(&b, uint32(p.sidecar.NumPages()))
-		writeU64(&b, uint64(p.sidecar.Count()))
-		writePageFirstPositions(&b, p.rids)
+	if ix.sidecar != nil && ix.sidecar.NumPages() > 0 {
+		codec = ix.sidecar.Codec()
+		writeU32(&b, uint32(ix.sidecar.FirstPage()))
+		writeU32(&b, uint32(ix.sidecar.NumPages()))
+		writeU64(&b, uint64(ix.sidecar.Count()))
+		writePageFirstPositions(&b, ix.rids)
 	} else {
 		writeU32(&b, 0)
 		writeU32(&b, 0)
 	}
 	writeU64(&b, st.epoch)
-	writeF64(&b, p.cost.Epsilon)
-	writeF64(&b, p.maxSize)
-	writeCodecTail(&b, codec, p.sidecar)
-	writeU32(&b, uint32(p.sumFirst))
-	writeU32(&b, uint32(p.sumPages))
+	writeF64(&b, ix.cost.Epsilon)
+	writeF64(&b, ix.maxSize)
+	writeCodecTail(&b, codec, ix.sidecar)
+	writeU32(&b, uint32(ix.sumFirst))
+	writeU32(&b, uint32(ix.sumPages))
 	return b.Bytes()
 }
 
@@ -364,30 +368,25 @@ func openFilePageSize(path string, pageSize int, opts OpenFileOptions) (*Partiti
 	// materialized that epoch's overlay view into the base pages, so the
 	// opened store is that epoch, verbatim.
 	pager.SetEpoch(dec.epoch)
-	dec.p.pager = pager
-	dec.p.heap = storage.OpenHeapFile(pager, dec.heapPages, dec.cells)
+	ix := dec.ix
+	ix.pager = pager
+	ix.heap = storage.OpenHeapFile(pager, dec.heapPages, ix.cells)
 	tree, err := rstar.OpenPaged(pager, dec.treeRoot, 1,
 		rstar.Params{PageSize: pageSize}, len(dec.groups), dec.treeNodes, dec.treeHeight)
 	if err != nil {
 		disk.Close()
 		return nil, err
 	}
-	// Restore the partitioning rule for update batches.
-	dec.p.cost = subfield.CostModel{Epsilon: dec.epsilon}
-	dec.p.maxSize = dec.maxSize
-	dec.p.sumFirst = dec.sumFirst
-	dec.p.sumPages = dec.sumPages
-	dec.p.snap.Store(&partState{epoch: dec.epoch, tree: tree, groups: dec.groups})
 	if dec.sidecarPages > 0 {
 		sc, err := openSidecarAs(pager, dec.codec, dec.sidecarFirst, dec.sidecarPages, dec.sidecarCount, dec.sidecarFirstPos)
 		if err != nil {
 			disk.Close()
 			return nil, fmt.Errorf("core: %s: %w", path, err)
 		}
-		dec.p.sidecar = sc
-		dec.p.rids = ridsFromFirstPositions(dec.heapPages, dec.pageFirstPos, dec.cells)
+		ix.sidecar = sc
+		ix.rids = ridsFromFirstPositions(dec.heapPages, dec.pageFirstPos, ix.cells)
 	}
-	return dec.p, nil
+	return &Partitioned{newExecutor(ix, &state{epoch: dec.epoch, tree: tree, groups: dec.groups})}, nil
 }
 
 // readPageFirstPositions decodes writePageFirstPositions' section for a heap
@@ -432,8 +431,10 @@ func openSidecarAs(pager *storage.Pager, codec string, first storage.PageID, pag
 
 // decodedCatalog carries the intermediate decode state.
 type decodedCatalog struct {
-	p               *Partitioned
-	cells           int
+	// ix carries what the catalog states outright: method, cell order and
+	// count, the partitioning rule update batches re-derive group boundaries
+	// with, and the summary geometry.
+	ix              *valueIndex
 	heapPages       []storage.PageID
 	treeRoot        storage.PageID
 	treeNodes       int
@@ -444,12 +445,8 @@ type decodedCatalog struct {
 	sidecarCount    int
 	pageFirstPos    []int
 	epoch           uint64
-	epsilon         float64
-	maxSize         float64
 	codec           string
 	sidecarFirstPos []uint32
-	sumFirst        storage.PageID
-	sumPages        int
 }
 
 // decodeCatalog decodes the untiled body of a catalog blob whose header
@@ -538,14 +535,17 @@ func decodeCatalog(blob []byte) (*decodedCatalog, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("catalog truncated")
 	}
-	part := &Partitioned{
-		method: Method(method),
-		order:  order,
-		cells:  cells,
+	ix := &valueIndex{
+		method:   Method(method),
+		order:    order,
+		cells:    cells,
+		cost:     subfield.CostModel{Epsilon: epsilon},
+		maxSize:  maxSize,
+		sumFirst: sumFirst,
+		sumPages: sumPages,
 	}
 	return &decodedCatalog{
-		p:            part,
-		cells:        cells,
+		ix:           ix,
 		heapPages:    heapPages,
 		treeRoot:     treeRoot,
 		treeNodes:    treeNodes,
@@ -556,13 +556,9 @@ func decodeCatalog(blob []byte) (*decodedCatalog, error) {
 		sidecarCount: sidecarCount,
 		pageFirstPos: pageFirstPos,
 		epoch:        epoch,
-		epsilon:      epsilon,
-		maxSize:      maxSize,
 		codec:        codec,
 
 		sidecarFirstPos: sidecarFirstPos,
-		sumFirst:        sumFirst,
-		sumPages:        sumPages,
 	}, nil
 }
 

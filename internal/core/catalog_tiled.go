@@ -43,7 +43,7 @@ import (
 // indexes can be saved.
 func (t *TiledIndex) SaveFile(path string) error {
 	if t.inner != MethodLinearScan {
-		return fmt.Errorf("core: %s has no on-disk format (only Tiled-LinearScan)", t.label)
+		return fmt.Errorf("%w: %s has no on-disk format (only Tiled-LinearScan)", ErrNoPartition, t.label)
 	}
 	t.updMu.Lock()
 	defer t.updMu.Unlock()
@@ -56,7 +56,7 @@ func (t *TiledIndex) SaveFile(path string) error {
 		return fmt.Errorf("core: %s is not empty", path)
 	}
 	for _, tl := range t.tiles {
-		if err := tl.idx.(*LinearScan).heap.Flush(); err != nil {
+		if err := tl.ex.heap.Flush(); err != nil {
 			return err
 		}
 	}
@@ -77,8 +77,8 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 	b.Write(method)
 	codec := ""
 	for _, tl := range t.tiles {
-		if ls := tl.idx.(*LinearScan); ls.sidecar != nil {
-			codec = ls.sidecar.Codec()
+		if tl.ex.sidecar != nil {
+			codec = tl.ex.sidecar.Codec()
 			break
 		}
 	}
@@ -98,7 +98,7 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 		for _, id := range tl.ids {
 			writeU32(&b, uint32(id))
 		}
-		ls := tl.idx.(*LinearScan)
+		ls := tl.ex
 		pages := ls.heap.Pages()
 		writeU64(&b, uint64(len(pages)))
 		for _, id := range pages {
@@ -131,8 +131,8 @@ func OpenTiledFile(path string, model storage.DiskModel, pool int) (*TiledIndex,
 
 // OpenStoredWith opens any database file written by SaveFile — untiled
 // Partitioned or tiled — dispatching on the catalog's tile directory. The
-// returned Index is a *Partitioned or a *TiledIndex.
-func OpenStoredWith(path string, opts OpenFileOptions) (Index, error) {
+// returned Engine is a *Partitioned or a *TiledIndex.
+func OpenStoredWith(path string, opts OpenFileOptions) (Engine, error) {
 	if opts.Model == (storage.DiskModel{}) {
 		opts.Model = storage.DefaultDiskModel
 	}
@@ -195,7 +195,7 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		return nil, fmt.Errorf("corrupt tiled catalog header")
 	}
 	pager.SetEpoch(epoch)
-	t := &TiledIndex{
+	t := &TiledIndex{tiledCore: &tiledCore{
 		inner:    MethodLinearScan,
 		label:    string(tiledMethod(MethodLinearScan)),
 		pager:    pager,
@@ -204,7 +204,8 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		cells:    cells,
 		tileSide: tileSide,
 		workers:  1,
-	}
+	}}
+	parts := make([]*state, 0, numTiles)
 	for i := range t.tileOf {
 		t.tileOf[i] = -1
 	}
@@ -242,10 +243,11 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		}
 		sidecarFirst := storage.PageID(r.u32())
 		sidecarPages := int(r.u32())
-		ls := &LinearScan{
-			pager: pager,
-			heap:  storage.OpenHeapFile(pager, heapPages, ncells),
-			cells: ncells,
+		ls := &valueIndex{
+			method: MethodLinearScan,
+			pager:  pager,
+			heap:   storage.OpenHeapFile(pager, heapPages, ncells),
+			cells:  ncells,
 		}
 		if sidecarPages > 0 {
 			pageFirstPos, err := readPageFirstPositions(r, numPages, ncells)
@@ -268,7 +270,9 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		}
 		// view stays nil: queries never touch it, and ApplyUpdates rebuilds
 		// it from the caller's field on first use.
-		t.tiles = append(t.tiles, &tile{ids: ids, mbr: mbr, idx: ls})
+		ex := newExecutor(ls, &state{epoch: epoch})
+		t.tiles = append(t.tiles, &tile{ids: ids, mbr: mbr, ex: ex})
+		parts = append(parts, ex.snap.Load())
 		vr = append(vr, iv)
 		covered += ncells
 	}
@@ -289,6 +293,6 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 	if covered != cells {
 		return nil, fmt.Errorf("tiles cover %d of %d cells", covered, cells)
 	}
-	t.snap.Store(&tiledState{epoch: epoch, vr: vr, parts: make([]*partState, numTiles)})
+	t.snap.Store(&tiledState{epoch: epoch, vr: vr, parts: parts})
 	return t, nil
 }

@@ -32,8 +32,8 @@ func ConjunctiveQuery(indexes []Index, intervals []geom.Interval) (*ConjunctiveR
 }
 
 // ConjunctiveQueryContext is ConjunctiveQuery with cancellation: conditions
-// whose index implements ContextQuerier poll ctx during refinement, so one
-// cancel stops every condition's scan. All per-condition goroutines are
+// whose index is an Engine poll ctx during refinement, so one cancel stops
+// every condition's scan (the reference baselines ignore ctx). All per-condition goroutines are
 // joined before returning.
 func ConjunctiveQueryContext(ctx context.Context, indexes []Index, intervals []geom.Interval) (*ConjunctiveResult, error) {
 	if len(indexes) == 0 || len(indexes) != len(intervals) {
@@ -51,7 +51,7 @@ func ConjunctiveQueryContext(ctx context.Context, indexes []Index, intervals []g
 		wg.Add(1)
 		go func(i int, idx Index) {
 			defer wg.Done()
-			if cq, ok := idx.(ContextQuerier); ok {
+			if cq, ok := idx.(Engine); ok {
 				results[i], errs[i] = cq.QueryContext(ctx, intervals[i])
 			} else {
 				results[i], errs[i] = idx.Query(intervals[i])

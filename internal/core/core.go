@@ -1,35 +1,48 @@
 // Package core implements the paper's primary contribution: value-domain
 // indexes for field value queries in continuous field databases.
 //
-// Four query-processing methods are provided:
+// Every method runs on one executor (executor.go): pin the current epoch,
+// ask the method for candidates, fetch them, refine the survivors into the
+// answer. The executor writes solo queries, shared-scan batches, snapshots,
+// aggregates and the live-update skeleton once; a method is two hooks bound
+// when the index is built or opened:
 //
-//   - LinearScan — scan every cell page sequentially and test each cell
-//     interval (§2.2.2, the no-index baseline).
-//   - I-All — every individual cell interval stored in a 1-D R*-tree; each
-//     candidate cell is then fetched with a random page access (§3, the
-//     straightforward indexing baseline the paper shows can lose to
-//     LinearScan).
-//   - I-Hilbert — the proposed method: cells linearized by the Hilbert value
-//     of their centers, grouped into subfields by the cost model of §3.1.2,
-//     subfield intervals indexed in a 1-D R*-tree whose leaves point at the
-//     contiguous cell run of each subfield (§3).
-//   - I-Quad / I-Threshold — the Interval Quadtree of the authors' earlier
-//     work and a fixed-threshold run grouping, for the paper's motivating
-//     comparison and ablations.
+//   - candidates turns a value interval into candidate cells — the one step
+//     in which the paper's methods differ. LinearScan tests every interval
+//     (§2.2.2; over the packed interval sidecar by default, over the cell
+//     pages without one). I-All searches a 1-D R*-tree holding one entry per
+//     cell (§3, the straightforward baseline). I-Hilbert, I-Quad and
+//     I-Threshold search a tree holding one entry per subfield, each pointing
+//     at the contiguous page run of its cells (§3, Figure 6); they differ only
+//     in how the partition was formed. I-Auto is I-Hilbert behind a
+//     histogram planner that returns the whole heap as one run when most
+//     cells would match anyway.
+//   - maintain brings the method's index structure to the state after an
+//     update batch: nothing for LinearScan, delete/insert on the per-cell
+//     tree for I-All, regrouping and the summary refit for the partitioned
+//     family.
+//
+// Candidates come in one of two shapes, each with its own fetch loop
+// (fetch.go): ascending heap positions, or merged runs of heap pages. Both
+// loops hand surviving records to a sink — decode and refine into a Result,
+// or copy into a tile arena for the tiled planner's gather (tiled.go).
 //
 // All methods share one storage substrate (internal/storage): cells live in
 // a slotted heap file, index nodes in R*-tree pages, and every page access
 // during a query is charged to a simulated disk clock so the methods are
 // compared under the paper's cost model (4 KiB pages, sequential vs random
-// access).
+// access). IPRow, ITree and Magnitude are self-contained reference baselines
+// outside the executor.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
+	"fielddb/internal/obs"
 	"fielddb/internal/storage"
 )
 
@@ -44,6 +57,14 @@ const (
 	MethodIQuad      Method = "I-Quad"
 	MethodIThresh    Method = "I-Threshold"
 )
+
+// ErrNoPartition reports an operation that needs a subfield partition —
+// approximate value queries from subfield summaries, or the on-disk format —
+// on a configuration without one.
+var ErrNoPartition = errors.New("core: no subfield partition")
+
+// errEmptyQuery rejects an empty query interval before any work.
+var errEmptyQuery = errors.New("core: empty query interval")
 
 // Result carries the outcome of one field value query.
 type Result struct {
@@ -105,18 +126,59 @@ type Index interface {
 	Stats() IndexStats
 }
 
-// estimateCell runs the shared estimation logic for one fetched cell:
-// testing its interval against the query and, on a match, computing the
-// exact answer geometry by inverse interpolation.
-func estimateCell(res *Result, c *field.Cell, q geom.Interval) {
-	res.CellsFetched++
-	if !c.Interval().Intersects(q) {
-		return
-	}
-	estimateMatched(res, c, q)
+// Engine is the full surface of a value index the facade binds to: every
+// method's executor and the tiled planner implement it, live and — through
+// AcquireSnapshot — pinned. What a configuration cannot do comes back as a
+// typed error (ErrNoPartition, ErrUpdatesUnsupported), never as a missing
+// method.
+type Engine interface {
+	Index
+	// QueryContext is Query with cancellation, polled between cell runs,
+	// candidate fetches and tiles.
+	QueryContext(ctx context.Context, q geom.Interval) (*Result, error)
+	// QueryBatch executes several value queries as one shared scan; member
+	// results are byte-identical to sequential solo QueryContext calls.
+	QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats)
+	// AggregateContext answers an aggregate query from the field summary when
+	// its certified bound is within maxErr, exactly otherwise (always exactly
+	// where there is no summary).
+	AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error)
+	// ApproxQueryContext answers from subfield metadata alone; ErrNoPartition
+	// where the method has no subfields.
+	ApproxQueryContext(ctx context.Context, q geom.Interval) (*ApproxResult, error)
+	// AcquireSnapshot returns the same engine over the state current now:
+	// every query through it answers at that epoch, byte for byte, however
+	// many update batches commit meanwhile. Holding it keeps the epoch's page
+	// versions alive; its Close releases the pin (idempotently) and nothing
+	// else.
+	AcquireSnapshot() Engine
+	// Epoch returns the storage epoch queries read: the current one, or a
+	// snapshot's pinned one.
+	Epoch() uint64
+	// ApplyUpdates mutates f, patches the stored cell records and interval
+	// sidecar through copy-on-write page overlays, maintains the index
+	// structure, and commits the batch as one new storage epoch. Concurrent
+	// readers are never blocked and never see a partial batch; on error the
+	// field is rolled back and the live epoch is untouched.
+	ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error)
+	// ForEachGroup visits every subfield (none where the method has no
+	// partition); Tiles lists the tile directory (nil when untiled).
+	ForEachGroup(fn func(group int, iv geom.Interval, cells []field.CellID) bool)
+	Tiles() []TileInfo
+	// ValueRange returns the value-domain coverage the index itself knows:
+	// the union of its subfield intervals or tile summaries (empty for
+	// methods that keep neither).
+	ValueRange() geom.Interval
+	// SaveFile writes the index to a database file OpenStoredWith reopens;
+	// ErrNoPartition where the configuration has no on-disk format.
+	SaveFile(path string) error
+	SetObserver(ob obs.Observer)
+	SetWorkers(n int)
+	Close() error
 }
 
-// estimateRecord is estimateCell on an encoded record: the interval test
+// estimateRecord folds one encoded record into res the way the reference
+// baselines (ITree, IPRow) fetch cells, one at a time: the interval test
 // runs on the partial decode (value min/max only), and the full cell — the
 // vertex geometry the Band/Isolines step needs — is decoded into scratch
 // only for cells that survive it. Counters and answer geometry are

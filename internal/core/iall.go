@@ -3,56 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"fielddb/internal/field"
-	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 )
-
-// IAll is the straightforward indexing baseline of §3: the interval of every
-// individual cell is stored in a 1-D R*-tree. The tree is large and its
-// similar, heavily overlapping intervals make the filter step expensive;
-// each candidate cell is then fetched with its own (typically random) page
-// access. The paper shows this can be slower than LinearScan at high query
-// selectivity (Figure 11.a).
-type IAll struct {
-	pager *storage.Pager
-	heap  *storage.HeapFile
-	// snap is the index's current MVCC state (see Partitioned.snap): the
-	// per-cell R*-tree valid at one storage epoch, republished whole by every
-	// update batch.
-	snap    atomic.Pointer[iallState]
-	rids    []storage.RID
-	sidecar *storage.IntervalSidecar
-	cells   int
-	// updMu serializes updaters; readers never take it.
-	updMu sync.Mutex
-	observed
-}
-
-// iallState is one epoch's immutable view of the I-All tree.
-type iallState struct {
-	epoch uint64
-	tree  *rstar.Tree
-}
-
-// pinState loads the current state and pins its epoch, retrying across the
-// commit/publish window exactly like Partitioned.pinState.
-func (ia *IAll) pinState() (*iallState, func()) {
-	for {
-		s := ia.snap.Load()
-		if ia.pager.PinEpoch(s.epoch) {
-			return s, func() { ia.pager.UnpinEpoch(s.epoch) }
-		}
-		runtime.Gosched()
-	}
-}
 
 // IAllOptions tunes the I-All build.
 type IAllOptions struct {
@@ -118,122 +75,59 @@ func BuildIAllCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts
 	if err := tree.Persist(pager); err != nil {
 		return nil, err
 	}
-	ia := &IAll{pager: pager, heap: heap, rids: rids, sidecar: sc, cells: n}
-	ia.snap.Store(&iallState{epoch: pager.CurrentEpoch(), tree: tree})
-	return ia, nil
+	ix := &valueIndex{method: MethodIAll, pager: pager, heap: heap, rids: rids, sidecar: sc, cells: n}
+	return &IAll{newExecutor(ix, &state{epoch: pager.CurrentEpoch(), tree: tree})}, nil
 }
 
-// SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (ia *IAll) SetObserver(ob obs.Observer) { ia.setObs(ob, string(MethodIAll)) }
-
-// Method implements Index.
-func (ia *IAll) Method() Method { return MethodIAll }
-
-// Stats implements Index.
-func (ia *IAll) Stats() IndexStats {
-	st := ia.snap.Load()
-	s := IndexStats{
-		Method:     MethodIAll,
-		Cells:      ia.cells,
-		CellPages:  ia.heap.NumPages(),
-		IndexPages: st.tree.PersistedNodes(),
-		Groups:     ia.cells,
-		TreeHeight: st.tree.Height(),
-	}
-	if ia.sidecar != nil {
-		s.SidecarPages = ia.sidecar.NumPages()
-	}
-	return s
-}
-
-// iallScratch pools the per-query candidate buffers — the tree-visit
-// collection slice and the sorted fetch positions — the way spatial.go pools
-// point-query scratch: the slices grow to the selectivity's candidate count,
-// so reuse removes the dominant per-query allocations.
-var iallScratch = sync.Pool{New: func() any { return new(iallBuf) }}
-
-type iallBuf struct {
-	candidates []uint64
-	pos        []int32
-}
-
-// Query implements Index: filter through the persisted R*-tree, then fetch
-// each candidate cell individually.
-func (ia *IAll) Query(q geom.Interval) (*Result, error) {
-	return ia.QueryContext(context.Background(), q)
-}
-
-// QueryContext implements ContextQuerier: ctx is polled between candidate
-// cell fetches during the refinement step.
-func (ia *IAll) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	tb, start := ia.startQuery(string(MethodIAll), obs.KindValue, q.Lo, q.Hi)
-	res, err := ia.valueQuery(ctx, tb, q)
-	ia.endQuery(tb, start, err)
-	return res, err
-}
-
-func (ia *IAll) valueQuery(ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
-	s, release := ia.pinState()
-	defer release()
-	return ia.valueQueryAt(s, ctx, tb, q)
-}
-
-// valueQueryAt runs the pipeline against one pinned state; the caller must
-// hold a pin at s.epoch for the duration of the call.
-func (ia *IAll) valueQueryAt(s *iallState, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
-	// Per-query context: cold-start accounting with within-query page reuse
-	// (repeated candidate fetches that land on one page).
-	qc := beginQueryAt(ia.pager, s.epoch)
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	res := &Result{Query: q}
-	sb := iallScratch.Get().(*iallBuf)
-	defer iallScratch.Put(sb)
-	candidates := sb.candidates[:0]
-	qc.BeginSpan(obs.PhaseFilter)
-	err := s.tree.PagedSearchCtx(qc, rstar.Interval1D(q.Lo, q.Hi), func(e rstar.Entry) bool {
-		candidates = append(candidates, e.Data)
+// cellCandidates is I-All's filter: the persisted per-cell tree returns every
+// cell whose interval intersects the query. The tree visits them in search
+// order — effectively scrambled — which would make every fetch its own random
+// page access; cell ids are heap positions (I-All stores cells in natural
+// order), so sorting turns the refinement into ascending page runs. The
+// answer geometry folds in heap order; cross-method comparisons are
+// unaffected because region sets are order-insensitive up to float summation
+// order.
+func (ix *valueIndex) cellCandidates(st *state, pr *probe) error {
+	pr.begin(obs.PhaseFilter)
+	err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), func(e rstar.Entry) bool {
+		pr.pos = append(pr.pos, int32(e.Data))
 		return true
 	})
-	sb.candidates = candidates
 	if err != nil {
-		return nil, err
+		return err
 	}
-	qc.EndSpan()
-	filterIO := qc.LocalStats()
-	res.CandidateGroups = len(candidates)
-	// The tree visits candidates in search order — effectively scrambled —
-	// which made every fetch its own random page access. Cell ids are heap
-	// positions (I-All stores cells in natural order), so sorting turns the
-	// refinement into ascending page runs: the same distinct pages, read
-	// once each and charged sequentially whenever candidates are physically
-	// adjacent. The answer geometry folds in heap order; cross-method
-	// comparisons are unaffected because region sets are order-insensitive
-	// up to float summation order.
-	pos := sb.pos[:0]
-	for _, id := range candidates {
-		pos = append(pos, int32(id))
-	}
+	pr.filter = pr.end()
+	pr.groups = len(pr.pos)
+	pos := pr.pos
 	sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-	sb.pos = pos
-	var c field.Cell
-	qc.BeginSpan(obs.PhaseRefine)
-	err = fetchPositions(ctx, qc, ia.rids, pos, func(rec []byte) error {
-		return estimateRecord(res, rec, &c, q)
-	})
-	if err != nil {
-		return nil, err
-	}
-	qc.EndSpan()
-	res.IO = qc.Stats()
-	ia.recordIO(filterIO, 0, res.IO)
-	return res, nil
+	return nil
 }
 
-var (
-	_ Index          = (*IAll)(nil)
-	_ ContextQuerier = (*IAll)(nil)
-)
+// maintainCells is I-All's maintenance: the changed cell intervals are
+// deleted from and re-inserted into a hydrated copy of the per-cell tree,
+// which is persisted to fresh pages, leaving the published tree untouched for
+// readers at older epochs. When no interval changed the current tree stays.
+func (ix *valueIndex) maintainCells(stage *overlayStage, _ field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+	if len(ch.cells) == 0 {
+		return &state{tree: cur.tree}, 0, false, nil
+	}
+	qc := stage.qc
+	qc.BeginSpan(obs.PhaseMaintain)
+	work, err := cur.tree.Hydrate(qc)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	for i, id := range ch.cells {
+		if !work.Delete(rstar.Entry{MBR: rstar.Interval1D(ch.old[i].Lo, ch.old[i].Hi), Data: uint64(id)}) {
+			return nil, 0, false, fmt.Errorf("core: cell %d interval %v not in index", id, ch.old[i])
+		}
+		if err := work.Insert(rstar.Entry{MBR: rstar.Interval1D(ch.new[i].Lo, ch.new[i].Hi), Data: uint64(id)}); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	qc.EndSpan()
+	if err := work.Persist(ix.pager); err != nil {
+		return nil, 0, false, err
+	}
+	return &state{tree: work}, work.PersistedNodes(), false, nil
+}

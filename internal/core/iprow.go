@@ -67,6 +67,7 @@ func (ix *IPRow) Query(q geom.Interval) (*Result, error) {
 		return nil, fmt.Errorf("core: empty query interval")
 	}
 	qc := ix.pager.BeginQuery()
+	defer qc.Release() // a failed search or fetch must not leave the epoch pinned
 	res := &Result{Query: q}
 	var candidates []field.CellID
 	ix.ip.Query(q, func(id field.CellID) bool {

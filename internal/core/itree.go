@@ -69,6 +69,7 @@ func (ix *ITree) Query(q geom.Interval) (*Result, error) {
 		return nil, fmt.Errorf("core: empty query interval")
 	}
 	qc := ix.pager.BeginQuery()
+	defer qc.Release() // a failed search or fetch must not leave the epoch pinned
 	res := &Result{Query: q}
 	var candidates []uint64
 	ix.tree.Query(q, func(it intervaltree.Item) bool {

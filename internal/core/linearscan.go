@@ -2,32 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"fielddb/internal/field"
-	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/storage"
 )
-
-// LinearScan is the no-index baseline: every query tests every cell
-// interval. With the interval sidecar (the default) the test runs over the
-// packed sidecar pages — a sequential scan more than an order of magnitude
-// shorter than the cell pages — and only the pages holding matching cells
-// are read from the heap file; without it, every cell page is scanned.
-type LinearScan struct {
-	pager   *storage.Pager
-	heap    *storage.HeapFile
-	rids    []storage.RID
-	sidecar *storage.IntervalSidecar
-	cells   int
-	// updMu serializes updaters; readers never take it. LinearScan has no
-	// derived index structure, so its whole MVCC state is the storage epoch a
-	// query context pins.
-	updMu sync.Mutex
-	observed
-}
 
 // LinearScanOptions tunes the LinearScan build.
 type LinearScanOptions struct {
@@ -57,120 +36,42 @@ func BuildLinearScanWith(ctx context.Context, f field.Field, pager *storage.Page
 	if err != nil {
 		return nil, err
 	}
-	return &LinearScan{pager: pager, heap: heap, rids: rids, sidecar: sc, cells: f.NumCells()}, nil
+	ix := &valueIndex{method: MethodLinearScan, pager: pager, heap: heap, rids: rids, sidecar: sc, cells: f.NumCells()}
+	// LinearScan has no derived index structure: its whole MVCC state is the
+	// storage epoch.
+	return &LinearScan{newExecutor(ix, &state{epoch: pager.CurrentEpoch()})}, nil
 }
 
-// SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (ls *LinearScan) SetObserver(ob obs.Observer) { ls.setObs(ob, string(MethodLinearScan)) }
-
-// Method implements Index.
-func (ls *LinearScan) Method() Method { return MethodLinearScan }
-
-// Stats implements Index.
-func (ls *LinearScan) Stats() IndexStats {
-	s := IndexStats{
-		Method:    MethodLinearScan,
-		Cells:     ls.cells,
-		CellPages: ls.heap.NumPages(),
-	}
-	if ls.sidecar != nil {
-		s.SidecarPages = ls.sidecar.NumPages()
-	}
-	return s
-}
-
-// Query implements Index by scanning the sidecar (or, without one, the
-// entire heap file).
-func (ls *LinearScan) Query(q geom.Interval) (*Result, error) {
-	return ls.QueryContext(context.Background(), q)
-}
-
-// QueryContext implements ContextQuerier: the scan polls ctx between record
-// batches, so a canceled query stops mid-scan with ctx's error.
-func (ls *LinearScan) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	tb, start := ls.startQuery(string(MethodLinearScan), obs.KindValue, q.Lo, q.Hi)
-	res, err := ls.runQuery(ctx, tb, q, ls.pager.BeginQuery())
-	ls.endQuery(tb, start, err)
-	return res, err
-}
-
-// runQuery dispatches to the sidecar-served or full-scan pipeline on the
-// given query context — the caller chooses the epoch (BeginQuery for the
-// current one, beginQueryAt for a snapshot's) — and owns releasing its pin.
-func (ls *LinearScan) runQuery(ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, qc *storage.QueryCtx) (*Result, error) {
-	defer qc.Release()
-	if ls.sidecar != nil {
-		return ls.sidecarQuery(ctx, tb, q, qc)
-	}
-	return ls.scanQuery(ctx, tb, q, qc)
-}
-
-// sidecarQuery is the sidecar-served pipeline: a sequential scan of the
-// packed interval pages selects the surviving positions, then only the heap
-// pages holding survivors are read — in position order, so the answer
-// geometry folds in exactly the order the full scan produces and the Result
-// is byte-identical to scanQuery's.
-func (ls *LinearScan) sidecarQuery(ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, qc *storage.QueryCtx) (*Result, error) {
-	qc.AttachTrace(tb)
-	res := &Result{Query: q}
-	pb := getPosBuf()
-	defer putPosBuf(pb)
+// sidecarCandidates is LinearScan's filter with a sidecar: one sequential
+// pass over the packed interval pages tests every cell, and the survivors'
+// positions ascend — so the refinement reads only the heap pages holding
+// survivors and folds the answer in exactly the order the full scan
+// produces, byte-identical to heapCandidates' Result.
+func (ix *valueIndex) sidecarCandidates(_ *state, pr *probe) error {
+	pr.begin(obs.PhaseSidecar)
 	var scanErr error
-	qc.BeginSpan(obs.PhaseSidecar)
-	err := ls.sidecar.ScanRange(qc, 0, ls.cells, func(base int, lo, hi []float64) bool {
-		pb.pos = field.FilterIntervals(pb.pos, int32(base), lo, hi, q.Lo, q.Hi)
-		scanErr = ctx.Err()
+	err := ix.sidecar.ScanRange(pr.qc, 0, ix.cells, func(base int, lo, hi []float64) bool {
+		pr.pos = field.FilterIntervals(pr.pos, int32(base), lo, hi, pr.q.Lo, pr.q.Hi)
+		scanErr = pr.ctx.Err()
 		return scanErr == nil
 	})
 	if err == nil {
 		err = scanErr
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res.CellsFetched = ls.cells
-	qc.EndSpan()
-	sidecarIO := qc.LocalStats()
-	qc.BeginSpan(obs.PhaseRefine)
-	var c field.Cell
-	err = fetchPositions(ctx, qc, ls.rids, pb.pos, func(rec []byte) error {
-		if err := field.DecodeCell(rec, &c); err != nil {
-			return err
-		}
-		estimateMatched(res, &c, q)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	qc.EndSpan()
-	res.IO = qc.Stats()
-	ls.recordIO(storage.Stats{}, sidecarIO.Reads, res.IO)
-	return res, nil
+	pr.fetched = ix.cells
+	pr.sidecarReads = pr.end().Reads
+	return nil
 }
 
-func (ls *LinearScan) scanQuery(ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, qc *storage.QueryCtx) (*Result, error) {
-	// Queries are independent: each runs on its own execution context, which
-	// accounts cold-start reads with within-query page reuse (the paper's
-	// warm-OS-cache setting) no matter what runs concurrently.
-	qc.AttachTrace(tb)
-	res := &Result{Query: q}
-	// Without a sidecar there is no filter step: the whole query is one
-	// refinement span.
-	qc.BeginSpan(obs.PhaseRefine)
-	if err := scanEstimate(ctx, ls.heap, qc, q, res); err != nil {
-		return nil, err
+// heapCandidates is the filter of a scan without a sidecar (and the I-Auto
+// planner's scan path): there is no filter step, the whole heap is one run and
+// the refinement tests every record.
+func (ix *valueIndex) heapCandidates(_ *state, pr *probe) error {
+	if n := ix.heap.NumPages(); n > 0 {
+		pr.runs = []pageRun{{first: 0, last: n - 1}}
 	}
-	qc.EndSpan()
-	res.IO = qc.Stats()
-	ls.recordIO(storage.Stats{}, 0, res.IO)
-	return res, nil
+	return nil
 }
-
-var (
-	_ Index          = (*LinearScan)(nil)
-	_ ContextQuerier = (*LinearScan)(nil)
-)

@@ -137,6 +137,7 @@ func (m *Magnitude) Query(q geom.Interval) (*MagnitudeResult, error) {
 		return nil, fmt.Errorf("core: empty query interval")
 	}
 	qc := m.pager.BeginQuery()
+	defer qc.Release() // a failed search or fetch must not leave the epoch pinned
 	res := &MagnitudeResult{Query: q}
 	var selected []int
 	err := m.tree.PagedSearchCtx(qc, rstar.Interval1D(q.Lo, q.Hi), func(e rstar.Entry) bool {

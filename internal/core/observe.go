@@ -1,23 +1,11 @@
 package core
 
 import (
-	"context"
 	"time"
 
-	"fielddb/internal/field"
-	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/storage"
 )
-
-// ContextQuerier is the optional capability of an Index whose query pipeline
-// honors context cancellation: cancellation is polled between subfield cell
-// runs (and between candidate fetches), so a canceled query returns
-// context.Canceled without finishing its refinement. Indexes without the
-// capability ignore the context.
-type ContextQuerier interface {
-	QueryContext(ctx context.Context, q geom.Interval) (*Result, error)
-}
 
 // observed is the observability state embedded in every facade-reachable
 // index: the trace/metrics sinks and the index's pre-registered metrics
@@ -64,32 +52,4 @@ func (o *observed) recordIO(filter storage.Stats, sidecarReads int, total storag
 		o.ob.Metrics.RecordPages(filter.Reads, sidecarReads,
 			total.Reads-filter.Reads-sidecarReads, total.CacheHits, total.SimElapsed)
 	}
-}
-
-// scanCancelStride is how many records a sequential scan tests between
-// cancellation polls.
-const scanCancelStride = 1024
-
-// scanEstimate scans an entire heap file through qc, folding every record
-// into res and polling ctx every scanCancelStride records — the shared
-// estimation loop of LinearScan and the planner's scan access path.
-func scanEstimate(ctx context.Context, heap *storage.HeapFile, qc *storage.QueryCtx, q geom.Interval, res *Result) error {
-	var c field.Cell
-	var cellErr error
-	// res.CellsFetched doubles as the poll counter: estimateRecord increments
-	// it per record, and reusing it keeps the closure's capture set — and so
-	// its allocation footprint — identical to the uncancellable loop.
-	err := heap.ScanCtx(qc, func(_ storage.RID, rec []byte) bool {
-		if cellErr = estimateRecord(res, rec, &c, q); cellErr != nil {
-			return false
-		}
-		if res.CellsFetched%scanCancelStride == 0 {
-			cellErr = ctx.Err()
-		}
-		return cellErr == nil
-	})
-	if err == nil {
-		err = cellErr
-	}
-	return err
 }

@@ -1,0 +1,72 @@
+package core
+
+import (
+	"errors"
+	"sync/atomic"
+	"testing"
+
+	"fielddb/internal/grid"
+	"fielddb/internal/storage"
+)
+
+// failingDisk passes through to a real disk until fail is set; from then on
+// every ReadPage returns errInjected.
+type failingDisk struct {
+	storage.Disk
+	fail atomic.Bool
+}
+
+var errInjected = errors.New("injected read failure")
+
+func (d *failingDisk) ReadPage(id storage.PageID, buf []byte) error {
+	if d.fail.Load() {
+		return errInjected
+	}
+	return d.Disk.ReadPage(id, buf)
+}
+
+// TestFailedQueryReleasesPin: a query that dies on a storage error returns
+// that error and leaves no epoch pinned — the next commit retires the epoch
+// the query ran at. One row per query pipeline.
+func TestFailedQueryReleasesPin(t *testing.T) {
+	maxSize := func(d *grid.DEM) float64 { return d.ValueRange().Length()/8 + 1 }
+	builders := map[string]func(*grid.DEM, *storage.Pager) (Index, error){
+		"LinearScan+sidecar": func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildLinearScan(d, p) },
+		"LinearScan": func(d *grid.DEM, p *storage.Pager) (Index, error) {
+			return BuildLinearScanWith(t.Context(), d, p, LinearScanOptions{NoSidecar: true})
+		},
+		"I-All":     func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildIAll(d, p, IAllOptions{}) },
+		"I-Hilbert": func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildIHilbert(d, p, HilbertOptions{}) },
+		"I-Threshold": func(d *grid.DEM, p *storage.Pager) (Index, error) {
+			return BuildIThreshold(d, p, ThresholdOptions{MaxSize: maxSize(d)})
+		},
+		"I-Quad": func(d *grid.DEM, p *storage.Pager) (Index, error) {
+			return BuildIQuad(d, p, ThresholdOptions{MaxSize: maxSize(d)})
+		},
+		"I-Auto": func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildAuto(d, p, AutoOptions{}) },
+		"Tiled-LinearScan": func(d *grid.DEM, p *storage.Pager) (Index, error) {
+			return BuildTiled(d, p, TiledOptions{TileSide: 8})
+		},
+		"I-IntTree": func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildITree(d, p) },
+		"IP-Row":    func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildIPRow(d, p) },
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			d := testDEM(t, 16, 0.6)
+			disk := &failingDisk{Disk: storage.NewMemDisk(storage.DefaultPageSize)}
+			// No buffer pool: every page a query touches is a disk read.
+			pager := storage.NewPager(disk, storage.DefaultDiskModel, 0)
+			idx, err := build(d, pager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk.fail.Store(true)
+			if _, err := idx.Query(d.ValueRange()); !errors.Is(err, errInjected) {
+				t.Fatalf("query on a failing disk: %v, want the injected error", err)
+			}
+			if _, retired, err := pager.CommitOverlays(nil); err != nil || retired != 1 {
+				t.Fatalf("commit after the failed query retired %d epochs (err %v), want 1: a pin leaked", retired, err)
+			}
+		})
+	}
+}

@@ -78,7 +78,7 @@ func clampWorkers(w int) int {
 
 // batchScratch pools the per-batch demux state — per-member survivor
 // positions, query-bound columns, run lists, coverage flags — the way
-// posScratch and iallScratch pool solo-query buffers: the slices grow to
+// probePool pools solo-query buffers: the slices grow to
 // the batch's size and survivor counts, so steady-state batch execution
 // allocates nothing for its demux machinery beyond what the member queries
 // would have allocated solo (asserted by TestBatchAllocs).
@@ -89,7 +89,6 @@ type batchBuf struct {
 	qlo  []float64 // per-member query bounds (NaN marks a dead member)
 	qhi  []float64
 	cov  []bool    // per-member page-coverage flags (run-based demux)
-	sel  []int     // selected-subfield scratch (partitioned filter)
 	runs []pageRun // union page-index runs
 	prs  []physRun // union PageID runs
 }
@@ -108,7 +107,6 @@ func getBatchBuf(k int) *batchBuf {
 		b.cov = make([]bool, k)
 	}
 	b.qlo, b.qhi, b.cov = b.qlo[:k], b.qhi[:k], b.cov[:k]
-	b.sel = b.sel[:0]
 	b.runs = b.runs[:0]
 	b.prs = b.prs[:0]
 	return b

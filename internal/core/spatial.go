@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"fielddb/internal/field"
@@ -197,6 +198,19 @@ type SpatialSnapshot struct {
 	epoch uint64
 	unpin func()
 	once  sync.Once
+}
+
+// pinCurrentEpoch pins the pager's current epoch, retrying across the narrow
+// window where a commit retires the epoch between the load and the pin. The
+// returned release must be called exactly once.
+func pinCurrentEpoch(pager *storage.Pager) (uint64, func()) {
+	for {
+		e := pager.CurrentEpoch()
+		if pager.PinEpoch(e) {
+			return e, func() { pager.UnpinEpoch(e) }
+		}
+		runtime.Gosched()
+	}
 }
 
 // AcquireSnapshot pins the spatial store's current epoch and returns a

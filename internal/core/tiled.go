@@ -13,7 +13,6 @@ import (
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
-	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 )
 
@@ -115,21 +114,29 @@ type tile struct {
 	ids  []field.CellID
 	mbr  geom.Rect
 	view *tileField
-	idx  Index // *LinearScan or *Partitioned, never observed directly
+	ex   *executor // never queried or observed directly: the planner calls its hooks
 }
 
 // tiledState is one epoch's immutable view of the tiled planner: the
-// per-tile value summaries the prune step tests and, for partitioned tiles,
-// the per-tile index states valid at that epoch. A state is never mutated
-// after snap.Store publishes it.
+// per-tile value summaries the prune step tests and the per-tile index states
+// valid at that epoch. A state is never mutated after snap.Store publishes it.
 type tiledState struct {
 	epoch uint64
 	vr    []geom.Interval
-	parts []*partState // nil entries for LinearScan tiles
+	parts []*state
 }
 
-// TiledIndex is the scatter-gather planner over a tiled field.
+// TiledIndex is the scatter-gather planner over a tiled field: live, or — as
+// a snapshot — at the tiled state it pinned (see executor).
 type TiledIndex struct {
+	*tiledCore
+	pin  *tiledState
+	once sync.Once // guards a snapshot's unpin
+}
+
+// tiledCore is what a tiled index owns, shared by the live planner and every
+// snapshot of it.
+type tiledCore struct {
 	inner    Method
 	label    string
 	pager    *storage.Pager
@@ -186,7 +193,7 @@ func BuildTiledCtx(ctx context.Context, f field.Field, pager *storage.Pager, opt
 		return nil, fmt.Errorf("core: method %s cannot be tiled", inner)
 	}
 	specs := tileLayout(f, opts.TileSide)
-	t := &TiledIndex{
+	t := &TiledIndex{tiledCore: &tiledCore{
 		inner:    inner,
 		label:    string(tiledMethod(inner)),
 		pager:    pager,
@@ -195,9 +202,9 @@ func BuildTiledCtx(ctx context.Context, f field.Field, pager *storage.Pager, opt
 		cells:    f.NumCells(),
 		tileSide: opts.TileSide,
 		workers:  clampWorkers(opts.Workers),
-	}
+	}}
 	vr := make([]geom.Interval, 0, len(specs))
-	parts := make([]*partState, len(specs))
+	parts := make([]*state, len(specs))
 	t.tileArea = make([]float64, 0, len(specs))
 	allIvs := make([]geom.Interval, 0, f.NumCells())
 	allAreas := make([]float64, 0, f.NumCells())
@@ -225,25 +232,25 @@ func BuildTiledCtx(ctx context.Context, f field.Field, pager *storage.Pager, opt
 		t.tileArea = append(t.tileArea, area)
 		t.totArea += area
 		view := &tileField{parent: f, ids: ids, bounds: mbr, vr: iv}
-		var idx Index
+		var built interface{ unwrap() *executor }
 		var err error
+		topts := ThresholdOptions{MaxSize: opts.MaxSize, Workers: opts.Workers, Codec: opts.Codec}
 		switch inner {
 		case MethodLinearScan:
-			idx, err = BuildLinearScanWith(ctx, view, pager, LinearScanOptions{Codec: opts.Codec})
+			built, err = BuildLinearScanWith(ctx, view, pager, LinearScanOptions{Codec: opts.Codec})
 		case MethodIHilbert:
-			idx, err = BuildIHilbertCtx(ctx, view, pager, HilbertOptions{Workers: opts.Workers, Codec: opts.Codec})
+			built, err = BuildIHilbertCtx(ctx, view, pager, HilbertOptions{Workers: opts.Workers, Codec: opts.Codec})
 		case MethodIQuad:
-			idx, err = BuildIQuadCtx(ctx, view, pager, ThresholdOptions{MaxSize: opts.MaxSize, Workers: opts.Workers, Codec: opts.Codec})
+			built, err = BuildIQuadCtx(ctx, view, pager, topts)
 		case MethodIThresh:
-			idx, err = BuildIThresholdCtx(ctx, view, pager, ThresholdOptions{MaxSize: opts.MaxSize, Workers: opts.Workers, Codec: opts.Codec})
+			built, err = BuildIThresholdCtx(ctx, view, pager, topts)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: tile %d: %w", ti, err)
 		}
-		if p, ok := idx.(*Partitioned); ok {
-			parts[ti] = p.snap.Load()
-		}
-		t.tiles = append(t.tiles, &tile{ids: ids, mbr: mbr, view: view, idx: idx})
+		ex := built.unwrap()
+		parts[ti] = ex.snap.Load()
+		t.tiles = append(t.tiles, &tile{ids: ids, mbr: mbr, view: view, ex: ex})
 		vr = append(vr, iv)
 	}
 	// Global field summary over every cell, after the last tile's pages: the
@@ -334,16 +341,46 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 	return out
 }
 
-// pinState loads the current state and pins its epoch, retrying across the
-// commit/publish window exactly like Partitioned.pinState.
+// cur returns the state operations run against.
+func (t *TiledIndex) cur() *tiledState {
+	if t.pin != nil {
+		return t.pin
+	}
+	return t.snap.Load()
+}
+
+// pinState pins the epoch of the state to run against, retrying across the
+// commit/publish window exactly like executor.pinState.
 func (t *TiledIndex) pinState() (*tiledState, func()) {
 	for {
-		s := t.snap.Load()
+		s := t.cur()
 		if t.pager.PinEpoch(s.epoch) {
 			return s, func() { t.pager.UnpinEpoch(s.epoch) }
 		}
+		if t.pin != nil {
+			panic("core: snapshot used after Close")
+		}
 		runtime.Gosched()
 	}
+}
+
+// AcquireSnapshot implements Engine.
+func (t *TiledIndex) AcquireSnapshot() Engine {
+	st, _ := t.pinState()
+	return &TiledIndex{tiledCore: t.tiledCore, pin: st}
+}
+
+// Epoch implements Engine.
+func (t *TiledIndex) Epoch() uint64 { return t.cur().epoch }
+
+// Close releases a snapshot's pin; on the live index it releases the
+// underlying store.
+func (t *TiledIndex) Close() error {
+	if t.pin == nil {
+		return t.pager.Close()
+	}
+	t.once.Do(func() { t.pager.UnpinEpoch(t.pin.epoch) })
+	return nil
 }
 
 // SetObserver installs the trace/metrics sinks. Call before issuing queries.
@@ -352,9 +389,6 @@ func (t *TiledIndex) SetObserver(ob obs.Observer) { t.setObs(ob, t.label) }
 // SetWorkers bounds the worker pool that scatters residual tile scans. Call
 // before issuing queries; it is not synchronized with queries in flight.
 func (t *TiledIndex) SetWorkers(n int) { t.workers = clampWorkers(n) }
-
-// Close releases the index's underlying store.
-func (t *TiledIndex) Close() error { return t.pager.Close() }
 
 // Method implements Index; a tiled configuration reports "Tiled-<inner>".
 func (t *TiledIndex) Method() Method { return Method(t.label) }
@@ -367,7 +401,7 @@ func (t *TiledIndex) TileSide() int { return t.tileSide }
 
 // Tiles describes every tile with its current value summary.
 func (t *TiledIndex) Tiles() []TileInfo {
-	s := t.snap.Load()
+	s := t.cur()
 	out := make([]TileInfo, len(t.tiles))
 	for i, tl := range t.tiles {
 		out[i] = TileInfo{Cells: len(tl.ids), MBR: tl.mbr, ValueRange: s.vr[i]}
@@ -378,7 +412,7 @@ func (t *TiledIndex) Tiles() []TileInfo {
 // ValueRange returns the union of the per-tile value summaries — the field's
 // full value range, maintained across live updates.
 func (t *TiledIndex) ValueRange() geom.Interval {
-	s := t.snap.Load()
+	s := t.cur()
 	vr := geom.EmptyInterval()
 	for i := range t.tiles {
 		vr = vr.Union(s.vr[i])
@@ -386,11 +420,22 @@ func (t *TiledIndex) ValueRange() geom.Interval {
 	return vr
 }
 
+// ForEachGroup implements Engine: the tile directory is not a subfield
+// partition, so there is nothing to visit.
+func (t *TiledIndex) ForEachGroup(func(int, geom.Interval, []field.CellID) bool) {}
+
+// ApproxQueryContext implements Engine: a tiled index keeps no field-wide
+// subfield summaries.
+func (t *TiledIndex) ApproxQueryContext(context.Context, geom.Interval) (*ApproxResult, error) {
+	return nil, fmt.Errorf("%w: %s has no subfield summaries", ErrNoPartition, t.label)
+}
+
 // Stats implements Index by aggregating the per-tile indexes.
 func (t *TiledIndex) Stats() IndexStats {
+	st := t.cur()
 	s := IndexStats{Method: Method(t.label), Cells: t.cells}
-	for _, tl := range t.tiles {
-		ts := tl.idx.Stats()
+	for ti, tl := range t.tiles {
+		ts := tl.ex.statsAt(st.parts[ti])
 		s.CellPages += ts.CellPages
 		s.IndexPages += ts.IndexPages
 		s.SidecarPages += ts.SidecarPages
@@ -409,19 +454,30 @@ type survivorRef struct {
 	off, end int32
 }
 
-// tileArena accumulates one scan's surviving cell records as raw bytes. The
-// records are copied (the scan callbacks reuse their buffers), so the arena
-// outlives the scan and the gather step can fold survivors from every tile
-// in one globally sorted pass.
+// tileArena is the tiled planner's sink: it accumulates the surviving cell
+// records of the tile scans feeding it as raw bytes. The records are copied
+// (the fetch loops reuse their buffers), so the arena outlives the scans and
+// the gather step can fold survivors from every tile in one globally sorted
+// pass. ids is the parent-id list of the tile being scanned: a tile stores
+// its cells under local ids, so the id read from the record maps it back.
 type tileArena struct {
+	ids  []field.CellID
 	buf  []byte
 	refs []survivorRef
 }
 
-func (a *tileArena) add(parent field.CellID, rec []byte) {
+func (a *tileArena) add(s *survivor) error {
+	local, err := field.CellIDFromRecord(s.rec)
+	if err != nil {
+		return err
+	}
+	if int(local) >= len(a.ids) {
+		return fmt.Errorf("core: record id %d outside its %d-cell tile", local, len(a.ids))
+	}
 	off := len(a.buf)
-	a.buf = append(a.buf, rec...)
-	a.refs = append(a.refs, survivorRef{parent: parent, off: int32(off), end: int32(len(a.buf))})
+	a.buf = append(a.buf, s.rec...)
+	a.refs = append(a.refs, survivorRef{parent: a.ids[local], off: int32(off), end: int32(len(a.buf))})
+	return nil
 }
 
 func (a *tileArena) rec(i int) []byte { return a.buf[a.refs[i].off:a.refs[i].end] }
@@ -467,16 +523,10 @@ func (t *TiledIndex) Query(q geom.Interval) (*Result, error) {
 	return t.QueryContext(context.Background(), q)
 }
 
-// QueryContext implements ContextQuerier: ctx is polled inside every tile
-// scan, so a canceled query stops mid-scatter.
+// QueryContext implements Engine: ctx is polled inside every tile scan, so a
+// canceled query stops mid-scatter.
 func (t *TiledIndex) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	tb, start := t.startQuery(t.label, obs.KindValue, q.Lo, q.Hi)
-	res, err := t.valueQuery(ctx, tb, q, nil)
-	t.endQuery(tb, start, err)
-	return res, err
+	return t.query(ctx, q, nil)
 }
 
 // QueryRect answers the conjunction of a value query and a spatial window:
@@ -485,27 +535,27 @@ func (t *TiledIndex) QueryContext(ctx context.Context, q geom.Interval) (*Result
 // scans few tiles no matter how common the value range is. Regions are the
 // matching cells' full band polygons (not clipped to r).
 func (t *TiledIndex) QueryRect(ctx context.Context, q geom.Interval, r geom.Rect) (*Result, error) {
+	return t.query(ctx, q, &r)
+}
+
+func (t *TiledIndex) query(ctx context.Context, q geom.Interval, rect *geom.Rect) (*Result, error) {
 	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
+		return nil, errEmptyQuery
 	}
-	if r.IsEmpty() {
+	if rect != nil && rect.IsEmpty() {
 		return nil, fmt.Errorf("core: empty query window")
 	}
 	tb, start := t.startQuery(t.label, obs.KindValue, q.Lo, q.Hi)
-	res, err := t.valueQuery(ctx, tb, q, &r)
+	s, release := t.pinState()
+	res, err := t.queryAt(s, ctx, tb, q, rect)
+	release()
 	t.endQuery(tb, start, err)
 	return res, err
 }
 
-func (t *TiledIndex) valueQuery(ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, rect *geom.Rect) (*Result, error) {
-	s, release := t.pinState()
-	defer release()
-	return t.valueQueryAt(s, ctx, tb, q, rect)
-}
-
-// valueQueryAt runs the scatter-gather pipeline against one pinned state.
-// The caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) valueQueryAt(s *tiledState, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, rect *geom.Rect) (*Result, error) {
+// queryAt runs the scatter-gather pipeline against one pinned state. The
+// caller must hold a pin at s.epoch for the duration of the call.
+func (t *TiledIndex) queryAt(s *tiledState, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, rect *geom.Rect) (*Result, error) {
 	qc := beginQueryAt(t.pager, s.epoch)
 	defer qc.Release()
 	qc.AttachTrace(tb)
@@ -610,172 +660,27 @@ func (t *TiledIndex) valueQueryAt(s *tiledState, ctx context.Context, tb *obs.Tr
 	return res, nil
 }
 
-// scanTile scans one residual tile through qc, collecting surviving records
-// into ar keyed by parent cell id. It returns the tile's filter-step
+// scanTile is the scatter step for one residual tile: the tile executor's
+// own candidates hook — a sidecar pass, or a subfield tree search — and the
+// matching shared fetch loop, with the survivors copied into ar under their
+// parent ids instead of refined in place. It returns the tile's filter-step
 // (subfield tree) and sidecar page-read counts for metric attribution.
 func (t *TiledIndex) scanTile(ctx context.Context, qc *storage.QueryCtx, s *tiledState, ti int, q geom.Interval, ar *tileArena) (filterReads, sidecarReads int, err error) {
 	tl := t.tiles[ti]
-	switch idx := tl.idx.(type) {
-	case *LinearScan:
-		if idx.sidecar != nil {
-			sidecarReads, err = t.scanTileSidecar(ctx, qc, tl, idx, q, ar)
-			return 0, sidecarReads, err
-		}
-		err = t.scanTileHeap(ctx, qc, tl, idx, q, ar)
+	ar.ids = tl.ids
+	pr := getProbe()
+	defer putProbe(pr)
+	// Untraced: the whole tile runs under the planner's tile-scan span.
+	pr.reset(ctx, qc, q, false)
+	if err := tl.ex.candidates(s.parts[ti], pr); err != nil {
 		return 0, 0, err
-	case *Partitioned:
-		filterReads, err = t.scanTilePartitioned(ctx, qc, s.parts[ti], tl, idx, q, ar)
-		return filterReads, 0, err
 	}
-	return 0, 0, fmt.Errorf("core: tile %d has unsupported index %T", ti, tl.idx)
-}
-
-// scanTileSidecar is the LinearScan-tile scatter step: one sequential pass
-// over the tile's sidecar selects surviving local positions, then only the
-// heap pages holding survivors are read (fetchPositions' run batching) and
-// each surviving record is copied into the arena under its parent id.
-func (t *TiledIndex) scanTileSidecar(ctx context.Context, qc *storage.QueryCtx, tl *tile, ls *LinearScan, q geom.Interval, ar *tileArena) (int, error) {
-	pb := getPosBuf()
-	defer putPosBuf(pb)
-	before := qc.LocalStats().Reads
-	var scanErr error
-	err := ls.sidecar.ScanRange(qc, 0, ls.cells, func(base int, lo, hi []float64) bool {
-		pb.pos = field.FilterIntervals(pb.pos, int32(base), lo, hi, q.Lo, q.Hi)
-		scanErr = ctx.Err()
-		return scanErr == nil
-	})
-	sidecarReads := qc.LocalStats().Reads - before
-	if err == nil {
-		err = scanErr
+	if tl.ex.byPos {
+		_, err = fetchPositions(ctx, qc, tl.ex.rids, pr.pos, q, tl.ex.tested, ar)
+	} else {
+		_, err = scanRuns(ctx, qc, tl.ex.heap, pr.runs, q, ar)
 	}
-	if err != nil {
-		return sidecarReads, err
-	}
-	// LinearScan tiles store cells in local natural order: position == local
-	// id, and fetchPositions visits pb.pos in order, one callback per entry.
-	i := 0
-	err = fetchPositions(ctx, qc, ls.rids, pb.pos, func(rec []byte) error {
-		ar.add(tl.ids[pb.pos[i]], rec)
-		i++
-		return nil
-	})
-	return sidecarReads, err
-}
-
-// scanTileHeap is the sidecar-less fallback: scan the tile's whole heap
-// segment and test every record.
-func (t *TiledIndex) scanTileHeap(ctx context.Context, qc *storage.QueryCtx, tl *tile, ls *LinearScan, q geom.Interval, ar *tileArena) error {
-	n := ls.heap.NumPages()
-	if n == 0 {
-		return nil
-	}
-	pos := 0
-	var cellErr error
-	err := ls.heap.ScanPagesCtx(qc, 0, n-1, func(_ storage.RID, rec []byte) bool {
-		iv, e := field.CellIntervalFromRecord(rec)
-		if e != nil {
-			cellErr = e
-			return false
-		}
-		if iv.Intersects(q) {
-			ar.add(tl.ids[pos], rec)
-		}
-		pos++
-		if pos%scanCancelStride == 0 {
-			cellErr = ctx.Err()
-		}
-		return cellErr == nil
-	})
-	if err != nil {
-		return err
-	}
-	return cellErr
-}
-
-// scanTilePartitioned is the partitioned-tile scatter step: the tile's
-// subfield tree selects candidate groups, their merged page runs are
-// scanned, and each record surviving the interval test is copied into the
-// arena — the record's stored (local) id maps it back to its parent id.
-func (t *TiledIndex) scanTilePartitioned(ctx context.Context, qc *storage.QueryCtx, ps *partState, tl *tile, p *Partitioned, q geom.Interval, ar *tileArena) (int, error) {
-	before := qc.LocalStats().Reads
-	var selected []int
-	err := ps.tree.PagedSearchCtx(qc, rstar.Interval1D(q.Lo, q.Hi), func(e rstar.Entry) bool {
-		selected = append(selected, int(e.Data))
-		return true
-	})
-	filterReads := qc.LocalStats().Reads - before
-	if err != nil {
-		return filterReads, err
-	}
-	if len(selected) == 0 {
-		return filterReads, nil
-	}
-	merged := mergeGroupRuns(ps.groups, selected)
-	nrec := 0
-	for _, r := range merged {
-		if err := ctx.Err(); err != nil {
-			return filterReads, err
-		}
-		var cellErr error
-		err := p.heap.ScanPagesCtx(qc, r.first, r.last, func(_ storage.RID, rec []byte) bool {
-			iv, e := field.CellIntervalFromRecord(rec)
-			if e != nil {
-				cellErr = e
-				return false
-			}
-			if iv.Intersects(q) {
-				local, e := field.CellIDFromRecord(rec)
-				if e != nil {
-					cellErr = e
-					return false
-				}
-				ar.add(tl.ids[local], rec)
-			}
-			nrec++
-			if nrec%scanCancelStride == 0 {
-				cellErr = ctx.Err()
-			}
-			return cellErr == nil
-		})
-		if err != nil {
-			return filterReads, err
-		}
-		if cellErr != nil {
-			return filterReads, cellErr
-		}
-	}
-	return filterReads, nil
-}
-
-// tiledSnapshot is a TiledIndex snapshot: the pinned epoch plus the tiled
-// state published with it.
-type tiledSnapshot struct {
-	t    *TiledIndex
-	st   *tiledState
-	once sync.Once
-}
-
-// AcquireSnapshot implements SnapshotQuerier.
-func (t *TiledIndex) AcquireSnapshot() Snapshot {
-	st, _ := t.pinState()
-	return &tiledSnapshot{t: t, st: st}
-}
-
-func (s *tiledSnapshot) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
-	}
-	tb, start := s.t.startQuery(s.t.label, obs.KindValue, q.Lo, q.Hi)
-	res, err := s.t.valueQueryAt(s.st, ctx, tb, q, nil)
-	s.t.endQuery(tb, start, err)
-	return res, err
-}
-
-func (s *tiledSnapshot) Epoch() uint64 { return s.st.epoch }
-
-func (s *tiledSnapshot) Close() error {
-	s.once.Do(func() { s.t.pager.UnpinEpoch(s.st.epoch) })
-	return nil
+	return pr.filter.Reads, pr.sidecarReads, err
 }
 
 // localOf maps a parent cell id to its local id within tile ti.
@@ -788,7 +693,7 @@ func (t *TiledIndex) localOf(ti int, parent field.CellID) (field.CellID, error) 
 	return field.CellID(i), nil
 }
 
-// ApplyUpdates implements Updater: each affected cell is patched in its
+// ApplyUpdates implements Engine: each affected cell is patched in its
 // owning tile's heap segment and sidecar, partitioned tiles re-derive their
 // subfield cut, and every tile's page overlays commit as ONE storage epoch —
 // readers never observe some tiles updated and others not. Tile value
@@ -808,9 +713,6 @@ func (t *TiledIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates 
 }
 
 func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
-	if t.inner == MethodIQuad {
-		return nil, fmt.Errorf("core: %s regrouping is spatial: %w", t.label, ErrUpdatesUnsupported)
-	}
 	cur := t.snap.Load()
 	if len(updates) == 0 {
 		return &UpdateResult{Epoch: cur.epoch}, nil
@@ -818,55 +720,37 @@ func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates 
 	qc := t.pager.BeginQuery()
 	defer qc.Release()
 	qc.AttachTrace(tb)
-	// Distinct tiles the batch touches, in ascending tile order.
-	involved := make([]int, 0, 4)
+	// Distinct tiles the batch touches, in ascending tile order; chs holds
+	// what the batch does to each.
+	chs := make([]*changes, len(t.tiles))
+	var involved []int
 	for _, id := range cells {
-		ti := int(t.tileOf[id])
-		if len(involved) == 0 || involved[len(involved)-1] != ti {
-			found := false
-			for _, v := range involved {
-				if v == ti {
-					found = true
-					break
-				}
-			}
-			if !found {
-				involved = append(involved, ti)
-			}
+		if ti := int(t.tileOf[id]); chs[ti] == nil {
+			chs[ti] = new(changes)
+			involved = append(involved, ti)
 		}
 	}
 	sort.Ints(involved)
-	// Hydrate partitioned tiles' update state (position map, interval column)
-	// before mutating anything.
-	if t.inner != MethodLinearScan {
-		for _, ti := range involved {
-			p := t.tiles[ti].idx.(*Partitioned)
-			if err := p.ensureUpdateState(qc); err != nil {
-				return nil, err
-			}
+	// Hydrate the tiles' update state (position map, interval column) before
+	// mutating anything.
+	for _, ti := range involved {
+		if err := t.tiles[ti].ex.ensureUpdateState(qc); err != nil {
+			return nil, err
 		}
 	}
 	undo, err := applySamples(f, updates)
 	if err != nil {
 		return nil, err
 	}
-	type ivRestore struct {
-		p   *Partitioned
-		pos int
-		iv  geom.Interval
-	}
-	var ivUndo []ivRestore
 	fail := func(err error) (*UpdateResult, error) {
-		for i := len(ivUndo) - 1; i >= 0; i-- {
-			ivUndo[i].p.ivs[ivUndo[i].pos] = ivUndo[i].iv
+		for _, ti := range involved {
+			t.tiles[ti].ex.restore(chs[ti])
 		}
 		undoSamples(f, undo)
 		return nil, err
 	}
-	st := newOverlayStage(qc)
+	stage := newOverlayStage(qc)
 	vr := append([]geom.Interval(nil), cur.vr...)
-	changed := make(map[int]bool, len(involved))
-	changedCells, changedArea := 0, 0.0
 	var scratch field.Cell
 	var enc []byte
 	qc.BeginSpan(obs.PhasePatch)
@@ -886,69 +770,39 @@ func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates 
 		if err != nil {
 			return fail(err)
 		}
-		var oldIv, newIv geom.Interval
-		switch idx := tl.idx.(type) {
-		case *LinearScan:
-			// LinearScan tiles store cells in local natural order:
-			// position == local id.
-			oldIv, newIv, enc, err = st.patchCell(tl.view, local, int(local), idx.rids, idx.sidecar, &scratch, enc)
-			if err != nil {
-				return fail(err)
-			}
-		case *Partitioned:
-			pos, ok := idx.posOf[local]
-			if !ok {
-				return fail(fmt.Errorf("core: cell %d not in tile %d partition order", local, ti))
-			}
-			oldIv, newIv, enc, err = st.patchCell(tl.view, local, pos, idx.rids, idx.sidecar, &scratch, enc)
-			if err != nil {
-				return fail(err)
-			}
-			ivUndo = append(ivUndo, ivRestore{p: idx, pos: pos, iv: idx.ivs[pos]})
-			idx.ivs[pos] = newIv
-		default:
-			return fail(fmt.Errorf("core: tile %d has unsupported index %T", ti, tl.idx))
-		}
-		if oldIv != newIv {
-			changed[ti] = true
-			// Interval-shifting cells widen the global summary's certified
-			// slack below; scratch holds the re-encoded cell.
-			changedCells++
-			changedArea += scratch.Area()
+		var newIv geom.Interval
+		if newIv, enc, err = tl.ex.patch(stage, tl.view, local, chs[ti], &scratch, enc); err != nil {
+			return fail(err)
 		}
 		vr[ti] = vr[ti].Union(newIv)
 	}
 	qc.EndSpan()
 	// Maintain partitioned tiles' trees against the updated interval columns.
-	type pendingPart struct {
-		ti     int
-		p      *Partitioned
-		tree   *rstar.Tree
-		groups []groupMeta
-	}
-	var pending []pendingPart
+	parts := append([]*state(nil), cur.parts...)
 	indexPages := 0
 	regrouped := false
+	changedCells, changedArea := 0, 0.0
 	qc.BeginSpan(obs.PhaseMaintain)
-	if t.inner != MethodLinearScan {
-		for _, ti := range involved {
-			p := t.tiles[ti].idx.(*Partitioned)
-			curPS := p.snap.Load()
-			tree, groups, ipgs, rg, err := p.maintainPartition(qc, curPS, changed[ti])
-			if err != nil {
-				return fail(err)
-			}
-			indexPages += ipgs
-			regrouped = regrouped || rg
-			pending = append(pending, pendingPart{ti: ti, p: p, tree: tree, groups: groups})
+	for _, ti := range involved {
+		changedCells += len(chs[ti].cells)
+		changedArea += chs[ti].area
+		if t.inner == MethodLinearScan {
+			continue
 		}
+		next, ipgs, rg, err := t.tiles[ti].ex.regroup(qc, cur.parts[ti], len(chs[ti].cells) > 0)
+		if err != nil {
+			return fail(err)
+		}
+		indexPages += ipgs
+		regrouped = regrouped || rg
+		parts[ti] = next
 	}
 	// The tiled planner keeps no global per-cell areas, so the field summary
 	// is maintained widen-only: the changed cells' count and area grow the
 	// header's certified slack in the same overlay set (per-tile summaries in
 	// the published state handle the covered-tile shortcut; they widen above).
 	if t.sumPages > 0 && changedCells > 0 {
-		page, err := st.page(t.sumFirst)
+		page, err := stage.page(t.sumFirst)
 		if err != nil {
 			return fail(err)
 		}
@@ -958,7 +812,7 @@ func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates 
 	res := &UpdateResult{
 		SamplesApplied:    len(updates),
 		CellsTouched:      len(cells),
-		PagesWritten:      len(st.pages),
+		PagesWritten:      len(stage.pages),
 		IndexPagesWritten: indexPages,
 		Regrouped:         regrouped,
 		IO:                qc.Stats(),
@@ -966,27 +820,21 @@ func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates 
 	// Tree persistence wrote one counted page per node outside the query
 	// context; fold them in so pager totals stay Σ published stats.
 	res.IO.Writes += indexPages
-	epoch, retired, err := t.pager.CommitOverlays(st.pages)
+	epoch, retired, err := t.pager.CommitOverlays(stage.pages)
 	if err != nil {
 		return fail(err)
 	}
 	res.Epoch, res.EpochsRetired = epoch, retired
-	// Publish: per-tile states first, then the tiled state that points at
-	// them. Readers pin through the tiled state, so the order only matters
-	// for direct per-tile consumers (there are none outside this file).
-	parts := append([]*partState(nil), cur.parts...)
-	for _, pp := range pending {
-		ps := &partState{epoch: epoch, tree: pp.tree, groups: pp.groups}
-		pp.p.snap.Store(ps)
-		parts[pp.ti] = ps
+	// Publish: the maintained per-tile states first, then the tiled state
+	// that points at them. Readers pin through the tiled state, so the order
+	// only matters for direct per-tile consumers (there are none outside
+	// this file).
+	for _, ti := range involved {
+		if parts[ti] != cur.parts[ti] {
+			parts[ti].epoch = epoch
+			t.tiles[ti].ex.snap.Store(parts[ti])
+		}
 	}
 	t.snap.Store(&tiledState{epoch: epoch, vr: vr, parts: parts})
 	return res, nil
 }
-
-var (
-	_ Index           = (*TiledIndex)(nil)
-	_ ContextQuerier  = (*TiledIndex)(nil)
-	_ SnapshotQuerier = (*TiledIndex)(nil)
-	_ Updater         = (*TiledIndex)(nil)
-)

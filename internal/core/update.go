@@ -56,16 +56,6 @@ type UpdateResult struct {
 	IO storage.Stats
 }
 
-// Updater is implemented by value indexes that support live sample updates.
-// ApplyUpdates mutates f, patches the stored cell records and interval
-// sidecar through copy-on-write page overlays, maintains the index structure,
-// and commits the batch as one new storage epoch. Concurrent readers are
-// never blocked and never see a partial batch; on error the field is rolled
-// back and the live epoch is untouched.
-type Updater interface {
-	ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error)
-}
-
 // sampleUndo remembers one overwritten sample for rollback.
 type sampleUndo struct {
 	sample int
@@ -212,320 +202,163 @@ func (o *observed) recordUpdate(res *UpdateResult) {
 	}
 }
 
-// ApplyUpdates implements Updater for the no-index baseline: patch the cell
-// records and sidecar columns, commit — there is no derived structure to
-// maintain.
-func (ls *LinearScan) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	ls.updMu.Lock()
-	defer ls.updMu.Unlock()
+// changes is what one update batch did to one index's cells: the cells whose
+// stored interval moved, in patch order, with their planar area (the slack a
+// widened summary grows by), and the interval-column entries to put back if
+// the batch fails.
+type changes struct {
+	cells    []field.CellID
+	old, new []geom.Interval
+	area     float64
+	undo     []ivRestore
+}
+
+type ivRestore struct {
+	pos int
+	iv  geom.Interval
+}
+
+// patch re-encodes cell id from the (already mutated) field into the staged
+// pages, keeps the interval column current and records an interval change in
+// ch. It returns the cell's new interval and the reusable encode buffer.
+func (ix *valueIndex) patch(stage *overlayStage, f field.Field, id field.CellID, ch *changes, scratch *field.Cell, enc []byte) (geom.Interval, []byte, error) {
+	pos := int(id) // natural order: position == cell id
+	if ix.order != nil {
+		var ok bool
+		if pos, ok = ix.posOf[id]; !ok {
+			return geom.Interval{}, enc, fmt.Errorf("core: cell %d not in partition order", id)
+		}
+	}
+	oldIv, newIv, enc, err := stage.patchCell(f, id, pos, ix.rids, ix.sidecar, scratch, enc)
+	if err != nil {
+		return newIv, enc, err
+	}
+	if ix.ivs != nil {
+		ch.undo = append(ch.undo, ivRestore{pos, ix.ivs[pos]})
+		ix.ivs[pos] = newIv
+	}
+	if oldIv != newIv {
+		// scratch holds the re-encoded cell.
+		ch.cells = append(ch.cells, id)
+		ch.old = append(ch.old, oldIv)
+		ch.new = append(ch.new, newIv)
+		ch.area += scratch.Area()
+	}
+	return newIv, enc, nil
+}
+
+// restore puts the interval column back to its pre-batch contents, in reverse
+// patch order so a cell patched twice unwinds to its original interval.
+func (ix *valueIndex) restore(ch *changes) {
+	for i := len(ch.undo) - 1; i >= 0; i-- {
+		ix.ivs[ch.undo[i].pos] = ch.undo[i].iv
+	}
+}
+
+// ApplyUpdates implements Engine — the one update skeleton: lock, patch the
+// affected cell records and sidecar columns into copy-on-write page images,
+// let the method maintain its index structure, commit the images as one new
+// epoch, publish the new state. Every failure path puts the field's samples
+// and the interval column back; the live epoch is untouched until the commit.
+// I-Quad and files saved without a sidecar refuse with ErrUpdatesUnsupported.
+func (e *executor) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
+	e.updMu.Lock()
+	defer e.updMu.Unlock()
 	cells := affectedCells(f, updates)
-	tb := obs.Begin(ls.ob.Tracer, string(MethodLinearScan), obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := ls.applyUpdates(ctx, f, updates, cells, tb)
+	tb := obs.Begin(e.ob.Tracer, string(e.method), obs.KindUpdate, float64(len(updates)), float64(len(cells)))
+	res, err := e.applyUpdates(ctx, f, updates, cells, tb)
 	tb.Finish(err)
 	if err == nil {
-		ls.recordUpdate(res)
+		e.recordUpdate(res)
 	}
 	return res, err
 }
 
-func (ls *LinearScan) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
+func (e *executor) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
+	cur := e.snap.Load()
 	if len(updates) == 0 {
-		return &UpdateResult{Epoch: ls.pager.CurrentEpoch()}, nil
+		return &UpdateResult{Epoch: cur.epoch}, nil
+	}
+	qc := e.pager.BeginQuery()
+	defer qc.Release()
+	qc.AttachTrace(tb)
+	if err := e.ensureUpdateState(qc); err != nil {
+		return nil, err
 	}
 	undo, err := applySamples(f, updates)
 	if err != nil {
 		return nil, err
 	}
-	qc := ls.pager.BeginQuery()
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	st := newOverlayStage(qc)
+	var ch changes
+	fail := func(err error) (*UpdateResult, error) {
+		e.restore(&ch)
+		undoSamples(f, undo)
+		return nil, err
+	}
+	stage := newOverlayStage(qc)
 	var scratch field.Cell
 	var enc []byte
 	qc.BeginSpan(obs.PhasePatch)
 	for _, id := range cells {
 		if err := ctx.Err(); err != nil {
-			undoSamples(f, undo)
-			return nil, err
-		}
-		// LinearScan stores cells in natural order: position == cell id.
-		if _, _, enc, err = st.patchCell(f, id, int(id), ls.rids, ls.sidecar, &scratch, enc); err != nil {
-			undoSamples(f, undo)
-			return nil, err
-		}
-	}
-	qc.EndSpan()
-	res := &UpdateResult{
-		SamplesApplied: len(updates),
-		CellsTouched:   len(cells),
-		PagesWritten:   len(st.pages),
-		IO:             qc.Stats(),
-	}
-	epoch, retired, err := ls.pager.CommitOverlays(st.pages)
-	if err != nil {
-		undoSamples(f, undo)
-		return nil, err
-	}
-	res.Epoch, res.EpochsRetired = epoch, retired
-	return res, nil
-}
-
-// ApplyUpdates implements Updater for I-All: patch the cell records, then
-// delete/insert the changed cell intervals in a hydrated copy of the R*-tree,
-// persist it to fresh pages, and publish tree and epoch together.
-func (ia *IAll) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	ia.updMu.Lock()
-	defer ia.updMu.Unlock()
-	cells := affectedCells(f, updates)
-	tb := obs.Begin(ia.ob.Tracer, string(MethodIAll), obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := ia.applyUpdates(ctx, f, updates, cells, tb)
-	tb.Finish(err)
-	if err == nil {
-		ia.recordUpdate(res)
-	}
-	return res, err
-}
-
-func (ia *IAll) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
-	cur := ia.snap.Load()
-	if len(updates) == 0 {
-		return &UpdateResult{Epoch: cur.epoch}, nil
-	}
-	undo, err := applySamples(f, updates)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*UpdateResult, error) {
-		undoSamples(f, undo)
-		return nil, err
-	}
-	qc := ia.pager.BeginQuery()
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	st := newOverlayStage(qc)
-	oldIvs := make([]geom.Interval, len(cells))
-	newIvs := make([]geom.Interval, len(cells))
-	var scratch field.Cell
-	var enc []byte
-	qc.BeginSpan(obs.PhasePatch)
-	for i, id := range cells {
-		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		// I-All stores cells in natural order: position == cell id.
-		if oldIvs[i], newIvs[i], enc, err = st.patchCell(f, id, int(id), ia.rids, ia.sidecar, &scratch, enc); err != nil {
+		if _, enc, err = e.patch(stage, f, id, &ch, &scratch, enc); err != nil {
 			return fail(err)
 		}
 	}
 	qc.EndSpan()
-	tree, indexPages, err := maintainIAllTree(qc, cur.tree, ia.pager, cells, oldIvs, newIvs)
-	if err != nil {
-		return fail(err)
+	next, indexPages, regrouped := &state{}, 0, false
+	if e.maintain != nil {
+		if next, indexPages, regrouped, err = e.maintain(stage, f, cur, &ch); err != nil {
+			return fail(err)
+		}
 	}
 	res := &UpdateResult{
 		SamplesApplied:    len(updates),
 		CellsTouched:      len(cells),
-		PagesWritten:      len(st.pages),
-		IndexPagesWritten: indexPages,
-		IO:                qc.Stats(),
-	}
-	// Persisting the maintained tree wrote one counted page per node outside
-	// the query context; fold those writes into the published stats so the
-	// pager totals stay the sum of all reported per-operation statistics.
-	res.IO.Writes += indexPages
-	epoch, retired, err := ia.pager.CommitOverlays(st.pages)
-	if err != nil {
-		return fail(err)
-	}
-	res.Epoch, res.EpochsRetired = epoch, retired
-	ia.snap.Store(&iallState{epoch: epoch, tree: tree})
-	return res, nil
-}
-
-// maintainIAllTree applies the changed cell intervals to a hydrated copy of
-// the per-cell tree and persists it to fresh pages, leaving the published
-// tree untouched for readers at older epochs. When no interval changed it
-// returns the current tree unchanged.
-func maintainIAllTree(qc *storage.QueryCtx, cur *rstar.Tree, pager *storage.Pager,
-	cells []field.CellID, oldIvs, newIvs []geom.Interval) (*rstar.Tree, int, error) {
-	changed := false
-	for i := range cells {
-		if oldIvs[i] != newIvs[i] {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return cur, 0, nil
-	}
-	qc.BeginSpan(obs.PhaseMaintain)
-	work, err := cur.Hydrate(qc)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, id := range cells {
-		if oldIvs[i] == newIvs[i] {
-			continue
-		}
-		if !work.Delete(rstar.Entry{MBR: rstar.Interval1D(oldIvs[i].Lo, oldIvs[i].Hi), Data: uint64(id)}) {
-			return nil, 0, fmt.Errorf("core: cell %d interval %v not in index", id, oldIvs[i])
-		}
-		if err := work.Insert(rstar.Entry{MBR: rstar.Interval1D(newIvs[i].Lo, newIvs[i].Hi), Data: uint64(id)}); err != nil {
-			return nil, 0, err
-		}
-	}
-	qc.EndSpan()
-	if err := work.Persist(pager); err != nil {
-		return nil, 0, err
-	}
-	return work, work.PersistedNodes(), nil
-}
-
-// ApplyUpdates implements Updater for the partitioned indexes. After patching
-// the cell records it re-derives the subfield partition with the build's own
-// rule (§3.1.2's greedy cost bound for I-Hilbert, the fixed size threshold
-// for I-Threshold) over the updated intervals: when the boundaries are
-// unchanged, only the drifted groups' intervals and summaries are refreshed
-// and the R*-tree is patched incrementally; when a boundary moved, the
-// partition is re-cut and a fresh tree built — exactly the groups a rebuild
-// from scratch on the mutated field would produce (the heap order is the
-// geometric linearization, which updates never change). I-Quad and files
-// saved without a sidecar do not support updates.
-func (p *Partitioned) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	p.updMu.Lock()
-	defer p.updMu.Unlock()
-	cells := affectedCells(f, updates)
-	tb := obs.Begin(p.ob.Tracer, string(p.method), obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := p.applyUpdates(ctx, f, updates, cells, tb)
-	tb.Finish(err)
-	if err == nil {
-		p.recordUpdate(res)
-	}
-	return res, err
-}
-
-func (p *Partitioned) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
-	if p.method == MethodIQuad {
-		return nil, fmt.Errorf("core: %s regrouping is spatial: %w", p.method, ErrUpdatesUnsupported)
-	}
-	cur := p.snap.Load()
-	if len(updates) == 0 {
-		return &UpdateResult{Epoch: cur.epoch}, nil
-	}
-	qc := p.pager.BeginQuery()
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	if err := p.ensureUpdateState(qc); err != nil {
-		return nil, err
-	}
-	undo, err := applySamples(f, updates)
-	if err != nil {
-		return nil, err
-	}
-	var ivUndo []struct {
-		pos int
-		iv  geom.Interval
-	}
-	fail := func(err error) (*UpdateResult, error) {
-		for i := len(ivUndo) - 1; i >= 0; i-- {
-			p.ivs[ivUndo[i].pos] = ivUndo[i].iv
-		}
-		undoSamples(f, undo)
-		return nil, err
-	}
-	st := newOverlayStage(qc)
-	var scratch field.Cell
-	var enc []byte
-	changed := false
-	changedCells, changedArea := 0, 0.0
-	qc.BeginSpan(obs.PhasePatch)
-	for _, id := range cells {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		pos, ok := p.posOf[id]
-		if !ok {
-			return fail(fmt.Errorf("core: cell %d not in partition order", id))
-		}
-		oldIv, newIv, enc2, err := st.patchCell(f, id, pos, p.rids, p.sidecar, &scratch, enc)
-		if err != nil {
-			return fail(err)
-		}
-		enc = enc2
-		ivUndo = append(ivUndo, struct {
-			pos int
-			iv  geom.Interval
-		}{pos, p.ivs[pos]})
-		p.ivs[pos] = newIv
-		if oldIv != newIv {
-			changed = true
-			// scratch holds the re-encoded cell; its area feeds the summary's
-			// widening slack when the index has no per-cell areas to refit
-			// from (a cell whose interval moved shifts each cumulative
-			// distribution by at most one count and its own area).
-			changedCells++
-			changedArea += scratch.Area()
-		}
-	}
-	qc.EndSpan()
-	// One maintenance span covers the regrouping (greedy re-cut, tree patch or
-	// rebuild) and the summary refit, so an update's trace accounts for the
-	// time and the page reads of both.
-	qc.BeginSpan(obs.PhaseMaintain)
-	tree, groups, indexPages, regrouped, err := p.maintainPartition(qc, cur, changed)
-	if err != nil {
-		return fail(err)
-	}
-	// An interval-changing batch moves the cumulative distributions the field
-	// summary approximates; refresh it in the same overlay set so summary and
-	// data version together under one epoch. An unchanged batch leaves the
-	// distributions — and the summary — untouched.
-	if changed {
-		if err := p.maintainSummary(st, changedCells, changedArea); err != nil {
-			return fail(err)
-		}
-	}
-	qc.EndSpan()
-	res := &UpdateResult{
-		SamplesApplied:    len(updates),
-		CellsTouched:      len(cells),
-		PagesWritten:      len(st.pages),
+		PagesWritten:      len(stage.pages),
 		IndexPagesWritten: indexPages,
 		Regrouped:         regrouped,
 		IO:                qc.Stats(),
 	}
-	// Tree persistence wrote one counted page per node outside the query
-	// context; fold them in so pager totals stay Σ published stats.
+	// Persisting a maintained tree wrote one counted page per node outside
+	// the query context; fold those writes into the published stats so the
+	// pager totals stay the sum of all reported per-operation statistics.
 	res.IO.Writes += indexPages
-	epoch, retired, err := p.pager.CommitOverlays(st.pages)
+	epoch, retired, err := e.pager.CommitOverlays(stage.pages)
 	if err != nil {
 		return fail(err)
 	}
 	res.Epoch, res.EpochsRetired = epoch, retired
-	p.snap.Store(&partState{epoch: epoch, tree: tree, groups: groups})
+	next.epoch = epoch
+	e.snap.Store(next)
 	return res, nil
 }
 
-// ensureUpdateState hydrates the update-path state a file-opened index lacks:
-// the per-position interval column (recovered from the sidecar, whose entries
-// are bit-identical to the stored records) and the cell→position map. Indexes
-// built in memory carry both already.
-func (p *Partitioned) ensureUpdateState(qc *storage.QueryCtx) error {
-	if p.posOf == nil {
-		p.posOf = make(map[field.CellID]int, len(p.order))
-		for pos, id := range p.order {
-			p.posOf[id] = pos
-		}
-	}
-	if p.ivs != nil {
+// ensureUpdateState hydrates the update-path state of a partitioned index:
+// the cell→position map and, for a file-opened index, the per-position
+// interval column (recovered from the sidecar, whose entries are bit-identical
+// to the stored records). Natural-order methods need neither.
+func (ix *valueIndex) ensureUpdateState(qc *storage.QueryCtx) error {
+	if ix.order == nil {
 		return nil
 	}
-	if p.sidecar == nil || p.rids == nil {
+	if ix.posOf == nil {
+		ix.posOf = make(map[field.CellID]int, len(ix.order))
+		for pos, id := range ix.order {
+			ix.posOf[id] = pos
+		}
+	}
+	if ix.ivs != nil {
+		return nil
+	}
+	if ix.sidecar == nil || ix.rids == nil {
 		return fmt.Errorf("core: file has no interval sidecar: %w", ErrUpdatesUnsupported)
 	}
 	qc.BeginSpan(obs.PhaseMaintain)
-	ivs := make([]geom.Interval, p.cells)
-	err := p.sidecar.ScanRange(qc, 0, p.cells, func(base int, lo, hi []float64) bool {
+	ivs := make([]geom.Interval, ix.cells)
+	err := ix.sidecar.ScanRange(qc, 0, ix.cells, func(base int, lo, hi []float64) bool {
 		for i := range lo {
 			ivs[base+i] = geom.Interval{Lo: lo[i], Hi: hi[i]}
 		}
@@ -535,27 +368,57 @@ func (p *Partitioned) ensureUpdateState(qc *storage.QueryCtx) error {
 		return err
 	}
 	qc.EndSpan()
-	p.ivs = ivs
+	ix.ivs = ivs
 	return nil
 }
 
-// maintainPartition re-derives the subfield partition from the updated
-// interval column and returns the next snapshot's tree and groups. The caller
-// must hold updMu and an open PhaseMaintain span on qc; p.ivs is current.
-func (p *Partitioned) maintainPartition(qc *storage.QueryCtx, cur *partState, changed bool) (*rstar.Tree, []groupMeta, int, bool, error) {
-	if !changed {
-		return cur.tree, cur.groups, 0, false, nil
+// maintainGroups is the maintenance of the partitioned family. One span
+// covers the regrouping (greedy re-cut, tree patch or rebuild) and the summary
+// refit, so an update's trace accounts for the time and the page reads of
+// both. An interval-changing batch moves the cumulative distributions the
+// field summary approximates; the summary is refreshed in the same overlay
+// set so summary and data version together under one epoch.
+func (ix *valueIndex) maintainGroups(stage *overlayStage, _ field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+	stage.qc.BeginSpan(obs.PhaseMaintain)
+	next, indexPages, regrouped, err := ix.regroup(stage.qc, cur, len(ch.cells) > 0)
+	if err == nil && len(ch.cells) > 0 {
+		err = ix.maintainSummary(stage, len(ch.cells), ch.area)
 	}
-	refs := make([]subfield.CellRef, p.cells)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	stage.qc.EndSpan()
+	return next, indexPages, regrouped, nil
+}
+
+// regroup re-derives the subfield partition with the build's own rule
+// (§3.1.2's greedy cost bound for I-Hilbert, the fixed size threshold for
+// I-Threshold) over the updated interval column and returns the next state's
+// tree and groups: when the boundaries are unchanged, only the drifted groups'
+// intervals and summaries are refreshed and the R*-tree is patched
+// incrementally; when a boundary moved, the partition is re-cut and a fresh
+// tree built — exactly the groups a rebuild from scratch on the mutated field
+// would produce (the heap order is the geometric linearization, which updates
+// never change). I-Quad regrouping needs the spatial quadtree recursion this
+// does not reproduce. The caller holds updMu and an open PhaseMaintain span
+// on qc; ix.ivs is current.
+func (ix *valueIndex) regroup(qc *storage.QueryCtx, cur *state, changed bool) (*state, int, bool, error) {
+	if ix.method == MethodIQuad {
+		return nil, 0, false, fmt.Errorf("core: %s regrouping is spatial: %w", ix.method, ErrUpdatesUnsupported)
+	}
+	if !changed {
+		return &state{tree: cur.tree, groups: cur.groups}, 0, false, nil
+	}
+	refs := make([]subfield.CellRef, ix.cells)
 	for i := range refs {
-		refs[i] = subfield.CellRef{ID: p.order[i], Interval: p.ivs[i]}
+		refs[i] = subfield.CellRef{ID: ix.order[i], Interval: ix.ivs[i]}
 	}
 	var next []subfield.Group
-	switch p.method {
+	switch ix.method {
 	case MethodIThresh:
-		next = subfield.BuildThreshold(refs, p.cost, p.maxSize)
+		next = subfield.BuildThreshold(refs, ix.cost, ix.maxSize)
 	default:
-		next = subfield.BuildGreedy(refs, p.cost)
+		next = subfield.BuildGreedy(refs, ix.cost)
 	}
 	sameCut := len(next) == len(cur.groups)
 	if sameCut {
@@ -567,24 +430,24 @@ func (p *Partitioned) maintainPartition(qc *storage.QueryCtx, cur *partState, ch
 		}
 	}
 	if sameCut {
-		tree, groups, indexPages, err := p.refreshGroups(qc, cur, next)
-		return tree, groups, indexPages, false, err
+		tree, groups, indexPages, err := ix.refreshGroups(qc, cur, next)
+		return &state{tree: tree, groups: groups}, indexPages, false, err
 	}
-	tree, groups, indexPages, err := p.recutGroups(next)
-	return tree, groups, indexPages, true, err
+	tree, groups, indexPages, err := ix.recutGroups(next)
+	return &state{tree: tree, groups: groups}, indexPages, true, err
 }
 
 // refreshGroups handles the boundary-stable case: group extents are
 // unchanged, so only the groups whose interval or summary drifted are
 // rebuilt, and the R*-tree is patched entry by entry on a hydrated copy.
-func (p *Partitioned) refreshGroups(qc *storage.QueryCtx, cur *partState, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
+func (ix *valueIndex) refreshGroups(qc *storage.QueryCtx, cur *state, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
 	groups := make([]groupMeta, len(cur.groups))
 	copy(groups, cur.groups)
 	var work *rstar.Tree
 	indexPages := 0
 	for gi, g := range next {
 		old := &groups[gi]
-		avg := groupAvg(p.ivs, g.Start, g.End)
+		avg := groupAvg(ix.ivs, g.Start, g.End)
 		if g.Interval == old.interval && avg == old.avg {
 			continue
 		}
@@ -607,7 +470,7 @@ func (p *Partitioned) refreshGroups(qc *storage.QueryCtx, cur *partState, next [
 	}
 	tree := cur.tree
 	if work != nil {
-		if err := work.Persist(p.pager); err != nil {
+		if err := work.Persist(ix.pager); err != nil {
 			return nil, nil, 0, err
 		}
 		tree = work
@@ -619,28 +482,28 @@ func (p *Partitioned) refreshGroups(qc *storage.QueryCtx, cur *partState, next [
 // recutGroups handles a moved boundary: all group metadata is recomputed from
 // the new cut and a fresh tree is built by R* insertion, exactly as the
 // original build constructs it.
-func (p *Partitioned) recutGroups(next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
+func (ix *valueIndex) recutGroups(next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
 	groups := make([]groupMeta, len(next))
-	tree, err := rstar.New(1, rstar.Params{PageSize: p.pager.PageSize()})
+	tree, err := rstar.New(1, rstar.Params{PageSize: ix.pager.PageSize()})
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	for gi, g := range next {
-		first := p.heap.PageIndex(p.rids[g.Start].Page)
-		last := p.heap.PageIndex(p.rids[g.End-1].Page)
+		first := ix.heap.PageIndex(ix.rids[g.Start].Page)
+		last := ix.heap.PageIndex(ix.rids[g.End-1].Page)
 		if first < 0 || last < 0 {
 			return nil, nil, 0, fmt.Errorf("core: regrouped subfield %d pages not found", gi)
 		}
 		groups[gi] = groupMeta{
 			interval: g.Interval, firstPage: first, lastPage: last,
 			cells: g.Len(), startRef: g.Start, endRef: g.End,
-			avg: groupAvg(p.ivs, g.Start, g.End),
+			avg: groupAvg(ix.ivs, g.Start, g.End),
 		}
 		if err := tree.Insert(rstar.Entry{MBR: rstar.Interval1D(g.Interval.Lo, g.Interval.Hi), Data: uint64(gi)}); err != nil {
 			return nil, nil, 0, err
 		}
 	}
-	if err := tree.Persist(p.pager); err != nil {
+	if err := tree.Persist(ix.pager); err != nil {
 		return nil, nil, 0, err
 	}
 	return tree, groups, tree.PersistedNodes(), nil
@@ -655,21 +518,6 @@ func groupAvg(ivs []geom.Interval, start, end int) float64 {
 		sum += (ivs[i].Lo + ivs[i].Hi) / 2
 	}
 	return sum / float64(end-start)
-}
-
-// ApplyUpdates implements Updater for I-Auto: the underlying partitioned
-// index applies the batch, then the selectivity histogram is rebuilt from the
-// mutated field and published atomically with the new partition state.
-func (a *Auto) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	a.updMu.Lock()
-	defer a.updMu.Unlock()
-	res, err := a.part.ApplyUpdates(ctx, f, updates)
-	if err != nil {
-		return nil, err
-	}
-	st := a.state.Load()
-	a.state.Store(&autoState{ps: a.part.snap.Load(), h: buildAutoHist(f, len(st.h.bins))})
-	return res, nil
 }
 
 // ApplyUpdates re-encodes the affected cells of the spatial (conventional
@@ -725,10 +573,3 @@ func (s *SpatialIndex) applyUpdates(ctx context.Context, f field.Mutable, cells 
 	res.Epoch, res.EpochsRetired = epoch, retired
 	return res, nil
 }
-
-var (
-	_ Updater = (*LinearScan)(nil)
-	_ Updater = (*IAll)(nil)
-	_ Updater = (*Partitioned)(nil)
-	_ Updater = (*Auto)(nil)
-)

@@ -51,6 +51,20 @@ func convergenceQueries(f field.Field, seed int64) []geom.Interval {
 	return qs
 }
 
+// updatableBuilders is the method list of the update suites: every method
+// with live updates, each built on a fresh pager.
+func updatableBuilders(maxSize float64) map[string]func(f field.Field) (Engine, error) {
+	return map[string]func(f field.Field) (Engine, error){
+		"LinearScan": func(f field.Field) (Engine, error) { return BuildLinearScan(f, newPager()) },
+		"I-All":      func(f field.Field) (Engine, error) { return BuildIAll(f, newPager(), IAllOptions{}) },
+		"I-Hilbert":  func(f field.Field) (Engine, error) { return BuildIHilbert(f, newPager(), HilbertOptions{}) },
+		"I-Thresh": func(f field.Field) (Engine, error) {
+			return BuildIThreshold(f, newPager(), ThresholdOptions{MaxSize: maxSize})
+		},
+		"I-Auto": func(f field.Field) (Engine, error) { return BuildAuto(f, newPager(), AutoOptions{}) },
+	}
+}
+
 // TestUpdateConvergence is the acceptance criterion of the tentpole: after an
 // update batch, a fresh query on the updated index returns exactly what an
 // index rebuilt from scratch on the mutated field returns — for every
@@ -61,37 +75,19 @@ func TestUpdateConvergence(t *testing.T) {
 		"dem": func() mutableField { return testDEM(t, 32, 0.7) },
 		"tin": func() mutableField { return testTIN(t, 400) },
 	}
-	type builder struct {
-		build func(f field.Field) (Index, error)
-	}
-	builders := func(maxSize float64) map[string]builder {
-		return map[string]builder{
-			"LinearScan": {func(f field.Field) (Index, error) { return BuildLinearScan(f, newPager()) }},
-			"I-All":      {func(f field.Field) (Index, error) { return BuildIAll(f, newPager(), IAllOptions{}) }},
-			"I-Hilbert":  {func(f field.Field) (Index, error) { return BuildIHilbert(f, newPager(), HilbertOptions{}) }},
-			"I-Thresh": {func(f field.Field) (Index, error) {
-				return BuildIThreshold(f, newPager(), ThresholdOptions{MaxSize: maxSize})
-			}},
-			"I-Auto": {func(f field.Field) (Index, error) { return BuildAuto(f, newPager(), AutoOptions{}) }},
-		}
-	}
 	for fname, mk := range fields {
 		// MaxSize is fixed from the pre-update range so the scratch rebuild
 		// uses the identical threshold.
 		maxSize := mk().ValueRange().Length()/8 + 1
-		for mname, b := range builders(maxSize) {
+		for mname, build := range updatableBuilders(maxSize) {
 			t.Run(fname+"/"+mname, func(t *testing.T) {
 				f := mk()
-				idx, err := b.build(f)
+				idx, err := build(f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				up, ok := idx.(Updater)
-				if !ok {
-					t.Fatalf("%s does not implement Updater", mname)
-				}
 				updates := testUpdates(f, 40, 77)
-				res, err := up.ApplyUpdates(ctx, f, updates)
+				res, err := idx.ApplyUpdates(ctx, f, updates)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +95,7 @@ func TestUpdateConvergence(t *testing.T) {
 					t.Fatalf("result = %+v", res)
 				}
 				// Scratch rebuild on the mutated field is the reference.
-				scratch, err := b.build(f)
+				scratch, err := build(f)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,50 +193,64 @@ func TestUpdateRegroup(t *testing.T) {
 }
 
 // TestUpdateSnapshotIsolation: a snapshot acquired before a batch keeps
-// answering with the pre-batch state, byte for byte, while post-batch queries
-// see the new state.
+// answering with the pre-batch state, byte for byte — solo and as one shared
+// batch at the pin — while post-batch queries see the new state, on every
+// updatable method.
 func TestUpdateSnapshotIsolation(t *testing.T) {
 	ctx := context.Background()
-	f := testDEM(t, 32, 0.7)
-	p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := convergenceQueries(f, 3)
-	before := make([]*Result, len(queries))
-	for i, q := range queries {
-		if before[i], err = p.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := p.AcquireSnapshot()
-	defer snap.Close()
-	res, err := p.ApplyUpdates(ctx, f, testUpdates(f, 40, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Epoch() == res.Epoch {
-		t.Fatal("snapshot claims the post-batch epoch")
-	}
-	changed := false
-	for i, q := range queries {
-		at, err := snap.QueryContext(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(answerOf(at), answerOf(before[i])) {
-			t.Fatalf("query %v through the snapshot diverged from its pre-batch answer", q)
-		}
-		now, err := p.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(answerOf(now), answerOf(before[i])) {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("update batch changed no query answer; isolation test is vacuous")
+	for mname, build := range updatableBuilders(testDEM(t, 32, 0.7).ValueRange().Length()/8 + 1) {
+		t.Run(mname, func(t *testing.T) {
+			f := testDEM(t, 32, 0.7)
+			p, err := build(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := convergenceQueries(f, 3)
+			before := make([]*Result, len(queries))
+			members := make([]BatchQuery, len(queries))
+			for i, q := range queries {
+				if before[i], err = p.Query(q); err != nil {
+					t.Fatal(err)
+				}
+				members[i] = BatchQuery{Query: q}
+			}
+			snap := p.AcquireSnapshot()
+			defer snap.Close()
+			res, err := p.ApplyUpdates(ctx, f, testUpdates(f, 40, 11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Epoch() == res.Epoch {
+				t.Fatal("snapshot claims the post-batch epoch")
+			}
+			batched, st := snap.QueryBatch(members)
+			if st.PagesSaved == 0 {
+				t.Fatalf("batch at the pin shared no pages: %+v", st)
+			}
+			changed := false
+			for i, q := range queries {
+				at, err := snap.QueryContext(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(at, before[i]) {
+					t.Fatalf("query %v through the snapshot diverged from its pre-batch answer", q)
+				}
+				if batched[i].Err != nil || !reflect.DeepEqual(batched[i].Res, at) {
+					t.Fatalf("query %v batched at the pin diverged from solo at the pin (err %v)", q, batched[i].Err)
+				}
+				now, err := p.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(answerOf(now), answerOf(before[i])) {
+					changed = true
+				}
+			}
+			if !changed {
+				t.Fatal("update batch changed no query answer; isolation test is vacuous")
+			}
+		})
 	}
 }
 

@@ -131,6 +131,7 @@ func (ix *Index) Query(q geom.Interval) (*Result, error) {
 		return nil, fmt.Errorf("volume: empty query interval")
 	}
 	qc := ix.pager.BeginQuery()
+	defer qc.Release() // a failed search or fetch must not leave the epoch pinned
 	res := &Result{Query: q}
 	var selected []int
 	err := ix.tree.PagedSearchCtx(qc, rstar.Interval1D(q.Lo, q.Hi), func(e rstar.Entry) bool {

@@ -71,10 +71,6 @@ func (db *DB) UpdateSamples(ctx context.Context, updates []SampleUpdate) (*Updat
 	if !ok {
 		return nil, fmt.Errorf("%w: field %T is immutable", ErrUpdatesUnsupported, db.field)
 	}
-	up, ok := db.index.(core.Updater)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %s", ErrUpdatesUnsupported, db.method)
-	}
 	db.updateMu.Lock()
 	defer db.updateMu.Unlock()
 	// Widen the cached value range with the batch's values before anything
@@ -82,7 +78,7 @@ func (db *DB) UpdateSamples(ctx context.Context, updates []SampleUpdate) (*Updat
 	// conservatively wide range only pads their query interval, while a
 	// stale-narrow one could miss a new extreme mid-batch.
 	db.widenRange(updates)
-	res, err := up.ApplyUpdates(ctx, mf, updates)
+	res, err := db.index.ApplyUpdates(ctx, mf, updates)
 	if err != nil {
 		return nil, err
 	}
@@ -129,16 +125,15 @@ func (db *DB) widenRange(updates []SampleUpdate) {
 // committing in the meantime. Value queries read the value store's pinned
 // epoch; point queries read the spatial store's (the R*-tree's geometry never
 // changes under live updates, so pinning its heap pages pins the whole
-// answer). Method, Stats and ValueRange are captured at acquisition too: an
-// update batch may re-cut the partition or move the value range, and the
-// snapshot's answers must keep describing the pinned state. Holding a
+// answer). Stats and ValueRange describe the pinned state too: an update
+// batch may re-cut the partition or move the value range, and the snapshot's
+// answers must keep describing what it pinned. Holding a
 // snapshot keeps both epochs' page versions alive (delaying overlay
 // compaction), so Close it when done. Its query methods are the embedded
 // surface's (see Querier); they trace and meter exactly like live queries,
 // and after Close — the snapshot's or its DB's — they return ErrClosed.
 type Snapshot struct {
 	surface
-	snap   core.Snapshot
 	spSnap *core.SpatialSnapshot
 }
 
@@ -148,16 +143,9 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	sq, ok := db.index.(core.SnapshotQuerier)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %s has no snapshots", ErrUpdatesUnsupported, db.method)
-	}
-	s := &Snapshot{snap: sq.AcquireSnapshot(), spSnap: db.spatial.AcquireSnapshot()}
-	s.method = db.method
+	s := &Snapshot{spSnap: db.spatial.AcquireSnapshot()}
+	s.index = db.index.AcquireSnapshot()
 	s.owner = &db.closed
-	stats := db.Stats()
-	s.stats = func() IndexStats { return stats }
-	s.engine = s.snap
 	s.point = s.spSnap
 	s.ob = db.ob
 	vr := db.ValueRange()
@@ -166,13 +154,13 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 }
 
 // Epoch returns the value store's storage epoch the snapshot reads.
-func (s *Snapshot) Epoch() uint64 { return s.snap.Epoch() }
+func (s *Snapshot) Epoch() uint64 { return s.index.Epoch() }
 
 // Close releases both epoch pins; queries through the snapshot afterwards
 // return ErrClosed. Safe to call more than once.
 func (s *Snapshot) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
-		s.snap.Close()
+		s.index.Close()
 		s.spSnap.Close()
 	}
 	return nil

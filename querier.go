@@ -3,8 +3,8 @@ package fielddb
 // The unified query surface. Three handle types answer queries — a live *DB,
 // a *StoredIndex reopened from a database file, and a pinned *Snapshot — and
 // they answer through one implementation: the unexported surface type below
-// holds validation, dispatch, batch collection, capability routing and
-// contour assembly exactly once, and the handles embed it as thin owners of
+// holds validation, dispatch, batch collection and contour assembly exactly
+// once over one core.Engine, and the handles embed it as thin owners of
 // state. Querier is the exported contract over that implementation: the
 // serving tier (internal/serve, cmd/fieldserve) binds only to it, and a
 // shared conformance test table (querier_conformance_test.go) drives all
@@ -39,11 +39,11 @@ import (
 // ErrInvertedInterval, then a bad tolerance with ErrBadTolerance; the errors
 // wrap the offending values so callers can branch with errors.Is.
 //
-// Not every implementation supports every operation natively: a StoredIndex
-// has no spatial index (PointQueryContext returns ErrNoSpatialIndex), and a
-// Snapshot executes batches as sequential pinned-epoch queries rather than
-// one shared scan. Capability gaps surface as typed errors, never as missing
-// methods.
+// Not every implementation supports every operation: a StoredIndex has no
+// spatial index (PointQueryContext returns ErrNoSpatialIndex), and a method
+// without subfields has no subfield summaries (ApproxValueQueryContext
+// returns ErrNoPartition). Capability gaps surface as typed errors, never as
+// missing methods.
 type Querier interface {
 	// Method returns the value-index strategy serving this surface.
 	Method() Method
@@ -69,8 +69,8 @@ type Querier interface {
 	ValueQueryBatch(ctx context.Context, intervals []Interval) ([]*Result, error)
 	// ApproxValueQueryContext answers F⁻¹(lo ≤ w ≤ hi) approximately from
 	// subfield metadata alone (an upper bound on matching cells and a summary
-	// average, at filter-step cost). Only partition-based methods carry the
-	// per-subfield summaries; others fail with ErrNoPartition.
+	// average, at filter-step cost). Methods without subfields (LinearScan,
+	// I-All, tiled indexes) fail with ErrNoPartition.
 	ApproxValueQueryContext(ctx context.Context, lo, hi float64) (*ApproxResult, error)
 	// ApproxAggregateContext answers "how many cells, and how much area, have
 	// a value in [lo, hi]" within a certified error tolerance of maxErr on the
@@ -133,7 +133,11 @@ type pointQuerier interface {
 // *Snapshot embed it and differ only in the values below, all fixed when the
 // handle is opened or acquired — nothing is built per query.
 type surface struct {
-	method Method
+	// index is the value index every query runs on: the live core engine, or
+	// — on a Snapshot — the same engine pinned at acquisition, which answers
+	// value, batch, approximate and aggregate queries (and Stats, which an
+	// update batch's re-cut would otherwise move) at that state.
+	index core.Engine
 	// closed is the handle's own flag; owner, on a Snapshot, is its DB's
 	// flag too: closing either closes the snapshot's surface.
 	closed atomic.Bool
@@ -143,19 +147,9 @@ type surface struct {
 	// reading the field's own ValueRange instead would race with an updater's
 	// SetSample.
 	vrange atomic.Pointer[Interval]
-	// stats describes the value index: live on a DB or StoredIndex, captured
-	// at acquisition on a Snapshot (an update batch may re-cut the partition).
-	stats func() IndexStats
-	// engine answers solo value queries and carries the optional approximate
-	// and aggregate capabilities: the core index, or the pinned core snapshot.
-	engine core.ContextQuerier
 	// batcher, when an admission window is armed, takes solo value queries in
-	// engine's place and coalesces concurrent ones onto shared scans.
+	// index's place and coalesces concurrent ones onto shared scans.
 	batcher *core.Batcher
-	// batch executes an explicit batch as one shared scan. Nil — Auto, which
-	// plans per query, and snapshots, which must answer at their pin — runs
-	// the members as sequential engine queries.
-	batch core.BatchQuerier
 	// point answers conventional queries; nil (a stored file carries only the
 	// value index) fails them with ErrNoSpatialIndex.
 	point pointQuerier
@@ -174,11 +168,23 @@ func (s *surface) checkOpen() error {
 }
 
 // Method returns the value-index strategy in use.
-func (s *surface) Method() Method { return s.method }
+func (s *surface) Method() Method { return s.index.Method() }
 
 // Stats describes the value index (as it stood at acquisition, on a
 // Snapshot).
-func (s *surface) Stats() IndexStats { return s.stats() }
+func (s *surface) Stats() IndexStats { return s.index.Stats() }
+
+// Subfields returns the subfield partition of the value index, or nil for
+// configurations without one (LinearScan, I-All, tiled indexes). The cells of
+// each subfield are copies and safe to retain.
+func (s *surface) Subfields() []Subfield {
+	var out []Subfield
+	s.index.ForEachGroup(func(_ int, iv Interval, cells []CellID) bool {
+		out = append(out, Subfield{Interval: iv, Cells: append([]CellID(nil), cells...)})
+		return true
+	})
+	return out
+}
 
 // ValueRange returns the value-domain coverage: kept current across update
 // batches on a live DB (conservatively wide while a batch is mid-flight),
@@ -205,7 +211,7 @@ func (s *surface) ValueQueryContext(ctx context.Context, lo, hi float64) (*Resul
 	if s.batcher != nil {
 		return s.batcher.QueryContext(ctx, q)
 	}
-	return s.engine.QueryContext(ctx, q)
+	return s.index.QueryContext(ctx, q)
 }
 
 // ValueQuery is ValueQueryContext without cancellation.
@@ -259,10 +265,8 @@ func (s *surface) ValueBelow(hi float64) (*Result, error) {
 //
 // The first failing query determines the returned error (wrapped with its
 // position); the slice still carries every successful query's result, with
-// nil at failed positions. All intervals are validated before any I/O. With
-// Method Auto (the planner picks an access path per query) and on a Snapshot
-// (which must answer at its pin, while the batch executor coalesces over the
-// live index's current state) the queries execute sequentially.
+// nil at failed positions. All intervals are validated before any I/O. A
+// Snapshot's batch is one shared scan at its pin.
 func (s *surface) ValueQueryBatch(ctx context.Context, intervals []Interval) ([]*Result, error) {
 	out, _, err := s.ValueQueryBatchStats(ctx, intervals)
 	return out, err
@@ -271,8 +275,7 @@ func (s *surface) ValueQueryBatch(ctx context.Context, intervals []Interval) ([]
 // ValueQueryBatchStats is ValueQueryBatch plus the batch-level execution
 // summary the per-member results cannot carry: the physical (deduplicated)
 // I/O the shared scan performed and the attributed reads the coalescing
-// saved. Where the queries execute sequentially the stats are synthesized
-// from the members, with zero savings.
+// saved.
 func (s *surface) ValueQueryBatchStats(ctx context.Context, intervals []Interval) ([]*Result, BatchStats, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, BatchStats{}, err
@@ -285,26 +288,11 @@ func (s *surface) ValueQueryBatchStats(ctx context.Context, intervals []Interval
 			return nil, BatchStats{}, fmt.Errorf("%w (query %d)", err, i)
 		}
 	}
-	var results []core.BatchResult
-	var st BatchStats
-	if s.batch != nil {
-		members := make([]core.BatchQuery, len(intervals))
-		for i, iv := range intervals {
-			members[i] = core.BatchQuery{Ctx: ctx, Query: iv}
-		}
-		results, st = s.batch.QueryBatch(members)
-	} else {
-		results = make([]core.BatchResult, len(intervals))
-		st.Size = len(intervals)
-		for i, iv := range intervals {
-			res, err := s.engine.QueryContext(ctx, iv)
-			results[i] = core.BatchResult{Res: res, Err: err}
-			if err == nil {
-				st.Physical = st.Physical.Add(res.IO)
-				st.AttributedReads += res.IO.Reads
-			}
-		}
+	members := make([]core.BatchQuery, len(intervals))
+	for i, iv := range intervals {
+		members[i] = core.BatchQuery{Ctx: ctx, Query: iv}
 	}
+	results, st := s.index.QueryBatch(members)
 	// Positionally aligned results with nil at failed slots, first failure
 	// wrapped with its position.
 	out := make([]*Result, len(results))
@@ -324,10 +312,10 @@ func (s *surface) ValueQueryBatchStats(ctx context.Context, intervals []Interval
 // ApproxValueQueryContext answers F⁻¹(lo ≤ w ≤ hi) approximately using only
 // the subfield R*-tree and per-subfield summaries (the paper's §3 suggestion
 // of storing e.g. the average value per subfield): an upper bound on matching
-// cells and a summary average, at filter-step cost. Only partition-based
-// methods support it (a tiled file has no subfield partition); a Snapshot
-// reads the partition state pinned at acquisition, so a later re-cut never
-// leaks into the answer.
+// cells and a summary average, at filter-step cost. Methods without subfields
+// fail with ErrNoPartition (a tiled file has no subfield partition); a
+// Snapshot reads the partition state pinned at acquisition, so a later re-cut
+// never leaks into the answer.
 func (s *surface) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (*ApproxResult, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
@@ -337,20 +325,16 @@ func (s *surface) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (
 	if err := checkInterval(lo, hi); err != nil {
 		return nil, err
 	}
-	aq, ok := s.engine.(core.ApproxQuerier)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, s.method)
-	}
-	return aq.ApproxQueryContext(ctx, Interval{Lo: lo, Hi: hi})
+	return s.index.ApproxQueryContext(ctx, Interval{Lo: lo, Hi: hi})
 }
 
 // ApproxAggregateContext answers the aggregate query "how many cells, and how
 // much area, have a value in [lo, hi]" with a certified error tolerance of
 // maxErr on the matched-area fraction. Indexes with a field summary (every
-// partition-based or tiled index) answer from the summary pages — at most
-// four physical reads at any selectivity — and fall back to the exact
-// pipeline when the certified bound exceeds maxErr; methods without a summary
-// (LinearScan, I-All, Auto) always answer exactly. A Snapshot reads the
+// partition-based or tiled index, Auto included) answer from the summary
+// pages — at most four physical reads at any selectivity — and fall back to
+// the exact pipeline when the certified bound exceeds maxErr; methods without
+// a summary (LinearScan, I-All) always answer exactly. A Snapshot reads the
 // summary pages as they were at acquisition (update batches version them
 // copy-on-write like any data page), so its certified bounds describe the
 // pinned field state. maxErr 0 selects DefaultApproxMaxErr; +Inf accepts any
@@ -368,15 +352,7 @@ func (s *surface) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr flo
 	if err != nil {
 		return nil, err
 	}
-	q := Interval{Lo: lo, Hi: hi}
-	if aq, ok := s.engine.(core.AggregateQuerier); ok {
-		return aq.AggregateContext(ctx, q, tol)
-	}
-	exact, err := s.engine.QueryContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return core.AggregateFromExact(q, tol, exact, s.stats().Cells), nil
+	return s.index.AggregateContext(ctx, Interval{Lo: lo, Hi: hi}, tol)
 }
 
 // PointQueryStatsContext answers the conventional query F(v'): the
@@ -425,7 +401,7 @@ func (s *surface) ContourMapContext(ctx context.Context, level float64) (*Contou
 		return nil, err
 	}
 	start := time.Now()
-	tb := obs.Begin(s.ob.Tracer, string(s.method), obs.KindContour, level, level)
+	tb := obs.Begin(s.ob.Tracer, string(s.Method()), obs.KindContour, level, level)
 	tb.BeginSpan(obs.PhaseContour, obs.PageCounts{})
 	polylines := contour.Assemble(res.Isolines, 1e-9)
 	tb.EndSpan(obs.PageCounts{})
@@ -530,8 +506,7 @@ func AndQueriers(ctx context.Context, qs []Querier, intervals []Interval) (*Conj
 		if err := checkInterval(intervals[i].Lo, intervals[i].Hi); err != nil {
 			return nil, fmt.Errorf("%w (condition %d)", err, i)
 		}
-		// A DB's or StoredIndex's engine is its core index.
-		idxs[i] = s.engine.(core.Index)
+		idxs[i] = s.index
 	}
 	return core.ConjunctiveQueryContext(ctx, idxs, intervals)
 }
