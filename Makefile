@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover bench-parallel bench-smoke tiled-smoke serve-smoke serve-bench-smoke approx-smoke bench-compare
+.PHONY: check build vet fmt test race cover alloc-gate bench-parallel bench-smoke tiled-smoke serve-smoke serve-bench-smoke approx-smoke bench-compare
 
-check: build vet fmt race cover bench-smoke tiled-smoke serve-smoke serve-bench-smoke approx-smoke bench-compare
+check: build vet fmt race cover alloc-gate bench-smoke tiled-smoke serve-smoke serve-bench-smoke approx-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,13 @@ cover:
 	$(GO) test -race -coverprofile=cover-core.out ./internal/core | \
 		awk '{ print } /coverage:/ { if ($$5+0 < 80.0) { print "internal/core coverage below 80%"; exit 1 } }'
 	@rm -f cover-obs.out cover-facade.out cover-core.out
+
+# Allocation ceilings on the value-query read path (alloc_gate_test.go): one
+# solo query per method, the tiled planner and the workers=4 paths on the
+# 256×256 fixture. The file is tagged !race — the race detector changes
+# allocation counts — so `make race` skips it and this target runs it plain.
+alloc-gate:
+	$(GO) test -run TestAllocCeilings .
 
 # Refinement-parallelism speedup table (cmd/fieldbench -workers).
 bench-parallel:

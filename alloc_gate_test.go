@@ -1,0 +1,72 @@
+//go:build !race
+
+// The race detector instruments allocations and changes their counts, so the
+// ceilings only hold in a plain build: `make alloc-gate` runs them.
+
+package fielddb_test
+
+import (
+	"testing"
+
+	"fielddb/internal/bench"
+	"fielddb/internal/core"
+	"fielddb/internal/field"
+	"fielddb/internal/storage"
+	"fielddb/internal/workload"
+)
+
+// TestAllocCeilings bounds the allocations of one value query on the
+// BenchmarkValueRange fixture (256×256 terrain, the sel=0.05 rotation, full
+// geometry) for every read path. A query matches a few thousand cells, so
+// anything that allocates per cell, per candidate or per page blows through
+// its ceiling many times over; what is left grows with page runs, tiles and
+// the logarithm of the answer size. Ceilings sit at roughly twice the count
+// measured when they were set (in the comments), to ride out toolchain drift.
+func TestAllocCeilings(t *testing.T) {
+	f, err := workload.Terrain(256, 4217)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sel = 0.05
+	queries := workload.Queries(f.ValueRange(), sel, 64, 4217+int64(sel*1e6))
+	specs := map[string]bench.IndexSpec{}
+	for _, spec := range bench.ValueRangeSpecs() {
+		specs[spec.Label] = spec
+	}
+	tiled := func(f field.Field, p *storage.Pager) (core.Index, error) {
+		return core.BuildTiled(f, p, core.TiledOptions{TileSide: 64, Codec: storage.SidecarCodecPacked})
+	}
+	for _, c := range []struct {
+		name    string
+		build   func(field.Field, *storage.Pager) (core.Index, error)
+		workers int
+		ceiling float64
+	}{
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1, 800},            // 406
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 4, 3500}, // 1761
+		{"I-All", specs["I-All"].Build, 1, 400},                    // 166
+		{"LinearScan", specs["LinearScan"].Build, 1, 400},          // 149
+		{"Tiled-LinearScan", tiled, 1, 1000},                       // 515
+		{"Tiled-LinearScan/workers=4", tiled, 4, 1400},             // 699
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
+			idx, err := c.build(f, pager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx.(core.Engine).SetWorkers(c.workers)
+			i := 0
+			got := testing.AllocsPerRun(len(queries), func() {
+				if _, err := idx.Query(queries[i%len(queries)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			t.Logf("%.0f allocs/query (ceiling %.0f)", got, c.ceiling)
+			if got > c.ceiling {
+				t.Errorf("%.0f allocs per query, ceiling %.0f", got, c.ceiling)
+			}
+		})
+	}
+}

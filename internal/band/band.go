@@ -54,22 +54,66 @@ func TriangleValue(p0, p1, p2 geom.Point, w0, w1, w2 float64, p geom.Point) (flo
 	return l0*w0 + l1*w1 + l2*w2, true
 }
 
-// TriangleBand returns the region of the triangle where the interpolated
-// value lies in [lo, hi]. The result is nil or a single convex polygon.
-// A degenerate triangle whose (constant) value lies in the band is returned
-// whole.
-func TriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geom.Polygon {
-	tri := geom.Polygon{p0, p1, p2}
+// AppendTriangleBand appends to dst the region of the triangle where the
+// interpolated value lies in [lo, hi] — nothing, or the vertices of a single
+// convex polygon — and returns the extended slice. A degenerate triangle whose
+// (constant) value lies in the band is appended whole. It is the kernel every
+// band entry point runs on, and allocates nothing while dst has room for the
+// 6 vertices a region can take (see geom.AppendTriangleBand).
+func AppendTriangleBand(dst []geom.Point, p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) []geom.Point {
 	grad, b, ok := TriangleGradient(p0, p1, p2, w0, w1, w2)
 	if !ok {
 		// Degenerate: treat as constant at the average value.
 		avg := (w0 + w1 + w2) / 3
 		if lo <= avg && avg <= hi {
-			return tri
+			dst = append(dst, p0, p1, p2)
 		}
+		return dst
+	}
+	return geom.AppendTriangleBand(dst, p0, p1, p2, grad, b, lo, hi)
+}
+
+// AppendQuadBand is AppendTriangleBand over both triangles of an axis-aligned
+// quad cell (corner values as for QuadBand). The regions land back to back on
+// dst; first is the vertex count of the p0–p1–p2 triangle's region (0 when it
+// has none) and the p0–p2–p3 triangle's region is whatever follows it.
+func AppendQuadBand(dst []geom.Point, r geom.Rect, v0, v1, v2, v3 float64, lo, hi float64) (out []geom.Point, first int) {
+	p0 := r.Min
+	p1 := geom.Pt(r.Max.X, r.Min.Y)
+	p2 := r.Max
+	p3 := geom.Pt(r.Min.X, r.Max.Y)
+	out = AppendTriangleBand(dst, p0, p1, p2, v0, v1, v2, lo, hi)
+	first = len(out) - len(dst)
+	return AppendTriangleBand(out, p0, p2, p3, v0, v2, v3, lo, hi), first
+}
+
+// Polygons copies the regions a band kernel left in pts — the first `first`
+// vertices, then the rest — into polygons of their own, skipping empty ones.
+func Polygons(pts []geom.Point, first int) []geom.Polygon {
+	var out []geom.Polygon
+	for _, pg := range [2][]geom.Point{pts[:first], pts[first:]} {
+		if len(pg) > 0 {
+			out = append(out, geom.Polygon(pg).Clone())
+		}
+	}
+	return out
+}
+
+// MaxCellVertices is the room the regions of one cell can take on dst: two
+// polygons of at most 6 vertices.
+const MaxCellVertices = 12
+
+// TriangleBand returns the region of the triangle where the interpolated
+// value lies in [lo, hi]. The result is nil or a single convex polygon.
+// A degenerate triangle whose (constant) value lies in the band is returned
+// whole.
+func TriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geom.Polygon {
+	var buf [MaxCellVertices]geom.Point
+	pg := AppendTriangleBand(buf[:0], p0, p1, p2, w0, w1, w2, lo, hi)
+	if len(pg) == 0 {
 		return nil
 	}
-	return geom.ClipConvexBand(geom.EnsureCCW(tri), grad, b, lo, hi)
+	return geom.Polygon(pg).Clone()
 }
 
 // QuadBand returns the answer region of an axis-aligned quad cell with
@@ -78,18 +122,8 @@ func TriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geo
 // v0–v2 diagonal into two linear triangles. Zero, one or two convex
 // polygons are returned.
 func QuadBand(r geom.Rect, v0, v1, v2, v3 float64, lo, hi float64) []geom.Polygon {
-	p0 := r.Min
-	p1 := geom.Pt(r.Max.X, r.Min.Y)
-	p2 := r.Max
-	p3 := geom.Pt(r.Min.X, r.Max.Y)
-	var out []geom.Polygon
-	if pg := TriangleBand(p0, p1, p2, v0, v1, v2, lo, hi); pg != nil {
-		out = append(out, pg)
-	}
-	if pg := TriangleBand(p0, p2, p3, v0, v2, v3, lo, hi); pg != nil {
-		out = append(out, pg)
-	}
-	return out
+	var buf [MaxCellVertices]geom.Point
+	return Polygons(AppendQuadBand(buf[:0], r, v0, v1, v2, v3, lo, hi))
 }
 
 // QuadValue returns the piecewise-linear interpolated value at p inside the

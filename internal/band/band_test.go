@@ -221,3 +221,250 @@ func TestBandWithinTriangleProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refClipConvex is the allocating Sutherland–Hodgman step geom.ClipConvex was
+// before the append kernel, kept verbatim as the reference.
+func refClipConvex(pg geom.Polygon, h geom.HalfPlane) geom.Polygon {
+	if len(pg) == 0 {
+		return nil
+	}
+	out := make(geom.Polygon, 0, len(pg)+2)
+	for i := range pg {
+		cur := pg[i]
+		nxt := pg[(i+1)%len(pg)]
+		curIn, nxtIn := h.Inside(cur), h.Inside(nxt)
+		if curIn {
+			out = append(out, cur)
+		}
+		if curIn != nxtIn {
+			d := nxt.Sub(cur)
+			denom := h.N.Dot(d)
+			if math.Abs(denom) > 1e-300 {
+				t := (h.C - h.N.Dot(cur)) / denom
+				if t < 0 {
+					t = 0
+				} else if t > 1 {
+					t = 1
+				}
+				out = append(out, cur.Add(d.Scale(t)))
+			}
+		}
+	}
+	if len(out) < 3 {
+		return nil
+	}
+	return out
+}
+
+// refTriangleBand is TriangleBand as it was before the append kernel: orient
+// a copy counter-clockwise, clip it against value <= hi, clip the result
+// against value >= lo — three to five heap objects per triangle. The kernel
+// must reproduce its vertices bit for bit.
+func refTriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geom.Polygon {
+	tri := geom.Polygon{p0, p1, p2}
+	grad, b, ok := TriangleGradient(p0, p1, p2, w0, w1, w2)
+	if !ok {
+		avg := (w0 + w1 + w2) / 3
+		if lo <= avg && avg <= hi {
+			return tri
+		}
+		return nil
+	}
+	pg := refClipConvex(geom.EnsureCCW(tri), geom.HalfPlane{N: grad, C: hi - b})
+	if pg == nil {
+		return nil
+	}
+	return refClipConvex(pg, geom.HalfPlane{N: geom.Pt(-grad.X, -grad.Y), C: b - lo})
+}
+
+// bandCase is one triangle and one band.
+type bandCase struct {
+	p0, p1, p2 geom.Point
+	w0, w1, w2 float64
+	lo, hi     float64
+}
+
+// sameVertices reports whether got has exactly want's vertices, compared as
+// bit patterns (so -0 differs from +0). Two NaNs match whatever their
+// payloads, which depend on operand order the compiler may choose per call
+// site; only inputs near the float64 range's ends overflow into them.
+func sameVertices(got []geom.Point, want geom.Polygon) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for i := range got {
+		if !same(got[i].X, want[i].X) || !same(got[i].Y, want[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkKernel holds every entry point to the reference on one case: the
+// append kernel behind a prefix it must leave alone, and the two wrappers.
+func checkKernel(t *testing.T, c bandCase) {
+	t.Helper()
+	want := refTriangleBand(c.p0, c.p1, c.p2, c.w0, c.w1, c.w2, c.lo, c.hi)
+	prefix := geom.Pt(-7, 7)
+	got := AppendTriangleBand([]geom.Point{prefix}, c.p0, c.p1, c.p2, c.w0, c.w1, c.w2, c.lo, c.hi)
+	if got[0] != prefix || !sameVertices(got[1:], want) {
+		t.Fatalf("%+v:\nAppendTriangleBand = %v\nreference          = %v", c, got[1:], want)
+	}
+	if pg := TriangleBand(c.p0, c.p1, c.p2, c.w0, c.w1, c.w2, c.lo, c.hi); (pg == nil) != (want == nil) || !sameVertices(pg, want) {
+		t.Fatalf("%+v:\nTriangleBand = %v\nreference    = %v", c, pg, want)
+	}
+}
+
+// bandCases draws n cases from the shapes the read path meets and the ones
+// that break clippers: free triangles of either orientation, DEM half-cells on
+// the integer grid, zero-area triangles (collinear or with a repeated vertex),
+// and bands that cover the triangle, miss it, pass exactly through a vertex
+// value, or have lo == hi.
+func bandCases(seed int64, n int) []bandCase {
+	rng := rand.New(rand.NewSource(seed))
+	pt := func() geom.Point { return geom.Pt(rng.Float64()*200-100, rng.Float64()*200-100) }
+	cases := make([]bandCase, n)
+	for i := range cases {
+		c := &cases[i]
+		switch rng.Intn(5) {
+		case 0: // lower-right half of a DEM cell
+			x, y := float64(rng.Intn(512)), float64(rng.Intn(512))
+			c.p0, c.p1, c.p2 = geom.Pt(x, y), geom.Pt(x+1, y), geom.Pt(x+1, y+1)
+		case 1: // upper-left half
+			x, y := float64(rng.Intn(512)), float64(rng.Intn(512))
+			c.p0, c.p1, c.p2 = geom.Pt(x, y), geom.Pt(x+1, y+1), geom.Pt(x, y+1)
+		case 2: // zero area
+			c.p0, c.p1 = pt(), pt()
+			if rng.Intn(2) == 0 {
+				c.p2 = c.p1
+			} else {
+				c.p2 = c.p0.Add(c.p1.Sub(c.p0).Scale(2))
+			}
+		default: // free, clockwise as often as not
+			c.p0, c.p1, c.p2 = pt(), pt(), pt()
+		}
+		c.w0, c.w1, c.w2 = rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000
+		if rng.Intn(8) == 0 {
+			c.w1 = c.w0 // an edge on one level
+		}
+		if rng.Intn(16) == 0 {
+			c.w2, c.w1 = c.w0, c.w0 // a flat triangle
+		}
+		ws := [3]float64{c.w0, c.w1, c.w2}
+		wmin, wmax := min(c.w0, c.w1, c.w2), max(c.w0, c.w1, c.w2)
+		switch rng.Intn(7) {
+		case 0: // covers everything
+			c.lo, c.hi = wmin-1, wmax+1
+		case 1: // misses above
+			c.lo, c.hi = wmax+1, wmax+2
+		case 2: // misses below
+			c.lo, c.hi = wmin-2, wmin-1
+		case 3: // a bound through a vertex value
+			c.lo, c.hi = ws[rng.Intn(3)], wmax+rng.Float64()
+			if rng.Intn(2) == 0 {
+				c.lo, c.hi = wmin-rng.Float64(), ws[rng.Intn(3)]
+			}
+		case 4: // zero width
+			c.lo = wmin + rng.Float64()*(wmax-wmin)
+			if rng.Intn(2) == 0 {
+				c.lo = ws[rng.Intn(3)]
+			}
+			c.hi = c.lo
+		default: // a slice of the range
+			c.lo = wmin + rng.Float64()*(wmax-wmin)
+			c.hi = c.lo + rng.Float64()*(wmax-wmin)/4
+		}
+	}
+	return cases
+}
+
+func TestBandKernelBitIdentical(t *testing.T) {
+	n := 200_000
+	if testing.Short() {
+		n = 20_000
+	}
+	regions := 0
+	for _, c := range bandCases(1502, n) {
+		checkKernel(t, c)
+		if refTriangleBand(c.p0, c.p1, c.p2, c.w0, c.w1, c.w2, c.lo, c.hi) != nil {
+			regions++
+		}
+	}
+	// The mix must exercise both outcomes, or the comparison proves little.
+	if regions < n/4 || regions > 3*n/4 {
+		t.Fatalf("%d of %d cases produced a region; the generator is lopsided", regions, n)
+	}
+}
+
+// TestQuadBandBitIdentical holds QuadBand and AppendQuadBand to the reference
+// run on the quad's two triangles.
+func TestQuadBandBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(1503))
+	for i := 0; i < 50_000; i++ {
+		x, y := float64(rng.Intn(512)), float64(rng.Intn(512))
+		r := geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+1, y+1)}
+		var v [4]float64
+		for j := range v {
+			v[j] = 500 + rng.Float64()*40
+		}
+		lo := 490 + rng.Float64()*50
+		hi := lo + rng.Float64()*20
+		p1, p3 := geom.Pt(r.Max.X, r.Min.Y), geom.Pt(r.Min.X, r.Max.Y)
+		var want []geom.Polygon
+		for _, pg := range []geom.Polygon{
+			refTriangleBand(r.Min, p1, r.Max, v[0], v[1], v[2], lo, hi),
+			refTriangleBand(r.Min, r.Max, p3, v[0], v[2], v[3], lo, hi),
+		} {
+			if pg != nil {
+				want = append(want, pg)
+			}
+		}
+		got := QuadBand(r, v[0], v[1], v[2], v[3], lo, hi)
+		if len(got) != len(want) {
+			t.Fatalf("quad %v %v [%g, %g]: %d regions, reference %d", r, v, lo, hi, len(got), len(want))
+		}
+		for j := range got {
+			if !sameVertices(got[j], want[j]) {
+				t.Fatalf("quad %v %v [%g, %g] region %d:\nQuadBand  = %v\nreference = %v", r, v, lo, hi, j, got[j], want[j])
+			}
+		}
+		pts, first := AppendQuadBand(nil, r, v[0], v[1], v[2], v[3], lo, hi)
+		if again := Polygons(pts, first); len(again) != len(got) {
+			t.Fatalf("quad %v %v [%g, %g]: AppendQuadBand split into %d regions, QuadBand into %d", r, v, lo, hi, len(again), len(got))
+		}
+	}
+}
+
+// TestBandKernelAllocationFree pins what the kernel exists for: with room in
+// dst it allocates nothing, whatever the triangle and band.
+func TestBandKernelAllocationFree(t *testing.T) {
+	cases := bandCases(1504, 512)
+	dst := make([]geom.Point, 0, MaxCellVertices)
+	if n := testing.AllocsPerRun(10, func() {
+		for _, c := range cases {
+			if out := AppendTriangleBand(dst, c.p0, c.p1, c.p2, c.w0, c.w1, c.w2, c.lo, c.hi); len(out) > MaxCellVertices/2 {
+				t.Fatalf("%+v: a region of %d vertices", c, len(out))
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("AppendTriangleBand allocated %v times over %d cases with room in dst", n, len(cases))
+	}
+}
+
+func FuzzTriangleBand(f *testing.F) {
+	for _, c := range bandCases(1505, 64) {
+		f.Add(c.p0.X, c.p0.Y, c.p1.X, c.p1.Y, c.p2.X, c.p2.Y, c.w0, c.w1, c.w2, c.lo, c.hi)
+	}
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, x2, y2, w0, w1, w2, lo, hi float64) {
+		// Cells are validated finite before they are stored.
+		for _, v := range []float64{x0, y0, x1, y1, x2, y2, w0, w1, w2, lo, hi} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		checkKernel(t, bandCase{geom.Pt(x0, y0), geom.Pt(x1, y1), geom.Pt(x2, y2), w0, w1, w2, lo, hi})
+	})
+}

@@ -123,7 +123,7 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 		m.qc = beginQueryAt(pager, epoch)
 		m.qc.AttachTrace(m.tb)
 		m.res = &Result{Query: m.q}
-		m.rs = resultSink{m.res}
+		m.rs = resultSink{res: m.res}
 		m.sink = &m.rs
 		if err := m.ctx.Err(); err != nil {
 			m.err = err

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 
+	"fielddb/internal/band"
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
@@ -82,7 +83,9 @@ type Result struct {
 	// intersects the query — the candidate cells of §2.2.2.
 	CellsMatched int
 	// Regions are the exact answer polygons computed by inverse
-	// interpolation (empty for zero-width queries).
+	// interpolation (empty for zero-width queries). The regions of one Result
+	// share vertex chunks that nothing else ever writes: holding one region
+	// keeps its chunk alive, and appending to one copies it.
 	Regions []geom.Polygon
 	// Isolines are the answer segments of an exact (zero-width) query.
 	Isolines [][2]geom.Point
@@ -177,38 +180,59 @@ type Engine interface {
 	Close() error
 }
 
-// estimateRecord folds one encoded record into res the way the reference
+// estimateRecord folds one encoded record into rs the way the reference
 // baselines (ITree, IPRow) fetch cells, one at a time: the interval test
 // runs on the partial decode (value min/max only), and the full cell — the
 // vertex geometry the Band/Isolines step needs — is decoded into scratch
 // only for cells that survive it. Counters and answer geometry are
 // identical to decoding every record eagerly.
-func estimateRecord(res *Result, rec []byte, scratch *field.Cell, q geom.Interval) error {
+func estimateRecord(rs *resultSink, rec []byte, scratch *field.Cell) error {
 	iv, err := field.CellIntervalFromRecord(rec)
 	if err != nil {
 		return err
 	}
-	res.CellsFetched++
-	if !iv.Intersects(q) {
+	rs.res.CellsFetched++
+	if !iv.Intersects(rs.res.Query) {
 		return nil
 	}
 	if err := field.DecodeCell(rec, scratch); err != nil {
 		return err
 	}
-	estimateMatched(res, scratch, q)
+	rs.estimateMatched(scratch)
 	return nil
 }
 
+// Region vertices are stored in chunks that double from minRegionChunk points
+// up to maxRegionChunk (128 KiB), so a small answer stays small and a large
+// one costs a handful of allocations.
+const (
+	minRegionChunk = 128
+	maxRegionChunk = 8192
+)
+
 // estimateMatched computes the exact answer geometry of one cell whose
-// interval already matched the query.
-func estimateMatched(res *Result, c *field.Cell, q geom.Interval) {
+// interval already matched the query. The band kernel appends each region's
+// vertices to the sink's current chunk and Regions gets a sub-slice capped at
+// the region's end, so appending to a region copies it instead of running
+// into its neighbour. The chunks belong to the Result from then on: they are
+// never reused, for another query or otherwise.
+func (rs *resultSink) estimateMatched(c *field.Cell) {
+	res, q := rs.res, rs.res.Query
 	res.CellsMatched++
 	res.MatchedCellArea += c.Area()
 	if q.Length() == 0 {
 		res.Isolines = append(res.Isolines, field.Isolines(c, q.Lo)...)
 		return
 	}
-	for _, pg := range field.Band(c, q.Lo, q.Hi) {
+	if cap(rs.chunk)-len(rs.chunk) < band.MaxCellVertices {
+		rs.chunk = make([]geom.Point, 0, min(max(2*cap(rs.chunk), minRegionChunk), maxRegionChunk))
+	}
+	start := len(rs.chunk)
+	pts, first := field.AppendBand(rs.chunk, c, q.Lo, q.Hi)
+	kept := start
+	for _, end := range [2]int{start + first, len(pts)} {
+		pg := geom.Polygon(pts[start:end:end])
+		start = end
 		// Boundary cells can contribute degenerate slivers (the band
 		// touches the cell only along an edge); they carry no area and
 		// break downstream convex clipping, so drop them.
@@ -218,7 +242,9 @@ func estimateMatched(res *Result, c *field.Cell, q geom.Interval) {
 		}
 		res.Regions = append(res.Regions, pg)
 		res.Area += a
+		kept = end
 	}
+	rs.chunk = pts[:kept]
 }
 
 // writeCellsStride is how many cells construction writes between

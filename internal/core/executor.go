@@ -343,7 +343,7 @@ func (e *executor) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder,
 			// order would touch, read once each and charged sequentially
 			// wherever candidates are physically adjacent.
 			var n int
-			n, err = fetchPositions(ctx, qc, e.rids, pr.pos, q, e.tested, &resultSink{res})
+			n, err = fetchPositions(ctx, qc, e.rids, pr.pos, q, e.tested, &resultSink{res: res})
 			res.CellsFetched += n
 		} else {
 			err = e.refineRuns(ctx, qc, pr.runs, res)
@@ -364,7 +364,7 @@ func (e *executor) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder,
 func (e *executor) refineRuns(ctx context.Context, qc *storage.QueryCtx, runs []pageRun, res *Result) error {
 	workers := clampWorkers(e.workers)
 	if workers <= 1 || len(runs) < 2 {
-		n, err := scanRuns(ctx, qc, e.heap, runs, res.Query, &resultSink{res})
+		n, err := scanRuns(ctx, qc, e.heap, runs, res.Query, &resultSink{res: res})
 		res.CellsFetched += n
 		return err
 	}
@@ -388,7 +388,7 @@ func (e *executor) refineRuns(ctx context.Context, qc *storage.QueryCtx, runs []
 		}
 		child := qc.Fork()
 		part := &Result{Query: res.Query}
-		n, err := scanRuns(ctx, child, e.heap, runs[i:i+1], res.Query, &resultSink{part})
+		n, err := scanRuns(ctx, child, e.heap, runs[i:i+1], res.Query, &resultSink{res: part})
 		if err != nil {
 			return err
 		}

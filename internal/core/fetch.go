@@ -76,15 +76,21 @@ type sink interface {
 }
 
 // resultSink refines each survivor into a Result: the full decode plus the
-// answer geometry of estimateMatched.
-type resultSink struct{ res *Result }
+// answer geometry of estimateMatched. It owns the vertex storage behind
+// res.Regions (chunk is the piece being filled), which can live neither on
+// Result — whole Results are compared with reflect.DeepEqual across execution
+// paths that chunk differently — nor in a pool: callers keep Regions.
+type resultSink struct {
+	res   *Result
+	chunk []geom.Point
+}
 
 func (rs *resultSink) add(s *survivor) error {
 	c, err := s.cell()
 	if err != nil {
 		return err
 	}
-	estimateMatched(rs.res, c, rs.res.Query)
+	rs.estimateMatched(c)
 	return nil
 }
 

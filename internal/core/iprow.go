@@ -75,6 +75,7 @@ func (ix *IPRow) Query(q geom.Interval) (*Result, error) {
 		return true
 	})
 	res.CandidateGroups = len(candidates)
+	rs := resultSink{res: res}
 	var c field.Cell
 	var buf []byte
 	for _, id := range candidates {
@@ -83,7 +84,7 @@ func (ix *IPRow) Query(q geom.Interval) (*Result, error) {
 			return nil, fmt.Errorf("core: fetching cell %d: %w", id, err)
 		}
 		buf = rec[:0]
-		if err := estimateRecord(res, rec, &c, q); err != nil {
+		if err := estimateRecord(&rs, rec, &c); err != nil {
 			return nil, err
 		}
 	}

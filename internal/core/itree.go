@@ -80,6 +80,7 @@ func (ix *ITree) Query(q geom.Interval) (*Result, error) {
 	// turns scattered fetches into mostly-forward page access.
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
 	res.CandidateGroups = len(candidates)
+	rs := resultSink{res: res}
 	var c field.Cell
 	var buf []byte
 	for _, id := range candidates {
@@ -88,7 +89,7 @@ func (ix *ITree) Query(q geom.Interval) (*Result, error) {
 			return nil, fmt.Errorf("core: fetching cell %d: %w", id, err)
 		}
 		buf = rec[:0]
-		if err := estimateRecord(res, rec, &c, q); err != nil {
+		if err := estimateRecord(&rs, rec, &c); err != nil {
 			return nil, err
 		}
 	}

@@ -488,7 +488,7 @@ func (a *tileArena) rec(i int) []byte { return a.buf[a.refs[i].off:a.refs[i].end
 // additionally drops cells whose bounds miss it (the spatial-conjunction
 // path); survivors were selected by value only, so the rect test runs here
 // on the decoded geometry.
-func gatherArenas(res *Result, arenas []tileArena, q geom.Interval, rect *geom.Rect) error {
+func gatherArenas(res *Result, arenas []tileArena, rect *geom.Rect) error {
 	type slot struct {
 		parent field.CellID
 		ai     int32
@@ -505,6 +505,7 @@ func gatherArenas(res *Result, arenas []tileArena, q geom.Interval, rect *geom.R
 		}
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i].parent < slots[j].parent })
+	rs := resultSink{res: res}
 	var c field.Cell
 	for _, sl := range slots {
 		if err := field.DecodeCell(arenas[sl.ai].rec(int(sl.ri)), &c); err != nil {
@@ -513,7 +514,7 @@ func gatherArenas(res *Result, arenas []tileArena, q geom.Interval, rect *geom.R
 		if rect != nil && !c.Bounds().Intersects(*rect) {
 			continue
 		}
-		estimateMatched(res, &c, q)
+		rs.estimateMatched(&c)
 	}
 	return nil
 }
@@ -652,9 +653,13 @@ func (t *TiledIndex) queryAt(s *tiledState, ctx context.Context, tb *obs.TraceBu
 		qc.EndSpan()
 	}
 
-	if err := gatherArenas(res, arenas, q, rect); err != nil {
+	// Gather: sort, full decode and refinement of every survivor — CPU only,
+	// so the span's page counts stay zero.
+	qc.BeginSpan(obs.PhaseRefine)
+	if err := gatherArenas(res, arenas, rect); err != nil {
 		return nil, err
 	}
+	qc.EndSpan()
 	res.IO = qc.Stats()
 	t.recordIO(storage.Stats{Reads: filterReads}, sidecarReads, res.IO)
 	return res, nil

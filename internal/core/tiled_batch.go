@@ -118,13 +118,16 @@ func (t *TiledIndex) batchTiles(s *tiledState, ms []batchMember, phys *storage.Q
 		demuxPositions(phys, tl.ex.rids, ms, mergeRuns(union), true)
 	}
 	// Gather: each member folds its own survivors in global parent-id order —
-	// the solo gather, one member at a time.
+	// the solo gather, one member at a time, under the refinement span solo
+	// opens for it (finishMembers closes it). A member that pruned every tile
+	// has none, as solo returns before the gather.
 	for i := range ms {
 		m := &ms[i]
-		if !m.live() {
+		if !m.live() || m.res.CandidateGroups == 0 {
 			continue
 		}
-		if err := gatherArenas(m.res, arenas[i:i+1], m.q, nil); err != nil {
+		m.qc.BeginSpan(obs.PhaseRefine)
+		if err := gatherArenas(m.res, arenas[i:i+1], nil); err != nil {
 			m.err = err
 		}
 	}

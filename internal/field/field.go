@@ -154,21 +154,29 @@ func Interpolate(c *Cell, p geom.Point) (float64, bool) {
 	}
 }
 
-// Band returns the exact answer region of the cell for the value band
-// [lo, hi]: the set of points where the interpolated value falls inside.
-func Band(c *Cell, lo, hi float64) []geom.Polygon {
+// AppendBand appends to dst the exact answer regions of the cell for the
+// value band [lo, hi] — the set of points where the interpolated value falls
+// inside: at most two convex polygons, back to back. first is the vertex
+// count of the first region and the second is whatever follows it, as for
+// band.AppendQuadBand. Nothing is allocated while dst has room for
+// band.MaxCellVertices more points.
+func AppendBand(dst []geom.Point, c *Cell, lo, hi float64) (out []geom.Point, first int) {
 	switch len(c.Vertices) {
 	case 3:
-		if pg := band.TriangleBand(c.Vertices[0], c.Vertices[1], c.Vertices[2],
-			c.Values[0], c.Values[1], c.Values[2], lo, hi); pg != nil {
-			return []geom.Polygon{pg}
-		}
-		return nil
+		out = band.AppendTriangleBand(dst, c.Vertices[0], c.Vertices[1], c.Vertices[2],
+			c.Values[0], c.Values[1], c.Values[2], lo, hi)
+		return out, len(out) - len(dst)
 	case 4:
-		return band.QuadBand(c.Bounds(), c.Values[0], c.Values[1], c.Values[2], c.Values[3], lo, hi)
+		return band.AppendQuadBand(dst, c.Bounds(), c.Values[0], c.Values[1], c.Values[2], c.Values[3], lo, hi)
 	default:
-		return nil
+		return dst, 0
 	}
+}
+
+// Band returns the answer regions of AppendBand as polygons of their own.
+func Band(c *Cell, lo, hi float64) []geom.Polygon {
+	var buf [band.MaxCellVertices]geom.Point
+	return band.Polygons(AppendBand(buf[:0], c, lo, hi))
 }
 
 // Isolines returns the segments inside the cell where the interpolated value

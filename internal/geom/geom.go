@@ -135,11 +135,15 @@ func EmptyRect() Rect {
 	}
 }
 
-// RectFromPoints returns the bounding rectangle of the given points.
+// RectFromPoints returns the bounding rectangle of the given points. It sits
+// on the refinement hot path (Cell.Bounds), so it folds the coordinates
+// directly; the min and max builtins order ±0 and propagate NaN exactly as the
+// Union of single-point rectangles does.
 func RectFromPoints(pts ...Point) Rect {
 	r := EmptyRect()
 	for _, p := range pts {
-		r = r.ExtendPoint(p)
+		r.Min.X, r.Max.X = min(r.Min.X, p.X), max(r.Max.X, p.X)
+		r.Min.Y, r.Max.Y = min(r.Min.Y, p.Y), max(r.Max.Y, p.Y)
 	}
 	return r
 }
@@ -279,19 +283,17 @@ type HalfPlane struct {
 // Inside reports whether p satisfies the half-plane constraint.
 func (h HalfPlane) Inside(p Point) bool { return h.N.Dot(p) <= h.C+1e-12 }
 
-// ClipConvex clips the convex polygon pg against the half-plane h using the
-// Sutherland–Hodgman step. The result is convex (possibly empty).
-func ClipConvex(pg Polygon, h HalfPlane) Polygon {
-	if len(pg) == 0 {
-		return nil
-	}
-	out := make(Polygon, 0, len(pg)+2)
+// appendClip is the one Sutherland–Hodgman step in the package: it appends to
+// dst the convex polygon pg clipped against the half-plane h and returns the
+// extended slice. dst must not alias pg. The result can have fewer than three
+// vertices; callers decide what an empty clip is.
+func appendClip(dst, pg []Point, h HalfPlane) []Point {
 	for i := range pg {
 		cur := pg[i]
 		nxt := pg[(i+1)%len(pg)]
 		curIn, nxtIn := h.Inside(cur), h.Inside(nxt)
 		if curIn {
-			out = append(out, cur)
+			dst = append(dst, cur)
 		}
 		if curIn != nxtIn {
 			// Edge crosses the boundary N·p = C; find the crossing point.
@@ -304,27 +306,56 @@ func ClipConvex(pg Polygon, h HalfPlane) Polygon {
 				} else if t > 1 {
 					t = 1
 				}
-				out = append(out, cur.Add(d.Scale(t)))
+				dst = append(dst, cur.Add(d.Scale(t)))
 			}
 		}
 	}
+	return dst
+}
+
+// ClipConvex clips the convex polygon pg against the half-plane h using the
+// Sutherland–Hodgman step. The result is convex (possibly empty).
+func ClipConvex(pg Polygon, h HalfPlane) Polygon {
+	if len(pg) == 0 {
+		return nil
+	}
+	out := appendClip(make(Polygon, 0, len(pg)+2), pg, h)
 	if len(out) < 3 {
 		return nil
 	}
 	return out
 }
 
-// ClipConvexBand clips a convex polygon against both half-planes of a value
-// band: given a linear value function value(p) = G·p + b, keep the region
-// where lo <= value(p) <= hi.
-func ClipConvexBand(pg Polygon, grad Point, b float64, lo, hi float64) Polygon {
+// AppendTriangleBand clips the triangle (p0, p1, p2) against both half-planes
+// of a value band and appends the surviving convex polygon to dst: given the
+// linear value function value(p) = grad·p + b, it keeps the region where
+// lo <= value(p) <= hi. dst comes back unchanged when fewer than three
+// vertices survive. Nothing is allocated while dst has room: the first clip
+// runs through a stack buffer (a triangle cut by one half-plane has at most 4
+// vertices) and the second appends straight onto dst — at most 5 vertices for
+// two parallel cuts, 6 if rounding alone flips a vertex's side.
+//
+// The float operations and their order are those of orienting the triangle
+// counter-clockwise and calling ClipConvex twice, so the vertices are
+// bit-identical to that chain.
+func AppendTriangleBand(dst []Point, p0, p1, p2, grad Point, b, lo, hi float64) []Point {
+	tri := [3]Point{p0, p1, p2}
+	if Polygon(tri[:]).SignedArea() < 0 {
+		tri[0], tri[2] = tri[2], tri[0]
+	}
 	// value(p) <= hi   <=>   G·p <= hi - b
-	pg = ClipConvex(pg, HalfPlane{N: grad, C: hi - b})
-	if pg == nil {
-		return nil
+	var buf [4]Point
+	upper := appendClip(buf[:0], tri[:], HalfPlane{N: grad, C: hi - b})
+	if len(upper) < 3 {
+		return dst
 	}
 	// value(p) >= lo   <=>   -G·p <= b - lo
-	return ClipConvex(pg, HalfPlane{N: Point{-grad.X, -grad.Y}, C: b - lo})
+	n := len(dst)
+	dst = appendClip(dst, upper, HalfPlane{N: Point{-grad.X, -grad.Y}, C: b - lo})
+	if len(dst)-n < 3 {
+		return dst[:n]
+	}
+	return dst
 }
 
 // ConvexIntersect returns the intersection of two convex polygons by clipping

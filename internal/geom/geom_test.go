@@ -2,6 +2,8 @@ package geom
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +145,34 @@ func TestRectFromPoints(t *testing.T) {
 	if r != want {
 		t.Errorf("RectFromPoints = %v, want %v", r, want)
 	}
+	if got := RectFromPoints(); !got.IsEmpty() {
+		t.Errorf("RectFromPoints() = %v, want empty", got)
+	}
+	// The direct fold must agree with the Union of single-point rectangles bit
+	// for bit, zero signs and infinities included: cell bounds feed the band
+	// kernel, whose output is compared bitwise across versions.
+	rng := rand.New(rand.NewSource(15))
+	coord := func() float64 {
+		specials := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1)}
+		if rng.Intn(3) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64() * 100
+	}
+	bits := func(r Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.Min.X), math.Float64bits(r.Min.Y), math.Float64bits(r.Max.X), math.Float64bits(r.Max.Y)}
+	}
+	for i := 0; i < 20000; i++ {
+		pts := make([]Point, 1+rng.Intn(4))
+		want := EmptyRect()
+		for j := range pts {
+			pts[j] = Point{coord(), coord()}
+			want = want.ExtendPoint(pts[j])
+		}
+		if got := RectFromPoints(pts...); bits(got) != bits(want) {
+			t.Fatalf("RectFromPoints(%v) = %v, Union fold %v", pts, got, want)
+		}
+	}
 }
 
 func TestOrient(t *testing.T) {
@@ -208,23 +238,58 @@ func TestClipConvexHalf(t *testing.T) {
 	}
 }
 
-func TestClipConvexBand(t *testing.T) {
+// squareBand clips the unit square, as its two triangles along the (0,0)–(1,1)
+// diagonal, to the band lo <= grad·p <= hi and returns the surviving polygons.
+func squareBand(grad Point, lo, hi float64) []Polygon {
+	var out []Polygon
+	for _, tri := range [2][3]Point{{{0, 0}, {1, 0}, {1, 1}}, {{0, 0}, {1, 1}, {0, 1}}} {
+		if pg := AppendTriangleBand(nil, tri[0], tri[1], tri[2], grad, 0, lo, hi); len(pg) > 0 {
+			out = append(out, pg)
+		}
+	}
+	return out
+}
+
+func totalArea(pgs []Polygon) float64 {
+	a := 0.0
+	for _, pg := range pgs {
+		a += pg.Area()
+	}
+	return a
+}
+
+func TestAppendTriangleBand(t *testing.T) {
 	// Value function w(p) = x over the unit square; band [0.25, 0.75]
 	// must be the middle vertical strip of area 0.5.
-	sq := Polygon{{0, 0}, {1, 0}, {1, 1}, {0, 1}}
-	band := ClipConvexBand(sq, Point{1, 0}, 0, 0.25, 0.75)
-	if !almostEq(band.Area(), 0.5) {
-		t.Errorf("band area = %g, want 0.5", band.Area())
+	if a := totalArea(squareBand(Point{1, 0}, 0.25, 0.75)); !almostEq(a, 0.5) {
+		t.Errorf("band area = %g, want 0.5", a)
 	}
-	// Band outside value range -> empty.
-	if got := ClipConvexBand(sq, Point{1, 0}, 0, 2, 3); got != nil {
-		t.Errorf("out-of-range band = %v, want nil", got)
+	// Band outside value range -> empty, and dst comes back untouched.
+	dst := []Point{{7, 7}}
+	if got := AppendTriangleBand(dst, Point{0, 0}, Point{1, 0}, Point{1, 1}, Point{1, 0}, 0, 2, 3); len(got) != 1 || got[0] != dst[0] {
+		t.Errorf("out-of-range band = %v, want dst unchanged", got)
 	}
 	// Diagonal gradient w = x + y, band [0.5, 1.5] removes two corner
 	// triangles of area 1/8 each.
-	band = ClipConvexBand(sq, Point{1, 1}, 0, 0.5, 1.5)
-	if !almostEq(band.Area(), 0.75) {
-		t.Errorf("diagonal band area = %g, want 0.75", band.Area())
+	if a := totalArea(squareBand(Point{1, 1}, 0.5, 1.5)); !almostEq(a, 0.75) {
+		t.Errorf("diagonal band area = %g, want 0.75", a)
+	}
+	// A clockwise triangle clips to the same region as its reversal.
+	cw := AppendTriangleBand(nil, Point{1, 1}, Point{1, 0}, Point{0, 0}, Point{1, 0}, 0, 0.25, 0.75)
+	ccw := AppendTriangleBand(nil, Point{0, 0}, Point{1, 0}, Point{1, 1}, Point{1, 0}, 0, 0.25, 0.75)
+	if !reflect.DeepEqual(cw, ccw) {
+		t.Errorf("clockwise input clipped to %v, counter-clockwise to %v", cw, ccw)
+	}
+	// The result lands after dst's existing elements and allocates nothing
+	// while dst has room.
+	room := make([]Point, 1, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		out := AppendTriangleBand(room, Point{0, 0}, Point{1, 0}, Point{1, 1}, Point{1, 1}, 0, 0.5, 1.5)
+		if len(out) != 1+5 {
+			t.Fatalf("two parallel cuts left %d vertices, want 5", len(out)-1)
+		}
+	}); n != 0 {
+		t.Errorf("AppendTriangleBand allocated %v times with room in dst", n)
 	}
 }
 
@@ -278,15 +343,13 @@ func TestClipBandPropertyAreaMonotone(t *testing.T) {
 		lo := math.Mod(rawLo, 2)
 		w := math.Abs(math.Mod(rawWidth, 2))
 		widen := math.Abs(math.Mod(rawWiden, 2))
-		sq := Polygon{{0, 0}, {1, 0}, {1, 1}, {0, 1}}
-		narrow := ClipConvexBand(sq, grad, 0, lo, lo+w)
-		wide := ClipConvexBand(sq, grad, 0, lo-widen, lo+w+widen)
-		na, wa := narrow.Area(), wide.Area()
-		if na > wa+1e-9 {
+		narrow := squareBand(grad, lo, lo+w)
+		wide := squareBand(grad, lo-widen, lo+w+widen)
+		if totalArea(narrow) > totalArea(wide)+1e-9 {
 			return false
 		}
-		if wide != nil {
-			b := wide.Bounds()
+		for _, pg := range wide {
+			b := pg.Bounds()
 			if b.Min.X < -1e-9 || b.Min.Y < -1e-9 || b.Max.X > 1+1e-9 || b.Max.Y > 1+1e-9 {
 				return false
 			}

@@ -151,7 +151,7 @@ func (t *Tree) hydrateNode(r storage.PageReader, id storage.PageID) (*node, int,
 	n := &node{level: level, entries: make([]nodeEntry, 0, count)}
 	size := 0
 	for i := 0; i < count; i++ {
-		e := nodeEntry{mbr: t.entryMBR(buf, i)}
+		e := nodeEntry{mbr: t.entryMBR(buf, i, make(MBR, 2*t.dims))}
 		if level == 0 {
 			e.data = t.entryRef(buf, i)
 			size++
@@ -207,21 +207,18 @@ func (t *Tree) PagedSearch(query MBR, fn func(Entry) bool) error {
 
 // PagedSearchCtx is PagedSearch with the node-page reads charged to r — a
 // per-query execution context, so concurrent searches over one persisted
-// tree keep independent accounting. Readers with the zero-copy PageViewer
-// capability (Pager and QueryCtx) take a copy-free path that also batches
-// contiguous leaf runs through one vectorized ReadRun; the node visit order
-// and the per-page charges are identical on both paths.
+// tree keep independent accounting. Node pages are tested in place on
+// zero-copy views, and contiguous leaf runs are batched through one
+// vectorized ReadRun.
+//
+// Every Entry handed to fn shares one MBR that the search overwrites for the
+// next match: it is valid only during the callback, and a callback that keeps
+// the bounds must Clone them.
 func (t *Tree) PagedSearchCtx(r storage.PageReader, query MBR, fn func(Entry) bool) error {
 	if t.pager == nil {
 		return fmt.Errorf("rstar: tree not persisted")
 	}
-	if v, ok := r.(storage.PageViewer); ok {
-		rr, _ := r.(storage.RunReader)
-		_, err := t.viewSearchNode(v, rr, t.rootPage, query, fn)
-		return err
-	}
-	buf := make([]byte, r.PageSize())
-	_, err := t.pagedSearchNode(r, t.rootPage, query, fn, buf)
+	_, err := t.viewSearchNode(r, t.rootPage, query, make(MBR, 2*t.dims), fn)
 	return err
 }
 
@@ -239,10 +236,9 @@ func (t *Tree) entryIntersects(page []byte, i int, query MBR) bool {
 	return true
 }
 
-// entryMBR decodes entry i's bounds from a node page image.
-func (t *Tree) entryMBR(page []byte, i int) MBR {
+// entryMBR decodes entry i's bounds from a node page image into m.
+func (t *Tree) entryMBR(page []byte, i int, m MBR) MBR {
 	off := nodeHeaderSize + i*(16*t.dims+8)
-	m := make(MBR, 2*t.dims)
 	for j := range m {
 		m[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+8*j:]))
 	}
@@ -255,14 +251,15 @@ func (t *Tree) entryRef(page []byte, i int) uint64 {
 }
 
 // searchLeafPage visits the matching entries of one leaf page image in slot
-// order; false means fn stopped the search.
-func (t *Tree) searchLeafPage(page []byte, query MBR, fn func(Entry) bool) bool {
+// order, decoding each one's bounds into scratch; false means fn stopped the
+// search.
+func (t *Tree) searchLeafPage(page []byte, query, scratch MBR, fn func(Entry) bool) bool {
 	count := int(binary.LittleEndian.Uint16(page[2:4]))
 	for i := 0; i < count; i++ {
 		if !t.entryIntersects(page, i, query) {
 			continue
 		}
-		if !fn(Entry{MBR: t.entryMBR(page, i), Data: t.entryRef(page, i)}) {
+		if !fn(Entry{MBR: t.entryMBR(page, i, scratch), Data: t.entryRef(page, i)}) {
 			return false
 		}
 	}
@@ -274,8 +271,8 @@ func (t *Tree) searchLeafPage(page []byte, query MBR, fn func(Entry) bool) bool 
 // and entry bounds are tested in place. At level 1, matching leaf children
 // on consecutive pages — depth-first persistence puts the leaves under one
 // parent there — are fetched as one vectorized run.
-func (t *Tree) viewSearchNode(v storage.PageViewer, rr storage.RunReader, id storage.PageID, query MBR, fn func(Entry) bool) (bool, error) {
-	f, err := v.ViewPage(id)
+func (t *Tree) viewSearchNode(r storage.PageReader, id storage.PageID, query, scratch MBR, fn func(Entry) bool) (bool, error) {
+	f, err := r.ViewPage(id)
 	if err != nil {
 		return false, err
 	}
@@ -284,7 +281,7 @@ func (t *Tree) viewSearchNode(v storage.PageViewer, rr storage.RunReader, id sto
 	level := int(binary.LittleEndian.Uint16(page[0:2]))
 	count := int(binary.LittleEndian.Uint16(page[2:4]))
 	if level == 0 {
-		return t.searchLeafPage(page, query, fn), nil
+		return t.searchLeafPage(page, query, scratch, fn), nil
 	}
 	if level == 1 {
 		kids := make([]storage.PageID, 0, count)
@@ -293,13 +290,13 @@ func (t *Tree) viewSearchNode(v storage.PageViewer, rr storage.RunReader, id sto
 				kids = append(kids, storage.PageID(t.entryRef(page, i)))
 			}
 		}
-		return t.searchLeafRuns(v, rr, kids, query, fn)
+		return t.searchLeafRuns(r, kids, query, scratch, fn)
 	}
 	for i := 0; i < count; i++ {
 		if !t.entryIntersects(page, i, query) {
 			continue
 		}
-		cont, err := t.viewSearchNode(v, rr, storage.PageID(t.entryRef(page, i)), query, fn)
+		cont, err := t.viewSearchNode(r, storage.PageID(t.entryRef(page, i)), query, scratch, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -307,83 +304,25 @@ func (t *Tree) viewSearchNode(v storage.PageViewer, rr storage.RunReader, id sto
 	return true, nil
 }
 
-// searchLeafRuns visits the given leaf pages in order, batching each maximal
-// run of consecutive page ids through ReadRun. The visit order and per-page
+// searchLeafRuns visits the given leaf pages in order, each maximal run of
+// consecutive page ids through one ReadRun. The visit order and per-page
 // charges are identical to reading the leaves one by one; only the pool and
 // disk interactions are batched.
-func (t *Tree) searchLeafRuns(v storage.PageViewer, rr storage.RunReader, kids []storage.PageID, query MBR, fn func(Entry) bool) (bool, error) {
-	for i := 0; i < len(kids); {
+func (t *Tree) searchLeafRuns(r storage.PageReader, kids []storage.PageID, query, scratch MBR, fn func(Entry) bool) (bool, error) {
+	cont := true
+	visit := func(_ storage.PageID, page []byte) bool {
+		cont = t.searchLeafPage(page, query, scratch, fn)
+		return cont
+	}
+	for i := 0; i < len(kids) && cont; {
 		j := i + 1
 		for j < len(kids) && kids[j] == kids[j-1]+1 {
 			j++
 		}
-		if rr != nil && j-i > 1 {
-			cont := true
-			if err := rr.ReadRun(kids[i], kids[j-1], func(_ storage.PageID, page []byte) bool {
-				cont = t.searchLeafPage(page, query, fn)
-				return cont
-			}); err != nil {
-				return false, err
-			}
-			if !cont {
-				return false, nil
-			}
-		} else {
-			for k := i; k < j; k++ {
-				f, err := v.ViewPage(kids[k])
-				if err != nil {
-					return false, err
-				}
-				cont := t.searchLeafPage(f.Data(), query, fn)
-				f.Release()
-				if !cont {
-					return false, nil
-				}
-			}
+		if err := r.ReadRun(kids[i], kids[j-1], visit); err != nil {
+			return false, err
 		}
 		i = j
 	}
-	return true, nil
-}
-
-// pagedSearchNode is the copying fallback for readers without zero-copy
-// views.
-func (t *Tree) pagedSearchNode(r storage.PageReader, id storage.PageID, query MBR, fn func(Entry) bool, buf []byte) (bool, error) {
-	if err := r.ReadPage(id, buf); err != nil {
-		return false, err
-	}
-	level := int(binary.LittleEndian.Uint16(buf[0:2]))
-	count := int(binary.LittleEndian.Uint16(buf[2:4]))
-	entrySize := 16*t.dims + 8
-	// Collect matches first: the shared buf is overwritten by child reads.
-	type hit struct {
-		mbr MBR
-		ref uint64
-	}
-	var hits []hit
-	for i := 0; i < count; i++ {
-		off := nodeHeaderSize + i*entrySize
-		m := make(MBR, 2*t.dims)
-		for j := range m {
-			m[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8*j:]))
-		}
-		if !m.Intersects(query) {
-			continue
-		}
-		ref := binary.LittleEndian.Uint64(buf[off+16*t.dims:])
-		hits = append(hits, hit{mbr: m, ref: ref})
-	}
-	for _, h := range hits {
-		if level == 0 {
-			if !fn(Entry{MBR: h.mbr, Data: h.ref}) {
-				return false, nil
-			}
-		} else {
-			cont, err := t.pagedSearchNode(r, storage.PageID(h.ref), query, fn, buf)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-	}
-	return true, nil
+	return cont, nil
 }

@@ -144,36 +144,25 @@ func (h *HeapFile) Get(rid RID, buf []byte) ([]byte, error) {
 
 // GetCtx reads the record at rid through r — a per-query execution context
 // or the shared pager — so the (typically random) page access is charged to
-// that reader's accounting. When r supports zero-copy views, only the record
-// itself is copied into buf (grown if needed) instead of the whole page; the
-// returned slice is valid until the caller's next use of buf.
+// that reader's accounting. Only the record itself is copied into buf (grown
+// if needed), out of a zero-copy view of its page; the returned slice is valid
+// until the caller's next use of buf.
 func (h *HeapFile) GetCtx(r PageReader, rid RID, buf []byte) ([]byte, error) {
-	if v, ok := r.(PageViewer); ok {
-		f, err := v.ViewPage(rid.Page)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := recordInPage(f.Data(), rid.Slot)
-		if err != nil {
-			f.Release()
-			return nil, err
-		}
-		if cap(buf) < len(rec) {
-			buf = make([]byte, len(rec))
-		}
-		buf = buf[:len(rec)]
-		copy(buf, rec)
-		f.Release()
-		return buf, nil
-	}
-	if cap(buf) < r.PageSize() {
-		buf = make([]byte, r.PageSize())
-	}
-	buf = buf[:r.PageSize()]
-	if err := r.ReadPage(rid.Page, buf); err != nil {
+	f, err := r.ViewPage(rid.Page)
+	if err != nil {
 		return nil, err
 	}
-	return recordInPage(buf, rid.Slot)
+	defer f.Release()
+	rec, err := recordInPage(f.Data(), rid.Slot)
+	if err != nil {
+		return nil, err
+	}
+	if cap(buf) < len(rec) {
+		buf = make([]byte, len(rec))
+	}
+	buf = buf[:len(rec)]
+	copy(buf, rec)
+	return buf, nil
 }
 
 // RecordInPage extracts slot s from a heap-file page image — the slot
@@ -239,10 +228,9 @@ func (h *HeapFile) ScanPages(first, last int, fn func(rid RID, rec []byte) bool)
 
 // ScanPagesCtx is ScanPages with the page reads charged to r, so concurrent
 // queries — and the workers of one parallel refinement step — each account
-// their own sequential run. When the range is physically contiguous and r
-// supports run reads (Pager and QueryCtx both do), the whole run is fetched
-// through ReadRun: one batched pool interaction and at most one disk call
-// per missing sub-run, with per-page charges identical to this loop.
+// their own sequential run. Each maximal physically contiguous stretch of the
+// range is fetched through one ReadRun: one batched pool interaction and at
+// most one disk call per missing sub-run, charged page by page in order.
 func (h *HeapFile) ScanPagesCtx(r PageReader, first, last int, fn func(rid RID, rec []byte) bool) error {
 	if err := h.Flush(); err != nil {
 		return err
@@ -253,37 +241,27 @@ func (h *HeapFile) ScanPagesCtx(r PageReader, first, last int, fn func(rid RID, 
 	if last >= len(h.pages) {
 		last = len(h.pages) - 1
 	}
-	if first > last {
-		return nil
+	more := true
+	var pageErr error
+	visit := func(id PageID, page []byte) bool {
+		more, pageErr = scanPageRecords(id, page, fn)
+		return more && pageErr == nil
 	}
-	if rr, ok := r.(RunReader); ok && last > first && h.runContiguous(first, last) {
-		var pageErr error
-		err := rr.ReadRun(h.pages[first], h.pages[last], func(id PageID, page []byte) bool {
-			more, err := scanPageRecords(id, page, fn)
-			if err != nil {
-				pageErr = err
-				return false
-			}
-			return more
-		})
-		if err != nil {
+	for first <= last && more {
+		// Heap files built on a fresh disk are contiguous throughout;
+		// interleaved allocation (heap pages mixed with index pages) splits the
+		// range where the page ids jump.
+		end := first
+		for end < last && h.pages[end+1] == h.pages[end]+1 {
+			end++
+		}
+		if err := r.ReadRun(h.pages[first], h.pages[end], visit); err != nil {
 			return err
 		}
-		return pageErr
-	}
-	buf := make([]byte, r.PageSize())
-	for pi := first; pi <= last; pi++ {
-		id := h.pages[pi]
-		if err := r.ReadPage(id, buf); err != nil {
-			return err
+		if pageErr != nil {
+			return pageErr
 		}
-		more, err := scanPageRecords(id, buf, fn)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
+		first = end + 1
 	}
 	return nil
 }
@@ -302,25 +280,6 @@ func scanPageRecords(id PageID, page []byte, fn func(rid RID, rec []byte) bool) 
 		}
 	}
 	return true, nil
-}
-
-// runContiguous reports whether the file's pages with indices [first, last]
-// occupy consecutive disk pages. Heap files built on a fresh disk always
-// are; interleaved allocation (heap pages mixed with index pages) falls back
-// to the per-page scan.
-func (h *HeapFile) runContiguous(first, last int) bool {
-	return h.pages[last]-h.pages[first] == PageID(last-first) && h.ascending(first, last)
-}
-
-// ascending reports whether pages[first..last] strictly increase — together
-// with the endpoint difference check this proves the run is consecutive.
-func (h *HeapFile) ascending(first, last int) bool {
-	for i := first; i < last; i++ {
-		if h.pages[i+1] != h.pages[i]+1 {
-			return false
-		}
-	}
-	return true
 }
 
 // PageIndex returns the position of page id within the file, or -1.

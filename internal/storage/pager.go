@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"io"
 	"sync"
@@ -99,31 +98,25 @@ func (s Stats) PageCounts() obs.PageCounts {
 // PageReader is the read side of the paged store. Two implementations exist:
 // *Pager, which charges its own pager-level accounting (build paths, legacy
 // single-threaded use), and *QueryCtx, which charges a per-query execution
-// context and is the unit of concurrency for the query pipeline. Both also
-// implement the zero-copy PageViewer and vectorized RunReader capabilities.
+// context and is the unit of concurrency for the query pipeline. The three
+// ways of reading charge a page identically; they differ only in how the bytes
+// move.
 type PageReader interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
 	// ReadPage reads page id into buf, which must be PageSize() long.
 	ReadPage(id PageID, buf []byte) error
-}
-
-// PageViewer is the zero-copy capability of a PageReader: ViewPage hands back
-// a shared immutable frame instead of copying the page into a caller buffer.
-// The caller must Release the frame when done; the charge to the reader's
-// accounting is identical to ReadPage.
-type PageViewer interface {
+	// ViewPage is the zero-copy read: it hands back a shared immutable frame
+	// instead of copying the page into a caller buffer. The caller must
+	// Release the frame when done.
 	ViewPage(id PageID) (*Frame, error)
-}
-
-// RunReader is the vectorized capability of a PageReader: ReadRun visits the
-// contiguous page range [first, last] in order with batched pool interaction
-// and at most one disk call per missing sub-run, while charging each page
-// exactly as the equivalent ReadPage loop would (first page random,
-// successors sequential; within-query revisits as cache hits). fn receives
-// each page image, valid only during the call; returning false stops the run
-// and leaves the remaining pages unread and uncharged.
-type RunReader interface {
+	// ReadRun is the vectorized read: it visits the contiguous page range
+	// [first, last] in order with batched pool interaction and at most one
+	// disk call per missing sub-run, while charging each page exactly as the
+	// equivalent ReadPage loop would (first page random, successors
+	// sequential; within-query revisits as cache hits). fn receives each page
+	// image, valid only during the call; returning false stops the run and
+	// leaves the remaining pages unread and uncharged.
 	ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error
 }
 
@@ -413,7 +406,7 @@ func (p *Pager) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
-// ViewPage implements PageViewer with the same pager-level accounting as
+// ViewPage implements PageReader with the same pager-level accounting as
 // ReadPage; the caller must Release the returned frame.
 func (p *Pager) ViewPage(id PageID) (*Frame, error) {
 	f, cached, err := p.viewThrough(id, p.epoch.Load())
@@ -424,7 +417,7 @@ func (p *Pager) ViewPage(id PageID) (*Frame, error) {
 	return f, nil
 }
 
-// ReadRun implements RunReader with pager-level accounting.
+// ReadRun implements PageReader with pager-level accounting.
 func (p *Pager) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error {
 	return p.readRunChunks(first, last, p.epoch.Load(), p.chargeRead, fn)
 }
@@ -580,11 +573,10 @@ type QueryCtx struct {
 	epoch  uint64
 	pinned bool
 
-	// seen/lru form the accounting-only private pool: the pages this query
-	// would find cached had it run alone against a cold pool of the pager's
-	// capacity. Nil when the pool is disabled (poolSize 0).
-	seen map[PageID]*list.Element
-	lru  *list.List // of PageID
+	// seen is the accounting-only private pool: the pages this query would
+	// find cached had it run alone against a cold pool of the pager's
+	// capacity. Unused when the pool is disabled (poolSize 0).
+	seen pageLRU
 
 	// flushed is the prefix of stats already folded into the pager totals.
 	// Accounting is accumulated lock-free in this context and published to
@@ -626,10 +618,67 @@ func (p *Pager) BeginQueryAt(epoch uint64) (*QueryCtx, bool) {
 func (p *Pager) newQueryCtx(epoch uint64, pinned bool) *QueryCtx {
 	qc := &QueryCtx{pager: p, lastPage: InvalidPage, epoch: epoch, pinned: pinned}
 	if p.poolSize > 0 {
-		qc.seen = make(map[PageID]*list.Element)
-		qc.lru = list.New()
+		qc.seen.slot = make(map[PageID]int32)
 	}
 	return qc
+}
+
+// pageLRU is a set of page ids in recency order, for QueryCtx's private pool
+// view: the nodes of the recency list live in one slice and link by index, so
+// remembering a page costs no allocation beyond the slice's and the map's own
+// amortized growth. The zero value with a nil slot map is the disabled pool.
+type pageLRU struct {
+	slot       map[PageID]int32 // page id → index into nodes
+	nodes      []lruNode
+	head, tail int32 // most and least recently used; meaningless while empty
+}
+
+type lruNode struct {
+	id         PageID
+	prev, next int32 // towards head, towards tail
+}
+
+// touch reports whether id is in the set, making it the most recent if so.
+func (l *pageLRU) touch(id PageID) bool {
+	i, ok := l.slot[id]
+	if !ok {
+		return false
+	}
+	if i != l.head {
+		n := &l.nodes[i]
+		l.nodes[n.prev].next = n.next
+		if i == l.tail {
+			l.tail = n.prev
+		} else {
+			l.nodes[n.next].prev = n.prev
+		}
+		n.next = l.head
+		l.nodes[l.head].prev = i
+		l.head = i
+	}
+	return true
+}
+
+// add inserts id, which must not be in the set, as the most recent; a set
+// already holding capacity pages first forgets its least recent one, whose
+// node the newcomer takes over.
+func (l *pageLRU) add(id PageID, capacity int) {
+	i := int32(len(l.nodes))
+	if int(i) < capacity {
+		l.nodes = append(l.nodes, lruNode{})
+	} else {
+		i = l.tail
+		delete(l.slot, l.nodes[i].id)
+		l.tail = l.nodes[i].prev
+	}
+	l.slot[id] = i
+	if len(l.nodes) == 1 { // the first page, or a capacity of one
+		l.nodes[0].id, l.head, l.tail = id, 0, 0
+		return
+	}
+	l.nodes[i] = lruNode{id: id, next: l.head}
+	l.nodes[l.head].prev = i
+	l.head = i
 }
 
 // PageSize implements PageReader.
@@ -650,7 +699,7 @@ func (qc *QueryCtx) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
-// ViewPage implements PageViewer: a zero-copy shared frame, with the access
+// ViewPage implements PageReader: a zero-copy shared frame, with the access
 // charged to this query's private accounting exactly like ReadPage. The
 // caller must Release the frame.
 func (qc *QueryCtx) ViewPage(id PageID) (*Frame, error) {
@@ -662,7 +711,7 @@ func (qc *QueryCtx) ViewPage(id PageID) (*Frame, error) {
 	return f, nil
 }
 
-// ReadRun implements RunReader. Whatever the batching does at the pool and
+// ReadRun implements PageReader. Whatever the batching does at the pool and
 // disk layers, each page is charged through chargeRead in page order, so the
 // per-query accounting is byte-identical to the equivalent ReadPage loop.
 func (qc *QueryCtx) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error {
@@ -678,12 +727,9 @@ func (qc *QueryCtx) ReadRun(first, last PageID, fn func(id PageID, page []byte) 
 // per-query accounting independent of how many queries run concurrently and
 // of how the bytes were obtained (copy, view, or run batch).
 func (qc *QueryCtx) chargeRead(id PageID) {
-	if qc.seen != nil {
-		if el, ok := qc.seen[id]; ok {
-			qc.lru.MoveToFront(el)
-			qc.stats.CacheHits++
-			return
-		}
+	if qc.seen.slot != nil && qc.seen.touch(id) {
+		qc.stats.CacheHits++
+		return
 	}
 	qc.stats.Reads++
 	if qc.lastPage != InvalidPage && id == qc.lastPage+1 {
@@ -694,21 +740,9 @@ func (qc *QueryCtx) chargeRead(id PageID) {
 		qc.stats.SimElapsed += qc.pager.model.RandomRead
 	}
 	qc.lastPage = id
-	qc.note(id)
-}
-
-// note records id in the private pool view, evicting in LRU order at the
-// pager's pool capacity.
-func (qc *QueryCtx) note(id PageID) {
-	if qc.seen == nil {
-		return
+	if qc.seen.slot != nil {
+		qc.seen.add(id, qc.pager.poolSize)
 	}
-	for qc.lru.Len() >= qc.pager.poolSize {
-		back := qc.lru.Back()
-		qc.lru.Remove(back)
-		delete(qc.seen, back.Value.(PageID))
-	}
-	qc.seen[id] = qc.lru.PushFront(id)
 }
 
 // ChargePage charges one page access to this query's private accounting
@@ -803,8 +837,4 @@ func (qc *QueryCtx) Merge(child *QueryCtx) {
 var (
 	_ PageReader = (*Pager)(nil)
 	_ PageReader = (*QueryCtx)(nil)
-	_ PageViewer = (*Pager)(nil)
-	_ PageViewer = (*QueryCtx)(nil)
-	_ RunReader  = (*Pager)(nil)
-	_ RunReader  = (*QueryCtx)(nil)
 )

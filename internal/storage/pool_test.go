@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -371,5 +373,40 @@ func TestDropCacheReleasesPoolFrames(t *testing.T) {
 	}
 	if d := p.Stats().Sub(before); d.CacheHits != 0 || d.Reads != 1 {
 		t.Fatalf("read after DropCache: %+v", d)
+	}
+}
+
+// TestQueryCtxPrivatePoolMatchesListLRU drives the slice-backed private pool
+// view and a container/list model of the LRU it replaced with the same random
+// page sequences — capacities from one page up, so eviction, re-reference of
+// the head, the tail and a middle node all occur — and requires the same
+// hit/miss verdict on every access: the charge sequence of a query.
+func TestQueryCtxPrivatePoolMatchesListLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, capacity := range []int{1, 2, 3, 7, 64} {
+		p := NewPager(NewMemDisk(DefaultPageSize), DefaultDiskModel, capacity)
+		qc := p.BeginQuery()
+		model, order := map[PageID]*list.Element{}, list.New()
+		for i := 0; i < 20000; i++ {
+			id := PageID(rng.Intn(3 * capacity))
+			before := qc.LocalStats()
+			qc.ChargePage(id)
+			hit := qc.LocalStats().CacheHits > before.CacheHits
+			el, want := model[id]
+			if want {
+				order.MoveToFront(el)
+			} else {
+				for order.Len() >= capacity {
+					back := order.Back()
+					order.Remove(back)
+					delete(model, back.Value.(PageID))
+				}
+				model[id] = order.PushFront(id)
+			}
+			if hit != want {
+				t.Fatalf("capacity %d, access %d (page %d): hit = %v, list LRU says %v", capacity, i, id, hit, want)
+			}
+		}
+		qc.Release()
 	}
 }

@@ -269,9 +269,8 @@ func (s *IntervalSidecar) pageBaseOf(pi int) int {
 // calling fn once per touched page with the global position of the first
 // decoded entry and the packed lo/hi columns of the in-range entries (valid
 // only during the call). Returning false stops the scan. Page reads are
-// charged to r like any other query I/O; when r supports run reads (Pager
-// and QueryCtx both do) the whole range is fetched through ReadRun, with
-// per-page charges identical to a page-at-a-time loop.
+// charged to r like any other query I/O: the whole range is fetched through
+// one ReadRun, with per-page charges identical to a page-at-a-time loop.
 func (s *IntervalSidecar) ScanRange(r PageReader, start, end int, fn func(base int, lo, hi []float64) bool) error {
 	if start < 0 {
 		start = 0
@@ -297,37 +296,21 @@ func (s *IntervalSidecar) ScanRange(r PageReader, start, end int, fn func(base i
 		}
 		return fn(base, lo, hi), nil
 	}
-	if rr, ok := r.(RunReader); ok {
-		var pageErr error
-		pi := firstPage
-		err := rr.ReadRun(s.first+PageID(firstPage), s.first+PageID(lastPage), func(_ PageID, page []byte) bool {
-			more, err := decode(pi, page)
-			pi++
-			if err != nil {
-				pageErr = err
-				return false
-			}
-			return more
-		})
+	var pageErr error
+	pi := firstPage
+	err := r.ReadRun(s.first+PageID(firstPage), s.first+PageID(lastPage), func(_ PageID, page []byte) bool {
+		more, err := decode(pi, page)
+		pi++
 		if err != nil {
-			return err
+			pageErr = err
+			return false
 		}
-		return pageErr
+		return more
+	})
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, r.PageSize())
-	for pi := firstPage; pi <= lastPage; pi++ {
-		if err := r.ReadPage(s.first+PageID(pi), buf); err != nil {
-			return err
-		}
-		more, err := decode(pi, buf)
-		if err != nil {
-			return err
-		}
-		if !more {
-			return nil
-		}
-	}
-	return nil
+	return pageErr
 }
 
 // PageFor returns the page id and the within-page entry index of global

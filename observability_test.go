@@ -3,6 +3,7 @@ package fielddb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -127,6 +128,74 @@ func TestTraceReconciliation(t *testing.T) {
 				checkTrace(t, tr, ar.IO)
 			} else if !errors.Is(err, ErrNoPartition) {
 				t.Fatal(err)
+			}
+		})
+	}
+
+	// A tiled index gathers after its last tile scan — sort, full decode and
+	// refinement of every survivor, most of a tiled query's CPU — and that
+	// gather runs under one refinement span that reads nothing: solo on the
+	// sequential and the worker-pool scatter, and per member of a shared-scan
+	// batch. A query that pruned every tile has no gather and no span.
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("tiled/workers=%d", workers), func(t *testing.T) {
+			rec := &recordingTracer{}
+			db, err := Open(dem, Options{Method: LinearScan, TileSide: 16, Workers: workers, Tracer: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			checkGather := func(tr *QueryTrace, io storage.Stats, tiles int) {
+				t.Helper()
+				checkTrace(t, tr, io)
+				refines := 0
+				for i, sp := range tr.Spans {
+					if sp.Phase != obs.PhaseRefine {
+						continue
+					}
+					refines++
+					if i != len(tr.Spans)-1 {
+						t.Errorf("refine span at %d of %d: the gather is the last step", i, len(tr.Spans))
+					}
+					if sp.Pages != (obs.PageCounts{}) {
+						t.Errorf("gather span charged pages: %+v", sp.Pages)
+					}
+				}
+				if want := min(tiles, 1); refines != want {
+					t.Fatalf("%d refine spans for %d scanned tiles, want %d: %v", refines, tiles, want, tr.Spans)
+				}
+			}
+			intervals := []Interval{
+				{Lo: vr.Lo + vr.Length()*0.4, Hi: vr.Lo + vr.Length()*0.5}, // selective
+				{Lo: vr.Lo, Hi: vr.Hi},           // everything
+				{Lo: vr.Hi + 10, Hi: vr.Hi + 20}, // every tile pruned
+			}
+			for _, iv := range intervals {
+				res, err := db.ValueQuery(iv.Lo, iv.Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGather(rec.last(t), res.IO, res.CandidateGroups)
+			}
+			before := len(rec.traces)
+			results, err := db.ValueQueryBatch(ctx, intervals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members := 0
+			for _, tr := range rec.traces[before:] {
+				if tr.Kind != obs.KindValue {
+					continue // the batch's own trace
+				}
+				for i, iv := range intervals {
+					if tr.Lo == iv.Lo && tr.Hi == iv.Hi {
+						checkGather(tr, results[i].IO, results[i].CandidateGroups)
+						members++
+					}
+				}
+			}
+			if members != len(intervals) {
+				t.Fatalf("%d member traces for %d batch members", members, len(intervals))
 			}
 		})
 	}
