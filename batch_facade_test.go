@@ -232,8 +232,9 @@ func TestValueQueryBatchValidation(t *testing.T) {
 }
 
 // TestBatchWindow checks the admission-window path end to end: concurrent
-// queries through a windowed DB answer byte-identically to a window-free DB,
-// and the group commit shows up in the batch metrics.
+// queries through a windowed DB answer byte-identically to a window-free DB
+// however the slot gate grouped them, and every one shows up in the batch
+// metrics — as a batch member, and as a free-slot group or a waiter.
 func TestBatchWindow(t *testing.T) {
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
@@ -281,7 +282,7 @@ func TestBatchWindow(t *testing.T) {
 		}
 	}
 	m := windowed.Metrics().Engine
-	if m.Batches == 0 || m.BatchQueries != int64(len(intervals)) {
+	if n := int64(len(intervals)); m.Batches == 0 || m.BatchQueries != n || m.GroupsFreeSlot+m.WindowWaiters != n {
 		t.Fatalf("batch counters after windowed run: %+v", m)
 	}
 	// Validation errors bypass the window entirely.

@@ -26,15 +26,25 @@ type clientsReport struct {
 	BatchSize   float64 `json:"mean_batch_size"`
 	Physical    int64   `json:"batch_physical_pages"`
 	PagesSaved  int64   `json:"coalesced_pages_saved"`
+	FreeSlot    int64   `json:"groups_free_slot"`
+	Handover    int64   `json:"groups_handover"`
+	Expired     int64   `json:"groups_expired"`
+	MeanWaitMS  float64 `json:"mean_wait_ms"`
+	MaxWaitMS   float64 `json:"max_wait_ms"`
 }
 
 // runClients (fieldbench -clients N) drives a concurrent value-range load:
 // N client goroutines pull queries round-robin from the deterministic
 // 64-query rotation against one shared database whose admission window
-// (-batch-window) groups simultaneous arrivals into shared scans. It reports
-// wall-clock throughput and the engine's own latency quantiles and batch
-// counters, so the effect of the window is visible in one run: raise it and
-// watch queries/sec and coalesced pages climb while p50 absorbs the wait.
+// (-batch-window) runs an arrival at once while a core is free and groups the
+// ones that find every core busy into shared scans. It reports wall-clock
+// throughput, the engine's own latency quantiles, the batch counters, and the
+// queue the window saw — mean group size, what released the groups, mean and
+// longest wait over all queries — so the crossover is read off one table: at
+// few clients the groups are free-slot groups of one and the wait is zero;
+// raise -clients past the core count and group size, coalesced pages and the
+// wait climb together, the wait bounded by the window (plus, with every core
+// busy, however long the scheduler takes to run the woken leader).
 func runClients(side, clients, queries int, window time.Duration, asJSON bool) {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
@@ -93,9 +103,15 @@ func runClients(side, clients, queries int, window time.Duration, asJSON bool) {
 		Batches:     m.Batches,
 		Physical:    m.BatchPhysicalPages,
 		PagesSaved:  m.CoalescedPagesSaved,
+		FreeSlot:    m.GroupsFreeSlot,
+		Handover:    m.GroupsHandover,
+		Expired:     m.GroupsExpired,
+		MaxWaitMS:   float64(m.WindowWaitMax) / float64(time.Millisecond),
 	}
 	if m.Batches > 0 {
 		rep.BatchSize = float64(m.BatchQueries) / float64(m.Batches)
+		// Free-slot queries waited nothing: the mean is over every query.
+		rep.MeanWaitMS = float64(m.WindowWaitSum) / float64(time.Millisecond) / float64(m.BatchQueries)
 	}
 	if asJSON {
 		b, err := bench.MarshalIndent(rep)
@@ -111,10 +127,12 @@ func runClients(side, clients, queries int, window time.Duration, asJSON bool) {
 	fmt.Printf("  throughput         %.1f queries/sec\n", rep.QPS)
 	fmt.Printf("  latency p50 / p95  %v / %v\n", m.LatencyP50, m.LatencyP95)
 	if m.Batches > 0 {
-		fmt.Printf("  batches            %d (mean size %.1f)\n", m.Batches, rep.BatchSize)
+		fmt.Printf("  groups             %d (mean size %.2f): %d on a free slot, %d on a handed-over slot, %d at window expiry\n",
+			m.Batches, rep.BatchSize, m.GroupsFreeSlot, m.GroupsHandover, m.GroupsExpired)
+		fmt.Printf("  window wait        mean %.3f ms, max %.3f ms\n", rep.MeanWaitMS, rep.MaxWaitMS)
 		fmt.Printf("  physical pages     %d (coalescing saved %d)\n",
 			m.BatchPhysicalPages, m.CoalescedPagesSaved)
 	} else {
-		fmt.Printf("  batches            0 (window off or no concurrent arrivals)\n")
+		fmt.Printf("  groups             0 (window off)\n")
 	}
 }

@@ -41,7 +41,7 @@ func main() {
 		metrics = flag.Bool("metrics", false, "run a mixed demo workload and dump the engine metrics registry")
 
 		clients     = flag.Int("clients", 0, "run a concurrent value-range load with N client goroutines and report throughput, latency quantiles, and batch coalescing")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "admission window for -clients: concurrent arrivals within this window share one scan (0 disables batching)")
+		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "admission window for -clients: the longest an arrival that finds every core busy waits to share one scan with the others; an arrival that finds a core free runs at once (0 disables batching)")
 
 		benchJSON  = flag.String("bench-json", "", "measure the deterministic value-range suite (the BenchmarkValueRange workload, solo, concurrent, and update-load) and write {name: row} JSON to this file ('-' for stdout)")
 		updateLoad = flag.Bool("update-load", false, "run only the deterministic live-update suite (batch commit cost and reader cost under interleaved updates) and print the rows")

@@ -105,7 +105,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
 		method      = flag.String("method", "I-Hilbert", "index method for .fdb fields: LinearScan | I-All | I-Hilbert | I-Quad | Auto")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "admission window: concurrent value queries within it share one scan (0 disables)")
+		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "admission window: a value query runs at once while a core is free; those that find every core busy share one scan, after waiting at most this long (0 disables)")
 		maxInFlight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "in-flight request cap; excess load is shed with 429")
 		budget      = flag.Int("budget", 0, "per-field admission budget in requests (0 derives max-inflight/(2*fields))")
 		overflow    = flag.Int("overflow", 0, "shared overflow pool fields may borrow from (0 derives the remainder of -max-inflight)")

@@ -2,10 +2,12 @@ package fielddb
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"fielddb/internal/geom"
 	"fielddb/internal/storage"
@@ -15,88 +17,94 @@ import (
 // mix of every facade query kind and checks the accounting invariant: the
 // pager totals grow by exactly the sum of the per-query statistics, for the
 // value store and the spatial store independently. Run with -race this is
-// also the concurrency smoke test for the whole query path.
+// also the concurrency smoke test for the whole query path — once plain, once
+// through the BatchWindow slot gate, where value queries run as groups of one,
+// handed-over groups and expired groups as the scheduler has it.
 func TestConcurrentMixedQueriesStats(t *testing.T) {
-	dem, err := TerrainDEM(64, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(dem, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	vr := dem.ValueRange()
-	b := dem.Bounds()
-	baseVal := db.IOStats()
-	baseSp := db.SpatialIOStats()
-
-	var (
-		mu     sync.Mutex
-		sumVal storage.Stats
-		sumSp  storage.Stats
-	)
-	const goroutines = 32
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for it := 0; it < 8; it++ {
-				var val, sp storage.Stats
-				switch it % 4 {
-				case 0:
-					lo := vr.Lo + vr.Length()*rng.Float64()*0.8
-					hi := lo + vr.Length()*(0.05+0.2*rng.Float64())
-					res, err := db.ValueQuery(lo, hi)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					val = res.IO
-				case 1:
-					p := geom.Pt(
-						b.Min.X+rng.Float64()*b.Width(),
-						b.Min.Y+rng.Float64()*b.Height(),
-					)
-					// A point outside every cell is fine; its reads count too.
-					_, st, _ := db.PointQueryStatsContext(ctx, p)
-					sp = st
-				case 2:
-					level := vr.Lo + vr.Length()*(0.2+0.6*rng.Float64())
-					cr, err := db.ContourMapContext(ctx, level)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					val = cr.IO
-				case 3:
-					lo := vr.Lo + vr.Length()*rng.Float64()*0.5
-					ar, err := db.ApproxValueQueryContext(ctx, lo, lo+vr.Length()*0.1)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					val = ar.IO
-				}
-				mu.Lock()
-				sumVal = sumVal.Add(val)
-				sumSp = sumSp.Add(sp)
-				mu.Unlock()
+	for _, window := range []time.Duration{0, 2 * time.Millisecond} {
+		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
+			dem, err := TerrainDEM(64, 42)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(int64(g) + 1)
-	}
-	wg.Wait()
+			db, err := Open(dem, Options{Workers: 4, BatchWindow: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			vr := dem.ValueRange()
+			b := dem.Bounds()
+			baseVal := db.IOStats()
+			baseSp := db.SpatialIOStats()
 
-	if got := db.IOStats().Sub(baseVal); got != sumVal {
-		t.Errorf("value store totals %+v != sum of per-query stats %+v", got, sumVal)
-	}
-	if got := db.SpatialIOStats().Sub(baseSp); got != sumSp {
-		t.Errorf("spatial store totals %+v != sum of per-query stats %+v", got, sumSp)
-	}
-	if sumVal.Reads == 0 || sumSp.Reads == 0 {
-		t.Fatalf("workload did no I/O: value %+v spatial %+v", sumVal, sumSp)
+			var (
+				mu     sync.Mutex
+				sumVal storage.Stats
+				sumSp  storage.Stats
+			)
+			const goroutines = 32
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for it := 0; it < 8; it++ {
+						var val, sp storage.Stats
+						switch it % 4 {
+						case 0:
+							lo := vr.Lo + vr.Length()*rng.Float64()*0.8
+							hi := lo + vr.Length()*(0.05+0.2*rng.Float64())
+							res, err := db.ValueQuery(lo, hi)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							val = res.IO
+						case 1:
+							p := geom.Pt(
+								b.Min.X+rng.Float64()*b.Width(),
+								b.Min.Y+rng.Float64()*b.Height(),
+							)
+							// A point outside every cell is fine; its reads count too.
+							_, st, _ := db.PointQueryStatsContext(ctx, p)
+							sp = st
+						case 2:
+							level := vr.Lo + vr.Length()*(0.2+0.6*rng.Float64())
+							cr, err := db.ContourMapContext(ctx, level)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							val = cr.IO
+						case 3:
+							lo := vr.Lo + vr.Length()*rng.Float64()*0.5
+							ar, err := db.ApproxValueQueryContext(ctx, lo, lo+vr.Length()*0.1)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							val = ar.IO
+						}
+						mu.Lock()
+						sumVal = sumVal.Add(val)
+						sumSp = sumSp.Add(sp)
+						mu.Unlock()
+					}
+				}(int64(g) + 1)
+			}
+			wg.Wait()
+
+			if got := db.IOStats().Sub(baseVal); got != sumVal {
+				t.Errorf("value store totals %+v != sum of per-query stats %+v", got, sumVal)
+			}
+			if got := db.SpatialIOStats().Sub(baseSp); got != sumSp {
+				t.Errorf("spatial store totals %+v != sum of per-query stats %+v", got, sumSp)
+			}
+			if sumVal.Reads == 0 || sumSp.Reads == 0 {
+				t.Fatalf("workload did no I/O: value %+v spatial %+v", sumVal, sumSp)
+			}
+		})
 	}
 }
 

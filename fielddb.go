@@ -148,16 +148,24 @@ type Options struct {
 	// disables tracing entirely; the nil-tracer path adds no allocations to
 	// the query pipeline. See also DB.SetTracer.
 	Tracer Tracer
-	// BatchWindow, when positive, turns on admission-window batching for
-	// concurrent value queries: queries arriving within the window are
-	// grouped and executed as one shared scan (a single filter pass over the
-	// sidecar or index evaluates every group member, and deduplicated cell
-	// runs are fetched once for all of them). Each query's Result — including
-	// its per-query I/O statistics — is byte-identical to solo execution; a
-	// group of one takes the plain solo path, so the window's only cost is
-	// up to BatchWindow of added latency per query. The default, zero, keeps
-	// every query executing alone. See also DB.ValueQueryBatch, which batches
-	// an explicit slice of intervals without any window.
+	// BatchWindow, when positive, turns on slot-gated group commit for
+	// concurrent value queries. The database keeps one execution slot per
+	// core (GOMAXPROCS at Open). A value query that arrives while a slot is
+	// free takes it and runs at once on the plain solo path: the window costs
+	// it nothing. One that finds every slot busy — it would have queued for a
+	// core anyway — waits in a group with the others that arrive meanwhile,
+	// and the group executes as one shared scan (a single filter pass over
+	// the sidecar or index evaluates every group member, and deduplicated
+	// cell runs are fetched once for all of them) as soon as a running group
+	// finishes, or after BatchWindow, whichever is first. So BatchWindow is
+	// an upper bound on the latency the gate adds to a query — at most its
+	// length, and nothing when a core is free — not a charge on every query,
+	// and groups grow only as large as the backlog. Each query's Result —
+	// including its per-query I/O statistics — is byte-identical to solo
+	// execution. The default, zero, keeps every query executing alone. See
+	// also DB.ValueQueryBatch, which batches an explicit slice of intervals
+	// without any window, and the queue counters of Metrics (GroupsFreeSlot,
+	// GroupsHandover, GroupsExpired, WindowWaitSum/Max).
 	BatchWindow time.Duration
 }
 
@@ -300,7 +308,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	db.vrange.Store(&vr)
 	if opts.BatchWindow > 0 {
-		db.batcher = core.NewBatcher(idx, opts.BatchWindow)
+		db.batcher = core.NewBatcher(idx, opts.BatchWindow, db.ob.Metrics)
 	}
 	db.installObservers()
 	return db, nil
@@ -454,9 +462,10 @@ type OpenIndexOptions struct {
 	Workers int
 	// Tracer, when set, receives one QueryTrace per finished query.
 	Tracer Tracer
-	// BatchWindow, when positive, arms the same admission-window group commit
-	// Options.BatchWindow gives a live DB: concurrent value queries arriving
-	// within the window coalesce onto one shared scan of the stored pages.
+	// BatchWindow, when positive, arms the same slot-gated group commit
+	// Options.BatchWindow gives a live DB: a value query runs at once while a
+	// core is free, and the ones that find every core busy coalesce onto one
+	// shared scan of the stored pages, after waiting at most BatchWindow.
 	BatchWindow time.Duration
 }
 
@@ -489,7 +498,7 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	vr := p.ValueRange()
 	s.vrange.Store(&vr)
 	if opts.BatchWindow > 0 {
-		s.batcher = core.NewBatcher(p, opts.BatchWindow)
+		s.batcher = core.NewBatcher(p, opts.BatchWindow, s.ob.Metrics)
 	}
 	p.SetObserver(*s.ob)
 	return s, nil

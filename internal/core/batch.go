@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -613,70 +615,141 @@ func (ix *valueIndex) chargeSidecar(qc *storage.QueryCtx) int {
 	return qc.LocalStats().Reads - before
 }
 
-// Batcher groups concurrent value queries arriving within a fixed admission
-// window into shared-scan batches — the group-commit pattern: the first
-// query to arrive becomes the group's leader, waits out the window while
-// later arrivals join, then executes the whole group as one QueryBatch and
-// wakes the followers. A group of one takes the exact solo QueryContext
-// path, so an idle database with a window configured answers byte-identically
-// to one without; the window only ever delays a query by at most its length.
+// Batcher is the admission gate of a windowed database: a slot-gated group
+// commit. It holds one execution slot per core (GOMAXPROCS when it was made).
+// A query that arrives to a free slot takes it and runs at once, a group of
+// one on the exact solo QueryContext path — an idle windowed database answers
+// byte-identically to, and as fast as, one without a window. A query that
+// arrives with every slot busy would have queued for a core anyway: it opens
+// the pending group (and leads it) or joins it, and the group runs as one
+// QueryBatch the moment a running group finishes — the finisher hands its slot
+// over — or when the window expires, whichever is first. So a group grows
+// exactly as large as the backlog that formed while the cores were busy, and
+// the window bounds the latency the gate may add instead of charging it to
+// every query. Expiry starts a group with no slot free: past saturation the
+// gate degenerates to timer-driven groups, more of them running than there are
+// slots, and hand-overs resume once the excess has drained.
 type Batcher struct {
-	idx    Engine
-	window time.Duration
+	idx     Engine
+	window  time.Duration
+	slots   int
+	metrics *obs.Metrics
 
-	mu  sync.Mutex
-	cur *batchGroup
+	mu      sync.Mutex
+	running int         // groups executing now; above slots only after expiries
+	pending *batchGroup // the group arrivals join, nil when none is open
 }
 
-// batchGroup is one admission window's worth of queries. members is
-// append-only under the Batcher's mutex until the leader closes admission;
-// results is written by the leader before done is closed, which publishes
-// it to the followers.
+// batchGroup is one pending group. members and late grow under the Batcher's
+// mutex until the group is released (pending cleared, which closes admission);
+// results is written by the leader before done is closed, which publishes it
+// to the followers.
 type batchGroup struct {
 	members []BatchQuery
+	opened  time.Time     // the leader's arrival
+	late    time.Duration // Σ (follower arrival - opened)
+	slot    chan struct{} // closed by the finisher that hands its slot over
 	results []BatchResult
 	done    chan struct{}
 }
 
-// NewBatcher returns a Batcher executing groups on idx after the given
-// admission window.
-func NewBatcher(idx Engine, window time.Duration) *Batcher {
-	return &Batcher{idx: idx, window: window}
+// errBatchAborted is what the followers of a group get when its leader's
+// QueryBatch panicked: the panic unwinds through the leader's caller, the
+// followers are released with this instead of blocking forever.
+var errBatchAborted = errors.New("core: batch aborted: the group's shared scan panicked")
+
+// NewBatcher returns a Batcher executing groups on idx, none of which waits
+// longer than window for a slot. Queue counters go to metrics (nil: none).
+func NewBatcher(idx Engine, window time.Duration, metrics *obs.Metrics) *Batcher {
+	return &Batcher{idx: idx, window: window, slots: runtime.GOMAXPROCS(0), metrics: metrics}
 }
 
 // Window returns the configured admission window.
 func (b *Batcher) Window() time.Duration { return b.window }
 
-// QueryContext submits one query. The calling goroutine either leads a new
-// group (sleeping out the admission window, then executing the batch) or
-// joins the currently open one and blocks until the leader serves it.
-// ctx cancels only this member: a canceled follower still waits for the
-// group (its slot returns the context error), and a canceled leader still
-// executes the group so the followers are never stranded — the wait is
-// bounded by the window plus the batch execution either way.
+// QueryContext submits one query: it runs at once on a free slot, or waits in
+// the pending group — as its leader (the first to find every slot busy, who
+// executes the batch) or as a follower — for a slot or the window's end. ctx
+// cancels only this member. A canceled follower returns ctx's error at once
+// (its member dies inside the batch, unpublished, as a canceled solo query
+// does); a canceled leader still waits and executes the group, so followers
+// are never stranded — its own slot in the batch returns the context error.
 func (b *Batcher) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
 	b.mu.Lock()
-	if g := b.cur; g != nil {
-		idx := len(g.members)
+	if g := b.pending; g != nil {
+		i := len(g.members)
 		g.members = append(g.members, BatchQuery{Ctx: ctx, Query: q})
+		g.late += time.Since(g.opened)
 		b.mu.Unlock()
-		<-g.done
-		r := g.results[idx]
-		return r.Res, r.Err
+		select {
+		case <-g.done:
+			return g.results[i].Res, g.results[i].Err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	g := &batchGroup{done: make(chan struct{})}
-	g.members = append(g.members, BatchQuery{Ctx: ctx, Query: q})
-	b.cur = g
+	if b.running < b.slots {
+		b.running++
+		b.mu.Unlock()
+		defer b.releaseSlot()
+		b.metrics.RecordGroup(obs.ReleaseFreeSlot, 1, 0, 0)
+		results, _ := b.idx.QueryBatch([]BatchQuery{{Ctx: ctx, Query: q}})
+		return results[0].Res, results[0].Err
+	}
+	g := &batchGroup{
+		members: []BatchQuery{{Ctx: ctx, Query: q}},
+		opened:  time.Now(),
+		slot:    make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	b.pending = g
 	b.mu.Unlock()
 
-	time.Sleep(b.window)
+	how := obs.ReleaseHandover
+	timer := time.NewTimer(b.window)
+	select {
+	case <-g.slot:
+		timer.Stop()
+	case <-timer.C:
+		b.mu.Lock()
+		// A finisher may have handed its slot over while the timer fired.
+		if b.pending == g {
+			b.pending = nil
+			b.running++
+			how = obs.ReleaseExpiry
+		}
+		b.mu.Unlock()
+	}
+	// Admission is closed: members and late are final. Every member waited
+	// from its arrival until now, the leader longest.
+	wait := time.Since(g.opened)
+	b.metrics.RecordGroup(how, len(g.members), time.Duration(len(g.members))*wait-g.late, wait)
 
+	defer b.releaseSlot()
+	defer func() {
+		if g.results == nil {
+			g.results = make([]BatchResult, len(g.members))
+			for i := range g.results {
+				g.results[i].Err = errBatchAborted
+			}
+		}
+		close(g.done)
+	}()
+	g.results, _ = b.idx.QueryBatch(g.members)
+	return g.results[0].Res, g.results[0].Err
+}
+
+// releaseSlot gives up the slot of a group that has finished (or panicked):
+// handed to the pending group's leader when there is one, unless more groups
+// are running than there are slots — then the excess an expiry admitted drains
+// first and the pending group waits for the next finisher or its own expiry.
+func (b *Batcher) releaseSlot() {
 	b.mu.Lock()
-	b.cur = nil
-	members := g.members
+	if g := b.pending; g != nil && b.running <= b.slots {
+		b.pending = nil
+		close(g.slot)
+	} else {
+		b.running--
+	}
 	b.mu.Unlock()
-	g.results, _ = b.idx.QueryBatch(members)
-	close(g.done)
-	r := g.results[0]
-	return r.Res, r.Err
 }

@@ -13,6 +13,7 @@ import (
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
+	"fielddb/internal/obs"
 )
 
 // buildBatchable builds every executor flavor over f, each on its own pager,
@@ -362,9 +363,11 @@ func TestBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatcherWindow checks the admission window: concurrent queries answer
-// exactly as solo, a lone query takes the solo path, and a canceled member
-// fails alone without stranding its group.
+// TestBatcherWindow checks the admission window on a real engine: concurrent
+// queries answer exactly as solo however the slot gate grouped them, a lone
+// query takes the solo path, a canceled member fails alone without stranding
+// its group, and every submission is accounted as a batch member and as
+// either a free-slot group or a waiter.
 func TestBatcherWindow(t *testing.T) {
 	f := testDEM(t, 32, 0.6)
 	vr := f.ValueRange()
@@ -372,12 +375,14 @@ func TestBatcherWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(ls, 20*time.Millisecond)
+	m := obs.NewMetrics()
+	b := NewBatcher(ls, 20*time.Millisecond, m)
 	if b.Window() != 20*time.Millisecond {
 		t.Fatalf("window %v", b.Window())
 	}
 	qs := randomQuerySet(rand.New(rand.NewSource(41)), vr, 8)
 	solo := soloResults(t, ls, qs)
+	ls.SetObserver(obs.Observer{Metrics: m})
 
 	// Lone query: the group of one takes the solo path.
 	res, err := b.QueryContext(context.Background(), qs[0])
@@ -421,6 +426,10 @@ func TestBatcherWindow(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
+	submitted := int64(1 + len(qs) + 1)
+	if s := m.Snapshot(); s.BatchQueries != submitted || s.GroupsFreeSlot+s.WindowWaiters != submitted {
+		t.Fatalf("%d submissions, counters %+v", submitted, s)
+	}
 }
 
 // TestBatchAllocs is the scratch-reuse satellite's gate: once the pools are
@@ -463,4 +472,291 @@ func TestBatchAllocs(t *testing.T) {
 	if batchAllocs > soloAllocs+128 {
 		t.Fatalf("batch allocates %v per run, solo total %v (+128 allowance)", batchAllocs, soloAllocs)
 	}
+}
+
+// gateEngine is the Batcher's engine in the slot-gate tests: QueryBatch
+// reports the group's size on entered, then blocks until the test sends it a
+// token on gate. A member with a negative Lo makes the batch panic; a member
+// whose context has ended fails with its error, as in the real executor.
+type gateEngine struct {
+	Engine  // nil: the Batcher calls nothing else
+	entered chan int
+	gate    chan struct{}
+}
+
+func newGateEngine() *gateEngine {
+	// Buffers sized past the number of QueryBatch calls any test makes, so
+	// neither the stub nor a test blocks on the bookkeeping itself.
+	return &gateEngine{entered: make(chan int, 64), gate: make(chan struct{}, 64)}
+}
+
+func (e *gateEngine) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
+	e.entered <- len(members)
+	<-e.gate
+	out := make([]BatchResult, len(members))
+	for i, m := range members {
+		if m.Query.Lo < 0 {
+			panic("gateEngine: poisoned member")
+		}
+		if err := m.Ctx.Err(); err != nil {
+			out[i].Err = err
+		} else {
+			out[i].Res = &Result{Query: m.Query}
+		}
+	}
+	return out, BatchStats{Size: len(members)}
+}
+
+// pass lets n blocked QueryBatch calls return.
+func (e *gateEngine) pass(n int) {
+	for i := 0; i < n; i++ {
+		e.gate <- struct{}{}
+	}
+}
+
+// gateCall is one QueryContext call made on its own goroutine.
+type gateCall struct {
+	res      *Result
+	err      error
+	panicked any
+	done     chan struct{}
+}
+
+func submit(b *Batcher, ctx context.Context, lo float64) *gateCall {
+	c := &gateCall{done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		defer func() { c.panicked = recover() }()
+		c.res, c.err = b.QueryContext(ctx, geom.Interval{Lo: lo, Hi: lo + 1})
+	}()
+	return c
+}
+
+// wait blocks until the call returned (the package's test timeout is the
+// only bound a hung Batcher needs).
+func (c *gateCall) wait() *gateCall { <-c.done; return c }
+
+// occupy fills every slot of b with a query blocked inside the engine and
+// returns those calls.
+func occupy(t *testing.T, b *Batcher, e *gateEngine) []*gateCall {
+	t.Helper()
+	holders := make([]*gateCall, b.slots)
+	for i := range holders {
+		holders[i] = submit(b, context.Background(), 1000+float64(i))
+		if n := <-e.entered; n != 1 {
+			t.Fatalf("holder %d entered as a group of %d", i, n)
+		}
+	}
+	return holders
+}
+
+// awaitPending spins until the pending group has n members.
+func awaitPending(b *Batcher, n int) {
+	for {
+		b.mu.Lock()
+		g := b.pending
+		have := 0
+		if g != nil {
+			have = len(g.members)
+		}
+		b.mu.Unlock()
+		if have == n {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// checkIdle asserts that no slot leaked: nothing running, nothing pending,
+// and a fresh query runs at once even under an hour-long window.
+func checkIdle(t *testing.T, b *Batcher, e *gateEngine) {
+	t.Helper()
+	b.mu.Lock()
+	running, pending := b.running, b.pending
+	b.mu.Unlock()
+	if running != 0 || pending != nil {
+		t.Fatalf("after the drive: running=%d pending=%v", running, pending != nil)
+	}
+	e.pass(1)
+	if c := submit(b, context.Background(), 1).wait(); c.err != nil || c.res == nil {
+		t.Fatalf("query on the drained batcher: %+v", c)
+	}
+	if n := <-e.entered; n != 1 {
+		t.Fatalf("query on the drained batcher ran in a group of %d", n)
+	}
+}
+
+// TestBatcherIdleRunsAtOnce: with a slot free the window costs nothing — an
+// hour-long one answers immediately, as a group of one.
+func TestBatcherIdleRunsAtOnce(t *testing.T) {
+	e, m := newGateEngine(), obs.NewMetrics()
+	b := NewBatcher(e, time.Hour, m)
+	for i := 0; i < 3; i++ {
+		e.pass(1)
+		if c := submit(b, context.Background(), float64(i)).wait(); c.err != nil || c.res.Query.Lo != float64(i) {
+			t.Fatalf("idle query %d: %+v", i, c)
+		}
+		if n := <-e.entered; n != 1 {
+			t.Fatalf("idle query ran in a group of %d", n)
+		}
+	}
+	if s := m.Snapshot(); s.GroupsFreeSlot != 3 || s.GroupsHandover+s.GroupsExpired+s.WindowWaiters != 0 || s.WindowWaitSum != 0 {
+		t.Fatalf("queue counters after idle queries: %+v", s)
+	}
+	checkIdle(t, b, e)
+}
+
+// TestBatcherHandover: arrivals that find every slot busy form one group,
+// which fires when a running group finishes — under an hour-long window, so
+// not at expiry — at the size of the backlog.
+func TestBatcherHandover(t *testing.T) {
+	e, m := newGateEngine(), obs.NewMetrics()
+	b := NewBatcher(e, time.Hour, m)
+	holders := occupy(t, b, e)
+	const backlog = 5
+	waiters := make([]*gateCall, backlog)
+	for i := range waiters {
+		waiters[i] = submit(b, context.Background(), float64(i))
+		awaitPending(b, i+1) // keeps member order = submission order
+	}
+	select {
+	case n := <-e.entered:
+		t.Fatalf("a group of %d started with every slot busy", n)
+	default:
+	}
+	e.pass(1) // one holder finishes and hands its slot over
+	if n := <-e.entered; n != backlog {
+		t.Fatalf("released group has %d members, want %d", n, backlog)
+	}
+	e.pass(b.slots) // the group and the remaining holders
+	for i, c := range waiters {
+		if c.wait(); c.err != nil || c.res.Query.Lo != float64(i) {
+			t.Fatalf("waiter %d: %+v", i, c)
+		}
+	}
+	for _, c := range holders {
+		c.wait()
+	}
+	s := m.Snapshot()
+	if s.GroupsFreeSlot != int64(b.slots) || s.GroupsHandover != 1 || s.GroupsExpired != 0 || s.WindowWaiters != backlog {
+		t.Fatalf("queue counters: %+v", s)
+	}
+	if s.WindowWaitMax <= 0 || s.WindowWaitSum < s.WindowWaitMax || s.WindowWaitSum > backlog*s.WindowWaitMax {
+		t.Fatalf("wait accounting: sum %v max %v over %d waiters", s.WindowWaitSum, s.WindowWaitMax, backlog)
+	}
+	checkIdle(t, b, e)
+}
+
+// TestBatcherExpiry: with no slot ever released the pending group fires when
+// the window runs out, over the slot count; the excess drains before slots
+// are handed over again.
+func TestBatcherExpiry(t *testing.T) {
+	e, m := newGateEngine(), obs.NewMetrics()
+	b := NewBatcher(e, 30*time.Millisecond, m)
+	holders := occupy(t, b, e)
+	const backlog = 3
+	waiters := make([]*gateCall, backlog)
+	for i := range waiters {
+		waiters[i] = submit(b, context.Background(), float64(i))
+	}
+	// However the arrivals split across windows, every one of them starts by
+	// expiry alone.
+	groups := 0
+	for started := 0; started < backlog; groups++ {
+		started += <-e.entered
+	}
+	b.mu.Lock()
+	running := b.running
+	b.mu.Unlock()
+	if running != b.slots+groups {
+		t.Fatalf("running=%d with %d slots and %d expired groups", running, b.slots, groups)
+	}
+	e.pass(b.slots + groups)
+	for _, c := range append(waiters, holders...) {
+		if c.wait(); c.err != nil {
+			t.Fatal(c.err)
+		}
+	}
+	if s := m.Snapshot(); s.GroupsExpired != int64(groups) || s.GroupsHandover != 0 || s.WindowWaiters != backlog ||
+		s.WindowWaitMax < 30*time.Millisecond {
+		t.Fatalf("queue counters: %+v", s)
+	}
+	checkIdle(t, b, e)
+}
+
+// TestBatcherCancellation: a follower whose context ends returns at once,
+// while its group is still waiting; a canceled leader stays, runs the group
+// and serves its followers.
+func TestBatcherCancellation(t *testing.T) {
+	e := newGateEngine()
+	b := NewBatcher(e, time.Hour, nil)
+	holders := occupy(t, b, e)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leader := submit(b, leaderCtx, 0)
+	awaitPending(b, 1)
+	followerCtx, cancelFollower := context.WithCancel(context.Background())
+	quitter := submit(b, followerCtx, 1)
+	awaitPending(b, 2)
+	stayer := submit(b, context.Background(), 2)
+	awaitPending(b, 3)
+
+	cancelFollower()
+	if quitter.wait(); !errors.Is(quitter.err, context.Canceled) {
+		t.Fatalf("canceled follower: %+v", quitter)
+	}
+	select {
+	case n := <-e.entered:
+		t.Fatalf("group of %d started before any slot was released", n)
+	default:
+	}
+	cancelLeader()
+	e.pass(1)
+	if n := <-e.entered; n != 3 {
+		t.Fatalf("group ran with %d members, want 3 (the quitter's member stays in the batch)", n)
+	}
+	e.pass(b.slots)
+	if leader.wait(); !errors.Is(leader.err, context.Canceled) {
+		t.Fatalf("canceled leader: %+v", leader)
+	}
+	if stayer.wait(); stayer.err != nil || stayer.res.Query.Lo != 2 {
+		t.Fatalf("follower of a canceled leader: %+v", stayer)
+	}
+	for _, c := range holders {
+		c.wait()
+	}
+	checkIdle(t, b, e)
+}
+
+// TestBatcherPanic: a panic inside the shared scan unwinds through the
+// leader's caller, releases every follower with an error and still gives the
+// slot back — on the free-slot path too.
+func TestBatcherPanic(t *testing.T) {
+	e := newGateEngine()
+	b := NewBatcher(e, time.Hour, nil)
+	e.pass(1)
+	if c := submit(b, context.Background(), -1).wait(); c.panicked == nil {
+		t.Fatalf("poisoned solo query did not panic: %+v", c)
+	}
+	<-e.entered
+
+	holders := occupy(t, b, e)
+	leader := submit(b, context.Background(), -1)
+	awaitPending(b, 1)
+	follower := submit(b, context.Background(), 2)
+	awaitPending(b, 2)
+	e.pass(1)
+	if n := <-e.entered; n != 2 {
+		t.Fatalf("poisoned group ran with %d members", n)
+	}
+	e.pass(b.slots)
+	if leader.wait(); leader.panicked == nil {
+		t.Fatalf("leader of a poisoned group did not panic: %+v", leader)
+	}
+	if follower.wait(); !errors.Is(follower.err, errBatchAborted) || follower.res != nil {
+		t.Fatalf("follower of a panicked leader: %+v", follower)
+	}
+	for _, c := range holders {
+		c.wait()
+	}
+	checkIdle(t, b, e)
 }

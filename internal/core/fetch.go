@@ -180,38 +180,38 @@ func fetchPositions(ctx context.Context, qc *storage.QueryCtx, rids []storage.RI
 // record's interval against q on the partial decode and handing the matches
 // to sk; it returns how many records it tested. ctx is polled before each run
 // and every scanCancelStride records — adjacent subfield runs merge into long
-// sequential scans, so between-run polls alone would be too coarse.
+// sequential scans, so between-run polls alone would be too coarse. One
+// visitor walks the whole list, so the scan allocates per query, not per run.
 func scanRuns(ctx context.Context, qc *storage.QueryCtx, heap *storage.HeapFile, runs []pageRun, q geom.Interval, sk sink) (fetched int, err error) {
-	var sv survivor
-	var cellErr error
-	for _, r := range runs {
-		if err := ctx.Err(); err != nil {
-			return fetched, err
+	// The visitor's state sits in one block, so the scan costs two heap
+	// objects (the block and the closure) however many runs it walks.
+	var s struct {
+		sv      survivor
+		fetched int
+		err     error // what stopped the scan early: a bad record, the sink, or ctx
+	}
+	err = heap.ScanRunsCtx(qc, len(runs), func(i int) (int, int, error) {
+		return runs[i].first, runs[i].last, ctx.Err()
+	}, func(_ storage.RID, rec []byte) bool {
+		iv, err := field.CellIntervalFromRecord(rec)
+		if err != nil {
+			s.err = err
+			return false
 		}
-		err := heap.ScanPagesCtx(qc, r.first, r.last, func(_ storage.RID, rec []byte) bool {
-			iv, err := field.CellIntervalFromRecord(rec)
-			if err != nil {
-				cellErr = err
+		s.fetched++
+		if iv.Intersects(q) {
+			s.sv.reset(rec)
+			if s.err = sk.add(&s.sv); s.err != nil {
 				return false
 			}
-			fetched++
-			if iv.Intersects(q) {
-				sv.reset(rec)
-				if cellErr = sk.add(&sv); cellErr != nil {
-					return false
-				}
-			}
-			if fetched%scanCancelStride == 0 {
-				cellErr = ctx.Err()
-			}
-			return cellErr == nil
-		})
-		if err == nil {
-			err = cellErr
 		}
-		if err != nil {
-			return fetched, err
+		if s.fetched%scanCancelStride == 0 {
+			s.err = ctx.Err()
 		}
+		return s.err == nil
+	})
+	if err == nil {
+		err = s.err
 	}
-	return fetched, nil
+	return s.fetched, err
 }

@@ -118,6 +118,12 @@ type SnapshotView struct {
 	BatchSizes          []BatchSizeBucketView `json:"batch_sizes,omitempty"`
 	BatchPhysicalPages  int64                 `json:"batch_physical_pages"`
 	CoalescedPagesSaved int64                 `json:"coalesced_pages_saved"`
+	GroupsFreeSlot      int64                 `json:"groups_free_slot"`
+	GroupsHandover      int64                 `json:"groups_handover"`
+	GroupsExpired       int64                 `json:"groups_expired"`
+	WindowWaiters       int64                 `json:"window_waiters"`
+	WindowWaitSumNs     int64                 `json:"window_wait_sum_ns"`
+	WindowWaitMaxNs     int64                 `json:"window_wait_max_ns"`
 	UpdateBatches       int64                 `json:"update_batches"`
 	UpdatesApplied      int64                 `json:"updates_applied"`
 	UpdateCellsTouched  int64                 `json:"update_cells_touched"`
@@ -152,6 +158,12 @@ func (s Snapshot) View() SnapshotView {
 		BatchQueries:        s.BatchQueries,
 		BatchPhysicalPages:  s.BatchPhysicalPages,
 		CoalescedPagesSaved: s.CoalescedPagesSaved,
+		GroupsFreeSlot:      s.GroupsFreeSlot,
+		GroupsHandover:      s.GroupsHandover,
+		GroupsExpired:       s.GroupsExpired,
+		WindowWaiters:       s.WindowWaiters,
+		WindowWaitSumNs:     int64(s.WindowWaitSum),
+		WindowWaitMaxNs:     int64(s.WindowWaitMax),
 		UpdateBatches:       s.UpdateBatches,
 		UpdatesApplied:      s.UpdatesApplied,
 		UpdateCellsTouched:  s.UpdateCellsTouched,

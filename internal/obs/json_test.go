@@ -72,6 +72,9 @@ func TestSnapshotView(t *testing.T) {
 	m.RecordPages(4, 2, 6, 1, time.Millisecond)
 	m.RecordContour(time.Millisecond)
 	m.RecordBatch(3, 20, 40)
+	m.RecordGroup(ReleaseFreeSlot, 1, 0, 0)
+	m.RecordGroup(ReleaseHandover, 3, 5*time.Millisecond, 2*time.Millisecond)
+	m.RecordGroup(ReleaseExpiry, 2, 4*time.Millisecond, 3*time.Millisecond)
 
 	v := m.Snapshot().View()
 	if v.Queries != 1 || len(v.Methods) != 1 || v.Methods[0].Method != "I-Hilbert" {
@@ -88,12 +91,17 @@ func TestSnapshotView(t *testing.T) {
 		t.Fatalf("batch = %+v", v)
 	}
 
+	if v.GroupsFreeSlot != 1 || v.GroupsHandover != 1 || v.GroupsExpired != 1 || v.WindowWaiters != 5 ||
+		v.WindowWaitSumNs != int64(9*time.Millisecond) || v.WindowWaitMaxNs != int64(3*time.Millisecond) {
+		t.Fatalf("window queue = %+v", v)
+	}
+
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(b)
-	for _, key := range []string{`"queries":1`, `"coalesced_pages_saved":40`, `"latency_p50_ns"`, `"upper_bound_ns"`, `"max_size"`} {
+	for _, key := range []string{`"queries":1`, `"coalesced_pages_saved":40`, `"groups_handover":1`, `"window_wait_max_ns":3000000`, `"latency_p50_ns"`, `"upper_bound_ns"`, `"max_size"`} {
 		if !strings.Contains(s, key) {
 			t.Fatalf("marshaled snapshot misses %s: %s", key, s)
 		}

@@ -126,6 +126,13 @@ type Metrics struct {
 	batchPhysical atomic.Int64
 	batchSaved    atomic.Int64
 
+	// Admission-window queue accounting: groups by what let them start, the
+	// member queries that waited in a group, and how long they waited.
+	groupsBy       [numGroupReleases]atomic.Int64
+	windowWaiters  atomic.Int64
+	windowWaitNano atomic.Int64
+	windowWaitMax  atomic.Int64
+
 	// Live-update accounting: UpdateSamples batches applied, sample values
 	// and cells they touched, pages written at commit (cell + sidecar
 	// overlays plus fresh index pages), epochs retired by the storage plane
@@ -259,6 +266,42 @@ func (m *Metrics) RecordBatch(size int, physicalReads, savedReads int64) {
 	m.batchSaved.Add(savedReads)
 }
 
+// GroupRelease says what let a group of windowed queries start executing.
+type GroupRelease uint8
+
+const (
+	// ReleaseFreeSlot: an execution slot was free on arrival — a group of
+	// one that never waited.
+	ReleaseFreeSlot GroupRelease = iota
+	// ReleaseHandover: every slot was busy; a finishing group handed its
+	// slot to the pending one.
+	ReleaseHandover
+	// ReleaseExpiry: every slot stayed busy for the whole window.
+	ReleaseExpiry
+	numGroupReleases
+)
+
+// RecordGroup folds one released admission-window group into the queue
+// accounting: what released it, its member count, and — for a group that
+// waited — the members' summed wait and the longest one (its leader's).
+func (m *Metrics) RecordGroup(how GroupRelease, members int, waitSum, waitMax time.Duration) {
+	if m == nil {
+		return
+	}
+	m.groupsBy[how].Add(1)
+	if how == ReleaseFreeSlot {
+		return
+	}
+	m.windowWaiters.Add(int64(members))
+	m.windowWaitNano.Add(int64(waitSum))
+	for {
+		old := m.windowWaitMax.Load()
+		if int64(waitMax) <= old || m.windowWaitMax.CompareAndSwap(old, int64(waitMax)) {
+			return
+		}
+	}
+}
+
 // RecordUpdate folds one applied UpdateSamples batch into the live-update
 // accounting: how many sample values it changed, how many cells it touched,
 // how many pages it wrote at commit, how many old epochs the commit retired,
@@ -351,6 +394,19 @@ type Snapshot struct {
 	BatchSizes          []BatchSizeBucket
 	BatchPhysicalPages  int64
 	CoalescedPagesSaved int64
+	// Admission-window queue (BatchWindow): groups that started at once on a
+	// free execution slot (one query each, no wait), on a slot a finishing
+	// group handed over, and at window expiry with every slot still busy;
+	// WindowWaiters counts the member queries of the latter two kinds,
+	// WindowWaitSum their summed wait for a slot and WindowWaitMax the longest
+	// single wait. Mostly free-slot groups: the engine keeps up and any queue
+	// is upstream of it; expiries: the engine is saturated.
+	GroupsFreeSlot int64
+	GroupsHandover int64
+	GroupsExpired  int64
+	WindowWaiters  int64
+	WindowWaitSum  time.Duration
+	WindowWaitMax  time.Duration
 	// Live updates: UpdateBatches counts applied UpdateSamples calls,
 	// UpdatesApplied the sample values they changed, UpdateCellsTouched the
 	// cells whose records were patched, UpdatePagesWritten the pages the
@@ -401,6 +457,12 @@ func (m *Metrics) Snapshot() Snapshot {
 		BatchQueries:        m.batchQueries.Load(),
 		BatchPhysicalPages:  m.batchPhysical.Load(),
 		CoalescedPagesSaved: m.batchSaved.Load(),
+		GroupsFreeSlot:      m.groupsBy[ReleaseFreeSlot].Load(),
+		GroupsHandover:      m.groupsBy[ReleaseHandover].Load(),
+		GroupsExpired:       m.groupsBy[ReleaseExpiry].Load(),
+		WindowWaiters:       m.windowWaiters.Load(),
+		WindowWaitSum:       time.Duration(m.windowWaitNano.Load()),
+		WindowWaitMax:       time.Duration(m.windowWaitMax.Load()),
 		UpdateBatches:       m.updateBatches.Load(),
 		UpdatesApplied:      m.updatesApplied.Load(),
 		UpdateCellsTouched:  m.updateCells.Load(),
@@ -491,6 +553,15 @@ func (s Snapshot) String() string {
 		for _, bb := range s.BatchSizes {
 			fmt.Fprintf(&b, "  size ≤%-6d %d\n", bb.MaxSize, bb.Count)
 		}
+	}
+	if s.GroupsFreeSlot+s.GroupsHandover+s.GroupsExpired > 0 {
+		var mean time.Duration
+		if s.WindowWaiters > 0 {
+			mean = s.WindowWaitSum / time.Duration(s.WindowWaiters)
+		}
+		fmt.Fprintf(&b, "window: free-slot=%d handover=%d expired=%d waiters=%d wait mean=%v max=%v\n",
+			s.GroupsFreeSlot, s.GroupsHandover, s.GroupsExpired, s.WindowWaiters,
+			mean.Round(time.Microsecond), s.WindowWaitMax.Round(time.Microsecond))
 	}
 	if s.UpdateBatches > 0 {
 		fmt.Fprintf(&b, "updates: batches=%d samples=%d cells=%d written=%d retired=%d regroups=%d\n",

@@ -291,6 +291,39 @@ func TestMetricsRecordBatch(t *testing.T) {
 	}
 }
 
+// TestMetricsRecordGroup: the admission-window queue counters — groups by
+// release kind, waiters, summed and longest wait — and that recording them
+// allocates nothing.
+func TestMetricsRecordGroup(t *testing.T) {
+	var nilM *Metrics
+	nilM.RecordGroup(ReleaseExpiry, 3, time.Second, time.Second) // nil receiver stays inert
+
+	m := NewMetrics()
+	m.RecordGroup(ReleaseFreeSlot, 1, 0, 0)
+	m.RecordGroup(ReleaseFreeSlot, 1, 0, 0)
+	m.RecordGroup(ReleaseHandover, 4, 10*time.Millisecond, 4*time.Millisecond)
+	m.RecordGroup(ReleaseExpiry, 2, 3*time.Millisecond, 2*time.Millisecond)
+	s := m.Snapshot()
+	if s.GroupsFreeSlot != 2 || s.GroupsHandover != 1 || s.GroupsExpired != 1 {
+		t.Fatalf("groups: %+v", s)
+	}
+	if s.WindowWaiters != 6 || s.WindowWaitSum != 13*time.Millisecond || s.WindowWaitMax != 4*time.Millisecond {
+		t.Fatalf("waits: %+v", s)
+	}
+	if out := s.String(); !strings.Contains(out, "window: free-slot=2 handover=1 expired=1 waiters=6 wait mean=2.167ms max=4ms") {
+		t.Fatalf("String lacks the window line: %s", out)
+	}
+	if out := NewMetrics().Snapshot().String(); strings.Contains(out, "window:") {
+		t.Fatalf("window-free String shows the window line: %s", out)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m.RecordGroup(ReleaseFreeSlot, 1, 0, 0)
+		m.RecordGroup(ReleaseHandover, 2, time.Millisecond, time.Millisecond)
+	}); n != 0 {
+		t.Fatalf("RecordGroup allocates %v per run", n)
+	}
+}
+
 func TestBatchSizeBucketOf(t *testing.T) {
 	cases := map[int]int64{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 16: 16, 17: 32, 1 << 20: 1 << 16}
 	for size, wantMax := range cases {

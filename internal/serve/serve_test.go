@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -577,9 +579,15 @@ func TestServeDrain(t *testing.T) {
 // TestServeConcurrentCoalescing exercises the whole stack under -race:
 // concurrent HTTP clients issuing overlapping value queries through the
 // admission window must coalesce onto shared scans (CoalescedPagesSaved
-// moves) while every response stays identical to solo execution.
+// moves) while every response stays identical to solo execution. The window
+// shares a scan only among queries that find every execution slot (one per
+// core) busy, and these queries are far too short to keep the cores busy by
+// themselves: the test first parks one request per slot inside its trace
+// hook, so the clients meet a saturated engine and their groups are released
+// by window expiry alone.
 func TestServeConcurrentCoalescing(t *testing.T) {
-	_, hs, db := testServer(t, Config{MaxInFlight: 128}, 2*time.Millisecond)
+	slots := runtime.GOMAXPROCS(0)
+	_, hs, db := testServer(t, Config{MaxInFlight: 128 + slots}, 2*time.Millisecond)
 	vr := db.ValueRange()
 	lo, hi := vr.Lo+vr.Length()*0.4, vr.Lo+vr.Length()*0.6
 	want, err := db.ValueQueryContext(context.Background(), lo, hi)
@@ -590,11 +598,46 @@ func TestServeConcurrentCoalescing(t *testing.T) {
 
 	const clients, rounds = 16, 4
 	var wg sync.WaitGroup
-	errs := make(chan error, clients*rounds)
+	errs := make(chan error, slots+clients*rounds)
+
+	// A query's trace is delivered while it still holds its slot.
+	var traced atomic.Int32
+	parked, unpark := make(chan struct{}, slots), make(chan struct{})
+	db.SetTracer(fielddb.TracerFunc(func(*fielddb.QueryTrace) {
+		if traced.Add(1) <= int32(slots) {
+			parked <- struct{}{}
+			<-unpark
+		}
+	}))
+	for i := 0; i < slots; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(url)
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("slot holder: status %d", resp.StatusCode)
+			}
+		}()
+	}
+	for i := 0; i < slots; i++ {
+		<-parked
+	}
+	var clientsDone sync.WaitGroup
+	clientsDone.Add(clients)
+	go func() {
+		clientsDone.Wait()
+		close(unpark)
+	}()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer clientsDone.Done()
 			for r := 0; r < rounds; r++ {
 				var out struct {
 					Result struct {

@@ -228,42 +228,67 @@ func (h *HeapFile) ScanPages(first, last int, fn func(rid RID, rec []byte) bool)
 
 // ScanPagesCtx is ScanPages with the page reads charged to r, so concurrent
 // queries — and the workers of one parallel refinement step — each account
-// their own sequential run. Each maximal physically contiguous stretch of the
-// range is fetched through one ReadRun: one batched pool interaction and at
-// most one disk call per missing sub-run, charged page by page in order.
+// their own sequential run: the one-run case of ScanRunsCtx.
 func (h *HeapFile) ScanPagesCtx(r PageReader, first, last int, fn func(rid RID, rec []byte) bool) error {
+	return h.ScanRunsCtx(r, 1, func(int) (int, int, error) { return first, last, nil }, fn)
+}
+
+// ScanRunsCtx visits, in order, the records on n runs of the file's pages,
+// the reads charged to r. run(i) gives run i's inclusive bounds as indices
+// into the file's page list (clamped to the file), or an error that ends the
+// scan and is returned — where a caller polls its context between runs. Each
+// maximal physically contiguous stretch of a run is fetched through one
+// ReadRun: one batched pool interaction and at most one disk call per missing
+// sub-run, charged page by page in order. One page visitor serves the whole
+// scan, so a scan allocates the same however many runs it walks.
+func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last int, err error), fn func(rid RID, rec []byte) bool) error {
 	if err := h.Flush(); err != nil {
 		return err
 	}
-	if first < 0 {
-		first = 0
-	}
-	if last >= len(h.pages) {
-		last = len(h.pages) - 1
-	}
-	more := true
-	var pageErr error
-	visit := func(id PageID, page []byte) bool {
-		more, pageErr = scanPageRecords(id, page, fn)
-		return more && pageErr == nil
-	}
-	for first <= last && more {
-		// Heap files built on a fresh disk are contiguous throughout;
-		// interleaved allocation (heap pages mixed with index pages) splits the
-		// range where the page ids jump.
-		end := first
-		for end < last && h.pages[end+1] == h.pages[end]+1 {
-			end++
-		}
-		if err := r.ReadRun(h.pages[first], h.pages[end], visit); err != nil {
+	s := &runScan{fn: fn, more: true}
+	visit := s.visit
+	for i := 0; i < n && s.more; i++ {
+		first, last, err := run(i)
+		if err != nil {
 			return err
 		}
-		if pageErr != nil {
-			return pageErr
+		if first < 0 {
+			first = 0
 		}
-		first = end + 1
+		if last >= len(h.pages) {
+			last = len(h.pages) - 1
+		}
+		for first <= last && s.more {
+			// Heap files built on a fresh disk are contiguous throughout;
+			// interleaved allocation (heap pages mixed with index pages) splits the
+			// range where the page ids jump.
+			end := first
+			for end < last && h.pages[end+1] == h.pages[end]+1 {
+				end++
+			}
+			if err := r.ReadRun(h.pages[first], h.pages[end], visit); err != nil {
+				return err
+			}
+			if s.err != nil {
+				return s.err
+			}
+			first = end + 1
+		}
 	}
 	return nil
+}
+
+// runScan is the page visitor of one ScanRunsCtx call: more goes false when
+// fn stops the scan, err holds a malformed page's error.
+type runScan struct {
+	fn   func(rid RID, rec []byte) bool
+	more bool
+	err  error
+}
+
+func (s *runScan) visit(id PageID, page []byte) bool {
+	s.more, s.err = scanPageRecords(id, page, s.fn)
+	return s.more && s.err == nil
 }
 
 // scanPageRecords visits every record of one page image in slot order. It

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -301,6 +302,60 @@ func TestHeapFileScanPagesSubrange(t *testing.T) {
 	h.ScanPages(-5, 100, func(RID, []byte) bool { total++; return true })
 	if total != 60 {
 		t.Fatalf("clamped scan visited %d", total)
+	}
+}
+
+// TestHeapFileScanRuns: a list of runs is walked in order with the records
+// of each, exactly as one ScanPagesCtx per run would; an error from the run
+// accessor ends the scan and comes back; a visitor's stop ends it cleanly; and
+// the scan allocates the same for one run as for many.
+func TestHeapFileScanRuns(t *testing.T) {
+	p := NewPager(NewMemDisk(128), DefaultDiskModel, 1024) // every page stays resident
+	h := NewHeapFile(p)
+	for i := 0; i < 120; i++ {
+		h.Append([]byte(fmt.Sprintf("rec-%03d", i)))
+	}
+	h.Flush()
+	if h.NumPages() < 6 {
+		t.Skipf("need >= 6 pages, got %d", h.NumPages())
+	}
+	runs := [][2]int{{0, 1}, {3, 3}, {5, 100}}
+	at := func(i int) (int, int, error) { return runs[i][0], runs[i][1], nil }
+	var want, got []string
+	for _, r := range runs {
+		h.ScanPagesCtx(p, r[0], r[1], func(_ RID, rec []byte) bool { want = append(want, string(rec)); return true })
+	}
+	if err := h.ScanRunsCtx(p, len(runs), at, func(_ RID, rec []byte) bool { got = append(got, string(rec)); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("run scan visited %d records, per-run scans %d", len(got), len(want))
+	}
+
+	// The accessor's error stops the scan before run 1 is read.
+	boom := errors.New("boom")
+	seen := 0
+	err := h.ScanRunsCtx(p, len(runs), func(i int) (int, int, error) {
+		if i == 1 {
+			return 0, 0, boom
+		}
+		return at(i)
+	}, func(RID, []byte) bool { seen++; return true })
+	if !errors.Is(err, boom) || seen == 0 || seen >= len(got) {
+		t.Fatalf("accessor error: err=%v after %d records", err, seen)
+	}
+
+	// The visitor's stop ends the whole scan, not just its run.
+	seen = 0
+	if err := h.ScanRunsCtx(p, len(runs), at, func(RID, []byte) bool { seen++; return seen < 3 }); err != nil || seen != 3 {
+		t.Fatalf("early stop: err=%v after %d records", err, seen)
+	}
+
+	visit := func(RID, []byte) bool { return true }
+	one := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(p, 1, at, visit) })
+	many := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(p, len(runs), at, visit) })
+	if one != many {
+		t.Fatalf("scan allocates %v for one run, %v for %d", one, many, len(runs))
 	}
 }
 

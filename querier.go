@@ -148,7 +148,8 @@ type surface struct {
 	// SetSample.
 	vrange atomic.Pointer[Interval]
 	// batcher, when an admission window is armed, takes solo value queries in
-	// index's place and coalesces concurrent ones onto shared scans.
+	// index's place: at once while a core is free, coalesced onto shared scans
+	// while none is.
 	batcher *core.Batcher
 	// point answers conventional queries; nil (a stored file carries only the
 	// value index) fails them with ErrNoSpatialIndex.
@@ -261,7 +262,8 @@ func (s *surface) ValueBelow(hi float64) (*Result, error) {
 // to what ValueQueryContext would return solo; batching changes only the
 // physical I/O (visible in Metrics as batch physical pages and coalesced
 // pages saved). ctx cancels the whole batch. Unlike BatchWindow, no admission
-// delay is involved: the batch is explicit.
+// gate is involved: the batch is explicit and runs whether or not a core is
+// free.
 //
 // The first failing query determines the returned error (wrapped with its
 // position); the slice still carries every successful query's result, with
