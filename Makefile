@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate bench-parallel bench-smoke tiled-smoke serve-smoke serve-bench-smoke approx-smoke bench-compare
+.PHONY: check build vet fmt test race cover alloc-gate bench-parallel bench-smoke bench-compare
 
-check: build vet fmt race cover alloc-gate bench-smoke tiled-smoke serve-smoke serve-bench-smoke approx-smoke bench-compare
+check: build vet fmt race cover alloc-gate bench-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -56,33 +56,6 @@ bench-parallel:
 # real -benchtime for numbers; see BENCH_BASELINE.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkValueRange -benchtime 1x .
-
-# -short-guarded smoke over the large-terrain tiled suite: exercises the
-# same specs, row naming, and answer cross-check as the gated 1024×1024
-# rows, on a terrain small enough to keep CI wall-clock flat.
-tiled-smoke:
-	$(GO) test -short -run TestTiledMeasureSmoke ./internal/bench
-
-# End-to-end smoke over the HTTP serving tier: a real server on a loopback
-# listener driven by the deterministic load generator, asserting zero failed
-# requests (the full suite, including drain and coalescing tests, runs under
-# `make race`).
-serve-smoke:
-	$(GO) test -short -run TestServeSmoke ./internal/serve
-
-# Short 256-connection wall-clock drive over both wire formats, failing on
-# any dropped response or zero admission-window coalescing — the serving
-# tier's promises at real concurrency, in seconds instead of the full
-# ServeLoad measurement's minutes.
-serve-bench-smoke:
-	$(GO) test -run TestServeBenchSmoke ./internal/serve
-
-# -short-guarded smoke over the approximate-aggregate tier: builds fixture
-# summaries, checks every answer's true error against its certified bound and
-# the ≤4-page / ≥10×-fewer-pages claims, and pins the exact fallback past a
-# tolerance the summary cannot certify.
-approx-smoke:
-	$(GO) test -short -run 'TestApproxMeasureSmoke|TestApproxMeasureFallback' ./internal/bench
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # value-range suite (one 64-query rotation per cell, exactly the

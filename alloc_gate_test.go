@@ -38,7 +38,7 @@ func TestAllocCeilings(t *testing.T) {
 		specs[spec.Label] = spec
 	}
 	tiled := func(f field.Field, p *storage.Pager) (core.Index, error) {
-		return core.BuildTiled(f, p, core.TiledOptions{TileSide: 64, Codec: storage.SidecarCodecPacked})
+		return core.Build(context.Background(), f, p, core.BuildOptions{Method: core.MethodLinearScan, TileSide: 64, Codec: storage.SidecarCodecPacked})
 	}
 	for _, c := range []struct {
 		name    string

@@ -13,6 +13,7 @@
 package fielddb_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -23,7 +24,6 @@ import (
 	"fielddb/internal/core"
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
-	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
 	"fielddb/internal/volume"
@@ -268,7 +268,7 @@ func BenchmarkPointQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
-	sp, err := core.BuildSpatial(f, pager, rstarParams())
+	sp, err := core.BuildSpatial(context.Background(), f, pager)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,9 +284,8 @@ func BenchmarkPointQuery(b *testing.B) {
 	}
 }
 
-// pt and rstarParams keep the benchmark imports tidy.
+// pt keeps the benchmark imports tidy.
 func pt(x, y float64) geom.Point { return geom.Pt(x, y) }
-func rstarParams() rstar.Params  { return rstar.Params{} }
 
 // BenchmarkVolume3D measures 3-D value queries (extension E2): the
 // 3-D Hilbert subfield index vs an exhaustive scan over a 64³ voxel grid.

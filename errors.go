@@ -15,8 +15,6 @@ var (
 	// ErrInvertedInterval reports a value interval with hi < lo. Every query
 	// path validates its interval against it before touching an index.
 	ErrInvertedInterval = errors.New("fielddb: inverted interval")
-	// ErrUnknownMethod reports an Options.Method the facade doesn't know.
-	ErrUnknownMethod = errors.New("fielddb: unknown method")
 	// ErrClosed reports a query or save against a DB, StoredIndex or Snapshot
 	// after Close.
 	ErrClosed = errors.New("fielddb: database is closed")
@@ -24,10 +22,6 @@ var (
 	// conjunctive query: no conditions, mismatched slice lengths, or a nil
 	// *DB element.
 	ErrBadConjunction = errors.New("fielddb: invalid conjunctive query")
-	// ErrBadTiling reports an Options combination the tiled planner cannot
-	// build: TileSide with Auto or IAll, TileSide 1, or an unknown
-	// SidecarCodec.
-	ErrBadTiling = errors.New("fielddb: invalid tiling options")
 	// ErrNonFiniteBound reports a NaN or ±Inf query value — an interval end,
 	// an open bound (ValueAbove/ValueBelow), a contour level, or a point
 	// coordinate. Every Querier surface rejects non-finite inputs before
@@ -47,6 +41,11 @@ var (
 // Errors re-exported from internal/core, so errors.Is works across the
 // facade boundary.
 var (
+	// ErrUnknownMethod reports an Options.Method outside the method table.
+	ErrUnknownMethod = core.ErrUnknownMethod
+	// ErrBadTiling reports an Options combination the builder refuses:
+	// TileSide with Auto or IAll, TileSide 1, or an unknown SidecarCodec.
+	ErrBadTiling = core.ErrBadOptions
 	// ErrNoPartition reports an operation that needs a partition-based value
 	// index — subfield summaries (ApproxValueQueryContext) or the on-disk
 	// format (SaveIndex) — on a configuration without one.

@@ -273,11 +273,11 @@ func TestUnsupportedVersionsRefused(t *testing.T) {
 		open func(path string) error
 	}{
 		{"flat", Options{}, func(path string) error {
-			_, err := core.OpenFile(path, storage.DefaultDiskModel, 0)
+			_, err := core.Open(path, core.OpenFileOptions{})
 			return err
 		}},
 		{"tiled", Options{Method: LinearScan, TileSide: 8}, func(path string) error {
-			_, err := core.OpenTiledFile(path, storage.DefaultDiskModel, 0)
+			_, err := core.Open(path, core.OpenFileOptions{})
 			return err
 		}},
 	} {

@@ -29,6 +29,7 @@ package fielddb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -39,7 +40,6 @@ import (
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
 	"fielddb/internal/obs"
-	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 	"fielddb/internal/tin"
 	"fielddb/internal/workload"
@@ -207,67 +207,26 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	if method == "" {
 		method = IHilbert
 	}
-	switch method {
-	case Auto, LinearScan, IAll, IHilbert, IQuad:
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, method)
-	}
-	if opts.SidecarCodec != "" && !storage.ValidSidecarCodec(opts.SidecarCodec) {
-		return nil, fmt.Errorf("%w: unknown sidecar codec %q", ErrBadTiling, opts.SidecarCodec)
-	}
-	if opts.TileSide != 0 {
-		switch {
-		case opts.TileSide < 2:
-			return nil, fmt.Errorf("%w: tile side %d (need at least 2)", ErrBadTiling, opts.TileSide)
-		case method == Auto || method == IAll:
-			return nil, fmt.Errorf("%w: method %s does not tile", ErrBadTiling, method)
-		}
-	}
 	newPager := func() *storage.Pager {
 		return storage.NewPagerShards(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages, 0)
 	}
 	pager := newPager()
 	vr := f.ValueRange()
-	// The Interval Quadtree threshold: 1/16 of the value range.
-	quadMaxSize := vr.Length()/16 + 1
 	buildValue := func() (core.Engine, error) {
-		if opts.TileSide != 0 {
-			topts := core.TiledOptions{
-				Method:   method,
-				TileSide: opts.TileSide,
-				Codec:    opts.SidecarCodec,
-				Workers:  opts.Workers,
-			}
-			if method == IQuad {
-				topts.MaxSize = quadMaxSize
-			}
-			return core.BuildTiledCtx(ctx, f, pager, topts)
-		}
-		hilbert := core.HilbertOptions{Workers: opts.Workers, Codec: opts.SidecarCodec}
-		switch method {
-		case Auto:
-			return core.BuildAutoCtx(ctx, f, pager, core.AutoOptions{Hilbert: hilbert})
-		case LinearScan:
-			return core.BuildLinearScanWith(ctx, f, pager, core.LinearScanOptions{Codec: opts.SidecarCodec})
-		case IAll:
-			return core.BuildIAllCtx(ctx, f, pager, core.IAllOptions{Codec: opts.SidecarCodec})
-		case IHilbert:
-			return core.BuildIHilbertCtx(ctx, f, pager, hilbert)
-		case IQuad:
-			return core.BuildIQuadCtx(ctx, f, pager, core.ThresholdOptions{
-				MaxSize: quadMaxSize,
-				Workers: opts.Workers,
-				Codec:   opts.SidecarCodec,
-			})
-		default:
-			panic("unreachable: method validated above")
-		}
+		return core.Build(ctx, f, pager, core.BuildOptions{
+			Method:   method,
+			TileSide: opts.TileSide,
+			Workers:  opts.Workers,
+			Codec:    opts.SidecarCodec,
+			// The Interval Quadtree threshold: 1/16 of the value range.
+			MaxSize: vr.Length()/16 + 1,
+		})
 	}
 	// The spatial index gets its own pager so Q1 and Q2 accounting stay
 	// independent.
 	spPager := newPager()
 	buildSpatial := func() (*core.SpatialIndex, error) {
-		return core.BuildSpatialCtx(ctx, f, spPager, rstar.Params{PageSize: storage.DefaultPageSize})
+		return core.BuildSpatial(ctx, f, spPager)
 	}
 
 	var (
@@ -292,6 +251,9 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 		if err == nil {
 			sp, spErr = buildSpatial()
 		}
+	}
+	if errors.Is(err, ErrUnknownMethod) || errors.Is(err, ErrBadTiling) {
+		return nil, err // the Options were refused; nothing was built
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fielddb: building %s: %w", method, err)
@@ -483,7 +445,7 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if pool == 0 {
 		pool = defaultPoolPages
 	}
-	p, err := core.OpenStoredWith(path, core.OpenFileOptions{PoolPages: pool})
+	p, err := core.Open(path, core.OpenFileOptions{PoolPages: pool})
 	if err != nil {
 		return nil, err
 	}

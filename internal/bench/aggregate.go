@@ -35,12 +35,10 @@ func AggregateMeasure(side int) (map[string]Row, error) {
 		build func(pager *storage.Pager) (core.Engine, error)
 	}{
 		{"I-Hilbert", func(pager *storage.Pager) (core.Engine, error) {
-			return core.BuildIHilbert(f, pager, core.HilbertOptions{})
+			return core.Build(context.Background(), f, pager, core.BuildOptions{Method: core.MethodIHilbert})
 		}},
 		{"Tiled-LinearScan/packed", func(pager *storage.Pager) (core.Engine, error) {
-			return core.BuildTiled(f, pager, core.TiledOptions{
-				TileSide: side / 8, Codec: storage.SidecarCodecPacked,
-			})
+			return core.Build(context.Background(), f, pager, tiledPacked(side))
 		}},
 	}
 	rows := map[string]Row{}

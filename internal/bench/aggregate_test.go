@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // the exact pipeline is at least 10×, the true error stays inside the
 // certified bound (AggregateMeasure itself fails otherwise), and a tolerance
 // the summary cannot certify falls back to the exact answer. Under -short
-// (the make check smoke) the terrain shrinks, so the gate costs CI seconds.
+// the terrain shrinks.
 func TestApproxMeasureSmoke(t *testing.T) {
 	side := FixtureSide
 	if testing.Short() {
@@ -71,7 +72,7 @@ func TestApproxMeasureFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
-	idx, err := core.BuildIHilbert(f, pager, core.HilbertOptions{})
+	idx, err := core.Build(context.Background(), f, pager, core.BuildOptions{Method: core.MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestApproxMeasureFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := idx.Aggregate(q, 1e-12)
+		res, err := idx.AggregateContext(context.Background(), q, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestApproxMeasureFallback(t *testing.T) {
 			t.Fatalf("query %v stayed approximate with bound %.3g above the 1e-12 tolerance",
 				q, res.FractionBound)
 		}
-		loose, err := idx.Aggregate(q, math.Inf(1))
+		loose, err := idx.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}

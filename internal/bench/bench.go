@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -142,33 +143,22 @@ func Run(exp Experiment) (*Report, error) {
 func SpecsForMethods(methods ...core.Method) []IndexSpec {
 	var out []IndexSpec
 	for _, m := range methods {
-		m := m
-		switch m {
-		case core.MethodLinearScan:
-			out = append(out, IndexSpec{Label: string(m), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				return core.BuildLinearScan(f, p)
-			}})
-		case core.MethodIAll:
-			out = append(out, IndexSpec{Label: string(m), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				return core.BuildIAll(f, p, core.IAllOptions{})
-			}})
-		case core.MethodIHilbert:
-			out = append(out, IndexSpec{Label: string(m), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				return core.BuildIHilbert(f, p, core.HilbertOptions{})
-			}})
-		case core.MethodIQuad:
-			out = append(out, IndexSpec{Label: string(m), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				vr := f.ValueRange()
-				return core.BuildIQuad(f, p, core.ThresholdOptions{MaxSize: vr.Length()/16 + 1})
-			}})
-		case core.MethodIThresh:
-			out = append(out, IndexSpec{Label: string(m), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				vr := f.ValueRange()
-				return core.BuildIThreshold(f, p, core.ThresholdOptions{MaxSize: vr.Length()/16 + 1})
-			}})
-		}
+		out = append(out, buildSpec(string(m), core.BuildOptions{Method: m}, 1.0/16))
 	}
 	return out
+}
+
+// buildSpec is the IndexSpec that builds opts through core.Build. A positive
+// sizeFrac sets the threshold methods' MaxSize to that fraction of the
+// dataset's value range.
+func buildSpec(label string, opts core.BuildOptions, sizeFrac float64) IndexSpec {
+	return IndexSpec{Label: label, Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
+		o := opts
+		if sizeFrac > 0 {
+			o.MaxSize = f.ValueRange().Length()*sizeFrac + 1
+		}
+		return core.Build(context.Background(), f, p, o)
+	}}
 }
 
 // Table renders the report as the paper-style series table: one row per

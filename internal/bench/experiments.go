@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"fielddb/internal/core"
@@ -117,7 +118,7 @@ func AblationCurves(s Scale) Experiment {
 				if err != nil {
 					return nil, err
 				}
-				return core.BuildIHilbert(f, p, core.HilbertOptions{Curve: curve})
+				return core.Build(context.Background(), f, p, core.BuildOptions{Method: core.MethodIHilbert, Curve: curve})
 			},
 		})
 	}
@@ -143,13 +144,7 @@ func AblationQuadThreshold(s Scale) Experiment {
 	}
 	for _, frac := range []float64{1.0 / 4, 1.0 / 16, 1.0 / 64} {
 		frac := frac
-		specs = append(specs, IndexSpec{
-			Label: fmt.Sprintf("I-Quad/%g", 1/frac),
-			Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				vr := f.ValueRange()
-				return core.BuildIQuad(f, p, core.ThresholdOptions{MaxSize: vr.Length()*frac + 1})
-			},
-		})
+		specs = append(specs, buildSpec(fmt.Sprintf("I-Quad/%g", 1/frac), core.BuildOptions{Method: core.MethodIQuad}, frac))
 	}
 	return Experiment{
 		Name:  "ablation-quad",
@@ -170,14 +165,8 @@ func AblationCostEpsilon(s Scale) Experiment {
 	var specs []IndexSpec
 	for _, eps := range []float64{0.25, 1, 4, 16} {
 		eps := eps
-		specs = append(specs, IndexSpec{
-			Label: fmt.Sprintf("I-Hilbert/eps=%g", eps),
-			Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				return core.BuildIHilbert(f, p, core.HilbertOptions{
-					Cost: subfield.CostModel{Epsilon: eps},
-				})
-			},
-		})
+		specs = append(specs, buildSpec(fmt.Sprintf("I-Hilbert/eps=%g", eps),
+			core.BuildOptions{Method: core.MethodIHilbert, Cost: subfield.CostModel{Epsilon: eps}}, 0))
 	}
 	return Experiment{
 		Name:  "ablation-eps",
@@ -231,12 +220,7 @@ func RelatedIPIndex(s Scale) Experiment {
 // strategies, over a Qinterval grid that reaches into the high-selectivity
 // regime where LinearScan wins.
 func ExtensionAuto(s Scale) Experiment {
-	autoSpec := IndexSpec{
-		Label: string(core.MethodAuto),
-		Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-			return core.BuildAuto(f, p, core.AutoOptions{})
-		},
-	}
+	autoSpec := SpecsForMethods(core.MethodAuto)[0]
 	return Experiment{
 		Name:  "extension-auto",
 		Title: "adaptive planner (I-Auto) vs fixed strategies, wide Qinterval sweep",

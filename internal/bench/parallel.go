@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -48,7 +49,7 @@ func ParallelSpeedup(side int, maxWorkers, queries int, seed int64) (*ParallelRe
 		return nil, fmt.Errorf("bench parallel: terrain: %w", err)
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
-	idx, err := core.BuildIHilbert(f, pager, core.HilbertOptions{Workers: maxWorkers})
+	idx, err := core.Build(context.Background(), f, pager, core.BuildOptions{Method: core.MethodIHilbert, Workers: maxWorkers})
 	if err != nil {
 		return nil, fmt.Errorf("bench parallel: build: %w", err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -19,6 +20,12 @@ const (
 	// suite's 64 because each untiled query reads tens of thousands of pages.
 	TiledQueries = 16
 )
+
+// tiledPacked is the tiled configuration of the gated rows: LinearScan tiles
+// an eighth of the terrain wide, packed sidecars.
+func tiledPacked(side int) core.BuildOptions {
+	return core.BuildOptions{Method: core.MethodLinearScan, TileSide: side / 8, Codec: storage.SidecarCodecPacked}
+}
 
 // TiledMeasure runs the deterministic large-terrain suite: the same value
 // queries answered by the untiled LinearScan and by the tiled scatter-gather
@@ -41,12 +48,10 @@ func TiledMeasure(side int) (map[string]Row, error) {
 		build func(pager *storage.Pager) (core.Index, error)
 	}{
 		{"LinearScan", func(pager *storage.Pager) (core.Index, error) {
-			return core.BuildLinearScan(f, pager)
+			return core.Build(context.Background(), f, pager, core.BuildOptions{Method: core.MethodLinearScan})
 		}},
 		{"Tiled-LinearScan/packed", func(pager *storage.Pager) (core.Index, error) {
-			return core.BuildTiled(f, pager, core.TiledOptions{
-				TileSide: side / 8, Codec: storage.SidecarCodecPacked,
-			})
+			return core.Build(context.Background(), f, pager, tiledPacked(side))
 		}},
 	}
 	rows := map[string]Row{}

@@ -8,8 +8,8 @@ import (
 
 // TestTiledMeasureSmoke gates the large-terrain suite's plumbing without the
 // full 1024×1024 measurement: a reduced side exercises the same specs, row
-// naming, and the built-in answer cross-check. Under -short (the make check
-// smoke) the terrain shrinks again, so the gate costs CI about a second.
+// naming, and the built-in answer cross-check. Under -short the terrain shrinks
+// again.
 func TestTiledMeasureSmoke(t *testing.T) {
 	side := 512
 	if testing.Short() {

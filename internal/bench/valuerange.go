@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fielddb/internal/core"
-	"fielddb/internal/field"
-	"fielddb/internal/storage"
-)
+import "fielddb/internal/core"
 
 // Selectivities are the three query-selectivity regimes of the paper's
 // evaluation (relative Qinterval widths): narrow queries where the filter
@@ -23,15 +19,11 @@ var Selectivities = []float64{0.01, 0.05, 0.10}
 // spec builds a core.Engine; Build returns core.Index because the figure
 // experiments also list the reference baselines, which are only that.
 func ValueRangeSpecs() []IndexSpec {
+	hilbert := buildSpec(string(core.MethodIHilbert), core.BuildOptions{Method: core.MethodIHilbert}, 0)
+	hilbert.ParallelRefine = true
 	return []IndexSpec{
-		{Label: string(core.MethodLinearScan), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-			return core.BuildLinearScan(f, p)
-		}},
-		{Label: string(core.MethodIAll), Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-			return core.BuildIAll(f, p, core.IAllOptions{BulkLoad: true})
-		}},
-		{Label: string(core.MethodIHilbert), ParallelRefine: true, Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-			return core.BuildIHilbert(f, p, core.HilbertOptions{})
-		}},
+		buildSpec(string(core.MethodLinearScan), core.BuildOptions{Method: core.MethodLinearScan}, 0),
+		buildSpec(string(core.MethodIAll), core.BuildOptions{Method: core.MethodIAll, BulkLoad: true}, 0),
+		hilbert,
 	}
 }

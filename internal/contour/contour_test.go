@@ -1,6 +1,7 @@
 package contour
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestContourFromValueQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
-	idx, err := core.BuildIHilbert(d, pager, core.HilbertOptions{})
+	idx, err := core.Build(context.Background(), d, pager, core.BuildOptions{Method: core.MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,16 +186,16 @@ func (o *observed) aggregateExact(q geom.Interval, maxErr float64, cells int, to
 	return res, nil
 }
 
-// aggregateSummary probes the summary pages [first, first+pages) through qc —
-// whose PhaseSummary span the caller has opened — and evaluates them at the
+// aggregateSummary probes the store's summary pages through qc — whose
+// PhaseSummary span the caller has opened — and evaluates them at the
 // query's endpoints: at most summaryPages physical accesses, sequential. When
 // the certified fraction bound is within maxErr the estimate is the answer;
 // otherwise exact runs (under the caller's pin and trace) and the answer
 // becomes exact. The summary probe stays in the query's accounting either way
 // — it was a real cost — and the summary header still supplies the field-wide
 // denominators. qc is published and released here.
-func (o *observed) aggregateSummary(qc *storage.QueryCtx, first storage.PageID, pages int, q geom.Interval, maxErr float64, cells int, exact func() (*Result, error)) (*AggregateResult, error) {
-	buf, err := readSummary(qc, first, pages)
+func (sh *shell) aggregateSummary(qc *storage.QueryCtx, q geom.Interval, maxErr float64, cells int, exact func() (*Result, error)) (*AggregateResult, error) {
+	buf, err := readSummary(qc, sh.sumFirst, sh.sumPages)
 	if err != nil {
 		qc.Release()
 		return nil, err
@@ -209,8 +209,8 @@ func (o *observed) aggregateSummary(qc *storage.QueryCtx, first storage.PageID, 
 	res := estimateToResult(q, maxErr, est)
 	if _, fb := est.Fraction(); fb <= maxErr {
 		res.IO = sumIO
-		o.recordIO(res.IO, 0, res.IO)
-		o.recordAggregate(false)
+		sh.recordIO(res.IO, 0, res.IO)
+		sh.recordAggregate(false)
 		return res, nil
 	}
 	ex, err := exact()
@@ -221,8 +221,8 @@ func (o *observed) aggregateSummary(qc *storage.QueryCtx, first storage.PageID, 
 	res.TotalCells = est.N
 	res.Fallback = true
 	res.IO = addStats(sumIO, ex.IO)
-	o.recordIO(sumIO, 0, sumIO)
-	o.recordAggregate(true)
+	sh.recordIO(sumIO, 0, sumIO)
+	sh.recordAggregate(true)
 	return res, nil
 }
 
@@ -239,8 +239,8 @@ func (e *executor) AggregateContext(ctx context.Context, q geom.Interval, maxErr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tb, start := e.startQuery(string(e.method), obs.KindAggregate, q.Lo, q.Hi)
-	st, release := e.pinState()
+	tb, start := e.startQuery(e.label, obs.KindAggregate, q.Lo, q.Hi)
+	st := e.pinState()
 	exact := func() (*Result, error) { return e.queryAt(st, ctx, tb, q) }
 	var res *AggregateResult
 	var err error
@@ -250,64 +250,60 @@ func (e *executor) AggregateContext(ctx context.Context, q geom.Interval, maxErr
 		qc := beginQueryAt(e.pager, st.epoch)
 		qc.AttachTrace(tb)
 		qc.BeginSpan(obs.PhaseSummary)
-		res, err = e.aggregateSummary(qc, e.sumFirst, e.sumPages, q, maxErr, e.cells, exact)
+		res, err = e.aggregateSummary(qc, q, maxErr, e.cells, exact)
 	}
-	release()
+	e.unpin(st)
 	e.endQuery(tb, start, err)
 	return res, err
 }
 
-// Aggregate is AggregateContext without cancellation.
-func (e *executor) Aggregate(q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	return e.AggregateContext(context.Background(), q, maxErr)
-}
-
 // maintainSummary keeps the field summary truthful across an update batch
-// whose cell intervals changed, staging the new summary page images into the
-// batch's copy-on-write overlay set (so the refreshed summary commits — and
-// versions — with the same epoch as the data it describes, and pinned
-// snapshots keep reading their own epoch's pages).
+// that moved the intervals of cells cells covering area, staging the new
+// summary page images into the batch's copy-on-write overlay set (so the
+// refreshed summary commits — and versions — with the same epoch as the data
+// it describes, and pinned snapshots keep reading their own epoch's pages).
 //
 // Two maintenance modes:
 //
-//   - refit — an index built in memory carries the per-cell areas from
+//   - refit — an untiled index built in memory carries the per-cell areas from
 //     construction (cell vertices never move under value updates, so they
 //     stay the correct fit weights); the summary is refitted from the
 //     updated interval column under the original page budget, restoring
 //     build-quality bounds.
 //   - widen — a file-opened index has intervals (recovered from the sidecar)
-//     but no areas; instead the header's widening slack grows by the batch's
-//     touched-cell count and area. Each touched cell shifts each cumulative
-//     distribution by at most one count and its own area, so the stale
-//     segments plus the accumulated slack remain a certified bound.
-func (ix *valueIndex) maintainSummary(st *overlayStage, cellsTouched int, touchedArea float64) error {
-	if ix.sumPages == 0 {
+//     but no areas, and the tiled planner keeps neither field-wide; instead
+//     the header's widening slack grows by the batch's touched-cell count and
+//     area. Each touched cell shifts each cumulative distribution by at most
+//     one count and its own area, so the stale segments plus the accumulated
+//     slack remain a certified bound.
+func (sh *shell) maintainSummary(st *overlayStage, cells int, area float64) error {
+	if sh.sumPages == 0 || cells == 0 {
 		return nil
 	}
-	if ix.areas != nil {
-		sum, err := approx.Build(ix.ivs, ix.areas, ix.sumPages*ix.pager.PageSize())
+	if sh.areas == nil {
+		page, err := st.page(sh.sumFirst)
 		if err != nil {
 			return err
 		}
-		blob := sum.Encode()
-		ps := ix.pager.PageSize()
-		if len(blob) > ix.sumPages*ps {
-			return fmt.Errorf("core: refitted summary %d bytes exceeds %d pages", len(blob), ix.sumPages)
-		}
-		for i := 0; i < ix.sumPages; i++ {
-			page := make([]byte, ps)
-			if off := i * ps; off < len(blob) {
-				copy(page, blob[off:])
-			}
-			st.pages[ix.sumFirst+storage.PageID(i)] = page
-		}
+		approx.PatchWiden(page, float64(cells), area)
 		return nil
 	}
-	page, err := st.page(ix.sumFirst)
+	ps := sh.pager.PageSize()
+	sum, err := approx.Build(sh.parts[0].ivs, sh.areas, sh.sumPages*ps)
 	if err != nil {
 		return err
 	}
-	approx.PatchWiden(page, float64(cellsTouched), touchedArea)
+	blob := sum.Encode()
+	if len(blob) > sh.sumPages*ps {
+		return fmt.Errorf("core: refitted summary %d bytes exceeds %d pages", len(blob), sh.sumPages)
+	}
+	for i := 0; i < sh.sumPages; i++ {
+		page := make([]byte, ps)
+		if off := i * ps; off < len(blob) {
+			copy(page, blob[off:])
+		}
+		st.pages[sh.sumFirst+storage.PageID(i)] = page
+	}
 	return nil
 }
 
@@ -330,21 +326,16 @@ func (t *TiledIndex) AggregateContext(ctx context.Context, q geom.Interval, maxE
 		return nil, err
 	}
 	tb, start := t.startQuery(t.label, obs.KindAggregate, q.Lo, q.Hi)
-	s, release := t.pinState()
+	s := t.pinState()
 	res, err := t.aggregateAt(s, ctx, tb, q, maxErr)
-	release()
+	t.unpin(s)
 	t.endQuery(tb, start, err)
 	return res, err
 }
 
-// Aggregate is AggregateContext without cancellation.
-func (t *TiledIndex) Aggregate(q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	return t.AggregateContext(context.Background(), q, maxErr)
-}
-
 // aggregateAt answers one aggregate query against a pinned tiled state. The
 // caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) aggregateAt(s *tiledState, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
+func (t *TiledIndex) aggregateAt(s *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
 	qc := beginQueryAt(t.pager, s.epoch)
 	qc.AttachTrace(tb)
 	qc.BeginSpan(obs.PhaseSummary)
@@ -394,5 +385,5 @@ func (t *TiledIndex) aggregateAt(s *tiledState, ctx context.Context, tb *obs.Tra
 		qc.Release()
 		return t.aggregateExact(q, maxErr, t.cells, t.totArea, exact)
 	}
-	return t.aggregateSummary(qc, t.sumFirst, t.sumPages, q, maxErr, t.cells, exact)
+	return t.aggregateSummary(qc, q, maxErr, t.cells, exact)
 }

@@ -82,7 +82,7 @@ func TestAggregateCertifiedBounds(t *testing.T) {
 	}
 	for fname, f := range fields {
 		t.Run(fname, func(t *testing.T) {
-			p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+			p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestAggregateCertifiedBounds(t *testing.T) {
 				count, area := bruteAggregate(f, q)
 
 				// +Inf accepts any certified bound: always approximate.
-				res, err := p.Aggregate(q, math.Inf(1))
+				res, err := p.AggregateContext(context.Background(), q, math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func TestAggregateCertifiedBounds(t *testing.T) {
 				// the summary's bound is itself that tight (endpoint queries
 				// certify exactly), in which case staying approximate is the
 				// contract.
-				exact, err := p.Aggregate(q, 1e-12)
+				exact, err := p.AggregateContext(context.Background(), q, 1e-12)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestAggregateCertifiedBounds(t *testing.T) {
 // aggregates through the exact pipeline only.
 func TestAggregateRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAggregateRoundtrip(t *testing.T) {
 	if err := built.SaveFile(v5Path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(v5Path, storage.DefaultDiskModel, 0)
+	opened, err := openIx(v5Path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestAggregateRoundtrip(t *testing.T) {
 		t.Fatalf("reopened summary spans %d pages, want %d", opened.sumPages, summaryPages)
 	}
 	for _, q := range queries {
-		want, err := built.Aggregate(q, math.Inf(1))
+		want, err := built.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := opened.Aggregate(q, math.Inf(1))
+		got, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestAggregateRoundtrip(t *testing.T) {
 	opened.sumPages = 0
 	q := queries[4]
 	count, _ := bruteAggregate(f, q)
-	res, err := opened.Aggregate(q, math.Inf(1))
+	res, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAggregateRoundtrip(t *testing.T) {
 // the save/open roundtrip and the summary-less exact path.
 func TestAggregateTiled(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	ti, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestAggregateTiled(t *testing.T) {
 
 	// A query covering the whole value range composes exactly from the
 	// per-tile summaries: every tile is covered, zero pages are read.
-	full, err := ti.Aggregate(geom.Interval{Lo: vr.Lo - 1, Hi: vr.Hi + 1}, math.Inf(1))
+	full, err := ti.AggregateContext(context.Background(), geom.Interval{Lo: vr.Lo - 1, Hi: vr.Hi + 1}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +210,12 @@ func TestAggregateTiled(t *testing.T) {
 
 	for _, q := range aggregateQueries(f, 33) {
 		count, area := bruteAggregate(f, q)
-		res, err := ti.Aggregate(q, math.Inf(1))
+		res, err := ti.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkCertified(t, "tiled", res, count, area)
-		exact, err := ti.Aggregate(q, 1e-12)
+		exact, err := ti.AggregateContext(context.Background(), q, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,17 +229,17 @@ func TestAggregateTiled(t *testing.T) {
 	if err := ti.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenTiledFile(path, storage.DefaultDiskModel, 0)
+	opened, err := openTiles(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range aggregateQueries(f, 34)[:10] {
 		count, area := bruteAggregate(f, q)
-		want, err := ti.Aggregate(q, math.Inf(1))
+		want, err := ti.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := opened.Aggregate(q, math.Inf(1))
+		got, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestAggregateTiled(t *testing.T) {
 	opened.sumPages = 0
 	q := aggregateQueries(f, 33)[5]
 	count, _ := bruteAggregate(f, q)
-	res, err := opened.Aggregate(q, math.Inf(1))
+	res, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestAggregateTiled(t *testing.T) {
 func TestAggregateMaintainedUnderUpdates(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 32, 0.7)
-	p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestAggregateMaintainedUnderUpdates(t *testing.T) {
 
 	for i, q := range queries {
 		count, area := bruteAggregate(f, q)
-		res, err := p.Aggregate(q, math.Inf(1))
+		res, err := p.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,16 +313,16 @@ func TestAggregateMaintainedUnderUpdates(t *testing.T) {
 
 	// Refit quality: the maintained summary is the same fit a scratch build
 	// over the mutated field produces.
-	scratch, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	scratch, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queries[:10] {
-		got, err := p.Aggregate(q, math.Inf(1))
+		got, err := p.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := scratch.Aggregate(q, math.Inf(1))
+		want, err := scratch.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func TestAggregateMaintainedUnderUpdates(t *testing.T) {
 func TestAggregateWidenedUnderFileUpdates(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 32, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,14 +348,14 @@ func TestAggregateWidenedUnderFileUpdates(t *testing.T) {
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(path, storage.DefaultDiskModel, 0)
+	opened, err := openIx(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opened.Close()
 
 	q := geom.Interval{Lo: 30, Hi: 55}
-	before, err := opened.Aggregate(q, math.Inf(1))
+	before, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestAggregateWidenedUnderFileUpdates(t *testing.T) {
 		}
 	}
 	count, area := bruteAggregate(f, q)
-	after, err := opened.Aggregate(q, math.Inf(1))
+	after, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestAggregateWidenedUnderFileUpdates(t *testing.T) {
 	}
 	for _, q := range aggregateQueries(f, 36)[:12] {
 		count, area := bruteAggregate(f, q)
-		res, err := opened.Aggregate(q, math.Inf(1))
+		res, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
-	"fielddb/internal/storage"
 )
 
 // MethodAuto is the adaptive planner: per query it estimates selectivity
@@ -86,47 +83,6 @@ func (e *executor) ScanQueries() int { return int(e.scanQueries.Load()) }
 // subfield filter pipeline.
 func (e *executor) FilterQueries() int { return int(e.filterQueries.Load()) }
 
-// AutoOptions tunes BuildAuto.
-type AutoOptions struct {
-	// Hilbert carries the underlying index options.
-	Hilbert HilbertOptions
-	// Bins is the histogram resolution (default 64).
-	Bins int
-	// ScanThreshold is the estimated selectivity above which the planner
-	// scans (default 0.45: the subfield path's random run starts stop
-	// paying off roughly when half the data matches).
-	ScanThreshold float64
-}
-
-// BuildAuto builds the I-Hilbert index plus the selectivity histogram.
-func BuildAuto(f field.Field, pager *storage.Pager, opts AutoOptions) (*Auto, error) {
-	return BuildAutoCtx(context.Background(), f, pager, opts)
-}
-
-// BuildAutoCtx is BuildAuto with construction cancellation.
-func BuildAutoCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts AutoOptions) (*Auto, error) {
-	part, err := BuildIHilbertCtx(ctx, f, pager, opts.Hilbert)
-	if err != nil {
-		return nil, err
-	}
-	bins := opts.Bins
-	if bins <= 0 {
-		bins = 64
-	}
-	threshold := opts.ScanThreshold
-	if threshold <= 0 || threshold >= 1 {
-		threshold = 0.45
-	}
-	// The same index under the planner's hooks: the histogram is published in
-	// the same state as the partition it plans over, so a reader never plans
-	// on a histogram from one epoch and refines against another.
-	ix := part.valueIndex
-	ix.method, ix.scanThreshold = MethodAuto, threshold
-	st := *ix.snap.Load()
-	st.hist = buildAutoHist(f, bins)
-	return &Auto{newExecutor(ix, &st)}, nil
-}
-
 // EstimateSelectivity returns the histogram's (over-)estimate of the
 // fraction of cells whose interval intersects q.
 func (e *executor) EstimateSelectivity(q geom.Interval) float64 {
@@ -140,25 +96,25 @@ func (e *executor) EstimateSelectivity(q geom.Interval) float64 {
 // The plan span carries the histogram estimate (no page reads); past the
 // threshold the whole heap is the one candidate run — the scan access path —
 // and otherwise the subfield tree selects runs as for I-Hilbert.
-func (ix *valueIndex) planCandidates(st *state, pr *probe) error {
+func (p *partition) planCandidates(st *state, pr *probe) error {
 	pr.begin(obs.PhasePlan)
 	sel := 0.0
-	if ix.cells > 0 {
-		sel = st.hist.estimate(pr.q, ix.cells)
+	if p.cells > 0 {
+		sel = st.hist.estimate(pr.q, p.cells)
 	}
 	pr.end()
-	if sel > ix.scanThreshold {
-		ix.scanQueries.Add(1)
-		return ix.heapCandidates(st, pr)
+	if sel > autoScanThreshold {
+		p.scanQueries.Add(1)
+		return p.heapCandidates(st, pr)
 	}
-	ix.filterQueries.Add(1)
-	return ix.groupCandidates(st, pr)
+	p.filterQueries.Add(1)
+	return p.groupCandidates(st, pr)
 }
 
 // maintainPlanned is I-Auto's maintenance: the partition's, plus a histogram
 // rebuilt from the mutated field whenever a cell interval moved.
-func (ix *valueIndex) maintainPlanned(stage *overlayStage, f field.Field, cur *state, ch *changes) (*state, int, bool, error) {
-	next, indexPages, regrouped, err := ix.maintainGroups(stage, f, cur, ch)
+func (p *partition) maintainPlanned(stage *overlayStage, f field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+	next, indexPages, regrouped, err := p.regroup(stage, f, cur, ch)
 	if err != nil {
 		return nil, 0, false, err
 	}

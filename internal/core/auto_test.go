@@ -10,7 +10,7 @@ import (
 
 func TestAutoAgreesWithBruteForce(t *testing.T) {
 	f := testDEM(t, 32, 0.6)
-	a, err := BuildAuto(f, newPager(), AutoOptions{})
+	a, err := buildIx(f, newPager(), BuildOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAutoAgreesWithBruteForce(t *testing.T) {
 
 func TestAutoPlannerDecisions(t *testing.T) {
 	f := testDEM(t, 32, 0.6)
-	a, err := BuildAuto(f, newPager(), AutoOptions{})
+	a, err := buildIx(f, newPager(), BuildOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAutoPlannerDecisions(t *testing.T) {
 
 func TestEstimateSelectivityBounds(t *testing.T) {
 	f := testDEM(t, 16, 0.6)
-	a, err := BuildAuto(f, newPager(), AutoOptions{Bins: 32})
+	a, err := buildIx(f, newPager(), BuildOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestAutoBeatsBothFixedPathsOnMixedWorkload(t *testing.T) {
 	// a small margin (it should be at least as good as the better one on
 	// each query).
 	f := testDEM(t, 64, 0.3)
-	auto, err := BuildAuto(f, newPager(), AutoOptions{})
+	auto, err := buildIx(f, newPager(), BuildOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
-	ls, _ := BuildLinearScan(f, newPager())
+	ih, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
+	ls, _ := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	vr := f.ValueRange()
 	rng := rand.New(rand.NewSource(77))
 	var autoT, ihT, lsT float64

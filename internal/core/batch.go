@@ -466,10 +466,10 @@ func (e *executor) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) 
 	if len(members) == 1 {
 		return sequentialBatch(&e.observed, e.QueryContext, members)
 	}
-	st, release := e.pinState()
-	defer release()
-	bo := e.startBatch(string(e.method), members)
-	ms := e.beginMembers(string(e.method), e.pager, st.epoch, members)
+	st := e.pinState()
+	defer e.unpin(st)
+	bo := e.startBatch(e.label, members)
+	ms := e.beginMembers(e.label, e.pager, st.epoch, members)
 	phys := beginQueryAt(e.pager, st.epoch)
 	defer phys.Release()
 	bb := getBatchBuf(len(members))
@@ -574,7 +574,7 @@ func (e *executor) sharedCandidates(ms []batchMember, phys *storage.QueryCtx, bb
 // too, and the scan stops early once no flagged member remains. A storage
 // error fails every live member — each would have hit it solo — and reports
 // false.
-func (ix *valueIndex) filterShared(ms []batchMember, in []bool, phys *storage.QueryCtx, bb *batchBuf) bool {
+func (p *partition) filterShared(ms []batchMember, in []bool, phys *storage.QueryCtx, bb *batchBuf) bool {
 	for i := range ms {
 		bb.pos[i] = bb.pos[i][:0]
 		if m := &ms[i]; m.live() && (in == nil || in[i]) {
@@ -583,7 +583,7 @@ func (ix *valueIndex) filterShared(ms []batchMember, in []bool, phys *storage.Qu
 			bb.qlo[i], bb.qhi[i] = math.NaN(), math.NaN()
 		}
 	}
-	err := ix.sidecar.ScanRange(phys, 0, ix.cells, func(base int, lo, hi []float64) bool {
+	err := p.sidecar.ScanRange(phys, 0, p.cells, func(base int, lo, hi []float64) bool {
 		field.FilterIntervalsMulti(bb.pos, int32(base), lo, hi, bb.qlo, bb.qhi)
 		live := 0
 		for i := range ms {
@@ -608,10 +608,10 @@ func (ix *valueIndex) filterShared(ms []batchMember, in []bool, phys *storage.Qu
 
 // chargeSidecar replays a solo sidecar pass on a member's context — the whole
 // segment as one run — and returns the reads it charged.
-func (ix *valueIndex) chargeSidecar(qc *storage.QueryCtx) int {
+func (p *partition) chargeSidecar(qc *storage.QueryCtx) int {
 	before := qc.LocalStats().Reads
-	first := ix.sidecar.FirstPage()
-	qc.ChargeRun(first, first+storage.PageID(ix.sidecar.NumPages()-1))
+	first := p.sidecar.FirstPage()
+	qc.ChargeRun(first, first+storage.PageID(p.sidecar.NumPages()-1))
 	return qc.LocalStats().Reads - before
 }
 

@@ -21,40 +21,40 @@ import (
 func buildBatchable(t testing.TB, f field.Field) map[string]Engine {
 	t.Helper()
 	out := map[string]Engine{}
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["LinearScan+sidecar"] = ls
-	lsPlain, err := BuildLinearScanWith(context.Background(), f, newPager(), LinearScanOptions{NoSidecar: true})
+	lsPlain, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["LinearScan"] = lsPlain
-	ia, err := BuildIAll(f, newPager(), IAllOptions{})
+	ia, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["I-All"] = ia
-	ih, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["I-Hilbert"] = ih
-	ihw, err := BuildIHilbert(f, newPager(), HilbertOptions{Workers: 4})
+	ihw, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["I-Hilbert+workers"] = ihw
 	vr := f.ValueRange()
-	iq, err := BuildIQuad(f, newPager(), ThresholdOptions{MaxSize: vr.Length()/8 + 1})
+	iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["I-Quad"] = iq
-	// The planner with a threshold low enough that the trial sets mix scan-path
-	// and filter-path members in one batch.
-	au, err := BuildAuto(f, newPager(), AutoOptions{ScanThreshold: 0.2})
+	// The planner: the trial sets mix scan-path and filter-path members in one
+	// batch.
+	au, err := buildIx(f, newPager(), BuildOptions{Method: MethodAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestBatchConcurrent(t *testing.T) {
 func TestBatcherWindow(t *testing.T) {
 	f := testDEM(t, 32, 0.6)
 	vr := f.ValueRange()
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestBatcherWindow(t *testing.T) {
 func TestBatchAllocs(t *testing.T) {
 	f := testDEM(t, 32, 0.6)
 	vr := f.ValueRange()
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}

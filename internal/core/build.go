@@ -1,0 +1,325 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"fielddb/internal/field"
+	"fielddb/internal/geom"
+	"fielddb/internal/rstar"
+	"fielddb/internal/sfc"
+	"fielddb/internal/storage"
+	"fielddb/internal/subfield"
+)
+
+// Build's refusals. The facade re-exports both, and they carry its prefix:
+// they are the errors of fielddb.Open's Options.
+var (
+	// ErrUnknownMethod reports a BuildOptions.Method outside the method table.
+	ErrUnknownMethod = errors.New("fielddb: unknown method")
+	// ErrBadOptions reports options the builder cannot combine: a TileSide
+	// below 2, a tiled I-All or I-Auto, an unknown sidecar codec, or a
+	// threshold method without its MaxSize.
+	ErrBadOptions = errors.New("fielddb: invalid tiling options")
+)
+
+// BuildOptions is everything Build can be told.
+type BuildOptions struct {
+	// Method selects the value index.
+	Method Method
+	// TileSide, when non-zero, cuts the field into TileSide×TileSide-cell
+	// tiles (at least 2), each a partition of its own under the scatter-gather
+	// planner of tiled.go. LinearScan and the partitioned family tile; a
+	// per-cell tree per tile has no pruning story the planner could use, and
+	// the selectivity planner plans over one partition.
+	TileSide int
+	// Workers bounds the goroutines used for construction (linearization,
+	// per-subfield metadata) and is inherited as the query-time scatter
+	// parallelism. 0 or 1 means single-threaded.
+	Workers int
+	// Codec selects the interval sidecar's page codec
+	// (storage.SidecarCodecRaw or storage.SidecarCodecPacked); empty selects
+	// the raw layout. NoSidecar skips the sidecar altogether: a LinearScan
+	// then scans the full cell heap the way the paper's §2.2.2 baseline does —
+	// the reference the identity tests compare against.
+	Codec     string
+	NoSidecar bool
+	// Curve linearizes the cells of the partitioned family; nil selects a
+	// Hilbert curve of order 16. Z-order or Gray-code curves can be
+	// substituted for the clustering ablation.
+	Curve sfc.Curve
+	// Cost is the subfield cost model; the zero value selects the paper's
+	// model (Epsilon = 1).
+	Cost subfield.CostModel
+	// MaxSize is the subfield interval-size threshold I-Quad and I-Threshold
+	// cut at (cost-model size, i.e. length + Epsilon); the other methods
+	// ignore it.
+	MaxSize float64
+	// BulkLoad packs I-All's R*-tree bottom-up (sorted by interval center)
+	// instead of inserting one interval at a time. Tuple-by-tuple insertion
+	// reproduces the tall, overlapping tree the paper describes; bulk loading
+	// is for suites that measure the query path only.
+	BulkLoad bool
+}
+
+// The build parameters no caller varies: the planner's histogram resolution,
+// and the estimated selectivity above which it scans (the subfield path's
+// random run starts stop paying off roughly when half the data matches).
+const (
+	autoBins          = 64
+	autoScanThreshold = 0.45
+)
+
+// cutRule partitions the linearized cells of one partition into subfields,
+// returning the cells in the order they are stored in.
+type cutRule func(refs []subfield.CellRef, bounds geom.Rect, cost subfield.CostModel, maxSize float64) ([]subfield.CellRef, []subfield.Group)
+
+// methodSpec is one row of the method table: everything in which one method
+// differs from another. Build and Open dispatch on it and on nothing else.
+type methodSpec struct {
+	// cut is the partition rule — §3.1.2's greedy cost bound, the fixed size
+	// threshold, the interval quadtree; nil stores the cells in natural order
+	// with no partition. sized rules need BuildOptions.MaxSize.
+	cut   cutRule
+	sized bool
+	// perCell indexes every cell interval in the tree (§3's baseline); plans
+	// adds the selectivity histogram.
+	perCell, plans bool
+	// tiles marks the methods a tile can run.
+	tiles bool
+	// bind installs the method's candidates and maintain hooks on a built or
+	// opened partition.
+	bind func(p *partition)
+}
+
+func cutGreedy(refs []subfield.CellRef, _ geom.Rect, cost subfield.CostModel, _ float64) ([]subfield.CellRef, []subfield.Group) {
+	return refs, subfield.BuildGreedy(refs, cost)
+}
+
+func cutThreshold(refs []subfield.CellRef, _ geom.Rect, cost subfield.CostModel, maxSize float64) ([]subfield.CellRef, []subfield.Group) {
+	return refs, subfield.BuildThreshold(refs, cost, maxSize)
+}
+
+// cutQuad ignores the curve order the refs arrive in: the quadtree imposes
+// its own, clustering cells on disk by quadrant.
+func cutQuad(refs []subfield.CellRef, bounds geom.Rect, cost subfield.CostModel, maxSize float64) ([]subfield.CellRef, []subfield.Group) {
+	return subfield.BuildQuad(refs, bounds, cost, maxSize, 0)
+}
+
+// refuseRegroup is the maintain hook of I-Quad: its partition is a spatial
+// quadtree recursion, which an update batch does not reproduce.
+func refuseRegroup(*overlayStage, field.Field, *state, *changes) (*state, int, bool, error) {
+	return nil, 0, false, fmt.Errorf("core: %s regrouping is spatial: %w", MethodIQuad, ErrUpdatesUnsupported)
+}
+
+// methods is the method table.
+var methods = map[Method]*methodSpec{
+	// The no-index baseline: with the interval sidecar (the default) the
+	// filter is one pass over the packed sidecar pages and only the pages
+	// holding matching cells are read from the heap; without it every cell
+	// page is scanned.
+	MethodLinearScan: {tiles: true, bind: func(p *partition) {
+		p.candidates = p.heapCandidates
+		if p.sidecar != nil {
+			p.candidates, p.byPos, p.tested = p.sidecarCandidates, true, true
+		}
+	}},
+	// §3's straightforward baseline: one tree entry per cell. The tree is
+	// large and its similar, heavily overlapping intervals make the filter
+	// step expensive — slower than LinearScan at high selectivity (Figure
+	// 11.a).
+	MethodIAll: {perCell: true, bind: func(p *partition) {
+		p.candidates, p.maintain, p.byPos = p.cellCandidates, p.maintainCells, true
+	}},
+	// The partitioned family: cells stored in partition order (each subfield
+	// a contiguous run of pages), subfield intervals in a 1-D R*-tree. The
+	// three differ only in how the partition is formed — and in that the
+	// quadtree's spatial recursion is not something an update can re-derive.
+	MethodIHilbert: {cut: cutGreedy, tiles: true, bind: func(p *partition) {
+		p.candidates, p.maintain = p.groupCandidates, p.regroup
+	}},
+	MethodIThresh: {cut: cutThreshold, sized: true, tiles: true, bind: func(p *partition) {
+		p.candidates, p.maintain = p.groupCandidates, p.regroup
+	}},
+	MethodIQuad: {cut: cutQuad, sized: true, tiles: true, bind: func(p *partition) {
+		p.candidates, p.maintain = p.groupCandidates, refuseRegroup
+	}},
+	// I-Hilbert behind the selectivity planner of auto.go.
+	MethodAuto: {cut: cutGreedy, plans: true, bind: func(p *partition) {
+		p.candidates, p.maintain = p.planCandidates, p.maintainPlanned
+	}},
+}
+
+// Build stores the cells of f on pager and builds the value index opts
+// describes over them: the one way in for every method, tiled or not. ctx
+// cancels construction between tiles, between cell-write batches and between
+// per-subfield metadata work units.
+func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildOptions) (Engine, error) {
+	m, ok := methods[opts.Method]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, opts.Method)
+	}
+	if opts.NoSidecar {
+		opts.Codec = ""
+	} else if opts.Codec == "" {
+		opts.Codec = storage.SidecarCodecRaw
+	} else if !storage.ValidSidecarCodec(opts.Codec) {
+		return nil, fmt.Errorf("%w: unknown sidecar codec %q", ErrBadOptions, opts.Codec)
+	}
+	if opts.TileSide != 0 && opts.TileSide < 2 {
+		return nil, fmt.Errorf("%w: tile side %d (need at least 2)", ErrBadOptions, opts.TileSide)
+	}
+	if opts.TileSide != 0 && !m.tiles {
+		return nil, fmt.Errorf("%w: method %s does not tile", ErrBadOptions, opts.Method)
+	}
+	if !m.sized {
+		opts.MaxSize = 0 // ignored, and the catalog records the rule as built
+	} else if opts.MaxSize <= 0 {
+		return nil, fmt.Errorf("%w: %s needs MaxSize > 0", ErrBadOptions, opts.Method)
+	}
+	if opts.Cost.Epsilon == 0 {
+		opts.Cost = subfield.DefaultCostModel
+	}
+	if opts.Curve == nil && m.cut != nil {
+		curve, err := sfc.NewHilbert(16, 2)
+		if err != nil {
+			return nil, err
+		}
+		opts.Curve = curve
+	}
+	opts.Workers = clampWorkers(opts.Workers)
+	if opts.TileSide != 0 {
+		return buildTiled(ctx, f, pager, m, &opts)
+	}
+	p, st, areas, err := buildPartition(ctx, f, pager, m, &opts)
+	if err != nil {
+		return nil, err
+	}
+	ix := &valueIndex{partition: p}
+	ix.label, ix.pager, ix.parts, ix.workers = string(opts.Method), pager, []*partition{p}, opts.Workers
+	if p.order != nil {
+		// The field summary lives on its own page run right after the index
+		// pages, so an approximate aggregate touches a handful of dedicated
+		// pages and nothing else.
+		if ix.sumFirst, ix.sumPages, err = buildSummary(pager, p.ivs, areas); err != nil {
+			return nil, err
+		}
+		ix.areas = areas
+	}
+	return newExecutor(ix, st), nil
+}
+
+// buildPartition stores the cells of f — a whole field, or one tile of one —
+// in a fresh heap segment on pager, in the order row m's partition rule puts
+// them, and builds the row's index structure over them. It returns the
+// partition with its hooks bound, its first state, and each cell's planar
+// area in heap order.
+func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *state, []float64, error) {
+	p := &partition{cells: f.NumCells(), cut: m.cut, cost: opts.Cost, maxSize: opts.MaxSize}
+	st := &state{epoch: pager.CurrentEpoch()}
+	ids := identityOrder(f) // the heap order: natural, unless a rule reorders it
+	var groups []subfield.Group
+	if m.cut != nil {
+		refs, err := subfield.LinearizeWorkers(f, opts.Curve, opts.Workers)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		refs, groups = m.cut(refs, f.Bounds(), opts.Cost, opts.MaxSize)
+		if err := subfield.Validate(refs, groups); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: %w", err)
+		}
+		p.ivs = make([]geom.Interval, len(refs))
+		for i, r := range refs {
+			ids[i], p.ivs[i] = r.ID, r.Interval
+		}
+		p.order = ids
+	}
+	var areas []float64
+	var err error
+	if p.heap, p.rids, p.sidecar, areas, err = writeCells(ctx, f, pager, ids, opts.Codec); err != nil {
+		return nil, nil, nil, err
+	}
+	switch {
+	case m.cut != nil:
+		st.tree, st.groups, err = p.indexGroups(ctx, pager, groups, opts.Workers)
+	case m.perCell:
+		st.tree, err = indexCells(f, pager, opts.BulkLoad)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if m.plans {
+		// Published in the same state as the partition it plans over, so a
+		// reader never plans on a histogram from one epoch and refines against
+		// another.
+		st.hist = buildAutoHist(f, autoBins)
+	}
+	m.bind(p)
+	return p, st, areas, nil
+}
+
+// indexGroups computes the subfield metadata of a freshly written partition
+// and indexes the subfield intervals. ctx cancels between per-subfield work
+// units.
+func (p *partition) indexGroups(ctx context.Context, pager *storage.Pager, groups []subfield.Group, workers int) (*rstar.Tree, []groupMeta, error) {
+	// Per-subfield metadata (page run, summary average) is independent
+	// across groups, so construction fans out on the worker pool.
+	metas := make([]groupMeta, len(groups))
+	err := parallelDoCtx(ctx, workers, len(groups), func(gi int) error {
+		var err error
+		metas[gi], err = p.groupMetaOf(groups[gi])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	// Subfield intervals are few; the tree is built by R* insertion, as in
+	// the paper.
+	tree, err := rstar.New(1, rstar.Params{PageSize: pager.PageSize()})
+	if err != nil {
+		return nil, nil, err
+	}
+	for gi, g := range metas {
+		if err := tree.Insert(groupEntry(gi, g.interval)); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := tree.Persist(pager); err != nil {
+		return nil, nil, err
+	}
+	return tree, metas, nil
+}
+
+// indexCells builds I-All's tree: one entry per cell interval of f, persisted
+// on pager.
+func indexCells(f field.Field, pager *storage.Pager, bulk bool) (*rstar.Tree, error) {
+	n := f.NumCells()
+	params := rstar.Params{PageSize: pager.PageSize()}
+	entries := make([]rstar.Entry, n)
+	var c field.Cell
+	for id := range entries {
+		iv := f.Cell(field.CellID(id), &c).Interval()
+		entries[id] = rstar.Entry{MBR: rstar.Interval1D(iv.Lo, iv.Hi), Data: uint64(id)}
+	}
+	var tree *rstar.Tree
+	var err error
+	if bulk {
+		if tree, err = rstar.BulkLoad(1, params, entries, nil, 1.0); err != nil {
+			return nil, fmt.Errorf("core: I-All bulk load: %w", err)
+		}
+	} else {
+		if tree, err = rstar.New(1, params); err != nil {
+			return nil, fmt.Errorf("core: I-All tree: %w", err)
+		}
+		for _, e := range entries {
+			if err := tree.Insert(e); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := tree.Persist(pager); err != nil {
+		return nil, err
+	}
+	return tree, nil
+}

@@ -14,7 +14,7 @@ import (
 	"fielddb/internal/subfield"
 )
 
-// On-disk database file layout for a built Partitioned index:
+// On-disk database file layout for a built partitioned index:
 //
 //	pages [0, N)       the build pager's pages verbatim — the Hilbert-ordered
 //	                   cell heap file followed by the R*-tree nodes
@@ -74,32 +74,14 @@ var (
 )
 
 // SaveFile writes the built index — cell heap, R*-tree pages, interval
-// sidecar, and catalog — to a single database file that OpenFile can query
+// sidecar, and catalog — to a single database file that Open can query
 // without rebuilding. Only the partitioned family has an on-disk format (the
 // catalog stores a subfield tree; the planner's histogram has none).
 func (e *executor) SaveFile(path string) error {
-	if e.order == nil || e.method == MethodAuto {
-		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, e.method)
+	if e.order == nil || e.cur().hist != nil {
+		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, e.label)
 	}
-	// Serialize with update batches: the snapshot below must capture the heap,
-	// sidecar and tree pages of one published state, not a commit in flight.
-	e.updMu.Lock()
-	defer e.updMu.Unlock()
-	disk, err := storage.OpenFileDisk(path, e.pager.PageSize())
-	if err != nil {
-		return err
-	}
-	defer disk.Close()
-	if disk.NumPages() != 0 {
-		return fmt.Errorf("core: %s is not empty", path)
-	}
-	if err := e.heap.Flush(); err != nil {
-		return err
-	}
-	if err := e.pager.SnapshotTo(disk); err != nil {
-		return fmt.Errorf("core: snapshot: %w", err)
-	}
-	return writeCatalog(disk, e.encodeCatalog())
+	return e.saveFile(path, e.encodeCatalog)
 }
 
 // writeCatalog appends the catalog blob and the superblock that locates it
@@ -144,10 +126,9 @@ func (ix *valueIndex) encodeCatalog() []byte {
 	var b bytes.Buffer
 	b.Write(catalogMagic[:])
 	writeU32(&b, catalogVersion)
-	writeU32(&b, 0) // tile count: a Partitioned save is always untiled
-	method := []byte(ix.method)
-	writeU16(&b, uint16(len(method)))
-	b.Write(method)
+	writeU32(&b, 0) // tile count: the untiled layout
+	writeU16(&b, uint16(len(ix.label)))
+	b.WriteString(ix.label)
 	writeU64(&b, uint64(ix.cells))
 	pages := ix.heap.Pages()
 	writeU64(&b, uint64(len(pages)))
@@ -243,8 +224,7 @@ func readCodecTail(r *byteReader, sidecarPages int) (codec string, firstPos []ui
 	return codec, firstPos, nil
 }
 
-// OpenFileOptions tunes OpenFileWith; the zero value reproduces OpenFile's
-// defaults apart from the pool size, which OpenFile callers pass explicitly.
+// OpenFileOptions tunes Open.
 type OpenFileOptions struct {
 	// Model is the simulated disk cost model; the zero value selects
 	// storage.DefaultDiskModel.
@@ -256,20 +236,32 @@ type OpenFileOptions struct {
 	PoolShards int
 }
 
-// OpenFile opens a database file produced by SaveFile and returns a
-// query-ready Partitioned index backed by the file's pages. The simulated
-// disk model and buffer-pool size mirror the Open options used at build
-// time; pass pool 0 for strict cold-cache accounting.
-func OpenFile(path string, model storage.DiskModel, pool int) (*Partitioned, error) {
-	return OpenFileWith(path, OpenFileOptions{Model: model, PoolPages: pool})
-}
-
-// OpenFileWith is OpenFile with the full option set.
-func OpenFileWith(path string, opts OpenFileOptions) (*Partitioned, error) {
+// Open opens a database file written by SaveFile — untiled or tiled — and
+// returns a query-ready index backed by the file's pages: an untiled executor
+// or the tiled planner, whichever the catalog's tile directory says. The file
+// is opened and its catalog read once; a file at any other catalog version is
+// refused before anything else in it is interpreted. Updates work on both:
+// ApplyUpdates takes the caller's field.
+func Open(path string, opts OpenFileOptions) (Engine, error) {
 	if opts.Model == (storage.DiskModel{}) {
 		opts.Model = storage.DefaultDiskModel
 	}
-	return openFilePageSize(path, storage.DefaultPageSize, opts)
+	disk, blob, err := readCatalogBlob(path, storage.DefaultPageSize)
+	if err != nil {
+		return nil, err
+	}
+	pager := storage.NewPagerShards(disk, opts.Model, opts.PoolPages, opts.PoolShards)
+	var eng Engine
+	if catalogTileCount(blob) > 0 {
+		eng, err = decodeTiledCatalog(blob, pager)
+	} else {
+		eng, err = decodeCatalog(blob, pager)
+	}
+	if err != nil {
+		disk.Close()
+		return nil, fmt.Errorf("core: %s: %w", path, err)
+	}
+	return eng, nil
 }
 
 // readCatalogBlob opens a database file, validates its superblock, and
@@ -349,46 +341,6 @@ func catalogTileCount(blob []byte) int {
 	return int(binary.LittleEndian.Uint32(blob[8:12]))
 }
 
-func openFilePageSize(path string, pageSize int, opts OpenFileOptions) (*Partitioned, error) {
-	disk, blob, err := readCatalogBlob(path, pageSize)
-	if err != nil {
-		return nil, err
-	}
-	if tc := catalogTileCount(blob); tc > 0 {
-		disk.Close()
-		return nil, fmt.Errorf("core: %s: tiled database file (%d tiles); open it with OpenTiledFile", path, tc)
-	}
-	dec, err := decodeCatalog(blob)
-	if err != nil {
-		disk.Close()
-		return nil, fmt.Errorf("core: %s: %w", path, err)
-	}
-	pager := storage.NewPagerShards(disk, opts.Model, opts.PoolPages, opts.PoolShards)
-	// Resume epoch numbering where the saved store left off: SaveFile
-	// materialized that epoch's overlay view into the base pages, so the
-	// opened store is that epoch, verbatim.
-	pager.SetEpoch(dec.epoch)
-	ix := dec.ix
-	ix.pager = pager
-	ix.heap = storage.OpenHeapFile(pager, dec.heapPages, ix.cells)
-	tree, err := rstar.OpenPaged(pager, dec.treeRoot, 1,
-		rstar.Params{PageSize: pageSize}, len(dec.groups), dec.treeNodes, dec.treeHeight)
-	if err != nil {
-		disk.Close()
-		return nil, err
-	}
-	if dec.sidecarPages > 0 {
-		sc, err := openSidecarAs(pager, dec.codec, dec.sidecarFirst, dec.sidecarPages, dec.sidecarCount, dec.sidecarFirstPos)
-		if err != nil {
-			disk.Close()
-			return nil, fmt.Errorf("core: %s: %w", path, err)
-		}
-		ix.sidecar = sc
-		ix.rids = ridsFromFirstPositions(dec.heapPages, dec.pageFirstPos, ix.cells)
-	}
-	return &Partitioned{newExecutor(ix, &state{epoch: dec.epoch, tree: tree, groups: dec.groups})}, nil
-}
-
 // readPageFirstPositions decodes writePageFirstPositions' section for a heap
 // of numPages pages holding cells records, rejecting positions that do not
 // start at 0 and ascend strictly below cells.
@@ -429,29 +381,9 @@ func openSidecarAs(pager *storage.Pager, codec string, first storage.PageID, pag
 	return storage.OpenIntervalSidecar(pager, first, pages, count)
 }
 
-// decodedCatalog carries the intermediate decode state.
-type decodedCatalog struct {
-	// ix carries what the catalog states outright: method, cell order and
-	// count, the partitioning rule update batches re-derive group boundaries
-	// with, and the summary geometry.
-	ix              *valueIndex
-	heapPages       []storage.PageID
-	treeRoot        storage.PageID
-	treeNodes       int
-	treeHeight      int
-	groups          []groupMeta
-	sidecarFirst    storage.PageID
-	sidecarPages    int
-	sidecarCount    int
-	pageFirstPos    []int
-	epoch           uint64
-	codec           string
-	sidecarFirstPos []uint32
-}
-
 // decodeCatalog decodes the untiled body of a catalog blob whose header
-// checkCatalogHeader accepted.
-func decodeCatalog(blob []byte) (*decodedCatalog, error) {
+// checkCatalogHeader accepted, and opens the index it describes over pager.
+func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	r := &byteReader{buf: blob, off: catalogHeaderLen}
 	methodLen := int(r.u16())
 	method := make([]byte, methodLen)
@@ -460,6 +392,11 @@ func decodeCatalog(blob []byte) (*decodedCatalog, error) {
 	numPages := int(r.u64())
 	if r.err != nil || cells < 0 || numPages <= 0 || numPages > 1<<28 {
 		return nil, fmt.Errorf("corrupt catalog header")
+	}
+	// Only a curve-ordered partition without a planner has this layout.
+	m := methods[Method(method)]
+	if m == nil || m.cut == nil || m.plans {
+		return nil, fmt.Errorf("catalog has unsupported method %q", method)
 	}
 	heapPages := make([]storage.PageID, numPages)
 	for i := range heapPages {
@@ -505,11 +442,9 @@ func decodeCatalog(blob []byte) (*decodedCatalog, error) {
 	}
 	sidecarFirst := storage.PageID(r.u32())
 	sidecarPages := int(r.u32())
-	sidecarCount := 0
 	var pageFirstPos []int
 	if sidecarPages > 0 {
-		sidecarCount = int(r.u64())
-		if r.err != nil || sidecarCount != cells {
+		if sidecarCount := int(r.u64()); r.err != nil || sidecarCount != cells {
 			return nil, fmt.Errorf("corrupt sidecar geometry")
 		}
 		var err error
@@ -535,31 +470,35 @@ func decodeCatalog(blob []byte) (*decodedCatalog, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("catalog truncated")
 	}
-	ix := &valueIndex{
-		method:   Method(method),
-		order:    order,
-		cells:    cells,
-		cost:     subfield.CostModel{Epsilon: epsilon},
-		maxSize:  maxSize,
-		sumFirst: sumFirst,
-		sumPages: sumPages,
+	// Resume epoch numbering where the saved store left off: SaveFile
+	// materialized that epoch's overlay view into the base pages, so the
+	// opened store is that epoch, verbatim.
+	pager.SetEpoch(epoch)
+	p := &partition{
+		heap:  storage.OpenHeapFile(pager, heapPages, cells),
+		cells: cells,
+		order: order,
+		// The partitioning rule update batches re-derive group boundaries with.
+		cut:     m.cut,
+		cost:    subfield.CostModel{Epsilon: epsilon},
+		maxSize: maxSize,
 	}
-	return &decodedCatalog{
-		ix:           ix,
-		heapPages:    heapPages,
-		treeRoot:     treeRoot,
-		treeNodes:    treeNodes,
-		treeHeight:   treeHeight,
-		groups:       groups,
-		sidecarFirst: sidecarFirst,
-		sidecarPages: sidecarPages,
-		sidecarCount: sidecarCount,
-		pageFirstPos: pageFirstPos,
-		epoch:        epoch,
-		codec:        codec,
-
-		sidecarFirstPos: sidecarFirstPos,
-	}, nil
+	tree, err := rstar.OpenPaged(pager, treeRoot, 1,
+		rstar.Params{PageSize: pager.PageSize()}, len(groups), treeNodes, treeHeight)
+	if err != nil {
+		return nil, err
+	}
+	if sidecarPages > 0 {
+		if p.sidecar, err = openSidecarAs(pager, codec, sidecarFirst, sidecarPages, cells, sidecarFirstPos); err != nil {
+			return nil, err
+		}
+		p.rids = ridsFromFirstPositions(heapPages, pageFirstPos, cells)
+	}
+	m.bind(p)
+	ix := &valueIndex{partition: p}
+	ix.label, ix.pager, ix.parts = string(method), pager, []*partition{p}
+	ix.sumFirst, ix.sumPages = sumFirst, sumPages
+	return newExecutor(ix, &state{epoch: epoch, tree: tree, groups: groups}), nil
 }
 
 type byteReader struct {

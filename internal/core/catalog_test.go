@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -19,7 +20,7 @@ func rstarEntryForTest() rstar.Entry {
 
 func TestSaveOpenRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(path, storage.DefaultDiskModel, 8192)
+	opened, err := openIx(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 
 func TestSaveFileRefusesNonEmpty(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
-	built, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	path := filepath.Join(t.TempDir(), "x.fidx")
 	if err := os.WriteFile(path, make([]byte, storage.DefaultPageSize), 0o644); err != nil {
 		t.Fatal(err)
@@ -95,25 +96,25 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	// Not a multiple of the page size.
 	bad1 := filepath.Join(dir, "bad1")
 	os.WriteFile(bad1, []byte("short"), 0o644)
-	if _, err := OpenFile(bad1, storage.DefaultDiskModel, 0); err == nil {
+	if _, err := openIx(bad1, 0); err == nil {
 		t.Fatal("short file accepted")
 	}
 	// Page-aligned zeros: bad superblock magic.
 	bad2 := filepath.Join(dir, "bad2")
 	os.WriteFile(bad2, make([]byte, 2*storage.DefaultPageSize), 0o644)
-	if _, err := OpenFile(bad2, storage.DefaultDiskModel, 0); err == nil {
+	if _, err := openIx(bad2, 0); err == nil {
 		t.Fatal("zero file accepted")
 	}
 }
 
 func TestOpenedFileIsReadOnly(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
-	built, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	path := filepath.Join(t.TempDir(), "ro.fidx")
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(path, storage.DefaultDiskModel, 0)
+	opened, err := openIx(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestOpenedFileIsReadOnly(t *testing.T) {
 
 func TestOpenFileRejectsTamperedCatalog(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
-	built, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	path := filepath.Join(t.TempDir(), "tampered.fidx")
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -148,20 +149,20 @@ func TestOpenFileRejectsTamperedCatalog(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path, storage.DefaultDiskModel, 0); err == nil {
+	if _, err := openIx(path, 0); err == nil {
 		t.Fatal("tampered catalog accepted")
 	}
 }
 
 func TestApproxQuery(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vr := f.ValueRange()
 	q := geom.Interval{Lo: vr.Lo + 0.3*vr.Length(), Hi: vr.Lo + 0.4*vr.Length()}
-	approx, err := p.ApproxQuery(q)
+	approx, err := p.ApproxQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +192,14 @@ func TestApproxQuery(t *testing.T) {
 		t.Fatalf("avg %g outside field range %v", approx.AvgValue, vr)
 	}
 	// Out-of-range query: no groups, NaN average.
-	miss, err := p.ApproxQuery(geom.Interval{Lo: vr.Hi + 10, Hi: vr.Hi + 20})
+	miss, err := p.ApproxQueryContext(context.Background(), geom.Interval{Lo: vr.Hi + 10, Hi: vr.Hi + 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if miss.Groups != 0 || !math.IsNaN(miss.AvgValue) {
 		t.Fatalf("out-of-range approx = %+v", miss)
 	}
-	if _, err := p.ApproxQuery(geom.EmptyInterval()); err == nil {
+	if _, err := p.ApproxQueryContext(context.Background(), geom.EmptyInterval()); err == nil {
 		t.Fatal("empty query accepted")
 	}
 	// The summaries survive a save/open roundtrip.
@@ -206,11 +207,11 @@ func TestApproxQuery(t *testing.T) {
 	if err := p.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenFile(path, storage.DefaultDiskModel, 0)
+	reopened, err := openIx(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := reopened.ApproxQuery(q)
+	again, err := reopened.ApproxQueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

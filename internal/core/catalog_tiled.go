@@ -38,32 +38,13 @@ import (
 // methods would need a subfield tree per tile, which nothing requires yet.
 
 // SaveFile writes the tiled index — every tile's heap segment and sidecar,
-// plus the tile directory — to a single database file that
-// OpenTiledFile can query without rebuilding. Only LinearScan-inner tiled
-// indexes can be saved.
+// plus the tile directory — to a single database file that Open can query
+// without rebuilding. Only LinearScan-inner tiled indexes can be saved.
 func (t *TiledIndex) SaveFile(path string) error {
 	if t.inner != MethodLinearScan {
 		return fmt.Errorf("%w: %s has no on-disk format (only Tiled-LinearScan)", ErrNoPartition, t.label)
 	}
-	t.updMu.Lock()
-	defer t.updMu.Unlock()
-	disk, err := storage.OpenFileDisk(path, t.pager.PageSize())
-	if err != nil {
-		return err
-	}
-	defer disk.Close()
-	if disk.NumPages() != 0 {
-		return fmt.Errorf("core: %s is not empty", path)
-	}
-	for _, tl := range t.tiles {
-		if err := tl.ex.heap.Flush(); err != nil {
-			return err
-		}
-	}
-	if err := t.pager.SnapshotTo(disk); err != nil {
-		return fmt.Errorf("core: snapshot: %w", err)
-	}
-	return writeCatalog(disk, t.encodeTiledCatalog())
+	return t.saveFile(path, t.encodeTiledCatalog)
 }
 
 func (t *TiledIndex) encodeTiledCatalog() []byte {
@@ -77,8 +58,8 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 	b.Write(method)
 	codec := ""
 	for _, tl := range t.tiles {
-		if tl.ex.sidecar != nil {
-			codec = tl.ex.sidecar.Codec()
+		if tl.sidecar != nil {
+			codec = tl.sidecar.Codec()
 			break
 		}
 	}
@@ -98,17 +79,16 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 		for _, id := range tl.ids {
 			writeU32(&b, uint32(id))
 		}
-		ls := tl.ex
-		pages := ls.heap.Pages()
+		pages := tl.heap.Pages()
 		writeU64(&b, uint64(len(pages)))
 		for _, id := range pages {
 			writeU32(&b, uint32(id))
 		}
-		if ls.sidecar != nil {
-			writeU32(&b, uint32(ls.sidecar.FirstPage()))
-			writeU32(&b, uint32(ls.sidecar.NumPages()))
-			writePageFirstPositions(&b, ls.rids)
-			writeCodecTail(&b, codec, ls.sidecar)
+		if tl.sidecar != nil {
+			writeU32(&b, uint32(tl.sidecar.FirstPage()))
+			writeU32(&b, uint32(tl.sidecar.NumPages()))
+			writePageFirstPositions(&b, tl.rids)
+			writeCodecTail(&b, codec, tl.sidecar)
 		} else {
 			writeU32(&b, 0)
 			writeU32(&b, 0)
@@ -122,57 +102,10 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 	return b.Bytes()
 }
 
-// OpenTiledFile opens a database file produced by TiledIndex.SaveFile and
-// returns a query-ready tiled planner backed by the file's pages. Updates
-// work too: ApplyUpdates reattaches the caller's field to the owning tiles.
-func OpenTiledFile(path string, model storage.DiskModel, pool int) (*TiledIndex, error) {
-	return OpenTiledFileWith(path, OpenFileOptions{Model: model, PoolPages: pool})
-}
-
-// OpenStoredWith opens any database file written by SaveFile — untiled
-// Partitioned or tiled — dispatching on the catalog's tile directory. The
-// returned Engine is a *Partitioned or a *TiledIndex.
-func OpenStoredWith(path string, opts OpenFileOptions) (Engine, error) {
-	if opts.Model == (storage.DiskModel{}) {
-		opts.Model = storage.DefaultDiskModel
-	}
-	disk, blob, err := readCatalogBlob(path, storage.DefaultPageSize)
-	if err != nil {
-		return nil, err
-	}
-	tiled := catalogTileCount(blob) > 0
-	disk.Close()
-	if tiled {
-		return OpenTiledFileWith(path, opts)
-	}
-	return OpenFileWith(path, opts)
-}
-
-// OpenTiledFileWith is OpenTiledFile with the full option set.
-func OpenTiledFileWith(path string, opts OpenFileOptions) (*TiledIndex, error) {
-	if opts.Model == (storage.DiskModel{}) {
-		opts.Model = storage.DefaultDiskModel
-	}
-	pageSize := storage.DefaultPageSize
-	disk, blob, err := readCatalogBlob(path, pageSize)
-	if err != nil {
-		return nil, err
-	}
-	if catalogTileCount(blob) == 0 {
-		disk.Close()
-		return nil, fmt.Errorf("core: %s: untiled database file; open it with OpenFile", path)
-	}
-	t, err := decodeTiledCatalog(blob, storage.NewPagerShards(disk, opts.Model, opts.PoolPages, opts.PoolShards))
-	if err != nil {
-		disk.Close()
-		return nil, fmt.Errorf("core: %s: %w", path, err)
-	}
-	return t, nil
-}
-
 // decodeTiledCatalog decodes the tiled directory of a catalog blob whose
-// header checkCatalogHeader accepted.
-func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) {
+// header checkCatalogHeader accepted, and opens the planner it describes over
+// pager.
+func decodeTiledCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	r := &byteReader{buf: blob, off: catalogHeaderLen}
 	numTiles := catalogTileCount(blob)
 	methodLen := int(r.u16())
@@ -195,21 +128,12 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		return nil, fmt.Errorf("corrupt tiled catalog header")
 	}
 	pager.SetEpoch(epoch)
-	t := &TiledIndex{tiledCore: &tiledCore{
-		inner:    MethodLinearScan,
-		label:    string(tiledMethod(MethodLinearScan)),
-		pager:    pager,
-		tiles:    make([]*tile, 0, numTiles),
-		tileOf:   make([]int32, cells),
-		cells:    cells,
-		tileSide: tileSide,
-		workers:  1,
-	}}
-	parts := make([]*state, 0, numTiles)
+	t := newTiled(pager, MethodLinearScan, cells, tileSide, numTiles)
+	st := &state{epoch: epoch, vr: make([]geom.Interval, 0, numTiles), parts: make([]*state, 0, numTiles)}
 	for i := range t.tileOf {
 		t.tileOf[i] = -1
 	}
-	vr := make([]geom.Interval, 0, numTiles)
+	scan := methods[MethodLinearScan]
 	covered := 0
 	for ti := 0; ti < numTiles; ti++ {
 		mbr := geom.Rect{
@@ -230,7 +154,6 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 				if int(ids[i]) >= cells || t.tileOf[ids[i]] != -1 || (i > 0 && ids[i] <= ids[i-1]) {
 					return nil, fmt.Errorf("corrupt tile %d cell ids", ti)
 				}
-				t.tileOf[ids[i]] = int32(ti)
 			}
 		}
 		numPages := int(r.u64())
@@ -243,12 +166,7 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 		}
 		sidecarFirst := storage.PageID(r.u32())
 		sidecarPages := int(r.u32())
-		ls := &valueIndex{
-			method: MethodLinearScan,
-			pager:  pager,
-			heap:   storage.OpenHeapFile(pager, heapPages, ncells),
-			cells:  ncells,
-		}
+		p := &partition{heap: storage.OpenHeapFile(pager, heapPages, ncells), cells: ncells}
 		if sidecarPages > 0 {
 			pageFirstPos, err := readPageFirstPositions(r, numPages, ncells)
 			if err != nil {
@@ -261,27 +179,23 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 			if tileCodec != codec {
 				return nil, fmt.Errorf("tile %d codec %q differs from directory codec %q", ti, tileCodec, codec)
 			}
-			sc, err := openSidecarAs(pager, codec, sidecarFirst, sidecarPages, ncells, firstPos)
-			if err != nil {
+			if p.sidecar, err = openSidecarAs(pager, codec, sidecarFirst, sidecarPages, ncells, firstPos); err != nil {
 				return nil, fmt.Errorf("tile %d: %w", ti, err)
 			}
-			ls.sidecar = sc
-			ls.rids = ridsFromFirstPositions(heapPages, pageFirstPos, ncells)
+			p.rids = ridsFromFirstPositions(heapPages, pageFirstPos, ncells)
 		}
-		// view stays nil: queries never touch it, and ApplyUpdates rebuilds
-		// it from the caller's field on first use.
-		ex := newExecutor(ls, &state{epoch: epoch})
-		t.tiles = append(t.tiles, &tile{ids: ids, mbr: mbr, ex: ex})
-		parts = append(parts, ex.snap.Load())
-		vr = append(vr, iv)
+		scan.bind(p)
+		// view stays nil: queries never touch it, and ApplyUpdates attaches
+		// the caller's field on first use. The areas follow the directory.
+		t.add(&tile{partition: p, ids: ids, mbr: mbr}, 0)
+		st.vr = append(st.vr, iv)
+		st.parts = append(st.parts, &state{epoch: epoch})
 		covered += ncells
 	}
-	tileArea := make([]float64, numTiles)
-	for i := range tileArea {
-		tileArea[i] = r.f64()
-		t.totArea += tileArea[i]
+	for i := range t.tileArea {
+		t.tileArea[i] = r.f64()
+		t.totArea += t.tileArea[i]
 	}
-	t.tileArea = tileArea
 	t.sumFirst = storage.PageID(r.u32())
 	t.sumPages = int(r.u32())
 	if r.err == nil && (t.sumPages < 0 || t.sumPages > 1<<16) {
@@ -293,6 +207,6 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (*TiledIndex, error) 
 	if covered != cells {
 		return nil, fmt.Errorf("tiles cover %d of %d cells", covered, cells)
 	}
-	t.snap.Store(&tiledState{epoch: epoch, vr: vr, parts: parts})
+	t.snap.Store(st)
 	return t, nil
 }

@@ -16,7 +16,7 @@ import (
 func TestTiledSaveOpenRoundtrip(t *testing.T) {
 	for _, codec := range []string{storage.SidecarCodecRaw, storage.SidecarCodecPacked} {
 		f := testDEM(t, 64, 0.7)
-		built, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16, Codec: codec})
+		built, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: codec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 		if err := built.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		opened, err := OpenTiledFile(path, storage.DefaultDiskModel, 8192)
+		opened, err := openTiles(path, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 		}
 		// Byte-identical answers against both the in-memory tiled build and a
 		// fresh untiled scan.
-		ls, err := BuildLinearScan(f, newPager())
+		ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 // like a fresh build over the mutated terrain.
 func TestTiledOpenUpdates(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	built, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	built, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTiledOpenUpdates(t *testing.T) {
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenTiledFile(path, storage.DefaultDiskModel, 8192)
+	opened, err := openTiles(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTiledOpenUpdates(t *testing.T) {
 	if ur.Epoch != epoch0+1 {
 		t.Errorf("update committed at epoch %d, want %d", ur.Epoch, epoch0+1)
 	}
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +149,12 @@ func TestTiledOpenUpdates(t *testing.T) {
 	}
 }
 
-// TestOpenStoredDispatch covers the file-kind dispatcher and the typed
-// mismatch errors of the direct open paths.
+// TestOpenStoredDispatch covers the file-kind dispatch of Open.
 func TestOpenStoredDispatch(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	dir := t.TempDir()
 
-	tiled, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 8, Codec: storage.SidecarCodecPacked})
+	tiled, err := buildTiles(f, newPager(), BuildOptions{TileSide: 8, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestOpenStoredDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flat, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	flat, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,27 +173,19 @@ func TestOpenStoredDispatch(t *testing.T) {
 	}
 
 	// The dispatcher picks the right decoder for each file kind.
-	idx, err := OpenStoredWith(tiledPath, OpenFileOptions{PoolPages: 8192})
+	idx, err := Open(tiledPath, OpenFileOptions{PoolPages: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := idx.(*TiledIndex); !ok {
 		t.Fatalf("tiled file opened as %T", idx)
 	}
-	idx, err = OpenStoredWith(flatPath, OpenFileOptions{PoolPages: 8192})
+	idx, err = Open(flatPath, OpenFileOptions{PoolPages: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := idx.(*Partitioned); !ok {
+	if _, ok := idx.(*executor); !ok {
 		t.Fatalf("untiled file opened as %T", idx)
-	}
-
-	// The direct open paths reject the other kind.
-	if _, err := OpenFile(tiledPath, storage.DefaultDiskModel, 0); err == nil {
-		t.Error("OpenFile accepted a tiled file")
-	}
-	if _, err := OpenTiledFile(flatPath, storage.DefaultDiskModel, 0); err == nil {
-		t.Error("OpenTiledFile accepted an untiled file")
 	}
 }
 
@@ -202,7 +193,7 @@ func TestOpenStoredDispatch(t *testing.T) {
 // on-disk format.
 func TestTiledSaveFileRejectsPartitionedInner(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	ti, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 8, Method: MethodIHilbert})
+	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 8, Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +207,7 @@ func TestTiledSaveFileRejectsPartitionedInner(t *testing.T) {
 // is packed, not silently downgraded to raw.
 func TestSaveOpenPackedSidecar(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{Codec: storage.SidecarCodecPacked})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +215,7 @@ func TestSaveOpenPackedSidecar(t *testing.T) {
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(path, storage.DefaultDiskModel, 8192)
+	opened, err := openIx(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}

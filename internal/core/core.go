@@ -1,11 +1,12 @@
 // Package core implements the paper's primary contribution: value-domain
 // indexes for field value queries in continuous field databases.
 //
-// Every method runs on one executor (executor.go): pin the current epoch,
-// ask the method for candidates, fetch them, refine the survivors into the
-// answer. The executor writes solo queries, shared-scan batches, snapshots,
-// aggregates and the live-update skeleton once; a method is two hooks bound
-// when the index is built or opened:
+// There is one way in. Build (build.go) builds every configuration — any
+// method, tiled or not — and Open (catalog.go) reopens every saved one; both
+// return the Engine. Build dispatches on the method table: a method is one row
+// binding its partition rule (§3.1.2's greedy cost bound, a fixed interval
+// threshold, the interval quadtree, or none), what its tree holds, and two
+// hooks:
 //
 //   - candidates turns a value interval into candidate cells — the one step
 //     in which the paper's methods differ. LinearScan tests every interval
@@ -19,13 +20,25 @@
 //     cells would match anyway.
 //   - maintain brings the method's index structure to the state after an
 //     update batch: nothing for LinearScan, delete/insert on the per-cell
-//     tree for I-All, regrouping and the summary refit for the partitioned
-//     family.
+//     tree for I-All, regrouping under the row's own rule for I-Hilbert and
+//     I-Threshold, a refusal for I-Quad, a histogram rebuild on top for
+//     I-Auto.
 //
-// Candidates come in one of two shapes, each with its own fetch loop
+// Every method runs on one executor (executor.go): pin the current epoch,
+// ask the method for candidates, fetch them, refine the survivors into the
+// answer. Candidates come in one of two shapes, each with its own fetch loop
 // (fetch.go): ascending heap positions, or merged runs of heap pages. Both
 // loops hand surviving records to a sink — decode and refine into a Result,
 // or copy into a tile arena for the tiled planner's gather (tiled.go).
+//
+// Around the hooks sits one shell (shell.go, update.go), embedded by the
+// executor, the tiled planner and the spatial store alike: the pinned-state
+// handle (a snapshot is the same handle at the state it pinned), the scatter
+// that forks work over query contexts and merges it back in order, the update
+// transaction (patch, each involved partition's maintain hook, one commit,
+// publish) and the file save. An untiled index is the one-partition case of
+// all of them, the planner the N-partition case, the spatial store the case
+// with no hook.
 //
 // All methods share one storage substrate (internal/storage): cells live in
 // a slotted heap file, index nodes in R*-tree pages, and every page access
@@ -50,7 +63,8 @@ import (
 // Method identifies a query-processing strategy.
 type Method string
 
-// The methods evaluated in the paper plus the ablation strategies.
+// The methods evaluated in the paper plus the ablation strategies: the keys of
+// the method table (MethodAuto, the planner, is declared in auto.go).
 const (
 	MethodLinearScan Method = "LinearScan"
 	MethodIAll       Method = "I-All"
@@ -172,7 +186,7 @@ type Engine interface {
 	// the union of its subfield intervals or tile summaries (empty for
 	// methods that keep neither).
 	ValueRange() geom.Interval
-	// SaveFile writes the index to a database file OpenStoredWith reopens;
+	// SaveFile writes the index to a database file Open reopens;
 	// ErrNoPartition where the configuration has no on-disk format.
 	SaveFile(path string) error
 	SetObserver(ob obs.Observer)
@@ -311,20 +325,6 @@ func writeCells(ctx context.Context, f field.Field, pager *storage.Pager, ids []
 		}
 	}
 	return heap, rids, sc, areas, nil
-}
-
-// resolveSidecarCodec maps build-option fields to writeCells' codec
-// parameter: disabled becomes the empty string, an unset codec falls back to
-// the raw legacy layout (keeping existing builds byte-identical), and an
-// unknown name is surfaced as a build error by writeCells.
-func resolveSidecarCodec(noSidecar bool, codec string) string {
-	if noSidecar {
-		return ""
-	}
-	if codec == "" {
-		return storage.SidecarCodecRaw
-	}
-	return codec
 }
 
 // identityOrder returns the cell ids of f in natural order.

@@ -11,7 +11,6 @@ import (
 	"fielddb/internal/fractal"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
-	"fielddb/internal/rstar"
 	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
 	"fielddb/internal/tin"
@@ -55,32 +54,72 @@ func newPager() *storage.Pager {
 	return storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 8192)
 }
 
+// buildIx is Build for an untiled method, as the executor it returns.
+func buildIx(f field.Field, p *storage.Pager, opts BuildOptions) (*executor, error) {
+	e, err := Build(context.Background(), f, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.(*executor), nil
+}
+
+// buildTiles is Build for a tiled configuration (LinearScan tiles unless opts
+// names a method), as the planner it returns.
+func buildTiles(f field.Field, p *storage.Pager, opts BuildOptions) (*TiledIndex, error) {
+	if opts.Method == "" {
+		opts.Method = MethodLinearScan
+	}
+	e, err := Build(context.Background(), f, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.(*TiledIndex), nil
+}
+
+// openIx and openTiles are Open with a pool of pool pages, as the executor or
+// the planner the file holds.
+func openIx(path string, pool int) (*executor, error) {
+	e, err := Open(path, OpenFileOptions{PoolPages: pool})
+	if err != nil {
+		return nil, err
+	}
+	return e.(*executor), nil
+}
+
+func openTiles(path string, pool int) (*TiledIndex, error) {
+	e, err := Open(path, OpenFileOptions{PoolPages: pool})
+	if err != nil {
+		return nil, err
+	}
+	return e.(*TiledIndex), nil
+}
+
 // buildAll builds every index method over f, each on its own pager.
 func buildAll(t testing.TB, f field.Field) map[Method]Index {
 	t.Helper()
 	out := map[Method]Index{}
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out[MethodLinearScan] = ls
-	ia, err := BuildIAll(f, newPager(), IAllOptions{})
+	ia, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out[MethodIAll] = ia
-	ih, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out[MethodIHilbert] = ih
 	vr := f.ValueRange()
-	iq, err := BuildIQuad(f, newPager(), ThresholdOptions{MaxSize: vr.Length()/8 + 1})
+	iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out[MethodIQuad] = iq
-	it, err := BuildIThreshold(f, newPager(), ThresholdOptions{MaxSize: vr.Length()/8 + 1})
+	it, err := buildIx(f, newPager(), BuildOptions{Method: MethodIThresh, MaxSize: vr.Length()/8 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +232,7 @@ func TestEmptyQueryRejected(t *testing.T) {
 
 func TestOutOfRangeQueryIsCheapForIHilbert(t *testing.T) {
 	f := testDEM(t, 32, 0.5)
-	ih, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +256,8 @@ func TestIHilbertBeatsLinearScanOnIO(t *testing.T) {
 	// The headline claim: for selective queries, I-Hilbert's simulated disk
 	// time is far below LinearScan's.
 	f := testDEM(t, 128, 0.8)
-	ls, _ := BuildLinearScan(f, newPager())
-	ih, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ls, _ := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
+	ih, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	vr := f.ValueRange()
 	rng := rand.New(rand.NewSource(9))
 	var lsTime, ihTime float64
@@ -248,7 +287,7 @@ func TestIHilbertBeatsLinearScanOnIO(t *testing.T) {
 
 func TestLinearScanIOIsSequential(t *testing.T) {
 	f := testDEM(t, 32, 0.5)
-	ls, _ := BuildLinearScan(f, newPager())
+	ls, _ := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	vr := f.ValueRange()
 	res, err := ls.Query(geom.Interval{Lo: vr.Lo, Hi: vr.Hi})
 	if err != nil {
@@ -260,7 +299,7 @@ func TestLinearScanIOIsSequential(t *testing.T) {
 	if res.IO.RandReads > 2 {
 		t.Fatalf("LinearScan had %d random reads", res.IO.RandReads)
 	}
-	noSC, _ := BuildLinearScanWith(context.Background(), f, newPager(), LinearScanOptions{NoSidecar: true})
+	noSC, _ := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
 	resNo, err := noSC.Query(geom.Interval{Lo: vr.Lo, Hi: vr.Hi})
 	if err != nil {
 		t.Fatal(err)
@@ -298,14 +337,14 @@ func TestIndexStats(t *testing.T) {
 			t.Fatalf("%s: empty String", m)
 		}
 	}
-	ih := indexes[MethodIHilbert].(*Partitioned)
+	ih := indexes[MethodIHilbert].(*executor)
 	if ih.NumGroups() == 0 || ih.NumGroups() != len(ih.GroupIntervals()) {
 		t.Fatal("group accessors inconsistent")
 	}
 	if ih.NumGroups() >= f.NumCells() {
 		t.Fatalf("I-Hilbert has %d groups for %d cells — no compression", ih.NumGroups(), f.NumCells())
 	}
-	ia := indexes[MethodIAll].(*IAll)
+	ia := indexes[MethodIAll].(*executor)
 	if ia.Stats().IndexPages <= ih.Stats().IndexPages {
 		t.Fatalf("I-All tree (%d pages) not larger than I-Hilbert tree (%d pages)",
 			ia.Stats().IndexPages, ih.Stats().IndexPages)
@@ -314,11 +353,11 @@ func TestIndexStats(t *testing.T) {
 
 func TestIAllBulkLoadAgrees(t *testing.T) {
 	f := testDEM(t, 16, 0.4)
-	a, err := BuildIAll(f, newPager(), IAllOptions{})
+	a, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildIAll(f, newPager(), IAllOptions{BulkLoad: true})
+	b, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll, BulkLoad: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +382,10 @@ func TestIAllBulkLoadAgrees(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
-	if _, err := BuildIThreshold(f, newPager(), ThresholdOptions{}); err == nil {
+	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodIThresh}); err == nil {
 		t.Fatal("I-Threshold without MaxSize accepted")
 	}
-	if _, err := BuildIQuad(f, newPager(), ThresholdOptions{}); err == nil {
+	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad}); err == nil {
 		t.Fatal("I-Quad without MaxSize accepted")
 	}
 }
@@ -362,7 +401,7 @@ func TestIHilbertWithAlternativeCurves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := BuildIHilbert(f, newPager(), HilbertOptions{Curve: curve})
+		idx, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, Curve: curve})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +424,7 @@ func TestIHilbertWithAlternativeCurves(t *testing.T) {
 
 func TestSpatialIndexPointQueries(t *testing.T) {
 	f := testDEM(t, 32, 0.5)
-	s, err := BuildSpatial(f, newPager(), rstar.Params{})
+	s, err := BuildSpatial(context.Background(), f, newPager())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +458,11 @@ func TestConjunctiveQuery(t *testing.T) {
 	// Two analytic DEM fields on the same domain: w1 = x, w2 = y.
 	f1, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 16, 16, func(x, y float64) float64 { return x })
 	f2, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 16, 16, func(x, y float64) float64 { return y })
-	i1, err := BuildIHilbert(f1, newPager(), HilbertOptions{})
+	i1, err := buildIx(f1, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := BuildIHilbert(f2, newPager(), HilbertOptions{})
+	i2, err := buildIx(f2, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +510,7 @@ func TestSubfieldsAreValueCoherent(t *testing.T) {
 	// Structural check on the built I-Hilbert index: group intervals must
 	// be dramatically tighter than the full value range on a smooth field.
 	f := testDEM(t, 64, 0.9)
-	ih, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ih, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	p := ih
 	vr := f.ValueRange()
 	var sizes []float64
@@ -489,7 +528,7 @@ func TestResultIsolineCellConsistency(t *testing.T) {
 	// On a smooth DEM an exact query on an interior value must cut a
 	// non-trivial isoline.
 	f := testDEM(t, 32, 0.9)
-	ih, _ := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ih, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	vr := f.ValueRange()
 	res, err := ih.Query(geom.Interval{Lo: vr.Lo + vr.Length()/2, Hi: vr.Lo + vr.Length()/2})
 	if err != nil {

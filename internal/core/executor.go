@@ -2,46 +2,36 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
-	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
 )
 
-// valueIndex is everything one built value index owns, shared by its live
-// executor and every snapshot of it.
-type valueIndex struct {
-	method Method
-	pager  *storage.Pager
-	heap   *storage.HeapFile
+// partition is one contiguous cell store with a method's index over it: a
+// whole untiled field, or one tile of a tiled one. It owns the cells' heap
+// segment and interval sidecar and the two hooks a method is; the index
+// structure itself — tree, subfields, histogram — lives in the state its store
+// publishes.
+type partition struct {
+	heap *storage.HeapFile
 	// rids maps heap position to record id (nil for a file saved without a
 	// sidecar); sidecar is the packed interval segment (nil when disabled).
 	rids    []storage.RID
 	sidecar *storage.IntervalSidecar
 	cells   int
-	// workers bounds the goroutines refining page runs; 0 or 1 keeps a query
-	// single-threaded.
-	workers int
-	// snap is the current MVCC state. Readers load it once, pin its epoch and
-	// run entirely against it; an update batch publishes a fresh state only
-	// after committing its page overlays, so no reader ever observes a
-	// half-updated index. updMu serializes updaters; readers never take it.
-	snap  atomic.Pointer[state]
-	updMu sync.Mutex
-	observed
 
-	// The two hooks a method is. candidates fills pr with the cells that can
-	// match pr.q — positions when byPos, page runs otherwise. maintain returns
-	// the state after an update batch whose interval-changing cells are ch,
-	// with the R*-tree pages it persisted and whether it re-cut the partition;
-	// nil where a method has no structure to maintain.
+	// The two hooks a method is, bound from its methodSpec row. candidates
+	// fills pr with the cells that can match pr.q — positions when byPos, page
+	// runs otherwise. maintain returns the state after an update batch whose
+	// interval-changing cells are ch, with the R*-tree pages it persisted and
+	// whether it re-cut the partition; nil where a method has no structure to
+	// maintain. The update transaction calls it under an open PhaseMaintain
+	// span on stage.qc.
 	candidates func(st *state, pr *probe) error
 	maintain   func(stage *overlayStage, f field.Field, cur *state, ch *changes) (next *state, indexPages int, regrouped bool, err error)
 	byPos      bool
@@ -51,187 +41,69 @@ type valueIndex struct {
 	tested bool
 
 	// order is the heap-file cell order of a partitioned method (nil in
-	// natural order, where heap position == cell id). cost and maxSize
-	// reproduce the build's partitioning rule so an update batch can re-derive
-	// the group boundaries (the §3 cost bound); ivs is the current cell
-	// interval per heap position and posOf maps cell id to heap position, both
-	// hydrated by the first update that needs them.
+	// natural order, where heap position == cell id). cut, cost and maxSize
+	// are the build's partitioning rule, so an update batch can re-derive the
+	// group boundaries (the §3 cost bound); ivs is the current cell interval
+	// per heap position and posOf maps cell id to heap position, both hydrated
+	// by the first update that needs them.
 	order   []field.CellID
+	cut     cutRule
 	cost    subfield.CostModel
 	maxSize float64
 	ivs     []geom.Interval
 	posOf   map[field.CellID]int
 
-	// The field summary of the aggregate tier: its contiguous page run
-	// (sumPages == 0 when absent: such an index answers aggregates exactly)
-	// and each cell's planar area in heap order (nil for file-opened indexes;
-	// when present, update batches refit the summary instead of widening its
-	// certified slack).
-	sumFirst storage.PageID
-	sumPages int
-	areas    []float64
-
-	// The I-Auto planner: the estimated matched-cell fraction above which it
-	// scans, and its decision counters.
-	scanThreshold              float64
+	// The I-Auto planner's decision counters.
 	scanQueries, filterQueries atomic.Int64
 }
 
-// state is one epoch's immutable view of an index structure, each part nil
-// where the method has none. A state is never mutated after snap.Store
-// publishes it; updates build a whole new one.
-type state struct {
-	epoch  uint64
-	tree   *rstar.Tree // per cell (I-All) or per subfield
-	groups []groupMeta // subfields, in partition order
-	hist   *autoHist   // the planner's selectivity histogram
+// valueIndex is an untiled value index: one partition in a shell, shared by
+// its live executor and every snapshot of it.
+type valueIndex struct {
+	shell
+	*partition
 }
 
 // executor answers value queries over one valueIndex: live at whatever state
-// is current, or — as a snapshot — at the state it pinned. Every operation is
-// written once against a pinned state, so a snapshot needs no code of its own.
+// is current, or — as a snapshot — at the state it pinned.
 type executor struct {
 	*valueIndex
-	pin  *state
-	once sync.Once // guards a snapshot's unpin
+	pinned
 }
 
-// The exported index types are the same executor; they differ in the hooks
-// their Build function binds.
-type (
-	// LinearScan is the no-index baseline: every query tests every cell
-	// interval. With the interval sidecar (the default) the test runs over
-	// the packed sidecar pages — a sequential scan more than an order of
-	// magnitude shorter than the cell pages — and only the pages holding
-	// matching cells are read from the heap file; without it, every cell page
-	// is scanned.
-	LinearScan struct{ *executor }
-	// IAll is the straightforward indexing baseline of §3: the interval of
-	// every individual cell is stored in a 1-D R*-tree. The tree is large and
-	// its similar, heavily overlapping intervals make the filter step
-	// expensive; each candidate cell is then fetched with its own (typically
-	// random) page access. The paper shows this can be slower than LinearScan
-	// at high query selectivity (Figure 11.a).
-	IAll struct{ *executor }
-	// Partitioned is a subfield-based value index: cells are stored in a heap
-	// file in partition order (each subfield a contiguous run of pages) and
-	// the subfield intervals are indexed in a 1-D R*-tree. I-Hilbert, I-Quad
-	// and I-Threshold are Partitioned indexes that differ only in how the
-	// partition was formed.
-	Partitioned struct{ *executor }
-	// Auto is I-Hilbert behind a selectivity planner (see MethodAuto).
-	Auto struct{ *executor }
-)
-
-// newExecutor wraps a built index and binds its method's hooks.
+// newExecutor publishes a built or opened index's first state and returns its
+// live handle.
 func newExecutor(ix *valueIndex, st *state) *executor {
 	ix.snap.Store(st)
-	switch ix.method {
-	case MethodLinearScan:
-		ix.candidates = ix.heapCandidates
-		if ix.sidecar != nil {
-			ix.candidates, ix.byPos, ix.tested = ix.sidecarCandidates, true, true
-		}
-	case MethodIAll:
-		ix.candidates, ix.maintain, ix.byPos = ix.cellCandidates, ix.maintainCells, true
-	case MethodAuto:
-		ix.candidates, ix.maintain = ix.planCandidates, ix.maintainPlanned
-	default:
-		ix.candidates, ix.maintain = ix.groupCandidates, ix.maintainGroups
-	}
-	return &executor{valueIndex: ix}
-}
-
-// cur returns the state operations run against.
-func (e *executor) cur() *state {
-	if e.pin != nil {
-		return e.pin
-	}
-	return e.snap.Load()
-}
-
-// pinState pins the epoch of the state to run against, retrying across the
-// narrow window where an update batch has committed a new epoch (retiring the
-// loaded one) but not yet published its state. The returned release must be
-// called exactly once; while the pin is held, beginQueryAt at the state's
-// epoch cannot fail.
-func (e *executor) pinState() (*state, func()) {
-	for {
-		s := e.cur()
-		if e.pager.PinEpoch(s.epoch) {
-			return s, func() { e.pager.UnpinEpoch(s.epoch) }
-		}
-		if e.pin != nil {
-			panic("core: snapshot used after Close")
-		}
-		runtime.Gosched()
-	}
-}
-
-// beginQueryAt opens a query context pinned at epoch. The caller must already
-// hold its own pin at that epoch, which makes the underlying BeginQueryAt
-// infallible: a held pin keeps the epoch at or above the compaction low-water
-// mark, so a second pin at the same epoch always succeeds.
-func beginQueryAt(pager *storage.Pager, epoch uint64) *storage.QueryCtx {
-	qc, ok := pager.BeginQueryAt(epoch)
-	if !ok {
-		panic("core: snapshot epoch compacted away under an active pin")
-	}
-	return qc
+	return &executor{valueIndex: ix, pinned: pinned{live: &ix.shell}}
 }
 
 // AcquireSnapshot implements Engine.
 func (e *executor) AcquireSnapshot() Engine {
-	st, _ := e.pinState()
-	return &executor{valueIndex: e.valueIndex, pin: st}
+	return &executor{valueIndex: e.valueIndex, pinned: e.snapshot()}
 }
-
-// Epoch implements Engine.
-func (e *executor) Epoch() uint64 { return e.cur().epoch }
-
-// Close releases a snapshot's pin; on the live index it releases the
-// underlying store — the database file of an OpenFile index, a no-op for
-// in-memory builds.
-func (e *executor) Close() error {
-	if e.pin == nil {
-		return e.pager.Close()
-	}
-	e.once.Do(func() { e.pager.UnpinEpoch(e.pin.epoch) })
-	return nil
-}
-
-// SetWorkers bounds the worker pool that parallelizes the refinement step
-// across page runs. One run is one sequential-I/O unit, so the answer regions
-// and the per-query accounting are identical to the single-threaded run. Call
-// before issuing queries; it is not synchronized with queries in flight.
-func (e *executor) SetWorkers(n int) { e.workers = clampWorkers(n) }
-
-// SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (e *executor) SetObserver(ob obs.Observer) { e.setObs(ob, string(e.method)) }
-
-// Method implements Index.
-func (e *executor) Method() Method { return e.method }
-
-// unwrap names the executor inside any of the exported index types.
-func (e *executor) unwrap() *executor { return e }
 
 // Tiles implements Engine: a single-partition index has none.
 func (e *executor) Tiles() []TileInfo { return nil }
 
 // Stats implements Index.
-func (e *executor) Stats() IndexStats { return e.statsAt(e.cur()) }
+func (e *executor) Stats() IndexStats {
+	s := e.statsAt(e.cur())
+	s.Method = e.Method()
+	return s
+}
 
-func (ix *valueIndex) statsAt(st *state) IndexStats {
-	s := IndexStats{Method: ix.method, Cells: ix.cells, CellPages: ix.heap.NumPages()}
+func (p *partition) statsAt(st *state) IndexStats {
+	s := IndexStats{Cells: p.cells, CellPages: p.heap.NumPages()}
 	if st.tree != nil {
 		s.IndexPages, s.TreeHeight = st.tree.PersistedNodes(), st.tree.Height()
-		s.Groups = ix.cells // one entry per cell, unless the tree indexes subfields
+		s.Groups = p.cells // one entry per cell, unless the tree indexes subfields
 	}
 	if st.groups != nil {
 		s.Groups = len(st.groups)
 	}
-	if ix.sidecar != nil {
-		s.SidecarPages = ix.sidecar.NumPages()
+	if p.sidecar != nil {
+		s.SidecarPages = p.sidecar.NumPages()
 	}
 	return s
 }
@@ -310,10 +182,10 @@ func (e *executor) QueryContext(ctx context.Context, q geom.Interval) (*Result, 
 	if q.IsEmpty() {
 		return nil, errEmptyQuery
 	}
-	tb, start := e.startQuery(string(e.method), obs.KindValue, q.Lo, q.Hi)
-	st, release := e.pinState()
+	tb, start := e.startQuery(e.label, obs.KindValue, q.Lo, q.Hi)
+	st := e.pinState()
 	res, err := e.queryAt(st, ctx, tb, q)
-	release()
+	e.unpin(st)
 	e.endQuery(tb, start, err)
 	return res, err
 }
@@ -359,60 +231,35 @@ func (e *executor) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder,
 }
 
 // refineRuns scans the candidate runs into res: in order on qc, or — with
-// SetWorkers > 1 and more than one run — whole runs on a bounded worker pool,
-// each worker on its own forked context.
+// SetWorkers > 1 and more than one run — whole runs scattered on the worker
+// pool.
 func (e *executor) refineRuns(ctx context.Context, qc *storage.QueryCtx, runs []pageRun, res *Result) error {
-	workers := clampWorkers(e.workers)
-	if workers <= 1 || len(runs) < 2 {
+	workers := e.fanout(len(runs))
+	if workers == 1 {
 		n, err := scanRuns(ctx, qc, e.heap, runs, res.Query, &resultSink{res: res})
 		res.CellsFetched += n
 		return err
 	}
-	// Partial results are folded back in run order, and the area is
-	// re-accumulated as the same left-to-right fold the sequential path
-	// performs — so Regions, Area and Stats are all byte-identical. Per-item
-	// busy time is measured only when a metrics registry is installed, keeping
-	// the unobserved path timing-free.
-	timed := e.ob.Metrics != nil
-	var wallStart time.Time
-	var busy atomic.Int64
-	if timed {
-		wallStart = time.Now()
-	}
 	partials := make([]*Result, len(runs))
-	ctxs := make([]*storage.QueryCtx, len(runs))
-	err := parallelDoCtx(ctx, workers, len(runs), func(i int) error {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		child := qc.Fork()
+	err := e.scatter(ctx, qc, workers, len(runs), func(i int, child *storage.QueryCtx) error {
 		part := &Result{Query: res.Query}
 		n, err := scanRuns(ctx, child, e.heap, runs[i:i+1], res.Query, &resultSink{res: part})
-		if err != nil {
-			return err
-		}
 		part.CellsFetched = n
 		partials[i] = part
-		ctxs[i] = child
-		if timed {
-			busy.Add(int64(time.Since(t0)))
-		}
-		return nil
+		return err
 	})
-	if timed {
-		e.ob.Metrics.RecordWorkers(len(runs), time.Duration(busy.Load()), time.Since(wallStart))
-	}
 	if err != nil {
 		return err
 	}
-	for i, part := range partials {
+	// Partial results are folded back in run order, and the area is
+	// re-accumulated as the same left-to-right fold the sequential path
+	// performs — so Regions, Area and Stats are all byte-identical.
+	for _, part := range partials {
 		res.CellsFetched += part.CellsFetched
 		res.CellsMatched += part.CellsMatched
 		res.MatchedCellArea += part.MatchedCellArea
 		res.Regions = append(res.Regions, part.Regions...)
 		res.Isolines = append(res.Isolines, part.Isolines...)
-		qc.Merge(ctxs[i])
 	}
 	for _, pg := range res.Regions {
 		res.Area += pg.Area()

@@ -57,7 +57,7 @@ func TestIPRowScattersIOComparedToIHilbert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}

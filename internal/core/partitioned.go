@@ -9,7 +9,6 @@ import (
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/rstar"
-	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
 )
@@ -32,243 +31,34 @@ type groupMeta struct {
 	avg float64
 }
 
-// HilbertOptions tunes BuildIHilbert.
-type HilbertOptions struct {
-	// Curve linearizes the cells; nil selects a Hilbert curve of order 16.
-	// Z-order or Gray-code curves can be substituted for the clustering
-	// ablation.
-	Curve sfc.Curve
-	// Cost is the subfield cost model; the zero value selects the paper's
-	// model (Epsilon = 1).
-	Cost subfield.CostModel
-	// Params override the R*-tree parameters.
-	Params rstar.Params
-	// Workers bounds the goroutines used for construction (linearization,
-	// per-subfield metadata) and is inherited as the query-time refinement
-	// parallelism. 0 or 1 means single-threaded.
-	Workers int
-	// NoSidecar skips building the columnar interval sidecar (and with it
-	// the sidecar catalog fields).
-	NoSidecar bool
-	// Codec selects the sidecar page codec (storage.SidecarCodecRaw or
-	// storage.SidecarCodecPacked); empty selects the raw legacy layout.
-	Codec string
+// groupMetaOf computes the leaf payload of one subfield of the stored
+// partition from the current interval column.
+func (p *partition) groupMetaOf(g subfield.Group) (groupMeta, error) {
+	first := p.heap.PageIndex(p.rids[g.Start].Page)
+	last := p.heap.PageIndex(p.rids[g.End-1].Page)
+	if first < 0 || last < 0 {
+		return groupMeta{}, fmt.Errorf("core: pages of subfield [%d, %d) not found", g.Start, g.End)
+	}
+	return groupMeta{
+		interval: g.Interval, firstPage: first, lastPage: last,
+		cells: g.Len(), startRef: g.Start, endRef: g.End,
+		avg: groupAvg(p.ivs, g.Start, g.End),
+	}, nil
 }
 
-// BuildIHilbert builds the paper's proposed index: Hilbert linearization,
-// greedy cost-based subfields, 1-D R*-tree over subfield intervals.
-func BuildIHilbert(f field.Field, pager *storage.Pager, opts HilbertOptions) (*Partitioned, error) {
-	return BuildIHilbertCtx(context.Background(), f, pager, opts)
+// groupAvg is the paper's per-subfield summary: the mean of the member
+// cells' interval midpoints, folded in position order.
+func groupAvg(ivs []geom.Interval, start, end int) float64 {
+	sum := 0.0
+	for i := start; i < end; i++ {
+		sum += (ivs[i].Lo + ivs[i].Hi) / 2
+	}
+	return sum / float64(end-start)
 }
 
-// BuildIHilbertCtx is BuildIHilbert with construction cancellation, polled
-// between cell-write batches and between per-subfield metadata work units.
-func BuildIHilbertCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts HilbertOptions) (*Partitioned, error) {
-	curve := opts.Curve
-	if curve == nil {
-		var err error
-		curve, err = sfc.NewHilbert(16, 2)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cost := opts.Cost
-	if cost.Epsilon == 0 {
-		cost = subfield.DefaultCostModel
-	}
-	refs, err := subfield.LinearizeWorkers(f, curve, clampWorkers(opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	groups := subfield.BuildGreedy(refs, cost)
-	return asPartitioned(buildPartitioned(ctx, MethodIHilbert, f, pager, refs, groups, opts.Params, opts.Workers, resolveSidecarCodec(opts.NoSidecar, opts.Codec), cost, 0))
-}
-
-// asPartitioned names a built subfield executor by its exported type.
-func asPartitioned(e *executor, err error) (*Partitioned, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Partitioned{e}, nil
-}
-
-// ThresholdOptions tunes BuildIThreshold and BuildIQuad.
-type ThresholdOptions struct {
-	// MaxSize is the maximum subfield interval size (cost-model size,
-	// i.e. length + Epsilon).
-	MaxSize float64
-	// Curve linearizes the cells for I-Threshold; nil selects Hilbert.
-	Curve sfc.Curve
-	// Cost is the cost model used for interval sizes.
-	Cost subfield.CostModel
-	// Params override the R*-tree parameters.
-	Params rstar.Params
-	// MaxDepth bounds the quadtree recursion for I-Quad (0 = default).
-	MaxDepth int
-	// Workers bounds construction and refinement parallelism, as in
-	// HilbertOptions.
-	Workers int
-	// NoSidecar skips the interval sidecar, as in HilbertOptions.
-	NoSidecar bool
-	// Codec selects the sidecar page codec, as in HilbertOptions.
-	Codec string
-}
-
-// BuildIThreshold is the fixed-threshold ablation: Hilbert linearization
-// with subfields cut whenever the interval size would exceed MaxSize.
-func BuildIThreshold(f field.Field, pager *storage.Pager, opts ThresholdOptions) (*Partitioned, error) {
-	return BuildIThresholdCtx(context.Background(), f, pager, opts)
-}
-
-// BuildIThresholdCtx is BuildIThreshold with construction cancellation.
-func BuildIThresholdCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts ThresholdOptions) (*Partitioned, error) {
-	curve := opts.Curve
-	if curve == nil {
-		var err error
-		curve, err = sfc.NewHilbert(16, 2)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cost := opts.Cost
-	if cost.Epsilon == 0 {
-		cost = subfield.DefaultCostModel
-	}
-	if opts.MaxSize <= 0 {
-		return nil, fmt.Errorf("core: I-Threshold needs MaxSize > 0")
-	}
-	refs, err := subfield.LinearizeWorkers(f, curve, clampWorkers(opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	groups := subfield.BuildThreshold(refs, cost, opts.MaxSize)
-	return asPartitioned(buildPartitioned(ctx, MethodIThresh, f, pager, refs, groups, opts.Params, opts.Workers, resolveSidecarCodec(opts.NoSidecar, opts.Codec), cost, opts.MaxSize))
-}
-
-// BuildIQuad builds the Interval Quadtree comparator (Kang et al. CIKM'99):
-// quadtree partitioning with a fixed interval-size threshold; cells are
-// clustered on disk by quadrant.
-func BuildIQuad(f field.Field, pager *storage.Pager, opts ThresholdOptions) (*Partitioned, error) {
-	return BuildIQuadCtx(context.Background(), f, pager, opts)
-}
-
-// BuildIQuadCtx is BuildIQuad with construction cancellation.
-func BuildIQuadCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts ThresholdOptions) (*Partitioned, error) {
-	cost := opts.Cost
-	if cost.Epsilon == 0 {
-		cost = subfield.DefaultCostModel
-	}
-	if opts.MaxSize <= 0 {
-		return nil, fmt.Errorf("core: I-Quad needs MaxSize > 0")
-	}
-	// The quadtree needs centers and intervals but no curve keys; reuse
-	// Linearize with a trivial curve order to fill the refs, then let the
-	// quadtree impose its own order.
-	curve, err := sfc.NewHilbert(16, 2)
-	if err != nil {
-		return nil, err
-	}
-	refs, err := subfield.LinearizeWorkers(f, curve, clampWorkers(opts.Workers))
-	if err != nil {
-		return nil, err
-	}
-	ordered, groups := subfield.BuildQuad(refs, f.Bounds(), cost, opts.MaxSize, opts.MaxDepth)
-	return asPartitioned(buildPartitioned(ctx, MethodIQuad, f, pager, ordered, groups, opts.Params, opts.Workers, resolveSidecarCodec(opts.NoSidecar, opts.Codec), cost, opts.MaxSize))
-}
-
-// buildPartitioned stores cells in partition order and indexes the group
-// intervals. ctx cancels construction between cell-write batches and between
-// per-subfield metadata work units.
-func buildPartitioned(ctx context.Context, method Method, f field.Field, pager *storage.Pager,
-	refs []subfield.CellRef, groups []subfield.Group, params rstar.Params, workers int, codec string,
-	cost subfield.CostModel, maxSize float64) (*executor, error) {
-	if err := subfield.Validate(refs, groups); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if params.PageSize == 0 {
-		params.PageSize = pager.PageSize()
-	}
-	workers = clampWorkers(workers)
-	ids := make([]field.CellID, len(refs))
-	for i, r := range refs {
-		ids[i] = r.ID
-	}
-	heap, rids, sc, areas, err := writeCells(ctx, f, pager, ids, codec)
-	if err != nil {
-		return nil, err
-	}
-	// Per-subfield metadata (page run, summary average) is independent
-	// across groups, so construction fans out on the worker pool.
-	metas := make([]groupMeta, len(groups))
-	entries := make([]rstar.Entry, len(groups))
-	err = parallelDoCtx(ctx, workers, len(groups), func(gi int) error {
-		g := groups[gi]
-		first := heap.PageIndex(rids[g.Start].Page)
-		last := heap.PageIndex(rids[g.End-1].Page)
-		if first < 0 || last < 0 {
-			return fmt.Errorf("core: group %d pages not found", gi)
-		}
-		sum := 0.0
-		for i := g.Start; i < g.End; i++ {
-			iv := refs[i].Interval
-			sum += (iv.Lo + iv.Hi) / 2
-		}
-		metas[gi] = groupMeta{
-			interval: g.Interval, firstPage: first, lastPage: last,
-			cells: g.Len(), startRef: g.Start, endRef: g.End,
-			avg: sum / float64(g.Len()),
-		}
-		entries[gi] = rstar.Entry{
-			MBR:  rstar.Interval1D(g.Interval.Lo, g.Interval.Hi),
-			Data: uint64(gi),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Subfield intervals are few; the tree is built by R* insertion, as in
-	// the paper.
-	tree, err := rstar.New(1, params)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if err := tree.Insert(e); err != nil {
-			return nil, err
-		}
-	}
-	if err := tree.Persist(pager); err != nil {
-		return nil, err
-	}
-	ivs := make([]geom.Interval, len(refs))
-	for i, r := range refs {
-		ivs[i] = r.Interval
-	}
-	// The field summary lives on its own page run right after the index
-	// pages, so an approximate aggregate touches a handful of dedicated
-	// pages and nothing else.
-	sumFirst, sumPages, err := buildSummary(pager, ivs, areas)
-	if err != nil {
-		return nil, err
-	}
-	ix := &valueIndex{
-		method:   method,
-		pager:    pager,
-		heap:     heap,
-		order:    ids,
-		cells:    len(refs),
-		rids:     rids,
-		sidecar:  sc,
-		workers:  workers,
-		cost:     cost,
-		maxSize:  maxSize,
-		ivs:      ivs,
-		sumFirst: sumFirst,
-		sumPages: sumPages,
-		areas:    areas,
-	}
-	return newExecutor(ix, &state{epoch: pager.CurrentEpoch(), tree: tree, groups: metas}), nil
+// groupEntry is the tree entry of subfield gi.
+func groupEntry(gi int, iv geom.Interval) rstar.Entry {
+	return rstar.Entry{MBR: rstar.Interval1D(iv.Lo, iv.Hi), Data: uint64(gi)}
 }
 
 // NumGroups returns the number of subfields in the partition.
@@ -324,11 +114,6 @@ type ApproxResult struct {
 	IO       storage.Stats
 }
 
-// ApproxQuery is ApproxQueryContext without cancellation.
-func (e *executor) ApproxQuery(q geom.Interval) (*ApproxResult, error) {
-	return e.ApproxQueryContext(context.Background(), q)
-}
-
 // ApproxQueryContext answers a value query approximately using only the
 // R*-tree and the per-subfield summaries (§3's "average of field values of
 // subfield"): it never reads cell pages, so its cost is the filter step
@@ -342,15 +127,15 @@ func (e *executor) ApproxQueryContext(ctx context.Context, q geom.Interval) (*Ap
 		return nil, errEmptyQuery
 	}
 	if e.order == nil {
-		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, e.method)
+		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, e.label)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tb, start := e.startQuery(string(e.method), obs.KindApprox, q.Lo, q.Hi)
-	st, release := e.pinState()
+	tb, start := e.startQuery(e.label, obs.KindApprox, q.Lo, q.Hi)
+	st := e.pinState()
 	res, err := e.approxAt(st, tb, q)
-	release()
+	e.unpin(st)
 	e.endQuery(tb, start, err)
 	return res, err
 }
@@ -390,7 +175,7 @@ func (e *executor) approxAt(st *state, tb *obs.TraceBuilder, q geom.Interval) (*
 // candidates. A merged run can cover an interleaved unselected subfield,
 // whose cells are provably non-matching (their group interval missed the
 // query) and filter out like any other.
-func (ix *valueIndex) groupCandidates(st *state, pr *probe) error {
+func (p *partition) groupCandidates(st *state, pr *probe) error {
 	pr.begin(obs.PhaseFilter)
 	err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), func(e rstar.Entry) bool {
 		pr.sel = append(pr.sel, int(e.Data))

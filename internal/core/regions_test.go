@@ -15,14 +15,14 @@ import (
 func regionBuilders(maxSize float64) map[string]func(f field.Field) (Engine, error) {
 	out := updatableBuilders(maxSize)
 	out["I-Hilbert/workers=4"] = func(f field.Field) (Engine, error) {
-		e, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+		e, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 		if err == nil {
 			e.SetWorkers(4)
 		}
 		return e, err
 	}
 	out["Tiled-LinearScan"] = func(f field.Field) (Engine, error) {
-		return BuildTiled(f, newPager(), TiledOptions{TileSide: 8})
+		return buildTiles(f, newPager(), BuildOptions{TileSide: 8})
 	}
 	return out
 }

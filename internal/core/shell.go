@@ -1,0 +1,224 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"fielddb/internal/geom"
+	"fielddb/internal/obs"
+	"fielddb/internal/rstar"
+	"fielddb/internal/storage"
+)
+
+// This file is the shell around the hooks: what an untiled index, the tiled
+// planner and the spatial store do the same way whatever they index — hold a
+// pager and the state current on it, pin that state for a reader, fan work out
+// over forked query contexts, and write themselves to a file. The fourth
+// shared piece, the update transaction, is in update.go.
+
+// shell is what every store owns besides its index structure.
+type shell struct {
+	// label names the store in traces and metrics: the method, "Tiled-<inner>"
+	// for the planner, "Spatial" for the conventional-query store.
+	label string
+	pager *storage.Pager
+	// parts are the store's partitions: one for an untiled index and for the
+	// spatial store, one per tile under the planner.
+	parts []*partition
+	// snap is the current MVCC state. Readers load it once, pin its epoch and
+	// run entirely against it; an update batch publishes a fresh state only
+	// after committing its page overlays, so no reader ever observes a
+	// half-updated index. updMu serializes updaters (and SaveFile against
+	// them); readers never take it.
+	snap  atomic.Pointer[state]
+	updMu sync.Mutex
+	// workers bounds the goroutines a scatter fans out on; 0 or 1 keeps a
+	// query single-threaded.
+	workers int
+	observed
+
+	// The field summary of the aggregate tier: its contiguous page run
+	// (sumPages == 0 when absent: such a store answers aggregates exactly) and,
+	// for an untiled index built in memory, each cell's planar area in heap
+	// order — with them an update batch refits the summary, without them it
+	// widens the summary's certified slack.
+	sumFirst storage.PageID
+	sumPages int
+	areas    []float64
+}
+
+// state is one epoch's immutable view of an index structure, each part nil
+// where the store has none. A state is never mutated after snap.Store
+// publishes it; updates build a whole new one.
+type state struct {
+	epoch  uint64
+	tree   *rstar.Tree // per cell (I-All) or per subfield
+	groups []groupMeta // subfields, in partition order
+	hist   *autoHist   // the planner's selectivity histogram
+	// The tiled planner's view: the per-tile value summaries the prune step
+	// tests and the per-tile index states valid at this epoch.
+	vr    []geom.Interval
+	parts []*state
+}
+
+// pinned is a handle on a store: live at whatever state is current, or — as
+// a snapshot — at the state it pinned. Every operation is written once against
+// a pinned state, so a snapshot needs no code of its own.
+type pinned struct {
+	live *shell
+	pin  *state
+	once sync.Once // guards a snapshot's unpin
+}
+
+// cur returns the state operations run against.
+func (p *pinned) cur() *state {
+	if p.pin != nil {
+		return p.pin
+	}
+	return p.live.snap.Load()
+}
+
+// pinState pins the epoch of the state to run against, retrying across the
+// narrow window where an update batch has committed a new epoch (retiring the
+// loaded one) but not yet published its state. Every pinState is paired with
+// one unpin; while the pin is held, beginQueryAt at the state's epoch cannot
+// fail.
+func (p *pinned) pinState() *state {
+	for {
+		s := p.cur()
+		if p.live.pager.PinEpoch(s.epoch) {
+			return s
+		}
+		if p.pin != nil {
+			panic("core: snapshot used after Close")
+		}
+		runtime.Gosched()
+	}
+}
+
+func (p *pinned) unpin(s *state) { p.live.pager.UnpinEpoch(s.epoch) }
+
+// snapshot pins the state current now and returns the handle that holds it.
+func (p *pinned) snapshot() pinned { return pinned{live: p.live, pin: p.pinState()} }
+
+// Epoch returns the storage epoch queries read: the current one, or a
+// snapshot's pinned one.
+func (p *pinned) Epoch() uint64 { return p.cur().epoch }
+
+// Close releases a snapshot's pin (idempotently); on the live handle it
+// releases the underlying store — the database file of an opened index, a
+// no-op for in-memory builds.
+func (p *pinned) Close() error {
+	if p.pin == nil {
+		return p.live.pager.Close()
+	}
+	p.once.Do(func() { p.unpin(p.pin) })
+	return nil
+}
+
+// beginQueryAt opens a query context pinned at epoch. The caller must already
+// hold its own pin at that epoch, which makes the underlying BeginQueryAt
+// infallible: a held pin keeps the epoch at or above the compaction low-water
+// mark, so a second pin at the same epoch always succeeds.
+func beginQueryAt(pager *storage.Pager, epoch uint64) *storage.QueryCtx {
+	qc, ok := pager.BeginQueryAt(epoch)
+	if !ok {
+		panic("core: snapshot epoch compacted away under an active pin")
+	}
+	return qc
+}
+
+// SetWorkers bounds the worker pool a query scatters on: whole page runs for
+// an untiled index, whole residual tiles for the planner. One item is one
+// sequential-I/O unit, so the answer and the per-query accounting are
+// identical to the single-threaded run. Call before issuing queries; it is not
+// synchronized with queries in flight.
+func (sh *shell) SetWorkers(n int) { sh.workers = clampWorkers(n) }
+
+// SetObserver installs the trace/metrics sinks. Call before issuing queries.
+func (sh *shell) SetObserver(ob obs.Observer) { sh.setObs(ob, sh.label) }
+
+// Method returns the name the store reports: the method, or "Tiled-<inner>".
+func (sh *shell) Method() Method { return Method(sh.label) }
+
+// fanout returns how many workers n independent items scatter on; 1 means
+// the caller runs them in order on its own context — no goroutine, no fork,
+// nothing allocated.
+func (sh *shell) fanout(n int) int {
+	if w := clampWorkers(sh.workers); w > 1 && n > 1 {
+		return w
+	}
+	return 1
+}
+
+// scatter runs scan(i, child) for every item in [0, n) on a pool of workers,
+// each item on its own fork of qc, and merges the forks back into qc strictly
+// in item order — so qc ends up charged exactly as if the items had run on it
+// one after another. Whatever scan produces it must file under i; the caller
+// folds the pieces in item order afterwards. Per-item busy time is measured
+// only when a metrics registry is installed, keeping the unobserved path
+// timing-free.
+func (sh *shell) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n int, scan func(i int, child *storage.QueryCtx) error) error {
+	timed := sh.ob.Metrics != nil
+	var wallStart time.Time
+	var busy atomic.Int64
+	if timed {
+		wallStart = time.Now()
+	}
+	forks := make([]*storage.QueryCtx, n)
+	err := parallelDoCtx(ctx, workers, n, func(i int) error {
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		child := qc.Fork()
+		if err := scan(i, child); err != nil {
+			return err
+		}
+		forks[i] = child
+		if timed {
+			busy.Add(int64(time.Since(t0)))
+		}
+		return nil
+	})
+	if timed {
+		sh.ob.Metrics.RecordWorkers(n, time.Duration(busy.Load()), time.Since(wallStart))
+	}
+	if err != nil {
+		return err
+	}
+	for _, child := range forks {
+		qc.Merge(child)
+	}
+	return nil
+}
+
+// saveFile writes the store — every page of its pager, then the catalog
+// encode returns — to an empty database file Open reopens.
+func (sh *shell) saveFile(path string, encode func() []byte) error {
+	// Serialize with update batches: the snapshot below must capture the
+	// pages of one published state, not a commit in flight.
+	sh.updMu.Lock()
+	defer sh.updMu.Unlock()
+	disk, err := storage.OpenFileDisk(path, sh.pager.PageSize())
+	if err != nil {
+		return err
+	}
+	defer disk.Close()
+	if disk.NumPages() != 0 {
+		return fmt.Errorf("core: %s is not empty", path)
+	}
+	for _, p := range sh.parts {
+		if err := p.heap.Flush(); err != nil {
+			return err
+		}
+	}
+	if err := sh.pager.SnapshotTo(disk); err != nil {
+		return fmt.Errorf("core: snapshot: %w", err)
+	}
+	return writeCatalog(disk, encode())
+}

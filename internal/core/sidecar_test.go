@@ -81,29 +81,28 @@ func TestSidecarMatchesRecordIntervals(t *testing.T) {
 		"dem-flat":   flatDEM(t, 12),
 		"tin":        testTIN(t, 300),
 	}
-	ctx := context.Background()
 	for name, f := range fields {
 		t.Run(name, func(t *testing.T) {
-			ls, err := BuildLinearScanWith(ctx, f, newPager(), LinearScanOptions{})
+			ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkSidecarIdentity(t, ls.pager, ls.heap, ls.rids, ls.sidecar, ls.cells)
 
-			ia, err := BuildIAllCtx(ctx, f, newPager(), IAllOptions{})
+			ia, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkSidecarIdentity(t, ia.pager, ia.heap, ia.rids, ia.sidecar, ia.cells)
 
-			ih, err := BuildIHilbertCtx(ctx, f, newPager(), HilbertOptions{})
+			ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkSidecarIdentity(t, ih.pager, ih.heap, ih.rids, ih.sidecar, ih.cells)
 
 			vr := f.ValueRange()
-			iq, err := BuildIQuadCtx(ctx, f, newPager(), ThresholdOptions{MaxSize: vr.Length()/8 + 1})
+			iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,14 +150,13 @@ func testQueries(f field.Field) []geom.Interval {
 // geometry, counters, everything but the page accounting — to the full heap
 // scan it replaces.
 func TestLinearScanSidecarByteIdentity(t *testing.T) {
-	ctx := context.Background()
 	for name, f := range map[string]field.Field{"dem": testDEM(t, 32, 0.6), "tin": testTIN(t, 400)} {
 		t.Run(name, func(t *testing.T) {
-			with, err := BuildLinearScanWith(ctx, f, newPager(), LinearScanOptions{})
+			with, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 			if err != nil {
 				t.Fatal(err)
 			}
-			without, err := BuildLinearScanWith(ctx, f, newPager(), LinearScanOptions{NoSidecar: true})
+			without, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,13 +190,12 @@ func TestLinearScanSidecarByteIdentity(t *testing.T) {
 // either way (the tree stores exact intervals), so the sidecar toggle may
 // change nothing about a query — including its I/O.
 func TestIAllSidecarToggleIdentity(t *testing.T) {
-	ctx := context.Background()
 	f := testDEM(t, 32, 0.6)
-	with, err := BuildIAllCtx(ctx, f, newPager(), IAllOptions{})
+	with, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := BuildIAllCtx(ctx, f, newPager(), IAllOptions{NoSidecar: true})
+	without, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll, NoSidecar: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +221,7 @@ func TestIAllSidecarToggleIdentity(t *testing.T) {
 // geometry and position map both survive reopen.
 func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	built, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +229,7 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(path, storage.DefaultDiskModel, 8192)
+	opened, err := openIx(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +264,9 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 func TestOpenFileNoSidecar(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	dir := t.TempDir()
-	open := func(name string, opts HilbertOptions) *Partitioned {
+	open := func(name string, opts BuildOptions) *executor {
 		t.Helper()
-		built, err := BuildIHilbert(f, newPager(), opts)
+		built, err := buildIx(f, newPager(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,15 +274,15 @@ func TestOpenFileNoSidecar(t *testing.T) {
 		if err := built.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		opened, err := OpenFile(path, storage.DefaultDiskModel, 8192)
+		opened, err := openIx(path, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { opened.Close() })
 		return opened
 	}
-	bare := open("bare.fidx", HilbertOptions{NoSidecar: true})
-	current := open("sidecar.fidx", HilbertOptions{})
+	bare := open("bare.fidx", BuildOptions{Method: MethodIHilbert, NoSidecar: true})
+	current := open("sidecar.fidx", BuildOptions{Method: MethodIHilbert})
 	if bare.sidecar != nil || bare.rids != nil || bare.Stats().SidecarPages != 0 {
 		t.Fatal("sidecar-less file decoded a sidecar")
 	}

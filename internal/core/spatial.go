@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"fielddb/internal/field"
@@ -16,22 +15,29 @@ import (
 
 // SpatialIndex supports the conventional queries of §2.2.1 (type Q1): a
 // 2-D R*-tree over cell extents locates the cell containing a query point,
-// and the interpolation function of that cell produces the field value.
+// and the interpolation function of that cell produces the field value. Like
+// the value indexes it is a handle: live, or — as a snapshot — pinned at a
+// storage epoch, so a snapshot's conventional queries stay byte-identical, I/O
+// statistics included, however many update batches commit on the spatial
+// store afterwards.
 type SpatialIndex struct {
-	pager *storage.Pager
-	heap  *storage.HeapFile
-	tree  *rstar.Tree
-	rids  []storage.RID
-	cells int
+	*spatialStore
+	pinned
+}
+
+// spatialStore is what a spatial index owns: one hook-less partition holding
+// the cell records in natural order, in the shell that versions them. The
+// R*-tree is immutable under live updates (sample updates change values, never
+// geometry), so the published state carries nothing but the epoch.
+type spatialStore struct {
+	shell
+	*partition
+	tree *rstar.Tree
 
 	// scratch recycles one pointScratch per concurrent PointQuery, so the
 	// point-query hot path (a few candidate probes per call) allocates no
 	// per-call buffers in steady state.
 	scratch sync.Pool
-	// updMu serializes updaters; point queries never take it — each pins its
-	// epoch at BeginQuery and reads a consistent view.
-	updMu sync.Mutex
-	observed
 }
 
 // spatialMethod is the metrics/trace method label of the conventional-query
@@ -44,18 +50,10 @@ type pointScratch struct {
 	candidates []uint64
 }
 
-// BuildSpatial stores the cells (in Hilbert order, for locality) and indexes
-// their bounding rectangles in a 2-D R*-tree built with Hilbert packing.
-func BuildSpatial(f field.Field, pager *storage.Pager, params rstar.Params) (*SpatialIndex, error) {
-	return BuildSpatialCtx(context.Background(), f, pager, params)
-}
-
-// BuildSpatialCtx is BuildSpatial with construction cancellation, polled
-// between cell-write batches.
-func BuildSpatialCtx(ctx context.Context, f field.Field, pager *storage.Pager, params rstar.Params) (*SpatialIndex, error) {
-	if params.PageSize == 0 {
-		params.PageSize = pager.PageSize()
-	}
+// BuildSpatial stores the cells and indexes their bounding rectangles in a
+// 2-D R*-tree built with Hilbert packing. ctx cancels construction between
+// cell-write batches.
+func BuildSpatial(ctx context.Context, f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
 	curve, err := sfc.NewHilbert(16, 2)
 	if err != nil {
 		return nil, err
@@ -81,7 +79,7 @@ func BuildSpatialCtx(ctx context.Context, f field.Field, pager *storage.Pager, p
 		}
 		keys[id] = mapper.Index(c.Center())
 	}
-	tree, err := rstar.BulkLoad(2, params, entries, func(a, b rstar.Entry) bool {
+	tree, err := rstar.BulkLoad(2, rstar.Params{PageSize: pager.PageSize()}, entries, func(a, b rstar.Entry) bool {
 		return keys[a.Data] < keys[b.Data]
 	}, 1.0)
 	if err != nil {
@@ -90,11 +88,11 @@ func BuildSpatialCtx(ctx context.Context, f field.Field, pager *storage.Pager, p
 	if err := tree.Persist(pager); err != nil {
 		return nil, err
 	}
-	return &SpatialIndex{pager: pager, heap: heap, tree: tree, rids: rids, cells: n}, nil
+	st := &spatialStore{partition: &partition{heap: heap, rids: rids, cells: n}, tree: tree}
+	st.label, st.pager, st.parts = spatialMethod, pager, []*partition{st.partition}
+	st.snap.Store(&state{epoch: pager.CurrentEpoch()})
+	return &SpatialIndex{spatialStore: st, pinned: pinned{live: &st.shell}}, nil
 }
-
-// SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (s *SpatialIndex) SetObserver(ob obs.Observer) { s.setObs(ob, spatialMethod) }
 
 // PointQuery answers F(v'): the field value at point pt, via the paged
 // R*-tree and one cell fetch.
@@ -110,7 +108,9 @@ func (s *SpatialIndex) PointQuery(pt geom.Point) (float64, storage.Stats, error)
 // reported per-query stats.
 func (s *SpatialIndex) PointQueryContext(ctx context.Context, pt geom.Point) (float64, storage.Stats, error) {
 	tb, start := s.startQuery(spatialMethod, obs.KindPoint, pt.X, pt.Y)
-	w, st, err := s.pointQuery(ctx, tb, s.pager.BeginQuery(), pt)
+	at := s.pinState()
+	w, st, err := s.pointQuery(ctx, tb, beginQueryAt(s.pager, at.epoch), pt)
+	s.unpin(at)
 	s.endQuery(tb, start, err)
 	return w, st, err
 }
@@ -163,9 +163,6 @@ func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, qc 
 	return 0, st, fmt.Errorf("core: point %v outside the field", pt)
 }
 
-// Close releases the spatial index's underlying store.
-func (s *SpatialIndex) Close() error { return s.pager.Close() }
-
 // IOStats returns the cumulative page-access statistics of the spatial
 // index's store.
 func (s *SpatialIndex) IOStats() storage.Stats { return s.pager.Stats() }
@@ -187,59 +184,18 @@ func (s *SpatialIndex) Stats() IndexStats {
 	}
 }
 
-// SpatialSnapshot is a pinned point-in-time view of a SpatialIndex: every
-// point query through the handle reads the storage epoch that was current at
-// acquisition, so a snapshot's conventional queries stay byte-identical —
-// I/O statistics included — no matter how many update batches commit on the
-// spatial store afterwards. Holding the snapshot keeps its epoch's page
-// versions alive; Close releases the pin (idempotently).
-type SpatialSnapshot struct {
-	s     *SpatialIndex
-	epoch uint64
-	unpin func()
-	once  sync.Once
-}
-
-// pinCurrentEpoch pins the pager's current epoch, retrying across the narrow
-// window where a commit retires the epoch between the load and the pin. The
-// returned release must be called exactly once.
-func pinCurrentEpoch(pager *storage.Pager) (uint64, func()) {
-	for {
-		e := pager.CurrentEpoch()
-		if pager.PinEpoch(e) {
-			return e, func() { pager.UnpinEpoch(e) }
-		}
-		runtime.Gosched()
-	}
-}
-
 // AcquireSnapshot pins the spatial store's current epoch and returns a
-// point-in-time handle over it. The R*-tree structure itself is immutable
-// under live updates (sample updates change values, never geometry), so
-// pinning the heap pages is all a consistent spatial view needs.
-func (s *SpatialIndex) AcquireSnapshot() *SpatialSnapshot {
-	epoch, unpin := pinCurrentEpoch(s.pager)
-	return &SpatialSnapshot{s: s, epoch: epoch, unpin: unpin}
+// point-in-time handle over it; its Close releases the pin (idempotently).
+func (s *SpatialIndex) AcquireSnapshot() *SpatialIndex {
+	return &SpatialIndex{spatialStore: s.spatialStore, pinned: s.snapshot()}
 }
 
-// Epoch returns the storage epoch the snapshot reads.
-func (ss *SpatialSnapshot) Epoch() uint64 { return ss.epoch }
-
-// PointQueryContext answers F(v') at the snapshot's epoch, tracing and
-// metering exactly like a live point query.
-func (ss *SpatialSnapshot) PointQueryContext(ctx context.Context, pt geom.Point) (float64, storage.Stats, error) {
-	qc, ok := ss.s.pager.BeginQueryAt(ss.epoch)
-	if !ok {
-		return 0, storage.Stats{}, fmt.Errorf("core: spatial snapshot epoch %d no longer available", ss.epoch)
-	}
-	tb, start := ss.s.startQuery(spatialMethod, obs.KindPoint, pt.X, pt.Y)
-	w, st, err := ss.s.pointQuery(ctx, tb, qc, pt)
-	ss.s.endQuery(tb, start, err)
-	return w, st, err
-}
-
-// Close releases the snapshot's epoch pin. Safe to call more than once.
-func (ss *SpatialSnapshot) Close() error {
-	ss.once.Do(ss.unpin)
-	return nil
+// ApplyUpdates re-encodes the affected cells of the spatial store. The
+// samples are already applied by the value index's ApplyUpdates — the facade
+// calls that first — so this is the update transaction with nothing to apply
+// and no hook to run: cell geometry never changes, the 2-D R*-tree needs no
+// maintenance, and the batch commits as one epoch on the spatial store's own
+// pager.
+func (s *SpatialIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
+	return s.applyUpdates(ctx, f, updates, s.partition, false)
 }

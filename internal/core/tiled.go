@@ -3,13 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"fielddb/internal/approx"
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
@@ -44,28 +39,6 @@ import (
 // updates (vr ∪ new interval): a widened summary stays a superset of every
 // member interval, which keeps pruning safe without re-scanning the tile;
 // the summary re-tightens on the next rebuild.
-
-// TiledOptions tunes BuildTiled.
-type TiledOptions struct {
-	// Method selects the per-tile index: MethodLinearScan (default),
-	// MethodIHilbert, MethodIQuad or MethodIThreshold. MethodIAll is not
-	// supported (a per-cell tree per tile has no pruning story the planner
-	// could use).
-	Method Method
-	// TileSide is the tile edge length in cells (e.g. 256 for 256×256-cell
-	// tiles on a grid field). Must be at least 2.
-	TileSide int
-	// Codec selects the sidecar page codec for every tile
-	// (storage.SidecarCodecRaw or storage.SidecarCodecPacked); empty selects
-	// the raw legacy layout.
-	Codec string
-	// Workers bounds construction parallelism and is inherited as the
-	// query-time scatter parallelism. 0 or 1 means single-threaded.
-	Workers int
-	// MaxSize is the subfield interval-size threshold for I-Quad and
-	// I-Threshold tiles (ignored by the other methods).
-	MaxSize float64
-}
 
 // gridSized is implemented by grid-shaped fields (the DEM); the tiler uses
 // it to cut exact row-major tile blocks. Other models fall back to spatial
@@ -108,55 +81,39 @@ func (t *tileField) Locate(p geom.Point) (field.CellID, bool) {
 	return 0, false
 }
 
-// tile is one partition of the tiled index: the parent ids it owns (always
-// ascending), its spatial MBR, its field view, and its self-contained index.
+// tile is one partition of the tiled index with the parent ids it owns
+// (always ascending), its spatial MBR and its field view. The partition is
+// never queried on its own: the planner calls its hooks.
 type tile struct {
+	*partition
 	ids  []field.CellID
 	mbr  geom.Rect
 	view *tileField
-	ex   *executor // never queried or observed directly: the planner calls its hooks
-}
-
-// tiledState is one epoch's immutable view of the tiled planner: the
-// per-tile value summaries the prune step tests and the per-tile index states
-// valid at that epoch. A state is never mutated after snap.Store publishes it.
-type tiledState struct {
-	epoch uint64
-	vr    []geom.Interval
-	parts []*state
 }
 
 // TiledIndex is the scatter-gather planner over a tiled field: live, or — as
-// a snapshot — at the tiled state it pinned (see executor).
+// a snapshot — at the state it pinned (see pinned). Its state carries the
+// per-tile value summaries and the per-tile index states.
 type TiledIndex struct {
 	*tiledCore
-	pin  *tiledState
-	once sync.Once // guards a snapshot's unpin
+	pinned
 }
 
 // tiledCore is what a tiled index owns, shared by the live planner and every
 // snapshot of it.
 type tiledCore struct {
+	shell
 	inner    Method
-	label    string
-	pager    *storage.Pager
 	tiles    []*tile
 	tileOf   []int32 // parent cell id -> owning tile
 	cells    int
 	tileSide int
-	snap     atomic.Pointer[tiledState]
-	workers  int
-	// Aggregate-tier state: the global field summary's page run (sumPages ==
-	// 0 when absent), each tile's total cell area, and the field-wide area.
-	// Tile areas never change under value updates (vertices never move), so
-	// they stay exact for the index's lifetime.
-	sumFirst storage.PageID
-	sumPages int
+	// Aggregate-tier state beside the global field summary: each tile's total
+	// cell area and the field-wide area. Tile areas never change under value
+	// updates (vertices never move), so they stay exact for the index's
+	// lifetime.
 	tileArea []float64
 	totArea  float64
-	// updMu serializes updaters; readers never take it.
-	updMu sync.Mutex
-	observed
 }
 
 // TileInfo describes one tile of a TiledIndex.
@@ -171,41 +128,35 @@ type TileInfo struct {
 // collide with the untiled build of the same method.
 func tiledMethod(inner Method) Method { return Method("Tiled-" + string(inner)) }
 
-// BuildTiled cuts f into TileSide-sized tiles and builds a self-contained
-// per-tile index for each on the shared pager.
-func BuildTiled(f field.Field, pager *storage.Pager, opts TiledOptions) (*TiledIndex, error) {
-	return BuildTiledCtx(context.Background(), f, pager, opts)
+// newTiled returns an empty planner over cells cells in tiles of inner's
+// method, for buildTiled or the catalog decoder to fill.
+func newTiled(pager *storage.Pager, inner Method, cells, tileSide, tiles int) *TiledIndex {
+	t := &tiledCore{inner: inner, tileOf: make([]int32, cells), cells: cells, tileSide: tileSide}
+	t.label, t.pager, t.workers = string(tiledMethod(inner)), pager, 1
+	t.tiles = make([]*tile, 0, tiles)
+	t.tileArea = make([]float64, 0, tiles)
+	return &TiledIndex{tiledCore: t, pinned: pinned{live: &t.shell}}
 }
 
-// BuildTiledCtx is BuildTiled with construction cancellation, polled between
-// per-tile builds and between cell-write batches inside each.
-func BuildTiledCtx(ctx context.Context, f field.Field, pager *storage.Pager, opts TiledOptions) (*TiledIndex, error) {
-	if opts.TileSide < 2 {
-		return nil, fmt.Errorf("core: tile side %d: need at least 2", opts.TileSide)
+// add appends a tile and its partition.
+func (t *tiledCore) add(tl *tile, area float64) {
+	for _, id := range tl.ids {
+		t.tileOf[id] = int32(len(t.tiles))
 	}
-	inner := opts.Method
-	if inner == "" {
-		inner = MethodLinearScan
-	}
-	switch inner {
-	case MethodLinearScan, MethodIHilbert, MethodIQuad, MethodIThresh:
-	default:
-		return nil, fmt.Errorf("core: method %s cannot be tiled", inner)
-	}
+	t.tiles = append(t.tiles, tl)
+	t.parts = append(t.parts, tl.partition)
+	t.tileArea = append(t.tileArea, area)
+	t.totArea += area
+}
+
+// buildTiled cuts f into TileSide-sized tiles and builds row m's partition
+// over each on the shared pager, then fits the one field summary. ctx is
+// polled between tiles and inside each partition build.
+func buildTiled(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*TiledIndex, error) {
 	specs := tileLayout(f, opts.TileSide)
-	t := &TiledIndex{tiledCore: &tiledCore{
-		inner:    inner,
-		label:    string(tiledMethod(inner)),
-		pager:    pager,
-		tiles:    make([]*tile, 0, len(specs)),
-		tileOf:   make([]int32, f.NumCells()),
-		cells:    f.NumCells(),
-		tileSide: opts.TileSide,
-		workers:  clampWorkers(opts.Workers),
-	}}
-	vr := make([]geom.Interval, 0, len(specs))
-	parts := make([]*state, len(specs))
-	t.tileArea = make([]float64, 0, len(specs))
+	t := newTiled(pager, opts.Method, f.NumCells(), opts.TileSide, len(specs))
+	t.workers = opts.Workers
+	st := &state{vr: make([]geom.Interval, 0, len(specs)), parts: make([]*state, 0, len(specs))}
 	allIvs := make([]geom.Interval, 0, f.NumCells())
 	allAreas := make([]float64, 0, f.NumCells())
 	var c field.Cell
@@ -227,41 +178,26 @@ func BuildTiledCtx(ctx context.Context, f field.Field, pager *storage.Pager, opt
 			area += a
 			allIvs = append(allIvs, c.Interval())
 			allAreas = append(allAreas, a)
-			t.tileOf[id] = int32(ti)
 		}
-		t.tileArea = append(t.tileArea, area)
-		t.totArea += area
 		view := &tileField{parent: f, ids: ids, bounds: mbr, vr: iv}
-		var built interface{ unwrap() *executor }
-		var err error
-		topts := ThresholdOptions{MaxSize: opts.MaxSize, Workers: opts.Workers, Codec: opts.Codec}
-		switch inner {
-		case MethodLinearScan:
-			built, err = BuildLinearScanWith(ctx, view, pager, LinearScanOptions{Codec: opts.Codec})
-		case MethodIHilbert:
-			built, err = BuildIHilbertCtx(ctx, view, pager, HilbertOptions{Workers: opts.Workers, Codec: opts.Codec})
-		case MethodIQuad:
-			built, err = BuildIQuadCtx(ctx, view, pager, topts)
-		case MethodIThresh:
-			built, err = BuildIThresholdCtx(ctx, view, pager, topts)
-		}
+		p, pst, _, err := buildPartition(ctx, view, pager, m, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: tile %d: %w", ti, err)
 		}
-		ex := built.unwrap()
-		parts[ti] = ex.snap.Load()
-		t.tiles = append(t.tiles, &tile{ids: ids, mbr: mbr, view: view, ex: ex})
-		vr = append(vr, iv)
+		t.add(&tile{partition: p, ids: ids, mbr: mbr, view: view}, area)
+		st.vr = append(st.vr, iv)
+		st.parts = append(st.parts, pst)
 	}
 	// Global field summary over every cell, after the last tile's pages: the
 	// cumulative distributions are order-independent, so feeding them in tile
-	// order fits the same summary an untiled build would.
-	sumFirst, sumPages, err := buildSummary(pager, allIvs, allAreas)
-	if err != nil {
+	// order fits the same summary an untiled build would. It is the only one:
+	// a tile fits none of its own, nothing would read it.
+	var err error
+	if t.sumFirst, t.sumPages, err = buildSummary(pager, allIvs, allAreas); err != nil {
 		return nil, err
 	}
-	t.sumFirst, t.sumPages = sumFirst, sumPages
-	t.snap.Store(&tiledState{epoch: pager.CurrentEpoch(), vr: vr, parts: parts})
+	st.epoch = pager.CurrentEpoch()
+	t.snap.Store(st)
 	return t, nil
 }
 
@@ -341,63 +277,13 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 	return out
 }
 
-// cur returns the state operations run against.
-func (t *TiledIndex) cur() *tiledState {
-	if t.pin != nil {
-		return t.pin
-	}
-	return t.snap.Load()
-}
-
-// pinState pins the epoch of the state to run against, retrying across the
-// commit/publish window exactly like executor.pinState.
-func (t *TiledIndex) pinState() (*tiledState, func()) {
-	for {
-		s := t.cur()
-		if t.pager.PinEpoch(s.epoch) {
-			return s, func() { t.pager.UnpinEpoch(s.epoch) }
-		}
-		if t.pin != nil {
-			panic("core: snapshot used after Close")
-		}
-		runtime.Gosched()
-	}
-}
-
 // AcquireSnapshot implements Engine.
 func (t *TiledIndex) AcquireSnapshot() Engine {
-	st, _ := t.pinState()
-	return &TiledIndex{tiledCore: t.tiledCore, pin: st}
+	return &TiledIndex{tiledCore: t.tiledCore, pinned: t.snapshot()}
 }
-
-// Epoch implements Engine.
-func (t *TiledIndex) Epoch() uint64 { return t.cur().epoch }
-
-// Close releases a snapshot's pin; on the live index it releases the
-// underlying store.
-func (t *TiledIndex) Close() error {
-	if t.pin == nil {
-		return t.pager.Close()
-	}
-	t.once.Do(func() { t.pager.UnpinEpoch(t.pin.epoch) })
-	return nil
-}
-
-// SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (t *TiledIndex) SetObserver(ob obs.Observer) { t.setObs(ob, t.label) }
-
-// SetWorkers bounds the worker pool that scatters residual tile scans. Call
-// before issuing queries; it is not synchronized with queries in flight.
-func (t *TiledIndex) SetWorkers(n int) { t.workers = clampWorkers(n) }
-
-// Method implements Index; a tiled configuration reports "Tiled-<inner>".
-func (t *TiledIndex) Method() Method { return Method(t.label) }
 
 // NumTiles returns the number of tiles.
 func (t *TiledIndex) NumTiles() int { return len(t.tiles) }
-
-// TileSide returns the configured tile edge length in cells.
-func (t *TiledIndex) TileSide() int { return t.tileSide }
 
 // Tiles describes every tile with its current value summary.
 func (t *TiledIndex) Tiles() []TileInfo {
@@ -433,9 +319,9 @@ func (t *TiledIndex) ApproxQueryContext(context.Context, geom.Interval) (*Approx
 // Stats implements Index by aggregating the per-tile indexes.
 func (t *TiledIndex) Stats() IndexStats {
 	st := t.cur()
-	s := IndexStats{Method: Method(t.label), Cells: t.cells}
+	s := IndexStats{Method: t.Method(), Cells: t.cells}
 	for ti, tl := range t.tiles {
-		ts := tl.ex.statsAt(st.parts[ti])
+		ts := tl.statsAt(st.parts[ti])
 		s.CellPages += ts.CellPages
 		s.IndexPages += ts.IndexPages
 		s.SidecarPages += ts.SidecarPages
@@ -547,16 +433,16 @@ func (t *TiledIndex) query(ctx context.Context, q geom.Interval, rect *geom.Rect
 		return nil, fmt.Errorf("core: empty query window")
 	}
 	tb, start := t.startQuery(t.label, obs.KindValue, q.Lo, q.Hi)
-	s, release := t.pinState()
+	s := t.pinState()
 	res, err := t.queryAt(s, ctx, tb, q, rect)
-	release()
+	t.unpin(s)
 	t.endQuery(tb, start, err)
 	return res, err
 }
 
 // queryAt runs the scatter-gather pipeline against one pinned state. The
 // caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) queryAt(s *tiledState, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, rect *geom.Rect) (*Result, error) {
+func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, rect *geom.Rect) (*Result, error) {
 	qc := beginQueryAt(t.pager, s.epoch)
 	defer qc.Release()
 	qc.AttachTrace(tb)
@@ -590,8 +476,7 @@ func (t *TiledIndex) queryAt(s *tiledState, ctx context.Context, tb *obs.TraceBu
 
 	arenas := make([]tileArena, len(residual))
 	filterReads, sidecarReads := 0, 0
-	workers := clampWorkers(t.workers)
-	if workers <= 1 || len(residual) < 2 {
+	if workers := t.fanout(len(residual)); workers == 1 {
 		// Sequential scatter: one PhaseTileScan span per residual tile, so a
 		// trace shows each tile's page activity individually.
 		for i, ti := range residual {
@@ -608,47 +493,21 @@ func (t *TiledIndex) queryAt(s *tiledState, ctx context.Context, tb *obs.TraceBu
 			sidecarReads += sr
 		}
 	} else {
-		// Parallel scatter on the worker pool: each worker scans whole tiles
-		// with its own forked context, merged back in tile order under one
-		// combined span. Arena collection makes the fold order independent of
+		// Parallel scatter: whole tiles on the worker pool under one combined
+		// span. Arena collection makes the fold order independent of
 		// completion order, so the answer is identical to the sequential path.
-		timed := t.ob.Metrics != nil
-		var wallStart time.Time
-		var busy atomic.Int64
-		if timed {
-			wallStart = time.Now()
-		}
 		qc.BeginSpan(obs.PhaseTileScan)
-		ctxs := make([]*storage.QueryCtx, len(residual))
-		frs := make([]int, len(residual))
-		srs := make([]int, len(residual))
-		err := parallelDoCtx(ctx, workers, len(residual), func(i int) error {
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			child := qc.Fork()
-			fr, sr, err := t.scanTile(ctx, child, s, residual[i], q, &arenas[i])
-			if err != nil {
-				return err
-			}
-			ctxs[i] = child
-			frs[i], srs[i] = fr, sr
-			if timed {
-				busy.Add(int64(time.Since(t0)))
-			}
-			return nil
+		reads := make([][2]int, len(residual))
+		err := t.scatter(ctx, qc, workers, len(residual), func(i int, child *storage.QueryCtx) (err error) {
+			reads[i][0], reads[i][1], err = t.scanTile(ctx, child, s, residual[i], q, &arenas[i])
+			return err
 		})
-		if timed {
-			t.ob.Metrics.RecordWorkers(len(residual), time.Duration(busy.Load()), time.Since(wallStart))
-		}
 		if err != nil {
 			return nil, err
 		}
-		for i := range residual {
-			qc.Merge(ctxs[i])
-			filterReads += frs[i]
-			sidecarReads += srs[i]
+		for _, r := range reads {
+			filterReads += r[0]
+			sidecarReads += r[1]
 		}
 		qc.EndSpan()
 	}
@@ -670,176 +529,72 @@ func (t *TiledIndex) queryAt(s *tiledState, ctx context.Context, tb *obs.TraceBu
 // matching shared fetch loop, with the survivors copied into ar under their
 // parent ids instead of refined in place. It returns the tile's filter-step
 // (subfield tree) and sidecar page-read counts for metric attribution.
-func (t *TiledIndex) scanTile(ctx context.Context, qc *storage.QueryCtx, s *tiledState, ti int, q geom.Interval, ar *tileArena) (filterReads, sidecarReads int, err error) {
+func (t *TiledIndex) scanTile(ctx context.Context, qc *storage.QueryCtx, s *state, ti int, q geom.Interval, ar *tileArena) (filterReads, sidecarReads int, err error) {
 	tl := t.tiles[ti]
 	ar.ids = tl.ids
 	pr := getProbe()
 	defer putProbe(pr)
 	// Untraced: the whole tile runs under the planner's tile-scan span.
 	pr.reset(ctx, qc, q, false)
-	if err := tl.ex.candidates(s.parts[ti], pr); err != nil {
+	if err := tl.candidates(s.parts[ti], pr); err != nil {
 		return 0, 0, err
 	}
-	if tl.ex.byPos {
-		_, err = fetchPositions(ctx, qc, tl.ex.rids, pr.pos, q, tl.ex.tested, ar)
+	if tl.byPos {
+		_, err = fetchPositions(ctx, qc, tl.rids, pr.pos, q, tl.tested, ar)
 	} else {
-		_, err = scanRuns(ctx, qc, tl.ex.heap, pr.runs, q, ar)
+		_, err = scanRuns(ctx, qc, tl.heap, pr.runs, q, ar)
 	}
 	return pr.filter.Reads, pr.sidecarReads, err
 }
 
-// localOf maps a parent cell id to its local id within tile ti.
-func (t *TiledIndex) localOf(ti int, parent field.CellID) (field.CellID, error) {
-	ids := t.tiles[ti].ids
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= parent })
-	if i >= len(ids) || ids[i] != parent {
-		return 0, fmt.Errorf("core: cell %d not in tile %d", parent, ti)
-	}
-	return field.CellID(i), nil
-}
-
-// ApplyUpdates implements Engine: each affected cell is patched in its
-// owning tile's heap segment and sidecar, partitioned tiles re-derive their
-// subfield cut, and every tile's page overlays commit as ONE storage epoch —
-// readers never observe some tiles updated and others not. Tile value
-// summaries widen to cover the new intervals (never shrink), which keeps the
-// prune step safe without rescanning untouched cells.
+// ApplyUpdates implements Engine: the update transaction over the tiles the
+// batch touches. Every tile's page overlays commit as ONE storage epoch —
+// readers never observe some tiles updated and others not.
 func (t *TiledIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	t.updMu.Lock()
-	defer t.updMu.Unlock()
-	cells := affectedCells(f, updates)
-	tb := obs.Begin(t.ob.Tracer, t.label, obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := t.applyUpdates(ctx, f, updates, cells, tb)
-	tb.Finish(err)
-	if err == nil {
-		t.recordUpdate(res)
-	}
-	return res, err
+	return t.applyUpdates(ctx, f, updates, t.tiledCore, true)
 }
 
-func (t *TiledIndex) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
-	cur := t.snap.Load()
-	if len(updates) == 0 {
-		return &UpdateResult{Epoch: cur.epoch}, nil
+// route implements updater: a cell belongs to the tile the layout put it in,
+// under its rank among that tile's ascending parent ids.
+func (t *tiledCore) route(id field.CellID) (int, field.CellID, error) {
+	ti := int(t.tileOf[id])
+	ids := t.tiles[ti].ids
+	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+	if i >= len(ids) || ids[i] != id {
+		return 0, 0, fmt.Errorf("core: cell %d not in tile %d", id, ti)
 	}
-	qc := t.pager.BeginQuery()
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	// Distinct tiles the batch touches, in ascending tile order; chs holds
-	// what the batch does to each.
-	chs := make([]*changes, len(t.tiles))
-	var involved []int
-	for _, id := range cells {
-		if ti := int(t.tileOf[id]); chs[ti] == nil {
-			chs[ti] = new(changes)
-			involved = append(involved, ti)
-		}
+	return ti, field.CellID(i), nil
+}
+
+// partView implements updater. A planner opened from a file has no views:
+// the caller's live field is attached as the tile's on first use (updMu
+// serializes updaters, and readers never touch views).
+func (t *tiledCore) partView(ti int, f field.Field, cur *state) (*state, field.Field) {
+	tl := t.tiles[ti]
+	if tl.view == nil {
+		tl.view = &tileField{parent: f, ids: tl.ids, bounds: tl.mbr, vr: cur.vr[ti]}
 	}
-	sort.Ints(involved)
-	// Hydrate the tiles' update state (position map, interval column) before
-	// mutating anything.
+	return cur.parts[ti], tl.view
+}
+
+// nextState implements updater: the involved tiles' next states beside the
+// others' current ones, and value summaries widened to cover the new
+// intervals. A widened summary stays a superset of every member interval
+// (an unchanged cell's is already inside), which keeps the prune step safe
+// without rescanning untouched cells; summaries never shrink.
+func (t *tiledCore) nextState(cur *state, epoch uint64, involved []int, work []partUpdate) *state {
+	next := &state{
+		epoch: epoch,
+		vr:    append([]geom.Interval(nil), cur.vr...),
+		parts: append([]*state(nil), cur.parts...),
+	}
 	for _, ti := range involved {
-		if err := t.tiles[ti].ex.ensureUpdateState(qc); err != nil {
-			return nil, err
+		w := &work[ti]
+		w.next.epoch = epoch
+		next.parts[ti] = w.next
+		for _, iv := range w.ch.new {
+			next.vr[ti] = next.vr[ti].Union(iv)
 		}
 	}
-	undo, err := applySamples(f, updates)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*UpdateResult, error) {
-		for _, ti := range involved {
-			t.tiles[ti].ex.restore(chs[ti])
-		}
-		undoSamples(f, undo)
-		return nil, err
-	}
-	stage := newOverlayStage(qc)
-	vr := append([]geom.Interval(nil), cur.vr...)
-	var scratch field.Cell
-	var enc []byte
-	qc.BeginSpan(obs.PhasePatch)
-	for _, id := range cells {
-		if err := ctx.Err(); err != nil {
-			return fail(err)
-		}
-		ti := int(t.tileOf[id])
-		tl := t.tiles[ti]
-		if tl.view == nil {
-			// Opened from a file: reattach the caller's live field as this
-			// tile's view (updMu serializes us against other updaters, and
-			// readers never touch views).
-			tl.view = &tileField{parent: f, ids: tl.ids, bounds: tl.mbr, vr: vr[ti]}
-		}
-		local, err := t.localOf(ti, id)
-		if err != nil {
-			return fail(err)
-		}
-		var newIv geom.Interval
-		if newIv, enc, err = tl.ex.patch(stage, tl.view, local, chs[ti], &scratch, enc); err != nil {
-			return fail(err)
-		}
-		vr[ti] = vr[ti].Union(newIv)
-	}
-	qc.EndSpan()
-	// Maintain partitioned tiles' trees against the updated interval columns.
-	parts := append([]*state(nil), cur.parts...)
-	indexPages := 0
-	regrouped := false
-	changedCells, changedArea := 0, 0.0
-	qc.BeginSpan(obs.PhaseMaintain)
-	for _, ti := range involved {
-		changedCells += len(chs[ti].cells)
-		changedArea += chs[ti].area
-		if t.inner == MethodLinearScan {
-			continue
-		}
-		next, ipgs, rg, err := t.tiles[ti].ex.regroup(qc, cur.parts[ti], len(chs[ti].cells) > 0)
-		if err != nil {
-			return fail(err)
-		}
-		indexPages += ipgs
-		regrouped = regrouped || rg
-		parts[ti] = next
-	}
-	// The tiled planner keeps no global per-cell areas, so the field summary
-	// is maintained widen-only: the changed cells' count and area grow the
-	// header's certified slack in the same overlay set (per-tile summaries in
-	// the published state handle the covered-tile shortcut; they widen above).
-	if t.sumPages > 0 && changedCells > 0 {
-		page, err := stage.page(t.sumFirst)
-		if err != nil {
-			return fail(err)
-		}
-		approx.PatchWiden(page, float64(changedCells), changedArea)
-	}
-	qc.EndSpan()
-	res := &UpdateResult{
-		SamplesApplied:    len(updates),
-		CellsTouched:      len(cells),
-		PagesWritten:      len(stage.pages),
-		IndexPagesWritten: indexPages,
-		Regrouped:         regrouped,
-		IO:                qc.Stats(),
-	}
-	// Tree persistence wrote one counted page per node outside the query
-	// context; fold them in so pager totals stay Σ published stats.
-	res.IO.Writes += indexPages
-	epoch, retired, err := t.pager.CommitOverlays(stage.pages)
-	if err != nil {
-		return fail(err)
-	}
-	res.Epoch, res.EpochsRetired = epoch, retired
-	// Publish: the maintained per-tile states first, then the tiled state
-	// that points at them. Readers pin through the tiled state, so the order
-	// only matters for direct per-tile consumers (there are none outside
-	// this file).
-	for _, ti := range involved {
-		if parts[ti] != cur.parts[ti] {
-			parts[ti].epoch = epoch
-			t.tiles[ti].ex.snap.Store(parts[ti])
-		}
-	}
-	t.snap.Store(&tiledState{epoch: epoch, vr: vr, parts: parts})
-	return res, nil
+	return next
 }

@@ -20,12 +20,12 @@ func TestTiledLargeTerrain(t *testing.T) {
 		side = 512
 	}
 	f := testDEM(t, side, 0.8)
-	untiled, err := BuildLinearScan(f, newPager())
+	untiled, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pager := newPager()
-	tiled, err := BuildTiled(f, pager, TiledOptions{
+	tiled, err := buildTiles(f, pager, BuildOptions{
 		TileSide: side / 8, Codec: storage.SidecarCodecPacked, Workers: 4,
 	})
 	if err != nil {

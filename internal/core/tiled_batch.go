@@ -26,13 +26,13 @@ func (t *TiledIndex) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats
 	}
 	shared := len(members) > 1 && t.inner == MethodLinearScan
 	for _, tl := range t.tiles {
-		shared = shared && tl.ex.sidecar != nil
+		shared = shared && tl.sidecar != nil
 	}
 	if !shared {
 		return sequentialBatch(&t.observed, t.QueryContext, members)
 	}
-	s, release := t.pinState()
-	defer release()
+	s := t.pinState()
+	defer t.unpin(s)
 	bo := t.startBatch(t.label, members)
 	ms := t.beginMembers(t.label, t.pager, s.epoch, members)
 	phys := beginQueryAt(t.pager, s.epoch)
@@ -45,7 +45,7 @@ func (t *TiledIndex) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats
 }
 
 // batchTiles runs the tiled shared-scan pipeline over the live members.
-func (t *TiledIndex) batchTiles(s *tiledState, ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
+func (t *TiledIndex) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
 	if pollMembers(ms) == 0 {
 		return
 	}
@@ -92,7 +92,7 @@ func (t *TiledIndex) batchTiles(s *tiledState, ms []batchMember, phys *storage.Q
 		}
 		// One physical pass over this tile's sidecar evaluates every covering
 		// member's predicate.
-		if !tl.ex.filterShared(ms, inTile[ti], phys, bb) {
+		if !tl.filterShared(ms, inTile[ti], phys, bb) {
 			return
 		}
 		// Attributed replay: each covering member charges its exact solo
@@ -109,13 +109,13 @@ func (t *TiledIndex) batchTiles(s *tiledState, ms []batchMember, phys *storage.Q
 			m.pos = bb.pos[i]
 			arenas[i].ids = tl.ids
 			m.qc.BeginSpan(obs.PhaseTileScan)
-			m.sidecarReads += tl.ex.chargeSidecar(m.qc)
-			chargePositions(m.qc, tl.ex.rids, m.pos)
+			m.sidecarReads += tl.chargeSidecar(m.qc)
+			chargePositions(m.qc, tl.rids, m.pos)
 			m.qc.EndSpan()
-			union = appendPosRuns(union, tl.ex.rids, m.pos)
+			union = appendPosRuns(union, tl.rids, m.pos)
 		}
 		bb.prs = union
-		demuxPositions(phys, tl.ex.rids, ms, mergeRuns(union), true)
+		demuxPositions(phys, tl.rids, ms, mergeRuns(union), true)
 	}
 	// Gather: each member folds its own survivors in global parent-id order —
 	// the solo gather, one member at a time, under the refinement span solo

@@ -49,12 +49,12 @@ func tiledTestQueries(f field.Field) []geom.Interval {
 // answers byte-identically to the untiled LinearScan on the same field.
 func TestTiledIdentity(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vr := f.ValueRange()
-	configs := []TiledOptions{
+	configs := []BuildOptions{
 		{Method: MethodLinearScan, TileSide: 16},
 		{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked},
 		{Method: MethodLinearScan, TileSide: 48}, // uneven edge tiles
@@ -64,7 +64,7 @@ func TestTiledIdentity(t *testing.T) {
 		{Method: MethodIQuad, TileSide: 16, MaxSize: vr.Length()/8 + 1},
 	}
 	for _, opts := range configs {
-		ti, err := BuildTiled(f, newPager(), opts)
+		ti, err := buildTiles(f, newPager(), opts)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", opts.Method, opts.Codec, err)
 		}
@@ -86,11 +86,11 @@ func TestTiledIdentity(t *testing.T) {
 // TestTiledIdentityTIN exercises the spatial-binning tile layout fallback.
 func TestTiledIdentityTIN(t *testing.T) {
 	f := testTIN(t, 900)
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, err := BuildTiled(f, newPager(), TiledOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
+	ti, err := buildTiles(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestTiledIdentityTIN(t *testing.T) {
 // byte-identically to the single-threaded one.
 func TestTiledParallelMatchesSequential(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	seq, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16})
+	seq, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16})
+	par, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestTiledParallelMatchesSequential(t *testing.T) {
 // scan's.
 func TestTiledPruning(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	ls, err := BuildLinearScan(f, newPager())
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTiledPruning(t *testing.T) {
 // only tiles intersecting the window and filters survivors by cell bounds.
 func TestTiledQueryRect(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	ti, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16})
+	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTiledQueryRect(t *testing.T) {
 func TestTiledUpdates(t *testing.T) {
 	for _, inner := range []Method{MethodLinearScan, MethodIHilbert} {
 		f := testDEM(t, 64, 0.7)
-		ti, err := BuildTiled(f, newPager(), TiledOptions{Method: inner, TileSide: 16, Codec: storage.SidecarCodecPacked})
+		ti, err := buildTiles(f, newPager(), BuildOptions{Method: inner, TileSide: 16, Codec: storage.SidecarCodecPacked})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestTiledUpdates(t *testing.T) {
 		assertSameAnswer(t, string(inner)+"/snapshot", old, before)
 
 		// Live queries match a fresh untiled build over the mutated field.
-		ls, err := BuildLinearScan(f, newPager())
+		ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,13 +320,13 @@ func TestTiledUpdates(t *testing.T) {
 // TestTiledBuildValidation covers the option errors.
 func TestTiledBuildValidation(t *testing.T) {
 	f := testDEM(t, 16, 0.7)
-	if _, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 1}); err == nil {
+	if _, err := buildTiles(f, newPager(), BuildOptions{TileSide: 1}); err == nil {
 		t.Error("tile side 1 accepted")
 	}
-	if _, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 8, Method: MethodIAll}); err == nil {
+	if _, err := buildTiles(f, newPager(), BuildOptions{TileSide: 8, Method: MethodIAll}); err == nil {
 		t.Error("tiled I-All accepted")
 	}
-	if _, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 8, Codec: "bogus"}); err == nil {
+	if _, err := buildTiles(f, newPager(), BuildOptions{TileSide: 8, Codec: "bogus"}); err == nil {
 		t.Error("bogus codec accepted")
 	}
 }
@@ -337,14 +337,14 @@ func TestTiledBuildValidation(t *testing.T) {
 func TestTiledBatchMatchesSolo(t *testing.T) {
 	f := testDEM(t, 64, 0.6)
 	vr := f.ValueRange()
-	tiled := map[string]TiledOptions{
+	tiled := map[string]BuildOptions{
 		"Tiled-LinearScan":        {TileSide: 16},
 		"Tiled-LinearScan+packed": {TileSide: 16, Codec: storage.SidecarCodecPacked},
 		"Tiled-I-Hilbert":         {Method: MethodIHilbert, TileSide: 16}, // sequential fallback
 	}
 	for name, opts := range tiled {
 		t.Run(name, func(t *testing.T) {
-			idx, err := BuildTiled(f, newPager(), opts)
+			idx, err := buildTiles(f, newPager(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +379,7 @@ func TestTiledBatchMatchesSolo(t *testing.T) {
 // so the batch's physical reads undercut the attributed sum.
 func TestTiledBatchSharesPages(t *testing.T) {
 	f := testDEM(t, 64, 0.6)
-	idx, err := BuildTiled(f, newPager(), TiledOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	idx, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,14 +120,14 @@ func affectedCells(f field.Mutable, updates []SampleUpdate) []field.CellID {
 // overlayStage accumulates the batch's copy-on-write page images. Pages are
 // read through the update's query context — charged like any read — copied
 // once, and patched in place; nothing touches the live pages until
-// CommitOverlays installs the whole set at the next epoch.
+// CommitOverlays installs the whole set at the next epoch. ctx is the batch's
+// and pager is where a maintain hook persists the fresh tree pages of the next
+// state.
 type overlayStage struct {
+	ctx   context.Context
+	pager *storage.Pager
 	qc    *storage.QueryCtx
 	pages map[storage.PageID][]byte
-}
-
-func newOverlayStage(qc *storage.QueryCtx) *overlayStage {
-	return &overlayStage{qc: qc, pages: make(map[storage.PageID][]byte)}
 }
 
 // page returns the staged image of id, reading it on first use.
@@ -143,69 +143,10 @@ func (st *overlayStage) page(id storage.PageID) ([]byte, error) {
 	return buf, nil
 }
 
-// patchCell re-encodes the cell from the (already mutated) field and patches
-// its heap record — and, when a sidecar is present, its interval columns — in
-// the staged images. It returns the cell's stored interval before and after
-// the patch; the sidecar entry is written from the re-encoded record exactly
-// the way the build wrote it, so the columns stay bit-identical to
-// CellIntervalFromRecord of the stored record.
-func (st *overlayStage) patchCell(f field.Field, id field.CellID, pos int,
-	rids []storage.RID, sc *storage.IntervalSidecar, scratch *field.Cell, enc []byte,
-) (oldIv, newIv geom.Interval, encOut []byte, err error) {
-	rid := rids[pos]
-	page, err := st.page(rid.Page)
-	if err != nil {
-		return oldIv, newIv, enc, err
-	}
-	rec, err := storage.RecordInPage(page, rid.Slot)
-	if err != nil {
-		return oldIv, newIv, enc, err
-	}
-	oldIv, err = field.CellIntervalFromRecord(rec)
-	if err != nil {
-		return oldIv, newIv, enc, err
-	}
-	f.Cell(id, scratch)
-	if err = scratch.Validate(); err != nil {
-		return oldIv, newIv, enc, fmt.Errorf("core: updated cell %d: %w", id, err)
-	}
-	enc = field.AppendCell(enc[:0], scratch)
-	if err = storage.PatchRecordInPage(page, rid.Slot, enc); err != nil {
-		return oldIv, newIv, enc, fmt.Errorf("core: cell %d: %w", id, err)
-	}
-	newIv, err = field.CellIntervalFromRecord(enc)
-	if err != nil {
-		return oldIv, newIv, enc, err
-	}
-	if sc != nil {
-		spid, idx, err2 := sc.PageFor(pos)
-		if err2 != nil {
-			return oldIv, newIv, enc, err2
-		}
-		spage, err2 := st.page(spid)
-		if err2 != nil {
-			return oldIv, newIv, enc, err2
-		}
-		if err2 = sc.PatchEntry(spage, spid, idx, newIv.Lo, newIv.Hi); err2 != nil {
-			return oldIv, newIv, enc, err2
-		}
-	}
-	return oldIv, newIv, enc, nil
-}
-
-// recordUpdate folds a committed batch into the metrics registry and appends
-// the batch counters to the trace (Lo = samples, Hi = distinct cells).
-func (o *observed) recordUpdate(res *UpdateResult) {
-	if o.ob.Metrics != nil {
-		o.ob.Metrics.RecordUpdate(res.SamplesApplied, res.CellsTouched,
-			int64(res.PagesWritten+res.IndexPagesWritten), int64(res.EpochsRetired), res.Regrouped)
-	}
-}
-
-// changes is what one update batch did to one index's cells: the cells whose
-// stored interval moved, in patch order, with their planar area (the slack a
-// widened summary grows by), and the interval-column entries to put back if
-// the batch fails.
+// changes is what one update batch did to one partition's cells: the cells
+// whose stored interval moved, in patch order, with their planar area (the
+// slack a widened summary grows by), and the interval-column entries to put
+// back if the batch fails.
 type changes struct {
 	cells    []field.CellID
 	old, new []geom.Interval
@@ -218,24 +159,62 @@ type ivRestore struct {
 	iv  geom.Interval
 }
 
-// patch re-encodes cell id from the (already mutated) field into the staged
-// pages, keeps the interval column current and records an interval change in
-// ch. It returns the cell's new interval and the reusable encode buffer.
-func (ix *valueIndex) patch(stage *overlayStage, f field.Field, id field.CellID, ch *changes, scratch *field.Cell, enc []byte) (geom.Interval, []byte, error) {
+// patch re-encodes cell id from the (already mutated) field and patches its
+// heap record — and, when a sidecar is present, its interval columns — in the
+// staged images, keeps the in-memory interval column current and records an
+// interval change in ch. The sidecar entry is written from the re-encoded
+// record exactly the way the build wrote it, so the columns stay bit-identical
+// to CellIntervalFromRecord of the stored record. It returns the reusable
+// encode buffer.
+func (p *partition) patch(stage *overlayStage, f field.Field, id field.CellID, ch *changes, scratch *field.Cell, enc []byte) ([]byte, error) {
 	pos := int(id) // natural order: position == cell id
-	if ix.order != nil {
+	if p.order != nil {
 		var ok bool
-		if pos, ok = ix.posOf[id]; !ok {
-			return geom.Interval{}, enc, fmt.Errorf("core: cell %d not in partition order", id)
+		if pos, ok = p.posOf[id]; !ok {
+			return enc, fmt.Errorf("core: cell %d not in partition order", id)
 		}
 	}
-	oldIv, newIv, enc, err := stage.patchCell(f, id, pos, ix.rids, ix.sidecar, scratch, enc)
+	rid := p.rids[pos]
+	page, err := stage.page(rid.Page)
 	if err != nil {
-		return newIv, enc, err
+		return enc, err
 	}
-	if ix.ivs != nil {
-		ch.undo = append(ch.undo, ivRestore{pos, ix.ivs[pos]})
-		ix.ivs[pos] = newIv
+	rec, err := storage.RecordInPage(page, rid.Slot)
+	if err != nil {
+		return enc, err
+	}
+	oldIv, err := field.CellIntervalFromRecord(rec)
+	if err != nil {
+		return enc, err
+	}
+	f.Cell(id, scratch)
+	if err = scratch.Validate(); err != nil {
+		return enc, fmt.Errorf("core: updated cell %d: %w", id, err)
+	}
+	enc = field.AppendCell(enc[:0], scratch)
+	if err = storage.PatchRecordInPage(page, rid.Slot, enc); err != nil {
+		return enc, fmt.Errorf("core: cell %d: %w", id, err)
+	}
+	newIv, err := field.CellIntervalFromRecord(enc)
+	if err != nil {
+		return enc, err
+	}
+	if p.sidecar != nil {
+		spid, idx, err := p.sidecar.PageFor(pos)
+		if err != nil {
+			return enc, err
+		}
+		spage, err := stage.page(spid)
+		if err != nil {
+			return enc, err
+		}
+		if err = p.sidecar.PatchEntry(spage, spid, idx, newIv.Lo, newIv.Hi); err != nil {
+			return enc, err
+		}
+	}
+	if p.ivs != nil {
+		ch.undo = append(ch.undo, ivRestore{pos, p.ivs[pos]})
+		p.ivs[pos] = newIv
 	}
 	if oldIv != newIv {
 		// scratch holds the re-encoded cell.
@@ -244,75 +223,176 @@ func (ix *valueIndex) patch(stage *overlayStage, f field.Field, id field.CellID,
 		ch.new = append(ch.new, newIv)
 		ch.area += scratch.Area()
 	}
-	return newIv, enc, nil
+	return enc, nil
 }
 
 // restore puts the interval column back to its pre-batch contents, in reverse
 // patch order so a cell patched twice unwinds to its original interval.
-func (ix *valueIndex) restore(ch *changes) {
+func (p *partition) restore(ch *changes) {
 	for i := len(ch.undo) - 1; i >= 0; i-- {
-		ix.ivs[ch.undo[i].pos] = ch.undo[i].iv
+		p.ivs[ch.undo[i].pos] = ch.undo[i].iv
 	}
 }
 
-// ApplyUpdates implements Engine — the one update skeleton: lock, patch the
-// affected cell records and sidecar columns into copy-on-write page images,
-// let the method maintain its index structure, commit the images as one new
-// epoch, publish the new state. Every failure path puts the field's samples
-// and the interval column back; the live epoch is untouched until the commit.
-// I-Quad and files saved without a sidecar refuse with ErrUpdatesUnsupported.
+// updater is a store as the update transaction sees it: how its cells map
+// onto its partitions, and how the partitions' next states make its own. A
+// partition is itself the updater of a one-partition store.
+type updater interface {
+	// route returns the partition that owns cell id and the cell's id there.
+	route(id field.CellID) (part int, local field.CellID, err error)
+	// partView returns partition part's state inside the store state cur, and
+	// the field its local ids address — f itself, or a tile's view of it.
+	partView(part int, f field.Field, cur *state) (*state, field.Field)
+	// nextState assembles the state to publish at epoch from the involved
+	// partitions' work.
+	nextState(cur *state, epoch uint64, involved []int, work []partUpdate) *state
+}
+
+// partUpdate is one partition's share of an update batch.
+type partUpdate struct {
+	cur  *state
+	view field.Field
+	ch   changes
+	next *state
+}
+
+func (p *partition) route(id field.CellID) (int, field.CellID, error) { return 0, id, nil }
+
+func (p *partition) partView(_ int, f field.Field, cur *state) (*state, field.Field) { return cur, f }
+
+func (p *partition) nextState(_ *state, epoch uint64, _ []int, work []partUpdate) *state {
+	work[0].next.epoch = epoch
+	return work[0].next
+}
+
+// ApplyUpdates implements Engine for an untiled index: the update
+// transaction over its one partition. I-Quad and files saved without a
+// sidecar refuse with ErrUpdatesUnsupported.
 func (e *executor) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	e.updMu.Lock()
-	defer e.updMu.Unlock()
+	return e.applyUpdates(ctx, f, updates, e.partition, true)
+}
+
+// applyUpdates is the one update transaction, whatever the store: lock,
+// patch the affected cell records and sidecar columns of every involved
+// partition into copy-on-write page images, let each partition's method
+// maintain its index structure and the store its field summary, commit the
+// images as one new epoch, publish the new state. Every failure path puts the
+// field's samples and the interval columns back; the live epoch is untouched
+// until the commit. apply is false where another store's transaction has
+// already put the samples into f (the spatial store runs second).
+func (sh *shell) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, u updater, apply bool) (*UpdateResult, error) {
+	sh.updMu.Lock()
+	defer sh.updMu.Unlock()
 	cells := affectedCells(f, updates)
-	tb := obs.Begin(e.ob.Tracer, string(e.method), obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := e.applyUpdates(ctx, f, updates, cells, tb)
+	tb := obs.Begin(sh.ob.Tracer, sh.label, obs.KindUpdate, float64(len(updates)), float64(len(cells)))
+	res, err := sh.commitUpdates(ctx, f, updates, cells, tb, u, apply)
 	tb.Finish(err)
 	if err == nil {
-		e.recordUpdate(res)
+		sh.recordUpdate(res)
 	}
 	return res, err
 }
 
-func (e *executor) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
-	cur := e.snap.Load()
+func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder, u updater, apply bool) (*UpdateResult, error) {
+	cur := sh.snap.Load()
 	if len(updates) == 0 {
 		return &UpdateResult{Epoch: cur.epoch}, nil
 	}
-	qc := e.pager.BeginQuery()
+	qc := sh.pager.BeginQuery()
 	defer qc.Release()
 	qc.AttachTrace(tb)
-	if err := e.ensureUpdateState(qc); err != nil {
-		return nil, err
+	// Route every affected cell to its partition; involved lists the distinct
+	// partitions the batch touches, in ascending order.
+	type cellRoute struct {
+		part  int
+		local field.CellID
 	}
-	undo, err := applySamples(f, updates)
-	if err != nil {
-		return nil, err
+	routes := make([]cellRoute, len(cells))
+	work := make([]partUpdate, len(sh.parts))
+	var involved []int
+	for i, id := range cells {
+		part, local, err := u.route(id)
+		if err != nil {
+			return nil, err
+		}
+		routes[i] = cellRoute{part, local}
+		if w := &work[part]; w.cur == nil {
+			w.cur, w.view = u.partView(part, f, cur)
+			involved = append(involved, part)
+		}
 	}
-	var ch changes
+	sort.Ints(involved)
+	// Hydrate the partitions' update state (position map, interval column)
+	// before mutating anything.
+	for _, pi := range involved {
+		if err := sh.parts[pi].ensureUpdateState(qc); err != nil {
+			return nil, err
+		}
+	}
+	var undo []sampleUndo
+	if apply {
+		var err error
+		if undo, err = applySamples(f, updates); err != nil {
+			return nil, err
+		}
+	}
 	fail := func(err error) (*UpdateResult, error) {
-		e.restore(&ch)
+		for _, pi := range involved {
+			sh.parts[pi].restore(&work[pi].ch)
+		}
 		undoSamples(f, undo)
 		return nil, err
 	}
-	stage := newOverlayStage(qc)
+	stage := &overlayStage{ctx: ctx, pager: sh.pager, qc: qc, pages: make(map[storage.PageID][]byte)}
 	var scratch field.Cell
 	var enc []byte
 	qc.BeginSpan(obs.PhasePatch)
-	for _, id := range cells {
+	for _, r := range routes {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
 		}
-		if _, enc, err = e.patch(stage, f, id, &ch, &scratch, enc); err != nil {
+		w := &work[r.part]
+		var err error
+		if enc, err = sh.parts[r.part].patch(stage, w.view, r.local, &w.ch, &scratch, enc); err != nil {
 			return fail(err)
 		}
 	}
 	qc.EndSpan()
-	next, indexPages, regrouped := &state{}, 0, false
-	if e.maintain != nil {
-		if next, indexPages, regrouped, err = e.maintain(stage, f, cur, &ch); err != nil {
-			return fail(err)
+	// Maintain: each involved partition's hook, then the field summary — an
+	// interval-changing batch moves the cumulative distributions it
+	// approximates — under one span, so an update's trace accounts for the time
+	// and the page reads of both; a store with neither has no such span. The
+	// refreshed summary rides in the same overlay set, so summary and data
+	// version together under one epoch.
+	maintains := sh.sumPages > 0
+	for _, pi := range involved {
+		maintains = maintains || sh.parts[pi].maintain != nil
+	}
+	if maintains {
+		qc.BeginSpan(obs.PhaseMaintain)
+	}
+	indexPages, regrouped := 0, false
+	changedCells, changedArea := 0, 0.0
+	for _, pi := range involved {
+		p, w := sh.parts[pi], &work[pi]
+		w.next = &state{}
+		if p.maintain != nil {
+			next, ipgs, rg, err := p.maintain(stage, w.view, w.cur, &w.ch)
+			if err != nil {
+				return fail(err)
+			}
+			w.next = next
+			indexPages += ipgs
+			regrouped = regrouped || rg
 		}
+		changedCells += len(w.ch.cells)
+		changedArea += w.ch.area
+	}
+	if err := sh.maintainSummary(stage, changedCells, changedArea); err != nil {
+		return fail(err)
+	}
+	if maintains {
+		qc.EndSpan()
 	}
 	res := &UpdateResult{
 		SamplesApplied:    len(updates),
@@ -326,39 +406,49 @@ func (e *executor) applyUpdates(ctx context.Context, f field.Mutable, updates []
 	// the query context; fold those writes into the published stats so the
 	// pager totals stay the sum of all reported per-operation statistics.
 	res.IO.Writes += indexPages
-	epoch, retired, err := e.pager.CommitOverlays(stage.pages)
+	epoch, retired, err := sh.pager.CommitOverlays(stage.pages)
 	if err != nil {
 		return fail(err)
 	}
 	res.Epoch, res.EpochsRetired = epoch, retired
-	next.epoch = epoch
-	e.snap.Store(next)
+	sh.snap.Store(u.nextState(cur, epoch, involved, work))
 	return res, nil
+}
+
+// recordUpdate folds a committed batch into the metrics registry and appends
+// the batch counters to the trace (Lo = samples, Hi = distinct cells).
+func (o *observed) recordUpdate(res *UpdateResult) {
+	if o.ob.Metrics != nil {
+		o.ob.Metrics.RecordUpdate(res.SamplesApplied, res.CellsTouched,
+			int64(res.PagesWritten+res.IndexPagesWritten), int64(res.EpochsRetired), res.Regrouped)
+	}
 }
 
 // ensureUpdateState hydrates the update-path state of a partitioned index:
 // the cell→position map and, for a file-opened index, the per-position
 // interval column (recovered from the sidecar, whose entries are bit-identical
-// to the stored records). Natural-order methods need neither.
-func (ix *valueIndex) ensureUpdateState(qc *storage.QueryCtx) error {
-	if ix.order == nil {
-		return nil
-	}
-	if ix.posOf == nil {
-		ix.posOf = make(map[field.CellID]int, len(ix.order))
-		for pos, id := range ix.order {
-			ix.posOf[id] = pos
-		}
-	}
-	if ix.ivs != nil {
-		return nil
-	}
-	if ix.sidecar == nil || ix.rids == nil {
+// to the stored records). Natural-order methods need neither. A file saved
+// without a sidecar carries no position ↦ record map to locate cell records
+// with, whatever the method.
+func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
+	if p.rids == nil {
 		return fmt.Errorf("core: file has no interval sidecar: %w", ErrUpdatesUnsupported)
 	}
+	if p.order == nil {
+		return nil
+	}
+	if p.posOf == nil {
+		p.posOf = make(map[field.CellID]int, len(p.order))
+		for pos, id := range p.order {
+			p.posOf[id] = pos
+		}
+	}
+	if p.ivs != nil {
+		return nil
+	}
 	qc.BeginSpan(obs.PhaseMaintain)
-	ivs := make([]geom.Interval, ix.cells)
-	err := ix.sidecar.ScanRange(qc, 0, ix.cells, func(base int, lo, hi []float64) bool {
+	ivs := make([]geom.Interval, p.cells)
+	err := p.sidecar.ScanRange(qc, 0, p.cells, func(base int, lo, hi []float64) bool {
 		for i := range lo {
 			ivs[base+i] = geom.Interval{Lo: lo[i], Hi: hi[i]}
 		}
@@ -368,58 +458,27 @@ func (ix *valueIndex) ensureUpdateState(qc *storage.QueryCtx) error {
 		return err
 	}
 	qc.EndSpan()
-	ix.ivs = ivs
+	p.ivs = ivs
 	return nil
 }
 
-// maintainGroups is the maintenance of the partitioned family. One span
-// covers the regrouping (greedy re-cut, tree patch or rebuild) and the summary
-// refit, so an update's trace accounts for the time and the page reads of
-// both. An interval-changing batch moves the cumulative distributions the
-// field summary approximates; the summary is refreshed in the same overlay
-// set so summary and data version together under one epoch.
-func (ix *valueIndex) maintainGroups(stage *overlayStage, _ field.Field, cur *state, ch *changes) (*state, int, bool, error) {
-	stage.qc.BeginSpan(obs.PhaseMaintain)
-	next, indexPages, regrouped, err := ix.regroup(stage.qc, cur, len(ch.cells) > 0)
-	if err == nil && len(ch.cells) > 0 {
-		err = ix.maintainSummary(stage, len(ch.cells), ch.area)
-	}
-	if err != nil {
-		return nil, 0, false, err
-	}
-	stage.qc.EndSpan()
-	return next, indexPages, regrouped, nil
-}
-
-// regroup re-derives the subfield partition with the build's own rule
-// (§3.1.2's greedy cost bound for I-Hilbert, the fixed size threshold for
-// I-Threshold) over the updated interval column and returns the next state's
-// tree and groups: when the boundaries are unchanged, only the drifted groups'
-// intervals and summaries are refreshed and the R*-tree is patched
-// incrementally; when a boundary moved, the partition is re-cut and a fresh
-// tree built — exactly the groups a rebuild from scratch on the mutated field
-// would produce (the heap order is the geometric linearization, which updates
-// never change). I-Quad regrouping needs the spatial quadtree recursion this
-// does not reproduce. The caller holds updMu and an open PhaseMaintain span
-// on qc; ix.ivs is current.
-func (ix *valueIndex) regroup(qc *storage.QueryCtx, cur *state, changed bool) (*state, int, bool, error) {
-	if ix.method == MethodIQuad {
-		return nil, 0, false, fmt.Errorf("core: %s regrouping is spatial: %w", ix.method, ErrUpdatesUnsupported)
-	}
-	if !changed {
+// regroup is the maintain hook of the curve-ordered partitions: it re-derives
+// the subfield partition with the build's own rule over the updated interval
+// column and returns the next state's tree and groups. When the boundaries
+// are unchanged, only the drifted groups' intervals and summaries are
+// refreshed and the R*-tree is patched incrementally; when a boundary moved,
+// the partition is re-cut and a fresh tree built — exactly the groups a
+// rebuild from scratch on the mutated field would produce (the heap order is
+// the geometric linearization, which updates never change). p.ivs is current.
+func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+	if len(ch.cells) == 0 {
 		return &state{tree: cur.tree, groups: cur.groups}, 0, false, nil
 	}
-	refs := make([]subfield.CellRef, ix.cells)
+	refs := make([]subfield.CellRef, p.cells)
 	for i := range refs {
-		refs[i] = subfield.CellRef{ID: ix.order[i], Interval: ix.ivs[i]}
+		refs[i] = subfield.CellRef{ID: p.order[i], Interval: p.ivs[i]}
 	}
-	var next []subfield.Group
-	switch ix.method {
-	case MethodIThresh:
-		next = subfield.BuildThreshold(refs, ix.cost, ix.maxSize)
-	default:
-		next = subfield.BuildGreedy(refs, ix.cost)
-	}
+	_, next := p.cut(refs, geom.Rect{}, p.cost, p.maxSize)
 	sameCut := len(next) == len(cur.groups)
 	if sameCut {
 		for i, g := range next {
@@ -430,38 +489,41 @@ func (ix *valueIndex) regroup(qc *storage.QueryCtx, cur *state, changed bool) (*
 		}
 	}
 	if sameCut {
-		tree, groups, indexPages, err := ix.refreshGroups(qc, cur, next)
+		tree, groups, indexPages, err := p.refreshGroups(stage, cur, next)
 		return &state{tree: tree, groups: groups}, indexPages, false, err
 	}
-	tree, groups, indexPages, err := ix.recutGroups(next)
-	return &state{tree: tree, groups: groups}, indexPages, true, err
+	tree, groups, err := p.indexGroups(stage.ctx, stage.pager, next, 1)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return &state{tree: tree, groups: groups}, tree.PersistedNodes(), true, nil
 }
 
 // refreshGroups handles the boundary-stable case: group extents are
 // unchanged, so only the groups whose interval or summary drifted are
 // rebuilt, and the R*-tree is patched entry by entry on a hydrated copy.
-func (ix *valueIndex) refreshGroups(qc *storage.QueryCtx, cur *state, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
+func (p *partition) refreshGroups(stage *overlayStage, cur *state, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
 	groups := make([]groupMeta, len(cur.groups))
 	copy(groups, cur.groups)
 	var work *rstar.Tree
 	indexPages := 0
 	for gi, g := range next {
 		old := &groups[gi]
-		avg := groupAvg(ix.ivs, g.Start, g.End)
+		avg := groupAvg(p.ivs, g.Start, g.End)
 		if g.Interval == old.interval && avg == old.avg {
 			continue
 		}
 		if g.Interval != old.interval {
 			if work == nil {
 				var err error
-				if work, err = cur.tree.Hydrate(qc); err != nil {
+				if work, err = cur.tree.Hydrate(stage.qc); err != nil {
 					return nil, nil, 0, err
 				}
 			}
-			if !work.Delete(rstar.Entry{MBR: rstar.Interval1D(old.interval.Lo, old.interval.Hi), Data: uint64(gi)}) {
+			if !work.Delete(groupEntry(gi, old.interval)) {
 				return nil, nil, 0, fmt.Errorf("core: group %d interval %v not in index", gi, old.interval)
 			}
-			if err := work.Insert(rstar.Entry{MBR: rstar.Interval1D(g.Interval.Lo, g.Interval.Hi), Data: uint64(gi)}); err != nil {
+			if err := work.Insert(groupEntry(gi, g.Interval)); err != nil {
 				return nil, nil, 0, err
 			}
 		}
@@ -470,106 +532,11 @@ func (ix *valueIndex) refreshGroups(qc *storage.QueryCtx, cur *state, next []sub
 	}
 	tree := cur.tree
 	if work != nil {
-		if err := work.Persist(ix.pager); err != nil {
+		if err := work.Persist(stage.pager); err != nil {
 			return nil, nil, 0, err
 		}
 		tree = work
 		indexPages = work.PersistedNodes()
 	}
 	return tree, groups, indexPages, nil
-}
-
-// recutGroups handles a moved boundary: all group metadata is recomputed from
-// the new cut and a fresh tree is built by R* insertion, exactly as the
-// original build constructs it.
-func (ix *valueIndex) recutGroups(next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
-	groups := make([]groupMeta, len(next))
-	tree, err := rstar.New(1, rstar.Params{PageSize: ix.pager.PageSize()})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for gi, g := range next {
-		first := ix.heap.PageIndex(ix.rids[g.Start].Page)
-		last := ix.heap.PageIndex(ix.rids[g.End-1].Page)
-		if first < 0 || last < 0 {
-			return nil, nil, 0, fmt.Errorf("core: regrouped subfield %d pages not found", gi)
-		}
-		groups[gi] = groupMeta{
-			interval: g.Interval, firstPage: first, lastPage: last,
-			cells: g.Len(), startRef: g.Start, endRef: g.End,
-			avg: groupAvg(ix.ivs, g.Start, g.End),
-		}
-		if err := tree.Insert(rstar.Entry{MBR: rstar.Interval1D(g.Interval.Lo, g.Interval.Hi), Data: uint64(gi)}); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	if err := tree.Persist(ix.pager); err != nil {
-		return nil, nil, 0, err
-	}
-	return tree, groups, tree.PersistedNodes(), nil
-}
-
-// groupAvg is the paper's per-subfield summary: the mean of the member
-// cells' interval midpoints, folded in position order exactly as the build
-// computes it.
-func groupAvg(ivs []geom.Interval, start, end int) float64 {
-	sum := 0.0
-	for i := start; i < end; i++ {
-		sum += (ivs[i].Lo + ivs[i].Hi) / 2
-	}
-	return sum / float64(end-start)
-}
-
-// ApplyUpdates re-encodes the affected cells of the spatial (conventional
-// query) store. The samples are already applied by the value index's
-// ApplyUpdates — the facade calls that first — so this patches records only:
-// cell geometry never changes, the 2-D R*-tree needs no maintenance, and the
-// batch commits as one epoch on the spatial store's own pager.
-func (s *SpatialIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	cells := affectedCells(f, updates)
-	tb := obs.Begin(s.ob.Tracer, spatialMethod, obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := s.applyUpdates(ctx, f, cells, tb)
-	tb.Finish(err)
-	if err == nil {
-		res.SamplesApplied = len(updates)
-		s.recordUpdate(res)
-	}
-	return res, err
-}
-
-func (s *SpatialIndex) applyUpdates(ctx context.Context, f field.Mutable, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
-	if len(cells) == 0 {
-		return &UpdateResult{Epoch: s.pager.CurrentEpoch()}, nil
-	}
-	qc := s.pager.BeginQuery()
-	defer qc.Release()
-	qc.AttachTrace(tb)
-	st := newOverlayStage(qc)
-	var scratch field.Cell
-	var enc []byte
-	var err error
-	qc.BeginSpan(obs.PhasePatch)
-	for _, id := range cells {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// The spatial store writes cells in natural order without a sidecar.
-		if _, _, enc, err = st.patchCell(f, id, int(id), s.rids, nil, &scratch, enc); err != nil {
-			return nil, err
-		}
-	}
-	qc.EndSpan()
-	res := &UpdateResult{
-		CellsTouched: len(cells),
-		PagesWritten: len(st.pages),
-		IO:           qc.Stats(),
-	}
-	epoch, retired, err := s.pager.CommitOverlays(st.pages)
-	if err != nil {
-		return nil, err
-	}
-	res.Epoch, res.EpochsRetired = epoch, retired
-	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
-	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 )
 
@@ -55,13 +54,17 @@ func convergenceQueries(f field.Field, seed int64) []geom.Interval {
 // with live updates, each built on a fresh pager.
 func updatableBuilders(maxSize float64) map[string]func(f field.Field) (Engine, error) {
 	return map[string]func(f field.Field) (Engine, error){
-		"LinearScan": func(f field.Field) (Engine, error) { return BuildLinearScan(f, newPager()) },
-		"I-All":      func(f field.Field) (Engine, error) { return BuildIAll(f, newPager(), IAllOptions{}) },
-		"I-Hilbert":  func(f field.Field) (Engine, error) { return BuildIHilbert(f, newPager(), HilbertOptions{}) },
-		"I-Thresh": func(f field.Field) (Engine, error) {
-			return BuildIThreshold(f, newPager(), ThresholdOptions{MaxSize: maxSize})
+		"LinearScan": func(f field.Field) (Engine, error) {
+			return buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 		},
-		"I-Auto": func(f field.Field) (Engine, error) { return BuildAuto(f, newPager(), AutoOptions{}) },
+		"I-All": func(f field.Field) (Engine, error) { return buildIx(f, newPager(), BuildOptions{Method: MethodIAll}) },
+		"I-Hilbert": func(f field.Field) (Engine, error) {
+			return buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
+		},
+		"I-Thresh": func(f field.Field) (Engine, error) {
+			return buildIx(f, newPager(), BuildOptions{Method: MethodIThresh, MaxSize: maxSize})
+		},
+		"I-Auto": func(f field.Field) (Engine, error) { return buildIx(f, newPager(), BuildOptions{Method: MethodAuto}) },
 	}
 }
 
@@ -149,7 +152,7 @@ func TestUpdateConvergence(t *testing.T) {
 func TestUpdateRegroup(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 32, 0.7)
-	p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestUpdateRegroup(t *testing.T) {
 	if res.IndexPagesWritten == 0 {
 		t.Fatal("re-cut persisted no index pages")
 	}
-	scratch, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	scratch, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +263,7 @@ func TestUpdateSnapshotIsolation(t *testing.T) {
 func TestUpdateCatalogV3Roundtrip(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 32, 0.7)
-	p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +275,7 @@ func TestUpdateCatalogV3Roundtrip(t *testing.T) {
 	if err := p.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := OpenFile(path, storage.DefaultDiskModel, 8192)
+	opened, err := openIx(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +302,7 @@ func TestUpdateCatalogV3Roundtrip(t *testing.T) {
 	if _, err := opened.ApplyUpdates(ctx, f, testUpdates(f, 40, 29)); err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	scratch, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +327,7 @@ func TestUpdateCatalogV3Roundtrip(t *testing.T) {
 func TestUpdateValidationAndUnsupported(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 16, 0.6)
-	p, err := BuildIHilbert(f, newPager(), HilbertOptions{})
+	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +352,7 @@ func TestUpdateValidationAndUnsupported(t *testing.T) {
 
 	// I-Quad's spatial recursion is not maintained incrementally.
 	vr := f.ValueRange()
-	iq, err := BuildIQuad(f, newPager(), ThresholdOptions{MaxSize: vr.Length()/8 + 1})
+	iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,22 +361,27 @@ func TestUpdateValidationAndUnsupported(t *testing.T) {
 	}
 
 	// A file saved without a sidecar carries no position map: updates are
-	// refused.
-	bare, err := BuildIHilbert(f, newPager(), HilbertOptions{NoSidecar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	barePath := filepath.Join(t.TempDir(), "bare.fidx")
-	if err := bare.SaveFile(barePath); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := OpenFile(barePath, storage.DefaultDiskModel, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	if _, err := opened.ApplyUpdates(ctx, f, []SampleUpdate{{Sample: 3, Value: 5}}); !errors.Is(err, ErrUpdatesUnsupported) {
-		t.Fatalf("sidecar-less file update err = %v", err)
+	// refused, untiled or tiled.
+	for name, opts := range map[string]BuildOptions{
+		"I-Hilbert":        {Method: MethodIHilbert, NoSidecar: true},
+		"Tiled-LinearScan": {Method: MethodLinearScan, TileSide: 8, NoSidecar: true},
+	} {
+		bare, err := Build(ctx, f, newPager(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		barePath := filepath.Join(t.TempDir(), name+".fidx")
+		if err := bare.SaveFile(barePath); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(barePath, OpenFileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opened.Close()
+		if _, err := opened.ApplyUpdates(ctx, f, []SampleUpdate{{Sample: 3, Value: 5}}); !errors.Is(err, ErrUpdatesUnsupported) {
+			t.Fatalf("sidecar-less %s file update err = %v", name, err)
+		}
 	}
 }
 
@@ -383,7 +391,7 @@ func TestSpatialUpdateConvergence(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 16, 0.6)
 	pager := newPager()
-	sp, err := BuildSpatial(f, pager, rstar.Params{})
+	sp, err := BuildSpatial(context.Background(), f, pager)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +410,7 @@ func TestSpatialUpdateConvergence(t *testing.T) {
 	if res.Epoch != 1 || res.CellsTouched == 0 || res.PagesWritten == 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	scratch, err := BuildSpatial(f, newPager(), rstar.Params{})
+	scratch, err := BuildSpatial(context.Background(), f, newPager())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,5 +429,76 @@ func TestSpatialUpdateConvergence(t *testing.T) {
 		if got != want {
 			t.Fatalf("point %v: updated store %g, scratch %g", pt, got, want)
 		}
+	}
+}
+
+// TestTiledUpdateMaintainsThroughHook: the tiled updater maintains a tile
+// through the tile's own maintain hook, so a one-tile Tiled-I-Hilbert index
+// and an untiled I-Hilbert index over the same field, fed the same batches,
+// stay in lockstep — same subfields, same tree answers, same UpdateResult —
+// batch after batch. The write plane's O(dirty) regrouping lands in that hook
+// once and the planner inherits it.
+func TestTiledUpdateMaintainsThroughHook(t *testing.T) {
+	ctx := context.Background()
+	ft, fu := testDEM(t, 16, 0.7), testDEM(t, 16, 0.7)
+	tiledPager, flatPager := newPager(), newPager()
+	tiled, err := buildTiles(ft, tiledPager, BuildOptions{Method: MethodIHilbert, TileSide: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := buildIx(fu, flatPager, BuildOptions{Method: MethodIHilbert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiled.NumTiles() != 1 {
+		t.Fatalf("%d tiles, want the one-tile case", tiled.NumTiles())
+	}
+	// candidates runs a partition's filter hook and returns what it selected.
+	candidates := func(pager *storage.Pager, p *partition, st *state, q geom.Interval) (int, []pageRun) {
+		qc := pager.BeginQuery()
+		defer qc.Release()
+		pr := getProbe()
+		defer putProbe(pr)
+		pr.reset(ctx, qc, q, false)
+		if err := p.candidates(st, pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr.groups, append([]pageRun(nil), pr.runs...)
+	}
+	regroups := 0
+	for batch := int64(0); batch < 8; batch++ {
+		n := 4
+		if batch%2 == 1 {
+			n = 64 // large enough to move a group boundary
+		}
+		updates := testUpdates(fu, n, 300+batch)
+		want, err := flat.ApplyUpdates(ctx, fu, updates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tiled.ApplyUpdates(ctx, ft, updates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Regrouped != want.Regrouped || got.IndexPagesWritten != want.IndexPagesWritten || got.CellsTouched != want.CellsTouched {
+			t.Fatalf("batch %d: tiled result %+v, untiled %+v", batch, got, want)
+		}
+		if want.Regrouped {
+			regroups++
+		}
+		tst, fst := tiled.cur().parts[0], flat.cur()
+		if !reflect.DeepEqual(tst.groups, fst.groups) {
+			t.Fatalf("batch %d: the tile has %d subfields, the untiled index %d, or they differ", batch, len(tst.groups), len(fst.groups))
+		}
+		for _, q := range convergenceQueries(fu, 400+batch) {
+			tg, truns := candidates(tiledPager, tiled.tiles[0].partition, tst, q)
+			fg, fruns := candidates(flatPager, flat.partition, fst, q)
+			if tg != fg || !reflect.DeepEqual(truns, fruns) {
+				t.Fatalf("batch %d %v: the tile's tree selects %d subfields in runs %v, the untiled tree %d in %v", batch, q, tg, truns, fg, fruns)
+			}
+		}
+	}
+	if regroups == 0 {
+		t.Fatal("no batch re-cut the partition; the case is vacuous")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"fielddb/internal/bench"
 )
 
-// TestServeBenchSmoke is the `make serve-bench-smoke` gate: a short
+// TestServeBenchSmoke is the serving tier's gate in `make race`: a short
 // 256-connection wall-clock drive through a window-armed server that fails
 // on any dropped response or on zero coalescing — the two serving-tier
 // promises the full ServeLoad measurement also asserts, checked here in

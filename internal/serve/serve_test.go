@@ -678,10 +678,8 @@ func TestServeConcurrentCoalescing(t *testing.T) {
 	}
 }
 
-// TestServeSmoke is the `make serve-smoke` entry: an end-to-end drive of the
-// served stack with the deterministic load generator, cheap enough for every
-// CI run (it is -short-guarded in the Makefile only to skip the heavyweight
-// suites around it, not itself).
+// TestServeSmoke is an end-to-end drive of the served stack with the
+// deterministic load generator, cheap enough for every CI run.
 func TestServeSmoke(t *testing.T) {
 	srv, hs, _ := testServer(t, Config{MaxInFlight: 128}, 2*time.Millisecond)
 	rep, err := RunLoad(LoadOptions{

@@ -134,7 +134,7 @@ func (db *DB) widenRange(updates []SampleUpdate) {
 // and after Close — the snapshot's or its DB's — they return ErrClosed.
 type Snapshot struct {
 	surface
-	spSnap *core.SpatialSnapshot
+	spSnap *core.SpatialIndex
 }
 
 // Snapshot acquires a pinned point-in-time view of the value and spatial
