@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate bench-parallel bench-smoke bench-compare
+.PHONY: check build vet fmt test race cover alloc-gate bench-smoke bench-compare
 
 check: build vet fmt race cover alloc-gate bench-smoke bench-compare
 
@@ -47,10 +47,6 @@ cover:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
-# Refinement-parallelism speedup table (cmd/fieldbench -workers).
-bench-parallel:
-	$(GO) run ./cmd/fieldbench -workers 8
-
 # One-iteration pass over the value-range benchmarks: catches bit-rot in the
 # benchmark harness without measuring anything (use `go test -bench` with a
 # real -benchtime for numbers; see BENCH_BASELINE.json).
@@ -58,9 +54,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkValueRange -benchtime 1x .
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
-# value-range suite (one 64-query rotation per cell, exactly the
-# BenchmarkValueRange workload) and compare pages/op and simns/op against the
-# newest section of BENCH_BASELINE.json. Wall-clock metrics are not gated.
+# in-process suites (solo, concurrent, update-load, tiled, aggregate — one
+# 64-query rotation per cell, no listener opened) and compare pages/op,
+# simns/op and qps_sim against the newest section of BENCH_BASELINE.json.
+# Wall clock, allocations and the served stack are benchmark/'s job.
 BENCH_NEW ?= /tmp/fielddb-bench-new.json
 bench-compare:
 	$(GO) run ./cmd/fieldbench -bench-json $(BENCH_NEW)

@@ -19,12 +19,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"fielddb/internal/bench"
-	"fielddb/internal/serve"
 )
 
 func main() {
@@ -36,27 +34,21 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		chart   = flag.Bool("chart", false, "render each figure as an ASCII bar chart")
 		metric  = flag.String("metric", "wall", "chart metric: wall | sim")
-		workers = flag.Int("workers", 0, "run the refinement-parallelism speedup table up to N workers and exit")
 		asJSON  = flag.Bool("json", false, "emit results as machine-readable JSON instead of tables")
 		metrics = flag.Bool("metrics", false, "run a mixed demo workload and dump the engine metrics registry")
 
 		clients     = flag.Int("clients", 0, "run a concurrent value-range load with N client goroutines and report throughput, latency quantiles, and batch coalescing")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "admission window for -clients: the longest an arrival that finds every core busy waits to share one scan with the others; an arrival that finds a core free runs at once (0 disables batching)")
 
-		benchJSON  = flag.String("bench-json", "", "measure the deterministic value-range suite (the BenchmarkValueRange workload, solo, concurrent, and update-load) and write {name: row} JSON to this file ('-' for stdout)")
-		updateLoad = flag.Bool("update-load", false, "run only the deterministic live-update suite (batch commit cost and reader cost under interleaved updates) and print the rows")
-		compare    = flag.Bool("compare", false, "compare two benchmark JSON files (args: old.json new.json); exits 1 if new regresses pages/op or simns/op beyond -tolerance")
-		tolerance  = flag.Float64("tolerance", 0.01, "relative regression tolerance for -compare")
-		section    = flag.String("baseline-section", "", "section of a multi-section baseline file to compare against (default: newest recorded)")
+		benchJSON = flag.String("bench-json", "", "measure the deterministic simulated-page suites (solo, concurrent, update-load, tiled, aggregate; in process) and write {name: row} JSON to this file ('-' for stdout)")
+		compare   = flag.Bool("compare", false, "compare two benchmark JSON files (args: old.json new.json); exits 1 if new regresses pages/op or simns/op beyond -tolerance")
+		tolerance = flag.Float64("tolerance", 0.01, "relative regression tolerance for -compare")
+		section   = flag.String("baseline-section", "", "section of a multi-section baseline file to compare against (default: newest recorded)")
 	)
 	flag.Parse()
 
 	if *benchJSON != "" {
 		runBenchJSON(*benchJSON)
-		return
-	}
-	if *updateLoad {
-		runUpdateLoad()
 		return
 	}
 	if *compare {
@@ -85,28 +77,6 @@ func main() {
 			nq = *queries
 		}
 		runMetricsDemo(side, nq, *asJSON)
-		return
-	}
-
-	if *workers > 0 {
-		side := 256
-		nq := 32
-		if *full {
-			side, nq = 512, 64
-		}
-		if *queries > 0 {
-			nq = *queries
-		}
-		rep, err := bench.ParallelSpeedup(side, *workers, nq, 42)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			emitJSON(rep)
-			return
-		}
-		fmt.Print(rep.Table())
 		return
 	}
 
@@ -184,55 +154,14 @@ func main() {
 	}
 }
 
-// runBenchJSON measures the deterministic value-range suite — the solo rows,
-// the concurrent (batched) rows, the update-load rows, the large-terrain
-// tiled rows, and the aggregate exact-vs-approx rows — and writes them as one
-// flat JSON map, the format -compare consumes as either side.
+// runBenchJSON measures the deterministic simulated-page suites and writes
+// their rows as one flat JSON map, the format -compare consumes as either
+// side.
 func runBenchJSON(path string) {
-	rows, err := bench.ValueRangeMeasure()
+	rows, err := bench.Measure()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	conc, err := bench.ConcurrentMeasure()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for name, row := range conc {
-		rows[name] = row
-	}
-	upd, err := bench.UpdateLoadMeasure()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for name, row := range upd {
-		rows[name] = row
-	}
-	tiled, err := bench.TiledMeasure(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for name, row := range tiled {
-		rows[name] = row
-	}
-	agg, err := bench.AggregateMeasure(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for name, row := range agg {
-		rows[name] = row
-	}
-	served, err := serve.ServeLoadMeasure()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for name, row := range served {
-		rows[name] = row
 	}
 	b, err := bench.MarshalIndent(rows)
 	if err != nil {
@@ -243,30 +172,9 @@ func runBenchJSON(path string) {
 		os.Stdout.Write(b)
 		return
 	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-}
-
-// runUpdateLoad prints the deterministic live-update suite as a table: the
-// commit cost of update batches per method, and the per-query read cost while
-// batches commit every few queries.
-func runUpdateLoad() {
-	rows, err := bench.UpdateLoadMeasure()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	names := make([]string, 0, len(rows))
-	for name := range rows {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Printf("%-40s %12s %12s %12s\n", "row", "pages/op", "simms/op", "qps(sim)")
-	for _, name := range names {
-		r := rows[name]
-		fmt.Printf("%-40s %12.1f %12.3f %12.1f\n", name, r.PagesOp, r.SimNsOp/1e6, r.QPSSim)
 	}
 }
 

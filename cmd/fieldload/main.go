@@ -34,14 +34,14 @@ func main() {
 		intervals  = flag.Int("intervals", 32, "distinct intervals in the zipf pool (small pools model hot queries)")
 		pointEvery = flag.Int("point-every", 8, "one point query per this many requests (negative disables)")
 		aggregate  = flag.Int("aggregate", 0, "one approximate aggregate query per this many requests (0 disables)")
-		wire       = flag.String("wire", serve.WireJSON, "response encoding: json | bin (binary negotiates Accept: "+serve.WireMIME+")")
+		wire       = flag.String("wire", WireJSON, "response encoding: json | bin (binary negotiates Accept: "+serve.WireMIME+")")
 		geometry   = flag.Bool("geometry", false, "request region geometry on range queries (?geometry=1)")
 		transports = flag.Int("transports", 1, "shard connections across this many HTTP transports (spreads pool contention at thousands of connections)")
 		asJSON     = flag.Bool("json", false, "emit the report as JSON")
 	)
 	flag.Parse()
 
-	rep, err := serve.RunLoad(serve.LoadOptions{
+	rep, err := RunLoad(LoadOptions{
 		BaseURL:        *url,
 		Field:          *field,
 		Connections:    *conns,

@@ -1,0 +1,26 @@
+package fielddb
+
+import (
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestProductionImportsNoMeasurement keeps imports leaf-ward: the library,
+// the serving tier and the commands that ship build without either measuring
+// system (internal/bench, benchmark/). The instruments import production code,
+// never the reverse.
+func TestProductionImportsNoMeasurement(t *testing.T) {
+	production := []string{".", "./internal/serve", "./cmd/fieldserve", "./cmd/fieldquery", "./cmd/fieldgen"}
+	for _, pkg := range production {
+		out, err := exec.Command("go", "list", "-deps", pkg).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v\n%s", pkg, err, out)
+		}
+		for _, dep := range strings.Fields(string(out)) {
+			if dep == "fielddb/internal/bench" || dep == "fielddb/benchmark" {
+				t.Errorf("%s imports %s", pkg, dep)
+			}
+		}
+	}
+}

@@ -28,14 +28,6 @@ type Row struct {
 	// coalescing the shared scan achieved. Unlike the cost metrics it is
 	// higher-is-better, and the gate fails when it drops.
 	QPSSim float64 `json:"qps_sim,omitempty"`
-	// QPS and the latency quantiles are the wall-clock outputs of the
-	// serving-tier load rows (ServeLoad/...): end-to-end HTTP throughput and
-	// per-request latency. Like NsOp they measure the host and are recorded
-	// for trend reading only — the regression gate never compares them.
-	QPS   float64 `json:"qps,omitempty"`
-	P50Ns float64 `json:"p50_ns,omitempty"`
-	P95Ns float64 `json:"p95_ns,omitempty"`
-	P99Ns float64 `json:"p99_ns,omitempty"`
 	// ErrBound and ErrTrue record the aggregate tier's error curve: the mean
 	// certified fraction bound the summary promises and the mean true error
 	// the answers actually made (always ≤ ErrBound, cross-checked inside the
@@ -43,6 +35,30 @@ type Row struct {
 	// for the error/cost trade-off narrative, not gated.
 	ErrBound float64 `json:"err_bound,omitempty"`
 	ErrTrue  float64 `json:"err_true,omitempty"`
+}
+
+// Measure runs every suite of the simulated-page gate — solo, concurrent
+// (batched), update-load, large-terrain tiled, aggregate exact-vs-approx —
+// in process and returns their rows as one map: what `fieldbench -bench-json`
+// writes and `-compare` reads back as either side.
+func Measure() (map[string]Row, error) {
+	rows := map[string]Row{}
+	for _, suite := range []func() (map[string]Row, error){
+		ValueRangeMeasure,
+		ConcurrentMeasure,
+		UpdateLoadMeasure,
+		func() (map[string]Row, error) { return TiledMeasure(0) },
+		func() (map[string]Row, error) { return AggregateMeasure(0) },
+	} {
+		part, err := suite()
+		if err != nil {
+			return nil, err
+		}
+		for name, row := range part {
+			rows[name] = row
+		}
+	}
+	return rows, nil
 }
 
 // ValueRangeMeasure runs the deterministic value-range suite — the exact

@@ -7,10 +7,9 @@ import (
 )
 
 // The deterministic benchmark fixture. Every suite — the solo value-range
-// rotation, the concurrent batches, the update-load interleave, the
-// refinement-parallelism table, and the figure experiments — measures the
-// same fractal terrain, so rows compare one dataset across suites and across
-// baseline sections.
+// rotation, the concurrent batches, the update-load interleave and the figure
+// experiments — measures the same fractal terrain, so rows compare one
+// dataset across suites and across baseline sections.
 const (
 	// FixtureSide is the default terrain edge in cells (the paper's 256×256
 	// evaluation grid).

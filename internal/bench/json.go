@@ -47,8 +47,8 @@ func (r *Report) JSON() ReportJSON {
 	return out
 }
 
-// MarshalIndent renders any bench result value (ReportJSON, ParallelReport,
-// or a slice of either) as indented JSON with a trailing newline.
+// MarshalIndent renders any bench result value (ReportJSON or a slice of
+// them, a row map) as indented JSON with a trailing newline.
 func MarshalIndent(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"fielddb"
-	"fielddb/internal/bench"
 )
 
 // BenchmarkServeRange measures end-to-end handler allocations on the range
 // endpoint (no network, recorder reused via ServeHTTP on the mux).
 func BenchmarkServeRange(b *testing.B) {
-	f, err := bench.FixtureTerrain(64, 5)
+	f, err := fielddb.TerrainDEM(64, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func BenchmarkServeRange(b *testing.B) {
 
 // BenchmarkServeRangeGeometry is the same drive with geometry payloads on.
 func BenchmarkServeRangeGeometry(b *testing.B) {
-	f, err := bench.FixtureTerrain(64, 5)
+	f, err := fielddb.TerrainDEM(64, 5)
 	if err != nil {
 		b.Fatal(err)
 	}

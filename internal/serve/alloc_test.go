@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fielddb"
-	"fielddb/internal/bench"
 )
 
 // discardRW is a ResponseWriter that throws the body away — the encode path
@@ -144,7 +143,7 @@ func TestEncodeAllocsScaleFree(t *testing.T) {
 // cover (the handler benchmarks in alloc_bench_test.go measure end to end,
 // which is engine-dominated).
 func BenchmarkEncodeResultEnvelope(b *testing.B) {
-	f, err := bench.FixtureTerrain(64, 5)
+	f, err := fielddb.TerrainDEM(64, 5)
 	if err != nil {
 		b.Fatal(err)
 	}

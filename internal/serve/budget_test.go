@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fielddb"
-	"fielddb/internal/bench"
 )
 
 // TestServeFieldBudgetStarvation is the isolation property of per-field
@@ -19,7 +18,7 @@ import (
 // error rate. Afterwards every gauge must return to zero and a drain must
 // still be zero-drop.
 func TestServeFieldBudgetStarvation(t *testing.T) {
-	f, err := bench.FixtureTerrain(32, 5)
+	f, err := fielddb.TerrainDEM(32, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

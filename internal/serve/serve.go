@@ -265,9 +265,11 @@ func (s *Server) deadline(c *codec, w http.ResponseWriter, r *http.Request, bin 
 			writeFail(c, w, bin, http.StatusBadRequest, "timeout_ms must be a positive integer")
 			return nil, nil, false
 		}
-		timeout = time.Duration(ms) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		// Cap in milliseconds: multiplying first lets a large timeout_ms
+		// overflow into a negative, already-expired duration.
+		timeout = s.cfg.MaxTimeout
+		if int64(ms) < timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -811,26 +813,35 @@ type batchView struct {
 	PagesSaved      int   `json:"pages_saved"`
 }
 
-// maxBatchBody bounds the /batch and /update request bodies.
+// maxBatchBody bounds the /batch, /update and /v1/and request bodies.
 const maxBatchBody = 8 << 20
+
+// decodeBody reads a POST body through the pooled reader, bounded by
+// maxBatchBody, and decodes it strictly into v; it is false after a 400
+// naming the body kind was written.
+func decodeBody(c *codec, w http.ResponseWriter, r *http.Request, bin bool, kind string, v any) bool {
+	body, err := c.readBody(r.Body, maxBatchBody)
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	if err != nil {
+		writeFail(c, w, bin, http.StatusBadRequest, "malformed "+kind+" body: "+err.Error())
+		return false
+	}
+	return true
+}
 
 func (s *Server) handleBatch(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
 	f, name, ok := s.field(c, w, r, bin)
 	if !ok {
 		return
 	}
-	body, err := c.readBody(r.Body, maxBatchBody)
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed batch body: "+err.Error())
-		return
-	}
 	// Decode into the pooled pair slice: Unmarshal reuses its capacity, so a
 	// steady stream of batches stops allocating interval storage.
 	req := batchRequest{Intervals: c.pairs[:0]}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed batch body: "+err.Error())
+	if !decodeBody(c, w, r, bin, "batch", &req) {
 		return
 	}
 	c.pairs = req.Intervals
@@ -884,16 +895,8 @@ func (s *Server) handleUpdate(c *codec, w http.ResponseWriter, r *http.Request, 
 			fmt.Sprintf("field %q is read-only (not a live database)", name))
 		return
 	}
-	body, err := c.readBody(r.Body, maxBatchBody)
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed update body: "+err.Error())
-		return
-	}
 	var req updateRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed update body: "+err.Error())
+	if !decodeBody(c, w, r, bin, "update", &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -928,10 +931,7 @@ type andRequest struct {
 
 func (s *Server) handleAnd(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
 	var req andRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed and body: "+err.Error())
+	if !decodeBody(c, w, r, bin, "and", &req) {
 		return
 	}
 	qs := make([]fielddb.Querier, len(req.Conditions))
