@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate bench-smoke bench-compare
+.PHONY: check build vet fmt test race cover alloc-gate bench-compare
 
-check: build vet fmt race cover alloc-gate bench-smoke bench-compare
+check: build vet fmt race cover alloc-gate bench-compare
 
 build:
 	$(GO) build ./...
@@ -46,12 +46,6 @@ cover:
 # allocation counts — so `make race` skips it and this target runs it plain.
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
-
-# One-iteration pass over the value-range benchmarks: catches bit-rot in the
-# benchmark harness without measuring anything (use `go test -bench` with a
-# real -benchtime for numbers; see BENCH_BASELINE.json).
-bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkValueRange -benchtime 1x .
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # in-process suites (solo, concurrent, update-load, tiled, aggregate — one

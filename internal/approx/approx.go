@@ -551,14 +551,6 @@ func EvalEncoded(buf []byte, lo, hi float64) (Estimate, error) {
 	return e, nil
 }
 
-// Totals reads the exact fit-time totals from an encoded summary.
-func Totals(buf []byte) (n, totalArea float64, err error) {
-	if err := checkHeader(buf); err != nil {
-		return 0, 0, err
-	}
-	return f64at(buf, 8), f64at(buf, 16), nil
-}
-
 // Widen reads the widening accumulators from an encoded summary (or its
 // first page — the fields live in the header).
 func Widen(buf []byte) (count, area float64) {

@@ -117,19 +117,6 @@ func readSummary(qc *storage.QueryCtx, first storage.PageID, pages int) ([]byte,
 	return buf, nil
 }
 
-// addStats sums two per-query activity snapshots (the summary probe and the
-// exact fallback pipeline run under one aggregate query).
-func addStats(a, b storage.Stats) storage.Stats {
-	return storage.Stats{
-		Reads:      a.Reads + b.Reads,
-		SeqReads:   a.SeqReads + b.SeqReads,
-		RandReads:  a.RandReads + b.RandReads,
-		Writes:     a.Writes + b.Writes,
-		CacheHits:  a.CacheHits + b.CacheHits,
-		SimElapsed: a.SimElapsed + b.SimElapsed,
-	}
-}
-
 // recordAggregate folds one answered aggregate query into the metrics
 // registry.
 func (o *observed) recordAggregate(fallback bool) {
@@ -220,7 +207,7 @@ func (sh *shell) aggregateSummary(qc *storage.QueryCtx, q geom.Interval, maxErr 
 	res = exactToResult(q, maxErr, ex, cells, est.TotalArea)
 	res.TotalCells = est.N
 	res.Fallback = true
-	res.IO = addStats(sumIO, ex.IO)
+	res.IO = sumIO.Add(ex.IO)
 	sh.recordIO(sumIO, 0, sumIO)
 	sh.recordAggregate(true)
 	return res, nil
@@ -378,7 +365,7 @@ func (t *TiledIndex) aggregateAt(s *state, ctx context.Context, tb *obs.TraceBui
 		t.recordAggregate(false)
 		return res, nil
 	}
-	exact := func() (*Result, error) { return t.queryAt(s, ctx, tb, q, nil) }
+	exact := func() (*Result, error) { return t.queryAt(s, ctx, tb, q) }
 	if t.sumPages == 0 {
 		// No global summary pages to consult.
 		qc.EndSpan()

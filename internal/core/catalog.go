@@ -205,15 +205,13 @@ func readCodecTail(r *byteReader, sidecarPages int) (codec string, firstPos []ui
 	if r.err != nil || codecLen > 64 {
 		return "", nil, fmt.Errorf("corrupt sidecar codec")
 	}
-	name := make([]byte, codecLen)
-	r.bytes(name)
-	codec = string(name)
+	codec = string(r.take(codecLen))
 	if codec != "" && !storage.ValidSidecarCodec(codec) {
 		return "", nil, fmt.Errorf("unknown sidecar codec %q", codec)
 	}
 	if codec == storage.SidecarCodecPacked {
 		n := int(r.u64())
-		if r.err != nil || n != sidecarPages {
+		if r.err != nil || n != sidecarPages || !r.fits(n, 4) {
 			return "", nil, fmt.Errorf("corrupt packed sidecar directory")
 		}
 		firstPos = make([]uint32, n)
@@ -315,8 +313,11 @@ func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, erro
 }
 
 // catalogHeaderLen is the fixed catalog prefix every layout shares: magic,
-// version, tile count.
-const catalogHeaderLen = 12
+// version, tile count. groupMetaLen is one encoded group of the untiled body.
+const (
+	catalogHeaderLen = 12
+	groupMetaLen     = 3*8 + 2*4 + 2*8
+)
 
 // checkCatalogHeader validates a catalog blob's magic and version — the gate
 // in front of both decoders, so neither interprets a layout it was not
@@ -345,6 +346,9 @@ func catalogTileCount(blob []byte) int {
 // of numPages pages holding cells records, rejecting positions that do not
 // start at 0 and ascend strictly below cells.
 func readPageFirstPositions(r *byteReader, numPages, cells int) ([]int, error) {
+	if !r.fits(numPages, 4) {
+		return nil, r.err
+	}
 	firstPos := make([]int, numPages)
 	for i := range firstPos {
 		firstPos[i] = int(r.u32())
@@ -385,12 +389,10 @@ func openSidecarAs(pager *storage.Pager, codec string, first storage.PageID, pag
 // checkCatalogHeader accepted, and opens the index it describes over pager.
 func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	r := &byteReader{buf: blob, off: catalogHeaderLen}
-	methodLen := int(r.u16())
-	method := make([]byte, methodLen)
-	r.bytes(method)
+	method := string(r.take(int(r.u16())))
 	cells := int(r.u64())
 	numPages := int(r.u64())
-	if r.err != nil || cells < 0 || numPages <= 0 || numPages > 1<<28 {
+	if numPages <= 0 || numPages > 1<<28 || !r.fits(numPages, 4) {
 		return nil, fmt.Errorf("corrupt catalog header")
 	}
 	// Only a curve-ordered partition without a planner has this layout.
@@ -406,7 +408,7 @@ func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	treeNodes := int(r.u32())
 	treeHeight := int(r.u32())
 	numGroups := int(r.u64())
-	if r.err != nil || numGroups <= 0 || numGroups > cells {
+	if numGroups <= 0 || numGroups > cells || !r.fits(numGroups, groupMetaLen) {
 		return nil, fmt.Errorf("corrupt catalog group count")
 	}
 	groups := make([]groupMeta, numGroups)
@@ -435,6 +437,9 @@ func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	}
 	if r.err == nil && pos != cells {
 		return nil, fmt.Errorf("catalog groups cover %d of %d cells", pos, cells)
+	}
+	if !r.fits(cells, 4) {
+		return nil, fmt.Errorf("catalog truncated")
 	}
 	order := make([]field.CellID, cells)
 	for i := range order {
@@ -496,32 +501,57 @@ func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	}
 	m.bind(p)
 	ix := &valueIndex{partition: p}
-	ix.label, ix.pager, ix.parts = string(method), pager, []*partition{p}
+	ix.label, ix.pager, ix.parts = method, pager, []*partition{p}
 	ix.sumFirst, ix.sumPages = sumFirst, sumPages
 	return newExecutor(ix, &state{epoch: epoch, tree: tree, groups: groups}), nil
 }
 
+// byteReader is a bounds-checked cursor over the catalog blob — bytes read
+// from a file, so every length prefix in them may be a lie. A short read sets
+// the sticky err and allocates nothing.
 type byteReader struct {
 	buf []byte
 	off int
 	err error
 }
 
+// take returns the next n bytes, or nil after a short read.
 func (r *byteReader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.buf) {
+	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
 		r.err = fmt.Errorf("catalog short read")
-		return make([]byte, n)
+		return nil
 	}
 	out := r.buf[r.off : r.off+n]
 	r.off += n
 	return out
 }
 
-func (r *byteReader) bytes(dst []byte) { copy(dst, r.take(len(dst))) }
-func (r *byteReader) u16() uint16      { return binary.LittleEndian.Uint16(r.take(2)) }
-func (r *byteReader) u32() uint32      { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *byteReader) u64() uint64      { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *byteReader) f64() float64     { return math.Float64frombits(r.u64()) }
+// fits reports whether the rest of the blob can hold n elements of at least
+// size encoded bytes each, failing the reader when it cannot: the gate in
+// front of every allocation sized by a count read out of the blob.
+func (r *byteReader) fits(n, size int) bool {
+	if r.err == nil && (n < 0 || n > (len(r.buf)-r.off)/size) {
+		r.err = fmt.Errorf("catalog count %d exceeds the blob", n)
+	}
+	return r.err == nil
+}
+
+// scalar returns the next n ≤ 8 bytes; after a short read it answers the
+// shared zeros (never written), so the fixed-width decoders need no error
+// branch of their own.
+func (r *byteReader) scalar(n int) []byte {
+	if b := r.take(n); b != nil {
+		return b
+	}
+	return zeroScalar[:n]
+}
+
+var zeroScalar [8]byte
+
+func (r *byteReader) u16() uint16  { return binary.LittleEndian.Uint16(r.scalar(2)) }
+func (r *byteReader) u32() uint32  { return binary.LittleEndian.Uint32(r.scalar(4)) }
+func (r *byteReader) u64() uint64  { return binary.LittleEndian.Uint64(r.scalar(8)) }
+func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func writeU16(b *bytes.Buffer, v uint16) {
 	var tmp [2]byte

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"fielddb/internal/field"
@@ -217,5 +219,87 @@ func TestApproxQuery(t *testing.T) {
 	}
 	if again.CellsUpperBound != approx.CellsUpperBound || math.Abs(again.AvgValue-approx.AvgValue) > 1e-12 {
 		t.Fatalf("approx changed across roundtrip: %+v vs %+v", again, approx)
+	}
+}
+
+// TestCatalogHostileCounts: every count in a catalog is read out of a file, so
+// a lying one must fail Open with an error — not size an allocation. Each row
+// is a well-formed superblock over a catalog whose header passes
+// checkCatalogHeader and whose body claims far more elements than its bytes
+// can hold; the last is a real catalog cut short.
+func TestCatalogHostileCounts(t *testing.T) {
+	le := binary.LittleEndian
+	head := func(tiles uint32, method string) []byte {
+		b := le.AppendUint32(append([]byte(nil), catalogMagic[:]...), catalogVersion)
+		b = le.AppendUint32(b, tiles)
+		return append(le.AppendUint16(b, uint16(len(method))), method...)
+	}
+	// Untiled: cells = groups = 1<<40 over one heap page.
+	untiled := le.AppendUint64(head(0, "I-Hilbert"), 1<<40)
+	untiled = le.AppendUint32(le.AppendUint64(untiled, 1), 0)
+	untiled = append(untiled, make([]byte, 12)...) // tree root, nodes, height
+	untiled = le.AppendUint64(untiled, 1<<40)
+	// Tiled: 1<<30 cells (the largest the header admits) in one tile.
+	tiledHead := func(cells uint64) []byte {
+		b := le.AppendUint16(head(1, "LinearScan"), 0) // no codec
+		b = le.AppendUint32(b, 64)                     // tile side
+		return le.AppendUint64(le.AppendUint64(b, cells), 0)
+	}
+	// Tiled: a plausible header, then a tile of one cell on 1<<28 heap pages.
+	tiledPages := append(tiledHead(1), make([]byte, 48)...) // MBR, value summary
+	tiledPages = le.AppendUint32(le.AppendUint64(tiledPages, 1), 0)
+	tiledPages = le.AppendUint64(tiledPages, 1<<28)
+	tiledPages = append(tiledPages, make([]byte, minTileLen)...)
+
+	ps := storage.DefaultPageSize
+	dir := t.TempDir()
+	write := func(name string, blob []byte) string {
+		raw := make([]byte, 3*ps) // a heap page, the catalog page, the superblock
+		copy(raw[ps:], blob)
+		super := raw[2*ps:]
+		copy(super, superblockMagic[:])
+		le.PutUint32(super[4:], catalogVersion)
+		le.PutUint32(super[8:], 1)  // catalog start
+		le.PutUint32(super[12:], 1) // catalog pages
+		le.PutUint64(super[16:], uint64(len(blob)))
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Truncated: a saved index whose superblock declares half its catalog.
+	built, _ := buildIx(testDEM(t, 8, 0.5), newPager(), BuildOptions{Method: MethodIHilbert})
+	truncated := filepath.Join(dir, "truncated")
+	if err := built.SaveFile(truncated); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(truncated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobLen := raw[len(raw)-ps+16 : len(raw)-ps+24]
+	le.PutUint64(blobLen, le.Uint64(blobLen)/2)
+	if err := os.WriteFile(truncated, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ name, path string }{
+		{"untiled cells and groups", write("untiled", untiled)},
+		{"tiled cells", write("tiled-cells", tiledHead(1<<30))},
+		{"tiled heap pages", write("tiled-pages", tiledPages)},
+		{"truncated", truncated},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		eng, err := Open(tc.path, OpenFileOptions{})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			eng.Close()
+			t.Errorf("%s: hostile catalog opened", tc.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Open allocated %d bytes before refusing", tc.name, grew)
+		}
 	}
 }

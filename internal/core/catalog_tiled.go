@@ -102,29 +102,31 @@ func (t *TiledIndex) encodeTiledCatalog() []byte {
 	return b.Bytes()
 }
 
+// minTileLen is the smallest encoded tile: MBR, value summary, the two counts
+// with one cell id and one heap page, the sidecar geometry, and its area in
+// the aggregate tail.
+const minTileLen = 4*8 + 2*8 + (8 + 4) + (8 + 4) + 2*4 + 8
+
 // decodeTiledCatalog decodes the tiled directory of a catalog blob whose
 // header checkCatalogHeader accepted, and opens the planner it describes over
 // pager.
 func decodeTiledCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	r := &byteReader{buf: blob, off: catalogHeaderLen}
 	numTiles := catalogTileCount(blob)
-	methodLen := int(r.u16())
-	method := make([]byte, methodLen)
-	r.bytes(method)
-	if Method(method) != MethodLinearScan {
+	if method := string(r.take(int(r.u16()))); Method(method) != MethodLinearScan {
 		return nil, fmt.Errorf("tiled catalog has unsupported inner method %q", method)
 	}
-	codecLen := int(r.u16())
-	codecBytes := make([]byte, codecLen)
-	r.bytes(codecBytes)
-	codec := string(codecBytes)
+	codec := string(r.take(int(r.u16())))
 	if codec != "" && !storage.ValidSidecarCodec(codec) {
 		return nil, fmt.Errorf("unknown sidecar codec %q", codec)
 	}
 	tileSide := int(r.u32())
 	cells := int(r.u64())
 	epoch := r.u64()
-	if r.err != nil || numTiles <= 0 || numTiles > cells || tileSide < 2 || cells <= 0 || cells > 1<<30 {
+	// Every cell id is a u32 somewhere in the directory, and every tile a
+	// record of at least minTileLen bytes.
+	if numTiles <= 0 || numTiles > cells || tileSide < 2 || cells <= 0 || cells > 1<<30 ||
+		!r.fits(cells, 4) || !r.fits(numTiles, minTileLen) {
 		return nil, fmt.Errorf("corrupt tiled catalog header")
 	}
 	pager.SetEpoch(epoch)
@@ -142,7 +144,7 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 		}
 		iv := geom.Interval{Lo: r.f64(), Hi: r.f64()}
 		ncells := int(r.u64())
-		if r.err != nil || ncells <= 0 || ncells > cells {
+		if ncells <= 0 || ncells > cells || !r.fits(ncells, 4) {
 			return nil, fmt.Errorf("corrupt tile %d header", ti)
 		}
 		ids := make([]field.CellID, ncells)
@@ -157,7 +159,7 @@ func decodeTiledCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 			}
 		}
 		numPages := int(r.u64())
-		if r.err != nil || numPages <= 0 || numPages > 1<<28 {
+		if numPages <= 0 || numPages > 1<<28 || !r.fits(numPages, 4) {
 			return nil, fmt.Errorf("corrupt tile %d heap geometry", ti)
 		}
 		heapPages := make([]storage.PageID, numPages)

@@ -370,11 +370,8 @@ func (a *tileArena) rec(i int) []byte { return a.buf[a.refs[i].off:a.refs[i].end
 
 // gatherArenas folds the survivors of every arena into res in ascending
 // parent cell id order — the untiled LinearScan's fold order. Cells belong
-// to exactly one tile, so parent ids never tie across arenas. A non-nil rect
-// additionally drops cells whose bounds miss it (the spatial-conjunction
-// path); survivors were selected by value only, so the rect test runs here
-// on the decoded geometry.
-func gatherArenas(res *Result, arenas []tileArena, rect *geom.Rect) error {
+// to exactly one tile, so parent ids never tie across arenas.
+func gatherArenas(res *Result, arenas []tileArena) error {
 	type slot struct {
 		parent field.CellID
 		ai     int32
@@ -397,9 +394,6 @@ func gatherArenas(res *Result, arenas []tileArena, rect *geom.Rect) error {
 		if err := field.DecodeCell(arenas[sl.ai].rec(int(sl.ri)), &c); err != nil {
 			return err
 		}
-		if rect != nil && !c.Bounds().Intersects(*rect) {
-			continue
-		}
 		rs.estimateMatched(&c)
 	}
 	return nil
@@ -413,28 +407,12 @@ func (t *TiledIndex) Query(q geom.Interval) (*Result, error) {
 // QueryContext implements Engine: ctx is polled inside every tile scan, so a
 // canceled query stops mid-scatter.
 func (t *TiledIndex) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	return t.query(ctx, q, nil)
-}
-
-// QueryRect answers the conjunction of a value query and a spatial window:
-// the value-query answer restricted to cells whose bounds intersect r. Tiles
-// are pruned by value summary AND tile MBR, so a window covering few tiles
-// scans few tiles no matter how common the value range is. Regions are the
-// matching cells' full band polygons (not clipped to r).
-func (t *TiledIndex) QueryRect(ctx context.Context, q geom.Interval, r geom.Rect) (*Result, error) {
-	return t.query(ctx, q, &r)
-}
-
-func (t *TiledIndex) query(ctx context.Context, q geom.Interval, rect *geom.Rect) (*Result, error) {
 	if q.IsEmpty() {
 		return nil, errEmptyQuery
 	}
-	if rect != nil && rect.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query window")
-	}
 	tb, start := t.startQuery(t.label, obs.KindValue, q.Lo, q.Hi)
 	s := t.pinState()
-	res, err := t.queryAt(s, ctx, tb, q, rect)
+	res, err := t.queryAt(s, ctx, tb, q)
 	t.unpin(s)
 	t.endQuery(tb, start, err)
 	return res, err
@@ -442,7 +420,7 @@ func (t *TiledIndex) query(ctx context.Context, q geom.Interval, rect *geom.Rect
 
 // queryAt runs the scatter-gather pipeline against one pinned state. The
 // caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, rect *geom.Rect) (*Result, error) {
+func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
 	qc := beginQueryAt(t.pager, s.epoch)
 	defer qc.Release()
 	qc.AttachTrace(tb)
@@ -452,13 +430,9 @@ func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder
 	qc.BeginSpan(obs.PhaseTilePrune)
 	residual := make([]int, 0, len(t.tiles))
 	for ti := range t.tiles {
-		if !s.vr[ti].Intersects(q) {
-			continue
+		if s.vr[ti].Intersects(q) {
+			residual = append(residual, ti)
 		}
-		if rect != nil && !t.tiles[ti].mbr.Intersects(*rect) {
-			continue
-		}
-		residual = append(residual, ti)
 	}
 	qc.EndSpan()
 	pruned := len(t.tiles) - len(residual)
@@ -515,7 +489,7 @@ func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder
 	// Gather: sort, full decode and refinement of every survivor — CPU only,
 	// so the span's page counts stay zero.
 	qc.BeginSpan(obs.PhaseRefine)
-	if err := gatherArenas(res, arenas, rect); err != nil {
+	if err := gatherArenas(res, arenas); err != nil {
 		return nil, err
 	}
 	qc.EndSpan()

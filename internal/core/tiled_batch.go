@@ -127,7 +127,7 @@ func (t *TiledIndex) batchTiles(s *state, ms []batchMember, phys *storage.QueryC
 			continue
 		}
 		m.qc.BeginSpan(obs.PhaseRefine)
-		if err := gatherArenas(m.res, arenas[i:i+1], nil); err != nil {
+		if err := gatherArenas(m.res, arenas[i:i+1]); err != nil {
 			m.err = err
 		}
 	}

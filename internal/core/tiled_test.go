@@ -214,42 +214,6 @@ func TestTiledPruning(t *testing.T) {
 	}
 }
 
-// TestTiledQueryRect: the MBR prune of the spatial-conjunction path scans
-// only tiles intersecting the window and filters survivors by cell bounds.
-func TestTiledQueryRect(t *testing.T) {
-	f := testDEM(t, 64, 0.7)
-	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met := obs.NewMetrics()
-	ti.SetObserver(obs.Observer{Metrics: met})
-	vr := f.ValueRange()
-	q := geom.Interval{Lo: vr.Lo, Hi: vr.Hi} // every cell matches by value
-	// A window inside the first 16×16 tile.
-	r := geom.RectFromPoints(geom.Pt(2, 2), geom.Pt(10, 10))
-	res, err := ti.QueryRect(context.Background(), q, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := met.Snapshot()
-	if snap.TilesScanned != 1 {
-		t.Errorf("window inside one tile scanned %d tiles", snap.TilesScanned)
-	}
-	// Reference: brute force over the field with the same conjunction.
-	wantMatched := 0
-	var c field.Cell
-	for id := 0; id < f.NumCells(); id++ {
-		f.Cell(field.CellID(id), &c)
-		if c.Interval().Intersects(q) && c.Bounds().Intersects(r) {
-			wantMatched++
-		}
-	}
-	if res.CellsMatched != wantMatched {
-		t.Errorf("CellsMatched = %d, want %d", res.CellsMatched, wantMatched)
-	}
-}
-
 // TestTiledUpdates: updates route to the owning tiles, commit as one epoch,
 // keep answers identical to a fresh untiled build on the mutated field, and
 // leave pinned snapshots reading the pre-update state.

@@ -106,14 +106,6 @@ func (iv Interval) Intersect(other Interval) Interval {
 	return out
 }
 
-// Expand returns iv grown by eps on both ends.
-func (iv Interval) Expand(eps float64) Interval {
-	if iv.IsEmpty() {
-		return iv
-	}
-	return Interval{iv.Lo - eps, iv.Hi + eps}
-}
-
 // String implements fmt.Stringer.
 func (iv Interval) String() string {
 	if iv.IsEmpty() {

@@ -1,258 +1,39 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// MaxAdmissionFields bounds the per-field slot table of an AdmissionMetrics
-// registry, mirroring MaxMethods: a server exposes a handful of named fields,
-// and slots past the bound fall into the shared overflow behaviour of
-// RegisterField.
-const MaxAdmissionFields = 64
-
-// AdmissionMetrics is the serving tier's admission-control registry: one slot
-// per served field, each carrying token-budget occupancy and outcome
-// counters, plus the shared overflow pool's own accounting. Like Metrics, all
-// recording paths are atomic and allocation-free — admission runs on every
-// request, so the registry must not distort the hot path it measures — and
-// every method is a no-op (or zero answer) on a nil receiver.
-//
-// The model it measures: each field owns Budget tokens; a field whose budget
-// is exhausted borrows from a shared Overflow pool before shedding 429, so
-// one hot field can saturate at most its budget plus the overflow while cold
-// fields keep their own tokens. Cross-field requests (/v1/and) draw from the
-// overflow pool directly.
-type AdmissionMetrics struct {
-	mu    sync.Mutex // guards names (registration only)
-	names []string
-
-	budget   int64 // per-field token budget (config, set once)
-	overflow int64 // shared overflow pool size (config, set once)
-
-	// Per-field counters and the budget-occupancy gauge.
-	admitted  [MaxAdmissionFields]atomic.Int64 // admitted on the field's own budget
-	borrowed  [MaxAdmissionFields]atomic.Int64 // admitted on a borrowed overflow token
-	shed      [MaxAdmissionFields]atomic.Int64 // refused with 429
-	degraded  [MaxAdmissionFields]atomic.Int64 // answered approximately past the budget
-	occupancy [MaxAdmissionFields]atomic.Int64 // budget tokens currently held
-
-	// Overflow pool: current occupancy (tokens lent to fields plus
-	// cross-field requests), cross-field admissions, and cross-field sheds.
-	overflowInUse   atomic.Int64
-	sharedAdmitted  atomic.Int64
-	sharedShed      atomic.Int64
-	drainingRefused atomic.Int64
-}
-
-// NewAdmissionMetrics returns a registry reporting the given per-field budget
-// and overflow pool size.
-func NewAdmissionMetrics(budget, overflow int) *AdmissionMetrics {
-	return &AdmissionMetrics{budget: int64(budget), overflow: int64(overflow)}
-}
-
-// RegisterField returns the slot for a field name, creating it on first use.
-// Registration is idempotent per name; it returns -1 — a slot every recording
-// method ignores — when m is nil or the table is full.
-func (m *AdmissionMetrics) RegisterField(name string) int {
-	if m == nil {
-		return -1
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, n := range m.names {
-		if n == name {
-			return i
-		}
-	}
-	if len(m.names) >= MaxAdmissionFields {
-		return -1
-	}
-	m.names = append(m.names, name)
-	return len(m.names) - 1
-}
-
-// validSlot reports whether slot addresses a per-field counter row.
-func validSlot(slot int) bool { return slot >= 0 && slot < MaxAdmissionFields }
-
-// RecordAdmit counts one admission on slot's own budget and raises its
-// occupancy gauge.
-func (m *AdmissionMetrics) RecordAdmit(slot int) {
-	if m == nil || !validSlot(slot) {
-		return
-	}
-	m.admitted[slot].Add(1)
-	m.occupancy[slot].Add(1)
-}
-
-// RecordRelease lowers slot's budget-occupancy gauge when its token returns.
-func (m *AdmissionMetrics) RecordRelease(slot int) {
-	if m == nil || !validSlot(slot) {
-		return
-	}
-	m.occupancy[slot].Add(-1)
-}
-
-// RecordBorrow counts one admission of slot's field on a borrowed overflow
-// token and raises the overflow-occupancy gauge.
-func (m *AdmissionMetrics) RecordBorrow(slot int) {
-	if m == nil {
-		return
-	}
-	m.overflowInUse.Add(1)
-	if validSlot(slot) {
-		m.borrowed[slot].Add(1)
-	}
-}
-
-// RecordShed counts one 429 refused on slot's field.
-func (m *AdmissionMetrics) RecordShed(slot int) {
-	if m == nil || !validSlot(slot) {
-		return
-	}
-	m.shed[slot].Add(1)
-}
-
-// RecordDegrade counts one aggregate request on slot's field that ran
-// token-free in degraded mode — answered approximately with any certified
-// bound — because the budget and overflow pool were exhausted and the server
-// degrades instead of shedding (Config.DegradeToApprox in the serving tier).
-func (m *AdmissionMetrics) RecordDegrade(slot int) {
-	if m == nil || !validSlot(slot) {
-		return
-	}
-	m.degraded[slot].Add(1)
-}
-
-// RecordSharedAdmit counts one cross-field admission on the overflow pool.
-func (m *AdmissionMetrics) RecordSharedAdmit() {
-	if m == nil {
-		return
-	}
-	m.sharedAdmitted.Add(1)
-	m.overflowInUse.Add(1)
-}
-
-// RecordOverflowRelease lowers the overflow-occupancy gauge (a borrowed or
-// cross-field token returned).
-func (m *AdmissionMetrics) RecordOverflowRelease() {
-	if m == nil {
-		return
-	}
-	m.overflowInUse.Add(-1)
-}
-
-// RecordSharedShed counts one cross-field 429.
-func (m *AdmissionMetrics) RecordSharedShed() {
-	if m == nil {
-		return
-	}
-	m.sharedShed.Add(1)
-}
-
-// RecordDrainRefusal counts one request refused with 503 during drain.
-func (m *AdmissionMetrics) RecordDrainRefusal() {
-	if m == nil {
-		return
-	}
-	m.drainingRefused.Add(1)
-}
-
-// FieldAdmission is one field's admission accounting in a snapshot.
+// FieldAdmission is one served field's admission accounting in a snapshot.
 type FieldAdmission struct {
-	Field string
+	Field string `json:"field"`
 	// Admitted counts requests admitted on the field's own budget, Borrowed
 	// the ones admitted on an overflow token, Shed the 429 refusals, and
 	// Degraded the aggregate requests answered approximately past the budget.
-	Admitted int64
-	Borrowed int64
-	Shed     int64
-	Degraded int64
-	// BudgetInUse is the budget-occupancy gauge at snapshot time.
-	BudgetInUse int64
+	Admitted int64 `json:"admitted"`
+	Borrowed int64 `json:"borrowed"`
+	Shed     int64 `json:"shed_429"`
+	Degraded int64 `json:"degraded,omitempty"`
+	// BudgetInUse is the field's budget occupancy at snapshot time.
+	BudgetInUse int64 `json:"budget_in_use"`
 }
 
-// AdmissionSnapshot is a point-in-time copy of an AdmissionMetrics registry.
+// AdmissionSnapshot is a point-in-time copy of the serving tier's admission
+// accounting, and through its tags the "admission" section of /metrics. obs
+// only fixes the shape: the live state is the serving tier's gates, which
+// count their own outcomes and whose token occupancy is the gauge. The model:
+// each field owns FieldBudget tokens and borrows from the shared Overflow pool
+// before shedding 429, so one hot field saturates at most its budget plus the
+// overflow while cold fields keep their own tokens; cross-field requests
+// (/v1/and) draw from the overflow pool directly.
 type AdmissionSnapshot struct {
 	// FieldBudget and Overflow echo the configured token pools.
-	FieldBudget int64
-	Overflow    int64
-	// Fields carries the per-field rows in registration order.
-	Fields []FieldAdmission
-	// OverflowInUse is the overflow-occupancy gauge; SharedAdmitted and
-	// SharedShed count cross-field admissions and refusals; DrainRefused
-	// counts 503s issued while draining.
-	OverflowInUse  int64
-	SharedAdmitted int64
-	SharedShed     int64
-	DrainRefused   int64
-}
-
-// Snapshot returns a consistent-enough copy for reporting: counters are read
-// atomically, but concurrent admissions may skew gauges by in-flight
-// requests.
-func (m *AdmissionMetrics) Snapshot() AdmissionSnapshot {
-	if m == nil {
-		return AdmissionSnapshot{}
-	}
-	m.mu.Lock()
-	names := append([]string(nil), m.names...)
-	m.mu.Unlock()
-	s := AdmissionSnapshot{
-		FieldBudget:    m.budget,
-		Overflow:       m.overflow,
-		OverflowInUse:  m.overflowInUse.Load(),
-		SharedAdmitted: m.sharedAdmitted.Load(),
-		SharedShed:     m.sharedShed.Load(),
-		DrainRefused:   m.drainingRefused.Load(),
-	}
-	for i, n := range names {
-		s.Fields = append(s.Fields, FieldAdmission{
-			Field:       n,
-			Admitted:    m.admitted[i].Load(),
-			Borrowed:    m.borrowed[i].Load(),
-			Shed:        m.shed[i].Load(),
-			Degraded:    m.degraded[i].Load(),
-			BudgetInUse: m.occupancy[i].Load(),
-		})
-	}
-	return s
-}
-
-// FieldAdmissionView is the wire form of one FieldAdmission row.
-type FieldAdmissionView struct {
-	Field       string `json:"field"`
-	Admitted    int64  `json:"admitted"`
-	Borrowed    int64  `json:"borrowed"`
-	Shed        int64  `json:"shed_429"`
-	Degraded    int64  `json:"degraded,omitempty"`
-	BudgetInUse int64  `json:"budget_in_use"`
-}
-
-// AdmissionView is the wire form of an AdmissionSnapshot (the "admission"
-// section of the serving tier's /metrics response).
-type AdmissionView struct {
-	FieldBudget    int64                `json:"field_budget"`
-	Overflow       int64                `json:"overflow"`
-	Fields         []FieldAdmissionView `json:"fields,omitempty"`
-	OverflowInUse  int64                `json:"overflow_in_use"`
-	SharedAdmitted int64                `json:"shared_admitted"`
-	SharedShed     int64                `json:"shared_shed_429"`
-	DrainRefused   int64                `json:"drain_refused_503"`
-}
-
-// View returns the wire form of s.
-func (s AdmissionSnapshot) View() AdmissionView {
-	v := AdmissionView{
-		FieldBudget:    s.FieldBudget,
-		Overflow:       s.Overflow,
-		OverflowInUse:  s.OverflowInUse,
-		SharedAdmitted: s.SharedAdmitted,
-		SharedShed:     s.SharedShed,
-		DrainRefused:   s.DrainRefused,
-	}
-	for _, f := range s.Fields {
-		v.Fields = append(v.Fields, FieldAdmissionView(f))
-	}
-	return v
+	FieldBudget int64 `json:"field_budget"`
+	Overflow    int64 `json:"overflow"`
+	// Fields carries the per-field rows in name order.
+	Fields []FieldAdmission `json:"fields,omitempty"`
+	// OverflowInUse is the overflow pool's occupancy (tokens lent to fields
+	// plus cross-field requests); SharedAdmitted and SharedShed count
+	// cross-field admissions and refusals; DrainRefused counts 503s issued
+	// while draining.
+	OverflowInUse  int64 `json:"overflow_in_use"`
+	SharedAdmitted int64 `json:"shared_admitted"`
+	SharedShed     int64 `json:"shared_shed_429"`
+	DrainRefused   int64 `json:"drain_refused_503"`
 }

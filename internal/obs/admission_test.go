@@ -1,138 +1,42 @@
 package obs
 
 import (
-	"fmt"
-	"sync"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
-// TestAdmissionMetrics walks the recording surface and checks the snapshot
-// and its wire view reconcile: admissions minus releases equal the gauges.
-func TestAdmissionMetrics(t *testing.T) {
-	m := NewAdmissionMetrics(4, 8)
-	hot := m.RegisterField("hot")
-	cold := m.RegisterField("cold")
-	if hot == cold {
-		t.Fatalf("slots collide: %d", hot)
+// TestAdmissionSnapshotJSON pins the "admission" section of /metrics as
+// literal JSON — key order, the _429/_503 suffixes, degraded omitted at zero,
+// fields omitted when empty — and checks the tags round-trip. The counters
+// themselves live on the serving tier's gates and are asserted there, through
+// Server.Admission().
+func TestAdmissionSnapshotJSON(t *testing.T) {
+	snap := AdmissionSnapshot{
+		FieldBudget: 4, Overflow: 8,
+		Fields: []FieldAdmission{
+			{Field: "cold", Admitted: 1, BudgetInUse: 1},
+			{Field: "hot", Admitted: 3, Borrowed: 2, Shed: 5, Degraded: 7, BudgetInUse: 2},
+		},
+		OverflowInUse: 3, SharedAdmitted: 2, SharedShed: 1, DrainRefused: 1,
 	}
-	if again := m.RegisterField("hot"); again != hot {
-		t.Fatalf("re-registration moved the slot: %d != %d", again, hot)
-	}
-
-	// hot: 3 budget admissions (1 released), 2 borrows, 5 sheds.
-	for i := 0; i < 3; i++ {
-		m.RecordAdmit(hot)
-	}
-	m.RecordRelease(hot)
-	m.RecordBorrow(hot)
-	m.RecordBorrow(hot)
-	for i := 0; i < 5; i++ {
-		m.RecordShed(hot)
-	}
-	// cold: 1 budget admission, still held.
-	m.RecordAdmit(cold)
-	// Shared: 2 admissions (1 released), 1 shed, 1 drain refusal.
-	m.RecordSharedAdmit()
-	m.RecordSharedAdmit()
-	m.RecordOverflowRelease()
-	m.RecordSharedShed()
-	m.RecordDrainRefusal()
-
-	s := m.Snapshot()
-	if s.FieldBudget != 4 || s.Overflow != 8 {
-		t.Fatalf("pool config = %d/%d", s.FieldBudget, s.Overflow)
-	}
-	if len(s.Fields) != 2 || s.Fields[0].Field != "hot" || s.Fields[1].Field != "cold" {
-		t.Fatalf("fields = %+v", s.Fields)
-	}
-	h := s.Fields[0]
-	if h.Admitted != 3 || h.Borrowed != 2 || h.Shed != 5 || h.BudgetInUse != 2 {
-		t.Fatalf("hot = %+v", h)
-	}
-	c := s.Fields[1]
-	if c.Admitted != 1 || c.Borrowed != 0 || c.Shed != 0 || c.BudgetInUse != 1 {
-		t.Fatalf("cold = %+v", c)
-	}
-	// Overflow gauge: 2 borrows + 2 shared - 1 release = 3.
-	if s.OverflowInUse != 3 || s.SharedAdmitted != 2 || s.SharedShed != 1 || s.DrainRefused != 1 {
-		t.Fatalf("overflow accounting = %+v", s)
-	}
-
-	v := s.View()
-	if v.FieldBudget != 4 || v.Overflow != 8 || len(v.Fields) != 2 ||
-		v.Fields[0] != (FieldAdmissionView{Field: "hot", Admitted: 3, Borrowed: 2, Shed: 5, BudgetInUse: 2}) ||
-		v.OverflowInUse != 3 || v.SharedAdmitted != 2 || v.SharedShed != 1 || v.DrainRefused != 1 {
-		t.Fatalf("view = %+v", v)
-	}
-}
-
-// TestAdmissionMetricsNil: every method must be a no-op on a nil receiver,
-// mirroring the nil-tracer fast path.
-func TestAdmissionMetricsNil(t *testing.T) {
-	var m *AdmissionMetrics
-	if slot := m.RegisterField("x"); slot != -1 {
-		t.Fatalf("nil RegisterField = %d", slot)
-	}
-	m.RecordAdmit(0)
-	m.RecordRelease(0)
-	m.RecordBorrow(0)
-	m.RecordShed(0)
-	m.RecordSharedAdmit()
-	m.RecordOverflowRelease()
-	m.RecordSharedShed()
-	m.RecordDrainRefusal()
-	if s := m.Snapshot(); len(s.Fields) != 0 || s.FieldBudget != 0 {
-		t.Fatalf("nil snapshot = %+v", s)
-	}
-}
-
-// TestAdmissionMetricsBounds: invalid slots are ignored, and the field table
-// overflows into slot -1 rather than growing without bound.
-func TestAdmissionMetricsBounds(t *testing.T) {
-	m := NewAdmissionMetrics(1, 1)
-	m.RecordAdmit(-1)
-	m.RecordAdmit(MaxAdmissionFields)
-	m.RecordShed(-1)
-	m.RecordRelease(MaxAdmissionFields + 5)
-	m.RecordBorrow(-1) // still raises the overflow gauge: the token is real
-	if s := m.Snapshot(); len(s.Fields) != 0 || s.OverflowInUse != 1 {
-		t.Fatalf("snapshot after out-of-range slots = %+v", s)
-	}
-	for i := 0; i < MaxAdmissionFields; i++ {
-		if slot := m.RegisterField(fmt.Sprintf("f%03d", i)); slot != i {
-			t.Fatalf("slot %d registered as %d", i, slot)
+	for _, tc := range []struct {
+		snap AdmissionSnapshot
+		want string
+	}{
+		{snap, `{"field_budget":4,"overflow":8,"fields":[{"field":"cold","admitted":1,"borrowed":0,"shed_429":0,"budget_in_use":1},{"field":"hot","admitted":3,"borrowed":2,"shed_429":5,"degraded":7,"budget_in_use":2}],"overflow_in_use":3,"shared_admitted":2,"shared_shed_429":1,"drain_refused_503":1}`},
+		{AdmissionSnapshot{}, `{"field_budget":0,"overflow":0,"overflow_in_use":0,"shared_admitted":0,"shared_shed_429":0,"drain_refused_503":0}`},
+	} {
+		got, err := json.Marshal(tc.snap)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if slot := m.RegisterField("one-too-many"); slot != -1 {
-		t.Fatalf("table overflow returned slot %d", slot)
-	}
-}
-
-// TestAdmissionMetricsRace hammers one registry from many goroutines; the
-// counters must reconcile exactly once everything is released.
-func TestAdmissionMetricsRace(t *testing.T) {
-	m := NewAdmissionMetrics(8, 8)
-	slot := m.RegisterField("f")
-	var wg sync.WaitGroup
-	const workers, rounds = 8, 200
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				m.RecordAdmit(slot)
-				m.RecordRelease(slot)
-				m.RecordBorrow(slot)
-				m.RecordOverflowRelease()
-				m.RecordShed(slot)
-			}
-		}()
-	}
-	wg.Wait()
-	s := m.Snapshot()
-	f := s.Fields[0]
-	if f.Admitted != workers*rounds || f.Borrowed != workers*rounds ||
-		f.Shed != workers*rounds || f.BudgetInUse != 0 || s.OverflowInUse != 0 {
-		t.Fatalf("racy counters diverged: %+v overflow=%d", f, s.OverflowInUse)
+		if string(got) != tc.want {
+			t.Errorf("admission snapshot marshals to\n%s\nwant\n%s", got, tc.want)
+		}
+		var back AdmissionSnapshot
+		if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, tc.snap) {
+			t.Errorf("round trip = %+v (%v), want %+v", back, err, tc.snap)
+		}
 	}
 }

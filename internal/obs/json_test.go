@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -43,18 +44,15 @@ func TestTraceView(t *testing.T) {
 		t.Fatalf("io = %+v", v.IO)
 	}
 
+	// The whole wire form, literally: key order, every _ns key, and the empty
+	// err omitted.
+	const want = `{"method":"I-Hilbert","kind":"value","lo":700,"hi":750,"begin_unix_ns":1000000000042,"duration_ns":3000000,"spans":[{"phase":"filter","start_ns":0,"duration_ns":1000000,"pages":{"reads":4,"seq_reads":4,"rand_reads":0,"cache_hits":0,"sim_elapsed_ns":2000000}},{"phase":"refine","start_ns":1000000,"duration_ns":2000000,"pages":{"reads":10,"seq_reads":0,"rand_reads":10,"cache_hits":3,"sim_elapsed_ns":0}}],"io":{"reads":14,"seq_reads":4,"rand_reads":10,"cache_hits":3,"sim_elapsed_ns":0}}`
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := string(b)
-	for _, key := range []string{`"method"`, `"begin_unix_ns"`, `"duration_ns"`, `"phase":"filter"`, `"sim_elapsed_ns"`} {
-		if !strings.Contains(s, key) {
-			t.Fatalf("marshaled trace misses %s: %s", key, s)
-		}
-	}
-	if strings.Contains(s, `"err"`) {
-		t.Fatalf("empty err not omitted: %s", s)
+	if string(b) != want {
+		t.Fatalf("trace marshals to\n%s\nwant\n%s", b, want)
 	}
 
 	tr.Err = "context canceled"
@@ -63,47 +61,47 @@ func TestTraceView(t *testing.T) {
 	}
 }
 
-// TestSnapshotView pins the wire form of /metrics against a registry that has
-// recorded real traffic, so every derived field crosses the boundary.
-func TestSnapshotView(t *testing.T) {
+// emptySnapshotJSON is the wire form of a registry that recorded nothing: the
+// three slice members are omitted, every scalar is present.
+const emptySnapshotJSON = `{"queries":0,"latency_sum_ns":0,"latency_p50_ns":0,"latency_p95_ns":0,"index_pages_read":0,"sidecar_pages_read":0,"cell_pages_read":0,"cache_hits":0,"sim_elapsed_ns":0,"worker_items":0,"worker_busy_ns":0,"worker_wall_ns":0,"worker_concurrency":0,"contour_assemblies":0,"contour_time_ns":0,"batches":0,"batch_queries":0,"batch_physical_pages":0,"coalesced_pages_saved":0,"groups_free_slot":0,"groups_handover":0,"groups_expired":0,"window_waiters":0,"window_wait_sum_ns":0,"window_wait_max_ns":0,"update_batches":0,"updates_applied":0,"update_cells_touched":0,"update_pages_written":0,"epochs_retired":0,"regroup_events":0,"tiles_pruned":0,"tiles_scanned":0,"aggregate_queries":0,"aggregate_fallbacks":0}`
+
+// TestSnapshotJSON pins the wire form of /metrics — key names, key order,
+// every duration an integer-nanosecond _ns key — as literal JSON for a
+// registry that has recorded one of everything, so every derived field
+// crosses the boundary, and for one that has recorded nothing.
+func TestSnapshotJSON(t *testing.T) {
 	m := NewMetrics()
 	slot := m.RegisterMethod("I-Hilbert")
+	m.RegisterMethod("LinearScan")
 	m.RecordQuery(slot, 2*time.Millisecond, nil)
+	m.RecordQuery(slot, 30*time.Second, errors.New("boom"))
 	m.RecordPages(4, 2, 6, 1, time.Millisecond)
+	m.RecordWorkers(8, 6*time.Millisecond, 4*time.Millisecond)
 	m.RecordContour(time.Millisecond)
 	m.RecordBatch(3, 20, 40)
 	m.RecordGroup(ReleaseFreeSlot, 1, 0, 0)
 	m.RecordGroup(ReleaseHandover, 3, 5*time.Millisecond, 2*time.Millisecond)
 	m.RecordGroup(ReleaseExpiry, 2, 4*time.Millisecond, 3*time.Millisecond)
-
-	v := m.Snapshot().View()
-	if v.Queries != 1 || len(v.Methods) != 1 || v.Methods[0].Method != "I-Hilbert" {
-		t.Fatalf("methods = %+v", v)
-	}
-	if v.LatencySumNs != int64(2*time.Millisecond) || len(v.Latency) == 0 {
-		t.Fatalf("latency = %+v", v)
-	}
-	if v.ContourAssemblies != 1 || v.ContourTimeNs == 0 {
-		t.Fatalf("contour = %+v", v)
-	}
-	if v.Batches != 1 || v.BatchQueries != 3 || v.BatchPhysicalPages != 20 ||
-		v.CoalescedPagesSaved != 40 || len(v.BatchSizes) == 0 {
-		t.Fatalf("batch = %+v", v)
-	}
-
-	if v.GroupsFreeSlot != 1 || v.GroupsHandover != 1 || v.GroupsExpired != 1 || v.WindowWaiters != 5 ||
-		v.WindowWaitSumNs != int64(9*time.Millisecond) || v.WindowWaitMaxNs != int64(3*time.Millisecond) {
-		t.Fatalf("window queue = %+v", v)
-	}
-
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(b)
-	for _, key := range []string{`"queries":1`, `"coalesced_pages_saved":40`, `"groups_handover":1`, `"window_wait_max_ns":3000000`, `"latency_p50_ns"`, `"upper_bound_ns"`, `"max_size"`} {
-		if !strings.Contains(s, key) {
-			t.Fatalf("marshaled snapshot misses %s: %s", key, s)
+	m.RecordUpdate(16, 40, 12, 1, true)
+	m.RecordTiles(5, 11)
+	m.RecordAggregate(true)
+	const populated = `{"methods":[{"method":"I-Hilbert","queries":2,"failures":1,"canceled":0},{"method":"LinearScan","queries":0,"failures":0,"canceled":0}],"queries":2,"latency_sum_ns":30002000000,"latency":[{"upper_bound_ns":2048000,"count":1},{"upper_bound_ns":0,"count":1}],"latency_p50_ns":2048000,"latency_p95_ns":16777216000,"index_pages_read":4,"sidecar_pages_read":2,"cell_pages_read":6,"cache_hits":1,"sim_elapsed_ns":1000000,"worker_items":8,"worker_busy_ns":6000000,"worker_wall_ns":4000000,"worker_concurrency":1.5,"contour_assemblies":1,"contour_time_ns":1000000,"batches":1,"batch_queries":3,"batch_sizes":[{"max_size":4,"count":1}],"batch_physical_pages":20,"coalesced_pages_saved":40,"groups_free_slot":1,"groups_handover":1,"groups_expired":1,"window_waiters":5,"window_wait_sum_ns":9000000,"window_wait_max_ns":3000000,"update_batches":1,"updates_applied":16,"update_cells_touched":40,"update_pages_written":12,"epochs_retired":1,"regroup_events":1,"tiles_pruned":5,"tiles_scanned":11,"aggregate_queries":1,"aggregate_fallbacks":1}`
+	var none *Metrics
+	for _, tc := range []struct {
+		name string
+		snap Snapshot
+		want string
+	}{
+		{"populated", m.Snapshot(), populated},
+		{"empty", NewMetrics().Snapshot(), emptySnapshotJSON},
+		{"nil registry", none.Snapshot(), emptySnapshotJSON},
+	} {
+		got, err := json.Marshal(tc.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s snapshot marshals to\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -53,8 +53,8 @@ func histBucketOf(d time.Duration) int {
 type HistBucket struct {
 	// UpperBound is the bucket's inclusive latency ceiling (0 means the
 	// bucket is the unbounded tail).
-	UpperBound time.Duration
-	Count      int64
+	UpperBound time.Duration `json:"upper_bound_ns"`
+	Count      int64         `json:"count"`
 }
 
 // histUpperBound returns bucket i's ceiling, or 0 for the unbounded tail.
@@ -67,15 +67,15 @@ func histUpperBound(i int) time.Duration {
 
 // MethodCounters is the per-strategy query accounting in a snapshot.
 type MethodCounters struct {
-	Method string
+	Method string `json:"method"`
 	// Queries counts every finished query (including failed and canceled
 	// ones).
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Failures counts queries that returned a non-cancellation error.
-	Failures int64
+	Failures int64 `json:"failures"`
 	// Canceled counts queries that returned context.Canceled or
 	// context.DeadlineExceeded.
-	Canceled int64
+	Canceled int64 `json:"canceled"`
 }
 
 // Metrics is the engine's cumulative metrics registry. All recording paths
@@ -177,8 +177,8 @@ func batchSizeBucketOf(size int) int {
 // BatchSizeBucket is one non-empty batch-size histogram bucket in a snapshot.
 type BatchSizeBucket struct {
 	// MaxSize is the bucket's inclusive size ceiling.
-	MaxSize int64
-	Count   int64
+	MaxSize int64 `json:"max_size"`
+	Count   int64 `json:"count"`
 }
 
 // NewMetrics returns an empty registry.
@@ -354,46 +354,48 @@ func (m *Metrics) RecordContour(d time.Duration) {
 }
 
 // Snapshot is a point-in-time copy of a Metrics registry, safe to retain and
-// marshal.
+// marshal: its JSON tags are the wire contract of the serving tier's /metrics
+// (every duration an integer-nanosecond _ns key), so a new counter is declared
+// here once, beside its atomic in Metrics and its load in Snapshot().
 type Snapshot struct {
 	// Methods carries the per-strategy counters in registration order.
-	Methods []MethodCounters
+	Methods []MethodCounters `json:"methods,omitempty"`
 	// Queries is the total query count across methods (the latency
 	// histogram's sample count).
-	Queries int64
+	Queries int64 `json:"queries"`
 	// LatencySum is total wall time across all queries; Latency holds the
 	// histogram's non-empty buckets; LatencyP50/P95 are bucket-resolution
 	// upper-bound estimates (0 when no queries ran).
-	LatencySum time.Duration
-	Latency    []HistBucket
-	LatencyP50 time.Duration
-	LatencyP95 time.Duration
+	LatencySum time.Duration `json:"latency_sum_ns"`
+	Latency    []HistBucket  `json:"latency,omitempty"`
+	LatencyP50 time.Duration `json:"latency_p50_ns"`
+	LatencyP95 time.Duration `json:"latency_p95_ns"`
 	// Pages read by kind, plus cache hits and the simulated disk clock.
-	IndexPagesRead   int64
-	SidecarPagesRead int64
-	CellPagesRead    int64
-	CacheHits        int64
-	SimElapsed       time.Duration
+	IndexPagesRead   int64         `json:"index_pages_read"`
+	SidecarPagesRead int64         `json:"sidecar_pages_read"`
+	CellPagesRead    int64         `json:"cell_pages_read"`
+	CacheHits        int64         `json:"cache_hits"`
+	SimElapsed       time.Duration `json:"sim_elapsed_ns"`
 	// Worker-pool utilization: WorkerConcurrency = busy / wall is the
 	// achieved average parallelism of the refinement sections (0 when none
 	// ran).
-	WorkerItems       int64
-	WorkerBusy        time.Duration
-	WorkerWall        time.Duration
-	WorkerConcurrency float64
+	WorkerItems       int64         `json:"worker_items"`
+	WorkerBusy        time.Duration `json:"worker_busy_ns"`
+	WorkerWall        time.Duration `json:"worker_wall_ns"`
+	WorkerConcurrency float64       `json:"worker_concurrency"`
 	// Contour assemblies and their cumulative duration.
-	ContourAssemblies int64
-	ContourTime       time.Duration
+	ContourAssemblies int64         `json:"contour_assemblies"`
+	ContourTime       time.Duration `json:"contour_time_ns"`
 	// Shared-scan batches: Batches/BatchQueries count executed batches and
 	// their member queries, BatchSizes holds the non-empty size-histogram
 	// buckets, BatchPhysicalPages is the deduplicated reads the batches
 	// performed, and CoalescedPagesSaved the attributed reads the sharing
 	// avoided (attributed total = physical + saved).
-	Batches             int64
-	BatchQueries        int64
-	BatchSizes          []BatchSizeBucket
-	BatchPhysicalPages  int64
-	CoalescedPagesSaved int64
+	Batches             int64             `json:"batches"`
+	BatchQueries        int64             `json:"batch_queries"`
+	BatchSizes          []BatchSizeBucket `json:"batch_sizes,omitempty"`
+	BatchPhysicalPages  int64             `json:"batch_physical_pages"`
+	CoalescedPagesSaved int64             `json:"coalesced_pages_saved"`
 	// Admission-window queue (BatchWindow): groups that started at once on a
 	// free execution slot (one query each, no wait), on a slot a finishing
 	// group handed over, and at window expiry with every slot still busy;
@@ -401,34 +403,34 @@ type Snapshot struct {
 	// WindowWaitSum their summed wait for a slot and WindowWaitMax the longest
 	// single wait. Mostly free-slot groups: the engine keeps up and any queue
 	// is upstream of it; expiries: the engine is saturated.
-	GroupsFreeSlot int64
-	GroupsHandover int64
-	GroupsExpired  int64
-	WindowWaiters  int64
-	WindowWaitSum  time.Duration
-	WindowWaitMax  time.Duration
+	GroupsFreeSlot int64         `json:"groups_free_slot"`
+	GroupsHandover int64         `json:"groups_handover"`
+	GroupsExpired  int64         `json:"groups_expired"`
+	WindowWaiters  int64         `json:"window_waiters"`
+	WindowWaitSum  time.Duration `json:"window_wait_sum_ns"`
+	WindowWaitMax  time.Duration `json:"window_wait_max_ns"`
 	// Live updates: UpdateBatches counts applied UpdateSamples calls,
 	// UpdatesApplied the sample values they changed, UpdateCellsTouched the
 	// cells whose records were patched, UpdatePagesWritten the pages the
 	// commits wrote, EpochsRetired the storage epochs compacted away after
 	// their last reader unpinned, and RegroupEvents the update batches that
 	// moved subfield group boundaries.
-	UpdateBatches      int64
-	UpdatesApplied     int64
-	UpdateCellsTouched int64
-	UpdatePagesWritten int64
-	EpochsRetired      int64
-	RegroupEvents      int64
+	UpdateBatches      int64 `json:"update_batches"`
+	UpdatesApplied     int64 `json:"updates_applied"`
+	UpdateCellsTouched int64 `json:"update_cells_touched"`
+	UpdatePagesWritten int64 `json:"update_pages_written"`
+	EpochsRetired      int64 `json:"epochs_retired"`
+	RegroupEvents      int64 `json:"regroup_events"`
 	// Tiled planner: TilesPruned tiles were eliminated by (min, max) / MBR
 	// summaries without reading a page; TilesScanned ran their per-tile
 	// pipeline.
-	TilesPruned  int64
-	TilesScanned int64
+	TilesPruned  int64 `json:"tiles_pruned"`
+	TilesScanned int64 `json:"tiles_scanned"`
 	// Aggregate tier: AggregateQueries counts approximate range-aggregate
 	// answers, AggregateFallbacks the subset the exact pipeline had to serve
 	// because the certified bound exceeded the caller's tolerance.
-	AggregateQueries   int64
-	AggregateFallbacks int64
+	AggregateQueries   int64 `json:"aggregate_queries"`
+	AggregateFallbacks int64 `json:"aggregate_fallbacks"`
 }
 
 // Snapshot returns a consistent-enough copy for reporting: counters are read

@@ -1,7 +1,10 @@
 // Package obs is the engine's observability layer: per-query traces made of
 // phase spans whose page counts reconcile exactly with the query's own I/O
 // statistics, plus an atomic metrics registry (metrics.go) that the facade
-// exposes as DB.Metrics and cmd/fieldbench dumps with -metrics.
+// exposes as DB.Metrics and cmd/fieldbench dumps with -metrics. Snapshot and
+// AdmissionSnapshot carry the serving tier's JSON names as tags, so a counter
+// is declared once; only a trace, whose phases and begin time need
+// translating, has View types (json.go).
 //
 // The package sits below internal/storage in the dependency order: storage
 // carries a *TraceBuilder on each per-query execution context, so obs must

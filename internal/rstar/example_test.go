@@ -43,17 +43,3 @@ func Example_paged() {
 	fmt.Printf("%d matches, %d page reads\n", count, pager.Stats().Reads)
 	// Output: 4 matches, 2 page reads
 }
-
-// Example_nearest finds the nearest stored rectangles to a point.
-func Example_nearest() {
-	tree, _ := rstar.New(2, rstar.Params{})
-	tree.Insert(rstar.Entry{MBR: rstar.Rect2D(0, 1, 0, 1), Data: 100})
-	tree.Insert(rstar.Entry{MBR: rstar.Rect2D(5, 6, 5, 6), Data: 200})
-	tree.Insert(rstar.Entry{MBR: rstar.Rect2D(9, 10, 0, 1), Data: 300})
-	for _, n := range tree.Nearest([]float64{4, 4}, 2) {
-		fmt.Printf("%d at %.2f\n", n.Entry.Data, n.Dist)
-	}
-	// Output:
-	// 200 at 1.41
-	// 100 at 4.24
-}

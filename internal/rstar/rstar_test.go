@@ -527,68 +527,3 @@ func BenchmarkSearch1D(b *testing.B) {
 		tr.Search(Interval1D(lo, lo+100), func(Entry) bool { return true })
 	}
 }
-
-func TestNearest(t *testing.T) {
-	tr := newSmallTree(t, 2)
-	rng := rand.New(rand.NewSource(23))
-	const n = 1000
-	pts := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		pts[i] = [2]float64{rng.Float64() * 100, rng.Float64() * 100}
-		tr.Insert(Entry{MBR: Rect2D(pts[i][0], pts[i][0], pts[i][1], pts[i][1]), Data: uint64(i)})
-	}
-	for trial := 0; trial < 30; trial++ {
-		q := []float64{rng.Float64() * 100, rng.Float64() * 100}
-		const k = 7
-		got := tr.Nearest(q, k)
-		if len(got) != k {
-			t.Fatalf("got %d neighbors", len(got))
-		}
-		// Brute-force reference.
-		type dn struct {
-			d  float64
-			id uint64
-		}
-		ref := make([]dn, n)
-		for i, p := range pts {
-			dx, dy := p[0]-q[0], p[1]-q[1]
-			ref[i] = dn{d: math.Sqrt(dx*dx + dy*dy), id: uint64(i)}
-		}
-		sort.Slice(ref, func(i, j int) bool { return ref[i].d < ref[j].d })
-		for i := 0; i < k; i++ {
-			if math.Abs(got[i].Dist-ref[i].d) > 1e-9 {
-				t.Fatalf("trial %d: neighbor %d dist %g, want %g", trial, i, got[i].Dist, ref[i].d)
-			}
-		}
-		// Results ordered by distance.
-		for i := 1; i < k; i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatal("neighbors not ordered")
-			}
-		}
-	}
-	// Edge cases.
-	if tr.Nearest([]float64{0}, 3) != nil {
-		t.Fatal("wrong-arity query accepted")
-	}
-	if tr.Nearest([]float64{0, 0}, 0) != nil {
-		t.Fatal("k=0 returned results")
-	}
-	if got := tr.Nearest([]float64{0, 0}, n+100); len(got) != n {
-		t.Fatalf("k > n returned %d", len(got))
-	}
-}
-
-func TestNearestOnMBRs(t *testing.T) {
-	// Non-point entries: distance is to the rectangle, zero if inside.
-	tr, _ := New(2, Params{PageSize: 512})
-	tr.Insert(Entry{MBR: Rect2D(0, 10, 0, 10), Data: 1})
-	tr.Insert(Entry{MBR: Rect2D(20, 30, 0, 10), Data: 2})
-	got := tr.Nearest([]float64{5, 5}, 2)
-	if len(got) != 2 || got[0].Entry.Data != 1 || got[0].Dist != 0 {
-		t.Fatalf("got %+v", got)
-	}
-	if math.Abs(got[1].Dist-15) > 1e-12 {
-		t.Fatalf("second dist = %g, want 15", got[1].Dist)
-	}
-}

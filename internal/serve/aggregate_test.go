@@ -29,7 +29,7 @@ type aggView struct {
 	Approx        bool     `json:"approx"`
 	Fallback      bool     `json:"fallback"`
 	Degraded      bool     `json:"degraded"`
-	IO            ioView   `json:"io"`
+	IO            WireIO   `json:"io"`
 }
 
 // TestServeAggregateGolden compares the /aggregate endpoint against the
@@ -83,7 +83,7 @@ func TestServeAggregateGolden(t *testing.T) {
 			if r.Degraded {
 				t.Fatal("admitted request marked degraded")
 			}
-			if r.IO != (ioView{
+			if r.IO != (WireIO{
 				Reads: want.IO.Reads, SeqReads: want.IO.SeqReads, RandReads: want.IO.RandReads,
 				CacheHits: want.IO.CacheHits, SimElapsedNs: int64(want.IO.SimElapsed),
 			}) {
@@ -194,9 +194,9 @@ func TestWireAggregateEquivalence(t *testing.T) {
 	}
 
 	rec := newRecordingWriter()
-	c := getCodec(rec)
-	c.writeAggregateEnvelope(rec, []byte(`"terrain"`), res, true)
-	c.put()
+	q := lease(rec)
+	jsonCodec{&q.codec}.aggregate("terrain", res, true)
+	q.put()
 	var dv struct {
 		Result aggView `json:"result"`
 	}
@@ -211,9 +211,9 @@ func TestWireAggregateEquivalence(t *testing.T) {
 	}
 
 	rec = newRecordingWriter()
-	c = getCodec(rec)
-	c.writeAggregateFrame(rec, "terrain", res, true)
-	c.put()
+	q = lease(rec)
+	binCodec{&q.codec}.aggregate("terrain", res, true)
+	q.put()
 	df := decodeFrame(t, rec.body.Bytes()).(*WireAggregateFrame)
 	if !math.IsInf(df.MaxErr, 1) || !df.Degraded {
 		t.Fatalf("degraded frame max_err %g degraded %t, want +Inf true", df.MaxErr, df.Degraded)

@@ -51,7 +51,6 @@ func TestEncodeAllocs(t *testing.T) {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	res, results, bst := allocFixture(t)
-	quoted := []byte(`"terrain"`)
 	w := &discardRW{h: make(http.Header)}
 
 	cases := []struct {
@@ -61,39 +60,39 @@ func TestEncodeAllocs(t *testing.T) {
 		run   func()
 	}{
 		{"result", 3, 0, func() {
-			c := getCodec(w)
-			c.writeResultEnvelope(w, quoted, res, false)
-			c.put()
+			q := lease(w)
+			jsonCodec{&q.codec}.result("terrain", res, false)
+			q.put()
 		}},
 		{"result+geometry", 8, 0, func() {
-			c := getCodec(w)
-			c.writeResultEnvelope(w, quoted, res, true)
-			c.put()
+			q := lease(w)
+			jsonCodec{&q.codec}.result("terrain", res, true)
+			q.put()
 		}},
 		{"result-bin", 3, 0, func() {
-			c := getCodec(w)
-			c.writeResultFrame(w, "terrain", res, false)
-			c.put()
+			q := lease(w)
+			binCodec{&q.codec}.result("terrain", res, false)
+			q.put()
 		}},
 		{"result-bin+geometry", 8, 20, func() {
-			c := getCodec(w)
-			c.writeResultFrame(w, "terrain", res, true)
-			c.put()
+			q := lease(w)
+			binCodec{&q.codec}.result("terrain", res, true)
+			q.put()
 		}},
 		{"batch", 8, 0, func() {
-			c := getCodec(w)
-			c.writeBatchEnvelope(w, quoted, results, bst, nil, false)
-			c.put()
+			q := lease(w)
+			jsonCodec{&q.codec}.batch("terrain", results, bst, nil, false)
+			q.put()
 		}},
 		{"batch-bin+geometry", 12, 20, func() {
-			c := getCodec(w)
-			c.writeBatchFrame(w, "terrain", results, bst, nil, true)
-			c.put()
+			q := lease(w)
+			binCodec{&q.codec}.batch("terrain", results, bst, nil, true)
+			q.put()
 		}},
 		{"error", 3, 0, func() {
-			c := getCodec(w)
-			c.writeErrorEnvelope(w, http.StatusBadRequest, "missing query parameter \"lo\"")
-			c.put()
+			q := lease(w)
+			jsonCodec{&q.codec}.fail(http.StatusBadRequest, "missing query parameter \"lo\"")
+			q.put()
 		}},
 	}
 	for _, tc := range cases {
@@ -123,11 +122,10 @@ func TestEncodeAllocsScaleFree(t *testing.T) {
 	}
 	res, _, _ := allocFixture(t)
 	w := &discardRW{h: make(http.Header)}
-	quoted := []byte(`"terrain"`)
 	run := func() {
-		c := getCodec(w)
-		c.writeResultEnvelope(w, quoted, res, true)
-		c.put()
+		q := lease(w)
+		jsonCodec{&q.codec}.result("terrain", res, true)
+		q.put()
 	}
 	for i := 0; i < 8; i++ {
 		run()
@@ -158,14 +156,13 @@ func BenchmarkEncodeResultEnvelope(b *testing.B) {
 		b.Fatal(err)
 	}
 	w := &discardRW{h: make(http.Header)}
-	quoted := []byte(`"terrain"`)
 	for _, geom := range []bool{false, true} {
 		b.Run(fmt.Sprintf("geometry=%v", geom), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := getCodec(w)
-				c.writeResultEnvelope(w, quoted, res, geom)
-				c.put()
+				q := lease(w)
+				jsonCodec{&q.codec}.result("terrain", res, geom)
+				q.put()
 			}
 		})
 	}

@@ -1,13 +1,13 @@
 package serve
 
-// The zero-alloc encode path of the serving tier. PR 8 built every response
-// as a map[string]any and handed it to encoding/json — two heap-heavy choices
-// (interface boxing, reflection, and one []byte per geometry ring) that
-// dominate the request cycle once the engine's own scans coalesce. This file
-// replaces them with pooled scratch: every response is written through a
-// reused bufio.Writer by hand-built JSON appenders that replicate
-// encoding/json's byte output exactly (float formatting, string escaping,
-// omitempty semantics), so switching the encoder is invisible on the wire.
+// The encoders of the serving tier and the pooled scratch they write on. A
+// response built as a map[string]any and handed to encoding/json pays for
+// interface boxing, reflection, and one []byte per geometry ring — costs that
+// dominate the request cycle once the engine's own scans coalesce. Here every
+// hot response is written through a reused bufio.Writer by hand-built JSON
+// appenders that replicate encoding/json's byte output exactly (float
+// formatting, string escaping, omitempty semantics), so which encoder wrote a
+// response is invisible on the wire.
 //
 // Geometry streams: rings are encoded one at a time into the pooled scratch
 // and written through the 4 KiB bufio window, so a huge contour or isoband
@@ -34,12 +34,37 @@ import (
 // geometry keeps crossing the socket instead of accumulating.
 const codecBufSize = 4096
 
-// codec is the pooled per-request scratch of the response path: the buffered
-// writer every response streams through, a JSON encoder bound to it (for the
-// cold endpoints that still marshal structs), and reusable byte/float/slice
-// scratch for hand-built JSON, binary frames, packed columns, and batch
-// decode.
+// encoder hides a wire format from the handlers: admit binds the negotiated
+// one to the request's codec, and a handler answers through it without knowing
+// which. Each method writes one complete response — headers, status, body —
+// for one endpoint's shape.
+type encoder interface {
+	result(field string, res *fielddb.Result, geometry bool)
+	point(field string, x, y, value float64)
+	contour(field string, level float64, cr *fielddb.ContourResult, geometry bool)
+	batch(field string, results []*fielddb.Result, st *fielddb.BatchStats, batchErr error, geometry bool)
+	aggregate(field string, res *fielddb.AggregateResult, degraded bool)
+	update(field string, st *fielddb.UpdateStats)
+	and(res *fielddb.ConjunctiveResult, geometry bool)
+	describe(fi WireFieldInfo)
+	list(infos []WireFieldInfo)
+	fail(status int, msg string)
+}
+
+// jsonCodec (this file) and binCodec (wire.go) are the two encoders, both
+// views of one *codec: binding either to a request allocates nothing.
+type (
+	jsonCodec struct{ *codec }
+	binCodec  struct{ *codec }
+)
+
+// codec is the pooled scratch of the response path: the response it targets,
+// the buffered writer every response streams through, a JSON encoder bound to
+// it (for the cold endpoints that still marshal structs), and reusable
+// byte/float/slice scratch for hand-built JSON, binary frames, packed columns,
+// and batch decode.
 type codec struct {
+	w   http.ResponseWriter
 	bw  *bufio.Writer
 	enc *json.Encoder
 
@@ -56,45 +81,53 @@ type codec struct {
 	poisoned bool // a json.Encoder error latches; drop instead of repooling
 }
 
-var codecPool = sync.Pool{
+// requestPool recycles requests, and with them their codecs' scratch.
+var requestPool = sync.Pool{
 	New: func() any {
-		c := &codec{
+		q := &request{codec: codec{
 			bw:  bufio.NewWriterSize(io.Discard, codecBufSize),
 			buf: make([]byte, 0, 512),
-		}
-		c.enc = json.NewEncoder(c.bw)
-		c.enc.SetEscapeHTML(false)
-		return c
+		}}
+		q.enc = json.NewEncoder(q.bw)
+		q.enc.SetEscapeHTML(false)
+		return q
 	},
 }
 
-// getCodec leases a codec targeting w.
-func getCodec(w io.Writer) *codec {
-	c := codecPool.Get().(*codec)
-	c.bw.Reset(w)
-	c.poisoned = false
-	return c
+// lease takes a request from the pool with its codec targeting w.
+func lease(w http.ResponseWriter) *request {
+	q := requestPool.Get().(*request)
+	q.w = w
+	q.bw.Reset(w)
+	return q
 }
 
-// put returns the codec to the pool after flushing, unless an encoder error
-// poisoned it.
-func (c *codec) put() {
-	if err := c.bw.Flush(); err != nil {
-		// The client went away mid-write; the bufio error is cleared by the
-		// next Reset, so the codec stays reusable unless the json.Encoder
-		// (which latches errors forever) saw it.
-		_ = err
-	}
-	c.bw.Reset(io.Discard)
-	if c.poisoned {
+// put flushes the response and returns the request to the pool, unless an
+// encoder error poisoned its codec.
+func (q *request) put() {
+	// A flush error means the client went away mid-write; the next Reset
+	// clears it, so the codec stays reusable unless the json.Encoder (which
+	// latches errors forever) saw it.
+	_ = q.bw.Flush()
+	q.bw.Reset(io.Discard)
+	if q.poisoned {
 		return
 	}
-	codecPool.Put(c)
+	q.w, q.r, q.out, q.degraded = nil, nil, nil, false
+	requestPool.Put(q)
 }
 
-// encodeJSON marshals v through the pooled encoder (the cold endpoints:
+// header starts a response of the given content type.
+func (c *codec) header(mime string, status int) {
+	c.w.Header().Set("Content-Type", mime)
+	c.w.WriteHeader(status)
+}
+
+// marshal writes v as a whole JSON response through the pooled encoder (the
+// cold endpoints, whose payloads are metadata, not per-request hot-path work:
 // listings, metrics, traces, conjunctions).
-func (c *codec) encodeJSON(v any) {
+func (c *codec) marshal(status int, v any) {
+	c.header("application/json", status)
 	if err := c.enc.Encode(v); err != nil {
 		c.poisoned = true
 	}
@@ -183,14 +216,9 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendIOView appends the ioView object for st.
-func appendIOView(b []byte, st fielddb.Result) []byte {
-	return appendIOStatsView(b, st.IO)
-}
-
-// appendIOStatsView appends the ioView object for a raw stats block — shared
-// by the value-query and aggregate envelopes, whose results carry the same
-// deterministic I/O accounting.
+// appendIOStatsView appends the WireIO object for a stats block — shared by
+// the value-query, contour and aggregate envelopes, whose results carry the
+// same deterministic I/O accounting.
 func appendIOStatsView(b []byte, io storage.Stats) []byte {
 	b = append(b, `{"reads":`...)
 	b = strconv.AppendInt(b, int64(io.Reads), 10)
@@ -205,7 +233,7 @@ func appendIOStatsView(b []byte, io storage.Stats) []byte {
 	return append(b, '}')
 }
 
-// appendResultOpen appends the resultView object for res up to (and
+// appendResultOpen appends the WireResult object for res up to (and
 // excluding) its optional geometry member and closing brace; the caller
 // streams geometry and closes.
 func appendResultOpen(b []byte, res *fielddb.Result) []byte {
@@ -226,7 +254,7 @@ func appendResultOpen(b []byte, res *fielddb.Result) []byte {
 	b = append(b, `,"area":`...)
 	b = appendJSONFloat(b, res.Area)
 	b = append(b, `,"io":`...)
-	return appendIOView(b, *res)
+	return appendIOStatsView(b, res.IO)
 }
 
 // streamRings writes a [][2]float64-shaped JSON array of rings through the
@@ -258,26 +286,32 @@ func (c *codec) streamRings(rings []fielddb.Polygon) {
 			}
 		}
 		b = append(b, ']')
-		c.bw.Write(b)
-		c.buf = b[:0]
+		c.emit(b)
 	}
 	c.bw.WriteByte(']')
 }
 
-// writeResultEnvelope streams the {"field":...,"result":...} response of the
-// range/above/below endpoints. quotedField is the field's pre-escaped JSON
-// name. Geometry is included only when requested and non-empty, matching the
-// omitempty semantics of the PR 8 struct encoding.
-func (c *codec) writeResultEnvelope(w http.ResponseWriter, quotedField []byte, res *fielddb.Result, geometry bool) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := c.buf[:0]
-	b = append(b, `{"field":`...)
-	b = append(b, quotedField...)
-	b = append(b, `,"result":`...)
-	b = appendResultOpen(b, res)
+// emit writes the scratch fragment b and keeps its capacity for the next one.
+func (c *codec) emit(b []byte) {
 	c.bw.Write(b)
 	c.buf = b[:0]
+}
+
+// open starts a 200 response and returns its envelope's leading
+// {"field":<name> member in the scratch buffer.
+func (c jsonCodec) open(field string) []byte {
+	c.header("application/json", http.StatusOK)
+	return appendJSONString(append(c.buf[:0], `{"field":`...), field)
+}
+
+// result streams the {"field":...,"result":...} response of the
+// range/above/below endpoints. Geometry is included only when requested and
+// non-empty, matching the omitempty semantics of the struct encoding.
+func (c jsonCodec) result(field string, res *fielddb.Result, geometry bool) {
+	b := c.open(field)
+	b = append(b, `,"result":`...)
+	b = appendResultOpen(b, res)
+	c.emit(b)
 	if geometry && len(res.Regions) > 0 {
 		c.bw.WriteString(`,"geometry":`)
 		c.streamRings(res.Regions)
@@ -285,13 +319,9 @@ func (c *codec) writeResultEnvelope(w http.ResponseWriter, quotedField []byte, r
 	c.bw.WriteString("}}\n")
 }
 
-// writePointEnvelope streams the /point response.
-func (c *codec) writePointEnvelope(w http.ResponseWriter, quotedField []byte, x, y, value float64) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := c.buf[:0]
-	b = append(b, `{"field":`...)
-	b = append(b, quotedField...)
+// point streams the /point response.
+func (c jsonCodec) point(field string, x, y, value float64) {
+	b := c.open(field)
 	b = append(b, `,"x":`...)
 	b = appendJSONFloat(b, x)
 	b = append(b, `,"y":`...)
@@ -299,35 +329,20 @@ func (c *codec) writePointEnvelope(w http.ResponseWriter, quotedField []byte, x,
 	b = append(b, `,"value":`...)
 	b = appendJSONFloat(b, value)
 	b = append(b, "}\n"...)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeContourEnvelope streams the /contour response; polylines stream like
-// geometry rings.
-func (c *codec) writeContourEnvelope(w http.ResponseWriter, quotedField []byte, level float64, cr *fielddb.ContourResult, geometry bool) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := c.buf[:0]
-	b = append(b, `{"field":`...)
-	b = append(b, quotedField...)
+// contour streams the /contour response; polylines stream like geometry
+// rings.
+func (c jsonCodec) contour(field string, level float64, cr *fielddb.ContourResult, geometry bool) {
+	b := c.open(field)
 	b = append(b, `,"level":`...)
 	b = appendJSONFloat(b, level)
 	b = append(b, `,"polylines":`...)
 	b = strconv.AppendInt(b, int64(len(cr.Polylines)), 10)
-	b = append(b, `,"io":{"reads":`...)
-	b = strconv.AppendInt(b, int64(cr.IO.Reads), 10)
-	b = append(b, `,"seq_reads":`...)
-	b = strconv.AppendInt(b, int64(cr.IO.SeqReads), 10)
-	b = append(b, `,"rand_reads":`...)
-	b = strconv.AppendInt(b, int64(cr.IO.RandReads), 10)
-	b = append(b, `,"cache_hits":`...)
-	b = strconv.AppendInt(b, int64(cr.IO.CacheHits), 10)
-	b = append(b, `,"sim_elapsed_ns":`...)
-	b = strconv.AppendInt(b, int64(cr.IO.SimElapsed), 10)
-	b = append(b, '}')
-	c.bw.Write(b)
-	c.buf = b[:0]
+	b = append(b, `,"io":`...)
+	b = appendIOStatsView(b, cr.IO)
+	c.emit(b)
 	if geometry && len(cr.Polylines) > 0 {
 		c.bw.WriteString(`,"geometry":`)
 		c.streamRings(polylinesAsPolygons(cr.Polylines))
@@ -349,18 +364,13 @@ func polylinesAsPolygons(pls []fielddb.Polyline) []fielddb.Polygon {
 	return out
 }
 
-// writeBatchEnvelope streams the /batch response: positional member results
-// (null for failed members), optional batch-level shared-scan stats, and the
-// first member error when the batch partially failed.
-func (c *codec) writeBatchEnvelope(w http.ResponseWriter, quotedField []byte, results []*fielddb.Result, st *fielddb.BatchStats, batchErr error, geometry bool) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := c.buf[:0]
-	b = append(b, `{"field":`...)
-	b = append(b, quotedField...)
+// batch streams the /batch response: positional member results (null for
+// failed members), optional batch-level shared-scan stats, and the first
+// member error when the batch partially failed.
+func (c jsonCodec) batch(field string, results []*fielddb.Result, st *fielddb.BatchStats, batchErr error, geometry bool) {
+	b := c.open(field)
 	b = append(b, `,"results":[`...)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 	for i, res := range results {
 		b = c.buf[:0]
 		if i > 0 {
@@ -368,13 +378,11 @@ func (c *codec) writeBatchEnvelope(w http.ResponseWriter, quotedField []byte, re
 		}
 		if res == nil {
 			b = append(b, "null"...)
-			c.bw.Write(b)
-			c.buf = b[:0]
+			c.emit(b)
 			continue
 		}
 		b = appendResultOpen(b, res)
-		c.bw.Write(b)
-		c.buf = b[:0]
+		c.emit(b)
 		if geometry && len(res.Regions) > 0 {
 			c.bw.WriteString(`,"geometry":`)
 			c.streamRings(res.Regions)
@@ -401,20 +409,15 @@ func (c *codec) writeBatchEnvelope(w http.ResponseWriter, quotedField []byte, re
 		b = appendJSONString(b, batchErr.Error())
 	}
 	b = append(b, "}\n"...)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeAggregateEnvelope streams the /aggregate response. max_err encodes as
-// null when the resolved tolerance is +Inf (a degraded request accepted any
-// certified bound) — JSON has no Infinity literal, and null states the same
-// fact: no finite tolerance constrained this answer.
-func (c *codec) writeAggregateEnvelope(w http.ResponseWriter, quotedField []byte, res *fielddb.AggregateResult, degraded bool) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := c.buf[:0]
-	b = append(b, `{"field":`...)
-	b = append(b, quotedField...)
+// aggregate streams the /aggregate response. max_err encodes as null when the
+// resolved tolerance is +Inf (a degraded request accepted any certified
+// bound) — JSON has no Infinity literal, and null states the same fact: no
+// finite tolerance constrained this answer.
+func (c jsonCodec) aggregate(field string, res *fielddb.AggregateResult, degraded bool) {
+	b := c.open(field)
 	b = append(b, `,"result":{"lo":`...)
 	b = appendJSONFloat(b, res.Query.Lo)
 	b = append(b, `,"hi":`...)
@@ -450,17 +453,12 @@ func (c *codec) writeAggregateEnvelope(w http.ResponseWriter, quotedField []byte
 	b = append(b, `,"io":`...)
 	b = appendIOStatsView(b, res.IO)
 	b = append(b, "}}\n"...)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeUpdateEnvelope streams the /update response.
-func (c *codec) writeUpdateEnvelope(w http.ResponseWriter, quotedField []byte, st *fielddb.UpdateStats) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := c.buf[:0]
-	b = append(b, `{"field":`...)
-	b = append(b, quotedField...)
+// update streams the /update response.
+func (c jsonCodec) update(field string, st *fielddb.UpdateStats) {
+	b := c.open(field)
 	b = append(b, `,"epoch":`...)
 	b = strconv.AppendUint(b, st.Epoch, 10)
 	b = append(b, `,"spatial_epoch":`...)
@@ -474,22 +472,45 @@ func (c *codec) writeUpdateEnvelope(w http.ResponseWriter, quotedField []byte, s
 	b = append(b, `,"regrouped":`...)
 	b = strconv.AppendBool(b, st.Regrouped)
 	b = append(b, "}\n"...)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeErrorEnvelope streams the error envelope for status.
-func (c *codec) writeErrorEnvelope(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	b := c.buf[:0]
-	b = append(b, `{"error":{"status":`...)
+// and marshals the /v1/and response: a cold endpoint, so the per-field
+// results go through the reference struct encoding. Unlike the per-result
+// member, "geometry" is present whenever requested, empty or not.
+func (c jsonCodec) and(res *fielddb.ConjunctiveResult, geometry bool) {
+	perField := make([]WireResult, len(res.PerField))
+	for i, pr := range res.PerField {
+		perField[i] = viewResult(pr, false)
+	}
+	out := map[string]any{
+		"regions":   len(res.Regions),
+		"area":      res.Area,
+		"per_field": perField,
+	}
+	if geometry {
+		out["geometry"] = viewRings(res.Regions)
+	}
+	c.marshal(http.StatusOK, out)
+}
+
+// describe marshals one listing entry.
+func (c jsonCodec) describe(fi WireFieldInfo) { c.marshal(http.StatusOK, fi) }
+
+// list marshals the field listing.
+func (c jsonCodec) list(infos []WireFieldInfo) {
+	c.marshal(http.StatusOK, map[string]any{"fields": infos})
+}
+
+// fail streams the error envelope for status.
+func (c jsonCodec) fail(status int, msg string) {
+	c.header("application/json", status)
+	b := append(c.buf[:0], `{"error":{"status":`...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, `,"message":`...)
 	b = appendJSONString(b, msg)
 	b = append(b, "}}\n"...)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
 // readBody drains r into the pooled body scratch, bounded by maxBytes.

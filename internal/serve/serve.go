@@ -1,19 +1,25 @@
 // Package serve is the HTTP serving tier over the fielddb facade: a front
 // door (cmd/fieldserve) that exposes named query surfaces — live databases,
 // stored index files, pinned snapshots, anything implementing
-// fielddb.Querier — to remote clients, with the admission machinery the
-// engine already has. Concurrent value queries coalesce onto the shared-scan
-// batch executor through Options.BatchWindow group commit; per-request
-// deadlines ride the context facade; per-field token budgets plus a shared
-// overflow pool shed load with 429 + Retry-After so one hot field cannot
-// starve the others; and a drain mode refuses new work with 503 while
-// in-flight requests finish, so a shutdown never drops a response.
+// fielddb.Querier — to remote clients.
+//
+// Every routed endpoint enters through one gate, admit, and the route table
+// names the token pool it draws from: none for listings, metrics and traces;
+// the field's budget, then a borrowed token from the shared overflow pool,
+// then 429 + Retry-After, for queries and updates — so one hot field cannot
+// starve the others; the same with degrade-instead-of-shed for aggregates;
+// the overflow pool alone for cross-field conjunctions. The gate also refuses
+// with 503 while draining, so a shutdown never drops a response, and sets the
+// per-request deadline that rides the context facade. The gates count their
+// own outcomes (Server.Admission); below them, concurrent value queries
+// coalesce onto the shared-scan batch executor through Options.BatchWindow.
 //
 // Responses are JSON by default and a compact binary format (wire.go) when
-// the client sends "Accept: application/x-fielddb-bin". Both paths run on
-// pooled per-request scratch (encode.go): reused buffered writers, hand-built
-// envelopes, and chunked geometry streaming, so the steady-state request
-// cycle allocates a small constant regardless of payload size.
+// the client sends "Accept: application/x-fielddb-bin". A handler never knows
+// which: admit binds one of the two encoders (encode.go) to the request's
+// pooled codec — reused buffered writer, hand-built envelopes, chunked
+// geometry streaming — so the steady-state request cycle allocates a small
+// constant regardless of payload size.
 //
 // The package binds to the Querier interface alone for every read endpoint —
 // the serving tier is the consumer the interface was cut for — and needs a
@@ -101,26 +107,47 @@ const (
 	DefaultMaxTimeout     = 30 * time.Second
 )
 
-// fieldGate is one field's admission state: its token bucket and its slot in
-// the admission metrics registry.
+// pool names the admission pool a route draws its token from.
+type pool uint8
+
+const (
+	// poolNone: no token. Listings, metrics and traces answer from in-memory
+	// state and must stay observable while the query budgets are saturated.
+	poolNone pool = iota
+	// poolField: the field's own budget first, a borrowed overflow token
+	// second, 429 when both are exhausted.
+	poolField
+	// poolAggregate: poolField, except that under Config.DegradeToApprox an
+	// exhausted budget degrades the request instead of shedding it — it runs
+	// token-free with tolerance +Inf, a handful of summary-page reads that are
+	// safe outside the budget, and the response says "degraded".
+	poolAggregate
+	// poolShared: the overflow pool only (/v1/and), so conjunctions compete
+	// with over-budget fields, never with any field's reserved tokens.
+	poolShared
+)
+
+// fieldGate is one field's admission state: its token bucket, whose length is
+// the occupancy gauge, and the outcomes it has decided.
 type fieldGate struct {
-	tokens chan struct{}
-	slot   int
+	tokens                             chan struct{}
+	admitted, borrowed, shed, degraded atomic.Int64
 }
 
 // Server routes HTTP queries to named Queriers. Create with New, mount via
 // Handler, stop with Drain.
 type Server struct {
-	cfg      Config
-	fields   map[string]*Field
-	names    []string          // sorted, for deterministic listings
-	quoted   map[string][]byte // JSON-quoted field names, escaped once at New
-	gates    map[string]*fieldGate
-	overflow chan struct{}
-	adm      *obs.AdmissionMetrics
-	mux      *http.ServeMux
-	draining atomic.Bool
-	wg       sync.WaitGroup
+	cfg        Config
+	fields     map[string]*Field
+	names      []string // sorted, for deterministic listings
+	gates      map[string]*fieldGate
+	overflow   chan struct{}
+	retryAfter string // the Retry-After hint on 429 and 503, whole seconds
+	mux        *http.ServeMux
+	draining   atomic.Bool
+	wg         sync.WaitGroup
+
+	sharedAdmitted, sharedShed, drainRefused atomic.Int64
 }
 
 // New returns a Server exposing the given fields.
@@ -153,40 +180,35 @@ func New(fields map[string]*Field, cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:      cfg,
-		fields:   make(map[string]*Field, nfields),
-		quoted:   make(map[string][]byte, nfields),
-		gates:    make(map[string]*fieldGate, nfields),
-		overflow: make(chan struct{}, cfg.Overflow),
-		adm:      obs.NewAdmissionMetrics(cfg.FieldBudget, cfg.Overflow),
+		cfg:        cfg,
+		fields:     make(map[string]*Field, nfields),
+		gates:      make(map[string]*fieldGate, nfields),
+		overflow:   make(chan struct{}, cfg.Overflow),
+		retryAfter: strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second)),
+		mux:        http.NewServeMux(),
 	}
 	for name, f := range fields {
 		s.fields[name] = f
 		s.names = append(s.names, name)
+		s.gates[name] = &fieldGate{tokens: make(chan struct{}, cfg.FieldBudget)}
 	}
 	sort.Strings(s.names)
-	for _, name := range s.names {
-		s.quoted[name] = appendJSONString(nil, name)
-		s.gates[name] = &fieldGate{
-			tokens: make(chan struct{}, cfg.FieldBudget),
-			slot:   s.adm.RegisterField(name),
-		}
-	}
-	s.mux = http.NewServeMux()
+	// The route table: every endpoint but /healthz enters through admit, and
+	// names the pool its token comes from.
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/fields", s.admitLight(s.handleList))
-	s.mux.HandleFunc("GET /v1/fields/{name}", s.admitLight(s.handleDescribe))
-	s.mux.HandleFunc("GET /v1/fields/{name}/range", s.admitField(s.handleRange))
-	s.mux.HandleFunc("GET /v1/fields/{name}/above", s.admitField(s.handleAbove))
-	s.mux.HandleFunc("GET /v1/fields/{name}/below", s.admitField(s.handleBelow))
-	s.mux.HandleFunc("GET /v1/fields/{name}/point", s.admitField(s.handlePoint))
-	s.mux.HandleFunc("GET /v1/fields/{name}/contour", s.admitField(s.handleContour))
-	s.mux.HandleFunc("GET /v1/fields/{name}/aggregate", s.admitAggregate())
-	s.mux.HandleFunc("POST /v1/fields/{name}/batch", s.admitField(s.handleBatch))
-	s.mux.HandleFunc("POST /v1/fields/{name}/update", s.admitField(s.handleUpdate))
-	s.mux.HandleFunc("POST /v1/and", s.admitShared(s.handleAnd))
-	s.mux.HandleFunc("GET /metrics", s.admitLight(s.handleMetrics))
-	s.mux.HandleFunc("GET /traces", s.admitLight(s.handleTraces))
+	s.mux.HandleFunc("GET /v1/fields", s.admit(poolNone, s.handleList))
+	s.mux.HandleFunc("GET /v1/fields/{name}", s.admit(poolNone, s.handleDescribe))
+	s.mux.HandleFunc("GET /v1/fields/{name}/range", s.admit(poolField, s.handleValue("lo", "hi")))
+	s.mux.HandleFunc("GET /v1/fields/{name}/above", s.admit(poolField, s.handleValue("lo", "")))
+	s.mux.HandleFunc("GET /v1/fields/{name}/below", s.admit(poolField, s.handleValue("", "hi")))
+	s.mux.HandleFunc("GET /v1/fields/{name}/point", s.admit(poolField, s.handlePoint))
+	s.mux.HandleFunc("GET /v1/fields/{name}/contour", s.admit(poolField, s.handleContour))
+	s.mux.HandleFunc("GET /v1/fields/{name}/aggregate", s.admit(poolAggregate, s.handleAggregate))
+	s.mux.HandleFunc("POST /v1/fields/{name}/batch", s.admit(poolField, s.handleBatch))
+	s.mux.HandleFunc("POST /v1/fields/{name}/update", s.admit(poolField, s.handleUpdate))
+	s.mux.HandleFunc("POST /v1/and", s.admit(poolShared, s.handleAnd))
+	s.mux.HandleFunc("GET /metrics", s.admit(poolNone, s.handleMetrics))
+	s.mux.HandleFunc("GET /traces", s.admit(poolNone, s.handleTraces))
 	return s
 }
 
@@ -205,229 +227,143 @@ func (s *Server) Drain() {
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Admission returns a snapshot of the server's admission accounting.
-func (s *Server) Admission() obs.AdmissionSnapshot { return s.adm.Snapshot() }
-
-// wantBinary reports whether the request negotiates the binary wire format.
-func wantBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), WireMIME)
-}
-
-// handlerFn is an admitted handler: it runs with the request's pooled codec
-// and the negotiated format, inside the drain group, under the deadline
-// context.
-type handlerFn func(c *codec, w http.ResponseWriter, r *http.Request, bin bool)
-
-// writeFail writes err's envelope in the negotiated format.
-func writeFail(c *codec, w http.ResponseWriter, bin bool, status int, msg string) {
-	if bin {
-		c.writeErrorFrame(w, status, msg)
-	} else {
-		c.writeErrorEnvelope(w, status, msg)
+// Admission returns a snapshot of the server's admission accounting, read off
+// the gates themselves: the counters are the ones admit moves and the gauges
+// are the token channels' lengths, so neither can drift from its pool.
+func (s *Server) Admission() obs.AdmissionSnapshot {
+	a := obs.AdmissionSnapshot{
+		FieldBudget:    int64(s.cfg.FieldBudget),
+		Overflow:       int64(s.cfg.Overflow),
+		OverflowInUse:  int64(len(s.overflow)),
+		SharedAdmitted: s.sharedAdmitted.Load(),
+		SharedShed:     s.sharedShed.Load(),
+		DrainRefused:   s.drainRefused.Load(),
 	}
-}
-
-// fail writes err through mapError.
-func fail(c *codec, w http.ResponseWriter, bin bool, err error) {
-	writeFail(c, w, bin, mapError(err), err.Error())
-}
-
-// retryAfterSeconds renders the Retry-After hint (whole seconds, minimum 1).
-func (s *Server) retryAfterSeconds() string {
-	secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+	for _, name := range s.names {
+		g := s.gates[name]
+		a.Fields = append(a.Fields, obs.FieldAdmission{
+			Field:       name,
+			Admitted:    g.admitted.Load(),
+			Borrowed:    g.borrowed.Load(),
+			Shed:        g.shed.Load(),
+			Degraded:    g.degraded.Load(),
+			BudgetInUse: int64(len(g.tokens)),
+		})
 	}
-	return strconv.Itoa(secs)
+	return a
 }
 
-// enter is the admission prelude every endpoint shares: the drain refusal and
-// the drain group's accounting. It reports false after writing the 503; on
-// true the caller owes s.wg.Done().
-func (s *Server) enter(c *codec, w http.ResponseWriter, r *http.Request, bin bool) bool {
-	if s.draining.Load() {
-		s.adm.RecordDrainRefusal()
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeFail(c, w, bin, http.StatusServiceUnavailable, "server is draining")
-		return false
-	}
-	s.wg.Add(1)
-	return true
+// request is one admitted request as its handler sees it: the pooled codec
+// that carries the response, the request under its deadline context, and what
+// admit decided about it.
+type request struct {
+	codec
+	r        *http.Request
+	out      encoder // the negotiated wire format, bound to the codec
+	degraded bool    // a poolAggregate request running token-free
 }
 
-// deadline resolves the request's timeout (default, or a capped timeout_ms)
-// and returns the derived context; ok is false after a 400 was written.
-func (s *Server) deadline(c *codec, w http.ResponseWriter, r *http.Request, bin bool) (context.Context, context.CancelFunc, bool) {
-	timeout := s.cfg.DefaultTimeout
-	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms <= 0 {
-			writeFail(c, w, bin, http.StatusBadRequest, "timeout_ms must be a positive integer")
-			return nil, nil, false
+// failErr answers err through mapError.
+func (q *request) failErr(err error) { q.out.fail(mapError(err), err.Error()) }
+
+// admit is the one gate in front of every routed endpoint. It leases the
+// request's codec, binds the encoder of the negotiated format, refuses while
+// draining, joins the drain group, takes a token from p, and runs h under the
+// request's deadline (the default, or a capped timeout_ms).
+func (s *Server) admit(p pool, h func(*request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := lease(w)
+		defer q.put()
+		q.out = jsonCodec{&q.codec}
+		if strings.Contains(r.Header.Get("Accept"), WireMIME) {
+			q.out = binCodec{&q.codec}
 		}
-		// Cap in milliseconds: multiplying first lets a large timeout_ms
-		// overflow into a negative, already-expired duration.
-		timeout = s.cfg.MaxTimeout
-		if int64(ms) < timeout.Milliseconds() {
-			timeout = time.Duration(ms) * time.Millisecond
+		if s.draining.Load() {
+			s.drainRefused.Add(1)
+			s.refuse(q, http.StatusServiceUnavailable, "server is draining")
+			return
 		}
+		s.wg.Add(1)
+		defer s.wg.Done()
+		held, ok := s.take(p, r.PathValue("name"), q)
+		if !ok {
+			return
+		}
+		if held != nil {
+			defer func() { <-held }()
+		}
+		timeout := s.cfg.DefaultTimeout
+		if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
+			ms, err := strconv.Atoi(raw)
+			if err != nil || ms <= 0 {
+				q.out.fail(http.StatusBadRequest, "timeout_ms must be a positive integer")
+				return
+			}
+			// Cap in milliseconds: multiplying first lets a large timeout_ms
+			// overflow into a negative, already-expired duration.
+			timeout = s.cfg.MaxTimeout
+			if int64(ms) < timeout.Milliseconds() {
+				timeout = time.Duration(ms) * time.Millisecond
+			}
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		q.r = r.WithContext(ctx)
+		h(q)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return ctx, cancel, true
 }
 
-// acquire takes one admission token for g: the field's own budget first, a
-// borrowed overflow token second. It returns the matching release, or false
-// when both pools are exhausted — the caller decides the outcome (429 and
-// RecordShed, or the aggregate endpoint's degraded mode).
-func (s *Server) acquire(g *fieldGate) (func(), bool) {
+// take draws q's token from pool p and counts the outcome on the gate that
+// decided it. It returns the channel now holding the token — nil when the
+// request runs token-free: a poolNone route, a degraded aggregate, or an
+// unknown field, whose handler answers 404, so a typo cannot consume
+// admission capacity — and false after refusing with 429.
+func (s *Server) take(p pool, name string, q *request) (chan struct{}, bool) {
+	if p == poolNone {
+		return nil, true
+	}
+	if p == poolShared {
+		select {
+		case s.overflow <- struct{}{}:
+			s.sharedAdmitted.Add(1)
+			return s.overflow, true
+		default:
+			s.sharedShed.Add(1)
+			s.refuse(q, http.StatusTooManyRequests, "overflow pool exhausted")
+			return nil, false
+		}
+	}
+	g, ok := s.gates[name]
+	if !ok {
+		return nil, true
+	}
 	select {
 	case g.tokens <- struct{}{}:
-		s.adm.RecordAdmit(g.slot)
-		return func() {
-			<-g.tokens
-			s.adm.RecordRelease(g.slot)
-		}, true
+		g.admitted.Add(1)
+		return g.tokens, true
 	default:
 	}
 	select {
 	case s.overflow <- struct{}{}:
-		s.adm.RecordBorrow(g.slot)
-		return func() {
-			<-s.overflow
-			s.adm.RecordOverflowRelease()
-		}, true
+		g.borrowed.Add(1)
+		return s.overflow, true
 	default:
-		return nil, false
 	}
+	if p == poolAggregate && s.cfg.DegradeToApprox {
+		g.degraded.Add(1)
+		q.degraded = true
+		return nil, true
+	}
+	g.shed.Add(1)
+	s.refuse(q, http.StatusTooManyRequests, "field budget and overflow pool exhausted")
+	return nil, false
 }
 
-// admitField wraps a per-field endpoint: drain refusal, the field's token
-// budget (with overflow borrowing), and the deadline. Unknown fields skip the
-// token path — the handler answers their 404 — so a typo cannot consume
-// admission capacity.
-func (s *Server) admitField(h handlerFn) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		bin := wantBinary(r)
-		c := getCodec(w)
-		defer c.put()
-		if !s.enter(c, w, r, bin) {
-			return
-		}
-		defer s.wg.Done()
-		if g, ok := s.gates[r.PathValue("name")]; ok {
-			release, admitted := s.acquire(g)
-			if !admitted {
-				s.adm.RecordShed(g.slot)
-				w.Header().Set("Retry-After", s.retryAfterSeconds())
-				writeFail(c, w, bin, http.StatusTooManyRequests, "field budget and overflow pool exhausted")
-				return
-			}
-			defer release()
-		}
-		ctx, cancel, ok := s.deadline(c, w, r, bin)
-		if !ok {
-			return
-		}
-		defer cancel()
-		h(c, w, r.WithContext(ctx), bin)
-	}
-}
-
-// admitAggregate wraps the aggregate endpoint. It admits like admitField,
-// but when the field's budget and the overflow pool are both exhausted and
-// Config.DegradeToApprox is set, the request proceeds without a token in
-// degraded mode instead of shedding: the handler forces tolerance +Inf, so
-// the summary pages answer with whatever certified bound they carry — a
-// handful of page reads, safe to run outside the admission budget — and the
-// response is marked degraded so clients can tell the bound was not chosen.
-func (s *Server) admitAggregate() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		bin := wantBinary(r)
-		c := getCodec(w)
-		defer c.put()
-		if !s.enter(c, w, r, bin) {
-			return
-		}
-		defer s.wg.Done()
-		degraded := false
-		if g, ok := s.gates[r.PathValue("name")]; ok {
-			release, admitted := s.acquire(g)
-			switch {
-			case admitted:
-				defer release()
-			case s.cfg.DegradeToApprox:
-				degraded = true
-				s.adm.RecordDegrade(g.slot)
-			default:
-				s.adm.RecordShed(g.slot)
-				w.Header().Set("Retry-After", s.retryAfterSeconds())
-				writeFail(c, w, bin, http.StatusTooManyRequests, "field budget and overflow pool exhausted")
-				return
-			}
-		}
-		ctx, cancel, ok := s.deadline(c, w, r, bin)
-		if !ok {
-			return
-		}
-		defer cancel()
-		s.handleAggregate(c, w, r.WithContext(ctx), bin, degraded)
-	}
-}
-
-// admitShared wraps a cross-field endpoint (/v1/and): it draws from the
-// overflow pool only, so conjunctions compete with over-budget fields, never
-// with any field's reserved tokens.
-func (s *Server) admitShared(h handlerFn) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		bin := wantBinary(r)
-		c := getCodec(w)
-		defer c.put()
-		if !s.enter(c, w, r, bin) {
-			return
-		}
-		defer s.wg.Done()
-		select {
-		case s.overflow <- struct{}{}:
-			s.adm.RecordSharedAdmit()
-			defer func() {
-				<-s.overflow
-				s.adm.RecordOverflowRelease()
-			}()
-		default:
-			s.adm.RecordSharedShed()
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
-			writeFail(c, w, bin, http.StatusTooManyRequests, "overflow pool exhausted")
-			return
-		}
-		ctx, cancel, ok := s.deadline(c, w, r, bin)
-		if !ok {
-			return
-		}
-		defer cancel()
-		h(c, w, r.WithContext(ctx), bin)
-	}
-}
-
-// admitLight wraps a metadata endpoint (listings, metrics, traces): drain
-// refusal and the drain group, but no admission token — these answer from
-// in-memory state and must stay observable while query budgets are saturated.
-func (s *Server) admitLight(h handlerFn) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		bin := wantBinary(r)
-		c := getCodec(w)
-		defer c.put()
-		if !s.enter(c, w, r, bin) {
-			return
-		}
-		defer s.wg.Done()
-		ctx, cancel, ok := s.deadline(c, w, r, bin)
-		if !ok {
-			return
-		}
-		defer cancel()
-		h(c, w, r.WithContext(ctx), bin)
-	}
+// refuse turns a request away at the gate: Retry-After plus the error in the
+// negotiated format.
+func (s *Server) refuse(q *request, status int, msg string) {
+	q.w.Header().Set("Retry-After", s.retryAfter)
+	q.out.fail(status, msg)
 }
 
 // mapError translates facade errors to HTTP statuses: validation failures to
@@ -457,14 +393,13 @@ func mapError(err error) int {
 }
 
 // field resolves {name}, answering 404 itself when unknown.
-func (s *Server) field(c *codec, w http.ResponseWriter, r *http.Request, bin bool) (*Field, string, bool) {
-	name := r.PathValue("name")
+func (s *Server) field(q *request) (*Field, string, bool) {
+	name := q.r.PathValue("name")
 	f, ok := s.fields[name]
 	if !ok {
-		writeFail(c, w, bin, http.StatusNotFound, fmt.Sprintf("unknown field %q", name))
-		return nil, name, false
+		q.out.fail(http.StatusNotFound, fmt.Sprintf("unknown field %q", name))
 	}
-	return f, name, true
+	return f, name, ok
 }
 
 // queryFloat parses one required float query parameter.
@@ -480,55 +415,16 @@ func queryFloat(r *http.Request, key string) (float64, error) {
 	return v, nil
 }
 
-// writeJSONValue marshals v through the pooled encoder (the cold endpoints
-// whose payloads are metadata, not per-request hot-path work).
-func (c *codec) writeJSONValue(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	c.encodeJSON(v)
-}
-
-// ioView is the deterministic I/O accounting attached to query responses:
-// page counts and the simulated disk clock, never wall time (wall time would
-// make responses nondeterministic and belongs in /metrics).
-type ioView struct {
-	Reads        int   `json:"reads"`
-	SeqReads     int   `json:"seq_reads"`
-	RandReads    int   `json:"rand_reads"`
-	CacheHits    int   `json:"cache_hits"`
-	SimElapsedNs int64 `json:"sim_elapsed_ns"`
-}
-
-// resultView is the wire form of one value-query result. Geometry is opt-in
+// viewResult is the wire form of one value-query result. Geometry is opt-in
 // (?geometry=1) — the counts, area and I/O answer most monitoring and load
 // generation needs at a fraction of the payload. The hot handlers stream this
-// shape by hand (encode.go); the struct remains the reference encoding for
-// the conjunction endpoint and the byte-identity tests.
-type resultView struct {
-	Lo              float64        `json:"lo"`
-	Hi              float64        `json:"hi"`
-	CandidateGroups int            `json:"candidate_groups"`
-	CellsFetched    int            `json:"cells_fetched"`
-	CellsMatched    int            `json:"cells_matched"`
-	Regions         int            `json:"regions"`
-	Isolines        int            `json:"isolines"`
-	Area            float64        `json:"area"`
-	IO              ioView         `json:"io"`
-	Geometry        [][][2]float64 `json:"geometry,omitempty"`
-}
-
-func viewIO(st fielddb.Result) ioView {
-	return ioView{
-		Reads:        st.IO.Reads,
-		SeqReads:     st.IO.SeqReads,
-		RandReads:    st.IO.RandReads,
-		CacheHits:    st.IO.CacheHits,
-		SimElapsedNs: int64(st.IO.SimElapsed),
-	}
-}
-
-func viewResult(res *fielddb.Result, geometry bool) resultView {
-	v := resultView{
+// shape by hand (encode.go); the struct encoding remains the reference for the
+// conjunction endpoint and the byte-identity tests. Its I/O block is the
+// deterministic accounting every query response carries: page counts and the
+// simulated disk clock, never wall time (that would make responses
+// nondeterministic and belongs in /metrics).
+func viewResult(res *fielddb.Result, geometry bool) WireResult {
+	v := WireResult{
 		Lo:              res.Query.Lo,
 		Hi:              res.Query.Hi,
 		CandidateGroups: res.CandidateGroups,
@@ -537,58 +433,58 @@ func viewResult(res *fielddb.Result, geometry bool) resultView {
 		Regions:         len(res.Regions),
 		Isolines:        len(res.Isolines),
 		Area:            res.Area,
-		IO:              viewIO(*res),
+		IO: WireIO{
+			Reads:        res.IO.Reads,
+			SeqReads:     res.IO.SeqReads,
+			RandReads:    res.IO.RandReads,
+			CacheHits:    res.IO.CacheHits,
+			SimElapsedNs: int64(res.IO.SimElapsed),
+		},
 	}
 	if geometry {
-		v.Geometry = make([][][2]float64, len(res.Regions))
-		for i, poly := range res.Regions {
-			ring := make([][2]float64, len(poly))
-			for j, p := range poly {
-				ring[j] = [2]float64{p.X, p.Y}
-			}
-			v.Geometry[i] = ring
-		}
+		v.Geometry = viewRings(res.Regions)
 	}
 	return v
+}
+
+// viewRings is the wire form of a geometry block: one coordinate-pair list per
+// ring.
+func viewRings(polys []fielddb.Polygon) [][][2]float64 {
+	rings := make([][][2]float64, len(polys))
+	for i, poly := range polys {
+		ring := make([][2]float64, len(poly))
+		for j, p := range poly {
+			ring[j] = [2]float64{p.X, p.Y}
+		}
+		rings[i] = ring
+	}
+	return rings
 }
 
 func wantGeometry(r *http.Request) bool {
 	return r.URL.Query().Get("geometry") == "1"
 }
 
+// handleHealth is the one unrouted endpoint: it answers from the drain flag
+// alone, during a drain too, so it takes no part in admission.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	c := getCodec(w)
-	defer c.put()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	b := append(c.buf[:0], `{"draining":`...)
+	q := lease(w)
+	defer q.put()
+	q.header("application/json", http.StatusOK)
+	b := append(q.buf[:0], `{"draining":`...)
 	b = strconv.AppendBool(b, s.draining.Load())
 	b = append(b, `,"status":"ok"}`...)
 	b = append(b, '\n')
-	c.bw.Write(b)
-	c.buf = b[:0]
+	q.bw.Write(b)
+	q.buf = b[:0]
 }
 
-// fieldInfo is one entry of the field listing.
-type fieldInfo struct {
-	Name         string  `json:"name"`
-	Method       string  `json:"method"`
-	Cells        int     `json:"cells"`
-	CellPages    int     `json:"cell_pages"`
-	IndexPages   int     `json:"index_pages"`
-	SidecarPages int     `json:"sidecar_pages"`
-	Groups       int     `json:"groups"`
-	TreeHeight   int     `json:"tree_height"`
-	ValueLo      float64 `json:"value_lo"`
-	ValueHi      float64 `json:"value_hi"`
-	Writable     bool    `json:"writable"`
-}
-
-func (s *Server) fieldInfo(name string) fieldInfo {
+// fieldInfo is name's entry in the field listing.
+func (s *Server) fieldInfo(name string) WireFieldInfo {
 	f := s.fields[name]
 	st := f.Querier.Stats()
 	vr := f.Querier.ValueRange()
-	return fieldInfo{
+	return WireFieldInfo{
 		Name:         name,
 		Method:       string(f.Querier.Method()),
 		Cells:        st.Cells,
@@ -603,193 +499,139 @@ func (s *Server) fieldInfo(name string) fieldInfo {
 	}
 }
 
-func (s *Server) handleList(c *codec, w http.ResponseWriter, _ *http.Request, bin bool) {
-	out := make([]fieldInfo, 0, len(s.names))
+func (s *Server) handleList(q *request) {
+	out := make([]WireFieldInfo, 0, len(s.names))
 	for _, name := range s.names {
 		out = append(out, s.fieldInfo(name))
 	}
-	if bin {
-		c.writeListFrame(w, out)
-		return
-	}
-	c.writeJSONValue(w, http.StatusOK, map[string]any{"fields": out})
+	q.out.list(out)
 }
 
-func (s *Server) handleDescribe(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	_, name, ok := s.field(c, w, r, bin)
+func (s *Server) handleDescribe(q *request) {
+	if _, name, ok := s.field(q); ok {
+		q.out.describe(s.fieldInfo(name))
+	}
+}
+
+// handleValue answers the value-query endpoints — one query with an optional
+// end. loKey and hiKey name the bounds the route requires; an empty key leaves
+// that end open (/above has no hi, /below no lo) for the facade to complete
+// from the field's value range.
+func (s *Server) handleValue(loKey, hiKey string) func(*request) {
+	return func(q *request) {
+		f, name, ok := s.field(q)
+		if !ok {
+			return
+		}
+		var lo, hi float64
+		var err error
+		if loKey != "" {
+			lo, err = queryFloat(q.r, loKey)
+		}
+		if err == nil && hiKey != "" {
+			hi, err = queryFloat(q.r, hiKey)
+		}
+		if err != nil {
+			q.out.fail(http.StatusBadRequest, err.Error())
+			return
+		}
+		var res *fielddb.Result
+		switch {
+		case hiKey == "":
+			res, err = f.Querier.ValueAboveContext(q.r.Context(), lo)
+		case loKey == "":
+			res, err = f.Querier.ValueBelowContext(q.r.Context(), hi)
+		default:
+			res, err = f.Querier.ValueQueryContext(q.r.Context(), lo, hi)
+		}
+		if err != nil {
+			q.failErr(err)
+			return
+		}
+		q.out.result(name, res, wantGeometry(q.r))
+	}
+}
+
+func (s *Server) handlePoint(q *request) {
+	f, name, ok := s.field(q)
 	if !ok {
 		return
 	}
-	if bin {
-		c.writeDescribeFrame(w, s.fieldInfo(name))
+	x, err := queryFloat(q.r, "x")
+	if err != nil {
+		q.out.fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	c.writeJSONValue(w, http.StatusOK, s.fieldInfo(name))
+	y, err := queryFloat(q.r, "y")
+	if err != nil {
+		q.out.fail(http.StatusBadRequest, err.Error())
+		return
+	}
+	v, err := f.Querier.PointQueryContext(q.r.Context(), fielddb.Point{X: x, Y: y})
+	if err != nil {
+		q.failErr(err)
+		return
+	}
+	q.out.point(name, x, y, v)
 }
 
-func (s *Server) handleRange(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
+func (s *Server) handleContour(q *request) {
+	f, name, ok := s.field(q)
 	if !ok {
 		return
 	}
-	lo, err := queryFloat(r, "lo")
+	level, err := queryFloat(q.r, "level")
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
+		q.out.fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	hi, err := queryFloat(r, "hi")
+	cr, err := f.Querier.ContourMapContext(q.r.Context(), level)
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
+		q.failErr(err)
 		return
 	}
-	res, err := f.Querier.ValueQueryContext(r.Context(), lo, hi)
-	if err != nil {
-		fail(c, w, bin, err)
-		return
-	}
-	if bin {
-		c.writeResultFrame(w, name, res, wantGeometry(r))
-		return
-	}
-	c.writeResultEnvelope(w, s.quoted[name], res, wantGeometry(r))
-}
-
-func (s *Server) handleAbove(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
-	if !ok {
-		return
-	}
-	lo, err := queryFloat(r, "lo")
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
-		return
-	}
-	res, err := f.Querier.ValueAboveContext(r.Context(), lo)
-	if err != nil {
-		fail(c, w, bin, err)
-		return
-	}
-	if bin {
-		c.writeResultFrame(w, name, res, wantGeometry(r))
-		return
-	}
-	c.writeResultEnvelope(w, s.quoted[name], res, wantGeometry(r))
-}
-
-func (s *Server) handleBelow(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
-	if !ok {
-		return
-	}
-	hi, err := queryFloat(r, "hi")
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
-		return
-	}
-	res, err := f.Querier.ValueBelowContext(r.Context(), hi)
-	if err != nil {
-		fail(c, w, bin, err)
-		return
-	}
-	if bin {
-		c.writeResultFrame(w, name, res, wantGeometry(r))
-		return
-	}
-	c.writeResultEnvelope(w, s.quoted[name], res, wantGeometry(r))
-}
-
-func (s *Server) handlePoint(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
-	if !ok {
-		return
-	}
-	x, err := queryFloat(r, "x")
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
-		return
-	}
-	y, err := queryFloat(r, "y")
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
-		return
-	}
-	v, err := f.Querier.PointQueryContext(r.Context(), fielddb.Point{X: x, Y: y})
-	if err != nil {
-		fail(c, w, bin, err)
-		return
-	}
-	if bin {
-		c.writePointFrame(w, name, x, y, v)
-		return
-	}
-	c.writePointEnvelope(w, s.quoted[name], x, y, v)
-}
-
-func (s *Server) handleContour(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
-	if !ok {
-		return
-	}
-	level, err := queryFloat(r, "level")
-	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
-		return
-	}
-	cr, err := f.Querier.ContourMapContext(r.Context(), level)
-	if err != nil {
-		fail(c, w, bin, err)
-		return
-	}
-	if bin {
-		c.writeContourFrame(w, name, level, cr, wantGeometry(r))
-		return
-	}
-	c.writeContourEnvelope(w, s.quoted[name], level, cr, wantGeometry(r))
+	q.out.contour(name, level, cr, wantGeometry(q.r))
 }
 
 // handleAggregate answers GET /v1/fields/{name}/aggregate: count, area and
 // matched-area fraction of the cells whose value intersects [lo, hi], with
 // certified error bounds when the field's summary answered (approx true) and
 // exact otherwise (fallback true). The optional max_err parameter overrides
-// the server's configured tolerance; degraded requests (admitAggregate) run
+// the server's configured tolerance; degraded requests (poolAggregate) run
 // with +Inf regardless, accepting any certified bound.
-func (s *Server) handleAggregate(c *codec, w http.ResponseWriter, r *http.Request, bin, degraded bool) {
-	f, name, ok := s.field(c, w, r, bin)
+func (s *Server) handleAggregate(q *request) {
+	f, name, ok := s.field(q)
 	if !ok {
 		return
 	}
-	lo, err := queryFloat(r, "lo")
+	lo, err := queryFloat(q.r, "lo")
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
+		q.out.fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	hi, err := queryFloat(r, "hi")
+	hi, err := queryFloat(q.r, "hi")
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, err.Error())
+		q.out.fail(http.StatusBadRequest, err.Error())
 		return
 	}
 	maxErr := s.cfg.ApproxMaxErr
-	if raw := r.URL.Query().Get("max_err"); raw != "" {
+	if raw := q.r.URL.Query().Get("max_err"); raw != "" {
 		v, perr := strconv.ParseFloat(raw, 64)
 		if perr != nil {
-			writeFail(c, w, bin, http.StatusBadRequest, fmt.Sprintf("query parameter %q: %v", "max_err", perr))
+			q.out.fail(http.StatusBadRequest, fmt.Sprintf("query parameter %q: %v", "max_err", perr))
 			return
 		}
 		maxErr = v
 	}
-	if degraded {
+	if q.degraded {
 		maxErr = math.Inf(1)
 	}
-	res, err := f.Querier.ApproxAggregateContext(r.Context(), lo, hi, maxErr)
+	res, err := f.Querier.ApproxAggregateContext(q.r.Context(), lo, hi, maxErr)
 	if err != nil {
-		fail(c, w, bin, err)
+		q.failErr(err)
 		return
 	}
-	if bin {
-		c.writeAggregateFrame(w, name, res, degraded)
-		return
-	}
-	c.writeAggregateEnvelope(w, s.quoted[name], res, degraded)
+	q.out.aggregate(name, res, q.degraded)
 }
 
 // batchRequest is the POST body of /batch.
@@ -804,52 +646,43 @@ type batchStatser interface {
 	ValueQueryBatchStats(ctx context.Context, intervals []fielddb.Interval) ([]*fielddb.Result, fielddb.BatchStats, error)
 }
 
-// batchView is the wire form of one batch's shared-execution summary.
-type batchView struct {
-	Size            int   `json:"size"`
-	PhysicalReads   int   `json:"physical_reads"`
-	PhysicalSimNs   int64 `json:"physical_sim_ns"`
-	AttributedReads int   `json:"attributed_reads"`
-	PagesSaved      int   `json:"pages_saved"`
-}
-
 // maxBatchBody bounds the /batch, /update and /v1/and request bodies.
 const maxBatchBody = 8 << 20
 
-// decodeBody reads a POST body through the pooled reader, bounded by
+// decodeBody reads the POST body through the pooled reader, bounded by
 // maxBatchBody, and decodes it strictly into v; it is false after a 400
 // naming the body kind was written.
-func decodeBody(c *codec, w http.ResponseWriter, r *http.Request, bin bool, kind string, v any) bool {
-	body, err := c.readBody(r.Body, maxBatchBody)
+func (q *request) decodeBody(kind string, v any) bool {
+	body, err := q.readBody(q.r.Body, maxBatchBody)
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		err = dec.Decode(v)
 	}
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed "+kind+" body: "+err.Error())
+		q.out.fail(http.StatusBadRequest, "malformed "+kind+" body: "+err.Error())
 		return false
 	}
 	return true
 }
 
-func (s *Server) handleBatch(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
+func (s *Server) handleBatch(q *request) {
+	f, name, ok := s.field(q)
 	if !ok {
 		return
 	}
 	// Decode into the pooled pair slice: Unmarshal reuses its capacity, so a
 	// steady stream of batches stops allocating interval storage.
-	req := batchRequest{Intervals: c.pairs[:0]}
-	if !decodeBody(c, w, r, bin, "batch", &req) {
+	req := batchRequest{Intervals: q.pairs[:0]}
+	if !q.decodeBody("batch", &req) {
 		return
 	}
-	c.pairs = req.Intervals
-	intervals := c.intervals[:0]
+	q.pairs = req.Intervals
+	intervals := q.intervals[:0]
 	for _, iv := range req.Intervals {
 		intervals = append(intervals, fielddb.Interval{Lo: iv[0], Hi: iv[1]})
 	}
-	c.intervals = intervals
+	q.intervals = intervals
 	var (
 		results []*fielddb.Result
 		st      *fielddb.BatchStats
@@ -857,24 +690,20 @@ func (s *Server) handleBatch(c *codec, w http.ResponseWriter, r *http.Request, b
 	)
 	if bs, ok := f.Querier.(batchStatser); ok {
 		var bst fielddb.BatchStats
-		results, bst, qerr = bs.ValueQueryBatchStats(r.Context(), intervals)
+		results, bst, qerr = bs.ValueQueryBatchStats(q.r.Context(), intervals)
 		if qerr == nil || results != nil {
 			st = &bst
 		}
 	} else {
-		results, qerr = f.Querier.ValueQueryBatch(r.Context(), intervals)
+		results, qerr = f.Querier.ValueQueryBatch(q.r.Context(), intervals)
 	}
 	if qerr != nil && results == nil {
-		fail(c, w, bin, qerr)
+		q.failErr(qerr)
 		return
 	}
 	// Partial failure: successful members keep their slots, the first
 	// failure is reported alongside (HTTP 200 — the batch ran).
-	if bin {
-		c.writeBatchFrame(w, name, results, st, qerr, wantGeometry(r))
-		return
-	}
-	c.writeBatchEnvelope(w, s.quoted[name], results, st, qerr, wantGeometry(r))
+	q.out.batch(name, results, st, qerr, wantGeometry(q.r))
 }
 
 // updateRequest is the POST body of /update.
@@ -885,38 +714,34 @@ type updateRequest struct {
 	} `json:"updates"`
 }
 
-func (s *Server) handleUpdate(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
-	f, name, ok := s.field(c, w, r, bin)
+func (s *Server) handleUpdate(q *request) {
+	f, name, ok := s.field(q)
 	if !ok {
 		return
 	}
 	if f.DB == nil {
-		writeFail(c, w, bin, http.StatusNotImplemented,
+		q.out.fail(http.StatusNotImplemented,
 			fmt.Sprintf("field %q is read-only (not a live database)", name))
 		return
 	}
 	var req updateRequest
-	if !decodeBody(c, w, r, bin, "update", &req) {
+	if !q.decodeBody("update", &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
-		writeFail(c, w, bin, http.StatusBadRequest, "empty update batch")
+		q.out.fail(http.StatusBadRequest, "empty update batch")
 		return
 	}
 	updates := make([]fielddb.SampleUpdate, len(req.Updates))
 	for i, u := range req.Updates {
 		updates[i] = fielddb.SampleUpdate{Sample: u.Sample, Value: u.Value}
 	}
-	st, err := f.DB.UpdateSamples(r.Context(), updates)
+	st, err := f.DB.UpdateSamples(q.r.Context(), updates)
 	if err != nil {
-		fail(c, w, bin, err)
+		q.failErr(err)
 		return
 	}
-	if bin {
-		c.writeUpdateFrame(w, name, st)
-		return
-	}
-	c.writeUpdateEnvelope(w, s.quoted[name], st)
+	q.out.update(name, st)
 }
 
 // andRequest is the POST body of /v1/and: one (field, interval) condition per
@@ -929,9 +754,9 @@ type andRequest struct {
 	} `json:"conditions"`
 }
 
-func (s *Server) handleAnd(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
+func (s *Server) handleAnd(q *request) {
 	var req andRequest
-	if !decodeBody(c, w, r, bin, "and", &req) {
+	if !q.decodeBody("and", &req) {
 		return
 	}
 	qs := make([]fielddb.Querier, len(req.Conditions))
@@ -939,64 +764,46 @@ func (s *Server) handleAnd(c *codec, w http.ResponseWriter, r *http.Request, bin
 	for i, cond := range req.Conditions {
 		f, ok := s.fields[cond.Field]
 		if !ok {
-			writeFail(c, w, bin, http.StatusNotFound, fmt.Sprintf("unknown field %q (condition %d)", cond.Field, i))
+			q.out.fail(http.StatusNotFound, fmt.Sprintf("unknown field %q (condition %d)", cond.Field, i))
 			return
 		}
 		qs[i] = f.Querier
 		intervals[i] = fielddb.Interval{Lo: cond.Lo, Hi: cond.Hi}
 	}
-	res, err := fielddb.AndQueriers(r.Context(), qs, intervals)
+	res, err := fielddb.AndQueriers(q.r.Context(), qs, intervals)
 	if err != nil {
-		fail(c, w, bin, err)
+		q.failErr(err)
 		return
 	}
-	if bin {
-		c.writeAndFrame(w, res, wantGeometry(r))
-		return
-	}
-	perField := make([]resultView, len(res.PerField))
-	for i, pr := range res.PerField {
-		perField[i] = viewResult(pr, false)
-	}
-	out := map[string]any{
-		"regions":   len(res.Regions),
-		"area":      res.Area,
-		"per_field": perField,
-	}
-	if wantGeometry(r) {
-		geom := make([][][2]float64, len(res.Regions))
-		for i, poly := range res.Regions {
-			ring := make([][2]float64, len(poly))
-			for j, p := range poly {
-				ring[j] = [2]float64{p.X, p.Y}
-			}
-			geom[i] = ring
-		}
-		out["geometry"] = geom
-	}
-	c.writeJSONValue(w, http.StatusOK, out)
+	q.out.and(res, wantGeometry(q.r))
 }
 
-func (s *Server) handleMetrics(c *codec, w http.ResponseWriter, _ *http.Request, _ bool) {
-	out := make(map[string]obs.SnapshotView, len(s.names))
+// handleMetrics renders each field's metrics snapshot and the admission
+// snapshot as they are: their JSON tags are the wire contract. The endpoint
+// has no binary form.
+func (s *Server) handleMetrics(q *request) {
+	fields := make(map[string]obs.Snapshot, len(s.names))
 	for _, name := range s.names {
-		out[name] = s.fields[name].Querier.QueryMetrics().View()
+		fields[name] = s.fields[name].Querier.QueryMetrics()
 	}
-	c.writeJSONValue(w, http.StatusOK, map[string]any{
-		"fields":    out,
-		"admission": s.adm.Snapshot().View(),
+	q.marshal(http.StatusOK, map[string]any{
+		"fields":    fields,
+		"admission": s.Admission(),
 	})
 }
 
-func (s *Server) handleTraces(c *codec, w http.ResponseWriter, r *http.Request, _ bool) {
-	want := r.URL.Query().Get("field")
+// handleTraces renders the recent traces of every field (or ?field= alone)
+// that keeps a ring. Like /metrics it is JSON only, its 404 included.
+func (s *Server) handleTraces(q *request) {
+	want := q.r.URL.Query().Get("field")
+	if _, ok := s.fields[want]; want != "" && !ok {
+		jsonCodec{&q.codec}.fail(http.StatusNotFound, fmt.Sprintf("unknown field %q", want))
+		return
+	}
 	out := make(map[string]any)
 	for _, name := range s.names {
-		if want != "" && name != want {
-			continue
-		}
 		f := s.fields[name]
-		if f.Traces == nil {
+		if f.Traces == nil || (want != "" && name != want) {
 			continue
 		}
 		traces := f.Traces.Traces()
@@ -1009,11 +816,5 @@ func (s *Server) handleTraces(c *codec, w http.ResponseWriter, r *http.Request, 
 			"traces": views,
 		}
 	}
-	if want != "" {
-		if _, ok := s.fields[want]; !ok {
-			writeFail(c, w, false, http.StatusNotFound, fmt.Sprintf("unknown field %q", want))
-			return
-		}
-	}
-	c.writeJSONValue(w, http.StatusOK, map[string]any{"fields": out})
+	q.marshal(http.StatusOK, map[string]any{"fields": out})
 }

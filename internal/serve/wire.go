@@ -92,11 +92,6 @@ const batchColumns = 13
 // and streamed through its bufio.Writer; geometry rings flush one at a time,
 // so large payloads never materialize.
 
-func appendHeader(b []byte, kind byte) []byte {
-	b = append(b, wireMagic...)
-	return append(b, wireVersion, kind)
-}
-
 func appendString(b []byte, s string) []byte {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]
@@ -183,8 +178,7 @@ func (c *codec) streamRingsBin(rings []fielddb.Polygon) {
 	}
 	b := appendU32(c.buf[:0], len(rings))
 	b = appendU32(b, npoints)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 	if cap(c.vals) < wireGeomChunk {
 		c.vals = make([]float64, 0, wireGeomChunk)
 	}
@@ -221,54 +215,49 @@ func (c *codec) streamGeometryBin(rings []fielddb.Polygon, present bool) {
 	c.streamRingsBin(rings)
 }
 
-func setBinaryHeader(w http.ResponseWriter, status int) {
-	w.Header().Set("Content-Type", WireMIME)
-	w.WriteHeader(status)
+// open starts a binary response and returns its frame header in the scratch
+// buffer.
+func (c binCodec) open(status int, kind byte) []byte {
+	c.header(WireMIME, status)
+	b := append(c.buf[:0], wireMagic...)
+	return append(b, wireVersion, kind)
 }
 
-// writeResultFrame streams a kind-1 frame for the range/above/below
-// endpoints.
-func (c *codec) writeResultFrame(w http.ResponseWriter, field string, res *fielddb.Result, geometry bool) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameResult)
+// result streams a kind-1 frame for the range/above/below endpoints.
+func (c binCodec) result(field string, res *fielddb.Result, geometry bool) {
+	b := c.open(http.StatusOK, frameResult)
 	b = appendString(b, field)
 	b = appendResultCore(b, res)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 	c.streamGeometryBin(res.Regions, geometry && len(res.Regions) > 0)
 }
 
-// writePointFrame streams a kind-2 frame.
-func (c *codec) writePointFrame(w http.ResponseWriter, field string, x, y, value float64) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], framePoint)
+// point streams a kind-2 frame.
+func (c binCodec) point(field string, x, y, value float64) {
+	b := c.open(http.StatusOK, framePoint)
 	b = appendString(b, field)
 	b = appendF64(b, x)
 	b = appendF64(b, y)
 	b = appendF64(b, value)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeContourFrame streams a kind-3 frame.
-func (c *codec) writeContourFrame(w http.ResponseWriter, field string, level float64, cr *fielddb.ContourResult, geometry bool) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameContour)
+// contour streams a kind-3 frame.
+func (c binCodec) contour(field string, level float64, cr *fielddb.ContourResult, geometry bool) {
+	b := c.open(http.StatusOK, frameContour)
 	b = appendString(b, field)
 	b = appendF64(b, level)
 	b = appendU32(b, len(cr.Polylines))
 	b = appendIOStats(b, cr.IO)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 	c.streamGeometryBin(polylinesAsPolygons(cr.Polylines), geometry && len(cr.Polylines) > 0)
 }
 
-// writeBatchFrame streams a kind-4 frame: a presence bitmap over members,
-// optional shared-scan stats, and the member stats transposed into packed
-// columns — the wire-side mirror of the interval sidecar's layout.
-func (c *codec) writeBatchFrame(w http.ResponseWriter, field string, results []*fielddb.Result, st *fielddb.BatchStats, batchErr error, geometry bool) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameBatch)
+// batch streams a kind-4 frame: a presence bitmap over members, optional
+// shared-scan stats, and the member stats transposed into packed columns —
+// the wire-side mirror of the interval sidecar's layout.
+func (c binCodec) batch(field string, results []*fielddb.Result, st *fielddb.BatchStats, batchErr error, geometry bool) {
+	b := c.open(http.StatusOK, frameBatch)
 	b = appendString(b, field)
 	b = appendU32(b, len(results))
 	present := 0
@@ -295,8 +284,7 @@ func (c *codec) writeBatchFrame(w http.ResponseWriter, field string, results []*
 		msg = batchErr.Error()
 	}
 	b = appendString(b, msg)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 
 	if present > 0 {
 		if cap(c.vals) < present {
@@ -357,38 +345,32 @@ func batchColumnValue(ci int, res *fielddb.Result) float64 {
 	}
 }
 
-// writeErrorFrame streams a kind-5 frame. The HTTP status is carried both on
-// the response line and in the frame, so a decoder never needs the transport.
-func (c *codec) writeErrorFrame(w http.ResponseWriter, status int, msg string) {
-	setBinaryHeader(w, status)
-	b := appendHeader(c.buf[:0], frameError)
+// fail streams a kind-5 frame. The HTTP status is carried both on the
+// response line and in the frame, so a decoder never needs the transport.
+func (c binCodec) fail(status int, msg string) {
+	b := c.open(status, frameError)
 	b = binary.LittleEndian.AppendUint16(b, uint16(status))
 	b = appendString(b, msg)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeAndFrame streams a kind-6 frame.
-func (c *codec) writeAndFrame(w http.ResponseWriter, res *fielddb.ConjunctiveResult, geometry bool) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameAnd)
+// and streams a kind-6 frame.
+func (c binCodec) and(res *fielddb.ConjunctiveResult, geometry bool) {
+	b := c.open(http.StatusOK, frameAnd)
 	b = appendU32(b, len(res.Regions))
 	b = appendF64(b, res.Area)
 	b = appendU32(b, len(res.PerField))
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 	for _, pr := range res.PerField {
 		b = appendResultCore(c.buf[:0], pr)
-		c.bw.Write(b)
-		c.buf = b[:0]
+		c.emit(b)
 	}
 	c.streamGeometryBin(res.Regions, geometry && len(res.Regions) > 0)
 }
 
-// writeAggregateFrame streams a kind-10 frame.
-func (c *codec) writeAggregateFrame(w http.ResponseWriter, field string, res *fielddb.AggregateResult, degraded bool) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameAggregate)
+// aggregate streams a kind-10 frame.
+func (c binCodec) aggregate(field string, res *fielddb.AggregateResult, degraded bool) {
+	b := c.open(http.StatusOK, frameAggregate)
 	b = appendString(b, field)
 	b = appendF64(b, res.Query.Lo)
 	b = appendF64(b, res.Query.Hi)
@@ -403,8 +385,7 @@ func (c *codec) writeAggregateFrame(w http.ResponseWriter, field string, res *fi
 	b = appendF64(b, res.TotalArea)
 	b = append(b, boolByte(res.Approx), boolByte(res.Fallback), boolByte(degraded))
 	b = appendIOStats(b, res.IO)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
 func boolByte(v bool) byte {
@@ -414,26 +395,19 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-// writeUpdateFrame streams a kind-7 frame.
-func (c *codec) writeUpdateFrame(w http.ResponseWriter, field string, st *fielddb.UpdateStats) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameUpdate)
+// update streams a kind-7 frame.
+func (c binCodec) update(field string, st *fielddb.UpdateStats) {
+	b := c.open(http.StatusOK, frameUpdate)
 	b = appendString(b, field)
 	b = binary.LittleEndian.AppendUint64(b, st.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, st.SpatialEpoch)
 	b = appendU32(b, st.SamplesApplied)
 	b = appendU32(b, st.CellsTouched)
 	b = appendU32(b, st.PagesWritten)
-	if st.Regrouped {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(append(b, boolByte(st.Regrouped)))
 }
 
-func appendFieldInfo(b []byte, fi fieldInfo) []byte {
+func appendFieldInfo(b []byte, fi WireFieldInfo) []byte {
 	b = appendString(b, fi.Name)
 	b = appendString(b, fi.Method)
 	b = appendU32(b, fi.Cells)
@@ -444,52 +418,55 @@ func appendFieldInfo(b []byte, fi fieldInfo) []byte {
 	b = appendU32(b, fi.TreeHeight)
 	b = appendF64(b, fi.ValueLo)
 	b = appendF64(b, fi.ValueHi)
-	if fi.Writable {
-		return append(b, 1)
-	}
-	return append(b, 0)
+	return append(b, boolByte(fi.Writable))
 }
 
-// writeDescribeFrame streams a kind-8 frame.
-func (c *codec) writeDescribeFrame(w http.ResponseWriter, fi fieldInfo) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameDescribe)
+// describe streams a kind-8 frame.
+func (c binCodec) describe(fi WireFieldInfo) {
+	b := c.open(http.StatusOK, frameDescribe)
 	b = appendFieldInfo(b, fi)
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 }
 
-// writeListFrame streams a kind-9 frame.
-func (c *codec) writeListFrame(w http.ResponseWriter, infos []fieldInfo) {
-	setBinaryHeader(w, http.StatusOK)
-	b := appendHeader(c.buf[:0], frameList)
+// list streams a kind-9 frame.
+func (c binCodec) list(infos []WireFieldInfo) {
+	b := c.open(http.StatusOK, frameList)
 	b = appendU32(b, len(infos))
-	c.bw.Write(b)
-	c.buf = b[:0]
+	c.emit(b)
 	for _, fi := range infos {
 		b = appendFieldInfo(c.buf[:0], fi)
-		c.bw.Write(b)
-		c.buf = b[:0]
+		c.emit(b)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (clients: fieldload, tests). The decoded types mirror the JSON
-// envelopes field for field, so equivalence tests compare them directly.
+// Decoding (clients: fieldload, tests). The shapes both formats share — I/O
+// block, result, batch stats, listing entry — are one struct each: DecodeFrame
+// fills it from a frame and its JSON tags are the envelope's keys, so the
+// equivalence tests compare the two decodes directly.
 
-// WireIO is the decoded ioStats block.
+// WireIO is the ioStats block — decoded from a frame, and, through its tags,
+// the "io" object of the JSON envelopes.
 type WireIO struct {
-	Reads, SeqReads, RandReads, CacheHits int
-	SimElapsedNs                          int64
+	Reads        int   `json:"reads"`
+	SeqReads     int   `json:"seq_reads"`
+	RandReads    int   `json:"rand_reads"`
+	CacheHits    int   `json:"cache_hits"`
+	SimElapsedNs int64 `json:"sim_elapsed_ns"`
 }
 
-// WireResult is the decoded result block (one value-query result).
+// WireResult is the result block (one value-query result) in both formats.
 type WireResult struct {
-	Lo, Hi                                                         float64
-	CandidateGroups, CellsFetched, CellsMatched, Regions, Isolines int
-	Area                                                           float64
-	IO                                                             WireIO
-	Geometry                                                       [][][2]float64
+	Lo              float64        `json:"lo"`
+	Hi              float64        `json:"hi"`
+	CandidateGroups int            `json:"candidate_groups"`
+	CellsFetched    int            `json:"cells_fetched"`
+	CellsMatched    int            `json:"cells_matched"`
+	Regions         int            `json:"regions"`
+	Isolines        int            `json:"isolines"`
+	Area            float64        `json:"area"`
+	IO              WireIO         `json:"io"`
+	Geometry        [][][2]float64 `json:"geometry,omitempty"`
 }
 
 // WireResultFrame is a decoded kind-1 frame.
@@ -513,12 +490,14 @@ type WireContourFrame struct {
 	Geometry  [][][2]float64
 }
 
-// WireBatchStats is the decoded shared-scan summary of a kind-4 frame.
+// WireBatchStats is the shared-scan summary of a batch response in both
+// formats.
 type WireBatchStats struct {
-	Size, PhysicalReads int
-	PhysicalSimNs       int64
-	AttributedReads     int
-	PagesSaved          int
+	Size            int   `json:"size"`
+	PhysicalReads   int   `json:"physical_reads"`
+	PhysicalSimNs   int64 `json:"physical_sim_ns"`
+	AttributedReads int   `json:"attributed_reads"`
+	PagesSaved      int   `json:"pages_saved"`
 }
 
 // WireBatchFrame is a decoded kind-4 frame. Results is positional; failed
@@ -568,13 +547,20 @@ type WireUpdateFrame struct {
 	Regrouped      bool
 }
 
-// WireFieldInfo is a decoded fieldInfo block (kinds 8 and 9).
+// WireFieldInfo is one entry of the field listing in both formats (the
+// fieldInfo block of kinds 8 and 9).
 type WireFieldInfo struct {
-	Name, Method                               string
-	Cells, CellPages, IndexPages, SidecarPages int
-	Groups, TreeHeight                         int
-	ValueLo, ValueHi                           float64
-	Writable                                   bool
+	Name         string  `json:"name"`
+	Method       string  `json:"method"`
+	Cells        int     `json:"cells"`
+	CellPages    int     `json:"cell_pages"`
+	IndexPages   int     `json:"index_pages"`
+	SidecarPages int     `json:"sidecar_pages"`
+	Groups       int     `json:"groups"`
+	TreeHeight   int     `json:"tree_height"`
+	ValueLo      float64 `json:"value_lo"`
+	ValueHi      float64 `json:"value_hi"`
+	Writable     bool    `json:"writable"`
 }
 
 // WireListFrame is a decoded kind-9 frame.

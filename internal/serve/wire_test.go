@@ -83,7 +83,7 @@ func decodeFrame(t *testing.T, data []byte) any {
 // checkResult compares a decoded binary result against its JSON envelope
 // sibling — every stat, the sim-clock I/O, and the geometry must agree
 // exactly.
-func checkResult(t *testing.T, label string, wr WireResult, jv resultView) {
+func checkResult(t *testing.T, label string, wr WireResult, jv WireResult) {
 	t.Helper()
 	if wr.Lo != jv.Lo || wr.Hi != jv.Hi {
 		t.Fatalf("%s: interval (%g,%g) != (%g,%g)", label, wr.Lo, wr.Hi, jv.Lo, jv.Hi)
@@ -132,7 +132,7 @@ func TestWireEquivalence(t *testing.T) {
 
 	t.Run("list", func(t *testing.T) {
 		var jv struct {
-			Fields []fieldInfo `json:"fields"`
+			Fields []WireFieldInfo `json:"fields"`
 		}
 		if st := getJSON(t, hs.URL+"/v1/fields", &jv); st != 200 {
 			t.Fatalf("json status %d", st)
@@ -158,7 +158,7 @@ func TestWireEquivalence(t *testing.T) {
 	})
 
 	t.Run("describe", func(t *testing.T) {
-		var jv fieldInfo
+		var jv WireFieldInfo
 		if st := getJSON(t, hs.URL+"/v1/fields/terrain", &jv); st != 200 {
 			t.Fatalf("json status %d", st)
 		}
@@ -182,7 +182,7 @@ func TestWireEquivalence(t *testing.T) {
 			t.Run(ep.name+geom, func(t *testing.T) {
 				var jv struct {
 					Field  string     `json:"field"`
-					Result resultView `json:"result"`
+					Result WireResult `json:"result"`
 				}
 				if st := getJSON(t, hs.URL+ep.url+geom, &jv); st != 200 {
 					t.Fatalf("json status %d", st)
@@ -232,7 +232,7 @@ func TestWireEquivalence(t *testing.T) {
 			Field     string         `json:"field"`
 			Level     float64        `json:"level"`
 			Polylines int            `json:"polylines"`
-			IO        ioView         `json:"io"`
+			IO        WireIO         `json:"io"`
 			Geometry  [][][2]float64 `json:"geometry"`
 		}
 		if st := getJSON(t, hs.URL+url, &jv); st != 200 {
@@ -258,10 +258,10 @@ func TestWireEquivalence(t *testing.T) {
 			lo, hi, lo, lo+vr.Length()*0.05, hi-vr.Length()*0.05, hi)
 		for _, geom := range []string{"", "?geometry=1"} {
 			var jv struct {
-				Field   string        `json:"field"`
-				Results []*resultView `json:"results"`
-				Batch   *batchView    `json:"batch"`
-				Error   string        `json:"error"`
+				Field   string          `json:"field"`
+				Results []*WireResult   `json:"results"`
+				Batch   *WireBatchStats `json:"batch"`
+				Error   string          `json:"error"`
 			}
 			if st := postJSON(t, hs.URL+"/v1/fields/frozen/batch"+geom, reqBody, &jv); st != 200 {
 				t.Fatalf("json status %d", st)
@@ -304,7 +304,7 @@ func TestWireEquivalence(t *testing.T) {
 		var jv struct {
 			Regions  int            `json:"regions"`
 			Area     float64        `json:"area"`
-			PerField []resultView   `json:"per_field"`
+			PerField []WireResult   `json:"per_field"`
 			Geometry [][][2]float64 `json:"geometry"`
 		}
 		if st := postJSON(t, hs.URL+"/v1/and?geometry=1", reqBody, &jv); st != 200 {
@@ -370,19 +370,19 @@ func TestWireBatchPartialFailure(t *testing.T) {
 
 	// JSON: the envelope must match buffered encoding/json of the views.
 	rec := newRecordingWriter()
-	c := getCodec(rec)
-	c.writeBatchEnvelope(rec, []byte(`"t"`), results, st, memberErr, true)
-	c.put()
+	q := lease(rec)
+	jsonCodec{&q.codec}.batch("t", results, st, memberErr, true)
+	q.put()
 	v0, v2 := viewResult(res, true), viewResult(res, true)
 	var sb strings.Builder
 	enc := json.NewEncoder(&sb)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(struct {
-		Field   string        `json:"field"`
-		Results []*resultView `json:"results"`
-		Batch   *batchView    `json:"batch"`
-		Error   string        `json:"error"`
-	}{"t", []*resultView{&v0, nil, &v2}, &batchView{Size: 3, AttributedReads: 12, PagesSaved: 4},
+		Field   string          `json:"field"`
+		Results []*WireResult   `json:"results"`
+		Batch   *WireBatchStats `json:"batch"`
+		Error   string          `json:"error"`
+	}{"t", []*WireResult{&v0, nil, &v2}, &WireBatchStats{Size: 3, AttributedReads: 12, PagesSaved: 4},
 		memberErr.Error()}); err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +392,9 @@ func TestWireBatchPartialFailure(t *testing.T) {
 
 	// Binary: the frame must round-trip the nil slot, stats, and message.
 	rec = newRecordingWriter()
-	c = getCodec(rec)
-	c.writeBatchFrame(rec, "t", results, st, memberErr, true)
-	c.put()
+	q = lease(rec)
+	binCodec{&q.codec}.batch("t", results, st, memberErr, true)
+	q.put()
 	bf := decodeFrame(t, rec.body.Bytes()).(*WireBatchFrame)
 	if bf.Error != memberErr.Error() || bf.Batch == nil || bf.Batch.Size != 3 ||
 		bf.Batch.AttributedReads != 12 || bf.Batch.PagesSaved != 4 {
@@ -512,7 +512,7 @@ func TestStreamedGeometryByteIdentity(t *testing.T) {
 		}
 		want := marshal(struct {
 			Field  string     `json:"field"`
-			Result resultView `json:"result"`
+			Result WireResult `json:"result"`
 		}{"terrain", viewResult(res, true)})
 		got := fetch(fmt.Sprintf("/v1/fields/terrain/range?lo=%g&hi=%g&geometry=1", lo, hi))
 		if string(got) != string(want) {
@@ -538,9 +538,9 @@ func TestStreamedGeometryByteIdentity(t *testing.T) {
 			Field     string         `json:"field"`
 			Level     float64        `json:"level"`
 			Polylines int            `json:"polylines"`
-			IO        ioView         `json:"io"`
+			IO        WireIO         `json:"io"`
 			Geometry  [][][2]float64 `json:"geometry,omitempty"`
-		}{"terrain", level, len(cr.Polylines), ioView{
+		}{"terrain", level, len(cr.Polylines), WireIO{
 			Reads: cr.IO.Reads, SeqReads: cr.IO.SeqReads, RandReads: cr.IO.RandReads,
 			CacheHits: cr.IO.CacheHits, SimElapsedNs: int64(cr.IO.SimElapsed),
 		}, geom})
@@ -558,16 +558,16 @@ func TestStreamedGeometryByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := make([]*resultView, len(results))
+		views := make([]*WireResult, len(results))
 		for i, res := range results {
 			v := viewResult(res, true)
 			views[i] = &v
 		}
 		want := marshal(struct {
-			Field   string        `json:"field"`
-			Results []*resultView `json:"results"`
-			Batch   *batchView    `json:"batch,omitempty"`
-		}{"terrain", views, &batchView{
+			Field   string          `json:"field"`
+			Results []*WireResult   `json:"results"`
+			Batch   *WireBatchStats `json:"batch,omitempty"`
+		}{"terrain", views, &WireBatchStats{
 			Size: bst.Size, PhysicalReads: bst.Physical.Reads,
 			PhysicalSimNs:   int64(bst.Physical.SimElapsed),
 			AttributedReads: bst.AttributedReads, PagesSaved: bst.PagesSaved,

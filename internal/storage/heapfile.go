@@ -214,11 +214,6 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
 	return h.ScanPages(0, len(h.pages)-1, fn)
 }
 
-// ScanCtx is Scan with the page reads charged to r.
-func (h *HeapFile) ScanCtx(r PageReader, fn func(rid RID, rec []byte) bool) error {
-	return h.ScanPagesCtx(r, 0, len(h.pages)-1, fn)
-}
-
 // ScanPages visits records on the file's pages with index in [first, last]
 // (inclusive, indices into the file's page list). Used by the estimation step
 // to fetch exactly the cell run of one subfield.

@@ -106,14 +106,6 @@ type PoolShardStats struct {
 	Misses int64
 }
 
-// HitRatio returns hits / probes, or 0 before the first probe.
-func (s PoolShardStats) HitRatio() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
 // shardedPool is the shared buffer pool of a Pager: an N-way sharded,
 // reference-counted LRU. Hits hand back a retained *Frame under one shard
 // mutex and zero copies; the old single-mutex pool memcpyed a full page per

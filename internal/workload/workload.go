@@ -34,9 +34,6 @@ func Terrain(side int, seed int64) (*grid.DEM, error) {
 	return grid.New(geom.Pt(0, 0), 30, 30, side, side, heights) // 30 m posts, USGS-style
 }
 
-// Terrain512 is the Fig 8a dataset at full size (262,144 cells).
-func Terrain512() (*grid.DEM, error) { return Terrain(512, 4217) }
-
 // FractalDEM builds the Fig 11 synthetic dataset: a side×side diamond-square
 // DEM with roughness H, values normalized to [0, 1] as the paper normalizes
 // the value space.
@@ -55,9 +52,6 @@ func Monotonic(side int) (*grid.DEM, error) {
 		return x + y
 	})
 }
-
-// Monotonic512 is the Fig 12 dataset at full size.
-func Monotonic512() (*grid.DEM, error) { return Monotonic(512) }
 
 // NoiseTIN builds the stand-in for the paper's Lyon urban noise TIN
 // (Fig 8b): nPoints sample points over a 4×3 km area with an ambient level,
