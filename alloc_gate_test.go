@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fielddb"
 	"fielddb/internal/bench"
 	"fielddb/internal/core"
 	"fielddb/internal/field"
@@ -73,6 +74,31 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		})
 	}
+
+	// A point query opens two query contexts — the tree descent on the spatial
+	// pager, the cell fetch on the value store — and decodes one or two cells;
+	// nothing in it grows with the field.
+	t.Run("PointQuery", func(t *testing.T) {
+		const ceiling = 56 // 28
+		db, err := fielddb.Open(f, fielddb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		b := f.Bounds()
+		i := 0
+		got := testing.AllocsPerRun(256, func() {
+			p := geom.Pt(b.Min.X+float64(i%97)/97*b.Width(), b.Min.Y+float64(i%89)/89*b.Height())
+			if _, err := db.PointQuery(p); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("%.0f allocs/query (ceiling %d)", got, ceiling)
+		if got > ceiling {
+			t.Errorf("%.0f allocs per point query, ceiling %d", got, ceiling)
+		}
+	})
 
 	// An idle windowed query takes a free slot and runs the solo path as a
 	// group of one: the gate may add the member and result slices of that

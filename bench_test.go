@@ -13,7 +13,6 @@
 package fielddb_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -267,18 +266,18 @@ func BenchmarkPointQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
-	sp, err := core.BuildSpatial(context.Background(), f, pager)
+	db, err := fielddb.Open(f, fielddb.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer db.Close()
 	bounds := f.Bounds()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x := bounds.Min.X + float64(i%97)/97*bounds.Width()
 		y := bounds.Min.Y + float64(i%89)/89*bounds.Height()
-		if _, _, err := sp.PointQuery(pt(x, y)); err != nil {
+		if _, err := db.PointQuery(pt(x, y)); err != nil {
 			b.Fatal(err)
 		}
 	}

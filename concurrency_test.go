@@ -16,7 +16,8 @@ import (
 // TestConcurrentMixedQueriesStats hammers one DB from 32 goroutines with a
 // mix of every facade query kind and checks the accounting invariant: the
 // pager totals grow by exactly the sum of the per-query statistics, for the
-// value store and the spatial store independently. Run with -race this is
+// value store (value queries and the cell fetches of point queries) and the
+// spatial tree's pager (its descents) independently. Run with -race this is
 // also the concurrency smoke test for the whole query path — once plain, once
 // through the BatchWindow slot gate, where value queries run as groups of one,
 // handed-over groups and expired groups as the scheduler has it.
@@ -27,7 +28,8 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			db, err := Open(dem, Options{Workers: 4, BatchWindow: window})
+			split := &pagerSplit{}
+			db, err := Open(dem, Options{Workers: 4, BatchWindow: window, Tracer: split})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +42,7 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 			var (
 				mu     sync.Mutex
 				sumVal storage.Stats
-				sumSp  storage.Stats
+				sumPt  storage.Stats
 			)
 			const goroutines = 32
 			var wg sync.WaitGroup
@@ -50,7 +52,7 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
 					for it := 0; it < 8; it++ {
-						var val, sp storage.Stats
+						var val, pt storage.Stats
 						switch it % 4 {
 						case 0:
 							lo := vr.Lo + vr.Length()*rng.Float64()*0.8
@@ -68,7 +70,7 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 							)
 							// A point outside every cell is fine; its reads count too.
 							_, st, _ := db.PointQueryStatsContext(ctx, p)
-							sp = st
+							pt = st
 						case 2:
 							level := vr.Lo + vr.Length()*(0.2+0.6*rng.Float64())
 							cr, err := db.ContourMapContext(ctx, level)
@@ -88,21 +90,26 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 						}
 						mu.Lock()
 						sumVal = sumVal.Add(val)
-						sumSp = sumSp.Add(sp)
+						sumPt = sumPt.Add(pt)
 						mu.Unlock()
 					}
 				}(int64(g) + 1)
 			}
 			wg.Wait()
 
-			if got := db.IOStats().Sub(baseVal); got != sumVal {
-				t.Errorf("value store totals %+v != sum of per-query stats %+v", got, sumVal)
+			// A point query returns its two steps summed; its trace says which
+			// pager served which.
+			if split.tree.Add(split.cell) != sumPt {
+				t.Errorf("point-query spans %+v + %+v != the stats the queries returned %+v", split.tree, split.cell, sumPt)
 			}
-			if got := db.SpatialIOStats().Sub(baseSp); got != sumSp {
-				t.Errorf("spatial store totals %+v != sum of per-query stats %+v", got, sumSp)
+			if got, want := db.IOStats().Sub(baseVal), sumVal.Add(split.cell); got != want {
+				t.Errorf("value store totals %+v != sum of per-query stats %+v", got, want)
 			}
-			if sumVal.Reads == 0 || sumSp.Reads == 0 {
-				t.Fatalf("workload did no I/O: value %+v spatial %+v", sumVal, sumSp)
+			if got := db.SpatialIOStats().Sub(baseSp); got != split.tree {
+				t.Errorf("spatial pager totals %+v != sum of the tree descents %+v", got, split.tree)
+			}
+			if sumVal.Reads == 0 || split.tree.Reads == 0 || split.cell.Reads == 0 {
+				t.Fatalf("workload did no I/O: value %+v, tree %+v, cells %+v", sumVal, split.tree, split.cell)
 			}
 		})
 	}

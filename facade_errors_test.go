@@ -273,11 +273,11 @@ func TestUnsupportedVersionsRefused(t *testing.T) {
 		open func(path string) error
 	}{
 		{"flat", Options{}, func(path string) error {
-			_, err := core.Open(path, core.OpenFileOptions{})
+			_, err := core.Open(path, 0)
 			return err
 		}},
 		{"tiled", Options{Method: LinearScan, TileSide: 8}, func(path string) error {
-			_, err := core.Open(path, core.OpenFileOptions{})
+			_, err := core.Open(path, 0)
 			return err
 		}},
 	} {

@@ -114,7 +114,7 @@ const (
 
 // Options configures Open. Everything else about a database is fixed: 4 KiB
 // pages (as in the paper's experiments), a 65536-page sharded buffer pool per
-// store, the default simulated disk model, Hilbert linearization under the
+// pager, the default simulated disk model, Hilbert linearization under the
 // paper's cost model (Epsilon = 1), an Interval-Quadtree threshold of 1/16 of
 // the value range, and an interval sidecar on every index. Comparisons across
 // those axes are measurement exercises and run through internal/bench.
@@ -169,22 +169,22 @@ type Options struct {
 	BatchWindow time.Duration
 }
 
-// defaultPoolPages is the buffer-pool capacity of every store the facade
+// defaultPoolPages is the buffer-pool capacity of every pager the facade
 // opens: 65536 pages (256 MiB of 4 KiB pages). Per-query I/O statistics model
 // a cold start regardless of pool contents.
 const defaultPoolPages = 1 << 16
 
-// DB is an opened continuous-field database: one field, one value index,
-// and one spatial index, each on its own paged store. Its query methods are
-// the embedded surface's (see Querier).
+// DB is an opened continuous-field database: one field, its cells stored
+// once under the value index, and the spatial R*-tree that points into them
+// from a pager of its own. Its query methods are the embedded surface's (see
+// Querier).
 type DB struct {
 	surface
 	field   Field
-	spatial *core.SpatialIndex
-	pager   *storage.Pager // value index store
-	spPager *storage.Pager // spatial index store
-	// updateMu serializes UpdateSamples batches across the two stores; no
-	// query path takes it.
+	pager   *storage.Pager // the cell store: value index, cell records, summary
+	spPager *storage.Pager // the spatial R*-tree's pages, read-only after Open
+	// updateMu serializes UpdateSamples batches around the cached value
+	// range; no query path takes it.
 	updateMu sync.Mutex
 }
 
@@ -222,12 +222,10 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 			MaxSize: vr.Length()/16 + 1,
 		})
 	}
-	// The spatial index gets its own pager so Q1 and Q2 accounting stay
-	// independent.
+	// The spatial tree gets its own pager: its descents are accounted apart
+	// from the value store, and SaveIndex, which snapshots the value pager,
+	// writes no tree page.
 	spPager := newPager()
-	buildSpatial := func() (*core.SpatialIndex, error) {
-		return core.BuildSpatial(ctx, f, spPager)
-	}
 
 	var (
 		idx   core.Engine
@@ -242,14 +240,14 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp, spErr = buildSpatial()
+			sp, spErr = core.BuildSpatial(f, spPager)
 		}()
 		idx, err = buildValue()
 		wg.Wait()
 	} else {
 		idx, err = buildValue()
 		if err == nil {
-			sp, spErr = buildSpatial()
+			sp, spErr = core.BuildSpatial(f, spPager)
 		}
 	}
 	if errors.Is(err, ErrUnknownMethod) || errors.Is(err, ErrBadTiling) {
@@ -261,12 +259,9 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	if spErr != nil {
 		return nil, fmt.Errorf("fielddb: spatial index: %w", spErr)
 	}
-	db := &DB{
-		field: f, spatial: sp,
-		pager: pager, spPager: spPager,
-	}
+	db := &DB{field: f, pager: pager, spPager: spPager}
 	db.index = idx
-	db.point = sp
+	db.spatial = sp
 	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	db.vrange.Store(&vr)
 	if opts.BatchWindow > 0 {
@@ -289,7 +284,7 @@ func (db *DB) SetTracer(t Tracer) {
 	db.installObservers()
 }
 
-// Close marks the database closed and releases both stores (a no-op for the
+// Close marks the database closed and releases both pagers (a no-op for the
 // in-memory disks Open builds on, but it makes the lifecycle explicit and
 // fails subsequent queries fast). Close is idempotent; it does not wait for
 // in-flight queries. Queries after Close — through the DB or any Snapshot of
@@ -326,18 +321,19 @@ func (db *DB) Tiles() []TileInfo { return db.index.Tiles() }
 func (db *DB) IOStats() storage.Stats { return db.pager.Stats() }
 
 // SpatialIOStats returns the cumulative page-access statistics of the
-// spatial index's store (point queries account here, value queries in
-// IOStats).
-func (db *DB) SpatialIOStats() storage.Stats { return db.spatial.IOStats() }
+// spatial R*-tree's pager: the tree descents of point queries, and nothing
+// else — the cell a point query then fetches is read from the value store and
+// accounts in IOStats, beside the value queries and update batches.
+func (db *DB) SpatialIOStats() storage.Stats { return db.spPager.Stats() }
 
 // EngineMetrics is the full observability snapshot of a DB: the engine's
-// cumulative query metrics plus the per-store I/O totals and buffer-pool
-// shard statistics of both stores.
+// cumulative query metrics plus the I/O totals and buffer-pool shard
+// statistics of both pagers: the value store's and the spatial tree's.
 type EngineMetrics struct {
 	// Engine is the cumulative query-level registry: queries by method,
 	// latency histogram, pages read by kind, worker-pool utilization.
 	Engine MetricsSnapshot
-	// ValueIO and SpatialIO are the cumulative per-store page statistics
+	// ValueIO and SpatialIO are the cumulative per-pager page statistics
 	// (identical to IOStats and SpatialIOStats).
 	ValueIO, SpatialIO storage.Stats
 	// ValuePool and SpatialPool are per-shard buffer-pool hit/miss counters.
@@ -384,9 +380,9 @@ func (db *DB) Metrics() EngineMetrics {
 	return EngineMetrics{
 		Engine:      db.QueryMetrics(),
 		ValueIO:     db.pager.Stats(),
-		SpatialIO:   db.spatial.IOStats(),
+		SpatialIO:   db.spPager.Stats(),
 		ValuePool:   db.pager.PoolShardStats(),
-		SpatialPool: db.spatial.PoolShardStats(),
+		SpatialPool: db.spPager.PoolShardStats(),
 	}
 }
 
@@ -445,7 +441,7 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if pool == 0 {
 		pool = defaultPoolPages
 	}
-	p, err := core.Open(path, core.OpenFileOptions{PoolPages: pool})
+	p, err := core.Open(path, pool)
 	if err != nil {
 		return nil, err
 	}

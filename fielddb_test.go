@@ -72,6 +72,31 @@ func TestAllMethodsViaFacade(t *testing.T) {
 	}
 }
 
+// TestCellsStoredOnce is the structural guard of the one cell file: whatever
+// the method, the spatial pager holds the R*-tree's pages and not one page
+// more — no second heap of cell records — and the only cell pages are the
+// value store's.
+func TestCellsStoredOnce(t *testing.T) {
+	dem, _ := TerrainDEM(32, 7)
+	for _, opts := range []Options{
+		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert}, {Method: IQuad}, {Method: Auto},
+		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
+	} {
+		db, err := Open(dem, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		sp := db.spatial.Stats()
+		if sp.IndexPages == 0 || db.spPager.NumPages() != sp.IndexPages || sp.CellPages != 0 {
+			t.Errorf("%s: spatial pager holds %d pages, its tree %d (stats %+v)", db.Method(), db.spPager.NumPages(), sp.IndexPages, sp)
+		}
+		if st := db.Stats(); st.CellPages == 0 || st.Cells != sp.Cells {
+			t.Errorf("%s: value store %+v under a tree of %d cells", db.Method(), st, sp.Cells)
+		}
+		db.Close()
+	}
+}
+
 func TestValueAboveBelow(t *testing.T) {
 	dem, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 16, 16, func(x, y float64) float64 { return x })
 	db, err := Open(dem, Options{})

@@ -230,8 +230,9 @@ func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m 
 			return nil, nil, nil, fmt.Errorf("core: %w", err)
 		}
 		p.ivs = make([]geom.Interval, len(refs))
+		p.posOf = make([]int32, len(refs))
 		for i, r := range refs {
-			ids[i], p.ivs[i] = r.ID, r.Interval
+			ids[i], p.ivs[i], p.posOf[r.ID] = r.ID, r.Interval, int32(i)
 		}
 		p.order = ids
 	}

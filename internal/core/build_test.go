@@ -166,7 +166,7 @@ func TestBuildMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opened, err := Open(path, OpenFileOptions{PoolPages: 8192})
+			opened, err := Open(path, 8192)
 			if err != nil {
 				t.Fatal(err)
 			}

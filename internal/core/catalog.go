@@ -222,33 +222,19 @@ func readCodecTail(r *byteReader, sidecarPages int) (codec string, firstPos []ui
 	return codec, firstPos, nil
 }
 
-// OpenFileOptions tunes Open.
-type OpenFileOptions struct {
-	// Model is the simulated disk cost model; the zero value selects
-	// storage.DefaultDiskModel.
-	Model storage.DiskModel
-	// PoolPages is the buffer-pool capacity in pages; 0 disables caching
-	// (strict cold-cache accounting).
-	PoolPages int
-	// PoolShards pins the buffer-pool shard count; 0 picks the default.
-	PoolShards int
-}
-
 // Open opens a database file written by SaveFile — untiled or tiled — and
 // returns a query-ready index backed by the file's pages: an untiled executor
 // or the tiled planner, whichever the catalog's tile directory says. The file
 // is opened and its catalog read once; a file at any other catalog version is
-// refused before anything else in it is interpreted. Updates work on both:
-// ApplyUpdates takes the caller's field.
-func Open(path string, opts OpenFileOptions) (Engine, error) {
-	if opts.Model == (storage.DiskModel{}) {
-		opts.Model = storage.DefaultDiskModel
-	}
+// refused before anything else in it is interpreted. poolPages is the
+// buffer-pool capacity in pages; 0 disables caching (strict cold-cache
+// accounting). Updates work on both: ApplyUpdates takes the caller's field.
+func Open(path string, poolPages int) (Engine, error) {
 	disk, blob, err := readCatalogBlob(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
-	pager := storage.NewPagerShards(disk, opts.Model, opts.PoolPages, opts.PoolShards)
+	pager := storage.NewPager(disk, storage.DefaultDiskModel, poolPages)
 	var eng Engine
 	if catalogTileCount(blob) > 0 {
 		eng, err = decodeTiledCatalog(blob, pager)
@@ -441,9 +427,19 @@ func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 	if !r.fits(cells, 4) {
 		return nil, fmt.Errorf("catalog truncated")
 	}
+	// The order must be a permutation of the cell ids: posOf, its inverse, is
+	// how updates and point queries locate a cell's record.
 	order := make([]field.CellID, cells)
+	posOf := make([]int32, cells)
+	for i := range posOf {
+		posOf[i] = -1
+	}
 	for i := range order {
 		order[i] = field.CellID(r.u32())
+		if int(order[i]) >= cells || posOf[order[i]] != -1 {
+			return nil, fmt.Errorf("corrupt catalog cell order at position %d", i)
+		}
+		posOf[order[i]] = int32(i)
 	}
 	sidecarFirst := storage.PageID(r.u32())
 	sidecarPages := int(r.u32())
@@ -483,6 +479,7 @@ func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
 		heap:  storage.OpenHeapFile(pager, heapPages, cells),
 		cells: cells,
 		order: order,
+		posOf: posOf,
 		// The partitioning rule update batches re-derive group boundaries with.
 		cut:     m.cut,
 		cost:    subfield.CostModel{Epsilon: epsilon},

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -90,6 +92,43 @@ func TestSaveFileRefusesNonEmpty(t *testing.T) {
 	}
 	if err := built.SaveFile(path); err == nil {
 		t.Fatal("non-empty target accepted")
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != storage.DefaultPageSize {
+		t.Fatalf("the refused save touched a file it did not create: %v", err)
+	}
+}
+
+// TestFailedSaveLeavesNoFile: a save that dies after creating its file — the
+// snapshot source fails mid-copy — removes it, so the retry finds the path
+// free instead of a partial file it must refuse as not empty.
+func TestFailedSaveLeavesNoFile(t *testing.T) {
+	f := testDEM(t, 8, 0.5)
+	disk := &failingDisk{Disk: storage.NewMemDisk(storage.DefaultPageSize)}
+	built, err := buildIx(f, storage.NewPager(disk, storage.DefaultDiskModel, 0), BuildOptions{Method: MethodIHilbert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "retry.fidx")
+	disk.fail.Store(true)
+	if err := built.SaveFile(path); !errors.Is(err, errInjected) {
+		t.Fatalf("save from a failing disk: %v, want the injected error", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the failed save left its file behind (stat: %v)", err)
+	}
+	disk.fail.Store(false)
+	if err := built.SaveFile(path); err != nil {
+		t.Fatalf("retry after the failed save: %v", err)
+	}
+	opened, err := openIx(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	q := f.ValueRange()
+	want, _ := bruteForce(f, q)
+	if res, err := opened.Query(q); err != nil || res.CellsMatched != len(want) {
+		t.Fatalf("reopened after retry: %v, %d cells of %d", err, res.CellsMatched, len(want))
 	}
 }
 
@@ -284,7 +323,25 @@ func TestCatalogHostileCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Not a permutation: the same saved index with its second cell-order entry
+	// overwritten by the first, so one cell has two heap positions.
+	dupOrder := filepath.Join(dir, "dup-order")
+	if err := built.SaveFile(dupOrder); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(dupOrder); err != nil {
+		t.Fatal(err)
+	}
+	cat := raw[int(le.Uint32(raw[len(raw)-ps+8:]))*ps:]
+	order := catalogHeaderLen + 2 + len(MethodIHilbert) + 8 + 8 + 4*built.heap.NumPages() + 12 +
+		8 + groupMetaLen*len(built.cur().groups)
+	copy(cat[order+4:order+8], cat[order:order+4])
+	if err := os.WriteFile(dupOrder, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, tc := range []struct{ name, path string }{
+		{"cell order names a cell twice", dupOrder},
 		{"untiled cells and groups", write("untiled", untiled)},
 		{"tiled cells", write("tiled-cells", tiledHead(1<<30))},
 		{"tiled heap pages", write("tiled-pages", tiledPages)},
@@ -292,7 +349,7 @@ func TestCatalogHostileCounts(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		eng, err := Open(tc.path, OpenFileOptions{})
+		eng, err := Open(tc.path, 0)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			eng.Close()

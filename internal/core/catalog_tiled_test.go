@@ -173,14 +173,14 @@ func TestOpenStoredDispatch(t *testing.T) {
 	}
 
 	// The dispatcher picks the right decoder for each file kind.
-	idx, err := Open(tiledPath, OpenFileOptions{PoolPages: 8192})
+	idx, err := Open(tiledPath, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := idx.(*TiledIndex); !ok {
 		t.Fatalf("tiled file opened as %T", idx)
 	}
-	idx, err = Open(flatPath, OpenFileOptions{PoolPages: 8192})
+	idx, err = Open(flatPath, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,13 +32,18 @@
 // or copy into a tile arena for the tiled planner's gather (tiled.go).
 //
 // Around the hooks sits one shell (shell.go, update.go), embedded by the
-// executor, the tiled planner and the spatial store alike: the pinned-state
-// handle (a snapshot is the same handle at the state it pinned), the scatter
-// that forks work over query contexts and merges it back in order, the update
-// transaction (patch, each involved partition's maintain hook, one commit,
-// publish) and the file save. An untiled index is the one-partition case of
-// all of them, the planner the N-partition case, the spatial store the case
-// with no hook.
+// executor and the tiled planner alike: the pinned-state handle (a snapshot is
+// the same handle at the state it pinned), the scatter that forks work over
+// query contexts and merges it back in order, the update transaction (patch,
+// each involved partition's maintain hook, one commit, publish), the
+// single-cell fetch and the file save. An untiled index is the one-partition
+// case of all of them, the planner the N-partition case.
+//
+// The cells are stored once. The conventional query of §2.2.1 (spatial.go) is
+// a second access path into the same cell file: a 2-D R*-tree of cell ids on a
+// pager of its own, whose candidates the engine fetches (FetchCells) at the
+// state the caller holds — so one update batch is one transaction and one
+// epoch, and one snapshot pin, for Q1 and Q2 together.
 //
 // All methods share one storage substrate (internal/storage): cells live in
 // a slotted heap file, index nodes in R*-tree pages, and every page access
@@ -178,6 +183,14 @@ type Engine interface {
 	// readers are never blocked and never see a partial batch; on error the
 	// field is rolled back and the live epoch is untouched.
 	ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error)
+	// FetchCells reads the records of the cells ids names, in that order, at
+	// the engine's state — through one query context on its pager, traced as
+	// one decode span on tb — and hands each decoded cell to visit until visit
+	// returns false. A tiled engine delivers a cell under its tile-local id.
+	// The returned Stats are the fetch's I/O, published to the pager's totals
+	// like a query's, on an error too. It is how the spatial access path
+	// reads the one cell file.
+	FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uint64, visit func(c *field.Cell) bool) (storage.Stats, error)
 	// ForEachGroup visits every subfield (none where the method has no
 	// partition); Tiles lists the tile directory (nil when untiled).
 	ForEachGroup(fn func(group int, iv geom.Interval, cells []field.CellID) bool)

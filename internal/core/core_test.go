@@ -79,7 +79,7 @@ func buildTiles(f field.Field, p *storage.Pager, opts BuildOptions) (*TiledIndex
 // openIx and openTiles are Open with a pool of pool pages, as the executor or
 // the planner the file holds.
 func openIx(path string, pool int) (*executor, error) {
-	e, err := Open(path, OpenFileOptions{PoolPages: pool})
+	e, err := Open(path, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func openIx(path string, pool int) (*executor, error) {
 }
 
 func openTiles(path string, pool int) (*TiledIndex, error) {
-	e, err := Open(path, OpenFileOptions{PoolPages: pool})
+	e, err := Open(path, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -422,35 +422,33 @@ func TestIHilbertWithAlternativeCurves(t *testing.T) {
 	}
 }
 
+// TestSpatialIndexPointQueries: the tree stores no cell — it reads the value
+// engine's, whatever order and however many partitions that engine keeps them
+// in.
 func TestSpatialIndexPointQueries(t *testing.T) {
+	ctx := context.Background()
 	f := testDEM(t, 32, 0.5)
-	s, err := BuildSpatial(context.Background(), f, newPager())
+	pager := newPager()
+	s, err := BuildSpatial(f, pager)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().IndexPages == 0 {
-		t.Fatal("no index pages")
+	if st := s.Stats(); st.IndexPages == 0 || st.IndexPages != pager.NumPages() || st.CellPages != 0 {
+		t.Fatalf("stats %+v on a pager of %d pages: the tree's pages and nothing else", st, pager.NumPages())
 	}
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 200; i++ {
-		p := geom.Pt(rng.Float64()*32, rng.Float64()*32)
-		got, st, err := s.PointQuery(p)
+	for name, opts := range map[string]BuildOptions{
+		"natural order": {Method: MethodLinearScan},
+		"curve order":   {Method: MethodIHilbert},
+		"tiled":         {Method: MethodIHilbert, TileSide: 8},
+	} {
+		cells, err := Build(ctx, f, newPager(), opts)
 		if err != nil {
-			t.Fatalf("PointQuery(%v): %v", p, err)
+			t.Fatal(err)
 		}
-		want, ok := field.ValueAt(f, p)
-		if !ok {
-			t.Fatalf("reference ValueAt(%v) failed", p)
+		checkPointQueries(t, f, cells, 14)
+		if _, _, err := s.PointQueryContext(ctx, cells, geom.Pt(-100, -100)); err == nil {
+			t.Fatalf("%s: outside point answered", name)
 		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("PointQuery(%v) = %g, want %g", p, got, want)
-		}
-		if st.Reads == 0 {
-			t.Fatal("point query did no I/O")
-		}
-	}
-	if _, _, err := s.PointQuery(geom.Pt(-100, -100)); err == nil {
-		t.Fatal("outside point answered")
 	}
 }
 

@@ -43,15 +43,16 @@ type partition struct {
 	// order is the heap-file cell order of a partitioned method (nil in
 	// natural order, where heap position == cell id). cut, cost and maxSize
 	// are the build's partitioning rule, so an update batch can re-derive the
-	// group boundaries (the §3 cost bound); ivs is the current cell interval
-	// per heap position and posOf maps cell id to heap position, both hydrated
-	// by the first update that needs them.
+	// group boundaries (the §3 cost bound). posOf is order's inverse, cell id
+	// to heap position, filled once at build or open and immutable after; ivs
+	// is the current cell interval per heap position, which a file-opened
+	// index hydrates on its first update.
 	order   []field.CellID
+	posOf   []int32
 	cut     cutRule
 	cost    subfield.CostModel
 	maxSize float64
 	ivs     []geom.Interval
-	posOf   map[field.CellID]int
 
 	// The I-Auto planner's decision counters.
 	scanQueries, filterQueries atomic.Int64
@@ -81,6 +82,11 @@ func newExecutor(ix *valueIndex, st *state) *executor {
 // AcquireSnapshot implements Engine.
 func (e *executor) AcquireSnapshot() Engine {
 	return &executor{valueIndex: e.valueIndex, pinned: e.snapshot()}
+}
+
+// FetchCells implements Engine.
+func (e *executor) FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uint64, visit func(*field.Cell) bool) (storage.Stats, error) {
+	return e.fetchCells(ctx, e.partition, tb, ids, visit)
 }
 
 // Tiles implements Engine: a single-partition index has none.

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
 	"fielddb/internal/storage"
@@ -83,122 +82,78 @@ func TestFailedQueryReleasesPin(t *testing.T) {
 	}
 }
 
-// pinHandle is a store handle as the pin table drives it: a value index or
-// the spatial store, live or snapshot.
-type pinHandle struct {
-	answers  func() (any, error) // a fixed set of queries, I/O statistics included
-	snapshot func() pinHandle
-	update   func(f field.Mutable, updates []SampleUpdate) (*UpdateResult, error)
-	epoch    func() uint64
-	close    func() error
+// pinnedAnswers is what the pin table compares across a batch: a fixed set of
+// value queries and of point queries through sp, I/O statistics included, all
+// answered at e's state.
+type pinnedAnswers struct {
+	values  []*Result
+	points  []float64
+	pointIO []storage.Stats
 }
 
-func enginePinHandle(e Engine, queries []geom.Interval) pinHandle {
-	return pinHandle{
-		answers: func() (any, error) {
-			out := make([]*Result, len(queries))
-			for i, q := range queries {
-				var err error
-				if out[i], err = e.QueryContext(context.Background(), q); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		},
-		snapshot: func() pinHandle { return enginePinHandle(e.AcquireSnapshot(), queries) },
-		update: func(f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-			return e.ApplyUpdates(context.Background(), f, updates)
-		},
-		epoch: e.Epoch,
-		close: e.Close,
+func answersAt(e Engine, sp *SpatialIndex, queries []geom.Interval, points []geom.Point) (pinnedAnswers, error) {
+	ctx := context.Background()
+	a := pinnedAnswers{
+		values:  make([]*Result, len(queries)),
+		points:  make([]float64, len(points)),
+		pointIO: make([]storage.Stats, len(points)),
 	}
+	for i, q := range queries {
+		var err error
+		if a.values[i], err = e.QueryContext(ctx, q); err != nil {
+			return a, err
+		}
+	}
+	for i, pt := range points {
+		var err error
+		if a.points[i], a.pointIO[i], err = sp.PointQueryContext(ctx, e, pt); err != nil {
+			return a, err
+		}
+	}
+	return a, nil
 }
 
-func spatialPinHandle(s *SpatialIndex, points []geom.Point) pinHandle {
-	type answer struct {
-		w  float64
-		io storage.Stats
-	}
-	return pinHandle{
-		answers: func() (any, error) {
-			out := make([]answer, len(points))
-			for i, pt := range points {
-				var err error
-				if out[i].w, out[i].io, err = s.PointQueryContext(context.Background(), pt); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		},
-		snapshot: func() pinHandle { return spatialPinHandle(s.AcquireSnapshot(), points) },
-		update: func(f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-			// The spatial store runs second: the samples are in the field already.
-			if _, err := applySamples(f, updates); err != nil {
-				return nil, err
-			}
-			return s.ApplyUpdates(context.Background(), f, updates)
-		},
-		epoch: s.Epoch,
-		close: s.Close,
-	}
-}
-
-// TestPinnedSnapshots drives the one pin helper through every store that
-// embeds it — each buildable row of the build matrix and the spatial store: a
-// snapshot keeps answering at its pin, byte for byte, after a batch that moves
-// cell intervals; its pin keeps the epoch alive until Close, which is
-// idempotent; once every handle is closed an empty commit retires exactly the
-// epochs the pin held back; and a snapshot used after that panics.
+// TestPinnedSnapshots drives the one pin helper through every buildable row of
+// the build matrix: a snapshot keeps answering at its pin, byte for byte —
+// value queries and, through the spatial tree, point queries alike — after a
+// batch that moves cell intervals; its one pin keeps the epoch alive until
+// Close, which is idempotent; once every handle is closed an empty commit
+// retires exactly the epochs the pin held back; and a snapshot used after that
+// panics.
 func TestPinnedSnapshots(t *testing.T) {
-	type pinRow struct {
-		name  string
-		build func(f *grid.DEM, p *storage.Pager) (pinHandle, error)
+	// A lattice dense enough that the batch moves some of the point answers.
+	var points []geom.Point
+	for x := 1.5; x < 32; x += 4 {
+		for y := 1.5; y < 32; y += 4 {
+			points = append(points, geom.Pt(x, y))
+		}
 	}
-	var rows []pinRow
 	for _, row := range buildMatrix(testDEM(t, 32, 0.7)) {
 		if !row.buildable() {
 			continue
 		}
-		rows = append(rows, pinRow{row.name, func(f *grid.DEM, p *storage.Pager) (pinHandle, error) {
-			e, err := Build(context.Background(), f, p, row.opts)
-			if err != nil {
-				return pinHandle{}, err
-			}
-			return enginePinHandle(e, tiledTestQueries(f)), nil
-		}})
-	}
-	rows = append(rows, pinRow{"Spatial", func(f *grid.DEM, p *storage.Pager) (pinHandle, error) {
-		s, err := BuildSpatial(context.Background(), f, p)
-		if err != nil {
-			return pinHandle{}, err
-		}
-		// A lattice dense enough that the batch moves some of the answers.
-		var points []geom.Point
-		for x := 1.5; x < 32; x += 4 {
-			for y := 1.5; y < 32; y += 4 {
-				points = append(points, geom.Pt(x, y))
-			}
-		}
-		return spatialPinHandle(s, points), nil
-	}})
-	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			f := testDEM(t, 32, 0.7)
 			pager := newPager()
-			live, err := row.build(f, pager)
+			live, err := Build(context.Background(), f, pager, row.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, err := live.answers()
+			sp, err := BuildSpatial(f, newPager())
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := live.snapshot()
-			pinnedAt := snap.epoch()
-			res, err := live.update(f, testUpdates(f, 48, 77))
+			queries := tiledTestQueries(f)
+			before, err := answersAt(live, sp, queries, points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := live.AcquireSnapshot()
+			pinnedAt := snap.Epoch()
+			res, err := live.ApplyUpdates(context.Background(), f, testUpdates(f, 48, 77))
 			if errors.Is(err, ErrUpdatesUnsupported) {
 				// I-Quad: nothing commits, so there is nothing to pin against.
-				if err := snap.close(); err != nil {
+				if err := snap.Close(); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -206,18 +161,18 @@ func TestPinnedSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.EpochsRetired != 0 || live.epoch() != pinnedAt+1 || snap.epoch() != pinnedAt {
+			if res.EpochsRetired != 0 || live.Epoch() != pinnedAt+1 || snap.Epoch() != pinnedAt {
 				t.Fatalf("batch retired %d epochs; live at %d, snapshot at %d, pinned at %d",
-					res.EpochsRetired, live.epoch(), snap.epoch(), pinnedAt)
+					res.EpochsRetired, live.Epoch(), snap.Epoch(), pinnedAt)
 			}
-			after, err := live.answers()
+			after, err := answersAt(live, sp, queries, points)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reflect.DeepEqual(after, before) {
-				t.Fatal("the batch changed no answer; the case is vacuous")
+			if reflect.DeepEqual(after.values, before.values) || reflect.DeepEqual(after.points, before.points) {
+				t.Fatal("the batch changed no value answer or no point answer; the case is vacuous")
 			}
-			pinned, err := snap.answers()
+			pinned, err := answersAt(snap, sp, queries, points)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,13 +180,13 @@ func TestPinnedSnapshots(t *testing.T) {
 				t.Fatal("snapshot answers moved with the live index")
 			}
 			for i := 0; i < 2; i++ {
-				if err := snap.close(); err != nil {
+				if err := snap.Close(); err != nil {
 					t.Fatalf("snapshot Close %d: %v", i+1, err)
 				}
 			}
 			// Still open for business, and nothing pinned any more: the next
 			// commit retires the pinned epoch and the one the batch made.
-			if _, err := live.answers(); err != nil {
+			if _, err := answersAt(live, sp, queries, points); err != nil {
 				t.Fatal(err)
 			}
 			if _, retired, err := pager.CommitOverlays(nil); err != nil || retired != 2 {
@@ -242,7 +197,7 @@ func TestPinnedSnapshots(t *testing.T) {
 					t.Fatalf("snapshot used after Close: recovered %v, want the pin helper's panic", r)
 				}
 			}()
-			snap.answers()
+			answersAt(snap, sp, queries[:1], nil)
 			t.Fatal("snapshot answered at a retired epoch")
 		})
 	}

@@ -2,32 +2,37 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 )
 
-// This file is the shell around the hooks: what an untiled index, the tiled
-// planner and the spatial store do the same way whatever they index — hold a
-// pager and the state current on it, pin that state for a reader, fan work out
-// over forked query contexts, and write themselves to a file. The fourth
-// shared piece, the update transaction, is in update.go.
+// This file is the shell around the hooks: what an untiled index and the
+// tiled planner do the same way whatever they index — hold a pager and the
+// state current on it, pin that state for a reader, fan work out over forked
+// query contexts, fetch single cells for the spatial access path, and write
+// themselves to a file. The other shared piece, the update transaction, is in
+// update.go.
 
 // shell is what every store owns besides its index structure.
 type shell struct {
-	// label names the store in traces and metrics: the method, "Tiled-<inner>"
-	// for the planner, "Spatial" for the conventional-query store.
+	// label names the store in traces and metrics: the method, or
+	// "Tiled-<inner>" for the planner.
 	label string
 	pager *storage.Pager
-	// parts are the store's partitions: one for an untiled index and for the
-	// spatial store, one per tile under the planner.
+	// parts are the store's partitions: one for an untiled index, one per tile
+	// under the planner.
 	parts []*partition
 	// snap is the current MVCC state. Readers load it once, pin its epoch and
 	// run entirely against it; an update batch publishes a fresh state only
@@ -132,6 +137,58 @@ func beginQueryAt(pager *storage.Pager, epoch uint64) *storage.QueryCtx {
 	return qc
 }
 
+// fetchCells is Engine.FetchCells over the store's partitions, which u routes
+// each cell to: one query context at the pinned state reads every record, in
+// the order given, under one decode span on tb, until visit declines the next.
+// The records are decoded out of the page view, so a cell arrives under the id
+// its partition stores it by. The returned Stats are published — on an error
+// too, like any query's partial activity.
+func (p *pinned) fetchCells(ctx context.Context, u updater, tb *obs.TraceBuilder, ids []uint64, visit func(*field.Cell) bool) (storage.Stats, error) {
+	st := p.pinState()
+	defer p.unpin(st)
+	qc := beginQueryAt(p.live.pager, st.epoch)
+	qc.AttachTrace(tb)
+	qc.BeginSpan(obs.PhaseDecode)
+	var c field.Cell
+	for _, id := range ids {
+		err := ctx.Err()
+		if err == nil {
+			err = p.live.decodeCell(qc, u, field.CellID(id), &c)
+		}
+		if err != nil {
+			return qc.Stats(), err
+		}
+		if !visit(&c) {
+			break
+		}
+	}
+	qc.EndSpan()
+	return qc.Stats(), nil
+}
+
+// decodeCell reads cell id's record through qc into c.
+func (sh *shell) decodeCell(qc *storage.QueryCtx, u updater, id field.CellID, c *field.Cell) error {
+	part, local, err := u.route(id)
+	if err != nil {
+		return err
+	}
+	pos, err := sh.parts[part].position(local)
+	if err != nil {
+		return err
+	}
+	rid := sh.parts[part].rids[pos]
+	f, err := qc.ViewPage(rid.Page)
+	if err != nil {
+		return err
+	}
+	defer f.Release()
+	rec, err := storage.RecordInPage(f.Data(), rid.Slot)
+	if err != nil {
+		return err
+	}
+	return field.DecodeCell(rec, c)
+}
+
 // SetWorkers bounds the worker pool a query scatters on: whole page runs for
 // an untiled index, whole residual tiles for the planner. One item is one
 // sequential-I/O unit, so the answer and the per-query accounting are
@@ -198,17 +255,25 @@ func (sh *shell) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n i
 }
 
 // saveFile writes the store — every page of its pager, then the catalog
-// encode returns — to an empty database file Open reopens.
-func (sh *shell) saveFile(path string, encode func() []byte) error {
+// encode returns — to an empty database file Open reopens. A save that fails
+// leaves no file behind if it created one, so a retry finds the path free; a
+// file that was there before the call is never removed.
+func (sh *shell) saveFile(path string, encode func() []byte) (err error) {
 	// Serialize with update batches: the snapshot below must capture the
 	// pages of one published state, not a commit in flight.
 	sh.updMu.Lock()
 	defer sh.updMu.Unlock()
+	_, statErr := os.Stat(path)
 	disk, err := storage.OpenFileDisk(path, sh.pager.PageSize())
 	if err != nil {
 		return err
 	}
-	defer disk.Close()
+	defer func() {
+		disk.Close()
+		if err != nil && errors.Is(statErr, fs.ErrNotExist) {
+			os.Remove(path)
+		}
+	}()
 	if disk.NumPages() != 0 {
 		return fmt.Errorf("core: %s is not empty", path)
 	}

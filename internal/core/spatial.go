@@ -14,55 +14,36 @@ import (
 )
 
 // SpatialIndex supports the conventional queries of §2.2.1 (type Q1): a
-// 2-D R*-tree over cell extents locates the cell containing a query point,
-// and the interpolation function of that cell produces the field value. Like
-// the value indexes it is a handle: live, or — as a snapshot — pinned at a
-// storage epoch, so a snapshot's conventional queries stay byte-identical, I/O
-// statistics included, however many update batches commit on the spatial
-// store afterwards.
+// 2-D R*-tree over cell extents finds the cells whose rectangle holds a query
+// point, and the interpolation function of the one that contains it produces
+// the field value. It is an access path into the cell file, not a store: its
+// entries carry cell ids, and the records are the value index's, fetched from
+// the Engine a query names at that engine's state — live, or a snapshot's pin.
+// The tree is immutable (sample updates change values, never geometry) and
+// alone on a read-only pager of its own, so a tree descent is accounted apart
+// from the value store and the file SaveFile writes carries no tree page.
 type SpatialIndex struct {
-	*spatialStore
-	pinned
-}
+	tree  *rstar.Tree
+	pager *storage.Pager
+	observed
 
-// spatialStore is what a spatial index owns: one hook-less partition holding
-// the cell records in natural order, in the shell that versions them. The
-// R*-tree is immutable under live updates (sample updates change values, never
-// geometry), so the published state carries nothing but the epoch.
-type spatialStore struct {
-	shell
-	*partition
-	tree *rstar.Tree
-
-	// scratch recycles one pointScratch per concurrent PointQuery, so the
-	// point-query hot path (a few candidate probes per call) allocates no
-	// per-call buffers in steady state.
-	scratch sync.Pool
+	// candidates recycles one id slice per concurrent PointQuery, so the
+	// filter step allocates no per-call buffer in steady state.
+	candidates sync.Pool
 }
 
 // spatialMethod is the metrics/trace method label of the conventional-query
 // index.
 const spatialMethod = "Spatial"
 
-// pointScratch is the reusable per-call state of PointQuery.
-type pointScratch struct {
-	buf        []byte
-	candidates []uint64
-}
-
-// BuildSpatial stores the cells and indexes their bounding rectangles in a
-// 2-D R*-tree built with Hilbert packing. ctx cancels construction between
-// cell-write batches.
-func BuildSpatial(ctx context.Context, f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
+// BuildSpatial indexes the bounding rectangles of f's cells in a 2-D R*-tree
+// built with Hilbert packing and persisted on pager.
+func BuildSpatial(f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
 	curve, err := sfc.NewHilbert(16, 2)
 	if err != nil {
 		return nil, err
 	}
 	mapper, err := sfc.NewMapper(curve, f.Bounds())
-	if err != nil {
-		return nil, err
-	}
-	heap, rids, _, _, err := writeCells(ctx, f, pager, identityOrder(f), "")
 	if err != nil {
 		return nil, err
 	}
@@ -88,114 +69,72 @@ func BuildSpatial(ctx context.Context, f field.Field, pager *storage.Pager) (*Sp
 	if err := tree.Persist(pager); err != nil {
 		return nil, err
 	}
-	st := &spatialStore{partition: &partition{heap: heap, rids: rids, cells: n}, tree: tree}
-	st.label, st.pager, st.parts = spatialMethod, pager, []*partition{st.partition}
-	st.snap.Store(&state{epoch: pager.CurrentEpoch()})
-	return &SpatialIndex{spatialStore: st, pinned: pinned{live: &st.shell}}, nil
+	return &SpatialIndex{tree: tree, pager: pager}, nil
 }
 
-// PointQuery answers F(v'): the field value at point pt, via the paged
-// R*-tree and one cell fetch.
-func (s *SpatialIndex) PointQuery(pt geom.Point) (float64, storage.Stats, error) {
-	return s.PointQueryContext(context.Background(), pt)
-}
+// SetObserver installs the trace/metrics sinks. Call before issuing queries.
+func (s *SpatialIndex) SetObserver(ob obs.Observer) { s.setObs(ob, spatialMethod) }
 
-// PointQueryContext is PointQuery with cancellation (polled between candidate
-// cell fetches) and tracing: a filter span for the R*-tree descent, a decode
-// span for the candidate fetch + interpolation. The trace's Lo/Hi carry the
-// query point's X and Y. The returned Stats are valid even on error — the
-// partial activity is still published, so pager totals stay the sum of all
-// reported per-query stats.
-func (s *SpatialIndex) PointQueryContext(ctx context.Context, pt geom.Point) (float64, storage.Stats, error) {
+// PointQueryContext answers F(v'): the field value at point pt, via the paged
+// R*-tree and the candidate cells' records in cells — the value index over the
+// same field, whose state (a snapshot's pin included) is the one the answer
+// reads. ctx is polled between candidate fetches. The query is one trace — a
+// filter span for the tree descent, a decode span for the cell fetch and
+// interpolation, Lo/Hi carrying the point's X and Y — and its Stats are the
+// two steps' sum, each published to its own pager's totals. They are valid
+// even on error, so either pager's totals stay the sum of all reported
+// per-operation stats.
+func (s *SpatialIndex) PointQueryContext(ctx context.Context, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
 	tb, start := s.startQuery(spatialMethod, obs.KindPoint, pt.X, pt.Y)
-	at := s.pinState()
-	w, st, err := s.pointQuery(ctx, tb, beginQueryAt(s.pager, at.epoch), pt)
-	s.unpin(at)
+	w, st, err := s.pointQuery(ctx, tb, cells, pt)
 	s.endQuery(tb, start, err)
 	return w, st, err
 }
 
-func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, qc *storage.QueryCtx, pt geom.Point) (float64, storage.Stats, error) {
-	qc.AttachTrace(tb)
-	query := rstar.Rect2D(pt.X, pt.X, pt.Y, pt.Y)
-	ps, _ := s.scratch.Get().(*pointScratch)
-	if ps == nil {
-		ps = &pointScratch{}
+func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
+	ids, _ := s.candidates.Get().(*[]uint64)
+	if ids == nil {
+		ids = new([]uint64)
 	}
 	defer func() {
-		ps.candidates = ps.candidates[:0]
-		s.scratch.Put(ps)
+		*ids = (*ids)[:0]
+		s.candidates.Put(ids)
 	}()
+	qc := s.pager.BeginQuery()
+	qc.AttachTrace(tb)
 	qc.BeginSpan(obs.PhaseFilter)
-	err := s.tree.PagedSearchCtx(qc, query, func(e rstar.Entry) bool {
-		ps.candidates = append(ps.candidates, e.Data)
+	err := s.tree.PagedSearchCtx(qc, rstar.Rect2D(pt.X, pt.X, pt.Y, pt.Y), func(e rstar.Entry) bool {
+		*ids = append(*ids, e.Data)
 		return true
 	})
 	if err != nil {
 		return 0, qc.Stats(), err
 	}
 	qc.EndSpan()
-	filterIO := qc.LocalStats()
-	var c field.Cell
-	qc.BeginSpan(obs.PhaseDecode)
-	for _, id := range ps.candidates {
-		if err := ctx.Err(); err != nil {
-			return 0, qc.Stats(), err
-		}
-		rec, err := s.heap.GetCtx(qc, s.rids[id], ps.buf)
-		if err != nil {
-			return 0, qc.Stats(), err
-		}
-		ps.buf = rec[:0]
-		if err := field.DecodeCell(rec, &c); err != nil {
-			return 0, qc.Stats(), err
-		}
-		if w, ok := field.Interpolate(&c, pt); ok {
-			qc.EndSpan()
-			st := qc.Stats()
-			s.recordIO(filterIO, 0, st)
-			return w, st, nil
-		}
+	filterIO := qc.Stats()
+	var w float64
+	found := false
+	fetchIO, err := cells.FetchCells(ctx, tb, *ids, func(c *field.Cell) bool {
+		w, found = field.Interpolate(c, pt)
+		return !found
+	})
+	st := filterIO.Add(fetchIO)
+	if err != nil {
+		return 0, st, err
 	}
-	qc.EndSpan()
-	st := qc.Stats()
 	s.recordIO(filterIO, 0, st)
-	return 0, st, fmt.Errorf("core: point %v outside the field", pt)
+	if !found {
+		return 0, st, fmt.Errorf("core: point %v outside the field", pt)
+	}
+	return w, st, nil
 }
 
-// IOStats returns the cumulative page-access statistics of the spatial
-// index's store.
-func (s *SpatialIndex) IOStats() storage.Stats { return s.pager.Stats() }
-
-// PoolShardStats returns the per-shard buffer-pool counters of the spatial
-// index's store (nil when the pool is disabled).
-func (s *SpatialIndex) PoolShardStats() []storage.PoolShardStats {
-	return s.pager.PoolShardStats()
-}
-
-// Stats describes the built index.
+// Stats describes the built index. The cell pages are the value index's.
 func (s *SpatialIndex) Stats() IndexStats {
 	return IndexStats{
-		Method:     "Spatial",
-		Cells:      s.cells,
-		CellPages:  s.heap.NumPages(),
+		Method:     spatialMethod,
+		Cells:      s.tree.Len(),
 		IndexPages: s.tree.PersistedNodes(),
 		TreeHeight: s.tree.Height(),
 	}
-}
-
-// AcquireSnapshot pins the spatial store's current epoch and returns a
-// point-in-time handle over it; its Close releases the pin (idempotently).
-func (s *SpatialIndex) AcquireSnapshot() *SpatialIndex {
-	return &SpatialIndex{spatialStore: s.spatialStore, pinned: s.snapshot()}
-}
-
-// ApplyUpdates re-encodes the affected cells of the spatial store. The
-// samples are already applied by the value index's ApplyUpdates — the facade
-// calls that first — so this is the update transaction with nothing to apply
-// and no hook to run: cell geometry never changes, the 2-D R*-tree needs no
-// maintenance, and the batch commits as one epoch on the spatial store's own
-// pager.
-func (s *SpatialIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	return s.applyUpdates(ctx, f, updates, s.partition, false)
 }

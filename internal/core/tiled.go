@@ -525,7 +525,13 @@ func (t *TiledIndex) scanTile(ctx context.Context, qc *storage.QueryCtx, s *stat
 // batch touches. Every tile's page overlays commit as ONE storage epoch —
 // readers never observe some tiles updated and others not.
 func (t *TiledIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	return t.applyUpdates(ctx, f, updates, t.tiledCore, true)
+	return t.applyUpdates(ctx, f, updates, t.tiledCore)
+}
+
+// FetchCells implements Engine: each cell's record comes from the tile that
+// owns it, under the cell's local id there.
+func (t *TiledIndex) FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uint64, visit func(*field.Cell) bool) (storage.Stats, error) {
+	return t.fetchCells(ctx, t.tiledCore, tb, ids, visit)
 }
 
 // route implements updater: a cell belongs to the tile the layout put it in,

@@ -167,12 +167,9 @@ type ivRestore struct {
 // to CellIntervalFromRecord of the stored record. It returns the reusable
 // encode buffer.
 func (p *partition) patch(stage *overlayStage, f field.Field, id field.CellID, ch *changes, scratch *field.Cell, enc []byte) ([]byte, error) {
-	pos := int(id) // natural order: position == cell id
-	if p.order != nil {
-		var ok bool
-		if pos, ok = p.posOf[id]; !ok {
-			return enc, fmt.Errorf("core: cell %d not in partition order", id)
-		}
+	pos, err := p.position(id)
+	if err != nil {
+		return enc, err
 	}
 	rid := p.rids[pos]
 	page, err := stage.page(rid.Page)
@@ -238,7 +235,8 @@ func (p *partition) restore(ch *changes) {
 // onto its partitions, and how the partitions' next states make its own. A
 // partition is itself the updater of a one-partition store.
 type updater interface {
-	// route returns the partition that owns cell id and the cell's id there.
+	// route returns the partition that owns cell id and the cell's id there;
+	// the spatial access path's cell fetch locates records through it too.
 	route(id field.CellID) (part int, local field.CellID, err error)
 	// partView returns partition part's state inside the store state cur, and
 	// the field its local ids address — f itself, or a tile's view of it.
@@ -269,7 +267,7 @@ func (p *partition) nextState(_ *state, epoch uint64, _ []int, work []partUpdate
 // transaction over its one partition. I-Quad and files saved without a
 // sidecar refuse with ErrUpdatesUnsupported.
 func (e *executor) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	return e.applyUpdates(ctx, f, updates, e.partition, true)
+	return e.applyUpdates(ctx, f, updates, e.partition)
 }
 
 // applyUpdates is the one update transaction, whatever the store: lock,
@@ -278,14 +276,13 @@ func (e *executor) ApplyUpdates(ctx context.Context, f field.Mutable, updates []
 // maintain its index structure and the store its field summary, commit the
 // images as one new epoch, publish the new state. Every failure path puts the
 // field's samples and the interval columns back; the live epoch is untouched
-// until the commit. apply is false where another store's transaction has
-// already put the samples into f (the spatial store runs second).
-func (sh *shell) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, u updater, apply bool) (*UpdateResult, error) {
+// until the commit.
+func (sh *shell) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, u updater) (*UpdateResult, error) {
 	sh.updMu.Lock()
 	defer sh.updMu.Unlock()
 	cells := affectedCells(f, updates)
 	tb := obs.Begin(sh.ob.Tracer, sh.label, obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := sh.commitUpdates(ctx, f, updates, cells, tb, u, apply)
+	res, err := sh.commitUpdates(ctx, f, updates, cells, tb, u)
 	tb.Finish(err)
 	if err == nil {
 		sh.recordUpdate(res)
@@ -293,7 +290,7 @@ func (sh *shell) applyUpdates(ctx context.Context, f field.Mutable, updates []Sa
 	return res, err
 }
 
-func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder, u updater, apply bool) (*UpdateResult, error) {
+func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder, u updater) (*UpdateResult, error) {
 	cur := sh.snap.Load()
 	if len(updates) == 0 {
 		return &UpdateResult{Epoch: cur.epoch}, nil
@@ -322,19 +319,16 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 		}
 	}
 	sort.Ints(involved)
-	// Hydrate the partitions' update state (position map, interval column)
-	// before mutating anything.
+	// Hydrate the partitions' update state (the interval column) before
+	// mutating anything.
 	for _, pi := range involved {
 		if err := sh.parts[pi].ensureUpdateState(qc); err != nil {
 			return nil, err
 		}
 	}
-	var undo []sampleUndo
-	if apply {
-		var err error
-		if undo, err = applySamples(f, updates); err != nil {
-			return nil, err
-		}
+	undo, err := applySamples(f, updates)
+	if err != nil {
+		return nil, err
 	}
 	fail := func(err error) (*UpdateResult, error) {
 		for _, pi := range involved {
@@ -424,26 +418,30 @@ func (o *observed) recordUpdate(res *UpdateResult) {
 	}
 }
 
-// ensureUpdateState hydrates the update-path state of a partitioned index:
-// the cell→position map and, for a file-opened index, the per-position
-// interval column (recovered from the sidecar, whose entries are bit-identical
-// to the stored records). Natural-order methods need neither. A file saved
-// without a sidecar carries no position ↦ record map to locate cell records
-// with, whatever the method.
+// position returns the heap position of cell id: the id itself in natural
+// order, the build's or the catalog's immutable map under a partition rule.
+// It refuses an id the partition holds no located record for — out of range,
+// or any id of a file saved without the position ↦ record map.
+func (p *partition) position(id field.CellID) (int, error) {
+	if int(id) >= len(p.rids) {
+		return 0, fmt.Errorf("core: cell %d has no located record", id)
+	}
+	if p.posOf != nil {
+		return int(p.posOf[id]), nil
+	}
+	return int(id), nil
+}
+
+// ensureUpdateState hydrates the update-path state of a file-opened
+// partitioned index: the per-position interval column, recovered from the
+// sidecar, whose entries are bit-identical to the stored records.
+// Natural-order methods need none. A file saved without a sidecar carries no
+// position ↦ record map to locate cell records with, whatever the method.
 func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
 	if p.rids == nil {
 		return fmt.Errorf("core: file has no interval sidecar: %w", ErrUpdatesUnsupported)
 	}
-	if p.order == nil {
-		return nil
-	}
-	if p.posOf == nil {
-		p.posOf = make(map[field.CellID]int, len(p.order))
-		for pos, id := range p.order {
-			p.posOf[id] = pos
-		}
-	}
-	if p.ivs != nil {
+	if p.order == nil || p.ivs != nil {
 		return nil
 	}
 	qc.BeginSpan(obs.PhaseMaintain)

@@ -461,8 +461,6 @@ func (c jsonCodec) update(field string, st *fielddb.UpdateStats) {
 	b := c.open(field)
 	b = append(b, `,"epoch":`...)
 	b = strconv.AppendUint(b, st.Epoch, 10)
-	b = append(b, `,"spatial_epoch":`...)
-	b = strconv.AppendUint(b, st.SpatialEpoch, 10)
 	b = append(b, `,"samples_applied":`...)
 	b = strconv.AppendInt(b, int64(st.SamplesApplied), 10)
 	b = append(b, `,"cells_touched":`...)

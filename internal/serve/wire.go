@@ -34,8 +34,8 @@ package serve
 //	              reads seq rand hits sim_ns) | per present member: geometry
 //	5 error    : status u16 | message string
 //	6 and      : nregions u32 | area f64 | nper u32 | result ×nper | geometry
-//	7 update   : field string | epoch u64 | spatial_epoch u64 | samples u32 |
-//	             cells u32 | pages u32 | regrouped u8
+//	7 update   : field string | epoch u64 | samples u32 | cells u32 |
+//	             pages u32 | regrouped u8
 //	8 describe : fieldInfo
 //	9 list     : count u32 | fieldInfo ×count
 //	10 aggregate: field string | lo f64 | hi f64 | max_err f64 | count f64 |
@@ -400,7 +400,6 @@ func (c binCodec) update(field string, st *fielddb.UpdateStats) {
 	b := c.open(http.StatusOK, frameUpdate)
 	b = appendString(b, field)
 	b = binary.LittleEndian.AppendUint64(b, st.Epoch)
-	b = binary.LittleEndian.AppendUint64(b, st.SpatialEpoch)
 	b = appendU32(b, st.SamplesApplied)
 	b = appendU32(b, st.CellsTouched)
 	b = appendU32(b, st.PagesWritten)
@@ -540,7 +539,6 @@ type WireAggregateFrame struct {
 type WireUpdateFrame struct {
 	Field          string
 	Epoch          uint64
-	SpatialEpoch   uint64
 	SamplesApplied int
 	CellsTouched   int
 	PagesWritten   int
@@ -806,7 +804,6 @@ func DecodeFrame(data []byte) (any, error) {
 		out = &WireUpdateFrame{
 			Field:          r.str(),
 			Epoch:          r.u64(),
-			SpatialEpoch:   r.u64(),
 			SamplesApplied: r.u32(),
 			CellsTouched:   r.u32(),
 			PagesWritten:   r.u32(),

@@ -416,7 +416,6 @@ func TestWireUpdateEquivalence(t *testing.T) {
 	var jv struct {
 		Field          string `json:"field"`
 		Epoch          uint64 `json:"epoch"`
-		SpatialEpoch   uint64 `json:"spatial_epoch"`
 		SamplesApplied int    `json:"samples_applied"`
 		CellsTouched   int    `json:"cells_touched"`
 		PagesWritten   int    `json:"pages_written"`
@@ -433,7 +432,7 @@ func TestWireUpdateEquivalence(t *testing.T) {
 	}
 	uf := decodeFrame(t, raw).(*WireUpdateFrame)
 	want := WireUpdateFrame{
-		Field: jv.Field, Epoch: jv.Epoch, SpatialEpoch: jv.SpatialEpoch,
+		Field: jv.Field, Epoch: jv.Epoch,
 		SamplesApplied: jv.SamplesApplied, CellsTouched: jv.CellsTouched,
 		PagesWritten: jv.PagesWritten, Regrouped: jv.Regrouped,
 	}

@@ -3,6 +3,8 @@ package fielddb
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -10,6 +12,7 @@ import (
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
+	"fielddb/internal/obs"
 	"fielddb/internal/storage"
 )
 
@@ -43,8 +46,8 @@ func TestUpdateSamplesFacade(t *testing.T) {
 	if res.Epoch != 1 || res.SamplesApplied != 3 || res.CellsTouched == 0 || res.PagesWritten == 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if res.SpatialEpoch != 1 || res.SpatialPagesWritten == 0 {
-		t.Fatalf("spatial plane did not commit: %+v", res)
+	if res.SpatialPagesWritten != 0 {
+		t.Fatalf("the one cell file was patched twice: %+v", res)
 	}
 
 	// The whole facade converges to a database opened fresh on the mutated
@@ -93,10 +96,10 @@ func TestUpdateSamplesFacade(t *testing.T) {
 		t.Fatalf("point query after update: %g/%v vs %g/%v", w1, err1, w2, err2)
 	}
 
-	// Update metrics flowed into the engine registry (value plane + spatial
-	// plane each record their batch).
+	// Update metrics flowed into the engine registry: one batch, one
+	// transaction.
 	m := db.Metrics().Engine
-	if m.UpdateBatches != 2 || m.UpdatesApplied != 6 || m.UpdatePagesWritten == 0 {
+	if m.UpdateBatches != 1 || m.UpdatesApplied != 3 || m.UpdatePagesWritten == 0 {
 		t.Fatalf("update metrics = %+v", m)
 	}
 }
@@ -150,25 +153,85 @@ func TestUpdateSamplesRefusals(t *testing.T) {
 	}
 }
 
-// TestLiveUpdateStress is the acceptance stress test of the tentpole, meant
-// for -race: concurrent UpdateSamples batches against readers of every kind.
-// Snapshot readers must stay byte-identical to their pinned epoch's solo
-// answers (per-query I/O statistics included), no reader may error, and both
-// stores' totals must grow by exactly the sum of the published per-operation
-// statistics — queries and update batches alike.
-func TestLiveUpdateStress(t *testing.T) {
-	ctx := context.Background()
-	dem, err := TerrainDEM(64, 42)
-	if err != nil {
-		t.Fatal(err)
+// pagerSplit is a Tracer that files a point query's page activity under the
+// pager that served it — the filter span is the spatial tree's descent, the
+// decode span the cell fetch on the value store — so a test can reconcile each
+// pager's totals on its own; PointQueryStatsContext reports the two summed.
+type pagerSplit struct {
+	mu         sync.Mutex
+	tree, cell storage.Stats
+}
+
+func (s *pagerSplit) TraceQuery(tr *QueryTrace) {
+	if tr.Kind != obs.KindPoint {
+		return
 	}
-	db, err := Open(dem, Options{})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sp := range tr.Spans {
+		st := storage.Stats{Reads: sp.Pages.Reads, SeqReads: sp.Pages.SeqReads, RandReads: sp.Pages.RandReads,
+			CacheHits: sp.Pages.CacheHits, SimElapsed: sp.Pages.SimElapsed}
+		if sp.Phase == obs.PhaseFilter {
+			s.tree = s.tree.Add(st)
+		} else {
+			s.cell = s.cell.Add(st)
+		}
+	}
+}
+
+// TestLiveUpdateStress is the acceptance stress test of the tentpole, meant
+// for -race: concurrent UpdateSamples batches against readers of every kind,
+// for every updatable method × untiled/tiled × grid/TIN. Snapshot readers —
+// value and point queries alike, they share one pin — must stay byte-identical
+// to their pinned epoch's solo answers (per-query I/O statistics included), no
+// reader may error, each pager's totals must grow by exactly the sum of the
+// published per-operation statistics (the value store's: value queries, the
+// cell fetches of point queries and update batches; the spatial pager's: tree
+// descents only), and afterwards the live database answers like a fresh open
+// of the mutated field, point queries with the field's own interpolation.
+func TestLiveUpdateStress(t *testing.T) {
+	fields := map[string]func() (field.Mutable, error){
+		"dem": func() (field.Mutable, error) { return TerrainDEM(32, 42) },
+		"tin": func() (field.Mutable, error) { return NoiseTIN(600, 42) },
+	}
+	for _, opts := range []Options{
+		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert}, {Method: Auto},
+		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
+	} {
+		for fname, mk := range fields {
+			t.Run(fmt.Sprintf("%s/tile=%d/%s", opts.Method, opts.TileSide, fname), func(t *testing.T) {
+				f, err := mk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				stressLiveUpdates(t, f, opts)
+			})
+		}
+	}
+}
+
+func stressLiveUpdates(t *testing.T, f field.Mutable, opts Options) {
+	ctx := context.Background()
+	split := &pagerSplit{}
+	opts.Tracer = split
+	db, err := Open(f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	vr := dem.ValueRange()
-	b := dem.Bounds()
+	vr := f.ValueRange()
+	b := f.Bounds()
+	// Points inside the field (a TIN's hull does not fill its bounds), drawn
+	// before any updater runs: Locate reads the field the updaters write.
+	rng := rand.New(rand.NewSource(9))
+	var points []geom.Point
+	for len(points) < 256 {
+		pt := geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
+		if _, ok := f.Locate(pt); ok {
+			points = append(points, pt)
+		}
+	}
+	inside := func(rng *rand.Rand) geom.Point { return points[rng.Intn(len(points))] }
 
 	// Fixed queries with pre-update solo reference answers, for the epoch-0
 	// snapshot's byte-identity check.
@@ -182,21 +245,47 @@ func TestLiveUpdateStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	type pointRef struct {
+		pt Point
+		w  float64
+		io storage.Stats
+	}
+	pointRefs := make([]pointRef, 8)
+	for i := range pointRefs {
+		r := &pointRefs[i]
+		r.pt = points[i]
+		if r.w, r.io, err = db.PointQueryStatsContext(ctx, r.pt); err != nil {
+			t.Fatal(err)
+		}
+	}
 	snap, err := db.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer snap.Close()
+	checkSnapshotPoint := func(r pointRef) error {
+		w, io, err := snap.PointQueryStatsContext(ctx, r.pt)
+		if err != nil {
+			return err
+		}
+		if w != r.w || io != r.io {
+			return fmt.Errorf("snapshot point %v = %g (%v), pre-batch %g (%v)", r.pt, w, io, r.w, r.io)
+		}
+		return nil
+	}
 
 	baseVal := db.IOStats()
 	baseSp := db.SpatialIOStats()
+	split.mu.Lock()
+	split.tree, split.cell = storage.Stats{}, storage.Stats{}
+	split.mu.Unlock()
 	var (
 		mu     sync.Mutex
 		sumVal storage.Stats
-		sumSp  storage.Stats
+		sumPt  storage.Stats
 	)
 	addVal := func(st storage.Stats) { mu.Lock(); sumVal = sumVal.Add(st); mu.Unlock() }
-	addSp := func(st storage.Stats) { mu.Lock(); sumSp = sumSp.Add(st); mu.Unlock() }
+	addPt := func(st storage.Stats) { mu.Lock(); sumPt = sumPt.Add(st); mu.Unlock() }
 
 	const (
 		updaters   = 2
@@ -212,7 +301,7 @@ func TestLiveUpdateStress(t *testing.T) {
 			for it := 0; it < iterations; it++ {
 				updates := make([]SampleUpdate, 8)
 				for i := range updates {
-					s := rng.Intn(dem.NumSamples())
+					s := rng.Intn(f.NumSamples())
 					updates[i] = SampleUpdate{
 						Sample: s,
 						Value:  vr.Lo + rng.Float64()*vr.Length(),
@@ -224,7 +313,6 @@ func TestLiveUpdateStress(t *testing.T) {
 					return
 				}
 				addVal(res.IO)
-				addSp(res.SpatialIO)
 			}
 		}(int64(u) + 100)
 	}
@@ -234,7 +322,7 @@ func TestLiveUpdateStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for it := 0; it < iterations; it++ {
-				switch it % 5 {
+				switch it % 6 {
 				case 0: // solo value query
 					lo := vr.Lo + rng.Float64()*vr.Length()*0.8
 					res, err := db.ValueQuery(lo, lo+vr.Length()*0.08)
@@ -264,14 +352,13 @@ func TestLiveUpdateStress(t *testing.T) {
 						return
 					}
 					addVal(res.IO)
-				case 3: // conventional query on the spatial store
-					pt := geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
-					_, st, err := db.PointQueryStatsContext(ctx, pt)
+				case 3: // conventional query: the tree, then the live cell file
+					_, st, err := db.PointQueryStatsContext(ctx, inside(rng))
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					addSp(st)
+					addPt(st)
 				case 4: // open-ended query through the cached range
 					res, err := db.ValueAboveContext(ctx, vr.Lo+rng.Float64()*vr.Length())
 					if err != nil {
@@ -279,17 +366,27 @@ func TestLiveUpdateStress(t *testing.T) {
 						return
 					}
 					addVal(res.IO)
+				case 5: // conventional query at the pin: the pre-batch value
+					r := pointRefs[rng.Intn(len(pointRefs))]
+					if err := checkSnapshotPoint(r); err != nil {
+						t.Error(err)
+						return
+					}
+					addPt(r.io)
 				}
 			}
 		}(int64(r) + 1)
 	}
 	wg.Wait()
 
-	if got := db.IOStats().Sub(baseVal); got != sumVal {
-		t.Errorf("value store totals %+v != sum of published stats %+v", got, sumVal)
+	if split.tree.Add(split.cell) != sumPt {
+		t.Errorf("point-query spans %+v + %+v != the stats the queries returned %+v", split.tree, split.cell, sumPt)
 	}
-	if got := db.SpatialIOStats().Sub(baseSp); got != sumSp {
-		t.Errorf("spatial store totals %+v != sum of published stats %+v", got, sumSp)
+	if got, want := db.IOStats().Sub(baseVal), sumVal.Add(split.cell); got != want {
+		t.Errorf("value store totals %+v != sum of published stats %+v", got, want)
+	}
+	if got := db.SpatialIOStats().Sub(baseSp); got != split.tree {
+		t.Errorf("spatial pager totals %+v != sum of the tree descents %+v", got, split.tree)
 	}
 
 	// The snapshot still answers at epoch 0 after every batch committed …
@@ -302,11 +399,17 @@ func TestLiveUpdateStress(t *testing.T) {
 			t.Fatalf("post-stress snapshot query %v diverged", q)
 		}
 	}
+	for _, r := range pointRefs {
+		if err := checkSnapshotPoint(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if snap.Epoch() != 0 {
 		t.Fatalf("snapshot epoch = %d", snap.Epoch())
 	}
-	// … while the live DB converges to a fresh open of the mutated field.
-	scratch, err := Open(dem, Options{})
+	// … while the live DB converges to a fresh open of the mutated field, and
+	// its point queries to the field's own interpolation.
+	scratch, err := Open(f, Options{Method: opts.Method, TileSide: opts.TileSide})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +423,37 @@ func TestLiveUpdateStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.Regions, bres.Regions) || a.CellsMatched != bres.CellsMatched || a.IO != bres.IO {
+		if !reflect.DeepEqual(a.Regions, bres.Regions) || a.CellsMatched != bres.CellsMatched {
 			t.Fatalf("post-stress live query %v diverged from fresh open", q)
 		}
+		// A tile summary only widens under updates and a maintained per-cell
+		// tree is not the scratch build's, so only the partition-derived
+		// pipelines read the same pages.
+		if opts.TileSide == 0 && opts.Method != IAll && a.IO != bres.IO {
+			t.Fatalf("post-stress live query %v read %v, a fresh open %v", q, a.IO, bres.IO)
+		}
 	}
-	if db.Metrics().Engine.UpdateBatches != 2*updaters*iterations {
-		t.Fatalf("update batches = %d", db.Metrics().Engine.UpdateBatches)
+	moved := false
+	for i := 0; i < 64; i++ {
+		pt := inside(rng)
+		if i < len(pointRefs) {
+			pt = pointRefs[i].pt
+		}
+		got, err := db.PointQuery(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := field.ValueAt(f, pt)
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("post-stress point %v = %g, the mutated field interpolates %g", pt, got, want)
+		}
+		moved = moved || (i < len(pointRefs) && got != pointRefs[i].w)
+	}
+	if !moved {
+		t.Fatal("no batch moved a pinned point's value; the snapshot check is vacuous")
+	}
+	if got := db.Metrics().Engine.UpdateBatches; got != updaters*iterations {
+		t.Fatalf("update batches = %d", got)
 	}
 }
 

@@ -57,6 +57,29 @@ func checkTrace(t *testing.T, tr *QueryTrace, io storage.Stats) {
 	}
 }
 
+// checkPointTrace runs one conventional (point) query and reconciles its
+// trace: one filter span, the tree descent, charged what the spatial pager's
+// totals moved by; one decode span, the cell fetch, charged what the value
+// store's moved by; and the two summing to the Stats the query returned.
+func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
+	t.Helper()
+	baseVal, baseSp := db.IOStats(), db.SpatialIOStats()
+	_, st, err := db.PointQueryStatsContext(context.Background(), geom.Pt(12.5, 40.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := rec.last(t)
+	if tr.Kind != obs.KindPoint || tr.Method != "Spatial" {
+		t.Fatalf("point trace %s %s", tr.Method, tr.Kind)
+	}
+	checkTrace(t, tr, st)
+	tree, cell := db.SpatialIOStats().Sub(baseSp).PageCounts(), db.IOStats().Sub(baseVal).PageCounts()
+	if len(tr.Spans) != 2 || tr.Spans[0].Phase != obs.PhaseFilter || tr.Spans[1].Phase != obs.PhaseDecode ||
+		tr.Spans[0].Pages != tree || tr.Spans[1].Pages != cell || tree.Reads == 0 || cell.Reads == 0 {
+		t.Fatalf("point spans %+v; the spatial pager moved by %+v, the value store by %+v", tr.Spans, tree, cell)
+	}
+}
+
 // TestTraceReconciliation is the acceptance criterion of the observability
 // layer: for every query method and kind, the per-span page counts sum
 // exactly to the query's own Result.IO.
@@ -109,16 +132,7 @@ func TestTraceReconciliation(t *testing.T) {
 					}
 				}
 			}
-			// Conventional (point) query against the spatial store.
-			_, st, err := db.PointQueryStatsContext(ctx, geom.Pt(12.5, 40.25))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := rec.last(t)
-			if tr.Kind != obs.KindPoint || tr.Method != "Spatial" {
-				t.Fatalf("point trace %s %s", tr.Method, tr.Kind)
-			}
-			checkTrace(t, tr, st)
+			checkPointTrace(t, db, rec)
 			// Approximate query (partition-based methods only).
 			if ar, err := db.ApproxValueQueryContext(ctx, vr.Lo, vr.Lo+vr.Length()*0.25); err == nil {
 				tr := rec.last(t)
@@ -197,6 +211,7 @@ func TestTraceReconciliation(t *testing.T) {
 			if members != len(intervals) {
 				t.Fatalf("%d member traces for %d batch members", members, len(intervals))
 			}
+			checkPointTrace(t, db, rec)
 		})
 	}
 

@@ -24,7 +24,6 @@ import (
 
 	"fielddb/internal/contour"
 	"fielddb/internal/core"
-	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/storage"
 )
@@ -123,12 +122,6 @@ type ContourResult struct {
 	IO        storage.Stats
 }
 
-// pointQuerier is the conventional-query target of a surface: the spatial
-// index of a live DB or its pinned snapshot.
-type pointQuerier interface {
-	PointQueryContext(ctx context.Context, p geom.Point) (float64, storage.Stats, error)
-}
-
 // surface is the one implementation of Querier. *DB, *StoredIndex and
 // *Snapshot embed it and differ only in the values below, all fixed when the
 // handle is opened or acquired — nothing is built per query.
@@ -151,9 +144,11 @@ type surface struct {
 	// index's place: at once while a core is free, coalesced onto shared scans
 	// while none is.
 	batcher *core.Batcher
-	// point answers conventional queries; nil (a stored file carries only the
+	// spatial locates the candidate cells of a conventional query, whose
+	// records it reads from index — so a Snapshot's point queries answer at
+	// the same pin as its value queries; nil (a stored file carries only the
 	// value index) fails them with ErrNoSpatialIndex.
-	point pointQuerier
+	spatial *core.SpatialIndex
 	// ob is where contour assembly traces and meters. A Snapshot shares its
 	// DB's, so SetTracer reaches snapshot queries the way it reaches the
 	// engine's own traces.
@@ -358,9 +353,11 @@ func (s *surface) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr flo
 }
 
 // PointQueryStatsContext answers the conventional query F(v'): the
-// interpolated value at point p, through the spatial R*-tree (at the pinned
-// spatial epoch, on a Snapshot), plus the query's own I/O statistics against
-// the spatial store. ctx is polled between candidate cell fetches. A
+// interpolated value at point p, through the spatial R*-tree and the cell it
+// points at in the value store (at the pinned epoch, on a Snapshot), plus the
+// query's own I/O statistics: the tree descent and the cell fetch summed, each
+// also published to its own store's totals. ctx is polled between candidate
+// cell fetches. A
 // StoredIndex fails with ErrNoSpatialIndex after the usual open and
 // finiteness checks — the method exists there so the handle satisfies the
 // full Querier surface with a typed capability error.
@@ -374,10 +371,10 @@ func (s *surface) PointQueryStatsContext(ctx context.Context, p Point) (float64,
 	if err := checkValue(p.Y); err != nil {
 		return 0, storage.Stats{}, err
 	}
-	if s.point == nil {
+	if s.spatial == nil {
 		return 0, storage.Stats{}, fmt.Errorf("%w: stored index files carry no spatial index", ErrNoSpatialIndex)
 	}
-	return s.point.PointQueryContext(ctx, p)
+	return s.spatial.PointQueryContext(ctx, s.index, p)
 }
 
 // PointQueryContext is PointQueryStatsContext reduced to the value.
