@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate bench-compare
+.PHONY: check build vet fmt test race cover alloc-gate fuzz-smoke bench-compare
 
-check: build vet fmt race cover alloc-gate bench-compare
+check: build vet fmt race cover alloc-gate fuzz-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,17 @@ cover:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
+# Five seconds of the native fuzz target over the one decoder of untrusted
+# file bytes, the catalog's: no panic, and an accepted blob re-encodes byte
+# for byte. A failing input lands in internal/core/testdata/fuzz — commit it
+# with the fix.
+fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOpenCatalog$$' -fuzztime 5s
+
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # in-process suites (solo, concurrent, update-load, tiled, aggregate — one
 # 64-query rotation per cell, no listener opened) and compare pages/op,
-# simns/op and qps_sim against the newest section of BENCH_BASELINE.json.
+# simns/op and qps_sim against BENCH_BASELINE.json.
 # Wall clock, allocations and the served stack are benchmark/'s job.
 BENCH_NEW ?= /tmp/fielddb-bench-new.json
 bench-compare:

@@ -43,7 +43,6 @@ func main() {
 		benchJSON = flag.String("bench-json", "", "measure the deterministic simulated-page suites (solo, concurrent, update-load, tiled, aggregate; in process) and write {name: row} JSON to this file ('-' for stdout)")
 		compare   = flag.Bool("compare", false, "compare two benchmark JSON files (args: old.json new.json); exits 1 if new regresses pages/op or simns/op beyond -tolerance")
 		tolerance = flag.Float64("tolerance", 0.01, "relative regression tolerance for -compare")
-		section   = flag.String("baseline-section", "", "section of a multi-section baseline file to compare against (default: newest recorded)")
 	)
 	flag.Parse()
 
@@ -52,7 +51,7 @@ func main() {
 		return
 	}
 	if *compare {
-		runCompare(flag.Args(), *section, *tolerance)
+		runCompare(flag.Args(), *tolerance)
 		return
 	}
 
@@ -181,12 +180,12 @@ func runBenchJSON(path string) {
 // runCompare gates new benchmark rows against old ones, exiting 1 on any
 // pages/op or simns/op regression beyond tol. Either file may be flat
 // -bench-json output or the multi-section BENCH_BASELINE.json layout.
-func runCompare(args []string, section string, tol float64) {
+func runCompare(args []string, tol float64) {
 	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: fieldbench -compare [-tolerance f] [-baseline-section s] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: fieldbench -compare [-tolerance f] old.json new.json")
 		os.Exit(2)
 	}
-	oldRows, oldSec, err := bench.LoadRows(args[0], section)
+	oldRows, oldSec, err := bench.LoadRows(args[0], "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -25,7 +25,7 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "path to a .fdb dataset")
 		idxPath  = flag.String("index", "", "path to a .fidx stored index (skips building)")
-		saveIdx  = flag.String("saveindex", "", "after building, save the value index to this .fidx file")
+		saveIdx  = flag.String("saveindex", "", "after building, save the value index to this .fidx file (any -method but I-Auto; the path must not exist or be empty)")
 		rangeArg = flag.String("range", "", "value query lo:hi")
 		aboveArg = flag.String("above", "", "value query w >= bound")
 		belowArg = flag.String("below", "", "value query w <= bound")

@@ -46,9 +46,9 @@ var (
 	// ErrBadTiling reports an Options combination the builder refuses:
 	// TileSide with Auto or IAll, TileSide 1, or an unknown SidecarCodec.
 	ErrBadTiling = core.ErrBadOptions
-	// ErrNoPartition reports an operation that needs a partition-based value
-	// index — subfield summaries (ApproxValueQueryContext) or the on-disk
-	// format (SaveIndex) — on a configuration without one.
+	// ErrNoPartition reports subfield summaries (ApproxValueQueryContext) asked
+	// of a configuration that forms no subfields, or SaveIndex on the Auto
+	// planner — the one configuration without an on-disk form.
 	ErrNoPartition = core.ErrNoPartition
 	// ErrUpdatesUnsupported reports UpdateSamples on a configuration that
 	// cannot apply live updates: an immutable field, or the IQuad method (its

@@ -33,6 +33,11 @@ func TestFacadeTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scan.Close()
+	planner, err := Open(dem, Options{Method: Auto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer planner.Close()
 	ctx := context.Background()
 	vr := dem.ValueRange()
 	iv := Interval{Lo: vr.Lo, Hi: vr.Hi}
@@ -99,7 +104,7 @@ func TestFacadeTypedErrors(t *testing.T) {
 		{
 			name: "save without partition",
 			run: func() error {
-				return scan.SaveIndex(filepath.Join(t.TempDir(), "f.fdb"))
+				return planner.SaveIndex(filepath.Join(t.TempDir(), "f.fdb"))
 			},
 			want: ErrNoPartition,
 		},
@@ -257,10 +262,13 @@ func TestOpenIndexWith(t *testing.T) {
 }
 
 // TestUnsupportedVersionsRefused: a database file whose superblock or catalog
-// header names any catalog version but the current one is refused with the
-// typed error — by both core open paths and by the facade — before anything
-// else in it is interpreted.
+// header names any catalog version but the current one — the two-layout
+// version 5 and the next one included — is refused with the typed error, by
+// core.Open and by the facade, before anything else in it is interpreted. The
+// current version's row is the control: the same rewrite leaves a file that
+// opens.
 func TestUnsupportedVersionsRefused(t *testing.T) {
+	const current = 6
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -270,16 +278,9 @@ func TestUnsupportedVersionsRefused(t *testing.T) {
 	for _, kind := range []struct {
 		name string
 		opts Options
-		open func(path string) error
 	}{
-		{"flat", Options{}, func(path string) error {
-			_, err := core.Open(path, 0)
-			return err
-		}},
-		{"tiled", Options{Method: LinearScan, TileSide: 8}, func(path string) error {
-			_, err := core.Open(path, 0)
-			return err
-		}},
+		{"flat", Options{}},
+		{"tiled", Options{Method: LinearScan, TileSide: 8}},
 	} {
 		db, err := Open(dem, kind.opts)
 		if err != nil {
@@ -300,7 +301,7 @@ func TestUnsupportedVersionsRefused(t *testing.T) {
 			name string
 			off  int
 		}{{"superblock", super + 4}, {"catalog", catalog + 4}} {
-			for _, version := range []uint32{0, 1, 2, 3, 4, 6} {
+			for version := uint32(0); version <= current+1; version++ {
 				t.Run(fmt.Sprintf("%s/%s/v%d", kind.name, word.name, version), func(t *testing.T) {
 					tampered := append([]byte(nil), raw...)
 					binary.LittleEndian.PutUint32(tampered[word.off:], version)
@@ -308,11 +309,21 @@ func TestUnsupportedVersionsRefused(t *testing.T) {
 					if err := os.WriteFile(path, tampered, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					if err := kind.open(path); !errors.Is(err, core.ErrUnsupportedVersion) {
+					eng, err := core.Open(path, 0)
+					si, ferr := OpenIndex(path)
+					if version == current {
+						if err != nil || ferr != nil {
+							t.Fatalf("the current version: core open %v, OpenIndex %v", err, ferr)
+						}
+						eng.Close()
+						si.Close()
+						return
+					}
+					if !errors.Is(err, core.ErrUnsupportedVersion) {
 						t.Fatalf("core open: %v, want ErrUnsupportedVersion", err)
 					}
-					if _, err := OpenIndex(path); !errors.Is(err, ErrUnsupportedVersion) {
-						t.Fatalf("OpenIndex: %v, want ErrUnsupportedVersion", err)
+					if !errors.Is(ferr, ErrUnsupportedVersion) {
+						t.Fatalf("OpenIndex: %v, want ErrUnsupportedVersion", ferr)
 					}
 				})
 			}

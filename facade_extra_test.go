@@ -3,6 +3,8 @@ package fielddb
 import (
 	"context"
 	"math"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -129,10 +131,37 @@ func TestSaveOpenIndexFacade(t *testing.T) {
 	if _, err := si.ValueQuery(2, 1); err == nil {
 		t.Fatal("inverted interval accepted")
 	}
-	// LinearScan cannot be saved.
-	db2, _ := Open(dem, Options{Method: LinearScan})
-	if err := db2.SaveIndex(t.TempDir() + "/nope"); err == nil {
-		t.Fatal("LinearScan save accepted")
+	// A method without a partition saves too, and the stored scan completes
+	// the open-ended queries from the value range its file records.
+	scan, _ := Open(dem, Options{Method: LinearScan})
+	scanPath := filepath.Join(t.TempDir(), "scan.fdb")
+	if err := scan.SaveIndex(scanPath); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := OpenIndex(scanPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	if stored.Method() != LinearScan || stored.ValueRange() != scan.ValueRange() {
+		t.Fatalf("stored %s over %v, saved LinearScan over %v", stored.Method(), stored.ValueRange(), scan.ValueRange())
+	}
+	for name, ask := range map[string]func(Querier) (*Result, error){
+		"above": func(q Querier) (*Result, error) { return q.ValueAboveContext(context.Background(), lo) },
+		"below": func(q Querier) (*Result, error) { return q.ValueBelowContext(context.Background(), hi) },
+	} {
+		want, err := ask(scan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ask(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the stored scan answers %d cells / %g over %v, the live one %d / %g over %v", name,
+				got.CellsMatched, got.Area, got.Query, want.CellsMatched, want.Area, want.Query)
+		}
 	}
 }
 

@@ -386,12 +386,14 @@ func (db *DB) Metrics() EngineMetrics {
 	}
 }
 
-// SaveIndex writes the built value index (cell heap, R*-tree pages and
-// catalog) to a single database file that OpenIndex can query without
-// rebuilding. Partition-based methods (I-Hilbert, I-Quad, I-Threshold) and
-// Tiled-LinearScan can be saved; a tiled file carries the full tile
-// directory, so the reopened index prunes exactly like this one. Every other
-// configuration fails with ErrNoPartition.
+// SaveIndex writes the built value index (cell heaps, sidecars, R*-tree pages
+// and catalog) to a single database file that OpenIndex can query without
+// rebuilding. Every method saves, tiled or not — the file is the index's
+// partitions, one record each, so the reopened index prunes, filters and
+// updates exactly like this one — except Auto, whose histogram is derived from
+// the field (ErrNoPartition). The file is written beside path and renamed over
+// it once complete: a failed save leaves path as it was. path must not exist
+// or be empty.
 func (db *DB) SaveIndex(path string) error {
 	if err := db.checkOpen(); err != nil {
 		return err
@@ -401,10 +403,10 @@ func (db *DB) SaveIndex(path string) error {
 
 // StoredIndex is a value index opened from a database file written by
 // SaveIndex: it answers value queries straight from the file's pages,
-// without the original Field. Both file kinds open through it — untiled
-// partitioned indexes and tiled directories alike. Its query methods are the
-// embedded surface's (see Querier); a stored file carries only the value
-// index, so point queries fail with ErrNoSpatialIndex.
+// without the original Field, whatever the method and tiling it was saved
+// from. Its query methods are the embedded surface's (see Querier); a stored
+// file carries only the value index, so point queries fail with
+// ErrNoSpatialIndex.
 type StoredIndex struct {
 	surface
 }

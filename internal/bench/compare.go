@@ -114,17 +114,16 @@ func ValueRangeMeasure() (map[string]Row, error) {
 	return rows, nil
 }
 
-// baselineSections is the precedence order for picking rows out of a
-// multi-section BENCH_BASELINE.json when no section is named: newest
-// recorded state first.
-var baselineSections = []string{"post_approx", "pre"}
+// baselineSection is the section of the checked-in BENCH_BASELINE.json that
+// holds the gated rows, read when no section is named.
+const baselineSection = "post_approx"
 
 // LoadRows reads benchmark rows from path. Two layouts are accepted: a flat
 // {name: row} map (what -bench-json writes) and the checked-in
 // BENCH_BASELINE.json layout of named sections (plus "_comment"/"env"
 // metadata, which is skipped). For sectioned files, section picks the rows;
-// empty means the newest known section. The chosen section name is returned
-// ("" for flat files).
+// empty means baselineSection. The chosen section name is returned ("" for
+// flat files).
 func LoadRows(path, section string) (map[string]Row, string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -136,41 +135,32 @@ func LoadRows(path, section string) (map[string]Row, string, error) {
 	}
 	delete(top, "_comment")
 	delete(top, "env")
-	if section != "" {
-		msg, ok := top[section]
-		if !ok {
-			return nil, "", fmt.Errorf("%s: no section %q", path, section)
-		}
-		rows, err := decodeRows(msg)
-		if err != nil {
-			return nil, "", fmt.Errorf("%s[%s]: %w", path, section, err)
-		}
-		return rows, section, nil
-	}
-	// Flat layout: every remaining value is a row.
-	flat := map[string]Row{}
-	isFlat := len(top) > 0
-	for name, msg := range top {
-		row, err := decodeRow(msg)
-		if err != nil {
-			isFlat = false
-			break
-		}
-		flat[name] = row
-	}
-	if isFlat {
-		return flat, "", nil
-	}
-	for _, s := range baselineSections {
-		if msg, ok := top[s]; ok {
-			rows, err := decodeRows(msg)
+	if section == "" {
+		// Flat layout: every remaining value is a row.
+		flat := map[string]Row{}
+		isFlat := len(top) > 0
+		for name, msg := range top {
+			row, err := decodeRow(msg)
 			if err != nil {
-				return nil, "", fmt.Errorf("%s[%s]: %w", path, s, err)
+				isFlat = false
+				break
 			}
-			return rows, s, nil
+			flat[name] = row
 		}
+		if isFlat {
+			return flat, "", nil
+		}
+		section = baselineSection
 	}
-	return nil, "", fmt.Errorf("%s: no recognizable benchmark rows", path)
+	msg, ok := top[section]
+	if !ok {
+		return nil, "", fmt.Errorf("%s: no section %q", path, section)
+	}
+	rows, err := decodeRows(msg)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s[%s]: %w", path, section, err)
+	}
+	return rows, section, nil
 }
 
 // decodeRow parses one row strictly: a section object (whose keys are

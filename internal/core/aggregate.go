@@ -340,7 +340,7 @@ func (t *TiledIndex) aggregateAt(s *state, ctx context.Context, tb *obs.TraceBui
 			// updates, so a covered test stays a sound (if conservative)
 			// exactness certificate across epochs.
 			count += float64(len(t.tiles[ti].ids))
-			area += t.tileArea[ti]
+			area += t.tiles[ti].area
 			continue
 		}
 		composed = false

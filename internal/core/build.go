@@ -93,6 +93,10 @@ type methodSpec struct {
 	bind func(p *partition)
 }
 
+// hasTree reports whether the method keeps an R*-tree per partition; its
+// entries are heap positions when perCell, subfields otherwise.
+func (m *methodSpec) hasTree() bool { return m.cut != nil || m.perCell }
+
 func cutGreedy(refs []subfield.CellRef, _ geom.Rect, cost subfield.CostModel, _ float64) ([]subfield.CellRef, []subfield.Group) {
 	return refs, subfield.BuildGreedy(refs, cost)
 }
@@ -196,8 +200,12 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 	if err != nil {
 		return nil, err
 	}
-	ix := &valueIndex{partition: p}
-	ix.label, ix.pager, ix.parts, ix.workers = string(opts.Method), pager, []*partition{p}, opts.Workers
+	for _, a := range areas {
+		p.area += a
+	}
+	st.vr = []geom.Interval{f.ValueRange()}
+	ix := newValueIndex(pager, opts.Method, p)
+	ix.workers = opts.Workers
 	if p.order != nil {
 		// The field summary lives on its own page run right after the index
 		// pages, so an approximate aggregate touches a handful of dedicated
@@ -216,7 +224,7 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 // partition with its hooks bound, its first state, and each cell's planar
 // area in heap order.
 func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *state, []float64, error) {
-	p := &partition{cells: f.NumCells(), cut: m.cut, cost: opts.Cost, maxSize: opts.MaxSize}
+	p := &partition{cells: f.NumCells(), mbr: f.Bounds(), cut: m.cut, cost: opts.Cost, maxSize: opts.MaxSize}
 	st := &state{epoch: pager.CurrentEpoch()}
 	ids := identityOrder(f) // the heap order: natural, unless a rule reorders it
 	var groups []subfield.Group

@@ -25,8 +25,6 @@ type matrixRow struct {
 	// answer byte-identically to the reference scan; the untiled
 	// curve-ordered partitions fold in heap order instead.
 	natural bool
-	// stored marks the configurations with an on-disk format.
-	stored bool
 }
 
 // buildMatrix lists everything Build can build over f: every method (with
@@ -39,9 +37,10 @@ func buildMatrix(f field.Field) []matrixRow {
 		{name: "LinearScan-sidecar", opts: BuildOptions{Method: MethodLinearScan, NoSidecar: true}, natural: true},
 		{name: "I-All", opts: BuildOptions{Method: MethodIAll}, natural: true},
 		{name: "I-All+bulk", opts: BuildOptions{Method: MethodIAll, BulkLoad: true}, natural: true},
-		{name: "I-Hilbert", opts: BuildOptions{Method: MethodIHilbert}, stored: true},
-		{name: "I-Threshold", opts: BuildOptions{Method: MethodIThresh, MaxSize: maxSize}, stored: true},
-		{name: "I-Quad", opts: BuildOptions{Method: MethodIQuad, MaxSize: maxSize}, stored: true},
+		{name: "I-All-sidecar", opts: BuildOptions{Method: MethodIAll, NoSidecar: true}, natural: true},
+		{name: "I-Hilbert", opts: BuildOptions{Method: MethodIHilbert}},
+		{name: "I-Threshold", opts: BuildOptions{Method: MethodIThresh, MaxSize: maxSize}},
+		{name: "I-Quad", opts: BuildOptions{Method: MethodIQuad, MaxSize: maxSize}},
 		{name: "I-Auto", opts: BuildOptions{Method: MethodAuto}},
 	}
 	var rows []matrixRow
@@ -54,9 +53,7 @@ func buildMatrix(f field.Field) []matrixRow {
 				r := m
 				r.opts.TileSide, r.opts.Codec = side, codec
 				r.name = fmt.Sprintf("%s/tile=%d/%s", m.name, side, codec)
-				if side != 0 {
-					r.natural, r.stored = true, m.opts.Method == MethodLinearScan
-				}
+				r.natural = r.natural || side != 0
 				rows = append(rows, r)
 			}
 		}
@@ -68,6 +65,32 @@ func buildMatrix(f field.Field) []matrixRow {
 // planner do not tile.
 func (r matrixRow) buildable() bool {
 	return r.opts.TileSide == 0 || (r.opts.Method != MethodIAll && r.opts.Method != MethodAuto)
+}
+
+// stored reports whether the row has an on-disk format: everything Build
+// builds but the planner, whose histogram no page holds.
+func (r matrixRow) stored() bool { return r.buildable() && !methods[r.opts.Method].plans }
+
+// updates reports whether the row, saved and reopened, applies update batches:
+// the file must carry the position map that rides with a sidecar or a per-cell
+// tree, and the quadtree's partition is not one a batch re-derives.
+func (r matrixRow) updates() bool {
+	return (!r.opts.NoSidecar || r.opts.Method == MethodIAll) && r.opts.Method != MethodIQuad
+}
+
+// sidecarCodec names the codec of the engine's sidecars, "" without any.
+func sidecarCodec(e Engine) string {
+	var sh *shell
+	switch e := e.(type) {
+	case *executor:
+		sh = &e.shell
+	case *TiledIndex:
+		sh = &e.shell
+	}
+	if sh.parts[0].sidecar == nil {
+		return ""
+	}
+	return sh.parts[0].sidecar.Codec()
 }
 
 // sortedRegions returns the answer regions in a canonical order, so answers
@@ -112,9 +135,12 @@ func checkAgainstScan(t *testing.T, label string, natural bool, got, want *Resul
 
 // TestBuildMatrix is the one table over everything Build can build: each
 // buildable configuration answers like the sidecar-less LinearScan — the
-// paper's §2.2.2 baseline — before and after a save/open round trip where it
-// has an on-disk format, and each unbuildable one is refused with the typed
-// error.
+// paper's §2.2.2 baseline — and, where it has an on-disk format, saves to a
+// file that reopens as the same store: same type, stats and sidecar codec, a
+// value range covering the field's, every answer the very Result — counters
+// and I/O included — the built index gives, and after one update batch on each
+// the same answers still. Each unbuildable configuration is refused with the
+// typed error.
 func TestBuildMatrix(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
 	ref, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
@@ -138,8 +164,16 @@ func TestBuildMatrix(t *testing.T) {
 			checkAgainstScan(t, fmt.Sprintf("%s %v", label, q), natural, got, want[i])
 		}
 	}
+	nx, _ := f.Size()
+	batch := []SampleUpdate{
+		{Sample: 12*(nx+1) + 12, Value: f.ValueRange().Hi + 4},
+		{Sample: 12*(nx+1) + 52, Value: f.ValueRange().Lo - 4},
+		{Sample: 52*(nx+1) + 52, Value: f.ValueRange().Lo + f.ValueRange().Length()/2},
+	}
 	for _, row := range buildMatrix(f) {
 		t.Run(row.name, func(t *testing.T) {
+			// The row's own copy of the field: its update batch mutates it.
+			f := testDEM(t, 64, 0.7)
 			idx, err := Build(context.Background(), f, newPager(), row.opts)
 			if !row.buildable() {
 				if !errors.Is(err, ErrBadOptions) {
@@ -157,7 +191,7 @@ func TestBuildMatrix(t *testing.T) {
 			check(t, "built", row.natural, idx)
 			path := filepath.Join(t.TempDir(), "index.fidx")
 			err = idx.SaveFile(path)
-			if !row.stored {
+			if !row.stored() {
 				if !errors.Is(err, ErrNoPartition) {
 					t.Fatalf("save: err = %v, want ErrNoPartition", err)
 				}
@@ -171,10 +205,52 @@ func TestBuildMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer opened.Close()
-			if reflect.TypeOf(opened) != reflect.TypeOf(idx) || opened.Method() != idx.Method() {
-				t.Fatalf("opened %T (%s), built %T (%s)", opened, opened.Method(), idx, idx.Method())
+			if reflect.TypeOf(opened) != reflect.TypeOf(idx) || opened.Stats() != idx.Stats() {
+				t.Fatalf("opened %T (%v), built %T (%v)", opened, opened.Stats(), idx, idx.Stats())
 			}
-			check(t, "opened", row.natural, opened)
+			if vr := opened.ValueRange(); vr.IsEmpty() || vr.Lo > f.ValueRange().Lo || vr.Hi < f.ValueRange().Hi {
+				t.Fatalf("opened ValueRange %v does not cover the field's %v", vr, f.ValueRange())
+			}
+			if got, want := sidecarCodec(opened), sidecarCodec(idx); got != want {
+				t.Fatalf("opened with %q sidecars, built with %q", got, want)
+			}
+			same := func(label string, io bool) {
+				t.Helper()
+				for _, q := range queries {
+					got, err := opened.QueryContext(context.Background(), q)
+					if err != nil {
+						t.Fatalf("%s %v: %v", label, q, err)
+					}
+					want, err := idx.QueryContext(context.Background(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !io {
+						got.IO, want.IO = storage.Stats{}, storage.Stats{}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %v: the opened index answers %+v, the built one %+v", label, q, answerOf(got), answerOf(want))
+					}
+				}
+			}
+			same("opened", true)
+			if !row.updates() {
+				return
+			}
+			// The opened store and its in-memory twin take the same batch, each
+			// over its own copy of the field, and keep answering alike; their
+			// maintained trees landed on different pages, so I/O is not compared.
+			if _, err := idx.ApplyUpdates(context.Background(), f, batch); err != nil {
+				t.Fatal(err)
+			}
+			ur, err := opened.ApplyUpdates(context.Background(), testDEM(t, 64, 0.7), batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ur.Epoch != idx.Epoch() {
+				t.Fatalf("the opened store committed epoch %d, its twin %d", ur.Epoch, idx.Epoch())
+			}
+			same("updated", false)
 		})
 	}
 	for name, tc := range map[string]struct {

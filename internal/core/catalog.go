@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -14,55 +15,59 @@ import (
 	"fielddb/internal/subfield"
 )
 
-// On-disk database file layout for a built partitioned index:
+// On-disk database file layout. A saved store is its partitions: one for an
+// untiled index, one per tile under the planner.
 //
-//	pages [0, N)       the build pager's pages verbatim — the Hilbert-ordered
-//	                   cell heap file followed by the R*-tree nodes
+//	pages [0, N)       the build pager's pages verbatim — every partition's
+//	                   cell heap, interval sidecar and R*-tree nodes, then
+//	                   the field summary
 //	pages [N, N+K)     the catalog blob (see below), split across pages
 //	page  N+K          the superblock (last page of the file):
 //	                   magic "FSUP", version u32, catalogStart u32,
 //	                   catalogPages u32, blobLen u64
 //
-// Catalog blob (little endian):
+// Catalog blob (little endian) — the store header, then the partition records:
 //
 //	magic "FCAT", version u32
-//	tile count u32 (0 for an untiled file; > 0 selects the tiled directory
-//	layout of catalog_tiled.go instead of the body below)
-//	method: u16 length + bytes
+//	method: u16 length + bytes (the per-tile method of a tiled store)
+//	sidecar codec: u16 length + bytes (empty: the store has no sidecars)
+//	tile side u32 (0 for an untiled store)
 //	cells u64
-//	heap page count u64, then that many page ids u32
-//	tree: root u32, nodes u32, height u32
-//	group count u64, then per group:
-//	    interval lo, hi f64; avg f64; firstPage, lastPage u32;
-//	    startRef, endRef u64
-//	cell order: cells × u32
-//	interval-sidecar geometry: sidecar first page u32, sidecar pages u32
-//	    and, when sidecar pages > 0:
-//	        sidecar count u64
-//	        heap page first-positions: heap page count × u32 (the heap
-//	        position of each page's first record, for reconstructing
-//	        position ↦ RID without reading cell pages)
-//	live-update state:
-//	    epoch u64 (the storage epoch the saved pages materialize; SaveFile
-//	    writes the current epoch's overlay view into the base pages, so the
-//	    opened store resumes epoch numbering instead of restarting at 0)
-//	    cost epsilon f64, threshold max size f64 (the partitioning rule the
-//	    index was built with, so update batches re-derive group boundaries
-//	    with the same §3 cost bound)
-//	sidecar codec name: u16 length + bytes (empty without a sidecar)
-//	    and, for the packed codec, its page directory:
-//	        first-position count u64, then that many u32 (the sidecar
-//	        position of each packed page's first entry — variable-rate
-//	        pages cannot derive it from arithmetic the way FSC1 does)
-//	field-summary geometry: summary first page u32, summary pages u32 (0/0
-//	    when the index carries no summary; the pages themselves — the
-//	    encoded approx blob — ride in the snapshotted page range like tree
-//	    and sidecar pages do)
+//	epoch u64 (the storage epoch the saved pages materialize; SaveFile writes
+//	    the current epoch's overlay view into the base pages, so the opened
+//	    store resumes epoch numbering instead of restarting at 0)
+//	cost epsilon f64, threshold max size f64 (the partitioning rule the store
+//	    was built with, so update batches re-derive group boundaries with the
+//	    same §3 cost bound)
+//	field summary: first page u32, pages u32 (0/0 when the store carries none)
+//	partition count u32 (1 for an untiled store), then per partition:
+//	    MBR: min.x, min.y, max.x, max.y f64
+//	    value range: lo, hi f64 (the planner's prune input; every store's
+//	    ValueRange)
+//	    total cell area f64
+//	    cell count u64, then the field-wide cell ids in heap order, u32 each
+//	        (ascending where the method stores cells in natural order; under a
+//	        partition rule a tile's ascending id list and its local heap order
+//	        are both recovered from the one list)
+//	    heap page count u64, then that many page ids u32
+//	    where the store has sidecars or the method's tree holds positions:
+//	        heap page first-positions, heap page count × u32 (the heap position
+//	        of each page's first record, for reconstructing position ↦ RID
+//	        without reading cell pages)
+//	    where the store has sidecars: sidecar first page u32, pages u32 and,
+//	        for the packed codec, the sidecar position of each page's first
+//	        entry, pages × u32 (variable-rate pages cannot derive it from
+//	        arithmetic the way the raw codec does)
+//	    where the method has a tree: root u32, nodes u32, height u32
+//	    where the method has a partition rule: group count u64, then per group
+//	        interval lo, hi f64; avg f64; firstPage, lastPage u32;
+//	        startRef, endRef u64
 //
-// This is the one layout read or written. A file whose superblock or catalog
-// header carries any other version is refused with ErrUnsupportedVersion
-// before anything else in it is interpreted.
-const catalogVersion = 5
+// The page ids a catalog names all lie in [0, N). This is the one layout read
+// or written. A file whose superblock or catalog header carries any other
+// version is refused with ErrUnsupportedVersion before anything else in it is
+// interpreted.
+const catalogVersion = 6
 
 // ErrUnsupportedVersion reports a database file whose superblock or catalog
 // header names a catalog version other than the current one.
@@ -72,17 +77,6 @@ var (
 	catalogMagic    = [4]byte{'F', 'C', 'A', 'T'}
 	superblockMagic = [4]byte{'F', 'S', 'U', 'P'}
 )
-
-// SaveFile writes the built index — cell heap, R*-tree pages, interval
-// sidecar, and catalog — to a single database file that Open can query
-// without rebuilding. Only the partitioned family has an on-disk format (the
-// catalog stores a subfield tree; the planner's histogram has none).
-func (e *executor) SaveFile(path string) error {
-	if e.order == nil || e.cur().hist != nil {
-		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, e.label)
-	}
-	return e.saveFile(path, e.encodeCatalog)
-}
 
 // writeCatalog appends the catalog blob and the superblock that locates it
 // to a disk already holding the index's pages, then closes the disk.
@@ -121,126 +115,112 @@ func writeCatalog(disk *storage.FileDisk, blob []byte) error {
 	return disk.Close()
 }
 
-func (ix *valueIndex) encodeCatalog() []byte {
-	st := ix.snap.Load()
+// encodeCatalog encodes the store at its current state: the header, then one
+// record per partition.
+func (sh *shell) encodeCatalog() []byte {
+	st := sh.snap.Load()
+	m := methods[sh.method]
+	first := sh.parts[0]
+	codec, cells := "", 0
+	if first.sidecar != nil {
+		codec = first.sidecar.Codec()
+	}
+	for _, p := range sh.parts {
+		cells += p.cells
+	}
 	var b bytes.Buffer
 	b.Write(catalogMagic[:])
 	writeU32(&b, catalogVersion)
-	writeU32(&b, 0) // tile count: the untiled layout
-	writeU16(&b, uint16(len(ix.label)))
-	b.WriteString(ix.label)
-	writeU64(&b, uint64(ix.cells))
-	pages := ix.heap.Pages()
-	writeU64(&b, uint64(len(pages)))
-	for _, id := range pages {
-		writeU32(&b, uint32(id))
-	}
-	writeU32(&b, uint32(st.tree.RootPage()))
-	writeU32(&b, uint32(st.tree.PersistedNodes()))
-	writeU32(&b, uint32(st.tree.Height()))
-	writeU64(&b, uint64(len(st.groups)))
-	for _, g := range st.groups {
-		writeF64(&b, g.interval.Lo)
-		writeF64(&b, g.interval.Hi)
-		writeF64(&b, g.avg)
-		writeU32(&b, uint32(g.firstPage))
-		writeU32(&b, uint32(g.lastPage))
-		writeU64(&b, uint64(g.startRef))
-		writeU64(&b, uint64(g.endRef))
-	}
-	for _, id := range ix.order {
-		writeU32(&b, uint32(id))
-	}
-	codec := ""
-	if ix.sidecar != nil && ix.sidecar.NumPages() > 0 {
-		codec = ix.sidecar.Codec()
-		writeU32(&b, uint32(ix.sidecar.FirstPage()))
-		writeU32(&b, uint32(ix.sidecar.NumPages()))
-		writeU64(&b, uint64(ix.sidecar.Count()))
-		writePageFirstPositions(&b, ix.rids)
-	} else {
-		writeU32(&b, 0)
-		writeU32(&b, 0)
-	}
+	writeString(&b, string(sh.method))
+	writeString(&b, codec)
+	writeU32(&b, uint32(sh.tileSide))
+	writeU64(&b, uint64(cells))
 	writeU64(&b, st.epoch)
-	writeF64(&b, ix.cost.Epsilon)
-	writeF64(&b, ix.maxSize)
-	writeCodecTail(&b, codec, ix.sidecar)
-	writeU32(&b, uint32(ix.sumFirst))
-	writeU32(&b, uint32(ix.sumPages))
+	writeF64(&b, first.cost.Epsilon)
+	writeF64(&b, first.maxSize)
+	writeU32(&b, uint32(sh.sumFirst))
+	writeU32(&b, uint32(sh.sumPages))
+	writeU32(&b, uint32(len(sh.parts)))
+	for i, p := range sh.parts {
+		encodePartition(&b, m, p, st.part(i), st.vr[i])
+	}
 	return b.Bytes()
 }
 
-// writePageFirstPositions appends the first heap position of every heap
-// page, so opening the file can rebuild position ↦ RID (slots are
-// append-ordered within a page) without touching cell pages.
-func writePageFirstPositions(b *bytes.Buffer, rids []storage.RID) {
-	var prev storage.PageID
-	for pos, rid := range rids {
-		if pos == 0 || rid.Page != prev {
-			writeU32(b, uint32(pos))
-			prev = rid.Page
+// encodePartition appends one partition record: p at its state st, with the
+// value range vr its store keeps for it.
+func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *state, vr geom.Interval) {
+	for _, v := range [...]float64{p.mbr.Min.X, p.mbr.Min.Y, p.mbr.Max.X, p.mbr.Max.Y, vr.Lo, vr.Hi, p.area} {
+		writeF64(b, v)
+	}
+	writeU64(b, uint64(p.cells))
+	for pos := 0; pos < p.cells; pos++ {
+		// The cell at pos, under its id in the partition, under its id in the
+		// field.
+		id := field.CellID(pos)
+		if p.order != nil {
+			id = p.order[pos]
+		}
+		if p.ids != nil {
+			id = p.ids[id]
+		}
+		writeU32(b, uint32(id))
+	}
+	pages := p.heap.Pages()
+	writeU64(b, uint64(len(pages)))
+	for _, id := range pages {
+		writeU32(b, uint32(id))
+	}
+	if p.sidecar != nil || m.perCell {
+		// Slots are append-ordered within a page, so each page's first position
+		// is the whole position ↦ RID map.
+		var prev storage.PageID
+		for pos, rid := range p.rids {
+			if pos == 0 || rid.Page != prev {
+				writeU32(b, uint32(pos))
+				prev = rid.Page
+			}
 		}
 	}
-}
-
-// writeCodecTail appends the sidecar-codec section: the codec name and, for packed sidecars, the page directory OpenIntervalSidecarPacked
-// needs to reopen them.
-func writeCodecTail(b *bytes.Buffer, codec string, sc *storage.IntervalSidecar) {
-	writeU16(b, uint16(len(codec)))
-	b.WriteString(codec)
-	if codec == storage.SidecarCodecPacked {
-		fp := sc.PageFirstPositions()
-		writeU64(b, uint64(len(fp)))
-		for _, v := range fp {
+	if p.sidecar != nil {
+		writeU32(b, uint32(p.sidecar.FirstPage()))
+		writeU32(b, uint32(p.sidecar.NumPages()))
+		for _, v := range p.sidecar.PageFirstPositions() {
 			writeU32(b, v)
 		}
 	}
-}
-
-// readCodecTail decodes writeCodecTail's section, validating the directory
-// against the declared page count.
-func readCodecTail(r *byteReader, sidecarPages int) (codec string, firstPos []uint32, err error) {
-	codecLen := int(r.u16())
-	if r.err != nil || codecLen > 64 {
-		return "", nil, fmt.Errorf("corrupt sidecar codec")
+	if m.hasTree() {
+		writeU32(b, uint32(st.tree.RootPage()))
+		writeU32(b, uint32(st.tree.PersistedNodes()))
+		writeU32(b, uint32(st.tree.Height()))
 	}
-	codec = string(r.take(codecLen))
-	if codec != "" && !storage.ValidSidecarCodec(codec) {
-		return "", nil, fmt.Errorf("unknown sidecar codec %q", codec)
-	}
-	if codec == storage.SidecarCodecPacked {
-		n := int(r.u64())
-		if r.err != nil || n != sidecarPages || !r.fits(n, 4) {
-			return "", nil, fmt.Errorf("corrupt packed sidecar directory")
-		}
-		firstPos = make([]uint32, n)
-		for i := range firstPos {
-			firstPos[i] = r.u32()
+	if m.cut != nil {
+		writeU64(b, uint64(len(st.groups)))
+		for _, g := range st.groups {
+			writeF64(b, g.interval.Lo)
+			writeF64(b, g.interval.Hi)
+			writeF64(b, g.avg)
+			writeU32(b, uint32(g.firstPage))
+			writeU32(b, uint32(g.lastPage))
+			writeU64(b, uint64(g.startRef))
+			writeU64(b, uint64(g.endRef))
 		}
 	}
-	return codec, firstPos, nil
 }
 
-// Open opens a database file written by SaveFile — untiled or tiled — and
-// returns a query-ready index backed by the file's pages: an untiled executor
-// or the tiled planner, whichever the catalog's tile directory says. The file
-// is opened and its catalog read once; a file at any other catalog version is
-// refused before anything else in it is interpreted. poolPages is the
-// buffer-pool capacity in pages; 0 disables caching (strict cold-cache
-// accounting). Updates work on both: ApplyUpdates takes the caller's field.
+// Open opens a database file written by SaveFile and returns a query-ready
+// index backed by the file's pages: an untiled executor over the file's one
+// partition, or the tiled planner over its tiles. The file is opened and its
+// catalog read once; a file at any other catalog version is refused before
+// anything else in it is interpreted. poolPages is the buffer-pool capacity in
+// pages; 0 disables caching (strict cold-cache accounting). Updates work on
+// both: ApplyUpdates takes the caller's field.
 func Open(path string, poolPages int) (Engine, error) {
-	disk, blob, err := readCatalogBlob(path, storage.DefaultPageSize)
+	disk, blob, dataPages, err := readCatalogBlob(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
-	pager := storage.NewPager(disk, storage.DefaultDiskModel, poolPages)
-	var eng Engine
-	if catalogTileCount(blob) > 0 {
-		eng, err = decodeTiledCatalog(blob, pager)
-	} else {
-		eng, err = decodeCatalog(blob, pager)
-	}
+	eng, err := decodeCatalog(blob, storage.NewPager(disk, storage.DefaultDiskModel, poolPages), dataPages)
 	if err != nil {
 		disk.Close()
 		return nil, fmt.Errorf("core: %s: %w", path, err)
@@ -249,65 +229,59 @@ func Open(path string, poolPages int) (Engine, error) {
 }
 
 // readCatalogBlob opens a database file, validates its superblock, and
-// returns the open disk plus the catalog blob. The caller owns closing the
-// disk (directly or through the pager built over it).
-func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, error) {
+// returns the open disk, the catalog blob and the number of pages in front of
+// it — the data region every page id in the catalog must fall in. The caller
+// owns closing the disk (directly or through the pager built over it).
+func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, int, error) {
 	disk, err := storage.OpenFileDisk(path, pageSize)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
+	}
+	fail := func(err error) (*storage.FileDisk, []byte, int, error) {
+		disk.Close()
+		return nil, nil, 0, err
 	}
 	n := disk.NumPages()
 	if n < 2 {
-		disk.Close()
-		return nil, nil, fmt.Errorf("core: %s: too small to be a database file", path)
+		return fail(fmt.Errorf("core: %s: too small to be a database file", path))
 	}
 	buf := make([]byte, pageSize)
 	if err := disk.ReadPage(storage.PageID(n-1), buf); err != nil {
-		disk.Close()
-		return nil, nil, err
+		return fail(err)
 	}
 	if !bytes.Equal(buf[0:4], superblockMagic[:]) {
-		disk.Close()
-		return nil, nil, fmt.Errorf("core: %s: bad superblock magic", path)
+		return fail(fmt.Errorf("core: %s: bad superblock magic", path))
 	}
 	if v := binary.LittleEndian.Uint32(buf[4:8]); v != catalogVersion {
-		disk.Close()
-		return nil, nil, fmt.Errorf("core: %s: superblock: %w %d", path, ErrUnsupportedVersion, v)
+		return fail(fmt.Errorf("core: %s: superblock: %w %d", path, ErrUnsupportedVersion, v))
 	}
 	catalogStart := int(binary.LittleEndian.Uint32(buf[8:12]))
 	catalogPages := int(binary.LittleEndian.Uint32(buf[12:16]))
 	blobLen := int(binary.LittleEndian.Uint64(buf[16:24]))
 	if catalogStart < 0 || catalogPages <= 0 || catalogStart+catalogPages != n-1 ||
 		blobLen <= 0 || blobLen > catalogPages*pageSize {
-		disk.Close()
-		return nil, nil, fmt.Errorf("core: %s: corrupt superblock", path)
+		return fail(fmt.Errorf("core: %s: corrupt superblock", path))
 	}
 	blob := make([]byte, 0, catalogPages*pageSize)
 	for i := 0; i < catalogPages; i++ {
 		if err := disk.ReadPage(storage.PageID(catalogStart+i), buf); err != nil {
-			disk.Close()
-			return nil, nil, err
+			return fail(err)
 		}
 		blob = append(blob, buf...)
 	}
-	blob = blob[:blobLen]
-	if err := checkCatalogHeader(blob); err != nil {
-		disk.Close()
-		return nil, nil, fmt.Errorf("core: %s: %w", path, err)
-	}
-	return disk, blob, nil
+	return disk, blob[:blobLen], catalogStart, nil
 }
 
-// catalogHeaderLen is the fixed catalog prefix every layout shares: magic,
-// version, tile count. groupMetaLen is one encoded group of the untiled body.
+// catalogHeaderLen is the catalog prefix checkCatalogHeader validates: magic
+// and version. groupMetaLen is one encoded group of a partition record.
 const (
-	catalogHeaderLen = 12
+	catalogHeaderLen = 8
 	groupMetaLen     = 3*8 + 2*4 + 2*8
 )
 
 // checkCatalogHeader validates a catalog blob's magic and version — the gate
-// in front of both decoders, so neither interprets a layout it was not
-// written for.
+// in front of the decoder, so it never interprets a layout it was not written
+// for.
 func checkCatalogHeader(blob []byte) error {
 	if len(blob) < catalogHeaderLen {
 		return fmt.Errorf("catalog truncated")
@@ -321,186 +295,284 @@ func checkCatalogHeader(blob []byte) error {
 	return nil
 }
 
-// catalogTileCount reads a validated catalog blob's tile-count
-// discriminator: 0 for the untiled layout, the tile count for a tiled
-// directory.
-func catalogTileCount(blob []byte) int {
-	return int(binary.LittleEndian.Uint32(blob[8:12]))
+// catalogStore is what a catalog says about the store as a whole — the header
+// its partition records are decoded under.
+type catalogStore struct {
+	m        *methodSpec
+	codec    string
+	tileSide int
+	cells    int
+	cost     subfield.CostModel
+	maxSize  float64
+	// dataPages bounds the page ids a record may name: the file's pages in
+	// front of the catalog.
+	dataPages int
+	// owner maps each cell to the partition whose record listed it, -1 until
+	// one has.
+	owner []int32
 }
 
-// readPageFirstPositions decodes writePageFirstPositions' section for a heap
-// of numPages pages holding cells records, rejecting positions that do not
-// start at 0 and ascend strictly below cells.
-func readPageFirstPositions(r *byteReader, numPages, cells int) ([]int, error) {
-	if !r.fits(numPages, 4) {
-		return nil, r.err
-	}
-	firstPos := make([]int, numPages)
-	for i := range firstPos {
-		firstPos[i] = int(r.u32())
-		if r.err == nil && (firstPos[i] >= cells ||
-			(i == 0 && firstPos[i] != 0) ||
-			(i > 0 && firstPos[i] <= firstPos[i-1])) {
-			return nil, fmt.Errorf("corrupt page positions")
-		}
-	}
-	return firstPos, nil
+// inData reports whether the run of n pages from first lies in the data
+// region.
+func (cs *catalogStore) inData(first storage.PageID, n int) bool {
+	return n >= 0 && n <= cs.dataPages && int(first) <= cs.dataPages-n
 }
 
-// ridsFromFirstPositions rebuilds position ↦ RID from the per-page first
-// positions: slots are assigned in append order within each page.
-func ridsFromFirstPositions(heapPages []storage.PageID, firstPos []int, cells int) []storage.RID {
-	rids := make([]storage.RID, cells)
-	for pi, id := range heapPages {
-		next := cells
-		if pi+1 < len(firstPos) {
-			next = firstPos[pi+1]
-		}
-		for pos := firstPos[pi]; pos < next; pos++ {
-			rids[pos] = storage.RID{Page: id, Slot: uint16(pos - firstPos[pi])}
-		}
-	}
-	return rids
-}
-
-// openSidecarAs reopens a persisted sidecar segment under its saved codec.
-func openSidecarAs(pager *storage.Pager, codec string, first storage.PageID, pages, count int, firstPos []uint32) (*storage.IntervalSidecar, error) {
-	if codec == storage.SidecarCodecPacked {
-		return storage.OpenIntervalSidecarPacked(pager, first, count, firstPos)
-	}
-	return storage.OpenIntervalSidecar(pager, first, pages, count)
-}
-
-// decodeCatalog decodes the untiled body of a catalog blob whose header
-// checkCatalogHeader accepted, and opens the index it describes over pager.
-func decodeCatalog(blob []byte, pager *storage.Pager) (Engine, error) {
-	r := &byteReader{buf: blob, off: catalogHeaderLen}
-	method := string(r.take(int(r.u16())))
-	cells := int(r.u64())
-	numPages := int(r.u64())
-	if numPages <= 0 || numPages > 1<<28 || !r.fits(numPages, 4) {
-		return nil, fmt.Errorf("corrupt catalog header")
-	}
-	// Only a curve-ordered partition without a planner has this layout.
-	m := methods[Method(method)]
-	if m == nil || m.cut == nil || m.plans {
-		return nil, fmt.Errorf("catalog has unsupported method %q", method)
-	}
-	heapPages := make([]storage.PageID, numPages)
-	for i := range heapPages {
-		heapPages[i] = storage.PageID(r.u32())
-	}
-	treeRoot := storage.PageID(r.u32())
-	treeNodes := int(r.u32())
-	treeHeight := int(r.u32())
-	numGroups := int(r.u64())
-	if numGroups <= 0 || numGroups > cells || !r.fits(numGroups, groupMetaLen) {
-		return nil, fmt.Errorf("corrupt catalog group count")
-	}
-	groups := make([]groupMeta, numGroups)
-	pos := 0
-	for i := range groups {
-		groups[i] = groupMeta{
-			interval:  geom.Interval{Lo: r.f64(), Hi: r.f64()},
-			avg:       r.f64(),
-			firstPage: int(r.u32()),
-			lastPage:  int(r.u32()),
-		}
-		groups[i].startRef = int(r.u64())
-		groups[i].endRef = int(r.u64())
-		groups[i].cells = groups[i].endRef - groups[i].startRef
-		if r.err != nil {
-			break
-		}
-		// Groups must tile [0, cells) and reference valid heap pages; a
-		// violated invariant means a corrupt (or hostile) file.
-		g := groups[i]
-		if g.startRef != pos || g.endRef <= g.startRef || g.endRef > cells ||
-			g.firstPage < 0 || g.lastPage < g.firstPage || g.lastPage >= numPages {
-			return nil, fmt.Errorf("corrupt catalog group %d", i)
-		}
-		pos = g.endRef
-	}
-	if r.err == nil && pos != cells {
-		return nil, fmt.Errorf("catalog groups cover %d of %d cells", pos, cells)
-	}
-	if !r.fits(cells, 4) {
-		return nil, fmt.Errorf("catalog truncated")
-	}
-	// The order must be a permutation of the cell ids: posOf, its inverse, is
-	// how updates and point queries locate a cell's record.
-	order := make([]field.CellID, cells)
-	posOf := make([]int32, cells)
-	for i := range posOf {
-		posOf[i] = -1
-	}
-	for i := range order {
-		order[i] = field.CellID(r.u32())
-		if int(order[i]) >= cells || posOf[order[i]] != -1 {
-			return nil, fmt.Errorf("corrupt catalog cell order at position %d", i)
-		}
-		posOf[order[i]] = int32(i)
-	}
-	sidecarFirst := storage.PageID(r.u32())
-	sidecarPages := int(r.u32())
-	var pageFirstPos []int
-	if sidecarPages > 0 {
-		if sidecarCount := int(r.u64()); r.err != nil || sidecarCount != cells {
-			return nil, fmt.Errorf("corrupt sidecar geometry")
-		}
-		var err error
-		if pageFirstPos, err = readPageFirstPositions(r, numPages, cells); err != nil {
-			return nil, fmt.Errorf("sidecar: %w", err)
-		}
-	}
-	epoch := r.u64()
-	epsilon := r.f64()
-	maxSize := r.f64()
-	if r.err == nil && (math.IsNaN(epsilon) || epsilon < 0 || math.IsNaN(maxSize) || maxSize < 0) {
-		return nil, fmt.Errorf("corrupt update state")
-	}
-	codec, sidecarFirstPos, err := readCodecTail(r, sidecarPages)
-	if err != nil {
+// decodeCatalog decodes a catalog blob and opens the store it describes over
+// pager, whose first dataPages pages are the saved store's. Every count and
+// page id in the blob was read from a file and may be a lie: counts are
+// checked against the bytes left before they size anything, page ids against
+// the data region.
+func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, error) {
+	if err := checkCatalogHeader(blob); err != nil {
 		return nil, err
 	}
-	sumFirst := storage.PageID(r.u32())
-	sumPages := int(r.u32())
-	if r.err == nil && (sumPages < 0 || sumPages > 1<<16) {
-		return nil, fmt.Errorf("corrupt summary geometry")
-	}
+	r := &byteReader{buf: blob, off: catalogHeaderLen}
+	method := Method(r.str())
+	cs := &catalogStore{m: methods[method], codec: r.str(), dataPages: dataPages}
+	cs.tileSide, cs.cells = int(r.u32()), int(r.u64())
+	epoch := r.u64()
+	cs.cost.Epsilon, cs.maxSize = r.f64(), r.f64()
+	sumFirst, sumPages := storage.PageID(r.u32()), int(r.u32())
+	numParts := int(r.u32())
 	if r.err != nil {
 		return nil, fmt.Errorf("catalog truncated")
+	}
+	// Only what SaveFile writes: the planner keeps a histogram no page holds.
+	if cs.m == nil || cs.m.plans {
+		return nil, fmt.Errorf("catalog has unsupported method %q", method)
+	}
+	if cs.codec != "" && !storage.ValidSidecarCodec(cs.codec) {
+		return nil, fmt.Errorf("unknown sidecar codec %q", cs.codec)
+	}
+	// Every cell id is a u32 somewhere in the records, every partition holds a
+	// cell, and an untiled store is exactly one partition.
+	if cs.cells <= 0 || cs.cells > 1<<30 || !r.fits(cs.cells, 4) || numParts < 1 || numParts > cs.cells ||
+		(cs.tileSide == 0 && numParts != 1) || (cs.tileSide != 0 && (cs.tileSide < 2 || !cs.m.tiles)) {
+		return nil, fmt.Errorf("corrupt catalog header")
+	}
+	if !(cs.cost.Epsilon >= 0) || !(cs.maxSize >= 0) {
+		return nil, fmt.Errorf("corrupt update state")
+	}
+	if sumPages > 1<<16 || !cs.inData(sumFirst, sumPages) {
+		return nil, fmt.Errorf("corrupt summary geometry")
+	}
+	cs.owner = make([]int32, cs.cells)
+	for i := range cs.owner {
+		cs.owner[i] = -1
 	}
 	// Resume epoch numbering where the saved store left off: SaveFile
 	// materialized that epoch's overlay view into the base pages, so the
 	// opened store is that epoch, verbatim.
 	pager.SetEpoch(epoch)
-	p := &partition{
-		heap:  storage.OpenHeapFile(pager, heapPages, cells),
-		cells: cells,
-		order: order,
-		posOf: posOf,
-		// The partitioning rule update batches re-derive group boundaries with.
-		cut:     m.cut,
-		cost:    subfield.CostModel{Epsilon: epsilon},
-		maxSize: maxSize,
-	}
-	tree, err := rstar.OpenPaged(pager, treeRoot, 1,
-		rstar.Params{PageSize: pager.PageSize()}, len(groups), treeNodes, treeHeight)
-	if err != nil {
-		return nil, err
-	}
-	if sidecarPages > 0 {
-		if p.sidecar, err = openSidecarAs(pager, codec, sidecarFirst, sidecarPages, cells, sidecarFirstPos); err != nil {
-			return nil, err
+	top := &state{epoch: epoch}
+	var parts []*partition
+	covered := 0
+	for pi := 0; pi < numParts; pi++ {
+		p, st, vr, err := decodePartition(r, cs, pager, pi)
+		if err != nil {
+			return nil, fmt.Errorf("partition %d: %w", pi, err)
 		}
-		p.rids = ridsFromFirstPositions(heapPages, pageFirstPos, cells)
+		st.epoch = epoch
+		parts = append(parts, p)
+		top.parts, top.vr = append(top.parts, st), append(top.vr, vr)
+		covered += p.cells
 	}
-	m.bind(p)
-	ix := &valueIndex{partition: p}
-	ix.label, ix.pager, ix.parts = method, pager, []*partition{p}
-	ix.sumFirst, ix.sumPages = sumFirst, sumPages
-	return newExecutor(ix, &state{epoch: epoch, tree: tree, groups: groups}), nil
+	if covered != cs.cells || r.off != len(blob) {
+		return nil, fmt.Errorf("catalog records cover %d of %d cells in %d of %d bytes", covered, cs.cells, r.off, len(blob))
+	}
+	var eng Engine
+	var sh *shell
+	if cs.tileSide == 0 {
+		// The store's state is its one partition's.
+		top.parts[0].vr = top.vr
+		e := newExecutor(newValueIndex(pager, method, parts[0]), top.parts[0])
+		eng, sh = e, &e.shell
+	} else {
+		t := newTiled(pager, method, cs.cells, cs.tileSide, numParts)
+		for _, p := range parts {
+			// view stays nil: queries never touch it, and ApplyUpdates attaches
+			// the caller's field on first use.
+			t.add(&tile{partition: p})
+		}
+		t.snap.Store(top)
+		eng, sh = t, &t.shell
+	}
+	sh.sumFirst, sh.sumPages = sumFirst, sumPages
+	return eng, nil
+}
+
+// decodePartition decodes the next partition record — the pi-th — and opens
+// the partition it describes over pager, with the state its method keeps for
+// it and the value range its store does.
+func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi int) (*partition, *state, geom.Interval, error) {
+	fail := func(format string, args ...any) (*partition, *state, geom.Interval, error) {
+		return nil, nil, geom.Interval{}, fmt.Errorf(format, args...)
+	}
+	p := &partition{
+		mbr: geom.Rect{Min: geom.Pt(r.f64(), r.f64()), Max: geom.Pt(r.f64(), r.f64())},
+		// The partitioning rule update batches re-derive group boundaries with.
+		cut: cs.m.cut, cost: cs.cost, maxSize: cs.maxSize,
+	}
+	vr := geom.Interval{Lo: r.f64(), Hi: r.f64()}
+	p.area = r.f64()
+	p.cells = int(r.u64())
+	if r.err == nil && (!(vr.Lo <= vr.Hi) || !(p.area >= 0)) {
+		return fail("corrupt summary")
+	}
+	// An untiled store's one partition holds every cell: posOf is indexed by
+	// the ids themselves.
+	if p.cells <= 0 || p.cells > cs.cells || (cs.tileSide == 0 && p.cells != cs.cells) || !r.fits(p.cells, 4) {
+		return fail("corrupt cell count")
+	}
+	// Every cell belongs to exactly one partition. A tile addresses its cells by
+	// rank among its ascending ids.
+	heapIDs := make([]field.CellID, p.cells)
+	for pos := range heapIDs {
+		id := field.CellID(r.u32())
+		if int(id) >= cs.cells || cs.owner[id] != -1 {
+			return fail("corrupt cell id at position %d", pos)
+		}
+		// In natural order the ids ascend: the gather step's no-ties invariant.
+		if cs.m.cut == nil && pos > 0 && id <= heapIDs[pos-1] {
+			return fail("cell ids out of order at position %d", pos)
+		}
+		heapIDs[pos], cs.owner[id] = id, int32(pi)
+	}
+	if cs.tileSide != 0 {
+		p.ids = heapIDs
+	}
+	if cs.m.cut != nil {
+		// The heap order must be a permutation of the partition's cells: posOf,
+		// its inverse, is how updates and point queries locate a cell's record.
+		p.order, p.posOf = heapIDs, make([]int32, p.cells)
+		if p.ids != nil {
+			p.ids = slices.Sorted(slices.Values(heapIDs))
+			p.order = make([]field.CellID, p.cells)
+		}
+		for pos, id := range heapIDs {
+			local := int(id)
+			if p.ids != nil {
+				local, _ = slices.BinarySearch(p.ids, id)
+			}
+			p.order[pos], p.posOf[local] = field.CellID(local), int32(pos)
+		}
+	}
+	numPages := int(r.u64())
+	if numPages <= 0 || numPages > p.cells || !r.fits(numPages, 4) {
+		return fail("corrupt heap geometry")
+	}
+	heapPages := make([]storage.PageID, numPages)
+	for i := range heapPages {
+		heapPages[i] = storage.PageID(r.u32())
+		// A heap grows by allocation, so its page ids ascend.
+		if r.err == nil && (!cs.inData(heapPages[i], 1) || (i > 0 && heapPages[i] <= heapPages[i-1])) {
+			return fail("heap page %d out of order or outside the data region", heapPages[i])
+		}
+	}
+	p.heap = storage.OpenHeapFile(pager, heapPages, p.cells)
+	if cs.codec != "" || cs.m.perCell {
+		var err error
+		if p.rids, err = readRIDs(r, heapPages, p.cells); err != nil {
+			return fail("%w", err)
+		}
+	}
+	if cs.codec != "" {
+		first, pages := storage.PageID(r.u32()), int(r.u32())
+		if r.err == nil && (pages <= 0 || !cs.inData(first, pages)) {
+			return fail("sidecar run outside the data region")
+		}
+		var err error
+		if cs.codec == storage.SidecarCodecPacked {
+			// The directory is one first position per sidecar page.
+			if !r.fits(pages, 4) {
+				return fail("corrupt packed sidecar directory")
+			}
+			dir := make([]uint32, pages)
+			for i := range dir {
+				dir[i] = r.u32()
+			}
+			p.sidecar, err = storage.OpenIntervalSidecarPacked(pager, first, p.cells, dir)
+		} else {
+			p.sidecar, err = storage.OpenIntervalSidecar(pager, first, pages, p.cells)
+		}
+		if err != nil {
+			return fail("%w", err)
+		}
+	}
+	st := &state{}
+	if cs.m.hasTree() {
+		root, nodes, height := storage.PageID(r.u32()), int(r.u32()), int(r.u32())
+		if r.err == nil && !cs.inData(root, 1) {
+			return fail("tree root outside the data region")
+		}
+		entries := p.cells
+		if cs.m.cut != nil {
+			// Groups tile [0, cells) and reference valid heap pages; a violated
+			// invariant means a corrupt (or hostile) file.
+			numGroups := int(r.u64())
+			if numGroups <= 0 || numGroups > p.cells || !r.fits(numGroups, groupMetaLen) {
+				return fail("corrupt group count")
+			}
+			st.groups = make([]groupMeta, numGroups)
+			pos := 0
+			for i := range st.groups {
+				g := &st.groups[i]
+				*g = groupMeta{
+					interval:  geom.Interval{Lo: r.f64(), Hi: r.f64()},
+					avg:       r.f64(),
+					firstPage: int(r.u32()),
+					lastPage:  int(r.u32()),
+					startRef:  int(r.u64()),
+					endRef:    int(r.u64()),
+				}
+				g.cells = g.endRef - g.startRef
+				if r.err != nil || g.startRef != pos || g.endRef <= g.startRef || g.endRef > p.cells ||
+					g.lastPage < g.firstPage || g.lastPage >= numPages {
+					return fail("corrupt group %d", i)
+				}
+				pos = g.endRef
+			}
+			if pos != p.cells {
+				return fail("groups cover %d of %d cells", pos, p.cells)
+			}
+			entries = numGroups
+		}
+		var err error
+		if st.tree, err = rstar.OpenPaged(pager, root, 1, rstar.Params{PageSize: pager.PageSize()}, entries, nodes, height); err != nil {
+			return fail("%w", err)
+		}
+	}
+	if r.err != nil {
+		return fail("catalog truncated")
+	}
+	cs.m.bind(p)
+	return p, st, vr, nil
+}
+
+// readRIDs decodes the first heap position of each of a heap's pages holding
+// cells records — positions that start at 0 and ascend strictly below cells —
+// and rebuilds position ↦ RID from them: slots are assigned in append order
+// within each page.
+func readRIDs(r *byteReader, heapPages []storage.PageID, cells int) ([]storage.RID, error) {
+	if !r.fits(len(heapPages), 4) {
+		return nil, r.err
+	}
+	firstPos := make([]int, len(heapPages)+1)
+	firstPos[len(heapPages)] = cells
+	for i := range heapPages {
+		firstPos[i] = int(r.u32())
+		if r.err == nil && (firstPos[i] >= cells || (i == 0) != (firstPos[i] == 0) || (i > 0 && firstPos[i] <= firstPos[i-1])) {
+			return nil, fmt.Errorf("corrupt page positions")
+		}
+	}
+	rids := make([]storage.RID, cells)
+	for pi, id := range heapPages {
+		for pos := firstPos[pi]; pos < firstPos[pi+1]; pos++ {
+			rids[pos] = storage.RID{Page: id, Slot: uint16(pos - firstPos[pi])}
+		}
+	}
+	return rids, nil
 }
 
 // byteReader is a bounds-checked cursor over the catalog blob — bytes read
@@ -550,10 +622,13 @@ func (r *byteReader) u32() uint32  { return binary.LittleEndian.Uint32(r.scalar(
 func (r *byteReader) u64() uint64  { return binary.LittleEndian.Uint64(r.scalar(8)) }
 func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-func writeU16(b *bytes.Buffer, v uint16) {
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], v)
-	b.Write(tmp[:])
+// str reads a u16 length and that many bytes.
+func (r *byteReader) str() string { return string(r.take(int(r.u16()))) }
+
+// writeString appends a u16 length and the bytes of s.
+func writeString(b *bytes.Buffer, s string) {
+	b.Write(binary.LittleEndian.AppendUint16(nil, uint16(len(s))))
+	b.WriteString(s)
 }
 
 func writeU32(b *bytes.Buffer, v uint32) {

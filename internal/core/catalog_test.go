@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,11 +10,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
+	"fielddb/internal/obs"
 	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 )
@@ -96,39 +99,77 @@ func TestSaveFileRefusesNonEmpty(t *testing.T) {
 	if st, err := os.Stat(path); err != nil || st.Size() != storage.DefaultPageSize {
 		t.Fatalf("the refused save touched a file it did not create: %v", err)
 	}
-}
-
-// TestFailedSaveLeavesNoFile: a save that dies after creating its file — the
-// snapshot source fails mid-copy — removes it, so the retry finds the path
-// free instead of a partial file it must refuse as not empty.
-func TestFailedSaveLeavesNoFile(t *testing.T) {
-	f := testDEM(t, 8, 0.5)
-	disk := &failingDisk{Disk: storage.NewMemDisk(storage.DefaultPageSize)}
-	built, err := buildIx(f, storage.NewPager(disk, storage.DefaultDiskModel, 0), BuildOptions{Method: MethodIHilbert})
-	if err != nil {
+	// An empty file is a destination the caller reserved, not content.
+	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "retry.fidx")
-	disk.fail.Store(true)
-	if err := built.SaveFile(path); !errors.Is(err, errInjected) {
-		t.Fatalf("save from a failing disk: %v, want the injected error", err)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("the failed save left its file behind (stat: %v)", err)
-	}
-	disk.fail.Store(false)
 	if err := built.SaveFile(path); err != nil {
-		t.Fatalf("retry after the failed save: %v", err)
+		t.Fatalf("save over the caller's empty file: %v", err)
 	}
 	opened, err := openIx(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer opened.Close()
-	q := f.ValueRange()
-	want, _ := bruteForce(f, q)
-	if res, err := opened.Query(q); err != nil || res.CellsMatched != len(want) {
-		t.Fatalf("reopened after retry: %v, %d cells of %d", err, res.CellsMatched, len(want))
+	opened.Close()
+}
+
+// TestFailedSaveLeavesNoFile: a save writes under a temporary name and renames
+// once complete, so one that dies mid-copy — the snapshot source fails at its
+// k-th page read, for every k — leaves the directory exactly as it found it:
+// no destination where there was none, the caller's empty file where there was
+// one, no temporary file either way. The retry then succeeds.
+func TestFailedSaveLeavesNoFile(t *testing.T) {
+	f := testDEM(t, 8, 0.5)
+	disk := &failingDisk{Disk: storage.NewMemDisk(storage.DefaultPageSize)}
+	pager := storage.NewPager(disk, storage.DefaultDiskModel, 0)
+	built, err := buildIx(f, pager, BuildOptions{Method: MethodIHilbert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reserved := range []bool{false, true} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "retry.fidx")
+		files := 0
+		if reserved {
+			if err := os.WriteFile(path, nil, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			files = 1
+		}
+		for k := 1; k <= pager.NumPages(); k++ {
+			disk.spare.Store(int64(k - 1))
+			disk.fail.Store(true)
+			err := built.SaveFile(path)
+			disk.fail.Store(false)
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("save failing at read %d: %v, want the injected error", k, err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != files {
+				t.Fatalf("save failing at read %d left %d files in the directory, want %d", k, len(entries), files)
+			}
+			if st, err := os.Stat(path); reserved && (err != nil || st.Size() != 0) {
+				t.Fatalf("save failing at read %d touched the reserved destination (stat: %v)", k, err)
+			} else if !reserved && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("save failing at read %d left its file behind (stat: %v)", k, err)
+			}
+		}
+		if err := built.SaveFile(path); err != nil {
+			t.Fatalf("retry after the failed saves: %v", err)
+		}
+		opened, err := openIx(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := f.ValueRange()
+		want, _ := bruteForce(f, q)
+		if res, err := opened.Query(q); err != nil || res.CellsMatched != len(want) {
+			t.Fatalf("reopened after retry: %v, %d cells of %d", err, res.CellsMatched, len(want))
+		}
+		opened.Close()
 	}
 }
 
@@ -261,102 +302,263 @@ func TestApproxQuery(t *testing.T) {
 	}
 }
 
-// TestCatalogHostileCounts: every count in a catalog is read out of a file, so
-// a lying one must fail Open with an error — not size an allocation. Each row
-// is a well-formed superblock over a catalog whose header passes
-// checkCatalogHeader and whose body claims far more elements than its bytes
-// can hold; the last is a real catalog cut short.
-func TestCatalogHostileCounts(t *testing.T) {
+// hostileCatalogs returns catalog blobs Open must refuse, over a data region of
+// the returned size: each is the real catalog of a small I-Hilbert index with
+// one count or page reference overwritten by a lie, or a hand-built header
+// claiming far more elements than its bytes can hold.
+func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	le := binary.LittleEndian
-	head := func(tiles uint32, method string) []byte {
-		b := le.AppendUint32(append([]byte(nil), catalogMagic[:]...), catalogVersion)
-		b = le.AppendUint32(b, tiles)
-		return append(le.AppendUint16(b, uint16(len(method))), method...)
-	}
-	// Untiled: cells = groups = 1<<40 over one heap page.
-	untiled := le.AppendUint64(head(0, "I-Hilbert"), 1<<40)
-	untiled = le.AppendUint32(le.AppendUint64(untiled, 1), 0)
-	untiled = append(untiled, make([]byte, 12)...) // tree root, nodes, height
-	untiled = le.AppendUint64(untiled, 1<<40)
-	// Tiled: 1<<30 cells (the largest the header admits) in one tile.
-	tiledHead := func(cells uint64) []byte {
-		b := le.AppendUint16(head(1, "LinearScan"), 0) // no codec
-		b = le.AppendUint32(b, 64)                     // tile side
-		return le.AppendUint64(le.AppendUint64(b, cells), 0)
-	}
-	// Tiled: a plausible header, then a tile of one cell on 1<<28 heap pages.
-	tiledPages := append(tiledHead(1), make([]byte, 48)...) // MBR, value summary
-	tiledPages = le.AppendUint32(le.AppendUint64(tiledPages, 1), 0)
-	tiledPages = le.AppendUint64(tiledPages, 1<<28)
-	tiledPages = append(tiledPages, make([]byte, minTileLen)...)
-
-	ps := storage.DefaultPageSize
-	dir := t.TempDir()
-	write := func(name string, blob []byte) string {
-		raw := make([]byte, 3*ps) // a heap page, the catalog page, the superblock
-		copy(raw[ps:], blob)
-		super := raw[2*ps:]
-		copy(super, superblockMagic[:])
-		le.PutUint32(super[4:], catalogVersion)
-		le.PutUint32(super[8:], 1)  // catalog start
-		le.PutUint32(super[12:], 1) // catalog pages
-		le.PutUint64(super[16:], uint64(len(blob)))
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	// Truncated: a saved index whose superblock declares half its catalog.
-	built, _ := buildIx(testDEM(t, 8, 0.5), newPager(), BuildOptions{Method: MethodIHilbert})
-	truncated := filepath.Join(dir, "truncated")
-	if err := built.SaveFile(truncated); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(truncated)
+	built, err := buildIx(testDEM(t, 8, 0.5), newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobLen := raw[len(raw)-ps+16 : len(raw)-ps+24]
-	le.PutUint64(blobLen, le.Uint64(blobLen)/2)
-	if err := os.WriteFile(truncated, raw, 0o644); err != nil {
-		t.Fatal(err)
+	real := built.encodeCatalog()
+	dataPages = built.pager.NumPages()
+	// Offsets into the real catalog: the header's tail, then the one record.
+	record := catalogHeaderLen + 2 + len(MethodIHilbert) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + 8 + 16 + 8 + 4
+	summary := record - 12
+	ids := record + 7*8 + 8
+	heapPages := ids + 4*built.cells + 8
+	sidecar := heapPages + 2*4*built.heap.NumPages()
+	tree := sidecar + 8
+	groups := tree + 12
+	if want := groups + 8 + groupMetaLen*len(built.cur().groups); want != len(real) {
+		t.Fatalf("the test's catalog layout ends at %d, the encoder's at %d", want, len(real))
 	}
+	blobs = map[string][]byte{}
+	patch := func(name string, off int, v []byte) {
+		blobs[name] = append([]byte(nil), real...)
+		copy(blobs[name][off:], v)
+	}
+	u32 := func(v int) []byte { return le.AppendUint32(nil, uint32(v)) }
+	// Every page reference, pointing into the catalog pages and past the file.
+	for name, off := range map[string]int{"heap page": heapPages, "sidecar first": sidecar, "tree root": tree, "summary first": summary} {
+		patch(name+" in the catalog", off, u32(dataPages))
+		patch(name+" past the file", off, u32(1<<31))
+	}
+	patch("sidecar pages past the data", sidecar+4, u32(dataPages+1))
+	patch("summary pages past the data", summary+4, u32(dataPages+1))
+	patch("heap pages descend", heapPages+4, real[heapPages:heapPages+4])
+	// Not a permutation: the second cell-order entry overwritten by the first,
+	// so one cell has two heap positions.
+	patch("cell order names a cell twice", ids+4, real[ids:ids+4])
+	patch("group count", groups, le.AppendUint64(nil, 1<<40))
+	patch("partition short of its store", ids-8, le.AppendUint64(nil, 1))
+	patch("partition count", record-4, u32(2))
+	blobs["truncated"] = real[:len(real)/2]
+	blobs["trailing bytes"] = append(append([]byte(nil), real...), 0)
 
-	// Not a permutation: the same saved index with its second cell-order entry
-	// overwritten by the first, so one cell has two heap positions.
-	dupOrder := filepath.Join(dir, "dup-order")
-	if err := built.SaveFile(dupOrder); err != nil {
-		t.Fatal(err)
+	head := func(method string, tileSide uint32, cells uint64, parts uint32) []byte {
+		b := le.AppendUint32(append([]byte(nil), catalogMagic[:]...), catalogVersion)
+		b = append(le.AppendUint16(b, uint16(len(method))), method...)
+		b = le.AppendUint16(b, 0) // no codec
+		b = le.AppendUint64(le.AppendUint64(le.AppendUint32(b, tileSide), cells), 0)
+		b = append(b, make([]byte, 16+8)...) // cut rule, no summary
+		return le.AppendUint32(b, parts)
 	}
-	if raw, err = os.ReadFile(dupOrder); err != nil {
-		t.Fatal(err)
-	}
-	cat := raw[int(le.Uint32(raw[len(raw)-ps+8:]))*ps:]
-	order := catalogHeaderLen + 2 + len(MethodIHilbert) + 8 + 8 + 4*built.heap.NumPages() + 12 +
-		8 + groupMetaLen*len(built.cur().groups)
-	copy(cat[order+4:order+8], cat[order:order+4])
-	if err := os.WriteFile(dupOrder, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	blobs["untiled cells"] = head("I-Hilbert", 0, 1<<40, 1)
+	// 1<<30 cells is the largest count the header admits.
+	blobs["tiled cells"] = head("LinearScan", 64, 1<<30, 1)
+	blobs["tiles"] = append(head("LinearScan", 64, 64, 1<<31), make([]byte, 4*64)...)
+	// A plausible header, then a tile of one cell on 1<<28 heap pages.
+	tilePages := append(head("LinearScan", 64, 1, 1), make([]byte, 7*8)...)
+	tilePages = le.AppendUint32(le.AppendUint64(tilePages, 1), 0)
+	blobs["tile heap pages"] = append(le.AppendUint64(tilePages, 1<<28), make([]byte, 64)...)
+	return dataPages, blobs
+}
 
-	for _, tc := range []struct{ name, path string }{
-		{"cell order names a cell twice", dupOrder},
-		{"untiled cells and groups", write("untiled", untiled)},
-		{"tiled cells", write("tiled-cells", tiledHead(1<<30))},
-		{"tiled heap pages", write("tiled-pages", tiledPages)},
-		{"truncated", truncated},
-	} {
+// writeCatalogFile writes a database file of dataPages zero pages, the catalog
+// blob and a well-formed superblock locating it.
+func writeCatalogFile(t *testing.T, path string, dataPages int, blob []byte) {
+	t.Helper()
+	disk, err := storage.OpenFileDisk(path, storage.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < dataPages; i++ {
+		if _, err := disk.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeCatalog(disk, blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCatalogHostileCounts: every count and page id in a catalog is read out
+// of a file, so a lying one must fail Open with an error — not size an
+// allocation, and not be believed until the first query reads catalog bytes as
+// cell records. Each row is a well-formed superblock over one of
+// hostileCatalogs' blobs.
+func TestCatalogHostileCounts(t *testing.T) {
+	dataPages, blobs := hostileCatalogs(t)
+	dir := t.TempDir()
+	for name, blob := range blobs {
+		path := filepath.Join(dir, name)
+		writeCatalogFile(t, path, dataPages, blob)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		eng, err := Open(tc.path, 0)
+		eng, err := Open(path, 0)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			eng.Close()
-			t.Errorf("%s: hostile catalog opened", tc.name)
+			t.Errorf("%s: hostile catalog opened", name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: Open allocated %d bytes before refusing", tc.name, grew)
+			t.Errorf("%s: Open allocated %d bytes before refusing", name, grew)
 		}
+	}
+}
+
+// fuzzDataPages is the data region FuzzOpenCatalog decodes under: larger than
+// any seed's, so a mutated page id has room to stay plausible.
+const fuzzDataPages = 1 << 12
+
+// FuzzOpenCatalog: the catalog decoder never panics on bytes it did not write,
+// and a blob it accepts is one it would have written — it re-encodes, from the
+// opened store, to the same bytes, so every partition's geometry survived.
+// Seeds are the real catalogs of every savable build-matrix row on a small
+// field, and the hostile ones.
+func FuzzOpenCatalog(f *testing.F) {
+	dem := testDEM(f, 8, 0.5)
+	for _, row := range buildMatrix(dem) {
+		if !row.stored() {
+			continue
+		}
+		row.opts.TileSide /= 4 // four tiles
+		built, err := Build(context.Background(), dem, newPager(), row.opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(built.(interface{ encodeCatalog() []byte }).encodeCatalog())
+	}
+	_, hostile := hostileCatalogs(f)
+	for _, blob := range hostile {
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
+		eng, err := decodeCatalog(blob, pager, fuzzDataPages)
+		if err != nil {
+			return
+		}
+		again := eng.(interface{ encodeCatalog() []byte }).encodeCatalog()
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("accepted a %d-byte catalog that re-encodes to %d different bytes", len(blob), len(again))
+		}
+	})
+}
+
+// TestTiledSaveOpenRoundtrip: an opened planner prunes from the value
+// ranges its partition records carry — like the build it was saved from, and
+// without touching a page.
+func TestTiledSaveOpenRoundtrip(t *testing.T) {
+	f := testDEM(t, 64, 0.7)
+	var opened *TiledIndex
+	// 16 tiles, and the one tile that is the whole field.
+	for _, side := range []int{64, 16} {
+		built, err := buildTiles(f, newPager(), BuildOptions{TileSide: side})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "tiled.fidx")
+		if err := built.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if opened, err = openTiles(path, 8192); err != nil {
+			t.Fatal(err)
+		}
+		defer opened.Close()
+		if !reflect.DeepEqual(opened.Tiles(), built.Tiles()) {
+			t.Fatalf("opened tile directory %v, built %v", opened.Tiles(), built.Tiles())
+		}
+		want, err := built.Query(f.ValueRange())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := opened.Query(f.ValueRange()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("tile side %d: the opened planner answers differently from the built one (err %v)", side, err)
+		}
+	}
+	// A narrow high-tail band skips tiles, and the prune span reads zero pages.
+	col := obs.NewCollector(4)
+	met := obs.NewMetrics()
+	opened.SetObserver(obs.Observer{Tracer: col, Metrics: met})
+	vr := f.ValueRange()
+	res, err := opened.Query(geom.Interval{Lo: vr.Hi - vr.Length()*0.02, Hi: vr.Hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := met.Snapshot()
+	if snap.TilesPruned == 0 || snap.TilesPruned+snap.TilesScanned != int64(opened.NumTiles()) {
+		t.Errorf("pruned %d + scanned %d of %d tiles", snap.TilesPruned, snap.TilesScanned, opened.NumTiles())
+	}
+	if res.CandidateGroups != int(snap.TilesScanned) {
+		t.Errorf("CandidateGroups %d, scanned %d", res.CandidateGroups, snap.TilesScanned)
+	}
+	traces := col.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces", len(traces))
+	}
+	pruneSpans := 0
+	for _, sp := range traces[0].Spans {
+		if sp.Phase == obs.PhaseTilePrune {
+			pruneSpans++
+			if sp.Pages.Reads != 0 {
+				t.Errorf("prune span read %d pages", sp.Pages.Reads)
+			}
+		}
+	}
+	if pruneSpans != 1 {
+		t.Errorf("%d prune spans, want 1", pruneSpans)
+	}
+}
+
+// TestTiledOpenUpdates applies an update batch to a file-opened tiled index:
+// the planner reattaches the caller's field to the owning tiles and answers
+// like a fresh build over the mutated terrain.
+func TestTiledOpenUpdates(t *testing.T) {
+	f := testDEM(t, 64, 0.7)
+	built, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tiled.fidx")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := openTiles(path, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch0 := opened.pager.CurrentEpoch()
+	vr := f.ValueRange()
+	nx := 65 // 64 cells -> 65 vertices per row
+	updates := []SampleUpdate{
+		{Sample: 12*nx + 12, Value: vr.Hi + 4},
+		{Sample: 12*nx + 52, Value: vr.Lo - 4},
+		{Sample: 52*nx + 52, Value: (vr.Lo + vr.Hi) / 2},
+	}
+	ur, err := opened.ApplyUpdates(context.Background(), f, updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ur.Epoch != epoch0+1 {
+		t.Errorf("update committed at epoch %d, want %d", ur.Epoch, epoch0+1)
+	}
+	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range tiledTestQueries(f) {
+		want, err := ls.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := opened.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameAnswer(t, "opened/after-update", got, want)
 	}
 }

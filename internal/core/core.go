@@ -2,8 +2,9 @@
 // indexes for field value queries in continuous field databases.
 //
 // There is one way in. Build (build.go) builds every configuration — any
-// method, tiled or not — and Open (catalog.go) reopens every saved one; both
-// return the Engine. Build dispatches on the method table: a method is one row
+// method, tiled or not — and Open (catalog.go) reopens every saved one, from
+// the one file layout: a store header and a record per partition; both return
+// the Engine. Build dispatches on the method table: a method is one row
 // binding its partition rule (§3.1.2's greedy cost bound, a fixed interval
 // threshold, the interval quadtree, or none), what its tree holds, and two
 // hooks:
@@ -78,9 +79,10 @@ const (
 	MethodIThresh    Method = "I-Threshold"
 )
 
-// ErrNoPartition reports an operation that needs a subfield partition —
-// approximate value queries from subfield summaries, or the on-disk format —
-// on a configuration without one.
+// ErrNoPartition reports an operation a configuration's partition cannot
+// serve: approximate value queries from subfield summaries where the method
+// forms no subfields, or saving the selectivity planner, whose histogram no
+// partition record holds.
 var ErrNoPartition = errors.New("core: no subfield partition")
 
 // errEmptyQuery rejects an empty query interval before any work.
@@ -196,11 +198,11 @@ type Engine interface {
 	ForEachGroup(fn func(group int, iv geom.Interval, cells []field.CellID) bool)
 	Tiles() []TileInfo
 	// ValueRange returns the value-domain coverage the index itself knows:
-	// the union of its subfield intervals or tile summaries (empty for
-	// methods that keep neither).
+	// the union of its partitions' value ranges, never empty.
 	ValueRange() geom.Interval
-	// SaveFile writes the index to a database file Open reopens;
-	// ErrNoPartition where the configuration has no on-disk format.
+	// SaveFile writes the index to a database file Open reopens, replacing
+	// path by rename once the file is complete. Every configuration saves but
+	// the selectivity planner (ErrNoPartition).
 	SaveFile(path string) error
 	SetObserver(ob obs.Observer)
 	SetWorkers(n int)

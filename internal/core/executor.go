@@ -24,6 +24,13 @@ type partition struct {
 	rids    []storage.RID
 	sidecar *storage.IntervalSidecar
 	cells   int
+	// What the catalog records of the partition besides its pages: the ids its
+	// cells have in the field, ascending (nil for an untiled store's partition,
+	// where a cell's id is its own), their MBR and their total planar area
+	// — exact for the index's lifetime, value updates never move a vertex.
+	ids  []field.CellID
+	mbr  geom.Rect
+	area float64
 
 	// The two hooks a method is, bound from its methodSpec row. candidates
 	// fills pr with the cells that can match pr.q — positions when byPos, page
@@ -70,6 +77,14 @@ type valueIndex struct {
 type executor struct {
 	*valueIndex
 	pinned
+}
+
+// newValueIndex wraps a built or opened partition of method as an untiled
+// store on pager.
+func newValueIndex(pager *storage.Pager, method Method, p *partition) *valueIndex {
+	ix := &valueIndex{partition: p}
+	ix.label, ix.method, ix.pager, ix.parts = string(method), method, pager, []*partition{p}
+	return ix
 }
 
 // newExecutor publishes a built or opened index's first state and returns its

@@ -75,18 +75,6 @@ func (e *executor) GroupIntervals() []geom.Interval {
 	return out
 }
 
-// ValueRange returns the union of the subfield intervals — the field's full
-// value range, since every cell belongs to exactly one subfield whose
-// interval covers it. It lets a stored index serve open-ended value queries
-// (ValueAbove/ValueBelow) without the original field.
-func (e *executor) ValueRange() geom.Interval {
-	vr := geom.EmptyInterval()
-	for _, g := range e.cur().groups {
-		vr = vr.Union(g.interval)
-	}
-	return vr
-}
-
 // ForEachGroup visits every subfield with its value interval and member
 // cells (in physical storage order) — the data behind the paper's Figure 7
 // subfield map. The cells slice is only valid during the call.

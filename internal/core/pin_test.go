@@ -13,16 +13,18 @@ import (
 )
 
 // failingDisk passes through to a real disk until fail is set; from then on
-// every ReadPage returns errInjected.
+// it serves spare more reads and every ReadPage after them returns
+// errInjected.
 type failingDisk struct {
 	storage.Disk
-	fail atomic.Bool
+	fail  atomic.Bool
+	spare atomic.Int64
 }
 
 var errInjected = errors.New("injected read failure")
 
 func (d *failingDisk) ReadPage(id storage.PageID, buf []byte) error {
-	if d.fail.Load() {
+	if d.fail.Load() && d.spare.Add(-1) < 0 {
 		return errInjected
 	}
 	return d.Disk.ReadPage(id, buf)

@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -28,9 +27,12 @@ import (
 // shell is what every store owns besides its index structure.
 type shell struct {
 	// label names the store in traces and metrics: the method, or
-	// "Tiled-<inner>" for the planner.
-	label string
-	pager *storage.Pager
+	// "Tiled-<method>" for the planner, whose tiles are tileSide cells a side
+	// (0 when untiled) and each run method.
+	label    string
+	method   Method
+	tileSide int
+	pager    *storage.Pager
 	// parts are the store's partitions: one for an untiled index, one per tile
 	// under the planner.
 	parts []*partition
@@ -64,10 +66,21 @@ type state struct {
 	tree   *rstar.Tree // per cell (I-All) or per subfield
 	groups []groupMeta // subfields, in partition order
 	hist   *autoHist   // the planner's selectivity histogram
-	// The tiled planner's view: the per-tile value summaries the prune step
-	// tests and the per-tile index states valid at this epoch.
-	vr    []geom.Interval
+	// vr is the value range of each of the store's partitions: every cell
+	// interval of the partition lies inside it. It is the store's ValueRange,
+	// the tiled planner's prune test, and only ever widens under updates.
+	vr []geom.Interval
+	// parts are the tiled planner's per-tile index states valid at this epoch;
+	// an untiled store's state is its one partition's.
 	parts []*state
+}
+
+// part returns the index state of the store's i-th partition.
+func (st *state) part(i int) *state {
+	if st.parts == nil {
+		return st
+	}
+	return st.parts[i]
 }
 
 // pinned is a handle on a store: live at whatever state is current, or — as
@@ -113,6 +126,18 @@ func (p *pinned) snapshot() pinned { return pinned{live: p.live, pin: p.pinState
 // Epoch returns the storage epoch queries read: the current one, or a
 // snapshot's pinned one.
 func (p *pinned) Epoch() uint64 { return p.cur().epoch }
+
+// ValueRange returns the union of the partitions' value ranges — the field's
+// full value range, kept a superset across live updates. It lets a stored
+// index serve open-ended value queries (ValueAbove/ValueBelow) without the
+// original field.
+func (p *pinned) ValueRange() geom.Interval {
+	vr := geom.EmptyInterval()
+	for _, iv := range p.cur().vr {
+		vr = vr.Union(iv)
+	}
+	return vr
+}
 
 // Close releases a snapshot's pin (idempotently); on the live handle it
 // releases the underlying store — the database file of an opened index, a
@@ -254,29 +279,47 @@ func (sh *shell) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n i
 	return nil
 }
 
-// saveFile writes the store — every page of its pager, then the catalog
-// encode returns — to an empty database file Open reopens. A save that fails
-// leaves no file behind if it created one, so a retry finds the path free; a
-// file that was there before the call is never removed.
-func (sh *shell) saveFile(path string, encode func() []byte) (err error) {
+// SaveFile implements Engine: it writes the store — every page of its pager,
+// then the catalog — to a database file Open reopens. Every configuration
+// saves but the selectivity planner, whose histogram is derived from the field
+// and lives on no page. The file is written under a temporary name in path's
+// directory and renamed over path once complete, so a save that fails leaves
+// path as it found it: absent, or the caller's empty file. A file that already
+// holds anything is refused untouched.
+func (sh *shell) SaveFile(path string) (err error) {
+	if methods[sh.method].plans {
+		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, sh.label)
+	}
 	// Serialize with update batches: the snapshot below must capture the
 	// pages of one published state, not a commit in flight.
 	sh.updMu.Lock()
 	defer sh.updMu.Unlock()
-	_, statErr := os.Stat(path)
-	disk, err := storage.OpenFileDisk(path, sh.pager.PageSize())
+	mode := os.FileMode(0o644)
+	if fi, err := os.Stat(path); err == nil {
+		if fi.Size() != 0 {
+			return fmt.Errorf("core: %s is not empty", path)
+		}
+		mode = fi.Mode().Perm()
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		disk.Close()
-		if err != nil && errors.Is(statErr, fs.ErrNotExist) {
-			os.Remove(path)
+		if err != nil {
+			os.Remove(tmp.Name())
 		}
 	}()
-	if disk.NumPages() != 0 {
-		return fmt.Errorf("core: %s is not empty", path)
+	err = tmp.Chmod(mode)
+	tmp.Close()
+	if err != nil {
+		return err
 	}
+	disk, err := storage.OpenFileDisk(tmp.Name(), sh.pager.PageSize())
+	if err != nil {
+		return err
+	}
+	defer disk.Close()
 	for _, p := range sh.parts {
 		if err := p.heap.Flush(); err != nil {
 			return err
@@ -285,5 +328,8 @@ func (sh *shell) saveFile(path string, encode func() []byte) (err error) {
 	if err := sh.pager.SnapshotTo(disk); err != nil {
 		return fmt.Errorf("core: snapshot: %w", err)
 	}
-	return writeCatalog(disk, encode())
+	if err := writeCatalog(disk, sh.encodeCatalog()); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

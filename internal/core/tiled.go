@@ -81,13 +81,11 @@ func (t *tileField) Locate(p geom.Point) (field.CellID, bool) {
 	return 0, false
 }
 
-// tile is one partition of the tiled index with the parent ids it owns
-// (always ascending), its spatial MBR and its field view. The partition is
-// never queried on its own: the planner calls its hooks.
+// tile is one partition of the tiled index — which carries the parent ids it
+// owns and their MBR — with its field view. The partition is never queried on
+// its own: the planner calls its hooks.
 type tile struct {
 	*partition
-	ids  []field.CellID
-	mbr  geom.Rect
 	view *tileField
 }
 
@@ -103,17 +101,12 @@ type TiledIndex struct {
 // snapshot of it.
 type tiledCore struct {
 	shell
-	inner    Method
-	tiles    []*tile
-	tileOf   []int32 // parent cell id -> owning tile
-	cells    int
-	tileSide int
-	// Aggregate-tier state beside the global field summary: each tile's total
-	// cell area and the field-wide area. Tile areas never change under value
-	// updates (vertices never move), so they stay exact for the index's
-	// lifetime.
-	tileArea []float64
-	totArea  float64
+	tiles  []*tile
+	tileOf []int32 // parent cell id -> owning tile
+	cells  int
+	// totArea is the field-wide cell area, the sum of the tiles': beside the
+	// global field summary, the aggregate tier's state.
+	totArea float64
 }
 
 // TileInfo describes one tile of a TiledIndex.
@@ -131,22 +124,20 @@ func tiledMethod(inner Method) Method { return Method("Tiled-" + string(inner)) 
 // newTiled returns an empty planner over cells cells in tiles of inner's
 // method, for buildTiled or the catalog decoder to fill.
 func newTiled(pager *storage.Pager, inner Method, cells, tileSide, tiles int) *TiledIndex {
-	t := &tiledCore{inner: inner, tileOf: make([]int32, cells), cells: cells, tileSide: tileSide}
-	t.label, t.pager, t.workers = string(tiledMethod(inner)), pager, 1
+	t := &tiledCore{tileOf: make([]int32, cells), cells: cells}
+	t.label, t.method, t.tileSide, t.pager, t.workers = string(tiledMethod(inner)), inner, tileSide, pager, 1
 	t.tiles = make([]*tile, 0, tiles)
-	t.tileArea = make([]float64, 0, tiles)
 	return &TiledIndex{tiledCore: t, pinned: pinned{live: &t.shell}}
 }
 
 // add appends a tile and its partition.
-func (t *tiledCore) add(tl *tile, area float64) {
+func (t *tiledCore) add(tl *tile) {
 	for _, id := range tl.ids {
 		t.tileOf[id] = int32(len(t.tiles))
 	}
 	t.tiles = append(t.tiles, tl)
 	t.parts = append(t.parts, tl.partition)
-	t.tileArea = append(t.tileArea, area)
-	t.totArea += area
+	t.totArea += tl.area
 }
 
 // buildTiled cuts f into TileSide-sized tiles and builds row m's partition
@@ -184,7 +175,8 @@ func buildTiled(ctx context.Context, f field.Field, pager *storage.Pager, m *met
 		if err != nil {
 			return nil, fmt.Errorf("core: tile %d: %w", ti, err)
 		}
-		t.add(&tile{partition: p, ids: ids, mbr: mbr, view: view}, area)
+		p.ids, p.area = ids, area
+		t.add(&tile{partition: p, view: view})
 		st.vr = append(st.vr, iv)
 		st.parts = append(st.parts, pst)
 	}
@@ -293,17 +285,6 @@ func (t *TiledIndex) Tiles() []TileInfo {
 		out[i] = TileInfo{Cells: len(tl.ids), MBR: tl.mbr, ValueRange: s.vr[i]}
 	}
 	return out
-}
-
-// ValueRange returns the union of the per-tile value summaries — the field's
-// full value range, maintained across live updates.
-func (t *TiledIndex) ValueRange() geom.Interval {
-	s := t.cur()
-	vr := geom.EmptyInterval()
-	for i := range t.tiles {
-		vr = vr.Union(s.vr[i])
-	}
-	return vr
 }
 
 // ForEachGroup implements Engine: the tile directory is not a subfield
@@ -559,9 +540,7 @@ func (t *tiledCore) partView(ti int, f field.Field, cur *state) (*state, field.F
 
 // nextState implements updater: the involved tiles' next states beside the
 // others' current ones, and value summaries widened to cover the new
-// intervals. A widened summary stays a superset of every member interval
-// (an unchanged cell's is already inside), which keeps the prune step safe
-// without rescanning untouched cells; summaries never shrink.
+// intervals, which keeps the prune step safe.
 func (t *tiledCore) nextState(cur *state, epoch uint64, involved []int, work []partUpdate) *state {
 	next := &state{
 		epoch: epoch,
@@ -572,9 +551,7 @@ func (t *tiledCore) nextState(cur *state, epoch uint64, involved []int, work []p
 		w := &work[ti]
 		w.next.epoch = epoch
 		next.parts[ti] = w.next
-		for _, iv := range w.ch.new {
-			next.vr[ti] = next.vr[ti].Union(iv)
-		}
+		next.vr[ti] = w.ch.widen(next.vr[ti])
 	}
 	return next
 }

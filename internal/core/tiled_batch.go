@@ -24,7 +24,7 @@ func (t *TiledIndex) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats
 	if len(members) == 0 {
 		return nil, BatchStats{}
 	}
-	shared := len(members) > 1 && t.inner == MethodLinearScan
+	shared := len(members) > 1 && t.method == MethodLinearScan
 	for _, tl := range t.tiles {
 		shared = shared && tl.sidecar != nil
 	}

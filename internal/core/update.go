@@ -258,9 +258,20 @@ func (p *partition) route(id field.CellID) (int, field.CellID, error) { return 0
 
 func (p *partition) partView(_ int, f field.Field, cur *state) (*state, field.Field) { return cur, f }
 
-func (p *partition) nextState(_ *state, epoch uint64, _ []int, work []partUpdate) *state {
-	work[0].next.epoch = epoch
-	return work[0].next
+func (p *partition) nextState(cur *state, epoch uint64, _ []int, work []partUpdate) *state {
+	next := work[0].next
+	next.epoch, next.vr = epoch, []geom.Interval{work[0].ch.widen(cur.vr[0])}
+	return next
+}
+
+// widen returns vr grown to cover the batch's new intervals. A widened range
+// stays a superset of every member interval (an unchanged cell's is already
+// inside) without rescanning untouched cells; it never shrinks.
+func (ch *changes) widen(vr geom.Interval) geom.Interval {
+	for _, iv := range ch.new {
+		vr = vr.Union(iv)
+	}
+	return vr
 }
 
 // ApplyUpdates implements Engine for an untiled index: the update

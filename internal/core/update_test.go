@@ -302,10 +302,10 @@ func TestUpdateSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestUpdateCatalogV3Roundtrip: saving after update batches persists the
+// TestSaveAfterUpdatesRoundtrip: saving after update batches persists the
 // materialized (patched) pages plus the epoch and cost parameters, and the
 // reopened index answers identically — then accepts further updates.
-func TestUpdateCatalogV3Roundtrip(t *testing.T) {
+func TestSaveAfterUpdatesRoundtrip(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 32, 0.7)
 	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -258,7 +259,7 @@ func TestTiledFacadeSaveOpen(t *testing.T) {
 }
 
 // TestTiledFacadeIHilbertInner: a partitioned inner method tiles through the
-// facade too (queries only; no on-disk format).
+// facade too, and saves like any other.
 func TestTiledFacadeIHilbertInner(t *testing.T) {
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
@@ -288,8 +289,17 @@ func TestTiledFacadeIHilbertInner(t *testing.T) {
 	if got.CellsMatched != want.CellsMatched || got.Area != want.Area {
 		t.Fatalf("got %d/%g, want %d/%g", got.CellsMatched, got.Area, want.CellsMatched, want.Area)
 	}
-	// Tiled indexes have an on-disk format only with the LinearScan inner.
-	if err := db.SaveIndex(filepath.Join(t.TempDir(), "x.fidx")); err == nil {
-		t.Fatal("Tiled-IHilbert SaveIndex accepted")
+	// Every tile's subfield tree rides in its partition record.
+	path := filepath.Join(t.TempDir(), "x.fidx")
+	if err := db.SaveIndex(path); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
+	if again, err := stored.ValueQuery(lo, hi); err != nil || !reflect.DeepEqual(again, got) {
+		t.Fatalf("the stored %s answers differently from the live one (err %v)", stored.Method(), err)
 	}
 }
