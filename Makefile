@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate fuzz-smoke bench-compare
+.PHONY: check build vet fmt test race cover alloc-gate fuzz-smoke bench-compare loc
 
 check: build vet fmt race cover alloc-gate fuzz-smoke bench-compare
 
@@ -47,12 +47,16 @@ cover:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
-# Five seconds of the native fuzz target over the one decoder of untrusted
-# file bytes, the catalog's: no panic, and an accepted blob re-encodes byte
-# for byte. A failing input lands in internal/core/testdata/fuzz — commit it
-# with the fix.
+# Five seconds of each native fuzz target over a decoder of untrusted bytes —
+# the catalog's (no panic, an accepted blob re-encodes byte for byte), the
+# FWB1 frame's (no panic, allocation bounded by the input, an encoded result
+# round-trips) and the FSC2 column's behind sidecar pages and wire columns (no
+# panic, decode∘encode is the identity on any bit pattern). A failing input
+# lands in the package's testdata/fuzz — commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOpenCatalog$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFloatColumn$$' -fuzztime 5s
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # in-process suites (solo, concurrent, update-load, tiled, aggregate — one
@@ -63,3 +67,10 @@ BENCH_NEW ?= /tmp/fielddb-bench-new.json
 bench-compare:
 	$(GO) run ./cmd/fieldbench -bench-json $(BENCH_NEW)
 	$(GO) run ./cmd/fieldbench -compare -tolerance 0.02 BENCH_BASELINE.json $(BENCH_NEW)
+
+# The three line counts ROADMAP and CHANGES quote, over tracked files: non-test
+# Go outside benchmark/, test Go outside benchmark/, and benchmark/.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l | xargs echo "non-test Go outside benchmark/:"
+	@git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l | xargs echo "test Go outside benchmark/:"
+	@git ls-files 'benchmark/*.go' | xargs cat | wc -l | xargs echo "benchmark/ Go:"

@@ -37,12 +37,10 @@ type AggregateResult struct {
 	AreaBound float64
 	// Fraction is Area over the field's total area, the selectivity the
 	// tolerance is measured against; FractionBound is its certified error.
-	// Both are 0 when the total area is unknown (a pre-summary file answered
-	// exactly).
 	Fraction      float64
 	FractionBound float64
 	// TotalCells and TotalArea are the field-wide denominators, exact values
-	// carried by the summary header.
+	// carried by the summary header and by the store itself.
 	TotalCells float64
 	TotalArea  float64
 	// Approx reports whether the answer came from the summary; Fallback
@@ -140,9 +138,9 @@ func estimateToResult(q geom.Interval, maxErr float64, est approx.Estimate) *Agg
 	return res
 }
 
-// exactToResult packages an exact pipeline run as an AggregateResult.
-// totalArea 0 means the field-wide area is unknown (a pre-summary file);
-// Fraction is reported only when the denominator is known.
+// exactToResult packages an exact pipeline run as an AggregateResult over a
+// field of totalCells cells covering totalArea — the store's own exact sums,
+// or the summary header's where a summary was probed.
 func exactToResult(q geom.Interval, maxErr float64, exact *Result, totalCells int, totalArea float64) *AggregateResult {
 	res := &AggregateResult{
 		Query:      q,
@@ -159,30 +157,85 @@ func exactToResult(q geom.Interval, maxErr float64, exact *Result, totalCells in
 	return res
 }
 
-// aggregateExact answers an aggregate query through the exact pipeline alone
-// — the answer of an index without summary pages. totalArea 0 means the
-// field-wide area is unknown there, so Fraction stays 0.
-func (o *observed) aggregateExact(q geom.Interval, maxErr float64, cells int, totalArea float64, exact func() (*Result, error)) (*AggregateResult, error) {
-	ex, err := exact()
-	if err != nil {
+// AggregateContext implements Engine. The answer is composed in three
+// escalating stages, all against one pinned state and under one trace:
+//
+//  1. Composition — when every partition is either disjoint from the query or
+//     fully covered by it, the partitions' own summaries (cell count, total
+//     area) compose the exact answer with ZERO page reads: a covered
+//     partition's value range lies inside the query, so every one of its cells
+//     matches. Value ranges only ever widen under updates, so the test stays a
+//     sound (if conservative) exactness certificate across epochs.
+//  2. Field summary — otherwise the summary pages answer within a certified
+//     bound, at most summaryPages physical reads; on a snapshot they are read
+//     as they were at the pin (update batches version them copy-on-write like
+//     any data page). A store without summary pages — an untiled scan or
+//     per-cell tree, or a file that declares none — skips the stage.
+//  3. Exact — when the bound exceeds maxErr, the value-query pipeline runs.
+func (e *engine) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
+	if q.IsEmpty() {
+		return nil, errEmptyQuery
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := exactToResult(q, maxErr, ex, cells, totalArea)
-	res.Fallback = true
-	o.recordAggregate(true)
-	return res, nil
+	tb, start := e.startQuery(e.label, obs.KindAggregate, q.Lo, q.Hi)
+	st := e.pinState()
+	res, err := e.aggregateAt(st, ctx, tb, q, maxErr)
+	e.unpin(st)
+	e.endQuery(tb, start, err)
+	return res, err
 }
 
-// aggregateSummary probes the store's summary pages through qc — whose
-// PhaseSummary span the caller has opened — and evaluates them at the
-// query's endpoints: at most summaryPages physical accesses, sequential. When
-// the certified fraction bound is within maxErr the estimate is the answer;
-// otherwise exact runs (under the caller's pin and trace) and the answer
-// becomes exact. The summary probe stays in the query's accounting either way
-// — it was a real cost — and the summary header still supplies the field-wide
-// denominators. qc is published and released here.
-func (sh *shell) aggregateSummary(qc *storage.QueryCtx, q geom.Interval, maxErr float64, cells int, exact func() (*Result, error)) (*AggregateResult, error) {
-	buf, err := readSummary(qc, sh.sumFirst, sh.sumPages)
+// aggregateAt answers one aggregate query against a pinned state. The caller
+// must hold a pin at st.epoch for the duration of the call.
+func (e *engine) aggregateAt(st *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
+	count, area, composed := 0.0, 0.0, true
+	for pi, vr := range st.vr {
+		if !vr.Intersects(q) {
+			continue
+		}
+		if composed = q.Lo <= vr.Lo && vr.Hi <= q.Hi; !composed {
+			break
+		}
+		count += float64(e.parts[pi].cells)
+		area += e.parts[pi].area
+	}
+	if !composed && e.sumPages == 0 {
+		ex, err := e.queryAt(st, ctx, tb, q)
+		if err != nil {
+			return nil, err
+		}
+		res := exactToResult(q, maxErr, ex, e.cells, e.area)
+		res.Fallback = true
+		e.recordAggregate(true)
+		return res, nil
+	}
+	// The summary stage, on a context of its own: zero reads when composition
+	// answered, at most summaryPages sequential ones otherwise.
+	qc := beginQueryAt(e.pager, st.epoch)
+	qc.AttachTrace(tb)
+	qc.BeginSpan(obs.PhaseSummary)
+	if composed {
+		qc.EndSpan()
+		res := &AggregateResult{
+			Query:      q,
+			MaxErr:     maxErr,
+			Count:      count,
+			Area:       area,
+			TotalCells: float64(e.cells),
+			TotalArea:  e.area,
+			Approx:     true,
+			IO:         qc.Stats(),
+		}
+		if e.area > 0 {
+			res.Fraction = area / e.area
+		}
+		e.recordIO(res.IO, 0, res.IO)
+		e.recordAggregate(false)
+		return res, nil
+	}
+	buf, err := readSummary(qc, e.sumFirst, e.sumPages)
 	if err != nil {
 		qc.Release()
 		return nil, err
@@ -193,55 +246,28 @@ func (sh *shell) aggregateSummary(qc *storage.QueryCtx, q geom.Interval, maxErr 
 	if err != nil {
 		return nil, err
 	}
+	// Within maxErr the estimate is the answer; otherwise the exact pipeline
+	// runs and the answer becomes exact. The summary probe stays in the
+	// query's accounting either way — it was a real cost — and the summary
+	// header still supplies the field-wide denominators.
 	res := estimateToResult(q, maxErr, est)
 	if _, fb := est.Fraction(); fb <= maxErr {
 		res.IO = sumIO
-		sh.recordIO(res.IO, 0, res.IO)
-		sh.recordAggregate(false)
+		e.recordIO(res.IO, 0, res.IO)
+		e.recordAggregate(false)
 		return res, nil
 	}
-	ex, err := exact()
+	ex, err := e.queryAt(st, ctx, tb, q)
 	if err != nil {
 		return nil, err
 	}
-	res = exactToResult(q, maxErr, ex, cells, est.TotalArea)
+	res = exactToResult(q, maxErr, ex, e.cells, est.TotalArea)
 	res.TotalCells = est.N
 	res.Fallback = true
 	res.IO = sumIO.Add(ex.IO)
-	sh.recordIO(sumIO, 0, sumIO)
-	sh.recordAggregate(true)
+	e.recordIO(sumIO, 0, sumIO)
+	e.recordAggregate(true)
 	return res, nil
-}
-
-// AggregateContext implements Engine: summary probe, then the exact filter +
-// refinement pipeline under the same pinned state and trace when the
-// certified bound exceeds maxErr. An index without summary pages — every
-// method but the partitioned family, or a file that declares none — answers
-// exactly; on a snapshot the summary pages are read as they were at the pin
-// (update batches version them copy-on-write like any data page).
-func (e *executor) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	if q.IsEmpty() {
-		return nil, errEmptyQuery
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tb, start := e.startQuery(e.label, obs.KindAggregate, q.Lo, q.Hi)
-	st := e.pinState()
-	exact := func() (*Result, error) { return e.queryAt(st, ctx, tb, q) }
-	var res *AggregateResult
-	var err error
-	if e.sumPages == 0 {
-		res, err = e.aggregateExact(q, maxErr, e.cells, 0, exact)
-	} else {
-		qc := beginQueryAt(e.pager, st.epoch)
-		qc.AttachTrace(tb)
-		qc.BeginSpan(obs.PhaseSummary)
-		res, err = e.aggregateSummary(qc, q, maxErr, e.cells, exact)
-	}
-	e.unpin(st)
-	e.endQuery(tb, start, err)
-	return res, err
 }
 
 // maintainSummary keeps the field summary truthful across an update batch
@@ -258,119 +284,38 @@ func (e *executor) AggregateContext(ctx context.Context, q geom.Interval, maxErr
 //     updated interval column under the original page budget, restoring
 //     build-quality bounds.
 //   - widen — a file-opened index has intervals (recovered from the sidecar)
-//     but no areas, and the tiled planner keeps neither field-wide; instead
+//     but no areas, and a tiled store keeps neither field-wide; instead
 //     the header's widening slack grows by the batch's touched-cell count and
 //     area. Each touched cell shifts each cumulative distribution by at most
 //     one count and its own area, so the stale segments plus the accumulated
 //     slack remain a certified bound.
-func (sh *shell) maintainSummary(st *overlayStage, cells int, area float64) error {
-	if sh.sumPages == 0 || cells == 0 {
+func (s *store) maintainSummary(st *overlayStage, cells int, area float64) error {
+	if s.sumPages == 0 || cells == 0 {
 		return nil
 	}
-	if sh.areas == nil {
-		page, err := st.page(sh.sumFirst)
+	if s.areas == nil {
+		page, err := st.page(s.sumFirst)
 		if err != nil {
 			return err
 		}
 		approx.PatchWiden(page, float64(cells), area)
 		return nil
 	}
-	ps := sh.pager.PageSize()
-	sum, err := approx.Build(sh.parts[0].ivs, sh.areas, sh.sumPages*ps)
+	ps := s.pager.PageSize()
+	sum, err := approx.Build(s.parts[0].ivs, s.areas, s.sumPages*ps)
 	if err != nil {
 		return err
 	}
 	blob := sum.Encode()
-	if len(blob) > sh.sumPages*ps {
-		return fmt.Errorf("core: refitted summary %d bytes exceeds %d pages", len(blob), sh.sumPages)
+	if len(blob) > s.sumPages*ps {
+		return fmt.Errorf("core: refitted summary %d bytes exceeds %d pages", len(blob), s.sumPages)
 	}
-	for i := 0; i < sh.sumPages; i++ {
+	for i := 0; i < s.sumPages; i++ {
 		page := make([]byte, ps)
 		if off := i * ps; off < len(blob) {
 			copy(page, blob[off:])
 		}
-		st.pages[sh.sumFirst+storage.PageID(i)] = page
+		st.pages[s.sumFirst+storage.PageID(i)] = page
 	}
 	return nil
-}
-
-// AggregateContext implements Engine for the tiled planner. The
-// answer is composed in three escalating stages:
-//
-//  1. Tile composition — when every tile is either disjoint from the query
-//     or fully covered by it, the per-tile summaries (cell count, total
-//     area) compose the exact answer with ZERO page reads: a covered tile's
-//     value range lies inside the query, so every one of its cells matches.
-//  2. Global summary — otherwise the field-wide summary pages answer within
-//     a certified bound, at most summaryPages physical reads.
-//  3. Exact scatter-gather — when the bound exceeds maxErr, the regular
-//     prune/scatter/gather pipeline runs under the same pinned state.
-func (t *TiledIndex) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	if q.IsEmpty() {
-		return nil, errEmptyQuery
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tb, start := t.startQuery(t.label, obs.KindAggregate, q.Lo, q.Hi)
-	s := t.pinState()
-	res, err := t.aggregateAt(s, ctx, tb, q, maxErr)
-	t.unpin(s)
-	t.endQuery(tb, start, err)
-	return res, err
-}
-
-// aggregateAt answers one aggregate query against a pinned tiled state. The
-// caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) aggregateAt(s *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, maxErr float64) (*AggregateResult, error) {
-	qc := beginQueryAt(t.pager, s.epoch)
-	qc.AttachTrace(tb)
-	qc.BeginSpan(obs.PhaseSummary)
-	count, area := 0.0, 0.0
-	composed := true
-	for ti := range t.tiles {
-		vr := s.vr[ti]
-		if !vr.Intersects(q) {
-			continue
-		}
-		if q.Lo <= vr.Lo && vr.Hi <= q.Hi {
-			// The tile's whole value range lies inside the query: every
-			// member cell matches, and the per-tile summary carries the
-			// exact count and area. Value summaries only ever widen under
-			// updates, so a covered test stays a sound (if conservative)
-			// exactness certificate across epochs.
-			count += float64(len(t.tiles[ti].ids))
-			area += t.tiles[ti].area
-			continue
-		}
-		composed = false
-		break
-	}
-	if composed {
-		qc.EndSpan()
-		res := &AggregateResult{
-			Query:      q,
-			MaxErr:     maxErr,
-			Count:      count,
-			Area:       area,
-			TotalCells: float64(t.cells),
-			TotalArea:  t.totArea,
-			Approx:     true,
-		}
-		if t.totArea > 0 {
-			res.Fraction = area / t.totArea
-		}
-		res.IO = qc.Stats()
-		t.recordIO(res.IO, 0, res.IO)
-		t.recordAggregate(false)
-		return res, nil
-	}
-	exact := func() (*Result, error) { return t.queryAt(s, ctx, tb, q) }
-	if t.sumPages == 0 {
-		// No global summary pages to consult.
-		qc.EndSpan()
-		qc.Release()
-		return t.aggregateExact(q, maxErr, t.cells, t.totArea, exact)
-	}
-	return t.aggregateSummary(qc, q, maxErr, t.cells, exact)
 }

@@ -166,11 +166,12 @@ func TestAggregateRoundtrip(t *testing.T) {
 		}
 	}
 
-	// A file that declares no summary pages answers exactly and invents no
-	// area denominator.
+	// A file that declares no summary pages answers exactly, over the exact
+	// denominators every store carries: its cells and their total area.
 	opened.sumPages = 0
 	q := queries[4]
-	count, _ := bruteAggregate(f, q)
+	count, area := bruteAggregate(f, q)
+	_, total := bruteAggregate(f, geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
 	res, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +179,8 @@ func TestAggregateRoundtrip(t *testing.T) {
 	if res.Approx || !res.Fallback || res.Count != float64(count) {
 		t.Fatalf("summary-less aggregate = %+v, want exact count %d", res, count)
 	}
-	if res.Fraction != 0 || res.TotalArea != 0 {
-		t.Fatalf("summary-less aggregate invented an area denominator: %+v", res)
+	if res.TotalArea != total || res.Fraction != area/total || res.TotalCells != float64(f.NumCells()) {
+		t.Fatalf("summary-less aggregate = %+v, want area %g of the field's %g", res, area, total)
 	}
 }
 
@@ -189,7 +190,7 @@ func TestAggregateRoundtrip(t *testing.T) {
 // the save/open roundtrip and the summary-less exact path.
 func TestAggregateTiled(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	ti, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestAggregateTiled(t *testing.T) {
 	if err := ti.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := openTiles(path, 0)
+	opened, err := openIx(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

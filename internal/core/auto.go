@@ -75,28 +75,11 @@ func (h *autoHist) estimate(q geom.Interval, cells int) float64 {
 	return est
 }
 
-// ScanQueries returns how many queries the planner answered with the
-// sequential-scan access path.
-func (e *executor) ScanQueries() int { return int(e.scanQueries.Load()) }
-
-// FilterQueries returns how many queries the planner answered with the
-// subfield filter pipeline.
-func (e *executor) FilterQueries() int { return int(e.filterQueries.Load()) }
-
-// EstimateSelectivity returns the histogram's (over-)estimate of the
-// fraction of cells whose interval intersects q.
-func (e *executor) EstimateSelectivity(q geom.Interval) float64 {
-	if e.cells == 0 || q.IsEmpty() {
-		return 0
-	}
-	return e.cur().hist.estimate(q, e.cells)
-}
-
 // planCandidates is I-Auto's filter: the partitioned filter behind a planner.
 // The plan span carries the histogram estimate (no page reads); past the
 // threshold the whole heap is the one candidate run — the scan access path —
 // and otherwise the subfield tree selects runs as for I-Hilbert.
-func (p *partition) planCandidates(st *state, pr *probe) error {
+func (p *partition) planCandidates(st *partState, pr *probe) error {
 	pr.begin(obs.PhasePlan)
 	sel := 0.0
 	if p.cells > 0 {
@@ -113,7 +96,7 @@ func (p *partition) planCandidates(st *state, pr *probe) error {
 
 // maintainPlanned is I-Auto's maintenance: the partition's, plus a histogram
 // rebuilt from the mutated field whenever a cell interval moved.
-func (p *partition) maintainPlanned(stage *overlayStage, f field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+func (p *partition) maintainPlanned(stage *overlayStage, f field.Field, cur *partState, ch *changes) (*partState, int, bool, error) {
 	next, indexPages, regrouped, err := p.regroup(stage, f, cur, ch)
 	if err != nil {
 		return nil, 0, false, err

@@ -457,13 +457,16 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 // sidecar-served scan evaluates all K predicates in one physical pass
 // instead), each member replays the exact page-charge sequence of its solo
 // fetch, and the union of the members' positions or runs is fetched once and
-// demultiplexed. Member results — including Result.IO — are byte-identical to
-// solo QueryContext calls; a batch of one takes the solo path itself.
-func (e *executor) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
+// demultiplexed — tile by tile in a tiled store, whose tiles share a scan only
+// when they are sidecar-served scans. Member results — including Result.IO —
+// are byte-identical to solo QueryContext calls; a batch of one, or one with
+// nothing to share, takes the solo path itself.
+func (e *engine) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	if len(members) == 0 {
 		return nil, BatchStats{}
 	}
-	if len(members) == 1 {
+	tiled := e.tileSide != 0
+	if len(members) == 1 || (tiled && !e.parts[0].tested) {
 		return sequentialBatch(&e.observed, e.QueryContext, members)
 	}
 	st := e.pinState()
@@ -475,43 +478,56 @@ func (e *executor) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) 
 	bb := getBatchBuf(len(members))
 	defer putBatchBuf(bb)
 	var filters storage.Stats
-	if e.tested {
-		e.sharedCandidates(ms, phys, bb)
+	if tiled {
+		e.batchTiles(st, ms, phys, bb)
 	} else {
-		filters = e.memberCandidates(st, ms, bb)
-	}
-	// Attributed replay: each live member opens its refinement span and
-	// charges its solo fetch, page for page. A run-based filter that selected
-	// nothing publishes as solo's early return does (no refine span,
-	// filter-only IO).
-	pages := e.heap.Pages()
-	for i := range ms {
-		m := &ms[i]
-		if !m.live() || (!e.byPos && len(m.runs) == 0) {
-			continue
-		}
-		m.qc.BeginSpan(obs.PhaseRefine)
-		if e.byPos {
-			chargePositions(m.qc, e.rids, m.pos)
-			bb.prs = appendPosRuns(bb.prs, e.rids, m.pos)
-		} else {
-			chargeRuns(m.qc, pages, m.runs)
-			bb.runs = append(bb.runs, m.runs...)
-		}
-	}
-	if e.byPos {
-		demuxPositions(phys, e.rids, ms, mergeRuns(bb.prs), e.tested)
-	} else {
-		demuxRuns(phys, e.heap, ms, mergeRuns(bb.runs), bb.cov)
+		filters = e.batchPartition(st, ms, phys, bb)
 	}
 	results, attributed := e.finishMembers(ms)
 	return results, e.endBatch(bo, len(members), phys.LocalStats(), filters, attributed)
 }
 
+// batchPartition runs the shared scan of a one-partition store over the live
+// members and returns their summed filter I/O.
+func (e *engine) batchPartition(st *state, ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) storage.Stats {
+	p := e.parts[0]
+	var filters storage.Stats
+	if p.tested {
+		p.sharedCandidates(ms, phys, bb)
+	} else {
+		filters = p.memberCandidates(st.parts[0], ms, bb)
+	}
+	// Attributed replay: each live member opens its refinement span and
+	// charges its solo fetch, page for page. A run-based filter that selected
+	// nothing publishes as solo's early return does (no refine span,
+	// filter-only IO).
+	pages := p.heap.Pages()
+	for i := range ms {
+		m := &ms[i]
+		if !m.live() || (!p.byPos && len(m.runs) == 0) {
+			continue
+		}
+		m.qc.BeginSpan(obs.PhaseRefine)
+		if p.byPos {
+			chargePositions(m.qc, p.rids, m.pos)
+			bb.prs = appendPosRuns(bb.prs, p.rids, m.pos)
+		} else {
+			chargeRuns(m.qc, pages, m.runs)
+			bb.runs = append(bb.runs, m.runs...)
+		}
+	}
+	if p.byPos {
+		demuxPositions(phys, p.rids, ms, mergeRuns(bb.prs), p.tested)
+	} else {
+		demuxRuns(phys, p.heap, ms, mergeRuns(bb.runs), bb.cov)
+	}
+	return filters
+}
+
 // memberCandidates runs the method's candidates hook once per live member,
 // on the member's own context and under its own trace, and returns the
 // members' summed filter I/O.
-func (e *executor) memberCandidates(st *state, ms []batchMember, bb *batchBuf) storage.Stats {
+func (p *partition) memberCandidates(st *partState, ms []batchMember, bb *batchBuf) storage.Stats {
 	var filters storage.Stats
 	pr := getProbe()
 	own := pr.pos
@@ -524,7 +540,7 @@ func (e *executor) memberCandidates(st *state, ms []batchMember, bb *batchBuf) s
 		// own pooled buffer.
 		pr.pos = bb.pos[i]
 		pr.reset(m.ctx, m.qc, m.q, true)
-		err := e.candidates(st, pr)
+		err := p.candidates(st, pr)
 		bb.pos[i] = pr.pos
 		if err != nil {
 			m.err = err
@@ -543,7 +559,7 @@ func (e *executor) memberCandidates(st *state, ms []batchMember, bb *batchBuf) s
 // method whose filter pass is shareable: one physical pass over the packed
 // interval columns evaluates all K predicates per entry, and each live member
 // is charged the full sidecar scan — its exact solo charge sequence.
-func (e *executor) sharedCandidates(ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
+func (p *partition) sharedCandidates(ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
 	if pollMembers(ms) == 0 {
 		return
 	}
@@ -552,7 +568,7 @@ func (e *executor) sharedCandidates(ms []batchMember, phys *storage.QueryCtx, bb
 			m.qc.BeginSpan(obs.PhaseSidecar)
 		}
 	}
-	if !e.filterShared(ms, nil, phys, bb) {
+	if !p.filterShared(ms, nil, phys, bb) {
 		return
 	}
 	for i := range ms {
@@ -561,9 +577,9 @@ func (e *executor) sharedCandidates(ms []batchMember, phys *storage.QueryCtx, bb
 			continue
 		}
 		m.pos = bb.pos[i]
-		m.sidecarReads = e.chargeSidecar(m.qc)
+		m.sidecarReads = p.chargeSidecar(m.qc)
 		m.qc.EndSpan()
-		m.res.CellsFetched = e.cells
+		m.res.CellsFetched = p.cells
 	}
 }
 

@@ -29,10 +29,10 @@ type BuildOptions struct {
 	// Method selects the value index.
 	Method Method
 	// TileSide, when non-zero, cuts the field into TileSide×TileSide-cell
-	// tiles (at least 2), each a partition of its own under the scatter-gather
-	// planner of tiled.go. LinearScan and the partitioned family tile; a
-	// per-cell tree per tile has no pruning story the planner could use, and
-	// the selectivity planner plans over one partition.
+	// tiles (at least 2), each a partition of its own that the scatter-gather
+	// pipeline of tiled.go prunes or scans. LinearScan and the partitioned
+	// family tile; a per-cell tree per tile has no pruning story, and the
+	// selectivity planner plans over one partition.
 	TileSide int
 	// Workers bounds the goroutines used for construction (linearization,
 	// per-subfield metadata) and is inherited as the query-time scatter
@@ -113,7 +113,7 @@ func cutQuad(refs []subfield.CellRef, bounds geom.Rect, cost subfield.CostModel,
 
 // refuseRegroup is the maintain hook of I-Quad: its partition is a spatial
 // quadtree recursion, which an update batch does not reproduce.
-func refuseRegroup(*overlayStage, field.Field, *state, *changes) (*state, int, bool, error) {
+func refuseRegroup(*overlayStage, field.Field, *partState, *changes) (*partState, int, bool, error) {
 	return nil, 0, false, fmt.Errorf("core: %s regrouping is spatial: %w", MethodIQuad, ErrUpdatesUnsupported)
 }
 
@@ -193,29 +193,50 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 		opts.Curve = curve
 	}
 	opts.Workers = clampWorkers(opts.Workers)
+	s := newStore(pager, opts.Method, opts.TileSide, f.NumCells())
+	s.workers = opts.Workers
+	st := &state{}
+	// ivs and areas are what the field summary is fitted to: every cell's
+	// interval and planar area (no ivs, no summary).
+	build := buildWhole
 	if opts.TileSide != 0 {
-		return buildTiled(ctx, f, pager, m, &opts)
+		build = buildTiles
 	}
-	p, st, areas, err := buildPartition(ctx, f, pager, m, &opts)
+	ivs, areas, err := build(ctx, f, s, st, m, &opts)
 	if err != nil {
 		return nil, err
+	}
+	if ivs != nil {
+		// The field summary lives on its own page run right after the index
+		// pages, so an approximate aggregate touches a handful of dedicated
+		// pages and nothing else.
+		if s.sumFirst, s.sumPages, err = buildSummary(pager, ivs, areas); err != nil {
+			return nil, err
+		}
+	}
+	st.epoch = pager.CurrentEpoch()
+	return s.publish(st), nil
+}
+
+// buildWhole builds row m's partition over all of f — an untiled store's one —
+// adding it to s and its first state to st. Only a rule-cut partition keeps
+// the interval column a field summary is fitted to: for one it returns the
+// column with every cell's area, which the store keeps to refit the summary
+// under updates.
+func buildWhole(ctx context.Context, f field.Field, s *store, st *state, m *methodSpec, opts *BuildOptions) ([]geom.Interval, []float64, error) {
+	p, pst, areas, err := buildPartition(ctx, f, s.pager, m, opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	for _, a := range areas {
 		p.area += a
 	}
-	st.vr = []geom.Interval{f.ValueRange()}
-	ix := newValueIndex(pager, opts.Method, p)
-	ix.workers = opts.Workers
-	if p.order != nil {
-		// The field summary lives on its own page run right after the index
-		// pages, so an approximate aggregate touches a handful of dedicated
-		// pages and nothing else.
-		if ix.sumFirst, ix.sumPages, err = buildSummary(pager, p.ivs, areas); err != nil {
-			return nil, err
-		}
-		ix.areas = areas
+	s.add(p)
+	st.vr, st.parts = []geom.Interval{f.ValueRange()}, []*partState{pst}
+	if p.ivs != nil {
+		s.areas = areas
 	}
-	return newExecutor(ix, st), nil
+	return p.ivs, areas, nil
 }
 
 // buildPartition stores the cells of f — a whole field, or one tile of one —
@@ -223,9 +244,9 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 // them, and builds the row's index structure over them. It returns the
 // partition with its hooks bound, its first state, and each cell's planar
 // area in heap order.
-func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *state, []float64, error) {
+func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *partState, []float64, error) {
 	p := &partition{cells: f.NumCells(), mbr: f.Bounds(), cut: m.cut, cost: opts.Cost, maxSize: opts.MaxSize}
-	st := &state{epoch: pager.CurrentEpoch()}
+	st := &partState{}
 	ids := identityOrder(f) // the heap order: natural, unless a rule reorders it
 	var groups []subfield.Group
 	if m.cut != nil {

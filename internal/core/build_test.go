@@ -80,17 +80,11 @@ func (r matrixRow) updates() bool {
 
 // sidecarCodec names the codec of the engine's sidecars, "" without any.
 func sidecarCodec(e Engine) string {
-	var sh *shell
-	switch e := e.(type) {
-	case *executor:
-		sh = &e.shell
-	case *TiledIndex:
-		sh = &e.shell
-	}
-	if sh.parts[0].sidecar == nil {
+	sc := e.(*engine).parts[0].sidecar
+	if sc == nil {
 		return ""
 	}
-	return sh.parts[0].sidecar.Codec()
+	return sc.Codec()
 }
 
 // sortedRegions returns the answer regions in a canonical order, so answers
@@ -184,9 +178,8 @@ func TestBuildMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, tiled := idx.(*TiledIndex)
-			if tiled != (row.opts.TileSide != 0) || (tiled && len(idx.Tiles()) != 16) {
-				t.Fatalf("built %T with %d tiles for tile side %d", idx, len(idx.Tiles()), row.opts.TileSide)
+			if tiled := idx.Tiles() != nil; tiled != (row.opts.TileSide != 0) || (tiled && len(idx.Tiles()) != 16) {
+				t.Fatalf("built a store of %d tiles for tile side %d", len(idx.Tiles()), row.opts.TileSide)
 			}
 			check(t, "built", row.natural, idx)
 			path := filepath.Join(t.TempDir(), "index.fidx")
@@ -205,8 +198,8 @@ func TestBuildMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer opened.Close()
-			if reflect.TypeOf(opened) != reflect.TypeOf(idx) || opened.Stats() != idx.Stats() {
-				t.Fatalf("opened %T (%v), built %T (%v)", opened, opened.Stats(), idx, idx.Stats())
+			if len(opened.Tiles()) != len(idx.Tiles()) || opened.Stats() != idx.Stats() {
+				t.Fatalf("opened %d tiles (%v), built %d (%v)", len(opened.Tiles()), opened.Stats(), len(idx.Tiles()), idx.Stats())
 			}
 			if vr := opened.ValueRange(); vr.IsEmpty() || vr.Lo > f.ValueRange().Lo || vr.Hi < f.ValueRange().Hi {
 				t.Fatalf("opened ValueRange %v does not cover the field's %v", vr, f.ValueRange())
@@ -280,7 +273,7 @@ func TestBuildMatrix(t *testing.T) {
 func TestTiledBuildFitsOneSummary(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
 	pager := newPager()
-	ti, err := buildTiles(f, pager, BuildOptions{Method: MethodIHilbert, TileSide: 16})
+	ti, err := buildIx(f, pager, BuildOptions{Method: MethodIHilbert, TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

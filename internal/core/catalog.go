@@ -16,7 +16,7 @@ import (
 )
 
 // On-disk database file layout. A saved store is its partitions: one for an
-// untiled index, one per tile under the planner.
+// untiled index, one per tile of a tiled one.
 //
 //	pages [0, N)       the build pager's pages verbatim — every partition's
 //	                   cell heap, interval sidecar and R*-tree nodes, then
@@ -42,7 +42,7 @@ import (
 //	field summary: first page u32, pages u32 (0/0 when the store carries none)
 //	partition count u32 (1 for an untiled store), then per partition:
 //	    MBR: min.x, min.y, max.x, max.y f64
-//	    value range: lo, hi f64 (the planner's prune input; every store's
+//	    value range: lo, hi f64 (a tile's prune test; every store's
 //	    ValueRange)
 //	    total cell area f64
 //	    cell count u64, then the field-wide cell ids in heap order, u32 each
@@ -79,7 +79,7 @@ var (
 )
 
 // writeCatalog appends the catalog blob and the superblock that locates it
-// to a disk already holding the index's pages, then closes the disk.
+// to a disk already holding the index's pages, then syncs and closes the disk.
 func writeCatalog(disk *storage.FileDisk, blob []byte) error {
 	catalogStart := disk.NumPages()
 	ps := disk.PageSize()
@@ -112,44 +112,44 @@ func writeCatalog(disk *storage.FileDisk, blob []byte) error {
 	if err := disk.WritePage(superID, super); err != nil {
 		return err
 	}
+	if err := disk.Sync(); err != nil {
+		return err
+	}
 	return disk.Close()
 }
 
 // encodeCatalog encodes the store at its current state: the header, then one
 // record per partition.
-func (sh *shell) encodeCatalog() []byte {
-	st := sh.snap.Load()
-	m := methods[sh.method]
-	first := sh.parts[0]
-	codec, cells := "", 0
+func (s *store) encodeCatalog() []byte {
+	st := s.snap.Load()
+	m := methods[s.method]
+	first := s.parts[0]
+	codec := ""
 	if first.sidecar != nil {
 		codec = first.sidecar.Codec()
-	}
-	for _, p := range sh.parts {
-		cells += p.cells
 	}
 	var b bytes.Buffer
 	b.Write(catalogMagic[:])
 	writeU32(&b, catalogVersion)
-	writeString(&b, string(sh.method))
+	writeString(&b, string(s.method))
 	writeString(&b, codec)
-	writeU32(&b, uint32(sh.tileSide))
-	writeU64(&b, uint64(cells))
+	writeU32(&b, uint32(s.tileSide))
+	writeU64(&b, uint64(s.cells))
 	writeU64(&b, st.epoch)
 	writeF64(&b, first.cost.Epsilon)
 	writeF64(&b, first.maxSize)
-	writeU32(&b, uint32(sh.sumFirst))
-	writeU32(&b, uint32(sh.sumPages))
-	writeU32(&b, uint32(len(sh.parts)))
-	for i, p := range sh.parts {
-		encodePartition(&b, m, p, st.part(i), st.vr[i])
+	writeU32(&b, uint32(s.sumFirst))
+	writeU32(&b, uint32(s.sumPages))
+	writeU32(&b, uint32(len(s.parts)))
+	for i, p := range s.parts {
+		encodePartition(&b, m, p, st.parts[i], st.vr[i])
 	}
 	return b.Bytes()
 }
 
 // encodePartition appends one partition record: p at its state st, with the
 // value range vr its store keeps for it.
-func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *state, vr geom.Interval) {
+func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *partState, vr geom.Interval) {
 	for _, v := range [...]float64{p.mbr.Min.X, p.mbr.Min.Y, p.mbr.Max.X, p.mbr.Max.Y, vr.Lo, vr.Hi, p.area} {
 		writeF64(b, v)
 	}
@@ -209,8 +209,7 @@ func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *state, vr
 }
 
 // Open opens a database file written by SaveFile and returns a query-ready
-// index backed by the file's pages: an untiled executor over the file's one
-// partition, or the tiled planner over its tiles. The file is opened and its
+// index backed by the file's pages. The file is opened and its
 // catalog read once; a file at any other catalog version is refused before
 // anything else in it is interpreted. poolPages is the buffer-pool capacity in
 // pages; 0 disables caching (strict cold-cache accounting). Updates work on
@@ -365,48 +364,32 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	// materialized that epoch's overlay view into the base pages, so the
 	// opened store is that epoch, verbatim.
 	pager.SetEpoch(epoch)
-	top := &state{epoch: epoch}
-	var parts []*partition
+	s := newStore(pager, method, cs.tileSide, cs.cells)
+	s.sumFirst, s.sumPages = sumFirst, sumPages
+	st := &state{epoch: epoch}
 	covered := 0
 	for pi := 0; pi < numParts; pi++ {
-		p, st, vr, err := decodePartition(r, cs, pager, pi)
+		p, pst, vr, err := decodePartition(r, cs, pager, pi)
 		if err != nil {
 			return nil, fmt.Errorf("partition %d: %w", pi, err)
 		}
-		st.epoch = epoch
-		parts = append(parts, p)
-		top.parts, top.vr = append(top.parts, st), append(top.vr, vr)
+		// A tile's view stays nil: queries never touch it, and ApplyUpdates
+		// attaches the caller's field on first use.
+		s.add(p)
+		st.parts, st.vr = append(st.parts, pst), append(st.vr, vr)
 		covered += p.cells
 	}
 	if covered != cs.cells || r.off != len(blob) {
 		return nil, fmt.Errorf("catalog records cover %d of %d cells in %d of %d bytes", covered, cs.cells, r.off, len(blob))
 	}
-	var eng Engine
-	var sh *shell
-	if cs.tileSide == 0 {
-		// The store's state is its one partition's.
-		top.parts[0].vr = top.vr
-		e := newExecutor(newValueIndex(pager, method, parts[0]), top.parts[0])
-		eng, sh = e, &e.shell
-	} else {
-		t := newTiled(pager, method, cs.cells, cs.tileSide, numParts)
-		for _, p := range parts {
-			// view stays nil: queries never touch it, and ApplyUpdates attaches
-			// the caller's field on first use.
-			t.add(&tile{partition: p})
-		}
-		t.snap.Store(top)
-		eng, sh = t, &t.shell
-	}
-	sh.sumFirst, sh.sumPages = sumFirst, sumPages
-	return eng, nil
+	return s.publish(st), nil
 }
 
 // decodePartition decodes the next partition record — the pi-th — and opens
 // the partition it describes over pager, with the state its method keeps for
 // it and the value range its store does.
-func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi int) (*partition, *state, geom.Interval, error) {
-	fail := func(format string, args ...any) (*partition, *state, geom.Interval, error) {
+func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi int) (*partition, *partState, geom.Interval, error) {
+	fail := func(format string, args ...any) (*partition, *partState, geom.Interval, error) {
 		return nil, nil, geom.Interval{}, fmt.Errorf(format, args...)
 	}
 	p := &partition{
@@ -500,7 +483,7 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 			return fail("%w", err)
 		}
 	}
-	st := &state{}
+	st := &partState{}
 	if cs.m.hasTree() {
 		root, nodes, height := storage.PageID(r.u32()), int(r.u32()), int(r.u32())
 		if r.err == nil && !cs.inData(root, 1) {

@@ -189,6 +189,48 @@ func TestOpenFileRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesTruncatedFile: a torn save is detected, never served. Every
+// prefix of a saved file that ends on a page boundary, or one byte to either
+// side of one, makes Open return an error — no panic, no Engine.
+func TestOpenRefusesTruncatedFile(t *testing.T) {
+	f := testDEM(t, 32, 0.7)
+	for name, opts := range map[string]BuildOptions{
+		"I-Hilbert":               {Method: MethodIHilbert},
+		"Tiled-LinearScan+packed": {Method: MethodLinearScan, TileSide: 8, Codec: storage.SidecarCodecPacked},
+	} {
+		t.Run(name, func(t *testing.T) {
+			built, err := Build(context.Background(), f, newPager(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			whole := filepath.Join(dir, "whole.fidx")
+			if err := built.SaveFile(whole); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn := filepath.Join(dir, "torn.fidx")
+			for boundary := 0; boundary <= len(data); boundary += storage.DefaultPageSize {
+				for _, n := range []int{boundary - 1, boundary, boundary + 1} {
+					if n < 0 || n >= len(data) {
+						continue
+					}
+					if err := os.WriteFile(torn, data[:n], 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if eng, err := Open(torn, 0); err == nil {
+						eng.Close()
+						t.Fatalf("Open served the first %d of the file's %d bytes", n, len(data))
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestOpenedFileIsReadOnly(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
 	built, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
@@ -201,7 +243,7 @@ func TestOpenedFileIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The reopened tree is a paged-only handle.
-	tree := opened.snap.Load().tree
+	tree := opened.snap.Load().parts[0].tree
 	if !tree.IsPagedOnly() {
 		t.Fatal("reopened tree not paged-only")
 	}
@@ -319,10 +361,10 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	summary := record - 12
 	ids := record + 7*8 + 8
 	heapPages := ids + 4*built.cells + 8
-	sidecar := heapPages + 2*4*built.heap.NumPages()
+	sidecar := heapPages + 2*4*built.parts[0].heap.NumPages()
 	tree := sidecar + 8
 	groups := tree + 12
-	if want := groups + 8 + groupMetaLen*len(built.cur().groups); want != len(real) {
+	if want := groups + 8 + groupMetaLen*len(built.cur().parts[0].groups); want != len(real) {
 		t.Fatalf("the test's catalog layout ends at %d, the encoder's at %d", want, len(real))
 	}
 	blobs = map[string][]byte{}
@@ -454,10 +496,10 @@ func FuzzOpenCatalog(f *testing.F) {
 // without touching a page.
 func TestTiledSaveOpenRoundtrip(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	var opened *TiledIndex
+	var opened *engine
 	// 16 tiles, and the one tile that is the whole field.
 	for _, side := range []int{64, 16} {
-		built, err := buildTiles(f, newPager(), BuildOptions{TileSide: side})
+		built, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: side})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +507,7 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 		if err := built.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		if opened, err = openTiles(path, 8192); err != nil {
+		if opened, err = openIx(path, 8192); err != nil {
 			t.Fatal(err)
 		}
 		defer opened.Close()
@@ -490,8 +532,8 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := met.Snapshot()
-	if snap.TilesPruned == 0 || snap.TilesPruned+snap.TilesScanned != int64(opened.NumTiles()) {
-		t.Errorf("pruned %d + scanned %d of %d tiles", snap.TilesPruned, snap.TilesScanned, opened.NumTiles())
+	if snap.TilesPruned == 0 || snap.TilesPruned+snap.TilesScanned != int64(len(opened.Tiles())) {
+		t.Errorf("pruned %d + scanned %d of %d tiles", snap.TilesPruned, snap.TilesScanned, len(opened.Tiles()))
 	}
 	if res.CandidateGroups != int(snap.TilesScanned) {
 		t.Errorf("CandidateGroups %d, scanned %d", res.CandidateGroups, snap.TilesScanned)
@@ -519,7 +561,7 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 // like a fresh build over the mutated terrain.
 func TestTiledOpenUpdates(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	built, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +569,7 @@ func TestTiledOpenUpdates(t *testing.T) {
 	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := openTiles(path, 8192)
+	opened, err := openIx(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}

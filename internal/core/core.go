@@ -25,20 +25,20 @@
 //     I-Threshold, a refusal for I-Quad, a histogram rebuild on top for
 //     I-Auto.
 //
-// Every method runs on one executor (executor.go): pin the current epoch,
-// ask the method for candidates, fetch them, refine the survivors into the
-// answer. Candidates come in one of two shapes, each with its own fetch loop
-// (fetch.go): ascending heap positions, or merged runs of heap pages. Both
-// loops hand surviving records to a sink — decode and refine into a Result,
-// or copy into a tile arena for the tiled planner's gather (tiled.go).
-//
-// Around the hooks sits one shell (shell.go, update.go), embedded by the
-// executor and the tiled planner alike: the pinned-state handle (a snapshot is
-// the same handle at the state it pinned), the scatter that forks work over
-// query contexts and merges it back in order, the update transaction (patch,
-// each involved partition's maintain hook, one commit, publish), the
-// single-cell fetch and the file save. An untiled index is the one-partition
-// case of all of them, the planner the N-partition case.
+// A store (store.go) is its partitions — one for an untiled index, one per
+// tile of a tiled one, a tile being a partition with a (min, max) value
+// summary — on one pager, with the state current on them; the untiled index is
+// the one-partition store. One handle implements Engine over it, live or — as
+// a snapshot — at the state it pinned, and everything is written once against
+// the partitions: the update transaction (update.go: patch, each involved
+// partition's maintain hook, one commit, publish), the three-stage aggregate
+// (aggregate.go), the single-cell fetch, the file save (catalog.go). Only the
+// read pipeline comes in two shapes, each what its workload needs: one
+// partition refines as it fetches — candidates, fetch, refine straight into
+// the Result (query.go) — while tiles prune on their summaries, scatter their
+// survivors into arenas and gather them in field-id order (tiled.go). Both
+// ask the method for candidates and fetch them through the same two loops
+// (fetch.go): ascending heap positions, or merged runs of heap pages.
 //
 // The cells are stored once. The conventional query of §2.2.1 (spatial.go) is
 // a second access path into the same cell file: a 2-D R*-tree of cell ids on a
@@ -51,7 +51,7 @@
 // during a query is charged to a simulated disk clock so the methods are
 // compared under the paper's cost model (4 KiB pages, sequential vs random
 // access). IPRow, ITree and Magnitude are self-contained reference baselines
-// outside the executor.
+// outside the store.
 package core
 
 import (
@@ -151,8 +151,8 @@ type Index interface {
 }
 
 // Engine is the full surface of a value index the facade binds to: every
-// method's executor and the tiled planner implement it, live and — through
-// AcquireSnapshot — pinned. What a configuration cannot do comes back as a
+// store's handle implements it, live and — through AcquireSnapshot — pinned.
+// What a configuration cannot do comes back as a
 // typed error (ErrNoPartition, ErrUpdatesUnsupported), never as a missing
 // method.
 type Engine interface {

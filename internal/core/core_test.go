@@ -54,44 +54,32 @@ func newPager() *storage.Pager {
 	return storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 8192)
 }
 
-// buildIx is Build for an untiled method, as the executor it returns.
-func buildIx(f field.Field, p *storage.Pager, opts BuildOptions) (*executor, error) {
+// buildIx is Build, as the handle it returns.
+func buildIx(f field.Field, p *storage.Pager, opts BuildOptions) (*engine, error) {
 	e, err := Build(context.Background(), f, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return e.(*executor), nil
+	return e.(*engine), nil
 }
 
-// buildTiles is Build for a tiled configuration (LinearScan tiles unless opts
-// names a method), as the planner it returns.
-func buildTiles(f field.Field, p *storage.Pager, opts BuildOptions) (*TiledIndex, error) {
-	if opts.Method == "" {
-		opts.Method = MethodLinearScan
-	}
-	e, err := Build(context.Background(), f, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.(*TiledIndex), nil
-}
-
-// openIx and openTiles are Open with a pool of pool pages, as the executor or
-// the planner the file holds.
-func openIx(path string, pool int) (*executor, error) {
+// openIx is Open with a pool of pool pages, as the handle it returns.
+func openIx(path string, pool int) (*engine, error) {
 	e, err := Open(path, pool)
 	if err != nil {
 		return nil, err
 	}
-	return e.(*executor), nil
+	return e.(*engine), nil
 }
 
-func openTiles(path string, pool int) (*TiledIndex, error) {
-	e, err := Open(path, pool)
-	if err != nil {
-		return nil, err
-	}
-	return e.(*TiledIndex), nil
+// groupIntervals returns the value interval of every subfield of e (Figure 7).
+func groupIntervals(e Engine) []geom.Interval {
+	var out []geom.Interval
+	e.ForEachGroup(func(_ int, iv geom.Interval, _ []field.CellID) bool {
+		out = append(out, iv)
+		return true
+	})
+	return out
 }
 
 // buildAll builds every index method over f, each on its own pager.
@@ -337,14 +325,15 @@ func TestIndexStats(t *testing.T) {
 			t.Fatalf("%s: empty String", m)
 		}
 	}
-	ih := indexes[MethodIHilbert].(*executor)
-	if ih.NumGroups() == 0 || ih.NumGroups() != len(ih.GroupIntervals()) {
+	ih := indexes[MethodIHilbert].(*engine)
+	groups := ih.Stats().Groups
+	if groups == 0 || groups != len(groupIntervals(ih)) {
 		t.Fatal("group accessors inconsistent")
 	}
-	if ih.NumGroups() >= f.NumCells() {
-		t.Fatalf("I-Hilbert has %d groups for %d cells — no compression", ih.NumGroups(), f.NumCells())
+	if groups >= f.NumCells() {
+		t.Fatalf("I-Hilbert has %d groups for %d cells — no compression", groups, f.NumCells())
 	}
-	ia := indexes[MethodIAll].(*executor)
+	ia := indexes[MethodIAll].(*engine)
 	if ia.Stats().IndexPages <= ih.Stats().IndexPages {
 		t.Fatalf("I-All tree (%d pages) not larger than I-Hilbert tree (%d pages)",
 			ia.Stats().IndexPages, ih.Stats().IndexPages)
@@ -509,10 +498,9 @@ func TestSubfieldsAreValueCoherent(t *testing.T) {
 	// be dramatically tighter than the full value range on a smooth field.
 	f := testDEM(t, 64, 0.9)
 	ih, _ := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-	p := ih
 	vr := f.ValueRange()
 	var sizes []float64
-	for _, iv := range p.GroupIntervals() {
+	for _, iv := range groupIntervals(ih) {
 		sizes = append(sizes, iv.Length())
 	}
 	sort.Float64s(sizes)

@@ -102,6 +102,18 @@ const (
 	scanCancelStride  = 1024
 )
 
+// fetch reads the candidates pr holds through qc — positions or page runs,
+// whichever the partition's method finds — and hands the survivors to sk,
+// returning how many records it tested itself. Ascending positions are the
+// same distinct pages a scrambled visit order would touch, read once each and
+// charged sequentially wherever candidates are physically adjacent.
+func (p *partition) fetch(ctx context.Context, qc *storage.QueryCtx, pr *probe, sk sink) (int, error) {
+	if p.byPos {
+		return fetchPositions(ctx, qc, p.rids, pr.pos, pr.q, p.tested, sk)
+	}
+	return scanRuns(ctx, qc, p.heap, pr.runs, pr.q, sk)
+}
+
 // fetchPositions reads the heap records at the given ascending positions
 // through qc and hands the survivors to sk in position order. With tested set
 // the positions already passed the interval test (a sidecar filter selected

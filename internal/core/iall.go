@@ -17,7 +17,7 @@ import (
 // answer geometry folds in heap order; cross-method comparisons are
 // unaffected because region sets are order-insensitive up to float summation
 // order.
-func (p *partition) cellCandidates(st *state, pr *probe) error {
+func (p *partition) cellCandidates(st *partState, pr *probe) error {
 	pr.begin(obs.PhaseFilter)
 	err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), func(e rstar.Entry) bool {
 		pr.pos = append(pr.pos, int32(e.Data))
@@ -37,9 +37,9 @@ func (p *partition) cellCandidates(st *state, pr *probe) error {
 // deleted from and re-inserted into a hydrated copy of the per-cell tree,
 // which is persisted to fresh pages, leaving the published tree untouched for
 // readers at older epochs. When no interval changed the current tree stays.
-func (p *partition) maintainCells(stage *overlayStage, _ field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+func (p *partition) maintainCells(stage *overlayStage, _ field.Field, cur *partState, ch *changes) (*partState, int, bool, error) {
 	if len(ch.cells) == 0 {
-		return &state{tree: cur.tree}, 0, false, nil
+		return &partState{tree: cur.tree}, 0, false, nil
 	}
 	work, err := cur.tree.Hydrate(stage.qc)
 	if err != nil {
@@ -56,5 +56,5 @@ func (p *partition) maintainCells(stage *overlayStage, _ field.Field, cur *state
 	if err := work.Persist(stage.pager); err != nil {
 		return nil, 0, false, err
 	}
-	return &state{tree: work}, work.PersistedNodes(), false, nil
+	return &partState{tree: work}, work.PersistedNodes(), false, nil
 }

@@ -10,7 +10,7 @@ import (
 // positions ascend — so the refinement reads only the heap pages holding
 // survivors and folds the answer in exactly the order the full scan
 // produces, byte-identical to heapCandidates' Result.
-func (p *partition) sidecarCandidates(_ *state, pr *probe) error {
+func (p *partition) sidecarCandidates(_ *partState, pr *probe) error {
 	pr.begin(obs.PhaseSidecar)
 	var scanErr error
 	err := p.sidecar.ScanRange(pr.qc, 0, p.cells, func(base int, lo, hi []float64) bool {
@@ -32,7 +32,7 @@ func (p *partition) sidecarCandidates(_ *state, pr *probe) error {
 // heapCandidates is the filter of a scan without a sidecar (and the I-Auto
 // planner's scan path): there is no filter step, the whole heap is one run and
 // the refinement tests every record.
-func (p *partition) heapCandidates(_ *state, pr *probe) error {
+func (p *partition) heapCandidates(_ *partState, pr *probe) error {
 	if n := p.heap.NumPages(); n > 0 {
 		pr.runs = []pageRun{{first: 0, last: n - 1}}
 	}

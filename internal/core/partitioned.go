@@ -61,26 +61,27 @@ func groupEntry(gi int, iv geom.Interval) rstar.Entry {
 	return rstar.Entry{MBR: rstar.Interval1D(iv.Lo, iv.Hi), Data: uint64(gi)}
 }
 
-// NumGroups returns the number of subfields in the partition.
-func (e *executor) NumGroups() int { return len(e.cur().groups) }
-
-// GroupIntervals returns the value interval of every subfield, for
-// inspection and visualization (Figure 7).
-func (e *executor) GroupIntervals() []geom.Interval {
-	groups := e.cur().groups
-	out := make([]geom.Interval, len(groups))
-	for i, g := range groups {
-		out[i] = g.interval
+// grouped returns the partition whose subfields are the store's: the one
+// partition of an untiled store, where a rule cut it. A tile directory is not
+// a subfield partition of the field, whatever runs inside the tiles.
+func (s *store) grouped() *partition {
+	if s.tileSide != 0 || s.parts[0].order == nil {
+		return nil
 	}
-	return out
+	return s.parts[0]
 }
 
-// ForEachGroup visits every subfield with its value interval and member
-// cells (in physical storage order) — the data behind the paper's Figure 7
-// subfield map. The cells slice is only valid during the call.
-func (e *executor) ForEachGroup(fn func(group int, iv geom.Interval, cells []field.CellID) bool) {
-	for gi, g := range e.cur().groups {
-		if !fn(gi, g.interval, e.order[g.startRef:g.endRef]) {
+// ForEachGroup implements Engine: it visits every subfield with its value
+// interval and member cells (in physical storage order) — the data behind the
+// paper's Figure 7 subfield map. The cells slice is only valid during the
+// call. A store without a subfield partition has none to visit.
+func (e *engine) ForEachGroup(fn func(group int, iv geom.Interval, cells []field.CellID) bool) {
+	p := e.grouped()
+	if p == nil {
+		return
+	}
+	for gi, g := range e.cur().parts[0].groups {
+		if !fn(gi, g.interval, p.order[g.startRef:g.endRef]) {
 			return
 		}
 	}
@@ -108,13 +109,13 @@ type ApproxResult struct {
 // alone — ctx is checked up front. The cell count is an upper bound; the
 // average is exact over the selected subfields' midpoint summaries. On a
 // snapshot the subfield metadata is the pinned state's, so a later re-cut of
-// the live partition never leaks into the answer. Methods without subfields
-// fail with ErrNoPartition.
-func (e *executor) ApproxQueryContext(ctx context.Context, q geom.Interval) (*ApproxResult, error) {
+// the live partition never leaks into the answer. Stores without a subfield
+// partition fail with ErrNoPartition.
+func (e *engine) ApproxQueryContext(ctx context.Context, q geom.Interval) (*ApproxResult, error) {
 	if q.IsEmpty() {
 		return nil, errEmptyQuery
 	}
-	if e.order == nil {
+	if e.grouped() == nil {
 		return nil, fmt.Errorf("%w: method %s has no subfield summaries", ErrNoPartition, e.label)
 	}
 	if err := ctx.Err(); err != nil {
@@ -128,15 +129,16 @@ func (e *executor) ApproxQueryContext(ctx context.Context, q geom.Interval) (*Ap
 	return res, err
 }
 
-func (e *executor) approxAt(st *state, tb *obs.TraceBuilder, q geom.Interval) (*ApproxResult, error) {
+func (e *engine) approxAt(st *state, tb *obs.TraceBuilder, q geom.Interval) (*ApproxResult, error) {
 	qc := beginQueryAt(e.pager, st.epoch)
 	defer qc.Release()
 	qc.AttachTrace(tb)
+	ps := st.parts[0]
 	res := &ApproxResult{Query: q}
 	var sum float64
 	qc.BeginSpan(obs.PhaseFilter)
-	err := st.tree.PagedSearchCtx(qc, rstar.Interval1D(q.Lo, q.Hi), func(en rstar.Entry) bool {
-		g := st.groups[en.Data]
+	err := ps.tree.PagedSearchCtx(qc, rstar.Interval1D(q.Lo, q.Hi), func(en rstar.Entry) bool {
+		g := ps.groups[en.Data]
 		res.Groups++
 		res.CellsUpperBound += g.cells
 		sum += g.avg * float64(g.cells)
@@ -163,7 +165,7 @@ func (e *executor) approxAt(st *state, tb *obs.TraceBuilder, q geom.Interval) (*
 // candidates. A merged run can cover an interleaved unselected subfield,
 // whose cells are provably non-matching (their group interval missed the
 // query) and filter out like any other.
-func (p *partition) groupCandidates(st *state, pr *probe) error {
+func (p *partition) groupCandidates(st *partState, pr *probe) error {
 	pr.begin(obs.PhaseFilter)
 	err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), func(e rstar.Entry) bool {
 		pr.sel = append(pr.sel, int(e.Data))

@@ -58,7 +58,7 @@ func TestFailedQueryReleasesPin(t *testing.T) {
 			return buildIx(d, p, BuildOptions{Method: MethodAuto})
 		},
 		"Tiled-LinearScan": func(d *grid.DEM, p *storage.Pager) (Index, error) {
-			return buildTiles(d, p, BuildOptions{TileSide: 8})
+			return buildIx(d, p, BuildOptions{Method: MethodLinearScan, TileSide: 8})
 		},
 		"I-IntTree": func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildITree(d, p) },
 		"IP-Row":    func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildIPRow(d, p) },

@@ -22,7 +22,7 @@ func regionBuilders(maxSize float64) map[string]func(f field.Field) (Engine, err
 		return e, err
 	}
 	out["Tiled-LinearScan"] = func(f field.Field) (Engine, error) {
-		return buildTiles(f, newPager(), BuildOptions{TileSide: 8})
+		return buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 8})
 	}
 	return out
 }

@@ -87,26 +87,26 @@ func TestSidecarMatchesRecordIntervals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSidecarIdentity(t, ls.pager, ls.heap, ls.rids, ls.sidecar, ls.cells)
+			checkSidecarIdentity(t, ls.pager, ls.parts[0].heap, ls.parts[0].rids, ls.parts[0].sidecar, ls.cells)
 
 			ia, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSidecarIdentity(t, ia.pager, ia.heap, ia.rids, ia.sidecar, ia.cells)
+			checkSidecarIdentity(t, ia.pager, ia.parts[0].heap, ia.parts[0].rids, ia.parts[0].sidecar, ia.cells)
 
 			ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSidecarIdentity(t, ih.pager, ih.heap, ih.rids, ih.sidecar, ih.cells)
+			checkSidecarIdentity(t, ih.pager, ih.parts[0].heap, ih.parts[0].rids, ih.parts[0].sidecar, ih.cells)
 
 			vr := f.ValueRange()
 			iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSidecarIdentity(t, iq.pager, iq.heap, iq.rids, iq.sidecar, iq.cells)
+			checkSidecarIdentity(t, iq.pager, iq.parts[0].heap, iq.parts[0].rids, iq.parts[0].sidecar, iq.cells)
 		})
 	}
 }
@@ -160,7 +160,7 @@ func TestLinearScanSidecarByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if with.sidecar == nil || without.sidecar != nil {
+			if with.parts[0].sidecar == nil || without.parts[0].sidecar != nil {
 				t.Fatal("sidecar toggle ignored")
 			}
 			for _, q := range testQueries(f) {
@@ -178,7 +178,7 @@ func TestLinearScanSidecarByteIdentity(t *testing.T) {
 				// The sidecar path must not read more pages than the scan it
 				// replaces (on the full-range query they tie at heap+sidecar
 				// vs heap; on selective ones it must win).
-				if a.IO.Reads > b.IO.Reads+with.sidecar.NumPages() {
+				if a.IO.Reads > b.IO.Reads+with.parts[0].sidecar.NumPages() {
 					t.Fatalf("query %v: sidecar read %d pages, scan %d", q, a.IO.Reads, b.IO.Reads)
 				}
 			}
@@ -237,10 +237,10 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	if got, want := opened.Stats().SidecarPages, built.Stats().SidecarPages; got != want || got == 0 {
 		t.Fatalf("sidecar pages %d, want %d (> 0)", got, want)
 	}
-	if !reflect.DeepEqual(opened.rids, built.rids) {
+	if !reflect.DeepEqual(opened.parts[0].rids, built.parts[0].rids) {
 		t.Fatal("reconstructed position map differs from the built one")
 	}
-	checkSidecarIdentity(t, opened.pager, opened.heap, opened.rids, opened.sidecar, opened.cells)
+	checkSidecarIdentity(t, opened.pager, opened.parts[0].heap, opened.parts[0].rids, opened.parts[0].sidecar, opened.cells)
 	for _, q := range testQueries(f) {
 		a, err := built.Query(q)
 		if err != nil {
@@ -264,7 +264,7 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 func TestOpenFileNoSidecar(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	dir := t.TempDir()
-	open := func(name string, opts BuildOptions) *executor {
+	open := func(name string, opts BuildOptions) *engine {
 		t.Helper()
 		built, err := buildIx(f, newPager(), opts)
 		if err != nil {
@@ -283,7 +283,7 @@ func TestOpenFileNoSidecar(t *testing.T) {
 	}
 	bare := open("bare.fidx", BuildOptions{Method: MethodIHilbert, NoSidecar: true})
 	current := open("sidecar.fidx", BuildOptions{Method: MethodIHilbert})
-	if bare.sidecar != nil || bare.rids != nil || bare.Stats().SidecarPages != 0 {
+	if bare.parts[0].sidecar != nil || bare.parts[0].rids != nil || bare.Stats().SidecarPages != 0 {
 		t.Fatal("sidecar-less file decoded a sidecar")
 	}
 

@@ -14,8 +14,7 @@ import (
 // This file implements the scale-out read path for large terrains: the field
 // is split into fixed-size tiles, each tile a self-contained partition with
 // its own heap segment, interval sidecar and per-tile index (all on one
-// shared pager), and a scatter-gather planner executes value queries tile by
-// tile:
+// shared pager), and value queries execute tile by tile, scatter-gather:
 //
 //   - Prune: each tile carries a (min, max) value summary covering every cell
 //     interval inside it. Tiles whose summary misses the query are pruned
@@ -81,79 +80,41 @@ func (t *tileField) Locate(p geom.Point) (field.CellID, bool) {
 	return 0, false
 }
 
-// tile is one partition of the tiled index — which carries the parent ids it
-// owns and their MBR — with its field view. The partition is never queried on
-// its own: the planner calls its hooks.
-type tile struct {
-	*partition
-	view *tileField
-}
-
-// TiledIndex is the scatter-gather planner over a tiled field: live, or — as
-// a snapshot — at the state it pinned (see pinned). Its state carries the
-// per-tile value summaries and the per-tile index states.
-type TiledIndex struct {
-	*tiledCore
-	pinned
-}
-
-// tiledCore is what a tiled index owns, shared by the live planner and every
-// snapshot of it.
-type tiledCore struct {
-	shell
-	tiles  []*tile
-	tileOf []int32 // parent cell id -> owning tile
-	cells  int
-	// totArea is the field-wide cell area, the sum of the tiles': beside the
-	// global field summary, the aggregate tier's state.
-	totArea float64
-}
-
-// TileInfo describes one tile of a TiledIndex.
+// TileInfo describes one tile of a tiled store.
 type TileInfo struct {
 	Cells      int
 	MBR        geom.Rect
 	ValueRange geom.Interval
 }
 
-// tiledMethod is the Method string a tiled configuration reports: the inner
-// per-tile method with a "Tiled-" prefix, so traces and benchmark rows never
-// collide with the untiled build of the same method.
-func tiledMethod(inner Method) Method { return Method("Tiled-" + string(inner)) }
-
-// newTiled returns an empty planner over cells cells in tiles of inner's
-// method, for buildTiled or the catalog decoder to fill.
-func newTiled(pager *storage.Pager, inner Method, cells, tileSide, tiles int) *TiledIndex {
-	t := &tiledCore{tileOf: make([]int32, cells), cells: cells}
-	t.label, t.method, t.tileSide, t.pager, t.workers = string(tiledMethod(inner)), inner, tileSide, pager, 1
-	t.tiles = make([]*tile, 0, tiles)
-	return &TiledIndex{tiledCore: t, pinned: pinned{live: &t.shell}}
-}
-
-// add appends a tile and its partition.
-func (t *tiledCore) add(tl *tile) {
-	for _, id := range tl.ids {
-		t.tileOf[id] = int32(len(t.tiles))
+// Tiles implements Engine: every tile with its current value summary, nil for
+// an untiled store.
+func (e *engine) Tiles() []TileInfo {
+	if e.tileSide == 0 {
+		return nil
 	}
-	t.tiles = append(t.tiles, tl)
-	t.parts = append(t.parts, tl.partition)
-	t.totArea += tl.area
+	st := e.cur()
+	out := make([]TileInfo, len(e.parts))
+	for i, p := range e.parts {
+		out[i] = TileInfo{Cells: p.cells, MBR: p.mbr, ValueRange: st.vr[i]}
+	}
+	return out
 }
 
-// buildTiled cuts f into TileSide-sized tiles and builds row m's partition
-// over each on the shared pager, then fits the one field summary. ctx is
-// polled between tiles and inside each partition build.
-func buildTiled(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*TiledIndex, error) {
-	specs := tileLayout(f, opts.TileSide)
-	t := newTiled(pager, opts.Method, f.NumCells(), opts.TileSide, len(specs))
-	t.workers = opts.Workers
-	st := &state{vr: make([]geom.Interval, 0, len(specs)), parts: make([]*state, 0, len(specs))}
+// buildTiles cuts f into TileSide-sized tiles and builds row m's partition
+// over each on the store's pager, adding the tiles to s and their first states
+// to st. It returns every cell's interval and area, tile by tile, for the one
+// field summary — a tile fits none of its own, nothing would read it, and the
+// cumulative distributions are order-independent, so feeding them in tile order
+// fits the summary an untiled build would. ctx is polled between tiles and
+// inside each partition build.
+func buildTiles(ctx context.Context, f field.Field, s *store, st *state, m *methodSpec, opts *BuildOptions) ([]geom.Interval, []float64, error) {
 	allIvs := make([]geom.Interval, 0, f.NumCells())
 	allAreas := make([]float64, 0, f.NumCells())
 	var c field.Cell
-	for ti, ids := range specs {
+	for ti, ids := range tileLayout(f, opts.TileSide) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Per-tile MBR, exact value summary and total cell area, from the
 		// very cells the tile build will store. The intervals and areas also
@@ -171,26 +132,16 @@ func buildTiled(ctx context.Context, f field.Field, pager *storage.Pager, m *met
 			allAreas = append(allAreas, a)
 		}
 		view := &tileField{parent: f, ids: ids, bounds: mbr, vr: iv}
-		p, pst, _, err := buildPartition(ctx, view, pager, m, opts)
+		p, pst, _, err := buildPartition(ctx, view, s.pager, m, opts)
 		if err != nil {
-			return nil, fmt.Errorf("core: tile %d: %w", ti, err)
+			return nil, nil, fmt.Errorf("core: tile %d: %w", ti, err)
 		}
-		p.ids, p.area = ids, area
-		t.add(&tile{partition: p, view: view})
+		p.ids, p.area, p.view = ids, area, view
+		s.add(p)
 		st.vr = append(st.vr, iv)
 		st.parts = append(st.parts, pst)
 	}
-	// Global field summary over every cell, after the last tile's pages: the
-	// cumulative distributions are order-independent, so feeding them in tile
-	// order fits the same summary an untiled build would. It is the only one:
-	// a tile fits none of its own, nothing would read it.
-	var err error
-	if t.sumFirst, t.sumPages, err = buildSummary(pager, allIvs, allAreas); err != nil {
-		return nil, err
-	}
-	st.epoch = pager.CurrentEpoch()
-	t.snap.Store(st)
-	return t, nil
+	return allIvs, allAreas, nil
 }
 
 // tileLayout assigns every cell of f to a tile. Grid fields cut exact
@@ -269,51 +220,6 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 	return out
 }
 
-// AcquireSnapshot implements Engine.
-func (t *TiledIndex) AcquireSnapshot() Engine {
-	return &TiledIndex{tiledCore: t.tiledCore, pinned: t.snapshot()}
-}
-
-// NumTiles returns the number of tiles.
-func (t *TiledIndex) NumTiles() int { return len(t.tiles) }
-
-// Tiles describes every tile with its current value summary.
-func (t *TiledIndex) Tiles() []TileInfo {
-	s := t.cur()
-	out := make([]TileInfo, len(t.tiles))
-	for i, tl := range t.tiles {
-		out[i] = TileInfo{Cells: len(tl.ids), MBR: tl.mbr, ValueRange: s.vr[i]}
-	}
-	return out
-}
-
-// ForEachGroup implements Engine: the tile directory is not a subfield
-// partition, so there is nothing to visit.
-func (t *TiledIndex) ForEachGroup(func(int, geom.Interval, []field.CellID) bool) {}
-
-// ApproxQueryContext implements Engine: a tiled index keeps no field-wide
-// subfield summaries.
-func (t *TiledIndex) ApproxQueryContext(context.Context, geom.Interval) (*ApproxResult, error) {
-	return nil, fmt.Errorf("%w: %s has no subfield summaries", ErrNoPartition, t.label)
-}
-
-// Stats implements Index by aggregating the per-tile indexes.
-func (t *TiledIndex) Stats() IndexStats {
-	st := t.cur()
-	s := IndexStats{Method: t.Method(), Cells: t.cells}
-	for ti, tl := range t.tiles {
-		ts := tl.statsAt(st.parts[ti])
-		s.CellPages += ts.CellPages
-		s.IndexPages += ts.IndexPages
-		s.SidecarPages += ts.SidecarPages
-		s.Groups += ts.Groups
-		if ts.TreeHeight > s.TreeHeight {
-			s.TreeHeight = ts.TreeHeight
-		}
-	}
-	return s
-}
-
 // survivorRef locates one surviving record inside a tileArena, keyed by the
 // parent field's natural cell id — the gather step's sort key.
 type survivorRef struct {
@@ -321,7 +227,7 @@ type survivorRef struct {
 	off, end int32
 }
 
-// tileArena is the tiled planner's sink: it accumulates the surviving cell
+// tileArena is the tile pipeline's sink: it accumulates the surviving cell
 // records of the tile scans feeding it as raw bytes. The records are copied
 // (the fetch loops reuse their buffers), so the arena outlives the scans and
 // the gather step can fold survivors from every tile in one globally sorted
@@ -380,58 +286,35 @@ func gatherArenas(res *Result, arenas []tileArena) error {
 	return nil
 }
 
-// Query implements Index.
-func (t *TiledIndex) Query(q geom.Interval) (*Result, error) {
-	return t.QueryContext(context.Background(), q)
-}
-
-// QueryContext implements Engine: ctx is polled inside every tile scan, so a
-// canceled query stops mid-scatter.
-func (t *TiledIndex) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	if q.IsEmpty() {
-		return nil, errEmptyQuery
-	}
-	tb, start := t.startQuery(t.label, obs.KindValue, q.Lo, q.Hi)
-	s := t.pinState()
-	res, err := t.queryAt(s, ctx, tb, q)
-	t.unpin(s)
-	t.endQuery(tb, start, err)
-	return res, err
-}
-
-// queryAt runs the scatter-gather pipeline against one pinned state. The
-// caller must hold a pin at s.epoch for the duration of the call.
-func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval) (*Result, error) {
-	qc := beginQueryAt(t.pager, s.epoch)
-	defer qc.Release()
-	qc.AttachTrace(tb)
+// queryTiles runs the scatter-gather pipeline against one pinned state on qc,
+// the query's context.
+func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval) (*Result, error) {
 	res := &Result{Query: q}
 	// Prune: pure in-memory summary tests — the span's page counts stay zero,
 	// which is exactly the property the tiled acceptance tests assert.
 	qc.BeginSpan(obs.PhaseTilePrune)
-	residual := make([]int, 0, len(t.tiles))
-	for ti := range t.tiles {
-		if s.vr[ti].Intersects(q) {
+	residual := make([]int, 0, len(e.parts))
+	for ti, vr := range st.vr {
+		if vr.Intersects(q) {
 			residual = append(residual, ti)
 		}
 	}
 	qc.EndSpan()
-	pruned := len(t.tiles) - len(residual)
-	t.ob.Metrics.RecordTiles(pruned, len(residual))
+	e.ob.Metrics.RecordTiles(len(e.parts)-len(residual), len(residual))
 	res.CandidateGroups = len(residual)
 	// CellsFetched keeps untiled LinearScan semantics: every cell's interval
 	// is accounted as tested — residual tiles test theirs on the sidecar (or
 	// records), pruned tiles' cells are covered wholesale by the summary test.
-	res.CellsFetched = t.cells
+	res.CellsFetched = e.cells
 	if len(residual) == 0 {
 		res.IO = qc.Stats()
-		t.recordIO(storage.Stats{}, 0, res.IO)
+		e.recordIO(storage.Stats{}, 0, res.IO)
 		return res, nil
 	}
 
 	arenas := make([]tileArena, len(residual))
 	filterReads, sidecarReads := 0, 0
-	if workers := t.fanout(len(residual)); workers == 1 {
+	if workers := e.fanout(len(residual)); workers == 1 {
 		// Sequential scatter: one PhaseTileScan span per residual tile, so a
 		// trace shows each tile's page activity individually.
 		for i, ti := range residual {
@@ -439,7 +322,7 @@ func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder
 				return nil, err
 			}
 			qc.BeginSpan(obs.PhaseTileScan)
-			fr, sr, err := t.scanTile(ctx, qc, s, ti, q, &arenas[i])
+			fr, sr, err := e.scanTile(ctx, qc, st, ti, q, &arenas[i])
 			if err != nil {
 				return nil, err
 			}
@@ -453,8 +336,8 @@ func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder
 		// completion order, so the answer is identical to the sequential path.
 		qc.BeginSpan(obs.PhaseTileScan)
 		reads := make([][2]int, len(residual))
-		err := t.scatter(ctx, qc, workers, len(residual), func(i int, child *storage.QueryCtx) (err error) {
-			reads[i][0], reads[i][1], err = t.scanTile(ctx, child, s, residual[i], q, &arenas[i])
+		err := e.scatter(ctx, qc, workers, len(residual), func(i int, child *storage.QueryCtx) (err error) {
+			reads[i][0], reads[i][1], err = e.scanTile(ctx, child, st, residual[i], q, &arenas[i])
 			return err
 		})
 		if err != nil {
@@ -475,83 +358,25 @@ func (t *TiledIndex) queryAt(s *state, ctx context.Context, tb *obs.TraceBuilder
 	}
 	qc.EndSpan()
 	res.IO = qc.Stats()
-	t.recordIO(storage.Stats{Reads: filterReads}, sidecarReads, res.IO)
+	e.recordIO(storage.Stats{Reads: filterReads}, sidecarReads, res.IO)
 	return res, nil
 }
 
-// scanTile is the scatter step for one residual tile: the tile executor's
-// own candidates hook — a sidecar pass, or a subfield tree search — and the
-// matching shared fetch loop, with the survivors copied into ar under their
-// parent ids instead of refined in place. It returns the tile's filter-step
-// (subfield tree) and sidecar page-read counts for metric attribution.
-func (t *TiledIndex) scanTile(ctx context.Context, qc *storage.QueryCtx, s *state, ti int, q geom.Interval, ar *tileArena) (filterReads, sidecarReads int, err error) {
-	tl := t.tiles[ti]
-	ar.ids = tl.ids
+// scanTile is the scatter step for one residual tile: the tile's own
+// candidates hook — a sidecar pass, or a subfield tree search — and the fetch
+// of what it found, with the survivors copied into ar under their field ids
+// instead of refined in place. It returns the tile's filter-step (subfield
+// tree) and sidecar page-read counts for metric attribution.
+func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, ti int, q geom.Interval, ar *tileArena) (filterReads, sidecarReads int, err error) {
+	p := e.parts[ti]
+	ar.ids = p.ids
 	pr := getProbe()
 	defer putProbe(pr)
-	// Untraced: the whole tile runs under the planner's tile-scan span.
+	// Untraced: the whole tile runs under the query's tile-scan span.
 	pr.reset(ctx, qc, q, false)
-	if err := tl.candidates(s.parts[ti], pr); err != nil {
+	if err := p.candidates(st.parts[ti], pr); err != nil {
 		return 0, 0, err
 	}
-	if tl.byPos {
-		_, err = fetchPositions(ctx, qc, tl.rids, pr.pos, q, tl.tested, ar)
-	} else {
-		_, err = scanRuns(ctx, qc, tl.heap, pr.runs, q, ar)
-	}
+	_, err = p.fetch(ctx, qc, pr, ar)
 	return pr.filter.Reads, pr.sidecarReads, err
-}
-
-// ApplyUpdates implements Engine: the update transaction over the tiles the
-// batch touches. Every tile's page overlays commit as ONE storage epoch —
-// readers never observe some tiles updated and others not.
-func (t *TiledIndex) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	return t.applyUpdates(ctx, f, updates, t.tiledCore)
-}
-
-// FetchCells implements Engine: each cell's record comes from the tile that
-// owns it, under the cell's local id there.
-func (t *TiledIndex) FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uint64, visit func(*field.Cell) bool) (storage.Stats, error) {
-	return t.fetchCells(ctx, t.tiledCore, tb, ids, visit)
-}
-
-// route implements updater: a cell belongs to the tile the layout put it in,
-// under its rank among that tile's ascending parent ids.
-func (t *tiledCore) route(id field.CellID) (int, field.CellID, error) {
-	ti := int(t.tileOf[id])
-	ids := t.tiles[ti].ids
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i >= len(ids) || ids[i] != id {
-		return 0, 0, fmt.Errorf("core: cell %d not in tile %d", id, ti)
-	}
-	return ti, field.CellID(i), nil
-}
-
-// partView implements updater. A planner opened from a file has no views:
-// the caller's live field is attached as the tile's on first use (updMu
-// serializes updaters, and readers never touch views).
-func (t *tiledCore) partView(ti int, f field.Field, cur *state) (*state, field.Field) {
-	tl := t.tiles[ti]
-	if tl.view == nil {
-		tl.view = &tileField{parent: f, ids: tl.ids, bounds: tl.mbr, vr: cur.vr[ti]}
-	}
-	return cur.parts[ti], tl.view
-}
-
-// nextState implements updater: the involved tiles' next states beside the
-// others' current ones, and value summaries widened to cover the new
-// intervals, which keeps the prune step safe.
-func (t *tiledCore) nextState(cur *state, epoch uint64, involved []int, work []partUpdate) *state {
-	next := &state{
-		epoch: epoch,
-		vr:    append([]geom.Interval(nil), cur.vr...),
-		parts: append([]*state(nil), cur.parts...),
-	}
-	for _, ti := range involved {
-		w := &work[ti]
-		w.next.epoch = epoch
-		next.parts[ti] = w.next
-		next.vr[ti] = w.ch.widen(next.vr[ti])
-	}
-	return next
 }

@@ -25,8 +25,8 @@ func TestTiledLargeTerrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	pager := newPager()
-	tiled, err := buildTiles(f, pager, BuildOptions{
-		TileSide: side / 8, Codec: storage.SidecarCodecPacked, Workers: 4,
+	tiled, err := buildIx(f, pager, BuildOptions{
+		Method: MethodLinearScan, TileSide: side / 8, Codec: storage.SidecarCodecPacked, Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +63,9 @@ func TestTiledLargeTerrain(t *testing.T) {
 	if snap.TilesPruned == 0 || snap.TilesScanned == 0 {
 		t.Fatalf("prune accounting empty: %d pruned, %d scanned", snap.TilesPruned, snap.TilesScanned)
 	}
-	if int(snap.TilesPruned+snap.TilesScanned) != tiled.NumTiles() {
+	if int(snap.TilesPruned+snap.TilesScanned) != len(tiled.Tiles()) {
 		t.Errorf("pruned %d + scanned %d != %d tiles",
-			snap.TilesPruned, snap.TilesScanned, tiled.NumTiles())
+			snap.TilesPruned, snap.TilesScanned, len(tiled.Tiles()))
 	}
 	// Pruned tiles read zero pages: the single prune span covers every
 	// summary test and charges nothing; only scanned tiles open scan spans.

@@ -5,47 +5,22 @@ import (
 	"fielddb/internal/storage"
 )
 
-// Shared-scan batching for the tiled planner: K concurrent value queries
-// prune tiles independently (pure in-memory, per member) but scatter as ONE
-// pass per residual tile — a single sidecar scan evaluates every covering
-// member's predicate and the union of their surviving heap pages is fetched
-// once. Each member's survivors land in that member's own arena and gather in
-// global parent-id order afterwards, so the per-member answers — fold order,
-// Area accumulation, Result.IO — stay byte-identical to solo QueryContext
-// calls, exactly the QueryBatch contract.
+// Shared-scan batching over tiles: K concurrent value queries prune tiles
+// independently (pure in-memory, per member) but scatter as ONE pass per
+// residual tile — a single sidecar scan evaluates every covering member's
+// predicate and the union of their surviving heap pages is fetched once. Each
+// member's survivors land in that member's own arena and gather in global
+// field-id order afterwards, so the per-member answers — fold order, Area
+// accumulation, Result.IO — stay byte-identical to solo QueryContext calls,
+// exactly the QueryBatch contract.
 //
 // The shared pipeline requires LinearScan tiles with sidecars (the only
 // configuration whose filter pass is shareable: one comparison loop serves
 // all K predicates). Partitioned inner methods run their members solo inside
 // the batch — per-member tree searches have no shared scan to coalesce.
 
-// QueryBatch implements Engine.
-func (t *TiledIndex) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
-	if len(members) == 0 {
-		return nil, BatchStats{}
-	}
-	shared := len(members) > 1 && t.method == MethodLinearScan
-	for _, tl := range t.tiles {
-		shared = shared && tl.sidecar != nil
-	}
-	if !shared {
-		return sequentialBatch(&t.observed, t.QueryContext, members)
-	}
-	s := t.pinState()
-	defer t.unpin(s)
-	bo := t.startBatch(t.label, members)
-	ms := t.beginMembers(t.label, t.pager, s.epoch, members)
-	phys := beginQueryAt(t.pager, s.epoch)
-	defer phys.Release()
-	bb := getBatchBuf(len(members))
-	defer putBatchBuf(bb)
-	t.batchTiles(s, ms, phys, bb)
-	results, attributed := t.finishMembers(ms)
-	return results, t.endBatch(bo, len(members), phys.LocalStats(), storage.Stats{}, attributed)
-}
-
 // batchTiles runs the tiled shared-scan pipeline over the live members.
-func (t *TiledIndex) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
+func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, bb *batchBuf) {
 	if pollMembers(ms) == 0 {
 		return
 	}
@@ -53,7 +28,7 @@ func (t *TiledIndex) batchTiles(s *state, ms []batchMember, phys *storage.QueryC
 	// Per-member prune, replayed exactly like solo: one zero-read span per
 	// member, the summary tests in tile order, metrics per query. Each member's
 	// survivors land in its own arena.
-	inTile := make([][]bool, len(t.tiles))
+	inTile := make([][]bool, len(e.parts))
 	for ti := range inTile {
 		inTile[ti] = make([]bool, k)
 	}
@@ -66,20 +41,20 @@ func (t *TiledIndex) batchTiles(s *state, ms []batchMember, phys *storage.QueryC
 		m.sink = &arenas[i]
 		m.qc.BeginSpan(obs.PhaseTilePrune)
 		residual := 0
-		for ti := range t.tiles {
-			if s.vr[ti].Intersects(m.q) {
+		for ti, vr := range s.vr {
+			if vr.Intersects(m.q) {
 				inTile[ti][i] = true
 				residual++
 			}
 		}
 		m.qc.EndSpan()
-		t.ob.Metrics.RecordTiles(len(t.tiles)-residual, residual)
+		e.ob.Metrics.RecordTiles(len(e.parts)-residual, residual)
 		m.res.CandidateGroups = residual
 		// Untiled LinearScan semantics, as in the solo path: every cell's
 		// interval is accounted as tested.
-		m.res.CellsFetched = t.cells
+		m.res.CellsFetched = e.cells
 	}
-	for ti, tl := range t.tiles {
+	for ti, tl := range e.parts {
 		if pollMembers(ms) == 0 {
 			return
 		}

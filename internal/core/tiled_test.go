@@ -64,7 +64,7 @@ func TestTiledIdentity(t *testing.T) {
 		{Method: MethodIQuad, TileSide: 16, MaxSize: vr.Length()/8 + 1},
 	}
 	for _, opts := range configs {
-		ti, err := buildTiles(f, newPager(), opts)
+		ti, err := buildIx(f, newPager(), opts)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", opts.Method, opts.Codec, err)
 		}
@@ -90,12 +90,12 @@ func TestTiledIdentityTIN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, err := buildTiles(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
+	ti, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ti.NumTiles() < 2 {
-		t.Fatalf("TIN layout produced %d tiles, want several", ti.NumTiles())
+	if len(ti.Tiles()) < 2 {
+		t.Fatalf("TIN layout produced %d tiles, want several", len(ti.Tiles()))
 	}
 	for _, q := range tiledTestQueries(f) {
 		want, err := ls.Query(q)
@@ -114,11 +114,11 @@ func TestTiledIdentityTIN(t *testing.T) {
 // byte-identically to the single-threaded one.
 func TestTiledParallelMatchesSequential(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	seq, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16})
+	seq, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16})
+	par, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestTiledPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ti, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	ti, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestTiledPruning(t *testing.T) {
 	if snap.TilesPruned == 0 {
 		t.Fatalf("no tiles pruned at q=%v; summaries: %v", q, ti.Tiles())
 	}
-	if snap.TilesPruned+snap.TilesScanned != int64(ti.NumTiles()) {
-		t.Errorf("pruned %d + scanned %d != %d tiles", snap.TilesPruned, snap.TilesScanned, ti.NumTiles())
+	if snap.TilesPruned+snap.TilesScanned != int64(len(ti.Tiles())) {
+		t.Errorf("pruned %d + scanned %d != %d tiles", snap.TilesPruned, snap.TilesScanned, len(ti.Tiles()))
 	}
 	if got.CandidateGroups != int(snap.TilesScanned) {
 		t.Errorf("CandidateGroups = %d, metrics scanned = %d", got.CandidateGroups, snap.TilesScanned)
@@ -220,7 +220,7 @@ func TestTiledPruning(t *testing.T) {
 func TestTiledUpdates(t *testing.T) {
 	for _, inner := range []Method{MethodLinearScan, MethodIHilbert} {
 		f := testDEM(t, 64, 0.7)
-		ti, err := buildTiles(f, newPager(), BuildOptions{Method: inner, TileSide: 16, Codec: storage.SidecarCodecPacked})
+		ti, err := buildIx(f, newPager(), BuildOptions{Method: inner, TileSide: 16, Codec: storage.SidecarCodecPacked})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,13 +284,13 @@ func TestTiledUpdates(t *testing.T) {
 // TestTiledBuildValidation covers the option errors.
 func TestTiledBuildValidation(t *testing.T) {
 	f := testDEM(t, 16, 0.7)
-	if _, err := buildTiles(f, newPager(), BuildOptions{TileSide: 1}); err == nil {
+	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 1}); err == nil {
 		t.Error("tile side 1 accepted")
 	}
-	if _, err := buildTiles(f, newPager(), BuildOptions{TileSide: 8, Method: MethodIAll}); err == nil {
+	if _, err := buildIx(f, newPager(), BuildOptions{TileSide: 8, Method: MethodIAll}); err == nil {
 		t.Error("tiled I-All accepted")
 	}
-	if _, err := buildTiles(f, newPager(), BuildOptions{TileSide: 8, Codec: "bogus"}); err == nil {
+	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 8, Codec: "bogus"}); err == nil {
 		t.Error("bogus codec accepted")
 	}
 }
@@ -302,13 +302,13 @@ func TestTiledBatchMatchesSolo(t *testing.T) {
 	f := testDEM(t, 64, 0.6)
 	vr := f.ValueRange()
 	tiled := map[string]BuildOptions{
-		"Tiled-LinearScan":        {TileSide: 16},
-		"Tiled-LinearScan+packed": {TileSide: 16, Codec: storage.SidecarCodecPacked},
+		"Tiled-LinearScan":        {Method: MethodLinearScan, TileSide: 16},
+		"Tiled-LinearScan+packed": {Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked},
 		"Tiled-I-Hilbert":         {Method: MethodIHilbert, TileSide: 16}, // sequential fallback
 	}
 	for name, opts := range tiled {
 		t.Run(name, func(t *testing.T) {
-			idx, err := buildTiles(f, newPager(), opts)
+			idx, err := buildIx(f, newPager(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func TestTiledBatchMatchesSolo(t *testing.T) {
 // so the batch's physical reads undercut the attributed sum.
 func TestTiledBatchSharesPages(t *testing.T) {
 	f := testDEM(t, 64, 0.6)
-	idx, err := buildTiles(f, newPager(), BuildOptions{TileSide: 16, Codec: storage.SidecarCodecPacked})
+	idx, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fielddb/internal/field"
@@ -231,36 +232,40 @@ func (p *partition) restore(ch *changes) {
 	}
 }
 
-// updater is a store as the update transaction sees it: how its cells map
-// onto its partitions, and how the partitions' next states make its own. A
-// partition is itself the updater of a one-partition store.
-type updater interface {
-	// route returns the partition that owns cell id and the cell's id there;
-	// the spatial access path's cell fetch locates records through it too.
-	route(id field.CellID) (part int, local field.CellID, err error)
-	// partView returns partition part's state inside the store state cur, and
-	// the field its local ids address — f itself, or a tile's view of it.
-	partView(part int, f field.Field, cur *state) (*state, field.Field)
-	// nextState assembles the state to publish at epoch from the involved
-	// partitions' work.
-	nextState(cur *state, epoch uint64, involved []int, work []partUpdate) *state
-}
-
-// partUpdate is one partition's share of an update batch.
+// partUpdate is one partition's share of an update batch: its state when the
+// batch began, the field its local ids address, what the batch changed and the
+// state that results.
 type partUpdate struct {
-	cur  *state
+	cur  *partState
 	view field.Field
 	ch   changes
-	next *state
+	next *partState
 }
 
-func (p *partition) route(id field.CellID) (int, field.CellID, error) { return 0, id, nil }
+// partView returns the field partition pi's local ids address: f itself for an
+// untiled store, a tile's view of it otherwise. A tile opened from a file has
+// no view: the caller's live field is attached on first use (updMu serializes
+// updaters, and readers never touch views).
+func (s *store) partView(pi int, f field.Field, cur *state) field.Field {
+	if s.tileSide == 0 {
+		return f
+	}
+	p := s.parts[pi]
+	if p.view == nil {
+		p.view = &tileField{parent: f, ids: p.ids, bounds: p.mbr, vr: cur.vr[pi]}
+	}
+	return p.view
+}
 
-func (p *partition) partView(_ int, f field.Field, cur *state) (*state, field.Field) { return cur, f }
-
-func (p *partition) nextState(cur *state, epoch uint64, _ []int, work []partUpdate) *state {
-	next := work[0].next
-	next.epoch, next.vr = epoch, []geom.Interval{work[0].ch.widen(cur.vr[0])}
+// nextState assembles the state to publish at epoch: the involved partitions'
+// next states beside the others' current ones, and value ranges widened to
+// cover the new intervals, which keeps the prune step safe.
+func nextState(cur *state, epoch uint64, involved []int, work []partUpdate) *state {
+	next := &state{epoch: epoch, vr: slices.Clone(cur.vr), parts: slices.Clone(cur.parts)}
+	for _, pi := range involved {
+		next.parts[pi] = work[pi].next
+		next.vr[pi] = work[pi].ch.widen(next.vr[pi])
+	}
 	return next
 }
 
@@ -274,39 +279,34 @@ func (ch *changes) widen(vr geom.Interval) geom.Interval {
 	return vr
 }
 
-// ApplyUpdates implements Engine for an untiled index: the update
-// transaction over its one partition. I-Quad and files saved without a
-// sidecar refuse with ErrUpdatesUnsupported.
-func (e *executor) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
-	return e.applyUpdates(ctx, f, updates, e.partition)
-}
-
-// applyUpdates is the one update transaction, whatever the store: lock,
-// patch the affected cell records and sidecar columns of every involved
-// partition into copy-on-write page images, let each partition's method
-// maintain its index structure and the store its field summary, commit the
-// images as one new epoch, publish the new state. Every failure path puts the
-// field's samples and the interval columns back; the live epoch is untouched
-// until the commit.
-func (sh *shell) applyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, u updater) (*UpdateResult, error) {
-	sh.updMu.Lock()
-	defer sh.updMu.Unlock()
+// ApplyUpdates implements Engine — the one update transaction, whatever the
+// store: lock, patch the affected cell records and sidecar columns of every
+// involved partition into copy-on-write page images, let each partition's
+// method maintain its index structure and the store its field summary, commit
+// the images as ONE new epoch — readers never observe some tiles updated and
+// others not — and publish the new state. Every failure path puts the field's
+// samples and the interval columns back; the live epoch is untouched until the
+// commit. I-Quad and files saved without a sidecar refuse with
+// ErrUpdatesUnsupported.
+func (s *store) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
+	s.updMu.Lock()
+	defer s.updMu.Unlock()
 	cells := affectedCells(f, updates)
-	tb := obs.Begin(sh.ob.Tracer, sh.label, obs.KindUpdate, float64(len(updates)), float64(len(cells)))
-	res, err := sh.commitUpdates(ctx, f, updates, cells, tb, u)
+	tb := obs.Begin(s.ob.Tracer, s.label, obs.KindUpdate, float64(len(updates)), float64(len(cells)))
+	res, err := s.commitUpdates(ctx, f, updates, cells, tb)
 	tb.Finish(err)
 	if err == nil {
-		sh.recordUpdate(res)
+		s.recordUpdate(res)
 	}
 	return res, err
 }
 
-func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder, u updater) (*UpdateResult, error) {
-	cur := sh.snap.Load()
+func (s *store) commitUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate, cells []field.CellID, tb *obs.TraceBuilder) (*UpdateResult, error) {
+	cur := s.snap.Load()
 	if len(updates) == 0 {
 		return &UpdateResult{Epoch: cur.epoch}, nil
 	}
-	qc := sh.pager.BeginQuery()
+	qc := s.pager.BeginQuery()
 	defer qc.Release()
 	qc.AttachTrace(tb)
 	// Route every affected cell to its partition; involved lists the distinct
@@ -316,16 +316,16 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 		local field.CellID
 	}
 	routes := make([]cellRoute, len(cells))
-	work := make([]partUpdate, len(sh.parts))
+	work := make([]partUpdate, len(s.parts))
 	var involved []int
 	for i, id := range cells {
-		part, local, err := u.route(id)
+		part, local, err := s.route(id)
 		if err != nil {
 			return nil, err
 		}
 		routes[i] = cellRoute{part, local}
 		if w := &work[part]; w.cur == nil {
-			w.cur, w.view = u.partView(part, f, cur)
+			w.cur, w.view = cur.parts[part], s.partView(part, f, cur)
 			involved = append(involved, part)
 		}
 	}
@@ -333,7 +333,7 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 	// Hydrate the partitions' update state (the interval column) before
 	// mutating anything.
 	for _, pi := range involved {
-		if err := sh.parts[pi].ensureUpdateState(qc); err != nil {
+		if err := s.parts[pi].ensureUpdateState(qc); err != nil {
 			return nil, err
 		}
 	}
@@ -343,12 +343,12 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 	}
 	fail := func(err error) (*UpdateResult, error) {
 		for _, pi := range involved {
-			sh.parts[pi].restore(&work[pi].ch)
+			s.parts[pi].restore(&work[pi].ch)
 		}
 		undoSamples(f, undo)
 		return nil, err
 	}
-	stage := &overlayStage{ctx: ctx, pager: sh.pager, qc: qc, pages: make(map[storage.PageID][]byte)}
+	stage := &overlayStage{ctx: ctx, pager: s.pager, qc: qc, pages: make(map[storage.PageID][]byte)}
 	var scratch field.Cell
 	var enc []byte
 	qc.BeginSpan(obs.PhasePatch)
@@ -358,7 +358,7 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 		}
 		w := &work[r.part]
 		var err error
-		if enc, err = sh.parts[r.part].patch(stage, w.view, r.local, &w.ch, &scratch, enc); err != nil {
+		if enc, err = s.parts[r.part].patch(stage, w.view, r.local, &w.ch, &scratch, enc); err != nil {
 			return fail(err)
 		}
 	}
@@ -369,9 +369,9 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 	// and the page reads of both; a store with neither has no such span. The
 	// refreshed summary rides in the same overlay set, so summary and data
 	// version together under one epoch.
-	maintains := sh.sumPages > 0
+	maintains := s.sumPages > 0
 	for _, pi := range involved {
-		maintains = maintains || sh.parts[pi].maintain != nil
+		maintains = maintains || s.parts[pi].maintain != nil
 	}
 	if maintains {
 		qc.BeginSpan(obs.PhaseMaintain)
@@ -379,8 +379,8 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 	indexPages, regrouped := 0, false
 	changedCells, changedArea := 0, 0.0
 	for _, pi := range involved {
-		p, w := sh.parts[pi], &work[pi]
-		w.next = &state{}
+		p, w := s.parts[pi], &work[pi]
+		w.next = &partState{}
 		if p.maintain != nil {
 			next, ipgs, rg, err := p.maintain(stage, w.view, w.cur, &w.ch)
 			if err != nil {
@@ -393,7 +393,7 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 		changedCells += len(w.ch.cells)
 		changedArea += w.ch.area
 	}
-	if err := sh.maintainSummary(stage, changedCells, changedArea); err != nil {
+	if err := s.maintainSummary(stage, changedCells, changedArea); err != nil {
 		return fail(err)
 	}
 	if maintains {
@@ -411,12 +411,12 @@ func (sh *shell) commitUpdates(ctx context.Context, f field.Mutable, updates []S
 	// the query context; fold those writes into the published stats so the
 	// pager totals stay the sum of all reported per-operation statistics.
 	res.IO.Writes += indexPages
-	epoch, retired, err := sh.pager.CommitOverlays(stage.pages)
+	epoch, retired, err := s.pager.CommitOverlays(stage.pages)
 	if err != nil {
 		return fail(err)
 	}
 	res.Epoch, res.EpochsRetired = epoch, retired
-	sh.snap.Store(u.nextState(cur, epoch, involved, work))
+	s.snap.Store(nextState(cur, epoch, involved, work))
 	return res, nil
 }
 
@@ -479,9 +479,9 @@ func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
 // the partition is re-cut and a fresh tree built — exactly the groups a
 // rebuild from scratch on the mutated field would produce (the heap order is
 // the geometric linearization, which updates never change). p.ivs is current.
-func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *state, ch *changes) (*state, int, bool, error) {
+func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *partState, ch *changes) (*partState, int, bool, error) {
 	if len(ch.cells) == 0 {
-		return &state{tree: cur.tree, groups: cur.groups}, 0, false, nil
+		return &partState{tree: cur.tree, groups: cur.groups}, 0, false, nil
 	}
 	refs := make([]subfield.CellRef, p.cells)
 	for i := range refs {
@@ -499,19 +499,19 @@ func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *state, ch *
 	}
 	if sameCut {
 		tree, groups, indexPages, err := p.refreshGroups(stage, cur, next)
-		return &state{tree: tree, groups: groups}, indexPages, false, err
+		return &partState{tree: tree, groups: groups}, indexPages, false, err
 	}
 	tree, groups, err := p.indexGroups(stage.ctx, stage.pager, next, 1)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return &state{tree: tree, groups: groups}, tree.PersistedNodes(), true, nil
+	return &partState{tree: tree, groups: groups}, tree.PersistedNodes(), true, nil
 }
 
 // refreshGroups handles the boundary-stable case: group extents are
 // unchanged, so only the groups whose interval or summary drifted are
 // rebuilt, and the R*-tree is patched entry by entry on a hydrated copy.
-func (p *partition) refreshGroups(stage *overlayStage, cur *state, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
+func (p *partition) refreshGroups(stage *overlayStage, cur *partState, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
 	groups := make([]groupMeta, len(cur.groups))
 	copy(groups, cur.groups)
 	var work *rstar.Tree

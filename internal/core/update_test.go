@@ -440,7 +440,7 @@ func TestTiledUpdateMaintainsThroughHook(t *testing.T) {
 	ctx := context.Background()
 	ft, fu := testDEM(t, 16, 0.7), testDEM(t, 16, 0.7)
 	tiledPager, flatPager := newPager(), newPager()
-	tiled, err := buildTiles(ft, tiledPager, BuildOptions{Method: MethodIHilbert, TileSide: 16})
+	tiled, err := buildIx(ft, tiledPager, BuildOptions{Method: MethodIHilbert, TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +448,11 @@ func TestTiledUpdateMaintainsThroughHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tiled.NumTiles() != 1 {
-		t.Fatalf("%d tiles, want the one-tile case", tiled.NumTiles())
+	if len(tiled.Tiles()) != 1 {
+		t.Fatalf("%d tiles, want the one-tile case", len(tiled.Tiles()))
 	}
 	// candidates runs a partition's filter hook and returns what it selected.
-	candidates := func(pager *storage.Pager, p *partition, st *state, q geom.Interval) (int, []pageRun) {
+	candidates := func(pager *storage.Pager, p *partition, st *partState, q geom.Interval) (int, []pageRun) {
 		qc := pager.BeginQuery()
 		defer qc.Release()
 		pr := getProbe()
@@ -484,13 +484,13 @@ func TestTiledUpdateMaintainsThroughHook(t *testing.T) {
 		if want.Regrouped {
 			regroups++
 		}
-		tst, fst := tiled.cur().parts[0], flat.cur()
+		tst, fst := tiled.cur().parts[0], flat.cur().parts[0]
 		if !reflect.DeepEqual(tst.groups, fst.groups) {
 			t.Fatalf("batch %d: the tile has %d subfields, the untiled index %d, or they differ", batch, len(tst.groups), len(fst.groups))
 		}
 		for _, q := range convergenceQueries(fu, 400+batch) {
-			tg, truns := candidates(tiledPager, tiled.tiles[0].partition, tst, q)
-			fg, fruns := candidates(flatPager, flat.partition, fst, q)
+			tg, truns := candidates(tiledPager, tiled.parts[0], tst, q)
+			fg, fruns := candidates(flatPager, flat.parts[0], fst, q)
 			if tg != fg || !reflect.DeepEqual(truns, fruns) {
 				t.Fatalf("batch %d %v: the tile's tree selects %d subfields in runs %v, the untiled tree %d in %v", batch, q, tg, truns, fg, fruns)
 			}

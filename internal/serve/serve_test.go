@@ -22,7 +22,7 @@ import (
 
 // testField builds a small deterministic live database ("terrain") plus a
 // read-only stored index of the same field ("frozen"), served together.
-func testServer(t *testing.T, cfg Config, window time.Duration) (*Server, *httptest.Server, *fielddb.DB) {
+func testServer(t testing.TB, cfg Config, window time.Duration) (*Server, *httptest.Server, *fielddb.DB) {
 	t.Helper()
 	f, err := fielddb.TerrainDEM(32, 5)
 	if err != nil {

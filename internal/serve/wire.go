@@ -654,7 +654,9 @@ func (r *frameReader) resultCore() WireResult {
 	}
 }
 
-// column decodes one length-prefixed packed column of n values.
+// column decodes one length-prefixed packed column of n values. n is the
+// frame's claim: a block too short to hold it is refused before the claim is
+// allocated.
 func (r *frameReader) column(n int) []float64 {
 	blen := r.u32()
 	s := r.take(blen)
@@ -667,6 +669,10 @@ func (r *frameReader) column(n int) []float64 {
 		}
 		return nil
 	}
+	if blen < storage.MinFloatColumnSize(n) {
+		r.err = fmt.Errorf("wire: %d column bytes cannot hold %d values", blen, n)
+		return nil
+	}
 	out := make([]float64, n)
 	if err := storage.DecodeFloatColumn(s, n, out); err != nil {
 		r.err = fmt.Errorf("wire: column decode: %v", err)
@@ -676,18 +682,18 @@ func (r *frameReader) column(n int) []float64 {
 }
 
 // chunkedColumn decodes a sequence of ⌈n/wireGeomChunk⌉ packed columns back
-// into one n-value slice. Counts are attacker-controlled in principle, so
-// the preallocation is capped — a lying count fails bounds checks on the
-// first missing chunk rather than allocating its claim.
+// into one n-value slice. Counts are attacker-controlled in principle, and a
+// value costs at least its 2-bit tag: a count the rest of the frame cannot
+// hold is refused rather than its claim allocated.
 func (r *frameReader) chunkedColumn(n int) []float64 {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	if n < 0 || n > 4*(len(r.b)-r.off) {
+		r.err = fmt.Errorf("wire: %d bytes cannot hold %d values", len(r.b)-r.off, n)
+		return nil
 	}
-	out := make([]float64, 0, capHint)
+	out := make([]float64, 0, n)
 	for off := 0; off < n; off += wireGeomChunk {
 		m := n - off
 		if m > wireGeomChunk {
@@ -718,11 +724,8 @@ func (r *frameReader) geometry() [][][2]float64 {
 	if r.err != nil {
 		return nil
 	}
-	capHint := nrings
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	rings := make([][][2]float64, 0, capHint)
+	rings := make([][][2]float64, 0, nrings) // nrings lengths were decoded: the frame held them
+
 	off := 0
 	for i := 0; i < nrings; i++ {
 		npts := int(uint32(math.Float64bits(lens[i])))

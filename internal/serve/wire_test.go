@@ -30,7 +30,7 @@ func (r *recordingWriter) WriteHeader(code int)        { r.code = code }
 
 // getBin fetches url with the binary Accept header and returns the status,
 // content type, and raw body.
-func getBin(t *testing.T, url string) (int, string, []byte) {
+func getBin(t testing.TB, url string) (int, string, []byte) {
 	t.Helper()
 	req, err := http.NewRequest("GET", url, nil)
 	if err != nil {
@@ -50,7 +50,7 @@ func getBin(t *testing.T, url string) (int, string, []byte) {
 }
 
 // postBin posts body to url with the binary Accept header.
-func postBin(t *testing.T, url, body string) (int, []byte) {
+func postBin(t testing.TB, url, body string) (int, []byte) {
 	t.Helper()
 	req, err := http.NewRequest("POST", url, strings.NewReader(body))
 	if err != nil {

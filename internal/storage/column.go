@@ -22,7 +22,8 @@ func EncodeFloatColumn(dst []byte, vals []float64) int {
 
 // DecodeFloatColumn decodes a column block of n entries from src into
 // out[:n]. src may extend past the column's end (the header bounds every
-// read); out must hold at least n entries.
+// read). Bytes and count may both be lies: a block too short for n entries, a
+// corrupt header, n < 1 or an out shorter than n is an error, never a panic.
 func DecodeFloatColumn(src []byte, n int, out []float64) error {
 	return decodeColumn(src, n, out)
 }
@@ -35,4 +36,14 @@ func MaxFloatColumnSize(n int) int {
 		return packedColHeader
 	}
 	return packedColHeader + (2*(n-1)+7)/8 + 8*(n-1)
+}
+
+// MinFloatColumnSize is the floor twin of MaxFloatColumnSize: the header and
+// the 2-bit tag array, every residual zero. A decoder handed a count and a
+// block checks the block against it before allocating the count's claim.
+func MinFloatColumnSize(n int) int {
+	if n <= 0 {
+		return packedColHeader
+	}
+	return packedColHeader + (2*(n-1)+7)/8
 }

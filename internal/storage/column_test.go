@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,4 +66,57 @@ func TestFloatColumnTruncated(t *testing.T) {
 	if err := DecodeFloatColumn(buf[:n-(n-packedColHeader)/2], len(vals), out); err == nil {
 		t.Fatal("payload-truncated column decoded")
 	}
+}
+
+// FuzzFloatColumn covers the one column codec behind both FSC2 sidecar pages
+// and the wire's columns. On arbitrary bytes and counts DecodeFloatColumn
+// returns an error or n values, never panicking and never reading past the
+// block it was handed — and it refuses any block shorter than
+// MinFloatColumnSize(n), the check a decoder makes before allocating n's
+// claim. The same bytes read as float64 bit patterns (NaN payloads, signed
+// zeros, whatever they spell) survive encode and decode bit for bit, in an
+// encoding within the size bounds.
+func FuzzFloatColumn(f *testing.F) {
+	f.Add([]byte{}, 0)
+	f.Add([]byte{2, 1, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0xff}, 5)
+	smooth := make([]byte, MaxFloatColumnSize(64))
+	ramp := make([]float64, 64)
+	for i := range ramp {
+		ramp[i] = 100 + 0.25*float64(i)
+	}
+	f.Add(smooth[:EncodeFloatColumn(smooth, ramp)], 64)
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		if n = n % 4096; n > 0 {
+			// Exactly the block, capacity clipped: a read past it would panic.
+			block := append(make([]byte, 0, len(data)), data...)
+			err := DecodeFloatColumn(block, n, make([]float64, n))
+			if err == nil && len(data) < MinFloatColumnSize(n) {
+				t.Fatalf("decoded %d values from %d bytes, below the %d-byte floor", n, len(data), MinFloatColumnSize(n))
+			}
+		} else if DecodeFloatColumn(data, n, nil) == nil {
+			t.Fatalf("decoded a column of %d values", n)
+		}
+
+		vals := make([]float64, len(data)/8)
+		if len(vals) == 0 {
+			return
+		}
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		buf := make([]byte, MaxFloatColumnSize(len(vals)))
+		size := EncodeFloatColumn(buf, vals)
+		if size < MinFloatColumnSize(len(vals)) || size > len(buf) {
+			t.Fatalf("%d values encoded in %d bytes, outside [%d, %d]", len(vals), size, MinFloatColumnSize(len(vals)), len(buf))
+		}
+		out := make([]float64, len(vals))
+		if err := DecodeFloatColumn(buf[:size], len(vals), out); err != nil {
+			t.Fatalf("decode of an encoded column: %v", err)
+		}
+		for i, v := range vals {
+			if math.Float64bits(out[i]) != math.Float64bits(v) {
+				t.Fatalf("value %d: %x came back %x", i, math.Float64bits(v), math.Float64bits(out[i]))
+			}
+		}
+	})
 }

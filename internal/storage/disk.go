@@ -230,6 +230,10 @@ func (d *FileDisk) Alloc() (PageID, error) {
 	return id, nil
 }
 
+// Sync flushes the file's pages to stable storage: the step between writing
+// a file and renaming it into place.
+func (d *FileDisk) Sync() error { return d.f.Sync() }
+
 // Close implements Disk.
 func (d *FileDisk) Close() error { return d.f.Close() }
 

@@ -653,6 +653,9 @@ func encodeColumn(dst []byte, vals []float64) int {
 
 // decodeColumn decodes a column block of n entries into out[:n].
 func decodeColumn(src []byte, n int, out []float64) error {
+	if n < 1 || n > len(out) {
+		return errors.New("column count out of range")
+	}
 	if len(src) < packedColHeader {
 		return errors.New("column block truncated")
 	}
