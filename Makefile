@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate fuzz-smoke bench-compare loc
+.PHONY: check build vet fmt test race cover alloc-gate fuzz-smoke bench-compare bench-pairs loc
 
 check: build vet fmt race cover alloc-gate fuzz-smoke bench-compare
 
@@ -67,6 +67,16 @@ BENCH_NEW ?= /tmp/fielddb-bench-new.json
 bench-compare:
 	$(GO) run ./cmd/fieldbench -bench-json $(BENCH_NEW)
 	$(GO) run ./cmd/fieldbench -compare -tolerance 0.02 BENCH_BASELINE.json $(BENCH_NEW)
+
+# Paired wall-clock runs of one benchmark workload, commit $(PARENT) against the
+# working tree: N pairs through benchmark/run.sh on seeds 1..N, alternating
+# which side runs first; prints each side's median and quartiles and the pairs
+# won per end-to-end metric (scripts/bench-pairs.sh). N=10 takes ~8 minutes.
+PARENT ?= HEAD
+W ?= tiled-stored
+N ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(W) $(N)
 
 # The three line counts ROADMAP and CHANGES quote, over tracked files: non-test
 # Go outside benchmark/, test Go outside benchmark/, and benchmark/.

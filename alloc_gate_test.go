@@ -41,21 +41,28 @@ func TestAllocCeilings(t *testing.T) {
 	tiled := func(f field.Field, p *storage.Pager) (core.Index, error) {
 		return core.Build(context.Background(), f, p, core.BuildOptions{Method: core.MethodLinearScan, TileSide: 64, Codec: storage.SidecarCodecPacked})
 	}
+	// The pool=256 rows are the miss path: a pool smaller than one scan, so
+	// every query evicts and refills it, and the ceiling bounds what a pool miss
+	// allocates — something per run, nothing per page: frames come back off the
+	// freelist.
 	for _, c := range []struct {
 		name    string
 		build   func(field.Field, *storage.Pager) (core.Index, error)
+		pool    int
 		workers int
 		ceiling float64
 	}{
-		{"I-Hilbert", specs["I-Hilbert"].Build, 1, 320},            // 154
-		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 4, 3500}, // 1568
-		{"I-All", specs["I-All"].Build, 1, 400},                    // 165
-		{"LinearScan", specs["LinearScan"].Build, 1, 400},          // 149
-		{"Tiled-LinearScan", tiled, 1, 1000},                       // 515
-		{"Tiled-LinearScan/workers=4", tiled, 4, 1400},             // 699
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, 320},            // 154
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, 2300}, // 1129
+		{"I-All", specs["I-All"].Build, 1 << 16, 1, 400},                    // 165
+		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, 400},          // 149
+		{"Tiled-LinearScan", tiled, 1 << 16, 1, 540},                        // 269
+		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, 920},              // 456
+		{"Tiled-LinearScan/pool=256", tiled, 256, 1, 460},                   // 228
+		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, 950},         // 473
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
+			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, c.pool)
 			idx, err := c.build(f, pager)
 			if err != nil {
 				t.Fatal(err)

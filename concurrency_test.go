@@ -116,50 +116,74 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 }
 
 // TestParallelRefinementDeterministic checks the acceptance bar for the
-// worker pool: on a refinement-heavy query, Workers = 8 must return
-// byte-identical regions, the same area, and identical per-query I/O
-// statistics as the sequential execution.
+// worker pool: on a refinement-heavy query, Workers = 8 must return the very
+// Result of the sequential execution — byte-identical regions, the same area,
+// matched-cell area and per-query I/O statistics — and the same exact
+// aggregate. A DEM's cells all have one area, so the order MatchedCellArea is
+// summed in only shows on the TIN.
 func TestParallelRefinementDeterministic(t *testing.T) {
 	dem, err := TerrainDEM(256, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(dem, Options{})
+	tn, err := NoiseTIN(3000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr := dem.ValueRange()
-	queries := [][2]float64{
-		{vr.Lo + vr.Length()*0.30, vr.Lo + vr.Length()*0.55}, // wide: many runs
-		{vr.Lo + vr.Length()*0.48, vr.Lo + vr.Length()*0.52},
-		{vr.Lo + vr.Length()*0.10, vr.Lo + vr.Length()*0.12},
-	}
-	for _, q := range queries {
-		db.SetWorkers(1)
-		seq, err := db.ValueQuery(q[0], q[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.SetWorkers(8)
-		par, err := db.ValueQuery(q[0], q[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.Regions, par.Regions) {
-			t.Errorf("query %v: parallel regions differ from sequential", q)
-		}
-		if seq.Area != par.Area {
-			t.Errorf("query %v: area %v (seq) != %v (par)", q, seq.Area, par.Area)
-		}
-		if seq.IO != par.IO {
-			t.Errorf("query %v: IO %+v (seq) != %+v (par)", q, seq.IO, par.IO)
-		}
-		if seq.CellsMatched != par.CellsMatched || seq.CellsFetched != par.CellsFetched {
-			t.Errorf("query %v: cell counters differ: seq %d/%d par %d/%d", q,
-				seq.CellsFetched, seq.CellsMatched, par.CellsFetched, par.CellsMatched)
-		}
-		if seq.CellsMatched == 0 {
-			t.Errorf("query %v matched nothing; not a refinement test", q)
-		}
+	for name, f := range map[string]Field{"dem": dem, "tin": tn} {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(f, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			ctx := context.Background()
+			vr := f.ValueRange()
+			queries := [][2]float64{
+				{vr.Lo + vr.Length()*0.30, vr.Lo + vr.Length()*0.55}, // wide: many runs
+				{vr.Lo + vr.Length()*0.48, vr.Lo + vr.Length()*0.52},
+				{vr.Lo + vr.Length()*0.10, vr.Lo + vr.Length()*0.12},
+			}
+			for _, q := range queries {
+				db.SetWorkers(1)
+				seq, err := db.ValueQuery(q[0], q[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				seqAgg, err := db.ApproxAggregateContext(ctx, q[0], q[1], 1e-12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.SetWorkers(8)
+				par, err := db.ValueQuery(q[0], q[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				parAgg, err := db.ApproxAggregateContext(ctx, q[0], q[1], 1e-12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seq.Regions, par.Regions) {
+					t.Errorf("query %v: parallel regions differ from sequential", q)
+				}
+				if seq.Area != par.Area {
+					t.Errorf("query %v: area %v (seq) != %v (par)", q, seq.Area, par.Area)
+				}
+				if seq.MatchedCellArea != par.MatchedCellArea {
+					t.Errorf("query %v: matched-cell area %v (seq) != %v (par)", q, seq.MatchedCellArea, par.MatchedCellArea)
+				}
+				if !parAgg.Fallback || seqAgg.Area != parAgg.Area || parAgg.Area != seq.MatchedCellArea {
+					t.Errorf("query %v: exact aggregate area %v (seq) != %v (par), matched-cell area %v (fallback %v)",
+						q, seqAgg.Area, parAgg.Area, seq.MatchedCellArea, parAgg.Fallback)
+				}
+				if !reflect.DeepEqual(seq, par) {
+					t.Errorf("query %v: parallel result differs from sequential (counters %d/%d/%d vs %d/%d/%d, IO %+v vs %+v)", q,
+						seq.CandidateGroups, seq.CellsFetched, seq.CellsMatched, par.CandidateGroups, par.CellsFetched, par.CellsMatched, seq.IO, par.IO)
+				}
+				if seq.CellsMatched == 0 {
+					t.Errorf("query %v matched nothing; not a refinement test", q)
+				}
+			}
+		})
 	}
 }

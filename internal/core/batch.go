@@ -85,7 +85,7 @@ type batchMember struct {
 	start   time.Time
 	res     *Result
 	rs      resultSink // refines into res
-	sink    sink       // where the member's survivors go: &rs, or a tile arena
+	sink    sink       // where the member's survivors go: &rs, or its partial of the tile being scanned
 	err     error
 	started bool // startQuery ran (false only for empty-interval members)
 
@@ -599,7 +599,7 @@ func (p *partition) filterShared(ms []batchMember, in []bool, phys *storage.Quer
 			bb.qlo[i], bb.qhi[i] = math.NaN(), math.NaN()
 		}
 	}
-	err := p.sidecar.ScanRange(phys, 0, p.cells, func(base int, lo, hi []float64) bool {
+	err := p.sidecar.ScanRangeScratch(phys, 0, p.cells, &bb.cols, func(base int, lo, hi []float64) bool {
 		field.FilterIntervalsMulti(bb.pos, int32(base), lo, hi, bb.qlo, bb.qhi)
 		live := 0
 		for i := range ms {

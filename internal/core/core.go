@@ -35,10 +35,11 @@
 // (aggregate.go), the single-cell fetch, the file save (catalog.go). Only the
 // read pipeline comes in two shapes, each what its workload needs: one
 // partition refines as it fetches — candidates, fetch, refine straight into
-// the Result (query.go) — while tiles prune on their summaries, scatter their
-// survivors into arenas and gather them in field-id order (tiled.go). Both
-// ask the method for candidates and fetch them through the same two loops
-// (fetch.go): ascending heap positions, or merged runs of heap pages.
+// the Result (query.go) — while tiles prune on their summaries, refine their
+// survivors where they are scanned, each tile into a partial of its own, and
+// gather the partials by a merge in field-id order (tiled.go). Both ask the
+// method for candidates and fetch them through the same two loops (fetch.go):
+// ascending heap positions, or merged runs of heap pages.
 //
 // The cells are stored once. The conventional query of §2.2.1 (spatial.go) is
 // a second access path into the same cell file: a 2-D R*-tree of cell ids on a
@@ -239,26 +240,28 @@ const (
 	maxRegionChunk = 8192
 )
 
-// estimateMatched computes the exact answer geometry of one cell whose
-// interval already matched the query. The band kernel appends each region's
-// vertices to the sink's current chunk and Regions gets a sub-slice capped at
-// the region's end, so appending to a region copies it instead of running
-// into its neighbour. The chunks belong to the Result from then on: they are
-// never reused, for another query or otherwise.
-func (rs *resultSink) estimateMatched(c *field.Cell) {
-	res, q := rs.res, rs.res.Query
-	res.CellsMatched++
-	res.MatchedCellArea += c.Area()
-	if q.Length() == 0 {
-		res.Isolines = append(res.Isolines, field.Isolines(c, q.Lo)...)
-		return
-	}
+// regionStore owns the vertex storage behind a set of answer regions (chunk is
+// the piece being filled). It can live neither on Result — whole Results are
+// compared with reflect.DeepEqual across execution paths that chunk differently
+// — nor in a pool: callers keep Regions.
+type regionStore struct{ chunk []geom.Point }
+
+// band computes the exact answer geometry of one cell whose interval already
+// matched q, a band of positive width: it appends the cell's regions — at most
+// two — to dst and returns their areas in the same order. The band kernel
+// appends each region's vertices to the store's current chunk and dst gets a
+// sub-slice capped at the region's end, so appending to a region copies it
+// instead of running into its neighbour. The chunks belong to the regions from
+// then on: they are never reused, for another query or otherwise.
+func (rs *regionStore) band(dst []geom.Polygon, c *field.Cell, q geom.Interval) ([]geom.Polygon, [2]float64) {
 	if cap(rs.chunk)-len(rs.chunk) < band.MaxCellVertices {
 		rs.chunk = make([]geom.Point, 0, min(max(2*cap(rs.chunk), minRegionChunk), maxRegionChunk))
 	}
 	start := len(rs.chunk)
 	pts, first := field.AppendBand(rs.chunk, c, q.Lo, q.Hi)
 	kept := start
+	var areas [2]float64
+	n := 0
 	for _, end := range [2]int{start + first, len(pts)} {
 		pg := geom.Polygon(pts[start:end:end])
 		start = end
@@ -269,11 +272,32 @@ func (rs *resultSink) estimateMatched(c *field.Cell) {
 		if a <= 1e-12 {
 			continue
 		}
-		res.Regions = append(res.Regions, pg)
-		res.Area += a
+		dst = append(dst, pg)
+		areas[n] = a
+		n++
 		kept = end
 	}
 	rs.chunk = pts[:kept]
+	return dst, areas
+}
+
+// estimateMatched folds one cell whose interval already matched the query
+// straight into the Result: the counters, the cell's own area, and its answer
+// geometry with the regions' areas added left to right.
+func (rs *resultSink) estimateMatched(c *field.Cell) {
+	res, q := rs.res, rs.res.Query
+	res.CellsMatched++
+	res.MatchedCellArea += c.Area()
+	if q.Length() == 0 {
+		res.Isolines = append(res.Isolines, field.Isolines(c, q.Lo)...)
+		return
+	}
+	n := len(res.Regions)
+	var areas [2]float64
+	res.Regions, areas = rs.band(res.Regions, c, q)
+	for _, a := range areas[:len(res.Regions)-n] {
+		res.Area += a
+	}
 }
 
 // writeCellsStride is how many cells construction writes between

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"fmt"
+	"slices"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -31,7 +33,7 @@ func mergeRuns[T ~int | ~uint32](runs []run[T]) []run[T] {
 	if len(runs) == 0 {
 		return runs
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].first < runs[j].first })
+	slices.SortFunc(runs, func(a, b run[T]) int { return cmp.Compare(a.first, b.first) })
 	merged := runs[:1]
 	for _, r := range runs[1:] {
 		last := &merged[len(merged)-1]
@@ -75,14 +77,11 @@ type sink interface {
 	add(s *survivor) error
 }
 
-// resultSink refines each survivor into a Result: the full decode plus the
-// answer geometry of estimateMatched. It owns the vertex storage behind
-// res.Regions (chunk is the piece being filled), which can live neither on
-// Result — whole Results are compared with reflect.DeepEqual across execution
-// paths that chunk differently — nor in a pool: callers keep Regions.
+// resultSink refines each survivor straight into a Result: the full decode
+// plus the fold of estimateMatched, in the order the fetch hands them over.
 type resultSink struct {
-	res   *Result
-	chunk []geom.Point
+	res *Result
+	regionStore
 }
 
 func (rs *resultSink) add(s *survivor) error {
@@ -92,6 +91,205 @@ func (rs *resultSink) add(s *survivor) error {
 	}
 	rs.estimateMatched(c)
 	return nil
+}
+
+// partial is the sink of a fetch whose survivors fold into the Result later,
+// in an order the fetch does not know: one tile of a tiled query, one page run
+// of a parallel refinement. It refines each survivor where the fetch runs — on
+// the worker, straight from the page — into regions over vertex chunks of its
+// own, and keeps one entry per survivor with everything the fold adds up, so
+// gather touches no record and no vertex.
+type partial struct {
+	q geom.Interval
+	// ids maps the ids of a tile's records to the field's; nil where a record
+	// carries its field id itself.
+	ids []field.CellID
+	regionStore
+	cells []refined
+	// regions (or isolines, for a zero-width query) holds the cells' answer
+	// pieces back to back, in the order of cells.
+	regions  []geom.Polygon
+	isolines [][2]geom.Point
+	// unordered records that some survivor arrived below its predecessor's
+	// field id: the heap order of the tile is not the field's.
+	unordered bool
+}
+
+// refined is one matched cell of a partial: its id in the field, where its
+// answer pieces start and how many they are, its planar area and, in order,
+// the areas of its regions — a cell has two at most.
+type refined struct {
+	id       field.CellID
+	first, n int32
+	area     float64
+	areas    [2]float64
+}
+
+// reserve sizes the partial for the n survivors its fetch is about to hand it —
+// the positions a filter selected, or an estimate — so that filling it
+// allocates once and not per doubling.
+func (p *partial) reserve(n int) {
+	p.cells = make([]refined, 0, n)
+	if p.q.Length() > 0 {
+		p.regions = make([]geom.Polygon, 0, n)
+	}
+}
+
+func (p *partial) add(s *survivor) error {
+	c, err := s.cell()
+	if err != nil {
+		return err
+	}
+	e := refined{id: c.ID, area: c.Area()}
+	if p.ids != nil {
+		if int(c.ID) >= len(p.ids) {
+			return fmt.Errorf("core: record id %d outside its %d-cell tile", c.ID, len(p.ids))
+		}
+		e.id = p.ids[c.ID]
+	}
+	if n := len(p.cells); n > 0 && e.id < p.cells[n-1].id {
+		p.unordered = true
+	}
+	if p.q.Length() == 0 {
+		e.first = int32(len(p.isolines))
+		p.isolines = append(p.isolines, field.Isolines(c, p.q.Lo)...)
+		e.n = int32(len(p.isolines)) - e.first
+	} else {
+		e.first = int32(len(p.regions))
+		p.regions, e.areas = p.band(p.regions, c, p.q)
+		e.n = int32(len(p.regions)) - e.first
+	}
+	p.cells = append(p.cells, e)
+	return nil
+}
+
+// sortByID puts the partial in ascending field-id order — where the fetch did
+// not deliver it so — moving the answer pieces along, so that any run of cells
+// still owns one run of pieces. It runs on the worker that filled the partial.
+func (p *partial) sortByID() {
+	if !p.unordered {
+		return
+	}
+	slices.SortFunc(p.cells, func(a, b refined) int { return cmp.Compare(a.id, b.id) })
+	regions := make([]geom.Polygon, 0, len(p.regions))
+	isolines := make([][2]geom.Point, 0, len(p.isolines))
+	for i := range p.cells {
+		e := &p.cells[i]
+		from, to := e.first, e.first+e.n
+		if p.q.Length() == 0 {
+			e.first = int32(len(isolines))
+			isolines = append(isolines, p.isolines[from:to]...)
+		} else {
+			e.first = int32(len(regions))
+			regions = append(regions, p.regions[from:to]...)
+		}
+	}
+	p.regions, p.isolines, p.unordered = regions, isolines, false
+}
+
+// fold adds cells [from, to) of the partial to res exactly as estimateMatched
+// would have, one after another: the same counters, the same float additions in
+// the same order.
+func (p *partial) fold(res *Result, from, to int) {
+	if from == to {
+		return
+	}
+	res.CellsMatched += to - from
+	last := p.cells[to-1]
+	lo, hi := p.cells[from].first, last.first+last.n
+	if p.q.Length() == 0 {
+		for _, e := range p.cells[from:to] {
+			res.MatchedCellArea += e.area
+		}
+		res.Isolines = append(res.Isolines, p.isolines[lo:hi]...)
+		return
+	}
+	for i := from; i < to; i++ {
+		e := &p.cells[i]
+		res.MatchedCellArea += e.area
+		for _, a := range e.areas[:e.n] {
+			res.Area += a
+		}
+	}
+	res.Regions = append(res.Regions, p.regions[lo:hi]...)
+}
+
+// gather folds the partials into res: one after another as they stand — the
+// page runs of one partition, in run order — or, with byID, all of them
+// together in ascending field-id order, which is the order an untiled scan
+// visits matching cells in. That is a k-way merge: every partial ascends
+// (sortByID saw to it) and a cell belongs to one tile, so ids never tie; the heap
+// holds each partial's next cell, and the partial on top folds every cell it
+// has below the runner-up's — whole row segments of a grid tile at a time.
+func gather(res *Result, parts []partial, byID bool) {
+	regions, isolines := 0, 0
+	for i := range parts {
+		regions += len(parts[i].regions)
+		isolines += len(parts[i].isolines)
+	}
+	// Exact capacities; a Result without regions keeps its nil slice, as a
+	// direct fold leaves it.
+	if regions > 0 {
+		res.Regions = make([]geom.Polygon, 0, regions)
+	}
+	if isolines > 0 {
+		res.Isolines = make([][2]geom.Point, 0, isolines)
+	}
+	if !byID {
+		for i := range parts {
+			parts[i].fold(res, 0, len(parts[i].cells))
+		}
+		return
+	}
+	type cursor struct {
+		cells []refined // what is left of the partial; never empty
+		p     *partial
+	}
+	h := make([]cursor, 0, len(parts))
+	for i := range parts {
+		if p := &parts[i]; len(p.cells) > 0 {
+			h = append(h, cursor{p.cells, p})
+		}
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && h[c+1].cells[0].id < h[c].cells[0].id {
+				c++
+			}
+			if h[i].cells[0].id < h[c].cells[0].id {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		top := &h[0]
+		n := len(top.cells)
+		if len(h) > 1 {
+			// The runner-up is one of the root's children.
+			next := h[1].cells[0].id
+			if len(h) > 2 && h[2].cells[0].id < next {
+				next = h[2].cells[0].id
+			}
+			for n = 1; n < len(top.cells) && top.cells[n].id < next; n++ {
+			}
+		}
+		from := len(top.p.cells) - len(top.cells)
+		top.p.fold(res, from, from+n)
+		if top.cells = top.cells[n:]; len(top.cells) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 }
 
 // fetchCancelStride is how many survivor records a position fetch processes

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fielddb/internal/field"
 	"fielddb/internal/obs"
@@ -28,8 +28,7 @@ func (p *partition) cellCandidates(st *partState, pr *probe) error {
 	}
 	pr.filter = pr.end()
 	pr.groups = len(pr.pos)
-	pos := pr.pos
-	sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
+	slices.Sort(pr.pos)
 	return nil
 }
 

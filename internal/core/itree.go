@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -78,7 +78,7 @@ func (ix *ITree) Query(q geom.Interval) (*Result, error) {
 	})
 	// Fetch in id order: cells are stored in natural order, so sorting
 	// turns scattered fetches into mostly-forward page access.
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	slices.Sort(candidates)
 	res.CandidateGroups = len(candidates)
 	rs := resultSink{res: res}
 	var c field.Cell

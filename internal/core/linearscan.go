@@ -13,7 +13,7 @@ import (
 func (p *partition) sidecarCandidates(_ *partState, pr *probe) error {
 	pr.begin(obs.PhaseSidecar)
 	var scanErr error
-	err := p.sidecar.ScanRange(pr.qc, 0, p.cells, func(base int, lo, hi []float64) bool {
+	err := p.sidecar.ScanRangeScratch(pr.qc, 0, p.cells, &pr.cols, func(base int, lo, hi []float64) bool {
 		pr.pos = field.FilterIntervals(pr.pos, int32(base), lo, hi, pr.q.Lo, pr.q.Hi)
 		scanErr = pr.ctx.Err()
 		return scanErr == nil

@@ -87,7 +87,7 @@ func (p *partition) statsAt(st *partState) IndexStats {
 }
 
 // probe is one call of a candidates hook: what to search and charge, and the
-// candidates found. Probes are pooled; pos, sel and the probe itself are
+// candidates found. Probes are pooled; pos, sel, cols and the probe itself are
 // reused across queries, so the filter step allocates nothing that grows with
 // the candidate count in steady state.
 type probe struct {
@@ -109,8 +109,9 @@ type probe struct {
 	filter       storage.Stats
 	sidecarReads int
 
-	before storage.Stats // qc's activity when the open step began
-	sel    []int         // tree-visit scratch
+	before storage.Stats         // qc's activity when the open step began
+	sel    []int                 // tree-visit scratch
+	cols   storage.ColumnScratch // sidecar-scan scratch
 }
 
 var probePool = sync.Pool{New: func() any { return new(probe) }}
@@ -124,7 +125,7 @@ func putProbe(pr *probe) {
 
 // reset readies the probe for one hook call, keeping its buffers.
 func (pr *probe) reset(ctx context.Context, qc *storage.QueryCtx, q geom.Interval, traced bool) {
-	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], sel: pr.sel[:0]}
+	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], sel: pr.sel[:0], cols: pr.cols}
 }
 
 // begin opens one step of the filter under phase ph; end closes it and returns

@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"fielddb/internal/storage"
 )
 
 // parallelDo runs fn(i) for every i in [0, n) on a bounded pool of at most
@@ -88,9 +90,10 @@ type batchBuf struct {
 	pos  [][]int32 // per-member survivor/candidate positions
 	qlo  []float64 // per-member query bounds (NaN marks a dead member)
 	qhi  []float64
-	cov  []bool    // per-member page-coverage flags (run-based demux)
-	runs []pageRun // union page-index runs
-	prs  []physRun // union PageID runs
+	cov  []bool                // per-member page-coverage flags (run-based demux)
+	runs []pageRun             // union page-index runs
+	prs  []physRun             // union PageID runs
+	cols storage.ColumnScratch // the shared sidecar pass's scratch
 }
 
 func getBatchBuf(k int) *batchBuf {

@@ -95,29 +95,27 @@ func (e *engine) refine(ctx context.Context, qc *storage.QueryCtx, p *partition,
 		res.CellsFetched += n
 		return err
 	}
-	partials := make([]*Result, len(pr.runs))
-	err := e.scatter(ctx, qc, workers, len(pr.runs), func(i int, child *storage.QueryCtx) error {
-		part := &Result{Query: res.Query}
-		n, err := scanRuns(ctx, child, p.heap, pr.runs[i:i+1], res.Query, &resultSink{res: part})
-		part.CellsFetched = n
-		partials[i] = part
+	parts := make([]partial, len(pr.runs))
+	fetched := make([]int, len(pr.runs))
+	// A run is sized for the records its pages hold on average: most runs are a
+	// page or two, and a partial that doubles its way there costs more
+	// allocations than the cells it ends up holding.
+	perPage := (p.heap.Count() + p.heap.NumPages() - 1) / p.heap.NumPages()
+	err := e.scatter(ctx, qc, workers, len(pr.runs), func(i int, child *storage.QueryCtx) (err error) {
+		parts[i].q = res.Query
+		parts[i].reserve((pr.runs[i].last - pr.runs[i].first + 1) * perPage)
+		fetched[i], err = scanRuns(ctx, child, p.heap, pr.runs[i:i+1], res.Query, &parts[i])
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	// Partial results are folded back in run order, and the area is
-	// re-accumulated as the same left-to-right fold the sequential path
-	// performs — so Regions, Area and Stats are all byte-identical.
-	for _, part := range partials {
-		res.CellsFetched += part.CellsFetched
-		res.CellsMatched += part.CellsMatched
-		res.MatchedCellArea += part.MatchedCellArea
-		res.Regions = append(res.Regions, part.Regions...)
-		res.Isolines = append(res.Isolines, part.Isolines...)
+	// The runs fold back in run order through the fold the sequential path
+	// performs cell by cell — so Regions, Area, MatchedCellArea and Stats are
+	// all byte-identical to it.
+	for _, n := range fetched {
+		res.CellsFetched += n
 	}
-	for _, pg := range res.Regions {
-		res.Area += pg.Area()
-	}
+	gather(res, parts, false)
 	return nil
 }

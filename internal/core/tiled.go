@@ -23,14 +23,16 @@ import (
 //   - Scatter: the residual tiles are scanned through the tile's own index
 //     (sidecar filter for LinearScan tiles, subfield tree + run scan for the
 //     partitioned families), optionally in parallel on the sharded worker
-//     pool. Each tile scan collects its surviving cell records — raw bytes —
-//     into an arena keyed by the parent field's natural cell id.
-//   - Gather: survivors from all tiles are folded in ascending parent cell id
-//     order. That is exactly the order an untiled LinearScan visits matching
-//     cells, and the matching set itself is method-independent, so every
-//     tiled configuration answers byte-identically to the untiled scan —
-//     Regions, Isolines, Area and CellsMatched — while reading only the
-//     residual tiles' pages.
+//     pool. Each tile scan refines its survivors as it meets them — the decode,
+//     the band polygons — into a partial of its own, keyed by the parent
+//     field's natural cell id.
+//   - Gather: the partials are merged in ascending parent cell id order, region
+//     headers and area sums only. That is exactly the order an untiled
+//     LinearScan visits matching cells, and the matching set itself is
+//     method-independent, so every tiled configuration answers
+//     byte-identically to the untiled scan — Regions, Isolines, Area,
+//     MatchedCellArea and CellsMatched — while reading only the residual
+//     tiles' pages.
 //
 // Updates route each affected cell to its owning tile and commit every
 // tile's page overlays as ONE storage epoch, so concurrent readers never see
@@ -220,72 +222,6 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 	return out
 }
 
-// survivorRef locates one surviving record inside a tileArena, keyed by the
-// parent field's natural cell id — the gather step's sort key.
-type survivorRef struct {
-	parent   field.CellID
-	off, end int32
-}
-
-// tileArena is the tile pipeline's sink: it accumulates the surviving cell
-// records of the tile scans feeding it as raw bytes. The records are copied
-// (the fetch loops reuse their buffers), so the arena outlives the scans and
-// the gather step can fold survivors from every tile in one globally sorted
-// pass. ids is the parent-id list of the tile being scanned: a tile stores
-// its cells under local ids, so the id read from the record maps it back.
-type tileArena struct {
-	ids  []field.CellID
-	buf  []byte
-	refs []survivorRef
-}
-
-func (a *tileArena) add(s *survivor) error {
-	local, err := field.CellIDFromRecord(s.rec)
-	if err != nil {
-		return err
-	}
-	if int(local) >= len(a.ids) {
-		return fmt.Errorf("core: record id %d outside its %d-cell tile", local, len(a.ids))
-	}
-	off := len(a.buf)
-	a.buf = append(a.buf, s.rec...)
-	a.refs = append(a.refs, survivorRef{parent: a.ids[local], off: int32(off), end: int32(len(a.buf))})
-	return nil
-}
-
-func (a *tileArena) rec(i int) []byte { return a.buf[a.refs[i].off:a.refs[i].end] }
-
-// gatherArenas folds the survivors of every arena into res in ascending
-// parent cell id order — the untiled LinearScan's fold order. Cells belong
-// to exactly one tile, so parent ids never tie across arenas.
-func gatherArenas(res *Result, arenas []tileArena) error {
-	type slot struct {
-		parent field.CellID
-		ai     int32
-		ri     int32
-	}
-	n := 0
-	for i := range arenas {
-		n += len(arenas[i].refs)
-	}
-	slots := make([]slot, 0, n)
-	for ai := range arenas {
-		for ri, ref := range arenas[ai].refs {
-			slots = append(slots, slot{parent: ref.parent, ai: int32(ai), ri: int32(ri)})
-		}
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i].parent < slots[j].parent })
-	rs := resultSink{res: res}
-	var c field.Cell
-	for _, sl := range slots {
-		if err := field.DecodeCell(arenas[sl.ai].rec(int(sl.ri)), &c); err != nil {
-			return err
-		}
-		rs.estimateMatched(&c)
-	}
-	return nil
-}
-
 // queryTiles runs the scatter-gather pipeline against one pinned state on qc,
 // the query's context.
 func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval) (*Result, error) {
@@ -312,7 +248,7 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		return res, nil
 	}
 
-	arenas := make([]tileArena, len(residual))
+	parts := make([]partial, len(residual))
 	filterReads, sidecarReads := 0, 0
 	if workers := e.fanout(len(residual)); workers == 1 {
 		// Sequential scatter: one PhaseTileScan span per residual tile, so a
@@ -322,7 +258,7 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 				return nil, err
 			}
 			qc.BeginSpan(obs.PhaseTileScan)
-			fr, sr, err := e.scanTile(ctx, qc, st, ti, q, &arenas[i])
+			fr, sr, err := e.scanTile(ctx, qc, st, ti, q, &parts[i])
 			if err != nil {
 				return nil, err
 			}
@@ -332,12 +268,13 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		}
 	} else {
 		// Parallel scatter: whole tiles on the worker pool under one combined
-		// span. Arena collection makes the fold order independent of
-		// completion order, so the answer is identical to the sequential path.
+		// span. Each tile refines into its own partial, so the fold order is
+		// independent of completion order and the answer identical to the
+		// sequential path's.
 		qc.BeginSpan(obs.PhaseTileScan)
 		reads := make([][2]int, len(residual))
 		err := e.scatter(ctx, qc, workers, len(residual), func(i int, child *storage.QueryCtx) (err error) {
-			reads[i][0], reads[i][1], err = e.scanTile(ctx, child, st, residual[i], q, &arenas[i])
+			reads[i][0], reads[i][1], err = e.scanTile(ctx, child, st, residual[i], q, &parts[i])
 			return err
 		})
 		if err != nil {
@@ -350,12 +287,10 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		qc.EndSpan()
 	}
 
-	// Gather: sort, full decode and refinement of every survivor — CPU only,
-	// so the span's page counts stay zero.
+	// Gather: the merge of the tiles' partials — CPU only, so the span's page
+	// counts stay zero.
 	qc.BeginSpan(obs.PhaseRefine)
-	if err := gatherArenas(res, arenas); err != nil {
-		return nil, err
-	}
+	gather(res, parts, true)
 	qc.EndSpan()
 	res.IO = qc.Stats()
 	e.recordIO(storage.Stats{Reads: filterReads}, sidecarReads, res.IO)
@@ -364,12 +299,12 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 
 // scanTile is the scatter step for one residual tile: the tile's own
 // candidates hook — a sidecar pass, or a subfield tree search — and the fetch
-// of what it found, with the survivors copied into ar under their field ids
-// instead of refined in place. It returns the tile's filter-step (subfield
+// of what it found, each survivor refined into part under its field id, and
+// part left in field-id order. It returns the tile's filter-step (subfield
 // tree) and sidecar page-read counts for metric attribution.
-func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, ti int, q geom.Interval, ar *tileArena) (filterReads, sidecarReads int, err error) {
+func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, ti int, q geom.Interval, part *partial) (filterReads, sidecarReads int, err error) {
 	p := e.parts[ti]
-	ar.ids = p.ids
+	part.q, part.ids = q, p.ids
 	pr := getProbe()
 	defer putProbe(pr)
 	// Untraced: the whole tile runs under the query's tile-scan span.
@@ -377,6 +312,10 @@ func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, 
 	if err := p.candidates(st.parts[ti], pr); err != nil {
 		return 0, 0, err
 	}
-	_, err = p.fetch(ctx, qc, pr, ar)
+	if p.byPos {
+		part.reserve(len(pr.pos))
+	}
+	_, err = p.fetch(ctx, qc, pr, part)
+	part.sortByID()
 	return pr.filter.Reads, pr.sidecarReads, err
 }

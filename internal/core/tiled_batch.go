@@ -9,10 +9,10 @@ import (
 // independently (pure in-memory, per member) but scatter as ONE pass per
 // residual tile — a single sidecar scan evaluates every covering member's
 // predicate and the union of their surviving heap pages is fetched once. Each
-// member's survivors land in that member's own arena and gather in global
-// field-id order afterwards, so the per-member answers — fold order, Area
-// accumulation, Result.IO — stay byte-identical to solo QueryContext calls,
-// exactly the QueryBatch contract.
+// member refines its survivors into a partial per tile and gathers them in
+// global field-id order afterwards, so the per-member answers — fold order,
+// Area accumulation, Result.IO — stay byte-identical to solo QueryContext
+// calls, exactly the QueryBatch contract.
 //
 // The shared pipeline requires LinearScan tiles with sidecars (the only
 // configuration whose filter pass is shareable: one comparison loop serves
@@ -26,19 +26,18 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 	}
 	k := len(ms)
 	// Per-member prune, replayed exactly like solo: one zero-read span per
-	// member, the summary tests in tile order, metrics per query. Each member's
-	// survivors land in its own arena.
+	// member, the summary tests in tile order, metrics per query. Each member
+	// gets one partial per tile it covers.
 	inTile := make([][]bool, len(e.parts))
 	for ti := range inTile {
 		inTile[ti] = make([]bool, k)
 	}
-	arenas := make([]tileArena, k)
+	parts := make([][]partial, k)
 	for i := range ms {
 		m := &ms[i]
 		if !m.live() {
 			continue
 		}
-		m.sink = &arenas[i]
 		m.qc.BeginSpan(obs.PhaseTilePrune)
 		residual := 0
 		for ti, vr := range s.vr {
@@ -50,6 +49,7 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 		m.qc.EndSpan()
 		e.ob.Metrics.RecordTiles(len(e.parts)-residual, residual)
 		m.res.CandidateGroups = residual
+		parts[i] = make([]partial, 0, residual)
 		// Untiled LinearScan semantics, as in the solo path: every cell's
 		// interval is accounted as tested.
 		m.res.CellsFetched = e.cells
@@ -82,7 +82,10 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 				continue
 			}
 			m.pos = bb.pos[i]
-			arenas[i].ids = tl.ids
+			parts[i] = append(parts[i], partial{q: m.q, ids: tl.ids})
+			part := &parts[i][len(parts[i])-1]
+			part.reserve(len(m.pos))
+			m.sink = part
 			m.qc.BeginSpan(obs.PhaseTileScan)
 			m.sidecarReads += tl.chargeSidecar(m.qc)
 			chargePositions(m.qc, tl.rids, m.pos)
@@ -92,18 +95,17 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 		bb.prs = union
 		demuxPositions(phys, tl.rids, ms, mergeRuns(union), true)
 	}
-	// Gather: each member folds its own survivors in global parent-id order —
+	// Gather: each member merges its own partials in global field-id order —
 	// the solo gather, one member at a time, under the refinement span solo
-	// opens for it (finishMembers closes it). A member that pruned every tile
-	// has none, as solo returns before the gather.
+	// opens for it (finishMembers closes it). A sidecar-served scan's survivors
+	// ascend tile by tile, so no partial needs sorting. A member that pruned
+	// every tile has none, as solo returns before the gather.
 	for i := range ms {
 		m := &ms[i]
 		if !m.live() || m.res.CandidateGroups == 0 {
 			continue
 		}
 		m.qc.BeginSpan(obs.PhaseRefine)
-		if err := gatherArenas(m.res, arenas[i:i+1]); err != nil {
-			m.err = err
-		}
+		gather(m.res, parts[i], true)
 	}
 }

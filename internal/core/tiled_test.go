@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fielddb/internal/field"
@@ -24,6 +25,9 @@ func assertSameAnswer(t *testing.T, label string, got, want *Result) {
 	}
 	if got.Area != want.Area {
 		t.Errorf("%s: Area = %v, want %v (not bit-identical)", label, got.Area, want.Area)
+	}
+	if got.MatchedCellArea != want.MatchedCellArea {
+		t.Errorf("%s: MatchedCellArea = %v, want %v (not bit-identical)", label, got.MatchedCellArea, want.MatchedCellArea)
 	}
 	if !reflect.DeepEqual(got.Regions, want.Regions) {
 		t.Errorf("%s: Regions differ (len %d vs %d)", label, len(got.Regions), len(want.Regions))
@@ -111,31 +115,131 @@ func TestTiledIdentityTIN(t *testing.T) {
 }
 
 // TestTiledParallelMatchesSequential: the worker-pool scatter answers
-// byte-identically to the single-threaded one.
+// byte-identically to the single-threaded one, the exact aggregate it feeds
+// included — on a DEM, and on a TIN, whose cells differ in area so that the
+// order MatchedCellArea is summed in shows.
 func TestTiledParallelMatchesSequential(t *testing.T) {
-	f := testDEM(t, 64, 0.7)
-	seq, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16})
-	if err != nil {
-		t.Fatal(err)
+	for name, f := range map[string]field.Field{"dem": testDEM(t, 64, 0.7), "tin": testTIN(t, 900)} {
+		t.Run(name, func(t *testing.T) {
+			ix, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range tiledTestQueries(f) {
+				ix.SetWorkers(1)
+				want, err := ix.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantAgg, err := ix.AggregateContext(context.Background(), q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix.SetWorkers(4)
+				got, err := ix.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v: workers=4 result diverges from workers=1\nseq: %+v\npar: %+v", q, want, got)
+				}
+				gotAgg, err := ix.AggregateContext(context.Background(), q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The summary answers an empty band itself; every other query
+				// falls back to the exact pipeline.
+				if gotAgg.Area != wantAgg.Area || gotAgg.Fallback != (want.CellsMatched > 0) ||
+					(gotAgg.Fallback && gotAgg.Area != want.MatchedCellArea) {
+					t.Errorf("%v: aggregate area %v at workers=4, %v at workers=1, MatchedCellArea %v (fallback %v)",
+						q, gotAgg.Area, wantAgg.Area, want.MatchedCellArea, gotAgg.Fallback)
+				}
+			}
+		})
 	}
-	par, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.SetWorkers(4)
-	for _, q := range tiledTestQueries(f) {
-		want, err := seq.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnswer(t, "parallel", got, want)
-		if got.IO.Reads != want.IO.Reads {
-			t.Errorf("parallel reads = %d, want %d", got.IO.Reads, want.IO.Reads)
-		}
+}
+
+// sansIO is r without the fields that say how the answer was reached — the
+// pages read and the filter's candidate count — which differ between a tiled
+// store and the untiled scan it must otherwise equal field for field.
+func sansIO(r *Result) Result {
+	a := *r
+	a.CandidateGroups, a.IO = 0, storage.Stats{}
+	return a
+}
+
+// TestTiledMergeIdentity holds the gather's merge to the untiled scan where a
+// tile's survivors do not arrive in field-id order: tiles whose heap is in
+// Hilbert order, on a DEM and on a TIN's spatial bins, and a TIN tiling behind
+// the shared batch scan. At workers 1 and 4 every Result equals the untiled
+// sidecar-less scan's in everything but its page counts, the two worker counts
+// agree on those too, and a batch member equals its solo query.
+func TestTiledMergeIdentity(t *testing.T) {
+	dem, tn := testDEM(t, 64, 0.7), testTIN(t, 900)
+	for _, c := range []struct {
+		name      string
+		f         field.Field
+		opts      BuildOptions
+		unordered bool // the tiles' heap order is not the field's id order
+	}{
+		{"dem/Tiled-I-Hilbert", dem, BuildOptions{Method: MethodIHilbert, TileSide: 16}, true},
+		{"tin/Tiled-I-Hilbert", tn, BuildOptions{Method: MethodIHilbert, TileSide: 16}, true},
+		{"tin/Tiled-LinearScan+packed", tn, BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			scan, err := buildIx(c.f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := buildIx(c.f, newPager(), c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ix.parts) < 2 {
+				t.Fatalf("%d tiles, want several", len(ix.parts))
+			}
+			// The case is only worth its name if the tiles' heaps are not in id
+			// order (a sidecar-served scan's always are).
+			for ti, p := range ix.parts {
+				if sorted := slices.IsSorted(p.order); sorted == c.unordered {
+					t.Fatalf("tile %d: heap in id order is %v, want %v", ti, sorted, !c.unordered)
+				}
+			}
+
+			qs := tiledTestQueries(c.f)
+			members := make([]BatchQuery, len(qs))
+			for i, q := range qs {
+				members[i] = BatchQuery{Query: q}
+			}
+			var seq []*Result
+			for _, workers := range []int{1, 4} {
+				ix.SetWorkers(workers)
+				solo := soloResults(t, ix, qs)
+				for i, q := range qs {
+					want, err := scan.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sansIO(solo[i]); !reflect.DeepEqual(got, sansIO(want)) {
+						t.Errorf("workers=%d %v: answer diverges from the untiled scan\nscan:  %+v\ntiled: %+v", workers, q, sansIO(want), got)
+					}
+				}
+				if seq == nil {
+					seq = solo
+				} else if !reflect.DeepEqual(solo, seq) {
+					t.Errorf("workers=%d results diverge from workers=1", workers)
+				}
+				results, _ := ix.QueryBatch(members)
+				for i, r := range results {
+					if r.Err != nil {
+						t.Fatal(r.Err)
+					}
+					if !reflect.DeepEqual(r.Res, solo[i]) {
+						t.Errorf("workers=%d %v: batched result diverges from solo\nsolo:  %+v\nbatch: %+v", workers, qs[i], solo[i], r.Res)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -39,16 +39,6 @@ func AppendCell(dst []byte, c *Cell) []byte {
 	return dst
 }
 
-// CellIDFromRecord extracts the stored cell id of an encoded cell without
-// materializing it — the tiled planner's gather step uses it to map a record
-// scanned out of a tile-local heap back to a position key.
-func CellIDFromRecord(rec []byte) (CellID, error) {
-	if len(rec) < 5 {
-		return 0, fmt.Errorf("field: cell record too short: %d bytes", len(rec))
-	}
-	return CellID(binary.LittleEndian.Uint32(rec[0:4])), nil
-}
-
 // CellIntervalFromRecord extracts the value interval of an encoded cell —
 // the same min/max Cell.Interval computes — without materializing vertices.
 // The filter-only passes of the query pipeline use it to test a candidate

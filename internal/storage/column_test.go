@@ -68,6 +68,71 @@ func TestFloatColumnTruncated(t *testing.T) {
 	}
 }
 
+// TestGetBitsWordMatchesBytewise holds the word-at-a-time field read to the
+// bytewise reference: every width 0–64 at every bit offset 0–7 of every byte
+// that has nine bytes of buffer ahead of it — fields inside one word, fields
+// that end on its last bit, fields that spill into the ninth byte — over
+// all-ones, alternating and random bits. (The fields of a block's last 8
+// bytes go through the bytewise loop itself: TestFloatColumnTruncatedEverywhere.)
+func TestGetBitsWordMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	bufs := [3][]byte{make([]byte, 32), make([]byte, 32), make([]byte, 32)}
+	for i := range bufs[0] {
+		bufs[0][i], bufs[1][i], bufs[2][i] = 0xff, 0xa5, byte(rng.Intn(256))
+	}
+	for _, buf := range bufs {
+		for n := uint(0); n <= 64; n++ {
+			for pos := uint(0); pos>>3+9 <= uint(len(buf)); pos++ {
+				got := getBits(buf, pos, n)
+				if want, _ := getBitsBytewise(buf, pos, n); got != want {
+					t.Fatalf("width %d at bit %d (byte %d of %d, offset %d): %#x, bytewise %#x",
+						n, pos, pos>>3, len(buf), pos&7, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFloatColumnTruncatedEverywhere cuts columns of every width class — and
+// of 64-bit escapes, whose fields straddle a word at every odd offset — at
+// every byte, so that every field takes its turn among the last of a block,
+// where the decoder reads bytewise: each proper prefix fails, none panics, and
+// the whole block, with its capacity clipped so that a read past it would,
+// decodes.
+func TestFloatColumnTruncatedEverywhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, c := range []struct {
+		name string
+		next func(i int) float64
+	}{
+		{"narrow", func(i int) float64 { return 100 + 0.25*float64(i) + float64(rng.Intn(3)) }},
+		{"mixed", func(i int) float64 { return math.Float64frombits(uint64(i*i) << uint(rng.Intn(40))) }},
+		{"escapes", func(int) float64 { return math.Float64frombits(rng.Uint64()) }},
+	} {
+		name := c.name
+		vals := make([]float64, 41)
+		for i := range vals {
+			vals[i] = c.next(i)
+		}
+		buf := make([]byte, MaxFloatColumnSize(len(vals)))
+		size := EncodeFloatColumn(buf, vals)
+		out := make([]float64, len(vals))
+		for cut := 0; cut < size; cut++ {
+			if DecodeFloatColumn(buf[:cut:cut], len(vals), out) == nil {
+				t.Fatalf("%s: %d of %d bytes decoded", name, cut, size)
+			}
+		}
+		if err := DecodeFloatColumn(buf[:size:size], len(vals), out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, v := range vals {
+			if math.Float64bits(out[i]) != math.Float64bits(v) {
+				t.Fatalf("%s[%d]: %x != %x", name, i, math.Float64bits(out[i]), math.Float64bits(v))
+			}
+		}
+	}
+}
+
 // FuzzFloatColumn covers the one column codec behind both FSC2 sidecar pages
 // and the wire's columns. On arbitrary bytes and counts DecodeFloatColumn
 // returns an error or n values, never panicking and never reading past the

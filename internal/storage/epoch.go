@@ -176,7 +176,7 @@ func (p *Pager) CommitOverlays(pages map[PageID][]byte) (epoch, retiredEpochs ui
 		if len(p.ov.versions[id]) == 0 {
 			p.ov.overlaid.Add(1)
 		}
-		p.ov.versions[id] = append(p.ov.versions[id], pageVersion{epoch: next, frame: newFrame(id, data, nil)})
+		p.ov.versions[id] = append(p.ov.versions[id], pageVersion{epoch: next, frame: newFrame(id, data)})
 	}
 	p.epoch.Store(next)
 	return next, p.ov.compactLocked(next), nil

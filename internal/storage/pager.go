@@ -140,7 +140,7 @@ type Pager struct {
 	model    DiskModel
 	poolSize int
 	pool     *shardedPool // nil when poolSize == 0
-	bufs     *bufPool     // page buffer freelist shared with the pool's frames
+	free     *framePool   // frame freelist shared with the pool
 
 	mu       sync.Mutex // guards stats and lastPage
 	stats    Stats
@@ -174,12 +174,12 @@ func NewPagerShards(disk Disk, model DiskModel, poolSize, shards int) *Pager {
 		disk:     disk,
 		model:    model,
 		poolSize: poolSize,
-		bufs:     newBufPool(disk.PageSize()),
+		free:     newFramePool(disk.PageSize()),
 		lastPage: InvalidPage,
 	}
 	p.rdisk, _ = disk.(RunDisk)
 	if poolSize > 0 {
-		p.pool = newShardedPool(poolSize, shards, p.bufs)
+		p.pool = newShardedPool(poolSize, shards, p.free)
 	}
 	return p
 }
@@ -220,9 +220,9 @@ func (p *Pager) readThrough(id PageID, buf []byte, epoch uint64) (cached bool, e
 		return false, err
 	}
 	if p.pool != nil {
-		data := p.bufs.get()
-		copy(data, buf)
-		p.pool.insert(id, data).Release()
+		f := p.free.get(id)
+		copy(f.data, buf)
+		p.pool.insert(f).Release()
 	}
 	return false, nil
 }
@@ -242,15 +242,15 @@ func (p *Pager) viewThrough(id PageID, epoch uint64) (f *Frame, cached bool, err
 			return f, true, nil
 		}
 	}
-	data := p.bufs.get()
-	if err := p.disk.ReadPage(id, data); err != nil {
-		p.bufs.put(data)
+	f = p.free.get(id)
+	if err := p.disk.ReadPage(id, f.data); err != nil {
+		f.Release()
 		return nil, false, err
 	}
 	if p.pool != nil {
-		return p.pool.insert(id, data), false, nil
+		f = p.pool.insert(f)
 	}
-	return newFrame(id, data, p.bufs), false, nil
+	return f, false, nil
 }
 
 // viewRunThrough fills frames with retained frames for the pages
@@ -258,8 +258,9 @@ func (p *Pager) viewThrough(id PageID, epoch uint64) (f *Frame, cached bool, err
 // their overlay version, the rest come from one batched pool probe, and each
 // maximal still-missing sub-run is fetched with a single vectorized disk
 // read. cached[i] reports overlay or pool residency at probe time. On error
-// all frames are released and frames is left nil-filled.
-func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epoch uint64) error {
+// all frames are released and frames is left nil-filled. bufs is the caller's
+// scratch for the buffer lists of those reads.
+func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epoch uint64, bufs *[][]byte) error {
 	n := len(frames)
 	for i := 0; i < n; i++ {
 		frames[i] = nil
@@ -298,7 +299,7 @@ func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epo
 		for j < n && frames[j] == nil {
 			j++
 		}
-		if err := p.fetchRun(first+PageID(i), frames[i:j]); err != nil {
+		if err := p.fetchRun(first+PageID(i), frames[i:j], bufs); err != nil {
 			for k := 0; k < n; k++ {
 				if frames[k] != nil {
 					frames[k].Release()
@@ -312,37 +313,39 @@ func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epo
 	return nil
 }
 
-// fetchRun reads len(frames) consecutive pages starting at first from disk —
-// one vectorized call when the disk supports RunDisk — and registers them
-// with the pool.
-func (p *Pager) fetchRun(first PageID, frames []*Frame) error {
-	n := len(frames)
-	bufs := make([][]byte, n)
-	for i := range bufs {
-		bufs[i] = p.bufs.get()
+// fetchRun reads len(frames) consecutive pages starting at first from disk
+// into frames off the freelist — one vectorized call when the disk supports
+// RunDisk, its buffer list built in *bufs — and registers them with the pool.
+// On error frames is left nil-filled.
+func (p *Pager) fetchRun(first PageID, frames []*Frame, bufs *[][]byte) error {
+	for i := range frames {
+		frames[i] = p.free.get(first + PageID(i))
 	}
 	var err error
-	if p.rdisk != nil && n > 1 {
-		err = p.rdisk.ReadRun(first, bufs)
+	if p.rdisk != nil && len(frames) > 1 {
+		list := (*bufs)[:0]
+		for _, f := range frames {
+			list = append(list, f.data)
+		}
+		err = p.rdisk.ReadRun(first, list)
+		*bufs = list
 	} else {
-		for i := range bufs {
-			if err = p.disk.ReadPage(first+PageID(i), bufs[i]); err != nil {
+		for _, f := range frames {
+			if err = p.disk.ReadPage(f.id, f.data); err != nil {
 				break
 			}
 		}
 	}
 	if err != nil {
-		for _, b := range bufs {
-			p.bufs.put(b)
+		for i, f := range frames {
+			f.Release()
+			frames[i] = nil
 		}
 		return err
 	}
-	for i := range bufs {
-		id := first + PageID(i)
-		if p.pool != nil {
-			frames[i] = p.pool.insert(id, bufs[i])
-		} else {
-			frames[i] = newFrame(id, bufs[i], p.bufs)
+	if p.pool != nil {
+		for i, f := range frames {
+			frames[i] = p.pool.insert(f)
 		}
 	}
 	return nil
@@ -352,8 +355,9 @@ func (p *Pager) fetchRun(first PageID, frames []*Frame) error {
 // runChunkPages: view-or-fetch a chunk, then walk it in page order charging
 // each page through charge before handing its image to fn. An early stop by
 // fn leaves the remaining pages uncharged — exactly like breaking out of a
-// per-page ReadPage loop.
-func (p *Pager) readRunChunks(first, last PageID, epoch uint64, charge func(id PageID, cached bool), fn func(id PageID, page []byte) bool) error {
+// per-page ReadPage loop. bufs is the scratch the misses' disk reads list
+// their buffers in, kept by whoever reads run after run.
+func (p *Pager) readRunChunks(first, last PageID, epoch uint64, bufs *[][]byte, charge func(id PageID, cached bool), fn func(id PageID, page []byte) bool) error {
 	if first > last {
 		return nil
 	}
@@ -364,7 +368,7 @@ func (p *Pager) readRunChunks(first, last PageID, epoch uint64, charge func(id P
 		if n > runChunkPages {
 			n = runChunkPages
 		}
-		if err := p.viewRunThrough(start, frames[:n], cached[:n], epoch); err != nil {
+		if err := p.viewRunThrough(start, frames[:n], cached[:n], epoch, bufs); err != nil {
 			return err
 		}
 		stop := false
@@ -419,7 +423,7 @@ func (p *Pager) ViewPage(id PageID) (*Frame, error) {
 
 // ReadRun implements PageReader with pager-level accounting.
 func (p *Pager) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error {
-	return p.readRunChunks(first, last, p.epoch.Load(), p.chargeRead, fn)
+	return p.readRunChunks(first, last, p.epoch.Load(), new([][]byte), p.chargeRead, fn)
 }
 
 // chargeRead charges one page access to the pager-level accounting.
@@ -584,6 +588,10 @@ type QueryCtx struct {
 	// read path takes no per-page accounting lock.
 	flushed Stats
 
+	// runBufs is ReadRun's scratch: the buffer list of a miss run's vectorized
+	// disk read.
+	runBufs [][]byte
+
 	// tb is the query's trace builder, or nil when tracing is off. Spans are
 	// charged by snapshotting stats at phase boundaries (BeginSpan/EndSpan),
 	// never per page, so the read path above is identical either way.
@@ -715,7 +723,7 @@ func (qc *QueryCtx) ViewPage(id PageID) (*Frame, error) {
 // disk layers, each page is charged through chargeRead in page order, so the
 // per-query accounting is byte-identical to the equivalent ReadPage loop.
 func (qc *QueryCtx) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error {
-	return qc.pager.readRunChunks(first, last, qc.epoch, func(id PageID, _ bool) {
+	return qc.pager.readRunChunks(first, last, qc.epoch, &qc.runBufs, func(id PageID, _ bool) {
 		qc.chargeRead(id)
 	}, fn)
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -18,29 +17,30 @@ const (
 	minShardedPoolSize = 1024
 )
 
-// bufPool recycles page-size buffers. Frames return their buffer here when
-// the last reference is released, so a steady-state query workload reads
-// pages without allocating.
-type bufPool struct {
+// framePool recycles frames together with their page-size buffers. A frame
+// returns here when its last reference is released — an evicted page nobody is
+// reading any more, most of the time — and the next miss takes it over, so a
+// steady-state query workload reads pages without allocating. Frames travel as
+// pointers: nothing is boxed on the way in or out.
+type framePool struct {
 	size int
 	pool sync.Pool
 }
 
-func newBufPool(size int) *bufPool {
-	return &bufPool{size: size}
+func newFramePool(size int) *framePool {
+	return &framePool{size: size}
 }
 
-func (bp *bufPool) get() []byte {
-	if b, ok := bp.pool.Get().([]byte); ok {
-		return b
+// get returns a frame nobody else holds (one reference, the caller's) whose
+// buffer awaits page id's image.
+func (fp *framePool) get(id PageID) *Frame {
+	f, ok := fp.pool.Get().(*Frame)
+	if !ok {
+		f = &Frame{data: make([]byte, fp.size), free: fp}
 	}
-	return make([]byte, bp.size)
-}
-
-func (bp *bufPool) put(b []byte) {
-	if cap(b) >= bp.size {
-		bp.pool.Put(b[:bp.size]) //nolint:staticcheck // slice header boxing is far cheaper than a page alloc
-	}
+	f.id = id
+	f.refs.Store(1)
+	return f
 }
 
 // Frame is one immutable page image shared between the buffer pool and any
@@ -52,7 +52,11 @@ type Frame struct {
 	id   PageID
 	data []byte
 	refs atomic.Int32
-	free *bufPool // buffer recycling destination; nil for one-off frames
+	free *framePool // recycling destination; nil for one-off frames
+	// prev and next link a resident frame into its shard's recency list,
+	// towards the most and the least recently used; the shard's mutex guards
+	// them.
+	prev, next *Frame
 }
 
 // Data returns the page image. It is valid until Release and must not be
@@ -63,7 +67,7 @@ func (f *Frame) Data() []byte { return f.data }
 func (f *Frame) Retain() { f.refs.Add(1) }
 
 // Release drops one reference. When the last owner (pool residency included)
-// lets go, the page buffer returns to the pager's freelist.
+// lets go, the frame and its buffer return to the pager's freelist.
 func (f *Frame) Release() {
 	n := f.refs.Add(-1)
 	if n > 0 {
@@ -73,28 +77,59 @@ func (f *Frame) Release() {
 		panic("storage: Frame released more often than retained")
 	}
 	if f.free != nil {
-		buf := f.data
-		f.data = nil
-		f.free.put(buf)
+		f.free.pool.Put(f)
 	}
 }
 
-// newFrame returns a frame owned solely by the caller (one reference).
-func newFrame(id PageID, data []byte, free *bufPool) *Frame {
-	f := &Frame{id: id, data: data, free: free}
+// newFrame returns a one-off frame over data, owned solely by the caller (one
+// reference) and never recycled.
+func newFrame(id PageID, data []byte) *Frame {
+	f := &Frame{id: id, data: data}
 	f.refs.Store(1)
 	return f
 }
 
 // poolShard is one independently locked LRU over a slice of the page-id
-// space.
+// space. The recency list runs through the frames themselves, circular
+// through root: root.next is the most recently used frame, root.prev the
+// least.
 type poolShard struct {
 	mu     sync.Mutex
 	cap    int
-	lru    *list.List               // front = most recently used; values are *Frame
-	frames map[PageID]*list.Element // page id -> element in lru
-	hits   int64                    // probes served from this shard
-	misses int64                    // probes that fell through to the disk
+	root   Frame
+	frames map[PageID]*Frame
+	hits   int64 // probes served from this shard
+	misses int64 // probes that fell through to the disk
+}
+
+// reset empties the shard's map and list; the caller has dealt with the
+// frames.
+func (s *poolShard) reset() {
+	s.root.prev, s.root.next = &s.root, &s.root
+	s.frames = make(map[PageID]*Frame)
+}
+
+// unlink takes f out of the recency list.
+func (s *poolShard) unlink(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// pushFront makes f, which is not in the list, the most recently used.
+func (s *poolShard) pushFront(f *Frame) {
+	f.prev, f.next = &s.root, s.root.next
+	f.prev.next, f.next.prev = f, f
+}
+
+// hit returns resident frame f retained for one more owner, now the most
+// recently used.
+func (s *poolShard) hit(f *Frame) *Frame {
+	if s.root.next != f {
+		s.unlink(f)
+		s.pushFront(f)
+	}
+	f.Retain()
+	return f
 }
 
 // PoolShardStats is a snapshot of one buffer-pool shard: its capacity and
@@ -113,14 +148,16 @@ type PoolShardStats struct {
 type shardedPool struct {
 	shards []poolShard
 	mask   uint32
-	bufs   *bufPool
+	free   *framePool
 }
 
 // newShardedPool builds a pool of the given capacity. shards is clamped to a
 // power of two no larger than the capacity (every shard must hold at least
 // one frame); pools below minShardedPoolSize use a single shard so their
-// global LRU eviction order is exactly that of the pre-sharding pool.
-func newShardedPool(size, shards int, bufs *bufPool) *shardedPool {
+// global LRU eviction order is exactly that of the pre-sharding pool. Frames
+// come from the freelist one miss at a time: a pool costs what it holds, not
+// what it may hold.
+func newShardedPool(size, shards int, free *framePool) *shardedPool {
 	if shards <= 0 {
 		shards = poolShards
 		if size < minShardedPoolSize {
@@ -136,14 +173,15 @@ func newShardedPool(size, shards int, bufs *bufPool) *shardedPool {
 	if shards < 1 {
 		shards = 1
 	}
-	sp := &shardedPool{shards: make([]poolShard, shards), mask: uint32(shards - 1), bufs: bufs}
+	sp := &shardedPool{shards: make([]poolShard, shards), mask: uint32(shards - 1), free: free}
 	base, extra := size/shards, size%shards
 	for i := range sp.shards {
-		c := base
+		s := &sp.shards[i]
+		s.cap = base
 		if i < extra {
-			c++
+			s.cap++
 		}
-		sp.shards[i] = poolShard{cap: c, lru: list.New(), frames: make(map[PageID]*list.Element)}
+		s.reset()
 	}
 	return sp
 }
@@ -156,18 +194,14 @@ func (sp *shardedPool) shard(id PageID) *poolShard {
 func (sp *shardedPool) view(id PageID) *Frame {
 	s := sp.shard(id)
 	s.mu.Lock()
-	el, ok := s.frames[id]
+	defer s.mu.Unlock()
+	f, ok := s.frames[id]
 	if !ok {
 		s.misses++
-		s.mu.Unlock()
 		return nil
 	}
 	s.hits++
-	s.lru.MoveToFront(el)
-	f := el.Value.(*Frame)
-	f.Retain()
-	s.mu.Unlock()
-	return f
+	return s.hit(f)
 }
 
 // viewRun probes pages first..first+len(frames)-1 with one lock acquisition
@@ -186,12 +220,9 @@ func (sp *shardedPool) viewRun(first PageID, frames []*Frame) {
 		s := &sp.shards[si]
 		s.mu.Lock()
 		for i := start; i < n; i += nsh {
-			if el, ok := s.frames[first+PageID(i)]; ok {
+			if f, ok := s.frames[first+PageID(i)]; ok {
 				s.hits++
-				s.lru.MoveToFront(el)
-				f := el.Value.(*Frame)
-				f.Retain()
-				frames[i] = f
+				frames[i] = s.hit(f)
 			} else {
 				s.misses++
 			}
@@ -200,31 +231,30 @@ func (sp *shardedPool) viewRun(first PageID, frames []*Frame) {
 	}
 }
 
-// insert takes ownership of data (a freelist buffer holding page id's image)
-// and returns a retained frame for the page. If another goroutine inserted
-// the page first, its frame wins and data returns to the freelist — both
-// hold the same disk image, so either is correct.
-func (sp *shardedPool) insert(id PageID, data []byte) *Frame {
-	s := sp.shard(id)
+// insert makes f — the caller's own frame, holding its page's image — resident
+// and returns it retained once more for the caller. If another goroutine
+// inserted the page first, its frame wins and f goes back to the freelist —
+// both hold the same disk image, so either is correct. A full shard first
+// evicts its least recently used frames: the pool lets go of them, and one
+// nobody is reading goes to the freelist for the next miss to take over.
+func (sp *shardedPool) insert(f *Frame) *Frame {
+	s := sp.shard(f.id)
 	s.mu.Lock()
-	if el, ok := s.frames[id]; ok {
-		s.lru.MoveToFront(el)
-		f := el.Value.(*Frame)
-		f.Retain()
+	if old, ok := s.frames[f.id]; ok {
+		old = s.hit(old)
 		s.mu.Unlock()
-		sp.bufs.put(data)
-		return f
+		f.Release()
+		return old
 	}
-	for s.lru.Len() >= s.cap {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		ev := back.Value.(*Frame)
+	for len(s.frames) >= s.cap {
+		ev := s.root.prev
+		s.unlink(ev)
 		delete(s.frames, ev.id)
 		ev.Release() // drop the pool's reference; readers may still hold theirs
 	}
-	f := &Frame{id: id, data: data, free: sp.bufs}
-	f.refs.Store(2) // one for pool residency, one for the caller
-	s.frames[id] = s.lru.PushFront(f)
+	f.Retain() // one for pool residency, one for the caller
+	s.frames[f.id] = f
+	s.pushFront(f)
 	s.mu.Unlock()
 	return f
 }
@@ -248,16 +278,18 @@ func (sp *shardedPool) get(id PageID, buf []byte) bool {
 func (sp *shardedPool) update(id PageID, buf []byte) {
 	s := sp.shard(id)
 	s.mu.Lock()
-	el, ok := s.frames[id]
+	old, ok := s.frames[id]
 	if !ok {
 		s.mu.Unlock()
 		return
 	}
-	old := el.Value.(*Frame)
-	data := sp.bufs.get()
-	copy(data, buf)
-	nf := newFrame(id, data, sp.bufs)
-	el.Value = nf
+	nf := sp.free.get(id)
+	copy(nf.data, buf)
+	// nf takes old's place in the recency list.
+	nf.prev, nf.next = old.prev, old.next
+	nf.prev.next, nf.next.prev = nf, nf
+	old.prev, old.next = nil, nil
+	s.frames[id] = nf
 	s.mu.Unlock()
 	old.Release()
 }
@@ -268,7 +300,7 @@ func (sp *shardedPool) shardStats() []PoolShardStats {
 	for i := range sp.shards {
 		s := &sp.shards[i]
 		s.mu.Lock()
-		out[i] = PoolShardStats{Cap: s.cap, Len: s.lru.Len(), Hits: s.hits, Misses: s.misses}
+		out[i] = PoolShardStats{Cap: s.cap, Len: len(s.frames), Hits: s.hits, Misses: s.misses}
 		s.mu.Unlock()
 	}
 	return out
@@ -279,11 +311,13 @@ func (sp *shardedPool) drop() {
 	for si := range sp.shards {
 		s := &sp.shards[si]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			el.Value.(*Frame).Release()
+		for f := s.root.next; f != &s.root; {
+			next := f.next
+			f.prev, f.next = nil, nil
+			f.Release()
+			f = next
 		}
-		s.lru.Init()
-		s.frames = make(map[PageID]*list.Element)
+		s.reset()
 		s.mu.Unlock()
 	}
 }

@@ -106,24 +106,149 @@ func TestShardedPoolSizeOne(t *testing.T) {
 
 func TestFrameSurvivesEviction(t *testing.T) {
 	// A frame held by a reader keeps its immutable image after the pool
-	// evicts the page and other reads recycle buffers through the freelist.
-	disk := stampDisk(t, 128, 10)
-	p := NewPagerShards(disk, DefaultDiskModel, 2, 1)
-	f, err := p.ViewPage(3)
+	// evicts the page, while the misses that follow — copies, views, runs —
+	// take recycled frames off the freelist: never the held one, and each
+	// carrying the page it was read for.
+	const pages, capacity = 24, 4
+	disk := stampDisk(t, 128, pages)
+	p := NewPagerShards(disk, DefaultDiskModel, capacity, 1)
+	held, err := p.ViewPage(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Repeat([]byte{3}, 128)
-	buf := make([]byte, 128)
-	for i := 0; i < 10; i++ { // evict page 3, churn the freelist
-		if err := p.ReadPage(PageID(i), buf); err != nil {
-			t.Fatal(err)
+	check := func(id PageID, page []byte) {
+		t.Helper()
+		if !bytes.Equal(page, bytes.Repeat([]byte{byte(id)}, 128)) {
+			t.Fatalf("page %d came back holding %d", id, page[0])
+		}
+		if !bytes.Equal(held.Data(), want) {
+			t.Fatalf("held frame mutated while page %d was read", id)
 		}
 	}
-	if !bytes.Equal(f.Data(), want) {
-		t.Fatal("held frame mutated after eviction")
+	// Each pass inserts 2 × capacity pages past the held one.
+	buf := make([]byte, 128)
+	for id := PageID(4); id < 4+2*capacity; id++ {
+		if err := p.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		check(id, buf)
 	}
-	f.Release()
+	for id := PageID(12); id < 12+2*capacity; id++ {
+		f, err := p.ViewPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(id, f.Data())
+		f.Release()
+	}
+	err = p.ReadRun(4, 4+2*capacity-1, func(id PageID, page []byte) bool {
+		check(id, page)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.PoolShardStats()[0]; st.Len != capacity {
+		t.Fatalf("pool holds %d frames, capacity %d", st.Len, capacity)
+	}
+	held.Release()
+	// The released frame is on the freelist now; whoever takes it over gets
+	// its own page, not page 3's.
+	for id := PageID(pages - capacity - 1); id < pages; id++ {
+		f, err := p.ViewPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.Data(), bytes.Repeat([]byte{byte(id)}, 128)) {
+			t.Fatalf("page %d came back holding %d", id, f.Data()[0])
+		}
+		f.Release()
+	}
+}
+
+// TestPoolEvictionOrderMatchesListLRU drives a single-shard pool, whose
+// recency list runs through the frames themselves, and a container/list model
+// of the LRU it replaced with the same recorded page sequence — views, copies
+// and runs; re-reference of the head, the tail and a middle frame; pages
+// written while resident — and requires the same hit or miss on every access.
+func TestPoolEvictionOrderMatchesListLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, capacity := range []int{1, 2, 3, 7, 64} {
+		pages := 3 * capacity
+		disk := stampDisk(t, 128, pages)
+		p := NewPagerShards(disk, DefaultDiskModel, capacity, 1)
+		model, order := map[PageID]*list.Element{}, list.New()
+		touch := func(id PageID) (hit bool) {
+			el, hit := model[id]
+			if hit {
+				order.MoveToFront(el)
+				return true
+			}
+			for order.Len() >= capacity {
+				back := order.Back()
+				order.Remove(back)
+				delete(model, back.Value.(PageID))
+			}
+			model[id] = order.PushFront(id)
+			return false
+		}
+		buf := make([]byte, 128)
+		for i := 0; i < 5000; i++ {
+			id := PageID(rng.Intn(pages))
+			before := p.PoolShardStats()[0]
+			want := int64(0)
+			switch rng.Intn(4) {
+			case 0:
+				f, err := p.ViewPage(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Release()
+				if touch(id) {
+					want++
+				}
+			case 1:
+				if err := p.ReadPage(id, buf); err != nil {
+					t.Fatal(err)
+				}
+				if touch(id) {
+					want++
+				}
+			case 2:
+				last := min(id+PageID(rng.Intn(3)), PageID(pages-1))
+				if err := p.ReadRun(id, last, func(PageID, []byte) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+				// A run probes all its pages first, then inserts the missing
+				// ones in page order.
+				var missing []PageID
+				for r := id; r <= last; r++ {
+					if _, ok := model[r]; ok {
+						touch(r)
+						want++
+					} else {
+						missing = append(missing, r)
+					}
+				}
+				for _, r := range missing {
+					touch(r)
+				}
+			case 3:
+				// A write refreshes a resident page in place: no probe, no move.
+				if err := p.WritePage(id, bytes.Repeat([]byte{byte(id)}, 128)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := p.PoolShardStats()[0]
+			if got := after.Hits - before.Hits; got != want {
+				t.Fatalf("capacity %d, access %d (page %d): %d hits, list LRU says %d", capacity, i, id, got, want)
+			}
+			if after.Len != order.Len() {
+				t.Fatalf("capacity %d, access %d: pool holds %d frames, list LRU %d", capacity, i, after.Len, order.Len())
+			}
+		}
+	}
 }
 
 func TestFrameOverReleasePanics(t *testing.T) {

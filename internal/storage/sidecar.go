@@ -265,6 +265,11 @@ func (s *IntervalSidecar) pageBaseOf(pi int) int {
 	return int(s.firstPos[pi])
 }
 
+// ColumnScratch is the decode scratch of a sidecar scan: the two columns of
+// one page. The zero value is ready; a scan grows it to the segment's page
+// capacity once, and a caller that keeps it across scans pays for no other.
+type ColumnScratch struct{ lo, hi []float64 }
+
 // ScanRange decodes the intervals of positions [start, end) through r,
 // calling fn once per touched page with the global position of the first
 // decoded entry and the packed lo/hi columns of the in-range entries (valid
@@ -272,6 +277,11 @@ func (s *IntervalSidecar) pageBaseOf(pi int) int {
 // charged to r like any other query I/O: the whole range is fetched through
 // one ReadRun, with per-page charges identical to a page-at-a-time loop.
 func (s *IntervalSidecar) ScanRange(r PageReader, start, end int, fn func(base int, lo, hi []float64) bool) error {
+	return s.ScanRangeScratch(r, start, end, new(ColumnScratch), fn)
+}
+
+// ScanRangeScratch is ScanRange decoding into the caller's scratch.
+func (s *IntervalSidecar) ScanRangeScratch(r PageReader, start, end int, cs *ColumnScratch, fn func(base int, lo, hi []float64) bool) error {
 	if start < 0 {
 		start = 0
 	}
@@ -287,8 +297,10 @@ func (s *IntervalSidecar) ScanRange(r PageReader, start, end int, fn func(base i
 	if s.firstPos != nil {
 		scratch = s.codec.(packedCodec).maxEntries
 	}
-	loCol := make([]float64, scratch)
-	hiCol := make([]float64, scratch)
+	if len(cs.lo) < scratch {
+		cs.lo, cs.hi = make([]float64, scratch), make([]float64, scratch)
+	}
+	loCol, hiCol := cs.lo, cs.hi
 	decode := func(pi int, page []byte) (bool, error) {
 		lo, hi, base, err := s.decodePage(pi, page, start, end, loCol, hiCol)
 		if err != nil {
@@ -674,39 +686,32 @@ func decodeColumn(src []byte, n int, out []float64) error {
 	}
 	tags := src[packedColHeader : packedColHeader+tagBytes]
 	payload := src[packedColHeader+tagBytes:]
-	// The payload length was rounded up to whole bytes; bounds are checked
-	// by the reads below via the slice length.
+	// The payload length was rounded up to whole bytes; a field that would end
+	// past it is a truncated block.
 	avail := uint(len(payload)) * 8
+	widths := [4]uint{0, w1, w2, 64}
+	var ddMask uint64 // all ones when deltas accumulate
+	if predictor == predictorDoubleDelta {
+		ddMask = ^uint64(0)
+	}
 	var pos uint
 	var prevDelta uint64
-	for i := 1; i < n; i++ {
-		tag := (tags[(i-1)/4] >> uint(((i-1)%4)*2)) & 3
+	for i := 0; i < n-1; i++ {
+		w := widths[(tags[i>>2]>>(uint(i&3)*2))&3]
 		var zz uint64
-		var w uint
-		switch tag {
-		case 0:
-			w = 0
-		case 1:
-			w = w1
-		case 2:
-			w = w2
-		case 3:
-			w = 64
-		}
-		if w > 0 {
+		if pos>>3+9 <= uint(len(payload)) {
+			// Nine bytes ahead lie inside the block, so the field does too.
+			zz, pos = getBits(payload, pos, w), pos+w
+		} else if w > 0 {
 			if pos+w > avail {
 				return errors.New("column payload truncated")
 			}
-			zz, pos = getBits(payload, pos, w)
+			zz, pos = getBitsBytewise(payload, pos, w)
 		}
-		r := uint64(unzigzag(zz))
-		delta := r
-		if predictor == predictorDoubleDelta {
-			delta = prevDelta + r
-			prevDelta = delta
-		}
+		delta := uint64(unzigzag(zz)) + prevDelta&ddMask
+		prevDelta = delta
 		prev += delta
-		out[i] = math.Float64frombits(prev)
+		out[i+1] = math.Float64frombits(prev)
 	}
 	return nil
 }
@@ -735,9 +740,20 @@ func putBits(buf []byte, pos uint, v uint64, n uint) uint {
 	return pos
 }
 
-// getBits reads n bits at bit position pos and returns the value and the new
-// position.
-func getBits(buf []byte, pos, n uint) (uint64, uint) {
+// getBits reads the n bits (0 to 64) at bit position pos of a buf that reaches
+// at least nine bytes past the field's first: one little-endian 64-bit word
+// shifted into place, topped up from the ninth byte with the bits a field
+// straddling the word's end has there. No branch: a shift by 64 yields zero,
+// and the mask drops whatever lies past the field.
+func getBits(buf []byte, pos, n uint) uint64 {
+	idx, off := pos>>3, pos&7
+	return (binary.LittleEndian.Uint64(buf[idx:])>>off | uint64(buf[idx+8])<<(64-off)) & (1<<n - 1)
+}
+
+// getBitsBytewise reads n bits at pos one byte at a time and returns the value
+// and the new position: the last fields of a block, where getBits' word would
+// overrun it, and the reference getBits is tested against.
+func getBitsBytewise(buf []byte, pos, n uint) (uint64, uint) {
 	var v uint64
 	var got uint
 	for got < n {
