@@ -50,13 +50,16 @@ alloc-gate:
 # Five seconds of each native fuzz target over a decoder of untrusted bytes —
 # the catalog's (no panic, an accepted blob re-encodes byte for byte), the
 # FWB1 frame's (no panic, allocation bounded by the input, an encoded result
-# round-trips) and the FSC2 column's behind sidecar pages and wire columns (no
-# panic, decode∘encode is the identity on any bit pattern). A failing input
-# lands in the package's testdata/fuzz — commit it with the fix.
+# round-trips), the FSC2 column's behind sidecar pages and wire columns (no
+# panic, decode∘encode is the identity on any bit pattern) and the FSM1
+# summary's behind the aggregate tier (no panic, allocation bounded by the
+# input, an accepted summary re-encodes to the same bits and estimates). A
+# failing input lands in the package's testdata/fuzz — commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOpenCatalog$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFloatColumn$$' -fuzztime 5s
+	$(GO) test ./internal/approx -run '^$$' -fuzz '^FuzzSummary$$' -fuzztime 5s
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # in-process suites (solo, concurrent, update-load, tiled, aggregate — one

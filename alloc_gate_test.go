@@ -22,11 +22,12 @@ import (
 
 // TestAllocCeilings bounds the allocations of one value query on the
 // BenchmarkValueRange fixture (256×256 terrain, the sel=0.05 rotation, full
-// geometry) for every read path. A query matches a few thousand cells, so
-// anything that allocates per cell, per candidate or per page blows through
-// its ceiling many times over; what is left grows with page runs, tiles and
-// the logarithm of the answer size. Ceilings sit at roughly twice the count
-// measured when they were set (in the comments), to ride out toolchain drift.
+// geometry unless the row measures) for every read path. A query matches a
+// few thousand cells, so anything that allocates per cell, per candidate or
+// per page blows through its ceiling many times over; what is left grows with
+// page runs, tiles and the logarithm of the answer size. Ceilings sit at
+// roughly twice the count measured when they were set (in the comments), to
+// ride out toolchain drift.
 func TestAllocCeilings(t *testing.T) {
 	f, err := workload.Terrain(256, 4217)
 	if err != nil {
@@ -50,16 +51,19 @@ func TestAllocCeilings(t *testing.T) {
 		build   func(field.Field, *storage.Pager) (core.Index, error)
 		pool    int
 		workers int
+		measure bool
 		ceiling float64
 	}{
-		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, 320},            // 154
-		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, 2300}, // 1129
-		{"I-All", specs["I-All"].Build, 1 << 16, 1, 400},                    // 165
-		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, 400},          // 149
-		{"Tiled-LinearScan", tiled, 1 << 16, 1, 540},                        // 269
-		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, 920},              // 456
-		{"Tiled-LinearScan/pool=256", tiled, 256, 1, 460},                   // 228
-		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, 950},         // 473
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 320},            // 154
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 2300}, // 1129
+		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 184},     // 92
+		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 400},                    // 165
+		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 400},          // 149
+		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 540},                        // 269
+		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 920},              // 456
+		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 404},                 // 202
+		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 460},                   // 228
+		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 950},         // 473
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, c.pool)
@@ -67,20 +71,38 @@ func TestAllocCeilings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx.(core.Engine).SetWorkers(c.workers)
-			i := 0
-			got := testing.AllocsPerRun(len(queries), func() {
-				if _, err := idx.Query(queries[i%len(queries)]); err != nil {
-					t.Fatal(err)
-				}
-				i++
-			})
+			eng := idx.(core.Engine)
+			eng.SetWorkers(c.workers)
+			got := allocsPerQuery(t, eng, queries, c.measure)
 			t.Logf("%.0f allocs/query (ceiling %.0f)", got, c.ceiling)
 			if got > c.ceiling {
 				t.Errorf("%.0f allocs per query, ceiling %.0f", got, c.ceiling)
 			}
 		})
 	}
+
+	// The measure sink allocates nothing per matched cell: a rotation matching
+	// ten times the cells costs what page runs and the answer's logarithm add,
+	// not what its cells would.
+	t.Run("I-Hilbert/measure/selectivity", func(t *testing.T) {
+		const allowance = 16 // measured: 37 at sel 0.01, 42 at sel 0.10
+		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
+		idx, err := specs["I-Hilbert"].Build(f, pager)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := idx.(core.Engine)
+		at := func(sel float64) float64 {
+			return allocsPerQuery(t, eng, workload.Queries(f.ValueRange(), sel, 64, 4217+int64(sel*1e6)), true)
+		}
+		at(0.01) // first rotations fill the pool and grow the pooled scratch
+		at(0.10)
+		narrow, wide := at(0.01), at(0.10)
+		t.Logf("%.0f allocs/query at sel 0.01, %.0f at sel 0.10", narrow, wide)
+		if wide > narrow+allowance {
+			t.Errorf("measure query allocates %.0f at sel 0.10, %.0f at sel 0.01 (+%d allowance)", wide, narrow, allowance)
+		}
+	})
 
 	// A point query opens two query contexts — the tree descent on the spatial
 	// pager, the cell fetch on the value store — and decodes one or two cells;
@@ -128,10 +150,29 @@ func TestAllocCeilings(t *testing.T) {
 			})
 		}
 		measure(eng.QueryContext) // a first rotation grows the pooled scratch to size
-		solo, windowed := measure(eng.QueryContext), measure(gate.QueryContext)
+		solo, windowed := measure(eng.QueryContext), measure(func(ctx context.Context, q geom.Interval) (*core.Result, error) {
+			return gate.Query(core.BatchQuery{Ctx: ctx, Query: q})
+		})
 		t.Logf("%.0f allocs/query solo, %.0f through an idle window", solo, windowed)
 		if windowed > solo+8 {
 			t.Errorf("idle windowed query allocates %.0f, solo %.0f (+8 allowance)", windowed, solo)
 		}
+	})
+}
+
+// allocsPerQuery is the mean allocation count of one query of the rotation on
+// eng, into the measure sink or with full geometry.
+func allocsPerQuery(t *testing.T, eng core.Engine, queries []geom.Interval, measure bool) float64 {
+	t.Helper()
+	query := eng.QueryContext
+	if measure {
+		query = eng.MeasureContext
+	}
+	i := 0
+	return testing.AllocsPerRun(len(queries), func() {
+		if _, err := query(context.Background(), queries[i%len(queries)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
 	})
 }

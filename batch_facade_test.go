@@ -232,9 +232,10 @@ func TestValueQueryBatchValidation(t *testing.T) {
 }
 
 // TestBatchWindow checks the admission-window path end to end: concurrent
-// queries through a windowed DB answer byte-identically to a window-free DB
-// however the slot gate grouped them, and every one shows up in the batch
-// metrics — as a batch member, and as a free-slot group or a waiter.
+// queries through a windowed DB — every other one a measure query, so groups
+// mix both sinks — answer byte-identically to a window-free DB however the
+// slot gate grouped them, and every one shows up in the batch metrics — as a
+// batch member, and as a free-slot group or a waiter.
 func TestBatchWindow(t *testing.T) {
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
@@ -265,12 +266,16 @@ func TestBatchWindow(t *testing.T) {
 		wg.Add(1)
 		go func(i int, iv Interval) {
 			defer wg.Done()
-			res, err := windowed.ValueQuery(iv.Lo, iv.Hi)
+			query, want := windowed.ValueQueryContext, solo[i]
+			if i%2 == 1 {
+				query, want = windowed.ValueMeasureContext, stripGeometry(solo[i])
+			}
+			res, err := query(context.Background(), iv.Lo, iv.Hi)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			if !reflect.DeepEqual(solo[i], res) {
+			if !reflect.DeepEqual(want, res) {
 				errs[i] = errors.New("windowed result diverges from solo")
 			}
 		}(i, iv)

@@ -13,6 +13,7 @@
 package fielddb_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -70,7 +71,10 @@ func benchScale() bench.Scale { return bench.Scale{} }
 // BenchmarkValueRange is the storage read-path suite behind
 // BENCH_BASELINE.json: value-range queries at the paper's three selectivity
 // regimes (bench.Selectivities) for LinearScan, I-All and I-Hilbert, plus the
-// parallel refinement path (I-Hilbert at Workers 4). Run with
+// parallel refinement path (I-Hilbert at Workers 4) and — for LinearScan and
+// I-Hilbert — the same queries without geometry (".../measure", the measure
+// sink: where the paper's filter ordering shows on the wall clock once band
+// polygons stop dominating). Run with
 //
 //	go test -bench BenchmarkValueRange -benchmem
 //
@@ -88,35 +92,44 @@ func BenchmarkValueRange(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		eng := idx.(core.Engine)
 		workerCounts := []int{1}
 		if spec.ParallelRefine {
 			workerCounts = append(workerCounts, 4)
 		}
+		measures := spec.Label == string(core.MethodLinearScan) || spec.Label == string(core.MethodIHilbert)
 		for _, workers := range workerCounts {
-			idx.(core.Engine).SetWorkers(workers)
+			eng.SetWorkers(workers)
 			for _, sel := range bench.Selectivities {
 				queries := workload.Queries(vr, sel, 64, 4217+int64(sel*1e6))
 				name := fmt.Sprintf("%s/sel=%.2f", spec.Label, sel)
 				if workers > 1 {
 					name += fmt.Sprintf("/workers=%d", workers)
 				}
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					var simNs, pages float64
-					for i := 0; i < b.N; i++ {
-						res, err := idx.Query(queries[i%len(queries)])
-						if err != nil {
-							b.Fatal(err)
-						}
-						simNs += float64(res.IO.SimElapsed.Nanoseconds())
-						pages += float64(res.IO.Reads)
-					}
-					b.ReportMetric(simNs/float64(b.N), "simns/op")
-					b.ReportMetric(pages/float64(b.N), "pages/op")
-				})
+				b.Run(name, func(b *testing.B) { benchQueries(b, eng.QueryContext, queries) })
+				if measures && workers == 1 {
+					b.Run(name+"/measure", func(b *testing.B) { benchQueries(b, eng.MeasureContext, queries) })
+				}
 			}
 		}
 	}
+}
+
+// benchQueries times query over the rotation, reporting simulated disk time
+// and pages per query beside ns/op.
+func benchQueries(b *testing.B, query func(context.Context, geom.Interval) (*core.Result, error), queries []geom.Interval) {
+	b.ReportAllocs()
+	var simNs, pages float64
+	for i := 0; i < b.N; i++ {
+		res, err := query(context.Background(), queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		simNs += float64(res.IO.SimElapsed.Nanoseconds())
+		pages += float64(res.IO.Reads)
+	}
+	b.ReportMetric(simNs/float64(b.N), "simns/op")
+	b.ReportMetric(pages/float64(b.N), "pages/op")
 }
 
 // BenchmarkValueRangeConcurrent is the concurrent-workload suite behind the

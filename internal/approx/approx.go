@@ -86,7 +86,8 @@ type Segment struct {
 
 // Fn is one fitted cumulative function: contiguous segments tiling
 // [Segments[0].Lo, Segments[last].Hi], plus the exact total the function
-// reaches past its last knot.
+// reaches past its last knot — the summary's N or TotalArea, which is what
+// the encoding carries and clamps to.
 type Fn struct {
 	Segments []Segment
 	Total    float64
@@ -340,7 +341,7 @@ func fitFn(d *stepData, maxSegs int) Fn {
 		copy(ranges[at+2:], ranges[at+1:])
 		ranges[at+1] = right
 	}
-	fn := Fn{Total: d.total(), Segments: make([]Segment, len(ranges))}
+	fn := Fn{Segments: make([]Segment, len(ranges))}
 	for i, r := range ranges {
 		fn.Segments[i] = Segment{
 			Lo: d.bx[r.i0], Hi: d.bx[r.i1],
@@ -395,8 +396,20 @@ func Build(ivs []geom.Interval, areas []float64, budget int) (*Summary, error) {
 	}
 	for i := range steps {
 		s.Fns[i] = fitFn(&steps[i], maxSegs)
+		s.Fns[i].Total = s.fnTotal(i)
 	}
 	return s, nil
+}
+
+// fnTotal is the value function fn reaches past its last knot: the cell count
+// for the count functions, the total area for the area ones. (The area step
+// functions sum the same areas in another order, so their own last value may
+// differ from TotalArea in the last digit; the summary answers with this one.)
+func (s *Summary) fnTotal(fn int) float64 {
+	if fn == fnCountHi || fn == fnCountLo {
+		return s.N
+	}
+	return s.TotalArea
 }
 
 // sortedBy returns cell indices ordered by key(ivs[i]) ascending (stable on
@@ -587,13 +600,7 @@ func Decode(buf []byte) (*Summary, error) {
 		first := f64at(buf, h)
 		segs := int(binary.LittleEndian.Uint32(buf[h+8:]))
 		off := int(binary.LittleEndian.Uint32(buf[h+12:]))
-		fn := Fn{Segments: make([]Segment, segs)}
-		switch i {
-		case fnCountHi, fnCountLo:
-			fn.Total = s.N
-		default:
-			fn.Total = s.TotalArea
-		}
+		fn := Fn{Segments: make([]Segment, segs), Total: s.fnTotal(i)}
 		lo := first
 		for j := 0; j < segs; j++ {
 			so := off + j*segSize

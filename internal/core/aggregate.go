@@ -171,7 +171,9 @@ func exactToResult(q geom.Interval, maxErr float64, exact *Result, totalCells in
 //     as they were at the pin (update batches version them copy-on-write like
 //     any data page). A store without summary pages — an untiled scan or
 //     per-cell tree, or a file that declares none — skips the stage.
-//  3. Exact — when the bound exceeds maxErr, the value-query pipeline runs.
+//  3. Exact — when the bound exceeds maxErr, the value-query pipeline runs
+//     into the measure sink: an aggregate needs counts and areas, never
+//     geometry.
 func (e *engine) AggregateContext(ctx context.Context, q geom.Interval, maxErr float64) (*AggregateResult, error) {
 	if q.IsEmpty() {
 		return nil, errEmptyQuery
@@ -202,7 +204,7 @@ func (e *engine) aggregateAt(st *state, ctx context.Context, tb *obs.TraceBuilde
 		area += e.parts[pi].area
 	}
 	if !composed && e.sumPages == 0 {
-		ex, err := e.queryAt(st, ctx, tb, q)
+		ex, err := e.queryAt(st, ctx, tb, q, true)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +259,7 @@ func (e *engine) aggregateAt(st *state, ctx context.Context, tb *obs.TraceBuilde
 		e.recordAggregate(false)
 		return res, nil
 	}
-	ex, err := e.queryAt(st, ctx, tb, q)
+	ex, err := e.queryAt(st, ctx, tb, q, true)
 	if err != nil {
 		return nil, err
 	}

@@ -47,14 +47,18 @@ import (
 
 // BatchQuery is one member of a shared-scan batch: the query interval plus
 // the caller's own context, polled independently so one member's
-// cancellation never disturbs the rest of the batch.
+// cancellation never disturbs the rest of the batch, and the sink the member
+// refines into — so one batch can mix geometry and measure members.
 type BatchQuery struct {
 	Ctx   context.Context
 	Query geom.Interval
+	// Measure refines the member into the measure sink: its result is
+	// MeasureContext's rather than QueryContext's.
+	Measure bool
 }
 
 // BatchResult is one member's outcome — exactly what the member's solo
-// QueryContext call would have returned.
+// QueryContext (or MeasureContext) call would have returned.
 type BatchResult struct {
 	Res *Result
 	Err error
@@ -80,6 +84,7 @@ type BatchStats struct {
 type batchMember struct {
 	ctx     context.Context
 	q       geom.Interval
+	measure bool              // the member refines into the measure sink
 	qc      *storage.QueryCtx // attributed accounting, replayed charges
 	tb      *obs.TraceBuilder
 	start   time.Time
@@ -115,7 +120,7 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 		if m.ctx == nil {
 			m.ctx = context.Background()
 		}
-		m.q = bq.Query
+		m.q, m.measure = bq.Query, bq.Measure
 		if m.q.IsEmpty() {
 			m.err = errEmptyQuery
 			continue
@@ -125,7 +130,7 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 		m.qc = beginQueryAt(pager, epoch)
 		m.qc.AttachTrace(m.tb)
 		m.res = &Result{Query: m.q}
-		m.rs = resultSink{res: m.res}
+		m.rs = resultSink{res: m.res, measure: m.measure}
 		m.sink = &m.rs
 		if err := m.ctx.Err(); err != nil {
 			m.err = err
@@ -210,7 +215,7 @@ func (o *observed) endBatch(bo batchObs, size int, shared, filters storage.Stats
 // sequentialBatch executes members one by one through the solo pipeline —
 // the group-of-one case of the admission window, and the fallback of modes
 // with nothing to coalesce — then records a zero-savings batch.
-func sequentialBatch(o *observed, query func(context.Context, geom.Interval) (*Result, error), members []BatchQuery) ([]BatchResult, BatchStats) {
+func sequentialBatch(o *observed, query func(context.Context, geom.Interval, bool) (*Result, error), members []BatchQuery) ([]BatchResult, BatchStats) {
 	out := make([]BatchResult, len(members))
 	var phys storage.Stats
 	for i, bq := range members {
@@ -218,7 +223,7 @@ func sequentialBatch(o *observed, query func(context.Context, geom.Interval) (*R
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		res, err := query(ctx, bq.Query)
+		res, err := query(ctx, bq.Query, bq.Measure)
 		out[i] = BatchResult{Res: res, Err: err}
 		if err == nil {
 			phys = phys.Add(res.IO)
@@ -459,15 +464,15 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 // fetch, and the union of the members' positions or runs is fetched once and
 // demultiplexed — tile by tile in a tiled store, whose tiles share a scan only
 // when they are sidecar-served scans. Member results — including Result.IO —
-// are byte-identical to solo QueryContext calls; a batch of one, or one with
-// nothing to share, takes the solo path itself.
+// are byte-identical to solo QueryContext or MeasureContext calls; a batch of
+// one, or one with nothing to share, takes the solo path itself.
 func (e *engine) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	if len(members) == 0 {
 		return nil, BatchStats{}
 	}
 	tiled := e.tileSide != 0
 	if len(members) == 1 || (tiled && !e.parts[0].tested) {
-		return sequentialBatch(&e.observed, e.QueryContext, members)
+		return sequentialBatch(&e.observed, e.query, members)
 	}
 	st := e.pinState()
 	defer e.unpin(st)
@@ -683,18 +688,20 @@ func NewBatcher(idx Engine, window time.Duration, metrics *obs.Metrics) *Batcher
 // Window returns the configured admission window.
 func (b *Batcher) Window() time.Duration { return b.window }
 
-// QueryContext submits one query: it runs at once on a free slot, or waits in
-// the pending group — as its leader (the first to find every slot busy, who
-// executes the batch) or as a follower — for a slot or the window's end. ctx
-// cancels only this member. A canceled follower returns ctx's error at once
-// (its member dies inside the batch, unpublished, as a canceled solo query
-// does); a canceled leader still waits and executes the group, so followers
-// are never stranded — its own slot in the batch returns the context error.
-func (b *Batcher) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
+// Query submits one query, geometry or measure as bq says: it runs at once on a
+// free slot, or waits in the pending group — as its leader (the first to find
+// every slot busy, who executes the batch) or as a follower — for a slot or the
+// window's end. bq.Ctx cancels only this member. A canceled follower returns
+// its context's error at once (its member dies inside the batch, unpublished,
+// as a canceled solo query does); a canceled leader still waits and executes
+// the group, so followers are never stranded — its own slot in the batch
+// returns the context error.
+func (b *Batcher) Query(bq BatchQuery) (*Result, error) {
+	ctx := bq.Ctx
 	b.mu.Lock()
 	if g := b.pending; g != nil {
 		i := len(g.members)
-		g.members = append(g.members, BatchQuery{Ctx: ctx, Query: q})
+		g.members = append(g.members, bq)
 		g.late += time.Since(g.opened)
 		b.mu.Unlock()
 		select {
@@ -709,11 +716,11 @@ func (b *Batcher) QueryContext(ctx context.Context, q geom.Interval) (*Result, e
 		b.mu.Unlock()
 		defer b.releaseSlot()
 		b.metrics.RecordGroup(obs.ReleaseFreeSlot, 1, 0, 0)
-		results, _ := b.idx.QueryBatch([]BatchQuery{{Ctx: ctx, Query: q}})
+		results, _ := b.idx.QueryBatch([]BatchQuery{bq})
 		return results[0].Res, results[0].Err
 	}
 	g := &batchGroup{
-		members: []BatchQuery{{Ctx: ctx, Query: q}},
+		members: []BatchQuery{bq},
 		opened:  time.Now(),
 		slot:    make(chan struct{}),
 		done:    make(chan struct{}),

@@ -385,7 +385,7 @@ func TestBatcherWindow(t *testing.T) {
 	ls.SetObserver(obs.Observer{Metrics: m})
 
 	// Lone query: the group of one takes the solo path.
-	res, err := b.QueryContext(context.Background(), qs[0])
+	res, err := b.Query(BatchQuery{Ctx: context.Background(), Query: qs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestBatcherWindow(t *testing.T) {
 		wg.Add(1)
 		go func(i int, q geom.Interval) {
 			defer wg.Done()
-			res, err := b.QueryContext(context.Background(), q)
+			res, err := b.Query(BatchQuery{Ctx: context.Background(), Query: q})
 			if err != nil {
 				errs[i] = err
 				return
@@ -416,7 +416,7 @@ func TestBatcherWindow(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := b.QueryContext(canceled, qs[0]); !errors.Is(err, context.Canceled) {
+		if _, err := b.Query(BatchQuery{Ctx: canceled, Query: qs[0]}); !errors.Is(err, context.Canceled) {
 			errs[len(qs)] = errors.New("canceled member did not fail with context.Canceled")
 		}
 	}()
@@ -514,7 +514,7 @@ func (e *gateEngine) pass(n int) {
 	}
 }
 
-// gateCall is one QueryContext call made on its own goroutine.
+// gateCall is one Batcher.Query call made on its own goroutine.
 type gateCall struct {
 	res      *Result
 	err      error
@@ -527,7 +527,7 @@ func submit(b *Batcher, ctx context.Context, lo float64) *gateCall {
 	go func() {
 		defer close(c.done)
 		defer func() { c.panicked = recover() }()
-		c.res, c.err = b.QueryContext(ctx, geom.Interval{Lo: lo, Hi: lo + 1})
+		c.res, c.err = b.Query(BatchQuery{Ctx: ctx, Query: geom.Interval{Lo: lo, Hi: lo + 1}})
 	}()
 	return c
 }

@@ -105,13 +105,19 @@ type Result struct {
 	// intersects the query — the candidate cells of §2.2.2.
 	CellsMatched int
 	// Regions are the exact answer polygons computed by inverse
-	// interpolation (empty for zero-width queries). The regions of one Result
-	// share vertex chunks that nothing else ever writes: holding one region
-	// keeps its chunk alive, and appending to one copies it.
+	// interpolation (empty for zero-width queries, nil for a measure query).
+	// The regions of one Result share vertex chunks that nothing else ever
+	// writes: holding one region keeps its chunk alive, and appending to one
+	// copies it.
 	Regions []geom.Polygon
-	// Isolines are the answer segments of an exact (zero-width) query.
+	// Isolines are the answer segments of an exact (zero-width) query (nil
+	// for a measure query).
 	Isolines [][2]geom.Point
-	// Area is the total area of Regions.
+	// RegionCount and IsolineCount are how many answer regions and segments
+	// there are: len(Regions) and len(Isolines) where the query kept its
+	// geometry, the same counts where it only measured.
+	RegionCount, IsolineCount int
+	// Area is the total area of the answer regions.
 	Area float64
 	// MatchedCellArea is the total planar area of the matched cells
 	// themselves (not the clipped band polygons) — the exact quantity the
@@ -161,8 +167,14 @@ type Engine interface {
 	// QueryContext is Query with cancellation, polled between cell runs,
 	// candidate fetches and tiles.
 	QueryContext(ctx context.Context, q geom.Interval) (*Result, error)
+	// MeasureContext is QueryContext without the answer geometry: the same
+	// pipeline refines every survivor into the measure sink, so the Result
+	// equals QueryContext's with Regions and Isolines nil — counts, areas and
+	// I/O identical.
+	MeasureContext(ctx context.Context, q geom.Interval) (*Result, error)
 	// QueryBatch executes several value queries as one shared scan; member
-	// results are byte-identical to sequential solo QueryContext calls.
+	// results are byte-identical to sequential solo QueryContext (or, for a
+	// Measure member, MeasureContext) calls.
 	QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats)
 	// AggregateContext answers an aggregate query from the field summary when
 	// its certified bound is within maxErr, exactly otherwise (always exactly
@@ -246,14 +258,23 @@ const (
 // — nor in a pool: callers keep Regions.
 type regionStore struct{ chunk []geom.Point }
 
-// band computes the exact answer geometry of one cell whose interval already
-// matched q, a band of positive width: it appends the cell's regions — at most
-// two — to dst and returns their areas in the same order. The band kernel
-// appends each region's vertices to the store's current chunk and dst gets a
-// sub-slice capped at the region's end, so appending to a region copies it
-// instead of running into its neighbour. The chunks belong to the regions from
-// then on: they are never reused, for another query or otherwise.
-func (rs *regionStore) band(dst []geom.Polygon, c *field.Cell, q geom.Interval) ([]geom.Polygon, [2]float64) {
+// band is the per-cell kernel of the estimation step, for a cell whose
+// interval already matched q, a band of positive width: it clips the cell onto
+// the store's current chunk and keeps the regions that carry area — at most
+// two — returning how many it kept and their areas in the same order. Boundary
+// cells can contribute degenerate slivers (the band touches the cell only
+// along an edge); they carry no area and break downstream convex clipping, so
+// they are dropped. With keep, each kept region is appended to dst as a
+// sub-slice of the chunk capped at its own end, so appending to a region copies
+// it instead of running into its neighbour, and the chunks belong to the
+// regions from then on: they are never reused, for another query or otherwise.
+// Without it the store measures: the chunk is scratch every cell clips from
+// the start of, and only the counts and areas leave — so a Result's areas are
+// the same float operations in the same order, geometry or not.
+func (rs *regionStore) band(dst []geom.Polygon, keep bool, c *field.Cell, q geom.Interval) ([]geom.Polygon, int, [2]float64) {
+	if !keep {
+		rs.chunk = rs.chunk[:0]
+	}
 	if cap(rs.chunk)-len(rs.chunk) < band.MaxCellVertices {
 		rs.chunk = make([]geom.Point, 0, min(max(2*cap(rs.chunk), minRegionChunk), maxRegionChunk))
 	}
@@ -265,37 +286,42 @@ func (rs *regionStore) band(dst []geom.Polygon, c *field.Cell, q geom.Interval) 
 	for _, end := range [2]int{start + first, len(pts)} {
 		pg := geom.Polygon(pts[start:end:end])
 		start = end
-		// Boundary cells can contribute degenerate slivers (the band
-		// touches the cell only along an edge); they carry no area and
-		// break downstream convex clipping, so drop them.
 		a := pg.Area()
 		if a <= 1e-12 {
 			continue
 		}
-		dst = append(dst, pg)
+		if keep {
+			dst = append(dst, pg)
+		}
 		areas[n] = a
 		n++
 		kept = end
 	}
 	rs.chunk = pts[:kept]
-	return dst, areas
+	return dst, n, areas
 }
 
 // estimateMatched folds one cell whose interval already matched the query
-// straight into the Result: the counters, the cell's own area, and its answer
-// geometry with the regions' areas added left to right.
+// straight into the Result: the counters, the cell's own area, the areas of
+// its regions added left to right and — unless the sink measures — its answer
+// geometry.
 func (rs *resultSink) estimateMatched(c *field.Cell) {
 	res, q := rs.res, rs.res.Query
 	res.CellsMatched++
 	res.MatchedCellArea += c.Area()
 	if q.Length() == 0 {
-		res.Isolines = append(res.Isolines, field.Isolines(c, q.Lo)...)
+		segs := field.Isolines(c, q.Lo)
+		res.IsolineCount += len(segs)
+		if !rs.measure {
+			res.Isolines = append(res.Isolines, segs...)
+		}
 		return
 	}
-	n := len(res.Regions)
+	var n int
 	var areas [2]float64
-	res.Regions, areas = rs.band(res.Regions, c, q)
-	for _, a := range areas[:len(res.Regions)-n] {
+	res.Regions, n, areas = rs.band(res.Regions, !rs.measure, c, q)
+	res.RegionCount += n
+	for _, a := range areas[:n] {
 		res.Area += a
 	}
 }

@@ -79,8 +79,13 @@ type sink interface {
 
 // resultSink refines each survivor straight into a Result: the full decode
 // plus the fold of estimateMatched, in the order the fetch hands them over.
+// With measure it is the measure sink: the same fold, the same float additions
+// in the same order, but the band kernel clips into scratch and nothing of the
+// geometry outlives the cell — the Result gets its counts and areas and nil
+// Regions and Isolines.
 type resultSink struct {
-	res *Result
+	res     *Result
+	measure bool
 	regionStore
 }
 
@@ -97,17 +102,21 @@ func (rs *resultSink) add(s *survivor) error {
 // in an order the fetch does not know: one tile of a tiled query, one page run
 // of a parallel refinement. It refines each survivor where the fetch runs — on
 // the worker, straight from the page — into regions over vertex chunks of its
-// own, and keeps one entry per survivor with everything the fold adds up, so
-// gather touches no record and no vertex.
+// own (unless it measures), and keeps one entry per survivor with everything
+// the fold adds up, so gather touches no record and no vertex.
 type partial struct {
 	q geom.Interval
+	// measure keeps no answer pieces: only each cell's count and areas.
+	measure bool
 	// ids maps the ids of a tile's records to the field's; nil where a record
 	// carries its field id itself.
 	ids []field.CellID
 	regionStore
 	cells []refined
-	// regions (or isolines, for a zero-width query) holds the cells' answer
-	// pieces back to back, in the order of cells.
+	// pieces counts the cells' answer pieces; unless the partial measures,
+	// regions (or isolines, for a zero-width query) holds them back to back,
+	// in the order of cells.
+	pieces   int32
 	regions  []geom.Polygon
 	isolines [][2]geom.Point
 	// unordered records that some survivor arrived below its predecessor's
@@ -130,7 +139,7 @@ type refined struct {
 // allocates once and not per doubling.
 func (p *partial) reserve(n int) {
 	p.cells = make([]refined, 0, n)
-	if p.q.Length() > 0 {
+	if p.q.Length() > 0 && !p.measure {
 		p.regions = make([]geom.Polygon, 0, n)
 	}
 }
@@ -140,7 +149,7 @@ func (p *partial) add(s *survivor) error {
 	if err != nil {
 		return err
 	}
-	e := refined{id: c.ID, area: c.Area()}
+	e := refined{id: c.ID, area: c.Area(), first: p.pieces}
 	if p.ids != nil {
 		if int(c.ID) >= len(p.ids) {
 			return fmt.Errorf("core: record id %d outside its %d-cell tile", c.ID, len(p.ids))
@@ -150,15 +159,17 @@ func (p *partial) add(s *survivor) error {
 	if n := len(p.cells); n > 0 && e.id < p.cells[n-1].id {
 		p.unordered = true
 	}
+	var n int
 	if p.q.Length() == 0 {
-		e.first = int32(len(p.isolines))
-		p.isolines = append(p.isolines, field.Isolines(c, p.q.Lo)...)
-		e.n = int32(len(p.isolines)) - e.first
+		segs := field.Isolines(c, p.q.Lo)
+		if n = len(segs); !p.measure {
+			p.isolines = append(p.isolines, segs...)
+		}
 	} else {
-		e.first = int32(len(p.regions))
-		p.regions, e.areas = p.band(p.regions, c, p.q)
-		e.n = int32(len(p.regions)) - e.first
+		p.regions, n, e.areas = p.band(p.regions, !p.measure, c, p.q)
 	}
+	e.n = int32(n)
+	p.pieces += e.n
 	p.cells = append(p.cells, e)
 	return nil
 }
@@ -173,14 +184,16 @@ func (p *partial) sortByID() {
 	slices.SortFunc(p.cells, func(a, b refined) int { return cmp.Compare(a.id, b.id) })
 	regions := make([]geom.Polygon, 0, len(p.regions))
 	isolines := make([][2]geom.Point, 0, len(p.isolines))
+	next := int32(0)
 	for i := range p.cells {
 		e := &p.cells[i]
 		from, to := e.first, e.first+e.n
-		if p.q.Length() == 0 {
-			e.first = int32(len(isolines))
+		e.first, next = next, next+e.n
+		switch {
+		case p.measure:
+		case p.q.Length() == 0:
 			isolines = append(isolines, p.isolines[from:to]...)
-		} else {
-			e.first = int32(len(regions))
+		default:
 			regions = append(regions, p.regions[from:to]...)
 		}
 	}
@@ -201,7 +214,10 @@ func (p *partial) fold(res *Result, from, to int) {
 		for _, e := range p.cells[from:to] {
 			res.MatchedCellArea += e.area
 		}
-		res.Isolines = append(res.Isolines, p.isolines[lo:hi]...)
+		res.IsolineCount += int(hi - lo)
+		if !p.measure {
+			res.Isolines = append(res.Isolines, p.isolines[lo:hi]...)
+		}
 		return
 	}
 	for i := from; i < to; i++ {
@@ -211,7 +227,10 @@ func (p *partial) fold(res *Result, from, to int) {
 			res.Area += a
 		}
 	}
-	res.Regions = append(res.Regions, p.regions[lo:hi]...)
+	res.RegionCount += int(hi - lo)
+	if !p.measure {
+		res.Regions = append(res.Regions, p.regions[lo:hi]...)
+	}
 }
 
 // gather folds the partials into res: one after another as they stand — the

@@ -223,8 +223,8 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 }
 
 // queryTiles runs the scatter-gather pipeline against one pinned state on qc,
-// the query's context.
-func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval) (*Result, error) {
+// the query's context; with measure, the tiles' partials keep no geometry.
+func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval, measure bool) (*Result, error) {
 	res := &Result{Query: q}
 	// Prune: pure in-memory summary tests — the span's page counts stay zero,
 	// which is exactly the property the tiled acceptance tests assert.
@@ -249,6 +249,9 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 	}
 
 	parts := make([]partial, len(residual))
+	for i := range parts {
+		parts[i].measure = measure
+	}
 	filterReads, sidecarReads := 0, 0
 	if workers := e.fanout(len(residual)); workers == 1 {
 		// Sequential scatter: one PhaseTileScan span per residual tile, so a

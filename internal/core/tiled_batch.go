@@ -82,7 +82,7 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 				continue
 			}
 			m.pos = bb.pos[i]
-			parts[i] = append(parts[i], partial{q: m.q, ids: tl.ids})
+			parts[i] = append(parts[i], partial{q: m.q, measure: m.measure, ids: tl.ids})
 			part := &parts[i][len(parts[i])-1]
 			part.reserve(len(m.pos))
 			m.sink = part

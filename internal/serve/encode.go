@@ -248,9 +248,9 @@ func appendResultOpen(b []byte, res *fielddb.Result) []byte {
 	b = append(b, `,"cells_matched":`...)
 	b = strconv.AppendInt(b, int64(res.CellsMatched), 10)
 	b = append(b, `,"regions":`...)
-	b = strconv.AppendInt(b, int64(len(res.Regions)), 10)
+	b = strconv.AppendInt(b, int64(res.RegionCount), 10)
 	b = append(b, `,"isolines":`...)
-	b = strconv.AppendInt(b, int64(len(res.Isolines)), 10)
+	b = strconv.AppendInt(b, int64(res.IsolineCount), 10)
 	b = append(b, `,"area":`...)
 	b = appendJSONFloat(b, res.Area)
 	b = append(b, `,"io":`...)

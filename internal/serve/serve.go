@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"fielddb"
+	"fielddb/internal/core"
 	"fielddb/internal/obs"
 )
 
@@ -430,8 +431,8 @@ func viewResult(res *fielddb.Result, geometry bool) WireResult {
 		CandidateGroups: res.CandidateGroups,
 		CellsFetched:    res.CellsFetched,
 		CellsMatched:    res.CellsMatched,
-		Regions:         len(res.Regions),
-		Isolines:        len(res.Isolines),
+		Regions:         res.RegionCount,
+		Isolines:        res.IsolineCount,
 		Area:            res.Area,
 		IO: WireIO{
 			Reads:        res.IO.Reads,
@@ -463,6 +464,21 @@ func viewRings(polys []fielddb.Polygon) [][][2]float64 {
 
 func wantGeometry(r *http.Request) bool {
 	return r.URL.Query().Get("geometry") == "1"
+}
+
+// valueContext is the context a value query runs under: ctx, marked
+// core.WithMeasure unless the response streams rings — one without them reads
+// counts, area and I/O alone, so the engine builds no polygon for it. The
+// encoding is the same either way. The request rides the context, not
+// Querier.ValueMeasureContext, because a Field's Querier may wrap another and
+// override only the value query it times or limits: the wrapper forwards the
+// context, while a method it does not override would bypass it, or panic where
+// it wraps nothing.
+func valueContext(ctx context.Context, geometry bool) context.Context {
+	if geometry {
+		return ctx
+	}
+	return core.WithMeasure(ctx)
 }
 
 // handleHealth is the one unrouted endpoint: it answers from the drain flag
@@ -536,19 +552,21 @@ func (s *Server) handleValue(loKey, hiKey string) func(*request) {
 			return
 		}
 		var res *fielddb.Result
+		geometry := wantGeometry(q.r)
+		ctx := valueContext(q.r.Context(), geometry)
 		switch {
 		case hiKey == "":
-			res, err = f.Querier.ValueAboveContext(q.r.Context(), lo)
+			res, err = f.Querier.ValueAboveContext(ctx, lo)
 		case loKey == "":
-			res, err = f.Querier.ValueBelowContext(q.r.Context(), hi)
+			res, err = f.Querier.ValueBelowContext(ctx, hi)
 		default:
-			res, err = f.Querier.ValueQueryContext(q.r.Context(), lo, hi)
+			res, err = f.Querier.ValueQueryContext(ctx, lo, hi)
 		}
 		if err != nil {
 			q.failErr(err)
 			return
 		}
-		q.out.result(name, res, wantGeometry(q.r))
+		q.out.result(name, res, geometry)
 	}
 }
 
@@ -688,14 +706,16 @@ func (s *Server) handleBatch(q *request) {
 		st      *fielddb.BatchStats
 		qerr    error
 	)
+	geometry := wantGeometry(q.r)
+	ctx := valueContext(q.r.Context(), geometry)
 	if bs, ok := f.Querier.(batchStatser); ok {
 		var bst fielddb.BatchStats
-		results, bst, qerr = bs.ValueQueryBatchStats(q.r.Context(), intervals)
+		results, bst, qerr = bs.ValueQueryBatchStats(ctx, intervals)
 		if qerr == nil || results != nil {
 			st = &bst
 		}
 	} else {
-		results, qerr = f.Querier.ValueQueryBatch(q.r.Context(), intervals)
+		results, qerr = f.Querier.ValueQueryBatch(ctx, intervals)
 	}
 	if qerr != nil && results == nil {
 		q.failErr(qerr)
@@ -703,7 +723,7 @@ func (s *Server) handleBatch(q *request) {
 	}
 	// Partial failure: successful members keep their slots, the first
 	// failure is reported alongside (HTTP 200 — the batch ran).
-	q.out.batch(name, results, st, qerr, wantGeometry(q.r))
+	q.out.batch(name, results, st, qerr, geometry)
 }
 
 // updateRequest is the POST body of /update.

@@ -126,8 +126,8 @@ func appendResultCore(b []byte, res *fielddb.Result) []byte {
 	b = appendU32(b, res.CandidateGroups)
 	b = appendU32(b, res.CellsFetched)
 	b = appendU32(b, res.CellsMatched)
-	b = appendU32(b, len(res.Regions))
-	b = appendU32(b, len(res.Isolines))
+	b = appendU32(b, res.RegionCount)
+	b = appendU32(b, res.IsolineCount)
 	b = appendF64(b, res.Area)
 	return appendIOStats(b, res.IO)
 }
@@ -327,9 +327,9 @@ func batchColumnValue(ci int, res *fielddb.Result) float64 {
 	case 4:
 		return math.Float64frombits(uint64(res.CellsMatched))
 	case 5:
-		return math.Float64frombits(uint64(len(res.Regions)))
+		return math.Float64frombits(uint64(res.RegionCount))
 	case 6:
-		return math.Float64frombits(uint64(len(res.Isolines)))
+		return math.Float64frombits(uint64(res.IsolineCount))
 	case 7:
 		return res.Area
 	case 8:

@@ -130,6 +130,7 @@ func resultFromBytes(data []byte) *fielddb.Result {
 		}
 		res.Regions = append(res.Regions, ring)
 	}
+	res.RegionCount = len(res.Regions)
 	return res
 }
 

@@ -55,10 +55,16 @@ type Querier interface {
 	// the exact regions where the value lies in [lo, hi]. Cancellation is
 	// polled between subfield cell runs and refinement work units.
 	ValueQueryContext(ctx context.Context, lo, hi float64) (*Result, error)
+	// ValueMeasureContext is ValueQueryContext without the answer geometry:
+	// the Result's counts, areas and I/O are the same, and its Regions and
+	// Isolines are nil. No polygon is built.
+	ValueMeasureContext(ctx context.Context, lo, hi float64) (*Result, error)
 	// ValueAboveContext answers "where is the value at least lo", reading
-	// the open end of the interval from the surface's value range.
+	// the open end of the interval from the surface's value range; a lo past
+	// the range answers empty.
 	ValueAboveContext(ctx context.Context, lo float64) (*Result, error)
-	// ValueBelowContext answers "where is the value at most hi".
+	// ValueBelowContext answers "where is the value at most hi"; a hi below
+	// the range answers empty.
 	ValueBelowContext(ctx context.Context, hi float64) (*Result, error)
 	// ValueQueryBatch answers several value queries, coalescing them into
 	// one shared scan where the index supports it. Results are positionally
@@ -195,8 +201,25 @@ func (s *surface) QueryMetrics() MetricsSnapshot { return s.ob.Metrics.Snapshot(
 // regions where the field's value lies in [lo, hi]. With lo == hi the answer
 // geometry is returned as isolines. ctx is polled between subfield cell runs
 // (and, under Workers > 1, between refinement work units), so a canceled
-// query stops mid-refinement and returns ctx's error.
+// query stops mid-refinement and returns ctx's error. (The serving tier asks
+// for a response without rings under core.WithMeasure, which this method, the
+// open-ended two and the batch honour: see ValueMeasureContext.)
 func (s *surface) ValueQueryContext(ctx context.Context, lo, hi float64) (*Result, error) {
+	return s.value(ctx, lo, hi, core.Measuring(ctx))
+}
+
+// ValueMeasureContext is ValueQueryContext without the answer geometry: every
+// matching cell is still refined exactly, but into counts and areas (the
+// measure sink), so the Result is ValueQueryContext's with Regions and Isolines
+// nil and every other field — CellsMatched, RegionCount, IsolineCount, Area,
+// MatchedCellArea, IO — identical. Under a BatchWindow it joins the same
+// admission groups as geometry queries.
+func (s *surface) ValueMeasureContext(ctx context.Context, lo, hi float64) (*Result, error) {
+	return s.value(ctx, lo, hi, true)
+}
+
+// value is the one value query of the surface, with or without geometry.
+func (s *surface) value(ctx context.Context, lo, hi float64, measure bool) (*Result, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
@@ -204,10 +227,14 @@ func (s *surface) ValueQueryContext(ctx context.Context, lo, hi float64) (*Resul
 		return nil, err
 	}
 	q := Interval{Lo: lo, Hi: hi}
-	if s.batcher != nil {
-		return s.batcher.QueryContext(ctx, q)
+	switch {
+	case s.batcher != nil:
+		return s.batcher.Query(core.BatchQuery{Ctx: ctx, Query: q, Measure: measure})
+	case measure:
+		return s.index.MeasureContext(ctx, q)
+	default:
+		return s.index.QueryContext(ctx, q)
 	}
-	return s.index.QueryContext(ctx, q)
 }
 
 // ValueQuery is ValueQueryContext without cancellation.
@@ -217,15 +244,12 @@ func (s *surface) ValueQuery(lo, hi float64) (*Result, error) {
 
 // ValueAboveContext answers "where is the value at least lo" (the urban noise
 // query of the paper's introduction). The open end of the interval comes from
-// ValueRange, so it is safe to call while an update batch runs.
+// ValueRange, so it is safe to call while an update batch runs. A lo past the
+// range completes to the zero-width [lo, lo], which no cell reaches: the answer
+// is empty, not an inverted interval the caller never sent. A non-finite lo
+// stays in the interval and fails validation as itself.
 func (s *surface) ValueAboveContext(ctx context.Context, lo float64) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkValue(lo); err != nil {
-		return nil, err
-	}
-	return s.ValueQueryContext(ctx, lo, s.ValueRange().Hi)
+	return s.ValueQueryContext(ctx, lo, max(lo, s.ValueRange().Hi))
 }
 
 // ValueAbove is ValueAboveContext without cancellation.
@@ -233,15 +257,10 @@ func (s *surface) ValueAbove(lo float64) (*Result, error) {
 	return s.ValueAboveContext(context.Background(), lo)
 }
 
-// ValueBelowContext answers "where is the value at most hi".
+// ValueBelowContext answers "where is the value at most hi", completing the
+// open end as ValueAboveContext does: [hi, hi] for a hi below the range.
 func (s *surface) ValueBelowContext(ctx context.Context, hi float64) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	if err := checkValue(hi); err != nil {
-		return nil, err
-	}
-	return s.ValueQueryContext(ctx, s.ValueRange().Lo, hi)
+	return s.ValueQueryContext(ctx, min(hi, s.ValueRange().Lo), hi)
 }
 
 // ValueBelow is ValueBelowContext without cancellation.
@@ -286,8 +305,9 @@ func (s *surface) ValueQueryBatchStats(ctx context.Context, intervals []Interval
 		}
 	}
 	members := make([]core.BatchQuery, len(intervals))
+	measure := core.Measuring(ctx)
 	for i, iv := range intervals {
-		members[i] = core.BatchQuery{Ctx: ctx, Query: iv}
+		members[i] = core.BatchQuery{Ctx: ctx, Query: iv, Measure: measure}
 	}
 	results, st := s.index.QueryBatch(members)
 	// Positionally aligned results with nil at failed slots, first failure
@@ -395,7 +415,7 @@ func (s *surface) PointQuery(p Point) (float64, error) {
 // trace (kind "contour", one contour-assemble span reading no pages) so a
 // tracer sees both the query and the post-processing it paid for.
 func (s *surface) ContourMapContext(ctx context.Context, level float64) (*ContourResult, error) {
-	res, err := s.ValueQueryContext(ctx, level, level)
+	res, err := s.value(ctx, level, level, false)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,11 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"fielddb/internal/core"
 )
 
 // conformanceSurface is one Querier implementation under test.
@@ -189,6 +192,23 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 			}
 			sameResult(t, "below", refBelow, below)
 
+			// A measure query — ValueMeasureContext, or a value query under the
+			// serving tier's core.WithMeasure — is the surface's own range
+			// query without its geometry: every other field, I/O included,
+			// identical.
+			for name, measure := range map[string]func() (*Result, error){
+				"ValueMeasureContext": func() (*Result, error) { return s.q.ValueMeasureContext(ctx, lo, hi) },
+				"WithMeasure":         func() (*Result, error) { return s.q.ValueQueryContext(core.WithMeasure(ctx), lo, hi) },
+			} {
+				measured, err := measure()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := stripGeometry(res); !reflect.DeepEqual(measured, want) {
+					t.Fatalf("%s: %+v, want %+v", name, measured, want)
+				}
+			}
+
 			// Batch answers must be positionally aligned and byte-identical
 			// to solo execution.
 			intervals := []Interval{
@@ -276,6 +296,56 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 	defer autoSnap.Close()
 	t.Run("Auto/DB", func(t *testing.T) { approxRows(t, auto) })
 	t.Run("Auto/Snapshot", func(t *testing.T) { approxRows(t, autoSnap) })
+}
+
+// stripGeometry is r as a measure query answers it: a copy with Regions and
+// Isolines cleared.
+func stripGeometry(r *Result) *Result {
+	m := *r
+	m.Regions, m.Isolines = nil, nil
+	return &m
+}
+
+// TestQuerierConformancePastRange: an open-ended query whose bound lies past
+// the surface's value range answers empty — the zero-width interval at the
+// bound, no cell matched, no cell page read — on every surface, with or
+// without geometry, instead of failing on an inverted interval the caller
+// never sent.
+func TestQuerierConformancePastRange(t *testing.T) {
+	vr, surfaces := conformanceSurfaces(t)
+	ctx := context.Background()
+	for _, s := range surfaces {
+		t.Run(s.name, func(t *testing.T) {
+			st := s.q.Stats()
+			for _, c := range []struct {
+				name  string
+				bound float64
+				open  func(context.Context, float64) (*Result, error)
+			}{
+				{"above", vr.Hi + 1, s.q.ValueAboveContext},
+				{"below", vr.Lo - 1, s.q.ValueBelowContext},
+			} {
+				res, err := c.open(ctx, c.bound)
+				if err != nil {
+					t.Fatalf("%s %g: %v", c.name, c.bound, err)
+				}
+				if want := (Interval{Lo: c.bound, Hi: c.bound}); res.CellsMatched != 0 || res.RegionCount != 0 ||
+					res.IsolineCount != 0 || res.Area != 0 || res.Query != want {
+					t.Fatalf("%s %g: %+v, want an empty answer to %v", c.name, c.bound, res, want)
+				}
+				if res.IO.Reads > st.IndexPages+st.SidecarPages {
+					t.Fatalf("%s %g read %d pages, more than the %d filter pages", c.name, c.bound, res.IO.Reads, st.IndexPages+st.SidecarPages)
+				}
+				measured, err := c.open(core.WithMeasure(ctx), c.bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(measured, stripGeometry(res)) {
+					t.Fatalf("%s %g measured %+v, the geometry query %+v", c.name, c.bound, measured, res)
+				}
+			}
+		})
+	}
 }
 
 func TestQuerierConformanceValidation(t *testing.T) {
