@@ -26,11 +26,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-mode coverage over the observability layer, the facade and the engine,
-# with per-package floors: internal/obs is small and fully unit-testable
-# (85%), the facade carries the error-path and cancellation tables (70%), and
-# internal/core holds the one query executor every method runs on (80%: a
-# refactor there must not shed tested paths silently).
+# Race-mode coverage over the observability layer, the facade, the engine and
+# the read path under it, with per-package floors: internal/obs is small and
+# fully unit-testable (85%), the facade carries the error-path and
+# cancellation tables (70%), internal/core holds the one query executor every
+# method runs on (80%), and internal/storage and internal/rstar hold the one
+# page read every query goes through (85% each): a refactor there must not
+# shed tested paths silently.
 cover:
 	$(GO) test -race -coverprofile=cover-obs.out ./internal/obs | \
 		awk '{ print } /coverage:/ { if ($$5+0 < 85.0) { print "internal/obs coverage below 85%"; exit 1 } }'
@@ -38,7 +40,11 @@ cover:
 		awk '{ print } /coverage:/ { if ($$5+0 < 70.0) { print "facade coverage below 70%"; exit 1 } }'
 	$(GO) test -race -coverprofile=cover-core.out ./internal/core | \
 		awk '{ print } /coverage:/ { if ($$5+0 < 80.0) { print "internal/core coverage below 80%"; exit 1 } }'
-	@rm -f cover-obs.out cover-facade.out cover-core.out
+	$(GO) test -race -coverprofile=cover-storage.out ./internal/storage | \
+		awk '{ print } /coverage:/ { if ($$5+0 < 85.0) { print "internal/storage coverage below 85%"; exit 1 } }'
+	$(GO) test -race -coverprofile=cover-rstar.out ./internal/rstar | \
+		awk '{ print } /coverage:/ { if ($$5+0 < 85.0) { print "internal/rstar coverage below 85%"; exit 1 } }'
+	@rm -f cover-obs.out cover-facade.out cover-core.out cover-storage.out cover-rstar.out
 
 # Allocation ceilings on the value-query read path (alloc_gate_test.go): one
 # solo query per method, the tiled planner and the workers=4 paths on the

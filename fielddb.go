@@ -208,7 +208,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 		method = IHilbert
 	}
 	newPager := func() *storage.Pager {
-		return storage.NewPagerShards(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages, 0)
+		return storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages)
 	}
 	pager := newPager()
 	vr := f.ValueRange()

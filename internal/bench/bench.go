@@ -137,8 +137,8 @@ func Run(exp Experiment) (*Report, error) {
 }
 
 // SpecsForMethods returns the standard builders for the paper's methods.
-// I-Quad and I-Threshold take their interval-size threshold as a fraction of
-// the dataset's value range; the paper gives no principled choice (its
+// I-Quad takes its interval-size threshold as a fraction of the dataset's
+// value range; the paper gives no principled choice (its
 // critique of the method), so 1/16 of the range is used by default.
 func SpecsForMethods(methods ...core.Method) []IndexSpec {
 	var out []IndexSpec

@@ -166,8 +166,8 @@ func TestFigure12bShape(t *testing.T) {
 }
 
 func TestSpecsForMethodsThresholds(t *testing.T) {
-	specs := SpecsForMethods(core.MethodIQuad, core.MethodIThresh)
-	if len(specs) != 2 {
+	specs := SpecsForMethods(core.MethodIQuad)
+	if len(specs) != 1 {
 		t.Fatalf("specs = %d", len(specs))
 	}
 	f, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 8, 8, func(x, y float64) float64 { return x })

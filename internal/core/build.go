@@ -19,8 +19,8 @@ var (
 	// ErrUnknownMethod reports a BuildOptions.Method outside the method table.
 	ErrUnknownMethod = errors.New("fielddb: unknown method")
 	// ErrBadOptions reports options the builder cannot combine: a TileSide
-	// below 2, a tiled I-All or I-Auto, an unknown sidecar codec, or a
-	// threshold method without its MaxSize.
+	// below 2, a tiled I-All or I-Auto, an unknown sidecar codec, or I-Quad
+	// without its MaxSize.
 	ErrBadOptions = errors.New("fielddb: invalid tiling options")
 )
 
@@ -52,9 +52,8 @@ type BuildOptions struct {
 	// Cost is the subfield cost model; the zero value selects the paper's
 	// model (Epsilon = 1).
 	Cost subfield.CostModel
-	// MaxSize is the subfield interval-size threshold I-Quad and I-Threshold
-	// cut at (cost-model size, i.e. length + Epsilon); the other methods
-	// ignore it.
+	// MaxSize is the subfield interval-size threshold I-Quad cuts at
+	// (cost-model size, i.e. length + Epsilon); the other methods ignore it.
 	MaxSize float64
 	// BulkLoad packs I-All's R*-tree bottom-up (sorted by interval center)
 	// instead of inserting one interval at a time. Tuple-by-tuple insertion
@@ -78,9 +77,9 @@ type cutRule func(refs []subfield.CellRef, bounds geom.Rect, cost subfield.CostM
 // methodSpec is one row of the method table: everything in which one method
 // differs from another. Build and Open dispatch on it and on nothing else.
 type methodSpec struct {
-	// cut is the partition rule — §3.1.2's greedy cost bound, the fixed size
-	// threshold, the interval quadtree; nil stores the cells in natural order
-	// with no partition. sized rules need BuildOptions.MaxSize.
+	// cut is the partition rule — §3.1.2's greedy cost bound or the interval
+	// quadtree; nil stores the cells in natural order with no partition. sized
+	// rules need BuildOptions.MaxSize.
 	cut   cutRule
 	sized bool
 	// perCell indexes every cell interval in the tree (§3's baseline); plans
@@ -99,10 +98,6 @@ func (m *methodSpec) hasTree() bool { return m.cut != nil || m.perCell }
 
 func cutGreedy(refs []subfield.CellRef, _ geom.Rect, cost subfield.CostModel, _ float64) ([]subfield.CellRef, []subfield.Group) {
 	return refs, subfield.BuildGreedy(refs, cost)
-}
-
-func cutThreshold(refs []subfield.CellRef, _ geom.Rect, cost subfield.CostModel, maxSize float64) ([]subfield.CellRef, []subfield.Group) {
-	return refs, subfield.BuildThreshold(refs, cost, maxSize)
 }
 
 // cutQuad ignores the curve order the refs arrive in: the quadtree imposes
@@ -138,12 +133,9 @@ var methods = map[Method]*methodSpec{
 	}},
 	// The partitioned family: cells stored in partition order (each subfield
 	// a contiguous run of pages), subfield intervals in a 1-D R*-tree. The
-	// three differ only in how the partition is formed — and in that the
+	// two differ only in how the partition is formed — and in that the
 	// quadtree's spatial recursion is not something an update can re-derive.
 	MethodIHilbert: {cut: cutGreedy, tiles: true, bind: func(p *partition) {
-		p.candidates, p.maintain = p.groupCandidates, p.regroup
-	}},
-	MethodIThresh: {cut: cutThreshold, sized: true, tiles: true, bind: func(p *partition) {
 		p.candidates, p.maintain = p.groupCandidates, p.regroup
 	}},
 	MethodIQuad: {cut: cutQuad, sized: true, tiles: true, bind: func(p *partition) {

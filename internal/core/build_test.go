@@ -39,7 +39,6 @@ func buildMatrix(f field.Field) []matrixRow {
 		{name: "I-All+bulk", opts: BuildOptions{Method: MethodIAll, BulkLoad: true}, natural: true},
 		{name: "I-All-sidecar", opts: BuildOptions{Method: MethodIAll, NoSidecar: true}, natural: true},
 		{name: "I-Hilbert", opts: BuildOptions{Method: MethodIHilbert}},
-		{name: "I-Threshold", opts: BuildOptions{Method: MethodIThresh, MaxSize: maxSize}},
 		{name: "I-Quad", opts: BuildOptions{Method: MethodIQuad, MaxSize: maxSize}},
 		{name: "I-Auto", opts: BuildOptions{Method: MethodAuto}},
 	}
@@ -250,13 +249,12 @@ func TestBuildMatrix(t *testing.T) {
 		opts BuildOptions
 		want error
 	}{
-		"tile side 1":             {BuildOptions{Method: MethodLinearScan, TileSide: 1}, ErrBadOptions},
-		"negative tile side":      {BuildOptions{Method: MethodLinearScan, TileSide: -4}, ErrBadOptions},
-		"unknown codec":           {BuildOptions{Method: MethodIHilbert, Codec: "bogus"}, ErrBadOptions},
-		"unknown method":          {BuildOptions{Method: "I-Bogus"}, ErrUnknownMethod},
-		"no method":               {BuildOptions{}, ErrUnknownMethod},
-		"I-Threshold, no MaxSize": {BuildOptions{Method: MethodIThresh}, ErrBadOptions},
-		"I-Quad, no MaxSize":      {BuildOptions{Method: MethodIQuad, TileSide: 16}, ErrBadOptions},
+		"tile side 1":        {BuildOptions{Method: MethodLinearScan, TileSide: 1}, ErrBadOptions},
+		"negative tile side": {BuildOptions{Method: MethodLinearScan, TileSide: -4}, ErrBadOptions},
+		"unknown codec":      {BuildOptions{Method: MethodIHilbert, Codec: "bogus"}, ErrBadOptions},
+		"unknown method":     {BuildOptions{Method: "I-Bogus"}, ErrUnknownMethod},
+		"no method":          {BuildOptions{}, ErrUnknownMethod},
+		"I-Quad, no MaxSize": {BuildOptions{Method: MethodIQuad, TileSide: 16}, ErrBadOptions},
 	} {
 		if _, err := Build(context.Background(), f, newPager(), tc.opts); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)

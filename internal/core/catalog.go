@@ -245,7 +245,7 @@ func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, int,
 		return fail(fmt.Errorf("core: %s: too small to be a database file", path))
 	}
 	buf := make([]byte, pageSize)
-	if err := disk.ReadPage(storage.PageID(n-1), buf); err != nil {
+	if err := disk.ReadRun(storage.PageID(n-1), [][]byte{buf}); err != nil {
 		return fail(err)
 	}
 	if !bytes.Equal(buf[0:4], superblockMagic[:]) {
@@ -261,12 +261,13 @@ func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, int,
 		blobLen <= 0 || blobLen > catalogPages*pageSize {
 		return fail(fmt.Errorf("core: %s: corrupt superblock", path))
 	}
-	blob := make([]byte, 0, catalogPages*pageSize)
-	for i := 0; i < catalogPages; i++ {
-		if err := disk.ReadPage(storage.PageID(catalogStart+i), buf); err != nil {
-			return fail(err)
-		}
-		blob = append(blob, buf...)
+	blob := make([]byte, catalogPages*pageSize)
+	bufs := make([][]byte, catalogPages)
+	for i := range bufs {
+		bufs[i] = blob[i*pageSize : (i+1)*pageSize]
+	}
+	if err := disk.ReadRun(storage.PageID(catalogStart), bufs); err != nil {
+		return fail(err)
 	}
 	return disk, blob[:blobLen], catalogStart, nil
 }

@@ -5,25 +5,23 @@
 // method, tiled or not — and Open (catalog.go) reopens every saved one, from
 // the one file layout: a store header and a record per partition; both return
 // the Engine. Build dispatches on the method table: a method is one row
-// binding its partition rule (§3.1.2's greedy cost bound, a fixed interval
-// threshold, the interval quadtree, or none), what its tree holds, and two
-// hooks:
+// binding its partition rule (§3.1.2's greedy cost bound, the interval
+// quadtree, or none), what its tree holds, and two hooks:
 //
 //   - candidates turns a value interval into candidate cells — the one step
 //     in which the paper's methods differ. LinearScan tests every interval
 //     (§2.2.2; over the packed interval sidecar by default, over the cell
 //     pages without one). I-All searches a 1-D R*-tree holding one entry per
-//     cell (§3, the straightforward baseline). I-Hilbert, I-Quad and
-//     I-Threshold search a tree holding one entry per subfield, each pointing
-//     at the contiguous page run of its cells (§3, Figure 6); they differ only
-//     in how the partition was formed. I-Auto is I-Hilbert behind a
-//     histogram planner that returns the whole heap as one run when most
-//     cells would match anyway.
+//     cell (§3, the straightforward baseline). I-Hilbert and I-Quad search a
+//     tree holding one entry per subfield, each pointing at the contiguous
+//     page run of its cells (§3, Figure 6); they differ only in how the
+//     partition was formed. I-Auto is I-Hilbert behind a histogram planner
+//     that returns the whole heap as one run when most cells would match
+//     anyway.
 //   - maintain brings the method's index structure to the state after an
 //     update batch: nothing for LinearScan, delete/insert on the per-cell
-//     tree for I-All, regrouping under the row's own rule for I-Hilbert and
-//     I-Threshold, a refusal for I-Quad, a histogram rebuild on top for
-//     I-Auto.
+//     tree for I-All, greedy regrouping for I-Hilbert, a refusal for I-Quad,
+//     a histogram rebuild on top for I-Auto.
 //
 // A store (store.go) is its partitions — one for an untiled index, one per
 // tile of a tiled one, a tile being a partition with a (min, max) value
@@ -77,7 +75,6 @@ const (
 	MethodIAll       Method = "I-All"
 	MethodIHilbert   Method = "I-Hilbert"
 	MethodIQuad      Method = "I-Quad"
-	MethodIThresh    Method = "I-Threshold"
 )
 
 // ErrNoPartition reports an operation a configuration's partition cannot

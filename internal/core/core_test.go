@@ -107,11 +107,6 @@ func buildAll(t testing.TB, f field.Field) map[Method]Index {
 		t.Fatal(err)
 	}
 	out[MethodIQuad] = iq
-	it, err := buildIx(f, newPager(), BuildOptions{Method: MethodIThresh, MaxSize: vr.Length()/8 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[MethodIThresh] = it
 	return out
 }
 
@@ -371,9 +366,6 @@ func TestIAllBulkLoadAgrees(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
-	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodIThresh}); err == nil {
-		t.Fatal("I-Threshold without MaxSize accepted")
-	}
 	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad}); err == nil {
 		t.Fatal("I-Quad without MaxSize accepted")
 	}

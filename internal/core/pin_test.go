@@ -13,7 +13,7 @@ import (
 )
 
 // failingDisk passes through to a real disk until fail is set; from then on
-// it serves spare more reads and every ReadPage after them returns
+// it serves spare more pages and every read reaching past them returns
 // errInjected.
 type failingDisk struct {
 	storage.Disk
@@ -23,11 +23,11 @@ type failingDisk struct {
 
 var errInjected = errors.New("injected read failure")
 
-func (d *failingDisk) ReadPage(id storage.PageID, buf []byte) error {
-	if d.fail.Load() && d.spare.Add(-1) < 0 {
+func (d *failingDisk) ReadRun(first storage.PageID, bufs [][]byte) error {
+	if d.fail.Load() && d.spare.Add(-int64(len(bufs))) < 0 {
 		return errInjected
 	}
-	return d.Disk.ReadPage(id, buf)
+	return d.Disk.ReadRun(first, bufs)
 }
 
 // TestFailedQueryReleasesPin: a query that dies on a storage error returns
@@ -47,9 +47,6 @@ func TestFailedQueryReleasesPin(t *testing.T) {
 		},
 		"I-Hilbert": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodIHilbert})
-		},
-		"I-Threshold": func(d *grid.DEM, p *storage.Pager) (Index, error) {
-			return buildIx(d, p, BuildOptions{Method: MethodIThresh, MaxSize: maxSize(d)})
 		},
 		"I-Quad": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodIQuad, MaxSize: maxSize(d)})

@@ -213,7 +213,7 @@ func (s *store) route(id field.CellID) (part int, local field.CellID, err error)
 
 // FetchCells implements Engine: one query context at the pinned state reads
 // every record, in the order given, under one decode span on tb, until visit
-// declines the next. The records are decoded out of the page view, so a cell
+// declines the next. The records are decoded out of the page image, so a cell
 // arrives under the id its partition stores it by. The returned Stats are
 // published — on an error too, like any query's partial activity.
 func (e *engine) FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uint64, visit func(*field.Cell) bool) (storage.Stats, error) {
@@ -251,16 +251,18 @@ func (s *store) decodeCell(qc *storage.QueryCtx, id field.CellID, c *field.Cell)
 		return err
 	}
 	rid := p.rids[pos]
-	f, err := qc.ViewPage(rid.Page)
+	var decodeErr error
+	err = qc.ReadRun(rid.Page, rid.Page, func(_ storage.PageID, page []byte) bool {
+		var rec []byte
+		if rec, decodeErr = storage.RecordInPage(page, rid.Slot); decodeErr == nil {
+			decodeErr = field.DecodeCell(rec, c)
+		}
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	defer f.Release()
-	rec, err := storage.RecordInPage(f.Data(), rid.Slot)
-	if err != nil {
-		return err
-	}
-	return field.DecodeCell(rec, c)
+	return decodeErr
 }
 
 // SetWorkers bounds the worker pool a query scatters on: whole page runs for

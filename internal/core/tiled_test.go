@@ -64,7 +64,6 @@ func TestTiledIdentity(t *testing.T) {
 		{Method: MethodLinearScan, TileSide: 48}, // uneven edge tiles
 		{Method: MethodIHilbert, TileSide: 16},
 		{Method: MethodIHilbert, TileSide: 16, Codec: storage.SidecarCodecPacked},
-		{Method: MethodIThresh, TileSide: 16, MaxSize: vr.Length()/8 + 1},
 		{Method: MethodIQuad, TileSide: 16, MaxSize: vr.Length()/8 + 1},
 	}
 	for _, opts := range configs {

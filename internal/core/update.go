@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -136,8 +137,12 @@ func (st *overlayStage) page(id storage.PageID) ([]byte, error) {
 	if buf, ok := st.pages[id]; ok {
 		return buf, nil
 	}
-	buf := make([]byte, st.qc.PageSize())
-	if err := st.qc.ReadPage(id, buf); err != nil {
+	var buf []byte
+	err := st.qc.ReadRun(id, id, func(_ storage.PageID, page []byte) bool {
+		buf = bytes.Clone(page)
+		return true
+	})
+	if err != nil {
 		return nil, err
 	}
 	st.pages[id] = buf

@@ -98,9 +98,6 @@ func updatableBuilders(maxSize float64) map[string]func(f field.Field) (Engine, 
 		"I-Hilbert": func(f field.Field) (Engine, error) {
 			return buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 		},
-		"I-Thresh": func(f field.Field) (Engine, error) {
-			return buildIx(f, newPager(), BuildOptions{Method: MethodIThresh, MaxSize: maxSize})
-		},
 		"I-Auto": func(f field.Field) (Engine, error) { return buildIx(f, newPager(), BuildOptions{Method: MethodAuto}) },
 	}
 }

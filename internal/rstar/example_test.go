@@ -25,8 +25,8 @@ func Example() {
 	// Output: [0 1]
 }
 
-// Example_paged persists a tree and searches it through the pager, charging
-// every node visit to the simulated disk clock.
+// Example_paged persists a tree and searches it through a query context,
+// charging every node visit to the simulated disk clock.
 func Example_paged() {
 	tree, _ := rstar.New(1, rstar.Params{})
 	for i := 0; i < 1000; i++ {
@@ -35,11 +35,12 @@ func Example_paged() {
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
 	tree.Persist(pager)
+	qc := pager.BeginQuery()
 	count := 0
-	tree.PagedSearch(rstar.Interval1D(500, 502), func(rstar.Entry) bool {
+	tree.PagedSearchCtx(qc, rstar.Interval1D(500, 502), func(rstar.Entry) bool {
 		count++
 		return true
 	})
-	fmt.Printf("%d matches, %d page reads\n", count, pager.Stats().Reads)
+	fmt.Printf("%d matches, %d page reads\n", count, qc.Stats().Reads)
 	// Output: 4 matches, 2 page reads
 }

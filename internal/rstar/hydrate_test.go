@@ -70,9 +70,14 @@ func TestHydratePagedHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyd, err := opened.Hydrate(nil) // defaults to the tree's pager
+	qc := pager.BeginQuery()
+	hyd, err := opened.Hydrate(qc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every node page is loaded once, charged to the reader it came through.
+	if st := qc.Stats(); st.Reads != built.PersistedNodes() {
+		t.Fatalf("hydration charged %d reads for %d node pages", st.Reads, built.PersistedNodes())
 	}
 	if hyd.IsPagedOnly() {
 		t.Fatal("hydrated tree is still paged-only")
@@ -121,7 +126,7 @@ func TestHydratePagedHandle(t *testing.T) {
 // nodes: mutations of the copy must not leak into the source.
 func TestHydrateInMemoryTree(t *testing.T) {
 	built, _ := buildPersisted(t, 800, 3)
-	cp, err := built.Hydrate(nil)
+	cp, err := built.Hydrate(nil) // in-memory nodes: no page is read
 	if err != nil {
 		t.Fatal(err)
 	}

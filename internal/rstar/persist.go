@@ -18,7 +18,7 @@ import (
 const nodeHeaderSize = 8
 
 // Persist writes the tree to pages allocated from the pager, one node per
-// page, and remembers the root page for PagedSearch. Nodes are laid out in
+// page, and remembers the root page for PagedSearchCtx. Nodes are laid out in
 // depth-first order so the leaves under one parent occupy nearly contiguous
 // pages.
 func (t *Tree) Persist(pager *storage.Pager) error {
@@ -72,7 +72,7 @@ func (t *Tree) persistNode(pager *storage.Pager, n *node) (storage.PageID, error
 }
 
 // OpenPaged returns a query-only tree handle over pages previously written
-// by Persist: PagedSearch works immediately; in-memory operations (Insert,
+// by Persist: PagedSearchCtx works immediately; in-memory operations (Insert,
 // Delete, Search) are unavailable because the node structure is not loaded.
 // Len reports the stored entry count as provided by the caller's catalog.
 func OpenPaged(pager *storage.Pager, root storage.PageID, dims int, params Params, size, nodes, height int) (*Tree, error) {
@@ -97,13 +97,12 @@ func OpenPaged(pager *storage.Pager, root storage.PageID, dims int, params Param
 func (t *Tree) IsPagedOnly() bool { return t.root == nil }
 
 // Hydrate returns an updatable in-memory copy of the tree. For a paged-only
-// handle the persisted node pages are read through r (defaulting to the
-// tree's pager, so the loads are charged to r when it is a per-query
-// context); a tree that already holds in-memory nodes is deep-copied without
-// touching pages. Either way the receiver is left untouched — readers holding
-// it (or searching its persisted pages) are unaffected, which is what the
-// MVCC update path relies on: mutate the copy, persist it to fresh pages,
-// then publish it as the next snapshot.
+// handle the persisted node pages are read through r, so the loads are charged
+// to r when it is a per-query context; a tree that already holds in-memory
+// nodes is deep-copied without touching pages. Either way the receiver is left
+// untouched — readers holding it (or searching its persisted pages) are
+// unaffected, which is what the MVCC update path relies on: mutate the copy,
+// persist it to fresh pages, then publish it as the next snapshot.
 func (t *Tree) Hydrate(r storage.PageReader) (*Tree, error) {
 	nt, err := New(t.dims, t.params)
 	if err != nil {
@@ -118,13 +117,7 @@ func (t *Tree) Hydrate(r storage.PageReader) (*Tree, error) {
 		nt.size = t.size
 		return nt, nil
 	}
-	if r == nil {
-		if t.pager == nil {
-			return nil, fmt.Errorf("rstar: cannot hydrate: tree not persisted")
-		}
-		r = t.pager
-	}
-	if t.rootPage == storage.InvalidPage {
+	if t.pager == nil || t.rootPage == storage.InvalidPage {
 		return nil, fmt.Errorf("rstar: cannot hydrate: tree not persisted")
 	}
 	root, size, err := t.hydrateNode(r, t.rootPage)
@@ -137,26 +130,36 @@ func (t *Tree) Hydrate(r storage.PageReader) (*Tree, error) {
 }
 
 // hydrateNode loads the node at page id and, recursively, its subtree,
-// returning the node and the number of leaf entries under it.
-func (t *Tree) hydrateNode(r storage.PageReader, id storage.PageID) (*node, int, error) {
-	buf := make([]byte, r.PageSize())
-	if err := r.ReadPage(id, buf); err != nil {
-		return nil, 0, err
+// returning the node and the number of leaf entries under it. The children
+// are read inside the parent's ReadRun callback, while its page stays pinned.
+func (t *Tree) hydrateNode(r storage.PageReader, id storage.PageID) (n *node, size int, err error) {
+	rerr := r.ReadRun(id, id, func(_ storage.PageID, page []byte) bool {
+		n, size, err = t.decodeNode(r, id, page)
+		return true
+	})
+	if rerr != nil {
+		return nil, 0, rerr
 	}
-	level := int(binary.LittleEndian.Uint16(buf[0:2]))
-	count := int(binary.LittleEndian.Uint16(buf[2:4]))
-	if count > t.maxFill || nodeHeaderSize+count*(16*t.dims+8) > len(buf) {
+	return n, size, err
+}
+
+// decodeNode builds the node held by page image page (page id) and hydrates
+// its children through r.
+func (t *Tree) decodeNode(r storage.PageReader, id storage.PageID, page []byte) (*node, int, error) {
+	level := int(binary.LittleEndian.Uint16(page[0:2]))
+	count := int(binary.LittleEndian.Uint16(page[2:4]))
+	if count > t.maxFill || nodeHeaderSize+count*(16*t.dims+8) > len(page) {
 		return nil, 0, fmt.Errorf("rstar: node page %d: corrupt entry count %d", id, count)
 	}
 	n := &node{level: level, entries: make([]nodeEntry, 0, count)}
 	size := 0
 	for i := 0; i < count; i++ {
-		e := nodeEntry{mbr: t.entryMBR(buf, i, make(MBR, 2*t.dims))}
+		e := nodeEntry{mbr: t.entryMBR(page, i, make(MBR, 2*t.dims))}
 		if level == 0 {
-			e.data = t.entryRef(buf, i)
+			e.data = t.entryRef(page, i)
 			size++
 		} else {
-			child, sz, err := t.hydrateNode(r, storage.PageID(t.entryRef(buf, i)))
+			child, sz, err := t.hydrateNode(r, storage.PageID(t.entryRef(page, i)))
 			if err != nil {
 				return nil, 0, err
 			}
@@ -195,21 +198,12 @@ func (t *Tree) RootPage() storage.PageID {
 // PersistedNodes returns the number of pages written by the last Persist.
 func (t *Tree) PersistedNodes() int { return t.numNodes }
 
-// PagedSearch visits every persisted entry whose MBR intersects query,
-// reading node pages through the pager so that each visit is charged to the
-// simulated disk clock. Returning false from fn stops the search.
-func (t *Tree) PagedSearch(query MBR, fn func(Entry) bool) error {
-	if t.pager == nil {
-		return fmt.Errorf("rstar: tree not persisted")
-	}
-	return t.PagedSearchCtx(t.pager, query, fn)
-}
-
-// PagedSearchCtx is PagedSearch with the node-page reads charged to r — a
-// per-query execution context, so concurrent searches over one persisted
-// tree keep independent accounting. Node pages are tested in place on
-// zero-copy views, and contiguous leaf runs are batched through one
-// vectorized ReadRun.
+// PagedSearchCtx visits every persisted entry whose MBR intersects query,
+// reading node pages through r — a per-query execution context, so each visit
+// is charged to that query's simulated disk clock and concurrent searches over
+// one persisted tree keep independent accounting. Returning false from fn
+// stops the search. Node pages are tested in place on the images ReadRun
+// hands over, and contiguous leaf runs are batched through one ReadRun.
 //
 // Every Entry handed to fn shares one MBR that the search overwrites for the
 // next match: it is valid only during the callback, and a callback that keeps
@@ -218,8 +212,11 @@ func (t *Tree) PagedSearchCtx(r storage.PageReader, query MBR, fn func(Entry) bo
 	if t.pager == nil {
 		return fmt.Errorf("rstar: tree not persisted")
 	}
-	_, err := t.viewSearchNode(r, t.rootPage, query, make(MBR, 2*t.dims), fn)
-	return err
+	s := &pagedSearch{t: t, r: r, query: query, scratch: make(MBR, 2*t.dims), fn: fn, more: true}
+	s.kids = s.kidBuf[:0]
+	s.visit = s.node
+	s.descend(t.rootPage, t.rootPage)
+	return s.err
 }
 
 // entryIntersects tests entry i's bounds on a node page image against query
@@ -266,63 +263,67 @@ func (t *Tree) searchLeafPage(page []byte, query, scratch MBR, fn func(Entry) bo
 	return true
 }
 
-// viewSearchNode is the zero-copy search: the node's immutable frame stays
-// pinned while its children are visited, so matches need no collection pass
-// and entry bounds are tested in place. At level 1, matching leaf children
-// on consecutive pages — depth-first persistence puts the leaves under one
-// parent there — are fetched as one vectorized run.
-func (t *Tree) viewSearchNode(r storage.PageReader, id storage.PageID, query, scratch MBR, fn func(Entry) bool) (bool, error) {
-	f, err := r.ViewPage(id)
-	if err != nil {
-		return false, err
-	}
-	defer f.Release()
-	page := f.Data()
-	level := int(binary.LittleEndian.Uint16(page[0:2]))
-	count := int(binary.LittleEndian.Uint16(page[2:4]))
-	if level == 0 {
-		return t.searchLeafPage(page, query, scratch, fn), nil
-	}
-	if level == 1 {
-		kids := make([]storage.PageID, 0, count)
-		for i := 0; i < count; i++ {
-			if t.entryIntersects(page, i, query) {
-				kids = append(kids, storage.PageID(t.entryRef(page, i)))
-			}
-		}
-		return t.searchLeafRuns(r, kids, query, scratch, fn)
-	}
-	for i := 0; i < count; i++ {
-		if !t.entryIntersects(page, i, query) {
-			continue
-		}
-		cont, err := t.viewSearchNode(r, storage.PageID(t.entryRef(page, i)), query, scratch, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
+// pagedSearch is one PagedSearchCtx call: its visitor is bound once and
+// serves every node page of the search, whatever its level.
+type pagedSearch struct {
+	t              *Tree
+	r              storage.PageReader
+	query, scratch MBR
+	fn             func(Entry) bool
+	visit          func(storage.PageID, []byte) bool // s.node, bound once
+	more           bool                              // false once fn stopped the search
+	err            error
+	kids           []storage.PageID // matching leaves of the level-1 node being read
+	kidBuf         [32]storage.PageID
 }
 
-// searchLeafRuns visits the given leaf pages in order, each maximal run of
-// consecutive page ids through one ReadRun. The visit order and per-page
-// charges are identical to reading the leaves one by one; only the pool and
-// disk interactions are batched.
-func (t *Tree) searchLeafRuns(r storage.PageReader, kids []storage.PageID, query, scratch MBR, fn func(Entry) bool) (bool, error) {
-	cont := true
-	visit := func(_ storage.PageID, page []byte) bool {
-		cont = t.searchLeafPage(page, query, scratch, fn)
-		return cont
+// descend reads the node pages [first, last] in order; false ends the search,
+// on a stop by fn or a read error alike.
+func (s *pagedSearch) descend(first, last storage.PageID) bool {
+	if err := s.r.ReadRun(first, last, s.visit); err != nil {
+		s.err = err
 	}
-	for i := 0; i < len(kids) && cont; {
-		j := i + 1
-		for j < len(kids) && kids[j] == kids[j-1]+1 {
-			j++
+	return s.more && s.err == nil
+}
+
+// node visits one node page. Its children are read inside this callback, so
+// the page stays pinned while they are visited and matches need no collection
+// pass. At level 1, matching leaf children on consecutive pages — depth-first
+// persistence puts the leaves under one parent there — are read as one run;
+// the visit order and per-page charges are those of reading them one by one.
+func (s *pagedSearch) node(_ storage.PageID, page []byte) bool {
+	t := s.t
+	level := int(binary.LittleEndian.Uint16(page[0:2]))
+	count := int(binary.LittleEndian.Uint16(page[2:4]))
+	switch level {
+	case 0:
+		s.more = t.searchLeafPage(page, s.query, s.scratch, s.fn)
+		return s.more
+	case 1:
+		s.kids = s.kids[:0]
+		for i := 0; i < count; i++ {
+			if t.entryIntersects(page, i, s.query) {
+				s.kids = append(s.kids, storage.PageID(t.entryRef(page, i)))
+			}
 		}
-		if err := r.ReadRun(kids[i], kids[j-1], visit); err != nil {
-			return false, err
+		for i := 0; i < len(s.kids); {
+			j := i + 1
+			for j < len(s.kids) && s.kids[j] == s.kids[j-1]+1 {
+				j++
+			}
+			if !s.descend(s.kids[i], s.kids[j-1]) {
+				return false
+			}
+			i = j
 		}
-		i = j
+		return true
 	}
-	return cont, nil
+	for i := 0; i < count; i++ {
+		if t.entryIntersects(page, i, s.query) {
+			if child := storage.PageID(t.entryRef(page, i)); !s.descend(child, child) {
+				return false
+			}
+		}
+	}
+	return true
 }

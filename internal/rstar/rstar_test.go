@@ -267,7 +267,7 @@ func TestDeleteAll(t *testing.T) {
 	}
 }
 
-func TestPersistAndPagedSearch(t *testing.T) {
+func TestPersistAndPagedSearchCtx(t *testing.T) {
 	tr, err := New(1, Params{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +291,13 @@ func TestPersistAndPagedSearch(t *testing.T) {
 	if tr.RootPage() == storage.InvalidPage {
 		t.Fatal("no root page")
 	}
-	pager.ResetStats()
+	qc := pager.BeginQuery()
 	for q := 0; q < 30; q++ {
 		lo := rng.Float64() * 1000
 		query := Interval1D(lo, lo+5)
 		var memGot, pagedGot []uint64
 		tr.Search(query, func(e Entry) bool { memGot = append(memGot, e.Data); return true })
-		err := tr.PagedSearch(query, func(e Entry) bool { pagedGot = append(pagedGot, e.Data); return true })
+		err := tr.PagedSearchCtx(qc, query, func(e Entry) bool { pagedGot = append(pagedGot, e.Data); return true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +312,8 @@ func TestPersistAndPagedSearch(t *testing.T) {
 			}
 		}
 	}
-	if st := pager.Stats(); st.Reads == 0 {
-		t.Fatal("paged search did no I/O")
+	if st := qc.Stats(); st.Reads == 0 || pager.Stats().Reads != st.Reads {
+		t.Fatalf("paged search charged %v, pager totals %v", st, pager.Stats())
 	}
 }
 
@@ -327,7 +327,7 @@ func TestPagedSearchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits := 0
-	if err := tr.PagedSearch(Interval1D(0, 1), func(Entry) bool {
+	if err := tr.PagedSearchCtx(pager, Interval1D(0, 1), func(Entry) bool {
 		visits++
 		return visits < 5
 	}); err != nil {
@@ -340,8 +340,9 @@ func TestPagedSearchEarlyStop(t *testing.T) {
 
 func TestPagedSearchWithoutPersist(t *testing.T) {
 	tr, _ := New(1, Params{})
-	if err := tr.PagedSearch(Interval1D(0, 1), func(Entry) bool { return true }); err == nil {
-		t.Fatal("PagedSearch on unpersisted tree succeeded")
+	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
+	if err := tr.PagedSearchCtx(pager, Interval1D(0, 1), func(Entry) bool { return true }); err == nil {
+		t.Fatal("PagedSearchCtx on unpersisted tree succeeded")
 	}
 }
 

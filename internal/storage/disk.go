@@ -37,8 +37,10 @@ type Disk interface {
 	PageSize() int
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// ReadPage copies page id into buf, which must be PageSize() long.
-	ReadPage(id PageID, buf []byte) error
+	// ReadRun copies pages first..first+len(bufs)-1 into bufs, each of which
+	// must be PageSize() long. A run that does not fill every buffer — a page
+	// past the end, or a file cut short under an open disk — is an error.
+	ReadRun(first PageID, bufs [][]byte) error
 	// WritePage stores buf (PageSize() bytes) as page id. The page must
 	// have been allocated.
 	WritePage(id PageID, buf []byte) error
@@ -46,17 +48,6 @@ type Disk interface {
 	Alloc() (PageID, error)
 	// Close releases underlying resources.
 	Close() error
-}
-
-// RunDisk is an optional Disk capability: reading a contiguous run of pages
-// with one lock acquisition instead of one per page. It is deliberately not
-// part of the Disk interface — wrappers that embed a Disk (fault injectors,
-// tracing shims) stay correct because the Pager type-asserts the concrete
-// disk and falls back to per-page ReadPage when the capability is absent.
-type RunDisk interface {
-	// ReadRun copies pages first..first+len(bufs)-1 into bufs, each of
-	// which must be PageSize() long.
-	ReadRun(first PageID, bufs [][]byte) error
 }
 
 // MemDisk is an in-memory Disk. It is the default substrate for experiments:
@@ -86,18 +77,7 @@ func (d *MemDisk) NumPages() int {
 	return len(d.pages)
 }
 
-// ReadPage implements Disk.
-func (d *MemDisk) ReadPage(id PageID, buf []byte) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(id) >= len(d.pages) {
-		return fmt.Errorf("%w: read %d of %d", ErrPageOutOfRange, id, len(d.pages))
-	}
-	copy(buf, d.pages[id])
-	return nil
-}
-
-// ReadRun implements RunDisk under a single RLock.
+// ReadRun implements Disk under a single RLock.
 func (d *MemDisk) ReadRun(first PageID, bufs [][]byte) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -172,22 +152,10 @@ func (d *FileDisk) NumPages() int {
 	return d.numPages
 }
 
-// ReadPage implements Disk.
-func (d *FileDisk) ReadPage(id PageID, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(id) >= d.numPages {
-		return fmt.Errorf("%w: read %d of %d", ErrPageOutOfRange, id, d.numPages)
-	}
-	_, err := d.f.ReadAt(buf[:d.pageSize], int64(id)*int64(d.pageSize))
-	if err != nil && err != io.EOF {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// ReadRun implements RunDisk: one lock acquisition and one positioned read
-// per page of the run.
+// ReadRun implements Disk: one lock acquisition and one positioned read per
+// page of the run. A page the file no longer holds in full — truncated under
+// the open disk — fails the run with io.ErrUnexpectedEOF rather than coming
+// back as its surviving bytes over whatever the buffer held before.
 func (d *FileDisk) ReadRun(first PageID, bufs [][]byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -196,8 +164,11 @@ func (d *FileDisk) ReadRun(first PageID, bufs [][]byte) error {
 	}
 	for i, buf := range bufs {
 		id := first + PageID(i)
-		_, err := d.f.ReadAt(buf[:d.pageSize], int64(id)*int64(d.pageSize))
-		if err != nil && err != io.EOF {
+		n, err := d.f.ReadAt(buf[:d.pageSize], int64(id)*int64(d.pageSize))
+		if n < d.pageSize {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return fmt.Errorf("storage: read page %d: %w", id, err)
 		}
 	}
@@ -238,6 +209,6 @@ func (d *FileDisk) Sync() error { return d.f.Sync() }
 func (d *FileDisk) Close() error { return d.f.Close() }
 
 var (
-	_ RunDisk = (*MemDisk)(nil)
-	_ RunDisk = (*FileDisk)(nil)
+	_ Disk = (*MemDisk)(nil)
+	_ Disk = (*FileDisk)(nil)
 )

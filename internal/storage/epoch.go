@@ -26,7 +26,7 @@ import (
 // at v.epoch or later (until a newer version supersedes it).
 type pageVersion struct {
 	epoch uint64
-	frame *Frame // immutable; refs never reach zero while installed
+	frame *frame // immutable; refs never reach zero while installed
 }
 
 // epochPlane holds a pager's overlay versions and epoch pins.
@@ -46,10 +46,10 @@ func (ep *epochPlane) active() bool { return ep.overlaid.Load() > 0 }
 
 // view returns a retained frame for the newest overlay version of id at or
 // below epoch, or nil when the base page is current for that epoch.
-func (ep *epochPlane) view(id PageID, epoch uint64) *Frame {
+func (ep *epochPlane) view(id PageID, epoch uint64) *frame {
 	ep.mu.RLock()
 	vs := ep.versions[id]
-	var f *Frame
+	var f *frame
 	for i := len(vs) - 1; i >= 0; i-- {
 		if vs[i].epoch <= epoch {
 			f = vs[i].frame

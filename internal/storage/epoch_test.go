@@ -9,12 +9,9 @@ import (
 // b) and commits it as a new epoch.
 func commitPatch(t *testing.T, p *Pager, id PageID, b byte) uint64 {
 	t.Helper()
-	buf := make([]byte, p.PageSize())
 	qc := p.BeginQuery()
 	defer qc.Release()
-	if err := qc.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := readPage(t, qc, id)
 	buf[0] = b
 	epoch, _, err := p.CommitOverlays(map[PageID][]byte{id: buf})
 	if err != nil {
@@ -30,11 +27,7 @@ func readAt(t *testing.T, p *Pager, epoch uint64, id PageID) []byte {
 		t.Fatalf("epoch %d not pinnable", epoch)
 	}
 	defer qc.Release()
-	buf := make([]byte, p.PageSize())
-	if err := qc.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf
+	return readPage(t, qc, id)
 }
 
 func TestOverlayVisibilityAcrossEpochs(t *testing.T) {
@@ -147,10 +140,7 @@ func TestSnapshotToMaterializesOverlays(t *testing.T) {
 	if err := p.SnapshotTo(dst); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64)
-	if err := dst.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := diskPage(t, dst, id)
 	// The copy holds the patched image: persisting after updates writes the
 	// current epoch's bytes as plain base pages.
 	if buf[0] != 0x22 || buf[1] != 0x11 {

@@ -1,52 +1,74 @@
-package storage
+package storage_test
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
+
+	"fielddb/internal/core"
+	"fielddb/internal/field"
+	"fielddb/internal/geom"
+	"fielddb/internal/grid"
+	"fielddb/internal/rstar"
+	"fielddb/internal/storage"
 )
 
-// faultDisk wraps a Disk and fails operations once armed.
+// faultDisk wraps a Disk and fails operations once armed. A read fault is
+// torn: the run that crosses the budget copies the pages the budget still
+// covers, then fails.
 type faultDisk struct {
-	Disk
-	failReads  bool
+	storage.Disk
 	failWrites bool
 	failAllocs bool
-	readsLeft  int // reads allowed before failing (when failReads)
+	armed      bool
+	budget     int // pages reads may still deliver while armed
+	delivered  int // pages delivered by read calls that succeeded
 }
 
 var errInjected = errors.New("injected fault")
 
-func (d *faultDisk) ReadPage(id PageID, buf []byte) error {
-	if d.failReads {
-		if d.readsLeft <= 0 {
-			return errInjected
-		}
-		d.readsLeft--
+// arm makes reads fail once budget more pages have been delivered.
+func (d *faultDisk) arm(budget int) { d.armed, d.budget, d.delivered = true, budget, 0 }
+
+func (d *faultDisk) ReadRun(first storage.PageID, bufs [][]byte) error {
+	if d.armed && len(bufs) > d.budget {
+		d.Disk.ReadRun(first, bufs[:d.budget])
+		d.budget = 0
+		return errInjected
 	}
-	return d.Disk.ReadPage(id, buf)
+	if err := d.Disk.ReadRun(first, bufs); err != nil {
+		return err
+	}
+	d.budget -= len(bufs)
+	d.delivered += len(bufs)
+	return nil
 }
 
-func (d *faultDisk) WritePage(id PageID, buf []byte) error {
+func (d *faultDisk) WritePage(id storage.PageID, buf []byte) error {
 	if d.failWrites {
 		return errInjected
 	}
 	return d.Disk.WritePage(id, buf)
 }
 
-func (d *faultDisk) Alloc() (PageID, error) {
+func (d *faultDisk) Alloc() (storage.PageID, error) {
 	if d.failAllocs {
-		return InvalidPage, errInjected
+		return storage.InvalidPage, errInjected
 	}
 	return d.Disk.Alloc()
 }
 
+func newFaultPager(poolSize int) (*faultDisk, *storage.Pager) {
+	fd := &faultDisk{Disk: storage.NewMemDisk(storage.DefaultPageSize)}
+	return fd, storage.NewPager(fd, storage.DefaultDiskModel, poolSize)
+}
+
 func TestPagerPropagatesReadErrors(t *testing.T) {
-	mem := NewMemDisk(64)
-	mem.Alloc()
-	fd := &faultDisk{Disk: mem, failReads: true}
-	p := NewPager(fd, DefaultDiskModel, 0)
-	buf := make([]byte, 64)
-	if err := p.ReadPage(0, buf); !errors.Is(err, errInjected) {
+	fd, p := newFaultPager(0)
+	p.Alloc()
+	fd.arm(0)
+	if err := p.ReadRun(0, 0, func(storage.PageID, []byte) bool { return true }); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
 	// A failed read must not be charged.
@@ -56,11 +78,10 @@ func TestPagerPropagatesReadErrors(t *testing.T) {
 }
 
 func TestPagerPropagatesWriteAndAllocErrors(t *testing.T) {
-	mem := NewMemDisk(64)
-	mem.Alloc()
-	fd := &faultDisk{Disk: mem, failWrites: true, failAllocs: true}
-	p := NewPager(fd, DefaultDiskModel, 0)
-	if err := p.WritePage(0, make([]byte, 64)); !errors.Is(err, errInjected) {
+	fd, p := newFaultPager(0)
+	p.Alloc()
+	fd.failWrites, fd.failAllocs = true, true
+	if err := p.WritePage(0, make([]byte, storage.DefaultPageSize)); !errors.Is(err, errInjected) {
 		t.Fatalf("write err = %v", err)
 	}
 	if _, err := p.Alloc(); !errors.Is(err, errInjected) {
@@ -72,138 +93,171 @@ func TestPagerPropagatesWriteAndAllocErrors(t *testing.T) {
 }
 
 func TestHeapFilePropagatesAllocFailure(t *testing.T) {
-	mem := NewMemDisk(64)
-	fd := &faultDisk{Disk: mem, failAllocs: true}
-	p := NewPager(fd, DefaultDiskModel, 0)
-	h := NewHeapFile(p)
-	if _, err := h.Append([]byte("x")); !errors.Is(err, errInjected) {
+	fd, p := newFaultPager(0)
+	fd.failAllocs = true
+	if _, err := storage.NewHeapFile(p).Append([]byte("x")); !errors.Is(err, errInjected) {
 		t.Fatalf("append err = %v", err)
 	}
 }
 
-func TestHeapFileScanPropagatesReadFailure(t *testing.T) {
-	mem := NewMemDisk(128)
-	fd := &faultDisk{Disk: mem}
-	p := NewPager(fd, DefaultDiskModel, 0)
-	h := NewHeapFile(p)
-	for i := 0; i < 60; i++ {
-		if _, err := h.Append([]byte("0123456789abcdef")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Flush(); err != nil {
+func TestPagerCacheServesDespiteDiskFault(t *testing.T) {
+	// Once cached, a page stays readable even if the disk starts failing.
+	fd, p := newFaultPager(4)
+	p.Alloc()
+	read := func() error { return p.ReadRun(0, 0, func(storage.PageID, []byte) bool { return true }) }
+	if err := read(); err != nil {
 		t.Fatal(err)
 	}
-	fd.failReads = true
-	fd.readsLeft = 1 // first page succeeds, second fails
-	err := h.Scan(func(RID, []byte) bool { return true })
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("scan err = %v", err)
+	fd.arm(0)
+	if err := read(); err != nil {
+		t.Fatalf("cached read failed: %v", err)
+	}
+	if st := p.PoolShardStats()[0]; st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("pool stats = %+v", st)
 	}
 }
 
-func TestSidecarScanPropagatesReadFault(t *testing.T) {
-	mem := NewMemDisk(128)
-	fd := &faultDisk{Disk: mem}
-	p := NewPager(fd, DefaultDiskModel, 0)
-	n := SidecarEntriesPerPage(128)*2 + 3 // three sidecar pages
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range lo {
-		lo[i], hi[i] = float64(i), float64(i)+0.5
-	}
-	sc, err := BuildIntervalSidecar(p, lo, hi)
+// faultField is a small terrain every engine row builds on.
+func faultField(t *testing.T) *grid.DEM {
+	t.Helper()
+	f, err := grid.FromFunc(geom.Pt(0, 0), 1, 1, 48, 48, func(x, y float64) float64 {
+		return 50 + 30*math.Sin(x/7)*math.Cos(y/5)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd.failReads = true
-	fd.readsLeft = 1 // first sidecar page succeeds, second fails
-	qc := p.BeginQuery()
-	defer qc.Release()
-	err = sc.ScanRange(qc, 0, n, func(int, []float64, []float64) bool { return true })
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("sidecar scan err = %v", err)
-	}
-	// The failed run charges at most the successfully read prefix — never
-	// the page whose read faulted.
-	if st := qc.LocalStats(); st.Reads > 1 {
-		t.Fatalf("failed sidecar read charged: %+v", st)
-	}
+	return f
 }
 
-func TestOverlayStagingFaultLeavesLiveEpochIntact(t *testing.T) {
-	// The update write path stages copy-on-write page images by reading the
-	// current version of each page it patches. A read fault (a torn or short
-	// read surfaces as an error from the disk) during staging must abort the
-	// batch before CommitOverlays, leaving the live epoch and every page byte
-	// untouched.
-	mem := NewMemDisk(64)
-	fd := &faultDisk{Disk: mem}
-	p := NewPager(fd, DefaultDiskModel, 0)
-	var ids []PageID
-	for i := 0; i < 2; i++ {
-		id, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		img := make([]byte, 64)
-		img[0] = byte(0x10 + i)
-		if err := p.WritePage(id, img); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
+// TestReadFaultMidRun injects one torn read into every read path over the
+// single Disk.ReadRun: the fault fires on the last page an uninterrupted run
+// of the same read would deliver. The read must return the injected error and
+// charge no page the disk did not deliver — a failed fetch charges none of its
+// run, and an aborted update batch publishes nothing.
+func TestReadFaultMidRun(t *testing.T) {
+	ctx := context.Background()
+	// Each row stores what its read needs on p and returns the read, which
+	// reports what it charged.
+	for _, c := range []struct {
+		name  string
+		setup func(t *testing.T, p *storage.Pager) func() (storage.Stats, error)
+	}{
+		{"heap scan", func(t *testing.T, p *storage.Pager) func() (storage.Stats, error) {
+			h := storage.NewHeapFile(p)
+			rec := make([]byte, 120)
+			for h.NumPages() < 3*64/2 { // more than one ReadRun chunk
+				if _, err := h.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return func() (storage.Stats, error) {
+				qc := p.BeginQuery()
+				err := h.ScanPagesCtx(qc, 0, h.NumPages()-1, func(storage.RID, []byte) bool { return true })
+				return qc.Stats(), err
+			}
+		}},
+		{"sidecar scan", func(t *testing.T, p *storage.Pager) func() (storage.Stats, error) {
+			n := storage.SidecarEntriesPerPage(storage.DefaultPageSize) * 80
+			lo, hi := make([]float64, n), make([]float64, n)
+			for i := range lo {
+				lo[i], hi[i] = float64(i), float64(i)+0.5
+			}
+			sc, err := storage.BuildIntervalSidecar(p, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() (storage.Stats, error) {
+				qc := p.BeginQuery()
+				err := sc.ScanRange(qc, 0, n, func(int, []float64, []float64) bool { return true })
+				return qc.Stats(), err
+			}
+		}},
+		{"tree search", func(t *testing.T, p *storage.Pager) func() (storage.Stats, error) {
+			entries := make([]rstar.Entry, 5000)
+			for i := range entries {
+				entries[i] = rstar.Entry{MBR: rstar.Interval1D(float64(i), float64(i)+2), Data: uint64(i)}
+			}
+			tree, err := rstar.BulkLoad(1, rstar.Params{PageSize: 512}, entries, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Persist(p); err != nil {
+				t.Fatal(err)
+			}
+			return func() (storage.Stats, error) {
+				qc := p.BeginQuery()
+				err := tree.PagedSearchCtx(qc, rstar.Interval1D(1000, 3500), func(rstar.Entry) bool { return true })
+				return qc.Stats(), err
+			}
+		}},
+		{"point fetch", func(t *testing.T, p *storage.Pager) func() (storage.Stats, error) {
+			f := faultField(t)
+			eng, err := core.Build(ctx, f, p, core.BuildOptions{Method: core.MethodLinearScan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []uint64
+			for id := 0; id < f.NumCells(); id += 97 {
+				ids = append(ids, uint64(id))
+			}
+			return func() (storage.Stats, error) {
+				return eng.FetchCells(ctx, nil, ids, func(*field.Cell) bool { return true })
+			}
+		}},
+		{"overlay staging", func(t *testing.T, p *storage.Pager) func() (storage.Stats, error) {
+			f := faultField(t)
+			eng, err := core.Build(ctx, f, p, core.BuildOptions{Method: core.MethodLinearScan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := func(k int) []core.SampleUpdate {
+				var ups []core.SampleUpdate
+				for s := k; s < f.NumSamples(); s += 211 {
+					ups = append(ups, core.SampleUpdate{Sample: s, Value: f.SampleValue(s) + 1})
+				}
+				return ups
+			}
+			// A first batch loads the update state, so the read below stages
+			// pages and nothing else.
+			if _, err := eng.ApplyUpdates(ctx, f, batch(0)); err != nil {
+				t.Fatal(err)
+			}
+			return func() (storage.Stats, error) {
+				before, epoch, overlaid := p.Stats(), p.CurrentEpoch(), p.OverlaidPages()
+				_, err := eng.ApplyUpdates(ctx, f, batch(5))
+				if err != nil && (p.CurrentEpoch() != epoch || p.OverlaidPages() != overlaid) {
+					t.Errorf("aborted batch moved the store: epoch %d → %d, %d → %d overlaid",
+						epoch, p.CurrentEpoch(), overlaid, p.OverlaidPages())
+				}
+				return p.Stats().Sub(before), err
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// An uninterrupted run of the read on an identical store counts the
+			// pages it delivers.
+			fd, p := newFaultPager(0)
+			read := c.setup(t, p)
+			fd.delivered = 0
+			if _, err := read(); err != nil {
+				t.Fatal(err)
+			}
+			total := fd.delivered
 
-	fd.failReads = true
-	fd.readsLeft = 1 // the second staged page read fails mid-batch
-	qc := p.BeginQuery()
-	staged := make(map[PageID][]byte)
-	var stageErr error
-	for _, id := range ids {
-		buf := make([]byte, 64)
-		if stageErr = qc.ReadPage(id, buf); stageErr != nil {
-			break
-		}
-		buf[1] = 0xFF
-		staged[id] = buf
-	}
-	qc.Release()
-	if !errors.Is(stageErr, errInjected) {
-		t.Fatalf("staging err = %v", stageErr)
-	}
-	// The batch aborts without committing; the store is exactly as built.
-	if p.CurrentEpoch() != 0 || p.OverlaidPages() != 0 {
-		t.Fatalf("aborted batch moved the store: epoch %d, %d overlaid",
-			p.CurrentEpoch(), p.OverlaidPages())
-	}
-	fd.failReads = false
-	buf := make([]byte, 64)
-	for i, id := range ids {
-		if err := p.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != byte(0x10+i) || buf[1] != 0 {
-			t.Fatalf("page %d corrupted: % x", id, buf[:2])
-		}
-	}
-}
-
-func TestPagerCacheServesDespiteDiskFault(t *testing.T) {
-	// Once cached, a page stays readable even if the disk starts failing —
-	// and the hit is not charged.
-	mem := NewMemDisk(64)
-	mem.Alloc()
-	fd := &faultDisk{Disk: mem, failReads: true, readsLeft: 1}
-	p := NewPager(fd, DefaultDiskModel, 4)
-	buf := make([]byte, 64)
-	if err := p.ReadPage(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ReadPage(0, buf); err != nil {
-		t.Fatalf("cached read failed: %v", err)
-	}
-	st := p.Stats()
-	if st.Reads != 1 || st.CacheHits != 1 {
-		t.Fatalf("stats = %+v", st)
+			fd, p = newFaultPager(0)
+			read = c.setup(t, p)
+			fd.arm(total - 1)
+			st, err := read()
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("read over a torn run: %v, want the injected error", err)
+			}
+			if fd.delivered == 0 || fd.delivered >= total {
+				t.Fatalf("the fault fired after %d of %d pages: not mid-read", fd.delivered, total)
+			}
+			t.Logf("fault after %d of %d pages; %d charged", fd.delivered, total, st.Reads)
+			if st.Reads > fd.delivered {
+				t.Fatalf("charged %d pages, the disk delivered %d", st.Reads, fd.delivered)
+			}
+		})
 	}
 }

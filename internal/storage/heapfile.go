@@ -137,32 +137,23 @@ func (h *HeapFile) Flush() error {
 	return nil
 }
 
-// Get reads the record at rid, charged to the pager's own accounting.
-func (h *HeapFile) Get(rid RID, buf []byte) ([]byte, error) {
-	return h.GetCtx(h.pager, rid, buf)
-}
-
-// GetCtx reads the record at rid through r — a per-query execution context
-// or the shared pager — so the (typically random) page access is charged to
-// that reader's accounting. Only the record itself is copied into buf (grown
-// if needed), out of a zero-copy view of its page; the returned slice is valid
-// until the caller's next use of buf.
-func (h *HeapFile) GetCtx(r PageReader, rid RID, buf []byte) ([]byte, error) {
-	f, err := r.ViewPage(rid.Page)
+// GetCtx reads the record at rid through qc, so the (typically random) page
+// access is charged to that query's accounting. Only the record itself is
+// copied into buf (grown if needed), out of the page image ReadRun hands
+// over; the returned slice is valid until the caller's next use of buf.
+func (h *HeapFile) GetCtx(qc *QueryCtx, rid RID, buf []byte) ([]byte, error) {
+	var recErr error
+	err := qc.ReadRun(rid.Page, rid.Page, func(_ PageID, page []byte) bool {
+		var rec []byte
+		if rec, recErr = recordInPage(page, rid.Slot); recErr == nil {
+			buf = append(buf[:0], rec...)
+		}
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer f.Release()
-	rec, err := recordInPage(f.Data(), rid.Slot)
-	if err != nil {
-		return nil, err
-	}
-	if cap(buf) < len(rec) {
-		buf = make([]byte, len(rec))
-	}
-	buf = buf[:len(rec)]
-	copy(buf, rec)
-	return buf, nil
+	return buf, recErr
 }
 
 // RecordInPage extracts slot s from a heap-file page image — the slot
@@ -205,25 +196,13 @@ func recordInPage(buf []byte, s uint16) ([]byte, error) {
 	return buf[off : off+length], nil
 }
 
-// Scan visits every record in physical order. Each page is read exactly once
-// through the pager — consecutive pages are charged at sequential cost, which
-// is what makes LinearScan cheaper per page than random candidate fetches.
-// The callback receives the record's RID and payload (valid only during the
-// call). Returning false stops the scan early.
-func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
-	return h.ScanPages(0, len(h.pages)-1, fn)
-}
-
-// ScanPages visits records on the file's pages with index in [first, last]
-// (inclusive, indices into the file's page list). Used by the estimation step
-// to fetch exactly the cell run of one subfield.
-func (h *HeapFile) ScanPages(first, last int, fn func(rid RID, rec []byte) bool) error {
-	return h.ScanPagesCtx(h.pager, first, last, fn)
-}
-
-// ScanPagesCtx is ScanPages with the page reads charged to r, so concurrent
-// queries — and the workers of one parallel refinement step — each account
-// their own sequential run: the one-run case of ScanRunsCtx.
+// ScanPagesCtx visits, in physical order, the records on the file's pages
+// with index in [first, last] (inclusive, indices into the file's page list,
+// clamped to the file), the reads charged to r — the one-run case of
+// ScanRunsCtx. Consecutive pages are charged at sequential cost, which is what
+// makes a scan cheaper per page than random candidate fetches. The callback
+// receives the record's RID and payload (valid only during the call);
+// returning false stops the scan early.
 func (h *HeapFile) ScanPagesCtx(r PageReader, first, last int, fn func(rid RID, rec []byte) bool) error {
 	return h.ScanRunsCtx(r, 1, func(int) (int, int, error) { return first, last, nil }, fn)
 }

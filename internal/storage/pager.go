@@ -95,28 +95,18 @@ func (s Stats) PageCounts() obs.PageCounts {
 	}
 }
 
-// PageReader is the read side of the paged store. Two implementations exist:
-// *Pager, which charges its own pager-level accounting (build paths, legacy
-// single-threaded use), and *QueryCtx, which charges a per-query execution
-// context and is the unit of concurrency for the query pipeline. The three
-// ways of reading charge a page identically; they differ only in how the bytes
-// move.
+// PageReader is the read side of the paged store: one way to read, a
+// contiguous run of pages. *QueryCtx is the reader every query runs on, and
+// *Pager reads a run as a one-shot query context.
 type PageReader interface {
-	// PageSize returns the fixed page size in bytes.
-	PageSize() int
-	// ReadPage reads page id into buf, which must be PageSize() long.
-	ReadPage(id PageID, buf []byte) error
-	// ViewPage is the zero-copy read: it hands back a shared immutable frame
-	// instead of copying the page into a caller buffer. The caller must
-	// Release the frame when done.
-	ViewPage(id PageID) (*Frame, error)
-	// ReadRun is the vectorized read: it visits the contiguous page range
-	// [first, last] in order with batched pool interaction and at most one
-	// disk call per missing sub-run, while charging each page exactly as the
-	// equivalent ReadPage loop would (first page random, successors
+	// ReadRun visits the contiguous page range [first, last] in order with
+	// batched pool interaction and at most one disk call per missing sub-run,
+	// charging each page as it is handed over (first page random, successors
 	// sequential; within-query revisits as cache hits). fn receives each page
 	// image, valid only during the call; returning false stops the run and
-	// leaves the remaining pages unread and uncharged.
+	// leaves the remaining pages unread and uncharged. fn may read further
+	// runs through the same reader: the page it was handed stays pinned until
+	// it returns.
 	ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error
 }
 
@@ -124,10 +114,10 @@ type PageReader interface {
 // arbitrarily long run uses bounded memory.
 const runChunkPages = 64
 
-// Pager mediates all page access, charging the simulated disk clock and
-// optionally caching pages in a shared sharded buffer pool. A pool size of
-// zero — the cold-cache setting of the paper's experiments — disables caching
-// so every page access hits the disk.
+// Pager mediates all page access through a shared sharded buffer pool and the
+// query contexts that charge it. A pool size of zero — the cold-cache setting
+// of the paper's experiments — disables caching so every page access hits the
+// disk.
 //
 // The Pager is safe for concurrent use. Shared state is limited to the disk,
 // the buffer pool, and the cumulative Stats totals; everything per-query
@@ -136,15 +126,13 @@ const runChunkPages = 64
 // accounting.
 type Pager struct {
 	disk     Disk
-	rdisk    RunDisk // disk's optional vectorized read capability, or nil
 	model    DiskModel
 	poolSize int
 	pool     *shardedPool // nil when poolSize == 0
 	free     *framePool   // frame freelist shared with the pool
 
-	mu       sync.Mutex // guards stats and lastPage
-	stats    Stats
-	lastPage PageID // pager-level seq detection, for reads outside a QueryCtx
+	mu    sync.Mutex // guards stats
+	stats Stats
 
 	// epoch and ov form the MVCC plane (see epoch.go): the current epoch new
 	// queries pin, and the copy-on-write overlay versions of updated pages.
@@ -152,21 +140,12 @@ type Pager struct {
 	ov    epochPlane
 }
 
-// NewPager wraps disk with accounting under the given cost model.
-// poolSize is the number of pages the buffer pool may hold; zero disables
-// caching entirely. The pool shard count is chosen automatically — see
-// NewPagerShards to pin it.
+// NewPager wraps disk with accounting under the given cost model. poolSize is
+// the number of pages the buffer pool may hold; zero disables caching
+// entirely. Pools under minShardedPoolSize pages keep one shard — the exact
+// global LRU eviction order of a single-mutex pool — and larger ones split
+// into poolShards.
 func NewPager(disk Disk, model DiskModel, poolSize int) *Pager {
-	return NewPagerShards(disk, model, poolSize, 0)
-}
-
-// NewPagerShards is NewPager with an explicit buffer-pool shard count,
-// rounded down to a power of two and clamped so every shard holds at least
-// one page. A shard count of zero picks the default: a single shard for
-// pools under minShardedPoolSize pages — tiny pools keep the exact global
-// LRU eviction order of the original single-mutex pool — and poolShards
-// otherwise.
-func NewPagerShards(disk Disk, model DiskModel, poolSize, shards int) *Pager {
 	if poolSize < 0 {
 		poolSize = 0
 	}
@@ -175,11 +154,9 @@ func NewPagerShards(disk Disk, model DiskModel, poolSize, shards int) *Pager {
 		model:    model,
 		poolSize: poolSize,
 		free:     newFramePool(disk.PageSize()),
-		lastPage: InvalidPage,
 	}
-	p.rdisk, _ = disk.(RunDisk)
 	if poolSize > 0 {
-		p.pool = newShardedPool(poolSize, shards, p.free)
+		p.pool = newShardedPool(poolSize, 0, p.free)
 	}
 	return p
 }
@@ -190,82 +167,16 @@ func (p *Pager) PageSize() int { return p.disk.PageSize() }
 // NumPages returns the underlying disk's page count.
 func (p *Pager) NumPages() int { return p.disk.NumPages() }
 
-// PoolPages returns the buffer pool capacity the pager was created with.
-func (p *Pager) PoolPages() int { return p.poolSize }
-
-// PoolShards returns the number of independently locked buffer-pool shards
-// (zero when the pool is disabled).
-func (p *Pager) PoolShards() int {
-	if p.pool == nil {
-		return 0
-	}
-	return len(p.pool.shards)
-}
-
-// readThrough copies page id as seen at epoch into buf: the newest overlay
-// version at or below epoch when one exists, else the shared pool or, on a
-// miss, the disk (populating the pool). It moves data only — no accounting.
-func (p *Pager) readThrough(id PageID, buf []byte, epoch uint64) (cached bool, err error) {
-	if p.ov.active() {
-		if f := p.ov.view(id, epoch); f != nil {
-			copy(buf, f.Data())
-			f.Release()
-			return true, nil
-		}
-	}
-	if p.pool != nil && p.pool.get(id, buf) {
-		return true, nil
-	}
-	if err := p.disk.ReadPage(id, buf); err != nil {
-		return false, err
-	}
-	if p.pool != nil {
-		f := p.free.get(id)
-		copy(f.data, buf)
-		p.pool.insert(f).Release()
-	}
-	return false, nil
-}
-
-// viewThrough returns a retained frame for page id as seen at epoch: the
-// newest overlay version at or below epoch when one exists, else the shared
-// pool or, on a miss, the disk (populating the pool). Data movement only — no
-// accounting.
-func (p *Pager) viewThrough(id PageID, epoch uint64) (f *Frame, cached bool, err error) {
-	if p.ov.active() {
-		if f := p.ov.view(id, epoch); f != nil {
-			return f, true, nil
-		}
-	}
-	if p.pool != nil {
-		if f := p.pool.view(id); f != nil {
-			return f, true, nil
-		}
-	}
-	f = p.free.get(id)
-	if err := p.disk.ReadPage(id, f.data); err != nil {
-		f.Release()
-		return nil, false, err
-	}
-	if p.pool != nil {
-		f = p.pool.insert(f)
-	}
-	return f, false, nil
-}
-
 // viewRunThrough fills frames with retained frames for the pages
 // first..first+len(frames)-1 as seen at epoch: overlaid pages resolve to
 // their overlay version, the rest come from one batched pool probe, and each
-// maximal still-missing sub-run is fetched with a single vectorized disk
-// read. cached[i] reports overlay or pool residency at probe time. On error
+// maximal still-missing sub-run is fetched with a single disk read. On error
 // all frames are released and frames is left nil-filled. bufs is the caller's
-// scratch for the buffer lists of those reads.
-func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epoch uint64, bufs *[][]byte) error {
+// scratch for the buffer lists of those reads, at least len(frames) long. It
+// moves data only — the caller charges.
+func (p *Pager) viewRunThrough(first PageID, frames []*frame, epoch uint64, bufs [][]byte) error {
 	n := len(frames)
-	for i := 0; i < n; i++ {
-		frames[i] = nil
-		cached[i] = false
-	}
+	clear(frames)
 	if p.ov.active() {
 		for i := 0; i < n; i++ {
 			frames[i] = p.ov.view(first+PageID(i), epoch)
@@ -291,7 +202,6 @@ func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epo
 	}
 	for i := 0; i < n; {
 		if frames[i] != nil {
-			cached[i] = true
 			i++
 			continue
 		}
@@ -300,9 +210,9 @@ func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epo
 			j++
 		}
 		if err := p.fetchRun(first+PageID(i), frames[i:j], bufs); err != nil {
-			for k := 0; k < n; k++ {
-				if frames[k] != nil {
-					frames[k].Release()
+			for k, f := range frames {
+				if f != nil {
+					f.Release()
 					frames[k] = nil
 				}
 			}
@@ -314,29 +224,16 @@ func (p *Pager) viewRunThrough(first PageID, frames []*Frame, cached []bool, epo
 }
 
 // fetchRun reads len(frames) consecutive pages starting at first from disk
-// into frames off the freelist — one vectorized call when the disk supports
-// RunDisk, its buffer list built in *bufs — and registers them with the pool.
-// On error frames is left nil-filled.
-func (p *Pager) fetchRun(first PageID, frames []*Frame, bufs *[][]byte) error {
+// into frames off the freelist — one disk call, its buffer list built in
+// bufs — and registers them with the pool. On error frames is left
+// nil-filled.
+func (p *Pager) fetchRun(first PageID, frames []*frame, bufs [][]byte) error {
+	bufs = bufs[:len(frames)]
 	for i := range frames {
 		frames[i] = p.free.get(first + PageID(i))
+		bufs[i] = frames[i].data
 	}
-	var err error
-	if p.rdisk != nil && len(frames) > 1 {
-		list := (*bufs)[:0]
-		for _, f := range frames {
-			list = append(list, f.data)
-		}
-		err = p.rdisk.ReadRun(first, list)
-		*bufs = list
-	} else {
-		for _, f := range frames {
-			if err = p.disk.ReadPage(f.id, f.data); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := p.disk.ReadRun(first, bufs); err != nil {
 		for i, f := range frames {
 			f.Release()
 			frames[i] = nil
@@ -351,44 +248,6 @@ func (p *Pager) fetchRun(first PageID, frames []*Frame, bufs *[][]byte) error {
 	return nil
 }
 
-// readRunChunks drives a ReadRun over [first, last] in chunks of at most
-// runChunkPages: view-or-fetch a chunk, then walk it in page order charging
-// each page through charge before handing its image to fn. An early stop by
-// fn leaves the remaining pages uncharged — exactly like breaking out of a
-// per-page ReadPage loop. bufs is the scratch the misses' disk reads list
-// their buffers in, kept by whoever reads run after run.
-func (p *Pager) readRunChunks(first, last PageID, epoch uint64, bufs *[][]byte, charge func(id PageID, cached bool), fn func(id PageID, page []byte) bool) error {
-	if first > last {
-		return nil
-	}
-	var frames [runChunkPages]*Frame
-	var cached [runChunkPages]bool
-	for start := first; ; start += runChunkPages {
-		n := int(last-start) + 1
-		if n > runChunkPages {
-			n = runChunkPages
-		}
-		if err := p.viewRunThrough(start, frames[:n], cached[:n], epoch, bufs); err != nil {
-			return err
-		}
-		stop := false
-		for i := 0; i < n; i++ {
-			if !stop {
-				id := start + PageID(i)
-				charge(id, cached[i])
-				if !fn(id, frames[i].Data()) {
-					stop = true
-				}
-			}
-			frames[i].Release()
-			frames[i] = nil
-		}
-		if stop || start+PageID(n-1) == last {
-			return nil
-		}
-	}
-}
-
 // addStats folds one query context's activity into the cumulative totals,
 // so that Pager.Stats equals the sum of every reader's reported activity.
 func (p *Pager) addStats(d Stats) {
@@ -397,58 +256,13 @@ func (p *Pager) addStats(d Stats) {
 	p.mu.Unlock()
 }
 
-// ReadPage reads page id into buf through the pager's own accounting: a pool
-// hit counts as a cache hit, a miss is charged to the simulated clock using
-// the pager-level sequential tracker. Query pipelines should prefer a
-// QueryCtx from BeginQuery, which keeps this accounting per query.
-func (p *Pager) ReadPage(id PageID, buf []byte) error {
-	cached, err := p.readThrough(id, buf, p.epoch.Load())
-	if err != nil {
-		return err
-	}
-	p.chargeRead(id, cached)
-	return nil
-}
-
-// ViewPage implements PageReader with the same pager-level accounting as
-// ReadPage; the caller must Release the returned frame.
-func (p *Pager) ViewPage(id PageID) (*Frame, error) {
-	f, cached, err := p.viewThrough(id, p.epoch.Load())
-	if err != nil {
-		return nil, err
-	}
-	p.chargeRead(id, cached)
-	return f, nil
-}
-
-// ReadRun implements PageReader with pager-level accounting.
+// ReadRun implements PageReader as a one-shot query: a fresh context at the
+// current epoch reads the run and publishes what it charged to the totals.
 func (p *Pager) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error {
-	return p.readRunChunks(first, last, p.epoch.Load(), new([][]byte), p.chargeRead, fn)
-}
-
-// chargeRead charges one page access to the pager-level accounting.
-func (p *Pager) chargeRead(id PageID, cached bool) {
-	p.mu.Lock()
-	if cached {
-		p.stats.CacheHits++
-	} else {
-		p.charge(id)
-	}
-	p.mu.Unlock()
-}
-
-// charge updates counters and the simulated clock for a disk read of page id.
-// Callers must hold p.mu.
-func (p *Pager) charge(id PageID) {
-	p.stats.Reads++
-	if p.lastPage != InvalidPage && id == p.lastPage+1 {
-		p.stats.SeqReads++
-		p.stats.SimElapsed += p.model.SequentialRead
-	} else {
-		p.stats.RandReads++
-		p.stats.SimElapsed += p.model.RandomRead
-	}
-	p.lastPage = id
+	qc := p.BeginQuery()
+	err := qc.ReadRun(first, last, fn)
+	qc.Stats()
+	return err
 }
 
 // WritePage writes buf to page id. Writes are counted but not charged to the
@@ -473,19 +287,11 @@ func (p *Pager) Alloc() (PageID, error) {
 }
 
 // Stats returns a snapshot of the accumulated counters: the sum of every
-// reader's activity, pager-level reads and QueryCtx reads alike.
+// query context's published activity and of the page writes.
 func (p *Pager) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// ResetStats zeroes the counters and the pager-level sequential tracker.
-func (p *Pager) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats = Stats{}
-	p.lastPage = InvalidPage
 }
 
 // DropCache empties the shared buffer pool without touching the counters,
@@ -494,9 +300,6 @@ func (p *Pager) DropCache() {
 	if p.pool != nil {
 		p.pool.drop()
 	}
-	p.mu.Lock()
-	p.lastPage = InvalidPage
-	p.mu.Unlock()
 }
 
 // Model returns the pager's disk cost model.
@@ -524,32 +327,42 @@ func (p *Pager) Close() error {
 // SnapshotTo copies every page of the store as seen at the current epoch to
 // dst, allocating pages there as needed: overlaid pages are materialized from
 // their newest overlay version, so the saved file is the live state, not the
-// stale base. The copy bypasses the cost accounting — it is a maintenance
-// operation (saving a built database to a file), not part of a measured
-// query.
+// stale base. The copy reads the disk in runs and bypasses the pool and the
+// cost accounting — it is a maintenance operation (saving a built database to
+// a file), not part of a measured query.
 func (p *Pager) SnapshotTo(dst Disk) error {
-	if dst.PageSize() != p.disk.PageSize() {
-		return fmt.Errorf("storage: snapshot page size mismatch: %d vs %d", dst.PageSize(), p.disk.PageSize())
+	ps := p.disk.PageSize()
+	if dst.PageSize() != ps {
+		return fmt.Errorf("storage: snapshot page size mismatch: %d vs %d", dst.PageSize(), ps)
 	}
 	epoch := p.epoch.Load()
-	buf := make([]byte, p.disk.PageSize())
 	n := p.disk.NumPages()
-	for id := 0; id < n; id++ {
-		if f := p.ov.view(PageID(id), epoch); f != nil {
-			copy(buf, f.Data())
-			f.Release()
-		} else if err := p.disk.ReadPage(PageID(id), buf); err != nil {
+	chunk := make([]byte, runChunkPages*ps)
+	bufs := make([][]byte, runChunkPages)
+	for i := range bufs {
+		bufs[i] = chunk[i*ps : (i+1)*ps]
+	}
+	for start := 0; start < n; start += runChunkPages {
+		run := bufs[:min(runChunkPages, n-start)]
+		if err := p.disk.ReadRun(PageID(start), run); err != nil {
 			return err
 		}
-		did, err := dst.Alloc()
-		if err != nil {
-			return err
-		}
-		if did != PageID(id) {
-			return fmt.Errorf("storage: snapshot destination not empty (page %d became %d)", id, did)
-		}
-		if err := dst.WritePage(did, buf); err != nil {
-			return err
+		for i, buf := range run {
+			id := PageID(start + i)
+			if f := p.ov.view(id, epoch); f != nil {
+				copy(buf, f.data)
+				f.Release()
+			}
+			did, err := dst.Alloc()
+			if err != nil {
+				return err
+			}
+			if did != id {
+				return fmt.Errorf("storage: snapshot destination not empty (page %d became %d)", id, did)
+			}
+			if err := dst.WritePage(did, buf); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -588,9 +401,8 @@ type QueryCtx struct {
 	// read path takes no per-page accounting lock.
 	flushed Stats
 
-	// runBufs is ReadRun's scratch: the buffer list of a miss run's vectorized
-	// disk read.
-	runBufs [][]byte
+	// runBufs is ReadRun's scratch: the buffer list of a miss run's disk read.
+	runBufs [runChunkPages][]byte
 
 	// tb is the query's trace builder, or nil when tracing is off. Spans are
 	// charged by snapshotting stats at phase boundaries (BeginSpan/EndSpan),
@@ -689,43 +501,42 @@ func (l *pageLRU) add(id PageID, capacity int) {
 	l.head = i
 }
 
-// PageSize implements PageReader.
+// PageSize returns the underlying pager's page size.
 func (qc *QueryCtx) PageSize() int { return qc.pager.PageSize() }
 
 // Model returns the underlying pager's disk cost model.
 func (qc *QueryCtx) Model() DiskModel { return qc.pager.model }
 
-// ReadPage implements PageReader: page data comes from the shared pool or
-// disk, while the charge — cache hit on a within-query revisit, sequential or
-// random disk read otherwise — goes to this query's private accounting,
-// published to the pager's cumulative totals when Stats is called.
-func (qc *QueryCtx) ReadPage(id PageID, buf []byte) error {
-	if _, err := qc.pager.readThrough(id, buf, qc.epoch); err != nil {
-		return err
-	}
-	qc.chargeRead(id)
-	return nil
-}
-
-// ViewPage implements PageReader: a zero-copy shared frame, with the access
-// charged to this query's private accounting exactly like ReadPage. The
-// caller must Release the frame.
-func (qc *QueryCtx) ViewPage(id PageID) (*Frame, error) {
-	f, _, err := qc.pager.viewThrough(id, qc.epoch)
-	if err != nil {
-		return nil, err
-	}
-	qc.chargeRead(id)
-	return f, nil
-}
-
-// ReadRun implements PageReader. Whatever the batching does at the pool and
-// disk layers, each page is charged through chargeRead in page order, so the
-// per-query accounting is byte-identical to the equivalent ReadPage loop.
+// ReadRun implements PageReader: page data comes from the overlays, the
+// shared pool or the disk, fetched a chunk at a time, while each page is
+// charged to this query's private accounting in page order just before fn
+// sees it — an early stop leaves the rest of the run uncharged, and a failed
+// fetch charges none of its chunk. The accounting is published to the pager's
+// cumulative totals when Stats is called.
 func (qc *QueryCtx) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool) error {
-	return qc.pager.readRunChunks(first, last, qc.epoch, &qc.runBufs, func(id PageID, _ bool) {
-		qc.chargeRead(id)
-	}, fn)
+	if first > last {
+		return nil
+	}
+	var frames [runChunkPages]*frame
+	for start := first; ; start += runChunkPages {
+		n := min(int(last-start)+1, runChunkPages)
+		if err := qc.pager.viewRunThrough(start, frames[:n], qc.epoch, qc.runBufs[:]); err != nil {
+			return err
+		}
+		stop := false
+		for i, f := range frames[:n] {
+			if !stop {
+				id := start + PageID(i)
+				qc.chargeRead(id)
+				stop = !fn(id, f.data)
+			}
+			f.Release()
+			frames[i] = nil
+		}
+		if stop || start+PageID(n-1) == last {
+			return nil
+		}
+	}
 }
 
 // chargeRead charges one page access to this query's private accounting:
@@ -733,7 +544,7 @@ func (qc *QueryCtx) ReadRun(first, last PageID, fn func(id PageID, page []byte) 
 // otherwise. The charge depends only on this context's own history (seen set
 // and sequential clock), never on shared pool residency — that is what keeps
 // per-query accounting independent of how many queries run concurrently and
-// of how the bytes were obtained (copy, view, or run batch).
+// of how the bytes were obtained (run read, or a batch's shared fetch).
 func (qc *QueryCtx) chargeRead(id PageID) {
 	if qc.seen.slot != nil && qc.seen.touch(id) {
 		qc.stats.CacheHits++

@@ -33,22 +33,22 @@ func newFramePool(size int) *framePool {
 
 // get returns a frame nobody else holds (one reference, the caller's) whose
 // buffer awaits page id's image.
-func (fp *framePool) get(id PageID) *Frame {
-	f, ok := fp.pool.Get().(*Frame)
+func (fp *framePool) get(id PageID) *frame {
+	f, ok := fp.pool.Get().(*frame)
 	if !ok {
-		f = &Frame{data: make([]byte, fp.size), free: fp}
+		f = &frame{data: make([]byte, fp.size), free: fp}
 	}
 	f.id = id
 	f.refs.Store(1)
 	return f
 }
 
-// Frame is one immutable page image shared between the buffer pool and any
+// frame is one immutable page image shared between the buffer pool and any
 // number of concurrent readers. The image is never modified in place — a
-// write to a cached page swaps in a fresh frame — so readers can use Data
+// write to a cached page swaps in a fresh frame — so readers can use data
 // without copying or locking. References are counted: the pool holds one
-// while the frame is resident, and every view hands the caller one more.
-type Frame struct {
+// while the frame is resident, and every reader it is handed to one more.
+type frame struct {
 	id   PageID
 	data []byte
 	refs atomic.Int32
@@ -56,25 +56,21 @@ type Frame struct {
 	// prev and next link a resident frame into its shard's recency list,
 	// towards the most and the least recently used; the shard's mutex guards
 	// them.
-	prev, next *Frame
+	prev, next *frame
 }
 
-// Data returns the page image. It is valid until Release and must not be
-// modified.
-func (f *Frame) Data() []byte { return f.data }
-
 // Retain adds a reference, for handing the frame to another owner.
-func (f *Frame) Retain() { f.refs.Add(1) }
+func (f *frame) Retain() { f.refs.Add(1) }
 
 // Release drops one reference. When the last owner (pool residency included)
 // lets go, the frame and its buffer return to the pager's freelist.
-func (f *Frame) Release() {
+func (f *frame) Release() {
 	n := f.refs.Add(-1)
 	if n > 0 {
 		return
 	}
 	if n < 0 {
-		panic("storage: Frame released more often than retained")
+		panic("storage: frame released more often than retained")
 	}
 	if f.free != nil {
 		f.free.pool.Put(f)
@@ -83,8 +79,8 @@ func (f *Frame) Release() {
 
 // newFrame returns a one-off frame over data, owned solely by the caller (one
 // reference) and never recycled.
-func newFrame(id PageID, data []byte) *Frame {
-	f := &Frame{id: id, data: data}
+func newFrame(id PageID, data []byte) *frame {
+	f := &frame{id: id, data: data}
 	f.refs.Store(1)
 	return f
 }
@@ -96,8 +92,8 @@ func newFrame(id PageID, data []byte) *Frame {
 type poolShard struct {
 	mu     sync.Mutex
 	cap    int
-	root   Frame
-	frames map[PageID]*Frame
+	root   frame
+	frames map[PageID]*frame
 	hits   int64 // probes served from this shard
 	misses int64 // probes that fell through to the disk
 }
@@ -106,24 +102,24 @@ type poolShard struct {
 // frames.
 func (s *poolShard) reset() {
 	s.root.prev, s.root.next = &s.root, &s.root
-	s.frames = make(map[PageID]*Frame)
+	s.frames = make(map[PageID]*frame)
 }
 
 // unlink takes f out of the recency list.
-func (s *poolShard) unlink(f *Frame) {
+func (s *poolShard) unlink(f *frame) {
 	f.prev.next, f.next.prev = f.next, f.prev
 	f.prev, f.next = nil, nil
 }
 
 // pushFront makes f, which is not in the list, the most recently used.
-func (s *poolShard) pushFront(f *Frame) {
+func (s *poolShard) pushFront(f *frame) {
 	f.prev, f.next = &s.root, s.root.next
 	f.prev.next, f.next.prev = f, f
 }
 
 // hit returns resident frame f retained for one more owner, now the most
 // recently used.
-func (s *poolShard) hit(f *Frame) *Frame {
+func (s *poolShard) hit(f *frame) *frame {
 	if s.root.next != f {
 		s.unlink(f)
 		s.pushFront(f)
@@ -142,21 +138,20 @@ type PoolShardStats struct {
 }
 
 // shardedPool is the shared buffer pool of a Pager: an N-way sharded,
-// reference-counted LRU. Hits hand back a retained *Frame under one shard
-// mutex and zero copies; the old single-mutex pool memcpyed a full page per
-// get and put.
+// reference-counted LRU. Hits hand back a retained *frame under one shard
+// mutex and zero copies.
 type shardedPool struct {
 	shards []poolShard
 	mask   uint32
 	free   *framePool
 }
 
-// newShardedPool builds a pool of the given capacity. shards is clamped to a
-// power of two no larger than the capacity (every shard must hold at least
-// one frame); pools below minShardedPoolSize use a single shard so their
-// global LRU eviction order is exactly that of the pre-sharding pool. Frames
-// come from the freelist one miss at a time: a pool costs what it holds, not
-// what it may hold.
+// newShardedPool builds a pool of the given capacity. shards is rounded down
+// to a power of two no larger than the capacity (every shard must hold at
+// least one frame); zero picks the default — a single shard for pools below
+// minShardedPoolSize, whose global LRU eviction order is then exact, and
+// poolShards otherwise. Frames come from the freelist one miss at a time: a
+// pool costs what it holds, not what it may hold.
 func newShardedPool(size, shards int, free *framePool) *shardedPool {
 	if shards <= 0 {
 		shards = poolShards
@@ -190,25 +185,11 @@ func (sp *shardedPool) shard(id PageID) *poolShard {
 	return &sp.shards[uint32(id)&sp.mask]
 }
 
-// view returns a retained frame for page id, or nil on a miss.
-func (sp *shardedPool) view(id PageID) *Frame {
-	s := sp.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.frames[id]
-	if !ok {
-		s.misses++
-		return nil
-	}
-	s.hits++
-	return s.hit(f)
-}
-
-// viewRun probes pages first..first+len(frames)-1 with one lock acquisition
-// per shard, filling frames[i] with a retained frame or leaving it nil on a
-// miss. Misses are left for the caller to fetch from disk in contiguous
-// sub-runs.
-func (sp *shardedPool) viewRun(first PageID, frames []*Frame) {
+// viewRun is the pool's one probe: it looks up pages
+// first..first+len(frames)-1 with one lock acquisition per shard, filling
+// frames[i] with a retained frame or leaving it nil on a miss. Misses are left
+// for the caller to fetch from disk in contiguous sub-runs.
+func (sp *shardedPool) viewRun(first PageID, frames []*frame) {
 	n := len(frames)
 	nsh := len(sp.shards)
 	for si := range sp.shards {
@@ -237,7 +218,7 @@ func (sp *shardedPool) viewRun(first PageID, frames []*Frame) {
 // both hold the same disk image, so either is correct. A full shard first
 // evicts its least recently used frames: the pool lets go of them, and one
 // nobody is reading goes to the freelist for the next miss to take over.
-func (sp *shardedPool) insert(f *Frame) *Frame {
+func (sp *shardedPool) insert(f *frame) *frame {
 	s := sp.shard(f.id)
 	s.mu.Lock()
 	if old, ok := s.frames[f.id]; ok {
@@ -257,18 +238,6 @@ func (sp *shardedPool) insert(f *Frame) *Frame {
 	s.pushFront(f)
 	s.mu.Unlock()
 	return f
-}
-
-// get copies page id into buf and reports whether it was resident — the
-// copying compatibility path behind Pager.ReadPage/QueryCtx.ReadPage.
-func (sp *shardedPool) get(id PageID, buf []byte) bool {
-	f := sp.view(id)
-	if f == nil {
-		return false
-	}
-	copy(buf, f.data)
-	f.Release()
-	return true
 }
 
 // update refreshes an already-resident page after a write by swapping in a

@@ -29,6 +29,21 @@ func stampDisk(t *testing.T, pageSize, n int) *MemDisk {
 	return disk
 }
 
+// newShardedPager is NewPager with the pool split into an explicit number of
+// shards (see newShardedPool).
+func newShardedPager(disk Disk, size, shards int) *Pager {
+	p := NewPager(disk, DefaultDiskModel, size)
+	if size > 0 {
+		p.pool = newShardedPool(size, shards, p.free)
+	}
+	return p
+}
+
+// stamped reports whether page holds page id's stamp (see stampDisk).
+func stamped(id PageID, page []byte) bool {
+	return bytes.Equal(page, bytes.Repeat([]byte{byte(id)}, len(page)))
+}
+
 func TestShardedPoolClampsShardCount(t *testing.T) {
 	// The shard count never exceeds the pool size: every shard must hold at
 	// least one frame, or caching would silently disappear.
@@ -43,13 +58,12 @@ func TestShardedPoolClampsShardCount(t *testing.T) {
 		{size: 4096, shards: 0, want: 16},
 	}
 	for _, c := range cases {
-		p := NewPagerShards(NewMemDisk(DefaultPageSize), DefaultDiskModel, c.size, c.shards)
-		if got := p.PoolShards(); got != c.want {
+		if got := len(newShardedPool(c.size, c.shards, nil).shards); got != c.want {
 			t.Errorf("size %d shards %d: got %d shards, want %d", c.size, c.shards, got, c.want)
 		}
 	}
-	if got := NewPager(NewMemDisk(DefaultPageSize), DefaultDiskModel, 0).PoolShards(); got != 0 {
-		t.Errorf("disabled pool reports %d shards", got)
+	if got := NewPager(NewMemDisk(DefaultPageSize), DefaultDiskModel, 0).PoolShardStats(); got != nil {
+		t.Errorf("disabled pool reports %d shards", len(got))
 	}
 }
 
@@ -57,20 +71,15 @@ func TestShardedPoolSmallerThanShardCountCaches(t *testing.T) {
 	// A pool of 3 pages asked to use 16 shards must still cache: re-reading
 	// the last-read page is a hit at every shard geometry.
 	disk := stampDisk(t, 128, 8)
-	p := NewPagerShards(disk, DefaultDiskModel, 3, 16)
-	buf := make([]byte, 128)
+	p := newShardedPager(disk, 3, 16)
 	for i := 0; i < 8; i++ {
-		if err := p.ReadPage(PageID(i), buf); err != nil {
-			t.Fatal(err)
-		}
+		readPage(t, p, PageID(i))
 	}
-	before := p.Stats()
-	if err := p.ReadPage(7, buf); err != nil {
-		t.Fatal(err)
-	}
-	d := p.Stats().Sub(before)
-	if d.CacheHits != 1 || d.Reads != 0 {
-		t.Fatalf("re-read of resident page: %+v", d)
+	hits, misses := poolHits(p)
+	buf := readPage(t, p, 7)
+	h, m := poolHits(p)
+	if h-hits != 1 || m != misses {
+		t.Fatalf("re-read of resident page: %d hits, %d misses", h-hits, m-misses)
 	}
 	if buf[0] != 7 {
 		t.Fatalf("page 7 content byte = %d", buf[0])
@@ -79,97 +88,73 @@ func TestShardedPoolSmallerThanShardCountCaches(t *testing.T) {
 
 func TestShardedPoolSizeOne(t *testing.T) {
 	disk := stampDisk(t, 128, 4)
-	p := NewPagerShards(disk, DefaultDiskModel, 1, 8)
-	buf := make([]byte, 128)
+	p := newShardedPager(disk, 1, 8)
 	// 0, 0 -> read + hit; 1 evicts 0; 0 misses again.
 	reads := []struct {
-		id       PageID
-		wantHit  bool
-		wantByte byte
+		id      PageID
+		wantHit bool
 	}{
-		{0, false, 0}, {0, true, 0}, {1, false, 1}, {0, false, 0},
+		{0, false}, {0, true}, {1, false}, {0, false},
 	}
 	for i, r := range reads {
-		before := p.Stats()
-		if err := p.ReadPage(r.id, buf); err != nil {
-			t.Fatal(err)
-		}
-		d := p.Stats().Sub(before)
-		if gotHit := d.CacheHits == 1; gotHit != r.wantHit {
+		before, _ := poolHits(p)
+		buf := readPage(t, p, r.id)
+		after, _ := poolHits(p)
+		if gotHit := after-before == 1; gotHit != r.wantHit {
 			t.Fatalf("read %d of page %d: hit=%v want %v", i, r.id, gotHit, r.wantHit)
 		}
-		if buf[0] != r.wantByte {
+		if !stamped(r.id, buf) {
 			t.Fatalf("read %d of page %d: byte %d", i, r.id, buf[0])
 		}
 	}
 }
 
 func TestFrameSurvivesEviction(t *testing.T) {
-	// A frame held by a reader keeps its immutable image after the pool
-	// evicts the page, while the misses that follow — copies, views, runs —
-	// take recycled frames off the freelist: never the held one, and each
-	// carrying the page it was read for.
+	// A page a reader is handed stays pinned for its callback: the pool may
+	// evict it meanwhile, but the image keeps its bytes while the misses that
+	// follow — single pages and runs — take recycled frames off the freelist:
+	// never the held one, and each carrying the page it was read for.
 	const pages, capacity = 24, 4
 	disk := stampDisk(t, 128, pages)
-	p := NewPagerShards(disk, DefaultDiskModel, capacity, 1)
-	held, err := p.ViewPage(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Repeat([]byte{3}, 128)
-	check := func(id PageID, page []byte) {
+	p := newShardedPager(disk, capacity, 1)
+	check := func(id PageID, page []byte) bool {
 		t.Helper()
-		if !bytes.Equal(page, bytes.Repeat([]byte{byte(id)}, 128)) {
+		if !stamped(id, page) {
 			t.Fatalf("page %d came back holding %d", id, page[0])
 		}
-		if !bytes.Equal(held.Data(), want) {
-			t.Fatalf("held frame mutated while page %d was read", id)
-		}
+		return true
 	}
-	// Each pass inserts 2 × capacity pages past the held one.
-	buf := make([]byte, 128)
-	for id := PageID(4); id < 4+2*capacity; id++ {
-		if err := p.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
+	err := p.ReadRun(3, 3, func(_ PageID, held []byte) bool {
+		// Each pass inserts 2 × capacity pages past the held one.
+		for id := PageID(4); id < 4+2*capacity; id++ {
+			check(id, readPage(t, p, id))
+			check(3, held)
 		}
-		check(id, buf)
-	}
-	for id := PageID(12); id < 12+2*capacity; id++ {
-		f, err := p.ViewPage(id)
+		err := p.ReadRun(12, 12+2*capacity-1, func(id PageID, page []byte) bool {
+			check(3, held)
+			return check(id, page)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(id, f.Data())
-		f.Release()
-	}
-	err = p.ReadRun(4, 4+2*capacity-1, func(id PageID, page []byte) bool {
-		check(id, page)
+		if st := p.PoolShardStats()[0]; st.Len != capacity {
+			t.Fatalf("pool holds %d frames, capacity %d", st.Len, capacity)
+		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := p.PoolShardStats()[0]; st.Len != capacity {
-		t.Fatalf("pool holds %d frames, capacity %d", st.Len, capacity)
-	}
-	held.Release()
 	// The released frame is on the freelist now; whoever takes it over gets
 	// its own page, not page 3's.
-	for id := PageID(pages - capacity - 1); id < pages; id++ {
-		f, err := p.ViewPage(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(f.Data(), bytes.Repeat([]byte{byte(id)}, 128)) {
-			t.Fatalf("page %d came back holding %d", id, f.Data()[0])
-		}
-		f.Release()
+	if err := p.ReadRun(pages-capacity-1, pages-1, check); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestPoolEvictionOrderMatchesListLRU drives a single-shard pool, whose
 // recency list runs through the frames themselves, and a container/list model
-// of the LRU it replaced with the same recorded page sequence — views, copies
+// of the LRU it replaced with the same recorded page sequence — single pages
 // and runs; re-reference of the head, the tail and a middle frame; pages
 // written while resident — and requires the same hit or miss on every access.
 func TestPoolEvictionOrderMatchesListLRU(t *testing.T) {
@@ -177,7 +162,7 @@ func TestPoolEvictionOrderMatchesListLRU(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 64} {
 		pages := 3 * capacity
 		disk := stampDisk(t, 128, pages)
-		p := NewPagerShards(disk, DefaultDiskModel, capacity, 1)
+		p := newShardedPager(disk, capacity, 1)
 		model, order := map[PageID]*list.Element{}, list.New()
 		touch := func(id PageID) (hit bool) {
 			el, hit := model[id]
@@ -193,29 +178,11 @@ func TestPoolEvictionOrderMatchesListLRU(t *testing.T) {
 			model[id] = order.PushFront(id)
 			return false
 		}
-		buf := make([]byte, 128)
 		for i := 0; i < 5000; i++ {
 			id := PageID(rng.Intn(pages))
 			before := p.PoolShardStats()[0]
 			want := int64(0)
-			switch rng.Intn(4) {
-			case 0:
-				f, err := p.ViewPage(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Release()
-				if touch(id) {
-					want++
-				}
-			case 1:
-				if err := p.ReadPage(id, buf); err != nil {
-					t.Fatal(err)
-				}
-				if touch(id) {
-					want++
-				}
-			case 2:
+			if rng.Intn(4) < 3 {
 				last := min(id+PageID(rng.Intn(3)), PageID(pages-1))
 				if err := p.ReadRun(id, last, func(PageID, []byte) bool { return true }); err != nil {
 					t.Fatal(err)
@@ -234,7 +201,7 @@ func TestPoolEvictionOrderMatchesListLRU(t *testing.T) {
 				for _, r := range missing {
 					touch(r)
 				}
-			case 3:
+			} else {
 				// A write refreshes a resident page in place: no probe, no move.
 				if err := p.WritePage(id, bytes.Repeat([]byte{byte(id)}, 128)); err != nil {
 					t.Fatal(err)
@@ -252,11 +219,7 @@ func TestPoolEvictionOrderMatchesListLRU(t *testing.T) {
 }
 
 func TestFrameOverReleasePanics(t *testing.T) {
-	p := NewPager(stampDisk(t, 128, 1), DefaultDiskModel, 0)
-	f, err := p.ViewPage(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFramePool(128).get(0)
 	f.Release()
 	defer func() {
 		if recover() == nil {
@@ -267,38 +230,33 @@ func TestFrameOverReleasePanics(t *testing.T) {
 }
 
 func TestWriteSwapsFrameUnderReader(t *testing.T) {
-	// WritePage must not mutate a frame a reader is holding: the reader
-	// keeps the pre-write image, the next view sees the new one.
+	// WritePage must not mutate a page a reader is holding: the reader keeps
+	// the pre-write image, the next read sees the new one.
 	disk := stampDisk(t, 128, 2)
 	p := NewPager(disk, DefaultDiskModel, 4)
-	f, err := p.ViewPage(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	newImg := bytes.Repeat([]byte{0xAA}, 128)
-	if err := p.WritePage(0, newImg); err != nil {
-		t.Fatal(err)
-	}
-	if f.Data()[0] != 0 {
-		t.Fatal("reader's frame changed under a concurrent write")
-	}
-	f.Release()
-	g, err := p.ViewPage(0)
+	err := p.ReadRun(0, 0, func(_ PageID, held []byte) bool {
+		if err := p.WritePage(0, newImg); err != nil {
+			t.Fatal(err)
+		}
+		if held[0] != 0 {
+			t.Fatal("reader's page changed under a concurrent write")
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(g.Data(), newImg) {
-		t.Fatal("view after write returned the stale image")
+	if !bytes.Equal(readPage(t, p, 0), newImg) {
+		t.Fatal("read after write returned the stale image")
 	}
-	g.Release()
 }
 
-func TestConcurrentSamePageInsert(t *testing.T) {
-	// Many contexts faulting in the same page concurrently must agree on
-	// one frame's data and keep every refcount balanced (run with -race).
-	const goroutines = 16
-	disk := stampDisk(t, 128, 64)
-	p := NewPagerShards(disk, DefaultDiskModel, 8, 4)
+// hammer runs one query context per goroutine, each reading rounds single
+// pages — page(g, round) for goroutine g — and checking every image it is
+// handed against its stamp (see stampDisk).
+func hammer(t *testing.T, p *Pager, goroutines, rounds int, page func(g, round int) PageID) {
+	t.Helper()
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -306,21 +264,14 @@ func TestConcurrentSamePageInsert(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			qc := p.BeginQuery()
-			for round := 0; round < 200; round++ {
-				id := PageID(round % 8) // all goroutines hammer the same 8 pages
-				f, err := qc.ViewPage(id)
-				if err != nil {
-					errc <- err
+			defer qc.Stats()
+			for round := 0; round < rounds; round++ {
+				id, ok := page(g, round), true
+				if err := qc.ReadRun(id, id, func(_ PageID, img []byte) bool { ok = stamped(id, img); return true }); err != nil || !ok {
+					errc <- fmt.Errorf("goroutine %d, page %d: err %v, stamped %v", g, id, err, ok)
 					return
 				}
-				if f.Data()[0] != byte(id) {
-					errc <- fmt.Errorf("goroutine %d: page %d holds byte %d", g, id, f.Data()[0])
-					f.Release()
-					return
-				}
-				f.Release()
 			}
-			qc.Stats()
 		}(g)
 	}
 	wg.Wait()
@@ -328,6 +279,14 @@ func TestConcurrentSamePageInsert(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+}
+
+func TestConcurrentSamePageInsert(t *testing.T) {
+	// Many contexts faulting in the same page concurrently must agree on
+	// one frame's data and keep every refcount balanced (run with -race).
+	p := newShardedPager(stampDisk(t, 128, 64), 8, 4)
+	// All goroutines hammer the same 8 pages.
+	hammer(t, p, 16, 200, func(_, round int) PageID { return PageID(round % 8) })
 }
 
 func TestConcurrentEvictionRefcounts(t *testing.T) {
@@ -335,67 +294,28 @@ func TestConcurrentEvictionRefcounts(t *testing.T) {
 	// constant eviction while frames are pinned; -race plus the data checks
 	// catch use-after-recycle.
 	const pages = 96
-	disk := stampDisk(t, 128, pages)
-	p := NewPagerShards(disk, DefaultDiskModel, 4, 2)
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			qc := p.BeginQuery()
-			step := g + 1
-			for round := 0; round < 300; round++ {
-				id := PageID((round * step) % pages)
-				f, err := qc.ViewPage(id)
-				if err != nil {
-					errc <- err
-					return
-				}
-				data := f.Data()
-				for _, b := range data[:8] {
-					if b != byte(id) {
-						errc <- fmt.Errorf("goroutine %d: page %d corrupted to %d", g, id, b)
-						f.Release()
-						return
-					}
-				}
-				f.Release()
-			}
-			qc.Stats()
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
+	p := newShardedPager(stampDisk(t, 128, pages), 4, 2)
+	hammer(t, p, 8, 300, func(g, round int) PageID { return PageID(round * (g + 1) % pages) })
 }
 
 func TestReadRunMatchesPerPageAccounting(t *testing.T) {
-	// A run read must charge exactly what the equivalent ReadPage loop
+	// A run read must charge exactly what the equivalent page-at-a-time loop
 	// charges, across chunk boundaries (> runChunkPages pages) and with a
 	// partially resident pool.
 	const pages = 3*runChunkPages + 7
 	disk := stampDisk(t, 128, pages)
 	for _, poolSize := range []int{0, 4, 1 << 10} {
-		p := NewPagerShards(disk, DefaultDiskModel, poolSize, 4)
+		p := newShardedPager(disk, poolSize, 4)
 		warm := p.BeginQuery()
-		buf := make([]byte, 128)
 		for i := 0; i < pages; i += 3 { // leave a scattered residue in the pool
-			if err := warm.ReadPage(PageID(i), buf); err != nil {
-				t.Fatal(err)
-			}
+			readPage(t, warm, PageID(i))
 		}
 		warm.Stats()
 
 		loop := p.BeginQuery()
 		var loopPages []byte
 		for i := 0; i < pages; i++ {
-			if err := loop.ReadPage(PageID(i), buf); err != nil {
-				t.Fatal(err)
-			}
-			loopPages = append(loopPages, buf[0])
+			loopPages = append(loopPages, readPage(t, loop, PageID(i))[0])
 		}
 		run := p.BeginQuery()
 		var runPages []byte
@@ -449,55 +369,26 @@ func TestReadRunOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPagerViewPageAccountsLikeReadPage(t *testing.T) {
-	// Replay one access sequence on two fresh pagers, one per API: the
-	// page images and the accounting must agree exactly.
-	seq := []PageID{0, 1, 2, 2, 0, 6, 7, 1}
-	pr := NewPager(stampDisk(t, 128, 8), DefaultDiskModel, 4)
-	pv := NewPager(stampDisk(t, 128, 8), DefaultDiskModel, 4)
-	buf := make([]byte, 128)
-	for _, id := range seq {
-		if err := pr.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		f, err := pv.ViewPage(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(f.Data(), buf) {
-			t.Fatalf("view of page %d differs from read", id)
-		}
-		f.Release()
-	}
-	if pr.Stats() != pv.Stats() {
-		t.Fatalf("ReadPage stats %v != ViewPage stats %v", pr.Stats(), pv.Stats())
-	}
-}
-
 func TestDropCacheReleasesPoolFrames(t *testing.T) {
 	disk := stampDisk(t, 128, 8)
-	p := NewPagerShards(disk, DefaultDiskModel, 8, 4)
-	held, err := p.ViewPage(2)
+	p := newShardedPager(disk, 8, 4)
+	err := p.ReadRun(2, 2, func(_ PageID, held []byte) bool {
+		if err := p.ReadRun(0, 7, func(PageID, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		p.DropCache()
+		if held[0] != 2 {
+			t.Fatal("held page lost its image on DropCache")
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 128)
-	for i := 0; i < 8; i++ {
-		if err := p.ReadPage(PageID(i), buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.DropCache()
-	if held.Data()[0] != 2 {
-		t.Fatal("held frame lost its image on DropCache")
-	}
-	held.Release()
-	before := p.Stats()
-	if err := p.ReadPage(2, buf); err != nil {
-		t.Fatal(err)
-	}
-	if d := p.Stats().Sub(before); d.CacheHits != 0 || d.Reads != 1 {
-		t.Fatalf("read after DropCache: %+v", d)
+	hits, misses := poolHits(p)
+	readPage(t, p, 2)
+	if h, m := poolHits(p); h != hits || m != misses+1 {
+		t.Fatalf("read after DropCache: %d hits, %d misses", h-hits, m-misses)
 	}
 }
 

@@ -313,16 +313,12 @@ func TestSidecarPackedPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := p.PageSize()
 	patch := func(pos int, nl, nh float64) error {
 		pid, idx, err := s.PageFor(pos)
 		if err != nil {
 			t.Fatal(err)
 		}
-		page := make([]byte, ps)
-		if err := p.ReadPage(pid, page); err != nil {
-			t.Fatal(err)
-		}
+		page := readPage(t, p, pid)
 		if err := s.PatchEntry(page, pid, idx, nl, nh); err != nil {
 			return err
 		}
@@ -355,10 +351,7 @@ func TestSidecarPackedPatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		page := make([]byte, ps)
-		if err := p.ReadPage(pid, page); err != nil {
-			t.Fatal(err)
-		}
+		page := readPage(t, p, pid)
 		before := append([]byte(nil), page...)
 		err = s.PatchEntry(page, pid, idx, nl, nh)
 		if errors.Is(err, ErrSidecarPageFull) {

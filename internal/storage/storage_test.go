@@ -4,11 +4,33 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
+
+// readPage copies page id out of one single-page ReadRun through r.
+func readPage(t *testing.T, r PageReader, id PageID) []byte {
+	t.Helper()
+	var out []byte
+	if err := r.ReadRun(id, id, func(_ PageID, page []byte) bool { out = bytes.Clone(page); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// diskPage reads page id straight off d.
+func diskPage(t *testing.T, d Disk, id PageID) []byte {
+	t.Helper()
+	buf := make([]byte, d.PageSize())
+	if err := d.ReadRun(id, [][]byte{buf}); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
 
 func TestMemDiskBasics(t *testing.T) {
 	d := NewMemDisk(128)
@@ -30,15 +52,11 @@ func TestMemDiskBasics(t *testing.T) {
 	if err := d.WritePage(id, w); err != nil {
 		t.Fatal(err)
 	}
-	r := make([]byte, 128)
-	if err := d.ReadPage(id, r); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r, w) {
+	if r := diskPage(t, d, id); !bytes.Equal(r, w) {
 		t.Fatal("read != write")
 	}
-	if err := d.ReadPage(7, r); err == nil {
-		t.Fatal("out-of-range read succeeded")
+	if err := d.ReadRun(0, [][]byte{w, w}); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("run past the end: %v", err)
 	}
 	if err := d.WritePage(7, w); err == nil {
 		t.Fatal("out-of-range write succeeded")
@@ -83,11 +101,8 @@ func TestFileDiskRoundtrip(t *testing.T) {
 	if d2.NumPages() != 5 {
 		t.Fatalf("NumPages after reopen = %d", d2.NumPages())
 	}
-	buf := make([]byte, 256)
 	for i, id := range ids {
-		if err := d2.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
+		buf := diskPage(t, d2, id)
 		want := fmt.Sprintf("page-%d", i)
 		if string(buf[:len(want)]) != want {
 			t.Fatalf("page %d content %q", id, buf[:len(want)])
@@ -111,6 +126,34 @@ func TestFileDiskRejectsTornFile(t *testing.T) {
 	}
 }
 
+// TestFileDiskTruncatedUnderOpenDisk: a page the file loses after the disk
+// was opened fails the read with io.ErrUnexpectedEOF — never its surviving
+// bytes over whatever the frame held before — and the query charges none of
+// the run the failed fetch belonged to.
+func TestFileDiskTruncatedUnderOpenDisk(t *testing.T) {
+	const ps = 64
+	path := filepath.Join(t.TempDir(), "cut.db")
+	d, err := OpenFileDisk(path, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPager(d, DefaultDiskModel, 4)
+	defer p.Close()
+	for i := 0; i < 4; i++ {
+		d.Alloc()
+	}
+	if err := os.Truncate(path, 2*ps+10); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range [][2]PageID{{2, 2}, {3, 3}, {0, 3}} {
+		qc := p.BeginQuery()
+		err := qc.ReadRun(run[0], run[1], func(PageID, []byte) bool { return true })
+		if st := qc.Stats(); !errors.Is(err, io.ErrUnexpectedEOF) || st.Reads != 0 {
+			t.Fatalf("run %v over a truncated file: %v, charged %v", run, err, st)
+		}
+	}
+}
+
 func TestPagerSequentialVsRandomAccounting(t *testing.T) {
 	d := NewMemDisk(64)
 	for i := 0; i < 10; i++ {
@@ -118,16 +161,14 @@ func TestPagerSequentialVsRandomAccounting(t *testing.T) {
 	}
 	model := DiskModel{RandomRead: 10 * time.Millisecond, SequentialRead: 1 * time.Millisecond}
 	p := NewPager(d, model, 0)
-	buf := make([]byte, 64)
-	// 0,1,2,3 -> 1 random + 3 sequential.
+	qc := p.BeginQuery()
+	// 0,1,2,3 page by page -> 1 random + 3 sequential.
 	for i := PageID(0); i < 4; i++ {
-		if err := p.ReadPage(i, buf); err != nil {
-			t.Fatal(err)
-		}
+		readPage(t, qc, i)
 	}
 	// Jump to 9 -> random.
-	p.ReadPage(9, buf)
-	st := p.Stats()
+	readPage(t, qc, 9)
+	st := qc.Stats()
 	if st.Reads != 5 || st.SeqReads != 3 || st.RandReads != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -135,15 +176,24 @@ func TestPagerSequentialVsRandomAccounting(t *testing.T) {
 	if st.SimElapsed != want {
 		t.Fatalf("SimElapsed = %v, want %v", st.SimElapsed, want)
 	}
-	p.ResetStats()
-	if p.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero counters")
+	if p.Stats() != st {
+		t.Fatalf("pager totals %v != published %v", p.Stats(), st)
 	}
-	// After a reset the first read is random again.
-	p.ReadPage(4, buf)
-	if st := p.Stats(); st.RandReads != 1 {
-		t.Fatalf("first read after reset should be random: %+v", st)
+	// The pager's own ReadRun is a one-shot query: its first page is random
+	// whatever ran before, and it publishes what it charged.
+	readPage(t, p, 4)
+	if d := p.Stats().Sub(st); d.Reads != 1 || d.RandReads != 1 {
+		t.Fatalf("one-shot read after page 9 charged %+v", d)
 	}
+}
+
+// poolHits sums the pool's hit and miss counters over its shards.
+func poolHits(p *Pager) (hits, misses int64) {
+	for _, s := range p.PoolShardStats() {
+		hits += s.Hits
+		misses += s.Misses
+	}
+	return hits, misses
 }
 
 func TestPagerBufferPool(t *testing.T) {
@@ -152,15 +202,21 @@ func TestPagerBufferPool(t *testing.T) {
 		d.Alloc()
 	}
 	p := NewPager(d, DefaultDiskModel, 2)
-	buf := make([]byte, 64)
-	p.ReadPage(0, buf) // miss
-	p.ReadPage(0, buf) // hit
-	p.ReadPage(1, buf) // miss
-	p.ReadPage(0, buf) // hit
-	p.ReadPage(2, buf) // miss, evicts LRU (page 1)
-	p.ReadPage(1, buf) // miss again
-	st := p.Stats()
-	if st.Reads != 4 || st.CacheHits != 2 {
+	for _, id := range []PageID{
+		0, // miss
+		0, // hit
+		1, // miss
+		0, // hit
+		2, // miss, evicts LRU (page 1)
+		1, // miss again
+	} {
+		readPage(t, p, id)
+	}
+	if hits, misses := poolHits(p); hits != 2 || misses != 4 {
+		t.Fatalf("pool hits %d, misses %d", hits, misses)
+	}
+	// Every one-shot query is charged as if it ran alone against a cold pool.
+	if st := p.Stats(); st.Reads != 6 || st.CacheHits != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Writes update cached copies.
@@ -169,14 +225,13 @@ func TestPagerBufferPool(t *testing.T) {
 	if err := p.WritePage(1, w); err != nil {
 		t.Fatal(err)
 	}
-	p.ReadPage(1, buf)
-	if string(buf[:5]) != "fresh" {
+	if buf := readPage(t, p, 1); string(buf[:5]) != "fresh" {
 		t.Fatal("cached page not updated by write")
 	}
 	p.DropCache()
-	p.ReadPage(1, buf)
-	if got := p.Stats().CacheHits; got != 3 {
-		t.Fatalf("hits after DropCache = %d, want 3 (read must miss)", got)
+	readPage(t, p, 1)
+	if hits, _ := poolHits(p); hits != 3 {
+		t.Fatalf("hits after DropCache = %d, want 3 (read must miss)", hits)
 	}
 }
 
@@ -220,8 +275,10 @@ func TestHeapFileAppendGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf []byte
+	qc := p.BeginQuery()
+	defer qc.Release()
 	for i, rid := range rids {
-		got, err := h.Get(rid, buf)
+		got, err := h.GetCtx(qc, rid, buf)
 		if err != nil {
 			t.Fatalf("Get(%v): %v", rid, err)
 		}
@@ -247,7 +304,7 @@ func TestHeapFileScan(t *testing.T) {
 		}
 	}
 	var seen []string
-	err := h.Scan(func(rid RID, rec []byte) bool {
+	err := h.ScanPagesCtx(p, 0, h.NumPages()-1, func(rid RID, rec []byte) bool {
 		seen = append(seen, string(rec))
 		return true
 	})
@@ -264,7 +321,7 @@ func TestHeapFileScan(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	h.Scan(func(rid RID, rec []byte) bool {
+	h.ScanPagesCtx(p, 0, h.NumPages()-1, func(rid RID, rec []byte) bool {
 		count++
 		return count < 7
 	})
@@ -273,9 +330,9 @@ func TestHeapFileScan(t *testing.T) {
 	}
 	// A full scan reads pages sequentially: all but the first read must be
 	// charged at sequential cost.
-	p.ResetStats()
-	h.Scan(func(RID, []byte) bool { return true })
-	st := p.Stats()
+	qc := p.BeginQuery()
+	h.ScanPagesCtx(qc, 0, h.NumPages()-1, func(RID, []byte) bool { return true })
+	st := qc.Stats()
 	if st.RandReads != 1 || st.SeqReads != st.Reads-1 {
 		t.Fatalf("scan I/O pattern not sequential: %+v", st)
 	}
@@ -293,13 +350,13 @@ func TestHeapFileScanPagesSubrange(t *testing.T) {
 		t.Skipf("need >= 3 pages, got %d", h.NumPages())
 	}
 	var count int
-	h.ScanPages(1, 1, func(RID, []byte) bool { count++; return true })
+	h.ScanPagesCtx(p, 1, 1, func(RID, []byte) bool { count++; return true })
 	if count == 0 || count >= 60 {
 		t.Fatalf("mid-page scan visited %d", count)
 	}
 	// Out-of-range bounds are clamped.
 	total := 0
-	h.ScanPages(-5, 100, func(RID, []byte) bool { total++; return true })
+	h.ScanPagesCtx(p, -5, 100, func(RID, []byte) bool { total++; return true })
 	if total != 60 {
 		t.Fatalf("clamped scan visited %d", total)
 	}
@@ -352,8 +409,10 @@ func TestHeapFileScanRuns(t *testing.T) {
 	}
 
 	visit := func(RID, []byte) bool { return true }
-	one := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(p, 1, at, visit) })
-	many := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(p, len(runs), at, visit) })
+	qc := p.BeginQuery()
+	defer qc.Release()
+	one := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(qc, 1, at, visit) })
+	many := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(qc, len(runs), at, visit) })
 	if one != many {
 		t.Fatalf("scan allocates %v for one run, %v for %d", one, many, len(runs))
 	}
@@ -374,7 +433,9 @@ func TestHeapFileGetBadSlot(t *testing.T) {
 	h := NewHeapFile(p)
 	rid, _ := h.Append([]byte("x"))
 	h.Flush()
-	if _, err := h.Get(RID{Page: rid.Page, Slot: 99}, nil); err == nil {
+	qc := p.BeginQuery()
+	defer qc.Release()
+	if _, err := h.GetCtx(qc, RID{Page: rid.Page, Slot: 99}, nil); !errors.Is(err, ErrBadRID) {
 		t.Fatal("bad slot accepted")
 	}
 }
@@ -430,9 +491,8 @@ func TestSnapshotTo(t *testing.T) {
 	if dst.NumPages() != 5 {
 		t.Fatalf("dst pages = %d", dst.NumPages())
 	}
-	buf := make([]byte, 128)
 	for i := 0; i < 5; i++ {
-		dst.ReadPage(PageID(i), buf)
+		buf := diskPage(t, dst, PageID(i))
 		want := fmt.Sprintf("page-%d", i)
 		if string(buf[:len(want)]) != want {
 			t.Fatalf("page %d content %q", i, buf[:len(want)])
@@ -461,7 +521,7 @@ func TestOpenHeapFileReadOnly(t *testing.T) {
 		t.Fatalf("reopened: %d recs / %d pages", h2.Count(), h2.NumPages())
 	}
 	var got []string
-	h2.Scan(func(_ RID, rec []byte) bool { got = append(got, string(rec)); return true })
+	h2.ScanPagesCtx(p, 0, h2.NumPages()-1, func(_ RID, rec []byte) bool { got = append(got, string(rec)); return true })
 	if len(got) != 20 || got[0] != "rec-00" || got[19] != "rec-19" {
 		t.Fatalf("reopened scan = %v", got)
 	}

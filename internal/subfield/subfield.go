@@ -9,9 +9,9 @@
 // SI is the sum of the member cells' interval sizes. A cell is appended to
 // the current subfield only while the append does not increase the cost.
 //
-// Alternative grouping strategies — the fixed-threshold Interval Quadtree of
-// the authors' earlier work (CIKM'99) and a fixed-threshold run grouping —
-// are provided for the paper's motivating comparison and for ablations.
+// The alternative grouping strategy — the fixed-threshold Interval Quadtree of
+// the authors' earlier work (CIKM'99) — is provided for the paper's motivating
+// comparison and for ablations.
 package subfield
 
 import (
@@ -161,29 +161,6 @@ func BuildGreedy(refs []CellRef, cm CostModel) []Group {
 		groups = append(groups, cur)
 		cur = Group{Start: i, End: i + 1, Interval: refs[i].Interval}
 		sumSizes = cm.Size(refs[i].Interval)
-	}
-	return append(groups, cur)
-}
-
-// BuildThreshold forms subfields by appending cells while the subfield's
-// interval size stays within maxSize — the fixed-threshold strategy the
-// paper criticizes ("there is no justifiable way to decide the optimal
-// threshold"). Used as an ablation baseline.
-func BuildThreshold(refs []CellRef, cm CostModel, maxSize float64) []Group {
-	if len(refs) == 0 {
-		return nil
-	}
-	var groups []Group
-	cur := Group{Start: 0, End: 1, Interval: refs[0].Interval}
-	for i := 1; i < len(refs); i++ {
-		union := cur.Interval.Union(refs[i].Interval)
-		if cm.Size(union) <= maxSize {
-			cur.End = i + 1
-			cur.Interval = union
-			continue
-		}
-		groups = append(groups, cur)
-		cur = Group{Start: i, End: i + 1, Interval: refs[i].Interval}
 	}
 	return append(groups, cur)
 }

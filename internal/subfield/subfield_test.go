@@ -113,30 +113,6 @@ func TestBuildGreedySingleCell(t *testing.T) {
 	}
 }
 
-func TestBuildThreshold(t *testing.T) {
-	var ivs []geom.Interval
-	for i := 0; i < 100; i++ {
-		base := float64(i / 10 * 100)
-		ivs = append(ivs, geom.Interval{Lo: base, Hi: base + 5})
-	}
-	refs := refsFromIntervals(ivs)
-	groups := BuildThreshold(refs, DefaultCostModel, 10)
-	if err := Validate(refs, groups); err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 10 {
-		t.Fatalf("got %d groups, want 10", len(groups))
-	}
-	for _, g := range groups {
-		if DefaultCostModel.Size(g.Interval) > 10 {
-			t.Fatalf("group interval %v exceeds threshold", g.Interval)
-		}
-	}
-	if BuildThreshold(nil, DefaultCostModel, 5) != nil {
-		t.Fatal("empty refs produced groups")
-	}
-}
-
 func TestLinearizeOrdersByHilbert(t *testing.T) {
 	d, err := grid.FromFunc(geom.Pt(0, 0), 1, 1, 8, 8, func(x, y float64) float64 { return x + y })
 	if err != nil {
