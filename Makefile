@@ -1,13 +1,13 @@
 # Developer entry points. `make check` is the gate every change must pass:
-# it compiles everything, vets, and runs the full suite under the race
+# it compiles everything, vets, and runs the full suite once under the race
 # detector (the concurrency invariants in concurrency_test.go only bite
-# with -race).
+# with -race), with coverage floors read off that same run.
 
 GO ?= go
 
-.PHONY: check build vet fmt test race cover alloc-gate fuzz-smoke bench-compare bench-pairs loc
+.PHONY: check build vet fmt test race alloc-gate fuzz-smoke bench-compare bench-pairs loc
 
-check: build vet fmt race cover alloc-gate fuzz-smoke bench-compare
+check: build vet fmt race alloc-gate fuzz-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -23,28 +23,24 @@ fmt:
 test:
 	$(GO) test ./...
 
+# The suite under the race detector, once, with per-package coverage floors
+# read from the same run: internal/obs is small and fully unit-testable (85%),
+# the facade carries the error-path and cancellation tables (70%),
+# internal/core holds the one query executor every method runs on (80%), and
+# internal/storage and internal/rstar hold the one page read every query goes
+# through (85% each): a refactor there must not shed tested paths silently.
+COVER_FLOORS = fielddb=70 fielddb/internal/obs=85 fielddb/internal/core=80 \
+	fielddb/internal/storage=85 fielddb/internal/rstar=85
 race:
-	$(GO) test -race ./...
-
-# Race-mode coverage over the observability layer, the facade, the engine and
-# the read path under it, with per-package floors: internal/obs is small and
-# fully unit-testable (85%), the facade carries the error-path and
-# cancellation tables (70%), internal/core holds the one query executor every
-# method runs on (80%), and internal/storage and internal/rstar hold the one
-# page read every query goes through (85% each): a refactor there must not
-# shed tested paths silently.
-cover:
-	$(GO) test -race -coverprofile=cover-obs.out ./internal/obs | \
-		awk '{ print } /coverage:/ { if ($$5+0 < 85.0) { print "internal/obs coverage below 85%"; exit 1 } }'
-	$(GO) test -race -coverprofile=cover-facade.out . | \
-		awk '{ print } /coverage:/ { if ($$5+0 < 70.0) { print "facade coverage below 70%"; exit 1 } }'
-	$(GO) test -race -coverprofile=cover-core.out ./internal/core | \
-		awk '{ print } /coverage:/ { if ($$5+0 < 80.0) { print "internal/core coverage below 80%"; exit 1 } }'
-	$(GO) test -race -coverprofile=cover-storage.out ./internal/storage | \
-		awk '{ print } /coverage:/ { if ($$5+0 < 85.0) { print "internal/storage coverage below 85%"; exit 1 } }'
-	$(GO) test -race -coverprofile=cover-rstar.out ./internal/rstar | \
-		awk '{ print } /coverage:/ { if ($$5+0 < 85.0) { print "internal/rstar coverage below 85%"; exit 1 } }'
-	@rm -f cover-obs.out cover-facade.out cover-core.out cover-storage.out cover-rstar.out
+	@{ $(GO) test -race -coverprofile=cover.out ./...; echo $$? > race.status; } | tee race.out; \
+	status=$$(cat race.status); rm -f cover.out race.status; \
+	if [ $$status -ne 0 ]; then rm -f race.out; exit $$status; fi
+	@awk -v floors="$(COVER_FLOORS)" ' \
+		BEGIN { n = split(floors, f, " "); for (i = 1; i <= n; i++) { split(f[i], kv, "="); floor[kv[1]] = kv[2] } } \
+		$$1 == "ok" && ($$2 in floor) { for (i = 3; i < NF; i++) if ($$i == "coverage:") { seen[$$2] = 1; \
+			if ($$(i+1) + 0 < floor[$$2]) { print $$2 " coverage below " floor[$$2] "%"; bad = 1 } } } \
+		END { for (p in floor) if (!(p in seen)) { print p ": no coverage reported"; bad = 1 }; exit bad }' race.out; \
+	status=$$?; rm -f cover.out race.out; exit $$status
 
 # Allocation ceilings on the value-query read path (alloc_gate_test.go): one
 # solo query per method, the tiled planner and the workers=4 paths on the
@@ -53,17 +49,23 @@ cover:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
-# Five seconds of each native fuzz target over a decoder of untrusted bytes —
-# the catalog's (no panic, an accepted blob re-encodes byte for byte), the
-# FWB1 frame's (no panic, allocation bounded by the input, an encoded result
-# round-trips), the FSC2 column's behind sidecar pages and wire columns (no
-# panic, decode∘encode is the identity on any bit pattern) and the FSM1
-# summary's behind the aggregate tier (no panic, allocation bounded by the
-# input, an accepted summary re-encodes to the same bits and estimates). A
-# failing input lands in the package's testdata/fuzz — commit it with the fix.
+# Five seconds of each native fuzz target — five decoders of untrusted bytes
+# and the engine's program harness: the catalog's (no panic, an accepted blob
+# re-encodes byte for byte), the FWB1 frame's (no panic, allocation bounded by
+# the input, an encoded result round-trips), the FSC2 column's behind sidecar
+# pages and wire columns (no panic, decode∘encode is the identity on any bit
+# pattern), the FSM1 summary's behind the aggregate tier (no panic, allocation
+# bounded by the input, an accepted summary re-encodes to the same bits and
+# estimates), the HTTP tier's query strings and bodies (no panic, no 500, a
+# refusal is a 400 in bounded allocation, an accepted number is strconv's), and
+# FuzzEngineProgram (every invariant of the engine after every step of a
+# program, against a brute-force model). A failing input lands in the
+# package's testdata/fuzz — commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOpenCatalog$$' -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEngineProgram$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 5s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFloatColumn$$' -fuzztime 5s
 	$(GO) test ./internal/approx -run '^$$' -fuzz '^FuzzSummary$$' -fuzztime 5s
 

@@ -107,9 +107,12 @@ func TestBatchTraceReconciliation(t *testing.T) {
 	}
 }
 
-// TestValueQueryBatchMatchesSolo checks the explicit batch API returns
-// byte-identical results to solo queries as one shared scan — on every method
-// the planner included, and on a Snapshot at its pin.
+// TestValueQueryBatchMatchesSolo checks the explicit batch API through the
+// facade: on a Snapshot, after an interval-changing update, the batch is one
+// shared scan whose every member answers at the pin — identical, geometry and
+// I/O, to the snapshot's solo query and different from the live answer. (That
+// every engine configuration's batch members equal their solo calls is
+// FuzzEngineProgram's to check.)
 func TestValueQueryBatchMatchesSolo(t *testing.T) {
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
@@ -117,39 +120,6 @@ func TestValueQueryBatchMatchesSolo(t *testing.T) {
 	}
 	vr := dem.ValueRange()
 	intervals := batchTestIntervals(vr)
-	for _, method := range []Method{LinearScan, IHilbert, Auto} {
-		db, err := Open(dem, Options{Method: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo := make([]*Result, len(intervals))
-		for i, iv := range intervals {
-			if solo[i], err = db.ValueQuery(iv.Lo, iv.Hi); err != nil {
-				t.Fatal(err)
-			}
-		}
-		results, err := db.ValueQueryBatch(context.Background(), intervals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range results {
-			if !reflect.DeepEqual(solo[i], results[i]) {
-				t.Fatalf("%s query %d: batched result diverges from solo", method, i)
-			}
-		}
-		if m := db.Metrics().Engine; m.Batches != 1 {
-			t.Fatalf("%s recorded %d batches", method, m.Batches)
-		}
-		db.Close()
-	}
-
-	// A Snapshot's batch coalesces too, and every member answers at the pin:
-	// identical (geometry and IO) to the snapshot's solo query, different from
-	// the live answer after an interval-changing update.
-	dem, err = TerrainDEM(64, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	db, err := Open(dem, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -54,6 +54,9 @@ var (
 	// cannot apply live updates: an immutable field, or the IQuad method (its
 	// spatial recursion is not maintained incrementally).
 	ErrUpdatesUnsupported = core.ErrUpdatesUnsupported
+	// ErrOutsideField reports a point query at a point no cell of the field
+	// holds, or an UpdateSamples batch naming a sample the field does not have.
+	ErrOutsideField = core.ErrOutsideField
 	// ErrUnsupportedVersion reports OpenIndex on a database file whose
 	// superblock or catalog names a catalog version other than the one this
 	// build reads and writes.

@@ -109,6 +109,19 @@ func TestFacadeTypedErrors(t *testing.T) {
 			want: ErrNoPartition,
 		},
 		{
+			name: "point outside the field",
+			run:  func() error { _, err := hilbert.PointQuery(geom.Pt(-5, -5)); return err },
+			want: ErrOutsideField,
+		},
+		{
+			name: "update of a sample the field does not have",
+			run: func() error {
+				_, err := hilbert.UpdateSamples(ctx, []SampleUpdate{{Sample: dem.NumSamples(), Value: 1}})
+				return err
+			},
+			want: ErrOutsideField,
+		},
+		{
 			name: "value query after close",
 			run:  func() error { _, err := closed.ValueQuery(vr.Lo, vr.Hi); return err },
 			want: ErrClosed,

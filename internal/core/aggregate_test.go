@@ -125,23 +125,22 @@ func TestAggregateCertifiedBounds(t *testing.T) {
 	}
 }
 
-// TestAggregateRoundtrip: the summary survives SaveFile/OpenFile
-// byte-identically, and an index that declares no summary pages answers
-// aggregates through the exact pipeline only.
+// TestAggregateRoundtrip: an index file that declares no summary pages
+// answers aggregates through the exact pipeline only, over the exact
+// denominators every store carries: its cells and their total area.
+// (FuzzEngineProgram holds a reopened store's summary answers to the saved
+// one's.)
 func TestAggregateRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	queries := aggregateQueries(f, 32)
-
-	v5Path := filepath.Join(dir, "v5.fidx")
-	if err := built.SaveFile(v5Path); err != nil {
+	path := filepath.Join(t.TempDir(), "summary.fidx")
+	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := openIx(v5Path, 0)
+	opened, err := openIx(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,27 +148,8 @@ func TestAggregateRoundtrip(t *testing.T) {
 	if opened.sumPages != summaryPages {
 		t.Fatalf("reopened summary spans %d pages, want %d", opened.sumPages, summaryPages)
 	}
-	for _, q := range queries {
-		want, err := built.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Count != want.Count || got.CountBound != want.CountBound ||
-			got.Area != want.Area || got.AreaBound != want.AreaBound ||
-			got.Fraction != want.Fraction || got.FractionBound != want.FractionBound ||
-			got.TotalCells != want.TotalCells || got.TotalArea != want.TotalArea {
-			t.Fatalf("reopened aggregate diverges:\n got %+v\nwant %+v", got, want)
-		}
-	}
-
-	// A file that declares no summary pages answers exactly, over the exact
-	// denominators every store carries: its cells and their total area.
 	opened.sumPages = 0
-	q := queries[4]
+	q := aggregateQueries(f, 32)[4]
 	count, area := bruteAggregate(f, q)
 	_, total := bruteAggregate(f, geom.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
 	res, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
@@ -184,10 +164,11 @@ func TestAggregateRoundtrip(t *testing.T) {
 	}
 }
 
-// TestAggregateTiled covers the tiled planner's three stages: zero-read tile
-// composition when every intersecting tile is covered, the bounded global
-// summary otherwise, and the exact scatter-gather past the tolerance — plus
-// the save/open roundtrip and the summary-less exact path.
+// TestAggregateTiled covers the tiled planner's first and last stage:
+// zero-read composition when every intersecting tile is covered, and — once
+// no global summary pages are declared — the exact scatter-gather where the
+// composition cannot answer. (The bounded global summary in between, before and
+// after a reopen, is FuzzEngineProgram's to check.)
 func TestAggregateTiled(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	ti, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
@@ -195,68 +176,17 @@ func TestAggregateTiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	vr := f.ValueRange()
-
-	// A query covering the whole value range composes exactly from the
-	// per-tile summaries: every tile is covered, zero pages are read.
 	full, err := ti.AggregateContext(context.Background(), geom.Interval{Lo: vr.Lo - 1, Hi: vr.Hi + 1}, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.Approx || full.Count != float64(f.NumCells()) || full.IO.Reads != 0 {
+	if !full.Approx || full.Count != float64(f.NumCells()) || full.IO.Reads != 0 || full.CountBound != 0 || full.AreaBound != 0 {
 		t.Fatalf("covered composition = %+v, want exact count %d at zero reads", full, f.NumCells())
 	}
-	if full.CountBound != 0 || full.AreaBound != 0 {
-		t.Fatalf("covered composition carries bounds: %+v", full)
-	}
-
-	for _, q := range aggregateQueries(f, 33) {
-		count, area := bruteAggregate(f, q)
-		res, err := ti.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkCertified(t, "tiled", res, count, area)
-		exact, err := ti.AggregateContext(context.Background(), q, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exact.Count != float64(count) {
-			t.Fatalf("tiled exact count %g, want %d", exact.Count, count)
-		}
-	}
-
-	// Save/open roundtrip.
-	path := filepath.Join(t.TempDir(), "tiled.fdbt")
-	if err := ti.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := openIx(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range aggregateQueries(f, 34)[:10] {
-		count, area := bruteAggregate(f, q)
-		want, err := ti.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Count != want.Count || got.CountBound != want.CountBound ||
-			got.Area != want.Area || got.TotalArea != want.TotalArea {
-			t.Fatalf("reopened tiled aggregate diverges:\n got %+v\nwant %+v", got, want)
-		}
-		checkCertified(t, "tiled reopened", got, count, area)
-	}
-
-	// With no global summary pages declared, a query the tile composition
-	// cannot answer takes the exact scatter-gather path.
-	opened.sumPages = 0
+	ti.sumPages = 0
 	q := aggregateQueries(f, 33)[5]
 	count, _ := bruteAggregate(f, q)
-	res, err := opened.AggregateContext(context.Background(), q, math.Inf(1))
+	res, err := ti.AggregateContext(context.Background(), q, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,73 +195,14 @@ func TestAggregateTiled(t *testing.T) {
 	}
 }
 
-// TestAggregateMaintainedUnderUpdates: after an update batch the live
-// summary's bounds certify against the mutated field (refit mode restores
-// build-quality fits), while a snapshot pinned before the batch keeps
-// certifying against the old field — the summary pages version with their
-// epoch.
+// TestAggregateMaintainedUnderUpdates: after update batches the live
+// summary's bounds certify against the mutated field and equal a fresh fit,
+// while a snapshot pinned before them answers from the pre-update summary
+// pages.
 func TestAggregateMaintainedUnderUpdates(t *testing.T) {
-	ctx := context.Background()
-	f := testDEM(t, 32, 0.7)
-	p, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := aggregateQueries(f, 35)
-
-	type exactAnswer struct {
-		count int
-		area  float64
-	}
-	pre := make([]exactAnswer, len(queries))
-	for i, q := range queries {
-		pre[i].count, pre[i].area = bruteAggregate(f, q)
-	}
-	snap := p.AcquireSnapshot()
-	defer snap.Close()
-	sq := snap // a snapshot is the same engine at the pin
-
-	if _, err := p.ApplyUpdates(ctx, f, testUpdates(f, 40, 11)); err != nil {
-		t.Fatal(err)
-	}
-
-	for i, q := range queries {
-		count, area := bruteAggregate(f, q)
-		res, err := p.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkCertified(t, "post-update live", res, count, area)
-
-		// The pinned snapshot answers from the pre-update summary pages and
-		// certifies against the pre-update field.
-		sres, err := sq.AggregateContext(ctx, q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkCertified(t, "pinned snapshot", sres, pre[i].count, pre[i].area)
-	}
-
-	// Refit quality: the maintained summary is the same fit a scratch build
-	// over the mutated field produces.
-	scratch, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries[:10] {
-		got, err := p.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := scratch.AggregateContext(context.Background(), q, math.Inf(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Count != want.Count || got.CountBound != want.CountBound ||
-			got.Area != want.Area || got.AreaBound != want.AreaBound {
-			t.Fatalf("maintained summary drifted from a scratch fit:\n got %+v\nwant %+v", got, want)
-		}
-	}
+	runOn(t, "dem", rowOf("I-Hilbert", BuildOptions{Method: MethodIHilbert}),
+		step{opSnapshot, 60, 200, 5}, step{opUpdate, 11, 8, 8}, step{opAggregate, 40, 120, 3},
+		step{opAggregate, 150, 30, 2}, step{opUpdate, 7, 9, 9}, step{opRebuild, 80, 100, 0}, step{opRebuild, 10, 230, 0})
 }
 
 // TestAggregateWidenedUnderFileUpdates: a file-opened index has no fit

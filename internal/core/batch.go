@@ -685,9 +685,6 @@ func NewBatcher(idx Engine, window time.Duration, metrics *obs.Metrics) *Batcher
 	return &Batcher{idx: idx, window: window, slots: runtime.GOMAXPROCS(0), metrics: metrics}
 }
 
-// Window returns the configured admission window.
-func (b *Batcher) Window() time.Duration { return b.window }
-
 // Query submits one query, geometry or measure as bq says: it runs at once on a
 // free slot, or waits in the pending group — as its leader (the first to find
 // every slot busy, who executes the batch) or as a follower — for a slot or the

@@ -16,49 +16,18 @@ import (
 	"fielddb/internal/obs"
 )
 
-// buildBatchable builds every executor flavor over f, each on its own pager,
-// keyed by a descriptive name.
+// buildBatchable builds every row of batchRows over f, each on its own pager,
+// keyed by the row's name.
 func buildBatchable(t testing.TB, f field.Field) map[string]Engine {
 	t.Helper()
 	out := map[string]Engine{}
-	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range batchRows(f) {
+		e, err := Build(context.Background(), f, newPager(), row.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[row.name] = e
 	}
-	out["LinearScan+sidecar"] = ls
-	lsPlain, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["LinearScan"] = lsPlain
-	ia, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["I-All"] = ia
-	ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["I-Hilbert"] = ih
-	ihw, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["I-Hilbert+workers"] = ihw
-	vr := f.ValueRange()
-	iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["I-Quad"] = iq
-	// The planner: the trial sets mix scan-path and filter-path members in one
-	// batch.
-	au, err := buildIx(f, newPager(), BuildOptions{Method: MethodAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["I-Auto"] = au
 	return out
 }
 
@@ -125,42 +94,6 @@ func checkBatchStats(t *testing.T, st BatchStats, results []BatchResult) {
 	}
 	if st.Physical.Reads > attributed {
 		t.Fatalf("physical %d exceeds attributed %d", st.Physical.Reads, attributed)
-	}
-}
-
-// TestBatchMatchesSolo is the batch executor's core property: for random
-// query sets — overlapping, disjoint, nested, zero-width — every member's
-// batched Result is deep-equal (geometry, counters, and per-query I/O
-// statistics alike) to its solo execution, on every batch-capable method.
-func TestBatchMatchesSolo(t *testing.T) {
-	f := testDEM(t, 64, 0.6)
-	vr := f.ValueRange()
-	for name, idx := range buildBatchable(t, f) {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			for trial, k := range []int{1, 2, 3, 5, 8, 16} {
-				qs := randomQuerySet(rng, vr, k)
-				solo := soloResults(t, idx, qs)
-				members := make([]BatchQuery, k)
-				for i, q := range qs {
-					members[i] = BatchQuery{Query: q}
-				}
-				results, st := idx.QueryBatch(members)
-				if st.Size != k || len(results) != k {
-					t.Fatalf("trial %d: size %d/%d, want %d", trial, st.Size, len(results), k)
-				}
-				for i := range results {
-					if results[i].Err != nil {
-						t.Fatalf("trial %d member %d %v: %v", trial, i, qs[i], results[i].Err)
-					}
-					if !reflect.DeepEqual(solo[i], results[i].Res) {
-						t.Fatalf("trial %d member %d %v: batched result diverges from solo\nsolo:  %+v\nbatch: %+v",
-							trial, i, qs[i], solo[i], results[i].Res)
-					}
-				}
-				checkBatchStats(t, st, results)
-			}
-		})
 	}
 }
 
@@ -377,9 +310,6 @@ func TestBatcherWindow(t *testing.T) {
 	}
 	m := obs.NewMetrics()
 	b := NewBatcher(ls, 20*time.Millisecond, m)
-	if b.Window() != 20*time.Millisecond {
-		t.Fatalf("window %v", b.Window())
-	}
 	qs := randomQuerySet(rand.New(rand.NewSource(41)), vr, 8)
 	solo := soloResults(t, ls, qs)
 	ls.SetObserver(obs.Observer{Metrics: m})

@@ -8,14 +8,12 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
 	"fielddb/internal/rstar"
@@ -24,67 +22,6 @@ import (
 
 func rstarEntryForTest() rstar.Entry {
 	return rstar.Entry{MBR: rstar.Interval1D(0, 1), Data: 1}
-}
-
-func TestSaveOpenRoundtrip(t *testing.T) {
-	f := testDEM(t, 32, 0.7)
-	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "terrain.fidx")
-	if err := built.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := openIx(path, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.Method() != MethodIHilbert {
-		t.Fatalf("method = %s", opened.Method())
-	}
-	bs, os_ := built.Stats(), opened.Stats()
-	if bs.Cells != os_.Cells || bs.CellPages != os_.CellPages ||
-		bs.IndexPages != os_.IndexPages || bs.Groups != os_.Groups || bs.TreeHeight != os_.TreeHeight {
-		t.Fatalf("stats changed: built %+v, opened %+v", bs, os_)
-	}
-	// Queries over the reopened file agree with the in-memory index and
-	// with brute force.
-	rng := rand.New(rand.NewSource(21))
-	vr := f.ValueRange()
-	for trial := 0; trial < 20; trial++ {
-		lo := vr.Lo + rng.Float64()*vr.Length()
-		q := geom.Interval{Lo: lo, Hi: lo + rng.Float64()*vr.Length()*0.1}
-		want, wantArea := bruteForce(f, q)
-		r1, err := built.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := opened.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.CellsMatched != len(want) || r2.CellsMatched != len(want) {
-			t.Fatalf("query %v: matched %d / %d, want %d", q, r1.CellsMatched, r2.CellsMatched, len(want))
-		}
-		if math.Abs(r2.Area-wantArea) > 1e-6*(1+wantArea) {
-			t.Fatalf("query %v: area %g, want %g", q, r2.Area, wantArea)
-		}
-		// Same filter selectivity, same physical page runs.
-		if r1.CandidateGroups != r2.CandidateGroups || r1.CellsFetched != r2.CellsFetched {
-			t.Fatalf("pipeline differs: %d/%d groups, %d/%d cells",
-				r1.CandidateGroups, r2.CandidateGroups, r1.CellsFetched, r2.CellsFetched)
-		}
-	}
-	// The subfield partition survives the roundtrip.
-	count := 0
-	opened.ForEachGroup(func(_ int, iv geom.Interval, cells []field.CellID) bool {
-		count += len(cells)
-		return true
-	})
-	if count != f.NumCells() {
-		t.Fatalf("reopened groups cover %d of %d cells", count, f.NumCells())
-	}
 }
 
 func TestSaveFileRefusesNonEmpty(t *testing.T) {
@@ -539,32 +476,19 @@ func FuzzOpenCatalog(f *testing.F) {
 // without touching a page.
 func TestTiledSaveOpenRoundtrip(t *testing.T) {
 	f := testDEM(t, 64, 0.7)
-	var opened *engine
-	// 16 tiles, and the one tile that is the whole field.
-	for _, side := range []int{64, 16} {
-		built, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: side})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "tiled.fidx")
-		if err := built.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		if opened, err = openIx(path, 8192); err != nil {
-			t.Fatal(err)
-		}
-		defer opened.Close()
-		if !reflect.DeepEqual(opened.Tiles(), built.Tiles()) {
-			t.Fatalf("opened tile directory %v, built %v", opened.Tiles(), built.Tiles())
-		}
-		want, err := built.Query(f.ValueRange())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := opened.Query(f.ValueRange()); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("tile side %d: the opened planner answers differently from the built one (err %v)", side, err)
-		}
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "tiled.fidx")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := openIx(path, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
 	// A narrow high-tail band skips tiles, and the prune span reads zero pages.
 	col := obs.NewCollector(4)
 	met := obs.NewMetrics()
@@ -599,51 +523,10 @@ func TestTiledSaveOpenRoundtrip(t *testing.T) {
 	}
 }
 
-// TestTiledOpenUpdates applies an update batch to a file-opened tiled index:
-// the planner reattaches the caller's field to the owning tiles and answers
-// like a fresh build over the mutated terrain.
+// TestTiledOpenUpdates applies update batches to a file-opened tiled store:
+// the planner attaches the caller's field to the owning tiles and answers as
+// the mutated field does, and as the store it was saved from.
 func TestTiledOpenUpdates(t *testing.T) {
-	f := testDEM(t, 64, 0.7)
-	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "tiled.fidx")
-	if err := built.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := openIx(path, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch0 := opened.pager.CurrentEpoch()
-	vr := f.ValueRange()
-	nx := 65 // 64 cells -> 65 vertices per row
-	updates := []SampleUpdate{
-		{Sample: 12*nx + 12, Value: vr.Hi + 4},
-		{Sample: 12*nx + 52, Value: vr.Lo - 4},
-		{Sample: 52*nx + 52, Value: (vr.Lo + vr.Hi) / 2},
-	}
-	ur, err := opened.ApplyUpdates(context.Background(), f, updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ur.Epoch != epoch0+1 {
-		t.Errorf("update committed at epoch %d, want %d", ur.Epoch, epoch0+1)
-	}
-	ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range tiledTestQueries(f) {
-		want, err := ls.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := opened.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnswer(t, "opened/after-update", got, want)
-	}
+	runOn(t, "dem", rowOf("Tiled-LinearScan", BuildOptions{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked}),
+		step{opReopen, 100, 50, 0}, step{opUpdate, 11, 3, 4}, step{opQuery, 230, 120, 0}, step{opUpdate, 7, 6, 6}, step{opQuery, 40, 90, 0})
 }

@@ -20,21 +20,16 @@ type ConjunctiveResult struct {
 	PerField []*Result
 }
 
-// ConjunctiveQuery runs one value query per (index, interval) pair over
-// fields that share the same spatial domain and intersects the answer
+// ConjunctiveQueryContext runs one value query per (index, interval) pair
+// over fields that share the same spatial domain and intersects the answer
 // regions pairwise. Answer regions are convex (they come from linear
 // interpolation over triangles), so the intersection uses convex clipping.
 //
 // The number of conditions must match the number of indexes and be at least
-// one; with a single condition it degenerates to Index.Query.
-func ConjunctiveQuery(indexes []Index, intervals []geom.Interval) (*ConjunctiveResult, error) {
-	return ConjunctiveQueryContext(context.Background(), indexes, intervals)
-}
-
-// ConjunctiveQueryContext is ConjunctiveQuery with cancellation: conditions
-// whose index is an Engine poll ctx during refinement, so one cancel stops
-// every condition's scan (the reference baselines ignore ctx). All per-condition goroutines are
-// joined before returning.
+// one; with a single condition it degenerates to Index.Query. Conditions whose
+// index is an Engine poll ctx during refinement, so one cancel stops every
+// condition's scan (the reference baselines ignore ctx). All per-condition
+// goroutines are joined before returning.
 func ConjunctiveQueryContext(ctx context.Context, indexes []Index, intervals []geom.Interval) (*ConjunctiveResult, error) {
 	if len(indexes) == 0 || len(indexes) != len(intervals) {
 		return nil, fmt.Errorf("core: need matching indexes and intervals, got %d/%d",

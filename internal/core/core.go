@@ -86,6 +86,10 @@ var ErrNoPartition = errors.New("core: no subfield partition")
 // errEmptyQuery rejects an empty query interval before any work.
 var errEmptyQuery = errors.New("core: empty query interval")
 
+// ErrOutsideField reports a point query at a point no cell of the field holds,
+// or an update of a sample the field does not have.
+var ErrOutsideField = errors.New("core: outside the field")
+
 // Result carries the outcome of one field value query.
 type Result struct {
 	// Query is the value interval that was asked.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -127,88 +128,53 @@ func bruteForce(f field.Field, q geom.Interval) (matched []field.CellID, area fl
 	return matched, area
 }
 
-func TestAllMethodsAgreeOnDEM(t *testing.T) {
-	f := testDEM(t, 32, 0.6)
-	indexes := buildAll(t, f)
-	rng := rand.New(rand.NewSource(2))
-	vr := f.ValueRange()
-	for trial := 0; trial < 25; trial++ {
-		lo := vr.Lo + rng.Float64()*vr.Length()
-		q := geom.Interval{Lo: lo, Hi: lo + rng.Float64()*vr.Length()*0.1}
-		wantCells, wantArea := bruteForce(f, q)
-		for m, idx := range indexes {
-			res, err := idx.Query(q)
-			if err != nil {
-				t.Fatalf("%s: %v", m, err)
-			}
-			if res.CellsMatched != len(wantCells) {
-				t.Fatalf("%s query %v: matched %d cells, want %d", m, q, res.CellsMatched, len(wantCells))
-			}
-			if math.Abs(res.Area-wantArea) > 1e-6*(1+wantArea) {
-				t.Fatalf("%s query %v: area %g, want %g", m, q, res.Area, wantArea)
-			}
-		}
-	}
-}
+// TestAllMethodsAgreeOnDEM: every method answers bands across the value range
+// as the brute-force oracle does.
+func TestAllMethodsAgreeOnDEM(t *testing.T) { agreeWithOracle(t, "dem") }
 
-func TestAllMethodsAgreeOnTIN(t *testing.T) {
-	f := testTIN(t, 400)
-	indexes := buildAll(t, f)
-	rng := rand.New(rand.NewSource(3))
-	vr := f.ValueRange()
-	for trial := 0; trial < 15; trial++ {
-		lo := vr.Lo + rng.Float64()*vr.Length()
-		q := geom.Interval{Lo: lo, Hi: lo + rng.Float64()*vr.Length()*0.15}
-		wantCells, wantArea := bruteForce(f, q)
-		for m, idx := range indexes {
-			res, err := idx.Query(q)
-			if err != nil {
-				t.Fatalf("%s: %v", m, err)
-			}
-			if res.CellsMatched != len(wantCells) {
-				t.Fatalf("%s query %v: matched %d, want %d", m, q, res.CellsMatched, len(wantCells))
-			}
-			if math.Abs(res.Area-wantArea) > 1e-6*(1+wantArea) {
-				t.Fatalf("%s query %v: area %g, want %g", m, q, res.Area, wantArea)
-			}
-		}
-	}
-}
+// TestAllMethodsAgreeOnTIN: the same on a TIN.
+func TestAllMethodsAgreeOnTIN(t *testing.T) { agreeWithOracle(t, "tin") }
 
+// TestExactQueriesReturnIsolines: every method answers zero-width queries with
+// the oracle's isolines and no polygon.
 func TestExactQueriesReturnIsolines(t *testing.T) {
-	f := testDEM(t, 16, 0.5)
-	indexes := buildAll(t, f)
-	vr := f.ValueRange()
-	w := vr.Lo + vr.Length()/2
-	q := geom.Interval{Lo: w, Hi: w}
-	var counts []int
-	var methods []Method
-	for m, idx := range indexes {
-		res, err := idx.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if res.CellsMatched > 0 && len(res.Isolines) == 0 {
-			t.Fatalf("%s: %d matched cells but no isolines", m, res.CellsMatched)
-		}
-		if len(res.Regions) != 0 {
-			t.Fatalf("%s: exact query returned polygons", m)
-		}
-		counts = append(counts, len(res.Isolines))
-		methods = append(methods, m)
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Fatalf("isoline counts differ: %v %v", methods, counts)
-		}
+	for _, row := range batchRows(fieldNamed("dem").f) {
+		runOn(t, "dem", row, step{opQuery, 90, 0, 0}, step{opQuery, 140, 0, 0}, step{opMeasure, 200, 0, 0})
 	}
 }
 
+func agreeWithOracle(t *testing.T, field string) {
+	for _, row := range batchRows(fieldNamed(field).f) {
+		runOn(t, field, row, step{opQuery, 20, 40, 0}, step{opQuery, 110, 90, 0}, step{opQuery, 190, 20, 0}, step{opQuery, 60, 150, 0})
+	}
+}
+
+// TestEmptyQueryRejected: every index, the reference baselines included,
+// refuses an empty interval with the one sentinel.
 func TestEmptyQueryRejected(t *testing.T) {
 	f := testDEM(t, 8, 0.5)
+	queries := map[string]func(geom.Interval) error{}
 	for m, idx := range buildAll(t, f) {
-		if _, err := idx.Query(geom.EmptyInterval()); err == nil {
-			t.Fatalf("%s accepted empty query", m)
+		queries[string(m)] = func(q geom.Interval) error { _, err := idx.Query(q); return err }
+	}
+	it, err := BuildITree(f, newPager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, err := BuildIPRow(f, newPager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := BuildMagnitude(windField(t, 8), newPager(), MagnitudeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries["I-IntTree"] = func(q geom.Interval) error { _, err := it.Query(q); return err }
+	queries["IP-Row"] = func(q geom.Interval) error { _, err := ip.Query(q); return err }
+	queries["Magnitude"] = func(q geom.Interval) error { _, err := mg.Query(q); return err }
+	for name, query := range queries {
+		if err := query(geom.EmptyInterval()); !errors.Is(err, errEmptyQuery) {
+			t.Fatalf("%s: empty query err = %v, want errEmptyQuery", name, err)
 		}
 	}
 }
@@ -335,33 +301,11 @@ func TestIndexStats(t *testing.T) {
 	}
 }
 
+// TestIAllBulkLoadAgrees: a bulk-loaded per-cell tree answers as the oracle
+// does, before and after its cells move.
 func TestIAllBulkLoadAgrees(t *testing.T) {
-	f := testDEM(t, 16, 0.4)
-	a, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll, BulkLoad: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr := f.ValueRange()
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 10; i++ {
-		lo := vr.Lo + rng.Float64()*vr.Length()
-		q := geom.Interval{Lo: lo, Hi: lo + rng.Float64()*vr.Length()*0.05}
-		ra, err := a.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := b.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.CellsMatched != rb.CellsMatched {
-			t.Fatalf("bulk I-All disagrees: %d vs %d", ra.CellsMatched, rb.CellsMatched)
-		}
-	}
+	runOn(t, "dem", rowOf("I-All+bulk", BuildOptions{Method: MethodIAll, BulkLoad: true}),
+		step{opQuery, 30, 60, 0}, step{opBatch, 3, 2, 2}, step{opUpdate, 9, 5, 5}, step{opQuery, 200, 100, 0})
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -446,7 +390,7 @@ func TestConjunctiveQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// x in [4, 8] AND y in [2, 10] => a 4×8 rectangle.
-	res, err := ConjunctiveQuery(
+	res, err := ConjunctiveQueryContext(context.Background(),
 		[]Index{i1, i2},
 		[]geom.Interval{{Lo: 4, Hi: 8}, {Lo: 2, Hi: 10}},
 	)
@@ -469,7 +413,7 @@ func TestConjunctiveQuery(t *testing.T) {
 		t.Fatalf("conjunctive bounds %v, want %v", bb, want)
 	}
 	// Disjoint conditions yield nothing.
-	res, err = ConjunctiveQuery(
+	res, err = ConjunctiveQueryContext(context.Background(),
 		[]Index{i1, i2},
 		[]geom.Interval{{Lo: 4, Hi: 8}, {Lo: 100, Hi: 200}},
 	)
@@ -480,7 +424,7 @@ func TestConjunctiveQuery(t *testing.T) {
 		t.Fatalf("disjoint conjunction returned %g area", res.Area)
 	}
 	// Arity mismatch rejected.
-	if _, err := ConjunctiveQuery([]Index{i1}, nil); err == nil {
+	if _, err := ConjunctiveQueryContext(context.Background(), []Index{i1}, nil); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }

@@ -64,7 +64,7 @@ func (ix *IPRow) Stats() IndexStats {
 // fetches through the pager (page reuse within the query via the pool).
 func (ix *IPRow) Query(q geom.Interval) (*Result, error) {
 	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
+		return nil, errEmptyQuery
 	}
 	qc := ix.pager.BeginQuery()
 	defer qc.Release() // a failed search or fetch must not leave the epoch pinned

@@ -66,7 +66,7 @@ func (ix *ITree) Stats() IndexStats {
 // Query implements Index.
 func (ix *ITree) Query(q geom.Interval) (*Result, error) {
 	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
+		return nil, errEmptyQuery
 	}
 	qc := ix.pager.BeginQuery()
 	defer qc.Release() // a failed search or fetch must not leave the epoch pinned

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -134,7 +133,7 @@ func (m *Magnitude) NumGroups() int { return len(m.groups) }
 // Query answers "where is |v| in [q.Lo, q.Hi]".
 func (m *Magnitude) Query(q geom.Interval) (*MagnitudeResult, error) {
 	if q.IsEmpty() {
-		return nil, fmt.Errorf("core: empty query interval")
+		return nil, errEmptyQuery
 	}
 	qc := m.pager.BeginQuery()
 	defer qc.Release() // a failed search or fetch must not leave the epoch pinned

@@ -12,17 +12,10 @@ import (
 // regionBuilders is every execution path that fills Result.Regions from the
 // shared vertex chunks: each method's solo fold, the per-run worker fold, and
 // the tiled gather.
-func regionBuilders(maxSize float64) map[string]func(f field.Field) (Engine, error) {
-	out := updatableBuilders(maxSize)
-	out["I-Hilbert/workers=4"] = func(f field.Field) (Engine, error) {
-		e, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-		if err == nil {
-			e.SetWorkers(4)
-		}
-		return e, err
-	}
-	out["Tiled-LinearScan"] = func(f field.Field) (Engine, error) {
-		return buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, TileSide: 8})
+func regionBuilders() map[string]func(f field.Field) (Engine, error) {
+	out := map[string]func(f field.Field) (Engine, error){}
+	for _, row := range append(updatableRows, rowOf("I-Hilbert/workers=4", BuildOptions{Method: MethodIHilbert, Workers: 4})) {
+		out[row.name] = func(f field.Field) (Engine, error) { return Build(context.Background(), f, newPager(), row.opts) }
 	}
 	return out
 }
@@ -42,7 +35,7 @@ func TestRegionsDoNotAlias(t *testing.T) {
 	d := testDEM(t, 32, 0.6)
 	vr := d.ValueRange()
 	q := geom.Interval{Lo: vr.Lo + 0.3*vr.Length(), Hi: vr.Lo + 0.6*vr.Length()}
-	for name, build := range regionBuilders(vr.Length()/8 + 1) {
+	for name, build := range regionBuilders() {
 		e, err := build(d)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -74,7 +67,7 @@ func TestRegionsDoNotAlias(t *testing.T) {
 func TestRegionsOutliveTheirQuery(t *testing.T) {
 	vr := testDEM(t, 32, 0.6).ValueRange()
 	q := geom.Interval{Lo: vr.Lo + 0.3*vr.Length(), Hi: vr.Lo + 0.6*vr.Length()}
-	for name, build := range regionBuilders(vr.Length()/8 + 1) {
+	for name, build := range regionBuilders() {
 		f := testDEM(t, 32, 0.6) // the update batch mutates it
 		e, err := build(f)
 		if err != nil {

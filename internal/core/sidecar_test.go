@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -145,47 +144,6 @@ func testQueries(f field.Field) []geom.Interval {
 	}
 }
 
-// TestLinearScanSidecarByteIdentity is the identity criterion of the
-// tentpole: the sidecar-served LinearScan returns byte-identical answers —
-// geometry, counters, everything but the page accounting — to the full heap
-// scan it replaces.
-func TestLinearScanSidecarByteIdentity(t *testing.T) {
-	for name, f := range map[string]field.Field{"dem": testDEM(t, 32, 0.6), "tin": testTIN(t, 400)} {
-		t.Run(name, func(t *testing.T) {
-			with, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			without, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, NoSidecar: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if with.parts[0].sidecar == nil || without.parts[0].sidecar != nil {
-				t.Fatal("sidecar toggle ignored")
-			}
-			for _, q := range testQueries(f) {
-				a, err := with.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := without.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
-					t.Fatalf("query %v: sidecar answer diverged:\n%+v\nvs\n%+v", q, answerOf(a), answerOf(b))
-				}
-				// The sidecar path must not read more pages than the scan it
-				// replaces (on the full-range query they tie at heap+sidecar
-				// vs heap; on selective ones it must win).
-				if a.IO.Reads > b.IO.Reads+with.parts[0].sidecar.NumPages() {
-					t.Fatalf("query %v: sidecar read %d pages, scan %d", q, a.IO.Reads, b.IO.Reads)
-				}
-			}
-		})
-	}
-}
-
 // TestIAllSidecarToggleIdentity: I-All's filter never touches cell pages
 // either way (the tree stores exact intervals), so the sidecar toggle may
 // change nothing about a query — including its I/O.
@@ -218,7 +176,8 @@ func TestIAllSidecarToggleIdentity(t *testing.T) {
 }
 
 // TestSaveFileSidecarRoundtrip: a saved file round-trips the sidecar —
-// geometry and position map both survive reopen.
+// geometry and position map both survive reopen, every entry still the
+// interval of the record at its position.
 func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
@@ -241,99 +200,31 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 		t.Fatal("reconstructed position map differs from the built one")
 	}
 	checkSidecarIdentity(t, opened.pager, opened.parts[0].heap, opened.parts[0].rids, opened.parts[0].sidecar, opened.cells)
-	for _, q := range testQueries(f) {
-		a, err := built.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := opened.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
-			t.Fatalf("query %v: reopened index diverged", q)
-		}
-	}
 }
 
-// TestOpenFileNoSidecar: a file saved from a NoSidecar build opens without
-// a sidecar or position map, answers exactly like the sidecar-carrying file
-// of the same field, keeps per-query page accounting reconciled (published
-// per-query stats sum to the store totals), and serves the batch executor
-// with member results byte-identical to solo.
+// TestOpenFileNoSidecar: a file saved from a NoSidecar build opens without a
+// sidecar or position map and answers as the store it was saved from — solo,
+// batched and to the oracle, its pagers reconciled — while refusing the point
+// queries and update batches it cannot locate a record for.
 func TestOpenFileNoSidecar(t *testing.T) {
-	f := testDEM(t, 32, 0.7)
-	dir := t.TempDir()
-	open := func(name string, opts BuildOptions) *engine {
-		t.Helper()
-		built, err := buildIx(f, newPager(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := built.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		opened, err := openIx(path, 8192)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { opened.Close() })
-		return opened
+	runOn(t, "dem", rowOf("I-Hilbert-sidecar", BuildOptions{Method: MethodIHilbert, NoSidecar: true}),
+		step{opReopen, 90, 60, 0}, step{opQuery, 30, 120, 0}, step{opBatch, 4, 3, 3}, step{opMeasure, 200, 40, 0},
+		step{opPoint, 60, 60, 0}, step{opUpdate, 5, 2, 2}, step{opAggregate, 100, 50, 0})
+	f := testDEM(t, 8, 0.5)
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, NoSidecar: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bare := open("bare.fidx", BuildOptions{Method: MethodIHilbert, NoSidecar: true})
-	current := open("sidecar.fidx", BuildOptions{Method: MethodIHilbert})
+	path := filepath.Join(t.TempDir(), "bare.fidx")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := openIx(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
 	if bare.parts[0].sidecar != nil || bare.parts[0].rids != nil || bare.Stats().SidecarPages != 0 {
 		t.Fatal("sidecar-less file decoded a sidecar")
-	}
-
-	queries := testQueries(f)
-	solo := make([]*Result, len(queries))
-	published := storage.Stats{}
-	before := bare.pager.Stats()
-	for i, q := range queries {
-		res, err := bare.QueryContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo[i] = res
-		published = published.Add(res.IO)
-	}
-	if got := bare.pager.Stats().Sub(before); got != published {
-		t.Fatalf("store totals advanced by %+v, published per-query stats sum to %+v", got, published)
-	}
-
-	for i, q := range queries {
-		want, err := current.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(answerOf(solo[i]), answerOf(want)) {
-			t.Fatalf("query %v: sidecar-less answer diverged from the sidecar file's", q)
-		}
-	}
-
-	// Every batch member must equal its solo answer, I/O included.
-	members := make([]BatchQuery, len(queries))
-	for i, q := range queries {
-		members[i] = BatchQuery{Query: q}
-	}
-	before = bare.pager.Stats()
-	results, st := bare.QueryBatch(members)
-	batchPublished := storage.Stats{}
-	for i := range results {
-		if results[i].Err != nil {
-			t.Fatalf("member %d: %v", i, results[i].Err)
-		}
-		if !reflect.DeepEqual(solo[i], results[i].Res) {
-			t.Fatalf("member %d: batched answer on sidecar-less file diverged from solo", i)
-		}
-		batchPublished = batchPublished.Add(results[i].Res.IO)
-	}
-	if got := bare.pager.Stats().Sub(before); got != batchPublished {
-		t.Fatalf("batch: store totals advanced by %+v, published member stats sum to %+v", got, batchPublished)
-	}
-	if st.AttributedReads != batchPublished.Reads {
-		t.Fatalf("attributed %d != Σ member reads %d", st.AttributedReads, batchPublished.Reads)
 	}
 }

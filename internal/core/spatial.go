@@ -124,7 +124,7 @@ func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, cel
 	}
 	s.recordIO(filterIO, 0, st)
 	if !found {
-		return 0, st, fmt.Errorf("core: point %v outside the field", pt)
+		return 0, st, fmt.Errorf("%w: point %v", ErrOutsideField, pt)
 	}
 	return w, st, nil
 }

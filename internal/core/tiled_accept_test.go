@@ -35,8 +35,8 @@ func TestTiledLargeTerrain(t *testing.T) {
 	met := obs.NewMetrics()
 	tiled.SetObserver(obs.Observer{Tracer: col, Metrics: met})
 	// Sequential scatter for the traced query: one scan span per residual
-	// tile (the parallel path merges forked spans; its I/O equality is
-	// covered by TestTiledParallelMatchesSequential).
+	// tile (the parallel path merges forked spans; FuzzEngineProgram holds its
+	// Result, I/O included, to the sequential one's).
 	tiled.SetWorkers(1)
 
 	// ~1% selectivity at the top of the range: a narrow band most tiles'

@@ -71,7 +71,7 @@ func applySamples(f field.Mutable, updates []SampleUpdate) ([]sampleUndo, error)
 	for _, u := range updates {
 		if u.Sample < 0 || u.Sample >= f.NumSamples() {
 			undoSamples(f, undo)
-			return nil, fmt.Errorf("core: update sample %d out of %d", u.Sample, f.NumSamples())
+			return nil, fmt.Errorf("%w: update sample %d of %d", ErrOutsideField, u.Sample, f.NumSamples())
 		}
 		if math.IsNaN(u.Value) || math.IsInf(u.Value, 0) {
 			undoSamples(f, undo)

@@ -11,7 +11,7 @@ import (
 // value is a vector (e.g. wind: direction and magnitude), represented as k
 // scalar component fields over one shared cell subdivision.
 //
-// Component-wise value queries compose with core.ConjunctiveQuery; for
+// Component-wise value queries compose with core.ConjunctiveQueryContext; for
 // magnitude queries, which are not linear in the components, VectorField
 // offers conservative per-cell magnitude bounds suitable for a
 // filter-and-refine pipeline: the bounds never exclude a true answer, so an

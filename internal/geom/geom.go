@@ -198,11 +198,6 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
-// ExtendPoint returns the smallest rectangle containing r and p.
-func (r Rect) ExtendPoint(p Point) Rect {
-	return r.Union(Rect{Min: p, Max: p})
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	if r.IsEmpty() {

@@ -167,7 +167,7 @@ func TestRectFromPoints(t *testing.T) {
 		want := EmptyRect()
 		for j := range pts {
 			pts[j] = Point{coord(), coord()}
-			want = want.ExtendPoint(pts[j])
+			want = want.Union(Rect{Min: pts[j], Max: pts[j]})
 		}
 		if got := RectFromPoints(pts...); bits(got) != bits(want) {
 			t.Fatalf("RectFromPoints(%v) = %v, Union fold %v", pts, got, want)

@@ -192,8 +192,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Default 4 KiB page gives a healthy 1-D fan-out.
-	if tr.MaxEntries() < 100 {
-		t.Fatalf("1-D fan-out = %d, want >= 100", tr.MaxEntries())
+	if tr.maxFill < 100 {
+		t.Fatalf("1-D fan-out = %d, want >= 100", tr.maxFill)
 	}
 }
 
@@ -285,8 +285,8 @@ func TestPersistAndPagedSearchCtx(t *testing.T) {
 	if err := tr.Persist(pager); err != nil {
 		t.Fatal(err)
 	}
-	if tr.PersistedNodes() != tr.NumNodes() {
-		t.Fatalf("persisted %d nodes, tree has %d", tr.PersistedNodes(), tr.NumNodes())
+	if tr.PersistedNodes() != numNodes(tr.root) {
+		t.Fatalf("persisted %d nodes, tree has %d", tr.PersistedNodes(), numNodes(tr.root))
 	}
 	if tr.RootPage() == storage.InvalidPage {
 		t.Fatal("no root page")
@@ -527,4 +527,15 @@ func BenchmarkSearch1D(b *testing.B) {
 		lo := rng.Float64() * 1e6
 		tr.Search(Interval1D(lo, lo+100), func(Entry) bool { return true })
 	}
+}
+
+// numNodes counts the in-memory nodes under n.
+func numNodes(n *node) int {
+	c := 1
+	if !n.isLeaf() {
+		for _, e := range n.entries {
+			c += numNodes(e.child)
+		}
+	}
+	return c
 }

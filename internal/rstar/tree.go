@@ -138,27 +138,6 @@ func (t *Tree) Height() int {
 	return t.root.level + 1
 }
 
-// MaxEntries returns the node fan-out M (exported for tests and stats).
-func (t *Tree) MaxEntries() int { return t.maxFill }
-
-// NumNodes returns the number of nodes in the tree.
-func (t *Tree) NumNodes() int {
-	if t.root == nil {
-		return 0
-	}
-	var count func(n *node) int
-	count = func(n *node) int {
-		c := 1
-		if !n.isLeaf() {
-			for _, e := range n.entries {
-				c += count(e.child)
-			}
-		}
-		return c
-	}
-	return count(t.root)
-}
-
 // ErrReadOnlyIndex marks in-memory mutation of a paged-only handle (a tree
 // reopened with OpenPaged, whose node structure is not loaded). Callers that
 // need an updatable tree should Hydrate the handle first. The message keeps

@@ -375,7 +375,8 @@ func mapError(err error) int {
 	case errors.Is(err, fielddb.ErrInvertedInterval),
 		errors.Is(err, fielddb.ErrNonFiniteBound),
 		errors.Is(err, fielddb.ErrBadTolerance),
-		errors.Is(err, fielddb.ErrBadConjunction):
+		errors.Is(err, fielddb.ErrBadConjunction),
+		errors.Is(err, fielddb.ErrOutsideField):
 		return http.StatusBadRequest
 	case errors.Is(err, fielddb.ErrNoSpatialIndex),
 		errors.Is(err, fielddb.ErrNoPartition),

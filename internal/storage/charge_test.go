@@ -70,3 +70,46 @@ func TestChargePublishes(t *testing.T) {
 		t.Fatalf("unpublished charges leaked into pager totals: %+v", p.Stats())
 	}
 }
+
+// TestMergeAccountsInItemOrder: runs read on forks — in any order — and
+// merged back in item order account exactly as the runs read one after
+// another on the parent: a fork's first page is sequential when it continues
+// the page read before it, a fork that read nothing changes nothing, and the
+// parent's clock goes on from the last merged read.
+func TestMergeAccountsInItemOrder(t *testing.T) {
+	d := NewMemDisk(128)
+	for i := 0; i < 32; i++ {
+		d.Alloc()
+	}
+	p := NewPager(d, DefaultDiskModel, 0)
+	read := func(qc *QueryCtx, first, last PageID) {
+		if err := qc.ReadRun(first, last, func(PageID, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := [][2]PageID{{0, 3}, {4, 7}, {}, {12, 15}, {16, 16}} // the third item reads nothing
+	seq := p.BeginQuery()
+	defer seq.Release()
+	par := p.BeginQuery()
+	defer par.Release()
+	forks := make([]*QueryCtx, len(runs))
+	for i, r := range runs {
+		forks[i] = par.Fork()
+		if r != ([2]PageID{}) {
+			read(seq, r[0], r[1])
+		}
+	}
+	for i := len(runs) - 1; i >= 0; i-- {
+		if r := runs[i]; r != ([2]PageID{}) {
+			read(forks[i], r[0], r[1])
+		}
+	}
+	for _, f := range forks {
+		par.Merge(f)
+	}
+	read(seq, 17, 17)
+	read(par, 17, 17)
+	if got, want := par.LocalStats(), seq.LocalStats(); got != want || want.SeqReads != 12 {
+		t.Fatalf("merged forks account %+v, the runs read in order %+v", got, want)
+	}
+}

@@ -162,7 +162,7 @@ func TestReadFaultMidRun(t *testing.T) {
 			for i := range lo {
 				lo[i], hi[i] = float64(i), float64(i)+0.5
 			}
-			sc, err := storage.BuildIntervalSidecar(p, lo, hi)
+			sc, err := storage.BuildIntervalSidecarWith(p, lo, hi, storage.SidecarCodecRaw)
 			if err != nil {
 				t.Fatal(err)
 			}

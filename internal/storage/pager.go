@@ -302,9 +302,6 @@ func (p *Pager) DropCache() {
 	}
 }
 
-// Model returns the pager's disk cost model.
-func (p *Pager) Model() DiskModel { return p.model }
-
 // PoolShardStats returns a snapshot of each buffer-pool shard's occupancy and
 // probe counters, or nil when the pool is disabled. Shard i caches page ids
 // with id & (shards-1) == i.
@@ -382,6 +379,8 @@ type QueryCtx struct {
 	pager    *Pager
 	stats    Stats
 	lastPage PageID // last page this query read from disk, for seq detection
+	// firstPage is the first page it read, which Merge re-classifies.
+	firstPage PageID
 
 	// epoch is the MVCC snapshot this query reads: every page resolves to
 	// the newest overlay version at or below it. pinned records whether this
@@ -504,9 +503,6 @@ func (l *pageLRU) add(id PageID, capacity int) {
 // PageSize returns the underlying pager's page size.
 func (qc *QueryCtx) PageSize() int { return qc.pager.PageSize() }
 
-// Model returns the underlying pager's disk cost model.
-func (qc *QueryCtx) Model() DiskModel { return qc.pager.model }
-
 // ReadRun implements PageReader: page data comes from the overlays, the
 // shared pool or the disk, fetched a chunk at a time, while each page is
 // charged to this query's private accounting in page order just before fn
@@ -551,6 +547,9 @@ func (qc *QueryCtx) chargeRead(id PageID) {
 		return
 	}
 	qc.stats.Reads++
+	if qc.lastPage == InvalidPage {
+		qc.firstPage = id
+	}
 	if qc.lastPage != InvalidPage && id == qc.lastPage+1 {
 		qc.stats.SeqReads++
 		qc.stats.SimElapsed += qc.pager.model.SequentialRead
@@ -644,12 +643,24 @@ func (qc *QueryCtx) EndSpan() {
 // publishes.
 func (qc *QueryCtx) Fork() *QueryCtx { return qc.pager.newQueryCtx(qc.epoch, false) }
 
-// Merge folds a finished child context's activity into this query's stats.
-// Whatever the child already published to the pager totals is remembered as
-// published here too, so the parent's final Stats publishes each increment
-// exactly once.
+// Merge folds a finished child context's activity into this query's stats as
+// if the child's reads had followed the parent's: the child's first read,
+// charged at random cost on its fresh clock, is sequential when it continues
+// the page the parent read last — so children merged in item order account
+// exactly as the items run one after another on the parent. Whatever the
+// child already published to the pager totals is remembered as published here
+// too, so the parent's final Stats publishes each increment exactly once.
 func (qc *QueryCtx) Merge(child *QueryCtx) {
-	qc.stats = qc.stats.Add(child.stats)
+	d := child.stats
+	if child.lastPage != InvalidPage {
+		if qc.lastPage != InvalidPage && child.firstPage == qc.lastPage+1 {
+			d.RandReads--
+			d.SeqReads++
+			d.SimElapsed += qc.pager.model.SequentialRead - qc.pager.model.RandomRead
+		}
+		qc.lastPage = child.lastPage
+	}
+	qc.stats = qc.stats.Add(d)
 	qc.flushed = qc.flushed.Add(child.flushed)
 }
 

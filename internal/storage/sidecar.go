@@ -121,16 +121,11 @@ func SidecarMaxEntriesPerPage(pageSize int) int {
 	return packedMaxFactor * SidecarEntriesPerPage(pageSize)
 }
 
-// BuildIntervalSidecar writes raw (FSC1) interval columns to freshly
-// allocated, physically contiguous pages on pager. lo and hi must be the
-// per-record bounds in heap-file order. The writes go through the pager's
+// BuildIntervalSidecarWith writes interval columns in codec's layout to
+// freshly allocated, physically contiguous pages on pager. lo and hi must be
+// the per-record bounds in heap-file order. The writes go through the pager's
 // write path, so — like heap-file construction — they are counted but not
 // charged to the simulated read clock.
-func BuildIntervalSidecar(pager *Pager, lo, hi []float64) (*IntervalSidecar, error) {
-	return BuildIntervalSidecarWith(pager, lo, hi, SidecarCodecRaw)
-}
-
-// BuildIntervalSidecarWith is BuildIntervalSidecar with an explicit codec.
 func BuildIntervalSidecarWith(pager *Pager, lo, hi []float64, codec string) (*IntervalSidecar, error) {
 	if len(lo) != len(hi) {
 		return nil, fmt.Errorf("storage: sidecar columns differ: %d vs %d", len(lo), len(hi))

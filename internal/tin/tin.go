@@ -120,9 +120,6 @@ func (t *TIN) clampBucket(i int) int {
 // NumCells implements field.Field.
 func (t *TIN) NumCells() int { return len(t.tris) }
 
-// NumPoints returns the number of sample points.
-func (t *TIN) NumPoints() int { return len(t.points) }
-
 // Cell implements field.Field.
 func (t *TIN) Cell(id field.CellID, dst *field.Cell) *field.Cell {
 	tr := t.tris[id]

@@ -116,8 +116,8 @@ func buildTestTIN(t *testing.T, n int, f func(x, y float64) float64) *TIN {
 
 func TestTINBasics(t *testing.T) {
 	tin := buildTestTIN(t, 200, func(x, y float64) float64 { return x + y })
-	if tin.NumPoints() != 200 {
-		t.Fatalf("NumPoints = %d", tin.NumPoints())
+	if tin.NumSamples() != 200 {
+		t.Fatalf("NumSamples = %d", tin.NumSamples())
 	}
 	if tin.NumCells() == 0 {
 		t.Fatal("no cells")

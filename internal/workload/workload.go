@@ -125,10 +125,6 @@ func NoiseTIN(nPoints int, seed int64) (*tin.TIN, error) {
 	return tin.FromPoints(pts, vals)
 }
 
-// DefaultNoiseTIN is the Fig 8b dataset at its paper-like size
-// (~9,000 triangles).
-func DefaultNoiseTIN() (*tin.TIN, error) { return NoiseTIN(4600, 907) }
-
 // Queries generates the paper's workload: count random interval queries of
 // relative width qinterval (fraction of the normalized value space [0, 1]).
 // A width of 0 produces exact value queries. Query positions are uniform

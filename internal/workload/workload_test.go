@@ -77,7 +77,7 @@ func TestDefaultNoiseTINSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tn, err := DefaultNoiseTIN()
+	tn, err := NoiseTIN(4600, 907) // the Fig 8b dataset at its paper-like size
 	if err != nil {
 		t.Fatal(err)
 	}
