@@ -7,6 +7,7 @@ package fielddb_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,7 +46,8 @@ func TestAllocCeilings(t *testing.T) {
 	// The pool=256 rows are the miss path: a pool smaller than one scan, so
 	// every query evicts and refills it, and the ceiling bounds what a pool miss
 	// allocates — something per run, nothing per page: frames come back off the
-	// freelist.
+	// freelist. A workers=4 row fans out on as many of four cores as are idle.
+	measured := map[string]float64{}
 	for _, c := range []struct {
 		name    string
 		build   func(field.Field, *storage.Pager) (core.Index, error)
@@ -54,16 +56,16 @@ func TestAllocCeilings(t *testing.T) {
 		measure bool
 		ceiling float64
 	}{
-		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 320},            // 154
-		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 2300}, // 1129
-		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 184},     // 92
-		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 400},                    // 165
-		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 400},          // 149
-		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 540},                        // 269
-		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 920},              // 456
-		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 404},                 // 202
-		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 460},                   // 228
-		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 950},         // 473
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 180},           // 88
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 160}, // 76
+		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 130},    // 61
+		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 190},                   // 94
+		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 170},         // 83
+		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 340},                       // 165
+		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 360},             // 175
+		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 300},                // 150
+		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 250},                  // 123
+		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 280},        // 139
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, c.pool)
@@ -74,6 +76,7 @@ func TestAllocCeilings(t *testing.T) {
 			eng := idx.(core.Engine)
 			eng.SetWorkers(c.workers)
 			got := allocsPerQuery(t, eng, queries, c.measure)
+			measured[c.name] = got
 			t.Logf("%.0f allocs/query (ceiling %.0f)", got, c.ceiling)
 			if got > c.ceiling {
 				t.Errorf("%.0f allocs per query, ceiling %.0f", got, c.ceiling)
@@ -81,11 +84,41 @@ func TestAllocCeilings(t *testing.T) {
 		})
 	}
 
+	// Fanning a query out allocates what the sequential path does, give or
+	// take the workers' goroutines: its blocks refine on pooled forks into
+	// pooled partials.
+	if seq, par := measured["I-Hilbert"], measured["I-Hilbert/workers=4"]; par > seq+8 {
+		t.Errorf("a fanned-out query allocates %.0f, a sequential one %.0f (+8 allowance)", par, seq)
+	}
+
+	// A value query through the facade as opened by default, which fans out
+	// on every idle core.
+	t.Run("fielddb.Open/default", func(t *testing.T) {
+		const ceiling = 180 // 86
+		db, err := fielddb.Open(f, fielddb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		i := 0
+		got := allocsPerRun(len(queries), func() {
+			q := queries[i%len(queries)]
+			if _, err := db.ValueQuery(q.Lo, q.Hi); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("%.0f allocs/query (ceiling %d)", got, ceiling)
+		if got > ceiling {
+			t.Errorf("%.0f allocs per default value query, ceiling %d", got, ceiling)
+		}
+	})
+
 	// The measure sink allocates nothing per matched cell: a rotation matching
 	// ten times the cells costs what page runs and the answer's logarithm add,
 	// not what its cells would.
 	t.Run("I-Hilbert/measure/selectivity", func(t *testing.T) {
-		const allowance = 16 // measured: 37 at sel 0.01, 42 at sel 0.10
+		const allowance = 16 // measured: 9 at sel 0.01 and at sel 0.10
 		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
 		idx, err := specs["I-Hilbert"].Build(f, pager)
 		if err != nil {
@@ -131,7 +164,7 @@ func TestAllocCeilings(t *testing.T) {
 
 	// An idle windowed query takes a free slot and runs the solo path as a
 	// group of one: the gate may add the member and result slices of that
-	// group and nothing that grows with the query (measured: 69 solo, 71 here).
+	// group and nothing that grows with the query (measured: 34 solo, 36 here).
 	t.Run("I-Hilbert/windowed-idle", func(t *testing.T) {
 		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
 		idx, err := specs["I-Hilbert"].Build(f, pager)
@@ -169,10 +202,24 @@ func allocsPerQuery(t *testing.T, eng core.Engine, queries []geom.Interval, meas
 		query = eng.MeasureContext
 	}
 	i := 0
-	return testing.AllocsPerRun(len(queries), func() {
+	return allocsPerRun(len(queries), func() {
 		if _, err := query(context.Background(), queries[i%len(queries)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS of 1, under
+// which a query would find no idle core to fan out on: the mean allocation
+// count of runs calls of f, after one warm-up call.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

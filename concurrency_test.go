@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -115,12 +116,24 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 	}
 }
 
-// TestParallelRefinementDeterministic: Workers reaches the engine through the
-// facade — on a refinement-heavy query, Workers = 8 returns the very Result of
-// the sequential execution, I/O included, and the same exact aggregate. (The
-// engine's own worker identity, on every configuration, is FuzzEngineProgram's
-// to check.)
+// atLeastProcs raises GOMAXPROCS to n for the rest of the test: a query fans
+// out only on idle cores, so a test that wants it to fans out on n of them on
+// any machine.
+func atLeastProcs(t *testing.T, n int) {
+	if procs := runtime.GOMAXPROCS(0); procs < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	}
+}
+
+// TestParallelRefinementDeterministic: the default Workers reaches the engine
+// through the facade — on a refinement-heavy query, a database opened with
+// defaults fans out on every idle core (eight here, on any machine) and returns
+// the very Result of one opened with Workers: 1, I/O included, and the same
+// exact aggregate and measure. (The engine's own worker identity, on every
+// configuration, is FuzzEngineProgram's to check.)
 func TestParallelRefinementDeterministic(t *testing.T) {
+	atLeastProcs(t, 8)
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -131,29 +144,35 @@ func TestParallelRefinementDeterministic(t *testing.T) {
 	}
 	for name, f := range map[string]Field{"dem": dem, "tin": tn} {
 		t.Run(name, func(t *testing.T) {
-			db, err := Open(f, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
 			vr := f.ValueRange()
 			lo, hi := vr.Lo+vr.Length()*0.30, vr.Lo+vr.Length()*0.55 // wide: many runs
-			var res [2]*Result
+			var res, measure [2]*Result
 			var agg [2]*AggregateResult
-			for i, workers := range []int{1, 8} {
-				db.SetWorkers(workers)
+			for i, opts := range []Options{{Workers: 1}, {}} {
+				db, err := Open(f, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				ctx := context.Background()
 				if res[i], err = db.ValueQuery(lo, hi); err != nil {
 					t.Fatal(err)
 				}
-				if agg[i], err = db.ApproxAggregateContext(context.Background(), lo, hi, 1e-12); err != nil {
+				if measure[i], err = db.ValueMeasureContext(ctx, lo, hi); err != nil {
 					t.Fatal(err)
 				}
+				if agg[i], err = db.ApproxAggregateContext(ctx, lo, hi, 1e-12); err != nil {
+					t.Fatal(err)
+				}
+				if fanned := db.Metrics().Engine.WorkerItems > 0; fanned != (i == 1) {
+					t.Fatalf("Options %+v: fanned out %v", opts, fanned)
+				}
 			}
-			if res[0].CellsMatched == 0 || !reflect.DeepEqual(res[0], res[1]) {
-				t.Errorf("workers=8 answers %d cells, IO %+v; workers=1 %d, %+v", res[1].CellsMatched, res[1].IO, res[0].CellsMatched, res[0].IO)
+			if res[0].CellsMatched == 0 || !reflect.DeepEqual(res[0], res[1]) || !reflect.DeepEqual(measure[0], measure[1]) {
+				t.Errorf("default answers %d cells, IO %+v; Workers: 1 %d, %+v", res[1].CellsMatched, res[1].IO, res[0].CellsMatched, res[0].IO)
 			}
 			if !agg[1].Fallback || !reflect.DeepEqual(agg[0], agg[1]) || agg[1].Area != res[0].MatchedCellArea {
-				t.Errorf("exact aggregate %+v at workers=8, %+v at workers=1, matched-cell area %v", agg[1], agg[0], res[0].MatchedCellArea)
+				t.Errorf("exact aggregate %+v by default, %+v at Workers: 1, matched-cell area %v", agg[1], agg[0], res[0].MatchedCellArea)
 			}
 		})
 	}

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -123,9 +124,13 @@ type Options struct {
 	// proposed method.
 	Method Method
 	// Workers bounds the worker pool that parallelizes index construction
-	// and the refinement step of value queries (one work unit per subfield
-	// cell run). 0 or 1 means sequential; results and per-query I/O stats
-	// are identical regardless of Workers.
+	// and the refinement step of a value query: its page runs cut into one
+	// contiguous block per worker, or its residual tiles. A query fans out
+	// only onto cores no other executing value query holds, so a lone query
+	// takes every idle core and a loaded database runs one query per core;
+	// batched and windowed queries always refine on one. The default, 0,
+	// means GOMAXPROCS at Open; 1 is strictly sequential. Results and
+	// per-query I/O stats are identical regardless of Workers.
 	Workers int
 	// TileSide, when positive, splits the field into TileSide×TileSide-cell
 	// tiles, each a self-contained partition with its own heap segment,
@@ -212,11 +217,12 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	}
 	pager := newPager()
 	vr := f.ValueRange()
+	workers := resolveWorkers(opts.Workers)
 	buildValue := func() (core.Engine, error) {
 		return core.Build(ctx, f, pager, core.BuildOptions{
 			Method:   method,
 			TileSide: opts.TileSide,
-			Workers:  opts.Workers,
+			Workers:  workers,
 			Codec:    opts.SidecarCodec,
 			// The Interval Quadtree threshold: 1/16 of the value range.
 			MaxSize: vr.Length()/16 + 1,
@@ -233,7 +239,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 		err   error
 		spErr error
 	)
-	if opts.Workers > 1 {
+	if workers > 1 {
 		// The two indexes write to disjoint pagers and only read f (Cell
 		// fills a caller-owned struct), so they build concurrently.
 		var wg sync.WaitGroup
@@ -269,6 +275,15 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	}
 	db.installObservers()
 	return db, nil
+}
+
+// resolveWorkers is the worker bound an Options or OpenIndexOptions Workers
+// of n means: 0 is every core, GOMAXPROCS now.
+func resolveWorkers(n int) int {
+	if n == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
 }
 
 // installObservers (re)installs the trace/metrics sinks on both indexes.
@@ -412,13 +427,15 @@ type StoredIndex struct {
 }
 
 // OpenIndexOptions configures OpenIndexWith. The zero value matches
-// OpenIndex: a 65536-page buffer pool, sequential refinement, no tracer, no
-// admission window.
+// OpenIndex: a 65536-page buffer pool, refinement on every idle core, no
+// tracer, no admission window.
 type OpenIndexOptions struct {
 	// PoolPages is the buffer-pool capacity in pages (default 65536, as for
 	// Open).
 	PoolPages int
-	// Workers bounds the refinement worker pool (0 or 1 means sequential).
+	// Workers bounds the refinement worker pool exactly as Options.Workers
+	// does: 0, the default, means GOMAXPROCS at open; 1 is strictly
+	// sequential.
 	Workers int
 	// Tracer, when set, receives one QueryTrace per finished query.
 	Tracer Tracer
@@ -447,9 +464,7 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Workers > 0 {
-		p.SetWorkers(opts.Workers)
-	}
+	p.SetWorkers(resolveWorkers(opts.Workers))
 	s := &StoredIndex{}
 	s.index = p
 	s.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}

@@ -204,7 +204,7 @@ func (e *engine) aggregateAt(st *state, ctx context.Context, tb *obs.TraceBuilde
 		area += e.parts[pi].area
 	}
 	if !composed && e.sumPages == 0 {
-		ex, err := e.queryAt(st, ctx, tb, q, true)
+		ex, err := e.queryAt(st, ctx, tb, q, true, e.workers)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +259,7 @@ func (e *engine) aggregateAt(st *state, ctx context.Context, tb *obs.TraceBuilde
 		e.recordAggregate(false)
 		return res, nil
 	}
-	ex, err := e.queryAt(st, ctx, tb, q, true)
+	ex, err := e.queryAt(st, ctx, tb, q, true, e.workers)
 	if err != nil {
 		return nil, err
 	}

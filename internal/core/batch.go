@@ -214,8 +214,9 @@ func (o *observed) endBatch(bo batchObs, size int, shared, filters storage.Stats
 
 // sequentialBatch executes members one by one through the solo pipeline —
 // the group-of-one case of the admission window, and the fallback of modes
-// with nothing to coalesce — then records a zero-savings batch.
-func sequentialBatch(o *observed, query func(context.Context, geom.Interval, bool) (*Result, error), members []BatchQuery) ([]BatchResult, BatchStats) {
+// with nothing to coalesce — then records a zero-savings batch. Like a shared
+// scan, each member refines on one core: a batch holds one core.
+func (e *engine) sequentialBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	out := make([]BatchResult, len(members))
 	var phys storage.Stats
 	for i, bq := range members {
@@ -223,14 +224,14 @@ func sequentialBatch(o *observed, query func(context.Context, geom.Interval, boo
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		res, err := query(ctx, bq.Query, bq.Measure)
+		res, err := e.query(ctx, bq.Query, bq.Measure, 1)
 		out[i] = BatchResult{Res: res, Err: err}
 		if err == nil {
 			phys = phys.Add(res.IO)
 		}
 	}
-	if o.ob.Metrics != nil {
-		o.ob.Metrics.RecordBatch(len(members), int64(phys.Reads), 0)
+	if e.ob.Metrics != nil {
+		e.ob.Metrics.RecordBatch(len(members), int64(phys.Reads), 0)
 	}
 	return out, BatchStats{Size: len(members), Physical: phys, AttributedReads: phys.Reads}
 }
@@ -465,15 +466,19 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 // demultiplexed — tile by tile in a tiled store, whose tiles share a scan only
 // when they are sidecar-served scans. Member results — including Result.IO —
 // are byte-identical to solo QueryContext or MeasureContext calls; a batch of
-// one, or one with nothing to share, takes the solo path itself.
+// one, or one with nothing to share, takes the solo path itself. Either way
+// the batch runs on the calling goroutine alone and counts as one executing
+// query.
 func (e *engine) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	if len(members) == 0 {
 		return nil, BatchStats{}
 	}
 	tiled := e.tileSide != 0
 	if len(members) == 1 || (tiled && !e.parts[0].tested) {
-		return sequentialBatch(&e.observed, e.query, members)
+		return e.sequentialBatch(members)
 	}
+	executing.Add(1)
+	defer executing.Add(-1)
 	st := e.pinState()
 	defer e.unpin(st)
 	bo := e.startBatch(e.label, members)

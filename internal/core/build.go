@@ -35,8 +35,9 @@ type BuildOptions struct {
 	// selectivity planner plans over one partition.
 	TileSide int
 	// Workers bounds the goroutines used for construction (linearization,
-	// per-subfield metadata) and is inherited as the query-time scatter
-	// parallelism. 0 or 1 means single-threaded.
+	// per-subfield metadata) and is inherited as the bound of a query's
+	// scatter over the idle cores (see fanout). 0 or 1 means single-threaded;
+	// the facade's default resolves to GOMAXPROCS before it gets here.
 	Workers int
 	// Codec selects the interval sidecar's page codec
 	// (storage.SidecarCodecRaw or storage.SidecarCodecPacked); empty selects
@@ -288,7 +289,7 @@ func (p *partition) indexGroups(ctx context.Context, pager *storage.Pager, group
 	// Per-subfield metadata (page run, summary average) is independent
 	// across groups, so construction fans out on the worker pool.
 	metas := make([]groupMeta, len(groups))
-	err := parallelDoCtx(ctx, workers, len(groups), func(gi int) error {
+	err := parallelDo(ctx, workers, len(groups), func(gi int) error {
 		var err error
 		metas[gi], err = p.groupMetaOf(groups[gi])
 		return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -99,8 +100,8 @@ func (rs *resultSink) add(s *survivor) error {
 }
 
 // partial is the sink of a fetch whose survivors fold into the Result later,
-// in an order the fetch does not know: one tile of a tiled query, one page run
-// of a parallel refinement. It refines each survivor where the fetch runs — on
+// in an order the fetch does not know: one tile of a tiled query, one block of
+// page runs of a parallel refinement. It refines each survivor where the fetch runs — on
 // the worker, straight from the page — into regions over vertex chunks of its
 // own (unless it measures), and keeps one entry per survivor with everything
 // the fold adds up, so gather touches no record and no vertex.
@@ -136,12 +137,73 @@ type refined struct {
 
 // reserve sizes the partial for the n survivors its fetch is about to hand it —
 // the positions a filter selected, or an estimate — so that filling it
-// allocates once and not per doubling.
+// allocates once and not per doubling: its entries, its region headers and,
+// unless it measures, its first vertex chunk. A pooled partial keeps arrays
+// that are large enough already.
 func (p *partial) reserve(n int) {
-	p.cells = make([]refined, 0, n)
-	if p.q.Length() > 0 && !p.measure {
-		p.regions = make([]geom.Polygon, 0, n)
+	if cap(p.cells) < n {
+		p.cells = make([]refined, 0, n)
 	}
+	if p.q.Length() > 0 && !p.measure {
+		if cap(p.regions) < n {
+			p.regions = make([]geom.Polygon, 0, n)
+		}
+		if p.chunk == nil && n > 0 {
+			p.chunk = make([]geom.Point, 0, min(max(n*chunkPointsPerCell, minRegionChunk), maxRegionChunk))
+		}
+	}
+}
+
+// chunkPointsPerCell is the vertex room reserve gives each expected survivor
+// in a partial's first chunk.
+const chunkPointsPerCell = 8
+
+// recycle empties the partial for another fetch. It keeps the arrays gather
+// copies out of — entries, region headers (cleared, so that they hold no
+// vertices alive), isolines — and a measuring partial's scratch chunk, but
+// never a chunk whose vertices a Result's regions may hold.
+func (p *partial) recycle() {
+	var chunk []geom.Point
+	if p.measure {
+		chunk = p.chunk[:0]
+	}
+	clear(p.regions)
+	*p = partial{regionStore: regionStore{chunk}, cells: p.cells[:0], regions: p.regions[:0], isolines: p.isolines[:0]}
+}
+
+// fanBuf is the pooled scratch of a query that scatters: its items — the
+// bounds of its blocks of page runs, or its residual tiles — and per item a
+// partial and two counts the item's scan reports.
+type fanBuf struct {
+	items  []int
+	parts  []partial
+	counts [][2]int
+}
+
+var fanBufs = sync.Pool{New: func() any { return new(fanBuf) }}
+
+// getFanBuf returns a fanBuf with no items; putFanBuf recycles it once gather
+// has folded its partials into the Result.
+func getFanBuf() *fanBuf {
+	fb := fanBufs.Get().(*fanBuf)
+	fb.items = fb.items[:0]
+	return fb
+}
+
+func putFanBuf(fb *fanBuf) {
+	for i := range fb.parts {
+		fb.parts[i].recycle()
+	}
+	fanBufs.Put(fb)
+}
+
+// size readies an empty partial and zeroed counts for each of n items.
+func (fb *fanBuf) size(n int) {
+	if cap(fb.parts) < n {
+		fb.parts = slices.Grow(fb.parts[:0], n)
+	}
+	fb.parts = fb.parts[:n]
+	fb.counts = append(fb.counts[:0], make([][2]int, n)...)
 }
 
 func (p *partial) add(s *survivor) error {
@@ -234,7 +296,7 @@ func (p *partial) fold(res *Result, from, to int) {
 }
 
 // gather folds the partials into res: one after another as they stand — the
-// page runs of one partition, in run order — or, with byID, all of them
+// blocks of page runs of one partition, in run order — or, with byID, all of them
 // together in ascending field-id order, which is the order an untiled scan
 // visits matching cells in. That is a k-way merge: every partial ascends
 // (sortByID saw to it) and a cell belongs to one tile, so ids never tie; the heap
@@ -409,38 +471,57 @@ func fetchPositions(ctx context.Context, qc *storage.QueryCtx, rids []storage.RI
 // record's interval against q on the partial decode and handing the matches
 // to sk; it returns how many records it tested. ctx is polled before each run
 // and every scanCancelStride records — adjacent subfield runs merge into long
-// sequential scans, so between-run polls alone would be too coarse. One
-// visitor walks the whole list, so the scan allocates per query, not per run.
+// sequential scans, so between-run polls alone would be too coarse. One pooled
+// visitor walks the whole list, so the scan allocates nothing.
 func scanRuns(ctx context.Context, qc *storage.QueryCtx, heap *storage.HeapFile, runs []pageRun, q geom.Interval, sk sink) (fetched int, err error) {
-	// The visitor's state sits in one block, so the scan costs two heap
-	// objects (the block and the closure) however many runs it walks.
-	var s struct {
-		sv      survivor
-		fetched int
-		err     error // what stopped the scan early: a bad record, the sink, or ctx
-	}
+	s := runScanners.Get().(*runScanner)
+	s.ctx, s.q, s.sk = ctx, q, sk
 	err = heap.ScanRunsCtx(qc, len(runs), func(i int) (int, int, error) {
 		return runs[i].first, runs[i].last, ctx.Err()
-	}, func(_ storage.RID, rec []byte) bool {
+	}, s.visit)
+	if err == nil {
+		err = s.err
+	}
+	fetched = s.fetched
+	s.ctx, s.sk, s.sv.rec, s.fetched, s.err = nil, nil, nil, 0, nil
+	runScanners.Put(s)
+	return fetched, err
+}
+
+// runScanner is the state of scanRuns' record visitor: the scan's context,
+// interval and sink, the survivor — which keeps its decode storage from scan to
+// scan — the count of records tested and what stopped the scan early: a bad
+// record, the sink, or ctx. It is pooled with visit made once, a closure over
+// it rather than a method value, which would add a call per record.
+type runScanner struct {
+	ctx     context.Context
+	q       geom.Interval
+	sk      sink
+	sv      survivor
+	fetched int
+	err     error
+	visit   func(storage.RID, []byte) bool
+}
+
+var runScanners = sync.Pool{New: func() any {
+	s := new(runScanner)
+	s.visit = func(_ storage.RID, rec []byte) bool {
 		iv, err := field.CellIntervalFromRecord(rec)
 		if err != nil {
 			s.err = err
 			return false
 		}
 		s.fetched++
-		if iv.Intersects(q) {
+		if iv.Intersects(s.q) {
 			s.sv.reset(rec)
-			if s.err = sk.add(&s.sv); s.err != nil {
+			if s.err = s.sk.add(&s.sv); s.err != nil {
 				return false
 			}
 		}
 		if s.fetched%scanCancelStride == 0 {
-			s.err = ctx.Err()
+			s.err = s.ctx.Err()
 		}
 		return s.err == nil
-	})
-	if err == nil {
-		err = s.err
 	}
-	return s.fetched, err
-}
+	return s
+}}

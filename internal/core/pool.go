@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -9,64 +10,78 @@ import (
 )
 
 // parallelDo runs fn(i) for every i in [0, n) on a bounded pool of at most
-// workers goroutines and returns the first error (by lowest index). With
-// workers <= 1 it degenerates to a plain loop on the calling goroutine, so
-// single-threaded paths pay no synchronization cost.
+// workers goroutines, the calling one among them, and returns the first error
+// (by lowest index). ctx is polled before every item: once it is canceled the
+// remaining items return its error without starting, so a mid-refinement (or
+// mid-construction) cancel drains the pool promptly, and the pool always joins
+// its workers, so no goroutine outlives the call. With workers <= 1 it is a
+// plain loop on the calling goroutine, so single-threaded paths pay no
+// synchronization cost; otherwise it allocates no more than its goroutines.
 //
-// Work items must be independent: the refinement step uses one item per
-// subfield cell run, index construction one item per subfield.
-func parallelDo(workers, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
+// Work items must be independent: the refinement step uses one item per block
+// of page runs or per residual tile, index construction one per subfield.
+func parallelDo(ctx context.Context, workers, n int, fn func(i int) error) error {
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			if err := fn(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	p := workPools.Get().(*workPool)
+	p.ctx, p.fn, p.n = ctx, fn, n
+	p.next.Store(0)
+	p.errs = append(p.errs[:0], make([]error, n)...)
+	p.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
+			defer p.wg.Done()
+			p.work()
 		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	p.work()
+	p.wg.Wait()
+	var err error
+	for _, e := range p.errs {
+		if e != nil {
+			err = e
+			break
 		}
 	}
-	return nil
+	clear(p.errs)
+	p.ctx, p.fn = nil, nil
+	workPools.Put(p)
+	return err
 }
 
-// parallelDoCtx is parallelDo with a cancellation poll before every work
-// item: once ctx is canceled, remaining items return ctx.Err() without
-// starting, so a mid-refinement (or mid-construction) cancel drains the pool
-// promptly. Items already running finish normally — parallelDo always joins
-// its workers, so no goroutine outlives the call.
-func parallelDoCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return parallelDo(workers, n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+// workPool is the state of one parallel parallelDo call, pooled: the items'
+// errors and the counter its workers take items from.
+type workPool struct {
+	ctx  context.Context
+	fn   func(i int) error
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup
+	errs []error
+}
+
+var workPools = sync.Pool{New: func() any { return new(workPool) }}
+
+func (p *workPool) work() {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= p.n {
+			return
 		}
-		return fn(i)
-	})
+		if p.errs[i] = p.ctx.Err(); p.errs[i] == nil {
+			p.errs[i] = p.fn(i)
+		}
+	}
 }
 
 // clampWorkers normalizes a Workers option: values below 1 mean
@@ -76,6 +91,48 @@ func clampWorkers(w int) int {
 		return 1
 	}
 	return w
+}
+
+// executing counts the value queries running in this process: solo and
+// snapshot queries, aggregates' exact fallbacks and shared-scan batches, each
+// holding a core. It is process-wide, not per store, because the cores it is
+// weighed against are.
+var executing atomic.Int32
+
+// fanout returns how many workers n independent items of one query scatter
+// on: no more than its bound, workers, nor than n, nor than the cores the
+// process's other executing value queries leave idle. 1 means the caller runs
+// them in order on its own context — no goroutine, no fork, nothing allocated.
+// A lone query thus takes every idle core, and a loaded process stays one core
+// per query.
+func fanout(workers, n int) int {
+	if workers = min(workers, n); workers <= 1 {
+		return 1
+	}
+	idle := runtime.GOMAXPROCS(0) - int(executing.Load()) + 1
+	return max(1, min(workers, idle))
+}
+
+// cutBlocks cuts runs into at most w contiguous blocks of about equal page
+// count and returns their bounds: block b is runs[bounds[b]:bounds[b+1]].
+// Block b ends before the first run whose midpoint lies past b+1 shares of
+// the pages, so every block holds at least one run, and a run longer than a
+// share makes fewer, longer blocks rather than empty ones.
+func cutBlocks(bounds []int, runs []pageRun, w int) []int {
+	total := 0
+	for _, r := range runs {
+		total += r.last - r.first + 1
+	}
+	bounds = append(bounds[:0], 0)
+	pages := 0
+	for i, r := range runs[:len(runs)-1] {
+		pages += r.last - r.first + 1
+		next := runs[i+1].last - runs[i+1].first + 1
+		if b := len(bounds); b < w && (2*pages+next)*w >= 2*total*b {
+			bounds = append(bounds, i+1)
+		}
+	}
+	return append(bounds, len(runs))
 }
 
 // batchScratch pools the per-batch demux state — per-member survivor

@@ -44,7 +44,8 @@ import (
 //   - the pagers' totals move by exactly the statistics the calls published.
 //
 // FuzzEngineProgram decodes programs from bytes. Its seed corpus is one
-// program per field and buildable row of the build matrix, and runs under
+// program per field and buildable row of the build matrix, plus a few aimed
+// at how the parallel refinement cuts page runs into blocks, and runs under
 // plain go test; the named tests at the end of the file run short programs
 // aimed at one invariant each.
 
@@ -261,6 +262,9 @@ type harness struct {
 // runProgram builds cfg and runs steps on it and on the model, failing t at
 // the first broken invariant with the program as far as it ran.
 func runProgram(t *testing.T, cfg harnessConfig, steps []step) {
+	// Four idle cores, so that a query at four workers cuts up to four blocks
+	// on any machine.
+	atLeastProcs(t, 4)
 	h := &harness{t: t, cfg: cfg, model: cfg.hf.clone(cfg.hf.f), low: map[*store]uint64{}, dir: t.TempDir()}
 	h.log = append(h.log, cfg.hf.name+"/"+cfg.row.name)
 	defer h.finish()
@@ -401,7 +405,7 @@ func (h *harness) value(e Engine, q geom.Interval, measure, both bool) *Result {
 	h.t.Helper()
 	call := func() *Result {
 		h.t.Helper()
-		res, err := e.(*engine).query(context.Background(), q, measure)
+		res, err := e.(*engine).query(context.Background(), q, measure, e.(*engine).workers)
 		if err != nil {
 			h.fatalf("%v: %v", q, err)
 		}
@@ -972,12 +976,55 @@ func seedProgram(cfg int) []byte {
 	return p.encode()
 }
 
+// blockSeeds are programs on the untiled I-Hilbert rows whose queries cut the
+// parallel refinement's edge cases at four workers. The page runs each
+// selects, in pages, are noted beside it.
+func blockSeeds() [][]byte {
+	cfgOf := func(field string) int {
+		return slices.IndexFunc(harnessConfigs(), func(c harnessConfig) bool {
+			return c.hf.name == field && c.row.opts.Method == MethodIHilbert && c.row.opts.TileSide == 0
+		})
+	}
+	dem, tin := cfgOf("dem"), cfgOf("tin")
+	return [][]byte{
+		// More workers than runs.
+		program{cfg: dem, steps: []step{
+			{opQuery, 0, 210, 0},   // [3 2 3]
+			{opMeasure, 9, 250, 0}, // [4 9]
+			{opQuery, 216, 0, 0},   // [1 2], an isoline
+			{opBatch, 1, 0, 210},
+		}}.encode(),
+		// A single run.
+		program{cfg: dem, steps: []step{
+			{opQuery, 0, 115, 0},   // [2]
+			{opMeasure, 0, 255, 0}, // [16]
+			{opQuery, 180, 0, 0},   // [8], an isoline
+		}}.encode(),
+		// One run far longer than the rest.
+		program{cfg: dem, steps: []step{
+			{opQuery, 114, 90, 0},     // [1 14]
+			{opMeasure, 159, 0, 0},    // [10 1], an isoline
+			{opQuery, 114, 0, 0},      // [1 2 9], an isoline
+			{opAggregate, 114, 90, 0}, // [1 14], the exact fallback
+			{opUpdate, 7, 9, 9},
+			{opQuery, 114, 90, 0},
+		}}.encode(),
+		program{cfg: tin, steps: []step{
+			{opQuery, 0, 250, 0},   // [9 2]
+			{opMeasure, 150, 0, 0}, // [6 5], an isoline
+		}}.encode(),
+	}
+}
+
 // FuzzEngineProgram runs programs decoded from bytes against the model: a
 // failure is an engine and an oracle that disagree, or an invariant broken,
 // and the log shows the program up to the step that failed.
 func FuzzEngineProgram(f *testing.F) {
 	for cfg := range harnessConfigs() {
 		f.Add(seedProgram(cfg))
+	}
+	for _, seed := range blockSeeds() {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := decodeProgram(data)

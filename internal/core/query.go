@@ -42,12 +42,12 @@ func (e *engine) Query(q geom.Interval) (*Result, error) {
 // the fetch loops' strides, so a canceled query returns ctx's error
 // mid-pipeline without leaking workers (the pool always joins).
 func (e *engine) QueryContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	return e.query(ctx, q, false)
+	return e.query(ctx, q, false, e.workers)
 }
 
 // MeasureContext implements Engine: QueryContext into the measure sink.
 func (e *engine) MeasureContext(ctx context.Context, q geom.Interval) (*Result, error) {
-	return e.query(ctx, q, true)
+	return e.query(ctx, q, true, e.workers)
 }
 
 // measureKey is the key of the context value WithMeasure sets.
@@ -66,14 +66,14 @@ func WithMeasure(ctx context.Context) context.Context {
 func Measuring(ctx context.Context) bool { return ctx.Value(measureKey{}) != nil }
 
 // query is the solo value query, refining into the measure sink when measure
-// is set and into the Result's geometry otherwise.
-func (e *engine) query(ctx context.Context, q geom.Interval, measure bool) (*Result, error) {
+// is set and into the Result's geometry otherwise, on at most workers cores.
+func (e *engine) query(ctx context.Context, q geom.Interval, measure bool, workers int) (*Result, error) {
 	if q.IsEmpty() {
 		return nil, errEmptyQuery
 	}
 	tb, start := e.startQuery(e.label, obs.KindValue, q.Lo, q.Hi)
 	st := e.pinState()
-	res, err := e.queryAt(st, ctx, tb, q, measure)
+	res, err := e.queryAt(st, ctx, tb, q, measure, workers)
 	e.unpin(st)
 	e.endQuery(tb, start, err)
 	return res, err
@@ -81,14 +81,18 @@ func (e *engine) query(ctx context.Context, q geom.Interval, measure bool) (*Res
 
 // queryAt is the value query against one pinned state, on a query context of
 // its own: cold-start accounting with within-query page reuse (the paper's
-// warm-OS-cache setting) no matter what runs concurrently. The caller must
-// hold a pin at st.epoch for the duration of the call.
-func (e *engine) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, measure bool) (*Result, error) {
+// warm-OS-cache setting) no matter what runs concurrently. It counts as
+// executing while it runs, and fans out on at most workers cores — those the
+// other executing queries leave idle. The caller must hold a pin at st.epoch
+// for the duration of the call.
+func (e *engine) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder, q geom.Interval, measure bool, workers int) (*Result, error) {
+	executing.Add(1)
+	defer executing.Add(-1)
 	qc := beginQueryAt(e.pager, st.epoch)
-	defer qc.Release()
+	defer qc.Recycle()
 	qc.AttachTrace(tb)
 	if e.tileSide != 0 {
-		return e.queryTiles(st, ctx, qc, q, measure)
+		return e.queryTiles(st, ctx, qc, q, measure, workers)
 	}
 	p := e.parts[0]
 	pr := getProbe()
@@ -102,7 +106,7 @@ func (e *engine) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder, q
 	// refinement span, filter-only I/O.
 	if p.byPos || len(pr.runs) > 0 {
 		qc.BeginSpan(obs.PhaseRefine)
-		if err := e.refine(ctx, qc, p, pr, res, measure); err != nil {
+		if err := e.refine(ctx, qc, p, pr, res, measure, workers); err != nil {
 			return nil, err
 		}
 		qc.EndSpan()
@@ -113,36 +117,53 @@ func (e *engine) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder, q
 }
 
 // refine fetches the candidates into res — its geometry, or with measure only
-// its measure: in order on qc, or — with SetWorkers > 1 and more than one page
-// run — whole runs scattered on the worker pool.
-func (e *engine) refine(ctx context.Context, qc *storage.QueryCtx, p *partition, pr *probe, res *Result, measure bool) error {
-	workers := e.fanout(len(pr.runs))
-	if workers == 1 {
-		n, err := p.fetch(ctx, qc, pr, &resultSink{res: res, measure: measure})
-		res.CellsFetched += n
-		return err
+// its measure: in order on qc, or — where fanout grants more than one worker
+// and the page runs are more than one — in contiguous blocks of runs, one per
+// worker, balanced by page count. Each block scans on a fork of qc into a
+// partial of its own, and the blocks fold back in block order, which is run
+// order: the fold the sequential path performs cell by cell, so Regions, Area,
+// MatchedCellArea and Stats are all byte-identical to it. Merged runs are
+// never adjacent, so a block's fork charges its runs as qc would have, and
+// Merge accounts the blocks as if they ran one after another.
+func (e *engine) refine(ctx context.Context, qc *storage.QueryCtx, p *partition, pr *probe, res *Result, measure bool, workers int) error {
+	if w := fanout(workers, len(pr.runs)); w > 1 {
+		fb := getFanBuf()
+		defer putFanBuf(fb)
+		if fb.items = cutBlocks(fb.items, pr.runs, w); len(fb.items) > 2 {
+			return e.refineBlocks(ctx, qc, p, pr, res, measure, fb)
+		}
 	}
-	parts := make([]partial, len(pr.runs))
-	fetched := make([]int, len(pr.runs))
-	// A run is sized for the records its pages hold on average: most runs are a
-	// page or two, and a partial that doubles its way there costs more
-	// allocations than the cells it ends up holding.
+	n, err := p.fetch(ctx, qc, pr, &resultSink{res: res, measure: measure})
+	res.CellsFetched += n
+	return err
+}
+
+// refineBlocks is refine's parallel path over the blocks whose bounds fb
+// holds.
+func (e *engine) refineBlocks(ctx context.Context, qc *storage.QueryCtx, p *partition, pr *probe, res *Result, measure bool, fb *fanBuf) error {
+	blocks := len(fb.items) - 1
+	fb.size(blocks)
+	// A block is sized for the records its pages hold on average, so that
+	// filling its partial allocates once.
 	perPage := (p.heap.Count() + p.heap.NumPages() - 1) / p.heap.NumPages()
-	err := e.scatter(ctx, qc, workers, len(pr.runs), func(i int, child *storage.QueryCtx) (err error) {
-		parts[i].q, parts[i].measure = res.Query, measure
-		parts[i].reserve((pr.runs[i].last - pr.runs[i].first + 1) * perPage)
-		fetched[i], err = scanRuns(ctx, child, p.heap, pr.runs[i:i+1], res.Query, &parts[i])
+	err := e.scatter(ctx, qc, blocks, blocks, func(b int, child *storage.QueryCtx) (err error) {
+		runs := pr.runs[fb.items[b]:fb.items[b+1]]
+		pages := 0
+		for _, r := range runs {
+			pages += r.last - r.first + 1
+		}
+		part := &fb.parts[b]
+		part.q, part.measure = res.Query, measure
+		part.reserve(pages * perPage)
+		fb.counts[b][0], err = scanRuns(ctx, child, p.heap, runs, res.Query, part)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	// The runs fold back in run order through the fold the sequential path
-	// performs cell by cell — so Regions, Area, MatchedCellArea and Stats are
-	// all byte-identical to it.
-	for _, n := range fetched {
-		res.CellsFetched += n
+	for _, c := range fb.counts {
+		res.CellsFetched += c[0]
 	}
-	gather(res, parts, false)
+	gather(res, fb.parts, false)
 	return nil
 }

@@ -50,8 +50,8 @@ type store struct {
 	// them); readers never take it.
 	snap  atomic.Pointer[state]
 	updMu sync.Mutex
-	// workers bounds the goroutines a scatter fans out on; 0 or 1 keeps a
-	// query single-threaded.
+	// workers bounds the goroutines a lone query's scatter fans out on (see
+	// fanout); 1 keeps every query single-threaded.
 	workers int
 	observed
 
@@ -265,11 +265,12 @@ func (s *store) decodeCell(qc *storage.QueryCtx, id field.CellID, c *field.Cell)
 	return decodeErr
 }
 
-// SetWorkers bounds the worker pool a query scatters on: whole page runs for
-// an untiled index, whole residual tiles for a tiled one. One item is one
-// sequential-I/O unit, so the answer and the per-query accounting are
-// identical to the single-threaded run. Call before issuing queries; it is not
-// synchronized with queries in flight.
+// SetWorkers bounds the worker pool a value query scatters on when it runs
+// alone: contiguous blocks of page runs for an untiled index, whole residual
+// tiles for a tiled one, on no more workers than there are idle cores (see
+// fanout). The answer and the per-query accounting are identical to the
+// single-threaded run; 1 keeps every query on its own goroutine. Call before
+// issuing queries; it is not synchronized with queries in flight.
 func (s *store) SetWorkers(n int) { s.workers = clampWorkers(n) }
 
 // SetObserver installs the trace/metrics sinks. Call before issuing queries.
@@ -278,54 +279,72 @@ func (s *store) SetObserver(ob obs.Observer) { s.setObs(ob, s.label) }
 // Method returns the name the store reports: the method, or "Tiled-<inner>".
 func (s *store) Method() Method { return Method(s.label) }
 
-// fanout returns how many workers n independent items scatter on; 1 means
-// the caller runs them in order on its own context — no goroutine, no fork,
-// nothing allocated.
-func (s *store) fanout(n int) int {
-	if w := clampWorkers(s.workers); w > 1 && n > 1 {
-		return w
-	}
-	return 1
-}
-
-// scatter runs scan(i, child) for every item in [0, n) on a pool of workers,
-// each item on its own fork of qc, and merges the forks back into qc strictly
-// in item order — so qc ends up charged exactly as if the items had run on it
-// one after another. Whatever scan produces it must file under i; the caller
-// folds the pieces in item order afterwards. Per-item busy time is measured
-// only when a metrics registry is installed, keeping the unobserved path
-// timing-free.
+// scatter runs scan(i, child) for every item in [0, n) on a pool of workers —
+// the calling goroutine one of them — each item on its own fork of qc, and
+// merges the forks back into qc strictly in item order, so qc ends up charged
+// exactly as if the items had run on it one after another. Whatever scan
+// produces it must file under i; the caller folds the pieces in item order
+// afterwards. The forks go back to the context pool once merged, or once the
+// scatter failed. Per-item busy time is measured only when a metrics registry
+// is installed, keeping the unobserved path timing-free. The scatter itself
+// allocates nothing: its state is pooled.
 func (s *store) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n int, scan func(i int, child *storage.QueryCtx) error) error {
-	timed := s.ob.Metrics != nil
+	sc := scatters.Get().(*scatterState)
+	sc.qc, sc.scan, sc.timed = qc, scan, s.ob.Metrics != nil
+	sc.busy.Store(0)
+	sc.forks = append(sc.forks[:0], make([]*storage.QueryCtx, n)...)
 	var wallStart time.Time
-	var busy atomic.Int64
-	if timed {
+	if sc.timed {
 		wallStart = time.Now()
 	}
-	forks := make([]*storage.QueryCtx, n)
-	err := parallelDoCtx(ctx, workers, n, func(i int) error {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		child := qc.Fork()
-		if err := scan(i, child); err != nil {
-			return err
-		}
-		forks[i] = child
-		if timed {
-			busy.Add(int64(time.Since(t0)))
-		}
-		return nil
-	})
-	if timed {
-		s.ob.Metrics.RecordWorkers(n, time.Duration(busy.Load()), time.Since(wallStart))
+	err := parallelDo(ctx, workers, n, sc.item)
+	if sc.timed {
+		s.ob.Metrics.RecordWorkers(n, time.Duration(sc.busy.Load()), time.Since(wallStart))
 	}
-	if err != nil {
+	for _, child := range sc.forks {
+		if child == nil {
+			continue
+		}
+		if err == nil {
+			qc.Merge(child)
+		}
+		child.Recycle()
+	}
+	clear(sc.forks)
+	sc.qc, sc.scan = nil, nil
+	scatters.Put(sc)
+	return err
+}
+
+// scatterState is the state of one scatter: the forks its items ran on and
+// the busy time they took. It is pooled with its item method bound once.
+type scatterState struct {
+	qc    *storage.QueryCtx
+	scan  func(i int, child *storage.QueryCtx) error
+	timed bool
+	busy  atomic.Int64
+	forks []*storage.QueryCtx
+	item  func(i int) error
+}
+
+var scatters = sync.Pool{New: func() any {
+	sc := new(scatterState)
+	sc.item = sc.run
+	return sc
+}}
+
+// run is item i of the scatter, on a fork of its own.
+func (sc *scatterState) run(i int) error {
+	var t0 time.Time
+	if sc.timed {
+		t0 = time.Now()
+	}
+	sc.forks[i] = sc.qc.Fork()
+	if err := sc.scan(i, sc.forks[i]); err != nil {
 		return err
 	}
-	for _, child := range forks {
-		qc.Merge(child)
+	if sc.timed {
+		sc.busy.Add(int64(time.Since(t0)))
 	}
 	return nil
 }

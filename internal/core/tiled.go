@@ -223,18 +223,21 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 }
 
 // queryTiles runs the scatter-gather pipeline against one pinned state on qc,
-// the query's context; with measure, the tiles' partials keep no geometry.
-func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval, measure bool) (*Result, error) {
+// the query's context, scattering on at most workers cores (see fanout); with
+// measure, the tiles' partials keep no geometry.
+func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval, measure bool, workers int) (*Result, error) {
 	res := &Result{Query: q}
 	// Prune: pure in-memory summary tests — the span's page counts stay zero,
 	// which is exactly the property the tiled acceptance tests assert.
 	qc.BeginSpan(obs.PhaseTilePrune)
-	residual := make([]int, 0, len(e.parts))
+	fb := getFanBuf()
+	defer putFanBuf(fb)
 	for ti, vr := range st.vr {
 		if vr.Intersects(q) {
-			residual = append(residual, ti)
+			fb.items = append(fb.items, ti)
 		}
 	}
+	residual := fb.items
 	qc.EndSpan()
 	e.ob.Metrics.RecordTiles(len(e.parts)-len(residual), len(residual))
 	res.CandidateGroups = len(residual)
@@ -248,12 +251,13 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		return res, nil
 	}
 
-	parts := make([]partial, len(residual))
+	fb.size(len(residual))
+	parts := fb.parts
 	for i := range parts {
 		parts[i].measure = measure
 	}
 	filterReads, sidecarReads := 0, 0
-	if workers := e.fanout(len(residual)); workers == 1 {
+	if workers := fanout(workers, len(residual)); workers == 1 {
 		// Sequential scatter: one PhaseTileScan span per residual tile, so a
 		// trace shows each tile's page activity individually.
 		for i, ti := range residual {
@@ -275,15 +279,14 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		// independent of completion order and the answer identical to the
 		// sequential path's.
 		qc.BeginSpan(obs.PhaseTileScan)
-		reads := make([][2]int, len(residual))
 		err := e.scatter(ctx, qc, workers, len(residual), func(i int, child *storage.QueryCtx) (err error) {
-			reads[i][0], reads[i][1], err = e.scanTile(ctx, child, st, residual[i], q, &parts[i])
+			fb.counts[i][0], fb.counts[i][1], err = e.scanTile(ctx, child, st, residual[i], q, &parts[i])
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range reads {
+		for _, r := range fb.counts {
 			filterReads += r[0]
 			sidecarReads += r[1]
 		}

@@ -242,7 +242,10 @@ func (m *Metrics) RecordPages(indexReads, sidecarReads, cellReads, cacheHits int
 	m.simNano.Add(int64(sim))
 }
 
-// RecordWorkers folds one parallel section into the worker-pool accounting.
+// RecordWorkers folds one parallel section into the worker-pool accounting:
+// its items — the blocks of page runs of a fanned-out refinement, or the
+// residual tiles of a tiled scatter — their summed busy time and the
+// section's wall time.
 func (m *Metrics) RecordWorkers(items int, busy, wall time.Duration) {
 	if m == nil {
 		return
@@ -376,9 +379,10 @@ type Snapshot struct {
 	CellPagesRead    int64         `json:"cell_pages_read"`
 	CacheHits        int64         `json:"cache_hits"`
 	SimElapsed       time.Duration `json:"sim_elapsed_ns"`
-	// Worker-pool utilization: WorkerConcurrency = busy / wall is the
-	// achieved average parallelism of the refinement sections (0 when none
-	// ran).
+	// Worker-pool utilization: WorkerItems counts the items the fanned-out
+	// refinement sections ran — blocks of page runs, or residual tiles — and
+	// WorkerConcurrency = busy / wall is their achieved average parallelism
+	// (0 when none ran).
 	WorkerItems       int64         `json:"worker_items"`
 	WorkerBusy        time.Duration `json:"worker_busy_ns"`
 	WorkerWall        time.Duration `json:"worker_wall_ns"`

@@ -71,6 +71,42 @@ func TestChargePublishes(t *testing.T) {
 	}
 }
 
+// TestRecycledContextStartsCold: a context back from the pool — a query's or
+// a fork, on a pager with a pool or without — charges exactly what a fresh
+// one does: no page its last query read, and the epoch it is given.
+func TestRecycledContextStartsCold(t *testing.T) {
+	d := NewMemDisk(128)
+	for i := 0; i < 16; i++ {
+		d.Alloc()
+	}
+	pooled, cold := NewPager(d, DefaultDiskModel, 8), NewPager(d, DefaultDiskModel, 0)
+	read := func(qc *QueryCtx) Stats {
+		for _, r := range [][2]PageID{{0, 5}, {3, 9}} { // a revisit of 3-5
+			if err := qc.ReadRun(r[0], r[1], func(PageID, []byte) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return qc.LocalStats()
+	}
+	for _, p := range []*Pager{pooled, cold, pooled} {
+		want := read(&QueryCtx{pager: p, lastPage: InvalidPage, seen: pageLRU{slot: map[PageID]int32{}, capacity: p.poolSize}})
+		for range 3 {
+			qc := p.BeginQuery()
+			if got := read(qc); got != want {
+				t.Fatalf("pool %d: a recycled context charged %+v, a fresh one %+v", p.poolSize, got, want)
+			}
+			fork := qc.Fork()
+			if got := read(fork); got != want || fork.Epoch() != qc.Epoch() {
+				t.Fatalf("pool %d: a recycled fork charged %+v at epoch %d, a fresh context %+v at %d", p.poolSize, got, fork.Epoch(), want, qc.Epoch())
+			}
+			qc.Merge(fork)
+			fork.Recycle()
+			qc.Stats()
+			qc.Recycle()
+		}
+	}
+}
+
 // TestMergeAccountsInItemOrder: runs read on forks — in any order — and
 // merged back in item order account exactly as the runs read one after
 // another on the parent: a fork's first page is sequential when it continues

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // RID identifies a record inside a HeapFile: a page and a slot within it.
@@ -213,14 +214,18 @@ func (h *HeapFile) ScanPagesCtx(r PageReader, first, last int, fn func(rid RID, 
 // scan and is returned — where a caller polls its context between runs. Each
 // maximal physically contiguous stretch of a run is fetched through one
 // ReadRun: one batched pool interaction and at most one disk call per missing
-// sub-run, charged page by page in order. One page visitor serves the whole
-// scan, so a scan allocates the same however many runs it walks.
+// sub-run, charged page by page in order. One pooled page visitor serves the
+// whole scan, so a scan allocates nothing however many runs it walks.
 func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last int, err error), fn func(rid RID, rec []byte) bool) error {
 	if err := h.Flush(); err != nil {
 		return err
 	}
-	s := &runScan{fn: fn, more: true}
-	visit := s.visit
+	s := runScans.Get().(*runScan)
+	s.fn, s.more, s.err = fn, true, nil
+	defer func() {
+		s.fn, s.err = nil, nil
+		runScans.Put(s)
+	}()
 	for i := 0; i < n && s.more; i++ {
 		first, last, err := run(i)
 		if err != nil {
@@ -240,7 +245,7 @@ func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last
 			for end < last && h.pages[end+1] == h.pages[end]+1 {
 				end++
 			}
-			if err := r.ReadRun(h.pages[first], h.pages[end], visit); err != nil {
+			if err := r.ReadRun(h.pages[first], h.pages[end], s.visit); err != nil {
 				return err
 			}
 			if s.err != nil {
@@ -253,14 +258,22 @@ func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last
 }
 
 // runScan is the page visitor of one ScanRunsCtx call: more goes false when
-// fn stops the scan, err holds a malformed page's error.
+// fn stops the scan, err holds a malformed page's error. visit is its page
+// method, bound once when the pool makes it.
 type runScan struct {
-	fn   func(rid RID, rec []byte) bool
-	more bool
-	err  error
+	fn    func(rid RID, rec []byte) bool
+	more  bool
+	err   error
+	visit func(id PageID, page []byte) bool
 }
 
-func (s *runScan) visit(id PageID, page []byte) bool {
+var runScans = sync.Pool{New: func() any {
+	s := new(runScan)
+	s.visit = s.page
+	return s
+}}
+
+func (s *runScan) page(id PageID, page []byte) bool {
 	s.more, s.err = scanPageRecords(id, page, s.fn)
 	return s.more && s.err == nil
 }

@@ -262,6 +262,7 @@ func (p *Pager) ReadRun(first, last PageID, fn func(id PageID, page []byte) bool
 	qc := p.BeginQuery()
 	err := qc.ReadRun(first, last, fn)
 	qc.Stats()
+	qc.Recycle()
 	return err
 }
 
@@ -372,9 +373,10 @@ func (p *Pager) SnapshotTo(dst Disk) error {
 // no matter how many queries run concurrently.
 //
 // A QueryCtx is owned by one goroutine. The parallel refinement step gives
-// each worker its own child context via Fork and folds the children back with
-// Merge; a cell run starts with a random access and streams sequentially, so
-// per-run accounting is identical however runs are assigned to workers.
+// each worker its own child context via Fork and folds the children back, in
+// item order, with Merge, so the accounting is the one the items would have
+// made one after another on the parent. Contexts are pooled: BeginQuery and
+// Fork draw from the pool, Recycle returns one to it.
 type QueryCtx struct {
 	pager    *Pager
 	stats    Stats
@@ -434,22 +436,59 @@ func (p *Pager) BeginQueryAt(epoch uint64) (*QueryCtx, bool) {
 	return p.newQueryCtx(epoch, true), true
 }
 
+// queryCtxPool holds recycled query contexts, each with the storage of its
+// private page set, so a query neither allocates a context nor regrows a map
+// for the pages it reads.
+var queryCtxPool = sync.Pool{New: func() any { return new(QueryCtx) }}
+
+// maxPooledSeen bounds the page set a recycled context keeps: past it the set
+// is dropped rather than pooled, so one huge scan does not leave every later
+// query clearing a map sized for it.
+const maxPooledSeen = 4096
+
 func (p *Pager) newQueryCtx(epoch uint64, pinned bool) *QueryCtx {
-	qc := &QueryCtx{pager: p, lastPage: InvalidPage, epoch: epoch, pinned: pinned}
-	if p.poolSize > 0 {
-		qc.seen.slot = make(map[PageID]int32)
-	}
+	qc := queryCtxPool.Get().(*QueryCtx)
+	qc.pager, qc.lastPage, qc.epoch, qc.pinned = p, InvalidPage, epoch, pinned
+	qc.seen.reset(p.poolSize)
 	return qc
+}
+
+// Recycle ends the context's life: it drops the epoch pin, as Release does,
+// and returns the context to the pool BeginQuery and Fork draw from. Call it
+// once the context's activity has been taken — published by Stats, merged
+// into its parent, or abandoned on an error — and never touch the context
+// again, Release included.
+func (qc *QueryCtx) Recycle() {
+	qc.Release()
+	seen := qc.seen
+	if len(seen.nodes) > maxPooledSeen {
+		seen = pageLRU{}
+	}
+	*qc = QueryCtx{seen: seen}
+	queryCtxPool.Put(qc)
 }
 
 // pageLRU is a set of page ids in recency order, for QueryCtx's private pool
 // view: the nodes of the recency list live in one slice and link by index, so
 // remembering a page costs no allocation beyond the slice's and the map's own
-// amortized growth. The zero value with a nil slot map is the disabled pool.
+// amortized growth, which a pooled context keeps. A capacity of zero is the
+// disabled pool.
 type pageLRU struct {
 	slot       map[PageID]int32 // page id → index into nodes
 	nodes      []lruNode
 	head, tail int32 // most and least recently used; meaningless while empty
+	capacity   int   // the most pages the set remembers
+}
+
+// reset empties the set for a new query remembering up to capacity pages,
+// keeping the storage of the last one.
+func (l *pageLRU) reset(capacity int) {
+	clear(l.slot)
+	l.nodes = l.nodes[:0]
+	l.capacity = capacity
+	if capacity > 0 && l.slot == nil {
+		l.slot = make(map[PageID]int32)
+	}
 }
 
 type lruNode struct {
@@ -481,9 +520,9 @@ func (l *pageLRU) touch(id PageID) bool {
 // add inserts id, which must not be in the set, as the most recent; a set
 // already holding capacity pages first forgets its least recent one, whose
 // node the newcomer takes over.
-func (l *pageLRU) add(id PageID, capacity int) {
+func (l *pageLRU) add(id PageID) {
 	i := int32(len(l.nodes))
-	if int(i) < capacity {
+	if int(i) < l.capacity {
 		l.nodes = append(l.nodes, lruNode{})
 	} else {
 		i = l.tail
@@ -542,7 +581,7 @@ func (qc *QueryCtx) ReadRun(first, last PageID, fn func(id PageID, page []byte) 
 // per-query accounting independent of how many queries run concurrently and
 // of how the bytes were obtained (run read, or a batch's shared fetch).
 func (qc *QueryCtx) chargeRead(id PageID) {
-	if qc.seen.slot != nil && qc.seen.touch(id) {
+	if qc.seen.capacity > 0 && qc.seen.touch(id) {
 		qc.stats.CacheHits++
 		return
 	}
@@ -558,8 +597,8 @@ func (qc *QueryCtx) chargeRead(id PageID) {
 		qc.stats.SimElapsed += qc.pager.model.RandomRead
 	}
 	qc.lastPage = id
-	if qc.seen.slot != nil {
-		qc.seen.add(id, qc.pager.poolSize)
+	if qc.seen.capacity > 0 {
+		qc.seen.add(id)
 	}
 }
 
@@ -640,7 +679,7 @@ func (qc *QueryCtx) EndSpan() {
 // fresh stats and a fresh sequential-read clock over the same pager, reading
 // at the parent's epoch. The child holds no pin of its own — the parent's
 // pin outlives it, since every worker is merged back before the parent
-// publishes.
+// publishes. It comes from the context pool; Recycle it once merged.
 func (qc *QueryCtx) Fork() *QueryCtx { return qc.pager.newQueryCtx(qc.epoch, false) }
 
 // Merge folds a finished child context's activity into this query's stats as

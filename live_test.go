@@ -159,7 +159,11 @@ func (s *pagerSplit) TraceQuery(tr *QueryTrace) {
 // cell fetches of point queries and update batches; the spatial pager's: tree
 // descents only), and afterwards the live database answers like a fresh open
 // of the mutated field, point queries with the field's own interpolation.
+// Every database is opened with the default Workers, so its solo readers fan
+// out over pooled forks while the batches commit: sixteen cores leave idle
+// ones beside the eight readers and two updaters on any machine.
 func TestLiveUpdateStress(t *testing.T) {
+	atLeastProcs(t, 16)
 	fields := map[string]func() (field.Mutable, error){
 		"dem": func() (field.Mutable, error) { return TerrainDEM(32, 42) },
 		"tin": func() (field.Mutable, error) { return NoiseTIN(600, 42) },
@@ -348,6 +352,12 @@ func stressLiveUpdates(t *testing.T, f field.Mutable, opts Options) {
 		}(int64(r) + 1)
 	}
 	wg.Wait()
+	// An untiled position fetch — LinearScan's sidecar survivors, I-All's
+	// candidates — refines on one core; page runs and tiles fan out.
+	byPos := opts.TileSide == 0 && (opts.Method == LinearScan || opts.Method == IAll)
+	if db.Metrics().Engine.WorkerItems == 0 && !byPos {
+		t.Error("no reader fanned out")
+	}
 
 	if split.tree.Add(split.cell) != sumPt {
 		t.Errorf("point-query spans %+v + %+v != the stats the queries returned %+v", split.tree, split.cell, sumPt)

@@ -324,6 +324,7 @@ func TestContourTrace(t *testing.T) {
 }
 
 func TestMetricsRegistry(t *testing.T) {
+	atLeastProcs(t, 2) // a core for each of the two workers
 	dem, err := TerrainDEM(64, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -200,7 +200,7 @@ func (s *surface) QueryMetrics() MetricsSnapshot { return s.ob.Metrics.Snapshot(
 // ValueQueryContext answers the field value query F⁻¹(lo ≤ w ≤ hi): the exact
 // regions where the field's value lies in [lo, hi]. With lo == hi the answer
 // geometry is returned as isolines. ctx is polled between subfield cell runs
-// (and, under Workers > 1, between refinement work units), so a canceled
+// (and, when the query fans out, before each block of runs or tile), so a canceled
 // query stops mid-refinement and returns ctx's error. (The serving tier asks
 // for a response without rings under core.WithMeasure, which this method, the
 // open-ended two and the batch honour: see ValueMeasureContext.)
