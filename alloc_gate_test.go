@@ -7,6 +7,7 @@ package fielddb_test
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -43,6 +44,25 @@ func TestAllocCeilings(t *testing.T) {
 	tiled := func(f field.Field, p *storage.Pager) (core.Index, error) {
 		return core.Build(context.Background(), f, p, core.BuildOptions{Method: core.MethodLinearScan, TileSide: 64, Codec: storage.SidecarCodecPacked})
 	}
+	// A stored row runs the tiled store saved to a file and reopened behind a
+	// pool of pool pages, so a pool miss is a read of the file.
+	stored := func(pool int) func(field.Field, *storage.Pager) (core.Index, error) {
+		return func(f field.Field, p *storage.Pager) (core.Index, error) {
+			built, err := tiled(f, p)
+			if err != nil {
+				return nil, err
+			}
+			path := filepath.Join(t.TempDir(), "stored.fidx")
+			if err := built.(core.Engine).SaveFile(path); err != nil {
+				return nil, err
+			}
+			eng, err := core.Open(path, pool)
+			if err == nil {
+				t.Cleanup(func() { eng.Close() })
+			}
+			return eng, err
+		}
+	}
 	// The pool=256 rows are the miss path: a pool smaller than one scan, so
 	// every query evicts and refills it, and the ceiling bounds what a pool miss
 	// allocates — something per run, nothing per page: frames come back off the
@@ -56,16 +76,18 @@ func TestAllocCeilings(t *testing.T) {
 		measure bool
 		ceiling float64
 	}{
-		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 180},           // 88
-		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 160}, // 76
-		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 130},    // 61
-		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 190},                   // 94
-		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 170},         // 83
-		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 340},                       // 165
-		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 360},             // 175
-		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 300},                // 150
-		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 250},                  // 123
-		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 280},        // 139
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 180},                 // 88
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 160},       // 76
+		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 130},          // 61
+		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 190},                         // 94
+		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 170},               // 83
+		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 340},                             // 165
+		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 360},                   // 175
+		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 300},                      // 150
+		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 250},                        // 123
+		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 280},              // 139
+		{"Tiled-LinearScan/stored/pool=256", stored(256), 256, 1, false, 250},           // 124
+		{"Tiled-LinearScan/stored/pool=256/workers=4", stored(256), 256, 4, false, 280}, // 134
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, c.pool)
@@ -89,6 +111,12 @@ func TestAllocCeilings(t *testing.T) {
 	// pooled partials.
 	if seq, par := measured["I-Hilbert"], measured["I-Hilbert/workers=4"]; par > seq+8 {
 		t.Errorf("a fanned-out query allocates %.0f, a sequential one %.0f (+8 allowance)", par, seq)
+	}
+	// Reading the pages off a file allocates what reading them off memory does.
+	for _, row := range []string{"pool=256", "pool=256/workers=4"} {
+		if mem, file := measured["Tiled-LinearScan/"+row], measured["Tiled-LinearScan/stored/"+row]; file > mem+8 {
+			t.Errorf("a stored %s query allocates %.0f, an in-memory one %.0f (+8 allowance)", row, file, mem)
+		}
 	}
 
 	// A value query through the facade as opened by default, which fans out

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,18 @@ func TestFacadeTypedErrors(t *testing.T) {
 				return err
 			},
 			want: ErrInvertedInterval,
+		},
+		{
+			name: "open of a missing index file",
+			run: func() error {
+				path := filepath.Join(t.TempDir(), "missing.fdb")
+				_, err := OpenIndex(path)
+				if _, serr := os.Stat(path); !errors.Is(serr, fs.ErrNotExist) {
+					return fmt.Errorf("a failed open left %s behind (%v): %v", path, serr, err)
+				}
+				return err
+			},
+			want: fs.ErrNotExist,
 		},
 		{
 			name: "unknown method",

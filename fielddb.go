@@ -453,8 +453,9 @@ func OpenIndex(path string) (*StoredIndex, error) {
 
 // OpenIndexWith opens a database file written by SaveIndex, with control over
 // the buffer pool, refinement parallelism, tracing, and the admission window.
-// A file written at any other catalog version fails with
-// ErrUnsupportedVersion.
+// The file is opened read-only and never written; a missing one fails with an
+// error matching fs.ErrNotExist. A file written at any other catalog version
+// fails with ErrUnsupportedVersion.
 func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	pool := opts.PoolPages
 	if pool == 0 {

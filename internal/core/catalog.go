@@ -209,17 +209,19 @@ func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *partState
 }
 
 // Open opens a database file written by SaveFile and returns a query-ready
-// index backed by the file's pages. The file is opened and its
+// index backed by the file's pages. The file is opened read-only and its
 // catalog read once; a file at any other catalog version is refused before
-// anything else in it is interpreted. poolPages is the buffer-pool capacity in
-// pages; 0 disables caching (strict cold-cache accounting). Updates work on
-// both: ApplyUpdates takes the caller's field.
+// anything else in it is interpreted, and a missing one fails with
+// fs.ErrNotExist. poolPages is the buffer-pool capacity in pages; 0 disables
+// caching (strict cold-cache accounting). Updates work on both: ApplyUpdates
+// takes the caller's field, and the pages it allocates stay in memory past the
+// file's, which it never writes.
 func Open(path string, poolPages int) (Engine, error) {
 	disk, blob, dataPages, err := readCatalogBlob(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := decodeCatalog(blob, storage.NewPager(disk, storage.DefaultDiskModel, poolPages), dataPages)
+	eng, err := decodeCatalog(blob, storage.NewPager(storage.NewTailDisk(disk), storage.DefaultDiskModel, poolPages), dataPages)
 	if err != nil {
 		disk.Close()
 		return nil, fmt.Errorf("core: %s: %w", path, err)
@@ -232,7 +234,7 @@ func Open(path string, poolPages int) (Engine, error) {
 // it — the data region every page id in the catalog must fall in. The caller
 // owns closing the disk (directly or through the pager built over it).
 func readCatalogBlob(path string, pageSize int) (*storage.FileDisk, []byte, int, error) {
-	disk, err := storage.OpenFileDisk(path, pageSize)
+	disk, err := storage.OpenFileDiskReadOnly(path, pageSize)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -8,10 +8,12 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fielddb/internal/geom"
@@ -229,6 +231,136 @@ func TestOpenedFileIsReadOnly(t *testing.T) {
 	}
 	if err := tree.Insert(rstarEntryForTest()); err == nil {
 		t.Fatal("insert into paged-only tree accepted")
+	}
+}
+
+// TestOpenedStoreReadersBesideUpdates: readers of a file-opened tiled store run
+// while update batches commit. The pool holds 64 pages, so nearly every read
+// reaches the file, and each query fans out on up to four workers: the file's
+// readers share it without a lock while the batches allocate tree pages past
+// it, in memory. Every snapshot pinned along the way answers as it did when
+// acquired, no reader fails, the pager's totals move by exactly what the calls
+// published, and the file's bytes never change. Meant for -race.
+func TestOpenedStoreReadersBesideUpdates(t *testing.T) {
+	atLeastProcs(t, 4)
+	ctx := context.Background()
+	f := testDEM(t, 64, 0.7)
+	built, err := Build(ctx, f, newPager(), BuildOptions{Method: MethodIHilbert, TileSide: 16, Codec: storage.SidecarCodecPacked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "live.fidx")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := openIx(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.SetWorkers(4)
+	queries := tiledTestQueries(f)
+
+	type pinned struct {
+		eng  Engine
+		want []*Result
+	}
+	var (
+		mu    sync.Mutex
+		pub   storage.Stats
+		snaps []*pinned
+	)
+	publish := func(st storage.Stats) { mu.Lock(); pub = pub.Add(st); mu.Unlock() }
+	query := func(e Engine, q geom.Interval) (*Result, error) {
+		res, err := e.QueryContext(ctx, q)
+		if err == nil {
+			publish(res.IO)
+		}
+		return res, err
+	}
+	pin := func() {
+		p := &pinned{eng: eng.AcquireSnapshot()}
+		for _, q := range queries {
+			res, err := query(p.eng, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.want = append(p.want, res)
+		}
+		mu.Lock()
+		snaps = append(snaps, p)
+		mu.Unlock()
+	}
+	before := eng.pager.Stats()
+	pin()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop()
+	for r := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				p := snaps[rng.Intn(len(snaps))]
+				mu.Unlock()
+				i := rng.Intn(len(queries))
+				got, err := query(p.eng, queries[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, p.want[i]) {
+					t.Errorf("a snapshot at epoch %d answers %v with %d cells, %v; pinned %d cells, %v",
+						p.eng.Epoch(), queries[i], got.CellsMatched, got.IO, p.want[i].CellsMatched, p.want[i].IO)
+					return
+				}
+				if _, err := query(eng, queries[rng.Intn(len(queries))]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(7))
+	vr := f.ValueRange()
+	for range 12 {
+		updates := make([]SampleUpdate, 8)
+		for i := range updates {
+			updates[i] = SampleUpdate{Sample: rng.Intn(f.NumSamples()), Value: vr.Lo + rng.Float64()*vr.Length()}
+		}
+		res, err := eng.ApplyUpdates(ctx, f, updates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publish(res.IO)
+		pin()
+	}
+	stop()
+	for _, p := range snaps {
+		for i, q := range queries {
+			if got, err := query(p.eng, q); err != nil || !reflect.DeepEqual(got, p.want[i]) {
+				t.Fatalf("after the updates, the snapshot at epoch %d answers %v differently (%v)", p.eng.Epoch(), q, err)
+			}
+		}
+		p.eng.Close()
+	}
+	if got := eng.pager.Stats().Sub(before); got != pub {
+		t.Fatalf("the pager's totals moved by %v, the calls published %v", got, pub)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, saved) {
+		t.Fatalf("the updates changed the opened file (%v)", err)
 	}
 }
 

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -41,6 +43,8 @@ import (
 //     update retires exactly the epochs no open snapshot pins;
 //   - a saved and reopened store gives the same Results, and still does once
 //     the next update batch is applied to both;
+//   - a saved file keeps the bytes it was saved with, whatever the store opened
+//     from it goes through, and still opens once the program ends;
 //   - the pagers' totals move by exactly the statistics the calls published.
 //
 // FuzzEngineProgram decodes programs from bytes. Its seed corpus is one
@@ -255,8 +259,10 @@ type harness struct {
 	pagers []*storage.Pager
 	pub    storage.Stats
 	opened []Engine // file-backed stores, closed at the end
-	dir    string
-	log    []string
+	// saved maps every file a reopen step saved to the hash of its bytes then.
+	saved map[string][sha256.Size]byte
+	dir   string
+	log   []string
 }
 
 // runProgram builds cfg and runs steps on it and on the model, failing t at
@@ -265,7 +271,8 @@ func runProgram(t *testing.T, cfg harnessConfig, steps []step) {
 	// Four idle cores, so that a query at four workers cuts up to four blocks
 	// on any machine.
 	atLeastProcs(t, 4)
-	h := &harness{t: t, cfg: cfg, model: cfg.hf.clone(cfg.hf.f), low: map[*store]uint64{}, dir: t.TempDir()}
+	h := &harness{t: t, cfg: cfg, model: cfg.hf.clone(cfg.hf.f), low: map[*store]uint64{},
+		saved: map[string][sha256.Size]byte{}, dir: t.TempDir()}
 	h.log = append(h.log, cfg.hf.name+"/"+cfg.row.name)
 	defer h.finish()
 	f := cfg.hf.clone(cfg.hf.f)
@@ -282,6 +289,27 @@ func runProgram(t *testing.T, cfg harnessConfig, steps []step) {
 	h.pagers = append(h.pagers, h.sp.pager)
 	for i, s := range steps {
 		h.step(i, s)
+	}
+	h.checkSaved()
+}
+
+// checkSaved holds every file the program saved to the bytes it was saved
+// with — the updates applied to a store opened from it never write into it —
+// and reopens each.
+func (h *harness) checkSaved() {
+	for path, sum := range h.saved {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			h.fatalf("saved file: %v", err)
+		}
+		if sha256.Sum256(data) != sum {
+			h.fatalf("%s changed after it was saved", filepath.Base(path))
+		}
+		e, err := Open(path, 0)
+		if err != nil {
+			h.fatalf("reopen after the program: %v", err)
+		}
+		e.Close()
 	}
 }
 
@@ -865,6 +893,11 @@ func (h *harness) reopen(i int, q geom.Interval) {
 	if err != nil {
 		h.fatalf("save: %v", err)
 	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		h.fatalf("save: %v", err)
+	}
+	h.saved[path] = sha256.Sum256(data)
 	e, err := openIx(path, 8192)
 	if err != nil {
 		h.fatalf("open: %v", err)

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultPageSize is the page size used throughout the paper's experiments.
@@ -32,6 +33,13 @@ const InvalidPage = PageID(^uint32(0))
 var ErrPageOutOfRange = errors.New("storage: page out of range")
 
 // Disk is a flat array of fixed-size pages.
+//
+// A page below NumPages is never rewritten once a published state references
+// it: every writer in fielddb writes only pages it has just allocated — a
+// heap's, a sidecar's, persisted tree nodes, a summary, a catalog — before it
+// publishes them, and an update of an existing page goes to the pager's epoch
+// overlays (epoch.go), never to the disk. So a disk need not exclude readers
+// from its writes: a reader only reaches a page once its writer is done.
 type Disk interface {
 	// PageSize returns the fixed size of every page in bytes.
 	PageSize() int
@@ -113,20 +121,37 @@ func (d *MemDisk) Alloc() (PageID, error) {
 func (d *MemDisk) Close() error { return nil }
 
 // FileDisk is a Disk backed by a single flat file of concatenated pages.
+//
+// Reads take no lock: the page count is an atomic, and a positioned read
+// (os.File.ReadAt) is safe for concurrent use, so a store's readers reach
+// the file side by side. The Disk invariant — a page is written only before
+// a reader can reach it — is what makes that sound. Alloc alone holds a
+// mutex, which orders appends.
 type FileDisk struct {
-	mu       sync.Mutex
 	f        *os.File
 	pageSize int
-	numPages int
+	numPages atomic.Int64
+	allocMu  sync.Mutex // serializes Alloc
 }
 
 // OpenFileDisk opens (creating if necessary) a file-backed disk. An existing
 // file must contain a whole number of pages of the given size.
 func OpenFileDisk(path string, pageSize int) (*FileDisk, error) {
+	return openFileDisk(path, pageSize, os.O_RDWR|os.O_CREATE)
+}
+
+// OpenFileDiskReadOnly opens an existing file-backed disk for reading only:
+// the file is never created, and Alloc and WritePage fail. A missing file
+// fails with an error matching fs.ErrNotExist.
+func OpenFileDiskReadOnly(path string, pageSize int) (*FileDisk, error) {
+	return openFileDisk(path, pageSize, os.O_RDONLY)
+}
+
+func openFileDisk(path string, pageSize, flag int) (*FileDisk, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
@@ -139,28 +164,24 @@ func OpenFileDisk(path string, pageSize int) (*FileDisk, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s size %d is not a multiple of page size %d", path, st.Size(), pageSize)
 	}
-	return &FileDisk{f: f, pageSize: pageSize, numPages: int(st.Size() / int64(pageSize))}, nil
+	d := &FileDisk{f: f, pageSize: pageSize}
+	d.numPages.Store(st.Size() / int64(pageSize))
+	return d, nil
 }
 
 // PageSize implements Disk.
 func (d *FileDisk) PageSize() int { return d.pageSize }
 
 // NumPages implements Disk.
-func (d *FileDisk) NumPages() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+func (d *FileDisk) NumPages() int { return int(d.numPages.Load()) }
 
-// ReadRun implements Disk: one lock acquisition and one positioned read per
-// page of the run. A page the file no longer holds in full — truncated under
-// the open disk — fails the run with io.ErrUnexpectedEOF rather than coming
-// back as its surviving bytes over whatever the buffer held before.
+// ReadRun implements Disk without a lock: one positioned read per page of the
+// run. A page the file no longer holds in full — truncated under the open
+// disk — fails the run with io.ErrUnexpectedEOF rather than coming back as
+// its surviving bytes over whatever the buffer held before.
 func (d *FileDisk) ReadRun(first PageID, bufs [][]byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n := int(first) + len(bufs); n > d.numPages {
-		return fmt.Errorf("%w: read run %d+%d of %d", ErrPageOutOfRange, first, len(bufs), d.numPages)
+	if n, have := int64(first)+int64(len(bufs)), d.numPages.Load(); n > have {
+		return fmt.Errorf("%w: read run %d+%d of %d", ErrPageOutOfRange, first, len(bufs), have)
 	}
 	for i, buf := range bufs {
 		id := first + PageID(i)
@@ -175,12 +196,11 @@ func (d *FileDisk) ReadRun(first PageID, bufs [][]byte) error {
 	return nil
 }
 
-// WritePage implements Disk.
+// WritePage implements Disk. It takes no lock: under the Disk invariant only
+// the page's own writer touches it.
 func (d *FileDisk) WritePage(id PageID, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(id) >= d.numPages {
-		return fmt.Errorf("%w: write %d of %d", ErrPageOutOfRange, id, d.numPages)
+	if have := d.numPages.Load(); int64(id) >= have {
+		return fmt.Errorf("%w: write %d of %d", ErrPageOutOfRange, id, have)
 	}
 	if _, err := d.f.WriteAt(buf[:d.pageSize], int64(id)*int64(d.pageSize)); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", id, err)
@@ -188,17 +208,18 @@ func (d *FileDisk) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Alloc implements Disk.
+// Alloc implements Disk: it appends a zeroed page under the append mutex and
+// only then counts it, so no reader can reach the page before it exists.
 func (d *FileDisk) Alloc() (PageID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id := PageID(d.numPages)
+	d.allocMu.Lock()
+	defer d.allocMu.Unlock()
+	id := d.numPages.Load()
 	zero := make([]byte, d.pageSize)
-	if _, err := d.f.WriteAt(zero, int64(id)*int64(d.pageSize)); err != nil {
+	if _, err := d.f.WriteAt(zero, id*int64(d.pageSize)); err != nil {
 		return InvalidPage, fmt.Errorf("storage: alloc page %d: %w", id, err)
 	}
-	d.numPages++
-	return id, nil
+	d.numPages.Store(id + 1)
+	return PageID(id), nil
 }
 
 // Sync flushes the file's pages to stable storage: the step between writing
@@ -208,7 +229,70 @@ func (d *FileDisk) Sync() error { return d.f.Sync() }
 // Close implements Disk.
 func (d *FileDisk) Close() error { return d.f.Close() }
 
+// TailDisk is a Disk over a base it never writes: the base's pages are read
+// from it as they are, and every page allocated past them lives in memory.
+// A store opened from a file runs on one, so applying updates to it — which
+// allocates pages for the tree nodes it persists — neither writes into nor
+// grows the file. Reads of base pages go straight to the base (lock-free on a
+// FileDisk); only reads of the in-memory tail take its lock.
+type TailDisk struct {
+	base Disk
+	n    int // the base's pages, fixed at construction
+	tail *MemDisk
+}
+
+// NewTailDisk returns a disk serving base's current pages and keeping every
+// page allocated after them in memory. base must not grow behind its back.
+func NewTailDisk(base Disk) *TailDisk {
+	return &TailDisk{base: base, n: base.NumPages(), tail: NewMemDisk(base.PageSize())}
+}
+
+// PageSize implements Disk.
+func (d *TailDisk) PageSize() int { return d.base.PageSize() }
+
+// NumPages implements Disk.
+func (d *TailDisk) NumPages() int { return d.n + d.tail.NumPages() }
+
+// ReadRun implements Disk: the part of the run in the base from the base, the
+// rest from the tail. A run wholly in the base never touches the tail's lock.
+func (d *TailDisk) ReadRun(first PageID, bufs [][]byte) error {
+	k := min(len(bufs), max(d.n-int(first), 0)) // the run's pages in the base
+	if k == len(bufs) {
+		return d.base.ReadRun(first, bufs)
+	}
+	if n, have := int(first)+len(bufs), d.NumPages(); n > have {
+		return fmt.Errorf("%w: read run %d+%d of %d", ErrPageOutOfRange, first, len(bufs), have)
+	}
+	if k > 0 {
+		if err := d.base.ReadRun(first, bufs[:k]); err != nil {
+			return err
+		}
+	}
+	return d.tail.ReadRun(first+PageID(k)-PageID(d.n), bufs[k:])
+}
+
+// WritePage implements Disk: only a tail page may be written.
+func (d *TailDisk) WritePage(id PageID, buf []byte) error {
+	if int(id) < d.n {
+		return fmt.Errorf("storage: write page %d: the first %d pages are read-only", id, d.n)
+	}
+	return d.tail.WritePage(id-PageID(d.n), buf)
+}
+
+// Alloc implements Disk: the page is appended to the in-memory tail.
+func (d *TailDisk) Alloc() (PageID, error) {
+	id, err := d.tail.Alloc()
+	if err != nil {
+		return InvalidPage, err
+	}
+	return id + PageID(d.n), nil
+}
+
+// Close implements Disk by closing the base.
+func (d *TailDisk) Close() error { return d.base.Close() }
+
 var (
 	_ Disk = (*MemDisk)(nil)
 	_ Disk = (*FileDisk)(nil)
+	_ Disk = (*TailDisk)(nil)
 )
