@@ -7,6 +7,7 @@ package fielddb_test
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -219,6 +220,59 @@ func TestAllocCeilings(t *testing.T) {
 			t.Errorf("idle windowed query allocates %.0f, solo %.0f (+8 allowance)", windowed, solo)
 		}
 	})
+}
+
+// TestAllocCeilingsUpdate bounds what one 16-sample update batch allocates on
+// an I-Hilbert store of the 256×256 fixture: the update-load suite's batch,
+// after a first one has made the partition's reusable buffers (the cut's
+// input). Most of what is left is the summary refit's — its sort and step
+// arrays, a few per cell —, then the cut's group list, the hydrated tree copy
+// (an array of bounds per node), the tree patch's inserts (a handful each)
+// and the staged pages. Re-inserting every group into a fresh tree on a moved
+// boundary costs ~275k allocations a batch.
+func TestAllocCeilingsUpdate(t *testing.T) {
+	const allocCeiling, byteCeiling = 5000, 30 // measured: ~2 400, 15.2 MiB
+	f, err := workload.Terrain(256, 4217)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec bench.IndexSpec
+	for _, s := range bench.ValueRangeSpecs() {
+		if s.Label == "I-Hilbert" {
+			spec = s
+		}
+	}
+	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
+	idx, err := spec.Build(f, pager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := idx.(core.Engine)
+	vr := f.ValueRange()
+	rng := rand.New(rand.NewSource(4217))
+	batch := make([]core.SampleUpdate, 16)
+	apply := func() {
+		for i := range batch {
+			batch[i] = core.SampleUpdate{Sample: rng.Intn(f.NumSamples()), Value: vr.Lo + rng.Float64()*vr.Length()}
+		}
+		if _, err := eng.ApplyUpdates(context.Background(), f, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 16
+	apply()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+	t.Logf("%.0f allocs, %.1f MiB per batch (ceilings %d, %d MiB)", allocs, mib, allocCeiling, byteCeiling)
+	if allocs > allocCeiling || mib > byteCeiling {
+		t.Errorf("%.0f allocs, %.1f MiB per update batch; ceilings %d, %d MiB", allocs, mib, allocCeiling, byteCeiling)
+	}
 }
 
 // allocsPerQuery is the mean allocation count of one query of the rotation on

@@ -46,7 +46,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"fielddb/internal/geom"
 )
@@ -144,9 +143,9 @@ func (d *stepData) total() float64 {
 }
 
 // buildStep folds (key, weight) pairs — already sorted by key — into
-// breakpoint form.
+// breakpoint form, at most one breakpoint per key.
 func buildStep(keys, weights []float64) stepData {
-	var d stepData
+	d := stepData{bx: make([]float64, 0, len(keys)), cum: make([]float64, 0, len(keys))}
 	for i, k := range keys {
 		if n := len(d.bx); n > 0 && d.bx[n-1] == k {
 			d.cum[n-1] += weights[i]
@@ -412,21 +411,68 @@ func (s *Summary) fnTotal(fn int) float64 {
 	return s.TotalArea
 }
 
-// sortedBy returns cell indices ordered by key(ivs[i]) ascending (stable on
-// ties by index, for determinism).
+// sortedBy returns cell indices ordered by key(ivs[i]) ascending, ties by
+// index, for determinism. It is a stable LSD radix sort, in digitBits-bit
+// digits, over each key's order-preserving bit image (see orderBits): the
+// cells start in index order and every pass keeps equal digits in the order
+// it found them. A pass whose digit is the same for every key moves nothing
+// and is skipped. Keys are finite, as cell intervals are.
 func sortedBy(ivs []geom.Interval, key func(geom.Interval) float64) []int {
-	idx := make([]int, len(ivs))
-	for i := range idx {
-		idx[i] = i
+	type keyed struct {
+		bits uint64
+		i    int
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := key(ivs[idx[a]]), key(ivs[idx[b]])
-		if ka != kb {
-			return ka < kb
+	n := len(ivs)
+	src, dst := make([]keyed, n), make([]keyed, n)
+	for i, iv := range ivs {
+		src[i] = keyed{orderBits(key(iv)), i}
+	}
+	const buckets = 1 << digitBits
+	var count [buckets]int
+	for shift := 0; shift < 64; shift += digitBits {
+		clear(count[:])
+		for _, k := range src {
+			count[k.bits>>shift&(buckets-1)]++
 		}
-		return idx[a] < idx[b]
-	})
+		if n > 0 && count[src[0].bits>>shift&(buckets-1)] == n {
+			continue
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, k := range src {
+			d := k.bits >> shift & (buckets - 1)
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	idx := make([]int, n)
+	for i, k := range src {
+		idx[i] = k.i
+	}
 	return idx
+}
+
+// digitBits is sortedBy's radix: six passes at most, over a 2 048-entry count
+// table that stays in the L1 cache (measured against 8 and 16 bits: as fast or
+// faster on 65 536 keys, with the smaller table).
+const digitBits = 11
+
+// orderBits maps a float64 to a uint64 whose unsigned order is the float's
+// order: a positive float's sign bit is set, a negative float's bits are all
+// flipped. −0 is folded onto +0 first, since the two compare equal.
+func orderBits(v float64) uint64 {
+	if v == 0 {
+		v = 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // EncodedSize returns the exact byte length Encode will produce.

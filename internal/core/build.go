@@ -284,7 +284,8 @@ func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m 
 
 // indexGroups computes the subfield metadata of a freshly written partition
 // and indexes the subfield intervals. ctx cancels between per-subfield work
-// units.
+// units. Only a build calls it: an update batch patches the tree it has
+// (regroup).
 func (p *partition) indexGroups(ctx context.Context, pager *storage.Pager, groups []subfield.Group, workers int) (*rstar.Tree, []groupMeta, error) {
 	// Per-subfield metadata (page run, summary average) is independent
 	// across groups, so construction fans out on the worker pool.

@@ -58,13 +58,15 @@ type partition struct {
 	// group boundaries (the §3 cost bound). posOf is order's inverse, cell id
 	// to heap position, filled once at build or open and immutable after; ivs
 	// is the current cell interval per heap position, which a file-opened
-	// index hydrates on its first update.
+	// index hydrates on its first update, and refs the cut's input an update
+	// batch refills, made by the first one.
 	order   []field.CellID
 	posOf   []int32
 	cut     cutRule
 	cost    subfield.CostModel
 	maxSize float64
 	ivs     []geom.Interval
+	refs    []subfield.CellRef
 
 	// The I-Auto planner's decision counters.
 	scanQueries, filterQueries atomic.Int64

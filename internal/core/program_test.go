@@ -17,10 +17,12 @@ import (
 	"sync"
 	"testing"
 
+	"fielddb/internal/approx"
 	"fielddb/internal/field"
 	"fielddb/internal/fractal"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
+	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 	"fielddb/internal/tin"
 )
@@ -41,6 +43,9 @@ import (
 //   - each batch member is its solo call, I/O included;
 //   - every open snapshot still gives the Results it gave when acquired, and an
 //     update retires exactly the epochs no open snapshot pins;
+//   - after an update batch, every tree readers search is a valid R*-tree on
+//     its pages whose entries are exactly its subfields' — or, for I-All, its
+//     cells' — intervals, and a refitted summary is the one a build fits;
 //   - a saved and reopened store gives the same Results, and still does once
 //     the next update batch is applied to both;
 //   - a saved file keeps the bytes it was saved with, whatever the store opened
@@ -719,6 +724,7 @@ func (h *harness) update(i int, vr geom.Interval, s step) {
 		for _, u := range ups {
 			mustHarness(h.model.SetSample(u.Sample, u.Value))
 		}
+		h.checkMaintained(&h.cur)
 	}
 	h.sameSamples(h.cur.f)
 	defer h.retire()
@@ -729,6 +735,9 @@ func (h *harness) update(i int, vr geom.Interval, s step) {
 	h.twin = nil
 	if h.apply(tw, ups) != applied {
 		return // a file without a position map refuses what its twin applies
+	}
+	if applied {
+		h.checkMaintained(tw)
 	}
 	vr = h.model.ValueRange()
 	for _, q := range []geom.Interval{interval(vr, s.b, s.c), vr} {
@@ -781,6 +790,90 @@ func (h *harness) apply(l *live, ups []SampleUpdate) bool {
 			res.Epoch, epoch, res.SamplesApplied, res.EpochsRetired, epoch+1, len(ups), retired)
 	}
 	return true
+}
+
+// checkMaintained checks what an update batch left of l's index against the
+// model, rather than trusting the patch: every partition's tree, as readers
+// find it — hydrated from its persisted pages —, passes CheckInvariants and
+// holds exactly the entries (groups[gi].interval, gi) of its subfields, or
+// (interval, id) of every cell where the tree is I-All's; and a store that
+// refits its summary holds, on its summary pages, byte for byte what
+// approx.Build fits from scratch to the model's intervals and areas. The
+// page reads are charged to a context that publishes nothing.
+func (h *harness) checkMaintained(l *live) {
+	st := l.eng.snap.Load()
+	qc := l.eng.pager.BeginQuery()
+	defer qc.Release()
+	var c field.Cell
+	for pi, ps := range st.parts {
+		if ps.tree == nil {
+			continue
+		}
+		paged, err := rstar.OpenPaged(l.eng.pager, ps.tree.RootPage(), 1, rstar.Params{PageSize: l.eng.pager.PageSize()},
+			ps.tree.Len(), ps.tree.PersistedNodes(), ps.tree.Height())
+		if err != nil {
+			h.fatalf("partition %d tree: %v", pi, err)
+		}
+		tree, err := paged.Hydrate(qc)
+		if err != nil {
+			h.fatalf("partition %d tree: %v", pi, err)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			h.fatalf("partition %d tree after the batch: %v", pi, err)
+		}
+		// want[d] is the interval entry d must carry.
+		var want []geom.Interval
+		if ps.groups != nil {
+			for _, g := range ps.groups {
+				want = append(want, g.interval)
+			}
+		} else {
+			for id := range l.eng.parts[pi].cells {
+				want = append(want, h.model.Cell(field.CellID(id), &c).Interval())
+			}
+		}
+		seen := make([]bool, len(want))
+		tree.Search(rstar.Interval1D(math.Inf(-1), math.Inf(1)), func(e rstar.Entry) bool {
+			d := e.Data
+			if d >= uint64(len(want)) || seen[d] || e.MBR.Lo(0) != want[d].Lo || e.MBR.Hi(0) != want[d].Hi {
+				h.fatalf("partition %d tree holds entry %v of payload %d; want one entry per payload below %d, its interval",
+					pi, e.MBR, d, len(want))
+			}
+			seen[d] = true
+			return true
+		})
+		if tree.Len() != len(want) {
+			h.fatalf("partition %d tree holds %d entries, want %d", pi, tree.Len(), len(want))
+		}
+	}
+	s := l.eng.store
+	if s.areas == nil {
+		return // a tiled or opened store widens its summary instead
+	}
+	p := s.parts[0]
+	ivs, areas := make([]geom.Interval, p.cells), make([]float64, p.cells)
+	for pos, id := range p.order {
+		h.model.Cell(id, &c)
+		ivs[pos], areas[pos] = c.Interval(), c.Area()
+	}
+	ps := s.pager.PageSize()
+	sum, err := approx.Build(ivs, areas, s.sumPages*ps)
+	if err != nil {
+		h.fatalf("summary from scratch: %v", err)
+	}
+	want := make([]byte, s.sumPages*ps)
+	copy(want, sum.Encode())
+	var got []byte
+	err = qc.ReadRun(s.sumFirst, s.sumFirst+storage.PageID(s.sumPages-1), func(_ storage.PageID, page []byte) bool {
+		got = append(got, page...)
+		return true
+	})
+	if err != nil {
+		h.fatalf("summary pages: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		h.fatalf("the refitted summary is not the one approx.Build fits from scratch")
+	}
 }
 
 // sameSamples checks that f holds the model's samples.

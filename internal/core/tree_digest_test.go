@@ -1,0 +1,96 @@
+//go:build !race
+
+// Building I-All by insertion over the 256×256 fixture takes seconds, many
+// times that under the race detector, and the digests test arithmetic, not
+// concurrency: the file runs in plain builds only.
+
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"fielddb/internal/rstar"
+	"fielddb/internal/storage"
+	"fielddb/internal/workload"
+)
+
+// treeDigest hashes the persisted node pages of tree in page order. Persist
+// allocates one page per node, root first, depth first, so the pages are the
+// run [root, root+nodes).
+func treeDigest(t *testing.T, tree *rstar.Tree, pager *storage.Pager) string {
+	t.Helper()
+	qc := pager.BeginQuery()
+	defer qc.Release()
+	h := sha256.New()
+	first := tree.RootPage()
+	err := qc.ReadRun(first, first+storage.PageID(tree.PersistedNodes()-1), func(_ storage.PageID, page []byte) bool {
+		h.Write(page)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTreePagesPinned holds the R*-trees the 256×256 benchmark fixture builds
+// to pinned digests of their node pages: the subfield tree and I-All's tree,
+// both built by R* insertion, I-All's again after update batches delete and
+// re-insert cell entries, and the bulk-loaded 2-D spatial tree. The simulated
+// page counts of every suite follow from these pages, so a change to
+// ChooseSubtree's arithmetic, its candidate order or the split moves a digest
+// before it moves a gated row.
+func TestTreePagesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds I-All by insertion over 65 536 cells")
+	}
+	f, err := workload.Terrain(256, 4217)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"I-Hilbert":     "1ebd7c6f2217b441b197afcb84e6103b25b6687ce4305cc7664298efd74c096b",
+		"I-All":         "a2aedbca7c2d9663fca3ca9a60fde90d57c664f1a1097cd04cee82f33c392329",
+		"I-All/updated": "efea56dd07d20d679aadc61fbab11fe04de78de7aff24f3da376bf0a54eaaeba",
+		"spatial":       "2c010a5ac09e859abb565eba250dde6c781a9dbaff0593b960034e45370d3b03",
+	}
+	got := map[string]string{}
+	for _, m := range []Method{MethodIHilbert, MethodIAll} {
+		pager := newPager()
+		eng, err := buildIx(f, pager, BuildOptions{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[string(m)] = treeDigest(t, eng.cur().parts[0].tree, pager)
+		if m != MethodIAll {
+			continue
+		}
+		rng := rand.New(rand.NewSource(4217))
+		vr := f.ValueRange()
+		for b := 0; b < 4; b++ {
+			ups := make([]SampleUpdate, 16)
+			for i := range ups {
+				ups[i] = SampleUpdate{Sample: rng.Intn(f.NumSamples()), Value: vr.Lo + rng.Float64()*vr.Length()}
+			}
+			if _, err := eng.ApplyUpdates(context.Background(), f, ups); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got["I-All/updated"] = treeDigest(t, eng.cur().parts[0].tree, pager)
+	}
+	pager := newPager()
+	sp, err := BuildSpatial(f, pager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["spatial"] = treeDigest(t, sp.tree, pager)
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s tree pages hash to %s, want %s", name, got[name], w)
+		}
+	}
+}

@@ -476,81 +476,109 @@ func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
 	return nil
 }
 
-// regroup is the maintain hook of the curve-ordered partitions: it re-derives
-// the subfield partition with the build's own rule over the updated interval
-// column and returns the next state's tree and groups. When the boundaries
-// are unchanged, only the drifted groups' intervals and summaries are
-// refreshed and the R*-tree is patched incrementally; when a boundary moved,
-// the partition is re-cut and a fresh tree built — exactly the groups a
-// rebuild from scratch on the mutated field would produce (the heap order is
-// the geometric linearization, which updates never change). p.ivs is current.
+// regroup is the maintain hook of the curve-ordered partitions. It re-runs
+// the build's cut over the updated interval column, so the next state's groups
+// are exactly those a rebuild from scratch on the mutated field would cut (the
+// heap order is the geometric linearization, which updates never change), and
+// patches the current state into them with one merge walk over the old and new
+// group lists, matched by extent [start, end):
+//
+//   - a kept group keeps its tree entry, deleted and re-inserted only when its
+//     interval drifted; its avg is refreshed;
+//   - a departed group's entry is deleted, an arrived group's inserted.
+//
+// Group indices shift where the cut moved, so there the survivors' payloads
+// are renumbered first, by one walk over the leaves of the hydrated copy, and
+// the departed ones moved past the new groups, where no insert can collide
+// with them. Then every delete runs, then every insert — which leaves fewer
+// nodes than pairing them up — and the copy is persisted whole, in depth-first
+// order, so a filter's sequential page charges stay what they were. The tree's
+// shape is the patched tree's, not a fresh build's; its entries — and with
+// them groups, candidates and answers — are the rebuild's. regrouped reports a
+// cut that moved a boundary; without one no index shifts. p.ivs is current.
 func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *partState, ch *changes) (*partState, int, bool, error) {
 	if len(ch.cells) == 0 {
 		return &partState{tree: cur.tree, groups: cur.groups}, 0, false, nil
 	}
-	refs := make([]subfield.CellRef, p.cells)
-	for i := range refs {
-		refs[i] = subfield.CellRef{ID: p.order[i], Interval: p.ivs[i]}
+	// The cut's input is one buffer per partition, made by its first batch
+	// rather than its build; updMu serializes the batches that reuse it.
+	if p.refs == nil {
+		p.refs = make([]subfield.CellRef, p.cells)
 	}
-	_, next := p.cut(refs, geom.Rect{}, p.cost, p.maxSize)
-	sameCut := len(next) == len(cur.groups)
-	if sameCut {
-		for i, g := range next {
-			if g.Start != cur.groups[i].startRef || g.End != cur.groups[i].endRef {
-				sameCut = false
-				break
+	for i := range p.refs {
+		p.refs[i] = subfield.CellRef{ID: p.order[i], Interval: p.ivs[i]}
+	}
+	_, next := p.cut(p.refs, geom.Rect{}, p.cost, p.maxSize)
+	old := cur.groups
+	groups := make([]groupMeta, len(next))
+	// to renumbers old payloads; drops and adds are the tree entries to delete
+	// and to insert, under the new numbering.
+	to := make([]uint64, len(old))
+	var drops, adds []rstar.Entry
+	regrouped := false
+	depart := func(i int) {
+		to[i] = uint64(len(next) + i)
+		drops = append(drops, groupEntry(int(to[i]), old[i].interval))
+		regrouped = true
+	}
+	arrive := func(j int) error {
+		var err error
+		groups[j], err = p.groupMetaOf(next[j])
+		adds = append(adds, groupEntry(j, next[j].Interval))
+		regrouped = true
+		return err
+	}
+	for i, j := 0, 0; i < len(old) || j < len(next); {
+		switch {
+		case j == len(next) || i < len(old) && old[i].startRef < next[j].Start:
+			depart(i)
+			i++
+		case i == len(old) || next[j].Start < old[i].startRef:
+			if err := arrive(j); err != nil {
+				return nil, 0, false, err
 			}
+			j++
+		case old[i].endRef != next[j].End:
+			depart(i)
+			if err := arrive(j); err != nil {
+				return nil, 0, false, err
+			}
+			i, j = i+1, j+1
+		default:
+			g := old[i]
+			to[i] = uint64(j)
+			if g.interval != next[j].Interval {
+				drops = append(drops, groupEntry(j, g.interval))
+				adds = append(adds, groupEntry(j, next[j].Interval))
+				g.interval = next[j].Interval
+			}
+			g.avg = groupAvg(p.ivs, g.startRef, g.endRef)
+			groups[j] = g
+			i, j = i+1, j+1
 		}
 	}
-	if sameCut {
-		tree, groups, indexPages, err := p.refreshGroups(stage, cur, next)
-		return &partState{tree: tree, groups: groups}, indexPages, false, err
+	if len(drops)+len(adds) == 0 {
+		return &partState{tree: cur.tree, groups: groups}, 0, false, nil
 	}
-	tree, groups, err := p.indexGroups(stage.ctx, stage.pager, next, 1)
+	work, err := cur.tree.Hydrate(stage.qc)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return &partState{tree: tree, groups: groups}, tree.PersistedNodes(), true, nil
-}
-
-// refreshGroups handles the boundary-stable case: group extents are
-// unchanged, so only the groups whose interval or summary drifted are
-// rebuilt, and the R*-tree is patched entry by entry on a hydrated copy.
-func (p *partition) refreshGroups(stage *overlayStage, cur *partState, next []subfield.Group) (*rstar.Tree, []groupMeta, int, error) {
-	groups := make([]groupMeta, len(cur.groups))
-	copy(groups, cur.groups)
-	var work *rstar.Tree
-	indexPages := 0
-	for gi, g := range next {
-		old := &groups[gi]
-		avg := groupAvg(p.ivs, g.Start, g.End)
-		if g.Interval == old.interval && avg == old.avg {
-			continue
-		}
-		if g.Interval != old.interval {
-			if work == nil {
-				var err error
-				if work, err = cur.tree.Hydrate(stage.qc); err != nil {
-					return nil, nil, 0, err
-				}
-			}
-			if !work.Delete(groupEntry(gi, old.interval)) {
-				return nil, nil, 0, fmt.Errorf("core: group %d interval %v not in index", gi, old.interval)
-			}
-			if err := work.Insert(groupEntry(gi, g.Interval)); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-		old.interval = g.Interval
-		old.avg = avg
+	if regrouped {
+		work.Renumber(func(d uint64) uint64 { return to[d] })
 	}
-	tree := cur.tree
-	if work != nil {
-		if err := work.Persist(stage.pager); err != nil {
-			return nil, nil, 0, err
+	for _, e := range drops {
+		if !work.Delete(e) {
+			return nil, 0, false, fmt.Errorf("core: subfield entry %v of payload %d not in index", e.MBR, e.Data)
 		}
-		tree = work
-		indexPages = work.PersistedNodes()
 	}
-	return tree, groups, indexPages, nil
+	for _, e := range adds {
+		if err := work.Insert(e); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	if err := work.Persist(stage.pager); err != nil {
+		return nil, 0, false, err
+	}
+	return &partState{tree: work, groups: groups}, work.PersistedNodes(), regrouped, nil
 }

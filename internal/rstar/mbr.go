@@ -140,9 +140,26 @@ func (m MBR) Union(o MBR) MBR {
 	return u
 }
 
-// Enlargement returns the increase of m's area needed to cover o.
+// Enlargement returns the increase of m's area needed to cover o: the area of
+// m.Union(o), computed without building it, less m's.
 func (m MBR) Enlargement(o MBR) float64 {
-	return m.Union(o).Area() - m.Area()
+	a := 1.0
+	for i := 0; i < len(m); i += 2 {
+		lo, hi := m[i], m[i+1]
+		if o[i] < lo {
+			lo = o[i]
+		}
+		if o[i+1] > hi {
+			hi = o[i+1]
+		}
+		side := hi - lo
+		if side < 0 {
+			a = 0
+			break
+		}
+		a *= side
+	}
+	return a - m.Area()
 }
 
 // String implements fmt.Stringer.

@@ -113,7 +113,7 @@ func (t *Tree) Hydrate(r storage.PageReader) (*Tree, error) {
 	nt.numNodes = t.numNodes
 	nt.pagedHeight = t.pagedHeight
 	if t.root != nil {
-		nt.root = cloneNode(t.root)
+		nt.root = cloneNode(t.root, t.dims)
 		nt.size = t.size
 		return nt, nil
 	}
@@ -152,9 +152,10 @@ func (t *Tree) decodeNode(r storage.PageReader, id storage.PageID, page []byte) 
 		return nil, 0, fmt.Errorf("rstar: node page %d: corrupt entry count %d", id, count)
 	}
 	n := &node{level: level, entries: make([]nodeEntry, 0, count)}
+	bounds := make([]float64, count*2*t.dims)
 	size := 0
 	for i := 0; i < count; i++ {
-		e := nodeEntry{mbr: t.entryMBR(page, i, make(MBR, 2*t.dims))}
+		e := nodeEntry{mbr: t.entryMBR(page, i, entryBounds(bounds, i, t.dims))}
 		if level == 0 {
 			e.data = t.entryRef(page, i)
 			size++
@@ -174,16 +175,28 @@ func (t *Tree) decodeNode(r storage.PageReader, id storage.PageID, page []byte) 
 	return n, size, nil
 }
 
-// cloneNode deep-copies a subtree.
-func cloneNode(n *node) *node {
+// cloneNode deep-copies a subtree of dims-dimensional MBRs.
+func cloneNode(n *node, dims int) *node {
 	c := &node{level: n.level, entries: make([]nodeEntry, len(n.entries))}
+	bounds := make([]float64, len(n.entries)*2*dims)
 	for i, e := range n.entries {
-		c.entries[i] = nodeEntry{mbr: e.mbr.Clone(), data: e.data}
+		m := entryBounds(bounds, i, dims)
+		copy(m, e.mbr)
+		c.entries[i] = nodeEntry{mbr: m, data: e.data}
 		if e.child != nil {
-			c.entries[i].child = cloneNode(e.child)
+			c.entries[i].child = cloneNode(e.child, dims)
 		}
 	}
 	return c
+}
+
+// entryBounds is the i-th entry's MBR in bounds, one array holding a node's
+// entries' bounds, so that a hydrated tree allocates per node, not per entry.
+// Its capacity ends at its length, so it never reaches into a neighbour's, and
+// it stays valid when its entry moves to another node.
+func entryBounds(bounds []float64, i, dims int) MBR {
+	w := 2 * dims
+	return MBR(bounds[i*w : i*w+w : i*w+w])
 }
 
 // RootPage returns the page id of the persisted root, or storage.InvalidPage

@@ -31,18 +31,23 @@ func (n *node) isLeaf() bool { return n.level == 0 }
 
 // mbr returns the bounding rectangle of all entries of n.
 func (n *node) mbr(dims int) MBR {
+	m := make(MBR, 2*dims)
+	n.mbrInto(m)
+	return m
+}
+
+// mbrInto overwrites m with the bounding rectangle of all entries of n.
+func (n *node) mbrInto(m MBR) {
 	if len(n.entries) == 0 {
-		m := make(MBR, 2*dims)
-		for d := 0; d < dims; d++ {
-			m[2*d], m[2*d+1] = math.Inf(1), math.Inf(-1)
+		for d := 0; d < len(m); d += 2 {
+			m[d], m[d+1] = math.Inf(1), math.Inf(-1)
 		}
-		return m
+		return
 	}
-	m := n.entries[0].mbr.Clone()
+	copy(m, n.entries[0].mbr)
 	for _, e := range n.entries[1:] {
 		m.ExtendInPlace(e.mbr)
 	}
-	return m
 }
 
 // Params tunes the tree. Zero values select the R* paper defaults derived
@@ -153,28 +158,31 @@ func (t *Tree) Insert(e Entry) error {
 	if e.MBR.Dims() != t.dims {
 		return fmt.Errorf("rstar: entry has %d dims, tree has %d", e.MBR.Dims(), t.dims)
 	}
-	// overflowed[level] marks levels that already did a forced reinsert
-	// during this insertion (OverflowTreatment is called at most once per
-	// level per insert, R* paper §4.3).
-	overflowed := make(map[int]bool)
-	t.insertAtLevel(nodeEntry{mbr: e.MBR.Clone(), data: e.Data}, 0, overflowed)
+	// Bit level of overflowed marks a level that already did a forced
+	// reinsert during this insertion (OverflowTreatment is called at most once
+	// per level per insert, R* paper §4.3); a tree is far below 64 levels.
+	var overflowed uint64
+	t.insertAtLevel(nodeEntry{mbr: e.MBR.Clone(), data: e.Data}, 0, &overflowed)
 	t.size++
 	return nil
 }
 
 // insertAtLevel routes the entry to a node at the given level (0 = leaf) and
 // handles overflow.
-func (t *Tree) insertAtLevel(e nodeEntry, level int, overflowed map[int]bool) {
-	path := t.choosePath(e.mbr, level)
+func (t *Tree) insertAtLevel(e nodeEntry, level int, overflowed *uint64) {
+	// The path lives in this frame: a forced reinsert inserts again while it
+	// is live, and a tree taller than the array only costs an allocation.
+	var buf [8]*node
+	path := t.choosePath(buf[:0], e.mbr, level)
 	n := path[len(path)-1]
 	n.entries = append(n.entries, e)
 	t.handleOverflow(path, overflowed)
 }
 
 // choosePath descends from the root to a node at targetLevel using the R*
-// ChooseSubtree criterion and returns the nodes along the way.
-func (t *Tree) choosePath(m MBR, targetLevel int) []*node {
-	path := []*node{t.root}
+// ChooseSubtree criterion and appends the nodes along the way to path.
+func (t *Tree) choosePath(path []*node, m MBR, targetLevel int) []*node {
+	path = append(path, t.root)
 	n := t.root
 	for n.level > targetLevel {
 		idx := t.chooseSubtree(n, m)
@@ -245,7 +253,7 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 
 // handleOverflow walks the path bottom-up resolving overflowing nodes by
 // forced reinsertion (first overflow on a level) or splitting.
-func (t *Tree) handleOverflow(path []*node, overflowed map[int]bool) {
+func (t *Tree) handleOverflow(path []*node, overflowed *uint64) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		if len(n.entries) <= t.maxFill {
@@ -253,8 +261,8 @@ func (t *Tree) handleOverflow(path []*node, overflowed map[int]bool) {
 			continue
 		}
 		isRoot := i == 0
-		if !isRoot && !overflowed[n.level] {
-			overflowed[n.level] = true
+		if bit := uint64(1) << n.level; !isRoot && *overflowed&bit == 0 {
+			*overflowed |= bit
 			t.reinsert(n, path[:i+1], overflowed)
 			// reinsert may grow ancestors; they are handled as the loop
 			// continues upward (their lengths are re-checked).
@@ -275,7 +283,7 @@ func (t *Tree) handleOverflow(path []*node, overflowed map[int]bool) {
 		parent := path[i-1]
 		for j := range parent.entries {
 			if parent.entries[j].child == n {
-				parent.entries[j].mbr = n.mbr(t.dims)
+				n.mbrInto(parent.entries[j].mbr)
 				break
 			}
 		}
@@ -283,14 +291,14 @@ func (t *Tree) handleOverflow(path []*node, overflowed map[int]bool) {
 	}
 }
 
-// tightenPath recomputes the parent MBRs along the path so ancestors stay
-// minimal after reinsertion removed entries below them.
+// tightenPath recomputes the parent MBRs along the path, in place, so
+// ancestors stay minimal after reinsertion removed entries below them.
 func (t *Tree) tightenPath(path []*node) {
 	for i := len(path) - 2; i >= 0; i-- {
 		parent, child := path[i], path[i+1]
 		for j := range parent.entries {
 			if parent.entries[j].child == child {
-				parent.entries[j].mbr = child.mbr(t.dims)
+				child.mbrInto(parent.entries[j].mbr)
 				break
 			}
 		}
@@ -300,7 +308,7 @@ func (t *Tree) tightenPath(path []*node) {
 // reinsert implements R* forced reinsertion: remove the p entries whose
 // centers are farthest from the node MBR's center and insert them again at
 // the same level (far-reinsert order: farthest first).
-func (t *Tree) reinsert(n *node, path []*node, overflowed map[int]bool) {
+func (t *Tree) reinsert(n *node, path []*node, overflowed *uint64) {
 	center := n.mbr(t.dims)
 	type distEntry struct {
 		dist float64
@@ -347,6 +355,8 @@ func (t *Tree) split(n *node) *node {
 		numDistr = M - 2*minK + 2
 	}
 
+	// The two groups' bounds of the distribution being weighed.
+	m1, m2 := make(MBR, 2*t.dims), make(MBR, 2*t.dims)
 	bestAxis, bestAxisMargin := 0, math.Inf(1)
 	type axisSort struct{ byLo, byHi []nodeEntry }
 	sorts := make([]axisSort, t.dims)
@@ -374,8 +384,8 @@ func (t *Tree) split(n *node) *node {
 		for _, sorted := range [][]nodeEntry{byLo, byHi} {
 			for k := 0; k < numDistr; k++ {
 				splitAt := minK + k
-				margin += groupMBR(sorted[:splitAt], t.dims).Margin()
-				margin += groupMBR(sorted[splitAt:], t.dims).Margin()
+				margin += groupMBR(m1, sorted[:splitAt]).Margin()
+				margin += groupMBR(m2, sorted[splitAt:]).Margin()
 			}
 		}
 		if margin < bestAxisMargin {
@@ -390,8 +400,8 @@ func (t *Tree) split(n *node) *node {
 	for _, sorted := range [][]nodeEntry{sorts[bestAxis].byLo, sorts[bestAxis].byHi} {
 		for k := 0; k < numDistr; k++ {
 			splitAt := minK + k
-			m1 := groupMBR(sorted[:splitAt], t.dims)
-			m2 := groupMBR(sorted[splitAt:], t.dims)
+			groupMBR(m1, sorted[:splitAt])
+			groupMBR(m2, sorted[splitAt:])
 			overlap := m1.OverlapArea(m2)
 			area := m1.Area() + m2.Area()
 			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
@@ -408,18 +418,9 @@ func (t *Tree) split(n *node) *node {
 	return right
 }
 
-func groupMBR(es []nodeEntry, dims int) MBR {
-	if len(es) == 0 {
-		m := make(MBR, 2*dims)
-		for d := 0; d < dims; d++ {
-			m[2*d], m[2*d+1] = math.Inf(1), math.Inf(-1)
-		}
-		return m
-	}
-	m := es[0].mbr.Clone()
-	for _, e := range es[1:] {
-		m.ExtendInPlace(e.mbr)
-	}
+// groupMBR overwrites m with the bounding rectangle of es and returns it.
+func groupMBR(m MBR, es []nodeEntry) MBR {
+	(&node{entries: es}).mbrInto(m)
 	return m
 }
 
@@ -528,7 +529,28 @@ func (t *Tree) condense(path []*node) {
 	}
 	t.tightenPath(path[:1])
 	for i, e := range orphans {
-		t.insertAtLevel(e, orphanLevels[i], make(map[int]bool))
+		var overflowed uint64
+		t.insertAtLevel(e, orphanLevels[i], &overflowed)
+	}
+}
+
+// Renumber replaces every leaf payload d with to(d), in one walk over the
+// leaves; bounds and shape are untouched. A paged-only handle has no leaves in
+// memory to rewrite: Hydrate it first.
+func (t *Tree) Renumber(to func(uint64) uint64) {
+	if t.root == nil {
+		panic("rstar: Renumber on a paged-only handle; Hydrate it first")
+	}
+	renumber(t.root, to)
+}
+
+func renumber(n *node, to func(uint64) uint64) {
+	for i := range n.entries {
+		if e := &n.entries[i]; n.isLeaf() {
+			e.data = to(e.data)
+		} else {
+			renumber(e.child, to)
+		}
 	}
 }
 
