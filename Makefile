@@ -49,17 +49,20 @@ race:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
-# Five seconds of each native fuzz target — five decoders of untrusted bytes
-# and the engine's program harness: the catalog's (no panic, an accepted blob
-# re-encodes byte for byte), the FWB1 frame's (no panic, allocation bounded by
-# the input, an encoded result round-trips), the FSC2 column's behind sidecar
-# pages and wire columns (no panic, decode∘encode is the identity on any bit
-# pattern), the FSM1 summary's behind the aggregate tier (no panic, allocation
-# bounded by the input, an accepted summary re-encodes to the same bits and
-# estimates), the HTTP tier's query strings and bodies (no panic, no 500, a
-# refusal is a 400 in bounded allocation, an accepted number is strconv's), and
-# FuzzEngineProgram (every invariant of the engine after every step of a
-# program, against a brute-force model). A failing input lands in the
+# Five seconds of each of the seven native fuzz targets — five decoders of
+# untrusted bytes, the engine's program harness and the refinement kernel: the
+# catalog's (no panic, an accepted blob re-encodes byte for byte), the FWB1
+# frame's (no panic, allocation bounded by the input, an encoded result
+# round-trips), the FSC2 column's behind sidecar pages and wire columns (no
+# panic, decode∘encode is the identity on any bit pattern), the FSM1 summary's
+# behind the aggregate tier (no panic, allocation bounded by the input, an
+# accepted summary re-encodes to the same bits and estimates), the HTTP tier's
+# query strings and bodies (no panic, no 500, a refusal is a 400 in bounded
+# allocation, an accepted number is strconv's), FuzzEngineProgram (every
+# invariant of the engine after every step of a program, against a brute-force
+# model), and FuzzTriangleBand (the band kernel's vertices equal, bit for bit,
+# those of the clip chain internal/band's tests keep verbatim, on any floats a
+# reopened file may hold, NaN and ±Inf included). A failing input lands in the
 # package's testdata/fuzz — commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOpenCatalog$$' -fuzztime 5s
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 5s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFloatColumn$$' -fuzztime 5s
 	$(GO) test ./internal/approx -run '^$$' -fuzz '^FuzzSummary$$' -fuzztime 5s
+	$(GO) test ./internal/band -run '^$$' -fuzz '^FuzzTriangleBand$$' -fuzztime 5s
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # in-process suites (solo, concurrent, update-load, tiled, aggregate — one

@@ -77,14 +77,57 @@ func AppendTriangleBand(dst []geom.Point, p0, p1, p2 geom.Point, w0, w1, w2 floa
 // quad cell (corner values as for QuadBand). The regions land back to back on
 // dst; first is the vertex count of the p0–p1–p2 triangle's region (0 when it
 // has none) and the p0–p2–p3 triangle's region is whatever follows it.
+//
+// It performs AppendTriangleBand's float operations on the same operands, but
+// each distinct one once per quad: the two triangles share the corner
+// p0 = r.Min, the diagonal p0–p2 and the products of the orientation test,
+// and the edge vectors of the one are those of the other.
 func AppendQuadBand(dst []geom.Point, r geom.Rect, v0, v1, v2, v3 float64, lo, hi float64) (out []geom.Point, first int) {
-	p0 := r.Min
-	p1 := geom.Pt(r.Max.X, r.Min.Y)
-	p2 := r.Max
-	p3 := geom.Pt(r.Min.X, r.Max.Y)
-	out = AppendTriangleBand(dst, p0, p1, p2, v0, v1, v2, lo, hi)
+	x0, y0, x1, y1 := r.Min.X, r.Min.Y, r.Max.X, r.Max.Y
+	p0, p1, p2, p3 := r.Min, geom.Pt(x1, y0), r.Max, geom.Pt(x0, y1)
+	// TriangleGradient's edge vectors: p1−p0 = (w, zy) and p2−p0 = (w, h) for
+	// the first triangle, p2−p0 and p3−p0 = (zx, h) for the second. zx and zy
+	// are 0 unless the corner is infinite.
+	w, h, zx, zy := x1-x0, y1-y0, x0-x0, y0-y0
+	wh := w * h
+	d10, d20, d30 := v1-v0, v2-v0, v3-v0
+	// Polygon.SignedArea's cross products: the first triangle's are
+	// c01 = x0·y0 − y0·x1, c12 = x1·y1 − y0·x1 and c20 = x1·y0 − y1·x0, the
+	// second's x0·y1 − y0·x1, x1·y1 − y1·x0 and x0·y0 − y1·x0. Products are
+	// commutative bit for bit, but for which NaN a product of two NaNs is —
+	// and any NaN sum reverses the triangle — so four of them cover both.
+	x0y0, y0x1, x1y1, y1x0 := x0*y0, y0*x1, x1*y1, y1*x0
+	// Both gradients up front, so their four divisions overlap; a degenerate
+	// triangle's are computed and not used.
+	detA, detB := wh-zy*w, wh-h*zx
+	gA := geom.Pt((d10*h-d20*zy)/detA, (d20*w-d10*w)/detA)
+	gB := geom.Pt((d20*h-d30*h)/detB, (d30*w-d20*zx)/detB)
+	bA, bB := v0-gA.Dot(p0), v0-gB.Dot(p0)
+
+	out = dst
+	switch {
+	case detA > -1e-300 && detA < 1e-300:
+		if avg := (v0 + v1 + v2) / 3; lo <= avg && avg <= hi {
+			out = append(out, p0, p1, p2)
+		}
+	case geom.CCW((x0y0 - y0x1) + (x1y1 - y0x1) + (y0x1 - y1x0)):
+		out = geom.AppendCCWTriangleBand(out, p0, p1, p2, gA, bA, lo, hi)
+	default:
+		out = geom.AppendCCWTriangleBand(out, p2, p1, p0, gA, bA, lo, hi)
+	}
 	first = len(out) - len(dst)
-	return AppendTriangleBand(out, p0, p2, p3, v0, v2, v3, lo, hi), first
+
+	switch {
+	case detB > -1e-300 && detB < 1e-300:
+		if avg := (v0 + v2 + v3) / 3; lo <= avg && avg <= hi {
+			out = append(out, p0, p2, p3)
+		}
+	case geom.CCW((y1x0 - y0x1) + (x1y1 - y1x0) + (x0y0 - y1x0)):
+		out = geom.AppendCCWTriangleBand(out, p0, p2, p3, gB, bB, lo, hi)
+	default:
+		out = geom.AppendCCWTriangleBand(out, p3, p2, p0, gB, bB, lo, hi)
+	}
+	return out, first
 }
 
 // Polygons copies the regions a band kernel left in pts — the first `first`

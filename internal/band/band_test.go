@@ -285,23 +285,21 @@ type bandCase struct {
 }
 
 // sameVertices reports whether got has exactly want's vertices, compared as
-// bit patterns (so -0 differs from +0). Two NaNs match whatever their
-// payloads, which depend on operand order the compiler may choose per call
-// site; only inputs near the float64 range's ends overflow into them.
+// bit patterns: -0 differs from +0, and a NaN matches only the same NaN.
 func sameVertices(got []geom.Point, want geom.Polygon) bool {
 	if len(got) != len(want) {
 		return false
 	}
-	same := func(a, b float64) bool {
-		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-	}
 	for i := range got {
-		if !same(got[i].X, want[i].X) || !same(got[i].Y, want[i].Y) {
+		if !sameBits(got[i].X, want[i].X) || !sameBits(got[i].Y, want[i].Y) {
 			return false
 		}
 	}
 	return true
 }
+
+// sameBits reports whether a and b have the same bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkKernel holds every entry point to the reference on one case: the
 // append kernel behind a prefix it must leave alone, and the two wrappers.
@@ -399,72 +397,33 @@ func TestBandKernelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQuadBandBitIdentical holds QuadBand and AppendQuadBand to the reference
-// run on the quad's two triangles.
-func TestQuadBandBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(1503))
-	for i := 0; i < 50_000; i++ {
-		x, y := float64(rng.Intn(512)), float64(rng.Intn(512))
-		r := geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+1, y+1)}
-		var v [4]float64
-		for j := range v {
-			v[j] = 500 + rng.Float64()*40
-		}
-		lo := 490 + rng.Float64()*50
-		hi := lo + rng.Float64()*20
-		p1, p3 := geom.Pt(r.Max.X, r.Min.Y), geom.Pt(r.Min.X, r.Max.Y)
-		var want []geom.Polygon
-		for _, pg := range []geom.Polygon{
-			refTriangleBand(r.Min, p1, r.Max, v[0], v[1], v[2], lo, hi),
-			refTriangleBand(r.Min, r.Max, p3, v[0], v[2], v[3], lo, hi),
-		} {
-			if pg != nil {
-				want = append(want, pg)
-			}
-		}
-		got := QuadBand(r, v[0], v[1], v[2], v[3], lo, hi)
-		if len(got) != len(want) {
-			t.Fatalf("quad %v %v [%g, %g]: %d regions, reference %d", r, v, lo, hi, len(got), len(want))
-		}
-		for j := range got {
-			if !sameVertices(got[j], want[j]) {
-				t.Fatalf("quad %v %v [%g, %g] region %d:\nQuadBand  = %v\nreference = %v", r, v, lo, hi, j, got[j], want[j])
-			}
-		}
-		pts, first := AppendQuadBand(nil, r, v[0], v[1], v[2], v[3], lo, hi)
-		if again := Polygons(pts, first); len(again) != len(got) {
-			t.Fatalf("quad %v %v [%g, %g]: AppendQuadBand split into %d regions, QuadBand into %d", r, v, lo, hi, len(again), len(got))
-		}
-	}
-}
-
-// TestBandKernelAllocationFree pins what the kernel exists for: with room in
-// dst it allocates nothing, whatever the triangle and band.
-func TestBandKernelAllocationFree(t *testing.T) {
-	cases := bandCases(1504, 512)
-	dst := make([]geom.Point, 0, MaxCellVertices)
-	if n := testing.AllocsPerRun(10, func() {
-		for _, c := range cases {
-			if out := AppendTriangleBand(dst, c.p0, c.p1, c.p2, c.w0, c.w1, c.w2, c.lo, c.hi); len(out) > MaxCellVertices/2 {
-				t.Fatalf("%+v: a region of %d vertices", c, len(out))
-			}
-		}
-	}); n != 0 {
-		t.Fatalf("AppendTriangleBand allocated %v times over %d cases with room in dst", n, len(cases))
-	}
-}
-
+// FuzzTriangleBand holds the kernel to the reference on any eleven floats.
+// Nothing is skipped: Cell.Validate refuses NaN and ±Inf values only when a
+// field is built or updated, while field.DecodeCell and
+// field.CellIntervalFromRecord take a reopened file's bits as they are, so the
+// kernel meets whatever a file holds — and must still match the reference bit
+// for bit, NaNs included.
 func FuzzTriangleBand(f *testing.F) {
 	for _, c := range bandCases(1505, 64) {
 		f.Add(c.p0.X, c.p0.Y, c.p1.X, c.p1.Y, c.p2.X, c.p2.Y, c.w0, c.w1, c.w2, c.lo, c.hi)
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	payload := math.Float64frombits(0x7ff0_0000_dead_beef) // a signalling NaN
+	for _, v := range [][11]float64{
+		{0, 0, 1, 0, 1, 1, nan, 1, 2, 0, 3},
+		{0, 0, 1, 0, 1, 1, 0, 1, 2, payload, 3},
+		{0, 0, 1, 0, 1, 1, 0, 1, 2, 0.5, nan},
+		{0, nan, 1, 0, 1, 1, 0, 1, 2, 0, 3},
+		{0, 0, inf, 0, inf, 1, 0, 1, 2, 0, 3},
+		{0, 0, 1, 0, 1, 1, 0, inf, 2, 0, 3},
+		{0, 0, 1, 0, 1, 1, -inf, 0, inf, -1, 1},
+		{0, 0, 1, 0, 1, 1, 0, 1, 2, -inf, inf},
+		{-1e308, 0, 1e308, 0, 1e308, 1, 0, 1, 2, 0.5, 1.5},
+		{0, 0, 1e-310, 0, 0, 1e-310, 0, 1, 2, 0.5, 1.5},
+	} {
+		f.Add(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10])
+	}
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, x2, y2, w0, w1, w2, lo, hi float64) {
-		// Cells are validated finite before they are stored.
-		for _, v := range []float64{x0, y0, x1, y1, x2, y2, w0, w1, w2, lo, hi} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Skip()
-			}
-		}
 		checkKernel(t, bandCase{geom.Pt(x0, y0), geom.Pt(x1, y1), geom.Pt(x2, y2), w0, w1, w2, lo, hi})
 	})
 }

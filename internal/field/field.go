@@ -47,8 +47,23 @@ func (c *Cell) Interval() geom.Interval {
 	return iv
 }
 
-// Bounds returns the spatial bounding rectangle of the cell.
-func (c *Cell) Bounds() geom.Rect { return geom.RectFromPoints(c.Vertices...) }
+// Bounds returns the spatial bounding rectangle of the cell:
+// geom.RectFromPoints of its vertices. A DEM quad — min corner first, then
+// counter-clockwise, each coordinate repeated bit for bit by the neighbour
+// that shares it, min strictly below max — is bounded by its first and third
+// vertices, and the fold over min and max would return exactly those (no
+// NaN passes the < tests, and no ±0 pair either); any other cell takes the
+// fold.
+func (c *Cell) Bounds() geom.Rect {
+	if v := c.Vertices; len(v) == 4 && v[0].X < v[2].X && v[0].Y < v[2].Y &&
+		same(v[1].X, v[2].X) && same(v[3].X, v[0].X) && same(v[1].Y, v[0].Y) && same(v[3].Y, v[2].Y) {
+		return geom.Rect{Min: v[0], Max: v[2]}
+	}
+	return geom.RectFromPoints(c.Vertices...)
+}
+
+// same reports whether a and b have the same bits.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Center returns the centroid of the cell's vertices — the position whose
 // Hilbert value orders the cell (§3.1.2).
@@ -65,18 +80,7 @@ func (c *Cell) Center() geom.Point {
 // Area returns the planar area of the cell polygon (shoelace formula over
 // the vertex ring). The aggregate tier weighs cells by it, both when fitting
 // area summaries and when an exact fallback accumulates matched area.
-func (c *Cell) Area() float64 {
-	n := len(c.Vertices)
-	if n < 3 {
-		return 0
-	}
-	sum := 0.0
-	for i, p := range c.Vertices {
-		q := c.Vertices[(i+1)%n]
-		sum += p.Cross(q)
-	}
-	return math.Abs(sum) / 2
-}
+func (c *Cell) Area() float64 { return geom.Polygon(c.Vertices).Area() }
 
 // Validate reports structural problems with the cell.
 func (c *Cell) Validate() error {

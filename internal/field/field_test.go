@@ -47,6 +47,32 @@ func TestCellCenterBounds(t *testing.T) {
 	}
 }
 
+// TestCellBoundsMatchesFold holds Cell.Bounds to geom.RectFromPoints bit for
+// bit: on DEM quads, which take its shortcut, and on four-vertex cells that
+// only nearly look like one — ±0 pairs, NaN, ±Inf, equal or swapped corners.
+func TestCellBoundsMatchesFold(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, 2, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(41))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := 0; i < 50_000; i++ {
+		pick := func() float64 { return pool[rng.Intn(len(pool))] }
+		r := geom.Rect{Min: geom.Pt(pick(), pick()), Max: geom.Pt(pick(), pick())}
+		c := quadCell(0, r, 0, 0, 0, 0)
+		if rng.Intn(2) == 0 { // perturb one coordinate
+			v := &c.Vertices[rng.Intn(4)]
+			if rng.Intn(2) == 0 {
+				v.X = pick()
+			} else {
+				v.Y = pick()
+			}
+		}
+		got, want := c.Bounds(), geom.RectFromPoints(c.Vertices...)
+		if !same(got.Min.X, want.Min.X) || !same(got.Min.Y, want.Min.Y) || !same(got.Max.X, want.Max.X) || !same(got.Max.Y, want.Max.Y) {
+			t.Fatalf("%v: Bounds %v, fold %v", c.Vertices, got, want)
+		}
+	}
+}
+
 func TestCellValidate(t *testing.T) {
 	good := triCell(0, geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), 1, 2, 3)
 	if err := good.Validate(); err != nil {

@@ -215,12 +215,20 @@ func (pg Polygon) Area() float64 {
 	if len(pg) < 3 {
 		return 0
 	}
+	return math.Abs(pg.shoelace()) / 2
+}
+
+// shoelace returns twice the signed area of a non-empty ring: the cross
+// products of consecutive vertices, the closing edge last, added left to
+// right onto 0.
+func (pg Polygon) shoelace() float64 {
 	sum := 0.0
-	for i := range pg {
-		j := (i + 1) % len(pg)
-		sum += pg[i].Cross(pg[j])
+	prev := pg[0]
+	for _, p := range pg[1:] {
+		sum += prev.Cross(p)
+		prev = p
 	}
-	return math.Abs(sum) / 2
+	return sum + prev.Cross(pg[0])
 }
 
 // Centroid returns the area centroid of the polygon. For degenerate polygons
@@ -268,36 +276,54 @@ type HalfPlane struct {
 }
 
 // Inside reports whether p satisfies the half-plane constraint.
-func (h HalfPlane) Inside(p Point) bool { return h.N.Dot(p) <= h.C+1e-12 }
+func (h HalfPlane) Inside(p Point) bool { return within(h.N.Dot(p), h.C) }
 
-// appendClip is the one Sutherland–Hodgman step in the package: it appends to
-// dst the convex polygon pg clipped against the half-plane h and returns the
-// extended slice. dst must not alias pg. The result can have fewer than three
-// vertices; callers decide what an empty clip is.
-func appendClip(dst, pg []Point, h HalfPlane) []Point {
-	for i := range pg {
-		cur := pg[i]
-		nxt := pg[(i+1)%len(pg)]
-		curIn, nxtIn := h.Inside(cur), h.Inside(nxt)
-		if curIn {
-			dst = append(dst, cur)
-		}
-		if curIn != nxtIn {
-			// Edge crosses the boundary N·p = C; find the crossing point.
-			d := nxt.Sub(cur)
-			denom := h.N.Dot(d)
-			if math.Abs(denom) > 1e-300 {
-				t := (h.C - h.N.Dot(cur)) / denom
-				if t < 0 {
-					t = 0
-				} else if t > 1 {
-					t = 1
-				}
-				dst = append(dst, cur.Add(d.Scale(t)))
+// within is the half-plane test on a vertex's dot product N·p against the
+// offset C, with the clipper's absolute tolerance.
+func within(dot, c float64) bool { return dot <= c+1e-12 }
+
+// appendEdge is one edge cur→nxt of the Sutherland–Hodgman step against h,
+// given both ends' dot products with h.N: it appends cur if it is inside, and
+// the crossing point if the edge leaves or enters the half-plane.
+func appendEdge(dst []Point, cur, nxt Point, dc, dn float64, h HalfPlane) []Point {
+	curIn := within(dc, h.C)
+	if curIn {
+		dst = append(dst, cur)
+	}
+	if curIn != within(dn, h.C) {
+		// Edge crosses the boundary N·p = C; find the crossing point.
+		d := nxt.Sub(cur)
+		denom := h.N.Dot(d)
+		if math.Abs(denom) > 1e-300 {
+			t := (h.C - dc) / denom
+			if t < 0 {
+				t = 0
+			} else if t > 1 {
+				t = 1
 			}
+			dst = append(dst, cur.Add(d.Scale(t)))
 		}
 	}
 	return dst
+}
+
+// appendClip is the Sutherland–Hodgman step: it appends to dst the convex
+// polygon pg clipped against the half-plane h and returns the extended slice.
+// Each vertex's dot product with h.N is computed once and serves both edges
+// it ends. dst must not alias pg. The result can have fewer than three
+// vertices; callers decide what an empty clip is.
+func appendClip(dst, pg []Point, h HalfPlane) []Point {
+	if len(pg) == 0 {
+		return dst
+	}
+	cur, dc := pg[0], h.N.Dot(pg[0])
+	first, d0 := cur, dc
+	for _, nxt := range pg[1:] {
+		dn := h.N.Dot(nxt)
+		dst = appendEdge(dst, cur, nxt, dc, dn, h)
+		cur, dc = nxt, dn
+	}
+	return appendEdge(dst, cur, first, dc, d0, h)
 }
 
 // ClipConvex clips the convex polygon pg against the half-plane h using the
@@ -317,28 +343,79 @@ func ClipConvex(pg Polygon, h HalfPlane) Polygon {
 // of a value band and appends the surviving convex polygon to dst: given the
 // linear value function value(p) = grad·p + b, it keeps the region where
 // lo <= value(p) <= hi. dst comes back unchanged when fewer than three
-// vertices survive. Nothing is allocated while dst has room: the first clip
-// runs through a stack buffer (a triangle cut by one half-plane has at most 4
-// vertices) and the second appends straight onto dst — at most 5 vertices for
-// two parallel cuts, 6 if rounding alone flips a vertex's side.
+// vertices survive. Nothing is allocated while dst has room for 6 vertices:
+// at most 5 for two parallel cuts, 6 if rounding alone flips a vertex's side.
 //
-// The float operations and their order are those of orienting the triangle
-// counter-clockwise and calling ClipConvex twice, so the vertices are
+// The float operations, their operands and their order are those of orienting
+// the triangle with EnsureCCW and calling ClipConvex twice, so the vertices are
 // bit-identical to that chain.
 func AppendTriangleBand(dst []Point, p0, p1, p2, grad Point, b, lo, hi float64) []Point {
-	tri := [3]Point{p0, p1, p2}
-	if Polygon(tri[:]).SignedArea() < 0 {
-		tri[0], tri[2] = tri[2], tri[0]
+	if !CCW(p0.Cross(p1) + p1.Cross(p2) + p2.Cross(p0)) {
+		p0, p2 = p2, p0
 	}
+	return AppendCCWTriangleBand(dst, p0, p1, p2, grad, b, lo, hi)
+}
+
+// CCW is EnsureCCW's test on a triangle's shoelace sum: the ring is kept when
+// its SignedArea is >= 0 and reversed otherwise, NaN included. The sum may
+// drop SignedArea's leading 0 + , which only changes the sign of a zero sum;
+// the halving stays, since the smallest negative subnormal halves to -0.
+func CCW(shoelace float64) bool { return shoelace/2 >= 0 }
+
+// AppendCCWTriangleBand is AppendTriangleBand for a triangle its caller has
+// already oriented as EnsureCCW would (see CCW): (p0, p1, p2) is clipped in
+// that order.
+//
+// Each vertex's dot product with a plane's normal is computed once, exactly as
+// the clip computes it, and the clip's own test classifies the triangle
+// before any clipping: all three vertices inside the value <= hi plane make
+// that clip the triangle itself, none make it empty, and the same goes for
+// the value >= lo plane (normal -grad, its dot taken directly rather than as
+// -(grad·p), which a fused multiply-add could round differently). A triangle
+// inside both planes is appended as it is; only a triangle some plane cuts
+// is clipped.
+func AppendCCWTriangleBand(dst []Point, p0, p1, p2, grad Point, b, lo, hi float64) []Point {
 	// value(p) <= hi   <=>   G·p <= hi - b
-	var buf [4]Point
-	upper := appendClip(buf[:0], tri[:], HalfPlane{N: grad, C: hi - b})
-	if len(upper) < 3 {
-		return dst
-	}
+	upper := HalfPlane{N: grad, C: hi - b}
 	// value(p) >= lo   <=>   -G·p <= b - lo
+	lower := HalfPlane{N: Point{-grad.X, -grad.Y}, C: b - lo}
+	u0, u1, u2 := grad.Dot(p0), grad.Dot(p1), grad.Dot(p2)
+	in0, in1, in2 := within(u0, upper.C), within(u1, upper.C), within(u2, upper.C)
 	n := len(dst)
-	dst = appendClip(dst, upper, HalfPlane{N: Point{-grad.X, -grad.Y}, C: b - lo})
+	switch {
+	case !in0 && !in1 && !in2:
+		return dst
+	case in0 && in1 && in2:
+		l0, l1, l2 := lower.N.Dot(p0), lower.N.Dot(p1), lower.N.Dot(p2)
+		m0, m1, m2 := within(l0, lower.C), within(l1, lower.C), within(l2, lower.C)
+		if m0 && m1 && m2 {
+			return append(dst, p0, p1, p2)
+		}
+		if !m0 && !m1 && !m2 {
+			return dst
+		}
+		dst = appendEdge(dst, p0, p1, l0, l1, lower)
+		dst = appendEdge(dst, p1, p2, l1, l2, lower)
+		dst = appendEdge(dst, p2, p0, l2, l0, lower)
+	default:
+		// The upper cut lands on dst; when the lower plane keeps all of
+		// it, it is the region. A 3-ring has at most two in/out transitions
+		// whatever the rounding, so the cut has at most 4 vertices.
+		dst = appendEdge(dst, p0, p1, u0, u1, upper)
+		dst = appendEdge(dst, p1, p2, u1, u2, upper)
+		dst = appendEdge(dst, p2, p0, u2, u0, upper)
+		if len(dst)-n < 3 {
+			return dst[:n]
+		}
+		for _, p := range dst[n:] {
+			if !within(lower.N.Dot(p), lower.C) {
+				var cut [4]Point
+				k := copy(cut[:], dst[n:])
+				dst = appendClip(dst[:n], cut[:k], lower)
+				break
+			}
+		}
+	}
 	if len(dst)-n < 3 {
 		return dst[:n]
 	}
@@ -373,12 +450,10 @@ func ConvexIntersect(a, b Polygon) Polygon {
 
 // SignedArea returns the signed area (positive for counter-clockwise).
 func (pg Polygon) SignedArea() float64 {
-	sum := 0.0
-	for i := range pg {
-		j := (i + 1) % len(pg)
-		sum += pg[i].Cross(pg[j])
+	if len(pg) == 0 {
+		return 0
 	}
-	return sum / 2
+	return pg.shoelace() / 2
 }
 
 // EnsureCCW returns pg with counter-clockwise orientation, reversing a copy

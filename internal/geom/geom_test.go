@@ -206,6 +206,49 @@ func TestPolygonArea(t *testing.T) {
 	}
 }
 
+// TestShoelaceFoldOrder holds Area and SignedArea to the modulo loop they
+// replaced, verbatim, bit for bit: the cross products are added in ring order
+// whatever the vertices, ±0 and ±Inf included. A NaN result matches any NaN:
+// when two NaNs meet (NaN and Inf−Inf here) the compiler's operand order per
+// call site decides which comes out.
+func TestShoelaceFoldOrder(t *testing.T) {
+	ref := func(pg Polygon) float64 {
+		sum := 0.0
+		for i := range pg {
+			j := (i + 1) % len(pg)
+			sum += pg[i].Cross(pg[j])
+		}
+		return sum
+	}
+	pool := []float64{0, math.Copysign(0, -1), 1, -3, 1e-310, 1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(77))
+	pick := func() float64 {
+		if rng.Intn(3) == 0 {
+			return pool[rng.Intn(len(pool))]
+		}
+		return rng.NormFloat64() * 100
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for i := 0; i < 20_000; i++ {
+		pg := make(Polygon, rng.Intn(8))
+		for j := range pg {
+			pg[j] = Pt(pick(), pick())
+		}
+		wantArea := 0.0
+		if len(pg) >= 3 {
+			wantArea = math.Abs(ref(pg)) / 2
+		}
+		if got := pg.Area(); !same(got, wantArea) {
+			t.Fatalf("%v: Area %v, modulo fold %v", pg, got, wantArea)
+		}
+		if got, want := pg.SignedArea(), ref(pg)/2; !same(got, want) {
+			t.Fatalf("%v: SignedArea %v, modulo fold %v", pg, got, want)
+		}
+	}
+}
+
 func TestPolygonCentroid(t *testing.T) {
 	sq := Polygon{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
 	c := sq.Centroid()
