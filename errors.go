@@ -44,7 +44,7 @@ var (
 	// ErrUnknownMethod reports an Options.Method outside the method table.
 	ErrUnknownMethod = core.ErrUnknownMethod
 	// ErrBadTiling reports an Options combination the builder refuses:
-	// TileSide with Auto or IAll, TileSide 1, or an unknown SidecarCodec.
+	// TileSide with Auto or IAll, TileSide 1, or a SidecarCodec not LinearScan's.
 	ErrBadTiling = core.ErrBadOptions
 	// ErrNoPartition reports subfield summaries (ApproxValueQueryContext) asked
 	// of a configuration that forms no subfields, or SaveIndex on the Auto

@@ -294,7 +294,7 @@ func TestOpenIndexWith(t *testing.T) {
 // current version's row is the control: the same rewrite leaves a file that
 // opens.
 func TestUnsupportedVersionsRefused(t *testing.T) {
-	const current = 6
+	const current = 7
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
 		t.Fatal(err)

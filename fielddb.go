@@ -116,9 +116,9 @@ const (
 // Options configures Open. Everything else about a database is fixed: 4 KiB
 // pages (as in the paper's experiments), a 65536-page sharded buffer pool per
 // pager, the default simulated disk model, Hilbert linearization under the
-// paper's cost model (Epsilon = 1), an Interval-Quadtree threshold of 1/16 of
-// the value range, and an interval sidecar on every index. Comparisons across
-// those axes are measurement exercises and run through internal/bench.
+// paper's cost model (Epsilon = 1), and an Interval-Quadtree threshold of 1/16
+// of the value range. Comparisons across those axes are measurement exercises
+// and run through internal/bench.
 type Options struct {
 	// Method selects the value index; the default is IHilbert, the paper's
 	// proposed method.
@@ -133,20 +133,20 @@ type Options struct {
 	// per-query I/O stats are identical regardless of Workers.
 	Workers int
 	// TileSide, when positive, splits the field into TileSide×TileSide-cell
-	// tiles, each a self-contained partition with its own heap segment,
-	// interval sidecar and index, under a scatter-gather planner that prunes
-	// whole tiles by their (min, max) value summary before reading a single
-	// page. This is the scale-out read path for large terrains: a narrow
-	// value band touches only the tiles whose summary intersects it. Answers
-	// are byte-identical to the untiled build of the same Method. TileSide
-	// must be at least 2; Auto and IAll do not tile (ErrBadTiling). The
-	// default, zero, builds the single-partition index.
+	// tiles, each a self-contained partition with its own heap segment and
+	// index (LinearScan's: its interval sidecar), under a scatter-gather
+	// planner that prunes whole tiles by their (min, max) value summary before
+	// reading a single page. This is the scale-out read path for large
+	// terrains: a narrow value band touches only the tiles whose summary
+	// intersects it. Answers are byte-identical to the untiled build of the
+	// same Method. TileSide must be at least 2; Auto and IAll do not tile
+	// (ErrBadTiling). The default, zero, builds the single-partition index.
 	TileSide int
-	// SidecarCodec selects the interval sidecar's page codec: "raw" (FSC1,
-	// fixed 255 entries per 4 KiB page) or "packed" (FSC2, delta-encoded and
+	// SidecarCodec selects the page codec of LinearScan's interval sidecar
+	// (a method with a tree keeps none and refuses one): "raw" (FSC1, fixed
+	// 255 entries per 4 KiB page) or "packed" (FSC2, delta-encoded and
 	// bit-packed, typically 3-6× the entries per page and proportionally
-	// fewer filter reads). Empty selects raw. Answers are byte-identical
-	// under either codec.
+	// fewer filter reads). Empty selects raw. Answers are byte-identical.
 	SidecarCodec string
 	// Tracer, when set, receives one QueryTrace per finished query (value,
 	// point, approximate, and contour-assembly alike). Nil — the default —
@@ -401,14 +401,14 @@ func (db *DB) Metrics() EngineMetrics {
 	}
 }
 
-// SaveIndex writes the built value index (cell heaps, sidecars, R*-tree pages
-// and catalog) to a single database file that OpenIndex can query without
-// rebuilding. Every method saves, tiled or not — the file is the index's
-// partitions, one record each, so the reopened index prunes, filters and
-// updates exactly like this one — except Auto, whose histogram is derived from
-// the field (ErrNoPartition). The file is written beside path and renamed over
-// it once complete: a failed save leaves path as it was. path must not exist
-// or be empty.
+// SaveIndex writes the built value index (cell heaps, LinearScan's sidecars or
+// R*-tree pages, and catalog) to a single database file that OpenIndex can
+// query without rebuilding. Every method saves, tiled or not — the file is the
+// index's partitions, one record each, so the reopened index prunes, filters
+// and updates exactly like this one — except Auto, whose histogram is derived
+// from the field (ErrNoPartition). The file is written beside path and renamed
+// over it once complete: a failed save leaves path as it was. path must not
+// exist or be empty.
 func (db *DB) SaveIndex(path string) error {
 	if err := db.checkOpen(); err != nil {
 		return err

@@ -285,12 +285,12 @@ func (e *engine) aggregateAt(st *state, ctx context.Context, tb *obs.TraceBuilde
 //     stay the correct fit weights); the summary is refitted from the
 //     updated interval column under the original page budget, restoring
 //     build-quality bounds.
-//   - widen — a file-opened index has intervals (recovered from the sidecar)
-//     but no areas, and a tiled store keeps neither field-wide; instead
-//     the header's widening slack grows by the batch's touched-cell count and
-//     area. Each touched cell shifts each cumulative distribution by at most
-//     one count and its own area, so the stale segments plus the accumulated
-//     slack remain a certified bound.
+//   - widen — a file-opened index has intervals (recovered from its heap
+//     records) but no areas, and a tiled store keeps neither field-wide;
+//     instead the header's widening slack grows by the batch's touched-cell
+//     count and area. Each touched cell shifts each cumulative distribution by
+//     at most one count and its own area, so the stale segments plus the
+//     accumulated slack remain a certified bound.
 func (s *store) maintainSummary(st *overlayStage, cells int, area float64) error {
 	if s.sumPages == 0 || cells == 0 {
 		return nil

@@ -19,8 +19,8 @@ var (
 	// ErrUnknownMethod reports a BuildOptions.Method outside the method table.
 	ErrUnknownMethod = errors.New("fielddb: unknown method")
 	// ErrBadOptions reports options the builder cannot combine: a TileSide
-	// below 2, a tiled I-All or I-Auto, an unknown sidecar codec, or I-Quad
-	// without its MaxSize.
+	// below 2, a tiled I-All or I-Auto, a sidecar option on a method with a
+	// tree, an unknown sidecar codec, or I-Quad without its MaxSize.
 	ErrBadOptions = errors.New("fielddb: invalid tiling options")
 )
 
@@ -39,11 +39,11 @@ type BuildOptions struct {
 	// scatter over the idle cores (see fanout). 0 or 1 means single-threaded;
 	// the facade's default resolves to GOMAXPROCS before it gets here.
 	Workers int
-	// Codec selects the interval sidecar's page codec
-	// (storage.SidecarCodecRaw or storage.SidecarCodecPacked); empty selects
-	// the raw layout. NoSidecar skips the sidecar altogether: a LinearScan
-	// then scans the full cell heap the way the paper's §2.2.2 baseline does —
-	// the reference the identity tests compare against.
+	// Codec selects the interval sidecar's page codec (storage.SidecarCodecRaw
+	// or storage.SidecarCodecPacked; empty selects raw); NoSidecar skips it, and
+	// the scan reads the full cell heap the way the paper's §2.2.2 baseline does
+	// — the identity tests' reference. Both are LinearScan's, the one method
+	// whose filter tests every cell interval: a method with a tree refuses them.
 	Codec     string
 	NoSidecar bool
 	// Curve linearizes the cells of the partitioned family; nil selects a
@@ -115,10 +115,10 @@ func refuseRegroup(*overlayStage, field.Field, *partState, *changes) (*partState
 
 // methods is the method table.
 var methods = map[Method]*methodSpec{
-	// The no-index baseline: with the interval sidecar (the default) the
-	// filter is one pass over the packed sidecar pages and only the pages
-	// holding matching cells are read from the heap; without it every cell
-	// page is scanned.
+	// The no-index baseline and the one method with an interval sidecar: with
+	// it (the default) the filter is one pass over the sidecar pages and only
+	// the pages holding matching cells are read from the heap; without it
+	// every cell page is scanned.
 	MethodLinearScan: {tiles: true, bind: func(p *partition) {
 		p.candidates = p.heapCandidates
 		if p.sidecar != nil {
@@ -157,11 +157,14 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, opts.Method)
 	}
-	if opts.NoSidecar {
+	switch {
+	case m.hasTree() && (opts.Codec != "" || opts.NoSidecar):
+		return nil, fmt.Errorf("%w: method %s has no interval sidecar", ErrBadOptions, opts.Method)
+	case m.hasTree(), opts.NoSidecar:
 		opts.Codec = ""
-	} else if opts.Codec == "" {
+	case opts.Codec == "":
 		opts.Codec = storage.SidecarCodecRaw
-	} else if !storage.ValidSidecarCodec(opts.Codec) {
+	case !storage.ValidSidecarCodec(opts.Codec):
 		return nil, fmt.Errorf("%w: unknown sidecar codec %q", ErrBadOptions, opts.Codec)
 	}
 	if opts.TileSide != 0 && opts.TileSide < 2 {

@@ -23,12 +23,14 @@ type matrixRow struct {
 	natural bool
 }
 
-// buildMatrix lists everything Build can build over f: every method (with
-// the options that change what is built) × {untiled, 16-cell tiles} × {raw,
-// packed sidecars}.
+// buildMatrix lists everything Build can be asked over f: every method (with
+// the options that change what is built) × {untiled, 16-cell tiles} × the
+// sidecar codec — raw or packed, or none where that is the default. Only
+// LinearScan, the method without a tree, builds a sidecar; the others build
+// without one and refuse a codec or NoSidecar.
 func buildMatrix(f field.Field) []matrixRow {
 	maxSize := f.ValueRange().Length()/8 + 1
-	methods := []matrixRow{
+	bases := []matrixRow{
 		{name: "LinearScan", opts: BuildOptions{Method: MethodLinearScan}, natural: true},
 		{name: "LinearScan-sidecar", opts: BuildOptions{Method: MethodLinearScan, NoSidecar: true}, natural: true},
 		{name: "I-All", opts: BuildOptions{Method: MethodIAll}, natural: true},
@@ -39,15 +41,19 @@ func buildMatrix(f field.Field) []matrixRow {
 		{name: "I-Auto", opts: BuildOptions{Method: MethodAuto}},
 	}
 	var rows []matrixRow
-	for _, m := range methods {
+	for _, m := range bases {
+		scan := !methods[m.opts.Method].hasTree() && !m.opts.NoSidecar
 		for _, side := range []int{0, 16} {
-			for _, codec := range []string{storage.SidecarCodecRaw, storage.SidecarCodecPacked} {
-				if m.opts.NoSidecar && codec == storage.SidecarCodecPacked {
-					continue // no sidecar, no codec
+			for _, codec := range []string{"", storage.SidecarCodecRaw, storage.SidecarCodecPacked} {
+				if (m.opts.NoSidecar && codec != storage.SidecarCodecRaw) || (scan && codec == "") {
+					continue // no sidecar, one codec; a scan's default is its raw row
 				}
 				r := m
 				r.opts.TileSide, r.opts.Codec = side, codec
-				r.name = fmt.Sprintf("%s/tile=%d/%s", m.name, side, codec)
+				r.name = fmt.Sprintf("%s/tile=%d", m.name, side)
+				if codec != "" {
+					r.name += "/" + codec
+				}
 				r.natural = r.natural || side != 0
 				rows = append(rows, r)
 			}
@@ -57,19 +63,15 @@ func buildMatrix(f field.Field) []matrixRow {
 }
 
 // buildable reports whether Build accepts the row: the per-cell tree and the
-// planner do not tile.
+// planner do not tile, and a method with a tree takes no sidecar option.
 func (r matrixRow) buildable() bool {
-	return r.opts.TileSide == 0 || (r.opts.Method != MethodIAll && r.opts.Method != MethodAuto)
+	tiles := r.opts.TileSide == 0 || (r.opts.Method != MethodIAll && r.opts.Method != MethodAuto)
+	return tiles && (!methods[r.opts.Method].hasTree() || (r.opts.Codec == "" && !r.opts.NoSidecar))
 }
 
 // stored reports whether the row has an on-disk format: everything Build
 // builds but the planner, whose histogram no page holds.
 func (r matrixRow) stored() bool { return r.buildable() && !methods[r.opts.Method].plans }
-
-// locates reports whether the row, saved and reopened, still finds a cell's
-// record for a point query or an update batch: the file must carry the
-// position map that rides with a sidecar or a per-cell tree.
-func (r matrixRow) locates() bool { return !r.opts.NoSidecar || r.opts.Method == MethodIAll }
 
 // sidecarCodec names the codec of the engine's sidecars, "" without any.
 func sidecarCodec(e Engine) string {
@@ -82,9 +84,10 @@ func sidecarCodec(e Engine) string {
 
 // TestBuildMatrix is the one table over everything Build can build: each
 // buildable configuration builds the store its options describe — one
-// partition, or one per tile — and each unbuildable one is refused with the
-// typed error. What the stores answer, and that the savable ones reopen as
-// themselves, is FuzzEngineProgram's to check.
+// partition, or one per tile, with a sidecar only where it is LinearScan's —
+// and each unbuildable one is refused with the typed error. What the stores
+// answer, and that the savable ones reopen as themselves, is
+// FuzzEngineProgram's to check.
 func TestBuildMatrix(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
 	for _, row := range buildMatrix(f) {
@@ -109,18 +112,22 @@ func TestBuildMatrix(t *testing.T) {
 			if got := sidecarCodec(idx); got != want {
 				t.Fatalf("built with %q sidecars for options %+v", got, row.opts)
 			}
+			if methods[row.opts.Method].hasTree() && idx.Stats().SidecarPages != 0 {
+				t.Fatalf("%s built %d sidecar pages", row.opts.Method, idx.Stats().SidecarPages)
+			}
 		})
 	}
 	for name, tc := range map[string]struct {
 		opts BuildOptions
 		want error
 	}{
-		"tile side 1":        {BuildOptions{Method: MethodLinearScan, TileSide: 1}, ErrBadOptions},
-		"negative tile side": {BuildOptions{Method: MethodLinearScan, TileSide: -4}, ErrBadOptions},
-		"unknown codec":      {BuildOptions{Method: MethodIHilbert, Codec: "bogus"}, ErrBadOptions},
-		"unknown method":     {BuildOptions{Method: "I-Bogus"}, ErrUnknownMethod},
-		"no method":          {BuildOptions{}, ErrUnknownMethod},
-		"I-Quad, no MaxSize": {BuildOptions{Method: MethodIQuad, TileSide: 16}, ErrBadOptions},
+		"tile side 1":          {BuildOptions{Method: MethodLinearScan, TileSide: 1}, ErrBadOptions},
+		"negative tile side":   {BuildOptions{Method: MethodLinearScan, TileSide: -4}, ErrBadOptions},
+		"unknown codec":        {BuildOptions{Method: MethodLinearScan, Codec: "bogus"}, ErrBadOptions},
+		"I-Hilbert, NoSidecar": {BuildOptions{Method: MethodIHilbert, NoSidecar: true}, ErrBadOptions},
+		"unknown method":       {BuildOptions{Method: "I-Bogus"}, ErrUnknownMethod},
+		"no method":            {BuildOptions{}, ErrUnknownMethod},
+		"I-Quad, no MaxSize":   {BuildOptions{Method: MethodIQuad, TileSide: 16}, ErrBadOptions},
 	} {
 		if _, err := Build(context.Background(), f, newPager(), tc.opts); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
@@ -130,8 +137,8 @@ func TestBuildMatrix(t *testing.T) {
 
 // TestTiledBuildFitsOneSummary: a partitioned-inner tiled build allocates
 // exactly one field summary — the global one the aggregate tier serves — and
-// no tile fits one of its own, so every page on the pager is a cell, index,
-// sidecar or summary page the stats account for. The global summary is the
+// no tile fits one of its own, so every page on the pager is a cell, index or
+// summary page the stats account for. The global summary is the
 // one an untiled build over the same cells fits: same intervals, same areas,
 // order-independent, hence the same certified bounds from the same ≤ 4 reads.
 func TestTiledBuildFitsOneSummary(t *testing.T) {
@@ -142,9 +149,9 @@ func TestTiledBuildFitsOneSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ti.Stats()
-	if got, want := pager.NumPages(), st.CellPages+st.IndexPages+st.SidecarPages+summaryPages; got != want {
-		t.Fatalf("pager holds %d pages, want %d (%d cell + %d index + %d sidecar + %d summary): %d are unaccounted for",
-			got, want, st.CellPages, st.IndexPages, st.SidecarPages, summaryPages, got-want)
+	if got, want := pager.NumPages(), st.CellPages+st.IndexPages+summaryPages; got != want {
+		t.Fatalf("pager holds %d pages, want %d (%d cell + %d index + %d summary): %d are unaccounted for",
+			got, want, st.CellPages, st.IndexPages, summaryPages, got-want)
 	}
 	flat, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {

@@ -19,8 +19,9 @@ import (
 // untiled index, one per tile of a tiled one.
 //
 //	pages [0, N)       the build pager's pages verbatim — every partition's
-//	                   cell heap, interval sidecar and R*-tree nodes, then
-//	                   the field summary
+//	                   cell heap, then its interval sidecar (LinearScan) or
+//	                   R*-tree nodes (every other method), then the field
+//	                   summary
 //	pages [N, N+K)     the catalog blob (see below), split across pages
 //	page  N+K          the superblock (last page of the file):
 //	                   magic "FSUP", version u32, catalogStart u32,
@@ -30,7 +31,8 @@ import (
 //
 //	magic "FCAT", version u32
 //	method: u16 length + bytes (the per-tile method of a tiled store)
-//	sidecar codec: u16 length + bytes (empty: the store has no sidecars)
+//	sidecar codec: u16 length + bytes (empty: the store has no sidecars; only
+//	    a method without a tree names one)
 //	tile side u32 (0 for an untiled store)
 //	cells u64
 //	epoch u64 (the storage epoch the saved pages materialize; SaveFile writes
@@ -50,10 +52,9 @@ import (
 //	        partition rule a tile's ascending id list and its local heap order
 //	        are both recovered from the one list)
 //	    heap page count u64, then that many page ids u32
-//	    where the store has sidecars or the method's tree holds positions:
-//	        heap page first-positions, heap page count × u32 (the heap position
-//	        of each page's first record, for reconstructing position ↦ RID
-//	        without reading cell pages)
+//	    heap page first-positions, heap page count × u32 (the heap position of
+//	        each page's first record, for reconstructing position ↦ RID without
+//	        reading cell pages)
 //	    where the store has sidecars: sidecar first page u32, pages u32 and,
 //	        for the packed codec, the sidecar position of each page's first
 //	        entry, pages × u32 (variable-rate pages cannot derive it from
@@ -67,7 +68,7 @@ import (
 // or written. A file whose superblock or catalog header carries any other
 // version is refused with ErrUnsupportedVersion before anything else in it is
 // interpreted.
-const catalogVersion = 6
+const catalogVersion = 7
 
 // ErrUnsupportedVersion reports a database file whose superblock or catalog
 // header names a catalog version other than the current one.
@@ -171,15 +172,11 @@ func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *partState
 	for _, id := range pages {
 		writeU32(b, uint32(id))
 	}
-	if p.sidecar != nil || m.perCell {
-		// Slots are append-ordered within a page, so each page's first position
-		// is the whole position ↦ RID map.
-		var prev storage.PageID
-		for pos, rid := range p.rids {
-			if pos == 0 || rid.Page != prev {
-				writeU32(b, uint32(pos))
-				prev = rid.Page
-			}
+	// Slots are append-ordered within a page, so the positions of the slot-0
+	// records — each page's first — are the whole position ↦ RID map.
+	for pos, rid := range p.rids {
+		if rid.Slot == 0 {
+			writeU32(b, uint32(pos))
 		}
 	}
 	if p.sidecar != nil {
@@ -344,8 +341,9 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	if cs.m == nil || cs.m.plans {
 		return nil, fmt.Errorf("catalog has unsupported method %q", method)
 	}
-	if cs.codec != "" && !storage.ValidSidecarCodec(cs.codec) {
-		return nil, fmt.Errorf("unknown sidecar codec %q", cs.codec)
+	// Build gives a sidecar to the method without a tree alone.
+	if cs.codec != "" && (!storage.ValidSidecarCodec(cs.codec) || cs.m.hasTree()) {
+		return nil, fmt.Errorf("corrupt catalog header: %s with a %q sidecar", method, cs.codec)
 	}
 	// Every cell id is a u32 somewhere in the records, every partition holds a
 	// cell, and an untiled store is exactly one partition.
@@ -457,18 +455,15 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 		}
 	}
 	p.heap = storage.OpenHeapFile(pager, heapPages, p.cells)
-	if cs.codec != "" || cs.m.perCell {
-		var err error
-		if p.rids, err = readRIDs(r, heapPages, p.cells); err != nil {
-			return fail("%w", err)
-		}
+	var err error
+	if p.rids, err = readRIDs(r, heapPages, p.cells); err != nil {
+		return fail("%w", err)
 	}
 	if cs.codec != "" {
 		first, pages := storage.PageID(r.u32()), int(r.u32())
 		if r.err == nil && (pages <= 0 || !cs.inData(first, pages)) {
 			return fail("sidecar run outside the data region")
 		}
-		var err error
 		if cs.codec == storage.SidecarCodecPacked {
 			// The directory is one first position per sidecar page.
 			if !r.fits(pages, 4) {
@@ -524,7 +519,6 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 			}
 			entries = numGroups
 		}
-		var err error
 		if st.tree, err = rstar.OpenPaged(pager, root, 1, rstar.Params{PageSize: pager.PageSize()}, entries, nodes, height); err != nil {
 			return fail("%w", err)
 		}

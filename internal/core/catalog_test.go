@@ -245,7 +245,7 @@ func TestOpenedStoreReadersBesideUpdates(t *testing.T) {
 	atLeastProcs(t, 4)
 	ctx := context.Background()
 	f := testDEM(t, 64, 0.7)
-	built, err := Build(ctx, f, newPager(), BuildOptions{Method: MethodIHilbert, TileSide: 16, Codec: storage.SidecarCodecPacked})
+	built, err := Build(ctx, f, newPager(), BuildOptions{Method: MethodIHilbert, TileSide: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,40 +457,53 @@ func TestApproxQuery(t *testing.T) {
 }
 
 // hostileCatalogs returns catalog blobs Open must refuse, over a data region of
-// the returned size: each is the real catalog of a small I-Hilbert index with
-// one count or page reference overwritten by a lie, or a hand-built header
-// claiming far more elements than its bytes can hold.
+// the returned size: each is the real catalog of a small I-Hilbert or
+// LinearScan index with one count or page reference overwritten by a lie, or a
+// hand-built header claiming far more elements than its bytes can hold.
 func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	le := binary.LittleEndian
-	built, err := buildIx(testDEM(t, 8, 0.5), newPager(), BuildOptions{Method: MethodIHilbert})
+	dem := testDEM(t, 8, 0.5)
+	built, err := buildIx(dem, newPager(), BuildOptions{Method: MethodIHilbert})
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := built.encodeCatalog()
-	dataPages = built.pager.NumPages()
-	// Offsets into the real catalog: the header's tail, then the one record.
-	record := catalogHeaderLen + 2 + len(MethodIHilbert) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + 8 + 16 + 8 + 4
+	scan, err := buildIx(dem, newPager(), BuildOptions{Method: MethodLinearScan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, scanReal := built.encodeCatalog(), scan.encodeCatalog()
+	dataPages = max(built.pager.NumPages(), scan.pager.NumPages())
+	// Offsets into the real catalogs: the header's tail, then the one record.
+	codec := catalogHeaderLen + 2 + len(MethodIHilbert)
+	record := codec + 2 + 4 + 8 + 8 + 16 + 8 + 4
 	summary := record - 12
 	ids := record + 7*8 + 8
 	heapPages := ids + 4*built.cells + 8
-	sidecar := heapPages + 2*4*built.parts[0].heap.NumPages()
-	tree := sidecar + 8
+	tree := heapPages + 2*4*built.parts[0].heap.NumPages()
 	groups := tree + 12
 	if want := groups + 8 + groupMetaLen*len(built.cur().parts[0].groups); want != len(real) {
 		t.Fatalf("the test's catalog layout ends at %d, the encoder's at %d", want, len(real))
 	}
+	sidecar := catalogHeaderLen + 2 + len(MethodLinearScan) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + 8 + 16 + 8 + 4 +
+		7*8 + 8 + 4*scan.cells + 8 + 2*4*scan.parts[0].heap.NumPages()
+	if want := sidecar + 8; want != len(scanReal) {
+		t.Fatalf("the test's LinearScan catalog layout ends at %d, the encoder's at %d", want, len(scanReal))
+	}
 	blobs = map[string][]byte{}
-	patch := func(name string, off int, v []byte) {
-		blobs[name] = append([]byte(nil), real...)
+	patchOf := func(src []byte, name string, off int, v []byte) {
+		blobs[name] = append([]byte(nil), src...)
 		copy(blobs[name][off:], v)
 	}
+	patch := func(name string, off int, v []byte) { patchOf(real, name, off, v) }
 	u32 := func(v int) []byte { return le.AppendUint32(nil, uint32(v)) }
 	// Every page reference, pointing into the catalog pages and past the file.
-	for name, off := range map[string]int{"heap page": heapPages, "sidecar first": sidecar, "tree root": tree, "summary first": summary} {
+	for name, off := range map[string]int{"heap page": heapPages, "tree root": tree, "summary first": summary} {
 		patch(name+" in the catalog", off, u32(dataPages))
 		patch(name+" past the file", off, u32(1<<31))
 	}
-	patch("sidecar pages past the data", sidecar+4, u32(dataPages+1))
+	patchOf(scanReal, "sidecar first in the catalog", sidecar, u32(dataPages))
+	patchOf(scanReal, "sidecar first past the file", sidecar, u32(1<<31))
+	patchOf(scanReal, "sidecar pages past the data", sidecar+4, u32(dataPages+1))
 	patch("summary pages past the data", summary+4, u32(dataPages+1))
 	patch("heap pages descend", heapPages+4, real[heapPages:heapPages+4])
 	// Not a permutation: the second cell-order entry overwritten by the first,
@@ -499,6 +512,12 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	patch("group count", groups, le.AppendUint64(nil, 1<<40))
 	patch("partition short of its store", ids-8, le.AppendUint64(nil, 1))
 	patch("partition count", record-4, u32(2))
+	// A sidecar on a method with a tree: the header names the raw codec and
+	// the record a one-page sidecar run inside the data region — a blob that
+	// would re-encode to itself, which only the header's method check refuses.
+	withSidecar := append(le.AppendUint16(append([]byte(nil), real[:codec]...), uint16(len(storage.SidecarCodecRaw))), storage.SidecarCodecRaw...)
+	withSidecar = le.AppendUint32(le.AppendUint32(append(withSidecar, real[codec+2:tree]...), 0), 1)
+	blobs["sidecar on a tree method"] = append(withSidecar, real[tree:]...)
 	blobs["truncated"] = real[:len(real)/2]
 	blobs["trailing bytes"] = append(append([]byte(nil), real...), 0)
 

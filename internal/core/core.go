@@ -10,14 +10,14 @@
 //
 //   - candidates turns a value interval into candidate cells — the one step
 //     in which the paper's methods differ. LinearScan tests every interval
-//     (§2.2.2; over the packed interval sidecar by default, over the cell
-//     pages without one). I-All searches a 1-D R*-tree holding one entry per
-//     cell (§3, the straightforward baseline). I-Hilbert and I-Quad search a
-//     tree holding one entry per subfield, each pointing at the contiguous
-//     page run of its cells (§3, Figure 6); they differ only in how the
-//     partition was formed. I-Auto is I-Hilbert behind a histogram planner
-//     that returns the whole heap as one run when most cells would match
-//     anyway.
+//     (§2.2.2; over its interval sidecar — no other method has one — by
+//     default, over the cell pages without one). I-All searches a 1-D R*-tree
+//     holding one entry per cell (§3, the straightforward baseline). I-Hilbert
+//     and I-Quad search a tree holding one entry per subfield, each pointing
+//     at the contiguous page run of its cells (§3, Figure 6); they differ only
+//     in how the partition was formed. I-Auto is I-Hilbert behind a histogram
+//     planner that returns the whole heap as one run when most cells would
+//     match anyway.
 //   - maintain brings the method's index structure to the state after an
 //     update batch: nothing for LinearScan, delete/insert on the per-cell
 //     tree for I-All, greedy regrouping for I-Hilbert, a refusal for I-Quad,
@@ -98,9 +98,9 @@ type Result struct {
 	// (the number of candidate cell intervals for I-All, 0 for LinearScan).
 	CandidateGroups int
 	// CellsFetched is the number of cell intervals tested during the
-	// estimation step (every cell for LinearScan). A sidecar-served filter
-	// tests intervals from the packed columns instead of cell records; the
-	// count is the same either way.
+	// estimation step (every cell for LinearScan). LinearScan's sidecar-served
+	// filter tests intervals from the sidecar's columns instead of cell
+	// records; the count is the same either way.
 	CellsFetched int
 	// CellsMatched is the number of fetched cells whose interval
 	// intersects the query — the candidate cells of §2.2.2.
@@ -136,7 +136,7 @@ type IndexStats struct {
 	Cells        int
 	CellPages    int // heap-file pages holding cell records
 	IndexPages   int // R*-tree pages (0 for LinearScan)
-	SidecarPages int // packed interval-sidecar pages (0 when disabled)
+	SidecarPages int // interval-sidecar pages (LinearScan's; 0 without one)
 	Groups       int // subfields (cells for I-All, 0 for LinearScan)
 	TreeHeight   int
 }
@@ -193,11 +193,11 @@ type Engine interface {
 	// Epoch returns the storage epoch queries read: the current one, or a
 	// snapshot's pinned one.
 	Epoch() uint64
-	// ApplyUpdates mutates f, patches the stored cell records and interval
-	// sidecar through copy-on-write page overlays, maintains the index
-	// structure, and commits the batch as one new storage epoch. Concurrent
-	// readers are never blocked and never see a partial batch; on error the
-	// field is rolled back and the live epoch is untouched.
+	// ApplyUpdates mutates f, patches the stored cell records (and
+	// LinearScan's interval sidecar) through copy-on-write page overlays,
+	// maintains the index structure, and commits the batch as one new storage
+	// epoch. Concurrent readers are never blocked and never see a partial
+	// batch; on error the field is rolled back and the live epoch is untouched.
 	ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error)
 	// FetchCells reads the records of the cells ids names, in that order, at
 	// the engine's state — through one query context on its pager, traced as
@@ -335,12 +335,12 @@ const writeCellsStride = 512
 // order given by ids, returning the heap file, the RID of every cell in
 // write order, and each cell's planar area in the same order (the aggregate
 // tier's fit weights — value updates never move vertices, so the areas stay
-// valid for the index's lifetime). A non-empty codec name also builds the
-// columnar interval sidecar with that codec: each cell's (min, max) — taken
-// by partial decode from the very record bytes just appended, so the sidecar
-// is byte-identical to CellIntervalFromRecord on the stored records — is
-// buffered and written to contiguous packed pages right after the heap
-// flush. ctx is polled every writeCellsStride cells so a canceled build
+// valid for the index's lifetime). LinearScan's non-empty codec name also
+// builds the columnar interval sidecar with that codec: each cell's (min, max)
+// — taken by partial decode from the very record bytes just appended, so the
+// sidecar is byte-identical to CellIntervalFromRecord on the stored records —
+// is buffered and written to contiguous pages right after the heap flush. ctx
+// is polled every writeCellsStride cells so a canceled build
 // stops without writing the rest of the field.
 func writeCells(ctx context.Context, f field.Field, pager *storage.Pager, ids []field.CellID, codec string) (*storage.HeapFile, []storage.RID, *storage.IntervalSidecar, []float64, error) {
 	sidecar := codec != ""

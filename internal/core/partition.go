@@ -14,13 +14,13 @@ import (
 
 // partition is one contiguous cell store with a method's index over it: a
 // whole untiled field, or one tile of a tiled one. It owns the cells' heap
-// segment and interval sidecar and the two hooks a method is; the index
-// structure itself — tree, subfields, histogram — is the partState its store
-// publishes.
+// segment, LinearScan's interval sidecar and the two hooks a method is; the
+// index structure itself — tree, subfields, histogram — is the partState its
+// store publishes.
 type partition struct {
 	heap *storage.HeapFile
-	// rids maps heap position to record id (nil for a file saved without a
-	// sidecar); sidecar is the packed interval segment (nil when disabled).
+	// rids maps heap position to record id; sidecar is LinearScan's interval
+	// segment (nil when disabled, and on every method with a tree).
 	rids    []storage.RID
 	sidecar *storage.IntervalSidecar
 	cells   int
@@ -58,8 +58,8 @@ type partition struct {
 	// group boundaries (the §3 cost bound). posOf is order's inverse, cell id
 	// to heap position, filled once at build or open and immutable after; ivs
 	// is the current cell interval per heap position, which a file-opened
-	// index hydrates on its first update, and refs the cut's input an update
-	// batch refills, made by the first one.
+	// index hydrates from its heap records on its first update, and refs the
+	// cut's input an update batch refills, made by the first one.
 	order   []field.CellID
 	posOf   []int32
 	cut     cutRule

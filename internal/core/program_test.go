@@ -404,8 +404,6 @@ func (h *harness) step(i int, s step) {
 		h.logf(i, "point %v", pt)
 		w, _, bad := h.pointQuery(h.cur.eng, pt)
 		want, ok := h.pointOracle(pt)
-		// A file without a position map cannot find the cell the tree names.
-		ok = ok && (!h.cur.opened || h.cfg.row.locates())
 		if bad == ok || ok && !near(w, want) {
 			h.fatalf("point %v: %v (failed %v); the model %v (answerable %v)", pt, w, bad, want, ok)
 		}
@@ -733,10 +731,7 @@ func (h *harness) update(i int, vr geom.Interval, s step) {
 		return
 	}
 	h.twin = nil
-	if h.apply(tw, ups) != applied {
-		return // a file without a position map refuses what its twin applies
-	}
-	if applied {
+	if h.apply(tw, ups) {
 		h.checkMaintained(tw)
 	}
 	vr = h.model.ValueRange()
@@ -756,8 +751,6 @@ func (h *harness) update(i int, vr geom.Interval, s step) {
 func (h *harness) apply(l *live, ups []SampleUpdate) bool {
 	var refusal error
 	switch {
-	case l.opened && !h.cfg.row.locates():
-		refusal = ErrUpdatesUnsupported
 	case ups[len(ups)-1].Sample >= h.model.NumSamples():
 		refusal = ErrOutsideField
 	case h.cfg.row.opts.Method == MethodIQuad:
@@ -793,18 +786,31 @@ func (h *harness) apply(l *live, ups []SampleUpdate) bool {
 }
 
 // checkMaintained checks what an update batch left of l's index against the
-// model, rather than trusting the patch: every partition's tree, as readers
-// find it — hydrated from its persisted pages —, passes CheckInvariants and
-// holds exactly the entries (groups[gi].interval, gi) of its subfields, or
-// (interval, id) of every cell where the tree is I-All's; and a store that
-// refits its summary holds, on its summary pages, byte for byte what
-// approx.Build fits from scratch to the model's intervals and areas. The
-// page reads are charged to a context that publishes nothing.
+// model, rather than trusting the patch: every curve-ordered partition's
+// interval column — built, or hydrated from the heap records of a file — is
+// the model's cells' intervals, bit for bit; every partition's tree, as
+// readers find it — hydrated from its persisted pages —, passes
+// CheckInvariants and holds exactly the entries (groups[gi].interval, gi) of
+// its subfields, or (interval, id) of every cell where the tree is I-All's;
+// and a store that refits its summary holds, on its summary pages, byte for
+// byte what approx.Build fits from scratch to the model's intervals and areas.
+// The page reads are charged to a context that publishes nothing.
 func (h *harness) checkMaintained(l *live) {
 	st := l.eng.snap.Load()
 	qc := l.eng.pager.BeginQuery()
 	defer qc.Release()
 	var c field.Cell
+	for pi, p := range l.eng.parts {
+		for pos, id := range p.order[:len(p.ivs)] { // a file's untouched tile hydrates none
+			if p.ids != nil {
+				id = p.ids[id]
+			}
+			got, want := p.ivs[pos], h.model.Cell(id, &c).Interval()
+			if math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {
+				h.fatalf("partition %d keeps %v at position %d, the model's cell %d %v", pi, got, pos, id, want)
+			}
+		}
+	}
 	for pi, ps := range st.parts {
 		if ps.tree == nil {
 			continue

@@ -71,8 +71,8 @@ func checkSidecarIdentity(t *testing.T, pager *storage.Pager, heap *storage.Heap
 
 // TestSidecarMatchesRecordIntervals is the property test of the sidecar
 // build: across grids and TINs — including a degenerate all-flat field — and
-// across every builder that writes a sidecar, the packed columns reproduce
-// CellIntervalFromRecord exactly.
+// under both codecs of LinearScan, the one method with a sidecar, the columns
+// reproduce CellIntervalFromRecord exactly.
 func TestSidecarMatchesRecordIntervals(t *testing.T) {
 	fields := map[string]field.Field{
 		"dem-rough":  testDEM(t, 32, 0.9),
@@ -82,30 +82,13 @@ func TestSidecarMatchesRecordIntervals(t *testing.T) {
 	}
 	for name, f := range fields {
 		t.Run(name, func(t *testing.T) {
-			ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
-			if err != nil {
-				t.Fatal(err)
+			for _, codec := range []string{storage.SidecarCodecRaw, storage.SidecarCodecPacked} {
+				ls, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan, Codec: codec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSidecarIdentity(t, ls.pager, ls.parts[0].heap, ls.parts[0].rids, ls.parts[0].sidecar, ls.cells)
 			}
-			checkSidecarIdentity(t, ls.pager, ls.parts[0].heap, ls.parts[0].rids, ls.parts[0].sidecar, ls.cells)
-
-			ia, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSidecarIdentity(t, ia.pager, ia.parts[0].heap, ia.parts[0].rids, ia.parts[0].sidecar, ia.cells)
-
-			ih, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSidecarIdentity(t, ih.pager, ih.parts[0].heap, ih.parts[0].rids, ih.parts[0].sidecar, ih.cells)
-
-			vr := f.ValueRange()
-			iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSidecarIdentity(t, iq.pager, iq.parts[0].heap, iq.parts[0].rids, iq.parts[0].sidecar, iq.cells)
 		})
 	}
 }
@@ -144,43 +127,12 @@ func testQueries(f field.Field) []geom.Interval {
 	}
 }
 
-// TestIAllSidecarToggleIdentity: I-All's filter never touches cell pages
-// either way (the tree stores exact intervals), so the sidecar toggle may
-// change nothing about a query — including its I/O.
-func TestIAllSidecarToggleIdentity(t *testing.T) {
-	f := testDEM(t, 32, 0.6)
-	with, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := buildIx(f, newPager(), BuildOptions{Method: MethodIAll, NoSidecar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range testQueries(f) {
-		a, err := with.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := without.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(answerOf(a), answerOf(b)) {
-			t.Fatalf("query %v: answers diverged", q)
-		}
-		if a.IO != b.IO {
-			t.Fatalf("query %v: IO diverged: %+v vs %+v", q, a.IO, b.IO)
-		}
-	}
-}
-
-// TestSaveFileSidecarRoundtrip: a saved file round-trips the sidecar —
-// geometry and position map both survive reopen, every entry still the
-// interval of the record at its position.
+// TestSaveFileSidecarRoundtrip: a saved file round-trips LinearScan's
+// sidecar — geometry and position map both survive reopen, every entry still
+// the interval of the record at its position.
 func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	f := testDEM(t, 32, 0.7)
-	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert})
+	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodLinearScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,29 +154,12 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	checkSidecarIdentity(t, opened.pager, opened.parts[0].heap, opened.parts[0].rids, opened.parts[0].sidecar, opened.cells)
 }
 
-// TestOpenFileNoSidecar: a file saved from a NoSidecar build opens without a
-// sidecar or position map and answers as the store it was saved from — solo,
-// batched and to the oracle, its pagers reconciled — while refusing the point
-// queries and update batches it cannot locate a record for.
+// TestOpenFileNoSidecar: a file saved from a LinearScan build without a
+// sidecar reopens as the store it was saved from — solo, batched and to the
+// oracle — and, since every file carries the position map, answers point
+// queries and takes update batches.
 func TestOpenFileNoSidecar(t *testing.T) {
-	runOn(t, "dem", rowOf("I-Hilbert-sidecar", BuildOptions{Method: MethodIHilbert, NoSidecar: true}),
-		step{opReopen, 90, 60, 0}, step{opQuery, 30, 120, 0}, step{opBatch, 4, 3, 3}, step{opMeasure, 200, 40, 0},
-		step{opPoint, 60, 60, 0}, step{opUpdate, 5, 2, 2}, step{opAggregate, 100, 50, 0})
-	f := testDEM(t, 8, 0.5)
-	built, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, NoSidecar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bare.fidx")
-	if err := built.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	bare, err := openIx(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bare.Close()
-	if bare.parts[0].sidecar != nil || bare.parts[0].rids != nil || bare.Stats().SidecarPages != 0 {
-		t.Fatal("sidecar-less file decoded a sidecar")
-	}
+	runOn(t, "dem", rowOf("LinearScan-sidecar", BuildOptions{Method: MethodLinearScan, NoSidecar: true}),
+		step{opReopen, 90, 60, 0}, step{opQuery, 30, 120, 0}, step{opBatch, 4, 3, 3}, step{opPoint, 60, 60, 0},
+		step{opUpdate, 5, 2, 2}, step{opPoint, 140, 200, 0}, step{opQuery, 90, 60, 0}, step{opAggregate, 100, 50, 0})
 }

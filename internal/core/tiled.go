@@ -13,8 +13,8 @@ import (
 
 // This file implements the scale-out read path for large terrains: the field
 // is split into fixed-size tiles, each tile a self-contained partition with
-// its own heap segment, interval sidecar and per-tile index (all on one
-// shared pager), and value queries execute tile by tile, scatter-gather:
+// its own heap segment and per-tile index (a LinearScan tile's: its sidecar)
+// on one shared pager, and value queries execute tile by tile, scatter-gather:
 //
 //   - Prune: each tile carries a (min, max) value summary covering every cell
 //     interval inside it. Tiles whose summary misses the query are pruned

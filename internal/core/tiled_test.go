@@ -121,12 +121,16 @@ func TestTiledPruning(t *testing.T) {
 	}
 }
 
-// TestTiledUpdates: on packed tiles of both inner methods, updates route to
-// the owning tiles and commit as one epoch, live answers follow the mutated
-// field, and a snapshot keeps reading the pre-update state.
+// TestTiledUpdates: on tiles of both inner methods — LinearScan's with packed
+// sidecars —, updates route to the owning tiles and commit as one epoch, live
+// answers follow the mutated field, and a snapshot keeps reading the
+// pre-update state.
 func TestTiledUpdates(t *testing.T) {
-	for _, inner := range []Method{MethodLinearScan, MethodIHilbert} {
-		runOn(t, "dem", rowOf("Tiled-"+string(inner), BuildOptions{Method: inner, TileSide: 16, Codec: storage.SidecarCodecPacked}),
+	for _, opts := range []BuildOptions{
+		{Method: MethodLinearScan, TileSide: 16, Codec: storage.SidecarCodecPacked},
+		{Method: MethodIHilbert, TileSide: 16},
+	} {
+		runOn(t, "dem", rowOf("Tiled-"+string(opts.Method), opts),
 			step{opSnapshot, 100, 50, 9}, step{opUpdate, 11, 3, 4}, step{opQuery, 100, 50, 0},
 			step{opQuery, 230, 100, 0}, step{opUpdate, 4, 5, 6}, step{opAggregate, 0, 255, 0})
 	}

@@ -7,8 +7,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -20,14 +22,26 @@ import (
 
 // treeDigest hashes the persisted node pages of tree in page order. Persist
 // allocates one page per node, root first, depth first, so the pages are the
-// run [root, root+nodes).
+// run [root, root+nodes). A directory entry's child reference is hashed
+// relative to the root, so the digest pins the tree and the order of its
+// pages, not where on the pager it begins.
 func treeDigest(t *testing.T, tree *rstar.Tree, pager *storage.Pager) string {
 	t.Helper()
 	qc := pager.BeginQuery()
 	defer qc.Release()
 	h := sha256.New()
 	first := tree.RootPage()
+	// rstar's node page: level u16, entry count u16, an 8-byte header, then
+	// per entry 2×dims f64 bounds and a u64 reference.
+	entry := 16*tree.Dims() + 8
 	err := qc.ReadRun(first, first+storage.PageID(tree.PersistedNodes()-1), func(_ storage.PageID, page []byte) bool {
+		page = bytes.Clone(page)
+		if binary.LittleEndian.Uint16(page[0:2]) > 0 {
+			for i := range int(binary.LittleEndian.Uint16(page[2:4])) {
+				ref := page[8+i*entry+entry-8:]
+				binary.LittleEndian.PutUint64(ref, binary.LittleEndian.Uint64(ref)-uint64(first))
+			}
+		}
 		h.Write(page)
 		return true
 	})
@@ -53,9 +67,9 @@ func TestTreePagesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"I-Hilbert":     "1ebd7c6f2217b441b197afcb84e6103b25b6687ce4305cc7664298efd74c096b",
-		"I-All":         "a2aedbca7c2d9663fca3ca9a60fde90d57c664f1a1097cd04cee82f33c392329",
-		"I-All/updated": "efea56dd07d20d679aadc61fbab11fe04de78de7aff24f3da376bf0a54eaaeba",
+		"I-Hilbert":     "05824f822b403198db2b6129e4b1bfc382991ccc7fd4b581b22a8f776748760f",
+		"I-All":         "c4ecf6e5ef7952853a0c174a3b6122e7fd696af416f4fe77240bf5820c5648a1",
+		"I-All/updated": "96afe3997f25aefa03f3660e3cd3404ee4a24db0b7f69af979835ee2720dda04",
 		"spatial":       "2c010a5ac09e859abb565eba250dde6c781a9dbaff0593b960034e45370d3b03",
 	}
 	got := map[string]string{}

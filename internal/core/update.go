@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -17,11 +18,9 @@ import (
 	"fielddb/internal/subfield"
 )
 
-// ErrUpdatesUnsupported is returned by ApplyUpdates when the index (or the
-// file it was opened from) cannot apply live updates: I-Quad regrouping needs
-// the spatial quadtree recursion the update path does not reproduce, and a
-// file saved without an interval sidecar carries no position map to locate
-// cell records.
+// ErrUpdatesUnsupported is returned by ApplyUpdates when the index cannot
+// apply live updates: I-Quad regrouping needs the spatial quadtree recursion
+// the update path does not reproduce.
 var ErrUpdatesUnsupported = errors.New("core: index does not support live updates")
 
 // SampleUpdate assigns a new value to one field sample (a grid vertex or TIN
@@ -42,7 +41,7 @@ type UpdateResult struct {
 	SamplesApplied int
 	CellsTouched   int
 	// PagesWritten counts the copy-on-write page overlays the batch committed
-	// (heap cell pages plus sidecar pages); IndexPagesWritten counts the fresh
+	// (cell, sidecar and summary pages); IndexPagesWritten counts the fresh
 	// R*-tree pages persisted for the new snapshot (0 when no cell interval
 	// changed).
 	PagesWritten      int
@@ -166,12 +165,12 @@ type ivRestore struct {
 }
 
 // patch re-encodes cell id from the (already mutated) field and patches its
-// heap record — and, when a sidecar is present, its interval columns — in the
-// staged images, keeps the in-memory interval column current and records an
-// interval change in ch. The sidecar entry is written from the re-encoded
-// record exactly the way the build wrote it, so the columns stay bit-identical
-// to CellIntervalFromRecord of the stored record. It returns the reusable
-// encode buffer.
+// heap record — and, where LinearScan keeps a sidecar, its interval columns —
+// in the staged images, keeps the in-memory interval column current and
+// records an interval change in ch. The sidecar entry is written from the
+// re-encoded record exactly the way the build wrote it, so the columns stay
+// bit-identical to CellIntervalFromRecord of the stored record. It returns the
+// reusable encode buffer.
 func (p *partition) patch(stage *overlayStage, f field.Field, id field.CellID, ch *changes, scratch *field.Cell, enc []byte) ([]byte, error) {
 	pos, err := p.position(id)
 	if err != nil {
@@ -285,14 +284,13 @@ func (ch *changes) widen(vr geom.Interval) geom.Interval {
 }
 
 // ApplyUpdates implements Engine — the one update transaction, whatever the
-// store: lock, patch the affected cell records and sidecar columns of every
+// store: lock, patch the affected cell records (and sidecar columns) of every
 // involved partition into copy-on-write page images, let each partition's
 // method maintain its index structure and the store its field summary, commit
 // the images as ONE new epoch — readers never observe some tiles updated and
 // others not — and publish the new state. Every failure path puts the field's
 // samples and the interval columns back; the live epoch is untouched until the
-// commit. I-Quad and files saved without a sidecar refuse with
-// ErrUpdatesUnsupported.
+// commit. I-Quad refuses with ErrUpdatesUnsupported.
 func (s *store) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
@@ -436,10 +434,9 @@ func (o *observed) recordUpdate(res *UpdateResult) {
 
 // position returns the heap position of cell id: the id itself in natural
 // order, the build's or the catalog's immutable map under a partition rule.
-// It refuses an id the partition holds no located record for — out of range,
-// or any id of a file saved without the position ↦ record map.
+// It refuses an id out of the partition's range.
 func (p *partition) position(id field.CellID) (int, error) {
-	if int(id) >= len(p.rids) {
+	if int(id) >= p.cells {
 		return 0, fmt.Errorf("core: cell %d has no located record", id)
 	}
 	if p.posOf != nil {
@@ -449,25 +446,29 @@ func (p *partition) position(id field.CellID) (int, error) {
 }
 
 // ensureUpdateState hydrates the update-path state of a file-opened
-// partitioned index: the per-position interval column, recovered from the
-// sidecar, whose entries are bit-identical to the stored records.
-// Natural-order methods need none. A file saved without a sidecar carries no
-// position ↦ record map to locate cell records with, whatever the method.
+// partitioned index: the per-position interval column, decoded with
+// CellIntervalFromRecord from one pass over its own heap records — the very
+// bits the build's column holds —, which must be exactly the records the
+// position map locates. Natural-order methods need none.
 func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
-	if p.rids == nil {
-		return fmt.Errorf("core: file has no interval sidecar: %w", ErrUpdatesUnsupported)
-	}
 	if p.order == nil || p.ivs != nil {
 		return nil
 	}
 	qc.BeginSpan(obs.PhaseMaintain)
-	ivs := make([]geom.Interval, p.cells)
-	err := p.sidecar.ScanRange(qc, 0, p.cells, func(base int, lo, hi []float64) bool {
-		for i := range lo {
-			ivs[base+i] = geom.Interval{Lo: lo[i], Hi: hi[i]}
+	ivs := make([]geom.Interval, 0, p.cells)
+	var recErr error
+	err := p.heap.ScanPagesCtx(qc, 0, p.heap.NumPages()-1, func(rid storage.RID, rec []byte) bool {
+		if n := len(ivs); n == p.cells || rid != p.rids[n] {
+			recErr = fmt.Errorf("core: heap record %v is not at position %d", rid, n)
+			return false
 		}
-		return true
+		iv, err := field.CellIntervalFromRecord(rec)
+		ivs, recErr = append(ivs, iv), err
+		return err == nil
 	})
+	if err = cmp.Or(err, recErr); err == nil && len(ivs) < p.cells {
+		err = fmt.Errorf("core: heap holds %d of %d records", len(ivs), p.cells)
+	}
 	if err != nil {
 		return err
 	}

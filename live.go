@@ -42,14 +42,14 @@ type UpdateStats struct {
 // — value and point alike, including ones already running — answers against
 // either the pre-batch or the post-batch state, byte for byte, never a
 // mixture, and no reader ever blocks on the update. The field itself, the cell
-// records and interval sidecar, and the index structure (with a lazy re-cut of
-// the subfield partition when the §3 cost bound drifts) are all brought to the
-// new state; the spatial R*-tree indexes cell geometry, which sample updates
-// never change, and reads the same records, so it has nothing to bring.
+// records (LinearScan's sidecar too), and the index structure (with a lazy
+// re-cut of the subfield partition when the §3 cost bound drifts) are all
+// brought to the new state; the spatial R*-tree indexes cell geometry, which
+// updates never change, and reads the same records: it has nothing to bring.
 //
 // Updates require a mutable field (grid.DEM and tin.TIN qualify) and a
-// supporting value index; IQuad returns ErrUpdatesUnsupported. Concurrent
-// UpdateSamples calls serialize.
+// supporting value index: an immutable field and IQuad are the two causes of
+// ErrUpdatesUnsupported. Concurrent UpdateSamples calls serialize.
 //
 // On error nothing changed: the field's samples are rolled back and the live
 // epoch is untouched.
