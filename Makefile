@@ -49,9 +49,11 @@ race:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
-# Five seconds of each of the seven native fuzz targets — five decoders of
+# Five seconds of each of the eight native fuzz targets — six decoders of
 # untrusted bytes, the engine's program harness and the refinement kernel: the
-# catalog's (no panic, an accepted blob re-encodes byte for byte), the FWB1
+# catalog's (no panic, an accepted blob re-encodes byte for byte), the heap
+# page's (no panic, the run scans' slot walk agrees with RecordInPage and their
+# record test with CellIntervalFromRecord + Intersects on any bytes), the FWB1
 # frame's (no panic, allocation bounded by the input, an encoded result
 # round-trips), the FSC2 column's behind sidecar pages and wire columns (no
 # panic, decode∘encode is the identity on any bit pattern), the FSM1 summary's
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 5s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFloatColumn$$' -fuzztime 5s
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzHeapPage$$' -fuzztime 5s
 	$(GO) test ./internal/approx -run '^$$' -fuzz '^FuzzSummary$$' -fuzztime 5s
 	$(GO) test ./internal/band -run '^$$' -fuzz '^FuzzTriangleBand$$' -fuzztime 5s
 

@@ -352,10 +352,6 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 					return true
 				}
 				rec, recErr := storage.RecordInPage(page, rids[best].Slot)
-				var iv geom.Interval
-				if recErr == nil && !tested {
-					iv, recErr = field.CellIntervalFromRecord(rec)
-				}
 				sv.reset(rec)
 				for i := range ms {
 					m := &ms[i]
@@ -368,8 +364,13 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 						continue
 					}
 					if !tested {
+						hit, ok := field.RecordIntersects(rec, m.q)
+						if !ok {
+							_, m.err = field.CellIntervalFromRecord(rec)
+							continue
+						}
 						m.res.CellsFetched++
-						if !iv.Intersects(m.q) {
+						if !hit {
 							continue
 						}
 					}
@@ -393,69 +394,73 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 // demuxRuns is the shared refinement of the run-based methods: the union of
 // the members' merged page-index runs is scanned once through phys, and each
 // record is folded into every member whose own runs cover its page — exactly
-// what a solo scanRuns performs, with the partial and full decodes done once
-// per record regardless of how many members cover it.
+// what a solo scanRuns performs, page by page through the same record test,
+// with the full decode done once per record regardless of how many members
+// take it.
 func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember, union []pageRun, covered []bool) {
 	var sv survivor
+	var slotErr error
 	processed := 0
-	pi := -1
-	var curID storage.PageID
-	for _, ur := range union {
+	err := heap.ScanRunsCtx(phys, len(union), func(i int) (int, int, error) {
 		if pollMembers(ms) == 0 {
-			return
+			return 0, 0, errBatchDead
 		}
-		err := heap.ScanPagesCtx(phys, ur.first, ur.last, func(rid storage.RID, rec []byte) bool {
-			if pi < 0 || rid.Page != curID {
-				curID = rid.Page
-				pi = heap.PageIndex(curID)
-				for i := range ms {
-					m := &ms[i]
-					covered[i] = false
-					if !m.live() {
-						continue
-					}
-					for m.cur < len(m.runs) && m.runs[m.cur].last < pi {
-						m.cur++
-					}
-					covered[i] = m.cur < len(m.runs) && m.runs[m.cur].first <= pi
-				}
+		return union[i].first, union[i].last, nil
+	}, func(id storage.PageID, page []byte) bool {
+		pi := heap.PageIndex(id)
+		for i := range ms {
+			m := &ms[i]
+			covered[i] = false
+			if !m.live() {
+				continue
 			}
-			var iv geom.Interval
-			var ivErr error
-			parsed := false
+			for m.cur < len(m.runs) && m.runs[m.cur].last < pi {
+				m.cur++
+			}
+			covered[i] = m.cur < len(m.runs) && m.runs[m.cur].first <= pi
+		}
+		n, err := storage.PageSlots(page)
+		for slot := 0; slot < n && err == nil; slot++ {
+			rec, ok := storage.SlotRecord(page, slot)
+			if !ok {
+				_, err = storage.RecordInPage(page, uint16(slot))
+				break
+			}
 			sv.reset(rec)
 			for i := range ms {
 				m := &ms[i]
 				if !covered[i] || m.err != nil {
 					continue
 				}
-				if !parsed {
-					iv, ivErr = field.CellIntervalFromRecord(rec)
-					parsed = true
-				}
-				if ivErr != nil {
-					m.err = ivErr
+				hit, ok := field.RecordIntersects(rec, m.q)
+				if !ok {
+					_, m.err = field.CellIntervalFromRecord(rec)
 					continue
 				}
 				m.res.CellsFetched++
-				if iv.Intersects(m.q) {
+				if hit {
 					m.err = m.sink.add(&sv)
 				}
 			}
 			processed++
-			if processed%scanCancelStride == 0 {
-				if pollMembers(ms) == 0 {
-					return false
-				}
+			if processed%scanCancelStride == 0 && pollMembers(ms) == 0 {
+				return false
 			}
-			return true
-		})
-		if err != nil {
-			failLive(ms, err)
-			return
 		}
+		slotErr = err
+		return err == nil
+	})
+	if err == nil {
+		err = slotErr
+	}
+	if err != nil {
+		failLive(ms, err)
 	}
 }
+
+// errBatchDead ends a shared scan once every member has failed; failLive then
+// has no member left to mark.
+var errBatchDead = errors.New("core: no live batch member")
 
 // QueryBatch implements Engine — the one batch driver. Every member's
 // candidates are found on the member's own context (the filter I/O of a tree
@@ -523,13 +528,13 @@ func (e *engine) batchPartition(st *state, ms []batchMember, phys *storage.Query
 			bb.prs = appendPosRuns(bb.prs, p.rids, m.pos)
 		} else {
 			chargeRuns(m.qc, pages, m.runs)
-			bb.runs = append(bb.runs, m.runs...)
+			bb.union = append(bb.union, m.runs...)
 		}
 	}
 	if p.byPos {
 		demuxPositions(phys, p.rids, ms, mergeRuns(bb.prs), p.tested)
 	} else {
-		demuxRuns(phys, p.heap, ms, mergeRuns(bb.runs), bb.cov)
+		demuxRuns(phys, p.heap, ms, mergeRuns(bb.union), bb.cov)
 	}
 	return filters
 }
@@ -540,18 +545,18 @@ func (e *engine) batchPartition(st *state, ms []batchMember, phys *storage.Query
 func (p *partition) memberCandidates(st *partState, ms []batchMember, bb *batchBuf) storage.Stats {
 	var filters storage.Stats
 	pr := getProbe()
-	own := pr.pos
+	ownPos, ownRuns := pr.pos, pr.runs
 	for i := range ms {
 		m := &ms[i]
 		if !m.live() {
 			continue
 		}
-		// The member's positions outlive the probe: they land in the batch's
-		// own pooled buffer.
-		pr.pos = bb.pos[i]
+		// The member's positions and runs outlive the probe: they land in the
+		// batch's own pooled buffers.
+		pr.pos, pr.runs = bb.pos[i], bb.runs[i]
 		pr.reset(m.ctx, m.qc, m.q, true)
 		err := p.candidates(st, pr)
-		bb.pos[i] = pr.pos
+		bb.pos[i], bb.runs[i] = pr.pos, pr.runs
 		if err != nil {
 			m.err = err
 			continue
@@ -560,7 +565,7 @@ func (p *partition) memberCandidates(st *partState, ms []batchMember, bb *batchB
 		m.res.CandidateGroups, m.res.CellsFetched = pr.groups, pr.fetched
 		filters = filters.Add(pr.filter)
 	}
-	pr.pos = own
+	pr.pos, pr.runs = ownPos, ownRuns
 	putProbe(pr)
 	return filters
 }

@@ -512,6 +512,13 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 					g.lastPage < g.firstPage || g.lastPage >= numPages {
 					return fail("corrupt group %d", i)
 				}
+				// A group's page run is where its first and last cells lie, and runs
+				// ascend with the group index — the filter merges the selected runs
+				// in index order, so a run out of place would read a page twice.
+				if g.firstPage != p.heap.PageIndex(p.rids[g.startRef].Page) || g.lastPage != p.heap.PageIndex(p.rids[g.endRef-1].Page) ||
+					(i > 0 && g.firstPage < st.groups[i-1].lastPage) {
+					return fail("group %d's page run out of place", i)
+				}
 				pos = g.endRef
 			}
 			if pos != p.cells {

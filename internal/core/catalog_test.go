@@ -510,6 +510,13 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	// so one cell has two heap positions.
 	patch("cell order names a cell twice", ids+4, real[ids:ids+4])
 	patch("group count", groups, le.AppendUint64(nil, 1<<40))
+	// A group's page run must be where its cells lie, and runs must ascend with
+	// the group index: the fixture's five groups lie on pages 0–0, 0–1, 1–1,
+	// 1–1, 1–1, and each lie below stays inside the heap.
+	groupPages := func(i int) int { return groups + 8 + groupMetaLen*i + 3*8 }
+	patch("group run past its last cell", groupPages(0)+4, u32(1))
+	patch("group run before its first cell", groupPages(3), u32(0))
+	patch("group run before its predecessor's", groupPages(2), u32(0))
 	patch("partition short of its store", ids-8, le.AppendUint64(nil, 1))
 	patch("partition count", record-4, u32(2))
 	// A sidecar on a method with a tree: the header names the raw codec and

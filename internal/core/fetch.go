@@ -31,22 +31,22 @@ type (
 // mergeRuns sorts runs and merges overlapping or adjacent ones in place, so
 // every page is read once and the reads stay sequential.
 func mergeRuns[T ~int | ~uint32](runs []run[T]) []run[T] {
-	if len(runs) == 0 {
-		return runs
-	}
 	slices.SortFunc(runs, func(a, b run[T]) int { return cmp.Compare(a.first, b.first) })
-	merged := runs[:1]
-	for _, r := range runs[1:] {
-		last := &merged[len(merged)-1]
-		if r.first <= last.last+1 {
-			if r.last > last.last {
-				last.last = r.last
-			}
-			continue
-		}
-		merged = append(merged, r)
+	merged := runs[:0]
+	for _, r := range runs {
+		merged = appendRun(merged, r)
 	}
 	return merged
+}
+
+// appendRun appends r to runs, whose last run starts at or before r does,
+// merged into that last run where the two overlap or touch.
+func appendRun[T ~int | ~uint32](runs []run[T], r run[T]) []run[T] {
+	if n := len(runs); n > 0 && r.first <= runs[n-1].last+1 {
+		runs[n-1].last = max(runs[n-1].last, r.last)
+		return runs
+	}
+	return append(runs, r)
 }
 
 // survivor is one record that passed the interval test, decoded in full at
@@ -432,10 +432,11 @@ func fetchPositions(ctx context.Context, qc *storage.QueryCtx, rids []storage.RI
 				rec, err := storage.RecordInPage(page, rids[pos[k]].Slot)
 				keep := err == nil
 				if keep && !tested {
-					var iv geom.Interval
-					if iv, err = field.CellIntervalFromRecord(rec); err == nil {
+					var ok bool
+					if keep, ok = field.RecordIntersects(rec, q); ok {
 						fetched++
-						keep = iv.Intersects(q)
+					} else {
+						_, err = field.CellIntervalFromRecord(rec)
 					}
 				}
 				if keep && err == nil {
@@ -468,9 +469,9 @@ func fetchPositions(ctx context.Context, qc *storage.QueryCtx, rids []storage.RI
 }
 
 // scanRuns reads each run of heap pages through qc in order, testing every
-// record's interval against q on the partial decode and handing the matches
-// to sk; it returns how many records it tested. ctx is polled before each run
-// and every scanCancelStride records — adjacent subfield runs merge into long
+// record's interval against q and handing the matches to sk; it returns how
+// many records it tested. ctx is polled before each run and every
+// scanCancelStride records — adjacent subfield runs merge into long
 // sequential scans, so between-run polls alone would be too coarse. One pooled
 // visitor walks the whole list, so the scan allocates nothing.
 func scanRuns(ctx context.Context, qc *storage.QueryCtx, heap *storage.HeapFile, runs []pageRun, q geom.Interval, sk sink) (fetched int, err error) {
@@ -488,11 +489,11 @@ func scanRuns(ctx context.Context, qc *storage.QueryCtx, heap *storage.HeapFile,
 	return fetched, err
 }
 
-// runScanner is the state of scanRuns' record visitor: the scan's context,
+// runScanner is the state of scanRuns' page visitor: the scan's context,
 // interval and sink, the survivor — which keeps its decode storage from scan to
 // scan — the count of records tested and what stopped the scan early: a bad
-// record, the sink, or ctx. It is pooled with visit made once, a closure over
-// it rather than a method value, which would add a call per record.
+// record, the sink, or ctx. It is pooled with visit, its page method, bound
+// once.
 type runScanner struct {
 	ctx     context.Context
 	q       geom.Interval
@@ -500,28 +501,42 @@ type runScanner struct {
 	sv      survivor
 	fetched int
 	err     error
-	visit   func(storage.RID, []byte) bool
+	visit   func(storage.PageID, []byte) bool
 }
 
 var runScanners = sync.Pool{New: func() any {
 	s := new(runScanner)
-	s.visit = func(_ storage.RID, rec []byte) bool {
-		iv, err := field.CellIntervalFromRecord(rec)
-		if err != nil {
-			s.err = err
-			return false
-		}
-		s.fetched++
-		if iv.Intersects(s.q) {
-			s.sv.reset(rec)
-			if s.err = s.sk.add(&s.sv); s.err != nil {
-				return false
-			}
-		}
-		if s.fetched%scanCancelStride == 0 {
-			s.err = s.ctx.Err()
-		}
-		return s.err == nil
-	}
+	s.visit = s.page
 	return s
 }}
+
+// page is the record kernel of a run scan: one walk over a page's slots, each
+// record tested on its values where they lie (field.RecordIntersects) and
+// handed to the sink only when it meets q. A slot or record the page does not
+// hold ends the scan with the error RecordInPage or CellIntervalFromRecord
+// gives it.
+func (s *runScanner) page(_ storage.PageID, page []byte) bool {
+	n, err := storage.PageSlots(page)
+	for slot := 0; slot < n && err == nil; slot++ {
+		rec, ok := storage.SlotRecord(page, slot)
+		if !ok {
+			_, err = storage.RecordInPage(page, uint16(slot))
+			break
+		}
+		hit, ok := field.RecordIntersects(rec, s.q)
+		if !ok {
+			_, err = field.CellIntervalFromRecord(rec)
+			break
+		}
+		s.fetched++
+		if hit {
+			s.sv.reset(rec)
+			err = s.sk.add(&s.sv)
+		}
+		if s.fetched%scanCancelStride == 0 && err == nil {
+			err = s.ctx.Err()
+		}
+	}
+	s.err = err
+	return err == nil
+}

@@ -34,7 +34,7 @@ func (p *partition) sidecarCandidates(_ *partState, pr *probe) error {
 // the refinement tests every record.
 func (p *partition) heapCandidates(_ *partState, pr *probe) error {
 	if n := p.heap.NumPages(); n > 0 {
-		pr.runs = []pageRun{{first: 0, last: n - 1}}
+		pr.runs = append(pr.runs, pageRun{first: 0, last: n - 1})
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
+	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
 )
@@ -89,9 +90,9 @@ func (p *partition) statsAt(st *partState) IndexStats {
 }
 
 // probe is one call of a candidates hook: what to search and charge, and the
-// candidates found. Probes are pooled; pos, sel, cols and the probe itself are
-// reused across queries, so the filter step allocates nothing that grows with
-// the candidate count in steady state.
+// candidates found. Probes are pooled; pos, runs, marked, cols and the probe
+// itself are reused across queries, so the filter step allocates nothing that
+// grows with the candidate count in steady state.
 type probe struct {
 	ctx context.Context
 	qc  *storage.QueryCtx
@@ -112,11 +113,17 @@ type probe struct {
 	sidecarReads int
 
 	before storage.Stats         // qc's activity when the open step began
-	sel    []int                 // tree-visit scratch
+	marked []uint64              // tree-visit scratch: a bit per subfield
 	cols   storage.ColumnScratch // sidecar-scan scratch
+	// markGroup is mark, bound once when the pool makes the probe.
+	markGroup func(rstar.Entry) bool
 }
 
-var probePool = sync.Pool{New: func() any { return new(probe) }}
+var probePool = sync.Pool{New: func() any {
+	pr := new(probe)
+	pr.markGroup = pr.mark
+	return pr
+}}
 
 func getProbe() *probe { return probePool.Get().(*probe) }
 
@@ -127,7 +134,7 @@ func putProbe(pr *probe) {
 
 // reset readies the probe for one hook call, keeping its buffers.
 func (pr *probe) reset(ctx context.Context, qc *storage.QueryCtx, q geom.Interval, traced bool) {
-	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], sel: pr.sel[:0], cols: pr.cols}
+	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], runs: pr.runs[:0], marked: pr.marked, cols: pr.cols, markGroup: pr.markGroup}
 }
 
 // begin opens one step of the filter under phase ph; end closes it and returns

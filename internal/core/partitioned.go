@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -160,26 +163,52 @@ func (e *engine) approxAt(st *state, tb *obs.TraceBuilder, q geom.Interval) (*Ap
 
 // groupCandidates is the filter of the partitioned family: the persisted
 // subfield tree selects the subfields whose interval intersects the query,
-// and their (ptr_start, ptr_end) page runs — sorted, overlapping or adjacent
-// ones merged, since consecutive subfields share boundary pages — are the
+// and their (ptr_start, ptr_end) page runs — overlapping or adjacent ones
+// merged, since consecutive subfields share boundary pages — are the
 // candidates. A merged run can cover an interleaved unselected subfield,
 // whose cells are provably non-matching (their group interval missed the
-// query) and filter out like any other.
+// query) and filter out like any other. Subfields tile the heap in order, so
+// their runs ascend with their index (a reopened catalog is held to that): the
+// search marks the selected ones in the probe's bitmap, and one walk over it
+// in index order merges their runs into the probe's buffer — no sort, nothing
+// allocated.
 func (p *partition) groupCandidates(st *partState, pr *probe) error {
 	pr.begin(obs.PhaseFilter)
-	err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), func(e rstar.Entry) bool {
-		pr.sel = append(pr.sel, int(e.Data))
-		return true
-	})
-	if err != nil {
+	words := (len(st.groups) + 63) / 64
+	pr.marked = slices.Grow(pr.marked[:0], words)[:words]
+	clear(pr.marked)
+	if err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), pr.markGroup); err != nil {
 		return err
 	}
-	pr.filter = pr.end()
-	pr.groups = len(pr.sel)
-	runs := make([]pageRun, 0, len(pr.sel))
-	for _, gi := range pr.sel {
-		runs = append(runs, pageRun{st.groups[gi].firstPage, st.groups[gi].lastPage})
+	if pr.groups < 0 {
+		return errStrayEntry
 	}
-	pr.runs = mergeRuns(runs)
+	pr.filter = pr.end()
+	for w, word := range pr.marked {
+		for ; word != 0; word &= word - 1 {
+			gi := w*64 + bits.TrailingZeros64(word)
+			if gi >= len(st.groups) {
+				return errStrayEntry
+			}
+			g := &st.groups[gi]
+			pr.runs = appendRun(pr.runs, pageRun{g.firstPage, g.lastPage})
+		}
+	}
 	return nil
+}
+
+// errStrayEntry is a subfield tree entry that names no subfield, which only a
+// corrupt file holds.
+var errStrayEntry = errors.New("core: subfield tree entry names no subfield")
+
+// mark is groupCandidates' tree visitor: it marks subfield e selected. An
+// entry past the bitmap stops the search with groups at -1.
+func (pr *probe) mark(e rstar.Entry) bool {
+	if e.Data/64 >= uint64(len(pr.marked)) {
+		pr.groups = -1
+		return false
+	}
+	pr.marked[e.Data/64] |= 1 << (e.Data % 64)
+	pr.groups++
+	return true
 }

@@ -144,22 +144,24 @@ func cutBlocks(bounds []int, runs []pageRun, w int) []int {
 var batchScratch = sync.Pool{New: func() any { return new(batchBuf) }}
 
 type batchBuf struct {
-	pos  [][]int32 // per-member survivor/candidate positions
-	qlo  []float64 // per-member query bounds (NaN marks a dead member)
-	qhi  []float64
-	cov  []bool                // per-member page-coverage flags (run-based demux)
-	runs []pageRun             // union page-index runs
-	prs  []physRun             // union PageID runs
-	cols storage.ColumnScratch // the shared sidecar pass's scratch
+	pos   [][]int32   // per-member survivor/candidate positions
+	runs  [][]pageRun // per-member merged page-index runs
+	qlo   []float64   // per-member query bounds (NaN marks a dead member)
+	qhi   []float64
+	cov   []bool                // per-member page-coverage flags (run-based demux)
+	union []pageRun             // union page-index runs
+	prs   []physRun             // union PageID runs
+	cols  storage.ColumnScratch // the shared sidecar pass's scratch
 }
 
 func getBatchBuf(k int) *batchBuf {
 	b := batchScratch.Get().(*batchBuf)
 	for len(b.pos) < k {
 		b.pos = append(b.pos, nil)
+		b.runs = append(b.runs, nil)
 	}
 	for i := 0; i < k; i++ {
-		b.pos[i] = b.pos[i][:0]
+		b.pos[i], b.runs[i] = b.pos[i][:0], b.runs[i][:0]
 	}
 	if cap(b.qlo) < k {
 		b.qlo = make([]float64, k)
@@ -167,7 +169,7 @@ func getBatchBuf(k int) *batchBuf {
 		b.cov = make([]bool, k)
 	}
 	b.qlo, b.qhi, b.cov = b.qlo[:k], b.qhi[:k], b.cov[:k]
-	b.runs = b.runs[:0]
+	b.union = b.union[:0]
 	b.prs = b.prs[:0]
 	return b
 }

@@ -72,6 +72,37 @@ func CellIntervalFromRecord(rec []byte) (geom.Interval, error) {
 	return iv, nil
 }
 
+// RecordIntersects reports whether the cell encoded in rec intersects the
+// closed interval q — CellIntervalFromRecord(rec) followed by
+// Intersects(q), decided on the record's bytes without building the
+// interval. ok is false exactly where CellIntervalFromRecord refuses the
+// record; its error is the one to report. The interval's min/max fold skips
+// a NaN value and the interval meets q when some value lies at or below q.Hi
+// and some value at or above q.Lo; a NaN passes neither comparison, so an
+// all-NaN cell, whose interval is empty, meets nothing. This is the run scans'
+// record test: a rejected cell costs its three or four loads and a few
+// compares.
+func RecordIntersects(rec []byte, q geom.Interval) (hit, ok bool) {
+	var w3 float64
+	switch {
+	case len(rec) == EncodedSize(4) && rec[4] == 4:
+		w3 = recordValue(rec, 3)
+	case len(rec) == EncodedSize(3) && rec[4] == 3:
+		w3 = math.NaN() // a fourth value that takes part in no comparison
+	default:
+		return false, false
+	}
+	w0, w1, w2 := recordValue(rec, 0), recordValue(rec, 1), recordValue(rec, 2)
+	below := w0 <= q.Hi || w1 <= q.Hi || w2 <= q.Hi || w3 <= q.Hi
+	above := w0 >= q.Lo || w1 >= q.Lo || w2 >= q.Lo || w3 >= q.Lo
+	return below && above && !q.IsEmpty(), true
+}
+
+// recordValue is the value of vertex i of an encoded cell.
+func recordValue(rec []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[5+24*i+16:]))
+}
+
 // FilterIntervals tests the packed interval columns lo/hi — one sidecar
 // page's worth at a time — against the closed query interval [qlo, qhi] and
 // appends the positions base+i of the intersecting entries to out. The test

@@ -146,7 +146,7 @@ func (h *HeapFile) GetCtx(qc *QueryCtx, rid RID, buf []byte) ([]byte, error) {
 	var recErr error
 	err := qc.ReadRun(rid.Page, rid.Page, func(_ PageID, page []byte) bool {
 		var rec []byte
-		if rec, recErr = recordInPage(page, rid.Slot); recErr == nil {
+		if rec, recErr = RecordInPage(page, rid.Slot); recErr == nil {
 			buf = append(buf[:0], rec...)
 		}
 		return true
@@ -157,12 +157,52 @@ func (h *HeapFile) GetCtx(qc *QueryCtx, rid RID, buf []byte) ([]byte, error) {
 	return buf, recErr
 }
 
+// PageSlots returns how many slots a heap-file page image claims: the records
+// of the page are slots [0, n), each one RecordInPage's to check. A page too
+// short for its header fails with ErrBadRID.
+func PageSlots(page []byte) (int, error) {
+	if len(page) < pageHeaderSize {
+		return 0, fmt.Errorf("%w: page of %d bytes", ErrBadRID, len(page))
+	}
+	return int(binary.LittleEndian.Uint16(page)), nil
+}
+
+// SlotRecord is RecordInPage without the error: slot s of a heap-file page
+// image, ok false exactly where RecordInPage fails — a slot past the page's
+// count, a directory entry that would reach into the header or past the page
+// (however many slots the page claims), a record past the page's end. It
+// builds no error, so it inlines: a walk over a page's records pays no call
+// per record and asks RecordInPage for the error of the one it refuses.
+func SlotRecord(page []byte, s int) (rec []byte, ok bool) {
+	d := len(page) - (s+1)*slotEntrySize
+	if d < pageHeaderSize || uint(s) >= uint(binary.LittleEndian.Uint16(page)) {
+		return nil, false
+	}
+	off := int(binary.LittleEndian.Uint16(page[d:]))
+	end := off + int(binary.LittleEndian.Uint16(page[d+2:]))
+	if end > len(page) {
+		return nil, false
+	}
+	return page[off:end], true
+}
+
 // RecordInPage extracts slot s from a heap-file page image — the slot
 // arithmetic behind GetCtx, exported for readers that already hold a page
-// (the sidecar-filtered refinement step fetches whole survivor pages through
-// ReadRun and picks out the surviving records by slot).
+// (the refinement fetches whole pages through ReadRun and picks out records
+// by slot). A slot the page does not hold fails with ErrBadRID.
 func RecordInPage(buf []byte, s uint16) ([]byte, error) {
-	return recordInPage(buf, s)
+	if rec, ok := SlotRecord(buf, int(s)); ok {
+		return rec, nil
+	}
+	n, err := PageSlots(buf)
+	switch {
+	case err != nil:
+		return nil, err
+	case int(s) >= n:
+		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadRID, s, n)
+	default:
+		return nil, fmt.Errorf("%w: slot %d out of page bounds", ErrBadRID, s)
+	}
 }
 
 // PatchRecordInPage overwrites slot s of a heap-file page image with rec,
@@ -171,7 +211,7 @@ func RecordInPage(buf []byte, s uint16) ([]byte, error) {
 // size) never changes. The page image is modified in place; callers stage it
 // as a copy-on-write overlay rather than writing the base page.
 func PatchRecordInPage(buf []byte, s uint16, rec []byte) error {
-	old, err := recordInPage(buf, s)
+	old, err := RecordInPage(buf, s)
 	if err != nil {
 		return err
 	}
@@ -182,48 +222,52 @@ func PatchRecordInPage(buf []byte, s uint16, rec []byte) error {
 	return nil
 }
 
-// recordInPage extracts slot s from a page image.
-func recordInPage(buf []byte, s uint16) ([]byte, error) {
-	n := binary.LittleEndian.Uint16(buf[0:2])
-	if s >= n {
-		return nil, fmt.Errorf("%w: slot %d of %d", ErrBadRID, s, n)
-	}
-	slotOff := len(buf) - int(s+1)*slotEntrySize
-	off := binary.LittleEndian.Uint16(buf[slotOff:])
-	length := binary.LittleEndian.Uint16(buf[slotOff+2:])
-	if int(off)+int(length) > len(buf) {
-		return nil, fmt.Errorf("%w: slot %d out of page bounds", ErrBadRID, s)
-	}
-	return buf[off : off+length], nil
-}
-
 // ScanPagesCtx visits, in physical order, the records on the file's pages
 // with index in [first, last] (inclusive, indices into the file's page list,
-// clamped to the file), the reads charged to r — the one-run case of
-// ScanRunsCtx. Consecutive pages are charged at sequential cost, which is what
-// makes a scan cheaper per page than random candidate fetches. The callback
-// receives the record's RID and payload (valid only during the call);
-// returning false stops the scan early.
+// clamped to the file), the reads charged to r — ScanRunsCtx over one run,
+// record by record. Consecutive pages are charged at sequential cost, which is
+// what makes a scan cheaper per page than random candidate fetches. The
+// callback receives the record's RID and payload (valid only during the
+// call); returning false stops the scan early. A slot the page does not hold
+// ends the scan with RecordInPage's error.
 func (h *HeapFile) ScanPagesCtx(r PageReader, first, last int, fn func(rid RID, rec []byte) bool) error {
-	return h.ScanRunsCtx(r, 1, func(int) (int, int, error) { return first, last, nil }, fn)
+	var recErr error
+	err := h.ScanRunsCtx(r, 1, func(int) (int, int, error) { return first, last, nil }, func(id PageID, page []byte) bool {
+		n, err := PageSlots(page)
+		for slot := 0; slot < n && err == nil; slot++ {
+			var rec []byte
+			if rec, err = RecordInPage(page, uint16(slot)); err == nil && !fn(RID{Page: id, Slot: uint16(slot)}, rec) {
+				return false
+			}
+		}
+		recErr = err
+		return err == nil
+	})
+	if err == nil {
+		err = recErr
+	}
+	return err
 }
 
-// ScanRunsCtx visits, in order, the records on n runs of the file's pages,
-// the reads charged to r. run(i) gives run i's inclusive bounds as indices
-// into the file's page list (clamped to the file), or an error that ends the
-// scan and is returned — where a caller polls its context between runs. Each
-// maximal physically contiguous stretch of a run is fetched through one
-// ReadRun: one batched pool interaction and at most one disk call per missing
-// sub-run, charged page by page in order. One pooled page visitor serves the
-// whole scan, so a scan allocates nothing however many runs it walks.
-func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last int, err error), fn func(rid RID, rec []byte) bool) error {
+// ScanRunsCtx hands fn, in order, the page images of n runs of the file's
+// pages, the reads charged to r. run(i) gives run i's inclusive bounds as
+// indices into the file's page list (clamped to the file), or an error that
+// ends the scan and is returned — where a caller polls its context between
+// runs. Each maximal physically contiguous stretch of a run is fetched through
+// one ReadRun: one batched pool interaction and at most one disk call per
+// missing sub-run, charged page by page in order. A page image is valid only
+// during its call; fn returning false stops the whole scan. One pooled page
+// visitor serves the whole scan, so a scan allocates nothing however many
+// runs it walks, and the caller walks each page's slots itself (PageSlots,
+// SlotRecord) — the refinement's record kernel does, one page at a time.
+func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last int, err error), fn func(id PageID, page []byte) bool) error {
 	if err := h.Flush(); err != nil {
 		return err
 	}
 	s := runScans.Get().(*runScan)
-	s.fn, s.more, s.err = fn, true, nil
+	s.fn, s.more = fn, true
 	defer func() {
-		s.fn, s.err = nil, nil
+		s.fn = nil
 		runScans.Put(s)
 	}()
 	for i := 0; i < n && s.more; i++ {
@@ -248,9 +292,6 @@ func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last
 			if err := r.ReadRun(h.pages[first], h.pages[end], s.visit); err != nil {
 				return err
 			}
-			if s.err != nil {
-				return s.err
-			}
 			first = end + 1
 		}
 	}
@@ -258,12 +299,11 @@ func (h *HeapFile) ScanRunsCtx(r PageReader, n int, run func(i int) (first, last
 }
 
 // runScan is the page visitor of one ScanRunsCtx call: more goes false when
-// fn stops the scan, err holds a malformed page's error. visit is its page
-// method, bound once when the pool makes it.
+// fn stops the scan. visit is its page method, bound once when the pool makes
+// it.
 type runScan struct {
-	fn    func(rid RID, rec []byte) bool
+	fn    func(id PageID, page []byte) bool
 	more  bool
-	err   error
 	visit func(id PageID, page []byte) bool
 }
 
@@ -274,24 +314,8 @@ var runScans = sync.Pool{New: func() any {
 }}
 
 func (s *runScan) page(id PageID, page []byte) bool {
-	s.more, s.err = scanPageRecords(id, page, s.fn)
-	return s.more && s.err == nil
-}
-
-// scanPageRecords visits every record of one page image in slot order. It
-// returns false (no error) when fn stopped the scan.
-func scanPageRecords(id PageID, page []byte, fn func(rid RID, rec []byte) bool) (bool, error) {
-	n := binary.LittleEndian.Uint16(page[0:2])
-	for s := uint16(0); s < n; s++ {
-		rec, err := recordInPage(page, s)
-		if err != nil {
-			return false, err
-		}
-		if !fn(RID{Page: id, Slot: s}, rec) {
-			return false, nil
-		}
-	}
-	return true, nil
+	s.more = s.fn(id, page)
+	return s.more
 }
 
 // PageIndex returns the position of page id within the file, or -1.

@@ -362,10 +362,10 @@ func TestHeapFileScanPagesSubrange(t *testing.T) {
 	}
 }
 
-// TestHeapFileScanRuns: a list of runs is walked in order with the records
-// of each, exactly as one ScanPagesCtx per run would; an error from the run
-// accessor ends the scan and comes back; a visitor's stop ends it cleanly; and
-// the scan allocates the same for one run as for many.
+// TestHeapFileScanRuns: a list of runs is walked in order, page by page, with
+// the records of each exactly as one ScanPagesCtx per run would find them; an
+// error from the run accessor ends the scan and comes back; a visitor's stop
+// ends it cleanly; and the scan allocates the same for one run as for many.
 func TestHeapFileScanRuns(t *testing.T) {
 	p := NewPager(NewMemDisk(128), DefaultDiskModel, 1024) // every page stays resident
 	h := NewHeapFile(p)
@@ -378,11 +378,28 @@ func TestHeapFileScanRuns(t *testing.T) {
 	}
 	runs := [][2]int{{0, 1}, {3, 3}, {5, 100}}
 	at := func(i int) (int, int, error) { return runs[i][0], runs[i][1], nil }
+	// records walks a page's slots the way the refinement's kernel does.
+	records := func(visit func(rec []byte)) func(PageID, []byte) bool {
+		return func(_ PageID, page []byte) bool {
+			n, err := PageSlots(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < n; s++ {
+				rec, ok := SlotRecord(page, s)
+				if !ok {
+					t.Fatalf("slot %d of %d refused", s, n)
+				}
+				visit(rec)
+			}
+			return true
+		}
+	}
 	var want, got []string
 	for _, r := range runs {
 		h.ScanPagesCtx(p, r[0], r[1], func(_ RID, rec []byte) bool { want = append(want, string(rec)); return true })
 	}
-	if err := h.ScanRunsCtx(p, len(runs), at, func(_ RID, rec []byte) bool { got = append(got, string(rec)); return true }); err != nil {
+	if err := h.ScanRunsCtx(p, len(runs), at, records(func(rec []byte) { got = append(got, string(rec)) })); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
@@ -397,18 +414,18 @@ func TestHeapFileScanRuns(t *testing.T) {
 			return 0, 0, boom
 		}
 		return at(i)
-	}, func(RID, []byte) bool { seen++; return true })
+	}, records(func([]byte) { seen++ }))
 	if !errors.Is(err, boom) || seen == 0 || seen >= len(got) {
 		t.Fatalf("accessor error: err=%v after %d records", err, seen)
 	}
 
 	// The visitor's stop ends the whole scan, not just its run.
 	seen = 0
-	if err := h.ScanRunsCtx(p, len(runs), at, func(RID, []byte) bool { seen++; return seen < 3 }); err != nil || seen != 3 {
-		t.Fatalf("early stop: err=%v after %d records", err, seen)
+	if err := h.ScanRunsCtx(p, len(runs), at, func(PageID, []byte) bool { seen++; return seen < 3 }); err != nil || seen != 3 {
+		t.Fatalf("early stop: err=%v after %d pages", err, seen)
 	}
 
-	visit := func(RID, []byte) bool { return true }
+	visit := func(PageID, []byte) bool { return true }
 	qc := p.BeginQuery()
 	defer qc.Release()
 	one := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(qc, 1, at, visit) })
