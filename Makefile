@@ -49,11 +49,12 @@ race:
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 
-# Five seconds of each of the eight native fuzz targets — six decoders of
-# untrusted bytes, the engine's program harness and the refinement kernel: the
-# catalog's (no panic, an accepted blob re-encodes byte for byte), the heap
-# page's (no panic, the run scans' slot walk agrees with RecordInPage and their
-# record test with CellIntervalFromRecord + Intersects on any bytes), the FWB1
+# Five seconds of each of the nine native fuzz targets — six decoders of
+# untrusted bytes, the engine's program harness, the refinement kernel and the
+# R*-tree's ChooseSubtree: the catalog's (no panic, an accepted blob
+# re-encodes byte for byte), the heap page's (no panic, the run scans' slot
+# walk agrees with RecordInPage and their record test with
+# CellIntervalFromRecord + Intersects on any bytes), the FWB1
 # frame's (no panic, allocation bounded by the input, an encoded result
 # round-trips), the FSC2 column's behind sidecar pages and wire columns (no
 # panic, decode∘encode is the identity on any bit pattern), the FSM1 summary's
@@ -62,10 +63,12 @@ alloc-gate:
 # query strings and bodies (no panic, no 500, a refusal is a 400 in bounded
 # allocation, an accepted number is strconv's), FuzzEngineProgram (every
 # invariant of the engine after every step of a program, against a brute-force
-# model), and FuzzTriangleBand (the band kernel's vertices equal, bit for bit,
+# model), FuzzTriangleBand (the band kernel's vertices equal, bit for bit,
 # those of the clip chain internal/band's tests keep verbatim, on any floats a
-# reopened file may hold, NaN and ±Inf included). A failing input lands in the
-# package's testdata/fuzz — commit it with the fix.
+# reopened file may hold, NaN and ±Inf included), and FuzzChooseSubtree (the
+# early-exit overlap sums pick the child the full sums internal/rstar's tests
+# keep verbatim pick, on nodes of ties, empty MBRs, ±Inf and NaN bounds). A
+# failing input lands in the package's testdata/fuzz — commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzOpenCatalog$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEngineProgram$$' -fuzztime 5s
@@ -75,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzHeapPage$$' -fuzztime 5s
 	$(GO) test ./internal/approx -run '^$$' -fuzz '^FuzzSummary$$' -fuzztime 5s
 	$(GO) test ./internal/band -run '^$$' -fuzz '^FuzzTriangleBand$$' -fuzztime 5s
+	$(GO) test ./internal/rstar -run '^$$' -fuzz '^FuzzChooseSubtree$$' -fuzztime 5s
 
 # Regression gate on the simulated-disk metrics: measure the deterministic
 # in-process suites (solo, concurrent, update-load, tiled, aggregate — one

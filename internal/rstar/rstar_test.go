@@ -7,7 +7,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
+	"fielddb/internal/subfield"
+	"fielddb/internal/workload"
 )
 
 func TestMBRBasics(t *testing.T) {
@@ -241,6 +244,72 @@ func TestDelete(t *testing.T) {
 	// Deleting a non-existent entry returns false.
 	if tr.Delete(Entry{MBR: Interval1D(9999, 10000), Data: 424242}) {
 		t.Fatal("phantom delete succeeded")
+	}
+}
+
+// TestDeleteOddBounds: Delete finds every entry Insert accepted, down a tree
+// several levels deep, whatever its bounds — an empty MBR (lo > hi), which
+// intersects nothing, included.
+func TestDeleteOddBounds(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name string
+		mbr  MBR
+	}{
+		{"empty", Interval1D(inf, -inf)},
+		{"empty/finite", Interval1D(7, 3)},
+		{"point", Interval1D(5, 5)},
+		{"lower half-line", Interval1D(-inf, 3)},
+		{"upper half-line", Interval1D(4, inf)},
+		{"whole line", Interval1D(-inf, inf)},
+		{"negative zero", Interval1D(math.Copysign(0, -1), 1)},
+	} {
+		for _, pageSize := range []int{256, 0} {
+			tr, err := New(1, Params{PageSize: pageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for i := 0; i < 500; i++ {
+				lo := rng.Float64() * 50
+				tr.Insert(Entry{MBR: Interval1D(lo, lo+1), Data: uint64(i)})
+			}
+			odd := Entry{MBR: c.mbr, Data: 500}
+			tr.Insert(odd)
+			if !tr.Delete(odd) {
+				t.Errorf("%s, page %d: Delete(%v) = false", c.name, pageSize, c.mbr)
+				continue
+			}
+			if tr.Len() != 500 || tr.Delete(odd) {
+				t.Errorf("%s, page %d: Len %d after Delete, or a second Delete succeeded", c.name, pageSize, tr.Len())
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Errorf("%s, page %d: %v", c.name, pageSize, err)
+			}
+		}
+	}
+}
+
+// TestSplitInfiniteBounds: a node whose every split distribution has an
+// infinite or NaN overlap or area still splits (into the first distribution)
+// instead of panicking on an unset best.
+func TestSplitInfiniteBounds(t *testing.T) {
+	for _, m := range []MBR{Interval1D(math.Inf(-1), math.Inf(1)), Interval1D(math.NaN(), 1)} {
+		tr := newSmallTree(t, 1)
+		for i := 0; i < 300; i++ {
+			if err := tr.Insert(Entry{MBR: m, Data: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tr.Len() != 300 || tr.Height() < 2 {
+			t.Errorf("%v: Len %d, Height %d", m, tr.Len(), tr.Height())
+		}
+		// CheckInvariants compares bounds with ==, which NaN never passes.
+		if !math.IsNaN(m[0]) {
+			if err := tr.CheckInvariants(); err != nil {
+				t.Errorf("%v: %v", m, err)
+			}
+		}
 	}
 }
 
@@ -504,14 +573,44 @@ func TestQuickInsertedTreeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert1D(b *testing.B) {
-	tr, _ := New(1, Params{})
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lo := rng.Float64() * 1e6
-		tr.Insert(Entry{MBR: Interval1D(lo, lo+1), Data: uint64(i)})
+// subfieldEntries returns the entries the I-Hilbert build inserts on the
+// 256×256 terrain fixture: its 8 224 subfield intervals (order-16 Hilbert
+// curve, the paper's greedy cost model), in group order.
+func subfieldEntries(b *testing.B) []Entry {
+	f, err := workload.Terrain(256, 4217)
+	if err != nil {
+		b.Fatal(err)
 	}
+	curve, err := sfc.NewHilbert(16, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	refs, err := subfield.Linearize(f, curve)
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups := subfield.BuildGreedy(refs, subfield.DefaultCostModel)
+	entries := make([]Entry, len(groups))
+	for gi, g := range groups {
+		entries[gi] = Entry{MBR: Interval1D(g.Interval.Lo, g.Interval.Hi), Data: uint64(gi)}
+	}
+	return entries
+}
+
+// BenchmarkInsert1D builds the fixture's subfield tree by R* insertion, one
+// whole tree per op, and reports the time per insert: a fixed tree, so runs
+// compare across -benchtime values.
+func BenchmarkInsert1D(b *testing.B) {
+	entries := subfieldEntries(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, _ := New(1, Params{})
+		for _, e := range entries {
+			tr.Insert(e)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/insert")
 }
 
 func BenchmarkSearch1D(b *testing.B) {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fielddb/internal/storage"
 )
@@ -213,7 +213,7 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 			for i, e := range n.entries {
 				enls[i] = e.mbr.Enlargement(m)
 			}
-			sort.Slice(cand, func(a, b int) bool { return enls[cand[a]] < enls[cand[b]] })
+			slices.SortFunc(cand, func(a, b int) int { return compareFloats(enls[a], enls[b]) })
 			cand = cand[:maxCand]
 		}
 		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
@@ -222,6 +222,17 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 			e := n.entries[i]
 			copy(union, e.mbr)
 			union.ExtendInPlace(m)
+			enl := union.Area() - e.mbr.Area()
+			area := e.mbr.Area()
+			winsTie := enl < bestEnl || (enl == bestEnl && area < bestArea)
+			wins := func(overlap float64) bool {
+				return overlap < bestOverlap || (overlap == bestOverlap && winsTie)
+			}
+			// The sum stops as soon as it cannot win. union covers e, and
+			// IEEE rounding is monotone, so every term is >= 0 or NaN: a
+			// partial sum never falls, and a NaN one stays NaN and never wins.
+			// A partial sum above bestOverlap, NaN, or at it while losing the
+			// tie on (enl, area) makes the full sum lose as well.
 			var overlap float64
 			for j := range n.entries {
 				if j == i {
@@ -229,12 +240,11 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 				}
 				o := n.entries[j].mbr
 				overlap += union.OverlapArea(o) - e.mbr.OverlapArea(o)
+				if !wins(overlap) {
+					break
+				}
 			}
-			enl := union.Area() - e.mbr.Area()
-			area := e.mbr.Area()
-			if overlap < bestOverlap ||
-				(overlap == bestOverlap && enl < bestEnl) ||
-				(overlap == bestOverlap && enl == bestEnl && area < bestArea) {
+			if wins(overlap) {
 				best, bestOverlap, bestEnl, bestArea = i, overlap, enl, area
 			}
 		}
@@ -249,6 +259,20 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 		}
 	}
 	return best
+}
+
+// compareFloats returns < 0 exactly when a < b. The tree's sorts compare
+// through it, so slices.SortFunc gets the answers sort.Slice's less functions
+// gave and, running the same pdqsort, makes the same permutation, ties and
+// NaNs included. cmp.Compare would not: it sorts NaN first.
+func compareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // handleOverflow walks the path bottom-up resolving overflowing nodes by
@@ -323,7 +347,7 @@ func (t *Tree) reinsert(n *node, path []*node, overflowed *uint64) {
 		}
 		des[i] = distEntry{dist: d, e: e}
 	}
-	sort.Slice(des, func(i, j int) bool { return des[i].dist > des[j].dist })
+	slices.SortFunc(des, func(a, b distEntry) int { return compareFloats(b.dist, a.dist) })
 	p := t.reins
 	if p >= len(des) {
 		p = len(des) - 1
@@ -364,19 +388,19 @@ func (t *Tree) split(n *node) *node {
 		byLo := make([]nodeEntry, len(n.entries))
 		copy(byLo, n.entries)
 		a := axis
-		sort.Slice(byLo, func(i, j int) bool {
-			if byLo[i].mbr.Lo(a) != byLo[j].mbr.Lo(a) {
-				return byLo[i].mbr.Lo(a) < byLo[j].mbr.Lo(a)
+		slices.SortFunc(byLo, func(x, y nodeEntry) int {
+			if x.mbr.Lo(a) != y.mbr.Lo(a) {
+				return compareFloats(x.mbr.Lo(a), y.mbr.Lo(a))
 			}
-			return byLo[i].mbr.Hi(a) < byLo[j].mbr.Hi(a)
+			return compareFloats(x.mbr.Hi(a), y.mbr.Hi(a))
 		})
 		byHi := make([]nodeEntry, len(n.entries))
 		copy(byHi, n.entries)
-		sort.Slice(byHi, func(i, j int) bool {
-			if byHi[i].mbr.Hi(a) != byHi[j].mbr.Hi(a) {
-				return byHi[i].mbr.Hi(a) < byHi[j].mbr.Hi(a)
+		slices.SortFunc(byHi, func(x, y nodeEntry) int {
+			if x.mbr.Hi(a) != y.mbr.Hi(a) {
+				return compareFloats(x.mbr.Hi(a), y.mbr.Hi(a))
 			}
-			return byHi[i].mbr.Lo(a) < byHi[j].mbr.Lo(a)
+			return compareFloats(x.mbr.Lo(a), y.mbr.Lo(a))
 		})
 		sorts[axis] = axisSort{byLo: byLo, byHi: byHi}
 
@@ -394,9 +418,10 @@ func (t *Tree) split(n *node) *node {
 	}
 
 	// On the chosen axis, pick the distribution minimizing overlap.
+	// When every distribution's overlap or area is infinite or NaN (±Inf
+	// bounds) none beats the start, and the first one stands.
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	var bestSorted []nodeEntry
-	bestSplit := minK
+	bestSorted, bestSplit := sorts[bestAxis].byLo, minK
 	for _, sorted := range [][]nodeEntry{sorts[bestAxis].byLo, sorts[bestAxis].byHi} {
 		for k := 0; k < numDistr; k++ {
 			splitAt := minK + k
@@ -480,8 +505,11 @@ func (t *Tree) findLeaf(n *node, e Entry, path *[]*node) (*node, int) {
 		}
 		return nil, -1
 	}
+	// A parent's bounds are the min/max union of its children's, so every
+	// ancestor of the entry contains it; Intersects would miss an empty
+	// (lo > hi) MBR, which nothing intersects.
 	for _, ne := range n.entries {
-		if !ne.mbr.Intersects(e.MBR) {
+		if !ne.mbr.Contains(e.MBR) {
 			continue
 		}
 		*path = append(*path, n)
