@@ -44,8 +44,9 @@ race:
 
 # Allocation ceilings on the value-query read path (alloc_gate_test.go): one
 # solo query per method, the tiled planner and the workers=4 paths on the
-# 256×256 fixture. The file is tagged !race — the race detector changes
-# allocation counts — so `make race` skips it and this target runs it plain.
+# 256×256 fixture; and the live heap of that fixture opened through the facade
+# (heap_gate_test.go). The files are tagged !race — the race detector changes
+# allocation counts — so `make race` skips them and this target runs them plain.
 alloc-gate:
 	$(GO) test -run TestAllocCeilings .
 

@@ -19,17 +19,19 @@ import (
 // order.
 func (p *partition) cellCandidates(st *partState, pr *probe) error {
 	pr.begin(obs.PhaseFilter)
-	err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), func(e rstar.Entry) bool {
-		pr.pos = append(pr.pos, int32(e.Data))
-		return true
-	})
-	if err != nil {
+	if err := pr.searchTree(st.tree, pr.addCell); err != nil {
 		return err
 	}
 	pr.filter = pr.end()
 	pr.groups = len(pr.pos)
 	slices.Sort(pr.pos)
 	return nil
+}
+
+// add is cellCandidates' tree visitor: it collects cell e.
+func (pr *probe) add(e rstar.Entry) bool {
+	pr.pos = append(pr.pos, int32(e.Data))
+	return true
 }
 
 // maintainCells is I-All's maintenance: the changed cell intervals are

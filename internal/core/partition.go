@@ -115,15 +115,25 @@ type probe struct {
 	before storage.Stats         // qc's activity when the open step began
 	marked []uint64              // tree-visit scratch: a bit per subfield
 	cols   storage.ColumnScratch // sidecar-scan scratch
-	// markGroup is mark, bound once when the pool makes the probe.
-	markGroup func(rstar.Entry) bool
+	// search runs the filter's tree search, on box, the query's 1-D box.
+	search rstar.Searcher
+	box    [2]float64
+	// markGroup and addCell are mark and add, bound once when the pool makes
+	// the probe.
+	markGroup, addCell func(rstar.Entry) bool
 }
 
 var probePool = sync.Pool{New: func() any {
 	pr := new(probe)
-	pr.markGroup = pr.mark
+	pr.markGroup, pr.addCell = pr.mark, pr.add
 	return pr
 }}
+
+// searchTree visits the entries of tree whose interval intersects the query.
+func (pr *probe) searchTree(tree *rstar.Tree, fn func(rstar.Entry) bool) error {
+	pr.box = [2]float64{pr.q.Lo, pr.q.Hi}
+	return pr.search.Search(tree, pr.qc, pr.box[:], fn)
+}
 
 func getProbe() *probe { return probePool.Get().(*probe) }
 
@@ -134,7 +144,8 @@ func putProbe(pr *probe) {
 
 // reset readies the probe for one hook call, keeping its buffers.
 func (pr *probe) reset(ctx context.Context, qc *storage.QueryCtx, q geom.Interval, traced bool) {
-	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], runs: pr.runs[:0], marked: pr.marked, cols: pr.cols, markGroup: pr.markGroup}
+	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], runs: pr.runs[:0], marked: pr.marked, cols: pr.cols,
+		search: pr.search, markGroup: pr.markGroup, addCell: pr.addCell}
 }
 
 // begin opens one step of the filter under phase ph; end closes it and returns

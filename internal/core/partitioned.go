@@ -177,7 +177,7 @@ func (p *partition) groupCandidates(st *partState, pr *probe) error {
 	words := (len(st.groups) + 63) / 64
 	pr.marked = slices.Grow(pr.marked[:0], words)[:words]
 	clear(pr.marked)
-	if err := st.tree.PagedSearchCtx(pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), pr.markGroup); err != nil {
+	if err := pr.searchTree(st.tree, pr.markGroup); err != nil {
 		return err
 	}
 	if pr.groups < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -21,15 +22,31 @@ import (
 // the Engine a query names at that engine's state — live, or a snapshot's pin.
 // The tree is immutable (sample updates change values, never geometry) and
 // alone on a read-only pager of its own, so a tree descent is accounted apart
-// from the value store and the file SaveFile writes carries no tree page.
+// from the value store and the file SaveFile writes carries no tree page. It
+// keeps only its pages: the index holds a paged handle, not the nodes it was
+// built from.
 type SpatialIndex struct {
 	tree  *rstar.Tree
 	pager *storage.Pager
 	observed
 
-	// candidates recycles one id slice per concurrent PointQuery, so the
-	// filter step allocates no per-call buffer in steady state.
-	candidates sync.Pool
+	// filters recycles one pointFilter per concurrent PointQuery, so the
+	// filter step allocates nothing in steady state.
+	filters sync.Pool
+}
+
+// pointFilter is one point query's tree search: the searcher, the point's
+// box, and the candidate cell ids its visitor collects.
+type pointFilter struct {
+	search rstar.Searcher
+	box    [4]float64
+	ids    []uint64
+	add    func(rstar.Entry) bool // collect, bound once
+}
+
+func (pf *pointFilter) collect(e rstar.Entry) bool {
+	pf.ids = append(pf.ids, e.Data)
+	return true
 }
 
 // spatialMethod is the metrics/trace method label of the conventional-query
@@ -60,8 +77,8 @@ func BuildSpatial(f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
 		}
 		keys[id] = mapper.Index(c.Center())
 	}
-	tree, err := rstar.BulkLoad(2, rstar.Params{PageSize: pager.PageSize()}, entries, func(a, b rstar.Entry) bool {
-		return keys[a.Data] < keys[b.Data]
+	tree, err := rstar.BulkLoad(2, rstar.Params{PageSize: pager.PageSize()}, entries, func(a, b rstar.Entry) int {
+		return cmp.Compare(keys[a.Data], keys[b.Data])
 	}, 1.0)
 	if err != nil {
 		return nil, err
@@ -69,7 +86,12 @@ func BuildSpatial(f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
 	if err := tree.Persist(pager); err != nil {
 		return nil, err
 	}
-	return &SpatialIndex{tree: tree, pager: pager}, nil
+	paged, err := rstar.OpenPaged(pager, tree.RootPage(), 2, rstar.Params{PageSize: pager.PageSize()},
+		tree.Len(), tree.PersistedNodes(), tree.Height())
+	if err != nil {
+		return nil, err
+	}
+	return &SpatialIndex{tree: paged, pager: pager}, nil
 }
 
 // SetObserver installs the trace/metrics sinks. Call before issuing queries.
@@ -92,29 +114,27 @@ func (s *SpatialIndex) PointQueryContext(ctx context.Context, cells Engine, pt g
 }
 
 func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
-	ids, _ := s.candidates.Get().(*[]uint64)
-	if ids == nil {
-		ids = new([]uint64)
+	pf, _ := s.filters.Get().(*pointFilter)
+	if pf == nil {
+		pf = new(pointFilter)
+		pf.add = pf.collect
 	}
 	defer func() {
-		*ids = (*ids)[:0]
-		s.candidates.Put(ids)
+		pf.ids = pf.ids[:0]
+		s.filters.Put(pf)
 	}()
 	qc := s.pager.BeginQuery()
 	qc.AttachTrace(tb)
 	qc.BeginSpan(obs.PhaseFilter)
-	err := s.tree.PagedSearchCtx(qc, rstar.Rect2D(pt.X, pt.X, pt.Y, pt.Y), func(e rstar.Entry) bool {
-		*ids = append(*ids, e.Data)
-		return true
-	})
-	if err != nil {
+	pf.box = [4]float64{pt.X, pt.X, pt.Y, pt.Y}
+	if err := pf.search.Search(s.tree, qc, pf.box[:], pf.add); err != nil {
 		return 0, qc.Stats(), err
 	}
 	qc.EndSpan()
 	filterIO := qc.Stats()
 	var w float64
 	found := false
-	fetchIO, err := cells.FetchCells(ctx, tb, *ids, func(c *field.Cell) bool {
+	fetchIO, err := cells.FetchCells(ctx, tb, pf.ids, func(c *field.Cell) bool {
 		w, found = field.Interpolate(c, pt)
 		return !found
 	})

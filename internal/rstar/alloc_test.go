@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"fielddb/internal/storage"
 )
 
 // TestInsertAllocations: an insert allocates a handful of times — its own
@@ -44,5 +46,41 @@ func TestInsertAllocations(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSearcherAllocatesNothing: a Searcher kept from one paged search to the
+// next — as a query's pooled probe keeps one — allocates nothing once a first
+// search has sized it; PagedSearchCtx allocates its state on every call.
+func TestSearcherAllocatesNothing(t *testing.T) {
+	entries := make([]Entry, 5000)
+	for i := range entries {
+		entries[i] = Entry{MBR: Interval1D(float64(i), float64(i)+2), Data: uint64(i)}
+	}
+	tr, err := BulkLoad(1, Params{PageSize: 512}, entries, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pager := storage.NewPager(storage.NewMemDisk(512), storage.DefaultDiskModel, 64)
+	if err := tr.Persist(pager); err != nil {
+		t.Fatal(err)
+	}
+	qc := pager.BeginQuery()
+	defer qc.Recycle()
+	var s Searcher
+	query := MBR{1000, 3500}
+	n := 0
+	visit := func(Entry) bool { n++; return true }
+	search := func() {
+		if err := s.Search(tr, qc, query, visit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search()
+	if got := testing.AllocsPerRun(20, search); got != 0 {
+		t.Errorf("a reused Searcher allocates %.0f per search, want 0", got)
+	}
+	if n == 0 {
+		t.Fatal("the search visited nothing")
 	}
 }

@@ -2,7 +2,7 @@ package rstar
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BulkLoad builds a packed tree bottom-up from pre-sorted entries, in the
@@ -10,12 +10,13 @@ import (
 // ordered by a space-filling-curve key and packed into full leaves, then
 // parent levels are packed on top until a single root remains.
 //
-// If less is nil, entries are sorted by the center of their first dimension —
+// Entries are sorted stably by cmp, which returns < 0 when a sorts before b.
+// If cmp is nil, they are sorted by the center of their first dimension —
 // the natural order for the 1-D interval trees this package serves. Pass a
 // Hilbert-of-center comparison for 2-D spatial loads.
 //
 // fillRatio in (0, 1] controls leaf packing; the classic packed load uses 1.0.
-func BulkLoad(dims int, params Params, entries []Entry, less func(a, b Entry) bool, fillRatio float64) (*Tree, error) {
+func BulkLoad(dims int, params Params, entries []Entry, cmp func(a, b Entry) int, fillRatio float64) (*Tree, error) {
 	t, err := New(dims, params)
 	if err != nil {
 		return nil, err
@@ -38,10 +39,10 @@ func BulkLoad(dims int, params Params, entries []Entry, less func(a, b Entry) bo
 
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
-	if less == nil {
-		less = func(a, b Entry) bool { return a.MBR.Center(0) < b.MBR.Center(0) }
+	if cmp == nil {
+		cmp = func(a, b Entry) int { return compareFloats(a.MBR.Center(0), b.MBR.Center(0)) }
 	}
-	sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+	slices.SortStableFunc(sorted, cmp)
 
 	// Pack leaves. Groups are sized evenly (rather than cutting full nodes
 	// and leaving a deficient tail) so every node satisfies the min-fill

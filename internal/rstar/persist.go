@@ -221,15 +221,11 @@ func (t *Tree) PersistedNodes() int { return t.numNodes }
 // Every Entry handed to fn shares one MBR that the search overwrites for the
 // next match: it is valid only during the callback, and a callback that keeps
 // the bounds must Clone them.
+//
+// Each call allocates its search state; a caller that searches again and
+// again keeps a Searcher instead.
 func (t *Tree) PagedSearchCtx(r storage.PageReader, query MBR, fn func(Entry) bool) error {
-	if t.pager == nil {
-		return fmt.Errorf("rstar: tree not persisted")
-	}
-	s := &pagedSearch{t: t, r: r, query: query, scratch: make(MBR, 2*t.dims), fn: fn, more: true}
-	s.kids = s.kidBuf[:0]
-	s.visit = s.node
-	s.descend(t.rootPage, t.rootPage)
-	return s.err
+	return new(Searcher).Search(t, r, query, fn)
 }
 
 // entryIntersects tests entry i's bounds on a node page image against query
@@ -276,23 +272,49 @@ func (t *Tree) searchLeafPage(page []byte, query, scratch MBR, fn func(Entry) bo
 	return true
 }
 
-// pagedSearch is one PagedSearchCtx call: its visitor is bound once and
-// serves every node page of the search, whatever its level.
-type pagedSearch struct {
+// Searcher runs paged searches on storage it keeps from one to the next —
+// its scratch bounds, its node visitor, bound once, and its list of leaf
+// runs — so a caller that keeps one beside its other per-query scratch
+// searches without allocating once a first search has sized it. The zero
+// value is ready to use. A Searcher runs one search at a time: fn must not
+// search with it.
+type Searcher struct {
 	t              *Tree
 	r              storage.PageReader
 	query, scratch MBR
 	fn             func(Entry) bool
-	visit          func(storage.PageID, []byte) bool // s.node, bound once
+	self           *Searcher                         // the receiver visit is bound to
+	visit          func(storage.PageID, []byte) bool // s.node
 	more           bool                              // false once fn stopped the search
 	err            error
 	kids           []storage.PageID // matching leaves of the level-1 node being read
 	kidBuf         [32]storage.PageID
 }
 
+// Search is t.PagedSearchCtx(r, query, fn) on s's storage. It keeps no
+// reference to t, r, query or fn once it returns.
+func (s *Searcher) Search(t *Tree, r storage.PageReader, query MBR, fn func(Entry) bool) error {
+	if t.pager == nil {
+		return fmt.Errorf("rstar: tree not persisted")
+	}
+	if s.self != s { // a first search, or a copied Searcher
+		s.self, s.visit, s.kids = s, s.node, s.kidBuf[:0]
+	}
+	if w := 2 * t.dims; cap(s.scratch) >= w {
+		s.scratch = s.scratch[:w]
+	} else {
+		s.scratch = make(MBR, w)
+	}
+	s.t, s.r, s.query, s.fn, s.more, s.err = t, r, query, fn, true, nil
+	s.descend(t.rootPage, t.rootPage)
+	err := s.err
+	s.t, s.r, s.query, s.fn, s.err = nil, nil, nil, nil, nil
+	return err
+}
+
 // descend reads the node pages [first, last] in order; false ends the search,
 // on a stop by fn or a read error alike.
-func (s *pagedSearch) descend(first, last storage.PageID) bool {
+func (s *Searcher) descend(first, last storage.PageID) bool {
 	if err := s.r.ReadRun(first, last, s.visit); err != nil {
 		s.err = err
 	}
@@ -304,7 +326,7 @@ func (s *pagedSearch) descend(first, last storage.PageID) bool {
 // pass. At level 1, matching leaf children on consecutive pages — depth-first
 // persistence puts the leaves under one parent there — are read as one run;
 // the visit order and per-page charges are those of reading them one by one.
-func (s *pagedSearch) node(_ storage.PageID, page []byte) bool {
+func (s *Searcher) node(_ storage.PageID, page []byte) bool {
 	t := s.t
 	level := int(binary.LittleEndian.Uint16(page[0:2]))
 	count := int(binary.LittleEndian.Uint16(page[2:4]))

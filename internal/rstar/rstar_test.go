@@ -1,8 +1,10 @@
 package rstar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -407,6 +409,65 @@ func TestPagedSearchEarlyStop(t *testing.T) {
 	}
 }
 
+func TestSearcherReuse(t *testing.T) {
+	// One Searcher carried from search to search — after an early stop,
+	// across trees of one and two dimensions, and copied — visits what a
+	// fresh PagedSearchCtx visits, in the same order with the same bounds.
+	rng := rand.New(rand.NewSource(11))
+	pager := storage.NewPager(storage.NewMemDisk(512), storage.DefaultDiskModel, 0)
+	trees := make([]*Tree, 2)
+	for d := range trees {
+		entries := make([]Entry, 2000)
+		for i := range entries {
+			x, y := rng.Float64()*100, rng.Float64()*100
+			entries[i] = Entry{MBR: Interval1D(x, x+rng.Float64()*3), Data: uint64(i)}
+			if d == 1 {
+				entries[i].MBR = Rect2D(x, x+1, y, y+1)
+			}
+		}
+		tr, err := BulkLoad(d+1, Params{PageSize: 512}, entries, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Persist(pager); err != nil {
+			t.Fatal(err)
+		}
+		trees[d] = tr
+	}
+	visits := func(search func(*Tree, MBR, func(Entry) bool) error, tr *Tree, q MBR, limit int) []string {
+		var out []string
+		if err := search(tr, q, func(e Entry) bool {
+			out = append(out, fmt.Sprint(e.Data, e.MBR))
+			return len(out) < limit
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fresh := func(tr *Tree, q MBR, fn func(Entry) bool) error { return tr.PagedSearchCtx(pager, q, fn) }
+	s := new(Searcher)
+	for round := 0; round < 40; round++ {
+		tr := trees[round%2]
+		lo, lo2 := rng.Float64()*100, rng.Float64()*100
+		q := Interval1D(lo, lo+8)
+		if tr.dims == 2 {
+			q = Rect2D(lo, lo+8, lo2, lo2+8)
+		}
+		limit := 1 << 30
+		if round%3 == 0 {
+			limit = 3
+		}
+		if round == 20 { // a copy searches on its own storage, not its original's
+			c := *s
+			*s, s = Searcher{}, &c
+		}
+		got := visits(func(tr *Tree, q MBR, fn func(Entry) bool) error { return s.Search(tr, pager, q, fn) }, tr, q, limit)
+		if want := visits(fresh, tr, q, limit); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: a reused Searcher visited %v, PagedSearchCtx %v", round, got, want)
+		}
+	}
+}
+
 func TestPagedSearchWithoutPersist(t *testing.T) {
 	tr, _ := New(1, Params{})
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
@@ -485,7 +546,7 @@ func TestBulkLoadCustomOrder(t *testing.T) {
 		entries[i] = Entry{MBR: Rect2D(x, x+0.1, y, y+0.1), Data: uint64(i)}
 	}
 	tr, err := BulkLoad(2, Params{PageSize: 512}, entries,
-		func(a, b Entry) bool { return a.MBR.Center(0) < b.MBR.Center(0) }, 0.8)
+		func(a, b Entry) int { return compareFloats(a.MBR.Center(0), b.MBR.Center(0)) }, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}

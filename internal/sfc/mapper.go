@@ -42,6 +42,10 @@ func NewMapper(curve Curve, bounds geom.Rect) (*Mapper, error) {
 func (m *Mapper) Index(p geom.Point) uint64 {
 	gx := m.snap((p.X - m.bounds.Min.X) * m.scaleX)
 	gy := m.snap((p.Y - m.bounds.Min.Y) * m.scaleY)
+	if h, ok := m.curve.(*Hilbert); ok {
+		xy := [2]uint32{gx, gy} // a concrete call keeps it on the stack
+		return h.Index(xy[:])
+	}
 	return m.curve.Index([]uint32{gx, gy})
 }
 

@@ -90,8 +90,12 @@ func (h *Hilbert) Index(coords []uint32) uint64 {
 	if len(coords) != h.dims {
 		panic(fmt.Sprintf("sfc: Hilbert.Index: got %d coords, want %d", len(coords), h.dims))
 	}
-	x := make([]uint32, h.dims)
-	copy(x, coords)
+	var buf [8]uint32 // the transform's scratch, on the stack up to 8 dims
+	x := buf[:0]
+	if h.dims > len(buf) {
+		x = make([]uint32, 0, h.dims)
+	}
+	x = append(x, coords...)
 	axesToTranspose(x, h.order)
 	return interleaveTransposed(x, h.order)
 }

@@ -76,7 +76,7 @@ func TestHilbertFigure4(t *testing.T) {
 func TestCurvesAreBijections(t *testing.T) {
 	for _, name := range []string{"hilbert", "zorder", "gray"} {
 		for _, tc := range []struct{ order, dims int }{
-			{3, 2}, {2, 3}, {4, 2}, {2, 4},
+			{3, 2}, {2, 3}, {4, 2}, {2, 4}, {1, 12}, // 12 dims: past Hilbert.Index's stack array
 		} {
 			c, err := New(name, tc.order, tc.dims)
 			if err != nil {

@@ -39,7 +39,8 @@ var ErrPageOutOfRange = errors.New("storage: page out of range")
 // heap's, a sidecar's, persisted tree nodes, a summary, a catalog — before it
 // publishes them, and an update of an existing page goes to the pager's epoch
 // overlays (epoch.go), never to the disk. So a disk need not exclude readers
-// from its writes: a reader only reaches a page once its writer is done.
+// from its writes: a reader only reaches a page once its writer is done. (A
+// MemDisk needs no such discipline: its writes are copy-on-write.)
 type Disk interface {
 	// PageSize returns the fixed size of every page in bytes.
 	PageSize() int
@@ -61,10 +62,18 @@ type Disk interface {
 // MemDisk is an in-memory Disk. It is the default substrate for experiments:
 // real I/O latency is replaced by the Pager's simulated clock, which makes
 // runs reproducible on any machine.
+//
+// Its page images are copy-on-write: WritePage installs a fresh image and
+// never edits one in place, so an image, once installed, is immutable and a
+// Pager lends it to its buffer pool instead of copying it (lendRun). For a
+// MemDisk the Disk invariant is a property of the type: a reader holding an
+// image keeps its bytes whatever is written after. Alloc installs no image —
+// the first write does — so a build allocates each page once.
 type MemDisk struct {
 	mu       sync.RWMutex
 	pageSize int
-	pages    [][]byte
+	pages    [][]byte // nil until the page's first write: a zeroed page
+	zero     []byte   // the image of every never-written page, set by Alloc
 }
 
 // NewMemDisk returns an empty in-memory disk with the given page size.
@@ -93,27 +102,54 @@ func (d *MemDisk) ReadRun(first PageID, bufs [][]byte) error {
 		return fmt.Errorf("%w: read run %d+%d of %d", ErrPageOutOfRange, first, len(bufs), len(d.pages))
 	}
 	for i, buf := range bufs {
-		copy(buf, d.pages[first+PageID(i)])
+		if img := d.pages[first+PageID(i)]; img != nil {
+			copy(buf, img)
+		} else {
+			clear(buf)
+		}
 	}
 	return nil
 }
 
-// WritePage implements Disk.
+// lendRun is ReadRun without the copy: it fills imgs with the disk's own
+// images of pages first..first+len(imgs)-1, which the caller must not modify
+// and may keep for as long as it likes.
+func (d *MemDisk) lendRun(first PageID, imgs [][]byte) error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if n := int(first) + len(imgs); n > len(d.pages) {
+		return fmt.Errorf("%w: read run %d+%d of %d", ErrPageOutOfRange, first, len(imgs), len(d.pages))
+	}
+	for i := range imgs {
+		if imgs[i] = d.pages[first+PageID(i)]; imgs[i] == nil {
+			imgs[i] = d.zero
+		}
+	}
+	return nil
+}
+
+// WritePage implements Disk: buf's bytes become a fresh image of page id,
+// and the one it replaces stays as its readers saw it.
 func (d *MemDisk) WritePage(id PageID, buf []byte) error {
+	img := make([]byte, d.pageSize)
+	copy(img, buf)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if int(id) >= len(d.pages) {
 		return fmt.Errorf("%w: write %d of %d", ErrPageOutOfRange, id, len(d.pages))
 	}
-	copy(d.pages[id], buf)
+	d.pages[id] = img
 	return nil
 }
 
-// Alloc implements Disk.
+// Alloc implements Disk. The page reads as zeroes until its first write.
 func (d *MemDisk) Alloc() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.pages = append(d.pages, make([]byte, d.pageSize))
+	if d.zero == nil {
+		d.zero = make([]byte, d.pageSize)
+	}
+	d.pages = append(d.pages, nil)
 	return PageID(len(d.pages) - 1), nil
 }
 

@@ -130,6 +130,9 @@ type Pager struct {
 	poolSize int
 	pool     *shardedPool // nil when poolSize == 0
 	free     *framePool   // frame freelist shared with the pool
+	// mem is disk when it is a MemDisk, whose page images the pager lends
+	// to its frames instead of copying them: then free holds headers only.
+	mem *MemDisk
 
 	mu    sync.Mutex // guards stats
 	stats Stats
@@ -154,6 +157,9 @@ func NewPager(disk Disk, model DiskModel, poolSize int) *Pager {
 		model:    model,
 		poolSize: poolSize,
 		free:     newFramePool(disk.PageSize()),
+	}
+	if mem, ok := disk.(*MemDisk); ok {
+		p.mem, p.free = mem, newFramePool(0)
 	}
 	if poolSize > 0 {
 		p.pool = newShardedPool(poolSize, 0, p.free)
@@ -225,20 +231,30 @@ func (p *Pager) viewRunThrough(first PageID, frames []*frame, epoch uint64, bufs
 
 // fetchRun reads len(frames) consecutive pages starting at first from disk
 // into frames off the freelist — one disk call, its buffer list built in
-// bufs — and registers them with the pool. On error frames is left
-// nil-filled.
+// bufs — and registers them with the pool. A MemDisk's pages are not read
+// but lent: each frame is a header over the disk's own immutable image. On
+// error frames is left nil-filled.
 func (p *Pager) fetchRun(first PageID, frames []*frame, bufs [][]byte) error {
 	bufs = bufs[:len(frames)]
-	for i := range frames {
-		frames[i] = p.free.get(first + PageID(i))
-		bufs[i] = frames[i].data
-	}
-	if err := p.disk.ReadRun(first, bufs); err != nil {
-		for i, f := range frames {
-			f.Release()
-			frames[i] = nil
+	if p.mem != nil {
+		if err := p.mem.lendRun(first, bufs); err != nil {
+			return err
 		}
-		return err
+		for i := range frames {
+			frames[i] = p.free.frameOf(first+PageID(i), bufs[i])
+		}
+	} else {
+		for i := range frames {
+			frames[i] = p.free.get(first + PageID(i))
+			bufs[i] = frames[i].data
+		}
+		if err := p.disk.ReadRun(first, bufs); err != nil {
+			for i, f := range frames {
+				f.Release()
+				frames[i] = nil
+			}
+			return err
+		}
 	}
 	if p.pool != nil {
 		for i, f := range frames {
@@ -277,6 +293,14 @@ func (p *Pager) WritePage(id PageID, buf []byte) error {
 	p.stats.Writes++
 	p.mu.Unlock()
 	if p.pool != nil {
+		if p.mem != nil {
+			// Lend the image the write installed, as a miss would.
+			img := [1][]byte{}
+			if err := p.mem.lendRun(id, img[:]); err != nil {
+				return err
+			}
+			buf = img[0]
+		}
 		p.pool.update(id, buf)
 	}
 	return nil

@@ -22,6 +22,9 @@ const (
 // reading any more, most of the time — and the next miss takes it over, so a
 // steady-state query workload reads pages without allocating. Frames travel as
 // pointers: nothing is boxed on the way in or out.
+//
+// A pool of size zero recycles headers only: their frames own no buffer and
+// lend a MemDisk's own immutable page image instead (see MemDisk).
 type framePool struct {
 	size int
 	pool sync.Pool
@@ -32,7 +35,8 @@ func newFramePool(size int) *framePool {
 }
 
 // get returns a frame nobody else holds (one reference, the caller's) whose
-// buffer awaits page id's image.
+// buffer awaits page id's image — or, from a header pool, whose data awaits
+// the image it lends.
 func (fp *framePool) get(id PageID) *frame {
 	f, ok := fp.pool.Get().(*frame)
 	if !ok {
@@ -40,6 +44,18 @@ func (fp *framePool) get(id PageID) *frame {
 	}
 	f.id = id
 	f.refs.Store(1)
+	return f
+}
+
+// frameOf returns a frame holding img as page id's image: img itself in a
+// header, or a copy of it in a frame's own buffer.
+func (fp *framePool) frameOf(id PageID, img []byte) *frame {
+	f := fp.get(id)
+	if fp.size == 0 {
+		f.data = img
+	} else {
+		copy(f.data, img)
+	}
 	return f
 }
 
@@ -73,6 +89,9 @@ func (f *frame) Release() {
 		panic("storage: frame released more often than retained")
 	}
 	if f.free != nil {
+		if f.free.size == 0 {
+			f.data = nil // a recycled header does not keep its image alive
+		}
 		f.free.pool.Put(f)
 	}
 }
@@ -241,10 +260,10 @@ func (sp *shardedPool) insert(f *frame) *frame {
 }
 
 // update refreshes an already-resident page after a write by swapping in a
-// fresh frame; readers of the old frame keep their immutable image. Absent
-// pages are not inserted (writes happen during build, before the measured
-// query phase).
-func (sp *shardedPool) update(id PageID, buf []byte) {
+// fresh frame holding img (see framePool.frameOf); readers of the old frame
+// keep their immutable image. Absent pages are not inserted (writes happen
+// during build, before the measured query phase).
+func (sp *shardedPool) update(id PageID, img []byte) {
 	s := sp.shard(id)
 	s.mu.Lock()
 	old, ok := s.frames[id]
@@ -252,8 +271,7 @@ func (sp *shardedPool) update(id PageID, buf []byte) {
 		s.mu.Unlock()
 		return
 	}
-	nf := sp.free.get(id)
-	copy(nf.data, buf)
+	nf := sp.free.frameOf(id, img)
 	// nf takes old's place in the recency list.
 	nf.prev, nf.next = old.prev, old.next
 	nf.prev.next, nf.next.prev = nf, nf

@@ -252,6 +252,72 @@ func TestWriteSwapsFrameUnderReader(t *testing.T) {
 	}
 }
 
+func TestLentFrameKeepsItsBytes(t *testing.T) {
+	// A MemDisk's pages are lent, not copied: the frame a reader is handed
+	// holds the disk's own image. A rewrite of the page — straight on the
+	// disk or through the pager — installs a fresh image and leaves the lent
+	// one as the reader saw it, and so does evicting the page and reading its
+	// new image back in while the old one is held.
+	const pages, capacity = 8, 2
+	disk := stampDisk(t, 128, pages)
+	p := newShardedPager(disk, capacity, 1)
+	rewrite := bytes.Repeat([]byte{0xAA}, 128)
+	err := p.ReadRun(0, 0, func(_ PageID, held []byte) bool {
+		if &held[0] != &disk.pages[0][0] {
+			t.Fatal("the pool copied page 0 instead of lending the disk's image")
+		}
+		if err := disk.WritePage(0, rewrite); err != nil {
+			t.Fatal(err)
+		}
+		if !stamped(0, held) {
+			t.Fatal("a disk write changed the image a reader holds")
+		}
+		if err := p.WritePage(0, bytes.Repeat([]byte{0xBB}, 128)); err != nil {
+			t.Fatal(err)
+		}
+		if !stamped(0, held) {
+			t.Fatal("a pager write changed the image a reader holds")
+		}
+		for id := PageID(1); id <= 2*capacity; id++ { // evicts page 0
+			if !stamped(id, readPage(t, p, id)) {
+				t.Fatalf("page %d came back holding another page", id)
+			}
+		}
+		if got := readPage(t, p, 0); got[0] != 0xBB {
+			t.Fatalf("page 0 reads back %#x after eviction, want the last write", got[0])
+		}
+		if !stamped(0, held) {
+			t.Fatal("re-reading an evicted page changed the image a reader holds")
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The held header is back on the freelist; whoever takes it over lends
+	// its own page, and a page never written reads as zeroes.
+	err = p.ReadRun(3, pages-1, func(id PageID, page []byte) bool {
+		if !stamped(id, page) {
+			t.Errorf("page %d came back holding %d", id, page[0])
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := disk.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readPage(t, p, id), make([]byte, 128)) {
+		t.Fatal("a never-written page does not read as zeroes through the pager")
+	}
+	dirty := bytes.Repeat([]byte{0xCC}, 128)
+	if err := disk.ReadRun(id, [][]byte{dirty}); err != nil || !bytes.Equal(dirty, make([]byte, 128)) {
+		t.Fatalf("a never-written page does not read as zeroes off the disk (%v)", err)
+	}
+}
+
 // hammer runs one query context per goroutine, each reading rounds single
 // pages — page(g, round) for goroutine g — and checking every image it is
 // handed against its stamp (see stampDisk).

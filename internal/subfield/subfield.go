@@ -15,8 +15,9 @@
 package subfield
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"fielddb/internal/field"
@@ -87,11 +88,11 @@ func LinearizeWorkers(f field.Field, curve sfc.Curve, workers int) ([]CellRef, e
 		}
 		wg.Wait()
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Key != refs[j].Key {
-			return refs[i].Key < refs[j].Key
+	slices.SortFunc(refs, func(a, b CellRef) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return refs[i].ID < refs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return refs, nil
 }
