@@ -84,33 +84,24 @@ var (
 func writeCatalog(disk *storage.FileDisk, blob []byte) error {
 	catalogStart := disk.NumPages()
 	ps := disk.PageSize()
-	for off := 0; off < len(blob); off += ps {
-		end := off + ps
-		if end > len(blob) {
-			end = len(blob)
-		}
-		id, err := disk.Alloc()
-		if err != nil {
-			return err
-		}
-		page := make([]byte, ps)
-		copy(page, blob[off:end])
-		if err := disk.WritePage(id, page); err != nil {
+	// The blob's whole pages go as they lie in it, with one write; its last,
+	// partial page, zero-padded, and the superblock with a second.
+	whole := len(blob) / ps * ps
+	if whole > 0 {
+		if _, err := disk.Append(blob[:whole]); err != nil {
 			return err
 		}
 	}
-	catalogPages := disk.NumPages() - catalogStart
-	superID, err := disk.Alloc()
-	if err != nil {
-		return err
-	}
-	super := make([]byte, ps)
+	catalogPages := (len(blob) + ps - 1) / ps
+	tail := make([]byte, (catalogPages-whole/ps+1)*ps)
+	copy(tail, blob[whole:])
+	super := tail[len(tail)-ps:]
 	copy(super[0:4], superblockMagic[:])
 	binary.LittleEndian.PutUint32(super[4:8], catalogVersion)
 	binary.LittleEndian.PutUint32(super[8:12], uint32(catalogStart))
 	binary.LittleEndian.PutUint32(super[12:16], uint32(catalogPages))
 	binary.LittleEndian.PutUint64(super[16:24], uint64(len(blob)))
-	if err := disk.WritePage(superID, super); err != nil {
+	if _, err := disk.Append(tail); err != nil {
 		return err
 	}
 	if err := disk.Sync(); err != nil {

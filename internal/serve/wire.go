@@ -724,8 +724,11 @@ func (r *frameReader) geometry() [][][2]float64 {
 	if r.err != nil {
 		return nil
 	}
-	rings := make([][][2]float64, 0, nrings) // nrings lengths were decoded: the frame held them
-
+	// nrings lengths and npoints coordinates were decoded: the frame held
+	// them. The rings share one point array, each cut from it with its
+	// capacity capped, so that appending to one cannot overwrite the next.
+	rings := make([][][2]float64, 0, nrings)
+	pts := make([][2]float64, npoints)
 	off := 0
 	for i := 0; i < nrings; i++ {
 		npts := int(uint32(math.Float64bits(lens[i])))
@@ -733,7 +736,7 @@ func (r *frameReader) geometry() [][][2]float64 {
 			r.err = fmt.Errorf("wire: geometry ring %d claims %d points beyond the %d-point block", i, npts, npoints)
 			return nil
 		}
-		ring := make([][2]float64, npts)
+		ring := pts[off : off+npts : off+npts]
 		for j := range ring {
 			ring[j] = [2]float64{xs[off+j], ys[off+j]}
 		}

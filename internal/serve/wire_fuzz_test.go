@@ -95,7 +95,84 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !slices.Equal(bitsOf(got), bitsOf(want)) {
 			t.Fatalf("result did not round-trip:\n got %+v\nwant %+v", got, want)
 		}
+
+		// The same bytes as a geometry block, and the result's rings encoded
+		// as one: each decodes as the ring-by-ring decoder did, and a ring
+		// grown by append leaves the next one as it was.
+		rec = newRecordingWriter()
+		q = lease(rec)
+		q.codec.streamGeometryBin(res.Regions, true)
+		q.put()
+		for _, block := range [][]byte{data, rec.body.Bytes()} {
+			r, ref := &frameReader{b: block}, &frameReader{b: block}
+			rings, want := r.geometry(), geometryPerRing(ref)
+			if (r.err == nil) != (ref.err == nil) || !slices.Equal(ringBits(rings), ringBits(want)) {
+				t.Fatalf("geometry block of %d bytes: %d rings (error %v), ring by ring %d (error %v)",
+					len(block), len(rings), r.err, len(want), ref.err)
+			}
+			for i := 0; i+1 < len(rings); i++ {
+				next := ringBits(rings[i+1 : i+2])
+				rings[i] = append(rings[i], [2]float64{math.Inf(1), math.Inf(-1)})
+				if !slices.Equal(ringBits(rings[i+1:i+2]), next) {
+					t.Fatalf("appending to ring %d of %d overwrote ring %d", i, len(rings), i+1)
+				}
+			}
+		}
 	})
+}
+
+// geometryPerRing is frameReader.geometry as it stood when every ring was its
+// own allocation, kept verbatim: FuzzDecodeFrame holds the shared-array
+// decoder to it.
+func geometryPerRing(r *frameReader) [][][2]float64 {
+	if r.u8() == 0 || r.err != nil {
+		return nil
+	}
+	nrings := r.u32()
+	npoints := r.u32()
+	if r.err != nil {
+		return nil
+	}
+	lens := r.chunkedColumn(nrings)
+	xs := r.chunkedColumn(npoints)
+	ys := r.chunkedColumn(npoints)
+	if r.err != nil {
+		return nil
+	}
+	rings := make([][][2]float64, 0, nrings) // nrings lengths were decoded: the frame held them
+
+	off := 0
+	for i := 0; i < nrings; i++ {
+		npts := int(uint32(math.Float64bits(lens[i])))
+		if npts < 0 || off+npts > npoints {
+			r.err = fmt.Errorf("wire: geometry ring %d claims %d points beyond the %d-point block", i, npts, npoints)
+			return nil
+		}
+		ring := make([][2]float64, npts)
+		for j := range ring {
+			ring[j] = [2]float64{xs[off+j], ys[off+j]}
+		}
+		off += npts
+		rings = append(rings, ring)
+	}
+	if off != npoints {
+		r.err = fmt.Errorf("wire: geometry block carries %d points but rings claim %d", npoints, off)
+		return nil
+	}
+	return rings
+}
+
+// ringBits flattens rings to their lengths and the bit patterns of their
+// points, so NaN coordinates compare.
+func ringBits(rings [][][2]float64) []uint64 {
+	out := []uint64{uint64(len(rings))}
+	for _, ring := range rings {
+		out = append(out, uint64(len(ring)))
+		for _, p := range ring {
+			out = append(out, math.Float64bits(p[0]), math.Float64bits(p[1]))
+		}
+	}
+	return out
 }
 
 // resultFromBytes reads data as a query result: 8-byte words as float64 bit

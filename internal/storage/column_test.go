@@ -2,10 +2,67 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// decodeColumnOracle is decodeColumn as it stood before it learned to read a
+// tag byte's four fields at a time: one entry per step, kept verbatim.
+// FuzzFloatColumn holds the decoder to it — the same values and the same
+// refusals on any bytes.
+func decodeColumnOracle(src []byte, n int, out []float64) error {
+	if n < 1 || n > len(out) {
+		return errors.New("column count out of range")
+	}
+	if len(src) < packedColHeader {
+		return errors.New("column block truncated")
+	}
+	predictor, w1, w2 := src[0], uint(src[1]), uint(src[2])
+	if predictor > predictorDoubleDelta || w1 < 1 || w1 > 63 || w2 < w1 || w2 > 63 {
+		return errors.New("column header corrupt")
+	}
+	prev := binary.LittleEndian.Uint64(src[3:11])
+	out[0] = math.Float64frombits(prev)
+	if n == 1 {
+		return nil
+	}
+	tagBytes := (2*(n-1) + 7) / 8
+	if len(src) < packedColHeader+tagBytes {
+		return errors.New("column block truncated")
+	}
+	tags := src[packedColHeader : packedColHeader+tagBytes]
+	payload := src[packedColHeader+tagBytes:]
+	// The payload length was rounded up to whole bytes; a field that would end
+	// past it is a truncated block.
+	avail := uint(len(payload)) * 8
+	widths := [4]uint{0, w1, w2, 64}
+	var ddMask uint64 // all ones when deltas accumulate
+	if predictor == predictorDoubleDelta {
+		ddMask = ^uint64(0)
+	}
+	var pos uint
+	var prevDelta uint64
+	for i := 0; i < n-1; i++ {
+		w := widths[(tags[i>>2]>>(uint(i&3)*2))&3]
+		var zz uint64
+		if pos>>3+9 <= uint(len(payload)) {
+			// Nine bytes ahead lie inside the block, so the field does too.
+			zz, pos = getBits(payload, pos, w), pos+w
+		} else if w > 0 {
+			if pos+w > avail {
+				return errors.New("column payload truncated")
+			}
+			zz, pos = getBitsBytewise(payload, pos, w)
+		}
+		delta := uint64(unzigzag(zz)) + prevDelta&ddMask
+		prevDelta = delta
+		prev += delta
+		out[i+1] = math.Float64frombits(prev)
+	}
+	return nil
+}
 
 // TestFloatColumnRoundTrip drives the exported column codec over the shapes
 // the wire format ships: smooth coordinate runs, noisy values, bit-cast
@@ -150,13 +207,37 @@ func FuzzFloatColumn(f *testing.F) {
 		ramp[i] = 100 + 0.25*float64(i)
 	}
 	f.Add(smooth[:EncodeFloatColumn(smooth, ramp)], 64)
+	// Long columns of every width class, whole and cut mid-payload: most of
+	// each decodes four entries a step, its last ones one at a time.
+	rng := rand.New(rand.NewSource(66))
+	for _, next := range []func(i int) float64{
+		func(i int) float64 { return 100 + 0.25*float64(i) + float64(rng.Intn(3)) },
+		func(i int) float64 { return math.Float64frombits(uint64(i*i) << uint(rng.Intn(40))) },
+		func(int) float64 { return math.Float64frombits(rng.Uint64()) },
+	} {
+		vals := make([]float64, 301)
+		for i := range vals {
+			vals[i] = next(i)
+		}
+		buf := make([]byte, MaxFloatColumnSize(len(vals)))
+		size := EncodeFloatColumn(buf, vals)
+		f.Add(buf[:size], len(vals))
+		f.Add(buf[:size*3/4], len(vals))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n = n % 4096; n > 0 {
 			// Exactly the block, capacity clipped: a read past it would panic.
 			block := append(make([]byte, 0, len(data)), data...)
-			err := DecodeFloatColumn(block, n, make([]float64, n))
+			got, want := make([]float64, n), make([]float64, n)
+			err := DecodeFloatColumn(block, n, got)
 			if err == nil && len(data) < MinFloatColumnSize(n) {
 				t.Fatalf("decoded %d values from %d bytes, below the %d-byte floor", n, len(data), MinFloatColumnSize(n))
+			}
+			if oerr := decodeColumnOracle(block, n, want); (err == nil) != (oerr == nil) {
+				t.Fatalf("%d values from %d bytes: error %v, one entry at a time %v", n, len(data), err, oerr)
+			}
+			if !sameBits(got, want) {
+				t.Fatalf("%d values from %d bytes differ from one entry at a time:\n got %v\nwant %v", n, len(data), got, want)
 			}
 		} else if DecodeFloatColumn(data, n, nil) == nil {
 			t.Fatalf("decoded a column of %d values", n)
@@ -184,4 +265,41 @@ func FuzzFloatColumn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecodeColumn decodes one full packed sidecar page's worth of a
+// smooth, a noisy and a random column, four entries a step and, for
+// comparison, one at a time (the oracle), and reports ns/entry.
+func BenchmarkDecodeColumn(b *testing.B) {
+	const n = 1020
+	rng := rand.New(rand.NewSource(67))
+	for _, c := range []struct {
+		name string
+		next func(i int) float64
+	}{
+		{"smooth", func(i int) float64 { return 100 + 0.25*float64(i) }},
+		{"noisy", func(i int) float64 { return 100 + 0.25*float64(i) + rng.Float64() }},
+		{"random", func(int) float64 { return math.Float64frombits(rng.Uint64()) }},
+	} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = c.next(i)
+		}
+		buf := make([]byte, MaxFloatColumnSize(n))
+		block := buf[:EncodeFloatColumn(buf, vals)]
+		out := make([]float64, n)
+		for _, d := range []struct {
+			name   string
+			decode func([]byte, int, []float64) error
+		}{{"quad", decodeColumn}, {"entry", decodeColumnOracle}} {
+			b.Run(c.name+"/"+d.name, func(b *testing.B) {
+				for b.Loop() {
+					if err := d.decode(block, n, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+			})
+		}
+	}
 }

@@ -158,16 +158,19 @@ func (d *MemDisk) Close() error { return nil }
 
 // FileDisk is a Disk backed by a single flat file of concatenated pages.
 //
-// Reads take no lock: the page count is an atomic, and a positioned read
-// (os.File.ReadAt) is safe for concurrent use, so a store's readers reach
-// the file side by side. The Disk invariant — a page is written only before
-// a reader can reach it — is what makes that sound. Alloc alone holds a
-// mutex, which orders appends.
+// Reads take no lock: the page count is an atomic, and positioned reads are
+// safe for concurrent use, so a store's readers reach the file side by side.
+// On Linux a run of two or more pages is one preadv straight into the
+// caller's buffers; a single page, a run that comes back short, and every run
+// elsewhere are read one positioned read (os.File.ReadAt) per page. The Disk
+// invariant — a page is written only before a reader can reach it — is what
+// makes lock-free reads sound. Appends alone hold a mutex, which orders them.
 type FileDisk struct {
 	f        *os.File
+	run      runReader
 	pageSize int
 	numPages atomic.Int64
-	allocMu  sync.Mutex // serializes Alloc
+	allocMu  sync.Mutex // serializes Append
 }
 
 // OpenFileDisk opens (creating if necessary) a file-backed disk. An existing
@@ -200,7 +203,12 @@ func openFileDisk(path string, pageSize, flag int) (*FileDisk, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s size %d is not a multiple of page size %d", path, st.Size(), pageSize)
 	}
-	d := &FileDisk{f: f, pageSize: pageSize}
+	run, err := newRunReader(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	}
+	d := &FileDisk{f: f, run: run, pageSize: pageSize}
 	d.numPages.Store(st.Size() / int64(pageSize))
 	return d, nil
 }
@@ -211,16 +219,23 @@ func (d *FileDisk) PageSize() int { return d.pageSize }
 // NumPages implements Disk.
 func (d *FileDisk) NumPages() int { return int(d.numPages.Load()) }
 
-// ReadRun implements Disk without a lock: one positioned read per page of the
-// run. A page the file no longer holds in full — truncated under the open
-// disk — fails the run with io.ErrUnexpectedEOF rather than coming back as
-// its surviving bytes over whatever the buffer held before.
+// ReadRun implements Disk without a lock: a run of two or more pages is one
+// vector read where the platform has one (runReader), and whatever it leaves
+// unread — all of a single page, the rest of a run that came back short — is
+// read a positioned read per page. A page the file no longer holds in full —
+// truncated under the open disk — fails the run with io.ErrUnexpectedEOF
+// rather than coming back as its surviving bytes over whatever the buffer
+// held before.
 func (d *FileDisk) ReadRun(first PageID, bufs [][]byte) error {
 	if n, have := int64(first)+int64(len(bufs)), d.numPages.Load(); n > have {
 		return fmt.Errorf("%w: read run %d+%d of %d", ErrPageOutOfRange, first, len(bufs), have)
 	}
-	for i, buf := range bufs {
-		id := first + PageID(i)
+	done := 0
+	if len(bufs) > 1 {
+		done = d.run.read(int64(first)*int64(d.pageSize), d.pageSize, bufs)
+	}
+	for i, buf := range bufs[done:] {
+		id := first + PageID(done+i)
 		n, err := d.f.ReadAt(buf[:d.pageSize], int64(id)*int64(d.pageSize))
 		if n < d.pageSize {
 			if err == nil || err == io.EOF {
@@ -244,17 +259,25 @@ func (d *FileDisk) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Alloc implements Disk: it appends a zeroed page under the append mutex and
-// only then counts it, so no reader can reach the page before it exists.
+// Alloc implements Disk: it appends a zeroed page.
 func (d *FileDisk) Alloc() (PageID, error) {
+	return d.Append(make([]byte, d.pageSize))
+}
+
+// Append writes pages, a whole number of them, past the disk's last page
+// with one write under the append mutex, and only then counts them, so no
+// reader can reach a page before it exists. It returns the first page's id.
+func (d *FileDisk) Append(pages []byte) (PageID, error) {
+	if len(pages) == 0 || len(pages)%d.pageSize != 0 {
+		return InvalidPage, fmt.Errorf("storage: append of %d bytes is not a whole number of %d-byte pages", len(pages), d.pageSize)
+	}
 	d.allocMu.Lock()
 	defer d.allocMu.Unlock()
 	id := d.numPages.Load()
-	zero := make([]byte, d.pageSize)
-	if _, err := d.f.WriteAt(zero, id*int64(d.pageSize)); err != nil {
-		return InvalidPage, fmt.Errorf("storage: alloc page %d: %w", id, err)
+	if _, err := d.f.WriteAt(pages, id*int64(d.pageSize)); err != nil {
+		return InvalidPage, fmt.Errorf("storage: append at page %d: %w", id, err)
 	}
-	d.numPages.Store(id + 1)
+	d.numPages.Store(id + int64(len(pages)/d.pageSize))
 	return PageID(id), nil
 }
 

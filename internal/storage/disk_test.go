@@ -14,19 +14,23 @@ import (
 	"testing"
 )
 
-// stampPage fills buf with page id's stamp: the id at the front and its
-// complement at the back, so a torn or misplaced page cannot pass for it.
+// stampPage fills buf with page id's stamp: the id at the front, its
+// complement at the back, and between them words no other page holds at
+// their offsets, so a torn, stale or misplaced page cannot pass for it.
 func stampPage(buf []byte, id PageID) []byte {
-	clear(buf)
+	for k := 0; k+4 <= len(buf); k += 4 {
+		binary.LittleEndian.PutUint32(buf[k:], uint32(id)*0x9e3779b1+uint32(k))
+	}
 	binary.LittleEndian.PutUint32(buf, uint32(id))
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:], ^uint32(id))
 	return buf
 }
 
-// checkStamp reports whether buf holds page id's stamp.
+// checkStamp reports whether buf holds page id's stamp, byte for byte.
 func checkStamp(buf []byte, id PageID) error {
-	if a, b := binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[len(buf)-4:]); a != uint32(id) || b != ^uint32(id) {
-		return fmt.Errorf("page %d reads back the stamp %d/%d", id, a, ^b)
+	if !bytes.Equal(buf, stampPage(make([]byte, len(buf)), id)) {
+		a, b := binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[len(buf)-4:])
+		return fmt.Errorf("page %d reads back the stamp %d/%d, or a torn one", id, a, ^b)
 	}
 	return nil
 }
@@ -53,6 +57,18 @@ func runBufs(n, ps int) [][]byte {
 		bufs[i] = make([]byte, ps)
 	}
 	return bufs
+}
+
+// tempFileDisk opens an empty file disk in the test's temporary directory,
+// closed at cleanup.
+func tempFileDisk(t *testing.T, ps int) *FileDisk {
+	t.Helper()
+	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "disk.db"), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
 // readOnlyStamped writes a file of n stamped pages at path and opens it
@@ -107,19 +123,22 @@ func TestFileDiskReadOnly(t *testing.T) {
 // TestTailDisk: a tail disk reads its base's pages from the base — here a
 // read-only file — and keeps every page allocated after them in memory; a run
 // may span both, a base page is never written, and the base file's bytes stay
-// as they were.
+// as they were. Every run of the disk is read, so the file's runs take every
+// length from one page to more than one vector read, at every offset, over
+// buffers holding whatever the last run left.
 func TestTailDisk(t *testing.T) {
-	const ps = 64
+	const ps, inBase, inTail = 64, 70, 2
 	path := filepath.Join(t.TempDir(), "base.db")
-	base, before := readOnlyStamped(t, path, ps, 3)
+	base, before := readOnlyStamped(t, path, ps, inBase)
 	d := NewTailDisk(base)
-	appendStamped(t, d, 2)
-	if d.NumPages() != 5 || base.NumPages() != 3 {
-		t.Fatalf("tail disk holds %d pages over a base of %d, want 5 over 3", d.NumPages(), base.NumPages())
+	appendStamped(t, d, inTail)
+	if d.NumPages() != inBase+inTail || base.NumPages() != inBase {
+		t.Fatalf("tail disk holds %d pages over a base of %d, want %d over %d", d.NumPages(), base.NumPages(), inBase+inTail, inBase)
 	}
-	for first := 0; first < 5; first++ {
-		for n := 1; first+n <= 5; n++ {
-			bufs := runBufs(n, ps)
+	all := runBufs(inBase+inTail, ps)
+	for first := 0; first < inBase+inTail; first++ {
+		for n := 1; first+n <= inBase+inTail; n++ {
+			bufs := all[:n]
 			if err := d.ReadRun(PageID(first), bufs); err != nil {
 				t.Fatalf("run %d+%d: %v", first, n, err)
 			}
@@ -130,13 +149,13 @@ func TestTailDisk(t *testing.T) {
 			}
 		}
 	}
-	if err := d.ReadRun(4, runBufs(2, ps)); !errors.Is(err, ErrPageOutOfRange) {
+	if err := d.ReadRun(inBase+inTail-1, runBufs(2, ps)); !errors.Is(err, ErrPageOutOfRange) {
 		t.Fatalf("run past the end: %v", err)
 	}
-	if err := d.WritePage(2, make([]byte, ps)); err == nil {
+	if err := d.WritePage(inBase-1, make([]byte, ps)); err == nil {
 		t.Fatal("a base page was written")
 	}
-	if err := d.WritePage(4, stampPage(make([]byte, ps), 4)); err != nil {
+	if err := d.WritePage(inBase, stampPage(make([]byte, ps), inBase)); err != nil {
 		t.Fatalf("a tail page: %v", err)
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
@@ -148,10 +167,14 @@ func TestTailDisk(t *testing.T) {
 // published pages while one writer allocates, stamps and publishes new ones.
 // Every page reads back its own stamp, the page count never falls, and the
 // race detector sees no conflict: a page is written only before it is
-// published, so reads need no lock.
+// published, so reads need no lock. Then the disk is closed under the readers
+// and another file, stamped as pages past the first's, opened — most likely
+// on the descriptor number the close freed: from then on a run comes back
+// with the first file's pages or an error, never the second file's.
 func TestFileDiskConcurrentReadsAndAppends(t *testing.T) {
-	const ps, initial, appends, readers, maxRun = 256, 32, 400, 4, 8
-	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "append.db"), ps)
+	const ps, initial, appends, readers, maxRun, afterSwap = 256, 32, 400, 4, 64, 50
+	dir := t.TempDir()
+	d, err := OpenFileDisk(filepath.Join(dir, "append.db"), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +182,8 @@ func TestFileDiskConcurrentReadsAndAppends(t *testing.T) {
 	appendStamped(t, d, initial)
 	var published atomic.Int64 // pages whose stamp is written
 	published.Store(initial)
+	var closed atomic.Bool
+	swapped := make(chan struct{}) // closed once the second file is open
 	done := make(chan struct{})
 	var runs atomic.Int64
 	var wg sync.WaitGroup
@@ -170,11 +195,15 @@ func TestFileDiskConcurrentReadsAndAppends(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
 			bufs := runBufs(maxRun, ps)
-			last := 0
+			last, left := 0, afterSwap
 			for {
 				select {
 				case <-done:
 					return
+				case <-swapped:
+					if left--; left < 0 {
+						return
+					}
 				default:
 				}
 				pub := int(published.Load())
@@ -187,12 +216,15 @@ func TestFileDiskConcurrentReadsAndAppends(t *testing.T) {
 				k := 1 + rng.Intn(min(maxRun, pub))
 				first := PageID(rng.Intn(pub - k + 1))
 				if err := d.ReadRun(first, bufs[:k]); err != nil {
-					t.Errorf("run %d+%d: %v", first, k, err)
-					return
+					if !closed.Load() {
+						t.Errorf("run %d+%d: %v", first, k, err)
+						return
+					}
+					continue
 				}
 				for i, b := range bufs[:k] {
 					if err := checkStamp(b, first+PageID(i)); err != nil {
-						t.Error(err)
+						t.Errorf("run %d+%d: %v", first, k, err)
 						return
 					}
 				}
@@ -211,10 +243,25 @@ func TestFileDiskConcurrentReadsAndAppends(t *testing.T) {
 		}
 		published.Store(int64(id) + 1)
 	}
-	stop()
 	if d.NumPages() != initial+appends {
 		t.Fatalf("%d pages after %d appends to %d", d.NumPages(), appends, initial)
 	}
+	closed.Store(true)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	other, err := OpenFileDisk(filepath.Join(dir, "other.db"), ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for i := range initial + appends {
+		if _, err := other.Append(stampPage(buf, PageID(initial+appends+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(swapped)
+	wg.Wait() // each reader returns after afterSwap more runs
 	t.Logf("%d runs read beside %d appends", runs.Load(), appends)
 }
 

@@ -136,7 +136,7 @@ func TestSnapshotToMaterializesOverlays(t *testing.T) {
 	p.WritePage(id, bytes.Repeat([]byte{0x11}, 64))
 	commitPatch(t, p, id, 0x22)
 
-	dst := NewMemDisk(64)
+	dst := tempFileDisk(t, 64)
 	if err := p.SnapshotTo(dst); err != nil {
 		t.Fatal(err)
 	}

@@ -347,12 +347,13 @@ func (p *Pager) Close() error {
 }
 
 // SnapshotTo copies every page of the store as seen at the current epoch to
-// dst, allocating pages there as needed: overlaid pages are materialized from
-// their newest overlay version, so the saved file is the live state, not the
-// stale base. The copy reads the disk in runs and bypasses the pool and the
-// cost accounting — it is a maintenance operation (saving a built database to
-// a file), not part of a measured query.
-func (p *Pager) SnapshotTo(dst Disk) error {
+// dst, which must be empty, appending a chunk of up to runChunkPages pages
+// with each write: overlaid pages are materialized from their newest overlay
+// version, so the saved file is the live state, not the stale base. The copy
+// reads the disk in runs and bypasses the pool and the cost accounting — it
+// is a maintenance operation (saving a built database to a file), not part of
+// a measured query.
+func (p *Pager) SnapshotTo(dst *FileDisk) error {
 	ps := p.disk.PageSize()
 	if dst.PageSize() != ps {
 		return fmt.Errorf("storage: snapshot page size mismatch: %d vs %d", dst.PageSize(), ps)
@@ -370,21 +371,17 @@ func (p *Pager) SnapshotTo(dst Disk) error {
 			return err
 		}
 		for i, buf := range run {
-			id := PageID(start + i)
-			if f := p.ov.view(id, epoch); f != nil {
+			if f := p.ov.view(PageID(start+i), epoch); f != nil {
 				copy(buf, f.data)
 				f.Release()
 			}
-			did, err := dst.Alloc()
-			if err != nil {
-				return err
-			}
-			if did != id {
-				return fmt.Errorf("storage: snapshot destination not empty (page %d became %d)", id, did)
-			}
-			if err := dst.WritePage(did, buf); err != nil {
-				return err
-			}
+		}
+		did, err := dst.Append(chunk[:len(run)*ps])
+		if err != nil {
+			return err
+		}
+		if did != PageID(start) {
+			return fmt.Errorf("storage: snapshot destination not empty (page %d became %d)", start, did)
 		}
 	}
 	return nil

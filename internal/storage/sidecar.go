@@ -658,7 +658,11 @@ func encodeColumn(dst []byte, vals []float64) int {
 	return packedColHeader + tagBytes + int(pos+7)/8
 }
 
-// decodeColumn decodes a column block of n entries into out[:n].
+// decodeColumn decodes a column block of n entries into out[:n]. A tag byte
+// at a time — four entries — it reads the four fields independently, their
+// offsets the prefix sums of their widths, and then accumulates them, one
+// loop per predictor; the block's last entries, whose fields lie within nine
+// bytes of its end, go one at a time, and so does every bounds error.
 func decodeColumn(src []byte, n int, out []float64) error {
 	if n < 1 || n > len(out) {
 		return errors.New("column count out of range")
@@ -681,17 +685,66 @@ func decodeColumn(src []byte, n int, out []float64) error {
 	}
 	tags := src[packedColHeader : packedColHeader+tagBytes]
 	payload := src[packedColHeader+tagBytes:]
-	// The payload length was rounded up to whole bytes; a field that would end
-	// past it is a truncated block.
-	avail := uint(len(payload)) * 8
 	widths := [4]uint{0, w1, w2, 64}
+	out = out[1:n]
+	var pos uint
+	var prevDelta uint64
+	i := 0
+	if predictor == predictorDelta {
+		for ; i+4 <= len(out); i += 4 {
+			t := tags[i>>2]
+			wa, wb, wc, wd := widths[t&3], widths[t>>2&3], widths[t>>4&3], widths[t>>6]
+			p1 := pos + wa
+			p2 := p1 + wb
+			p3 := p2 + wc
+			if p3>>3+9 > uint(len(payload)) {
+				break // the last field may lie within nine bytes of the end
+			}
+			z0, z1, z2, z3 := getBits(payload, pos, wa), getBits(payload, p1, wb), getBits(payload, p2, wc), getBits(payload, p3, wd)
+			pos = p3 + wd
+			prev += uint64(unzigzag(z0))
+			out[i] = math.Float64frombits(prev)
+			prev += uint64(unzigzag(z1))
+			out[i+1] = math.Float64frombits(prev)
+			prev += uint64(unzigzag(z2))
+			out[i+2] = math.Float64frombits(prev)
+			prev += uint64(unzigzag(z3))
+			out[i+3] = math.Float64frombits(prev)
+		}
+	} else {
+		for ; i+4 <= len(out); i += 4 {
+			t := tags[i>>2]
+			wa, wb, wc, wd := widths[t&3], widths[t>>2&3], widths[t>>4&3], widths[t>>6]
+			p1 := pos + wa
+			p2 := p1 + wb
+			p3 := p2 + wc
+			if p3>>3+9 > uint(len(payload)) {
+				break // the last field may lie within nine bytes of the end
+			}
+			z0, z1, z2, z3 := getBits(payload, pos, wa), getBits(payload, p1, wb), getBits(payload, p2, wc), getBits(payload, p3, wd)
+			pos = p3 + wd
+			prevDelta += uint64(unzigzag(z0))
+			prev += prevDelta
+			out[i] = math.Float64frombits(prev)
+			prevDelta += uint64(unzigzag(z1))
+			prev += prevDelta
+			out[i+1] = math.Float64frombits(prev)
+			prevDelta += uint64(unzigzag(z2))
+			prev += prevDelta
+			out[i+2] = math.Float64frombits(prev)
+			prevDelta += uint64(unzigzag(z3))
+			prev += prevDelta
+			out[i+3] = math.Float64frombits(prev)
+		}
+	}
+	// The tail, one entry at a time. The payload length was rounded up to
+	// whole bytes; a field that would end past it is a truncated block.
+	avail := uint(len(payload)) * 8
 	var ddMask uint64 // all ones when deltas accumulate
 	if predictor == predictorDoubleDelta {
 		ddMask = ^uint64(0)
 	}
-	var pos uint
-	var prevDelta uint64
-	for i := 0; i < n-1; i++ {
+	for ; i < len(out); i++ {
 		w := widths[(tags[i>>2]>>(uint(i&3)*2))&3]
 		var zz uint64
 		if pos>>3+9 <= uint(len(payload)) {
@@ -706,7 +759,7 @@ func decodeColumn(src []byte, n int, out []float64) error {
 		delta := uint64(unzigzag(zz)) + prevDelta&ddMask
 		prevDelta = delta
 		prev += delta
-		out[i+1] = math.Float64frombits(prev)
+		out[i] = math.Float64frombits(prev)
 	}
 	return nil
 }

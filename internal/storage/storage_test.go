@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -127,11 +128,13 @@ func TestFileDiskRejectsTornFile(t *testing.T) {
 }
 
 // TestFileDiskTruncatedUnderOpenDisk: a page the file loses after the disk
-// was opened fails the read with io.ErrUnexpectedEOF — never its surviving
-// bytes over whatever the frame held before — and the query charges none of
-// the run the failed fetch belonged to.
+// was opened fails the read with io.ErrUnexpectedEOF at that page — never its
+// surviving bytes over whatever the frame held before — and the query charges
+// none of the run the failed fetch belonged to. The runs cross the cut from
+// either side and at every distance, one vector read long and longer, so a
+// read that comes back short fails where a page-at-a-time read would.
 func TestFileDiskTruncatedUnderOpenDisk(t *testing.T) {
-	const ps = 64
+	const ps, pages, cut = 64, 140, 70 // page 70 keeps 10 bytes, 71 on none
 	path := filepath.Join(t.TempDir(), "cut.db")
 	d, err := OpenFileDisk(path, ps)
 	if err != nil {
@@ -139,17 +142,42 @@ func TestFileDiskTruncatedUnderOpenDisk(t *testing.T) {
 	}
 	p := NewPager(d, DefaultDiskModel, 4)
 	defer p.Close()
-	for i := 0; i < 4; i++ {
-		d.Alloc()
-	}
-	if err := os.Truncate(path, 2*ps+10); err != nil {
+	appendStamped(t, d, pages)
+	if err := os.Truncate(path, cut*ps+10); err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range [][2]PageID{{2, 2}, {3, 3}, {0, 3}} {
+	diskRun := func(first PageID, n int) {
+		t.Helper()
+		if err := d.ReadRun(first, runBufs(n, ps)); !errors.Is(err, io.ErrUnexpectedEOF) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("read page %d:", max(first, cut))) {
+			t.Fatalf("disk run %d+%d over a file cut in page %d: %v", first, n, cut, err)
+		}
+	}
+	for _, run := range [][2]PageID{
+		{cut, 2}, {cut + 1, 3}, {cut - 2, 3},
+		{cut, 1}, {cut + 1, 5}, {cut - 1, 2}, {cut - 3, 8},
+		{cut - 63, 64}, {cut, 64}, {cut - 20, 40}, {cut - 30, 64},
+	} {
+		first, n := run[0], int(run[1])
+		diskRun(first, n)
 		qc := p.BeginQuery()
-		err := qc.ReadRun(run[0], run[1], func(PageID, []byte) bool { return true })
+		err := qc.ReadRun(first, first+PageID(n-1), func(PageID, []byte) bool { return true })
 		if st := qc.Stats(); !errors.Is(err, io.ErrUnexpectedEOF) || st.Reads != 0 {
-			t.Fatalf("run %v over a truncated file: %v, charged %v", run, err, st)
+			t.Fatalf("run %d+%d over a truncated file: %v, charged %v", first, n, err, st)
+		}
+	}
+	// Longer than one vector read: the first reads whole, the next comes
+	// back short.
+	diskRun(0, pages)
+	diskRun(cut-64, 100)
+	// The pages before the cut still read, in runs and alone.
+	bufs := runBufs(cut, ps)
+	if err := d.ReadRun(0, bufs); err != nil {
+		t.Fatalf("the %d pages before the cut: %v", cut, err)
+	}
+	for i, b := range bufs {
+		if err := checkStamp(b, PageID(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -365,7 +393,9 @@ func TestHeapFileScanPagesSubrange(t *testing.T) {
 // TestHeapFileScanRuns: a list of runs is walked in order, page by page, with
 // the records of each exactly as one ScanPagesCtx per run would find them; an
 // error from the run accessor ends the scan and comes back; a visitor's stop
-// ends it cleanly; and the scan allocates the same for one run as for many.
+// ends it cleanly; and the scan allocates the same for one run as for many
+// (compared only without the race detector, under which a pooled visitor is
+// sometimes dropped and allocated afresh).
 func TestHeapFileScanRuns(t *testing.T) {
 	p := NewPager(NewMemDisk(128), DefaultDiskModel, 1024) // every page stays resident
 	h := NewHeapFile(p)
@@ -430,7 +460,7 @@ func TestHeapFileScanRuns(t *testing.T) {
 	defer qc.Release()
 	one := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(qc, 1, at, visit) })
 	many := testing.AllocsPerRun(20, func() { h.ScanRunsCtx(qc, len(runs), at, visit) })
-	if one != many {
+	if !raceEnabled && one != many {
 		t.Fatalf("scan allocates %v for one run, %v for %d", one, many, len(runs))
 	}
 }
@@ -497,7 +527,7 @@ func TestSnapshotTo(t *testing.T) {
 		p.WritePage(id, buf)
 	}
 	before := p.Stats()
-	dst := NewMemDisk(128)
+	dst := tempFileDisk(t, 128)
 	if err := p.SnapshotTo(dst); err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +546,7 @@ func TestSnapshotTo(t *testing.T) {
 		}
 	}
 	// Mismatched page size rejected.
-	if err := p.SnapshotTo(NewMemDisk(64)); err == nil {
+	if err := p.SnapshotTo(tempFileDisk(t, 64)); err == nil {
 		t.Fatal("page size mismatch accepted")
 	}
 	// Non-empty destination rejected.
