@@ -10,10 +10,10 @@ import (
 	"log"
 	"math"
 
-	"fielddb/internal/core"
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
+	"fielddb/internal/magnitude"
 	"fielddb/internal/storage"
 )
 
@@ -47,7 +47,7 @@ func main() {
 	}
 
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<14)
-	ix, err := core.BuildMagnitude(wind, pager, core.MagnitudeOptions{RefineGrid: 6})
+	ix, err := magnitude.Build(wind, pager, magnitude.Options{RefineGrid: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"fielddb/internal/core"
 	"fielddb/internal/field"
-	"fielddb/internal/grid"
 	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
@@ -185,23 +184,8 @@ func AblationCostEpsilon(s Scale) Experiment {
 // per DEM row, continuity along one axis only — against I-Hilbert and
 // LinearScan on the terrain dataset.
 func RelatedIPIndex(s Scale) Experiment {
-	ipSpec := IndexSpec{
-		Label: string(core.MethodIPRow),
-		Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-			d, ok := f.(*grid.DEM)
-			if !ok {
-				return nil, fmt.Errorf("bench: IP-Row requires a DEM, got %T", f)
-			}
-			return core.BuildIPRow(d, p)
-		},
-	}
-	itSpec := IndexSpec{
-		Label: string(core.MethodIntervalTree),
-		Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-			return core.BuildITree(f, p)
-		},
-	}
-	specs := append(SpecsForMethods(core.MethodLinearScan, core.MethodIHilbert), itSpec)
+	specs := append(SpecsForMethods(core.MethodLinearScan, core.MethodIHilbert),
+		IndexSpec{Label: "I-IntTree", Build: buildIntervalTree}, IndexSpec{Label: "IP-Row", Build: buildIPRow})
 	return Experiment{
 		Name:  "related-ipindex",
 		Title: "related work: row-wise IP-index and main-memory interval tree vs I-Hilbert",
@@ -209,7 +193,7 @@ func RelatedIPIndex(s Scale) Experiment {
 			return FixtureTerrain(s.side(512), 0)
 		},
 		QIntervals: workload.QIntervalsReal,
-		Specs:      append(specs, ipSpec),
+		Specs:      specs,
 		Queries:    s.queries(),
 		Seed:       160,
 	}

@@ -243,7 +243,10 @@ func buildWhole(ctx context.Context, f field.Field, s *store, st *state, m *meth
 func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *partState, []float64, error) {
 	p := &partition{cells: f.NumCells(), mbr: f.Bounds(), cut: m.cut, cost: opts.Cost, maxSize: opts.MaxSize}
 	st := &partState{}
-	ids := identityOrder(f) // the heap order: natural, unless a rule reorders it
+	ids := make([]field.CellID, f.NumCells()) // the heap order: natural, unless a rule reorders it
+	for i := range ids {
+		ids[i] = field.CellID(i)
+	}
 	var groups []subfield.Group
 	if m.cut != nil {
 		refs, err := subfield.LinearizeWorkers(f, opts.Curve, opts.Workers)

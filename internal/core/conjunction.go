@@ -28,7 +28,7 @@ type ConjunctiveResult struct {
 // The number of conditions must match the number of indexes and be at least
 // one; with a single condition it degenerates to Index.Query. Conditions whose
 // index is an Engine poll ctx during refinement, so one cancel stops every
-// condition's scan (the reference baselines ignore ctx). All per-condition
+// condition's scan (any other Index ignores ctx). All per-condition
 // goroutines are joined before returning.
 func ConjunctiveQueryContext(ctx context.Context, indexes []Index, intervals []geom.Interval) (*ConjunctiveResult, error) {
 	if len(indexes) == 0 || len(indexes) != len(intervals) {

@@ -49,8 +49,7 @@
 // a slotted heap file, index nodes in R*-tree pages, and every page access
 // during a query is charged to a simulated disk clock so the methods are
 // compared under the paper's cost model (4 KiB pages, sequential vs random
-// access). IPRow, ITree and Magnitude are self-contained reference baselines
-// outside the store.
+// access).
 package core
 
 import (
@@ -223,28 +222,6 @@ type Engine interface {
 	Close() error
 }
 
-// estimateRecord folds one encoded record into rs the way the reference
-// baselines (ITree, IPRow) fetch cells, one at a time: the interval test
-// runs on the partial decode (value min/max only), and the full cell — the
-// vertex geometry the Band/Isolines step needs — is decoded into scratch
-// only for cells that survive it. Counters and answer geometry are
-// identical to decoding every record eagerly.
-func estimateRecord(rs *resultSink, rec []byte, scratch *field.Cell) error {
-	iv, err := field.CellIntervalFromRecord(rec)
-	if err != nil {
-		return err
-	}
-	rs.res.CellsFetched++
-	if !iv.Intersects(rs.res.Query) {
-		return nil
-	}
-	if err := field.DecodeCell(rec, scratch); err != nil {
-		return err
-	}
-	rs.estimateMatched(scratch)
-	return nil
-}
-
 // Region vertices are stored in chunks that double from minRegionChunk points
 // up to maxRegionChunk (128 KiB), so a small answer stays small and a large
 // one costs a handful of allocations.
@@ -391,13 +368,4 @@ func writeCells(ctx context.Context, f field.Field, pager *storage.Pager, ids []
 		}
 	}
 	return heap, rids, sc, areas, nil
-}
-
-// identityOrder returns the cell ids of f in natural order.
-func identityOrder(f field.Field) []field.CellID {
-	ids := make([]field.CellID, f.NumCells())
-	for i := range ids {
-		ids[i] = field.CellID(i)
-	}
-	return ids
 }

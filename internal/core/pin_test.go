@@ -54,8 +54,12 @@ func TestFailedQueryReleasesPin(t *testing.T) {
 		"Tiled-LinearScan": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodLinearScan, TileSide: 8})
 		},
-		"I-IntTree": func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildITree(d, p) },
-		"IP-Row":    func(d *grid.DEM, p *storage.Pager) (Index, error) { return BuildIPRow(d, p) },
+		"I-IntTree": func(d *grid.DEM, p *storage.Pager) (Index, error) {
+			return buildFiltered(d, p, intervalTreeFilter(d))
+		},
+		"IP-Row": func(d *grid.DEM, p *storage.Pager) (Index, error) {
+			return buildFiltered(d, p, ipRowFilter(d))
+		},
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // magnitude queries, which are not linear in the components, VectorField
 // offers conservative per-cell magnitude bounds suitable for a
 // filter-and-refine pipeline: the bounds never exclude a true answer, so an
-// index over them yields candidate cells that a refinement step (numeric
-// evaluation inside the cell) can finish.
+// index over them (internal/magnitude) yields candidate cells that a
+// refinement step (numeric evaluation inside the cell) can finish.
 type VectorField struct {
 	components []Field
 }
