@@ -221,22 +221,6 @@ func BenchmarkFig12b(b *testing.B) {
 	benchFigure(b, exp)
 }
 
-// BenchmarkAblationCurves compares Hilbert vs Z-order vs Gray-code
-// linearization inside the subfield index.
-func BenchmarkAblationCurves(b *testing.B) {
-	exp := bench.AblationCurves(benchScale())
-	exp.Dataset = func() (field.Field, error) { return workload.Terrain(128, 4217) }
-	benchFigure(b, exp)
-}
-
-// BenchmarkAblationQuadThreshold sweeps the Interval Quadtree threshold
-// against I-Hilbert (the paper's motivating comparison).
-func BenchmarkAblationQuadThreshold(b *testing.B) {
-	exp := bench.AblationQuadThreshold(benchScale())
-	exp.Dataset = func() (field.Field, error) { return workload.Terrain(128, 4217) }
-	benchFigure(b, exp)
-}
-
 // BenchmarkAblationCostQ sweeps the cost-model constant q in P = L + q.
 func BenchmarkAblationCostQ(b *testing.B) {
 	exp := bench.AblationCostEpsilon(benchScale())
@@ -259,7 +243,7 @@ func BenchmarkBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range []core.Method{core.MethodLinearScan, core.MethodIAll, core.MethodIHilbert, core.MethodIQuad} {
+	for _, m := range []core.Method{core.MethodLinearScan, core.MethodIAll, core.MethodIHilbert} {
 		spec := bench.SpecsForMethods(m)[0]
 		b.Run(string(m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

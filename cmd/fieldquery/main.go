@@ -31,7 +31,7 @@ func main() {
 		belowArg = flag.String("below", "", "value query w <= bound")
 		atArg    = flag.String("at", "", "conventional point query x,y")
 		contourW = flag.String("contour", "", "extract the isoline at this value as polylines")
-		method   = flag.String("method", "I-Hilbert", "index method: LinearScan | I-All | I-Hilbert | I-Quad | I-Auto")
+		method   = flag.String("method", "I-Hilbert", "index method: LinearScan | I-All | I-Hilbert | I-Auto")
 		stats    = flag.Bool("stats", false, "print index and I/O statistics")
 		regions  = flag.Int("regions", 5, "max answer regions to print")
 	)

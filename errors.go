@@ -36,6 +36,10 @@ var (
 	// — it means DefaultApproxMaxErr; +Inf is valid and accepts any certified
 	// bound.
 	ErrBadTolerance = errors.New("fielddb: invalid error tolerance")
+	// ErrUpdatesUnsupported reports UpdateSamples on a DB over an immutable
+	// field. Every method takes updates; a field takes them when its samples
+	// can be set, as those of grid.DEM and tin.TIN can.
+	ErrUpdatesUnsupported = errors.New("fielddb: field does not support live updates")
 )
 
 // Errors re-exported from internal/core, so errors.Is works across the
@@ -50,10 +54,6 @@ var (
 	// of a configuration that forms no subfields, or SaveIndex on the Auto
 	// planner — the one configuration without an on-disk form.
 	ErrNoPartition = core.ErrNoPartition
-	// ErrUpdatesUnsupported reports UpdateSamples on a configuration that
-	// cannot apply live updates: an immutable field, or the IQuad method (its
-	// spatial recursion is not maintained incrementally).
-	ErrUpdatesUnsupported = core.ErrUpdatesUnsupported
 	// ErrOutsideField reports a point query at a point no cell of the field
 	// holds, or an UpdateSamples batch naming a sample the field does not have.
 	ErrOutsideField = core.ErrOutsideField

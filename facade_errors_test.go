@@ -110,6 +110,15 @@ func TestFacadeTypedErrors(t *testing.T) {
 			message: `fielddb: unknown method "I-Bogus"`,
 		},
 		{
+			name: "the Interval Quadtree is no method",
+			run: func() error {
+				_, err := Open(dem, Options{Method: Method("I-Quad")})
+				return err
+			},
+			want:    ErrUnknownMethod,
+			message: `fielddb: unknown method "I-Quad"`,
+		},
+		{
 			name: "approx query without partition",
 			run:  func() error { _, err := scan.ApproxValueQueryContext(ctx, vr.Lo, vr.Hi); return err },
 			want: ErrNoPartition,
@@ -289,12 +298,12 @@ func TestOpenIndexWith(t *testing.T) {
 
 // TestUnsupportedVersionsRefused: a database file whose superblock or catalog
 // header names any catalog version but the current one — the two-layout
-// version 5 and the next one included — is refused with the typed error, by
-// core.Open and by the facade, before anything else in it is interpreted. The
-// current version's row is the control: the same rewrite leaves a file that
-// opens.
+// version 5, version 7 with its quadtree threshold word, and the next one
+// included — is refused with the typed error, by core.Open and by the facade,
+// before anything else in it is interpreted. The current version's row is the
+// control: the same rewrite leaves a file that opens.
 func TestUnsupportedVersionsRefused(t *testing.T) {
-	const current = 7
+	const current = 8
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -76,24 +76,6 @@ func TestConcurrentPointQueries(t *testing.T) {
 	}
 }
 
-func TestIQuadFacadeThreshold(t *testing.T) {
-	dem, _ := TerrainDEM(16, 3)
-	db, err := Open(dem, Options{Method: IQuad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Method() != IQuad {
-		t.Fatalf("method = %s", db.Method())
-	}
-	subs := db.Subfields()
-	vr := dem.ValueRange()
-	for _, s := range subs {
-		if len(s.Cells) > 1 && s.Interval.Length() > vr.Length()/16+1 {
-			t.Fatalf("subfield interval %v exceeds quad threshold", s.Interval)
-		}
-	}
-}
-
 func TestSaveOpenIndexFacade(t *testing.T) {
 	dem, _ := TerrainDEM(16, 5)
 	db, err := Open(dem, Options{})

@@ -21,10 +21,9 @@
 //	w, _ := db.PointQuery(geom.Pt(12.5, 90.25))     // conventional query
 //
 // The heavy lifting lives in the internal packages (documented in
-// DESIGN.md): internal/core runs LinearScan, I-All, I-Hilbert and the
-// Interval-Quadtree comparator on one query executor over a paged storage
-// layer with a simulated disk clock; internal/bench regenerates every figure
-// of the paper's evaluation.
+// DESIGN.md): internal/core runs LinearScan, I-All and I-Hilbert on one query
+// executor over a paged storage layer with a simulated disk clock;
+// internal/bench regenerates every figure of the paper's evaluation.
 package fielddb
 
 import (
@@ -109,16 +108,14 @@ const (
 	LinearScan = core.MethodLinearScan
 	IAll       = core.MethodIAll
 	IHilbert   = core.MethodIHilbert
-	IQuad      = core.MethodIQuad
 	Auto       = core.MethodAuto
 )
 
 // Options configures Open. Everything else about a database is fixed: 4 KiB
 // pages (as in the paper's experiments), a 65536-page sharded buffer pool per
-// pager, the default simulated disk model, Hilbert linearization under the
-// paper's cost model (Epsilon = 1), and an Interval-Quadtree threshold of 1/16
-// of the value range. Comparisons across those axes are measurement exercises
-// and run through internal/bench.
+// pager, the default simulated disk model, and Hilbert linearization under the
+// paper's cost model (Epsilon = 1). Comparisons across those axes are
+// measurement exercises and run through internal/bench.
 type Options struct {
 	// Method selects the value index; the default is IHilbert, the paper's
 	// proposed method.
@@ -216,7 +213,6 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 		return storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages)
 	}
 	pager := newPager()
-	vr := f.ValueRange()
 	workers := resolveWorkers(opts.Workers)
 	buildValue := func() (core.Engine, error) {
 		return core.Build(ctx, f, pager, core.BuildOptions{
@@ -224,8 +220,6 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 			TileSide: opts.TileSide,
 			Workers:  workers,
 			Codec:    opts.SidecarCodec,
-			// The Interval Quadtree threshold: 1/16 of the value range.
-			MaxSize: vr.Length()/16 + 1,
 		})
 	}
 	// The spatial tree gets its own pager: its descents are accounted apart
@@ -269,6 +263,7 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	db.index = idx
 	db.spatial = sp
 	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
+	vr := f.ValueRange()
 	db.vrange.Store(&vr)
 	if opts.BatchWindow > 0 {
 		db.batcher = core.NewBatcher(idx, opts.BatchWindow, db.ob.Metrics)

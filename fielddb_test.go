@@ -54,7 +54,7 @@ func TestAllMethodsViaFacade(t *testing.T) {
 	vr := dem.ValueRange()
 	lo, hi := vr.Lo+vr.Length()*0.3, vr.Lo+vr.Length()*0.35
 	var areas []float64
-	for _, m := range []Method{LinearScan, IAll, IHilbert, IQuad} {
+	for _, m := range []Method{LinearScan, IAll, IHilbert} {
 		db, err := Open(dem, Options{Method: m})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -79,7 +79,7 @@ func TestAllMethodsViaFacade(t *testing.T) {
 func TestCellsStoredOnce(t *testing.T) {
 	dem, _ := TerrainDEM(32, 7)
 	for _, opts := range []Options{
-		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert}, {Method: IQuad}, {Method: Auto},
+		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert}, {Method: Auto},
 		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
 	} {
 		db, err := Open(dem, opts)

@@ -137,27 +137,18 @@ func Run(exp Experiment) (*Report, error) {
 }
 
 // SpecsForMethods returns the standard builders for the paper's methods.
-// I-Quad takes its interval-size threshold as a fraction of the dataset's
-// value range; the paper gives no principled choice (its
-// critique of the method), so 1/16 of the range is used by default.
 func SpecsForMethods(methods ...core.Method) []IndexSpec {
 	var out []IndexSpec
 	for _, m := range methods {
-		out = append(out, buildSpec(string(m), core.BuildOptions{Method: m}, 1.0/16))
+		out = append(out, buildSpec(string(m), core.BuildOptions{Method: m}))
 	}
 	return out
 }
 
-// buildSpec is the IndexSpec that builds opts through core.Build. A positive
-// sizeFrac sets the threshold methods' MaxSize to that fraction of the
-// dataset's value range.
-func buildSpec(label string, opts core.BuildOptions, sizeFrac float64) IndexSpec {
+// buildSpec is the IndexSpec that builds opts through core.Build.
+func buildSpec(label string, opts core.BuildOptions) IndexSpec {
 	return IndexSpec{Label: label, Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-		o := opts
-		if sizeFrac > 0 {
-			o.MaxSize = f.ValueRange().Length()*sizeFrac + 1
-		}
-		return core.Build(context.Background(), f, p, o)
+		return core.Build(context.Background(), f, p, opts)
 	}}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
-	"fielddb/internal/storage"
 )
 
 // tinyScale builds very small experiments for unit testing.
@@ -107,7 +106,7 @@ func TestSpeedupAndGeoMean(t *testing.T) {
 func TestExperimentRegistry(t *testing.T) {
 	s := Scale{}
 	all := All(s)
-	if len(all) != 12 {
+	if len(all) != 10 {
 		t.Fatalf("registry has %d experiments", len(all))
 	}
 	names := map[string]bool{}
@@ -120,7 +119,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("experiment %q incomplete", e.Name)
 		}
 	}
-	for _, want := range []string{"fig8a", "fig8b", "fig11-H0.1", "fig11-H0.9", "fig12b", "ablation-curves", "ablation-quad", "ablation-eps", "related-ipindex", "extension-auto"} {
+	for _, want := range []string{"fig8a", "fig8b", "fig11-H0.1", "fig11-H0.9", "fig12b", "ablation-eps", "related-ipindex", "extension-auto"} {
 		if !names[want] {
 			t.Fatalf("missing experiment %q", want)
 		}
@@ -162,24 +161,6 @@ func TestFigure12bShape(t *testing.T) {
 	}
 	if g <= 1 {
 		t.Fatalf("I-Hilbert not ahead on monotonic data (ratio %g)", g)
-	}
-}
-
-func TestSpecsForMethodsThresholds(t *testing.T) {
-	specs := SpecsForMethods(core.MethodIQuad)
-	if len(specs) != 1 {
-		t.Fatalf("specs = %d", len(specs))
-	}
-	f, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 8, 8, func(x, y float64) float64 { return x })
-	for _, spec := range specs {
-		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
-		idx, err := spec.Build(f, pager)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Label, err)
-		}
-		if idx.Stats().Cells != 64 {
-			t.Fatalf("%s: cells %d", spec.Label, idx.Stats().Cells)
-		}
 	}
 }
 

@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 
 	"fielddb/internal/core"
 	"fielddb/internal/field"
-	"fielddb/internal/sfc"
-	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
 	"fielddb/internal/workload"
 )
@@ -103,61 +100,6 @@ func Figure12b(s Scale) Experiment {
 	}
 }
 
-// AblationCurves compares the space-filling curve driving the
-// linearization: Hilbert vs Z-order vs Gray-code (refs [6, 7, 13] of the
-// paper claim Hilbert clusters best).
-func AblationCurves(s Scale) Experiment {
-	specs := make([]IndexSpec, 0, 3)
-	for _, name := range []string{"hilbert", "zorder", "gray"} {
-		name := name
-		specs = append(specs, IndexSpec{
-			Label: "I-" + name,
-			Build: func(f field.Field, p *storage.Pager) (core.Index, error) {
-				curve, err := sfc.New(name, 16, 2)
-				if err != nil {
-					return nil, err
-				}
-				return core.Build(context.Background(), f, p, core.BuildOptions{Method: core.MethodIHilbert, Curve: curve})
-			},
-		})
-	}
-	return Experiment{
-		Name:  "ablation-curves",
-		Title: "I-Hilbert with Hilbert vs Z-order vs Gray-code linearization",
-		Dataset: func() (field.Field, error) {
-			return FixtureTerrain(s.side(512), 0)
-		},
-		QIntervals: workload.QIntervalsReal,
-		Specs:      specs,
-		Queries:    s.queries(),
-		Seed:       130,
-	}
-}
-
-// AblationQuadThreshold sweeps the Interval Quadtree threshold and compares
-// against I-Hilbert — the paper's motivation: no fixed threshold is best
-// everywhere, while the cost-based grouping needs no tuning.
-func AblationQuadThreshold(s Scale) Experiment {
-	specs := []IndexSpec{
-		SpecsForMethods(core.MethodIHilbert)[0],
-	}
-	for _, frac := range []float64{1.0 / 4, 1.0 / 16, 1.0 / 64} {
-		frac := frac
-		specs = append(specs, buildSpec(fmt.Sprintf("I-Quad/%g", 1/frac), core.BuildOptions{Method: core.MethodIQuad}, frac))
-	}
-	return Experiment{
-		Name:  "ablation-quad",
-		Title: "Interval Quadtree threshold sweep vs I-Hilbert",
-		Dataset: func() (field.Field, error) {
-			return FixtureTerrain(s.side(512), 0)
-		},
-		QIntervals: workload.QIntervalsReal,
-		Specs:      specs,
-		Queries:    s.queries(),
-		Seed:       140,
-	}
-}
-
 // AblationCostEpsilon sweeps the cost model's additive constant (the
 // query-length term of P = L + q).
 func AblationCostEpsilon(s Scale) Experiment {
@@ -165,7 +107,7 @@ func AblationCostEpsilon(s Scale) Experiment {
 	for _, eps := range []float64{0.25, 1, 4, 16} {
 		eps := eps
 		specs = append(specs, buildSpec(fmt.Sprintf("I-Hilbert/eps=%g", eps),
-			core.BuildOptions{Method: core.MethodIHilbert, Cost: subfield.CostModel{Epsilon: eps}}, 0))
+			core.BuildOptions{Method: core.MethodIHilbert, Cost: subfield.CostModel{Epsilon: eps}}))
 	}
 	return Experiment{
 		Name:  "ablation-eps",
@@ -225,8 +167,7 @@ func All(s Scale) []Experiment {
 	for _, h := range workload.HSweep {
 		out = append(out, Figure11(h, s))
 	}
-	out = append(out, Figure12b(s), AblationCurves(s), AblationQuadThreshold(s),
-		AblationCostEpsilon(s), RelatedIPIndex(s), ExtensionAuto(s))
+	out = append(out, Figure12b(s), AblationCostEpsilon(s), RelatedIPIndex(s), ExtensionAuto(s))
 	return out
 }
 

@@ -19,11 +19,11 @@ var Selectivities = []float64{0.01, 0.05, 0.10}
 // spec builds a core.Engine; Build returns core.Index because the figure
 // experiments also list the reference baselines, which are only that.
 func ValueRangeSpecs() []IndexSpec {
-	hilbert := buildSpec(string(core.MethodIHilbert), core.BuildOptions{Method: core.MethodIHilbert}, 0)
+	hilbert := buildSpec(string(core.MethodIHilbert), core.BuildOptions{Method: core.MethodIHilbert})
 	hilbert.ParallelRefine = true
 	return []IndexSpec{
-		buildSpec(string(core.MethodLinearScan), core.BuildOptions{Method: core.MethodLinearScan}, 0),
-		buildSpec(string(core.MethodIAll), core.BuildOptions{Method: core.MethodIAll, BulkLoad: true}, 0),
+		buildSpec(string(core.MethodLinearScan), core.BuildOptions{Method: core.MethodLinearScan}),
+		buildSpec(string(core.MethodIAll), core.BuildOptions{Method: core.MethodIAll, BulkLoad: true}),
 		hilbert,
 	}
 }

@@ -115,9 +115,6 @@ func TestBatchSharesPages(t *testing.T) {
 		members[i] = BatchQuery{Query: q}
 	}
 	for name, idx := range buildBatchable(t, f) {
-		if name == "I-Quad" { // partition layouts can be too coarse to overlap
-			continue
-		}
 		results, st := idx.QueryBatch(members)
 		for i, r := range results {
 			if r.Err != nil {

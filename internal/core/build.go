@@ -20,7 +20,7 @@ var (
 	ErrUnknownMethod = errors.New("fielddb: unknown method")
 	// ErrBadOptions reports options the builder cannot combine: a TileSide
 	// below 2, a tiled I-All or I-Auto, a sidecar option on a method with a
-	// tree, an unknown sidecar codec, or I-Quad without its MaxSize.
+	// tree, or an unknown sidecar codec.
 	ErrBadOptions = errors.New("fielddb: invalid tiling options")
 )
 
@@ -46,22 +46,21 @@ type BuildOptions struct {
 	// whose filter tests every cell interval: a method with a tree refuses them.
 	Codec     string
 	NoSidecar bool
-	// Curve linearizes the cells of the partitioned family; nil selects a
-	// Hilbert curve of order 16. Z-order or Gray-code curves can be
-	// substituted for the clustering ablation.
-	Curve sfc.Curve
 	// Cost is the subfield cost model; the zero value selects the paper's
 	// model (Epsilon = 1).
 	Cost subfield.CostModel
-	// MaxSize is the subfield interval-size threshold I-Quad cuts at
-	// (cost-model size, i.e. length + Epsilon); the other methods ignore it.
-	MaxSize float64
 	// BulkLoad packs I-All's R*-tree bottom-up (sorted by interval center)
 	// instead of inserting one interval at a time. Tuple-by-tuple insertion
 	// reproduces the tall, overlapping tree the paper describes; bulk loading
 	// is for suites that measure the query path only.
 	BulkLoad bool
 }
+
+// hilbert linearizes cells by the Hilbert value of their centers on a
+// 2^16 × 2^16 grid over the field's bounds: the heap order of the partitioned
+// methods and the packing order of the spatial tree. NewHilbert refuses only
+// an order or dimension out of range, which these constants are not.
+var hilbert, _ = sfc.NewHilbert(16, 2)
 
 // The build parameters no caller varies: the planner's histogram resolution,
 // and the estimated selectivity above which it scans (the subfield path's
@@ -71,18 +70,13 @@ const (
 	autoScanThreshold = 0.45
 )
 
-// cutRule partitions the linearized cells of one partition into subfields,
-// returning the cells in the order they are stored in.
-type cutRule func(refs []subfield.CellRef, bounds geom.Rect, cost subfield.CostModel, maxSize float64) ([]subfield.CellRef, []subfield.Group)
-
 // methodSpec is one row of the method table: everything in which one method
 // differs from another. Build and Open dispatch on it and on nothing else.
 type methodSpec struct {
-	// cut is the partition rule — §3.1.2's greedy cost bound or the interval
-	// quadtree; nil stores the cells in natural order with no partition. sized
-	// rules need BuildOptions.MaxSize.
-	cut   cutRule
-	sized bool
+	// cut stores the cells in Hilbert order, cut into subfields by §3.1.2's
+	// greedy cost bound; without it the cells are stored in natural order
+	// with no partition.
+	cut bool
 	// perCell indexes every cell interval in the tree (§3's baseline); plans
 	// adds the selectivity histogram.
 	perCell, plans bool
@@ -95,23 +89,7 @@ type methodSpec struct {
 
 // hasTree reports whether the method keeps an R*-tree per partition; its
 // entries are heap positions when perCell, subfields otherwise.
-func (m *methodSpec) hasTree() bool { return m.cut != nil || m.perCell }
-
-func cutGreedy(refs []subfield.CellRef, _ geom.Rect, cost subfield.CostModel, _ float64) ([]subfield.CellRef, []subfield.Group) {
-	return refs, subfield.BuildGreedy(refs, cost)
-}
-
-// cutQuad ignores the curve order the refs arrive in: the quadtree imposes
-// its own, clustering cells on disk by quadrant.
-func cutQuad(refs []subfield.CellRef, bounds geom.Rect, cost subfield.CostModel, maxSize float64) ([]subfield.CellRef, []subfield.Group) {
-	return subfield.BuildQuad(refs, bounds, cost, maxSize, 0)
-}
-
-// refuseRegroup is the maintain hook of I-Quad: its partition is a spatial
-// quadtree recursion, which an update batch does not reproduce.
-func refuseRegroup(*overlayStage, field.Field, *partState, *changes) (*partState, int, bool, error) {
-	return nil, 0, false, fmt.Errorf("core: %s regrouping is spatial: %w", MethodIQuad, ErrUpdatesUnsupported)
-}
+func (m *methodSpec) hasTree() bool { return m.cut || m.perCell }
 
 // methods is the method table.
 var methods = map[Method]*methodSpec{
@@ -132,18 +110,13 @@ var methods = map[Method]*methodSpec{
 	MethodIAll: {perCell: true, bind: func(p *partition) {
 		p.candidates, p.maintain, p.byPos = p.cellCandidates, p.maintainCells, true
 	}},
-	// The partitioned family: cells stored in partition order (each subfield
-	// a contiguous run of pages), subfield intervals in a 1-D R*-tree. The
-	// two differ only in how the partition is formed — and in that the
-	// quadtree's spatial recursion is not something an update can re-derive.
-	MethodIHilbert: {cut: cutGreedy, tiles: true, bind: func(p *partition) {
+	// The paper's method: cells stored in partition order (each subfield a
+	// contiguous run of pages), subfield intervals in a 1-D R*-tree.
+	MethodIHilbert: {cut: true, tiles: true, bind: func(p *partition) {
 		p.candidates, p.maintain = p.groupCandidates, p.regroup
 	}},
-	MethodIQuad: {cut: cutQuad, sized: true, tiles: true, bind: func(p *partition) {
-		p.candidates, p.maintain = p.groupCandidates, refuseRegroup
-	}},
 	// I-Hilbert behind the selectivity planner of auto.go.
-	MethodAuto: {cut: cutGreedy, plans: true, bind: func(p *partition) {
+	MethodAuto: {cut: true, plans: true, bind: func(p *partition) {
 		p.candidates, p.maintain = p.planCandidates, p.maintainPlanned
 	}},
 }
@@ -173,20 +146,8 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 	if opts.TileSide != 0 && !m.tiles {
 		return nil, fmt.Errorf("%w: method %s does not tile", ErrBadOptions, opts.Method)
 	}
-	if !m.sized {
-		opts.MaxSize = 0 // ignored, and the catalog records the rule as built
-	} else if opts.MaxSize <= 0 {
-		return nil, fmt.Errorf("%w: %s needs MaxSize > 0", ErrBadOptions, opts.Method)
-	}
 	if opts.Cost.Epsilon == 0 {
 		opts.Cost = subfield.DefaultCostModel
-	}
-	if opts.Curve == nil && m.cut != nil {
-		curve, err := sfc.NewHilbert(16, 2)
-		if err != nil {
-			return nil, err
-		}
-		opts.Curve = curve
 	}
 	opts.Workers = clampWorkers(opts.Workers)
 	s := newStore(pager, opts.Method, opts.TileSide, f.NumCells())
@@ -215,7 +176,7 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 }
 
 // buildWhole builds row m's partition over all of f — an untiled store's one —
-// adding it to s and its first state to st. Only a rule-cut partition keeps
+// adding it to s and its first state to st. Only a cut partition keeps
 // the interval column a field summary is fitted to: for one it returns the
 // column with every cell's area, which the store keeps to refit the summary
 // under updates.
@@ -236,24 +197,23 @@ func buildWhole(ctx context.Context, f field.Field, s *store, st *state, m *meth
 }
 
 // buildPartition stores the cells of f — a whole field, or one tile of one —
-// in a fresh heap segment on pager, in the order row m's partition rule puts
-// them, and builds the row's index structure over them. It returns the
-// partition with its hooks bound, its first state, and each cell's planar
-// area in heap order.
+// in a fresh heap segment on pager, in the order row m's cut puts them, and
+// builds the row's index structure over them. It returns the partition with
+// its hooks bound, its first state, and each cell's planar area in heap order.
 func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *partState, []float64, error) {
-	p := &partition{cells: f.NumCells(), mbr: f.Bounds(), cut: m.cut, cost: opts.Cost, maxSize: opts.MaxSize}
+	p := &partition{cells: f.NumCells(), mbr: f.Bounds(), cost: opts.Cost}
 	st := &partState{}
-	ids := make([]field.CellID, f.NumCells()) // the heap order: natural, unless a rule reorders it
+	ids := make([]field.CellID, f.NumCells()) // the heap order: natural, unless the cut reorders it
 	for i := range ids {
 		ids[i] = field.CellID(i)
 	}
 	var groups []subfield.Group
-	if m.cut != nil {
-		refs, err := subfield.LinearizeWorkers(f, opts.Curve, opts.Workers)
+	if m.cut {
+		refs, err := subfield.LinearizeWorkers(f, hilbert, opts.Workers)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		refs, groups = m.cut(refs, f.Bounds(), opts.Cost, opts.MaxSize)
+		groups = subfield.BuildGreedy(refs, opts.Cost)
 		if err := subfield.Validate(refs, groups); err != nil {
 			return nil, nil, nil, fmt.Errorf("core: %w", err)
 		}
@@ -270,7 +230,7 @@ func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m 
 		return nil, nil, nil, err
 	}
 	switch {
-	case m.cut != nil:
+	case m.cut:
 		st.tree, st.groups, err = p.indexGroups(ctx, pager, groups, opts.Workers)
 	case m.perCell:
 		st.tree, err = indexCells(f, pager, opts.BulkLoad)

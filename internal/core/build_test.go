@@ -29,7 +29,6 @@ type matrixRow struct {
 // LinearScan, the method without a tree, builds a sidecar; the others build
 // without one and refuse a codec or NoSidecar.
 func buildMatrix(f field.Field) []matrixRow {
-	maxSize := f.ValueRange().Length()/8 + 1
 	bases := []matrixRow{
 		{name: "LinearScan", opts: BuildOptions{Method: MethodLinearScan}, natural: true},
 		{name: "LinearScan-sidecar", opts: BuildOptions{Method: MethodLinearScan, NoSidecar: true}, natural: true},
@@ -37,7 +36,6 @@ func buildMatrix(f field.Field) []matrixRow {
 		{name: "I-All+bulk", opts: BuildOptions{Method: MethodIAll, BulkLoad: true}, natural: true},
 		{name: "I-All-sidecar", opts: BuildOptions{Method: MethodIAll, NoSidecar: true}, natural: true},
 		{name: "I-Hilbert", opts: BuildOptions{Method: MethodIHilbert}},
-		{name: "I-Quad", opts: BuildOptions{Method: MethodIQuad, MaxSize: maxSize}},
 		{name: "I-Auto", opts: BuildOptions{Method: MethodAuto}},
 	}
 	var rows []matrixRow
@@ -127,7 +125,7 @@ func TestBuildMatrix(t *testing.T) {
 		"I-Hilbert, NoSidecar": {BuildOptions{Method: MethodIHilbert, NoSidecar: true}, ErrBadOptions},
 		"unknown method":       {BuildOptions{Method: "I-Bogus"}, ErrUnknownMethod},
 		"no method":            {BuildOptions{}, ErrUnknownMethod},
-		"I-Quad, no MaxSize":   {BuildOptions{Method: MethodIQuad, TileSide: 16}, ErrBadOptions},
+		"I-Quad":               {BuildOptions{Method: "I-Quad"}, ErrUnknownMethod},
 	} {
 		if _, err := Build(context.Background(), f, newPager(), tc.opts); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)

@@ -38,9 +38,8 @@ import (
 //	epoch u64 (the storage epoch the saved pages materialize; SaveFile writes
 //	    the current epoch's overlay view into the base pages, so the opened
 //	    store resumes epoch numbering instead of restarting at 0)
-//	cost epsilon f64, threshold max size f64 (the partitioning rule the store
-//	    was built with, so update batches re-derive group boundaries with the
-//	    same §3 cost bound)
+//	cost epsilon f64 (the cost model the store was built with, so update
+//	    batches re-derive group boundaries with the same §3 cost bound)
 //	field summary: first page u32, pages u32 (0/0 when the store carries none)
 //	partition count u32 (1 for an untiled store), then per partition:
 //	    MBR: min.x, min.y, max.x, max.y f64
@@ -49,8 +48,8 @@ import (
 //	    total cell area f64
 //	    cell count u64, then the field-wide cell ids in heap order, u32 each
 //	        (ascending where the method stores cells in natural order; under a
-//	        partition rule a tile's ascending id list and its local heap order
-//	        are both recovered from the one list)
+//	        cut a tile's ascending id list and its local heap order are both
+//	        recovered from the one list)
 //	    heap page count u64, then that many page ids u32
 //	    heap page first-positions, heap page count × u32 (the heap position of
 //	        each page's first record, for reconstructing position ↦ RID without
@@ -60,7 +59,7 @@ import (
 //	        entry, pages × u32 (variable-rate pages cannot derive it from
 //	        arithmetic the way the raw codec does)
 //	    where the method has a tree: root u32, nodes u32, height u32
-//	    where the method has a partition rule: group count u64, then per group
+//	    where the method cuts subfields: group count u64, then per group
 //	        interval lo, hi f64; avg f64; firstPage, lastPage u32;
 //	        startRef, endRef u64
 //
@@ -68,7 +67,7 @@ import (
 // or written. A file whose superblock or catalog header carries any other
 // version is refused with ErrUnsupportedVersion before anything else in it is
 // interpreted.
-const catalogVersion = 7
+const catalogVersion = 8
 
 // ErrUnsupportedVersion reports a database file whose superblock or catalog
 // header names a catalog version other than the current one.
@@ -129,7 +128,6 @@ func (s *store) encodeCatalog() []byte {
 	writeU64(&b, uint64(s.cells))
 	writeU64(&b, st.epoch)
 	writeF64(&b, first.cost.Epsilon)
-	writeF64(&b, first.maxSize)
 	writeU32(&b, uint32(s.sumFirst))
 	writeU32(&b, uint32(s.sumPages))
 	writeU32(&b, uint32(len(s.parts)))
@@ -182,7 +180,7 @@ func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *partState
 		writeU32(b, uint32(st.tree.PersistedNodes()))
 		writeU32(b, uint32(st.tree.Height()))
 	}
-	if m.cut != nil {
+	if m.cut {
 		writeU64(b, uint64(len(st.groups)))
 		for _, g := range st.groups {
 			writeF64(b, g.interval.Lo)
@@ -293,7 +291,6 @@ type catalogStore struct {
 	tileSide int
 	cells    int
 	cost     subfield.CostModel
-	maxSize  float64
 	// dataPages bounds the page ids a record may name: the file's pages in
 	// front of the catalog.
 	dataPages int
@@ -322,7 +319,7 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	cs := &catalogStore{m: methods[method], codec: r.str(), dataPages: dataPages}
 	cs.tileSide, cs.cells = int(r.u32()), int(r.u64())
 	epoch := r.u64()
-	cs.cost.Epsilon, cs.maxSize = r.f64(), r.f64()
+	cs.cost.Epsilon = r.f64()
 	sumFirst, sumPages := storage.PageID(r.u32()), int(r.u32())
 	numParts := int(r.u32())
 	if r.err != nil {
@@ -342,7 +339,7 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 		(cs.tileSide == 0 && numParts != 1) || (cs.tileSide != 0 && (cs.tileSide < 2 || !cs.m.tiles)) {
 		return nil, fmt.Errorf("corrupt catalog header")
 	}
-	if !(cs.cost.Epsilon >= 0) || !(cs.maxSize >= 0) {
+	if !(cs.cost.Epsilon >= 0) {
 		return nil, fmt.Errorf("corrupt update state")
 	}
 	if sumPages > 1<<16 || !cs.inData(sumFirst, sumPages) {
@@ -386,8 +383,8 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 	}
 	p := &partition{
 		mbr: geom.Rect{Min: geom.Pt(r.f64(), r.f64()), Max: geom.Pt(r.f64(), r.f64())},
-		// The partitioning rule update batches re-derive group boundaries with.
-		cut: cs.m.cut, cost: cs.cost, maxSize: cs.maxSize,
+		// The cost model update batches re-derive group boundaries with.
+		cost: cs.cost,
 	}
 	vr := geom.Interval{Lo: r.f64(), Hi: r.f64()}
 	p.area = r.f64()
@@ -409,7 +406,7 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 			return fail("corrupt cell id at position %d", pos)
 		}
 		// In natural order the ids ascend: the gather step's no-ties invariant.
-		if cs.m.cut == nil && pos > 0 && id <= heapIDs[pos-1] {
+		if !cs.m.cut && pos > 0 && id <= heapIDs[pos-1] {
 			return fail("cell ids out of order at position %d", pos)
 		}
 		heapIDs[pos], cs.owner[id] = id, int32(pi)
@@ -417,7 +414,7 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 	if cs.tileSide != 0 {
 		p.ids = heapIDs
 	}
-	if cs.m.cut != nil {
+	if cs.m.cut {
 		// The heap order must be a permutation of the partition's cells: posOf,
 		// its inverse, is how updates and point queries locate a cell's record.
 		p.order, p.posOf = heapIDs, make([]int32, p.cells)
@@ -479,7 +476,7 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 			return fail("tree root outside the data region")
 		}
 		entries := p.cells
-		if cs.m.cut != nil {
+		if cs.m.cut {
 			// Groups tile [0, cells) and reference valid heap pages; a violated
 			// invariant means a corrupt (or hostile) file.
 			numGroups := int(r.u64())

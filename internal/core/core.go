@@ -5,23 +5,23 @@
 // method, tiled or not — and Open (catalog.go) reopens every saved one, from
 // the one file layout: a store header and a record per partition; both return
 // the Engine. Build dispatches on the method table: a method is one row
-// binding its partition rule (§3.1.2's greedy cost bound, the interval
-// quadtree, or none), what its tree holds, and two hooks:
+// binding whether it cuts subfields (§3.1.2's greedy cost bound over the
+// Hilbert order) or stores cells in natural order, what its tree holds, and
+// two hooks:
 //
 //   - candidates turns a value interval into candidate cells — the one step
 //     in which the paper's methods differ. LinearScan tests every interval
 //     (§2.2.2; over its interval sidecar — no other method has one — by
 //     default, over the cell pages without one). I-All searches a 1-D R*-tree
 //     holding one entry per cell (§3, the straightforward baseline). I-Hilbert
-//     and I-Quad search a tree holding one entry per subfield, each pointing
-//     at the contiguous page run of its cells (§3, Figure 6); they differ only
-//     in how the partition was formed. I-Auto is I-Hilbert behind a histogram
-//     planner that returns the whole heap as one run when most cells would
-//     match anyway.
+//     searches a tree holding one entry per subfield, each pointing at the
+//     contiguous page run of its cells (§3, Figure 6). I-Auto is I-Hilbert
+//     behind a histogram planner that returns the whole heap as one run when
+//     most cells would match anyway.
 //   - maintain brings the method's index structure to the state after an
 //     update batch: nothing for LinearScan, delete/insert on the per-cell
-//     tree for I-All, greedy regrouping for I-Hilbert, a refusal for I-Quad,
-//     a histogram rebuild on top for I-Auto.
+//     tree for I-All, greedy regrouping for I-Hilbert, a histogram rebuild on
+//     top for I-Auto.
 //
 // A store (store.go) is its partitions — one for an untiled index, one per
 // tile of a tiled one, a tile being a partition with a (min, max) value
@@ -67,13 +67,12 @@ import (
 // Method identifies a query-processing strategy.
 type Method string
 
-// The methods evaluated in the paper plus the ablation strategies: the keys of
-// the method table (MethodAuto, the planner, is declared in auto.go).
+// The methods evaluated in the paper: the keys of the method table
+// (MethodAuto, the planner, is declared in auto.go).
 const (
 	MethodLinearScan Method = "LinearScan"
 	MethodIAll       Method = "I-All"
 	MethodIHilbert   Method = "I-Hilbert"
-	MethodIQuad      Method = "I-Quad"
 )
 
 // ErrNoPartition reports an operation a configuration's partition cannot
@@ -160,8 +159,7 @@ type Index interface {
 // Engine is the full surface of a value index the facade binds to: every
 // store's handle implements it, live and — through AcquireSnapshot — pinned.
 // What a configuration cannot do comes back as a
-// typed error (ErrNoPartition, ErrUpdatesUnsupported), never as a missing
-// method.
+// typed error (ErrNoPartition), never as a missing method.
 type Engine interface {
 	Index
 	// QueryContext is Query with cancellation, polled between cell runs,

@@ -12,7 +12,6 @@ import (
 	"fielddb/internal/fractal"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
-	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
 	"fielddb/internal/tin"
 )
@@ -102,12 +101,6 @@ func buildAll(t testing.TB, f field.Field) map[Method]Index {
 		t.Fatal(err)
 	}
 	out[MethodIHilbert] = ih
-	vr := f.ValueRange()
-	iq, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad, MaxSize: vr.Length()/8 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[MethodIQuad] = iq
 	return out
 }
 
@@ -287,45 +280,6 @@ func TestIndexStats(t *testing.T) {
 func TestIAllBulkLoadAgrees(t *testing.T) {
 	runOn(t, "dem", rowOf("I-All+bulk", BuildOptions{Method: MethodIAll, BulkLoad: true}),
 		step{opQuery, 30, 60, 0}, step{opBatch, 3, 2, 2}, step{opUpdate, 9, 5, 5}, step{opQuery, 200, 100, 0})
-}
-
-func TestBuildValidation(t *testing.T) {
-	f := testDEM(t, 8, 0.5)
-	if _, err := buildIx(f, newPager(), BuildOptions{Method: MethodIQuad}); err == nil {
-		t.Fatal("I-Quad without MaxSize accepted")
-	}
-}
-
-func TestIHilbertWithAlternativeCurves(t *testing.T) {
-	f := testDEM(t, 16, 0.5)
-	vr := f.ValueRange()
-	q := geom.Interval{Lo: vr.Lo + vr.Length()*0.4, Hi: vr.Lo + vr.Length()*0.5}
-	wantCells, _ := bruteForce(f, q)
-	var areas []float64
-	for _, name := range []string{"hilbert", "zorder", "gray"} {
-		curve, err := sfc.New(name, 16, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := buildIx(f, newPager(), BuildOptions{Method: MethodIHilbert, Curve: curve})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := idx.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.CellsMatched != len(wantCells) {
-			t.Fatalf("%s: matched %d, want %d", name, res.CellsMatched, len(wantCells))
-		}
-		areas = append(areas, res.Area)
-	}
-	// The curve changes the partition, not the answer.
-	for i := 1; i < len(areas); i++ {
-		if math.Abs(areas[i]-areas[0]) > 1e-9*(1+areas[0]) {
-			t.Fatalf("curve changed answers: %v", areas)
-		}
-	}
 }
 
 // TestSpatialIndexPointQueries: the tree stores no cell — it reads the value

@@ -54,20 +54,18 @@ type partition struct {
 	tested bool
 
 	// order is the heap-file cell order of a partitioned method (nil in
-	// natural order, where heap position == cell id). cut, cost and maxSize
-	// are the build's partitioning rule, so an update batch can re-derive the
-	// group boundaries (the §3 cost bound). posOf is order's inverse, cell id
-	// to heap position, filled once at build or open and immutable after; ivs
-	// is the current cell interval per heap position, which a file-opened
-	// index hydrates from its heap records on its first update, and refs the
-	// cut's input an update batch refills, made by the first one.
-	order   []field.CellID
-	posOf   []int32
-	cut     cutRule
-	cost    subfield.CostModel
-	maxSize float64
-	ivs     []geom.Interval
-	refs    []subfield.CellRef
+	// natural order, where heap position == cell id). cost is the build's
+	// cost model, so an update batch can re-derive the group boundaries (the
+	// §3 cost bound). posOf is order's inverse, cell id to heap position,
+	// filled once at build or open and immutable after; ivs is the current
+	// cell interval per heap position, which a file-opened index hydrates from
+	// its heap records on its first update, and refs the cut's input an update
+	// batch refills, made by the first one.
+	order []field.CellID
+	posOf []int32
+	cost  subfield.CostModel
+	ivs   []geom.Interval
+	refs  []subfield.CellRef
 
 	// The I-Auto planner's decision counters.
 	scanQueries, filterQueries atomic.Int64

@@ -31,7 +31,6 @@ func (d *failingDisk) ReadRun(first storage.PageID, bufs [][]byte) error {
 // that error and leaves no epoch pinned — the next commit retires the epoch
 // the query ran at. One row per query pipeline.
 func TestFailedQueryReleasesPin(t *testing.T) {
-	maxSize := func(d *grid.DEM) float64 { return d.ValueRange().Length()/8 + 1 }
 	builders := map[string]func(*grid.DEM, *storage.Pager) (Index, error){
 		"LinearScan+sidecar": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodLinearScan})
@@ -44,9 +43,6 @@ func TestFailedQueryReleasesPin(t *testing.T) {
 		},
 		"I-Hilbert": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodIHilbert})
-		},
-		"I-Quad": func(d *grid.DEM, p *storage.Pager) (Index, error) {
-			return buildIx(d, p, BuildOptions{Method: MethodIQuad, MaxSize: maxSize(d)})
 		},
 		"I-Auto": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodAuto})

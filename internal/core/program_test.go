@@ -750,11 +750,8 @@ func (h *harness) update(i int, vr geom.Interval, s step) {
 // must, leaving everything as it was. It reports whether the batch committed.
 func (h *harness) apply(l *live, ups []SampleUpdate) bool {
 	var refusal error
-	switch {
-	case ups[len(ups)-1].Sample >= h.model.NumSamples():
+	if ups[len(ups)-1].Sample >= h.model.NumSamples() {
 		refusal = ErrOutsideField
-	case h.cfg.row.opts.Method == MethodIQuad:
-		refusal = ErrUpdatesUnsupported
 	}
 	epoch := l.eng.Epoch()
 	res, err := l.eng.ApplyUpdates(context.Background(), l.f, ups)
@@ -1167,7 +1164,7 @@ func FuzzEngineProgram(f *testing.F) {
 // rowOf is a named configuration outside the build matrix, folding in natural
 // order exactly when the matrix would.
 func rowOf(name string, opts BuildOptions) matrixRow {
-	return matrixRow{name: name, opts: opts, natural: opts.TileSide != 0 || methods[opts.Method].cut == nil}
+	return matrixRow{name: name, opts: opts, natural: opts.TileSide != 0 || !methods[opts.Method].cut}
 }
 
 // fieldNamed is the harness field called name.
@@ -1225,14 +1222,12 @@ func TestPinnedSnapshots(t *testing.T) {
 // untiled method, a worker pool and the planner, whose batches mix the scan and
 // the filter path.
 func batchRows(f field.Field) []matrixRow {
-	maxSize := f.ValueRange().Length()/8 + 1
 	return []matrixRow{
 		rowOf("LinearScan+sidecar", BuildOptions{Method: MethodLinearScan}),
 		rowOf("LinearScan", BuildOptions{Method: MethodLinearScan, NoSidecar: true}),
 		rowOf("I-All", BuildOptions{Method: MethodIAll}),
 		rowOf("I-Hilbert", BuildOptions{Method: MethodIHilbert}),
 		rowOf("I-Hilbert+workers", BuildOptions{Method: MethodIHilbert, Workers: 4}),
-		rowOf("I-Quad", BuildOptions{Method: MethodIQuad, MaxSize: maxSize}),
 		rowOf("I-Auto", BuildOptions{Method: MethodAuto}),
 	}
 }

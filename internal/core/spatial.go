@@ -56,11 +56,7 @@ const spatialMethod = "Spatial"
 // BuildSpatial indexes the bounding rectangles of f's cells in a 2-D R*-tree
 // built with Hilbert packing and persisted on pager.
 func BuildSpatial(f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
-	curve, err := sfc.NewHilbert(16, 2)
-	if err != nil {
-		return nil, err
-	}
-	mapper, err := sfc.NewMapper(curve, f.Bounds())
+	mapper, err := sfc.NewMapper(hilbert, f.Bounds())
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -17,11 +16,6 @@ import (
 	"fielddb/internal/storage"
 	"fielddb/internal/subfield"
 )
-
-// ErrUpdatesUnsupported is returned by ApplyUpdates when the index cannot
-// apply live updates: I-Quad regrouping needs the spatial quadtree recursion
-// the update path does not reproduce.
-var ErrUpdatesUnsupported = errors.New("core: index does not support live updates")
 
 // SampleUpdate assigns a new value to one field sample (a grid vertex or TIN
 // point). A batch of SampleUpdates is applied atomically: readers see either
@@ -290,7 +284,7 @@ func (ch *changes) widen(vr geom.Interval) geom.Interval {
 // the images as ONE new epoch — readers never observe some tiles updated and
 // others not — and publish the new state. Every failure path puts the field's
 // samples and the interval columns back; the live epoch is untouched until the
-// commit. I-Quad refuses with ErrUpdatesUnsupported.
+// commit.
 func (s *store) ApplyUpdates(ctx context.Context, f field.Mutable, updates []SampleUpdate) (*UpdateResult, error) {
 	s.updMu.Lock()
 	defer s.updMu.Unlock()
@@ -433,7 +427,7 @@ func (o *observed) recordUpdate(res *UpdateResult) {
 }
 
 // position returns the heap position of cell id: the id itself in natural
-// order, the build's or the catalog's immutable map under a partition rule.
+// order, the build's or the catalog's immutable map under a cut.
 // It refuses an id out of the partition's range.
 func (p *partition) position(id field.CellID) (int, error) {
 	if int(id) >= p.cells {
@@ -477,7 +471,7 @@ func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
 	return nil
 }
 
-// regroup is the maintain hook of the curve-ordered partitions. It re-runs
+// regroup is the maintain hook of the Hilbert-cut partitions. It re-runs
 // the build's cut over the updated interval column, so the next state's groups
 // are exactly those a rebuild from scratch on the mutated field would cut (the
 // heap order is the geometric linearization, which updates never change), and
@@ -509,7 +503,7 @@ func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *partState, 
 	for i := range p.refs {
 		p.refs[i] = subfield.CellRef{ID: p.order[i], Interval: p.ivs[i]}
 	}
-	_, next := p.cut(p.refs, geom.Rect{}, p.cost, p.maxSize)
+	next := subfield.BuildGreedy(p.refs, p.cost)
 	old := cur.groups
 	groups := make([]groupMeta, len(next))
 	// to renumbers old payloads; drops and adds are the tree entries to delete

@@ -128,8 +128,8 @@ func TestUpdateRegroup(t *testing.T) {
 
 // TestUpdateValidationAndUnsupported covers the refusals of bad batches —
 // samples outside the field, non-finite values — which leave the field and
-// the epoch untouched. (The configurations without update support refuse
-// with ErrUpdatesUnsupported in FuzzEngineProgram's model.)
+// the epoch untouched. (Every configuration takes updates; the facade refuses
+// an immutable field with its own ErrUpdatesUnsupported.)
 func TestUpdateValidationAndUnsupported(t *testing.T) {
 	ctx := context.Background()
 	f := testDEM(t, 16, 0.6)

@@ -6,11 +6,11 @@ import (
 	"fielddb/internal/geom"
 )
 
-// Mapper converts continuous 2-D points into curve indices by snapping them
+// Mapper converts continuous 2-D points into Hilbert indices by snapping them
 // onto a 2^order × 2^order grid over a fixed bounding rectangle. The subfield
 // builder uses it to compute the Hilbert value of the center of every cell.
 type Mapper struct {
-	curve  Curve
+	curve  *Hilbert
 	bounds geom.Rect
 	scaleX float64
 	scaleY float64
@@ -19,14 +19,14 @@ type Mapper struct {
 
 // NewMapper returns a Mapper that snaps points inside bounds onto the curve's
 // grid. The curve must be 2-dimensional.
-func NewMapper(curve Curve, bounds geom.Rect) (*Mapper, error) {
-	if curve.Dims() != 2 {
-		return nil, fmt.Errorf("sfc: Mapper requires a 2-D curve, got %d dims", curve.Dims())
+func NewMapper(curve *Hilbert, bounds geom.Rect) (*Mapper, error) {
+	if curve.dims != 2 {
+		return nil, fmt.Errorf("sfc: Mapper requires a 2-D curve, got %d dims", curve.dims)
 	}
 	if bounds.IsEmpty() {
 		return nil, fmt.Errorf("sfc: Mapper requires non-empty bounds")
 	}
-	side := uint32(1) << uint(curve.Order())
+	side := uint32(1) << uint(curve.order)
 	m := &Mapper{curve: curve, bounds: bounds, side: side}
 	if w := bounds.Width(); w > 0 {
 		m.scaleX = float64(side) / w
@@ -42,11 +42,8 @@ func NewMapper(curve Curve, bounds geom.Rect) (*Mapper, error) {
 func (m *Mapper) Index(p geom.Point) uint64 {
 	gx := m.snap((p.X - m.bounds.Min.X) * m.scaleX)
 	gy := m.snap((p.Y - m.bounds.Min.Y) * m.scaleY)
-	if h, ok := m.curve.(*Hilbert); ok {
-		xy := [2]uint32{gx, gy} // a concrete call keeps it on the stack
-		return h.Index(xy[:])
-	}
-	return m.curve.Index([]uint32{gx, gy})
+	xy := [2]uint32{gx, gy}
+	return m.curve.Index(xy[:])
 }
 
 func (m *Mapper) snap(v float64) uint32 {
@@ -59,9 +56,6 @@ func (m *Mapper) snap(v float64) uint32 {
 	}
 	return g
 }
-
-// Curve returns the underlying curve.
-func (m *Mapper) Curve() Curve { return m.curve }
 
 // Bounds returns the mapping rectangle.
 func (m *Mapper) Bounds() geom.Rect { return m.bounds }

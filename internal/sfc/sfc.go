@@ -1,63 +1,14 @@
-// Package sfc implements the space-filling curves used to linearize field
-// cells: the Hilbert curve (2-D fast path and an n-dimensional generalization
-// via the Butz/transpose algorithm), the Z-order (Peano/bit-interleaving)
-// curve, and the Gray-code curve.
+// Package sfc implements the Hilbert curve used to linearize field cells: a
+// 2-D fast path and an n-dimensional generalization via the Butz/transpose
+// algorithm.
 //
 // The paper linearizes cells by the Hilbert value of their centers and cites
 // Faloutsos & Roseman (PODS'89) and Jagadish (SIGMOD'90) for the experimental
-// result that Hilbert achieves the best clustering among the three curves;
-// the other two are provided for the clustering ablation.
+// result that Hilbert achieves the best clustering of the space-filling curves
+// they compare.
 package sfc
 
 import "fmt"
-
-// Curve maps between k-dimensional grid coordinates and a 1-D index.
-// Implementations must be bijections over the full grid of the given order:
-// every coordinate in [0, 2^order) per axis maps to a distinct index in
-// [0, 2^(order*dims)).
-type Curve interface {
-	// Index returns the 1-D position of the grid point.
-	Index(coords []uint32) uint64
-	// Coords returns the grid point at the 1-D position d, writing into
-	// the provided slice (which must have length Dims).
-	Coords(d uint64, coords []uint32)
-	// Order returns the number of bits per axis.
-	Order() int
-	// Dims returns the dimensionality.
-	Dims() int
-	// Name returns a short identifier ("hilbert", "zorder", "gray").
-	Name() string
-}
-
-// New returns a curve by name. Supported names: "hilbert", "zorder", "gray".
-func New(name string, order, dims int) (Curve, error) {
-	switch name {
-	case "hilbert":
-		return NewHilbert(order, dims)
-	case "zorder":
-		return NewZOrder(order, dims)
-	case "gray":
-		return NewGray(order, dims)
-	default:
-		return nil, fmt.Errorf("sfc: unknown curve %q", name)
-	}
-}
-
-func checkParams(order, dims int) error {
-	if dims < 1 {
-		return fmt.Errorf("sfc: dims must be >= 1, got %d", dims)
-	}
-	if order < 1 {
-		return fmt.Errorf("sfc: order must be >= 1, got %d", order)
-	}
-	if order*dims > 64 {
-		return fmt.Errorf("sfc: order*dims = %d exceeds 64 bits", order*dims)
-	}
-	if order > 32 {
-		return fmt.Errorf("sfc: order must be <= 32, got %d", order)
-	}
-	return nil
-}
 
 // Hilbert is an n-dimensional Hilbert curve.
 type Hilbert struct {
@@ -67,22 +18,21 @@ type Hilbert struct {
 // NewHilbert returns a Hilbert curve with the given bits-per-axis order and
 // dimensionality. order*dims must not exceed 64.
 func NewHilbert(order, dims int) (*Hilbert, error) {
-	if err := checkParams(order, dims); err != nil {
-		return nil, err
+	switch {
+	case dims < 1:
+		return nil, fmt.Errorf("sfc: dims must be >= 1, got %d", dims)
+	case order < 1:
+		return nil, fmt.Errorf("sfc: order must be >= 1, got %d", order)
+	case order*dims > 64:
+		return nil, fmt.Errorf("sfc: order*dims = %d exceeds 64 bits", order*dims)
+	case order > 32:
+		return nil, fmt.Errorf("sfc: order must be <= 32, got %d", order)
 	}
 	return &Hilbert{order: order, dims: dims}, nil
 }
 
-// Order implements Curve.
-func (h *Hilbert) Order() int { return h.order }
-
-// Dims implements Curve.
-func (h *Hilbert) Dims() int { return h.dims }
-
-// Name implements Curve.
-func (h *Hilbert) Name() string { return "hilbert" }
-
-// Index implements Curve using the transpose-form algorithm
+// Index returns the 1-D position of the grid point coords, one coordinate in
+// [0, 2^order) per axis, using the transpose-form algorithm
 // (J. Skilling, "Programming the Hilbert curve", AIP 2004 — an explicit form
 // of Butz's 1969 construction, the reference the paper cites for higher
 // dimensionalities).
@@ -100,7 +50,8 @@ func (h *Hilbert) Index(coords []uint32) uint64 {
 	return interleaveTransposed(x, h.order)
 }
 
-// Coords implements Curve.
+// Coords is the inverse of Index: it writes the grid point at position d into
+// coords, which must have one entry per axis.
 func (h *Hilbert) Coords(d uint64, coords []uint32) {
 	if len(coords) != h.dims {
 		panic(fmt.Sprintf("sfc: Hilbert.Coords: got %d coords, want %d", len(coords), h.dims))
@@ -127,7 +78,7 @@ func axesToTranspose(x []uint32, order int) {
 			}
 		}
 	}
-	// Gray encode.
+	// Reflected-binary encode.
 	for i := 1; i < n; i++ {
 		x[i] ^= x[i-1]
 	}
@@ -146,7 +97,7 @@ func axesToTranspose(x []uint32, order int) {
 func transposeToAxes(x []uint32, order int) {
 	n := len(x)
 	m := uint32(2) << (order - 1)
-	// Gray decode by H ^ (H/2).
+	// Reflected-binary decode by H ^ (H/2).
 	t := x[n-1] >> 1
 	for i := n - 1; i > 0; i-- {
 		x[i] ^= x[i-1]
@@ -195,109 +146,4 @@ func deinterleaveTransposed(d uint64, x []uint32, order int) {
 			shift--
 		}
 	}
-}
-
-// ZOrder is the Z-order (Peano / bit-interleaving) curve.
-type ZOrder struct {
-	order, dims int
-}
-
-// NewZOrder returns a Z-order curve.
-func NewZOrder(order, dims int) (*ZOrder, error) {
-	if err := checkParams(order, dims); err != nil {
-		return nil, err
-	}
-	return &ZOrder{order: order, dims: dims}, nil
-}
-
-// Order implements Curve.
-func (z *ZOrder) Order() int { return z.order }
-
-// Dims implements Curve.
-func (z *ZOrder) Dims() int { return z.dims }
-
-// Name implements Curve.
-func (z *ZOrder) Name() string { return "zorder" }
-
-// Index implements Curve by interleaving the coordinate bits.
-func (z *ZOrder) Index(coords []uint32) uint64 {
-	if len(coords) != z.dims {
-		panic(fmt.Sprintf("sfc: ZOrder.Index: got %d coords, want %d", len(coords), z.dims))
-	}
-	var d uint64
-	for b := z.order - 1; b >= 0; b-- {
-		for i := 0; i < z.dims; i++ {
-			d = (d << 1) | uint64((coords[i]>>uint(b))&1)
-		}
-	}
-	return d
-}
-
-// Coords implements Curve.
-func (z *ZOrder) Coords(d uint64, coords []uint32) {
-	if len(coords) != z.dims {
-		panic(fmt.Sprintf("sfc: ZOrder.Coords: got %d coords, want %d", len(coords), z.dims))
-	}
-	deinterleaveTransposed(d, coords, z.order)
-}
-
-// Gray is the Gray-code curve (Faloutsos, TSE'89): the interleaved index is
-// run through a binary-reflected Gray decode, which flips between adjacent
-// quadrant orderings and improves clustering slightly over raw Z-order.
-type Gray struct {
-	order, dims int
-}
-
-// NewGray returns a Gray-code curve.
-func NewGray(order, dims int) (*Gray, error) {
-	if err := checkParams(order, dims); err != nil {
-		return nil, err
-	}
-	return &Gray{order: order, dims: dims}, nil
-}
-
-// Order implements Curve.
-func (g *Gray) Order() int { return g.order }
-
-// Dims implements Curve.
-func (g *Gray) Dims() int { return g.dims }
-
-// Name implements Curve.
-func (g *Gray) Name() string { return "gray" }
-
-// Index implements Curve: the position along the curve is the Gray-code rank
-// (inverse Gray code) of the bit-interleaved coordinates.
-func (g *Gray) Index(coords []uint32) uint64 {
-	if len(coords) != g.dims {
-		panic(fmt.Sprintf("sfc: Gray.Index: got %d coords, want %d", len(coords), g.dims))
-	}
-	var v uint64
-	for b := g.order - 1; b >= 0; b-- {
-		for i := 0; i < g.dims; i++ {
-			v = (v << 1) | uint64((coords[i]>>uint(b))&1)
-		}
-	}
-	return grayRank(v)
-}
-
-// Coords implements Curve.
-func (g *Gray) Coords(d uint64, coords []uint32) {
-	if len(coords) != g.dims {
-		panic(fmt.Sprintf("sfc: Gray.Coords: got %d coords, want %d", len(coords), g.dims))
-	}
-	v := grayEncode(d)
-	deinterleaveTransposed(v, coords, g.order)
-}
-
-// grayEncode returns the binary-reflected Gray code of n.
-func grayEncode(n uint64) uint64 { return n ^ (n >> 1) }
-
-// grayRank inverts grayEncode: it returns the position of the codeword g in
-// the reflected Gray sequence.
-func grayRank(g uint64) uint64 {
-	n := g
-	for shift := uint(1); shift < 64; shift <<= 1 {
-		n ^= n >> shift
-	}
-	return n
 }

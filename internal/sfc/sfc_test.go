@@ -3,7 +3,6 @@ package sfc
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"fielddb/internal/geom"
 )
@@ -74,34 +73,32 @@ func TestHilbertFigure4(t *testing.T) {
 }
 
 func TestCurvesAreBijections(t *testing.T) {
-	for _, name := range []string{"hilbert", "zorder", "gray"} {
-		for _, tc := range []struct{ order, dims int }{
-			{3, 2}, {2, 3}, {4, 2}, {2, 4}, {1, 12}, // 12 dims: past Hilbert.Index's stack array
-		} {
-			c, err := New(name, tc.order, tc.dims)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct{ order, dims int }{
+		{3, 2}, {2, 3}, {4, 2}, {2, 4}, {1, 12}, // 12 dims: past Hilbert.Index's stack array
+	} {
+		h, err := NewHilbert(tc.order, tc.dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := uint64(1) << uint(tc.order*tc.dims)
+		seen := make(map[uint64]bool, total)
+		coords := make([]uint32, tc.dims)
+		// Enumerate every d, map to coords, back to d.
+		for d := uint64(0); d < total; d++ {
+			h.Coords(d, coords)
+			for _, x := range coords {
+				if x >= 1<<uint(tc.order) {
+					t.Fatalf("%d/%d: coord %d out of range at d=%d", tc.order, tc.dims, x, d)
+				}
 			}
-			total := uint64(1) << uint(tc.order*tc.dims)
-			seen := make(map[uint64]bool, total)
-			coords := make([]uint32, tc.dims)
-			// Enumerate every d, map to coords, back to d.
-			for d := uint64(0); d < total; d++ {
-				c.Coords(d, coords)
-				for _, x := range coords {
-					if x >= 1<<uint(tc.order) {
-						t.Fatalf("%s %d/%d: coord %d out of range at d=%d", name, tc.order, tc.dims, x, d)
-					}
-				}
-				back := c.Index(coords)
-				if back != d {
-					t.Fatalf("%s order=%d dims=%d: roundtrip %d -> %v -> %d", name, tc.order, tc.dims, d, coords, back)
-				}
-				if seen[back] {
-					t.Fatalf("%s: duplicate index %d", name, back)
-				}
-				seen[back] = true
+			back := h.Index(coords)
+			if back != d {
+				t.Fatalf("order=%d dims=%d: roundtrip %d -> %v -> %d", tc.order, tc.dims, d, coords, back)
 			}
+			if seen[back] {
+				t.Fatalf("duplicate index %d", back)
+			}
+			seen[back] = true
 		}
 	}
 }
@@ -134,38 +131,6 @@ func TestHilbertAdjacency(t *testing.T) {
 	}
 }
 
-func TestZOrderKnownValues(t *testing.T) {
-	z, _ := NewZOrder(2, 2)
-	// Bit interleaving with axis 0 (x) taking the more significant bit:
-	// (x=1,y=0) -> 0b10 = 2, (x=0,y=1) -> 1, (x=1,y=1) -> 3,
-	// (x=2,y=0) -> 0b1000 = 8.
-	cases := []struct {
-		x, y uint32
-		want uint64
-	}{
-		{0, 0, 0}, {0, 1, 1}, {1, 0, 2}, {1, 1, 3}, {2, 0, 8}, {3, 3, 15},
-	}
-	for _, c := range cases {
-		if got := z.Index([]uint32{c.x, c.y}); got != c.want {
-			t.Errorf("Index(%d,%d) = %d, want %d", c.x, c.y, got, c.want)
-		}
-	}
-}
-
-func TestGrayRankRoundtrip(t *testing.T) {
-	f := func(n uint64) bool { return grayRank(grayEncode(n)) == n }
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-	// Gray codes of consecutive ranks differ in exactly one bit.
-	for n := uint64(0); n < 1024; n++ {
-		x := grayEncode(n) ^ grayEncode(n+1)
-		if x&(x-1) != 0 || x == 0 {
-			t.Fatalf("gray codes of %d and %d differ in %b", n, n+1, x)
-		}
-	}
-}
-
 func TestParamValidation(t *testing.T) {
 	cases := []struct{ order, dims int }{
 		{0, 2}, {2, 0}, {33, 2}, {32, 3}, {-1, 2}, {2, -1},
@@ -174,52 +139,33 @@ func TestParamValidation(t *testing.T) {
 		if _, err := NewHilbert(c.order, c.dims); err == nil {
 			t.Errorf("NewHilbert(%d,%d): expected error", c.order, c.dims)
 		}
-		if _, err := NewZOrder(c.order, c.dims); err == nil {
-			t.Errorf("NewZOrder(%d,%d): expected error", c.order, c.dims)
-		}
-		if _, err := NewGray(c.order, c.dims); err == nil {
-			t.Errorf("NewGray(%d,%d): expected error", c.order, c.dims)
-		}
-	}
-	if _, err := New("bogus", 2, 2); err == nil {
-		t.Error("New(bogus): expected error")
-	}
-	for _, name := range []string{"hilbert", "zorder", "gray"} {
-		c, err := New(name, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Name() != name {
-			t.Errorf("Name() = %q, want %q", c.Name(), name)
-		}
-		if c.Order() != 3 || c.Dims() != 2 {
-			t.Errorf("%s: Order/Dims = %d/%d", name, c.Order(), c.Dims())
-		}
 	}
 }
 
 func TestHilbertClusteringBeatsZOrder(t *testing.T) {
 	// Reproduces the claim of refs [7,13]: for random small range queries,
 	// the Hilbert curve splits the qualifying cells into fewer runs of
-	// consecutive curve positions (clusters) than Z-order or Gray.
+	// consecutive curve positions (clusters) than Z-order (bit interleave)
+	// or its reflected-binary rank.
 	order := 6
 	side := 1 << order
 	rng := rand.New(rand.NewSource(42))
-	curves := map[string]Curve{}
-	for _, name := range []string{"hilbert", "zorder", "gray"} {
-		c, _ := New(name, order, 2)
-		curves[name] = c
+	h, _ := NewHilbert(order, 2)
+	curves := map[string]func(x, y uint32) uint64{
+		"hilbert": func(x, y uint32) uint64 { return h.Index([]uint32{x, y}) },
+		"zorder":  func(x, y uint32) uint64 { return interleave(order, x, y) },
+		"gray":    func(x, y uint32) uint64 { return reflectedRank(interleave(order, x, y)) },
 	}
 	clusters := map[string]int{}
 	for q := 0; q < 200; q++ {
 		// Random 8x8 query window.
 		qx := rng.Intn(side - 8)
 		qy := rng.Intn(side - 8)
-		for name, c := range curves {
+		for name, key := range curves {
 			var ids []uint64
 			for x := qx; x < qx+8; x++ {
 				for y := qy; y < qy+8; y++ {
-					ids = append(ids, c.Index([]uint32{uint32(x), uint32(y)}))
+					ids = append(ids, key(uint32(x), uint32(y)))
 				}
 			}
 			clusters[name] += countRuns(ids)
@@ -231,6 +177,26 @@ func TestHilbertClusteringBeatsZOrder(t *testing.T) {
 	if clusters["hilbert"] >= clusters["gray"] {
 		t.Errorf("hilbert clusters (%d) not better than gray (%d)", clusters["hilbert"], clusters["gray"])
 	}
+}
+
+// interleave is the Z-order key of (x, y): their bits interleaved, x's the
+// more significant of each pair.
+func interleave(order int, x, y uint32) uint64 {
+	var d uint64
+	for b := order - 1; b >= 0; b-- {
+		d = d<<2 | uint64(x>>uint(b)&1)<<1 | uint64(y>>uint(b)&1)
+	}
+	return d
+}
+
+// reflectedRank is the position of the codeword g in the binary-reflected
+// code sequence: applied to an interleaved point, the key of the
+// reflected-binary curve the paper's refs compare.
+func reflectedRank(g uint64) uint64 {
+	for shift := uint(1); shift < 64; shift <<= 1 {
+		g ^= g >> shift
+	}
+	return g
 }
 
 // countRuns returns the number of maximal runs of consecutive integers in ids.
@@ -273,8 +239,8 @@ func TestMapper(t *testing.T) {
 	}
 	// Out-of-bounds points clamp instead of panicking.
 	_ = m.Index(geom.Point{X: -5, Y: 100})
-	if m.Curve() != Curve(h) || m.Bounds() != bounds {
-		t.Error("accessors broken")
+	if m.Bounds() != bounds {
+		t.Error("Bounds broken")
 	}
 }
 
@@ -305,14 +271,5 @@ func BenchmarkHilbertIndex2D(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = h.Index(coords)
-	}
-}
-
-func BenchmarkZOrderIndex2D(b *testing.B) {
-	z, _ := NewZOrder(16, 2)
-	coords := []uint32{12345, 54321}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = z.Index(coords)
 	}
 }

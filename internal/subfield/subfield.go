@@ -8,10 +8,6 @@
 // access probability P proportional to I, and its cost is C = P / SI where
 // SI is the sum of the member cells' interval sizes. A cell is appended to
 // the current subfield only while the append does not increase the cost.
-//
-// The alternative grouping strategy — the fixed-threshold Interval Quadtree of
-// the authors' earlier work (CIKM'99) — is provided for the paper's motivating
-// comparison and for ablations.
 package subfield
 
 import (
@@ -26,18 +22,17 @@ import (
 )
 
 // CellRef is the per-cell summary used during subfield construction: the
-// cell's id, its linearization key (e.g. Hilbert value of its center), its
-// value interval, and its center/bounds for spatial grouping strategies.
+// cell's id, its linearization key (the Hilbert value of its center) and its
+// value interval.
 type CellRef struct {
 	ID       field.CellID
 	Key      uint64
 	Interval geom.Interval
-	Center   geom.Point
 }
 
 // Linearize computes each cell's curve key and returns the refs sorted by
 // key (ties broken by cell id, so the order is total and deterministic).
-func Linearize(f field.Field, curve sfc.Curve) ([]CellRef, error) {
+func Linearize(f field.Field, curve *sfc.Hilbert) ([]CellRef, error) {
 	return LinearizeWorkers(f, curve, 1)
 }
 
@@ -46,7 +41,7 @@ func Linearize(f field.Field, curve sfc.Curve) ([]CellRef, error) {
 // refs slice, so the result is identical to the single-threaded order
 // regardless of workers. Field implementations must allow concurrent Cell
 // calls (both grid.DEM and tin.TIN are read-only after construction).
-func LinearizeWorkers(f field.Field, curve sfc.Curve, workers int) ([]CellRef, error) {
+func LinearizeWorkers(f field.Field, curve *sfc.Hilbert, workers int) ([]CellRef, error) {
 	mapper, err := sfc.NewMapper(curve, f.Bounds())
 	if err != nil {
 		return nil, fmt.Errorf("subfield: %w", err)
@@ -57,12 +52,10 @@ func LinearizeWorkers(f field.Field, curve sfc.Curve, workers int) ([]CellRef, e
 		var c field.Cell
 		for id := lo; id < hi; id++ {
 			f.Cell(field.CellID(id), &c)
-			center := c.Center()
 			refs[id] = CellRef{
 				ID:       field.CellID(id),
-				Key:      mapper.Index(center),
+				Key:      mapper.Index(c.Center()),
 				Interval: c.Interval(),
-				Center:   center,
 			}
 		}
 	}

@@ -143,8 +143,9 @@ func TestLinearizeOrdersByHilbert(t *testing.T) {
 	}
 	// Consecutive refs must be spatially adjacent cells (Hilbert property):
 	// centers at distance exactly 1 on the unit grid.
+	var a, b field.Cell
 	for i := 1; i < len(refs); i++ {
-		d := refs[i-1].Center.Dist(refs[i].Center)
+		d := d.Cell(refs[i-1].ID, &a).Center().Dist(d.Cell(refs[i].ID, &b).Center())
 		if math.Abs(d-1) > 1e-9 {
 			t.Fatalf("refs %d and %d are not adjacent (dist %g)", i-1, i, d)
 		}
@@ -165,40 +166,6 @@ func TestGreedyContinuityYieldsFewGroups(t *testing.T) {
 	}
 	if len(groups) >= len(refs)/4 {
 		t.Fatalf("%d groups for %d cells — no compression", len(groups), len(refs))
-	}
-}
-
-func TestBuildQuad(t *testing.T) {
-	d, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 16, 16, func(x, y float64) float64 {
-		return x * 2
-	})
-	h, _ := sfc.NewHilbert(12, 2)
-	refs, _ := Linearize(d, h)
-	ordered, groups := BuildQuad(refs, d.Bounds(), DefaultCostModel, 9, 0)
-	if err := Validate(ordered, groups); err != nil {
-		t.Fatal(err)
-	}
-	if len(ordered) != len(refs) {
-		t.Fatalf("quad order lost cells: %d of %d", len(ordered), len(refs))
-	}
-	// Every group's interval size respects the threshold unless it is a
-	// single cell or the depth guard fired (not here).
-	for gi, g := range groups {
-		if g.Len() > 1 && DefaultCostModel.Size(g.Interval) > 9 {
-			t.Fatalf("group %d: size %g > threshold", gi, DefaultCostModel.Size(g.Interval))
-		}
-	}
-	// Tiny threshold explodes the partition; large threshold collapses it.
-	_, fine := BuildQuad(refs, d.Bounds(), DefaultCostModel, 2, 0)
-	_, coarse := BuildQuad(refs, d.Bounds(), DefaultCostModel, 1e9, 0)
-	if len(coarse) != 1 {
-		t.Fatalf("huge threshold produced %d groups", len(coarse))
-	}
-	if len(fine) <= len(groups) {
-		t.Fatalf("tiny threshold (%d) not finer than moderate (%d)", len(fine), len(groups))
-	}
-	if got, _ := BuildQuad(nil, d.Bounds(), DefaultCostModel, 1, 0); got != nil {
-		t.Fatal("empty refs produced order")
 	}
 }
 

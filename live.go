@@ -47,9 +47,9 @@ type UpdateStats struct {
 // brought to the new state; the spatial R*-tree indexes cell geometry, which
 // updates never change, and reads the same records: it has nothing to bring.
 //
-// Updates require a mutable field (grid.DEM and tin.TIN qualify) and a
-// supporting value index: an immutable field and IQuad are the two causes of
-// ErrUpdatesUnsupported. Concurrent UpdateSamples calls serialize.
+// Updates require a mutable field (grid.DEM and tin.TIN qualify); an
+// immutable one is refused with ErrUpdatesUnsupported. Concurrent
+// UpdateSamples calls serialize.
 //
 // On error nothing changed: the field's samples are rolled back and the live
 // epoch is untouched.

@@ -99,16 +99,6 @@ func TestUpdateSamplesRefusals(t *testing.T) {
 		t.Fatalf("immutable field err = %v", err)
 	}
 
-	// IQuad does not support live updates; the facade surfaces core's error.
-	quad, err := Open(dem, Options{Method: IQuad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer quad.Close()
-	if _, err := quad.UpdateSamples(ctx, []SampleUpdate{{Sample: 0, Value: 1}}); !errors.Is(err, ErrUpdatesUnsupported) {
-		t.Fatalf("IQuad err = %v", err)
-	}
-
 	// Closed DB.
 	closed, err := Open(dem, Options{})
 	if err != nil {

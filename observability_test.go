@@ -90,7 +90,7 @@ func TestTraceReconciliation(t *testing.T) {
 	}
 	ctx := context.Background()
 	vr := dem.ValueRange()
-	for _, method := range []Method{LinearScan, IAll, IHilbert, IQuad, Auto} {
+	for _, method := range []Method{LinearScan, IAll, IHilbert, Auto} {
 		t.Run(string(method), func(t *testing.T) {
 			rec := &recordingTracer{}
 			db, err := Open(dem, Options{Method: method, Tracer: rec})
