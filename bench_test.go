@@ -25,7 +25,6 @@ import (
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/storage"
-	"fielddb/internal/subfield"
 	"fielddb/internal/volume"
 	"fielddb/internal/workload"
 )
@@ -221,13 +220,6 @@ func BenchmarkFig12b(b *testing.B) {
 	benchFigure(b, exp)
 }
 
-// BenchmarkAblationCostQ sweeps the cost-model constant q in P = L + q.
-func BenchmarkAblationCostQ(b *testing.B) {
-	exp := bench.AblationCostEpsilon(benchScale())
-	exp.Dataset = func() (field.Field, error) { return workload.Terrain(128, 4217) }
-	benchFigure(b, exp)
-}
-
 // BenchmarkRelatedIPIndex compares the related-work row-wise IP-index
 // (§2.3) against I-Hilbert and LinearScan.
 func BenchmarkRelatedIPIndex(b *testing.B) {
@@ -293,7 +285,7 @@ func BenchmarkVolume3D(b *testing.B) {
 		b.Fatal(err)
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<14)
-	ix, err := volume.BuildIndex(g, pager, subfield.CostModel{})
+	ix, err := volume.BuildIndex(g, pager)
 	if err != nil {
 		b.Fatal(err)
 	}

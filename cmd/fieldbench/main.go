@@ -1,6 +1,6 @@
 // Command fieldbench regenerates the paper's evaluation: every figure's
 // series table (average query execution time per method and Qinterval) plus
-// the ablation studies.
+// the related-work comparison of §2.3.
 //
 // Usage:
 //

@@ -25,13 +25,13 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "path to a .fdb dataset")
 		idxPath  = flag.String("index", "", "path to a .fidx stored index (skips building)")
-		saveIdx  = flag.String("saveindex", "", "after building, save the value index to this .fidx file (any -method but I-Auto; the path must not exist or be empty)")
+		saveIdx  = flag.String("saveindex", "", "after building, save the value index to this .fidx file (the path must not exist or be empty)")
 		rangeArg = flag.String("range", "", "value query lo:hi")
 		aboveArg = flag.String("above", "", "value query w >= bound")
 		belowArg = flag.String("below", "", "value query w <= bound")
 		atArg    = flag.String("at", "", "conventional point query x,y")
 		contourW = flag.String("contour", "", "extract the isoline at this value as polylines")
-		method   = flag.String("method", "I-Hilbert", "index method: LinearScan | I-All | I-Hilbert | I-Auto")
+		method   = flag.String("method", "I-Hilbert", "index method: LinearScan | I-All | I-Hilbert")
 		stats    = flag.Bool("stats", false, "print index and I/O statistics")
 		regions  = flag.Int("regions", 5, "max answer regions to print")
 	)

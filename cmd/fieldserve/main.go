@@ -111,7 +111,7 @@ const (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		method      = flag.String("method", "I-Hilbert", "index method for .fdb fields: LinearScan | I-All | I-Hilbert | I-Auto")
+		method      = flag.String("method", "I-Hilbert", "index method for .fdb fields: LinearScan | I-All | I-Hilbert")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "admission window: a value query runs at once while a core is free; those that find every core busy share one scan, after waiting at most this long (0 disables)")
 		maxInFlight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "in-flight request cap; excess load is shed with 429")
 		budget      = flag.Int("budget", 0, "per-field admission budget in requests (0 derives max-inflight/(2*fields))")

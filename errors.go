@@ -48,11 +48,10 @@ var (
 	// ErrUnknownMethod reports an Options.Method outside the method table.
 	ErrUnknownMethod = core.ErrUnknownMethod
 	// ErrBadTiling reports an Options combination the builder refuses:
-	// TileSide with Auto or IAll, TileSide 1, or a SidecarCodec not LinearScan's.
+	// TileSide with IAll, TileSide 1, or a SidecarCodec not LinearScan's.
 	ErrBadTiling = core.ErrBadOptions
 	// ErrNoPartition reports subfield summaries (ApproxValueQueryContext) asked
-	// of a configuration that forms no subfields, or SaveIndex on the Auto
-	// planner — the one configuration without an on-disk form.
+	// of a configuration that forms no subfields.
 	ErrNoPartition = core.ErrNoPartition
 	// ErrOutsideField reports a point query at a point no cell of the field
 	// holds, or an UpdateSamples batch naming a sample the field does not have.

@@ -14,7 +14,6 @@ import (
 
 	"fielddb/internal/geom"
 	"fielddb/internal/storage"
-	"fielddb/internal/subfield"
 	"fielddb/internal/volume"
 )
 
@@ -37,7 +36,7 @@ func main() {
 		g.NumCells(), side*int(cell), lo, hi)
 
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<14)
-	ix, err := volume.BuildIndex(g, pager, subfield.CostModel{})
+	ix, err := volume.BuildIndex(g, pager)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,11 +34,6 @@ func TestFacadeTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scan.Close()
-	planner, err := Open(dem, Options{Method: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer planner.Close()
 	ctx := context.Background()
 	vr := dem.ValueRange()
 	iv := Interval{Lo: vr.Lo, Hi: vr.Hi}
@@ -119,15 +114,17 @@ func TestFacadeTypedErrors(t *testing.T) {
 			message: `fielddb: unknown method "I-Quad"`,
 		},
 		{
-			name: "approx query without partition",
-			run:  func() error { _, err := scan.ApproxValueQueryContext(ctx, vr.Lo, vr.Hi); return err },
-			want: ErrNoPartition,
+			name: "the selectivity planner is no method",
+			run: func() error {
+				_, err := Open(dem, Options{Method: Method("I-Auto")})
+				return err
+			},
+			want:    ErrUnknownMethod,
+			message: `fielddb: unknown method "I-Auto"`,
 		},
 		{
-			name: "save without partition",
-			run: func() error {
-				return planner.SaveIndex(filepath.Join(t.TempDir(), "f.fdb"))
-			},
+			name: "approx query without partition",
+			run:  func() error { _, err := scan.ApproxValueQueryContext(ctx, vr.Lo, vr.Hi); return err },
 			want: ErrNoPartition,
 		},
 		{
@@ -303,7 +300,7 @@ func TestOpenIndexWith(t *testing.T) {
 // before anything else in it is interpreted. The current version's row is the
 // control: the same rewrite leaves a file that opens.
 func TestUnsupportedVersionsRefused(t *testing.T) {
-	const current = 8
+	const current = 9
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -165,28 +165,6 @@ func TestContoursFacade(t *testing.T) {
 	}
 }
 
-func TestAutoMethodFacade(t *testing.T) {
-	dem, _ := TerrainDEM(16, 5)
-	db, err := Open(dem, Options{Method: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Method() != Auto {
-		t.Fatalf("method = %s", db.Method())
-	}
-	if len(db.Subfields()) == 0 {
-		t.Fatal("Auto reports no subfields: it is I-Hilbert's partition behind a planner")
-	}
-	vr := dem.ValueRange()
-	res, err := db.ValueQuery(vr.Lo, vr.Hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CellsMatched != dem.NumCells() {
-		t.Fatalf("matched %d", res.CellsMatched)
-	}
-}
-
 func TestApproxValueQueryFacade(t *testing.T) {
 	dem, _ := TerrainDEM(16, 5)
 	db, _ := Open(dem, Options{})

@@ -103,19 +103,18 @@ type Subfield struct {
 	Cells    []CellID
 }
 
-// The query-processing strategies of the paper, plus the adaptive planner.
+// The query-processing strategies of the paper.
 const (
 	LinearScan = core.MethodLinearScan
 	IAll       = core.MethodIAll
 	IHilbert   = core.MethodIHilbert
-	Auto       = core.MethodAuto
 )
 
 // Options configures Open. Everything else about a database is fixed: 4 KiB
 // pages (as in the paper's experiments), a 65536-page sharded buffer pool per
 // pager, the default simulated disk model, and Hilbert linearization under the
-// paper's cost model (Epsilon = 1). Comparisons across those axes are
-// measurement exercises and run through internal/bench.
+// paper's cost model (§3.1.2's interval size max − min + 1). Comparisons
+// across those axes are measurement exercises and run through internal/bench.
 type Options struct {
 	// Method selects the value index; the default is IHilbert, the paper's
 	// proposed method.
@@ -135,9 +134,11 @@ type Options struct {
 	// planner that prunes whole tiles by their (min, max) value summary before
 	// reading a single page. This is the scale-out read path for large
 	// terrains: a narrow value band touches only the tiles whose summary
-	// intersects it. Answers are byte-identical to the untiled build of the
-	// same Method. TileSide must be at least 2; Auto and IAll do not tile
-	// (ErrBadTiling). The default, zero, builds the single-partition index.
+	// intersects it. Every tiling gathers its tiles' answers in field-id
+	// order, so its answers are byte-identical to the untiled LinearScan's
+	// (an untiled IHilbert folds in its own heap order). TileSide must be at
+	// least 2; IAll does not tile (ErrBadTiling). The default, zero, builds
+	// the single-partition index.
 	TileSide int
 	// SidecarCodec selects the page codec of LinearScan's interval sidecar
 	// (a method with a tree keeps none and refuses one): "raw" (FSC1, fixed
@@ -400,10 +401,9 @@ func (db *DB) Metrics() EngineMetrics {
 // R*-tree pages, and catalog) to a single database file that OpenIndex can
 // query without rebuilding. Every method saves, tiled or not — the file is the
 // index's partitions, one record each, so the reopened index prunes, filters
-// and updates exactly like this one — except Auto, whose histogram is derived
-// from the field (ErrNoPartition). The file is written beside path and renamed
-// over it once complete: a failed save leaves path as it was. path must not
-// exist or be empty.
+// and updates exactly like this one. The file is written beside path and
+// renamed over it once complete: a failed save leaves path as it was. path
+// must not exist or be empty.
 func (db *DB) SaveIndex(path string) error {
 	if err := db.checkOpen(); err != nil {
 		return err

@@ -79,7 +79,7 @@ func TestAllMethodsViaFacade(t *testing.T) {
 func TestCellsStoredOnce(t *testing.T) {
 	dem, _ := TerrainDEM(32, 7)
 	for _, opts := range []Options{
-		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert}, {Method: Auto},
+		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert},
 		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
 	} {
 		db, err := Open(dem, opts)

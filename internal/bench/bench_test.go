@@ -106,7 +106,7 @@ func TestSpeedupAndGeoMean(t *testing.T) {
 func TestExperimentRegistry(t *testing.T) {
 	s := Scale{}
 	all := All(s)
-	if len(all) != 10 {
+	if len(all) != 8 {
 		t.Fatalf("registry has %d experiments", len(all))
 	}
 	names := map[string]bool{}
@@ -119,7 +119,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("experiment %q incomplete", e.Name)
 		}
 	}
-	for _, want := range []string{"fig8a", "fig8b", "fig11-H0.1", "fig11-H0.9", "fig12b", "ablation-eps", "related-ipindex", "extension-auto"} {
+	for _, want := range []string{"fig8a", "fig8b", "fig11-H0.1", "fig11-H0.9", "fig12b", "related-ipindex"} {
 		if !names[want] {
 			t.Fatalf("missing experiment %q", want)
 		}

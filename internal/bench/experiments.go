@@ -5,7 +5,6 @@ import (
 
 	"fielddb/internal/core"
 	"fielddb/internal/field"
-	"fielddb/internal/subfield"
 	"fielddb/internal/workload"
 )
 
@@ -100,28 +99,6 @@ func Figure12b(s Scale) Experiment {
 	}
 }
 
-// AblationCostEpsilon sweeps the cost model's additive constant (the
-// query-length term of P = L + q).
-func AblationCostEpsilon(s Scale) Experiment {
-	var specs []IndexSpec
-	for _, eps := range []float64{0.25, 1, 4, 16} {
-		eps := eps
-		specs = append(specs, buildSpec(fmt.Sprintf("I-Hilbert/eps=%g", eps),
-			core.BuildOptions{Method: core.MethodIHilbert, Cost: subfield.CostModel{Epsilon: eps}}))
-	}
-	return Experiment{
-		Name:  "ablation-eps",
-		Title: "cost-model constant sweep (P = L + q)",
-		Dataset: func() (field.Field, error) {
-			return FixtureTerrain(s.side(512), 0)
-		},
-		QIntervals: workload.QIntervalsReal,
-		Specs:      specs,
-		Queries:    s.queries(),
-		Seed:       150,
-	}
-}
-
 // RelatedIPIndex compares the paper's related work (§2.3) — one IP-index
 // per DEM row, continuity along one axis only — against I-Hilbert and
 // LinearScan on the terrain dataset.
@@ -141,25 +118,6 @@ func RelatedIPIndex(s Scale) Experiment {
 	}
 }
 
-// ExtensionAuto compares the adaptive planner (histogram-driven choice
-// between subfield filtering and sequential scan) against both fixed
-// strategies, over a Qinterval grid that reaches into the high-selectivity
-// regime where LinearScan wins.
-func ExtensionAuto(s Scale) Experiment {
-	autoSpec := SpecsForMethods(core.MethodAuto)[0]
-	return Experiment{
-		Name:  "extension-auto",
-		Title: "adaptive planner (I-Auto) vs fixed strategies, wide Qinterval sweep",
-		Dataset: func() (field.Field, error) {
-			return workload.FractalDEM(s.side(1024)/2, 0.3, 1103)
-		},
-		QIntervals: []float64{0, 0.05, 0.2, 0.4, 0.6, 0.8},
-		Specs:      append(SpecsForMethods(core.MethodLinearScan, core.MethodIHilbert), autoSpec),
-		Queries:    s.queries(),
-		Seed:       170,
-	}
-}
-
 // All returns every experiment of the evaluation at the given scale, in
 // paper order.
 func All(s Scale) []Experiment {
@@ -167,7 +125,7 @@ func All(s Scale) []Experiment {
 	for _, h := range workload.HSweep {
 		out = append(out, Figure11(h, s))
 	}
-	out = append(out, Figure12b(s), AblationCostEpsilon(s), RelatedIPIndex(s), ExtensionAuto(s))
+	out = append(out, Figure12b(s), RelatedIPIndex(s))
 	return out
 }
 

@@ -19,8 +19,8 @@ var (
 	// ErrUnknownMethod reports a BuildOptions.Method outside the method table.
 	ErrUnknownMethod = errors.New("fielddb: unknown method")
 	// ErrBadOptions reports options the builder cannot combine: a TileSide
-	// below 2, a tiled I-All or I-Auto, a sidecar option on a method with a
-	// tree, or an unknown sidecar codec.
+	// below 2, a tiled I-All, a sidecar option on a method with a tree, or an
+	// unknown sidecar codec.
 	ErrBadOptions = errors.New("fielddb: invalid tiling options")
 )
 
@@ -30,9 +30,8 @@ type BuildOptions struct {
 	Method Method
 	// TileSide, when non-zero, cuts the field into TileSide×TileSide-cell
 	// tiles (at least 2), each a partition of its own that the scatter-gather
-	// pipeline of tiled.go prunes or scans. LinearScan and the partitioned
-	// family tile; a per-cell tree per tile has no pruning story, and the
-	// selectivity planner plans over one partition.
+	// pipeline of tiled.go prunes or scans. LinearScan and I-Hilbert tile;
+	// a per-cell tree per tile has no pruning story.
 	TileSide int
 	// Workers bounds the goroutines used for construction (linearization,
 	// per-subfield metadata) and is inherited as the bound of a query's
@@ -46,9 +45,6 @@ type BuildOptions struct {
 	// whose filter tests every cell interval: a method with a tree refuses them.
 	Codec     string
 	NoSidecar bool
-	// Cost is the subfield cost model; the zero value selects the paper's
-	// model (Epsilon = 1).
-	Cost subfield.CostModel
 	// BulkLoad packs I-All's R*-tree bottom-up (sorted by interval center)
 	// instead of inserting one interval at a time. Tuple-by-tuple insertion
 	// reproduces the tall, overlapping tree the paper describes; bulk loading
@@ -62,14 +58,6 @@ type BuildOptions struct {
 // an order or dimension out of range, which these constants are not.
 var hilbert, _ = sfc.NewHilbert(16, 2)
 
-// The build parameters no caller varies: the planner's histogram resolution,
-// and the estimated selectivity above which it scans (the subfield path's
-// random run starts stop paying off roughly when half the data matches).
-const (
-	autoBins          = 64
-	autoScanThreshold = 0.45
-)
-
 // methodSpec is one row of the method table: everything in which one method
 // differs from another. Build and Open dispatch on it and on nothing else.
 type methodSpec struct {
@@ -77,11 +65,9 @@ type methodSpec struct {
 	// greedy cost bound; without it the cells are stored in natural order
 	// with no partition.
 	cut bool
-	// perCell indexes every cell interval in the tree (§3's baseline); plans
-	// adds the selectivity histogram.
-	perCell, plans bool
-	// tiles marks the methods a tile can run.
-	tiles bool
+	// perCell indexes every cell interval in the tree (§3's baseline). Such a
+	// method does not tile: a per-cell tree per tile has no pruning story.
+	perCell bool
 	// bind installs the method's candidates and maintain hooks on a built or
 	// opened partition.
 	bind func(p *partition)
@@ -97,7 +83,7 @@ var methods = map[Method]*methodSpec{
 	// it (the default) the filter is one pass over the sidecar pages and only
 	// the pages holding matching cells are read from the heap; without it
 	// every cell page is scanned.
-	MethodLinearScan: {tiles: true, bind: func(p *partition) {
+	MethodLinearScan: {bind: func(p *partition) {
 		p.candidates = p.heapCandidates
 		if p.sidecar != nil {
 			p.candidates, p.byPos, p.tested = p.sidecarCandidates, true, true
@@ -112,12 +98,8 @@ var methods = map[Method]*methodSpec{
 	}},
 	// The paper's method: cells stored in partition order (each subfield a
 	// contiguous run of pages), subfield intervals in a 1-D R*-tree.
-	MethodIHilbert: {cut: true, tiles: true, bind: func(p *partition) {
+	MethodIHilbert: {cut: true, bind: func(p *partition) {
 		p.candidates, p.maintain = p.groupCandidates, p.regroup
-	}},
-	// I-Hilbert behind the selectivity planner of auto.go.
-	MethodAuto: {cut: true, plans: true, bind: func(p *partition) {
-		p.candidates, p.maintain = p.planCandidates, p.maintainPlanned
 	}},
 }
 
@@ -143,11 +125,8 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 	if opts.TileSide != 0 && opts.TileSide < 2 {
 		return nil, fmt.Errorf("%w: tile side %d (need at least 2)", ErrBadOptions, opts.TileSide)
 	}
-	if opts.TileSide != 0 && !m.tiles {
+	if opts.TileSide != 0 && m.perCell {
 		return nil, fmt.Errorf("%w: method %s does not tile", ErrBadOptions, opts.Method)
-	}
-	if opts.Cost.Epsilon == 0 {
-		opts.Cost = subfield.DefaultCostModel
 	}
 	opts.Workers = clampWorkers(opts.Workers)
 	s := newStore(pager, opts.Method, opts.TileSide, f.NumCells())
@@ -201,7 +180,7 @@ func buildWhole(ctx context.Context, f field.Field, s *store, st *state, m *meth
 // builds the row's index structure over them. It returns the partition with
 // its hooks bound, its first state, and each cell's planar area in heap order.
 func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m *methodSpec, opts *BuildOptions) (*partition, *partState, []float64, error) {
-	p := &partition{cells: f.NumCells(), mbr: f.Bounds(), cost: opts.Cost}
+	p := &partition{cells: f.NumCells(), mbr: f.Bounds()}
 	st := &partState{}
 	ids := make([]field.CellID, f.NumCells()) // the heap order: natural, unless the cut reorders it
 	for i := range ids {
@@ -213,7 +192,7 @@ func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		groups = subfield.BuildGreedy(refs, opts.Cost)
+		groups = subfield.BuildGreedy(refs, subfield.DefaultCostModel)
 		if err := subfield.Validate(refs, groups); err != nil {
 			return nil, nil, nil, fmt.Errorf("core: %w", err)
 		}
@@ -237,12 +216,6 @@ func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m 
 	}
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if m.plans {
-		// Published in the same state as the partition it plans over, so a
-		// reader never plans on a histogram from one epoch and refines against
-		// another.
-		st.hist = buildAutoHist(f, autoBins)
 	}
 	m.bind(p)
 	return p, st, areas, nil

@@ -36,7 +36,6 @@ func buildMatrix(f field.Field) []matrixRow {
 		{name: "I-All+bulk", opts: BuildOptions{Method: MethodIAll, BulkLoad: true}, natural: true},
 		{name: "I-All-sidecar", opts: BuildOptions{Method: MethodIAll, NoSidecar: true}, natural: true},
 		{name: "I-Hilbert", opts: BuildOptions{Method: MethodIHilbert}},
-		{name: "I-Auto", opts: BuildOptions{Method: MethodAuto}},
 	}
 	var rows []matrixRow
 	for _, m := range bases {
@@ -60,16 +59,12 @@ func buildMatrix(f field.Field) []matrixRow {
 	return rows
 }
 
-// buildable reports whether Build accepts the row: the per-cell tree and the
-// planner do not tile, and a method with a tree takes no sidecar option.
+// buildable reports whether Build accepts the row: the per-cell tree does not
+// tile, and a method with a tree takes no sidecar option.
 func (r matrixRow) buildable() bool {
-	tiles := r.opts.TileSide == 0 || (r.opts.Method != MethodIAll && r.opts.Method != MethodAuto)
+	tiles := r.opts.TileSide == 0 || r.opts.Method != MethodIAll
 	return tiles && (!methods[r.opts.Method].hasTree() || (r.opts.Codec == "" && !r.opts.NoSidecar))
 }
-
-// stored reports whether the row has an on-disk format: everything Build
-// builds but the planner, whose histogram no page holds.
-func (r matrixRow) stored() bool { return r.buildable() && !methods[r.opts.Method].plans }
 
 // sidecarCodec names the codec of the engine's sidecars, "" without any.
 func sidecarCodec(e Engine) string {
@@ -126,6 +121,7 @@ func TestBuildMatrix(t *testing.T) {
 		"unknown method":       {BuildOptions{Method: "I-Bogus"}, ErrUnknownMethod},
 		"no method":            {BuildOptions{}, ErrUnknownMethod},
 		"I-Quad":               {BuildOptions{Method: "I-Quad"}, ErrUnknownMethod},
+		"I-Auto":               {BuildOptions{Method: "I-Auto"}, ErrUnknownMethod},
 	} {
 		if _, err := Build(context.Background(), f, newPager(), tc.opts); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)

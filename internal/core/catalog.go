@@ -12,7 +12,6 @@ import (
 	"fielddb/internal/geom"
 	"fielddb/internal/rstar"
 	"fielddb/internal/storage"
-	"fielddb/internal/subfield"
 )
 
 // On-disk database file layout. A saved store is its partitions: one for an
@@ -38,8 +37,6 @@ import (
 //	epoch u64 (the storage epoch the saved pages materialize; SaveFile writes
 //	    the current epoch's overlay view into the base pages, so the opened
 //	    store resumes epoch numbering instead of restarting at 0)
-//	cost epsilon f64 (the cost model the store was built with, so update
-//	    batches re-derive group boundaries with the same §3 cost bound)
 //	field summary: first page u32, pages u32 (0/0 when the store carries none)
 //	partition count u32 (1 for an untiled store), then per partition:
 //	    MBR: min.x, min.y, max.x, max.y f64
@@ -67,7 +64,7 @@ import (
 // or written. A file whose superblock or catalog header carries any other
 // version is refused with ErrUnsupportedVersion before anything else in it is
 // interpreted.
-const catalogVersion = 8
+const catalogVersion = 9
 
 // ErrUnsupportedVersion reports a database file whose superblock or catalog
 // header names a catalog version other than the current one.
@@ -127,7 +124,6 @@ func (s *store) encodeCatalog() []byte {
 	writeU32(&b, uint32(s.tileSide))
 	writeU64(&b, uint64(s.cells))
 	writeU64(&b, st.epoch)
-	writeF64(&b, first.cost.Epsilon)
 	writeU32(&b, uint32(s.sumFirst))
 	writeU32(&b, uint32(s.sumPages))
 	writeU32(&b, uint32(len(s.parts)))
@@ -290,7 +286,6 @@ type catalogStore struct {
 	codec    string
 	tileSide int
 	cells    int
-	cost     subfield.CostModel
 	// dataPages bounds the page ids a record may name: the file's pages in
 	// front of the catalog.
 	dataPages int
@@ -319,14 +314,12 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	cs := &catalogStore{m: methods[method], codec: r.str(), dataPages: dataPages}
 	cs.tileSide, cs.cells = int(r.u32()), int(r.u64())
 	epoch := r.u64()
-	cs.cost.Epsilon = r.f64()
 	sumFirst, sumPages := storage.PageID(r.u32()), int(r.u32())
 	numParts := int(r.u32())
 	if r.err != nil {
 		return nil, fmt.Errorf("catalog truncated")
 	}
-	// Only what SaveFile writes: the planner keeps a histogram no page holds.
-	if cs.m == nil || cs.m.plans {
+	if cs.m == nil {
 		return nil, fmt.Errorf("catalog has unsupported method %q", method)
 	}
 	// Build gives a sidecar to the method without a tree alone.
@@ -336,11 +329,8 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	// Every cell id is a u32 somewhere in the records, every partition holds a
 	// cell, and an untiled store is exactly one partition.
 	if cs.cells <= 0 || cs.cells > 1<<30 || !r.fits(cs.cells, 4) || numParts < 1 || numParts > cs.cells ||
-		(cs.tileSide == 0 && numParts != 1) || (cs.tileSide != 0 && (cs.tileSide < 2 || !cs.m.tiles)) {
+		(cs.tileSide == 0 && numParts != 1) || (cs.tileSide != 0 && (cs.tileSide < 2 || cs.m.perCell)) {
 		return nil, fmt.Errorf("corrupt catalog header")
-	}
-	if !(cs.cost.Epsilon >= 0) {
-		return nil, fmt.Errorf("corrupt update state")
 	}
 	if sumPages > 1<<16 || !cs.inData(sumFirst, sumPages) {
 		return nil, fmt.Errorf("corrupt summary geometry")
@@ -383,8 +373,6 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 	}
 	p := &partition{
 		mbr: geom.Rect{Min: geom.Pt(r.f64(), r.f64()), Max: geom.Pt(r.f64(), r.f64())},
-		// The cost model update batches re-derive group boundaries with.
-		cost: cs.cost,
 	}
 	vr := geom.Interval{Lo: r.f64(), Hi: r.f64()}
 	p.area = r.f64()

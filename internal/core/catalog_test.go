@@ -475,7 +475,7 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	dataPages = max(built.pager.NumPages(), scan.pager.NumPages())
 	// Offsets into the real catalogs: the header's tail, then the one record.
 	codec := catalogHeaderLen + 2 + len(MethodIHilbert)
-	record := codec + 2 + 4 + 8 + 8 + 8 + 8 + 4
+	record := codec + 2 + 4 + 8 + 8 + 8 + 4
 	summary := record - 12
 	ids := record + 7*8 + 8
 	heapPages := ids + 4*built.cells + 8
@@ -484,7 +484,7 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	if want := groups + 8 + groupMetaLen*len(built.cur().parts[0].groups); want != len(real) {
 		t.Fatalf("the test's catalog layout ends at %d, the encoder's at %d", want, len(real))
 	}
-	sidecar := catalogHeaderLen + 2 + len(MethodLinearScan) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + 8 + 8 + 8 + 4 +
+	sidecar := catalogHeaderLen + 2 + len(MethodLinearScan) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + 8 + 8 + 4 +
 		7*8 + 8 + 4*scan.cells + 8 + 2*4*scan.parts[0].heap.NumPages()
 	if want := sidecar + 8; want != len(scanReal) {
 		t.Fatalf("the test's LinearScan catalog layout ends at %d, the encoder's at %d", want, len(scanReal))
@@ -533,7 +533,7 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 		b = append(le.AppendUint16(b, uint16(len(method))), method...)
 		b = le.AppendUint16(b, 0) // no codec
 		b = le.AppendUint64(le.AppendUint64(le.AppendUint32(b, tileSide), cells), 0)
-		b = append(b, make([]byte, 8+8)...) // cost model, no summary
+		b = append(b, make([]byte, 8)...) // no summary
 		return le.AppendUint32(b, parts)
 	}
 	blobs["untiled cells"] = head("I-Hilbert", 0, 1<<40, 1)
@@ -602,7 +602,7 @@ const fuzzDataPages = 1 << 12
 func FuzzOpenCatalog(f *testing.F) {
 	dem := testDEM(f, 8, 0.5)
 	for _, row := range buildMatrix(dem) {
-		if !row.stored() {
+		if !row.buildable() {
 			continue
 		}
 		row.opts.TileSide /= 4 // four tiles

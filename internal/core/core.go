@@ -15,13 +15,10 @@
 //     default, over the cell pages without one). I-All searches a 1-D R*-tree
 //     holding one entry per cell (§3, the straightforward baseline). I-Hilbert
 //     searches a tree holding one entry per subfield, each pointing at the
-//     contiguous page run of its cells (§3, Figure 6). I-Auto is I-Hilbert
-//     behind a histogram planner that returns the whole heap as one run when
-//     most cells would match anyway.
+//     contiguous page run of its cells (§3, Figure 6).
 //   - maintain brings the method's index structure to the state after an
 //     update batch: nothing for LinearScan, delete/insert on the per-cell
-//     tree for I-All, greedy regrouping for I-Hilbert, a histogram rebuild on
-//     top for I-Auto.
+//     tree for I-All, greedy regrouping for I-Hilbert.
 //
 // A store (store.go) is its partitions — one for an untiled index, one per
 // tile of a tiled one, a tile being a partition with a (min, max) value
@@ -67,8 +64,7 @@ import (
 // Method identifies a query-processing strategy.
 type Method string
 
-// The methods evaluated in the paper: the keys of the method table
-// (MethodAuto, the planner, is declared in auto.go).
+// The methods evaluated in the paper: the keys of the method table.
 const (
 	MethodLinearScan Method = "LinearScan"
 	MethodIAll       Method = "I-All"
@@ -77,8 +73,7 @@ const (
 
 // ErrNoPartition reports an operation a configuration's partition cannot
 // serve: approximate value queries from subfield summaries where the method
-// forms no subfields, or saving the selectivity planner, whose histogram no
-// partition record holds.
+// forms no subfields.
 var ErrNoPartition = errors.New("core: no subfield partition")
 
 // errEmptyQuery rejects an empty query interval before any work.
@@ -212,8 +207,7 @@ type Engine interface {
 	// the union of its partitions' value ranges, never empty.
 	ValueRange() geom.Interval
 	// SaveFile writes the index to a database file Open reopens, replacing
-	// path by rename once the file is complete. Every configuration saves but
-	// the selectivity planner (ErrNoPartition).
+	// path by rename once the file is complete. Every configuration saves.
 	SaveFile(path string) error
 	SetObserver(ob obs.Observer)
 	SetWorkers(n int)

@@ -29,9 +29,9 @@ func (p *partition) sidecarCandidates(_ *partState, pr *probe) error {
 	return nil
 }
 
-// heapCandidates is the filter of a scan without a sidecar (and the I-Auto
-// planner's scan path): there is no filter step, the whole heap is one run and
-// the refinement tests every record.
+// heapCandidates is the filter of a scan without a sidecar: there is no
+// filter step, the whole heap is one run and the refinement tests every
+// record.
 func (p *partition) heapCandidates(_ *partState, pr *probe) error {
 	if n := p.heap.NumPages(); n > 0 {
 		pr.runs = append(pr.runs, pageRun{first: 0, last: n - 1})

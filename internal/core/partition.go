@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
@@ -16,7 +15,7 @@ import (
 // partition is one contiguous cell store with a method's index over it: a
 // whole untiled field, or one tile of a tiled one. It owns the cells' heap
 // segment, LinearScan's interval sidecar and the two hooks a method is; the
-// index structure itself — tree, subfields, histogram — is the partState its
+// index structure itself — tree, subfields — is the partState its
 // store publishes.
 type partition struct {
 	heap *storage.HeapFile
@@ -54,21 +53,16 @@ type partition struct {
 	tested bool
 
 	// order is the heap-file cell order of a partitioned method (nil in
-	// natural order, where heap position == cell id). cost is the build's
-	// cost model, so an update batch can re-derive the group boundaries (the
-	// §3 cost bound). posOf is order's inverse, cell id to heap position,
-	// filled once at build or open and immutable after; ivs is the current
-	// cell interval per heap position, which a file-opened index hydrates from
-	// its heap records on its first update, and refs the cut's input an update
-	// batch refills, made by the first one.
+	// natural order, where heap position == cell id). posOf is order's
+	// inverse, cell id to heap position, filled once at build or open and
+	// immutable after; ivs is the current cell interval per heap position,
+	// which a file-opened index hydrates from its heap records on its first
+	// update, and refs the cut's input an update batch refills, made by the
+	// first one.
 	order []field.CellID
 	posOf []int32
-	cost  subfield.CostModel
 	ivs   []geom.Interval
 	refs  []subfield.CellRef
-
-	// The I-Auto planner's decision counters.
-	scanQueries, filterQueries atomic.Int64
 }
 
 // statsAt describes the partition and its index structure at state st.

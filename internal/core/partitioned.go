@@ -161,7 +161,7 @@ func (e *engine) approxAt(st *state, tb *obs.TraceBuilder, q geom.Interval) (*Ap
 	return res, nil
 }
 
-// groupCandidates is the filter of the partitioned family: the persisted
+// groupCandidates is I-Hilbert's filter (§3, Figure 6): the persisted
 // subfield tree selects the subfields whose interval intersects the query,
 // and their (ptr_start, ptr_end) page runs — overlapping or adjacent ones
 // merged, since consecutive subfields share boundary pages — are the

@@ -44,9 +44,6 @@ func TestFailedQueryReleasesPin(t *testing.T) {
 		"I-Hilbert": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodIHilbert})
 		},
-		"I-Auto": func(d *grid.DEM, p *storage.Pager) (Index, error) {
-			return buildIx(d, p, BuildOptions{Method: MethodAuto})
-		},
 		"Tiled-LinearScan": func(d *grid.DEM, p *storage.Pager) (Index, error) {
 			return buildIx(d, p, BuildOptions{Method: MethodLinearScan, TileSide: 8})
 		},

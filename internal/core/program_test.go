@@ -973,20 +973,12 @@ func (h *harness) checkSnaps() {
 
 // reopen saves the live store and opens the file, which must be the same
 // store answering the same Results; the opened store goes live and the saved
-// one becomes its twin. A row without an on-disk format refuses the save.
+// one becomes its twin.
 func (h *harness) reopen(i int, q geom.Interval) {
 	path := filepath.Join(h.dir, fmt.Sprintf("%d.fidx", i))
 	old := h.cur
-	err := old.eng.SaveFile(path)
-	if !h.cfg.row.stored() {
-		h.logf(i, "reopen (refused: no on-disk format)")
-		if !errors.Is(err, ErrNoPartition) {
-			h.fatalf("save: err %v, want ErrNoPartition", err)
-		}
-		return
-	}
 	h.logf(i, "reopen probing %v", q)
-	if err != nil {
+	if err := old.eng.SaveFile(path); err != nil {
 		h.fatalf("save: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -1219,8 +1211,7 @@ func TestPinnedSnapshots(t *testing.T) {
 }
 
 // batchRows is the configuration list of the batch suites over f: every
-// untiled method, a worker pool and the planner, whose batches mix the scan and
-// the filter path.
+// untiled method and a worker pool.
 func batchRows(f field.Field) []matrixRow {
 	return []matrixRow{
 		rowOf("LinearScan+sidecar", BuildOptions{Method: MethodLinearScan}),
@@ -1228,7 +1219,6 @@ func batchRows(f field.Field) []matrixRow {
 		rowOf("I-All", BuildOptions{Method: MethodIAll}),
 		rowOf("I-Hilbert", BuildOptions{Method: MethodIHilbert}),
 		rowOf("I-Hilbert+workers", BuildOptions{Method: MethodIHilbert, Workers: 4}),
-		rowOf("I-Auto", BuildOptions{Method: MethodAuto}),
 	}
 }
 
@@ -1300,7 +1290,6 @@ var updatableRows = []matrixRow{
 	rowOf("LinearScan", BuildOptions{Method: MethodLinearScan}),
 	rowOf("I-All", BuildOptions{Method: MethodIAll}),
 	rowOf("I-Hilbert", BuildOptions{Method: MethodIHilbert}),
-	rowOf("I-Auto", BuildOptions{Method: MethodAuto}),
 }
 
 // TestUpdateConvergence: after three update batches every updatable store

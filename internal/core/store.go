@@ -111,7 +111,6 @@ type state struct {
 type partState struct {
 	tree   *rstar.Tree // per cell (I-All) or per subfield
 	groups []groupMeta // subfields, in partition order
-	hist   *autoHist   // the planner's selectivity histogram
 }
 
 // engine is the handle on a store, and the one implementation of Engine: live
@@ -351,16 +350,11 @@ func (sc *scatterState) run(i int) error {
 
 // SaveFile implements Engine: it writes the store — every page of its pager,
 // then the catalog — to a database file Open reopens. Every configuration
-// saves but the selectivity planner, whose histogram is derived from the field
-// and lives on no page. The file is written under a temporary name in path's
-// directory, synced, and renamed over path once complete — then the directory
-// is synced too — so a save that fails, or a crash at any point, leaves path
-// as it was found (absent, or the caller's empty file) or holding the whole
-// new file. A file that already holds anything is refused untouched.
+// saves. The file is written under a temporary name in path's directory,
+// synced, and renamed over path once complete — then the directory is synced
+// too — so a save that fails, or a crash at any point, leaves path as it was
+// found (absent, or the caller's empty file) or holding the whole new file. A file that already holds anything is refused untouched.
 func (s *store) SaveFile(path string) (err error) {
-	if methods[s.method].plans {
-		return fmt.Errorf("%w: method %s has no on-disk format", ErrNoPartition, s.label)
-	}
 	// Serialize with update batches: the snapshot below must capture the
 	// pages of one published state, not a commit in flight.
 	s.updMu.Lock()

@@ -503,7 +503,7 @@ func (p *partition) regroup(stage *overlayStage, _ field.Field, cur *partState, 
 	for i := range p.refs {
 		p.refs[i] = subfield.CellRef{ID: p.order[i], Interval: p.ivs[i]}
 	}
-	next := subfield.BuildGreedy(p.refs, p.cost)
+	next := subfield.BuildGreedy(p.refs, subfield.DefaultCostModel)
 	old := cur.groups
 	groups := make([]groupMeta, len(next))
 	// to renumbers old payloads; drops and adds are the tree entries to delete

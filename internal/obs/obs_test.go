@@ -117,7 +117,6 @@ func TestPageCountsSubAdd(t *testing.T) {
 
 func TestPhaseString(t *testing.T) {
 	want := map[Phase]string{
-		PhasePlan:    "plan",
 		PhaseFilter:  "filter",
 		PhaseRefine:  "refine",
 		PhaseDecode:  "decode",

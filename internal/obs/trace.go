@@ -34,12 +34,9 @@ type Phase uint8
 
 // The phases of the query pipelines.
 const (
-	// PhasePlan is access-path selection (the I-Auto planner's selectivity
-	// estimate); it reads no pages.
-	PhasePlan Phase = iota
 	// PhaseFilter is the filter step: the R*-tree search for candidate
 	// subfields (or candidate cells, for I-All).
-	PhaseFilter
+	PhaseFilter Phase = iota
 	// PhaseRefine is the refinement/estimation step: reading candidate cell
 	// pages, testing intervals, and computing the exact answer geometry.
 	PhaseRefine
@@ -90,7 +87,7 @@ const (
 // NumPhases is the number of defined phases, for sizing per-phase tables.
 const NumPhases = int(numPhases)
 
-var phaseNames = [NumPhases]string{"plan", "filter", "refine", "decode", "contour-assemble", "sidecar-filter", "batch-fetch", "patch", "index-maintain", "tile-prune", "tile-scan", "summary-eval"}
+var phaseNames = [NumPhases]string{"filter", "refine", "decode", "contour-assemble", "sidecar-filter", "batch-fetch", "patch", "index-maintain", "tile-prune", "tile-scan", "summary-eval"}
 
 // String implements fmt.Stringer.
 func (p Phase) String() string {

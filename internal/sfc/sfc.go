@@ -1,6 +1,6 @@
-// Package sfc implements the Hilbert curve used to linearize field cells: a
-// 2-D fast path and an n-dimensional generalization via the Butz/transpose
-// algorithm.
+// Package sfc implements the Hilbert curve used to linearize field cells: one
+// n-dimensional Butz/transpose algorithm, which the 2-D cells of a field and
+// the 3-D cells of a volume both run.
 //
 // The paper linearizes cells by the Hilbert value of their centers and cites
 // Faloutsos & Roseman (PODS'89) and Jagadish (SIGMOD'90) for the experimental

@@ -42,7 +42,7 @@ type Index struct {
 // simulated I/O accounting for the R*-tree pages (cell records themselves
 // stay in the grid, which models a memory-mapped volume; the dominant cost
 // the index saves is interval testing, reported via CellsTested).
-func BuildIndex(g *VoxelGrid, pager *storage.Pager, cost subfield.CostModel) (*Index, error) {
+func BuildIndex(g *VoxelGrid, pager *storage.Pager) (*Index, error) {
 	nx, ny, nz := g.Size()
 	order := maxInt(nx, maxInt(ny, nz))
 	bits := 1
@@ -55,9 +55,6 @@ func BuildIndex(g *VoxelGrid, pager *storage.Pager, cost subfield.CostModel) (*I
 	curve, err := sfc.NewHilbert(bits, 3)
 	if err != nil {
 		return nil, err
-	}
-	if cost.Epsilon == 0 {
-		cost = subfield.DefaultCostModel
 	}
 	n := g.NumCells()
 	type keyed struct {
@@ -87,7 +84,7 @@ func BuildIndex(g *VoxelGrid, pager *storage.Pager, cost subfield.CostModel) (*I
 		orderIDs[i] = c.id
 		ivs[i] = c.iv
 	}
-	groups := subfield.BuildGreedy(refs, cost)
+	groups := subfield.BuildGreedy(refs, subfield.DefaultCostModel)
 	tree, err := rstar.New(1, rstar.Params{PageSize: pager.PageSize()})
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 
 	"fielddb/internal/geom"
 	"fielddb/internal/storage"
-	"fielddb/internal/subfield"
 )
 
 func TestNewVoxelGridValidation(t *testing.T) {
@@ -140,7 +139,7 @@ func TestIndexMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1024)
-	ix, err := BuildIndex(g, pager, subfield.CostModel{})
+	ix, err := BuildIndex(g, pager)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestIndexVolumeSanity(t *testing.T) {
 	// half-range equals half.
 	g, _ := FromFunc(8, 8, 8, 1, 1, 1, func(x, y, z float64) float64 { return z })
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
-	ix, err := BuildIndex(g, pager, subfield.CostModel{})
+	ix, err := BuildIndex(g, pager)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestLiveUpdateStress(t *testing.T) {
 		"tin": func() (field.Mutable, error) { return NoiseTIN(600, 42) },
 	}
 	for _, opts := range []Options{
-		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert}, {Method: Auto},
+		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert},
 		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
 	} {
 		for fname, mk := range fields {

@@ -90,7 +90,7 @@ func TestTraceReconciliation(t *testing.T) {
 	}
 	ctx := context.Background()
 	vr := dem.ValueRange()
-	for _, method := range []Method{LinearScan, IAll, IHilbert, Auto} {
+	for _, method := range []Method{LinearScan, IAll, IHilbert} {
 		t.Run(string(method), func(t *testing.T) {
 			rec := &recordingTracer{}
 			db, err := Open(dem, Options{Method: method, Tracer: rec})
@@ -218,50 +218,48 @@ func TestTraceReconciliation(t *testing.T) {
 	// An update batch traces too: a regrouping batch's maintenance (greedy
 	// re-cut, tree rebuild, summary refit) runs under an index-maintain span,
 	// and the span pages sum to the batch's published read activity.
-	for _, method := range []Method{IHilbert, Auto} {
-		t.Run("update/"+string(method), func(t *testing.T) {
-			dem, err := TerrainDEM(64, 42) // UpdateSamples mutates the field
-			if err != nil {
-				t.Fatal(err)
+	t.Run("update/"+string(IHilbert), func(t *testing.T) {
+		dem, err := TerrainDEM(64, 42) // UpdateSamples mutates the field
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingTracer{}
+		db, err := Open(dem, Options{Method: IHilbert, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		// Push a quarter of the samples far above the old range: interval
+		// lengths in that block explode, so the §3 cost bound re-cuts.
+		var updates []SampleUpdate
+		for s := 0; s < dem.NumSamples()/4; s++ {
+			updates = append(updates, SampleUpdate{Sample: s, Value: dem.SampleValue(s) + 3*vr.Length()})
+		}
+		st, err := db.UpdateSamples(ctx, updates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Regrouped {
+			t.Fatal("batch did not regroup; the case is vacuous")
+		}
+		var tr *QueryTrace
+		for _, c := range rec.traces {
+			if c.Kind == obs.KindUpdate && c.Method == string(IHilbert) {
+				tr = c
 			}
-			rec := &recordingTracer{}
-			db, err := Open(dem, Options{Method: method, Tracer: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			// Push a quarter of the samples far above the old range: interval
-			// lengths in that block explode, so the §3 cost bound re-cuts.
-			var updates []SampleUpdate
-			for s := 0; s < dem.NumSamples()/4; s++ {
-				updates = append(updates, SampleUpdate{Sample: s, Value: dem.SampleValue(s) + 3*vr.Length()})
-			}
-			st, err := db.UpdateSamples(ctx, updates)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !st.Regrouped {
-				t.Fatal("batch did not regroup; the case is vacuous")
-			}
-			var tr *QueryTrace
-			for _, c := range rec.traces {
-				if c.Kind == obs.KindUpdate && c.Method == string(method) {
-					tr = c
-				}
-			}
-			if tr == nil {
-				t.Fatal("no update trace from the value index")
-			}
-			checkTrace(t, tr, st.IO)
-			maintain := false
-			for _, sp := range tr.Spans {
-				maintain = maintain || sp.Phase == obs.PhaseMaintain
-			}
-			if !maintain {
-				t.Fatalf("no index-maintain span in %v", tr.Spans)
-			}
-		})
-	}
+		}
+		if tr == nil {
+			t.Fatal("no update trace from the value index")
+		}
+		checkTrace(t, tr, st.IO)
+		maintain := false
+		for _, sp := range tr.Spans {
+			maintain = maintain || sp.Phase == obs.PhaseMaintain
+		}
+		if !maintain {
+			t.Fatalf("no index-maintain span in %v", tr.Spans)
+		}
+	})
 }
 
 // TestTraceReconciliationParallel re-runs the invariant with a parallel

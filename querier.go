@@ -348,7 +348,7 @@ func (s *surface) ApproxValueQueryContext(ctx context.Context, lo, hi float64) (
 // ApproxAggregateContext answers the aggregate query "how many cells, and how
 // much area, have a value in [lo, hi]" with a certified error tolerance of
 // maxErr on the matched-area fraction. Indexes with a field summary (every
-// partition-based or tiled index, Auto included) answer from the summary
+// partition-based or tiled index) answer from the summary
 // pages — at most four physical reads at any selectivity — and fall back to
 // the exact pipeline when the certified bound exceeds maxErr; methods without
 // a summary (LinearScan, I-All) always answer exactly. A Snapshot reads the

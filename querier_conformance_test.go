@@ -118,50 +118,6 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// approxRows checks the approximate tier of one surface against the
-	// reference DB's answers.
-	approxRows := func(t *testing.T, q Querier) {
-		// Approximate aggregates: every surface answers from the same
-		// persisted summary, so the estimates and certified bounds agree
-		// exactly — and the bounds must actually contain the exact answer
-		// the reference pipeline computed.
-		agg, err := q.ApproxAggregateContext(ctx, lo, hi, 0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if agg.Count != refAgg.Count || agg.CountBound != refAgg.CountBound ||
-			agg.Area != refAgg.Area || agg.AreaBound != refAgg.AreaBound ||
-			agg.Fraction != refAgg.Fraction || agg.FractionBound != refAgg.FractionBound ||
-			agg.TotalCells != refAgg.TotalCells || agg.TotalArea != refAgg.TotalArea ||
-			agg.Approx != refAgg.Approx || agg.Fallback != refAgg.Fallback {
-			t.Fatalf("aggregate diverges: %+v, want %+v", agg, refAgg)
-		}
-		if diff := math.Abs(agg.Count - float64(refRange.CellsMatched)); diff > agg.CountBound+1e-9 {
-			t.Fatalf("count error %g exceeds certified bound %g", diff, agg.CountBound)
-		}
-		if diff := math.Abs(agg.Area - refRange.MatchedCellArea); diff > agg.AreaBound+1e-9*(1+agg.TotalArea) {
-			t.Fatalf("area error %g exceeds certified bound %g", diff, agg.AreaBound)
-		}
-		if agg.Approx && !agg.Fallback && agg.IO.Reads > 4 {
-			t.Fatalf("approximate aggregate cost %d reads, want <= 4", agg.IO.Reads)
-		}
-
-		// Approximate value queries answer from the same subfield
-		// metadata on every surface, and the cell count is a true upper
-		// bound on the exact answer.
-		ap, err := q.ApproxValueQueryContext(ctx, lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ap.Groups != refApprox.Groups || ap.CellsUpperBound != refApprox.CellsUpperBound ||
-			ap.AvgValue != refApprox.AvgValue {
-			t.Fatalf("approx value query diverges: %+v, want %+v", ap, refApprox)
-		}
-		if ap.CellsUpperBound < refRange.CellsMatched {
-			t.Fatalf("CellsUpperBound %d below the exact count %d", ap.CellsUpperBound, refRange.CellsMatched)
-		}
-	}
-
 	for _, s := range surfaces {
 		t.Run(s.name, func(t *testing.T) {
 			if s.q.Method() != IHilbert {
@@ -268,7 +224,45 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 				}
 			}
 
-			approxRows(t, s.q)
+			// Approximate aggregates: every surface answers from the same
+			// persisted summary, so the estimates and certified bounds agree
+			// exactly — and the bounds must actually contain the exact answer
+			// the reference pipeline computed.
+			agg, err := s.q.ApproxAggregateContext(ctx, lo, hi, 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg.Count != refAgg.Count || agg.CountBound != refAgg.CountBound ||
+				agg.Area != refAgg.Area || agg.AreaBound != refAgg.AreaBound ||
+				agg.Fraction != refAgg.Fraction || agg.FractionBound != refAgg.FractionBound ||
+				agg.TotalCells != refAgg.TotalCells || agg.TotalArea != refAgg.TotalArea ||
+				agg.Approx != refAgg.Approx || agg.Fallback != refAgg.Fallback {
+				t.Fatalf("aggregate diverges: %+v, want %+v", agg, refAgg)
+			}
+			if diff := math.Abs(agg.Count - float64(refRange.CellsMatched)); diff > agg.CountBound+1e-9 {
+				t.Fatalf("count error %g exceeds certified bound %g", diff, agg.CountBound)
+			}
+			if diff := math.Abs(agg.Area - refRange.MatchedCellArea); diff > agg.AreaBound+1e-9*(1+agg.TotalArea) {
+				t.Fatalf("area error %g exceeds certified bound %g", diff, agg.AreaBound)
+			}
+			if agg.Approx && !agg.Fallback && agg.IO.Reads > 4 {
+				t.Fatalf("approximate aggregate cost %d reads, want <= 4", agg.IO.Reads)
+			}
+
+			// Approximate value queries answer from the same subfield
+			// metadata on every surface, and the cell count is a true upper
+			// bound on the exact answer.
+			ap, err := s.q.ApproxValueQueryContext(ctx, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ap.Groups != refApprox.Groups || ap.CellsUpperBound != refApprox.CellsUpperBound ||
+				ap.AvgValue != refApprox.AvgValue {
+				t.Fatalf("approx value query diverges: %+v, want %+v", ap, refApprox)
+			}
+			if ap.CellsUpperBound < refRange.CellsMatched {
+				t.Fatalf("CellsUpperBound %d below the exact count %d", ap.CellsUpperBound, refRange.CellsMatched)
+			}
 
 			// Every surface meters its queries.
 			if s.q.QueryMetrics().Queries == 0 {
@@ -276,26 +270,6 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 			}
 		})
 	}
-
-	// Auto is I-Hilbert behind a planner — the same partition and the same
-	// summary pages — so its approximate tier answers exactly like the
-	// reference, live and pinned.
-	dem, err := TerrainDEM(64, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := Open(dem, Options{Method: Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer auto.Close()
-	autoSnap, err := auto.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer autoSnap.Close()
-	t.Run("Auto/DB", func(t *testing.T) { approxRows(t, auto) })
-	t.Run("Auto/Snapshot", func(t *testing.T) { approxRows(t, autoSnap) })
 }
 
 // stripGeometry is r as a measure query answers it: a copy with Regions and

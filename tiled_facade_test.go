@@ -57,7 +57,6 @@ func TestTiledFacadeValidation(t *testing.T) {
 	dem, _ := TerrainDEM(16, 1)
 	bad := []Options{
 		{TileSide: 1},
-		{TileSide: 8, Method: Auto},
 		{TileSide: 8, Method: IAll},
 		{SidecarCodec: "bogus"},
 	}
