@@ -295,12 +295,12 @@ func TestOpenIndexWith(t *testing.T) {
 
 // TestUnsupportedVersionsRefused: a database file whose superblock or catalog
 // header names any catalog version but the current one — the two-layout
-// version 5, version 7 with its quadtree threshold word, and the next one
-// included — is refused with the typed error, by core.Open and by the facade,
+// version 5, version 7 with its quadtree threshold word, version 9 without the
+// grid record, and the next one included — is refused with the typed error, by core.Open and by the facade,
 // before anything else in it is interpreted. The current version's row is the
 // control: the same rewrite leaves a file that opens.
 func TestUnsupportedVersionsRefused(t *testing.T) {
-	const current = 9
+	const current = 10
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -178,20 +178,23 @@ type Options struct {
 const defaultPoolPages = 1 << 16
 
 // DB is an opened continuous-field database: one field, its cells stored
-// once under the value index, and the spatial R*-tree that points into them
-// from a pager of its own. Its query methods are the embedded surface's (see
-// Querier).
+// once under the value index, and the point locator that finds cells in them —
+// the lattice of a DEM, or for a TIN a spatial R*-tree on a pager of its own.
+// Its query methods are the embedded surface's (see Querier).
 type DB struct {
 	surface
-	field   Field
-	pager   *storage.Pager // the cell store: value index, cell records, summary
-	spPager *storage.Pager // the spatial R*-tree's pages, read-only after Open
+	field Field
+	pager *storage.Pager // the cell store: value index, cell records, summary
+	// spPager holds a TIN's spatial R*-tree, read-only after Open; nil for a
+	// DEM, which needs no tree.
+	spPager *storage.Pager
 	// updateMu serializes UpdateSamples batches around the cached value
 	// range; no query path takes it.
 	updateMu sync.Mutex
 }
 
-// Open builds the value and spatial indexes for f.
+// Open builds the value index for f and the locator of its point queries: a
+// DEM's lattice, kept by the value index, or a TIN's spatial R*-tree.
 func Open(f Field, opts Options) (*DB, error) {
 	return OpenContext(context.Background(), f, opts)
 }
@@ -223,32 +226,39 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 			Codec:    opts.SidecarCodec,
 		})
 	}
-	// The spatial tree gets its own pager: its descents are accounted apart
-	// from the value store, and SaveIndex, which snapshots the value pager,
-	// writes no tree page.
-	spPager := newPager()
-
 	var (
-		idx   core.Engine
-		sp    *core.SpatialIndex
-		err   error
-		spErr error
+		idx     core.Engine
+		sp      *core.SpatialIndex
+		spPager *storage.Pager
+		err     error
+		spErr   error
 	)
-	if workers > 1 {
-		// The two indexes write to disjoint pagers and only read f (Cell
-		// fills a caller-owned struct), so they build concurrently.
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp, spErr = core.BuildSpatial(f, spPager)
-		}()
+	switch f.(type) {
+	case *grid.DEM:
+		// A grid is its own spatial index: the value index keeps the lattice,
+		// and the cell that holds a point is arithmetic on it.
 		idx, err = buildValue()
-		wg.Wait()
-	} else {
-		idx, err = buildValue()
-		if err == nil {
-			sp, spErr = core.BuildSpatial(f, spPager)
+	default:
+		// The spatial tree gets its own pager: its descents are accounted
+		// apart from the value store, and SaveIndex, which snapshots the value
+		// pager, writes no tree page.
+		spPager = newPager()
+		if workers > 1 {
+			// The two indexes write to disjoint pagers and only read f (Cell
+			// fills a caller-owned struct), so they build concurrently.
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sp, spErr = core.BuildSpatial(f, spPager)
+			}()
+			idx, err = buildValue()
+			wg.Wait()
+		} else {
+			idx, err = buildValue()
+			if err == nil {
+				sp, spErr = core.BuildSpatial(f, spPager)
+			}
 		}
 	}
 	if errors.Is(err, ErrUnknownMethod) || errors.Is(err, ErrBadTiling) {
@@ -262,7 +272,11 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	}
 	db := &DB{field: f, pager: pager, spPager: spPager}
 	db.index = idx
-	db.spatial = sp
+	if sp != nil {
+		db.spatial = sp
+	} else {
+		db.spatial = idx.GridLocator()
+	}
 	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	vr := f.ValueRange()
 	db.vrange.Store(&vr)
@@ -282,12 +296,6 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// installObservers (re)installs the trace/metrics sinks on both indexes.
-func (db *DB) installObservers() {
-	db.index.SetObserver(*db.ob)
-	db.spatial.SetObserver(*db.ob)
-}
-
 // SetTracer installs (or, with nil, removes) the per-query tracer. Like
 // SetWorkers it is safe only between queries, not while queries run.
 func (db *DB) SetTracer(t Tracer) {
@@ -295,7 +303,7 @@ func (db *DB) SetTracer(t Tracer) {
 	db.installObservers()
 }
 
-// Close marks the database closed and releases both pagers (a no-op for the
+// Close marks the database closed and releases its pagers (a no-op for the
 // in-memory disks Open builds on, but it makes the lifecycle explicit and
 // fails subsequent queries fast). Close is idempotent; it does not wait for
 // in-flight queries. Queries after Close — through the DB or any Snapshot of
@@ -305,8 +313,10 @@ func (db *DB) Close() error {
 		return nil
 	}
 	err := db.pager.Close()
-	if spErr := db.spPager.Close(); err == nil {
-		err = spErr
+	if db.spPager != nil {
+		if spErr := db.spPager.Close(); err == nil {
+			err = spErr
+		}
 	}
 	return err
 }
@@ -331,23 +341,30 @@ func (db *DB) Tiles() []TileInfo { return db.index.Tiles() }
 // IOStats equals the sum of those queries' per-query Result.IO.
 func (db *DB) IOStats() storage.Stats { return db.pager.Stats() }
 
-// SpatialIOStats returns the cumulative page-access statistics of the
-// spatial R*-tree's pager: the tree descents of point queries, and nothing
+// SpatialIOStats returns the cumulative page-access statistics of a TIN's
+// spatial R*-tree pager: the tree descents of point queries, and nothing
 // else — the cell a point query then fetches is read from the value store and
-// accounts in IOStats, beside the value queries and update batches.
-func (db *DB) SpatialIOStats() storage.Stats { return db.spPager.Stats() }
+// accounts in IOStats, beside the value queries and update batches. A DEM
+// locates by its lattice, reads no tree page, and reports zero.
+func (db *DB) SpatialIOStats() storage.Stats {
+	if db.spPager == nil {
+		return storage.Stats{}
+	}
+	return db.spPager.Stats()
+}
 
 // EngineMetrics is the full observability snapshot of a DB: the engine's
 // cumulative query metrics plus the I/O totals and buffer-pool shard
-// statistics of both pagers: the value store's and the spatial tree's.
+// statistics of the value store and of a TIN's spatial tree.
 type EngineMetrics struct {
 	// Engine is the cumulative query-level registry: queries by method,
 	// latency histogram, pages read by kind, worker-pool utilization.
 	Engine MetricsSnapshot
 	// ValueIO and SpatialIO are the cumulative per-pager page statistics
-	// (identical to IOStats and SpatialIOStats).
+	// (identical to IOStats and SpatialIOStats; SpatialIO is zero for a DEM).
 	ValueIO, SpatialIO storage.Stats
-	// ValuePool and SpatialPool are per-shard buffer-pool hit/miss counters.
+	// ValuePool and SpatialPool are per-shard buffer-pool hit/miss counters
+	// (SpatialPool is nil for a DEM, which has no tree pager).
 	ValuePool, SpatialPool []storage.PoolShardStats
 }
 
@@ -388,13 +405,15 @@ func (m EngineMetrics) String() string {
 // engine-level query metrics plus per-store I/O and buffer-pool statistics.
 // It is safe to call concurrently with queries.
 func (db *DB) Metrics() EngineMetrics {
-	return EngineMetrics{
-		Engine:      db.QueryMetrics(),
-		ValueIO:     db.pager.Stats(),
-		SpatialIO:   db.spPager.Stats(),
-		ValuePool:   db.pager.PoolShardStats(),
-		SpatialPool: db.spPager.PoolShardStats(),
+	m := EngineMetrics{
+		Engine:    db.QueryMetrics(),
+		ValueIO:   db.pager.Stats(),
+		ValuePool: db.pager.PoolShardStats(),
 	}
+	if db.spPager != nil {
+		m.SpatialIO, m.SpatialPool = db.spPager.Stats(), db.spPager.PoolShardStats()
+	}
+	return m
 }
 
 // SaveIndex writes the built value index (cell heaps, LinearScan's sidecars or
@@ -414,9 +433,10 @@ func (db *DB) SaveIndex(path string) error {
 // StoredIndex is a value index opened from a database file written by
 // SaveIndex: it answers value queries straight from the file's pages,
 // without the original Field, whatever the method and tiling it was saved
-// from. Its query methods are the embedded surface's (see Querier); a stored
-// file carries only the value index, so point queries fail with
-// ErrNoSpatialIndex.
+// from. Its query methods are the embedded surface's (see Querier). A file
+// saved from a DEM carries its lattice, so point queries answer as the live
+// DB's do; one saved from a TIN carries no spatial tree, and point queries
+// fail with ErrNoSpatialIndex.
 type StoredIndex struct {
 	surface
 }
@@ -471,7 +491,10 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if opts.BatchWindow > 0 {
 		s.batcher = core.NewBatcher(p, opts.BatchWindow, s.ob.Metrics)
 	}
-	p.SetObserver(*s.ob)
+	if g := p.GridLocator(); g != nil {
+		s.spatial = g
+	}
+	s.installObservers()
 	return s, nil
 }
 
@@ -496,7 +519,7 @@ func (s *StoredIndex) Metrics() MetricsSnapshot { return s.QueryMetrics() }
 // SetWorkers it is safe only between queries, not while queries run.
 func (s *StoredIndex) SetTracer(t Tracer) {
 	s.ob.Tracer = t
-	s.index.SetObserver(*s.ob)
+	s.installObservers()
 }
 
 // TerrainDEM builds a deterministic fractal terrain DEM with side×side

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fielddb/internal/core"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
 )
@@ -73,11 +74,12 @@ func TestAllMethodsViaFacade(t *testing.T) {
 }
 
 // TestCellsStoredOnce is the structural guard of the one cell file: whatever
-// the method, the spatial pager holds the R*-tree's pages and not one page
-// more — no second heap of cell records — and the only cell pages are the
-// value store's.
+// the method, the only cell pages are the value store's. A DEM locates points
+// by its lattice and has no spatial pager at all; a TIN's spatial pager holds
+// the R*-tree's pages and not one page more — no second heap of cell records.
 func TestCellsStoredOnce(t *testing.T) {
 	dem, _ := TerrainDEM(32, 7)
+	mesh, _ := NoiseTIN(300, 7)
 	for _, opts := range []Options{
 		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert},
 		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
@@ -86,12 +88,23 @@ func TestCellsStoredOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		sp := db.spatial.Stats()
+		if _, ok := db.spatial.(*core.GridLocator); !ok || db.spPager != nil {
+			t.Errorf("%s: a DEM locates by %T beside a spatial pager %v", db.Method(), db.spatial, db.spPager)
+		}
+		if st := db.Stats(); st.CellPages == 0 || st.Cells != dem.NumCells() {
+			t.Errorf("%s: value store %+v for %d cells", db.Method(), st, dem.NumCells())
+		}
+		db.Close()
+		db, err = Open(mesh, opts)
+		if err != nil {
+			t.Fatalf("TIN %+v: %v", opts, err)
+		}
+		sp := db.spatial.(*core.SpatialIndex).Stats()
 		if sp.IndexPages == 0 || db.spPager.NumPages() != sp.IndexPages || sp.CellPages != 0 {
-			t.Errorf("%s: spatial pager holds %d pages, its tree %d (stats %+v)", db.Method(), db.spPager.NumPages(), sp.IndexPages, sp)
+			t.Errorf("TIN %s: spatial pager holds %d pages, its tree %d (stats %+v)", db.Method(), db.spPager.NumPages(), sp.IndexPages, sp)
 		}
 		if st := db.Stats(); st.CellPages == 0 || st.Cells != sp.Cells {
-			t.Errorf("%s: value store %+v under a tree of %d cells", db.Method(), st, sp.Cells)
+			t.Errorf("TIN %s: value store %+v under a tree of %d cells", db.Method(), st, sp.Cells)
 		}
 		db.Close()
 	}

@@ -13,16 +13,17 @@ import (
 // TestAllocCeilingsHeap bounds what an in-memory field keeps live: the 256²
 // fixture opened through the facade, as opened by default, after one rotation
 // of the fixture's queries has filled its buffer pool. The pages are held
-// once — the pool's frames lend the in-memory disk's images — and the
-// point-query R*-tree keeps only its pages, so the live heap is the field, the
-// pages and what indexes them. Measured after two collections (the second
-// empties the sync.Pools the first moved to their victim caches), as a
+// once — the pool's frames lend the in-memory disk's images — and a DEM
+// locates points by its lattice, with no R*-tree, so the live heap is the
+// field, the pages and what indexes them. Measured after two collections (the
+// second empties the sync.Pools the first moved to their victim caches), as a
 // difference from before the fixture was made, so other tests' leftovers do
-// not count. Either copy coming back fails a ceiling: pool frames holding
-// copies of the pages (measured 21.1 MiB, 14.6k objects) or the spatial
-// tree's nodes kept in memory (19.9 MiB, 80k objects).
+// not count. Any of three coming back fails a ceiling: pool frames holding
+// copies of the pages (measured 21.1 MiB, 14.6k objects), the spatial tree's
+// nodes kept in memory (19.9 MiB, 80k objects), or a DEM's point-query tree
+// at all (14.0 MiB, 12.8k objects).
 func TestAllocCeilingsHeap(t *testing.T) {
-	const mibCeiling, objectCeiling = 18, 30_000 // measured: 14.0 MiB, 12.8k objects
+	const mibCeiling, objectCeiling = 13, 30_000 // measured: 11.5 MiB, 12.1k objects
 	before := liveHeap()
 	f, err := workload.Terrain(256, 4217)
 	if err != nil {

@@ -131,6 +131,7 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 	opts.Workers = clampWorkers(opts.Workers)
 	s := newStore(pager, opts.Method, opts.TileSide, f.NumCells())
 	s.workers = opts.Workers
+	s.grid = latticeOf(f)
 	st := &state{}
 	// ivs and areas are what the field summary is fitted to: every cell's
 	// interval and planar area (no ivs, no summary).

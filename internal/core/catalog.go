@@ -34,6 +34,9 @@ import (
 //	    a method without a tree names one)
 //	tile side u32 (0 for an untiled store)
 //	cells u64
+//	grid: nx u32, ny u32 (0, 0 where the field is not a regular grid), then
+//	    for a grid its origin x, y and spacing dx, dy f64 — the DEM's own bits,
+//	    so the cell rectangles a point query derives are the stored cells'
 //	epoch u64 (the storage epoch the saved pages materialize; SaveFile writes
 //	    the current epoch's overlay view into the base pages, so the opened
 //	    store resumes epoch numbering instead of restarting at 0)
@@ -64,7 +67,7 @@ import (
 // or written. A file whose superblock or catalog header carries any other
 // version is refused with ErrUnsupportedVersion before anything else in it is
 // interpreted.
-const catalogVersion = 9
+const catalogVersion = 10
 
 // ErrUnsupportedVersion reports a database file whose superblock or catalog
 // header names a catalog version other than the current one.
@@ -123,6 +126,16 @@ func (s *store) encodeCatalog() []byte {
 	writeString(&b, codec)
 	writeU32(&b, uint32(s.tileSide))
 	writeU64(&b, uint64(s.cells))
+	if l := s.grid; l != nil {
+		writeU32(&b, uint32(l.nx))
+		writeU32(&b, uint32(l.ny))
+		for _, v := range [...]float64{l.origin.X, l.origin.Y, l.dx, l.dy} {
+			writeF64(&b, v)
+		}
+	} else {
+		writeU32(&b, 0)
+		writeU32(&b, 0)
+	}
 	writeU64(&b, st.epoch)
 	writeU32(&b, uint32(s.sumFirst))
 	writeU32(&b, uint32(s.sumPages))
@@ -313,6 +326,10 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	method := Method(r.str())
 	cs := &catalogStore{m: methods[method], codec: r.str(), dataPages: dataPages}
 	cs.tileSide, cs.cells = int(r.u32()), int(r.u64())
+	var grid *lattice
+	if nx, ny := int(r.u32()), int(r.u32()); nx != 0 || ny != 0 {
+		grid = &lattice{nx: nx, ny: ny, origin: geom.Pt(r.f64(), r.f64()), dx: r.f64(), dy: r.f64()}
+	}
 	epoch := r.u64()
 	sumFirst, sumPages := storage.PageID(r.u32()), int(r.u32())
 	numParts := int(r.u32())
@@ -332,6 +349,9 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 		(cs.tileSide == 0 && numParts != 1) || (cs.tileSide != 0 && (cs.tileSide < 2 || cs.m.perCell)) {
 		return nil, fmt.Errorf("corrupt catalog header")
 	}
+	if grid != nil && !grid.holds(cs.cells) {
+		return nil, fmt.Errorf("corrupt grid record")
+	}
 	if sumPages > 1<<16 || !cs.inData(sumFirst, sumPages) {
 		return nil, fmt.Errorf("corrupt summary geometry")
 	}
@@ -344,6 +364,7 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	// opened store is that epoch, verbatim.
 	pager.SetEpoch(epoch)
 	s := newStore(pager, method, cs.tileSide, cs.cells)
+	s.grid = grid
 	s.sumFirst, s.sumPages = sumFirst, sumPages
 	st := &state{epoch: epoch}
 	covered := 0
@@ -362,6 +383,15 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 		return nil, fmt.Errorf("catalog records cover %d of %d cells in %d of %d bytes", covered, cs.cells, r.off, len(blob))
 	}
 	return s.publish(st), nil
+}
+
+// holds reports whether a decoded grid record is a lattice of exactly cells
+// cells, with positive spacing and a finite origin and far corner.
+func (l *lattice) holds(cells int) bool {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	far := geom.Pt(l.origin.X+float64(l.nx)*l.dx, l.origin.Y+float64(l.ny)*l.dy)
+	return l.nx >= 1 && l.ny >= 1 && l.nx <= cells && l.ny <= cells && l.nx*l.ny == cells &&
+		l.dx > 0 && l.dy > 0 && finite(l.origin.X) && finite(l.origin.Y) && finite(far.X) && finite(far.Y)
 }
 
 // decodePartition decodes the next partition record — the pi-th — and opens

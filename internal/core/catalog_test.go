@@ -456,6 +456,10 @@ func TestApproxQuery(t *testing.T) {
 	}
 }
 
+// gridRecordLen is the catalog header's grid record for a DEM: nx, ny and
+// four f64.
+const gridRecordLen = 2*4 + 4*8
+
 // hostileCatalogs returns catalog blobs Open must refuse, over a data region of
 // the returned size: each is the real catalog of a small I-Hilbert or
 // LinearScan index with one count or page reference overwritten by a lie, or a
@@ -475,7 +479,8 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	dataPages = max(built.pager.NumPages(), scan.pager.NumPages())
 	// Offsets into the real catalogs: the header's tail, then the one record.
 	codec := catalogHeaderLen + 2 + len(MethodIHilbert)
-	record := codec + 2 + 4 + 8 + 8 + 8 + 4
+	grid := codec + 2 + 4 + 8
+	record := grid + gridRecordLen + 8 + 8 + 4
 	summary := record - 12
 	ids := record + 7*8 + 8
 	heapPages := ids + 4*built.cells + 8
@@ -484,7 +489,7 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	if want := groups + 8 + groupMetaLen*len(built.cur().parts[0].groups); want != len(real) {
 		t.Fatalf("the test's catalog layout ends at %d, the encoder's at %d", want, len(real))
 	}
-	sidecar := catalogHeaderLen + 2 + len(MethodLinearScan) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + 8 + 8 + 4 +
+	sidecar := catalogHeaderLen + 2 + len(MethodLinearScan) + 2 + len(storage.SidecarCodecRaw) + 4 + 8 + gridRecordLen + 8 + 8 + 4 +
 		7*8 + 8 + 4*scan.cells + 8 + 2*4*scan.parts[0].heap.NumPages()
 	if want := sidecar + 8; want != len(scanReal) {
 		t.Fatalf("the test's LinearScan catalog layout ends at %d, the encoder's at %d", want, len(scanReal))
@@ -519,6 +524,15 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	patch("group run before its predecessor's", groupPages(2), u32(0))
 	patch("partition short of its store", ids-8, le.AppendUint64(nil, 1))
 	patch("partition count", record-4, u32(2))
+	// The grid record must be a lattice of exactly the store's cells, every
+	// rectangle finite and of positive spacing.
+	f64 := func(v float64) []byte { return le.AppendUint64(nil, math.Float64bits(v)) }
+	patch("grid short of its store", grid, u32(7))
+	patch("grid of no rows", grid+4, u32(0))
+	patch("grid spacing zero", grid+8+16, f64(0))
+	patch("grid spacing negative", grid+8+24, f64(-0.5))
+	patch("grid origin NaN", grid+8, f64(math.NaN()))
+	patch("grid far corner infinite", grid+8+16, f64(math.MaxFloat64))
 	// A sidecar on a method with a tree: the header names the raw codec and
 	// the record a one-page sidecar run inside the data region — a blob that
 	// would re-encode to itself, which only the header's method check refuses.
@@ -532,8 +546,10 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 		b := le.AppendUint32(append([]byte(nil), catalogMagic[:]...), catalogVersion)
 		b = append(le.AppendUint16(b, uint16(len(method))), method...)
 		b = le.AppendUint16(b, 0) // no codec
-		b = le.AppendUint64(le.AppendUint64(le.AppendUint32(b, tileSide), cells), 0)
-		b = append(b, make([]byte, 8)...) // no summary
+		b = le.AppendUint64(le.AppendUint32(b, tileSide), cells)
+		b = le.AppendUint32(le.AppendUint32(b, 0), 0) // no grid
+		b = le.AppendUint64(b, 0)                     // epoch
+		b = append(b, make([]byte, 8)...)             // no summary
 		return le.AppendUint32(b, parts)
 	}
 	blobs["untiled cells"] = head("I-Hilbert", 0, 1<<40, 1)
@@ -598,7 +614,8 @@ const fuzzDataPages = 1 << 12
 // and a blob it accepts is one it would have written — it re-encodes, from the
 // opened store, to the same bytes, so every partition's geometry survived.
 // Seeds are the real catalogs of every savable build-matrix row on a small
-// field, and the hostile ones.
+// DEM — each with its grid record —, of a TIN's, which has none, and the
+// hostile ones.
 func FuzzOpenCatalog(f *testing.F) {
 	dem := testDEM(f, 8, 0.5)
 	for _, row := range buildMatrix(dem) {
@@ -612,6 +629,11 @@ func FuzzOpenCatalog(f *testing.F) {
 		}
 		f.Add(built.(interface{ encodeCatalog() []byte }).encodeCatalog())
 	}
+	mesh, err := buildIx(testTIN(f, 40), newPager(), BuildOptions{Method: MethodIHilbert})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mesh.encodeCatalog())
 	_, hostile := hostileCatalogs(f)
 	for _, blob := range hostile {
 		f.Add(blob)

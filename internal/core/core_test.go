@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -308,6 +309,77 @@ func TestSpatialIndexPointQueries(t *testing.T) {
 		checkPointQueries(t, f, cells, 14)
 		if _, _, err := s.PointQueryContext(ctx, cells, geom.Pt(-100, -100)); err == nil {
 			t.Fatalf("%s: outside point answered", name)
+		}
+	}
+}
+
+// TestGridLocatorCells: on lattices whose sums round — and one whose do not —
+// the grid locator's candidates at every cell edge, corner and interior point,
+// at the float64 neighbours of each edge and past the bounds are exactly the
+// cells whose closed rectangle holds the point, in id order; and a point query
+// through any store of the field answers bit for bit as the first of them
+// whose interpolant reaches the point, reading no index page and at most two
+// cell pages, where the R*-tree answers it within rounding.
+func TestGridLocatorCells(t *testing.T) {
+	ctx := context.Background()
+	for _, lat := range []lattice{
+		{origin: geom.Pt(-0.75, 2.5), dx: 0.5, dy: 1.25, nx: 7, ny: 5},
+		{origin: geom.Pt(0.3, -1.7), dx: 0.1, dy: 0.7, nx: 6, ny: 9},
+	} {
+		f, err := grid.FromFunc(lat.origin, lat.dx, lat.dy, lat.nx, lat.ny, func(x, y float64) float64 { return math.Sin(3*x) * math.Cos(2*y) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every sum a cell edge is made of, its neighbours, the midpoints,
+		// and a step past each end.
+		axis := func(o, d float64, n int) []float64 {
+			var out []float64
+			for k := -1; k <= n+1; k++ {
+				e := o + float64(k)*d
+				out = append(out, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)), e+d/2)
+			}
+			return append(out, o+float64(n-1)*d+d)
+		}
+		xs, ys := axis(lat.origin.X, lat.dx, lat.nx), axis(lat.origin.Y, lat.dy, lat.ny)
+		tree, err := BuildSpatial(f, newPager())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []BuildOptions{{Method: MethodLinearScan}, {Method: MethodIHilbert}, {Method: MethodIHilbert, TileSide: 3}} {
+			eng, err := Build(ctx, f, newPager(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := eng.GridLocator()
+			if g == nil || g.lattice != lat {
+				t.Fatalf("%+v: grid locator %+v, want the lattice %+v", opts, g, lat)
+			}
+			var c field.Cell
+			for _, x := range xs {
+				for _, y := range ys {
+					pt := geom.Pt(x, y)
+					var want []uint64
+					w, ok := 0.0, false
+					for id := 0; id < f.NumCells(); id++ {
+						if f.Cell(field.CellID(id), &c).Bounds().ContainsPoint(pt) {
+							want = append(want, uint64(id))
+							if !ok {
+								w, ok = field.Interpolate(&c, pt)
+							}
+						}
+					}
+					if got := g.cellsAt(nil, pt); !slices.Equal(got, want) {
+						t.Fatalf("%v: candidates %v, the cells holding it %v", pt, got, want)
+					}
+					got, st, err := g.PointQueryContext(ctx, eng, pt)
+					if (err == nil) != ok || math.Float64bits(got) != math.Float64bits(w) || st.Reads > 2 || ok != (st.Reads > 0) {
+						t.Fatalf("%+v %v: %v in %d reads (%v), want %v (answerable %v)", opts, pt, got, st.Reads, err, w, ok)
+					}
+					if tw, _, err := tree.PointQueryContext(ctx, eng, pt); (err == nil) != ok || math.Abs(tw-w) > 1e-12 {
+						t.Fatalf("%v: the tree answers %v (%v), the grid %v", pt, tw, err, w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -178,9 +178,38 @@ type fanBuf struct {
 	items  []int
 	parts  []partial
 	counts [][2]int
+	// block is scanBlock, bound once when the pool makes the fanBuf:
+	// refineBlocks scatters it over the query's inputs below, where a closure
+	// would allocate on every query.
+	block   func(b int, child *storage.QueryCtx) error
+	ctx     context.Context
+	heap    *storage.HeapFile
+	runs    []pageRun
+	q       geom.Interval
+	measure bool
+	perPage int
 }
 
-var fanBufs = sync.Pool{New: func() any { return new(fanBuf) }}
+var fanBufs = sync.Pool{New: func() any {
+	fb := new(fanBuf)
+	fb.block = fb.scanBlock
+	return fb
+}}
+
+// scanBlock scans block b of refineBlocks' page runs on child into the
+// block's own partial.
+func (fb *fanBuf) scanBlock(b int, child *storage.QueryCtx) (err error) {
+	runs := fb.runs[fb.items[b]:fb.items[b+1]]
+	pages := 0
+	for _, r := range runs {
+		pages += r.last - r.first + 1
+	}
+	part := &fb.parts[b]
+	part.q, part.measure = fb.q, fb.measure
+	part.reserve(pages * fb.perPage)
+	fb.counts[b][0], err = scanRuns(fb.ctx, child, fb.heap, runs, fb.q, part)
+	return err
+}
 
 // getFanBuf returns a fanBuf with no items; putFanBuf recycles it once gather
 // has folded its partials into the Result.
@@ -194,6 +223,7 @@ func putFanBuf(fb *fanBuf) {
 	for i := range fb.parts {
 		fb.parts[i].recycle()
 	}
+	fb.ctx, fb.heap, fb.runs = nil, nil, nil
 	fanBufs.Put(fb)
 }
 

@@ -63,7 +63,10 @@ import (
 //	query, measure, approx  a, b: the value interval (see interval)
 //	batch                   a: 2 + a%5 members; b, c: their intervals and sinks
 //	aggregate               a, b: the interval; c: the tolerance, maxErrs[c%4]
-//	point                   a, b: the point (see point)
+//	point                   a, b: the point (see point); an odd c puts it on
+//	                        the lattice of 240ths of the bounds instead (see
+//	                        latticePoint): on a DEM's cell edges and corners,
+//	                        its far boundary and just past it
 //	update                  a: 1 + a%12 samples; b, c: which, and their values
 //	                        (an odd c only nudges them; c%4 == 3 adds a sample
 //	                        the field does not have)
@@ -252,8 +255,9 @@ type harness struct {
 	cur   live
 	// twin is the store a reopen replaced, until the next update step applies
 	// the batch to both and compares them.
-	twin   *live
-	sp     *SpatialIndex
+	twin *live
+	// loc answers point steps: a DEM's grid locator, a TIN's R*-tree.
+	loc    pointLocator
 	snaps  []*pinnedSnap
 	closed []*pinnedSnap
 	// low is each store's compaction low-water mark, as the model of its pins
@@ -288,10 +292,19 @@ func runProgram(t *testing.T, cfg harnessConfig, steps []step) {
 	h.cur = live{eng: eng, f: f}
 	h.low[eng.store] = eng.Epoch()
 	h.pagers = append(h.pagers, eng.pager)
-	if h.sp, err = BuildSpatial(f, newPager()); err != nil {
-		t.Fatal(err)
+	if g := eng.GridLocator(); g != nil {
+		h.loc = g
+	} else {
+		sp, err := BuildSpatial(f, newPager())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.loc = sp
+		h.pagers = append(h.pagers, sp.pager)
 	}
-	h.pagers = append(h.pagers, h.sp.pager)
+	if _, isGrid := f.(Gridded); isGrid != (eng.GridLocator() != nil) {
+		t.Fatalf("a %T builds a store with grid locator %v", f, eng.GridLocator())
+	}
 	for i, s := range steps {
 		h.step(i, s)
 	}
@@ -376,6 +389,15 @@ func (h *harness) point(a, b byte) geom.Point {
 	return geom.Pt(r.Min.X+r.Width()*(float64(a)+0.5)/255, r.Min.Y+r.Height()*(float64(b)+0.5)/256)
 }
 
+// latticePoint maps two parameter bytes onto the lattice of 240ths of the
+// field's bounds: on the harness DEM's 24 × 24 unit cells a multiple of 10 is
+// a grid line — both, a corner —, 240 the far boundary and anything above it
+// outside.
+func (h *harness) latticePoint(a, b byte) geom.Point {
+	r := h.cfg.hf.f.Bounds()
+	return geom.Pt(r.Min.X+r.Width()*float64(a)/240, r.Min.Y+r.Height()*float64(b)/240)
+}
+
 func (h *harness) step(i int, s step) {
 	h.pub = storage.Stats{}
 	before := h.totals()
@@ -401,12 +423,11 @@ func (h *harness) step(i int, s step) {
 		h.approx(q)
 	case opPoint:
 		pt := h.point(s.a, s.b)
-		h.logf(i, "point %v", pt)
-		w, _, bad := h.pointQuery(h.cur.eng, pt)
-		want, ok := h.pointOracle(pt)
-		if bad == ok || ok && !near(w, want) {
-			h.fatalf("point %v: %v (failed %v); the model %v (answerable %v)", pt, w, bad, want, ok)
+		if s.c%2 == 1 {
+			pt = h.latticePoint(s.a, s.b)
 		}
+		h.logf(i, "point %v", pt)
+		h.pointStep(pt)
 	case opUpdate:
 		h.update(i, vr, s)
 	case opSnapshot:
@@ -671,17 +692,56 @@ func (h *harness) approx(q geom.Interval) {
 	}
 }
 
-// pointQuery asks the spatial path for the value at pt through e, publishing
-// its I/O, which counts on an error too; it reports whether the query failed.
+// pointLocator is what answers a point step: a *GridLocator or a
+// *SpatialIndex.
+type pointLocator interface {
+	PointQueryContext(ctx context.Context, cells Engine, pt geom.Point) (float64, storage.Stats, error)
+}
+
+// pointStep checks a point query on the live store against the model: the
+// answer is pointOracle's — bit for bit on a DEM, which reads at most two
+// pages, its filter none. A store opened from a file answers through the
+// locator its catalog gives it too: a DEM's the same, read for read; a TIN's
+// file carries none.
+func (h *harness) pointStep(pt geom.Point) {
+	w, st, bad := h.pointQuery(h.cur.eng, pt)
+	want, ok := h.pointOracle(pt)
+	if bad == ok || ok && !near(w, want) {
+		h.fatalf("point %v: %v (failed %v); the model %v (answerable %v)", pt, w, bad, want, ok)
+	}
+	// The grid's candidates come in id order: its answer is the oracle's cell's.
+	_, isGrid := h.loc.(*GridLocator)
+	if isGrid && (st.Reads > 2 || math.Float64bits(w) != math.Float64bits(want)) {
+		h.fatalf("point %v on a grid: %v in %d pages; the model %v", pt, w, st.Reads, want)
+	}
+	if !h.cur.opened {
+		return
+	}
+	g := h.cur.eng.GridLocator()
+	if (g != nil) != isGrid {
+		h.fatalf("a store opened from the %s's file has grid locator %v", h.cfg.hf.name, g)
+	}
+	if g == nil {
+		return
+	}
+	sw, sst, err := g.PointQueryContext(context.Background(), h.cur.eng, pt)
+	h.pub = h.pub.Add(sst)
+	if sw != w || sst != st || (err != nil) != bad {
+		h.fatalf("point %v: the opened store's own locator answers %v in %v (%v), the built one's %v in %v", pt, sw, sst, err, w, st)
+	}
+}
+
+// pointQuery asks the locator for the value at pt through e, publishing its
+// I/O, which counts on an error too; it reports whether the query failed.
 func (h *harness) pointQuery(e Engine, pt geom.Point) (float64, storage.Stats, bool) {
-	w, st, err := h.sp.PointQueryContext(context.Background(), e, pt)
+	w, st, err := h.loc.PointQueryContext(context.Background(), e, pt)
 	h.pub = h.pub.Add(st)
 	return w, st, err != nil
 }
 
 // pointOracle is the model's value at pt: the first cell, in id order, whose
-// bounds hold pt and whose interpolant reaches it — the engine's rule over the
-// spatial tree's candidates — or false outside the field.
+// bounds hold pt and whose interpolant reaches it — the engine's rule over
+// either locator's candidates — or false outside the field.
 func (h *harness) pointOracle(pt geom.Point) (float64, bool) {
 	var c field.Cell
 	for id := 0; id < h.model.NumCells(); id++ {
@@ -1101,12 +1161,7 @@ func seedProgram(cfg int) []byte {
 // parallel refinement's edge cases at four workers. The page runs each
 // selects, in pages, are noted beside it.
 func blockSeeds() [][]byte {
-	cfgOf := func(field string) int {
-		return slices.IndexFunc(harnessConfigs(), func(c harnessConfig) bool {
-			return c.hf.name == field && c.row.opts.Method == MethodIHilbert && c.row.opts.TileSide == 0
-		})
-	}
-	dem, tin := cfgOf("dem"), cfgOf("tin")
+	dem, tin := configOf("dem", MethodIHilbert, false), configOf("tin", MethodIHilbert, false)
 	return [][]byte{
 		// More workers than runs.
 		program{cfg: dem, steps: []step{
@@ -1137,6 +1192,43 @@ func blockSeeds() [][]byte {
 	}
 }
 
+// configOf is the index of the harness configuration over the field called
+// field that runs method, tiled or not.
+func configOf(field string, method Method, tiled bool) int {
+	return slices.IndexFunc(harnessConfigs(), func(c harnessConfig) bool {
+		return c.hf.name == field && c.row.opts.Method == method && (c.row.opts.TileSide != 0) == tiled
+	})
+}
+
+// latticeSteps are point steps on the lattice (see latticePoint): on the DEM,
+// a vertical and a horizontal interior edge, an interior corner, the origin,
+// the far corner and a far edge — where grid.DEM.Locate clamps — and just past
+// the far boundary in x and in y.
+var latticeSteps = []step{
+	{opPoint, 50, 125, 1},
+	{opPoint, 125, 50, 1},
+	{opPoint, 50, 100, 1},
+	{opPoint, 0, 0, 1},
+	{opPoint, 240, 240, 1},
+	{opPoint, 240, 125, 1},
+	{opPoint, 241, 120, 1},
+	{opPoint, 120, 241, 1},
+}
+
+// pointSeeds are programs asking latticeSteps of an untiled and a tiled DEM
+// store and of the TIN: built, after an update, opened from the file the
+// reopen saves — a DEM's through the lattice its catalog carries too — and
+// once more after the next update.
+func pointSeeds() [][]byte {
+	var out [][]byte
+	for _, cfg := range []int{configOf("dem", MethodIHilbert, false), configOf("dem", MethodLinearScan, true), configOf("tin", MethodIHilbert, false)} {
+		steps := slices.Concat(latticeSteps, []step{{opUpdate, 7, 9, 9}, {opReopen, 100, 60, 0}},
+			latticeSteps, []step{{opUpdate, 5, 13, 13}}, latticeSteps)
+		out = append(out, program{cfg: cfg, steps: steps}.encode())
+	}
+	return out
+}
+
 // FuzzEngineProgram runs programs decoded from bytes against the model: a
 // failure is an engine and an oracle that disagree, or an invariant broken,
 // and the log shows the program up to the step that failed.
@@ -1144,7 +1236,7 @@ func FuzzEngineProgram(f *testing.F) {
 	for cfg := range harnessConfigs() {
 		f.Add(seedProgram(cfg))
 	}
-	for _, seed := range blockSeeds() {
+	for _, seed := range slices.Concat(blockSeeds(), pointSeeds()) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -143,21 +143,11 @@ func (e *engine) refine(ctx context.Context, qc *storage.QueryCtx, p *partition,
 func (e *engine) refineBlocks(ctx context.Context, qc *storage.QueryCtx, p *partition, pr *probe, res *Result, measure bool, fb *fanBuf) error {
 	blocks := len(fb.items) - 1
 	fb.size(blocks)
+	fb.ctx, fb.heap, fb.runs, fb.q, fb.measure = ctx, p.heap, pr.runs, res.Query, measure
 	// A block is sized for the records its pages hold on average, so that
 	// filling its partial allocates once.
-	perPage := (p.heap.Count() + p.heap.NumPages() - 1) / p.heap.NumPages()
-	err := e.scatter(ctx, qc, blocks, blocks, func(b int, child *storage.QueryCtx) (err error) {
-		runs := pr.runs[fb.items[b]:fb.items[b+1]]
-		pages := 0
-		for _, r := range runs {
-			pages += r.last - r.first + 1
-		}
-		part := &fb.parts[b]
-		part.q, part.measure = res.Query, measure
-		part.reserve(pages * perPage)
-		fb.counts[b][0], err = scanRuns(ctx, child, p.heap, runs, res.Query, part)
-		return err
-	})
+	fb.perPage = (p.heap.Count() + p.heap.NumPages() - 1) / p.heap.NumPages()
+	err := e.scatter(ctx, qc, blocks, blocks, fb.block)
 	if err != nil {
 		return err
 	}

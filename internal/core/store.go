@@ -22,7 +22,7 @@ import (
 // indexes and however many partitions it is cut into — a pager, the partitions
 // on it and the state current on them — and what a reader does with it: pin
 // that state, fan work out over forked query contexts, fetch single cells for
-// the spatial access path, write the store to a file. The read pipelines are in
+// the point locators, write the store to a file. The read pipelines are in
 // query.go and tiled.go, the update transaction in update.go.
 
 // store is a value index: its partitions — one for an untiled index, one per
@@ -43,6 +43,9 @@ type store struct {
 	// sums of the partitions': the aggregate tier's exact denominators.
 	cells int
 	area  float64
+	// grid is the lattice of a store built from a regular grid, nil for any
+	// other field: its point queries need no spatial index (GridLocator).
+	grid *lattice
 	// snap is the current MVCC state. Readers load it once, pin its epoch and
 	// run entirely against it; an update batch publishes a fresh state only
 	// after committing its page overlays, so no reader ever observes a
@@ -155,6 +158,15 @@ func (e *engine) unpin(st *state) { e.pager.UnpinEpoch(st.epoch) }
 // now.
 func (e *engine) AcquireSnapshot() Engine { return &engine{store: e.store, pin: e.pinState()} }
 
+// GridLocator implements Engine: a fresh locator over the store's lattice, or
+// nil where the store was built from no regular grid.
+func (e *engine) GridLocator() *GridLocator {
+	if e.grid == nil {
+		return nil
+	}
+	return &GridLocator{lattice: *e.grid}
+}
+
 // Epoch returns the storage epoch queries read: the current one, or a
 // snapshot's pinned one.
 func (e *engine) Epoch() uint64 { return e.cur().epoch }
@@ -219,6 +231,7 @@ func (e *engine) FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uin
 	st := e.pinState()
 	defer e.unpin(st)
 	qc := beginQueryAt(e.pager, st.epoch)
+	defer qc.Recycle()
 	qc.AttachTrace(tb)
 	qc.BeginSpan(obs.PhaseDecode)
 	var c field.Cell

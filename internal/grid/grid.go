@@ -69,6 +69,13 @@ func (d *DEM) NumCells() int { return d.nx * d.ny }
 // Size returns the cell grid dimensions (nx, ny).
 func (d *DEM) Size() (nx, ny int) { return d.nx, d.ny }
 
+// Grid returns the lattice of the cells: nx × ny rectangles of dx × dy from
+// origin, cell (col, row) spanning [origin.X + col·dx, that + dx] ×
+// [origin.Y + row·dy, that + dy] — the very sums Cell makes its vertices of.
+func (d *DEM) Grid() (origin geom.Point, dx, dy float64, nx, ny int) {
+	return d.origin, d.dx, d.dy, d.nx, d.ny
+}
+
 // VertexHeight returns the sample at vertex (col, row).
 func (d *DEM) VertexHeight(col, row int) float64 {
 	return d.heights[row*(d.nx+1)+col]

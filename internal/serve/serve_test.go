@@ -331,9 +331,31 @@ func TestServeGoldenEndpoints(t *testing.T) {
 }
 
 // TestServeErrors walks the failure surface: 404s, 400s from parameter and
-// body validation, and the 501 capability gaps.
+// body validation, and the 501 capability gaps — an update to a stored index,
+// and a point query on one saved from a TIN, whose file carries no locator (a
+// DEM's carries its lattice and answers).
 func TestServeErrors(t *testing.T) {
 	_, hs, _ := testServer(t, Config{}, 0)
+	mesh, err := fielddb.NoiseTIN(200, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinDB, err := fielddb.Open(mesh, fielddb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinPath := filepath.Join(t.TempDir(), "tin.fidx")
+	if err := tinDB.SaveIndex(tinPath); err != nil {
+		t.Fatal(err)
+	}
+	tinDB.Close()
+	frozenTIN, err := fielddb.OpenIndex(tinPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { frozenTIN.Close() })
+	tinHS := httptest.NewServer(New(map[string]*Field{"frozen-tin": {Querier: frozenTIN}}, Config{}).Handler())
+	t.Cleanup(tinHS.Close)
 	// Past maxBatchBody the bounded reader cuts the body off before its JSON
 	// value starts, so a well-formed request behind the padding is refused.
 	padding := strings.Repeat(" ", 9<<20)
@@ -362,7 +384,7 @@ func TestServeErrors(t *testing.T) {
 		{"malformed update", "POST", "/v1/fields/terrain/update", `{`, 400},
 		{"empty update", "POST", "/v1/fields/terrain/update", `{"updates":[]}`, 400},
 		{"update read-only", "POST", "/v1/fields/frozen/update", `{"updates":[{"sample":0,"value":1}]}`, 501},
-		{"point on stored index", "GET", "/v1/fields/frozen/point?x=1&y=1", "", 501},
+		{"point on stored index", "GET", "/v1/fields/frozen-tin/point?x=50&y=50", "", 501},
 		{"malformed and", "POST", "/v1/and", `[]`, 400},
 		{"oversized and", "POST", "/v1/and", padding + `{"conditions":[{"field":"terrain","lo":1,"hi":2}]}`, 400},
 		{"and unknown field", "POST", "/v1/and", `{"conditions":[{"field":"nope","lo":1,"hi":2}]}`, 404},
@@ -370,12 +392,16 @@ func TestServeErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			on := hs // which serves every field but the stored TIN
+			if strings.HasPrefix(tc.url, "/v1/fields/frozen-tin/") {
+				on = tinHS
+			}
 			var resp *http.Response
 			var err error
 			if tc.method == "GET" {
-				resp, err = http.Get(hs.URL + tc.url)
+				resp, err = http.Get(on.URL + tc.url)
 			} else {
-				resp, err = http.Post(hs.URL+tc.url, "application/json", strings.NewReader(tc.body))
+				resp, err = http.Post(on.URL+tc.url, "application/json", strings.NewReader(tc.body))
 			}
 			if err != nil {
 				t.Fatal(err)

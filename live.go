@@ -44,8 +44,9 @@ type UpdateStats struct {
 // mixture, and no reader ever blocks on the update. The field itself, the cell
 // records (LinearScan's sidecar too), and the index structure (with a lazy
 // re-cut of the subfield partition when the §3 cost bound drifts) are all
-// brought to the new state; the spatial R*-tree indexes cell geometry, which
-// updates never change, and reads the same records: it has nothing to bring.
+// brought to the new state; the point locator — a DEM's lattice, a TIN's
+// spatial R*-tree — finds cells by geometry, which updates never change, and
+// reads the same records: it has nothing to bring.
 //
 // Updates require a mutable field (grid.DEM and tin.TIN qualify); an
 // immutable one is refused with ErrUpdatesUnsupported. Concurrent
@@ -107,12 +108,12 @@ func (db *DB) widenRange(updates []SampleUpdate) {
 // were current at acquisition, byte for byte, regardless of update batches
 // committing in the meantime. Value and point queries read the same pin: a
 // point query's cell comes from the value store at the pinned epoch (the
-// spatial R*-tree's geometry never changes under live updates, so pinning the
-// cell pages pins the whole answer). Stats and ValueRange describe the pinned
-// state too: an update batch may re-cut the partition or move the value range,
-// and the snapshot's answers must keep describing what it pinned. Holding a
-// snapshot keeps the epoch's page versions alive (delaying overlay
-// compaction), so Close it when done. Its query methods are the embedded
+// locator's geometry never changes under live updates, so pinning the cell
+// pages pins the whole answer; the snapshot shares its DB's locator). Stats
+// and ValueRange describe the pinned state too: an update batch may re-cut
+// the partition or move the value range, and the snapshot's answers must keep
+// describing what it pinned. Holding a snapshot keeps the epoch's page
+// versions alive (delaying overlay compaction), so Close it when done. Its query methods are the embedded
 // surface's (see Querier); they trace and meter exactly like live queries,
 // and after Close — the snapshot's or its DB's — they return ErrClosed.
 type Snapshot struct {

@@ -114,9 +114,10 @@ func TestUpdateSamplesRefusals(t *testing.T) {
 }
 
 // pagerSplit is a Tracer that files a point query's page activity under the
-// pager that served it — the filter span is the spatial tree's descent, the
-// decode span the cell fetch on the value store — so a test can reconcile each
-// pager's totals on its own; PointQueryStatsContext reports the two summed.
+// pager that served it — the filter span is a TIN's tree descent (nothing for
+// a DEM, which locates by its lattice), the decode span the cell fetch on the
+// value store — so a test can reconcile each pager's totals on its own;
+// PointQueryStatsContext reports the two summed.
 type pagerSplit struct {
 	mu         sync.Mutex
 	tree, cell storage.Stats
@@ -146,8 +147,8 @@ func (s *pagerSplit) TraceQuery(tr *QueryTrace) {
 // to their pinned epoch's solo answers (per-query I/O statistics included), no
 // reader may error, each pager's totals must grow by exactly the sum of the
 // published per-operation statistics (the value store's: value queries, the
-// cell fetches of point queries and update batches; the spatial pager's: tree
-// descents only), and afterwards the live database answers like a fresh open
+// cell fetches of point queries and update batches; a TIN's spatial pager's:
+// tree descents only, and a DEM's zero), and afterwards the live database answers like a fresh open
 // of the mutated field, point queries with the field's own interpolation.
 // Every database is opened with the default Workers, so its solo readers fan
 // out over pooled forks while the batches commit: sixteen cores leave idle

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fielddb/internal/geom"
+	"fielddb/internal/grid"
 	"fielddb/internal/obs"
 	"fielddb/internal/storage"
 )
@@ -58,13 +59,20 @@ func checkTrace(t *testing.T, tr *QueryTrace, io storage.Stats) {
 }
 
 // checkPointTrace runs one conventional (point) query and reconciles its
-// trace: one filter span, the tree descent, charged what the spatial pager's
-// totals moved by; one decode span, the cell fetch, charged what the value
-// store's moved by; and the two summing to the Stats the query returned.
+// trace: one filter span, charged what the spatial pager's totals moved by;
+// one decode span, the cell fetch, charged what the value store's moved by;
+// and the two summing to the Stats the query returned. A DEM's filter is
+// arithmetic on its lattice — no page — and its fetch reads at most two; a
+// TIN's filter descends its tree.
 func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
 	t.Helper()
+	p := geom.Pt(12.5, 40.25)
+	_, isDEM := db.Field().(*grid.DEM)
+	if !isDEM {
+		p = db.Field().Bounds().Center()
+	}
 	baseVal, baseSp := db.IOStats(), db.SpatialIOStats()
-	_, st, err := db.PointQueryStatsContext(context.Background(), geom.Pt(12.5, 40.25))
+	_, st, err := db.PointQueryStatsContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +83,11 @@ func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
 	checkTrace(t, tr, st)
 	tree, cell := db.SpatialIOStats().Sub(baseSp).PageCounts(), db.IOStats().Sub(baseVal).PageCounts()
 	if len(tr.Spans) != 2 || tr.Spans[0].Phase != obs.PhaseFilter || tr.Spans[1].Phase != obs.PhaseDecode ||
-		tr.Spans[0].Pages != tree || tr.Spans[1].Pages != cell || tree.Reads == 0 || cell.Reads == 0 {
+		tr.Spans[0].Pages != tree || tr.Spans[1].Pages != cell || cell.Reads == 0 {
 		t.Fatalf("point spans %+v; the spatial pager moved by %+v, the value store by %+v", tr.Spans, tree, cell)
+	}
+	if isDEM && (tree != obs.PageCounts{} || cell.Reads > 2) || !isDEM && tree.Reads == 0 {
+		t.Fatalf("point query on a %T: filter %+v, decode %+v", db.Field(), tree, cell)
 	}
 }
 
@@ -85,6 +96,10 @@ func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
 // exactly to the query's own Result.IO.
 func TestTraceReconciliation(t *testing.T) {
 	dem, err := TerrainDEM(64, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := NoiseTIN(300, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +148,12 @@ func TestTraceReconciliation(t *testing.T) {
 				}
 			}
 			checkPointTrace(t, db, rec)
+			tinDB, err := Open(mesh, Options{Method: method, Tracer: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tinDB.Close()
+			checkPointTrace(t, tinDB, rec)
 			// Approximate query (partition-based methods only).
 			if ar, err := db.ApproxValueQueryContext(ctx, vr.Lo, vr.Lo+vr.Length()*0.25); err == nil {
 				tr := rec.last(t)
@@ -383,8 +404,8 @@ func TestMetricsRegistry(t *testing.T) {
 	if m.Engine.ContourAssemblies != 1 {
 		t.Fatalf("contours %d", m.Engine.ContourAssemblies)
 	}
-	if m.ValuePool == nil || m.SpatialPool == nil {
-		t.Fatal("pool stats missing with pool enabled")
+	if m.ValuePool == nil || m.SpatialPool != nil || m.SpatialIO != (storage.Stats{}) {
+		t.Fatalf("a DEM's pools %v and %v (want value shards and no tree pager), tree I/O %+v", m.ValuePool, m.SpatialPool, m.SpatialIO)
 	}
 	var probes int64
 	for _, s := range m.ValuePool {

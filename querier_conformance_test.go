@@ -17,15 +17,13 @@ import (
 	"testing"
 
 	"fielddb/internal/core"
+	"fielddb/internal/storage"
 )
 
 // conformanceSurface is one Querier implementation under test.
 type conformanceSurface struct {
 	name string
 	q    Querier
-	// spatial marks surfaces that carry a spatial index; the rest must fail
-	// point queries with ErrNoSpatialIndex.
-	spatial bool
 	// conjoins marks surfaces AndQueriers accepts.
 	conjoins bool
 }
@@ -61,9 +59,9 @@ func conformanceSurfaces(t *testing.T) (Interval, []conformanceSurface) {
 	t.Cleanup(func() { snap.Close() })
 
 	return dem.ValueRange(), []conformanceSurface{
-		{name: "DB", q: db, spatial: true, conjoins: true},
-		{name: "StoredIndex", q: si, spatial: false, conjoins: true},
-		{name: "Snapshot", q: snap, spatial: true, conjoins: false},
+		{name: "DB", q: db, conjoins: true},
+		{name: "StoredIndex", q: si, conjoins: true},
+		{name: "Snapshot", q: snap, conjoins: false},
 	}
 }
 
@@ -203,24 +201,23 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 				t.Fatalf("ContourMap/Contours disagree: %d vs %d", len(cm.Polylines), len(lines))
 			}
 
-			// Point queries: spatial surfaces agree with the DB, the rest
-			// fail with the typed capability gap.
-			p := Point{X: 10.5, Y: 20.25}
-			if s.spatial {
-				want, err := ref.PointQueryContext(ctx, p)
+			// Point queries: every surface agrees with the DB — the stored
+			// index through the lattice its file carries, in the same reads.
+			// (A file saved from a TIN carries no locator: see StoredTIN.)
+			type pointStats interface {
+				PointQueryStatsContext(context.Context, Point) (float64, storage.Stats, error)
+			}
+			for _, p := range []Point{{X: 10.5, Y: 20.25}, {X: 30, Y: 60}, {X: 1920, Y: 945}} {
+				want, wantIO, err := ref.(pointStats).PointQueryStatsContext(ctx, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := s.q.PointQueryContext(ctx, p)
+				got, io, err := s.q.(pointStats).PointQueryStatsContext(ctx, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("point: %g, want %g", got, want)
-				}
-			} else {
-				if _, err := s.q.PointQueryContext(ctx, p); !errors.Is(err, ErrNoSpatialIndex) {
-					t.Fatalf("point on non-spatial surface: %v, want ErrNoSpatialIndex", err)
+				if got != want || io.Reads != wantIO.Reads {
+					t.Fatalf("point %v: %g in %d reads, want %g in %d", p, got, io.Reads, want, wantIO.Reads)
 				}
 			}
 
@@ -270,6 +267,45 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 			}
 		})
 	}
+
+	// A file saved from a TIN carries no locator: its point queries fail with
+	// the typed capability gap, and its value queries answer as the DB's.
+	t.Run("StoredTIN", func(t *testing.T) {
+		mesh, err := NoiseTIN(300, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(mesh, Options{Method: IHilbert})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		path := filepath.Join(t.TempDir(), "tin.fidx")
+		if err := db.SaveIndex(path); err != nil {
+			t.Fatal(err)
+		}
+		si, err := OpenIndex(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer si.Close()
+		if _, err := db.PointQuery(mesh.Bounds().Center()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := si.PointQuery(mesh.Bounds().Center()); !errors.Is(err, ErrNoSpatialIndex) {
+			t.Fatalf("point on a stored TIN: %v, want ErrNoSpatialIndex", err)
+		}
+		tvr := mesh.ValueRange()
+		want, err := db.ValueQuery(tvr.Lo, tvr.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := si.ValueQuery(tvr.Lo, tvr.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "stored TIN range", want, got)
+	})
 }
 
 // stripGeometry is r as a measure query answers it: a copy with Regions and
@@ -350,10 +386,8 @@ func TestQuerierConformanceValidation(t *testing.T) {
 			if !errors.Is(err, ErrInvertedInterval) || !strings.Contains(err.Error(), "query 1") {
 				t.Fatalf("bad batch member: %v", err)
 			}
-			if s.spatial {
-				if _, err := s.q.PointQueryContext(ctx, Point{X: math.NaN(), Y: 1}); !errors.Is(err, ErrNonFiniteBound) {
-					t.Fatalf("NaN point: %v", err)
-				}
+			if _, err := s.q.PointQueryContext(ctx, Point{X: math.NaN(), Y: 1}); !errors.Is(err, ErrNonFiniteBound) {
+				t.Fatalf("NaN point: %v", err)
 			}
 			// Aggregates share the interval validation and add tolerance
 			// validation: NaN and negative tolerances are ErrBadTolerance on
@@ -422,9 +456,9 @@ func TestQuerierConformanceClosed(t *testing.T) {
 	}
 
 	for _, s := range []conformanceSurface{
-		{name: "DB", q: db, spatial: true},
+		{name: "DB", q: db},
 		{name: "StoredIndex", q: si},
-		{name: "Snapshot", q: snap, spatial: true},
+		{name: "Snapshot", q: snap},
 	} {
 		t.Run(s.name, func(t *testing.T) {
 			if _, err := s.q.ValueQueryContext(ctx, 0, 1); !errors.Is(err, ErrClosed) {
