@@ -134,11 +134,11 @@ type Options struct {
 	// planner that prunes whole tiles by their (min, max) value summary before
 	// reading a single page. This is the scale-out read path for large
 	// terrains: a narrow value band touches only the tiles whose summary
-	// intersects it. Every tiling gathers its tiles' answers in field-id
-	// order, so its answers are byte-identical to the untiled LinearScan's
-	// (an untiled IHilbert folds in its own heap order). TileSide must be at
-	// least 2; IAll does not tile (ErrBadTiling). The default, zero, builds
-	// the single-partition index.
+	// intersects it. A tiling folds its tiles' answers in tile order, each in
+	// its heap order: deterministic, and the untiled store's answer as a set
+	// (the same cells and pieces, areas up to summation order). TileSide must
+	// be at least 2; IAll does not tile (ErrBadTiling). The default, zero,
+	// builds the single-partition index.
 	TileSide int
 	// SidecarCodec selects the page codec of LinearScan's interval sidecar
 	// (a method with a tree keeps none and refuses one): "raw" (FSC1, fixed

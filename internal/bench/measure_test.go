@@ -20,8 +20,8 @@ func TestMeasureRowSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 51 {
-		t.Fatalf("BENCH_BASELINE.json[%s] holds %d rows, want 51", section, len(want))
+	if len(want) != 54 {
+		t.Fatalf("BENCH_BASELINE.json[%s] holds %d rows, want 54", section, len(want))
 	}
 	got, err := Measure()
 	if err != nil {

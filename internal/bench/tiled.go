@@ -29,11 +29,12 @@ func tiledPacked(side int) core.BuildOptions {
 
 // TiledMeasure runs the deterministic large-terrain suite: the same value
 // queries answered by the untiled LinearScan and by the tiled scatter-gather
-// planner (LinearScan tiles, packed sidecars), on a side×side terrain
-// (TiledSide when side <= 0). Row names carry the side, so rows measured at
-// a different scale never silently gate against each other. The suite also
-// cross-checks that both methods return identical answer counts per query —
-// a benchmark that measured different answers would gate nothing.
+// planner — over LinearScan tiles with packed sidecars, and over I-Hilbert
+// tiles — on a side×side terrain (TiledSide when side <= 0). Row names carry
+// the side, so rows measured at a different scale never silently gate against
+// each other. The suite also cross-checks that every configuration returns
+// the same answer counts per query — a benchmark that measured different
+// answers would gate nothing.
 func TiledMeasure(side int) (map[string]Row, error) {
 	if side <= 0 {
 		side = TiledSide
@@ -52,6 +53,9 @@ func TiledMeasure(side int) (map[string]Row, error) {
 		}},
 		{"Tiled-LinearScan/packed", func(pager *storage.Pager) (core.Index, error) {
 			return core.Build(context.Background(), f, pager, tiledPacked(side))
+		}},
+		{"Tiled-I-Hilbert", func(pager *storage.Pager) (core.Index, error) {
+			return core.Build(context.Background(), f, pager, core.BuildOptions{Method: core.MethodIHilbert, TileSide: side / 8})
 		}},
 	}
 	rows := map[string]Row{}

@@ -19,7 +19,7 @@ func TestTiledMeasureSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(Selectivities); len(rows) != want {
+	if want := 3 * len(Selectivities); len(rows) != want {
 		t.Fatalf("TiledMeasure(%d) returned %d rows, want %d", side, len(rows), want)
 	}
 	for _, sel := range Selectivities {
@@ -27,17 +27,19 @@ func TestTiledMeasureSmoke(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing untiled row at sel=%.2f; have %v", sel, rowNames(rows))
 		}
-		tiled, ok := rows[fmt.Sprintf("Tiled/Tiled-LinearScan/packed/side=%d/sel=%.2f", side, sel)]
-		if !ok {
-			t.Fatalf("missing tiled row at sel=%.2f; have %v", sel, rowNames(rows))
-		}
-		// The planner may only save pages over the untiled scan; a tiled row
-		// that reads more would mean pruning or the packed codec regressed.
-		if tiled.PagesOp > flat.PagesOp {
-			t.Errorf("sel=%.2f: tiled reads %.1f pages/op, untiled %.1f", sel, tiled.PagesOp, flat.PagesOp)
-		}
-		if tiled.PagesOp <= 0 || tiled.SimNsOp <= 0 {
-			t.Errorf("sel=%.2f: tiled row has empty metrics: %+v", sel, tiled)
+		for _, label := range []string{"Tiled-LinearScan/packed", "Tiled-I-Hilbert"} {
+			tiled, ok := rows[fmt.Sprintf("Tiled/%s/side=%d/sel=%.2f", label, side, sel)]
+			if !ok {
+				t.Fatalf("missing %s row at sel=%.2f; have %v", label, sel, rowNames(rows))
+			}
+			// The planner may only save pages over the untiled scan; a tiled
+			// row that reads more would mean pruning or the tile index regressed.
+			if tiled.PagesOp > flat.PagesOp {
+				t.Errorf("sel=%.2f: %s reads %.1f pages/op, untiled %.1f", sel, label, tiled.PagesOp, flat.PagesOp)
+			}
+			if tiled.PagesOp <= 0 || tiled.SimNsOp <= 0 {
+				t.Errorf("sel=%.2f: %s row has empty metrics: %+v", sel, label, tiled)
+			}
 		}
 	}
 }

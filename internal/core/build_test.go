@@ -16,9 +16,9 @@ import (
 type matrixRow struct {
 	name string
 	opts BuildOptions
-	// natural marks the configurations that fold survivors in natural cell
-	// order — scans, the sorted per-cell tree, every tiled planner — and so
-	// answer byte-identically to the reference scan; the untiled
+	// natural marks the configurations that fold survivors in the order of
+	// foldOrder — scans and the sorted per-cell tree, by id, tile by tile where
+	// tiled — and so answer byte-identically to the oracle; the
 	// curve-ordered partitions fold in heap order instead.
 	natural bool
 }
@@ -51,7 +51,6 @@ func buildMatrix(f field.Field) []matrixRow {
 				if codec != "" {
 					r.name += "/" + codec
 				}
-				r.natural = r.natural || side != 0
 				rows = append(rows, r)
 			}
 		}

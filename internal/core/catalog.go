@@ -423,7 +423,7 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 		if int(id) >= cs.cells || cs.owner[id] != -1 {
 			return fail("corrupt cell id at position %d", pos)
 		}
-		// In natural order the ids ascend: the gather step's no-ties invariant.
+		// Uncut, position i holds the i-th smallest id: how route finds a record.
 		if !cs.m.cut && pos > 0 && id <= heapIDs[pos-1] {
 			return fail("cell ids out of order at position %d", pos)
 		}

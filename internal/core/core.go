@@ -32,7 +32,7 @@
 // partition refines as it fetches — candidates, fetch, refine straight into
 // the Result (query.go) — while tiles prune on their summaries, refine their
 // survivors where they are scanned, each tile into a partial of its own, and
-// gather the partials by a merge in field-id order (tiled.go). Both ask the
+// fold the partials one after another in tile order (tiled.go). Both ask the
 // method for candidates and fetch them through the same two loops (fetch.go):
 // ascending heap positions, or merged runs of heap pages.
 //

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -99,19 +98,16 @@ func (rs *resultSink) add(s *survivor) error {
 	return nil
 }
 
-// partial is the sink of a fetch whose survivors fold into the Result later,
-// in an order the fetch does not know: one tile of a tiled query, one block of
-// page runs of a parallel refinement. It refines each survivor where the fetch runs — on
-// the worker, straight from the page — into regions over vertex chunks of its
-// own (unless it measures), and keeps one entry per survivor with everything
-// the fold adds up, so gather touches no record and no vertex.
+// partial is the sink of a fetch whose survivors fold into the Result later:
+// one tile of a tiled query, one block of page runs of a parallel refinement.
+// It refines each survivor where the fetch runs — on the worker, straight from
+// the page — into regions over vertex chunks of its own (unless it measures),
+// and keeps, in the order the fetch hands the survivors over, everything the
+// fold adds up, so gather touches no record and no vertex.
 type partial struct {
 	q geom.Interval
 	// measure keeps no answer pieces: only each cell's count and areas.
 	measure bool
-	// ids maps the ids of a tile's records to the field's; nil where a record
-	// carries its field id itself.
-	ids []field.CellID
 	regionStore
 	cells []refined
 	// pieces counts the cells' answer pieces; unless the partial measures,
@@ -120,19 +116,14 @@ type partial struct {
 	pieces   int32
 	regions  []geom.Polygon
 	isolines [][2]geom.Point
-	// unordered records that some survivor arrived below its predecessor's
-	// field id: the heap order of the tile is not the field's.
-	unordered bool
 }
 
-// refined is one matched cell of a partial: its id in the field, where its
-// answer pieces start and how many they are, its planar area and, in order,
-// the areas of its regions — a cell has two at most.
+// refined is one matched cell of a partial: how many answer pieces it has, its
+// planar area and, in order, the areas of its regions — a cell has two at most.
 type refined struct {
-	id       field.CellID
-	first, n int32
-	area     float64
-	areas    [2]float64
+	n     int32
+	area  float64
+	areas [2]float64
 }
 
 // reserve sizes the partial for the n survivors its fetch is about to hand it —
@@ -241,16 +232,7 @@ func (p *partial) add(s *survivor) error {
 	if err != nil {
 		return err
 	}
-	e := refined{id: c.ID, area: c.Area(), first: p.pieces}
-	if p.ids != nil {
-		if int(c.ID) >= len(p.ids) {
-			return fmt.Errorf("core: record id %d outside its %d-cell tile", c.ID, len(p.ids))
-		}
-		e.id = p.ids[c.ID]
-	}
-	if n := len(p.cells); n > 0 && e.id < p.cells[n-1].id {
-		p.unordered = true
-	}
+	e := refined{area: c.Area()}
 	var n int
 	if p.q.Length() == 0 {
 		segs := field.Isolines(c, p.q.Lo)
@@ -266,73 +248,34 @@ func (p *partial) add(s *survivor) error {
 	return nil
 }
 
-// sortByID puts the partial in ascending field-id order — where the fetch did
-// not deliver it so — moving the answer pieces along, so that any run of cells
-// still owns one run of pieces. It runs on the worker that filled the partial.
-func (p *partial) sortByID() {
-	if !p.unordered {
-		return
-	}
-	slices.SortFunc(p.cells, func(a, b refined) int { return cmp.Compare(a.id, b.id) })
-	regions := make([]geom.Polygon, 0, len(p.regions))
-	isolines := make([][2]geom.Point, 0, len(p.isolines))
-	next := int32(0)
-	for i := range p.cells {
-		e := &p.cells[i]
-		from, to := e.first, e.first+e.n
-		e.first, next = next, next+e.n
-		switch {
-		case p.measure:
-		case p.q.Length() == 0:
-			isolines = append(isolines, p.isolines[from:to]...)
-		default:
-			regions = append(regions, p.regions[from:to]...)
-		}
-	}
-	p.regions, p.isolines, p.unordered = regions, isolines, false
-}
-
-// fold adds cells [from, to) of the partial to res exactly as estimateMatched
-// would have, one after another: the same counters, the same float additions in
-// the same order.
-func (p *partial) fold(res *Result, from, to int) {
-	if from == to {
-		return
-	}
-	res.CellsMatched += to - from
-	last := p.cells[to-1]
-	lo, hi := p.cells[from].first, last.first+last.n
+// fold adds the partial's cells to res exactly as estimateMatched would have,
+// one after another: the same counters, the same float additions in the same
+// order.
+func (p *partial) fold(res *Result) {
+	res.CellsMatched += len(p.cells)
 	if p.q.Length() == 0 {
-		for _, e := range p.cells[from:to] {
+		for _, e := range p.cells {
 			res.MatchedCellArea += e.area
 		}
-		res.IsolineCount += int(hi - lo)
-		if !p.measure {
-			res.Isolines = append(res.Isolines, p.isolines[lo:hi]...)
-		}
+		res.IsolineCount += int(p.pieces)
+		res.Isolines = append(res.Isolines, p.isolines...)
 		return
 	}
-	for i := from; i < to; i++ {
+	for i := range p.cells {
 		e := &p.cells[i]
 		res.MatchedCellArea += e.area
 		for _, a := range e.areas[:e.n] {
 			res.Area += a
 		}
 	}
-	res.RegionCount += int(hi - lo)
-	if !p.measure {
-		res.Regions = append(res.Regions, p.regions[lo:hi]...)
-	}
+	res.RegionCount += int(p.pieces)
+	res.Regions = append(res.Regions, p.regions...)
 }
 
-// gather folds the partials into res: one after another as they stand — the
-// blocks of page runs of one partition, in run order — or, with byID, all of them
-// together in ascending field-id order, which is the order an untiled scan
-// visits matching cells in. That is a k-way merge: every partial ascends
-// (sortByID saw to it) and a cell belongs to one tile, so ids never tie; the heap
-// holds each partial's next cell, and the partial on top folds every cell it
-// has below the runner-up's — whole row segments of a grid tile at a time.
-func gather(res *Result, parts []partial, byID bool) {
+// gather folds the partials into res one after another as they stand: the
+// tiles of a tiled query in tile order, the blocks of page runs of one
+// partition in run order — each in the order its fetch handed it over.
+func gather(res *Result, parts []partial) {
 	regions, isolines := 0, 0
 	for i := range parts {
 		regions += len(parts[i].regions)
@@ -346,60 +289,8 @@ func gather(res *Result, parts []partial, byID bool) {
 	if isolines > 0 {
 		res.Isolines = make([][2]geom.Point, 0, isolines)
 	}
-	if !byID {
-		for i := range parts {
-			parts[i].fold(res, 0, len(parts[i].cells))
-		}
-		return
-	}
-	type cursor struct {
-		cells []refined // what is left of the partial; never empty
-		p     *partial
-	}
-	h := make([]cursor, 0, len(parts))
 	for i := range parts {
-		if p := &parts[i]; len(p.cells) > 0 {
-			h = append(h, cursor{p.cells, p})
-		}
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && h[c+1].cells[0].id < h[c].cells[0].id {
-				c++
-			}
-			if h[i].cells[0].id < h[c].cells[0].id {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(h) > 0 {
-		top := &h[0]
-		n := len(top.cells)
-		if len(h) > 1 {
-			// The runner-up is one of the root's children.
-			next := h[1].cells[0].id
-			if len(h) > 2 && h[2].cells[0].id < next {
-				next = h[2].cells[0].id
-			}
-			for n = 1; n < len(top.cells) && top.cells[n].id < next; n++ {
-			}
-		}
-		from := len(top.p.cells) - len(top.cells)
-		top.p.fold(res, from, from+n)
-		if top.cells = top.cells[n:]; len(top.cells) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
+		parts[i].fold(res)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -32,12 +33,13 @@ import (
 // batches, snapshots and their Close, a save and reopen, a scratch rebuild —
 // run on one engine configuration and on a model of it: a copy of the field
 // that the harness mutates itself, and a brute-force oracle that tests every
-// cell of the copy and folds the matching ones in id order. After every step
-// the harness checks what the engine promises:
+// cell of the copy and folds the matching ones in a scan's order. After every
+// step the harness checks what the engine promises:
 //
 //   - each answer is the oracle's: byte for byte where the configuration folds
-//     in natural cell order, as the same set of regions — and the same areas up
-//     to summation order — where it folds in heap order;
+//     in the oracle's order — cell ids, tile by tile on a tiled store —, as
+//     the same sets of regions and isolines — and the same areas up to
+//     summation order — where it folds in heap order;
 //   - a query at one worker and at four gives the same Result, bit for bit;
 //   - a measure is the geometry answer with its geometry cleared;
 //   - each batch member is its solo call, I/O included;
@@ -151,19 +153,21 @@ type harnessConfig struct {
 	row matrixRow
 }
 
-// harnessFields are a DEM of 24×24 cells — 16-cell tiles cut it unevenly — and
-// a TIN of 300 points, whose cells differ in area. Both are built once.
+// harnessFields are a DEM of 24 × 20 cells of 0.7 × 1.3 — 16-cell tiles cut it
+// unevenly, a locator that swaps its axes misses cells, and some of
+// latticePoint's grid-line points round an ulp off their lines — and a TIN of
+// 300 points, whose cells differ in area. Both are built once.
 var harnessFields = sync.OnceValue(func() []*harnessField {
-	const side = 24
+	const nx, ny = 24, 20
 	heights, err := fractal.DiamondSquare(32, 0.7, 1234)
 	mustHarness(err)
 	fractal.Normalize(heights, 0, 100)
 	var crop []float64
-	for r := 0; r <= side; r++ {
-		crop = append(crop, heights[r*33:r*33+side+1]...)
+	for r := 0; r <= ny; r++ {
+		crop = append(crop, heights[r*33:r*33+nx+1]...)
 	}
 	dem := func(h []float64) field.Mutable {
-		d, err := grid.New(geom.Pt(0, 0), 1, 1, side, side, h)
+		d, err := grid.New(geom.Pt(0, 0), 0.7, 1.3, nx, ny, h)
 		mustHarness(err)
 		return d
 	}
@@ -252,6 +256,8 @@ type harness struct {
 	t     *testing.T
 	cfg   harnessConfig
 	model field.Mutable
+	// order is the order the oracle folds the model's cells in.
+	order []field.CellID
 	cur   live
 	// twin is the store a reopen replaced, until the next update step applies
 	// the batch to both and compares them.
@@ -282,6 +288,7 @@ func runProgram(t *testing.T, cfg harnessConfig, steps []step) {
 	atLeastProcs(t, 4)
 	h := &harness{t: t, cfg: cfg, model: cfg.hf.clone(cfg.hf.f), low: map[*store]uint64{},
 		saved: map[string][sha256.Size]byte{}, dir: t.TempDir()}
+	h.order = foldOrder(h.model, cfg.row.opts.TileSide)
 	h.log = append(h.log, cfg.hf.name+"/"+cfg.row.name)
 	defer h.finish()
 	f := cfg.hf.clone(cfg.hf.f)
@@ -390,9 +397,9 @@ func (h *harness) point(a, b byte) geom.Point {
 }
 
 // latticePoint maps two parameter bytes onto the lattice of 240ths of the
-// field's bounds: on the harness DEM's 24 × 24 unit cells a multiple of 10 is
-// a grid line — both, a corner —, 240 the far boundary and anything above it
-// outside.
+// field's bounds: on the harness DEM's 24 × 20 cells a multiple of 10 in a, or
+// of 12 in b, is a grid line — both, a corner —, 240 the far boundary and
+// anything above it outside.
 func (h *harness) latticePoint(a, b byte) geom.Point {
 	r := h.cfg.hf.f.Bounds()
 	return geom.Pt(r.Min.X+r.Width()*float64(a)/240, r.Min.Y+r.Height()*float64(b)/240)
@@ -494,12 +501,30 @@ func brief(v any) string {
 }
 
 // oracle is the model's answer to q: every cell of the field copy tested, the
-// matching ones folded in id order, as a natural-order scan folds them.
-func (h *harness) oracle(q geom.Interval) *Result {
-	rs := resultSink{res: &Result{Query: q}}
+// matching ones folded in the order a scan of the configuration folds them.
+func (h *harness) oracle(q geom.Interval) *Result { return foldIn(h.model, h.order, q) }
+
+// foldOrder is the order a scan folds f's cells in: ids 0..n-1 untiled, and
+// tile by tile — each tile's ids ascending, as tileLayout cuts them — in
+// side-cell tiles.
+func foldOrder(f field.Field, side int) []field.CellID {
+	if side != 0 {
+		return slices.Concat(tileLayout(f, side)...)
+	}
+	order := make([]field.CellID, f.NumCells())
+	for id := range order {
+		order[id] = field.CellID(id)
+	}
+	return order
+}
+
+// foldIn is the answer to q of a scan that tests every cell of f and folds the
+// matching ones in order.
+func foldIn(f field.Field, order []field.CellID, q geom.Interval) *Result {
+	rs := resultSink{res: &Result{Query: q, CellsFetched: len(order)}}
 	var c field.Cell
-	for id := 0; id < h.model.NumCells(); id++ {
-		h.model.Cell(field.CellID(id), &c)
+	for _, id := range order {
+		f.Cell(id, &c)
 		if c.Interval().Intersects(q) {
 			rs.estimateMatched(&c)
 		}
@@ -508,8 +533,8 @@ func (h *harness) oracle(q geom.Interval) *Result {
 }
 
 // checkAnswer compares got with the oracle: the counts, then — byte for byte
-// on a natural-order row, up to summation order on a heap-order one — the
-// areas and, unless got is a measure, the region set. The oracle shares the
+// on a natural-order row, as sets on a heap-order one — the areas and, unless
+// got is a measure, the regions and isolines. The oracle shares the
 // engine's clip kernel, so the area is also held to bruteForce's, which clips
 // with field.Band.
 func (h *harness) checkAnswer(got *Result, measure bool) {
@@ -518,25 +543,40 @@ func (h *harness) checkAnswer(got *Result, measure bool) {
 		h.fatalf("%v: %d cells, area %v; field.Band clips %d cells to %v", got.Query, got.CellsMatched, got.Area, len(ids), area)
 	}
 	want := h.oracle(got.Query)
+	if !h.cfg.row.natural {
+		if d := setDiff(got, want, measure); d != "" {
+			h.fatalf("%v: %s, the engine's against the oracle's", got.Query, d)
+		}
+		return
+	}
 	if got.CellsMatched != want.CellsMatched || got.RegionCount != want.RegionCount || got.IsolineCount != want.IsolineCount {
 		h.fatalf("%v: %d cells, %d regions, %d isolines; the oracle %d, %d, %d", got.Query,
 			got.CellsMatched, got.RegionCount, got.IsolineCount, want.CellsMatched, want.RegionCount, want.IsolineCount)
 	}
-	if h.cfg.row.natural {
-		if got.Area != want.Area || got.MatchedCellArea != want.MatchedCellArea {
-			h.fatalf("%v: area %v, matched %v; the oracle %v, %v", got.Query, got.Area, got.MatchedCellArea, want.Area, want.MatchedCellArea)
-		}
-		if !measure && (!reflect.DeepEqual(got.Regions, want.Regions) || !reflect.DeepEqual(got.Isolines, want.Isolines)) {
-			h.fatalf("%v: geometry not byte-identical to the oracle's", got.Query)
-		}
-		return
-	}
-	if !near(got.Area, want.Area) || !near(got.MatchedCellArea, want.MatchedCellArea) {
+	if got.Area != want.Area || got.MatchedCellArea != want.MatchedCellArea {
 		h.fatalf("%v: area %v, matched %v; the oracle %v, %v", got.Query, got.Area, got.MatchedCellArea, want.Area, want.MatchedCellArea)
 	}
-	if !measure && !reflect.DeepEqual(sortedRegions(got), sortedRegions(want)) {
-		h.fatalf("%v: region set differs from the oracle's", got.Query)
+	if !measure && (!reflect.DeepEqual(got.Regions, want.Regions) || !reflect.DeepEqual(got.Isolines, want.Isolines)) {
+		h.fatalf("%v: geometry not byte-identical to the oracle's", got.Query)
 	}
+}
+
+// setDiff compares two answers that fold the same cells in different orders:
+// the counts, the areas up to summation order and, unless measure, the regions
+// and isolines as sets. It returns "" where they agree, else what differs.
+func setDiff(got, want *Result, measure bool) string {
+	switch {
+	case got.CellsMatched != want.CellsMatched || got.RegionCount != want.RegionCount || got.IsolineCount != want.IsolineCount:
+		return fmt.Sprintf("cells, regions, isolines %d, %d, %d against %d, %d, %d",
+			got.CellsMatched, got.RegionCount, got.IsolineCount, want.CellsMatched, want.RegionCount, want.IsolineCount)
+	case !near(got.Area, want.Area) || !near(got.MatchedCellArea, want.MatchedCellArea):
+		return fmt.Sprintf("area, matched %v, %v against %v, %v", got.Area, got.MatchedCellArea, want.Area, want.MatchedCellArea)
+	case !measure && !reflect.DeepEqual(sortedRegions(got), sortedRegions(want)):
+		return "region sets differ"
+	case !measure && !reflect.DeepEqual(sortedIsolines(got), sortedIsolines(want)):
+		return "isoline sets differ"
+	}
+	return ""
 }
 
 // near reports whether two sums of the same terms agree up to summation order.
@@ -554,6 +594,16 @@ func sortedRegions(res *Result) []geom.Polygon {
 			}
 		}
 		return len(a) < len(b)
+	})
+	return out
+}
+
+// sortedIsolines returns the answer segments in a canonical order, as
+// sortedRegions does the regions.
+func sortedIsolines(res *Result) [][2]geom.Point {
+	out := slices.Clone(res.Isolines)
+	slices.SortFunc(out, func(a, b [2]geom.Point) int {
+		return cmp.Or(cmp.Compare(a[0].X, b[0].X), cmp.Compare(a[0].Y, b[0].Y), cmp.Compare(a[1].X, b[1].X), cmp.Compare(a[1].Y, b[1].Y))
 	})
 	return out
 }
@@ -1165,25 +1215,25 @@ func blockSeeds() [][]byte {
 	return [][]byte{
 		// More workers than runs.
 		program{cfg: dem, steps: []step{
-			{opQuery, 0, 210, 0},   // [3 2 3]
-			{opMeasure, 9, 250, 0}, // [4 9]
-			{opQuery, 216, 0, 0},   // [1 2], an isoline
+			{opQuery, 0, 210, 0},   // [3 1 3]
+			{opMeasure, 9, 250, 0}, // [4 8]
+			{opQuery, 216, 0, 0},   // [2 3], an isoline
 			{opBatch, 1, 0, 210},
 		}}.encode(),
 		// A single run.
 		program{cfg: dem, steps: []step{
-			{opQuery, 0, 115, 0},   // [2]
-			{opMeasure, 0, 255, 0}, // [16]
+			{opQuery, 0, 115, 0},   // [1]
+			{opMeasure, 0, 255, 0}, // [13]
 			{opQuery, 180, 0, 0},   // [8], an isoline
 		}}.encode(),
 		// One run far longer than the rest.
 		program{cfg: dem, steps: []step{
-			{opQuery, 114, 90, 0},     // [1 14]
-			{opMeasure, 159, 0, 0},    // [10 1], an isoline
-			{opQuery, 114, 0, 0},      // [1 2 9], an isoline
-			{opAggregate, 114, 90, 0}, // [1 14], the exact fallback
+			{opQuery, 114, 60, 0},     // [2 8]
+			{opMeasure, 109, 0, 0},    // [3 8], an isoline
+			{opQuery, 114, 0, 0},      // [2 8], an isoline
+			{opAggregate, 114, 60, 0}, // [2 8], the exact fallback
 			{opUpdate, 7, 9, 9},
-			{opQuery, 114, 90, 0},
+			{opQuery, 114, 60, 0},
 		}}.encode(),
 		program{cfg: tin, steps: []step{
 			{opQuery, 0, 250, 0},   // [9 2]
@@ -1205,12 +1255,12 @@ func configOf(field string, method Method, tiled bool) int {
 // the far corner and a far edge — where grid.DEM.Locate clamps — and just past
 // the far boundary in x and in y.
 var latticeSteps = []step{
-	{opPoint, 50, 125, 1},
-	{opPoint, 125, 50, 1},
-	{opPoint, 50, 100, 1},
+	{opPoint, 50, 126, 1},
+	{opPoint, 125, 48, 1},
+	{opPoint, 50, 96, 1},
 	{opPoint, 0, 0, 1},
 	{opPoint, 240, 240, 1},
-	{opPoint, 240, 125, 1},
+	{opPoint, 240, 126, 1},
 	{opPoint, 241, 120, 1},
 	{opPoint, 120, 241, 1},
 }
@@ -1248,7 +1298,7 @@ func FuzzEngineProgram(f *testing.F) {
 // rowOf is a named configuration outside the build matrix, folding in natural
 // order exactly when the matrix would.
 func rowOf(name string, opts BuildOptions) matrixRow {
-	return matrixRow{name: name, opts: opts, natural: opts.TileSide != 0 || !methods[opts.Method].cut}
+	return matrixRow{name: name, opts: opts, natural: !methods[opts.Method].cut}
 }
 
 // fieldNamed is the harness field called name.
@@ -1324,8 +1374,8 @@ func TestBatchMatchesSolo(t *testing.T) {
 
 // tiledBatchRows are the tilings whose batches share a scan — sidecar-served
 // scans — and one whose members run solo, all in 5-cell tiles: where the
-// matrix cuts the DEM into four tiles, these cut it into 25, the last row and
-// column narrower, for the scatter to spread and the gather to merge.
+// matrix cuts the DEM into four tiles, these cut it into 20, the last column
+// narrower, for the scatter to spread and the gather to fold.
 var tiledBatchRows = []matrixRow{
 	rowOf("Tiled-LinearScan", BuildOptions{Method: MethodLinearScan, TileSide: 5}),
 	rowOf("Tiled-LinearScan+packed", BuildOptions{Method: MethodLinearScan, TileSide: 5, Codec: storage.SidecarCodecPacked}),
@@ -1338,9 +1388,11 @@ func TestTiledBatchMatchesSolo(t *testing.T) {
 	runRows(t, "dem", "", tiledBatchRows, step{opBatch, 0, 1, 1}, step{opBatch, 2, 8, 9}, step{opBatch, 4, 3, 2})
 }
 
-// TestTiledMergeIdentity: where a tile's survivors do not arrive in field-id
-// order — tiles in Hilbert order, a TIN's spatial bins — the gather's merge
-// still folds the oracle's answer, at one worker and four, solo and batched.
+// TestTiledMergeIdentity: where tile order is not field-id order — a TIN's
+// spatial bins — or a tile's heap order is not its ids' — I-Hilbert tiles —,
+// the gather folds the oracle's answer in tile order: byte for byte on
+// LinearScan tiles, as sets on I-Hilbert ones; at one worker and four, solo
+// and batched.
 func TestTiledMergeIdentity(t *testing.T) {
 	steps := []step{{opQuery, 100, 90, 0}, {opQuery, 10, 255, 0}, {opQuery, 120, 0, 0}, {opBatch, 3, 5, 5}}
 	runRows(t, "dem", "dem/", tiledBatchRows[2:], steps...)

@@ -154,6 +154,6 @@ func (e *engine) refineBlocks(ctx context.Context, qc *storage.QueryCtx, p *part
 	for _, c := range fb.counts {
 		res.CellsFetched += c[0]
 	}
-	gather(res, fb.parts, false)
+	gather(res, fb.parts)
 	return nil
 }

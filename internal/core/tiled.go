@@ -24,15 +24,13 @@ import (
 //     (sidecar filter for LinearScan tiles, subfield tree + run scan for the
 //     partitioned families), optionally in parallel on the sharded worker
 //     pool. Each tile scan refines its survivors as it meets them — the decode,
-//     the band polygons — into a partial of its own, keyed by the parent
-//     field's natural cell id.
-//   - Gather: the partials are merged in ascending parent cell id order, region
-//     headers and area sums only. That is exactly the order an untiled
-//     LinearScan visits matching cells, and the matching set itself is
-//     method-independent, so every tiled configuration answers
-//     byte-identically to the untiled scan — Regions, Isolines, Area,
-//     MatchedCellArea and CellsMatched — while reading only the residual
-//     tiles' pages.
+//     the band polygons — into a partial of its own, in the tile's heap order.
+//   - Gather: the partials fold one after another in tile order, region
+//     headers and area sums only. The matching set is method-independent, so
+//     every tiled configuration answers the untiled scan's regions, isolines
+//     and counts as sets, and its areas up to summation order, while reading
+//     only the residual tiles' pages; the fold is deterministic in tile order,
+//     the same at any worker count, solo or batched.
 //
 // Updates route each affected cell to its owning tile and commit every
 // tile's page overlays as ONE storage epoch, so concurrent readers never see
@@ -293,10 +291,10 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		qc.EndSpan()
 	}
 
-	// Gather: the merge of the tiles' partials — CPU only, so the span's page
-	// counts stay zero.
+	// Gather: the tiles' partials folded in tile order — CPU only, so the
+	// span's page counts stay zero.
 	qc.BeginSpan(obs.PhaseRefine)
-	gather(res, parts, true)
+	gather(res, parts)
 	qc.EndSpan()
 	res.IO = qc.Stats()
 	e.recordIO(storage.Stats{Reads: filterReads}, sidecarReads, res.IO)
@@ -305,12 +303,12 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 
 // scanTile is the scatter step for one residual tile: the tile's own
 // candidates hook — a sidecar pass, or a subfield tree search — and the fetch
-// of what it found, each survivor refined into part under its field id, and
-// part left in field-id order. It returns the tile's filter-step (subfield
-// tree) and sidecar page-read counts for metric attribution.
+// of what it found, each survivor refined into part in the tile's heap order.
+// It returns the tile's filter-step (subfield tree) and sidecar page-read
+// counts for metric attribution.
 func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, ti int, q geom.Interval, part *partial) (filterReads, sidecarReads int, err error) {
 	p := e.parts[ti]
-	part.q, part.ids = q, p.ids
+	part.q = q
 	pr := getProbe()
 	defer putProbe(pr)
 	// Untraced: the whole tile runs under the query's tile-scan span.
@@ -322,6 +320,5 @@ func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, 
 		part.reserve(len(pr.pos))
 	}
 	_, err = p.fetch(ctx, qc, pr, part)
-	part.sortByID()
 	return pr.filter.Reads, pr.sidecarReads, err
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // TestTiledLargeTerrain is the scale-out acceptance check on a large terrain:
-// at ~1% selectivity the tiled planner answers byte-identically to the
-// untiled LinearScan while reading at least 5× fewer pages, because pruned
+// at ~1% selectivity the tiled planner answers byte-identically to a scan
+// folding in tile order, and as the untiled LinearScan does up to that order,
+// while reading at least 5× fewer pages, because pruned
 // tiles cost zero page reads (asserted through the trace spans). It also
 // reconciles the pager's cumulative totals against the sum of published
 // per-query stats — the scatter-gather layer must not leak unattributed I/O.
@@ -53,7 +54,7 @@ func TestTiledLargeTerrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswer(t, "large-terrain", got, want)
+	assertSameAnswer(t, "large-terrain", got, foldIn(f, foldOrder(f, side/8), q), want)
 
 	if want.IO.Reads < 5*got.IO.Reads {
 		t.Errorf("tiled read %d pages, untiled %d — want at least 5× fewer",

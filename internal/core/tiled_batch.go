@@ -10,9 +10,9 @@ import (
 // residual tile — a single sidecar scan evaluates every covering member's
 // predicate and the union of their surviving heap pages is fetched once. Each
 // member refines its survivors into a partial per tile and gathers them in
-// global field-id order afterwards, so the per-member answers — fold order,
-// Area accumulation, Result.IO — stay byte-identical to solo QueryContext
-// calls, exactly the QueryBatch contract.
+// tile order afterwards, so the per-member answers — fold order, Area
+// accumulation, Result.IO — stay byte-identical to solo QueryContext calls,
+// exactly the QueryBatch contract.
 //
 // The shared pipeline requires LinearScan tiles with sidecars (the only
 // configuration whose filter pass is shareable: one comparison loop serves
@@ -82,7 +82,7 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 				continue
 			}
 			m.pos = bb.pos[i]
-			parts[i] = append(parts[i], partial{q: m.q, measure: m.measure, ids: tl.ids})
+			parts[i] = append(parts[i], partial{q: m.q, measure: m.measure})
 			part := &parts[i][len(parts[i])-1]
 			part.reserve(len(m.pos))
 			m.sink = part
@@ -95,17 +95,16 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 		bb.prs = union
 		demuxPositions(phys, tl.rids, ms, mergeRuns(union), true)
 	}
-	// Gather: each member merges its own partials in global field-id order —
-	// the solo gather, one member at a time, under the refinement span solo
-	// opens for it (finishMembers closes it). A sidecar-served scan's survivors
-	// ascend tile by tile, so no partial needs sorting. A member that pruned
-	// every tile has none, as solo returns before the gather.
+	// Gather: each member folds its own partials in tile order — the solo
+	// gather, one member at a time, under the refinement span solo opens for
+	// it (finishMembers closes it). A member that pruned every tile has none,
+	// as solo returns before the gather.
 	for i := range ms {
 		m := &ms[i]
 		if !m.live() || m.res.CandidateGroups == 0 {
 			continue
 		}
 		m.qc.BeginSpan(obs.PhaseRefine)
-		gather(m.res, parts[i], true)
+		gather(m.res, parts[i])
 	}
 }

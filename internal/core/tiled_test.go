@@ -10,10 +10,15 @@ import (
 	"fielddb/internal/storage"
 )
 
-// assertSameAnswer asserts that got's answer fields are byte-identical to
-// want's: same matched set, same fold order, same float accumulation.
-func assertSameAnswer(t *testing.T, label string, got, want *Result) {
+// assertSameAnswer asserts that the tiled answer got is byte-identical to
+// want, a scan's fold in tile order — same matched set, same fold order, same
+// float accumulation — and is the untiled scan's answer as a set, with the
+// same counts.
+func assertSameAnswer(t *testing.T, label string, got, want, untiled *Result) {
 	t.Helper()
+	if d := setDiff(got, untiled, false); d != "" {
+		t.Errorf("%s: %s, the tiled answer's against the untiled scan's", label, d)
+	}
 	if got.CellsMatched != want.CellsMatched {
 		t.Errorf("%s: CellsMatched = %d, want %d", label, got.CellsMatched, want.CellsMatched)
 	}
@@ -75,7 +80,7 @@ func TestTiledPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswer(t, "pruned", got, want)
+	assertSameAnswer(t, "pruned", got, foldIn(f, foldOrder(f, 16), q), want)
 
 	snap := met.Snapshot()
 	if snap.TilesPruned == 0 {
