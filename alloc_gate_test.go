@@ -77,18 +77,18 @@ func TestAllocCeilings(t *testing.T) {
 		measure bool
 		ceiling float64
 	}{
-		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 180},                 // 88
-		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 160},       // 76
-		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 130},          // 61
-		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 190},                         // 94
-		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 170},               // 83
-		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 340},                             // 165
-		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 360},                   // 175
-		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 300},                      // 150
-		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 250},                        // 123
-		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 280},              // 139
-		{"Tiled-LinearScan/stored/pool=256", stored(256), 256, 1, false, 250},           // 124
-		{"Tiled-LinearScan/stored/pool=256/workers=4", stored(256), 256, 4, false, 280}, // 134
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 180},                // 88
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 160},      // 76
+		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 130},         // 61
+		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 190},                        // 94
+		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 170},              // 83
+		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 90},                             // 41
+		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 100},                  // 47
+		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 60},                      // 25
+		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 50},                        // 21
+		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 60},              // 26
+		{"Tiled-LinearScan/stored/pool=256", stored(256), 256, 1, false, 50},           // 24
+		{"Tiled-LinearScan/stored/pool=256/workers=4", stored(256), 256, 4, false, 70}, // 34
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, c.pool)

@@ -268,21 +268,16 @@ func failLive(ms []batchMember, err error) {
 // positions to dst, using fetchPositions' exact run-extension rule — next
 // survivor on the same page or the page immediately after — so every page
 // of a run holds a survivor.
-func appendPosRuns(dst []physRun, rids []storage.RID, pos []int32) []physRun {
-	for i := 0; i < len(pos); {
-		first := rids[pos[i]].Page
-		last := first
-		j := i + 1
-		for j < len(pos) {
-			pg := rids[pos[j]].Page
-			if pg != last && pg != last+1 {
-				break
-			}
-			last = pg
-			j++
+func appendPosRuns(dst []physRun, heap *storage.HeapFile, pos []int32) []physRun {
+	at, pages := heap.Cursor(), heap.Pages()
+	from := len(dst)
+	for _, p := range pos {
+		pg := pages[at.Page(int(p))]
+		if n := len(dst); n > from && (pg == dst[n-1].last || pg == dst[n-1].last+1) {
+			dst[n-1].last = pg
+			continue
 		}
-		dst = append(dst, physRun{first, last})
-		i = j
+		dst = append(dst, physRun{pg, pg})
 	}
 	return dst
 }
@@ -293,14 +288,13 @@ func appendPosRuns(dst []physRun, rids []storage.RID, pos []int32) []physRun {
 // holds a survivor, so solo's per-run ReadRun charges exactly the distinct
 // survivor pages in ascending order — the two charge sequences are
 // identical, id for id.
-func chargePositions(qc *storage.QueryCtx, rids []storage.RID, pos []int32) {
-	var last storage.PageID
-	haveLast := false
+func chargePositions(qc *storage.QueryCtx, heap *storage.HeapFile, pos []int32) {
+	at, pages := heap.Cursor(), heap.Pages()
+	last := -1
 	for _, p := range pos {
-		pg := rids[p].Page
-		if !haveLast || pg != last {
-			qc.ChargePage(pg)
-			last, haveLast = pg, true
+		if pi := at.Page(int(p)); pi != last {
+			qc.ChargePage(pages[pi])
+			last = pi
 		}
 	}
 }
@@ -325,7 +319,7 @@ func chargeRuns(qc *storage.QueryCtx, pages []storage.PageID, runs []pageRun) {
 // selects the sidecar semantics (positions already passed the interval test:
 // every holder takes the record) over the I-All candidate semantics (count,
 // test the partial decode, take it only on a match).
-func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember, union []physRun, tested bool) {
+func demuxPositions(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember, union []physRun, tested bool) {
 	var sv survivor
 	processed := 0
 	for _, ur := range union {
@@ -333,15 +327,16 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 			return
 		}
 		err := phys.ReadRun(ur.first, ur.last, func(id storage.PageID, page []byte) bool {
+			start, end := heap.PageSpan(heap.PageIndex(id))
 			for {
-				// The lowest unconsumed position on this page across members;
-				// member cursors never lag behind the page being served
-				// because union pages ascend and every member page is a
-				// union page.
+				// The lowest unconsumed position on this page across members:
+				// those before the page's end, since member cursors never lag
+				// behind the page being served — union pages ascend and every
+				// member page is a union page.
 				best := int32(-1)
 				for i := range ms {
 					m := &ms[i]
-					if !m.live() || m.cur >= len(m.pos) || rids[m.pos[m.cur]].Page != id {
+					if !m.live() || m.cur >= len(m.pos) || int(m.pos[m.cur]) >= end {
 						continue
 					}
 					if best < 0 || m.pos[m.cur] < best {
@@ -351,7 +346,7 @@ func demuxPositions(phys *storage.QueryCtx, rids []storage.RID, ms []batchMember
 				if best < 0 {
 					return true
 				}
-				rec, recErr := storage.RecordInPage(page, rids[best].Slot)
+				rec, recErr := storage.RecordInPage(page, uint16(int(best)-start))
 				sv.reset(rec)
 				for i := range ms {
 					m := &ms[i]
@@ -524,15 +519,15 @@ func (e *engine) batchPartition(st *state, ms []batchMember, phys *storage.Query
 		}
 		m.qc.BeginSpan(obs.PhaseRefine)
 		if p.byPos {
-			chargePositions(m.qc, p.rids, m.pos)
-			bb.prs = appendPosRuns(bb.prs, p.rids, m.pos)
+			chargePositions(m.qc, p.heap, m.pos)
+			bb.prs = appendPosRuns(bb.prs, p.heap, m.pos)
 		} else {
 			chargeRuns(m.qc, pages, m.runs)
 			bb.union = append(bb.union, m.runs...)
 		}
 	}
 	if p.byPos {
-		demuxPositions(phys, p.rids, ms, mergeRuns(bb.prs), p.tested)
+		demuxPositions(phys, p.heap, ms, mergeRuns(bb.prs), p.tested)
 	} else {
 		demuxRuns(phys, p.heap, ms, mergeRuns(bb.union), bb.cov)
 	}

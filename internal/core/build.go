@@ -206,7 +206,7 @@ func buildPartition(ctx context.Context, f field.Field, pager *storage.Pager, m 
 	}
 	var areas []float64
 	var err error
-	if p.heap, p.rids, p.sidecar, areas, err = writeCells(ctx, f, pager, ids, opts.Codec); err != nil {
+	if p.heap, p.sidecar, areas, err = writeCells(ctx, f, pager, ids, opts.Codec); err != nil {
 		return nil, nil, nil, err
 	}
 	switch {

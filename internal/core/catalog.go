@@ -52,8 +52,8 @@ import (
 //	        recovered from the one list)
 //	    heap page count u64, then that many page ids u32
 //	    heap page first-positions, heap page count × u32 (the heap position of
-//	        each page's first record, for reconstructing position ↦ RID without
-//	        reading cell pages)
+//	        each page's first record: the table the heap file addresses records
+//	        by, so a position resolves to its page without reading cell pages)
 //	    where the store has sidecars: sidecar first page u32, pages u32 and,
 //	        for the packed codec, the sidecar position of each page's first
 //	        entry, pages × u32 (variable-rate pages cannot derive it from
@@ -170,12 +170,8 @@ func encodePartition(b *bytes.Buffer, m *methodSpec, p *partition, st *partState
 	for _, id := range pages {
 		writeU32(b, uint32(id))
 	}
-	// Slots are append-ordered within a page, so the positions of the slot-0
-	// records — each page's first — are the whole position ↦ RID map.
-	for pos, rid := range p.rids {
-		if rid.Slot == 0 {
-			writeU32(b, uint32(pos))
-		}
+	for _, v := range p.heap.PageStarts() {
+		writeU32(b, v)
 	}
 	if p.sidecar != nil {
 		writeU32(b, uint32(p.sidecar.FirstPage()))
@@ -454,15 +450,21 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 	}
 	heapPages := make([]storage.PageID, numPages)
 	for i := range heapPages {
-		heapPages[i] = storage.PageID(r.u32())
-		// A heap grows by allocation, so its page ids ascend.
-		if r.err == nil && (!cs.inData(heapPages[i], 1) || (i > 0 && heapPages[i] <= heapPages[i-1])) {
-			return fail("heap page %d out of order or outside the data region", heapPages[i])
+		if heapPages[i] = storage.PageID(r.u32()); r.err == nil && !cs.inData(heapPages[i], 1) {
+			return fail("heap page %d outside the data region", heapPages[i])
 		}
 	}
-	p.heap = storage.OpenHeapFile(pager, heapPages, p.cells)
+	// Each page's first position. OpenHeapFile holds the page ids to ascending
+	// — a heap grows by allocation — and the positions to one run per page.
+	if !r.fits(numPages, 4) {
+		return fail("catalog truncated")
+	}
+	starts := make([]uint32, numPages)
+	for i := range starts {
+		starts[i] = r.u32()
+	}
 	var err error
-	if p.rids, err = readRIDs(r, heapPages, p.cells); err != nil {
+	if p.heap, err = storage.OpenHeapFile(pager, heapPages, starts, p.cells); err != nil {
 		return fail("%w", err)
 	}
 	if cs.codec != "" {
@@ -521,8 +523,9 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 				// A group's page run is where its first and last cells lie, and runs
 				// ascend with the group index — the filter merges the selected runs
 				// in index order, so a run out of place would read a page twice.
-				if g.firstPage != p.heap.PageIndex(p.rids[g.startRef].Page) || g.lastPage != p.heap.PageIndex(p.rids[g.endRef-1].Page) ||
-					(i > 0 && g.firstPage < st.groups[i-1].lastPage) {
+				first, _ := p.heap.PageOf(g.startRef)
+				last, _ := p.heap.PageOf(g.endRef - 1)
+				if g.firstPage != first || g.lastPage != last || (i > 0 && g.firstPage < st.groups[i-1].lastPage) {
 					return fail("group %d's page run out of place", i)
 				}
 				pos = g.endRef
@@ -541,31 +544,6 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 	}
 	cs.m.bind(p)
 	return p, st, vr, nil
-}
-
-// readRIDs decodes the first heap position of each of a heap's pages holding
-// cells records — positions that start at 0 and ascend strictly below cells —
-// and rebuilds position ↦ RID from them: slots are assigned in append order
-// within each page.
-func readRIDs(r *byteReader, heapPages []storage.PageID, cells int) ([]storage.RID, error) {
-	if !r.fits(len(heapPages), 4) {
-		return nil, r.err
-	}
-	firstPos := make([]int, len(heapPages)+1)
-	firstPos[len(heapPages)] = cells
-	for i := range heapPages {
-		firstPos[i] = int(r.u32())
-		if r.err == nil && (firstPos[i] >= cells || (i == 0) != (firstPos[i] == 0) || (i > 0 && firstPos[i] <= firstPos[i-1])) {
-			return nil, fmt.Errorf("corrupt page positions")
-		}
-	}
-	rids := make([]storage.RID, cells)
-	for pi, id := range heapPages {
-		for pos := firstPos[pi]; pos < firstPos[pi+1]; pos++ {
-			rids[pos] = storage.RID{Page: id, Slot: uint16(pos - firstPos[pi])}
-		}
-	}
-	return rids, nil
 }
 
 // byteReader is a bounds-checked cursor over the catalog blob — bytes read

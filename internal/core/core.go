@@ -307,8 +307,8 @@ func (rs *resultSink) estimateMatched(c *field.Cell) {
 const writeCellsStride = 512
 
 // writeCells appends the cells of f to a fresh heap file on pager in the
-// order given by ids, returning the heap file, the RID of every cell in
-// write order, and each cell's planar area in the same order (the aggregate
+// order given by ids, returning the heap file, which addresses each cell by
+// its write order, and each cell's planar area in that order (the aggregate
 // tier's fit weights — value updates never move vertices, so the areas stay
 // valid for the index's lifetime). LinearScan's non-empty codec name also
 // builds the columnar interval sidecar with that codec: each cell's (min, max)
@@ -317,10 +317,9 @@ const writeCellsStride = 512
 // is buffered and written to contiguous pages right after the heap flush. ctx
 // is polled every writeCellsStride cells so a canceled build
 // stops without writing the rest of the field.
-func writeCells(ctx context.Context, f field.Field, pager *storage.Pager, ids []field.CellID, codec string) (*storage.HeapFile, []storage.RID, *storage.IntervalSidecar, []float64, error) {
+func writeCells(ctx context.Context, f field.Field, pager *storage.Pager, ids []field.CellID, codec string) (*storage.HeapFile, *storage.IntervalSidecar, []float64, error) {
 	sidecar := codec != ""
 	heap := storage.NewHeapFile(pager)
-	rids := make([]storage.RID, len(ids))
 	areas := make([]float64, len(ids))
 	var lo, hi []float64
 	if sidecar {
@@ -332,38 +331,36 @@ func writeCells(ctx context.Context, f field.Field, pager *storage.Pager, ids []
 	for i, id := range ids {
 		if i%writeCellsStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 		f.Cell(id, &c)
 		if err := c.Validate(); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("core: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: %w", err)
 		}
 		buf = field.AppendCell(buf[:0], &c)
-		rid, err := heap.Append(buf)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("core: storing cell %d: %w", id, err)
+		if _, err := heap.Append(buf); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: storing cell %d: %w", id, err)
 		}
-		rids[i] = rid
 		areas[i] = c.Area()
 		if sidecar {
 			iv, err := field.CellIntervalFromRecord(buf)
 			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("core: sidecar interval for cell %d: %w", id, err)
+				return nil, nil, nil, fmt.Errorf("core: sidecar interval for cell %d: %w", id, err)
 			}
 			lo[i], hi[i] = iv.Lo, iv.Hi
 		}
 	}
 	if err := heap.Flush(); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	var sc *storage.IntervalSidecar
 	if sidecar {
 		var err error
 		sc, err = storage.BuildIntervalSidecarWith(pager, lo, hi, codec)
 		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("core: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return heap, rids, sc, areas, nil
+	return heap, sc, areas, nil
 }

@@ -309,7 +309,7 @@ const (
 // charged sequentially wherever candidates are physically adjacent.
 func (p *partition) fetch(ctx context.Context, qc *storage.QueryCtx, pr *probe, sk sink) (int, error) {
 	if p.byPos {
-		return fetchPositions(ctx, qc, p.rids, pr.pos, pr.q, p.tested, sk)
+		return fetchPositions(ctx, qc, p.heap, pr.pos, pr.q, p.tested, sk)
 	}
 	return scanRuns(ctx, qc, p.heap, pr.runs, pr.q, sk)
 }
@@ -322,71 +322,98 @@ func (p *partition) fetch(ctx context.Context, qc *storage.QueryCtx, pr *probe, 
 // Positions whose pages are physically consecutive are grouped into one
 // ReadRun — every page of a run holds at least one position, so the run reads
 // exactly the pages the positions require, each once, charged sequentially
-// after the first. rids must be the heap file's record ids in append order
-// (position i ↦ rids[i]). ctx is polled per run and every fetchCancelStride
-// records.
-func fetchPositions(ctx context.Context, qc *storage.QueryCtx, rids []storage.RID, pos []int32, q geom.Interval, tested bool, sk sink) (fetched int, err error) {
-	var sv survivor
-	processed := 0
-	for i := 0; i < len(pos); {
-		if err := ctx.Err(); err != nil {
-			return fetched, err
+// after the first. The positions must lie in [0, heap.Count()); one forward
+// cursor resolves them to pages. ctx is polled per run and every
+// fetchCancelStride records. One pooled visitor serves every run, so the fetch
+// allocates nothing.
+func fetchPositions(ctx context.Context, qc *storage.QueryCtx, heap *storage.HeapFile, pos []int32, q geom.Interval, tested bool, sk sink) (fetched int, err error) {
+	f := posFetchers.Get().(*posFetcher)
+	f.ctx, f.heap, f.pos, f.q, f.tested, f.sk = ctx, heap, pos, q, tested, sk
+	at, pages := heap.Cursor(), heap.Pages()
+	for i := 0; i < len(pos) && err == nil; {
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		// Extend the run while the next position sits on the same page or the
 		// page immediately after: a gap page would be read (and charged) for
 		// nothing, so it ends the run instead.
-		first := rids[pos[i]].Page
-		last := first
+		pi := at.Page(int(pos[i]))
+		first, last := pages[pi], pages[pi]
 		j := i + 1
-		for j < len(pos) {
-			pg := rids[pos[j]].Page
+		for ; j < len(pos); j++ {
+			pg := pages[at.Page(int(pos[j]))]
 			if pg != last && pg != last+1 {
 				break
 			}
 			last = pg
-			j++
 		}
-		k := i
-		var innerErr error
-		err := qc.ReadRun(first, last, func(id storage.PageID, page []byte) bool {
-			for k < j && rids[pos[k]].Page == id {
-				rec, err := storage.RecordInPage(page, rids[pos[k]].Slot)
-				keep := err == nil
-				if keep && !tested {
-					var ok bool
-					if keep, ok = field.RecordIntersects(rec, q); ok {
-						fetched++
-					} else {
-						_, err = field.CellIntervalFromRecord(rec)
-					}
-				}
-				if keep && err == nil {
-					sv.reset(rec)
-					err = sk.add(&sv)
-				}
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				k++
-				processed++
-				if processed%fetchCancelStride == 0 {
-					if innerErr = ctx.Err(); innerErr != nil {
-						return false
-					}
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return fetched, err
-		}
-		if innerErr != nil {
-			return fetched, innerErr
-		}
+		// A run's pages are consecutive ids, so consecutive in the heap's list.
+		f.k, f.end, f.pi = i, j, pi
+		err = cmp.Or(qc.ReadRun(first, last, f.visit), f.err)
 		i = j
 	}
-	return fetched, nil
+	fetched = f.fetched
+	f.ctx, f.heap, f.pos, f.sk, f.sv.rec, f.fetched, f.processed, f.err = nil, nil, nil, nil, nil, 0, 0, nil
+	posFetchers.Put(f)
+	return fetched, err
+}
+
+// posFetcher is the state of fetchPositions' page visitor: the fetch's
+// context, heap, positions, interval and sink, the cursor of the run being
+// read — the next position k, the run's end and the heap page index pi of the
+// next page — the survivor, which keeps its decode storage from fetch to
+// fetch, the counts and what stopped the fetch early. It is pooled with
+// visit, its page method, bound once.
+type posFetcher struct {
+	ctx    context.Context
+	heap   *storage.HeapFile
+	pos    []int32
+	q      geom.Interval
+	tested bool
+	sk     sink
+	sv     survivor
+
+	k, end, pi         int
+	fetched, processed int
+	err                error
+	visit              func(storage.PageID, []byte) bool
+}
+
+var posFetchers = sync.Pool{New: func() any {
+	f := new(posFetcher)
+	f.visit = f.page
+	return f
+}}
+
+// page takes the run's positions that lie on one page: each record picked out
+// by slot, tested unless the filter tested it, and handed to the sink.
+func (f *posFetcher) page(_ storage.PageID, page []byte) bool {
+	start, end := f.heap.PageSpan(f.pi)
+	f.pi++
+	for ; f.k < f.end && int(f.pos[f.k]) < end; f.k++ {
+		rec, err := storage.RecordInPage(page, uint16(int(f.pos[f.k])-start))
+		keep := err == nil
+		if keep && !f.tested {
+			var ok bool
+			if keep, ok = field.RecordIntersects(rec, f.q); ok {
+				f.fetched++
+			} else {
+				_, err = field.CellIntervalFromRecord(rec)
+			}
+		}
+		if keep && err == nil {
+			f.sv.reset(rec)
+			err = f.sk.add(&f.sv)
+		}
+		if f.processed++; err == nil && f.processed%fetchCancelStride == 0 {
+			err = f.ctx.Err()
+		}
+		if err != nil {
+			f.err = err
+			return false
+		}
+	}
+	return true
 }
 
 // scanRuns reads each run of heap pages through qc in order, testing every

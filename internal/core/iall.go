@@ -25,6 +25,11 @@ func (p *partition) cellCandidates(st *partState, pr *probe) error {
 	pr.filter = pr.end()
 	pr.groups = len(pr.pos)
 	slices.Sort(pr.pos)
+	// The entries come off tree pages: one past the heap is a corrupt tree,
+	// refused before the fetch resolves it.
+	if n := len(pr.pos); n > 0 && (pr.pos[0] < 0 || int(pr.pos[n-1]) >= p.cells) {
+		return fmt.Errorf("core: I-All tree names a cell outside [0, %d)", p.cells)
+	}
 	return nil
 }
 

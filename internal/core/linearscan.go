@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"fielddb/internal/field"
 	"fielddb/internal/obs"
 )
@@ -12,21 +14,22 @@ import (
 // produces, byte-identical to heapCandidates' Result.
 func (p *partition) sidecarCandidates(_ *partState, pr *probe) error {
 	pr.begin(obs.PhaseSidecar)
-	var scanErr error
-	err := p.sidecar.ScanRangeScratch(pr.qc, 0, p.cells, &pr.cols, func(base int, lo, hi []float64) bool {
-		pr.pos = field.FilterIntervals(pr.pos, int32(base), lo, hi, pr.q.Lo, pr.q.Hi)
-		scanErr = pr.ctx.Err()
-		return scanErr == nil
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
+	err := p.sidecar.ScanRangeScratch(pr.qc, 0, p.cells, &pr.cols, pr.keepCols)
+	if err = cmp.Or(err, pr.scanErr); err != nil {
 		return err
 	}
 	pr.fetched = p.cells
 	pr.sidecarReads = pr.end().Reads
 	return nil
+}
+
+// keep is sidecarCandidates' column visitor: it keeps the positions of a
+// sidecar page's intervals that meet the query, and stops the scan once the
+// query's context is done.
+func (pr *probe) keep(base int, lo, hi []float64) bool {
+	pr.pos = field.FilterIntervals(pr.pos, int32(base), lo, hi, pr.q.Lo, pr.q.Hi)
+	pr.scanErr = pr.ctx.Err()
+	return pr.scanErr == nil
 }
 
 // heapCandidates is the filter of a scan without a sidecar: there is no

@@ -18,10 +18,10 @@ import (
 // index structure itself — tree, subfields — is the partState its
 // store publishes.
 type partition struct {
-	heap *storage.HeapFile
-	// rids maps heap position to record id; sidecar is LinearScan's interval
-	// segment (nil when disabled, and on every method with a tree).
-	rids    []storage.RID
+	// heap addresses each record by its position, through its pages' first
+	// positions; sidecar is LinearScan's interval segment (nil when disabled,
+	// and on every method with a tree).
+	heap    *storage.HeapFile
 	sidecar *storage.IntervalSidecar
 	cells   int
 	// What the catalog records of the partition besides its pages: the ids its
@@ -110,14 +110,17 @@ type probe struct {
 	// search runs the filter's tree search, on box, the query's 1-D box.
 	search rstar.Searcher
 	box    [2]float64
-	// markGroup and addCell are mark and add, bound once when the pool makes
-	// the probe.
+	// scanErr is what stopped a sidecar pass: the query's context.
+	scanErr error
+	// markGroup, addCell and keepCols are mark, add and keep, bound once
+	// when the pool makes the probe.
 	markGroup, addCell func(rstar.Entry) bool
+	keepCols           func(base int, lo, hi []float64) bool
 }
 
 var probePool = sync.Pool{New: func() any {
 	pr := new(probe)
-	pr.markGroup, pr.addCell = pr.mark, pr.add
+	pr.markGroup, pr.addCell, pr.keepCols = pr.mark, pr.add, pr.keep
 	return pr
 }}
 
@@ -137,7 +140,7 @@ func putProbe(pr *probe) {
 // reset readies the probe for one hook call, keeping its buffers.
 func (pr *probe) reset(ctx context.Context, qc *storage.QueryCtx, q geom.Interval, traced bool) {
 	*pr = probe{ctx: ctx, qc: qc, q: q, traced: traced, pos: pr.pos[:0], runs: pr.runs[:0], marked: pr.marked, cols: pr.cols,
-		search: pr.search, markGroup: pr.markGroup, addCell: pr.addCell}
+		search: pr.search, markGroup: pr.markGroup, addCell: pr.addCell, keepCols: pr.keepCols}
 }
 
 // begin opens one step of the filter under phase ph; end closes it and returns

@@ -37,10 +37,13 @@ type groupMeta struct {
 // groupMetaOf computes the leaf payload of one subfield of the stored
 // partition from the current interval column.
 func (p *partition) groupMetaOf(g subfield.Group) (groupMeta, error) {
-	first := p.heap.PageIndex(p.rids[g.Start].Page)
-	last := p.heap.PageIndex(p.rids[g.End-1].Page)
-	if first < 0 || last < 0 {
-		return groupMeta{}, fmt.Errorf("core: pages of subfield [%d, %d) not found", g.Start, g.End)
+	first, err := p.heap.PageOf(g.Start)
+	if err != nil {
+		return groupMeta{}, err
+	}
+	last, err := p.heap.PageOf(g.End - 1)
+	if err != nil {
+		return groupMeta{}, err
 	}
 	return groupMeta{
 		interval: g.Interval, firstPage: first, lastPage: last,

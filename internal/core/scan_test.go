@@ -89,13 +89,15 @@ func TestScanRefusesBadRecords(t *testing.T) {
 	}
 	bad := quad(2, 1)
 	bad[4] = 5
-	var rids []storage.RID
-	for _, rec := range [][]byte{quad(0, 1), quad(1, 9), bad, quad(3, 1)} {
+	var first storage.PageID
+	for i, rec := range [][]byte{quad(0, 1), quad(1, 9), bad, quad(3, 1)} {
 		rid, err := heap.Append(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rids = append(rids, rid)
+		if i == 0 {
+			first = rid.Page
+		}
 	}
 	if err := heap.Flush(); err != nil {
 		t.Fatal(err)
@@ -111,18 +113,18 @@ func TestScanRefusesBadRecords(t *testing.T) {
 		t.Fatalf("run scan: %d tested, %d kept, %v; want 2, 1, %v", n, sk.n, err, want)
 	}
 	sk = countSink{}
-	n, err = fetchPositions(ctx, qc, rids, []int32{0, 1, 2, 3}, q, false, &sk)
+	n, err = fetchPositions(ctx, qc, heap, []int32{0, 1, 2, 3}, q, false, &sk)
 	if err == nil || err.Error() != want.Error() || n != 2 || sk.n != 1 {
 		t.Fatalf("position fetch: %d tested, %d kept, %v; want 2, 1, %v", n, sk.n, err, want)
 	}
 
 	// A slot whose record runs past the page's end.
 	page := make([]byte, pager.PageSize())
-	if err := pager.ReadRun(rids[0].Page, rids[0].Page, func(_ storage.PageID, img []byte) bool { copy(page, img); return true }); err != nil {
+	if err := pager.ReadRun(first, first, func(_ storage.PageID, img []byte) bool { copy(page, img); return true }); err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint16(page[len(page)-4:], uint16(len(page)-8)) // slot 0's offset
-	if err := pager.WritePage(rids[0].Page, page); err != nil {
+	if err := pager.WritePage(first, page); err != nil {
 		t.Fatal(err)
 	}
 	_, want = storage.RecordInPage(page, 0)

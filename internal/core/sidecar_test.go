@@ -32,7 +32,7 @@ func flatDEM(t testing.TB, side int) *grid.DEM {
 // on: every (lo, hi) entry is bit-for-bit identical to
 // CellIntervalFromRecord on the heap record stored at the same position.
 func checkSidecarIdentity(t *testing.T, pager *storage.Pager, heap *storage.HeapFile,
-	rids []storage.RID, sc *storage.IntervalSidecar, cells int) {
+	sc *storage.IntervalSidecar, cells int) {
 	t.Helper()
 	if sc == nil {
 		t.Fatal("no sidecar built")
@@ -40,15 +40,19 @@ func checkSidecarIdentity(t *testing.T, pager *storage.Pager, heap *storage.Heap
 	if sc.Count() != cells {
 		t.Fatalf("sidecar count %d, want %d", sc.Count(), cells)
 	}
-	if len(rids) != cells {
-		t.Fatalf("rids %d, want %d", len(rids), cells)
+	if heap.Count() != cells {
+		t.Fatalf("heap holds %d records, want %d", heap.Count(), cells)
 	}
 	qc := pager.BeginQuery()
 	var buf []byte
 	err := sc.ScanRange(qc, 0, cells, func(base int, lo, hi []float64) bool {
 		for i := range lo {
 			pos := base + i
-			rec, err := heap.GetCtx(qc, rids[pos], buf)
+			rid, err := heap.Locate(pos)
+			if err != nil {
+				t.Fatalf("pos %d: %v", pos, err)
+			}
+			rec, err := heap.GetCtx(qc, rid, buf)
 			if err != nil {
 				t.Fatalf("pos %d: %v", pos, err)
 			}
@@ -87,7 +91,7 @@ func TestSidecarMatchesRecordIntervals(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkSidecarIdentity(t, ls.pager, ls.parts[0].heap, ls.parts[0].rids, ls.parts[0].sidecar, ls.cells)
+				checkSidecarIdentity(t, ls.pager, ls.parts[0].heap, ls.parts[0].sidecar, ls.cells)
 			}
 		})
 	}
@@ -148,10 +152,10 @@ func TestSaveFileSidecarRoundtrip(t *testing.T) {
 	if got, want := opened.Stats().SidecarPages, built.Stats().SidecarPages; got != want || got == 0 {
 		t.Fatalf("sidecar pages %d, want %d (> 0)", got, want)
 	}
-	if !reflect.DeepEqual(opened.parts[0].rids, built.parts[0].rids) {
-		t.Fatal("reconstructed position map differs from the built one")
+	if got, want := opened.parts[0].heap.PageStarts(), built.parts[0].heap.PageStarts(); !reflect.DeepEqual(got, want) {
+		t.Fatal("reopened page first positions differ from the built ones")
 	}
-	checkSidecarIdentity(t, opened.pager, opened.parts[0].heap, opened.parts[0].rids, opened.parts[0].sidecar, opened.cells)
+	checkSidecarIdentity(t, opened.pager, opened.parts[0].heap, opened.parts[0].sidecar, opened.cells)
 }
 
 // TestOpenFileNoSidecar: a file saved from a LinearScan build without a

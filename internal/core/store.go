@@ -262,7 +262,10 @@ func (s *store) decodeCell(qc *storage.QueryCtx, id field.CellID, c *field.Cell)
 	if err != nil {
 		return err
 	}
-	rid := p.rids[pos]
+	rid, err := p.heap.Locate(pos)
+	if err != nil {
+		return err
+	}
 	var decodeErr error
 	err = qc.ReadRun(rid.Page, rid.Page, func(_ storage.PageID, page []byte) bool {
 		var rec []byte

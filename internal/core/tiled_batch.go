@@ -88,12 +88,12 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 			m.sink = part
 			m.qc.BeginSpan(obs.PhaseTileScan)
 			m.sidecarReads += tl.chargeSidecar(m.qc)
-			chargePositions(m.qc, tl.rids, m.pos)
+			chargePositions(m.qc, tl.heap, m.pos)
 			m.qc.EndSpan()
-			union = appendPosRuns(union, tl.rids, m.pos)
+			union = appendPosRuns(union, tl.heap, m.pos)
 		}
 		bb.prs = union
-		demuxPositions(phys, tl.rids, ms, mergeRuns(union), true)
+		demuxPositions(phys, tl.heap, ms, mergeRuns(union), true)
 	}
 	// Gather: each member folds its own partials in tile order — the solo
 	// gather, one member at a time, under the refinement span solo opens for

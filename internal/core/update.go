@@ -170,7 +170,10 @@ func (p *partition) patch(stage *overlayStage, f field.Field, id field.CellID, c
 	if err != nil {
 		return enc, err
 	}
-	rid := p.rids[pos]
+	rid, err := p.heap.Locate(pos)
+	if err != nil {
+		return enc, err
+	}
 	page, err := stage.page(rid.Page)
 	if err != nil {
 		return enc, err
@@ -443,7 +446,7 @@ func (p *partition) position(id field.CellID) (int, error) {
 // partitioned index: the per-position interval column, decoded with
 // CellIntervalFromRecord from one pass over its own heap records — the very
 // bits the build's column holds —, which must be exactly the records the
-// position map locates. Natural-order methods need none.
+// heap file locates. Natural-order methods need none.
 func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
 	if p.order == nil || p.ivs != nil {
 		return nil
@@ -452,8 +455,8 @@ func (p *partition) ensureUpdateState(qc *storage.QueryCtx) error {
 	ivs := make([]geom.Interval, 0, p.cells)
 	var recErr error
 	err := p.heap.ScanPagesCtx(qc, 0, p.heap.NumPages()-1, func(rid storage.RID, rec []byte) bool {
-		if n := len(ivs); n == p.cells || rid != p.rids[n] {
-			recErr = fmt.Errorf("core: heap record %v is not at position %d", rid, n)
+		if want, err := p.heap.Locate(len(ivs)); err != nil || rid != want {
+			recErr = fmt.Errorf("core: heap record %v is not at position %d", rid, len(ivs))
 			return false
 		}
 		iv, err := field.CellIntervalFromRecord(rec)

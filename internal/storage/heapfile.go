@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -47,11 +48,18 @@ var ErrBadRID = errors.New("storage: invalid record id")
 
 // HeapFile stores variable-length records in slotted pages, append-only.
 // fielddb stores field cells in a HeapFile in Hilbert order, so that the
-// cells of one subfield occupy a contiguous run of pages.
+// cells of one subfield occupy a contiguous run of pages. A record's heap
+// position — its rank in append order — is its address: the file keeps each
+// page's first position, 4 bytes a page, and resolves a position to its page
+// and slot through that table (Locate, PageOf, Cursor) instead of holding a
+// RID per record.
 type HeapFile struct {
-	pager    *Pager
-	pages    []PageID // pages of this file, in append order
-	curBuf   []byte   // working copy of the last page
+	pager *Pager
+	pages []PageID // pages of this file, in append order
+	// starts holds each page's first position: page i holds positions
+	// [starts[i], starts[i+1]) — the last page up to count — in slot order.
+	starts   []uint32
+	curBuf   []byte // working copy of the last page
 	curDirty bool
 	count    int  // total records
 	readOnly bool // reopened from a catalog; appends rejected
@@ -62,13 +70,29 @@ func NewHeapFile(pager *Pager) *HeapFile {
 	return &HeapFile{pager: pager}
 }
 
-// OpenHeapFile reopens a heap file from its page list and record count, as
-// recorded in a catalog. The file is read-only in spirit: appending after
-// reopening would clobber the tail page, so Append returns an error.
-func OpenHeapFile(pager *Pager, pages []PageID, count int) *HeapFile {
-	own := make([]PageID, len(pages))
-	copy(own, pages)
-	return &HeapFile{pager: pager, pages: own, count: count, readOnly: true}
+// OpenHeapFile reopens a heap file from what a catalog records of it: its
+// page ids, each page's first position (PageStarts) and its record count. It
+// refuses a table that does not cut [0, count) into one run per page — page
+// ids ascending, first positions ascending from 0, no page holding more
+// records than a page has slots — so every position resolves to one page and
+// slot. The file keeps both slices: the caller must not modify them. It is
+// read-only in spirit: appending after reopening would clobber the tail page,
+// so Append returns an error.
+func OpenHeapFile(pager *Pager, pages []PageID, starts []uint32, count int) (*HeapFile, error) {
+	maxSlots := (pager.PageSize() - pageHeaderSize) / slotEntrySize
+	if len(starts) != len(pages) || (count > 0) != (len(pages) > 0) {
+		return nil, fmt.Errorf("storage: heap of %d records over %d pages with %d first positions", count, len(pages), len(starts))
+	}
+	for i, s := range starts {
+		end := count
+		if i+1 < len(starts) {
+			end = int(starts[i+1])
+		}
+		if (i == 0) != (s == 0) || int(s) >= end || end-int(s) > maxSlots || (i > 0 && pages[i] <= pages[i-1]) {
+			return nil, fmt.Errorf("storage: heap page %d: corrupt first position or page order", i)
+		}
+	}
+	return &HeapFile{pager: pager, pages: pages, starts: starts, count: count, readOnly: true}, nil
 }
 
 // Count returns the number of records appended so far.
@@ -80,6 +104,78 @@ func (h *HeapFile) NumPages() int { return len(h.pages) }
 // Pages returns the file's page ids in physical order. The slice must not be
 // modified.
 func (h *HeapFile) Pages() []PageID { return h.pages }
+
+// PageStarts returns the position of each page's first record, in page
+// order — the table a catalog persists and OpenHeapFile takes back. The slice
+// must not be modified.
+func (h *HeapFile) PageStarts() []uint32 { return h.starts }
+
+// PageSpan returns the positions [start, end) page index pi holds.
+func (h *HeapFile) PageSpan(pi int) (start, end int) {
+	end = h.count
+	if pi+1 < len(h.starts) {
+		end = int(h.starts[pi+1])
+	}
+	return int(h.starts[pi]), end
+}
+
+// PageOf returns the index, in the file's page list, of the page holding
+// position pos — a binary search of the first positions. A position outside
+// [0, Count()) fails with ErrBadRID.
+func (h *HeapFile) PageOf(pos int) (int, error) {
+	if pos < 0 || pos >= h.count {
+		return 0, fmt.Errorf("%w: position %d of %d", ErrBadRID, pos, h.count)
+	}
+	return pageOfPosition(h.starts, pos), nil
+}
+
+// pageOfPosition returns the index of the page holding pos in a table of
+// ascending first positions from 0 — a heap file's or a packed sidecar's: the
+// last page starting at or before pos.
+func pageOfPosition(starts []uint32, pos int) int {
+	i, found := slices.BinarySearch(starts, uint32(pos))
+	if !found {
+		i--
+	}
+	return i
+}
+
+// Locate returns the RID of the record at position pos: the RID Append
+// returned for it.
+func (h *HeapFile) Locate(pos int) (RID, error) {
+	pi, err := h.PageOf(pos)
+	if err != nil {
+		return RID{}, err
+	}
+	return RID{Page: h.pages[pi], Slot: uint16(pos - int(h.starts[pi]))}, nil
+}
+
+// Cursor resolves ascending positions to pages, each from the page of the
+// one before: a step within a page or onto the next costs a comparison or
+// two, a longer one a binary search of the pages ahead. It reads the table
+// without copying it, so a scan over a filter's sorted positions allocates
+// nothing.
+type Cursor struct {
+	h  *HeapFile
+	pi int // the page of the last position resolved
+}
+
+// Cursor returns a cursor at the file's first page.
+func (h *HeapFile) Cursor() Cursor { return Cursor{h: h} }
+
+// Page returns the index, in the file's page list, of the page holding pos,
+// which must lie in [0, Count()) and not before the position the cursor
+// resolved last.
+func (c *Cursor) Page(pos int) int {
+	st := c.h.starts
+	if next := c.pi + 1; next < len(st) && int(st[next]) <= pos {
+		c.pi = next
+		if next+1 < len(st) && int(st[next+1]) <= pos {
+			c.pi += pageOfPosition(st[next:], pos)
+		}
+	}
+	return c.pi
+}
 
 // Append stores rec and returns its RID. Records are packed into the current
 // tail page until it is full.
@@ -100,6 +196,7 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 			return RID{}, err
 		}
 		h.pages = append(h.pages, id)
+		h.starts = append(h.starts, uint32(h.count))
 		h.curBuf = make([]byte, ps)
 		binary.LittleEndian.PutUint16(h.curBuf[2:4], pageHeaderSize)
 	}
@@ -318,26 +415,12 @@ func (s *runScan) page(id PageID, page []byte) bool {
 	return s.more
 }
 
-// PageIndex returns the position of page id within the file, or -1.
+// PageIndex returns the position of page id within the file, or -1: a binary
+// search, since the ids ascend — Append allocates them in order and
+// OpenHeapFile refuses a list that does not ascend.
 func (h *HeapFile) PageIndex(id PageID) int {
-	// Pages are allocated in ascending order from a fresh disk, so binary
-	// search; fall back to linear scan if the invariant does not hold.
-	lo, hi := 0, len(h.pages)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		switch {
-		case h.pages[mid] == id:
-			return mid
-		case h.pages[mid] < id:
-			lo = mid + 1
-		default:
-			hi = mid - 1
-		}
-	}
-	for i, p := range h.pages {
-		if p == id {
-			return i
-		}
+	if i, found := slices.BinarySearch(h.pages, id); found {
+		return i
 	}
 	return -1
 }

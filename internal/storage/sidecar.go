@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Interval sidecar: a packed columnar segment holding one (lo, hi) float64
@@ -242,14 +243,7 @@ func (s *IntervalSidecar) pageIndexOf(pos int) int {
 	if s.firstPos == nil {
 		return pos / s.perPage
 	}
-	// First page whose successor starts beyond pos.
-	return sort.Search(len(s.firstPos), func(i int) bool {
-		next := s.count
-		if i+1 < len(s.firstPos) {
-			next = int(s.firstPos[i+1])
-		}
-		return next > pos
-	})
+	return pageOfPosition(s.firstPos, pos)
 }
 
 // pageBaseOf returns the global position of page pi's first entry.
@@ -275,7 +269,9 @@ func (s *IntervalSidecar) ScanRange(r PageReader, start, end int, fn func(base i
 	return s.ScanRangeScratch(r, start, end, new(ColumnScratch), fn)
 }
 
-// ScanRangeScratch is ScanRange decoding into the caller's scratch.
+// ScanRangeScratch is ScanRange decoding into the caller's scratch. One
+// pooled page visitor serves the scan, so with a warm scratch it allocates
+// nothing.
 func (s *IntervalSidecar) ScanRangeScratch(r PageReader, start, end int, cs *ColumnScratch, fn func(base int, lo, hi []float64) bool) error {
 	if start < 0 {
 		start = 0
@@ -295,29 +291,45 @@ func (s *IntervalSidecar) ScanRangeScratch(r PageReader, start, end int, cs *Col
 	if len(cs.lo) < scratch {
 		cs.lo, cs.hi = make([]float64, scratch), make([]float64, scratch)
 	}
-	loCol, hiCol := cs.lo, cs.hi
-	decode := func(pi int, page []byte) (bool, error) {
-		lo, hi, base, err := s.decodePage(pi, page, start, end, loCol, hiCol)
-		if err != nil {
-			return false, err
-		}
-		return fn(base, lo, hi), nil
+	rs := rangeScans.Get().(*rangeScan)
+	rs.s, rs.start, rs.end, rs.cs, rs.fn, rs.pi = s, start, end, cs, fn, firstPage
+	err := r.ReadRun(s.first+PageID(firstPage), s.first+PageID(lastPage), rs.visit)
+	if err == nil {
+		err = rs.err
 	}
-	var pageErr error
-	pi := firstPage
-	err := r.ReadRun(s.first+PageID(firstPage), s.first+PageID(lastPage), func(_ PageID, page []byte) bool {
-		more, err := decode(pi, page)
-		pi++
-		if err != nil {
-			pageErr = err
-			return false
-		}
-		return more
-	})
+	rs.s, rs.cs, rs.fn, rs.err = nil, nil, nil, nil
+	rangeScans.Put(rs)
+	return err
+}
+
+// rangeScan is the page visitor of one ScanRangeScratch call: the scan's
+// bounds, scratch and callback, the index pi of the next page and the error
+// that stopped the scan. It is pooled with visit, its page method, bound
+// once.
+type rangeScan struct {
+	s          *IntervalSidecar
+	start, end int
+	cs         *ColumnScratch
+	fn         func(base int, lo, hi []float64) bool
+	pi         int
+	err        error
+	visit      func(PageID, []byte) bool
+}
+
+var rangeScans = sync.Pool{New: func() any {
+	rs := new(rangeScan)
+	rs.visit = rs.page
+	return rs
+}}
+
+func (rs *rangeScan) page(_ PageID, page []byte) bool {
+	lo, hi, base, err := rs.s.decodePage(rs.pi, page, rs.start, rs.end, rs.cs.lo, rs.cs.hi)
+	rs.pi++
 	if err != nil {
-		return err
+		rs.err = err
+		return false
 	}
-	return pageErr
+	return rs.fn(base, lo, hi)
 }
 
 // PageFor returns the page id and the within-page entry index of global

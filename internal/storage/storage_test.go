@@ -505,6 +505,121 @@ func TestHeapFilePageIndex(t *testing.T) {
 	}
 }
 
+// TestHeapFilePositions resolves every position of heaps of random record
+// lengths — 77-byte TIN records, 101-byte DEM records and records that nearly
+// fill a page among them — to the RID Append returned for it, on the heap as
+// built and as reopened from its page list and first positions: by a lone
+// lookup, by an ascending cursor over every position and over random
+// ascending subsets with long jumps. A position outside the heap fails, and
+// OpenHeapFile refuses a first-position table that does not cut the records
+// into one run per page.
+func TestHeapFilePositions(t *testing.T) {
+	const ps = 512
+	maxRec := ps - pageHeaderSize - slotEntrySize
+	rng := rand.New(rand.NewSource(45))
+	for _, c := range []struct {
+		name   string
+		length func() int
+	}{
+		{"tin", func() int { return 77 }},
+		{"dem", func() int { return 101 }},
+		{"nearly full", func() int { return maxRec - rng.Intn(3) }},
+		{"empty", func() int { return rng.Intn(2) }},
+		{"random", func() int {
+			if rng.Intn(4) == 0 {
+				return []int{0, 77, 101, maxRec}[rng.Intn(4)]
+			}
+			return rng.Intn(maxRec + 1)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPager(NewMemDisk(ps), DefaultDiskModel, 0)
+			p.Alloc() // the heap's pages need not start at 0
+			h := NewHeapFile(p)
+			var want []RID
+			for range 1500 {
+				rid, err := h.Append(make([]byte, c.length()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, rid)
+			}
+			if err := h.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			opened, err := OpenHeapFile(p, h.Pages(), h.PageStarts(), h.Count())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, hf := range []*HeapFile{h, opened} {
+				checkPositions(t, hf, want, rng)
+			}
+		})
+	}
+
+	p := NewPager(NewMemDisk(ps), DefaultDiskModel, 0)
+	for _, c := range []struct {
+		name   string
+		pages  []PageID
+		starts []uint32
+		count  int
+	}{
+		{"table shorter than the pages", []PageID{1, 2}, []uint32{0}, 4},
+		{"records without pages", nil, nil, 3},
+		{"first page past position 0", []PageID{1}, []uint32{1}, 4},
+		{"positions not ascending", []PageID{1, 2, 3}, []uint32{0, 3, 3}, 6},
+		{"a page past the last record", []PageID{1, 2}, []uint32{0, 4}, 4},
+		{"more records than slots", []PageID{1}, []uint32{0}, (ps-pageHeaderSize)/slotEntrySize + 1},
+		{"pages not ascending", []PageID{2, 1}, []uint32{0, 2}, 4},
+	} {
+		if _, err := OpenHeapFile(p, c.pages, c.starts, c.count); err == nil {
+			t.Errorf("%s: opened", c.name)
+		}
+	}
+	if _, err := OpenHeapFile(p, nil, nil, 0); err != nil {
+		t.Errorf("empty heap: %v", err)
+	}
+}
+
+// checkPositions checks h's lookups against want, the RIDs of its records in
+// append order.
+func checkPositions(t *testing.T, h *HeapFile, want []RID, rng *rand.Rand) {
+	t.Helper()
+	at := h.Cursor()
+	for pos, rid := range want {
+		got, err := h.Locate(pos)
+		if err != nil || got != rid {
+			t.Fatalf("Locate(%d) = %v, %v; want %v", pos, got, err, rid)
+		}
+		pi, err := h.PageOf(pos)
+		if err != nil || h.Pages()[pi] != rid.Page {
+			t.Fatalf("PageOf(%d) = %d, %v; want the index of page %d", pos, pi, err, rid.Page)
+		}
+		if start, end := h.PageSpan(pi); pos < start || pos >= end || pos-start != int(rid.Slot) {
+			t.Fatalf("position %d: page %d spans [%d, %d), want slot %d", pos, pi, start, end, rid.Slot)
+		}
+		if c := at.Page(pos); c != pi {
+			t.Fatalf("cursor puts position %d on page %d, Locate on %d", pos, c, pi)
+		}
+	}
+	for range 50 {
+		at := h.Cursor()
+		for pos := rng.Intn(8); pos < len(want); pos += 1 + rng.Intn([]int{2, 40, 600}[rng.Intn(3)]) {
+			if pi := at.Page(pos); h.Pages()[pi] != want[pos].Page {
+				t.Fatalf("cursor puts position %d on page %d, want page id %d", pos, h.Pages()[pi], want[pos].Page)
+			}
+		}
+	}
+	for _, pos := range []int{-1, len(want), len(want) + 1000} {
+		if _, err := h.Locate(pos); !errors.Is(err, ErrBadRID) {
+			t.Fatalf("Locate(%d) of %d records = %v, want ErrBadRID", pos, len(want), err)
+		}
+		if _, err := h.PageOf(pos); !errors.Is(err, ErrBadRID) {
+			t.Fatalf("PageOf(%d) of %d records = %v, want ErrBadRID", pos, len(want), err)
+		}
+	}
+}
+
 func TestRIDLess(t *testing.T) {
 	a := RID{Page: 1, Slot: 5}
 	b := RID{Page: 1, Slot: 6}
@@ -563,7 +678,10 @@ func TestOpenHeapFileReadOnly(t *testing.T) {
 		h.Append([]byte(fmt.Sprintf("rec-%02d", i)))
 	}
 	h.Flush()
-	h2 := OpenHeapFile(p, h.Pages(), h.Count())
+	h2, err := OpenHeapFile(p, h.Pages(), h.PageStarts(), h.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h2.Count() != 20 || h2.NumPages() != h.NumPages() {
 		t.Fatalf("reopened: %d recs / %d pages", h2.Count(), h2.NumPages())
 	}
