@@ -29,8 +29,8 @@ import (
 // few thousand cells, so anything that allocates per cell, per candidate or
 // per page blows through its ceiling many times over; what is left grows with
 // page runs, tiles and the logarithm of the answer size. Ceilings sit at
-// roughly twice the count measured when they were set (in the comments), to
-// ride out toolchain drift.
+// roughly twice the count measured when they were set (in the comments; ten
+// at least), to ride out toolchain drift.
 func TestAllocCeilings(t *testing.T) {
 	f, err := workload.Terrain(256, 4217)
 	if err != nil {
@@ -77,18 +77,18 @@ func TestAllocCeilings(t *testing.T) {
 		measure bool
 		ceiling float64
 	}{
-		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 180},                // 88
-		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 160},      // 76
-		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 130},         // 61
-		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 190},                        // 94
-		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 170},              // 83
-		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 90},                             // 41
-		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 100},                  // 47
-		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 60},                      // 25
-		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 50},                        // 21
-		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 60},              // 26
-		{"Tiled-LinearScan/stored/pool=256", stored(256), 256, 1, false, 50},           // 24
-		{"Tiled-LinearScan/stored/pool=256/workers=4", stored(256), 256, 4, false, 70}, // 34
+		{"I-Hilbert", specs["I-Hilbert"].Build, 1 << 16, 1, false, 30},                 // 12; 15 at GOMAXPROCS 4
+		{"I-Hilbert/workers=4", specs["I-Hilbert"].Build, 1 << 16, 4, false, 30},       // 10; 15
+		{"I-Hilbert/measure", specs["I-Hilbert"].Build, 1 << 16, 1, true, 10},          // 1
+		{"I-All", specs["I-All"].Build, 1 << 16, 1, false, 20},                         // 8
+		{"LinearScan", specs["LinearScan"].Build, 1 << 16, 1, false, 20},               // 8
+		{"Tiled-LinearScan", tiled, 1 << 16, 1, false, 20},                             // 9
+		{"Tiled-LinearScan/workers=4", tiled, 1 << 16, 4, false, 40},                   // 14; 19
+		{"Tiled-LinearScan/measure", tiled, 1 << 16, 1, true, 10},                      // 1
+		{"Tiled-LinearScan/pool=256", tiled, 256, 1, false, 25},                        // 11; 12
+		{"Tiled-LinearScan/pool=256/workers=4", tiled, 256, 4, false, 50},              // 16; 23
+		{"Tiled-LinearScan/stored/pool=256", stored(256), 256, 1, false, 35},           // 14; 17
+		{"Tiled-LinearScan/stored/pool=256/workers=4", stored(256), 256, 4, false, 60}, // 20; 29
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, c.pool)
@@ -109,7 +109,7 @@ func TestAllocCeilings(t *testing.T) {
 
 	// Fanning a query out allocates what the sequential path does, give or
 	// take the workers' goroutines: its blocks refine on pooled forks into
-	// pooled partials.
+	// pooled streams.
 	if seq, par := measured["I-Hilbert"], measured["I-Hilbert/workers=4"]; par > seq+8 {
 		t.Errorf("a fanned-out query allocates %.0f, a sequential one %.0f (+8 allowance)", par, seq)
 	}
@@ -123,14 +123,14 @@ func TestAllocCeilings(t *testing.T) {
 	// A value query through the facade as opened by default, which fans out
 	// on every idle core.
 	t.Run("fielddb.Open/default", func(t *testing.T) {
-		const ceiling = 180 // 86
+		const ceiling = 25 // 10; 13 at GOMAXPROCS 4
 		db, err := fielddb.Open(f, fielddb.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
 		i := 0
-		got := allocsPerRun(len(queries), func() {
+		got := allocsPerRotation(len(queries), func() {
 			q := queries[i%len(queries)]
 			if _, err := db.ValueQuery(q.Lo, q.Hi); err != nil {
 				t.Fatal(err)
@@ -147,7 +147,7 @@ func TestAllocCeilings(t *testing.T) {
 	// ten times the cells costs what page runs and the answer's logarithm add,
 	// not what its cells would.
 	t.Run("I-Hilbert/measure/selectivity", func(t *testing.T) {
-		const allowance = 16 // measured: 9 at sel 0.01 and at sel 0.10
+		const allowance = 16 // measured: 1 at sel 0.01 and at sel 0.10
 		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
 		idx, err := specs["I-Hilbert"].Build(f, pager)
 		if err != nil {
@@ -195,7 +195,7 @@ func TestAllocCeilings(t *testing.T) {
 
 	// An idle windowed query takes a free slot and runs the solo path as a
 	// group of one: the gate may add the member and result slices of that
-	// group and nothing that grows with the query (measured: 34 solo, 36 here).
+	// group and nothing that grows with the query (measured: 11 solo, 14 here).
 	t.Run("I-Hilbert/windowed-idle", func(t *testing.T) {
 		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
 		idx, err := specs["I-Hilbert"].Build(f, pager)
@@ -286,12 +286,25 @@ func allocsPerQuery(t *testing.T, eng core.Engine, queries []geom.Interval, meas
 		query = eng.MeasureContext
 	}
 	i := 0
-	return allocsPerRun(len(queries), func() {
+	return allocsPerRotation(len(queries), func() {
 		if _, err := query(context.Background(), queries[i%len(queries)]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
+}
+
+// allocsPerRotation is the mean allocation count of one call of run over a
+// rotation of n calls, counted from the same heap state on every row: a
+// collection finishes the build's garbage, then one rotation refills the pools
+// it emptied, so the collections inside the count come at the same points of
+// the rotation whatever the row built before it.
+func allocsPerRotation(n int, run func()) float64 {
+	runtime.GC()
+	for range n {
+		run()
+	}
+	return allocsPerRun(n, run)
 }
 
 // allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS of 1, under

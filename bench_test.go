@@ -70,10 +70,12 @@ func benchScale() bench.Scale { return bench.Scale{} }
 // BenchmarkValueRange is the storage read-path suite behind
 // BENCH_BASELINE.json: value-range queries at the paper's three selectivity
 // regimes (bench.Selectivities) for LinearScan, I-All and I-Hilbert, plus the
-// parallel refinement path (I-Hilbert at Workers 4) and — for LinearScan and
-// I-Hilbert — the same queries without geometry (".../measure", the measure
-// sink: where the paper's filter ordering shows on the wall clock once band
-// polygons stop dominating). Run with
+// parallel refinement path (I-Hilbert at Workers 4), the tiled geometry path
+// in memory (LinearScan in 64-cell tiles over packed sidecars, at Workers 1
+// and 4) and — for LinearScan and I-Hilbert — the same queries without
+// geometry (".../measure", the measure sink: where the paper's filter
+// ordering shows on the wall clock once band polygons stop dominating). Run
+// with
 //
 //	go test -bench BenchmarkValueRange -benchmem
 //
@@ -85,23 +87,12 @@ func BenchmarkValueRange(b *testing.B) {
 		b.Fatal(err)
 	}
 	vr := f.ValueRange()
-	for _, spec := range bench.ValueRangeSpecs() {
-		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
-		idx, err := spec.Build(f, pager)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := idx.(core.Engine)
-		workerCounts := []int{1}
-		if spec.ParallelRefine {
-			workerCounts = append(workerCounts, 4)
-		}
-		measures := spec.Label == string(core.MethodLinearScan) || spec.Label == string(core.MethodIHilbert)
+	run := func(label string, eng core.Engine, workerCounts []int, measures bool) {
 		for _, workers := range workerCounts {
 			eng.SetWorkers(workers)
 			for _, sel := range bench.Selectivities {
 				queries := workload.Queries(vr, sel, 64, 4217+int64(sel*1e6))
-				name := fmt.Sprintf("%s/sel=%.2f", spec.Label, sel)
+				name := fmt.Sprintf("%s/sel=%.2f", label, sel)
 				if workers > 1 {
 					name += fmt.Sprintf("/workers=%d", workers)
 				}
@@ -112,6 +103,25 @@ func BenchmarkValueRange(b *testing.B) {
 			}
 		}
 	}
+	for _, spec := range bench.ValueRangeSpecs() {
+		pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
+		idx, err := spec.Build(f, pager)
+		if err != nil {
+			b.Fatal(err)
+		}
+		workerCounts := []int{1}
+		if spec.ParallelRefine {
+			workerCounts = append(workerCounts, 4)
+		}
+		measures := spec.Label == string(core.MethodLinearScan) || spec.Label == string(core.MethodIHilbert)
+		run(spec.Label, idx.(core.Engine), workerCounts, measures)
+	}
+	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<16)
+	tiled, err := core.Build(context.Background(), f, pager, core.BuildOptions{Method: core.MethodLinearScan, TileSide: 64, Codec: storage.SidecarCodecPacked})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("Tiled-LinearScan/packed", tiled, []int{1, 4}, false)
 }
 
 // benchQueries times query over the rotation, reporting simulated disk time
@@ -248,8 +258,8 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkPointQuery measures the conventional Q1 query through the 2-D
-// R*-tree (§2.2.1).
+// BenchmarkPointQuery measures the conventional Q1 query (§2.2.1): a DEM
+// locates the point by grid arithmetic and reads its cells.
 func BenchmarkPointQuery(b *testing.B) {
 	f, err := workload.Terrain(128, 4217)
 	if err != nil {

@@ -89,8 +89,7 @@ type batchMember struct {
 	tb      *obs.TraceBuilder
 	start   time.Time
 	res     *Result
-	rs      resultSink // refines into res
-	sink    sink       // where the member's survivors go: &rs, or its partial of the tile being scanned
+	s       *stream // the member's survivors, refined; gather folds them into res
 	err     error
 	started bool // startQuery ran (false only for empty-interval members)
 
@@ -130,8 +129,6 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 		m.qc = beginQueryAt(pager, epoch)
 		m.qc.AttachTrace(m.tb)
 		m.res = &Result{Query: m.q}
-		m.rs = resultSink{res: m.res, measure: m.measure}
-		m.sink = &m.rs
 		if err := m.ctx.Err(); err != nil {
 			m.err = err
 		}
@@ -369,7 +366,7 @@ func demuxPositions(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMe
 							continue
 						}
 					}
-					m.err = m.sink.add(&sv)
+					m.err = m.s.add(&sv)
 				}
 				processed++
 				if processed%fetchCancelStride == 0 {
@@ -434,7 +431,7 @@ func demuxRuns(phys *storage.QueryCtx, heap *storage.HeapFile, ms []batchMember,
 				}
 				m.res.CellsFetched++
 				if hit {
-					m.err = m.sink.add(&sv)
+					m.err = m.s.add(&sv)
 				}
 			}
 			processed++
@@ -487,6 +484,10 @@ func (e *engine) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	defer phys.Release()
 	bb := getBatchBuf(len(members))
 	defer putBatchBuf(bb)
+	for i := range ms {
+		ms[i].s = &bb.streams[i]
+		ms[i].s.q, ms[i].s.measure = ms[i].q, ms[i].measure
+	}
 	var filters storage.Stats
 	if tiled {
 		e.batchTiles(st, ms, phys, bb)
@@ -519,6 +520,7 @@ func (e *engine) batchPartition(st *state, ms []batchMember, phys *storage.Query
 		}
 		m.qc.BeginSpan(obs.PhaseRefine)
 		if p.byPos {
+			m.s.reserve(len(m.pos))
 			chargePositions(m.qc, p.heap, m.pos)
 			bb.prs = appendPosRuns(bb.prs, p.heap, m.pos)
 		} else {
@@ -530,6 +532,13 @@ func (e *engine) batchPartition(st *state, ms []batchMember, phys *storage.Query
 		demuxPositions(phys, p.heap, ms, mergeRuns(bb.prs), p.tested)
 	} else {
 		demuxRuns(phys, p.heap, ms, mergeRuns(bb.union), bb.cov)
+	}
+	// Each member's stream holds its survivors in its solo fetch order: one
+	// partial, gathered as solo gathers its sequential fetch.
+	for i := range ms {
+		if m := &ms[i]; m.live() {
+			gather(m.res, []partial{m.s.since(streamMark{})})
+		}
 	}
 	return filters
 }

@@ -230,7 +230,7 @@ func (p *partition) indexGroups(ctx context.Context, pager *storage.Pager, group
 	// Per-subfield metadata (page run, summary average) is independent
 	// across groups, so construction fans out on the worker pool.
 	metas := make([]groupMeta, len(groups))
-	err := parallelDo(ctx, workers, len(groups), func(gi int) error {
+	err := parallelDo(ctx, workers, len(groups), func(_, gi int) error {
 		var err error
 		metas[gi], err = p.groupMetaOf(groups[gi])
 		return err

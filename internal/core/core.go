@@ -29,10 +29,10 @@
 // partition's maintain hook, one commit, publish), the three-stage aggregate
 // (aggregate.go), the single-cell fetch, the file save (catalog.go). Only the
 // read pipeline comes in two shapes, each what its workload needs: one
-// partition refines as it fetches — candidates, fetch, refine straight into
-// the Result (query.go) — while tiles prune on their summaries, refine their
-// survivors where they are scanned, each tile into a partial of its own, and
-// fold the partials one after another in tile order (tiled.go). Both ask the
+// partition refines as it fetches — candidates, fetch, refine into the
+// caller's stream, one gather (query.go) — while tiles prune on their
+// summaries, refine survivors where they are scanned, into the scan worker's
+// stream, and fold the tiles' windows in tile order (tiled.go). Both ask the
 // method for candidates and fetch them through the same two loops (fetch.go):
 // ascending heap positions, or merged runs of heap pages.
 //
@@ -102,9 +102,8 @@ type Result struct {
 	CellsMatched int
 	// Regions are the exact answer polygons computed by inverse
 	// interpolation (empty for zero-width queries, nil for a measure query).
-	// The regions of one Result share vertex chunks that nothing else ever
-	// writes: holding one region keeps its chunk alive, and appending to one
-	// copies it.
+	// They lie in the vertex chunks of the query's streams, owned by this
+	// Result alone: holding one region keeps its chunk alive, appending copies.
 	Regions []geom.Polygon
 	// Isolines are the answer segments of an exact (zero-width) query (nil
 	// for a measure query).
@@ -229,9 +228,9 @@ const (
 )
 
 // regionStore owns the vertex storage behind a set of answer regions (chunk is
-// the piece being filled). It can live neither on Result — whole Results are
-// compared with reflect.DeepEqual across execution paths that chunk differently
-// — nor in a pool: callers keep Regions.
+// the piece being filled). It lives in a stream, not on Result — Results are
+// compared with reflect.DeepEqual across paths that chunk differently — and a
+// pooled stream drops its chunk once a query ends: callers keep Regions.
 type regionStore struct{ chunk []geom.Point }
 
 // band is the per-cell kernel of the estimation step, for a cell whose
@@ -275,31 +274,6 @@ func (rs *regionStore) band(dst []geom.Polygon, keep bool, c *field.Cell, q geom
 	}
 	rs.chunk = pts[:kept]
 	return dst, n, areas
-}
-
-// estimateMatched folds one cell whose interval already matched the query
-// straight into the Result: the counters, the cell's own area, the areas of
-// its regions added left to right and — unless the sink measures — its answer
-// geometry.
-func (rs *resultSink) estimateMatched(c *field.Cell) {
-	res, q := rs.res, rs.res.Query
-	res.CellsMatched++
-	res.MatchedCellArea += c.Area()
-	if q.Length() == 0 {
-		segs := field.Isolines(c, q.Lo)
-		res.IsolineCount += len(segs)
-		if !rs.measure {
-			res.Isolines = append(res.Isolines, segs...)
-		}
-		return
-	}
-	var n int
-	var areas [2]float64
-	res.Regions, n, areas = rs.band(res.Regions, !rs.measure, c, q)
-	res.RegionCount += n
-	for _, a := range areas[:n] {
-		res.Area += a
-	}
 }
 
 // writeCellsStride is how many cells construction writes between

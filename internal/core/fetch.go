@@ -13,9 +13,9 @@ import (
 
 // This file holds the two fetch shapes every value query refines through —
 // ascending heap positions (fetchPositions) and runs of heap pages (scanRuns)
-// — and the sinks they feed. Each loop keeps the partial-decode interval test
-// and the tested-cell count to itself and hands a sink only the records that
-// survive.
+// — and the one sink they feed, the stream. Each loop keeps the partial-decode
+// interval test and the tested-cell count to itself and hands a sink only the
+// records that survive.
 
 // run is one inclusive range of consecutive pages — one sequential-I/O unit.
 // A pageRun counts in indexes into a heap file's page list, a physRun in page
@@ -49,7 +49,7 @@ func appendRun[T ~int | ~uint32](runs []run[T], r run[T]) []run[T] {
 }
 
 // survivor is one record that passed the interval test, decoded in full at
-// most once however many sinks take it (a batch hands one record to every
+// most once however many streams take it (a batch hands one record to every
 // member it satisfies).
 type survivor struct {
 	rec     []byte
@@ -72,53 +72,34 @@ func (s *survivor) cell() (*field.Cell, error) {
 }
 
 // sink receives the surviving records of a fetch in fold order. The record
-// bytes are only valid during the call.
+// bytes are only valid during the call. A stream is the engine's one sink; a
+// test may count survivors with another, to time a scan alone.
 type sink interface {
 	add(s *survivor) error
 }
 
-// resultSink refines each survivor straight into a Result: the full decode
-// plus the fold of estimateMatched, in the order the fetch hands them over.
-// With measure it is the measure sink: the same fold, the same float additions
-// in the same order, but the band kernel clips into scratch and nothing of the
-// geometry outlives the cell — the Result gets its counts and areas and nil
-// Regions and Isolines.
-type resultSink struct {
-	res     *Result
-	measure bool
-	regionStore
-}
-
-func (rs *resultSink) add(s *survivor) error {
-	c, err := s.cell()
-	if err != nil {
-		return err
-	}
-	rs.estimateMatched(c)
-	return nil
-}
-
-// partial is the sink of a fetch whose survivors fold into the Result later:
-// one tile of a tiled query, one block of page runs of a parallel refinement.
-// It refines each survivor where the fetch runs — on the worker, straight from
-// the page — into regions over vertex chunks of its own (unless it measures),
-// and keeps, in the order the fetch hands the survivors over, everything the
-// fold adds up, so gather touches no record and no vertex.
-type partial struct {
+// stream is the one sink every value query refines through: the refinement
+// scratch of one scan worker — a scatter worker, the caller on a sequential
+// path, a batch member — for one query. Every survivor of every tile or block
+// the worker scans refines into it where the fetch runs, straight from the
+// page, and it keeps, in the order the fetch hands them over, everything the
+// fold adds up and, unless it measures, the answer pieces over vertex chunks of
+// its own; an item's part of it is a partial. Its arrays are pooled scratch,
+// its chunks belong to the Result.
+type stream struct {
 	q geom.Interval
 	// measure keeps no answer pieces: only each cell's count and areas.
 	measure bool
 	regionStore
 	cells []refined
-	// pieces counts the cells' answer pieces; unless the partial measures,
-	// regions (or isolines, for a zero-width query) holds them back to back,
-	// in the order of cells.
-	pieces   int32
+	// Unless the stream measures, regions (or isolines, for a zero-width
+	// query) holds the cells' answer pieces back to back, in the order of
+	// cells.
 	regions  []geom.Polygon
 	isolines [][2]geom.Point
 }
 
-// refined is one matched cell of a partial: how many answer pieces it has, its
+// refined is one matched cell of a stream: how many answer pieces it has, its
 // planar area and, in order, the areas of its regions — a cell has two at most.
 type refined struct {
 	n     int32
@@ -126,79 +107,99 @@ type refined struct {
 	areas [2]float64
 }
 
-// reserve sizes the partial for the n survivors its fetch is about to hand it —
-// the positions a filter selected, or an estimate — so that filling it
-// allocates once and not per doubling: its entries, its region headers and,
-// unless it measures, its first vertex chunk. A pooled partial keeps arrays
-// that are large enough already.
-func (p *partial) reserve(n int) {
-	if cap(p.cells) < n {
-		p.cells = make([]refined, 0, n)
-	}
-	if p.q.Length() > 0 && !p.measure {
-		if cap(p.regions) < n {
-			p.regions = make([]geom.Polygon, 0, n)
-		}
-		if p.chunk == nil && n > 0 {
-			p.chunk = make([]geom.Point, 0, min(max(n*chunkPointsPerCell, minRegionChunk), maxRegionChunk))
+// streamMark is how far a stream is filled: its cells, regions and isolines.
+type streamMark struct{ cells, regions, isolines int }
+
+func (s *stream) mark() streamMark { return streamMark{len(s.cells), len(s.regions), len(s.isolines)} }
+
+// partial is what one item — a tile, a block of page runs, a sequential fetch —
+// refined: the window [from, to) of the stream it was scanned into.
+type partial struct {
+	s        *stream
+	from, to streamMark
+}
+
+// since returns the partial of what s took in after from.
+func (s *stream) since(from streamMark) partial { return partial{s, from, s.mark()} }
+
+// reserve readies the stream for the n survivors an item's fetch is about to
+// hand it — the positions a filter selected, or an estimate — so that filling
+// its entries and region headers allocates at most once; a stream's first
+// chunk is sized from its first item's n, and band doubles the later ones.
+func (s *stream) reserve(n int) {
+	s.cells = slices.Grow(s.cells, n)
+	if s.q.Length() > 0 && !s.measure {
+		s.regions = slices.Grow(s.regions, n)
+		if s.chunk == nil && n > 0 {
+			s.chunk = make([]geom.Point, 0, min(max(n*chunkPointsPerCell, minRegionChunk), maxRegionChunk))
 		}
 	}
 }
 
 // chunkPointsPerCell is the vertex room reserve gives each expected survivor
-// in a partial's first chunk.
+// in a stream's first chunk.
 const chunkPointsPerCell = 8
 
-// recycle empties the partial for another fetch. It keeps the arrays gather
-// copies out of — entries, region headers (cleared, so that they hold no
-// vertices alive), isolines — and a measuring partial's scratch chunk, but
-// never a chunk whose vertices a Result's regions may hold.
-func (p *partial) recycle() {
+// recycle empties the stream for another query. It keeps its arrays — the
+// region headers cleared, so that they hold no vertices alive — and a
+// measuring stream's scratch chunk, but never a chunk a Result's regions hold.
+func (s *stream) recycle() {
 	var chunk []geom.Point
-	if p.measure {
-		chunk = p.chunk[:0]
+	if s.measure {
+		chunk = s.chunk[:0]
 	}
-	clear(p.regions)
-	*p = partial{regionStore: regionStore{chunk}, cells: p.cells[:0], regions: p.regions[:0], isolines: p.isolines[:0]}
+	clear(s.regions)
+	*s = stream{regionStore: regionStore{chunk}, cells: s.cells[:0], regions: s.regions[:0], isolines: s.isolines[:0]}
 }
 
-// fanBuf is the pooled scratch of a query that scatters: its items — the
-// bounds of its blocks of page runs, or its residual tiles — and per item a
-// partial and two counts the item's scan reports.
+// fanBuf is the pooled scratch of a value query: its items — the bounds of
+// its blocks of page runs, or its residual tiles —, a stream per worker, and
+// per item a partial and two counts the item's scan reports. Each stream is
+// an object of its own: workers that wrote neighbours in one array would
+// share cache lines on every refined cell.
 type fanBuf struct {
-	items  []int
-	parts  []partial
-	counts [][2]int
-	// block is scanBlock, bound once when the pool makes the fanBuf:
-	// refineBlocks scatters it over the query's inputs below, where a closure
-	// would allocate on every query.
-	block   func(b int, child *storage.QueryCtx) error
-	ctx     context.Context
-	heap    *storage.HeapFile
-	runs    []pageRun
-	q       geom.Interval
-	measure bool
-	perPage int
+	items   []int
+	streams []*stream
+	parts   []partial
+	counts  [][2]int
+	// block and tile are scanBlock and scanTile, bound once when the pool
+	// makes the fanBuf: refineBlocks and queryTiles scatter them over the
+	// query's inputs below, where a closure would allocate on every query.
+	block, tile func(w, i int, child *storage.QueryCtx) error
+	ctx         context.Context
+	heap        *storage.HeapFile
+	runs        []pageRun
+	perPage     int
+	eng         *engine
+	st          *state
 }
 
 var fanBufs = sync.Pool{New: func() any {
 	fb := new(fanBuf)
-	fb.block = fb.scanBlock
+	fb.block, fb.tile = fb.scanBlock, fb.scanTile
 	return fb
 }}
 
-// scanBlock scans block b of refineBlocks' page runs on child into the
-// block's own partial.
-func (fb *fanBuf) scanBlock(b int, child *storage.QueryCtx) (err error) {
+// scanBlock scans block b of refineBlocks' page runs on child into worker w's
+// stream.
+func (fb *fanBuf) scanBlock(w, b int, child *storage.QueryCtx) (err error) {
 	runs := fb.runs[fb.items[b]:fb.items[b+1]]
 	pages := 0
 	for _, r := range runs {
 		pages += r.last - r.first + 1
 	}
-	part := &fb.parts[b]
-	part.q, part.measure = fb.q, fb.measure
-	part.reserve(pages * fb.perPage)
-	fb.counts[b][0], err = scanRuns(fb.ctx, child, fb.heap, runs, fb.q, part)
+	s := fb.streams[w]
+	s.reserve(pages * fb.perPage)
+	from := s.mark()
+	fb.counts[b][0], err = scanRuns(fb.ctx, child, fb.heap, runs, s.q, s)
+	fb.parts[b] = s.since(from)
+	return err
+}
+
+// scanTile scans residual tile i of queryTiles on child into worker w's
+// stream.
+func (fb *fanBuf) scanTile(w, i int, child *storage.QueryCtx) (err error) {
+	fb.counts[i][0], fb.counts[i][1], err = fb.eng.scanTile(fb.ctx, child, fb.st, fb.items[i], fb.streams[w], &fb.parts[i])
 	return err
 }
 
@@ -211,65 +212,79 @@ func getFanBuf() *fanBuf {
 }
 
 func putFanBuf(fb *fanBuf) {
-	for i := range fb.parts {
-		fb.parts[i].recycle()
+	for _, s := range fb.streams {
+		s.recycle()
 	}
-	fb.ctx, fb.heap, fb.runs = nil, nil, nil
+	clear(fb.parts)
+	fb.ctx, fb.heap, fb.runs, fb.eng, fb.st = nil, nil, nil, nil, nil
 	fanBufs.Put(fb)
 }
 
-// size readies an empty partial and zeroed counts for each of n items.
-func (fb *fanBuf) size(n int) {
-	if cap(fb.parts) < n {
-		fb.parts = slices.Grow(fb.parts[:0], n)
+// size readies workers streams refining q — measuring or not —, and an empty
+// partial and zeroed counts for each of n items.
+func (fb *fanBuf) size(workers, n int, q geom.Interval, measure bool) {
+	for len(fb.streams) < workers {
+		fb.streams = append(fb.streams, new(stream))
 	}
-	fb.parts = fb.parts[:n]
+	for _, s := range fb.streams[:workers] {
+		s.q, s.measure = q, measure
+	}
+	fb.parts = append(fb.parts[:0], make([]partial, n)...)
 	fb.counts = append(fb.counts[:0], make([][2]int, n)...)
 }
 
-func (p *partial) add(s *survivor) error {
-	c, err := s.cell()
+// add refines one survivor into the stream.
+func (s *stream) add(sv *survivor) error {
+	c, err := sv.cell()
 	if err != nil {
 		return err
 	}
-	e := refined{area: c.Area()}
-	var n int
-	if p.q.Length() == 0 {
-		segs := field.Isolines(c, p.q.Lo)
-		if n = len(segs); !p.measure {
-			p.isolines = append(p.isolines, segs...)
-		}
-	} else {
-		p.regions, n, e.areas = p.band(p.regions, !p.measure, c, p.q)
-	}
-	e.n = int32(n)
-	p.pieces += e.n
-	p.cells = append(p.cells, e)
+	s.refine(c)
 	return nil
 }
 
-// fold adds the partial's cells to res exactly as estimateMatched would have,
-// one after another: the same counters, the same float additions in the same
-// order.
-func (p *partial) fold(res *Result) {
-	res.CellsMatched += len(p.cells)
-	if p.q.Length() == 0 {
-		for _, e := range p.cells {
-			res.MatchedCellArea += e.area
+// refine is the estimation step for one cell whose interval already matched
+// the stream's query: its entry and — unless the stream measures — its answer
+// pieces.
+func (s *stream) refine(c *field.Cell) {
+	e := refined{area: c.Area()}
+	var n int
+	if s.q.Length() == 0 {
+		segs := field.Isolines(c, s.q.Lo)
+		if n = len(segs); !s.measure {
+			s.isolines = append(s.isolines, segs...)
 		}
-		res.IsolineCount += int(p.pieces)
-		res.Isolines = append(res.Isolines, p.isolines...)
+	} else {
+		s.regions, n, e.areas = s.band(s.regions, !s.measure, c, s.q)
+	}
+	e.n = int32(n)
+	s.cells = append(s.cells, e)
+}
+
+// fold adds the partial's cells to res one after another: the counters, each
+// cell's own area, the areas of its regions added left to right and — unless
+// the stream measures — its answer pieces.
+func (p *partial) fold(res *Result) {
+	s := p.s
+	cells := s.cells[p.from.cells:p.to.cells]
+	res.CellsMatched += len(cells)
+	if s.q.Length() == 0 {
+		for _, e := range cells {
+			res.MatchedCellArea += e.area
+			res.IsolineCount += int(e.n)
+		}
+		res.Isolines = append(res.Isolines, s.isolines[p.from.isolines:p.to.isolines]...)
 		return
 	}
-	for i := range p.cells {
-		e := &p.cells[i]
+	for i := range cells {
+		e := &cells[i]
 		res.MatchedCellArea += e.area
+		res.RegionCount += int(e.n)
 		for _, a := range e.areas[:e.n] {
 			res.Area += a
 		}
 	}
-	res.RegionCount += int(p.pieces)
-	res.Regions = append(res.Regions, p.regions...)
+	res.Regions = append(res.Regions, s.regions[p.from.regions:p.to.regions]...)
 }
 
 // gather folds the partials into res one after another as they stand: the
@@ -278,11 +293,10 @@ func (p *partial) fold(res *Result) {
 func gather(res *Result, parts []partial) {
 	regions, isolines := 0, 0
 	for i := range parts {
-		regions += len(parts[i].regions)
-		isolines += len(parts[i].isolines)
+		regions += parts[i].to.regions - parts[i].from.regions
+		isolines += parts[i].to.isolines - parts[i].from.isolines
 	}
-	// Exact capacities; a Result without regions keeps its nil slice, as a
-	// direct fold leaves it.
+	// Exact capacities; a Result without regions keeps its nil slice.
 	if regions > 0 {
 		res.Regions = make([]geom.Polygon, 0, regions)
 	}

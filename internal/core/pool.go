@@ -9,25 +9,26 @@ import (
 	"fielddb/internal/storage"
 )
 
-// parallelDo runs fn(i) for every i in [0, n) on a bounded pool of at most
-// workers goroutines, the calling one among them, and returns the first error
-// (by lowest index). ctx is polled before every item: once it is canceled the
-// remaining items return its error without starting, so a mid-refinement (or
-// mid-construction) cancel drains the pool promptly, and the pool always joins
-// its workers, so no goroutine outlives the call. With workers <= 1 it is a
-// plain loop on the calling goroutine, so single-threaded paths pay no
-// synchronization cost; otherwise it allocates no more than its goroutines.
-//
-// Work items must be independent: the refinement step uses one item per block
-// of page runs or per residual tile, index construction one per subfield.
-func parallelDo(ctx context.Context, workers, n int, fn func(i int) error) error {
+// parallelDo runs fn(w, i) for every i in [0, n) on a bounded pool of at most
+// workers goroutines, w in [0, workers) naming the one running item i (the
+// calling goroutine is 0), and returns the first error (by lowest index). ctx
+// is polled before every item: once it is canceled the remaining items return
+// its error without starting, so a mid-refinement (or mid-construction)
+// cancel drains the pool promptly, and the pool always joins its workers, so
+// no goroutine outlives the call. With workers <= 1 it is a plain loop on the
+// calling goroutine, so single-threaded paths pay no synchronization cost;
+// otherwise it allocates no more than its goroutines. Work items must be
+// independent: the refinement step uses one item per block of page runs or
+// per residual tile, each refined into worker w's stream; index construction
+// one per subfield.
+func parallelDo(ctx context.Context, workers, n int, fn func(w, i int) error) error {
 	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -41,10 +42,10 @@ func parallelDo(ctx context.Context, workers, n int, fn func(i int) error) error
 	for w := 1; w < workers; w++ {
 		go func() {
 			defer p.wg.Done()
-			p.work()
+			p.work(w)
 		}()
 	}
-	p.work()
+	p.work(0)
 	p.wg.Wait()
 	var err error
 	for _, e := range p.errs {
@@ -63,7 +64,7 @@ func parallelDo(ctx context.Context, workers, n int, fn func(i int) error) error
 // errors and the counter its workers take items from.
 type workPool struct {
 	ctx  context.Context
-	fn   func(i int) error
+	fn   func(w, i int) error
 	n    int
 	next atomic.Int64
 	wg   sync.WaitGroup
@@ -72,14 +73,14 @@ type workPool struct {
 
 var workPools = sync.Pool{New: func() any { return new(workPool) }}
 
-func (p *workPool) work() {
+func (p *workPool) work(w int) {
 	for {
 		i := int(p.next.Add(1)) - 1
 		if i >= p.n {
 			return
 		}
 		if p.errs[i] = p.ctx.Err(); p.errs[i] == nil {
-			p.errs[i] = p.fn(i)
+			p.errs[i] = p.fn(w, i)
 		}
 	}
 }
@@ -136,8 +137,8 @@ func cutBlocks(bounds []int, runs []pageRun, w int) []int {
 }
 
 // batchScratch pools the per-batch demux state — per-member survivor
-// positions, query-bound columns, run lists, coverage flags — the way
-// probePool pools solo-query buffers: the slices grow to
+// positions, query-bound columns, run lists, coverage flags, streams and
+// partials — the way probePool pools solo-query buffers: the slices grow to
 // the batch's size and survivor counts, so steady-state batch execution
 // allocates nothing for its demux machinery beyond what the member queries
 // would have allocated solo (asserted by TestBatchAllocs).
@@ -152,6 +153,10 @@ type batchBuf struct {
 	union []pageRun             // union page-index runs
 	prs   []physRun             // union PageID runs
 	cols  storage.ColumnScratch // the shared sidecar pass's scratch
+	// Per member its stream and, in a tiled store, its partials in tile
+	// order.
+	streams []stream
+	parts   [][]partial
 }
 
 func getBatchBuf(k int) *batchBuf {
@@ -159,9 +164,11 @@ func getBatchBuf(k int) *batchBuf {
 	for len(b.pos) < k {
 		b.pos = append(b.pos, nil)
 		b.runs = append(b.runs, nil)
+		b.streams = append(b.streams, stream{})
+		b.parts = append(b.parts, nil)
 	}
 	for i := 0; i < k; i++ {
-		b.pos[i], b.runs[i] = b.pos[i][:0], b.runs[i][:0]
+		b.pos[i], b.runs[i], b.parts[i] = b.pos[i][:0], b.runs[i][:0], b.parts[i][:0]
 	}
 	if cap(b.qlo) < k {
 		b.qlo = make([]float64, k)
@@ -174,4 +181,10 @@ func getBatchBuf(k int) *batchBuf {
 	return b
 }
 
-func putBatchBuf(b *batchBuf) { batchScratch.Put(b) }
+func putBatchBuf(b *batchBuf) {
+	for i := range b.streams {
+		b.streams[i].recycle()
+		clear(b.parts[i])
+	}
+	batchScratch.Put(b)
+}

@@ -41,6 +41,8 @@ import (
 //     the same sets of regions and isolines — and the same areas up to
 //     summation order — where it folds in heap order;
 //   - a query at one worker and at four gives the same Result, bit for bit;
+//   - an answer a caller holds stays as it was returned, whatever later steps
+//     run: no query, batch or update writes into its regions or isolines;
 //   - a measure is the geometry answer with its geometry cleared;
 //   - each batch member is its solo call, I/O included;
 //   - every open snapshot still gives the Results it gave when acquired, and an
@@ -278,6 +280,9 @@ type harness struct {
 	saved map[string][sha256.Size]byte
 	dir   string
 	log   []string
+	// kept is the first query step's answer with any geometry, as the caller
+	// holds it, and keptCopy a deep copy of it taken then.
+	kept, keptCopy *Result
 }
 
 // runProgram builds cfg and runs steps on it and on the model, failing t at
@@ -415,6 +420,9 @@ func (h *harness) step(i int, s step) {
 		h.logf(i, "%s %v", opNames[s.op], q)
 		geo := h.value(h.cur.eng, q, false, true)
 		h.checkAnswer(geo, false)
+		if h.kept == nil && (len(geo.Regions) > 0 || len(geo.Isolines) > 0) {
+			h.kept, h.keptCopy = geo, deepCopy(geo)
+		}
 		if s.op == opMeasure {
 			sameMeasure(h.t, "measure", h.value(h.cur.eng, q, true, true), geo)
 		}
@@ -453,6 +461,9 @@ func (h *harness) step(i int, s step) {
 		h.rebuild(i, interval(vr, s.a, s.b))
 	}
 	h.checkSnaps()
+	if h.kept != nil && !reflect.DeepEqual(h.kept, h.keptCopy) {
+		h.fatalf("a later step wrote into the held answer to %v", h.kept.Query)
+	}
 	if got := h.totals().Sub(before); got != h.pub {
 		h.fatalf("the pagers' totals moved by %v, the calls published %v", got, h.pub)
 	}
@@ -521,15 +532,17 @@ func foldOrder(f field.Field, side int) []field.CellID {
 // foldIn is the answer to q of a scan that tests every cell of f and folds the
 // matching ones in order.
 func foldIn(f field.Field, order []field.CellID, q geom.Interval) *Result {
-	rs := resultSink{res: &Result{Query: q, CellsFetched: len(order)}}
+	res := &Result{Query: q, CellsFetched: len(order)}
+	s := &stream{q: q}
 	var c field.Cell
 	for _, id := range order {
 		f.Cell(id, &c)
 		if c.Interval().Intersects(q) {
-			rs.estimateMatched(&c)
+			s.refine(&c)
 		}
 	}
-	return rs.res
+	gather(res, []partial{s.since(streamMark{})})
+	return res
 }
 
 // checkAnswer compares got with the oracle: the counts, then — byte for byte
@@ -606,6 +619,19 @@ func sortedIsolines(res *Result) [][2]geom.Point {
 		return cmp.Or(cmp.Compare(a[0].X, b[0].X), cmp.Compare(a[0].Y, b[0].Y), cmp.Compare(a[1].X, b[1].X), cmp.Compare(a[1].Y, b[1].Y))
 	})
 	return out
+}
+
+// deepCopy is r with copies of its regions and isolines, nil where r's are.
+func deepCopy(r *Result) *Result {
+	c := *r
+	if r.Regions != nil {
+		c.Regions = make([]geom.Polygon, len(r.Regions))
+		for i, pg := range r.Regions {
+			c.Regions[i] = slices.Clone(pg)
+		}
+	}
+	c.Isolines = slices.Clone(r.Isolines)
+	return &c
 }
 
 // withoutGeometry is r as the measure sink answers it: a copy with Regions and

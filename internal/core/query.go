@@ -119,33 +119,43 @@ func (e *engine) queryAt(st *state, ctx context.Context, tb *obs.TraceBuilder, q
 // refine fetches the candidates into res — its geometry, or with measure only
 // its measure: in order on qc, or — where fanout grants more than one worker
 // and the page runs are more than one — in contiguous blocks of runs, one per
-// worker, balanced by page count. Each block scans on a fork of qc into a
-// partial of its own, and the blocks fold back in block order, which is run
-// order: the fold the sequential path performs cell by cell, so Regions, Area,
-// MatchedCellArea and Stats are all byte-identical to it. Merged runs are
+// worker, balanced by page count. Each block scans on a fork of qc into its
+// worker's stream, and the blocks fold back in block order, which is run
+// order: the sequential path's fold, so Regions, Area, MatchedCellArea and
+// Stats are all byte-identical to it. Merged runs are
 // never adjacent, so a block's fork charges its runs as qc would have, and
 // Merge accounts the blocks as if they ran one after another.
 func (e *engine) refine(ctx context.Context, qc *storage.QueryCtx, p *partition, pr *probe, res *Result, measure bool, workers int) error {
+	fb := getFanBuf()
+	defer putFanBuf(fb)
 	if w := fanout(workers, len(pr.runs)); w > 1 {
-		fb := getFanBuf()
-		defer putFanBuf(fb)
 		if fb.items = cutBlocks(fb.items, pr.runs, w); len(fb.items) > 2 {
 			return e.refineBlocks(ctx, qc, p, pr, res, measure, fb)
 		}
 	}
-	n, err := p.fetch(ctx, qc, pr, &resultSink{res: res, measure: measure})
+	fb.size(1, 1, res.Query, measure)
+	s := fb.streams[0]
+	if p.byPos {
+		s.reserve(len(pr.pos))
+	}
+	n, err := p.fetch(ctx, qc, pr, s)
 	res.CellsFetched += n
-	return err
+	if err != nil {
+		return err
+	}
+	fb.parts[0] = s.since(streamMark{})
+	gather(res, fb.parts)
+	return nil
 }
 
 // refineBlocks is refine's parallel path over the blocks whose bounds fb
 // holds.
 func (e *engine) refineBlocks(ctx context.Context, qc *storage.QueryCtx, p *partition, pr *probe, res *Result, measure bool, fb *fanBuf) error {
 	blocks := len(fb.items) - 1
-	fb.size(blocks)
-	fb.ctx, fb.heap, fb.runs, fb.q, fb.measure = ctx, p.heap, pr.runs, res.Query, measure
+	fb.size(blocks, blocks, res.Query, measure)
+	fb.ctx, fb.heap, fb.runs = ctx, p.heap, pr.runs
 	// A block is sized for the records its pages hold on average, so that
-	// filling its partial allocates once.
+	// filling its stream allocates once.
 	fb.perPage = (p.heap.Count() + p.heap.NumPages() - 1) / p.heap.NumPages()
 	err := e.scatter(ctx, qc, blocks, blocks, fb.block)
 	if err != nil {

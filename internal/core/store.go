@@ -294,16 +294,16 @@ func (s *store) SetObserver(ob obs.Observer) { s.setObs(ob, s.label) }
 // Method returns the name the store reports: the method, or "Tiled-<inner>".
 func (s *store) Method() Method { return Method(s.label) }
 
-// scatter runs scan(i, child) for every item in [0, n) on a pool of workers —
-// the calling goroutine one of them — each item on its own fork of qc, and
-// merges the forks back into qc strictly in item order, so qc ends up charged
-// exactly as if the items had run on it one after another. Whatever scan
-// produces it must file under i; the caller folds the pieces in item order
-// afterwards. The forks go back to the context pool once merged, or once the
-// scatter failed. Per-item busy time is measured only when a metrics registry
-// is installed, keeping the unobserved path timing-free. The scatter itself
-// allocates nothing: its state is pooled.
-func (s *store) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n int, scan func(i int, child *storage.QueryCtx) error) error {
+// scatter runs scan(w, i, child) for every item in [0, n) on a pool of workers
+// — w names the one running it — each item on its own fork of qc, and merges
+// the forks back into qc strictly in item order, so qc ends up charged exactly
+// as if the items had run on it one after another. Whatever scan produces it
+// must file under i, or under w and i; the caller folds the pieces in item
+// order afterwards. The forks go back to the context pool once merged, or once
+// the scatter failed. Per-item busy time is measured only when a metrics
+// registry is installed, keeping the unobserved path timing-free. The scatter
+// itself allocates nothing: its state is pooled.
+func (s *store) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n int, scan func(w, i int, child *storage.QueryCtx) error) error {
 	sc := scatters.Get().(*scatterState)
 	sc.qc, sc.scan, sc.timed = qc, scan, s.ob.Metrics != nil
 	sc.busy.Store(0)
@@ -335,11 +335,11 @@ func (s *store) scatter(ctx context.Context, qc *storage.QueryCtx, workers, n in
 // the busy time they took. It is pooled with its item method bound once.
 type scatterState struct {
 	qc    *storage.QueryCtx
-	scan  func(i int, child *storage.QueryCtx) error
+	scan  func(w, i int, child *storage.QueryCtx) error
 	timed bool
 	busy  atomic.Int64
 	forks []*storage.QueryCtx
-	item  func(i int) error
+	item  func(w, i int) error
 }
 
 var scatters = sync.Pool{New: func() any {
@@ -348,14 +348,14 @@ var scatters = sync.Pool{New: func() any {
 	return sc
 }}
 
-// run is item i of the scatter, on a fork of its own.
-func (sc *scatterState) run(i int) error {
+// run is item i of the scatter, on worker w and a fork of its own.
+func (sc *scatterState) run(w, i int) error {
 	var t0 time.Time
 	if sc.timed {
 		t0 = time.Now()
 	}
 	sc.forks[i] = sc.qc.Fork()
-	if err := sc.scan(i, sc.forks[i]); err != nil {
+	if err := sc.scan(w, i, sc.forks[i]); err != nil {
 		return err
 	}
 	if sc.timed {

@@ -24,10 +24,10 @@ import (
 //     (sidecar filter for LinearScan tiles, subfield tree + run scan for the
 //     partitioned families), optionally in parallel on the sharded worker
 //     pool. Each tile scan refines its survivors as it meets them — the decode,
-//     the band polygons — into a partial of its own, in the tile's heap order.
-//   - Gather: the partials fold one after another in tile order, region
-//     headers and area sums only. The matching set is method-independent, so
-//     every tiled configuration answers the untiled scan's regions, isolines
+//     the band polygons — into its worker's stream, in the tile's heap order.
+//   - Gather: the tiles' windows fold in tile order into one exact array of
+//     region headers and the area sums. The matching set is method-independent,
+//     so every tiled configuration answers the untiled scan's regions, isolines
 //     and counts as sets, and its areas up to summation order, while reading
 //     only the residual tiles' pages; the fold is deterministic in tile order,
 //     the same at any worker count, solo or batched.
@@ -222,7 +222,7 @@ func tileLayout(f field.Field, side int) [][]field.CellID {
 
 // queryTiles runs the scatter-gather pipeline against one pinned state on qc,
 // the query's context, scattering on at most workers cores (see fanout); with
-// measure, the tiles' partials keep no geometry.
+// measure, the workers' streams keep no geometry.
 func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx, q geom.Interval, measure bool, workers int) (*Result, error) {
 	res := &Result{Query: q}
 	// Prune: pure in-memory summary tests — the span's page counts stay zero,
@@ -249,13 +249,10 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		return res, nil
 	}
 
-	fb.size(len(residual))
-	parts := fb.parts
-	for i := range parts {
-		parts[i].measure = measure
-	}
+	workers = fanout(workers, len(residual))
+	fb.size(workers, len(residual), q, measure)
 	filterReads, sidecarReads := 0, 0
-	if workers := fanout(workers, len(residual)); workers == 1 {
+	if workers == 1 {
 		// Sequential scatter: one PhaseTileScan span per residual tile, so a
 		// trace shows each tile's page activity individually.
 		for i, ti := range residual {
@@ -263,7 +260,7 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 				return nil, err
 			}
 			qc.BeginSpan(obs.PhaseTileScan)
-			fr, sr, err := e.scanTile(ctx, qc, st, ti, q, &parts[i])
+			fr, sr, err := e.scanTile(ctx, qc, st, ti, fb.streams[0], &fb.parts[i])
 			if err != nil {
 				return nil, err
 			}
@@ -273,15 +270,12 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 		}
 	} else {
 		// Parallel scatter: whole tiles on the worker pool under one combined
-		// span. Each tile refines into its own partial, so the fold order is
-		// independent of completion order and the answer identical to the
-		// sequential path's.
+		// span. Each tile refines into its worker's stream and files its
+		// partial under its own index, so the fold order is independent of
+		// completion order and the answer identical to the sequential path's.
 		qc.BeginSpan(obs.PhaseTileScan)
-		err := e.scatter(ctx, qc, workers, len(residual), func(i int, child *storage.QueryCtx) (err error) {
-			fb.counts[i][0], fb.counts[i][1], err = e.scanTile(ctx, child, st, residual[i], q, &parts[i])
-			return err
-		})
-		if err != nil {
+		fb.ctx, fb.eng, fb.st = ctx, e, st
+		if err := e.scatter(ctx, qc, workers, len(residual), fb.tile); err != nil {
 			return nil, err
 		}
 		for _, r := range fb.counts {
@@ -294,7 +288,7 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 	// Gather: the tiles' partials folded in tile order — CPU only, so the
 	// span's page counts stay zero.
 	qc.BeginSpan(obs.PhaseRefine)
-	gather(res, parts)
+	gather(res, fb.parts)
 	qc.EndSpan()
 	res.IO = qc.Stats()
 	e.recordIO(storage.Stats{Reads: filterReads}, sidecarReads, res.IO)
@@ -303,22 +297,23 @@ func (e *engine) queryTiles(st *state, ctx context.Context, qc *storage.QueryCtx
 
 // scanTile is the scatter step for one residual tile: the tile's own
 // candidates hook — a sidecar pass, or a subfield tree search — and the fetch
-// of what it found, each survivor refined into part in the tile's heap order.
-// It returns the tile's filter-step (subfield tree) and sidecar page-read
-// counts for metric attribution.
-func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, ti int, q geom.Interval, part *partial) (filterReads, sidecarReads int, err error) {
+// of what it found, each survivor refined into s in the tile's heap order and
+// part set to the tile's window of s. It returns the tile's filter-step
+// (subfield tree) and sidecar page-read counts for metric attribution.
+func (e *engine) scanTile(ctx context.Context, qc *storage.QueryCtx, st *state, ti int, s *stream, part *partial) (filterReads, sidecarReads int, err error) {
 	p := e.parts[ti]
-	part.q = q
 	pr := getProbe()
 	defer putProbe(pr)
 	// Untraced: the whole tile runs under the query's tile-scan span.
-	pr.reset(ctx, qc, q, false)
+	pr.reset(ctx, qc, s.q, false)
 	if err := p.candidates(st.parts[ti], pr); err != nil {
 		return 0, 0, err
 	}
 	if p.byPos {
-		part.reserve(len(pr.pos))
+		s.reserve(len(pr.pos))
 	}
-	_, err = p.fetch(ctx, qc, pr, part)
+	from := s.mark()
+	_, err = p.fetch(ctx, qc, pr, s)
+	*part = s.since(from)
 	return pr.filter.Reads, pr.sidecarReads, err
 }

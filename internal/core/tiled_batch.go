@@ -9,10 +9,10 @@ import (
 // independently (pure in-memory, per member) but scatter as ONE pass per
 // residual tile — a single sidecar scan evaluates every covering member's
 // predicate and the union of their surviving heap pages is fetched once. Each
-// member refines its survivors into a partial per tile and gathers them in
-// tile order afterwards, so the per-member answers — fold order, Area
-// accumulation, Result.IO — stay byte-identical to solo QueryContext calls,
-// exactly the QueryBatch contract.
+// member refines its survivors into its stream, a partial per tile, and
+// gathers them in tile order afterwards, so the per-member answers — fold
+// order, Area accumulation, Result.IO — stay byte-identical to solo
+// QueryContext calls, exactly the QueryBatch contract.
 //
 // The shared pipeline requires LinearScan tiles with sidecars (the only
 // configuration whose filter pass is shareable: one comparison loop serves
@@ -27,12 +27,11 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 	k := len(ms)
 	// Per-member prune, replayed exactly like solo: one zero-read span per
 	// member, the summary tests in tile order, metrics per query. Each member
-	// gets one partial per tile it covers.
+	// gets one partial per tile it covers, in bb.parts.
 	inTile := make([][]bool, len(e.parts))
 	for ti := range inTile {
 		inTile[ti] = make([]bool, k)
 	}
-	parts := make([][]partial, k)
 	for i := range ms {
 		m := &ms[i]
 		if !m.live() {
@@ -49,7 +48,6 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 		m.qc.EndSpan()
 		e.ob.Metrics.RecordTiles(len(e.parts)-residual, residual)
 		m.res.CandidateGroups = residual
-		parts[i] = make([]partial, 0, residual)
 		// Untiled LinearScan semantics, as in the solo path: every cell's
 		// interval is accounted as tested.
 		m.res.CellsFetched = e.cells
@@ -82,10 +80,8 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 				continue
 			}
 			m.pos = bb.pos[i]
-			parts[i] = append(parts[i], partial{q: m.q, measure: m.measure})
-			part := &parts[i][len(parts[i])-1]
-			part.reserve(len(m.pos))
-			m.sink = part
+			m.s.reserve(len(m.pos))
+			bb.parts[i] = append(bb.parts[i], partial{s: m.s, from: m.s.mark()})
 			m.qc.BeginSpan(obs.PhaseTileScan)
 			m.sidecarReads += tl.chargeSidecar(m.qc)
 			chargePositions(m.qc, tl.heap, m.pos)
@@ -94,6 +90,13 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 		}
 		bb.prs = union
 		demuxPositions(phys, tl.heap, ms, mergeRuns(union), true)
+		// Close the window each covering member opened on this tile (a member
+		// dead since an earlier tile took nothing in since it closed that one).
+		for i := range ms {
+			if ps := bb.parts[i]; inTile[ti][i] && len(ps) > 0 {
+				ps[len(ps)-1].to = ms[i].s.mark()
+			}
+		}
 	}
 	// Gather: each member folds its own partials in tile order — the solo
 	// gather, one member at a time, under the refinement span solo opens for
@@ -105,6 +108,6 @@ func (e *engine) batchTiles(s *state, ms []batchMember, phys *storage.QueryCtx, 
 			continue
 		}
 		m.qc.BeginSpan(obs.PhaseRefine)
-		gather(m.res, parts[i])
+		gather(m.res, bb.parts[i])
 	}
 }
