@@ -168,9 +168,9 @@ func TestAllocCeilings(t *testing.T) {
 
 	// A DEM's point query opens one pooled query context — the cell fetch on
 	// the value store; the lattice arithmetic before it reads no page — and
-	// decodes one cell; nothing in it grows with the field (7 allocs with the
-	// R*-tree descent in front of it; TestAllocCeilingsHeap is the gate that
-	// catches the tree coming back).
+	// decodes one cell; nothing in it grows with the field
+	// (TestAllocCeilingsHeap is the gate that catches a point-query tree
+	// coming back).
 	t.Run("PointQuery", func(t *testing.T) {
 		const ceiling = 12 // 6
 		db, err := fielddb.Open(f, fielddb.Options{})

@@ -88,10 +88,10 @@ func answer(out string) string {
 	return strings.Join(keep, "\n")
 }
 
-// TestStoredTINRefusesPointQuery: a stored index saved from a TIN carries no
-// spatial index, so -at fails with ErrNoSpatialIndex, while its value queries
+// TestStoredTINAnswersPointQuery: a stored index saved from a TIN carries
+// its cell buckets, so -at prints the DB's value, and its value queries
 // answer.
-func TestStoredTINRefusesPointQuery(t *testing.T) {
+func TestStoredTINAnswersPointQuery(t *testing.T) {
 	mesh, err := fielddb.NoiseTIN(300, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +106,13 @@ func TestStoredTINRefusesPointQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mesh.Bounds().Center()
-	if out, err := runOut(t, "-index", index, "-at", fmt.Sprintf("%g,%g", c.X, c.Y)); !errors.Is(err, fielddb.ErrNoSpatialIndex) {
-		t.Fatalf("-at on a stored TIN printed %q, %v; want ErrNoSpatialIndex", out, err)
+	w, err := db.PointQuery(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("F(%v) = %g", c, w)
+	if out, err := runOut(t, "-index", index, "-at", fmt.Sprintf("%v,%v", c.X, c.Y)); err != nil || !strings.Contains(out, want) {
+		t.Fatalf("-at on a stored TIN printed %q, %v; want %q", out, err, want)
 	}
 	if out, err := runOut(t, "-index", index, "-above", fmt.Sprint(mesh.ValueRange().Lo)); err != nil || !strings.Contains(out, "answer:") {
 		t.Fatalf("-above on a stored TIN printed %q, %v", out, err)

@@ -16,10 +16,9 @@ import (
 
 // TestConcurrentMixedQueriesStats hammers one DB from 32 goroutines with a
 // mix of every facade query kind and checks the accounting invariant: the
-// pager totals grow by exactly the sum of the per-query statistics, for the
-// value store (value queries and the cell fetches of point queries) and the
-// spatial tree's pager independently — which, the field being a DEM that
-// locates points by its lattice, stays at zero. Run with -race this is
+// store's totals grow by exactly the sum of the per-query statistics — value
+// queries and the cell fetches of point queries, whose filter, the lattice's
+// arithmetic, reads nothing. Run with -race this is
 // also the concurrency smoke test for the whole query path — once plain, once
 // through the BatchWindow slot gate, where value queries run as groups of one,
 // handed-over groups and expired groups as the scheduler has it.
@@ -39,7 +38,6 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 			vr := dem.ValueRange()
 			b := dem.Bounds()
 			baseVal := db.IOStats()
-			baseSp := db.SpatialIOStats()
 
 			var (
 				mu     sync.Mutex
@@ -99,23 +97,16 @@ func TestConcurrentMixedQueriesStats(t *testing.T) {
 			}
 			wg.Wait()
 
-			// A point query returns its two steps summed; its trace says which
-			// pager served which.
-			if split.tree.Add(split.cell) != sumPt {
-				t.Errorf("point-query spans %+v + %+v != the stats the queries returned %+v", split.tree, split.cell, sumPt)
+			// A point query's reads are its cell fetch: its filter, the
+			// lattice's arithmetic, reads nothing.
+			if split.filter != (storage.Stats{}) || split.cell != sumPt {
+				t.Errorf("point-query spans: filter %+v, fetch %+v; the queries returned %+v", split.filter, split.cell, sumPt)
 			}
 			if got, want := db.IOStats().Sub(baseVal), sumVal.Add(split.cell); got != want {
 				t.Errorf("value store totals %+v != sum of per-query stats %+v", got, want)
 			}
-			if got := db.SpatialIOStats().Sub(baseSp); got != split.tree {
-				t.Errorf("spatial pager totals %+v != sum of the tree descents %+v", got, split.tree)
-			}
 			if sumVal.Reads == 0 || split.cell.Reads == 0 {
 				t.Fatalf("workload did no I/O: value %+v, cells %+v", sumVal, split.cell)
-			}
-			// A DEM locates points by its lattice: no tree page anywhere.
-			if split.tree != (storage.Stats{}) {
-				t.Fatalf("a DEM's point queries read %+v in their filter step", split.tree)
 			}
 		})
 	}

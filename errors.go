@@ -27,11 +27,6 @@ var (
 	// coordinate. Every Querier surface rejects non-finite inputs before
 	// touching an index; the serving tier maps this error to HTTP 400.
 	ErrNonFiniteBound = errors.New("fielddb: non-finite query value")
-	// ErrNoSpatialIndex reports a conventional (point) query against a
-	// surface without a point locator — a StoredIndex saved from a TIN, whose
-	// database file carries the value index and no spatial tree (a DEM's
-	// carries its lattice, and answers).
-	ErrNoSpatialIndex = errors.New("fielddb: no spatial index")
 	// ErrBadTolerance reports an unusable aggregate error tolerance: a NaN or
 	// negative maxErr argument to ApproxAggregateContext. Zero is not an error
 	// — it means DefaultApproxMaxErr; +Inf is valid and accepts any certified

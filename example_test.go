@@ -22,7 +22,7 @@ func ExampleOpen() {
 }
 
 // ExampleDB_PointQuery answers the conventional query F(v') through the
-// spatial R*-tree.
+// DEM's lattice, which finds the cell that holds the point.
 func ExampleDB_PointQuery() {
 	dem, _ := grid.FromFunc(geom.Pt(0, 0), 1, 1, 8, 8, func(x, y float64) float64 {
 		return 10*x + y

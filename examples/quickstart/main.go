@@ -22,7 +22,7 @@ func main() {
 
 	// Open builds the paper's I-Hilbert value index (cells linearized by
 	// the Hilbert value of their centers, grouped into subfields, subfield
-	// intervals in a 1-D R*-tree) plus a 2-D R*-tree for point queries.
+	// intervals in a 1-D R*-tree); a DEM's lattice locates point queries.
 	db, err := fielddb.Open(dem, fielddb.Options{})
 	if err != nil {
 		log.Fatal(err)

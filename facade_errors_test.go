@@ -296,11 +296,13 @@ func TestOpenIndexWith(t *testing.T) {
 // TestUnsupportedVersionsRefused: a database file whose superblock or catalog
 // header names any catalog version but the current one — the two-layout
 // version 5, version 7 with its quadtree threshold word, version 9 without the
-// grid record, and the next one included — is refused with the typed error, by core.Open and by the facade,
-// before anything else in it is interpreted. The current version's row is the
-// control: the same rewrite leaves a file that opens.
+// grid record, version 10, whose DEM files differ from this one's in the
+// version word alone, and the next one included — is refused with the typed
+// error, by core.Open and by the facade, before anything else in it is
+// interpreted. The current version's row is the control: the same rewrite
+// leaves a file that opens.
 func TestUnsupportedVersionsRefused(t *testing.T) {
-	const current = 10
+	const current = 11
 	dem, err := TerrainDEM(32, 42)
 	if err != nil {
 		t.Fatal(err)

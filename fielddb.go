@@ -178,23 +178,20 @@ type Options struct {
 const defaultPoolPages = 1 << 16
 
 // DB is an opened continuous-field database: one field, its cells stored
-// once under the value index, and the point locator that finds cells in them —
-// the lattice of a DEM, or for a TIN a spatial R*-tree on a pager of its own.
-// Its query methods are the embedded surface's (see Querier).
+// once under the value index, and the point locator the index keeps — the
+// lattice of a DEM, the cell buckets of a TIN. Its query methods are the
+// embedded surface's (see Querier).
 type DB struct {
 	surface
 	field Field
 	pager *storage.Pager // the cell store: value index, cell records, summary
-	// spPager holds a TIN's spatial R*-tree, read-only after Open; nil for a
-	// DEM, which needs no tree.
-	spPager *storage.Pager
 	// updateMu serializes UpdateSamples batches around the cached value
 	// range; no query path takes it.
 	updateMu sync.Mutex
 }
 
-// Open builds the value index for f and the locator of its point queries: a
-// DEM's lattice, kept by the value index, or a TIN's spatial R*-tree.
+// Open builds the value index for f, which keeps the locator of its point
+// queries: a DEM's lattice, a TIN's cell buckets.
 func Open(f Field, opts Options) (*DB, error) {
 	return OpenContext(context.Background(), f, opts)
 }
@@ -213,70 +210,22 @@ func OpenContext(ctx context.Context, f Field, opts Options) (*DB, error) {
 	if method == "" {
 		method = IHilbert
 	}
-	newPager := func() *storage.Pager {
-		return storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages)
-	}
-	pager := newPager()
-	workers := resolveWorkers(opts.Workers)
-	buildValue := func() (core.Engine, error) {
-		return core.Build(ctx, f, pager, core.BuildOptions{
-			Method:   method,
-			TileSide: opts.TileSide,
-			Workers:  workers,
-			Codec:    opts.SidecarCodec,
-		})
-	}
-	var (
-		idx     core.Engine
-		sp      *core.SpatialIndex
-		spPager *storage.Pager
-		err     error
-		spErr   error
-	)
-	switch f.(type) {
-	case *grid.DEM:
-		// A grid is its own spatial index: the value index keeps the lattice,
-		// and the cell that holds a point is arithmetic on it.
-		idx, err = buildValue()
-	default:
-		// The spatial tree gets its own pager: its descents are accounted
-		// apart from the value store, and SaveIndex, which snapshots the value
-		// pager, writes no tree page.
-		spPager = newPager()
-		if workers > 1 {
-			// The two indexes write to disjoint pagers and only read f (Cell
-			// fills a caller-owned struct), so they build concurrently.
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sp, spErr = core.BuildSpatial(f, spPager)
-			}()
-			idx, err = buildValue()
-			wg.Wait()
-		} else {
-			idx, err = buildValue()
-			if err == nil {
-				sp, spErr = core.BuildSpatial(f, spPager)
-			}
-		}
-	}
+	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, defaultPoolPages)
+	idx, err := core.Build(ctx, f, pager, core.BuildOptions{
+		Method:   method,
+		TileSide: opts.TileSide,
+		Workers:  resolveWorkers(opts.Workers),
+		Codec:    opts.SidecarCodec,
+	})
 	if errors.Is(err, ErrUnknownMethod) || errors.Is(err, ErrBadTiling) {
 		return nil, err // the Options were refused; nothing was built
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fielddb: building %s: %w", method, err)
 	}
-	if spErr != nil {
-		return nil, fmt.Errorf("fielddb: spatial index: %w", spErr)
-	}
-	db := &DB{field: f, pager: pager, spPager: spPager}
+	db := &DB{field: f, pager: pager}
 	db.index = idx
-	if sp != nil {
-		db.spatial = sp
-	} else {
-		db.spatial = idx.GridLocator()
-	}
+	db.spatial = idx.Locator()
 	db.ob = &obs.Observer{Tracer: opts.Tracer, Metrics: obs.NewMetrics()}
 	vr := f.ValueRange()
 	db.vrange.Store(&vr)
@@ -303,8 +252,8 @@ func (db *DB) SetTracer(t Tracer) {
 	db.installObservers()
 }
 
-// Close marks the database closed and releases its pagers (a no-op for the
-// in-memory disks Open builds on, but it makes the lifecycle explicit and
+// Close marks the database closed and releases its pager (a no-op for the
+// in-memory disk Open builds on, but it makes the lifecycle explicit and
 // fails subsequent queries fast). Close is idempotent; it does not wait for
 // in-flight queries. Queries after Close — through the DB or any Snapshot of
 // it — return ErrClosed.
@@ -312,13 +261,7 @@ func (db *DB) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	err := db.pager.Close()
-	if db.spPager != nil {
-		if spErr := db.spPager.Close(); err == nil {
-			err = spErr
-		}
-	}
-	return err
+	return db.pager.Close()
 }
 
 // Field returns the underlying field.
@@ -341,31 +284,17 @@ func (db *DB) Tiles() []TileInfo { return db.index.Tiles() }
 // IOStats equals the sum of those queries' per-query Result.IO.
 func (db *DB) IOStats() storage.Stats { return db.pager.Stats() }
 
-// SpatialIOStats returns the cumulative page-access statistics of a TIN's
-// spatial R*-tree pager: the tree descents of point queries, and nothing
-// else — the cell a point query then fetches is read from the value store and
-// accounts in IOStats, beside the value queries and update batches. A DEM
-// locates by its lattice, reads no tree page, and reports zero.
-func (db *DB) SpatialIOStats() storage.Stats {
-	if db.spPager == nil {
-		return storage.Stats{}
-	}
-	return db.spPager.Stats()
-}
-
 // EngineMetrics is the full observability snapshot of a DB: the engine's
 // cumulative query metrics plus the I/O totals and buffer-pool shard
-// statistics of the value store and of a TIN's spatial tree.
+// statistics of its one store, which point queries read too.
 type EngineMetrics struct {
 	// Engine is the cumulative query-level registry: queries by method,
 	// latency histogram, pages read by kind, worker-pool utilization.
 	Engine MetricsSnapshot
-	// ValueIO and SpatialIO are the cumulative per-pager page statistics
-	// (identical to IOStats and SpatialIOStats; SpatialIO is zero for a DEM).
-	ValueIO, SpatialIO storage.Stats
-	// ValuePool and SpatialPool are per-shard buffer-pool hit/miss counters
-	// (SpatialPool is nil for a DEM, which has no tree pager).
-	ValuePool, SpatialPool []storage.PoolShardStats
+	// ValueIO is the store's cumulative page statistics (IOStats).
+	ValueIO storage.Stats
+	// ValuePool is its per-shard buffer-pool hit/miss counters.
+	ValuePool []storage.PoolShardStats
 }
 
 // poolLine renders one store's pool shards as an aggregate hit ratio.
@@ -392,12 +321,8 @@ func (m EngineMetrics) String() string {
 	fmt.Fprintf(&b, "  %-8s reads=%d (seq=%d rand=%d) hits=%d sim=%v\n",
 		"value", m.ValueIO.Reads, m.ValueIO.SeqReads, m.ValueIO.RandReads,
 		m.ValueIO.CacheHits, m.ValueIO.SimElapsed)
-	fmt.Fprintf(&b, "  %-8s reads=%d (seq=%d rand=%d) hits=%d sim=%v\n",
-		"spatial", m.SpatialIO.Reads, m.SpatialIO.SeqReads, m.SpatialIO.RandReads,
-		m.SpatialIO.CacheHits, m.SpatialIO.SimElapsed)
 	b.WriteString("buffer pool\n")
 	poolLine(&b, "value", m.ValuePool)
-	poolLine(&b, "spatial", m.SpatialPool)
 	return b.String()
 }
 
@@ -405,15 +330,11 @@ func (m EngineMetrics) String() string {
 // engine-level query metrics plus per-store I/O and buffer-pool statistics.
 // It is safe to call concurrently with queries.
 func (db *DB) Metrics() EngineMetrics {
-	m := EngineMetrics{
+	return EngineMetrics{
 		Engine:    db.QueryMetrics(),
 		ValueIO:   db.pager.Stats(),
 		ValuePool: db.pager.PoolShardStats(),
 	}
-	if db.spPager != nil {
-		m.SpatialIO, m.SpatialPool = db.spPager.Stats(), db.spPager.PoolShardStats()
-	}
-	return m
 }
 
 // SaveIndex writes the built value index (cell heaps, LinearScan's sidecars or
@@ -433,10 +354,9 @@ func (db *DB) SaveIndex(path string) error {
 // StoredIndex is a value index opened from a database file written by
 // SaveIndex: it answers value queries straight from the file's pages,
 // without the original Field, whatever the method and tiling it was saved
-// from. Its query methods are the embedded surface's (see Querier). A file
-// saved from a DEM carries its lattice, so point queries answer as the live
-// DB's do; one saved from a TIN carries no spatial tree, and point queries
-// fail with ErrNoSpatialIndex.
+// from. Its query methods are the embedded surface's (see Querier). The file
+// carries the point locator — a DEM's lattice, a TIN's cell buckets — so point
+// queries answer as the live DB's do.
 type StoredIndex struct {
 	surface
 }
@@ -491,9 +411,7 @@ func OpenIndexWith(path string, opts OpenIndexOptions) (*StoredIndex, error) {
 	if opts.BatchWindow > 0 {
 		s.batcher = core.NewBatcher(p, opts.BatchWindow, s.ob.Metrics)
 	}
-	if g := p.GridLocator(); g != nil {
-		s.spatial = g
-	}
+	s.spatial = p.Locator()
 	s.installObservers()
 	return s, nil
 }

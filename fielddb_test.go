@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"fielddb/internal/core"
 	"fielddb/internal/geom"
 	"fielddb/internal/grid"
 )
@@ -74,9 +73,9 @@ func TestAllMethodsViaFacade(t *testing.T) {
 }
 
 // TestCellsStoredOnce is the structural guard of the one cell file: whatever
-// the method, the only cell pages are the value store's. A DEM locates points
-// by its lattice and has no spatial pager at all; a TIN's spatial pager holds
-// the R*-tree's pages and not one page more — no second heap of cell records.
+// the method, the only pages are the value store's. A DEM locates points by
+// its lattice and a TIN by its cell buckets, both kept by the store: no
+// second pager, no second heap of cell records.
 func TestCellsStoredOnce(t *testing.T) {
 	dem, _ := TerrainDEM(32, 7)
 	mesh, _ := NoiseTIN(300, 7)
@@ -84,29 +83,20 @@ func TestCellsStoredOnce(t *testing.T) {
 		{Method: LinearScan}, {Method: IAll}, {Method: IHilbert},
 		{Method: LinearScan, TileSide: 8}, {Method: IHilbert, TileSide: 8},
 	} {
-		db, err := Open(dem, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+		for _, f := range []Field{dem, mesh} {
+			db, err := Open(f, opts)
+			if err != nil {
+				t.Fatalf("%T %+v: %v", f, opts, err)
+			}
+			st := db.Stats()
+			if st.CellPages == 0 || st.Cells != f.NumCells() || st.CellPages+st.IndexPages+st.SidecarPages > db.pager.NumPages() {
+				t.Errorf("%T %s: value store %+v for %d cells on %d pages", f, db.Method(), st, f.NumCells(), db.pager.NumPages())
+			}
+			if w, err := db.PointQuery(f.Bounds().Center()); err != nil || math.IsNaN(w) {
+				t.Errorf("%T %s: point query %v (%v)", f, db.Method(), w, err)
+			}
+			db.Close()
 		}
-		if _, ok := db.spatial.(*core.GridLocator); !ok || db.spPager != nil {
-			t.Errorf("%s: a DEM locates by %T beside a spatial pager %v", db.Method(), db.spatial, db.spPager)
-		}
-		if st := db.Stats(); st.CellPages == 0 || st.Cells != dem.NumCells() {
-			t.Errorf("%s: value store %+v for %d cells", db.Method(), st, dem.NumCells())
-		}
-		db.Close()
-		db, err = Open(mesh, opts)
-		if err != nil {
-			t.Fatalf("TIN %+v: %v", opts, err)
-		}
-		sp := db.spatial.(*core.SpatialIndex).Stats()
-		if sp.IndexPages == 0 || db.spPager.NumPages() != sp.IndexPages || sp.CellPages != 0 {
-			t.Errorf("TIN %s: spatial pager holds %d pages, its tree %d (stats %+v)", db.Method(), db.spPager.NumPages(), sp.IndexPages, sp)
-		}
-		if st := db.Stats(); st.CellPages == 0 || st.Cells != sp.Cells {
-			t.Errorf("TIN %s: value store %+v under a tree of %d cells", db.Method(), st, sp.Cells)
-		}
-		db.Close()
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 // field, the pages and what indexes them. Measured after two collections (the
 // second empties the sync.Pools the first moved to their victim caches), as a
 // difference from before the fixture was made, so other tests' leftovers do
-// not count. Any of three coming back fails a ceiling: pool frames holding
-// copies of the pages (measured 21.1 MiB, 14.6k objects), the spatial tree's
-// nodes kept in memory (19.9 MiB, 80k objects), or a DEM's point-query tree
-// at all (14.0 MiB, 12.8k objects).
+// not count. Either of two coming back fails a ceiling: pool frames holding
+// copies of the pages (measured 21.1 MiB, 14.6k objects), or a point-query
+// tree for a DEM (14.0 MiB, 12.8k objects; 19.9 MiB, 80k objects with its
+// nodes in memory).
 func TestAllocCeilingsHeap(t *testing.T) {
 	const mibCeiling, objectCeiling = 13, 30_000 // measured: 11.0 MiB, 12.1k objects
 	before := liveHeap()

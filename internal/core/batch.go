@@ -141,7 +141,8 @@ func (o *observed) beginMembers(method string, pager *storage.Pager, epoch uint6
 // the publish-once step that keeps pager totals equal to the sum of
 // published per-query stats — and fold into the metrics registry exactly as
 // solo runs do. Failed members leave their partial charges unpublished,
-// matching solo error paths. The returned attributed total sums every
+// matching solo error paths. Every member's context then goes back to the
+// pool, as a solo query's does. The returned attributed total sums every
 // member's local reads (partial for failed members) — the baseline the
 // batch's savings are measured against.
 func (o *observed) finishMembers(ms []batchMember) ([]BatchResult, int) {
@@ -157,13 +158,16 @@ func (o *observed) finishMembers(ms []batchMember) ([]BatchResult, int) {
 				o.endQuery(m.tb, m.start, m.err)
 			}
 			if m.qc != nil {
-				m.qc.Release()
+				m.qc.Recycle()
+				m.qc = nil
 			}
 			out[i] = BatchResult{Err: m.err}
 			continue
 		}
 		m.qc.EndSpan()
 		m.res.IO = m.qc.Stats()
+		m.qc.Recycle()
+		m.qc = nil
 		o.recordIO(m.filter, m.sidecarReads, m.res.IO)
 		o.endQuery(m.tb, m.start, nil)
 		out[i] = BatchResult{Res: m.res}
@@ -481,7 +485,7 @@ func (e *engine) QueryBatch(members []BatchQuery) ([]BatchResult, BatchStats) {
 	bo := e.startBatch(e.label, members)
 	ms := e.beginMembers(e.label, e.pager, st.epoch, members)
 	phys := beginQueryAt(e.pager, st.epoch)
-	defer phys.Release()
+	defer phys.Recycle()
 	bb := getBatchBuf(len(members))
 	defer putBatchBuf(bb)
 	for i := range ms {

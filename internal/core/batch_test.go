@@ -394,12 +394,12 @@ func TestBatchAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per batch of 4, %.0f for 4 solo queries", batchAllocs, soloAllocs)
 	// The batch pays everything solo pays (the attributed replay allocates
 	// the same per-page accounting) plus a small fixed per-batch overhead —
-	// the member table, the result slice, the shared fetch context. The
-	// demux machinery itself (positions, bounds, runs, coverage) is pooled,
-	// so nothing scales with the batch beyond the solo costs (measured: 98
-	// a batch, 13 the four solo queries).
-	if batchAllocs > soloAllocs+128 {
-		t.Fatalf("batch allocates %v per run, solo total %v (+128 allowance)", batchAllocs, soloAllocs)
+	// the member table, the result slice. The demux machinery itself
+	// (positions, bounds, runs, coverage) and every member's and the shared
+	// fetch's context are pooled, so nothing scales with the batch beyond the
+	// solo costs (measured: 18 a batch, 13 the four solo queries).
+	if batchAllocs > soloAllocs+16 {
+		t.Fatalf("batch allocates %v per run, solo total %v (+16 allowance)", batchAllocs, soloAllocs)
 	}
 }
 

@@ -54,8 +54,8 @@ type BuildOptions struct {
 
 // hilbert linearizes cells by the Hilbert value of their centers on a
 // 2^16 × 2^16 grid over the field's bounds: the heap order of the partitioned
-// methods and the packing order of the spatial tree. NewHilbert refuses only
-// an order or dimension out of range, which these constants are not.
+// methods. NewHilbert refuses only an order or dimension out of range, which
+// these constants are not.
 var hilbert, _ = sfc.NewHilbert(16, 2)
 
 // methodSpec is one row of the method table: everything in which one method
@@ -131,7 +131,10 @@ func Build(ctx context.Context, f field.Field, pager *storage.Pager, opts BuildO
 	opts.Workers = clampWorkers(opts.Workers)
 	s := newStore(pager, opts.Method, opts.TileSide, f.NumCells())
 	s.workers = opts.Workers
-	s.grid = latticeOf(f)
+	var err error
+	if s.finder, err = finderOf(f); err != nil {
+		return nil, err
+	}
 	st := &state{}
 	// ivs and areas are what the field summary is fitted to: every cell's
 	// interval and planar area (no ivs, no summary).
@@ -240,7 +243,7 @@ func (p *partition) indexGroups(ctx context.Context, pager *storage.Pager, group
 	}
 	// Subfield intervals are few; the tree is built by R* insertion, as in
 	// the paper.
-	tree, err := rstar.New(1, rstar.Params{PageSize: pager.PageSize()})
+	tree, err := rstar.New(rstar.Params{PageSize: pager.PageSize()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -273,7 +276,7 @@ func indexCells(f field.Field, pager *storage.Pager, bulk bool) (*rstar.Tree, er
 			return nil, fmt.Errorf("core: I-All bulk load: %w", err)
 		}
 	} else {
-		if tree, err = rstar.New(1, params); err != nil {
+		if tree, err = rstar.New(params); err != nil {
 			return nil, fmt.Errorf("core: I-All tree: %w", err)
 		}
 		for _, e := range entries {

@@ -34,9 +34,9 @@ import (
 //	    a method without a tree names one)
 //	tile side u32 (0 for an untiled store)
 //	cells u64
-//	grid: nx u32, ny u32 (0, 0 where the field is not a regular grid), then
-//	    for a grid its origin x, y and spacing dx, dy f64 — the DEM's own bits,
-//	    so the cell rectangles a point query derives are the stored cells'
+//	locator: nx u32, ny u32; for a grid (nx, ny ≠ 0) origin x, y, spacing dx,
+//	    dy f64, the DEM's own bits; else (0, 0) buckets: side u32, bounds 4 × f64,
+//	    side² + 1 offsets u32, then the cell ids u32 they bound, ascending in each
 //	epoch u64 (the storage epoch the saved pages materialize; SaveFile writes
 //	    the current epoch's overlay view into the base pages, so the opened
 //	    store resumes epoch numbering instead of restarting at 0)
@@ -67,7 +67,7 @@ import (
 // or written. A file whose superblock or catalog header carries any other
 // version is refused with ErrUnsupportedVersion before anything else in it is
 // interpreted.
-const catalogVersion = 10
+const catalogVersion = 11
 
 // ErrUnsupportedVersion reports a database file whose superblock or catalog
 // header names a catalog version other than the current one.
@@ -126,16 +126,7 @@ func (s *store) encodeCatalog() []byte {
 	writeString(&b, codec)
 	writeU32(&b, uint32(s.tileSide))
 	writeU64(&b, uint64(s.cells))
-	if l := s.grid; l != nil {
-		writeU32(&b, uint32(l.nx))
-		writeU32(&b, uint32(l.ny))
-		for _, v := range [...]float64{l.origin.X, l.origin.Y, l.dx, l.dy} {
-			writeF64(&b, v)
-		}
-	} else {
-		writeU32(&b, 0)
-		writeU32(&b, 0)
-	}
+	s.finder.encode(&b)
 	writeU64(&b, st.epoch)
 	writeU32(&b, uint32(s.sumFirst))
 	writeU32(&b, uint32(s.sumPages))
@@ -144,6 +135,33 @@ func (s *store) encodeCatalog() []byte {
 		encodePartition(&b, m, p, st.parts[i], st.vr[i])
 	}
 	return b.Bytes()
+}
+
+// encode appends the lattice's locator record: nx, ny, then its origin and
+// spacing.
+func (l *lattice) encode(b *bytes.Buffer) {
+	writeU32(b, uint32(l.nx))
+	writeU32(b, uint32(l.ny))
+	for _, v := range [...]float64{l.origin.X, l.origin.Y, l.dx, l.dy} {
+		writeF64(b, v)
+	}
+}
+
+// encode appends the buckets' locator record: 0, 0 — no lattice — then the
+// side, the bounds, the offsets and the ids.
+func (bk *buckets) encode(b *bytes.Buffer) {
+	writeU32(b, 0)
+	writeU32(b, 0)
+	writeU32(b, uint32(bk.side))
+	for _, v := range [...]float64{bk.bounds.Min.X, bk.bounds.Min.Y, bk.bounds.Max.X, bk.bounds.Max.Y} {
+		writeF64(b, v)
+	}
+	for _, v := range bk.offsets {
+		writeU32(b, v)
+	}
+	for _, v := range bk.ids {
+		writeU32(b, v)
+	}
 }
 
 // encodePartition appends one partition record: p at its state st, with the
@@ -323,8 +341,14 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	cs := &catalogStore{m: methods[method], codec: r.str(), dataPages: dataPages}
 	cs.tileSide, cs.cells = int(r.u32()), int(r.u64())
 	var grid *lattice
+	var fd finder
 	if nx, ny := int(r.u32()), int(r.u32()); nx != 0 || ny != 0 {
 		grid = &lattice{nx: nx, ny: ny, origin: geom.Pt(r.f64(), r.f64()), dx: r.f64(), dy: r.f64()}
+		fd = grid
+	} else if bk, err := decodeBuckets(r, cs.cells); err != nil {
+		return nil, err
+	} else {
+		fd = bk
 	}
 	epoch := r.u64()
 	sumFirst, sumPages := storage.PageID(r.u32()), int(r.u32())
@@ -360,7 +384,7 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 	// opened store is that epoch, verbatim.
 	pager.SetEpoch(epoch)
 	s := newStore(pager, method, cs.tileSide, cs.cells)
-	s.grid = grid
+	s.finder = fd
 	s.sumFirst, s.sumPages = sumFirst, sumPages
 	st := &state{epoch: epoch}
 	covered := 0
@@ -384,10 +408,42 @@ func decodeCatalog(blob []byte, pager *storage.Pager, dataPages int) (Engine, er
 // holds reports whether a decoded grid record is a lattice of exactly cells
 // cells, with positive spacing and a finite origin and far corner.
 func (l *lattice) holds(cells int) bool {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	far := geom.Pt(l.origin.X+float64(l.nx)*l.dx, l.origin.Y+float64(l.ny)*l.dy)
 	return l.nx >= 1 && l.ny >= 1 && l.nx <= cells && l.ny <= cells && l.nx*l.ny == cells &&
 		l.dx > 0 && l.dy > 0 && finite(l.origin.X) && finite(l.origin.Y) && finite(far.X) && finite(far.Y)
+}
+
+// decodeBuckets decodes a locator record's buckets, after its 0, 0, for a
+// store of cells cells. It refuses a side of 0 or past the 2^15 a
+// 2^30-cell store builds, bounds not finite or inverted, offsets that do not
+// start at 0 or that fall, an id past the cells and a bucket not ascending;
+// a count past the blob fails r, with nothing allocated.
+func decodeBuckets(r *byteReader, cells int) (*buckets, error) {
+	b := &buckets{side: int(r.u32())}
+	b.bounds = geom.Rect{Min: geom.Pt(r.f64(), r.f64()), Max: geom.Pt(r.f64(), r.f64())}
+	if r.err == nil && (b.side == 0 || b.side > 1<<15 || !b.valid()) {
+		return nil, fmt.Errorf("corrupt locator record")
+	}
+	if n := b.side*b.side + 1; r.fits(n, 4) {
+		b.offsets = make([]uint32, n)
+		for i := range b.offsets {
+			if b.offsets[i] = r.u32(); i == 0 && b.offsets[i] != 0 || i > 0 && b.offsets[i] < b.offsets[i-1] {
+				return nil, fmt.Errorf("corrupt locator offsets")
+			}
+		}
+	}
+	if r.err != nil || !r.fits(int(b.offsets[len(b.offsets)-1]), 4) {
+		return b, nil // the caller reports the short blob
+	}
+	b.ids = make([]uint32, b.offsets[len(b.offsets)-1])
+	for k := 0; k+1 < len(b.offsets); k++ {
+		for i := b.offsets[k]; i < b.offsets[k+1]; i++ {
+			if b.ids[i] = r.u32(); int(b.ids[i]) >= cells || i > b.offsets[k] && b.ids[i] <= b.ids[i-1] {
+				return nil, fmt.Errorf("corrupt locator bucket %d", k)
+			}
+		}
+	}
+	return b, nil
 }
 
 // decodePartition decodes the next partition record — the pi-th — and opens
@@ -535,7 +591,7 @@ func decodePartition(r *byteReader, cs *catalogStore, pager *storage.Pager, pi i
 			}
 			entries = numGroups
 		}
-		if st.tree, err = rstar.OpenPaged(pager, root, 1, rstar.Params{PageSize: pager.PageSize()}, entries, nodes, height); err != nil {
+		if st.tree, err = rstar.OpenPaged(pager, root, rstar.Params{PageSize: pager.PageSize()}, entries, nodes, height); err != nil {
 			return fail("%w", err)
 		}
 	}

@@ -456,14 +456,15 @@ func TestApproxQuery(t *testing.T) {
 	}
 }
 
-// gridRecordLen is the catalog header's grid record for a DEM: nx, ny and
+// gridRecordLen is the catalog header's locator record for a DEM: nx, ny and
 // four f64.
 const gridRecordLen = 2*4 + 4*8
 
 // hostileCatalogs returns catalog blobs Open must refuse, over a data region of
 // the returned size: each is the real catalog of a small I-Hilbert or
-// LinearScan index with one count or page reference overwritten by a lie, or a
-// hand-built header claiming far more elements than its bytes can hold.
+// LinearScan index, or of a TIN's I-Hilbert index, with one count, page
+// reference or locator entry overwritten by a lie, or a hand-built header
+// claiming far more elements than its bytes can hold.
 func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	le := binary.LittleEndian
 	dem := testDEM(t, 8, 0.5)
@@ -475,8 +476,12 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, scanReal := built.encodeCatalog(), scan.encodeCatalog()
-	dataPages = max(built.pager.NumPages(), scan.pager.NumPages())
+	mesh, err := buildIx(testTIN(t, 40), newPager(), BuildOptions{Method: MethodIHilbert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, scanReal, meshReal := built.encodeCatalog(), scan.encodeCatalog(), mesh.encodeCatalog()
+	dataPages = max(built.pager.NumPages(), scan.pager.NumPages(), mesh.pager.NumPages())
 	// Offsets into the real catalogs: the header's tail, then the one record.
 	codec := catalogHeaderLen + 2 + len(MethodIHilbert)
 	grid := codec + 2 + 4 + 8
@@ -493,6 +498,15 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 		7*8 + 8 + 4*scan.cells + 8 + 2*4*scan.parts[0].heap.NumPages()
 	if want := sidecar + 8; want != len(scanReal) {
 		t.Fatalf("the test's LinearScan catalog layout ends at %d, the encoder's at %d", want, len(scanReal))
+	}
+	// The TIN's locator record: 0, 0, then the buckets.
+	bk := mesh.finder.(*buckets)
+	side := grid + 8
+	bounds := side + 4
+	offsets := bounds + 4*8
+	bucketIDs := offsets + 4*len(bk.offsets)
+	if epoch := bucketIDs + 4*len(bk.ids); le.Uint64(meshReal[epoch:]) != mesh.Epoch() || le.Uint32(meshReal[side:]) != uint32(bk.side) {
+		t.Fatalf("the test's TIN locator layout ends at %d, where the encoder's epoch is not", epoch)
 	}
 	blobs = map[string][]byte{}
 	patchOf := func(src []byte, name string, off int, v []byte) {
@@ -533,6 +547,31 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 	patch("grid spacing negative", grid+8+24, f64(-0.5))
 	patch("grid origin NaN", grid+8, f64(math.NaN()))
 	patch("grid far corner infinite", grid+8+16, f64(math.MaxFloat64))
+	// The buckets must be a side of 1..2^15 whose offsets fit the blob, finite
+	// bounds, offsets from 0 that never fall and end at the id count, and ids
+	// of the store's cells, ascending in each bucket.
+	patchMesh := func(name string, off int, v []byte) { patchOf(meshReal, name, off, v) }
+	lastOffset := bucketIDs - 4
+	idCount := int(le.Uint32(meshReal[lastOffset:]))
+	patchMesh("locator side zero", side, u32(0))
+	patchMesh("locator side past the blob", side, u32(1<<15))
+	patchMesh("locator side past any store", side, u32(1<<16))
+	patchMesh("locator bounds NaN", bounds, f64(math.NaN()))
+	patchMesh("locator bounds infinite", bounds+3*8, f64(math.Inf(1)))
+	patchMesh("locator bounds inverted", bounds, f64(bk.bounds.Max.X+1))
+	patchMesh("locator offsets start past 0", offsets, u32(1))
+	patchMesh("locator offsets fall", offsets+4, u32(idCount+1))
+	patchMesh("locator offsets end short of the ids", lastOffset, u32(idCount-1))
+	patchMesh("locator offsets end past the ids", lastOffset, u32(idCount+1))
+	patchMesh("locator id past the cells", bucketIDs, u32(mesh.cells))
+	// A bucket of two or more ids with its second id set to its first.
+	for k := 0; k+1 < len(bk.offsets); k++ {
+		if lo, hi := bk.offsets[k], bk.offsets[k+1]; hi-lo >= 2 {
+			at := bucketIDs + 4*int(lo)
+			patchMesh("locator bucket not ascending", at+4, meshReal[at:at+4])
+			break
+		}
+	}
 	// A sidecar on a method with a tree: the header names the raw codec and
 	// the record a one-page sidecar run inside the data region — a blob that
 	// would re-encode to itself, which only the header's method check refuses.
@@ -547,9 +586,14 @@ func hostileCatalogs(t testing.TB) (dataPages int, blobs map[string][]byte) {
 		b = append(le.AppendUint16(b, uint16(len(method))), method...)
 		b = le.AppendUint16(b, 0) // no codec
 		b = le.AppendUint64(le.AppendUint32(b, tileSide), cells)
-		b = le.AppendUint32(le.AppendUint32(b, 0), 0) // no grid
-		b = le.AppendUint64(b, 0)                     // epoch
-		b = append(b, make([]byte, 8)...)             // no summary
+		b = le.AppendUint32(le.AppendUint32(b, 0), 0) // no grid: one empty bucket
+		b = le.AppendUint32(b, 1)
+		for _, v := range []float64{0, 0, 1, 1} {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+		b = le.AppendUint64(b, 0)         // offsets 0, 0
+		b = le.AppendUint64(b, 0)         // epoch
+		b = append(b, make([]byte, 8)...) // no summary
 		return le.AppendUint32(b, parts)
 	}
 	blobs["untiled cells"] = head("I-Hilbert", 0, 1<<40, 1)
@@ -614,7 +658,7 @@ const fuzzDataPages = 1 << 12
 // and a blob it accepts is one it would have written — it re-encodes, from the
 // opened store, to the same bytes, so every partition's geometry survived.
 // Seeds are the real catalogs of every savable build-matrix row on a small
-// DEM — each with its grid record —, of a TIN's, which has none, and the
+// DEM — each with its lattice —, of a TIN's, with its buckets, and the
 // hostile ones.
 func FuzzOpenCatalog(f *testing.F) {
 	dem := testDEM(f, 8, 0.5)

@@ -38,11 +38,11 @@
 //
 // The cells are stored once. The conventional query of §2.2.1 (spatial.go) is
 // a second access path into the same cell file: a locator yields the ids of
-// the cells that hold a point — arithmetic on a regular grid's lattice, which
-// the store keeps; a 2-D R*-tree of cell ids on a pager of its own for any
-// other field — and the engine fetches them (FetchCells) at the state the
-// caller holds — so one update batch is one transaction and one epoch, and one
-// snapshot pin, for Q1 and Q2 together.
+// the cells that may hold a point — arithmetic on a regular grid's lattice,
+// a bucket's list for any other field, both kept and saved by the store — and
+// the engine fetches them (FetchCells) at the state the caller holds — so one
+// update batch is one transaction and one epoch, and one snapshot pin, for Q1
+// and Q2 together.
 //
 // All methods share one storage substrate (internal/storage): cells live in
 // a slotted heap file, index nodes in R*-tree pages, and every page access
@@ -197,13 +197,13 @@ type Engine interface {
 	// one decode span on tb — and hands each decoded cell to visit until visit
 	// returns false. A tiled engine delivers a cell under its tile-local id.
 	// The returned Stats are the fetch's I/O, published to the pager's totals
-	// like a query's, on an error too. It is how either point locator reads
-	// the one cell file.
+	// like a query's, on an error too. It is how the point locator reads the
+	// one cell file.
 	FetchCells(ctx context.Context, tb *obs.TraceBuilder, ids []uint64, visit func(c *field.Cell) bool) (storage.Stats, error)
-	// GridLocator returns the point-query access path of a store built from
-	// a regular grid (Gridded), saved and reopened or not — its lattice is in
-	// the catalog — and nil for any other field, which needs a SpatialIndex.
-	GridLocator() *GridLocator
+	// Locator returns the store's point-query access path, built or opened
+	// — its finder, a grid's lattice or any other field's buckets, is in the
+	// catalog.
+	Locator() *Locator
 	// ForEachGroup visits every subfield (none where the method has no
 	// partition); Tiles lists the tile directory (nil when untiled).
 	ForEachGroup(fn func(group int, iv geom.Interval, cells []field.CellID) bool)

@@ -283,32 +283,96 @@ func TestIAllBulkLoadAgrees(t *testing.T) {
 		step{opQuery, 30, 60, 0}, step{opBatch, 3, 2, 2}, step{opUpdate, 9, 5, 5}, step{opQuery, 200, 100, 0})
 }
 
-// TestSpatialIndexPointQueries: the tree stores no cell — it reads the value
-// engine's, whatever order and however many partitions that engine keeps them
-// in.
-func TestSpatialIndexPointQueries(t *testing.T) {
-	ctx := context.Background()
-	f := testDEM(t, 32, 0.5)
-	pager := newPager()
-	s, err := BuildSpatial(f, pager)
+// TestBucketLocatorCells: over the buckets of a TIN — a random one, and one
+// on the integer lattice whose even columns lie exactly on bucket boundaries
+// (15 buckets over a width of 10) — the candidates at every vertex, edge
+// midpoint and centroid, at the float64 neighbours of each vertex, on the
+// bucket boundaries and past the bounds are ascending and take in every cell
+// whose closed rectangle holds the point; and a point query through any store
+// of the field — natural order, curve order, tiled — answers bit for bit as
+// the first of those cells, in id order, whose interpolant reaches the point,
+// or fails, having read nothing outside the bounds.
+func TestBucketLocatorCells(t *testing.T) {
+	var pts []geom.Point
+	var vals []float64
+	var tris []tin.Triangle
+	for j := 0; j <= 10; j++ {
+		for i := 0; i <= 10; i++ {
+			pts, vals = append(pts, geom.Pt(float64(i), float64(j))), append(vals, float64(i*i+3*j))
+			if a := int32(j*11 + i); i < 10 && j < 10 {
+				tris = append(tris, tin.Triangle{a, a + 1, a + 12}, tin.Triangle{a, a + 12, a + 11})
+			}
+		}
+	}
+	lattice, err := tin.New(pts, vals, tris)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.IndexPages == 0 || st.IndexPages != pager.NumPages() || st.CellPages != 0 {
-		t.Fatalf("stats %+v on a pager of %d pages: the tree's pages and nothing else", st, pager.NumPages())
+	for _, f := range []*tin.TIN{testTIN(t, 300), lattice} {
+		checkBuckets(t, f)
 	}
+}
+
+func checkBuckets(t *testing.T, f *tin.TIN) {
+	ctx := context.Background()
+	var c field.Cell
+	var pts []geom.Point
+	for id := 0; id < f.NumCells(); id++ {
+		v := f.Cell(field.CellID(id), &c).Vertices
+		for i, p := range v {
+			q := v[(i+1)%len(v)]
+			pts = append(pts, p, geom.Pt((p.X+q.X)/2, (p.Y+q.Y)/2),
+				geom.Pt(math.Nextafter(p.X, math.Inf(-1)), math.Nextafter(p.Y, math.Inf(1))))
+		}
+		pts = append(pts, c.Center())
+	}
+	b := f.Bounds()
+	side := int(math.Ceil(math.Sqrt(float64(f.NumCells()))))
+	rng := rand.New(rand.NewSource(9))
+	for k := 0; k <= side; k++ {
+		x := b.Min.X + float64(k)*b.Width()/float64(side)
+		y := b.Min.Y + float64(k)*b.Height()/float64(side)
+		pts = append(pts, geom.Pt(x, b.Min.Y+rng.Float64()*b.Height()), geom.Pt(b.Min.X+rng.Float64()*b.Width(), y), geom.Pt(x, y))
+	}
+	pts = append(pts, geom.Pt(b.Min.X-1, b.Min.Y), geom.Pt(b.Max.X, b.Max.Y+1e-9), geom.Pt(math.NaN(), 50))
 	for name, opts := range map[string]BuildOptions{
 		"natural order": {Method: MethodLinearScan},
 		"curve order":   {Method: MethodIHilbert},
 		"tiled":         {Method: MethodIHilbert, TileSide: 8},
 	} {
-		cells, err := Build(ctx, f, newPager(), opts)
+		eng, err := Build(ctx, f, newPager(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPointQueries(t, f, cells, 14)
-		if _, _, err := s.PointQueryContext(ctx, cells, geom.Pt(-100, -100)); err == nil {
-			t.Fatalf("%s: outside point answered", name)
+		loc := eng.Locator()
+		bk, ok := loc.finder.(*buckets)
+		if !ok || bk.side != side {
+			t.Fatalf("%s: a TIN's store locates by %T, want buckets of side %d", name, loc.finder, side)
+		}
+		for _, pt := range pts {
+			var holders []uint64
+			w, answerable := 0.0, false
+			for id := 0; id < f.NumCells(); id++ {
+				if f.Cell(field.CellID(id), &c).Bounds().ContainsPoint(pt) {
+					holders = append(holders, uint64(id))
+					if !answerable {
+						w, answerable = field.Interpolate(&c, pt)
+					}
+				}
+			}
+			got := bk.cellsAt(nil, pt)
+			for _, id := range holders {
+				if _, found := slices.BinarySearch(got, id); !found {
+					t.Fatalf("%v: candidates %v miss cell %d, which holds it", pt, got, id)
+				}
+			}
+			if !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
+				t.Fatalf("%v: candidates %v not ascending", pt, got)
+			}
+			gw, st, err := loc.PointQueryContext(ctx, eng, pt)
+			if (err == nil) != answerable || math.Float64bits(gw) != math.Float64bits(w) || !bk.bounds.ContainsPoint(pt) && st.Reads != 0 {
+				t.Fatalf("%s %v: %v in %d reads (%v), want %v (answerable %v)", name, pt, gw, st.Reads, err, w, answerable)
+			}
 		}
 	}
 }
@@ -319,7 +383,7 @@ func TestSpatialIndexPointQueries(t *testing.T) {
 // cells whose closed rectangle holds the point, in id order; and a point query
 // through any store of the field answers bit for bit as the first of them
 // whose interpolant reaches the point, reading no index page and at most two
-// cell pages, where the R*-tree answers it within rounding.
+// cell pages.
 func TestGridLocatorCells(t *testing.T) {
 	ctx := context.Background()
 	for _, lat := range []lattice{
@@ -341,18 +405,14 @@ func TestGridLocatorCells(t *testing.T) {
 			return append(out, o+float64(n-1)*d+d)
 		}
 		xs, ys := axis(lat.origin.X, lat.dx, lat.nx), axis(lat.origin.Y, lat.dy, lat.ny)
-		tree, err := BuildSpatial(f, newPager())
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, opts := range []BuildOptions{{Method: MethodLinearScan}, {Method: MethodIHilbert}, {Method: MethodIHilbert, TileSide: 3}} {
 			eng, err := Build(ctx, f, newPager(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := eng.GridLocator()
-			if g == nil || g.lattice != lat {
-				t.Fatalf("%+v: grid locator %+v, want the lattice %+v", opts, g, lat)
+			g := eng.Locator()
+			if l, ok := g.finder.(*lattice); !ok || *l != lat {
+				t.Fatalf("%+v: locator %+v, want the lattice %+v", opts, g.finder, lat)
 			}
 			var c field.Cell
 			for _, x := range xs {
@@ -374,9 +434,6 @@ func TestGridLocatorCells(t *testing.T) {
 					got, st, err := g.PointQueryContext(ctx, eng, pt)
 					if (err == nil) != ok || math.Float64bits(got) != math.Float64bits(w) || st.Reads > 2 || ok != (st.Reads > 0) {
 						t.Fatalf("%+v %v: %v in %d reads (%v), want %v (answerable %v)", opts, pt, got, st.Reads, err, w, ok)
-					}
-					if tw, _, err := tree.PointQueryContext(ctx, eng, pt); (err == nil) != ok || math.Abs(tw-w) > 1e-12 {
-						t.Fatalf("%v: the tree answers %v (%v), the grid %v", pt, tw, err, w)
 					}
 				}
 			}

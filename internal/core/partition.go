@@ -107,9 +107,8 @@ type probe struct {
 	before storage.Stats         // qc's activity when the open step began
 	marked []uint64              // tree-visit scratch: a bit per subfield
 	cols   storage.ColumnScratch // sidecar-scan scratch
-	// search runs the filter's tree search, on box, the query's 1-D box.
+	// search runs the filter's tree search.
 	search rstar.Searcher
-	box    [2]float64
 	// scanErr is what stopped a sidecar pass: the query's context.
 	scanErr error
 	// markGroup, addCell and keepCols are mark, add and keep, bound once
@@ -126,8 +125,7 @@ var probePool = sync.Pool{New: func() any {
 
 // searchTree visits the entries of tree whose interval intersects the query.
 func (pr *probe) searchTree(tree *rstar.Tree, fn func(rstar.Entry) bool) error {
-	pr.box = [2]float64{pr.q.Lo, pr.q.Hi}
-	return pr.search.Search(tree, pr.qc, pr.box[:], fn)
+	return pr.search.Search(tree, pr.qc, rstar.Interval1D(pr.q.Lo, pr.q.Hi), fn)
 }
 
 func getProbe() *probe { return probePool.Get().(*probe) }

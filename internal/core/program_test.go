@@ -70,7 +70,9 @@ import (
 //	point                   a, b: the point (see point); an odd c puts it on
 //	                        the lattice of 240ths of the bounds instead (see
 //	                        latticePoint): on a DEM's cell edges and corners,
-//	                        its far boundary and just past it
+//	                        its far boundary and just past it; c%4 == 2 on the
+//	                        mesh (see meshPoint): a cell's vertex or edge, or
+//	                        a bucket boundary
 //	update                  a: 1 + a%12 samples; b, c: which, and their values
 //	                        (an odd c only nudges them; c%4 == 3 adds a sample
 //	                        the field does not have)
@@ -264,8 +266,8 @@ type harness struct {
 	// twin is the store a reopen replaced, until the next update step applies
 	// the batch to both and compares them.
 	twin *live
-	// loc answers point steps: a DEM's grid locator, a TIN's R*-tree.
-	loc    pointLocator
+	// loc answers point steps: the built store's locator.
+	loc    *Locator
 	snaps  []*pinnedSnap
 	closed []*pinnedSnap
 	// low is each store's compaction low-water mark, as the model of its pins
@@ -304,18 +306,10 @@ func runProgram(t *testing.T, cfg harnessConfig, steps []step) {
 	h.cur = live{eng: eng, f: f}
 	h.low[eng.store] = eng.Epoch()
 	h.pagers = append(h.pagers, eng.pager)
-	if g := eng.GridLocator(); g != nil {
-		h.loc = g
-	} else {
-		sp, err := BuildSpatial(f, newPager())
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.loc = sp
-		h.pagers = append(h.pagers, sp.pager)
-	}
-	if _, isGrid := f.(Gridded); isGrid != (eng.GridLocator() != nil) {
-		t.Fatalf("a %T builds a store with grid locator %v", f, eng.GridLocator())
+	h.loc = eng.Locator()
+	_, isGrid := f.(Gridded)
+	if _, lat := eng.finder.(*lattice); lat != isGrid {
+		t.Fatalf("a %T builds a store that locates by %T", f, eng.finder)
 	}
 	for i, s := range steps {
 		h.step(i, s)
@@ -401,6 +395,30 @@ func (h *harness) point(a, b byte) geom.Point {
 	return geom.Pt(r.Min.X+r.Width()*(float64(a)+0.5)/255, r.Min.Y+r.Height()*(float64(b)+0.5)/256)
 }
 
+// meshPoint maps two parameter bytes onto the mesh of the model's cells. The
+// cell is the (7a)-th, mod the cells, and b/64 picks: its vertex b%n, the
+// midpoint of its edge from that vertex — an edge shared with a neighbour
+// unless on the hull —, that vertex an ulp to the lower left, or where the
+// (b%(side+1))-th bucket column boundary of a side × side grid over the
+// bounds, side² ≥ the cells, crosses the row of the cell's centre.
+func (h *harness) meshPoint(a, b byte) geom.Point {
+	var c field.Cell
+	h.model.Cell(field.CellID(7*int(a)%h.model.NumCells()), &c)
+	v, k := c.Vertices, int(b)%len(c.Vertices)
+	switch b / 64 {
+	case 0:
+		return v[k]
+	case 1:
+		q := v[(k+1)%len(v)]
+		return geom.Pt((v[k].X+q.X)/2, (v[k].Y+q.Y)/2)
+	case 2:
+		return geom.Pt(math.Nextafter(v[k].X, math.Inf(-1)), math.Nextafter(v[k].Y, math.Inf(-1)))
+	}
+	r := h.cfg.hf.f.Bounds()
+	side := int(math.Ceil(math.Sqrt(float64(h.model.NumCells()))))
+	return geom.Pt(r.Min.X+float64(int(b)%(side+1))*r.Width()/float64(side), c.Center().Y)
+}
+
 // latticePoint maps two parameter bytes onto the lattice of 240ths of the
 // field's bounds: on the harness DEM's 24 × 20 cells a multiple of 10 in a, or
 // of 12 in b, is a grid line — both, a corner —, 240 the far boundary and
@@ -438,8 +456,11 @@ func (h *harness) step(i int, s step) {
 		h.approx(q)
 	case opPoint:
 		pt := h.point(s.a, s.b)
-		if s.c%2 == 1 {
+		switch s.c % 4 {
+		case 1, 3:
 			pt = h.latticePoint(s.a, s.b)
+		case 2:
+			pt = h.meshPoint(s.a, s.b)
 		}
 		h.logf(i, "point %v", pt)
 		h.pointStep(pt)
@@ -768,41 +789,26 @@ func (h *harness) approx(q geom.Interval) {
 	}
 }
 
-// pointLocator is what answers a point step: a *GridLocator or a
-// *SpatialIndex.
-type pointLocator interface {
-	PointQueryContext(ctx context.Context, cells Engine, pt geom.Point) (float64, storage.Stats, error)
-}
-
 // pointStep checks a point query on the live store against the model: the
-// answer is pointOracle's — bit for bit on a DEM, which reads at most two
-// pages, its filter none. A store opened from a file answers through the
-// locator its catalog gives it too: a DEM's the same, read for read; a TIN's
-// file carries none.
+// answer is pointOracle's bit for bit — the candidates come in id order, a
+// grid's or a bucket's — and on a DEM it reads at most two pages. A store
+// opened from a file answers through the locator its catalog gives it too,
+// read for read.
 func (h *harness) pointStep(pt geom.Point) {
 	w, st, bad := h.pointQuery(h.cur.eng, pt)
 	want, ok := h.pointOracle(pt)
-	if bad == ok || ok && !near(w, want) {
+	if bad == ok || math.Float64bits(w) != math.Float64bits(want) {
 		h.fatalf("point %v: %v (failed %v); the model %v (answerable %v)", pt, w, bad, want, ok)
 	}
-	// The grid's candidates come in id order: its answer is the oracle's cell's.
-	_, isGrid := h.loc.(*GridLocator)
-	if isGrid && (st.Reads > 2 || math.Float64bits(w) != math.Float64bits(want)) {
-		h.fatalf("point %v on a grid: %v in %d pages; the model %v", pt, w, st.Reads, want)
+	if _, isGrid := h.loc.finder.(*lattice); isGrid && st.Reads > 2 {
+		h.fatalf("point %v on a grid: %v in %d pages", pt, w, st.Reads)
 	}
 	if !h.cur.opened {
 		return
 	}
-	g := h.cur.eng.GridLocator()
-	if (g != nil) != isGrid {
-		h.fatalf("a store opened from the %s's file has grid locator %v", h.cfg.hf.name, g)
-	}
-	if g == nil {
-		return
-	}
-	sw, sst, err := g.PointQueryContext(context.Background(), h.cur.eng, pt)
+	sw, sst, err := h.cur.eng.Locator().PointQueryContext(context.Background(), h.cur.eng, pt)
 	h.pub = h.pub.Add(sst)
-	if sw != w || sst != st || (err != nil) != bad {
+	if math.Float64bits(sw) != math.Float64bits(w) || sst != st || (err != nil) != bad {
 		h.fatalf("point %v: the opened store's own locator answers %v in %v (%v), the built one's %v in %v", pt, sw, sst, err, w, st)
 	}
 }
@@ -948,7 +954,7 @@ func (h *harness) checkMaintained(l *live) {
 		if ps.tree == nil {
 			continue
 		}
-		paged, err := rstar.OpenPaged(l.eng.pager, ps.tree.RootPage(), 1, rstar.Params{PageSize: l.eng.pager.PageSize()},
+		paged, err := rstar.OpenPaged(l.eng.pager, ps.tree.RootPage(), rstar.Params{PageSize: l.eng.pager.PageSize()},
 			ps.tree.Len(), ps.tree.PersistedNodes(), ps.tree.Height())
 		if err != nil {
 			h.fatalf("partition %d tree: %v", pi, err)
@@ -974,7 +980,7 @@ func (h *harness) checkMaintained(l *live) {
 		seen := make([]bool, len(want))
 		tree.Search(rstar.Interval1D(math.Inf(-1), math.Inf(1)), func(e rstar.Entry) bool {
 			d := e.Data
-			if d >= uint64(len(want)) || seen[d] || e.MBR.Lo(0) != want[d].Lo || e.MBR.Hi(0) != want[d].Hi {
+			if d >= uint64(len(want)) || seen[d] || e.MBR[0] != want[d].Lo || e.MBR[1] != want[d].Hi {
 				h.fatalf("partition %d tree holds entry %v of payload %d; want one entry per payload below %d, its interval",
 					pi, e.MBR, d, len(want))
 			}
@@ -1291,16 +1297,38 @@ var latticeSteps = []step{
 	{opPoint, 120, 241, 1},
 }
 
+// meshSteps are point steps on the mesh (see meshPoint): vertices, edge
+// midpoints — shared edges, mostly, where two cells hold the point and the
+// first in id order answers —, vertices an ulp off, and bucket boundaries.
+var meshSteps = []step{
+	{opPoint, 40, 1, 2},
+	{opPoint, 77, 2, 2},
+	{opPoint, 40, 64, 2},
+	{opPoint, 120, 66, 2},
+	{opPoint, 9, 129, 2},
+	{opPoint, 40, 197, 2},
+	{opPoint, 200, 205, 2},
+}
+
 // pointSeeds are programs asking latticeSteps of an untiled and a tiled DEM
-// store and of the TIN: built, after an update, opened from the file the
-// reopen saves — a DEM's through the lattice its catalog carries too — and
-// once more after the next update.
+// store and of the TIN, and meshSteps of an untiled and a tiled TIN store:
+// built, after an update, opened from the file the reopen saves — through
+// the locator its catalog carries too — and once more after the next update.
 func pointSeeds() [][]byte {
 	var out [][]byte
-	for _, cfg := range []int{configOf("dem", MethodIHilbert, false), configOf("dem", MethodLinearScan, true), configOf("tin", MethodIHilbert, false)} {
-		steps := slices.Concat(latticeSteps, []step{{opUpdate, 7, 9, 9}, {opReopen, 100, 60, 0}},
-			latticeSteps, []step{{opUpdate, 5, 13, 13}}, latticeSteps)
-		out = append(out, program{cfg: cfg, steps: steps}.encode())
+	for _, c := range []struct {
+		cfg   int
+		steps []step
+	}{
+		{configOf("dem", MethodIHilbert, false), latticeSteps},
+		{configOf("dem", MethodLinearScan, true), latticeSteps},
+		{configOf("tin", MethodIHilbert, false), latticeSteps},
+		{configOf("tin", MethodIHilbert, false), meshSteps},
+		{configOf("tin", MethodLinearScan, true), meshSteps},
+	} {
+		steps := slices.Concat(c.steps, []step{{opUpdate, 7, 9, 9}, {opReopen, 100, 60, 0}},
+			c.steps, []step{{opUpdate, 5, 13, 13}}, c.steps)
+		out = append(out, program{cfg: c.cfg, steps: steps}.encode())
 	}
 	return out
 }

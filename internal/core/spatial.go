@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -10,163 +10,38 @@ import (
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/obs"
-	"fielddb/internal/rstar"
-	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
 )
 
 // The conventional queries of §2.2.1 (type Q1) find the cells whose closed
 // rectangle holds a query point, and the interpolation function of the first
-// of them, in id order, that contains it produces the field value. Two
-// locators find them: a regular grid's cells are arithmetic on its lattice
-// (GridLocator), any other field's are found by a 2-D R*-tree over the cell
-// extents (SpatialIndex). Either is an access path into the cell file, not a
-// store: it yields cell ids, and the records are the value index's, fetched
-// from the Engine a query names at that engine's state — live, or a
-// snapshot's pin. Sample updates change values, never geometry, so neither
-// locator changes after it is made.
+// of them, in id order, that contains it produces the field value. Every
+// store keeps a finder of those cells and saves it in its catalog: a regular
+// grid's are arithmetic on its lattice, any other field's are listed in a
+// uniform grid of buckets over its cell extents. Either is an access path
+// into the cell file, not a store: it yields cell ids, and the records are the
+// value index's, fetched from the Engine a query names at that engine's state
+// — live, or a snapshot's pin. Sample updates change values, never geometry,
+// so neither finder changes after it is made.
 
-// SpatialIndex is the locator of an irregular field: a 2-D R*-tree over the
-// cell extents, whose entries carry cell ids. The tree is alone on a read-only
-// pager of its own, so a tree descent is accounted apart from the value store
-// and the file SaveFile writes carries no tree page. It keeps only its pages:
-// the index holds a paged handle, not the nodes it was built from.
-type SpatialIndex struct {
-	tree  *rstar.Tree
-	pager *storage.Pager
-	observed
-
-	// filters recycles one pointFilter per concurrent PointQuery, so the
-	// filter step allocates nothing in steady state.
-	filters sync.Pool
+// finder yields, in ascending order, the ids of cells that may hold a point:
+// every cell whose closed rectangle holds it, and perhaps others. encode
+// appends its catalog record (catalog.go).
+type finder interface {
+	cellsAt(dst []uint64, pt geom.Point) []uint64
+	encode(b *bytes.Buffer)
 }
 
-// pointFilter is one point query's tree search: the searcher, the point's
-// box, and the candidate cell ids its visitor collects.
-type pointFilter struct {
-	search rstar.Searcher
-	box    [4]float64
-	ids    []uint64
-	add    func(rstar.Entry) bool // collect, bound once
-}
-
-func (pf *pointFilter) collect(e rstar.Entry) bool {
-	pf.ids = append(pf.ids, e.Data)
-	return true
-}
-
-// spatialMethod is the metrics/trace method label of the conventional-query
-// index.
+// spatialMethod is the metrics/trace method label of the conventional query.
 const spatialMethod = "Spatial"
 
-// BuildSpatial indexes the bounding rectangles of f's cells in a 2-D R*-tree
-// built with Hilbert packing and persisted on pager.
-func BuildSpatial(f field.Field, pager *storage.Pager) (*SpatialIndex, error) {
-	mapper, err := sfc.NewMapper(hilbert, f.Bounds())
-	if err != nil {
-		return nil, err
+// finderOf returns the finder of f's cells: its lattice where f is a regular
+// grid, buckets over its cell extents otherwise.
+func finderOf(f field.Field) (finder, error) {
+	if l := latticeOf(f); l != nil {
+		return l, nil
 	}
-	n := f.NumCells()
-	entries := make([]rstar.Entry, n)
-	keys := make([]uint64, n)
-	var c field.Cell
-	for id := 0; id < n; id++ {
-		f.Cell(field.CellID(id), &c)
-		b := c.Bounds()
-		entries[id] = rstar.Entry{
-			MBR:  rstar.Rect2D(b.Min.X, b.Max.X, b.Min.Y, b.Max.Y),
-			Data: uint64(id),
-		}
-		keys[id] = mapper.Index(c.Center())
-	}
-	tree, err := rstar.BulkLoad(2, rstar.Params{PageSize: pager.PageSize()}, entries, func(a, b rstar.Entry) int {
-		return cmp.Compare(keys[a.Data], keys[b.Data])
-	}, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	if err := tree.Persist(pager); err != nil {
-		return nil, err
-	}
-	paged, err := rstar.OpenPaged(pager, tree.RootPage(), 2, rstar.Params{PageSize: pager.PageSize()},
-		tree.Len(), tree.PersistedNodes(), tree.Height())
-	if err != nil {
-		return nil, err
-	}
-	return &SpatialIndex{tree: paged, pager: pager}, nil
-}
-
-// SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (s *SpatialIndex) SetObserver(ob obs.Observer) { s.setObs(ob, spatialMethod) }
-
-// PointQueryContext answers F(v'): the field value at point pt, via the paged
-// R*-tree and the candidate cells' records in cells — the value index over the
-// same field, whose state (a snapshot's pin included) is the one the answer
-// reads. ctx is polled between candidate fetches. The query is one trace — a
-// filter span for the tree descent, a decode span for the cell fetch and
-// interpolation, Lo/Hi carrying the point's X and Y — and its Stats are the
-// two steps' sum, each published to its own pager's totals. They are valid
-// even on error, so either pager's totals stay the sum of all reported
-// per-operation stats. GridLocator.PointQueryContext keeps the same contract.
-func (s *SpatialIndex) PointQueryContext(ctx context.Context, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
-	tb, start := s.startQuery(spatialMethod, obs.KindPoint, pt.X, pt.Y)
-	w, st, err := s.pointQuery(ctx, tb, cells, pt)
-	s.endQuery(tb, start, err)
-	return w, st, err
-}
-
-func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
-	pf, _ := s.filters.Get().(*pointFilter)
-	if pf == nil {
-		pf = new(pointFilter)
-		pf.add = pf.collect
-	}
-	defer func() {
-		pf.ids = pf.ids[:0]
-		s.filters.Put(pf)
-	}()
-	qc := s.pager.BeginQuery()
-	defer qc.Recycle()
-	qc.AttachTrace(tb)
-	qc.BeginSpan(obs.PhaseFilter)
-	pf.box = [4]float64{pt.X, pt.X, pt.Y, pt.Y}
-	if err := pf.search.Search(s.tree, qc, pf.box[:], pf.add); err != nil {
-		return 0, qc.Stats(), err
-	}
-	qc.EndSpan()
-	return s.interpolate(ctx, tb, cells, pf.ids, pt, qc.Stats())
-}
-
-// interpolate is a point query's decode step, whichever locator filtered:
-// it fetches the candidate cells ids through cells, in order, and answers the
-// first whose interpolant reaches pt. filterIO is what the filter step read;
-// the Stats returned add the fetch to it.
-func (o *observed) interpolate(ctx context.Context, tb *obs.TraceBuilder, cells Engine, ids []uint64, pt geom.Point, filterIO storage.Stats) (float64, storage.Stats, error) {
-	var w float64
-	found := false
-	fetchIO, err := cells.FetchCells(ctx, tb, ids, func(c *field.Cell) bool {
-		w, found = field.Interpolate(c, pt)
-		return !found
-	})
-	st := filterIO.Add(fetchIO)
-	if err != nil {
-		return 0, st, err
-	}
-	o.recordIO(filterIO, 0, st)
-	if !found {
-		return 0, st, fmt.Errorf("%w: point %v", ErrOutsideField, pt)
-	}
-	return w, st, nil
-}
-
-// Stats describes the built index. The cell pages are the value index's.
-func (s *SpatialIndex) Stats() IndexStats {
-	return IndexStats{
-		Method:     spatialMethod,
-		Cells:      s.tree.Len(),
-		IndexPages: s.tree.PersistedNodes(),
-		TreeHeight: s.tree.Height(),
-	}
+	return newBuckets(f)
 }
 
 // Gridded is what a regular-grid field satisfies (grid.DEM): nx × ny cells of
@@ -233,11 +108,132 @@ func (l *lattice) cellsAt(dst []uint64, pt geom.Point) []uint64 {
 	return dst
 }
 
-// GridLocator is the locator of a regular grid, which is its own spatial
-// index: the cells that hold a point are arithmetic on the lattice, so a point
-// query reads no index page — only the cell it interpolates.
-type GridLocator struct {
-	lattice
+// buckets is the finder of an irregular field: a side × side grid of
+// buckets over the field's cell extents, about one bucket per cell, in CSR
+// form — bucket b lists ids[offsets[b]:offsets[b+1]], ascending. A cell is
+// listed in every bucket its closed rectangle reaches, so the cells that hold
+// a point are among its bucket's.
+type buckets struct {
+	side    int
+	bounds  geom.Rect // the union of the cell rectangles
+	offsets []uint32  // side² + 1
+	ids     []uint32
+}
+
+// newBuckets lists f's cells in buckets over their extents. It refuses a
+// field whose extents are not finite, which no bucket grid covers.
+func newBuckets(f field.Field) (*buckets, error) {
+	n := f.NumCells()
+	rects := make([]geom.Rect, n)
+	b := &buckets{bounds: geom.EmptyRect()}
+	var c field.Cell
+	for id := range rects {
+		f.Cell(field.CellID(id), &c)
+		r := c.Bounds()
+		rects[id] = r
+		// A NaN bound never widens the grid: its cell holds no point.
+		if r.Min.X < b.bounds.Min.X {
+			b.bounds.Min.X = r.Min.X
+		}
+		if r.Min.Y < b.bounds.Min.Y {
+			b.bounds.Min.Y = r.Min.Y
+		}
+		if r.Max.X > b.bounds.Max.X {
+			b.bounds.Max.X = r.Max.X
+		}
+		if r.Max.Y > b.bounds.Max.Y {
+			b.bounds.Max.Y = r.Max.Y
+		}
+	}
+	if !b.valid() {
+		return nil, fmt.Errorf("core: cell extents %v are not finite", b.bounds)
+	}
+	b.side = max(1, int(math.Ceil(math.Sqrt(float64(n)))))
+	// Count each bucket's cells, turn the counts into offsets, then list the
+	// cells in id order, which leaves every bucket ascending.
+	b.offsets = make([]uint32, b.side*b.side+1)
+	total := 0
+	for _, r := range rects {
+		x0, y0, x1, y1 := b.reach(r)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				b.offsets[y*b.side+x+1]++
+				total++
+			}
+		}
+	}
+	if total > math.MaxUint32 {
+		return nil, fmt.Errorf("core: %d bucket entries overflow the locator's offsets", total)
+	}
+	for i := 1; i < len(b.offsets); i++ {
+		b.offsets[i] += b.offsets[i-1]
+	}
+	b.ids = make([]uint32, total)
+	next := append([]uint32(nil), b.offsets[:len(b.offsets)-1]...)
+	for id, r := range rects {
+		x0, y0, x1, y1 := b.reach(r)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				k := y*b.side + x
+				b.ids[next[k]] = uint32(id)
+				next[k]++
+			}
+		}
+	}
+	return b, nil
+}
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// valid reports whether the bounds are finite and not inverted.
+func (b *buckets) valid() bool {
+	r := b.bounds
+	return finite(r.Min.X) && finite(r.Min.Y) && finite(r.Max.X) && finite(r.Max.Y) &&
+		r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y
+}
+
+// slot returns the bucket column, or row, of coordinate v on an axis that
+// starts at lo and spans w: side·(v − lo)/w, floored and clamped to
+// [0, side). Every step is monotone in v, so the buckets a closed rectangle
+// reaches are those between its corners', and a point inside it falls in one
+// of them. A flat axis (0/0) puts everything in slot 0.
+func (b *buckets) slot(v, lo, w float64) int {
+	q := float64(b.side) * (v - lo) / w
+	switch {
+	case !(q >= 0):
+		return 0
+	case q >= float64(b.side):
+		return b.side - 1
+	}
+	return int(q)
+}
+
+// reach returns the bucket columns x0..x1 and rows y0..y1 rectangle r reaches.
+func (b *buckets) reach(r geom.Rect) (x0, y0, x1, y1 int) {
+	w, h := b.bounds.Max.X-b.bounds.Min.X, b.bounds.Max.Y-b.bounds.Min.Y
+	return b.slot(r.Min.X, b.bounds.Min.X, w), b.slot(r.Min.Y, b.bounds.Min.Y, h),
+		b.slot(r.Max.X, b.bounds.Min.X, w), b.slot(r.Max.Y, b.bounds.Min.Y, h)
+}
+
+// cellsAt appends to dst the ids listed in pt's bucket — none where pt lies
+// outside the bounds, which then hold no cell that holds it.
+func (b *buckets) cellsAt(dst []uint64, pt geom.Point) []uint64 {
+	if !b.bounds.ContainsPoint(pt) {
+		return dst
+	}
+	x, y, _, _ := b.reach(geom.Rect{Min: pt, Max: pt})
+	k := y*b.side + x
+	for _, id := range b.ids[b.offsets[k]:b.offsets[k+1]] {
+		dst = append(dst, uint64(id))
+	}
+	return dst
+}
+
+// Locator is a store's point-query access path: its finder yields candidate
+// cells, so a point query reads no index page — only the cells it tests.
+type Locator struct {
+	finder
 	observed
 
 	// probes recycles one candidate buffer per concurrent point query.
@@ -245,23 +241,44 @@ type GridLocator struct {
 }
 
 // SetObserver installs the trace/metrics sinks. Call before issuing queries.
-func (g *GridLocator) SetObserver(ob obs.Observer) { g.setObs(ob, spatialMethod) }
+func (l *Locator) SetObserver(ob obs.Observer) { l.setObs(ob, spatialMethod) }
 
-// PointQueryContext answers F(v') as SpatialIndex.PointQueryContext does, with
-// the same trace: its filter span, the lattice arithmetic, reads no page, and
-// its decode span fetches the candidates — one cell, or the neighbours that
-// share an edge or corner with pt — in id order. The Stats are the fetch's.
-func (g *GridLocator) PointQueryContext(ctx context.Context, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
-	tb, start := g.startQuery(spatialMethod, obs.KindPoint, pt.X, pt.Y)
-	probe, _ := g.probes.Get().(*[]uint64)
+// PointQueryContext answers F(v'): the field value at point pt, from the
+// candidate cells' records in cells — the value index over the same field,
+// whose state (a snapshot's pin included) is the one the answer reads. ctx is
+// polled between candidate fetches. The query is one trace, Lo/Hi carrying
+// the point's X and Y: a filter span, the finder's arithmetic, reads no page,
+// and a decode span fetches the candidates in id order until one whose
+// rectangle holds pt has an interpolant that reaches it. The Stats are the
+// fetch's, valid even on error, so the pager's totals stay the sum of all
+// reported per-operation stats.
+func (l *Locator) PointQueryContext(ctx context.Context, cells Engine, pt geom.Point) (float64, storage.Stats, error) {
+	tb, start := l.startQuery(spatialMethod, obs.KindPoint, pt.X, pt.Y)
+	probe, _ := l.probes.Get().(*[]uint64)
 	if probe == nil {
 		probe = new([]uint64)
 	}
 	tb.BeginSpan(obs.PhaseFilter, obs.PageCounts{})
-	*probe = g.cellsAt((*probe)[:0], pt)
+	*probe = l.cellsAt((*probe)[:0], pt)
 	tb.EndSpan(obs.PageCounts{})
-	w, st, err := g.interpolate(ctx, tb, cells, *probe, pt, storage.Stats{})
-	g.probes.Put(probe)
-	g.endQuery(tb, start, err)
+	var w float64
+	found := false
+	st, err := cells.FetchCells(ctx, tb, *probe, func(c *field.Cell) bool {
+		if c.Bounds().ContainsPoint(pt) {
+			w, found = field.Interpolate(c, pt)
+		}
+		return !found
+	})
+	l.probes.Put(probe)
+	if err == nil {
+		l.recordIO(storage.Stats{}, 0, st)
+		if !found {
+			err = fmt.Errorf("%w: point %v", ErrOutsideField, pt)
+		}
+	}
+	if err != nil {
+		w = 0
+	}
+	l.endQuery(tb, start, err)
 	return w, st, err
 }

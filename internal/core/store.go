@@ -22,7 +22,7 @@ import (
 // indexes and however many partitions it is cut into — a pager, the partitions
 // on it and the state current on them — and what a reader does with it: pin
 // that state, fan work out over forked query contexts, fetch single cells for
-// the point locators, write the store to a file. The read pipelines are in
+// the point locator, write the store to a file. The read pipelines are in
 // query.go and tiled.go, the update transaction in update.go.
 
 // store is a value index: its partitions — one for an untiled index, one per
@@ -43,9 +43,9 @@ type store struct {
 	// sums of the partitions': the aggregate tier's exact denominators.
 	cells int
 	area  float64
-	// grid is the lattice of a store built from a regular grid, nil for any
-	// other field: its point queries need no spatial index (GridLocator).
-	grid *lattice
+	// finder yields the cells that may hold a point: a regular grid's
+	// lattice, any other field's buckets (spatial.go).
+	finder finder
 	// snap is the current MVCC state. Readers load it once, pin its epoch and
 	// run entirely against it; an update batch publishes a fresh state only
 	// after committing its page overlays, so no reader ever observes a
@@ -158,14 +158,8 @@ func (e *engine) unpin(st *state) { e.pager.UnpinEpoch(st.epoch) }
 // now.
 func (e *engine) AcquireSnapshot() Engine { return &engine{store: e.store, pin: e.pinState()} }
 
-// GridLocator implements Engine: a fresh locator over the store's lattice, or
-// nil where the store was built from no regular grid.
-func (e *engine) GridLocator() *GridLocator {
-	if e.grid == nil {
-		return nil
-	}
-	return &GridLocator{lattice: *e.grid}
-}
+// Locator implements Engine: a fresh locator over the store's finder.
+func (e *engine) Locator() *Locator { return &Locator{finder: e.finder} }
 
 // Epoch returns the storage epoch queries read: the current one, or a
 // snapshot's pinned one.

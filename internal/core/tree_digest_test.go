@@ -33,8 +33,8 @@ func treeDigest(t *testing.T, tree *rstar.Tree, pager *storage.Pager) string {
 	h := sha256.New()
 	first := tree.RootPage()
 	// rstar's node page: level u16, entry count u16, an 8-byte header, then
-	// per entry 2×dims f64 bounds and a u64 reference.
-	entry := 16*tree.Dims() + 8
+	// per entry lo, hi f64 and a u64 reference.
+	const entry = 24
 	err := qc.ReadRun(first, first+storage.PageID(tree.PersistedNodes()-1), func(_ storage.PageID, page []byte) bool {
 		page = bytes.Clone(page)
 		if binary.LittleEndian.Uint16(page[0:2]) > 0 {
@@ -56,8 +56,8 @@ func treeDigest(t *testing.T, tree *rstar.Tree, pager *storage.Pager) string {
 // to pinned digests of their node pages: the subfield tree and I-All's tree,
 // both built by R* insertion, each again after four update batches (I-All's
 // delete and re-insert cell entries; the subfield tree's regroup patch runs
-// Delete, condense and its forced reinserts, then Insert), and the
-// bulk-loaded 2-D spatial tree. The simulated page counts of every suite
+// Delete, condense and its forced reinserts, then Insert). The simulated page
+// counts of every suite
 // follow from these pages, so a change to ChooseSubtree's arithmetic, its
 // candidate order or the split moves a digest before it moves a gated row.
 func TestTreePagesPinned(t *testing.T) {
@@ -69,7 +69,6 @@ func TestTreePagesPinned(t *testing.T) {
 		"I-Hilbert/updated": "6c7da47f4f01eb3b8df5369eb024d0d7f076c3ce4cc9a2a563e9ca0875ff7713",
 		"I-All":             "c4ecf6e5ef7952853a0c174a3b6122e7fd696af416f4fe77240bf5820c5648a1",
 		"I-All/updated":     "96afe3997f25aefa03f3660e3cd3404ee4a24db0b7f69af979835ee2720dda04",
-		"spatial":           "2c010a5ac09e859abb565eba250dde6c781a9dbaff0593b960034e45370d3b03",
 	}
 	got := map[string]string{}
 	var f *grid.DEM
@@ -99,12 +98,6 @@ func TestTreePagesPinned(t *testing.T) {
 		}
 		got[string(m)+"/updated"] = treeDigest(t, eng.cur().parts[0].tree, pager)
 	}
-	pager := newPager()
-	sp, err := BuildSpatial(f, pager)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["spatial"] = treeDigest(t, sp.tree, pager)
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s tree pages hash to %s, want %s", name, got[name], w)

@@ -48,34 +48,6 @@ func convergenceQueries(f field.Field, seed int64) []geom.Interval {
 	return qs
 }
 
-// checkPointQueries builds the spatial tree over f and requires that, read
-// through eng's cell file, it answers the field's own interpolation at random
-// points — the two access paths agree on what the one stored copy of the cells
-// holds.
-func checkPointQueries(t *testing.T, f field.Field, eng Engine, seed int64) {
-	t.Helper()
-	sp, err := BuildSpatial(f, newPager())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	b := f.Bounds()
-	for i := 0; i < 50; i++ {
-		pt := geom.Pt(b.Min.X+rng.Float64()*b.Width(), b.Min.Y+rng.Float64()*b.Height())
-		want, ok := field.ValueAt(f, pt)
-		if !ok {
-			continue // a TIN's hull does not fill its bounding rectangle
-		}
-		got, st, err := sp.PointQueryContext(context.Background(), eng, pt)
-		if err != nil {
-			t.Fatalf("point %v: %v", pt, err)
-		}
-		if math.Abs(got-want) > 1e-9 || st.Reads == 0 {
-			t.Fatalf("point %v: index answers %g in %d reads, the field %g", pt, got, st.Reads, want)
-		}
-	}
-}
-
 // TestUpdateRegroup forces the §3 cost bound to move a group boundary: a
 // large coherent value shift across a block of the field makes the greedy cut
 // drift, ApplyUpdates reports Regrouped, and the re-cut index still converges

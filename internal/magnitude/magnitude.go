@@ -76,7 +76,7 @@ func Build(vf *field.VectorField, pager *storage.Pager, opts Options) (*Index, e
 		refs[i].Interval = vf.MagnitudeBounds(refs[i].ID)
 	}
 	groups := subfield.BuildGreedy(refs, subfield.DefaultCostModel)
-	tree, err := rstar.New(1, rstar.Params{PageSize: pager.PageSize()})
+	tree, err := rstar.New(rstar.Params{PageSize: pager.PageSize()})
 	if err != nil {
 		return nil, err
 	}

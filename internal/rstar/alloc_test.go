@@ -13,11 +13,11 @@ import (
 	"fielddb/internal/storage"
 )
 
-// TestInsertAllocations: an insert allocates a handful of times — its own
-// MBR, ChooseSubtree's candidate arrays and their sort — plus a split's or a
-// forced reinsert's share, one insert in tens (measured: 8.8 on average). An
-// MBR per sibling whose enlargement is weighed, or per split distribution,
-// makes it over a hundred.
+// TestInsertAllocations: an insert allocates only its share of a split's or
+// a forced reinsert's nodes and sort copies, one insert in tens (measured:
+// 0.07 on average): bounds are values, and ChooseSubtree's candidates live in
+// the tree's scratch. An allocation per insert or per weighed sibling makes
+// it one or more.
 func TestInsertAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	entries := make([]Entry, 30000)
@@ -25,7 +25,7 @@ func TestInsertAllocations(t *testing.T) {
 		lo := rng.Float64() * 1e6
 		entries[i] = Entry{MBR: Interval1D(lo, lo+rng.Float64()*1e3), Data: uint64(i)}
 	}
-	tr, err := New(1, Params{})
+	tr, err := New(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestInsertAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := float64(after.Mallocs-before.Mallocs) / float64(len(entries))
 	t.Logf("%.3f allocs per insert", got)
-	if got > 16 {
-		t.Errorf("%.3f allocs per insert, want at most 16", got)
+	if got > 0.5 {
+		t.Errorf("%.3f allocs per insert, want at most 0.5", got)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

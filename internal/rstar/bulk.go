@@ -10,24 +10,21 @@ import (
 // ordered by a space-filling-curve key and packed into full leaves, then
 // parent levels are packed on top until a single root remains.
 //
-// Entries are sorted stably by cmp, which returns < 0 when a sorts before b.
-// If cmp is nil, they are sorted by the center of their first dimension —
-// the natural order for the 1-D interval trees this package serves. Pass a
-// Hilbert-of-center comparison for 2-D spatial loads.
+// Entries are sorted stably by cmp, which returns < 0 when a sorts before b;
+// if cmp is nil, by the center of their interval.
 //
 // fillRatio in (0, 1] controls leaf packing; the classic packed load uses 1.0.
+// dims must be 1: the tree indexes value intervals only.
 func BulkLoad(dims int, params Params, entries []Entry, cmp func(a, b Entry) int, fillRatio float64) (*Tree, error) {
-	t, err := New(dims, params)
+	if dims != 1 {
+		return nil, fmt.Errorf("rstar: %d-D bulk load, the tree is 1-D", dims)
+	}
+	t, err := New(params)
 	if err != nil {
 		return nil, err
 	}
 	if len(entries) == 0 {
 		return t, nil
-	}
-	for _, e := range entries {
-		if e.MBR.Dims() != dims {
-			return nil, fmt.Errorf("rstar: bulk entry has %d dims, tree has %d", e.MBR.Dims(), dims)
-		}
 	}
 	if fillRatio <= 0 || fillRatio > 1 {
 		fillRatio = 1
@@ -40,7 +37,7 @@ func BulkLoad(dims int, params Params, entries []Entry, cmp func(a, b Entry) int
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
 	if cmp == nil {
-		cmp = func(a, b Entry) int { return compareFloats(a.MBR.Center(0), b.MBR.Center(0)) }
+		cmp = func(a, b Entry) int { return compareFloats(a.MBR.Center(), b.MBR.Center()) }
 	}
 	slices.SortStableFunc(sorted, cmp)
 
@@ -52,7 +49,7 @@ func BulkLoad(dims int, params Params, entries []Entry, cmp func(a, b Entry) int
 	for _, g := range bounds {
 		n := &node{level: 0}
 		for _, e := range sorted[g[0]:g[1]] {
-			n.entries = append(n.entries, nodeEntry{mbr: e.MBR.Clone(), data: e.Data})
+			n.entries = append(n.entries, nodeEntry{mbr: e.MBR, data: e.Data})
 		}
 		level = append(level, n)
 	}
@@ -65,7 +62,7 @@ func BulkLoad(dims int, params Params, entries []Entry, cmp func(a, b Entry) int
 		for _, g := range evenGroups(len(level), perNode) {
 			p := &node{level: h}
 			for _, child := range level[g[0]:g[1]] {
-				p.entries = append(p.entries, nodeEntry{mbr: child.mbr(dims), child: child})
+				p.entries = append(p.entries, nodeEntry{mbr: child.mbr(), child: child})
 			}
 			next = append(next, p)
 		}

@@ -62,7 +62,7 @@ func tiedIntervals() []Entry {
 			lo := float64(rng.Intn(400))
 			add(Interval1D(lo, lo+float64(rng.Intn(6))))
 		case r < 70 && len(es) > 0:
-			add(es[rng.Intn(len(es))].MBR.Clone())
+			add(es[rng.Intn(len(es))].MBR)
 		case r < 90:
 			c := float64(rng.Intn(400))
 			for w := 0.0; w < float64(1+rng.Intn(8)); w++ {
@@ -81,66 +81,32 @@ func tiedIntervals() []Entry {
 	return es
 }
 
-// gridRects is 12 000 2-D entries on an integer grid (ties on every axis,
-// duplicates, rectangles nested in their neighbours) mixed with float ones.
-func gridRects() []Entry {
-	rng := rand.New(rand.NewSource(35))
-	es := make([]Entry, 12000)
-	for i := range es {
-		var m MBR
-		switch r := rng.Intn(10); {
-		case r < 6:
-			x, y := float64(rng.Intn(120)), float64(rng.Intn(120))
-			m = Rect2D(x, x+float64(rng.Intn(4)), y, y+float64(rng.Intn(4)))
-		case r < 8 && i > 0:
-			m = es[rng.Intn(i)].MBR.Clone()
-		default:
-			x, y := rng.Float64()*120, rng.Float64()*120
-			m = Rect2D(x, x+rng.Float64()*3, y, y+rng.Float64()*3)
-		}
-		es[i] = Entry{MBR: m, Data: uint64(i)}
-	}
-	return es
-}
-
-// TestInsertedTreesPinned holds two trees built by R* insertion on default
-// pages to digests of their nodes: a 1-D tree full of ties, whose finite
-// entries are then deleted one in four (condense and reinsert at every
-// level), and a 2-D tree, whose ChooseSubtree and split no bulk-loaded tree
-// of the engine exercises. A change to ChooseSubtree's arithmetic, its
-// candidate order, the forced reinsert's order or the split's moves a digest.
+// TestInsertedTreesPinned holds a tree built by R* insertion on default pages
+// to a digest of its nodes: a tree full of ties, whose finite entries are then
+// deleted one in four (condense and reinsert at every level). A change to
+// ChooseSubtree's arithmetic, its candidate order, the forced reinsert's order
+// or the split's moves the digest.
 func TestInsertedTreesPinned(t *testing.T) {
-	cases := []struct {
-		name    string
-		dims    int
-		entries []Entry
-		want    string
-	}{
-		{"1-D/ties", 1, tiedIntervals(), "c2b01d528449750763b4eff00ac8dfe0bf432afd370f2cd4f96079ec97e228fb"},
-		{"2-D", 2, gridRects(), "018e3b81fe887c23d5feeb2c787fd202c24e6f59ae5078be3914ce5fb2e3d453"},
+	const want = "c2b01d528449750763b4eff00ac8dfe0bf432afd370f2cd4f96079ec97e228fb"
+	tr, err := New(Params{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		tr, err := New(c.dims, Params{})
-		if err != nil {
+	entries := tiedIntervals()
+	for _, e := range entries {
+		if err := tr.Insert(e); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range c.entries {
-			if err := tr.Insert(e); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for i, e := range entries {
+		if i%4 == 0 && e.MBR[0] <= e.MBR[1] && !tr.Delete(e) {
+			t.Fatalf("Delete(%v) found nothing", e)
 		}
-		if c.dims == 1 {
-			for i, e := range c.entries {
-				if i%4 == 0 && e.MBR[0] <= e.MBR[1] && !tr.Delete(e) {
-					t.Fatalf("%s: Delete(%v) found nothing", c.name, e)
-				}
-			}
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := nodeDigest(tr); got != c.want {
-			t.Errorf("%s tree hashes to %s, want %s", c.name, got, c.want)
-		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeDigest(tr); got != want {
+		t.Errorf("the tree of ties hashes to %s, want %s", got, want)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Example shows the 1-D interval use of the R*-tree — the configuration the
 // paper's value indexes rely on.
 func Example() {
-	tree, _ := rstar.New(1, rstar.Params{})
+	tree, _ := rstar.New(rstar.Params{})
 	// Three temperature intervals of three subfields.
 	tree.Insert(rstar.Entry{MBR: rstar.Interval1D(10, 20), Data: 0})
 	tree.Insert(rstar.Entry{MBR: rstar.Interval1D(18, 25), Data: 1})
@@ -28,7 +28,7 @@ func Example() {
 // Example_paged persists a tree and searches it through a query context,
 // charging every node visit to the simulated disk clock.
 func Example_paged() {
-	tree, _ := rstar.New(1, rstar.Params{})
+	tree, _ := rstar.New(rstar.Params{})
 	for i := 0; i < 1000; i++ {
 		lo := float64(i)
 		tree.Insert(rstar.Entry{MBR: rstar.Interval1D(lo, lo+1.5), Data: uint64(i)})

@@ -13,7 +13,7 @@ import (
 // interval entries whose payloads are 0..n-1.
 func buildPersisted(t *testing.T, n int, seed int64) (*Tree, *storage.Pager) {
 	t.Helper()
-	tr, err := New(1, Params{PageSize: 512})
+	tr, err := New(Params{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func collect(t *testing.T, tr *Tree, q MBR) []uint64 {
 // byte what Insert returned before the sentinel existed.
 func TestPagedOnlyInsertSentinel(t *testing.T) {
 	built, pager := buildPersisted(t, 500, 7)
-	opened, err := OpenPaged(pager, built.RootPage(), 1, built.params, built.Len(), built.PersistedNodes(), built.Height())
+	opened, err := OpenPaged(pager, built.RootPage(), built.params, built.Len(), built.PersistedNodes(), built.Height())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPagedOnlyInsertSentinel(t *testing.T) {
 // original handle untouched.
 func TestHydratePagedHandle(t *testing.T) {
 	built, pager := buildPersisted(t, 3000, 11)
-	opened, err := OpenPaged(pager, built.RootPage(), 1, built.params, built.Len(), built.PersistedNodes(), built.Height())
+	opened, err := OpenPaged(pager, built.RootPage(), built.params, built.Len(), built.PersistedNodes(), built.Height())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestHydrateInMemoryTree(t *testing.T) {
 
 // TestHydrateUnpersisted pins the error for a handle with nothing to load.
 func TestHydrateUnpersisted(t *testing.T) {
-	tr, _ := New(1, Params{})
+	tr, _ := New(Params{})
 	tr.root = nil // simulate a broken paged-only handle with no pager
 	if _, err := tr.Hydrate(nil); err == nil {
 		t.Fatal("Hydrate with no pages succeeded")

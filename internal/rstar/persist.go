@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"fielddb/internal/storage"
 )
@@ -13,9 +14,12 @@ import (
 //	[0:2)  level (0 = leaf)
 //	[2:4)  entry count
 //	[4:8)  reserved
-//	then count entries of (2*dims float64 bounds, uint64 ref) each, where
-//	ref is a child PageID for inner nodes and the opaque payload for leaves.
-const nodeHeaderSize = 8
+//	then count entries of (lo, hi float64, uint64 ref) each, where ref is a
+//	child PageID for inner nodes and the opaque payload for leaves.
+const (
+	nodeHeaderSize = 8
+	entrySize      = 24
+)
 
 // Persist writes the tree to pages allocated from the pager, one node per
 // page, and remembers the root page for PagedSearchCtx. Nodes are laid out in
@@ -50,10 +54,9 @@ func (t *Tree) persistNode(pager *storage.Pager, n *node) (storage.PageID, error
 	binary.LittleEndian.PutUint16(buf[2:4], uint16(len(n.entries)))
 	off := nodeHeaderSize
 	for _, e := range n.entries {
-		for _, v := range e.mbr {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-			off += 8
-		}
+		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.mbr[0]))
+		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(e.mbr[1]))
+		off += 16
 		ref := e.data
 		if e.child != nil {
 			childID, err := t.persistNode(pager, e.child)
@@ -75,8 +78,8 @@ func (t *Tree) persistNode(pager *storage.Pager, n *node) (storage.PageID, error
 // by Persist: PagedSearchCtx works immediately; in-memory operations (Insert,
 // Delete, Search) are unavailable because the node structure is not loaded.
 // Len reports the stored entry count as provided by the caller's catalog.
-func OpenPaged(pager *storage.Pager, root storage.PageID, dims int, params Params, size, nodes, height int) (*Tree, error) {
-	t, err := New(dims, params)
+func OpenPaged(pager *storage.Pager, root storage.PageID, params Params, size, nodes, height int) (*Tree, error) {
+	t, err := New(params)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +107,7 @@ func (t *Tree) IsPagedOnly() bool { return t.root == nil }
 // unaffected, which is what the MVCC update path relies on: mutate the copy,
 // persist it to fresh pages, then publish it as the next snapshot.
 func (t *Tree) Hydrate(r storage.PageReader) (*Tree, error) {
-	nt, err := New(t.dims, t.params)
+	nt, err := New(t.params)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +116,7 @@ func (t *Tree) Hydrate(r storage.PageReader) (*Tree, error) {
 	nt.numNodes = t.numNodes
 	nt.pagedHeight = t.pagedHeight
 	if t.root != nil {
-		nt.root = cloneNode(t.root, t.dims)
+		nt.root = cloneNode(t.root)
 		nt.size = t.size
 		return nt, nil
 	}
@@ -148,19 +151,18 @@ func (t *Tree) hydrateNode(r storage.PageReader, id storage.PageID) (n *node, si
 func (t *Tree) decodeNode(r storage.PageReader, id storage.PageID, page []byte) (*node, int, error) {
 	level := int(binary.LittleEndian.Uint16(page[0:2]))
 	count := int(binary.LittleEndian.Uint16(page[2:4]))
-	if count > t.maxFill || nodeHeaderSize+count*(16*t.dims+8) > len(page) {
+	if count > t.maxFill || nodeHeaderSize+count*entrySize > len(page) {
 		return nil, 0, fmt.Errorf("rstar: node page %d: corrupt entry count %d", id, count)
 	}
 	n := &node{level: level, entries: make([]nodeEntry, 0, count)}
-	bounds := make([]float64, count*2*t.dims)
 	size := 0
 	for i := 0; i < count; i++ {
-		e := nodeEntry{mbr: t.entryMBR(page, i, entryBounds(bounds, i, t.dims))}
+		e := nodeEntry{mbr: entryMBR(page, i)}
 		if level == 0 {
-			e.data = t.entryRef(page, i)
+			e.data = entryRef(page, i)
 			size++
 		} else {
-			child, sz, err := t.hydrateNode(r, storage.PageID(t.entryRef(page, i)))
+			child, sz, err := t.hydrateNode(r, storage.PageID(entryRef(page, i)))
 			if err != nil {
 				return nil, 0, err
 			}
@@ -175,28 +177,15 @@ func (t *Tree) decodeNode(r storage.PageReader, id storage.PageID, page []byte) 
 	return n, size, nil
 }
 
-// cloneNode deep-copies a subtree of dims-dimensional MBRs.
-func cloneNode(n *node, dims int) *node {
-	c := &node{level: n.level, entries: make([]nodeEntry, len(n.entries))}
-	bounds := make([]float64, len(n.entries)*2*dims)
-	for i, e := range n.entries {
-		m := entryBounds(bounds, i, dims)
-		copy(m, e.mbr)
-		c.entries[i] = nodeEntry{mbr: m, data: e.data}
+// cloneNode deep-copies a subtree.
+func cloneNode(n *node) *node {
+	c := &node{level: n.level, entries: slices.Clone(n.entries)}
+	for i, e := range c.entries {
 		if e.child != nil {
-			c.entries[i].child = cloneNode(e.child, dims)
+			c.entries[i].child = cloneNode(e.child)
 		}
 	}
 	return c
-}
-
-// entryBounds is the i-th entry's MBR in bounds, one array holding a node's
-// entries' bounds, so that a hydrated tree allocates per node, not per entry.
-// Its capacity ends at its length, so it never reaches into a neighbour's, and
-// it stays valid when its entry moves to another node.
-func entryBounds(bounds []float64, i, dims int) MBR {
-	w := 2 * dims
-	return MBR(bounds[i*w : i*w+w : i*w+w])
 }
 
 // RootPage returns the page id of the persisted root, or storage.InvalidPage
@@ -218,54 +207,32 @@ func (t *Tree) PersistedNodes() int { return t.numNodes }
 // stops the search. Node pages are tested in place on the images ReadRun
 // hands over, and contiguous leaf runs are batched through one ReadRun.
 //
-// Every Entry handed to fn shares one MBR that the search overwrites for the
-// next match: it is valid only during the callback, and a callback that keeps
-// the bounds must Clone them.
-//
 // Each call allocates its search state; a caller that searches again and
 // again keeps a Searcher instead.
 func (t *Tree) PagedSearchCtx(r storage.PageReader, query MBR, fn func(Entry) bool) error {
 	return new(Searcher).Search(t, r, query, fn)
 }
 
-// entryIntersects tests entry i's bounds on a node page image against query
-// without materializing an MBR — the comparisons are exactly MBR.Intersects.
-func (t *Tree) entryIntersects(page []byte, i int, query MBR) bool {
-	off := nodeHeaderSize + i*(16*t.dims+8)
-	for d := 0; d < t.dims; d++ {
-		lo := math.Float64frombits(binary.LittleEndian.Uint64(page[off+16*d:]))
-		hi := math.Float64frombits(binary.LittleEndian.Uint64(page[off+16*d+8:]))
-		if lo > query[2*d+1] || query[2*d] > hi {
-			return false
-		}
+// entryMBR decodes entry i's bounds from a node page image.
+func entryMBR(page []byte, i int) MBR {
+	off := nodeHeaderSize + i*entrySize
+	return MBR{
+		math.Float64frombits(binary.LittleEndian.Uint64(page[off:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(page[off+8:])),
 	}
-	return true
-}
-
-// entryMBR decodes entry i's bounds from a node page image into m.
-func (t *Tree) entryMBR(page []byte, i int, m MBR) MBR {
-	off := nodeHeaderSize + i*(16*t.dims+8)
-	for j := range m {
-		m[j] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+8*j:]))
-	}
-	return m
 }
 
 // entryRef returns entry i's child page id (inner nodes) or payload (leaves).
-func (t *Tree) entryRef(page []byte, i int) uint64 {
-	return binary.LittleEndian.Uint64(page[nodeHeaderSize+i*(16*t.dims+8)+16*t.dims:])
+func entryRef(page []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(page[nodeHeaderSize+i*entrySize+16:])
 }
 
 // searchLeafPage visits the matching entries of one leaf page image in slot
-// order, decoding each one's bounds into scratch; false means fn stopped the
-// search.
-func (t *Tree) searchLeafPage(page []byte, query, scratch MBR, fn func(Entry) bool) bool {
+// order; false means fn stopped the search.
+func searchLeafPage(page []byte, query MBR, fn func(Entry) bool) bool {
 	count := int(binary.LittleEndian.Uint16(page[2:4]))
 	for i := 0; i < count; i++ {
-		if !t.entryIntersects(page, i, query) {
-			continue
-		}
-		if !fn(Entry{MBR: t.entryMBR(page, i, scratch), Data: t.entryRef(page, i)}) {
+		if m := entryMBR(page, i); m.Intersects(query) && !fn(Entry{MBR: m, Data: entryRef(page, i)}) {
 			return false
 		}
 	}
@@ -273,22 +240,21 @@ func (t *Tree) searchLeafPage(page []byte, query, scratch MBR, fn func(Entry) bo
 }
 
 // Searcher runs paged searches on storage it keeps from one to the next —
-// its scratch bounds, its node visitor, bound once, and its list of leaf
-// runs — so a caller that keeps one beside its other per-query scratch
-// searches without allocating once a first search has sized it. The zero
+// its node visitor, bound once, and its list of leaf runs — so a caller that
+// keeps one beside its other per-query scratch searches without allocating
+// once a first search has sized it. The zero
 // value is ready to use. A Searcher runs one search at a time: fn must not
 // search with it.
 type Searcher struct {
-	t              *Tree
-	r              storage.PageReader
-	query, scratch MBR
-	fn             func(Entry) bool
-	self           *Searcher                         // the receiver visit is bound to
-	visit          func(storage.PageID, []byte) bool // s.node
-	more           bool                              // false once fn stopped the search
-	err            error
-	kids           []storage.PageID // matching leaves of the level-1 node being read
-	kidBuf         [32]storage.PageID
+	r      storage.PageReader
+	query  MBR
+	fn     func(Entry) bool
+	self   *Searcher                         // the receiver visit is bound to
+	visit  func(storage.PageID, []byte) bool // s.node
+	more   bool                              // false once fn stopped the search
+	err    error
+	kids   []storage.PageID // matching leaves of the level-1 node being read
+	kidBuf [32]storage.PageID
 }
 
 // Search is t.PagedSearchCtx(r, query, fn) on s's storage. It keeps no
@@ -300,15 +266,10 @@ func (s *Searcher) Search(t *Tree, r storage.PageReader, query MBR, fn func(Entr
 	if s.self != s { // a first search, or a copied Searcher
 		s.self, s.visit, s.kids = s, s.node, s.kidBuf[:0]
 	}
-	if w := 2 * t.dims; cap(s.scratch) >= w {
-		s.scratch = s.scratch[:w]
-	} else {
-		s.scratch = make(MBR, w)
-	}
-	s.t, s.r, s.query, s.fn, s.more, s.err = t, r, query, fn, true, nil
+	s.r, s.query, s.fn, s.more, s.err = r, query, fn, true, nil
 	s.descend(t.rootPage, t.rootPage)
 	err := s.err
-	s.t, s.r, s.query, s.fn, s.err = nil, nil, nil, nil, nil
+	s.r, s.fn, s.err = nil, nil, nil
 	return err
 }
 
@@ -327,18 +288,17 @@ func (s *Searcher) descend(first, last storage.PageID) bool {
 // persistence puts the leaves under one parent there — are read as one run;
 // the visit order and per-page charges are those of reading them one by one.
 func (s *Searcher) node(_ storage.PageID, page []byte) bool {
-	t := s.t
 	level := int(binary.LittleEndian.Uint16(page[0:2]))
 	count := int(binary.LittleEndian.Uint16(page[2:4]))
 	switch level {
 	case 0:
-		s.more = t.searchLeafPage(page, s.query, s.scratch, s.fn)
+		s.more = searchLeafPage(page, s.query, s.fn)
 		return s.more
 	case 1:
 		s.kids = s.kids[:0]
 		for i := 0; i < count; i++ {
-			if t.entryIntersects(page, i, s.query) {
-				s.kids = append(s.kids, storage.PageID(t.entryRef(page, i)))
+			if entryMBR(page, i).Intersects(s.query) {
+				s.kids = append(s.kids, storage.PageID(entryRef(page, i)))
 			}
 		}
 		for i := 0; i < len(s.kids); {
@@ -354,8 +314,8 @@ func (s *Searcher) node(_ storage.PageID, page []byte) bool {
 		return true
 	}
 	for i := 0; i < count; i++ {
-		if t.entryIntersects(page, i, s.query) {
-			if child := storage.PageID(t.entryRef(page, i)); !s.descend(child, child) {
+		if entryMBR(page, i).Intersects(s.query) {
+			if child := storage.PageID(entryRef(page, i)); !s.descend(child, child) {
 				return false
 			}
 		}

@@ -16,48 +16,33 @@ import (
 )
 
 func TestMBRBasics(t *testing.T) {
-	m := Rect2D(0, 2, 1, 4)
-	if m.Dims() != 2 {
-		t.Fatalf("Dims = %d", m.Dims())
+	m := Interval1D(0, 2)
+	if m.Area() != 2 || Interval1D(3, 1).Area() != 0 {
+		t.Fatalf("Area = %g, %g", m.Area(), Interval1D(3, 1).Area())
 	}
-	if m.Area() != 6 {
-		t.Fatalf("Area = %g", m.Area())
+	if m.Center() != 1 {
+		t.Fatalf("Center = %g", m.Center())
 	}
-	if m.Margin() != 5 {
-		t.Fatalf("Margin = %g", m.Margin())
-	}
-	if m.Center(0) != 1 || m.Center(1) != 2.5 {
-		t.Fatalf("Center = %g,%g", m.Center(0), m.Center(1))
-	}
-	o := Rect2D(1, 3, 2, 3)
+	o := Interval1D(1, 3)
 	if got := m.OverlapArea(o); got != 1 {
 		t.Fatalf("OverlapArea = %g", got)
 	}
 	u := m.Union(o)
-	if u.Lo(0) != 0 || u.Hi(0) != 3 || u.Lo(1) != 1 || u.Hi(1) != 4 {
+	if u != Interval1D(0, 3) {
 		t.Fatalf("Union = %v", u)
 	}
 	if got := m.Enlargement(o); got != u.Area()-m.Area() {
 		t.Fatalf("Enlargement = %g", got)
 	}
-	if !m.Contains(Rect2D(0.5, 1, 2, 3)) {
+	if !m.Contains(Interval1D(0.5, 1)) {
 		t.Fatal("Contains false negative")
 	}
 	if m.Contains(o) {
 		t.Fatal("Contains false positive")
 	}
-	if m.String() == "" || NewMBR(1, 2).String() == "" {
-		t.Fatal("String empty")
+	if m.String() != "[0..2]" {
+		t.Fatalf("String = %q", m.String())
 	}
-}
-
-func TestMBRNewPanicsOnOddBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMBR(1, 2, 3)
 }
 
 func TestInterval1DIntersects(t *testing.T) {
@@ -74,10 +59,10 @@ func TestInterval1DIntersects(t *testing.T) {
 	}
 }
 
-func newSmallTree(t *testing.T, dims int) *Tree {
+func newSmallTree(t *testing.T) *Tree {
 	t.Helper()
 	// Small pages force deep trees so splits/reinserts actually run.
-	tr, err := New(dims, Params{PageSize: 256})
+	tr, err := New(Params{PageSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +70,7 @@ func newSmallTree(t *testing.T, dims int) *Tree {
 }
 
 func TestInsertSearch1D(t *testing.T) {
-	tr := newSmallTree(t, 1)
+	tr := newSmallTree(t)
 	const n = 2000
 	rng := rand.New(rand.NewSource(7))
 	ivs := make([]MBR, n)
@@ -131,40 +116,8 @@ func TestInsertSearch1D(t *testing.T) {
 	}
 }
 
-func TestInsertSearch2D(t *testing.T) {
-	tr := newSmallTree(t, 2)
-	const n = 1500
-	rng := rand.New(rand.NewSource(11))
-	rects := make([]MBR, n)
-	for i := 0; i < n; i++ {
-		x, y := rng.Float64()*100, rng.Float64()*100
-		rects[i] = Rect2D(x, x+rng.Float64()*3, y, y+rng.Float64()*3)
-		if err := tr.Insert(Entry{MBR: rects[i], Data: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants violated: %v", err)
-	}
-	for q := 0; q < 50; q++ {
-		x, y := rng.Float64()*100, rng.Float64()*100
-		query := Rect2D(x, x+10, y, y+10)
-		want := 0
-		for _, r := range rects {
-			if r.Intersects(query) {
-				want++
-			}
-		}
-		got := 0
-		tr.Search(query, func(Entry) bool { got++; return true })
-		if got != want {
-			t.Fatalf("2-D query: got %d, want %d", got, want)
-		}
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
-	tr := newSmallTree(t, 1)
+	tr := newSmallTree(t)
 	for i := 0; i < 500; i++ {
 		tr.Insert(Entry{MBR: Interval1D(0, 1), Data: uint64(i)})
 	}
@@ -178,21 +131,11 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestInsertWrongDims(t *testing.T) {
-	tr := newSmallTree(t, 1)
-	if err := tr.Insert(Entry{MBR: Rect2D(0, 1, 0, 1)}); err == nil {
-		t.Fatal("wrong-dims insert accepted")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, Params{}); err == nil {
-		t.Fatal("dims=0 accepted")
-	}
-	if _, err := New(2, Params{PageSize: 32}); err == nil {
+	if _, err := New(Params{PageSize: 32}); err == nil {
 		t.Fatal("tiny page accepted")
 	}
-	tr, err := New(1, Params{})
+	tr, err := New(Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +146,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := newSmallTree(t, 1)
+	tr := newSmallTree(t)
 	const n = 800
 	rng := rand.New(rand.NewSource(3))
 	entries := make([]Entry, n)
@@ -267,7 +210,7 @@ func TestDeleteOddBounds(t *testing.T) {
 		{"negative zero", Interval1D(math.Copysign(0, -1), 1)},
 	} {
 		for _, pageSize := range []int{256, 0} {
-			tr, err := New(1, Params{PageSize: pageSize})
+			tr, err := New(Params{PageSize: pageSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +240,7 @@ func TestDeleteOddBounds(t *testing.T) {
 // instead of panicking on an unset best.
 func TestSplitInfiniteBounds(t *testing.T) {
 	for _, m := range []MBR{Interval1D(math.Inf(-1), math.Inf(1)), Interval1D(math.NaN(), 1)} {
-		tr := newSmallTree(t, 1)
+		tr := newSmallTree(t)
 		for i := 0; i < 300; i++ {
 			if err := tr.Insert(Entry{MBR: m, Data: uint64(i)}); err != nil {
 				t.Fatal(err)
@@ -316,7 +259,7 @@ func TestSplitInfiniteBounds(t *testing.T) {
 }
 
 func TestDeleteAll(t *testing.T) {
-	tr := newSmallTree(t, 1)
+	tr := newSmallTree(t)
 	var entries []Entry
 	for i := 0; i < 300; i++ {
 		e := Entry{MBR: Interval1D(float64(i), float64(i)+0.5), Data: uint64(i)}
@@ -339,7 +282,7 @@ func TestDeleteAll(t *testing.T) {
 }
 
 func TestPersistAndPagedSearchCtx(t *testing.T) {
-	tr, err := New(1, Params{PageSize: 512})
+	tr, err := New(Params{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +332,7 @@ func TestPersistAndPagedSearchCtx(t *testing.T) {
 }
 
 func TestPagedSearchEarlyStop(t *testing.T) {
-	tr, _ := New(1, Params{PageSize: 256})
+	tr, _ := New(Params{PageSize: 256})
 	for i := 0; i < 500; i++ {
 		tr.Insert(Entry{MBR: Interval1D(0, 1), Data: uint64(i)})
 	}
@@ -411,21 +354,21 @@ func TestPagedSearchEarlyStop(t *testing.T) {
 
 func TestSearcherReuse(t *testing.T) {
 	// One Searcher carried from search to search — after an early stop,
-	// across trees of one and two dimensions, and copied — visits what a
-	// fresh PagedSearchCtx visits, in the same order with the same bounds.
+	// across two trees, and copied — visits what a fresh PagedSearchCtx
+	// visits, in the same order with the same bounds.
 	rng := rand.New(rand.NewSource(11))
 	pager := storage.NewPager(storage.NewMemDisk(512), storage.DefaultDiskModel, 0)
 	trees := make([]*Tree, 2)
 	for d := range trees {
 		entries := make([]Entry, 2000)
 		for i := range entries {
-			x, y := rng.Float64()*100, rng.Float64()*100
+			x := rng.Float64() * 100
 			entries[i] = Entry{MBR: Interval1D(x, x+rng.Float64()*3), Data: uint64(i)}
 			if d == 1 {
-				entries[i].MBR = Rect2D(x, x+1, y, y+1)
+				entries[i].MBR = Interval1D(x, x+1)
 			}
 		}
-		tr, err := BulkLoad(d+1, Params{PageSize: 512}, entries, nil, 1)
+		tr, err := BulkLoad(1, Params{PageSize: 512}, entries, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,11 +391,8 @@ func TestSearcherReuse(t *testing.T) {
 	s := new(Searcher)
 	for round := 0; round < 40; round++ {
 		tr := trees[round%2]
-		lo, lo2 := rng.Float64()*100, rng.Float64()*100
+		lo := rng.Float64() * 100
 		q := Interval1D(lo, lo+8)
-		if tr.dims == 2 {
-			q = Rect2D(lo, lo+8, lo2, lo2+8)
-		}
 		limit := 1 << 30
 		if round%3 == 0 {
 			limit = 3
@@ -469,7 +409,7 @@ func TestSearcherReuse(t *testing.T) {
 }
 
 func TestPagedSearchWithoutPersist(t *testing.T) {
-	tr, _ := New(1, Params{})
+	tr, _ := New(Params{})
 	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 0)
 	if err := tr.PagedSearchCtx(pager, Interval1D(0, 1), func(Entry) bool { return true }); err == nil {
 		t.Fatal("PagedSearchCtx on unpersisted tree succeeded")
@@ -512,7 +452,7 @@ func TestBulkLoad(t *testing.T) {
 	}
 	// A packed tree should be shallower or equal vs the same data inserted
 	// one by one.
-	ins := newSmallTree(t, 1)
+	ins := newSmallTree(t)
 	for _, e := range entries {
 		ins.Insert(e)
 	}
@@ -532,21 +472,22 @@ func TestBulkLoadEmptyAndErrors(t *testing.T) {
 	if count != 0 {
 		t.Fatal("empty tree returned results")
 	}
-	if _, err := BulkLoad(1, Params{}, []Entry{{MBR: Rect2D(0, 1, 0, 1)}}, nil, 1.0); err == nil {
-		t.Fatal("wrong-dims bulk accepted")
+	if _, err := BulkLoad(2, Params{}, []Entry{{MBR: Interval1D(0, 1)}}, nil, 1.0); err == nil {
+		t.Fatal("a 2-D bulk load accepted")
 	}
 }
 
 func TestBulkLoadCustomOrder(t *testing.T) {
-	// 2-D load ordered by x center must still produce a correct tree.
+	// A load ordered by upper bound, descending, must still produce a
+	// correct tree.
 	rng := rand.New(rand.NewSource(17))
 	entries := make([]Entry, 2000)
 	for i := range entries {
-		x, y := rng.Float64()*10, rng.Float64()*10
-		entries[i] = Entry{MBR: Rect2D(x, x+0.1, y, y+0.1), Data: uint64(i)}
+		x := rng.Float64() * 10
+		entries[i] = Entry{MBR: Interval1D(x, x+rng.Float64()), Data: uint64(i)}
 	}
-	tr, err := BulkLoad(2, Params{PageSize: 512}, entries,
-		func(a, b Entry) int { return compareFloats(a.MBR.Center(0), b.MBR.Center(0)) }, 0.8)
+	tr, err := BulkLoad(1, Params{PageSize: 512}, entries,
+		func(a, b Entry) int { return compareFloats(b.MBR[1], a.MBR[1]) }, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +495,7 @@ func TestBulkLoadCustomOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	tr.Search(Rect2D(0, 10, 0, 10), func(Entry) bool { got++; return true })
+	tr.Search(Interval1D(0, 11), func(Entry) bool { got++; return true })
 	if got != len(entries) {
 		t.Fatalf("full query returned %d of %d", got, len(entries))
 	}
@@ -602,7 +543,7 @@ func TestQuickInsertedTreeMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + rng.Intn(300)
-		tr, _ := New(1, Params{PageSize: 256})
+		tr, _ := New(Params{PageSize: 256})
 		ivs := make([]MBR, n)
 		for i := 0; i < n; i++ {
 			lo := rng.Float64() * 20
@@ -666,7 +607,7 @@ func BenchmarkInsert1D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr, _ := New(1, Params{})
+		tr, _ := New(Params{})
 		for _, e := range entries {
 			tr.Insert(e)
 		}
@@ -675,7 +616,7 @@ func BenchmarkInsert1D(b *testing.B) {
 }
 
 func BenchmarkSearch1D(b *testing.B) {
-	tr, _ := New(1, Params{})
+	tr, _ := New(Params{})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100000; i++ {
 		lo := rng.Float64() * 1e6

@@ -29,25 +29,20 @@ type nodeEntry struct {
 
 func (n *node) isLeaf() bool { return n.level == 0 }
 
-// mbr returns the bounding rectangle of all entries of n.
-func (n *node) mbr(dims int) MBR {
-	m := make(MBR, 2*dims)
-	n.mbrInto(m)
-	return m
-}
+// mbr returns the bounding interval of all entries of n, empty (+Inf, −Inf)
+// when it has none.
+func (n *node) mbr() MBR { return groupMBR(n.entries) }
 
-// mbrInto overwrites m with the bounding rectangle of all entries of n.
-func (n *node) mbrInto(m MBR) {
-	if len(n.entries) == 0 {
-		for d := 0; d < len(m); d += 2 {
-			m[d], m[d+1] = math.Inf(1), math.Inf(-1)
-		}
-		return
+// groupMBR returns the bounding interval of es.
+func groupMBR(es []nodeEntry) MBR {
+	if len(es) == 0 {
+		return MBR{math.Inf(1), math.Inf(-1)}
 	}
-	copy(m, n.entries[0].mbr)
-	for _, e := range n.entries[1:] {
-		m.ExtendInPlace(e.mbr)
+	m := es[0].mbr
+	for _, e := range es[1:] {
+		m = m.Union(e.mbr)
 	}
+	return m
 }
 
 // Params tunes the tree. Zero values select the R* paper defaults derived
@@ -77,7 +72,6 @@ func (p Params) withDefaults() Params {
 
 // Tree is an in-memory R*-tree that can be persisted to pages.
 type Tree struct {
-	dims    int
 	maxFill int // M: max entries per node
 	minFill int // m: min entries per node
 	reins   int // p: entries to reinsert on first overflow
@@ -91,17 +85,18 @@ type Tree struct {
 	numNodes int
 	// Set by OpenPaged: the stored height of a query-only handle.
 	pagedHeight int
+
+	// cands is chooseSubtree's scratch: a tree is written by one goroutine at
+	// a time.
+	cands []candidate
 }
 
-// New returns an empty tree for dims-dimensional MBRs.
-func New(dims int, params Params) (*Tree, error) {
-	if dims < 1 {
-		return nil, fmt.Errorf("rstar: dims must be >= 1, got %d", dims)
-	}
+// New returns an empty tree.
+func New(params Params) (*Tree, error) {
 	params = params.withDefaults()
-	maxFill := maxEntriesPerNode(params.PageSize, dims)
+	maxFill := maxEntriesPerNode(params.PageSize)
 	if maxFill < 4 {
-		return nil, fmt.Errorf("rstar: page size %d too small for %d-D entries", params.PageSize, dims)
+		return nil, fmt.Errorf("rstar: page size %d too small for a node of 4 entries", params.PageSize)
 	}
 	minFill := int(float64(maxFill) * params.MinFillRatio)
 	if minFill < 1 {
@@ -112,7 +107,6 @@ func New(dims int, params Params) (*Tree, error) {
 		reins = 1
 	}
 	return &Tree{
-		dims:    dims,
 		maxFill: maxFill,
 		minFill: minFill,
 		reins:   reins,
@@ -122,14 +116,10 @@ func New(dims int, params Params) (*Tree, error) {
 }
 
 // maxEntriesPerNode computes the node fan-out M from the on-page layout:
-// a 8-byte header followed by entries of 2*dims float64 bounds plus an
-// 8-byte child pointer / payload.
-func maxEntriesPerNode(pageSize, dims int) int {
-	return (pageSize - nodeHeaderSize) / (16*dims + 8)
+// an 8-byte header followed by entries of entrySize bytes.
+func maxEntriesPerNode(pageSize int) int {
+	return (pageSize - nodeHeaderSize) / entrySize
 }
-
-// Dims returns the dimensionality of the tree's MBRs.
-func (t *Tree) Dims() int { return t.dims }
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.size }
@@ -155,14 +145,11 @@ func (t *Tree) Insert(e Entry) error {
 	if t.root == nil {
 		return fmt.Errorf("rstar: tree is a %w", ErrReadOnlyIndex)
 	}
-	if e.MBR.Dims() != t.dims {
-		return fmt.Errorf("rstar: entry has %d dims, tree has %d", e.MBR.Dims(), t.dims)
-	}
 	// Bit level of overflowed marks a level that already did a forced
 	// reinsert during this insertion (OverflowTreatment is called at most once
 	// per level per insert, R* paper §4.3); a tree is far below 64 levels.
 	var overflowed uint64
-	t.insertAtLevel(nodeEntry{mbr: e.MBR.Clone(), data: e.Data}, 0, &overflowed)
+	t.insertAtLevel(nodeEntry{mbr: e.MBR, data: e.Data}, 0, &overflowed)
 	t.size++
 	return nil
 }
@@ -186,7 +173,7 @@ func (t *Tree) choosePath(path []*node, m MBR, targetLevel int) []*node {
 	n := t.root
 	for n.level > targetLevel {
 		idx := t.chooseSubtree(n, m)
-		n.entries[idx].mbr.ExtendInPlace(m)
+		n.entries[idx].mbr = n.entries[idx].mbr.Union(m)
 		n = n.entries[idx].child
 		path = append(path, n)
 	}
@@ -203,25 +190,24 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 		// Computing overlap enlargement against every sibling is O(M²);
 		// the R* paper's own optimization considers only the 32 entries
 		// with the least area enlargement.
-		cand := make([]int, len(n.entries))
-		for i := range cand {
-			cand[i] = i
+		cand := t.cands[:0]
+		for i := range n.entries {
+			cand = append(cand, candidate{i: i})
 		}
+		t.cands = cand
 		const maxCand = 32
 		if len(cand) > maxCand {
-			enls := make([]float64, len(n.entries))
-			for i, e := range n.entries {
-				enls[i] = e.mbr.Enlargement(m)
+			for k := range cand {
+				cand[k].enl = n.entries[k].mbr.Enlargement(m)
 			}
-			slices.SortFunc(cand, func(a, b int) int { return compareFloats(enls[a], enls[b]) })
+			slices.SortFunc(cand, func(a, b candidate) int { return compareFloats(a.enl, b.enl) })
 			cand = cand[:maxCand]
 		}
 		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
-		union := make(MBR, 2*t.dims)
-		for _, i := range cand {
+		for _, c := range cand {
+			i := c.i
 			e := n.entries[i]
-			copy(union, e.mbr)
-			union.ExtendInPlace(m)
+			union := e.mbr.Union(m)
 			enl := union.Area() - e.mbr.Area()
 			area := e.mbr.Area()
 			winsTie := enl < bestEnl || (enl == bestEnl && area < bestArea)
@@ -261,6 +247,13 @@ func (t *Tree) chooseSubtree(n *node, m MBR) int {
 	return best
 }
 
+// candidate is one child weighed by chooseSubtree: its index and, when the
+// children are too many to weigh all, its enlargement.
+type candidate struct {
+	enl float64
+	i   int
+}
+
 // compareFloats returns < 0 exactly when a < b. The tree's sorts compare
 // through it, so slices.SortFunc gets the answers sort.Slice's less functions
 // gave and, running the same pdqsort, makes the same permutation, ties and
@@ -298,8 +291,8 @@ func (t *Tree) handleOverflow(path []*node, overflowed *uint64) {
 		if isRoot {
 			newRoot := &node{level: n.level + 1}
 			newRoot.entries = append(newRoot.entries,
-				nodeEntry{mbr: n.mbr(t.dims), child: n},
-				nodeEntry{mbr: right.mbr(t.dims), child: right},
+				nodeEntry{mbr: n.mbr(), child: n},
+				nodeEntry{mbr: right.mbr(), child: right},
 			)
 			t.root = newRoot
 			return
@@ -307,11 +300,11 @@ func (t *Tree) handleOverflow(path []*node, overflowed *uint64) {
 		parent := path[i-1]
 		for j := range parent.entries {
 			if parent.entries[j].child == n {
-				n.mbrInto(parent.entries[j].mbr)
+				parent.entries[j].mbr = n.mbr()
 				break
 			}
 		}
-		parent.entries = append(parent.entries, nodeEntry{mbr: right.mbr(t.dims), child: right})
+		parent.entries = append(parent.entries, nodeEntry{mbr: right.mbr(), child: right})
 	}
 }
 
@@ -322,7 +315,7 @@ func (t *Tree) tightenPath(path []*node) {
 		parent, child := path[i], path[i+1]
 		for j := range parent.entries {
 			if parent.entries[j].child == child {
-				child.mbrInto(parent.entries[j].mbr)
+				parent.entries[j].mbr = child.mbr()
 				break
 			}
 		}
@@ -333,19 +326,15 @@ func (t *Tree) tightenPath(path []*node) {
 // centers are farthest from the node MBR's center and insert them again at
 // the same level (far-reinsert order: farthest first).
 func (t *Tree) reinsert(n *node, path []*node, overflowed *uint64) {
-	center := n.mbr(t.dims)
+	center := n.mbr().Center()
 	type distEntry struct {
 		dist float64
 		e    nodeEntry
 	}
 	des := make([]distEntry, len(n.entries))
 	for i, e := range n.entries {
-		d := 0.0
-		for dim := 0; dim < t.dims; dim++ {
-			diff := e.mbr.Center(dim) - center.Center(dim)
-			d += diff * diff
-		}
-		des[i] = distEntry{dist: d, e: e}
+		diff := e.mbr.Center() - center
+		des[i] = distEntry{dist: diff * diff, e: e}
 	}
 	slices.SortFunc(des, func(a, b distEntry) int { return compareFloats(b.dist, a.dist) })
 	p := t.reins
@@ -366,10 +355,10 @@ func (t *Tree) reinsert(n *node, path []*node, overflowed *uint64) {
 	}
 }
 
-// split implements the R* topological split: choose the axis minimizing the
-// margin sum over all candidate distributions, then on that axis choose the
-// distribution with minimal overlap (ties by area). n is mutated in place to
-// carry the left group; the returned node carries the right group.
+// split implements the R* split on the one axis: of the distributions of
+// the entries sorted by lower bound and by upper bound, choose the one with
+// minimal overlap (ties by area). n is mutated in place to carry the left
+// group; the returned node carries the right group.
 func (t *Tree) split(n *node) *node {
 	M := len(n.entries) - 1 // entries currently M+1
 	minK := t.minFill
@@ -379,54 +368,29 @@ func (t *Tree) split(n *node) *node {
 		numDistr = M - 2*minK + 2
 	}
 
-	// The two groups' bounds of the distribution being weighed.
-	m1, m2 := make(MBR, 2*t.dims), make(MBR, 2*t.dims)
-	bestAxis, bestAxisMargin := 0, math.Inf(1)
-	type axisSort struct{ byLo, byHi []nodeEntry }
-	sorts := make([]axisSort, t.dims)
-	for axis := 0; axis < t.dims; axis++ {
-		byLo := make([]nodeEntry, len(n.entries))
-		copy(byLo, n.entries)
-		a := axis
-		slices.SortFunc(byLo, func(x, y nodeEntry) int {
-			if x.mbr.Lo(a) != y.mbr.Lo(a) {
-				return compareFloats(x.mbr.Lo(a), y.mbr.Lo(a))
-			}
-			return compareFloats(x.mbr.Hi(a), y.mbr.Hi(a))
-		})
-		byHi := make([]nodeEntry, len(n.entries))
-		copy(byHi, n.entries)
-		slices.SortFunc(byHi, func(x, y nodeEntry) int {
-			if x.mbr.Hi(a) != y.mbr.Hi(a) {
-				return compareFloats(x.mbr.Hi(a), y.mbr.Hi(a))
-			}
-			return compareFloats(x.mbr.Lo(a), y.mbr.Lo(a))
-		})
-		sorts[axis] = axisSort{byLo: byLo, byHi: byHi}
-
-		margin := 0.0
-		for _, sorted := range [][]nodeEntry{byLo, byHi} {
-			for k := 0; k < numDistr; k++ {
-				splitAt := minK + k
-				margin += groupMBR(m1, sorted[:splitAt]).Margin()
-				margin += groupMBR(m2, sorted[splitAt:]).Margin()
-			}
+	byLo := slices.Clone(n.entries)
+	slices.SortFunc(byLo, func(x, y nodeEntry) int {
+		if x.mbr[0] != y.mbr[0] {
+			return compareFloats(x.mbr[0], y.mbr[0])
 		}
-		if margin < bestAxisMargin {
-			bestAxis, bestAxisMargin = axis, margin
+		return compareFloats(x.mbr[1], y.mbr[1])
+	})
+	byHi := slices.Clone(n.entries)
+	slices.SortFunc(byHi, func(x, y nodeEntry) int {
+		if x.mbr[1] != y.mbr[1] {
+			return compareFloats(x.mbr[1], y.mbr[1])
 		}
-	}
+		return compareFloats(x.mbr[0], y.mbr[0])
+	})
 
-	// On the chosen axis, pick the distribution minimizing overlap.
 	// When every distribution's overlap or area is infinite or NaN (±Inf
 	// bounds) none beats the start, and the first one stands.
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	bestSorted, bestSplit := sorts[bestAxis].byLo, minK
-	for _, sorted := range [][]nodeEntry{sorts[bestAxis].byLo, sorts[bestAxis].byHi} {
+	bestSorted, bestSplit := byLo, minK
+	for _, sorted := range [][]nodeEntry{byLo, byHi} {
 		for k := 0; k < numDistr; k++ {
 			splitAt := minK + k
-			groupMBR(m1, sorted[:splitAt])
-			groupMBR(m2, sorted[splitAt:])
+			m1, m2 := groupMBR(sorted[:splitAt]), groupMBR(sorted[splitAt:])
 			overlap := m1.OverlapArea(m2)
 			area := m1.Area() + m2.Area()
 			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
@@ -441,12 +405,6 @@ func (t *Tree) split(n *node) *node {
 	n.entries = n.entries[:0]
 	n.entries = append(n.entries, bestSorted[:bestSplit]...)
 	return right
-}
-
-// groupMBR overwrites m with the bounding rectangle of es and returns it.
-func groupMBR(m MBR, es []nodeEntry) MBR {
-	(&node{entries: es}).mbrInto(m)
-	return m
 }
 
 // Search visits every entry whose MBR intersects query, in memory.
@@ -499,7 +457,7 @@ func (t *Tree) Delete(e Entry) bool {
 func (t *Tree) findLeaf(n *node, e Entry, path *[]*node) (*node, int) {
 	if n.isLeaf() {
 		for i, ne := range n.entries {
-			if ne.data == e.Data && mbrEqual(ne.mbr, e.MBR) {
+			if ne.data == e.Data && ne.mbr == e.MBR {
 				return n, i
 			}
 		}
@@ -519,18 +477,6 @@ func (t *Tree) findLeaf(n *node, e Entry, path *[]*node) (*node, int) {
 		*path = (*path)[:len(*path)-1]
 	}
 	return nil, -1
-}
-
-func mbrEqual(a, b MBR) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // condense removes underfull nodes along the path and reinserts their
@@ -607,8 +553,7 @@ func (t *Tree) CheckInvariants() error {
 			if e.child.level != n.level-1 {
 				return 0, fmt.Errorf("child level %d under node level %d", e.child.level, n.level)
 			}
-			want := e.child.mbr(t.dims)
-			if !mbrEqual(e.mbr, want) {
+			if want := e.child.mbr(); e.mbr != want {
 				return 0, fmt.Errorf("stale parent MBR %v, child covers %v", e.mbr, want)
 			}
 			c, err := walk(e.child, false)

@@ -378,8 +378,7 @@ func mapError(err error) int {
 		errors.Is(err, fielddb.ErrBadConjunction),
 		errors.Is(err, fielddb.ErrOutsideField):
 		return http.StatusBadRequest
-	case errors.Is(err, fielddb.ErrNoSpatialIndex),
-		errors.Is(err, fielddb.ErrNoPartition),
+	case errors.Is(err, fielddb.ErrNoPartition),
 		errors.Is(err, fielddb.ErrUpdatesUnsupported):
 		return http.StatusNotImplemented
 	case errors.Is(err, context.DeadlineExceeded):

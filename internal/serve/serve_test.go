@@ -331,9 +331,9 @@ func TestServeGoldenEndpoints(t *testing.T) {
 }
 
 // TestServeErrors walks the failure surface: 404s, 400s from parameter and
-// body validation, and the 501 capability gaps — an update to a stored index,
-// and a point query on one saved from a TIN, whose file carries no locator (a
-// DEM's carries its lattice and answers).
+// body validation, and the 501 capability gap of an update to a stored index.
+// A point query on an index saved from a TIN, whose file carries its cell
+// buckets, answers 200 with the DB's value.
 func TestServeErrors(t *testing.T) {
 	_, hs, _ := testServer(t, Config{}, 0)
 	mesh, err := fielddb.NoiseTIN(200, 5)
@@ -346,6 +346,10 @@ func TestServeErrors(t *testing.T) {
 	}
 	tinPath := filepath.Join(t.TempDir(), "tin.fidx")
 	if err := tinDB.SaveIndex(tinPath); err != nil {
+		t.Fatal(err)
+	}
+	tinPoint, err := tinDB.PointQuery(fielddb.Point{X: 50, Y: 50})
+	if err != nil {
 		t.Fatal(err)
 	}
 	tinDB.Close()
@@ -384,7 +388,7 @@ func TestServeErrors(t *testing.T) {
 		{"malformed update", "POST", "/v1/fields/terrain/update", `{`, 400},
 		{"empty update", "POST", "/v1/fields/terrain/update", `{"updates":[]}`, 400},
 		{"update read-only", "POST", "/v1/fields/frozen/update", `{"updates":[{"sample":0,"value":1}]}`, 501},
-		{"point on stored index", "GET", "/v1/fields/frozen-tin/point?x=50&y=50", "", 501},
+		{"point on stored index", "GET", "/v1/fields/frozen-tin/point?x=50&y=50", "", 200},
 		{"malformed and", "POST", "/v1/and", `[]`, 400},
 		{"oversized and", "POST", "/v1/and", padding + `{"conditions":[{"field":"terrain","lo":1,"hi":2}]}`, 400},
 		{"and unknown field", "POST", "/v1/and", `{"conditions":[{"field":"nope","lo":1,"hi":2}]}`, 404},
@@ -410,6 +414,15 @@ func TestServeErrors(t *testing.T) {
 			body, _ := io.ReadAll(resp.Body)
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.want, bytes.TrimSpace(body))
+			}
+			if tc.want == http.StatusOK {
+				var point struct {
+					Value float64 `json:"value"`
+				}
+				if err := json.Unmarshal(body, &point); err != nil || point.Value != tinPoint {
+					t.Fatalf("point on the stored TIN: %s, the DB's %g", bytes.TrimSpace(body), tinPoint)
+				}
+				return
 			}
 			var envelope struct {
 				Error struct {

@@ -85,7 +85,7 @@ func BuildIndex(g *VoxelGrid, pager *storage.Pager) (*Index, error) {
 		ivs[i] = c.iv
 	}
 	groups := subfield.BuildGreedy(refs, subfield.DefaultCostModel)
-	tree, err := rstar.New(1, rstar.Params{PageSize: pager.PageSize()})
+	tree, err := rstar.New(rstar.Params{PageSize: pager.PageSize()})
 	if err != nil {
 		return nil, err
 	}

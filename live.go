@@ -45,7 +45,7 @@ type UpdateStats struct {
 // records (LinearScan's sidecar too), and the index structure (with a lazy
 // re-cut of the subfield partition when the §3 cost bound drifts) are all
 // brought to the new state; the point locator — a DEM's lattice, a TIN's
-// spatial R*-tree — finds cells by geometry, which updates never change, and
+// cell buckets — finds cells by geometry, which updates never change, and
 // reads the same records: it has nothing to bring.
 //
 // Updates require a mutable field (grid.DEM and tin.TIN qualify); an

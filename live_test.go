@@ -113,14 +113,13 @@ func TestUpdateSamplesRefusals(t *testing.T) {
 	}
 }
 
-// pagerSplit is a Tracer that files a point query's page activity under the
-// pager that served it — the filter span is a TIN's tree descent (nothing for
-// a DEM, which locates by its lattice), the decode span the cell fetch on the
-// value store — so a test can reconcile each pager's totals on its own;
-// PointQueryStatsContext reports the two summed.
+// pagerSplit is a Tracer that files a point query's page activity by span —
+// the filter span, the locator's arithmetic, which must read nothing, and the
+// decode span, the cell fetch on the one store — so a test can hold the
+// filter to zero and reconcile the store's totals with the fetches.
 type pagerSplit struct {
-	mu         sync.Mutex
-	tree, cell storage.Stats
+	mu           sync.Mutex
+	filter, cell storage.Stats
 }
 
 func (s *pagerSplit) TraceQuery(tr *QueryTrace) {
@@ -133,7 +132,7 @@ func (s *pagerSplit) TraceQuery(tr *QueryTrace) {
 		st := storage.Stats{Reads: sp.Pages.Reads, SeqReads: sp.Pages.SeqReads, RandReads: sp.Pages.RandReads,
 			CacheHits: sp.Pages.CacheHits, SimElapsed: sp.Pages.SimElapsed}
 		if sp.Phase == obs.PhaseFilter {
-			s.tree = s.tree.Add(st)
+			s.filter = s.filter.Add(st)
 		} else {
 			s.cell = s.cell.Add(st)
 		}
@@ -145,11 +144,11 @@ func (s *pagerSplit) TraceQuery(tr *QueryTrace) {
 // for every updatable method × untiled/tiled × grid/TIN. Snapshot readers —
 // value and point queries alike, they share one pin — must stay byte-identical
 // to their pinned epoch's solo answers (per-query I/O statistics included), no
-// reader may error, each pager's totals must grow by exactly the sum of the
-// published per-operation statistics (the value store's: value queries, the
-// cell fetches of point queries and update batches; a TIN's spatial pager's:
-// tree descents only, and a DEM's zero), and afterwards the live database answers like a fresh open
-// of the mutated field, point queries with the field's own interpolation.
+// reader may error, the store's totals must grow by exactly the sum of the
+// published per-operation statistics — value queries, the cell fetches of
+// point queries, whose filter reads nothing, and update batches —, and
+// afterwards the live database answers like a fresh open of the mutated
+// field, point queries with the field's own interpolation.
 // Every database is opened with the default Workers, so its solo readers fan
 // out over pooled forks while the batches commit: sixteen cores leave idle
 // ones beside the eight readers and two updaters on any machine.
@@ -240,9 +239,8 @@ func stressLiveUpdates(t *testing.T, f field.Mutable, opts Options) {
 	}
 
 	baseVal := db.IOStats()
-	baseSp := db.SpatialIOStats()
 	split.mu.Lock()
-	split.tree, split.cell = storage.Stats{}, storage.Stats{}
+	split.filter, split.cell = storage.Stats{}, storage.Stats{}
 	split.mu.Unlock()
 	var (
 		mu     sync.Mutex
@@ -350,14 +348,11 @@ func stressLiveUpdates(t *testing.T, f field.Mutable, opts Options) {
 		t.Error("no reader fanned out")
 	}
 
-	if split.tree.Add(split.cell) != sumPt {
-		t.Errorf("point-query spans %+v + %+v != the stats the queries returned %+v", split.tree, split.cell, sumPt)
+	if split.filter != (storage.Stats{}) || split.cell != sumPt {
+		t.Errorf("point-query spans: filter %+v, fetch %+v; the queries returned %+v", split.filter, split.cell, sumPt)
 	}
 	if got, want := db.IOStats().Sub(baseVal), sumVal.Add(split.cell); got != want {
 		t.Errorf("value store totals %+v != sum of published stats %+v", got, want)
-	}
-	if got := db.SpatialIOStats().Sub(baseSp); got != split.tree {
-		t.Errorf("spatial pager totals %+v != sum of the tree descents %+v", got, split.tree)
 	}
 
 	// The snapshot still answers at epoch 0 after every batch committed …

@@ -59,11 +59,10 @@ func checkTrace(t *testing.T, tr *QueryTrace, io storage.Stats) {
 }
 
 // checkPointTrace runs one conventional (point) query and reconciles its
-// trace: one filter span, charged what the spatial pager's totals moved by;
-// one decode span, the cell fetch, charged what the value store's moved by;
-// and the two summing to the Stats the query returned. A DEM's filter is
-// arithmetic on its lattice — no page — and its fetch reads at most two; a
-// TIN's filter descends its tree.
+// trace: one filter span, the locator's arithmetic on a DEM's lattice or a
+// TIN's buckets, which reads no page; one decode span, the cell fetch,
+// charged what the store's totals moved by; and the two summing to the Stats
+// the query returned. A DEM's fetch reads at most two pages.
 func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
 	t.Helper()
 	p := geom.Pt(12.5, 40.25)
@@ -71,7 +70,7 @@ func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
 	if !isDEM {
 		p = db.Field().Bounds().Center()
 	}
-	baseVal, baseSp := db.IOStats(), db.SpatialIOStats()
+	baseVal := db.IOStats()
 	_, st, err := db.PointQueryStatsContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -81,13 +80,13 @@ func checkPointTrace(t *testing.T, db *DB, rec *recordingTracer) {
 		t.Fatalf("point trace %s %s", tr.Method, tr.Kind)
 	}
 	checkTrace(t, tr, st)
-	tree, cell := db.SpatialIOStats().Sub(baseSp).PageCounts(), db.IOStats().Sub(baseVal).PageCounts()
+	cell := db.IOStats().Sub(baseVal).PageCounts()
 	if len(tr.Spans) != 2 || tr.Spans[0].Phase != obs.PhaseFilter || tr.Spans[1].Phase != obs.PhaseDecode ||
-		tr.Spans[0].Pages != tree || tr.Spans[1].Pages != cell || cell.Reads == 0 {
-		t.Fatalf("point spans %+v; the spatial pager moved by %+v, the value store by %+v", tr.Spans, tree, cell)
+		tr.Spans[0].Pages != (obs.PageCounts{}) || tr.Spans[1].Pages != cell || cell.Reads == 0 {
+		t.Fatalf("point spans %+v; the store moved by %+v", tr.Spans, cell)
 	}
-	if isDEM && (tree != obs.PageCounts{} || cell.Reads > 2) || !isDEM && tree.Reads == 0 {
-		t.Fatalf("point query on a %T: filter %+v, decode %+v", db.Field(), tree, cell)
+	if isDEM && cell.Reads > 2 {
+		t.Fatalf("point query on a %T: decode %+v", db.Field(), cell)
 	}
 }
 
@@ -394,7 +393,7 @@ func TestMetricsRegistry(t *testing.T) {
 	// all three read kinds (I-Hilbert's default path never touches the
 	// sidecar, so its sidecar reads are zero — but they stay in the sum).
 	engineReads := m.Engine.IndexPagesRead + m.Engine.SidecarPagesRead + m.Engine.CellPagesRead
-	storeReads := int64(m.ValueIO.Reads + m.SpatialIO.Reads)
+	storeReads := int64(m.ValueIO.Reads)
 	if engineReads != storeReads {
 		t.Fatalf("engine reads %d != store reads %d", engineReads, storeReads)
 	}
@@ -404,8 +403,8 @@ func TestMetricsRegistry(t *testing.T) {
 	if m.Engine.ContourAssemblies != 1 {
 		t.Fatalf("contours %d", m.Engine.ContourAssemblies)
 	}
-	if m.ValuePool == nil || m.SpatialPool != nil || m.SpatialIO != (storage.Stats{}) {
-		t.Fatalf("a DEM's pools %v and %v (want value shards and no tree pager), tree I/O %+v", m.ValuePool, m.SpatialPool, m.SpatialIO)
+	if m.ValuePool == nil {
+		t.Fatal("no value pool shards")
 	}
 	var probes int64
 	for _, s := range m.ValuePool {

@@ -38,12 +38,10 @@ import (
 // ErrInvertedInterval, then a bad tolerance with ErrBadTolerance; the errors
 // wrap the offending values so callers can branch with errors.Is.
 //
-// Not every implementation supports every operation: a StoredIndex saved
-// from a TIN has no spatial index (PointQueryContext returns
-// ErrNoSpatialIndex), and a method
-// without subfields has no subfield summaries (ApproxValueQueryContext
-// returns ErrNoPartition). Capability gaps surface as typed errors, never as
-// missing methods.
+// Not every implementation supports every operation: a method without
+// subfields has no subfield summaries (ApproxValueQueryContext returns
+// ErrNoPartition). Capability gaps surface as typed errors, never as missing
+// methods.
 type Querier interface {
 	// Method returns the value-index strategy serving this surface.
 	Method() Method
@@ -152,32 +150,21 @@ type surface struct {
 	// while none is.
 	batcher *core.Batcher
 	// spatial locates the candidate cells of a conventional query — by a
-	// DEM's lattice or a TIN's R*-tree — whose records it reads from index,
+	// DEM's lattice or a TIN's buckets — whose records it reads from index,
 	// so a Snapshot's point queries answer at the same pin as its value
-	// queries; nil (a file saved from a TIN carries no tree) fails them with
-	// ErrNoSpatialIndex.
-	spatial locator
+	// queries.
+	spatial *core.Locator
 	// ob is where contour assembly traces and meters. A Snapshot shares its
 	// DB's, so SetTracer reaches snapshot queries the way it reaches the
 	// engine's own traces.
 	ob *obs.Observer
 }
 
-// locator is a point query's access path into the cell file: a
-// *core.GridLocator or a *core.SpatialIndex. SetObserver is how SetTracer
-// reaches it.
-type locator interface {
-	PointQueryContext(ctx context.Context, cells core.Engine, pt Point) (float64, storage.Stats, error)
-	SetObserver(ob obs.Observer)
-}
-
 // installObservers (re)installs the trace/metrics sinks on the value index
 // and the locator.
 func (s *surface) installObservers() {
 	s.index.SetObserver(*s.ob)
-	if s.spatial != nil {
-		s.spatial.SetObserver(*s.ob)
-	}
+	s.spatial.SetObserver(*s.ob)
 }
 
 // checkOpen guards every query path against use after Close.
@@ -393,13 +380,11 @@ func (s *surface) ApproxAggregateContext(ctx context.Context, lo, hi, maxErr flo
 
 // PointQueryStatsContext answers the conventional query F(v'): the
 // interpolated value at point p, through the locator — a DEM's lattice, a
-// TIN's spatial R*-tree — and the cell it finds in the value store (at the
-// pinned epoch, on a Snapshot), plus the query's own I/O statistics: the tree
-// descent (none on a DEM) and the cell fetch summed, each also published to
-// its own store's totals. ctx is polled between candidate cell fetches. A
-// StoredIndex saved from a TIN fails with ErrNoSpatialIndex after the usual
-// open and finiteness checks — the method exists there so the handle
-// satisfies the full Querier surface with a typed capability error.
+// TIN's cell buckets, neither of which reads a page — and the cells it finds
+// in the value store (at the pinned epoch, on a Snapshot), plus the query's
+// own I/O statistics: the candidate cells' fetch, also published to the
+// store's totals. ctx is polled between candidate cell fetches. Every surface
+// answers, a StoredIndex saved from a TIN as its DB does.
 func (s *surface) PointQueryStatsContext(ctx context.Context, p Point) (float64, storage.Stats, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, storage.Stats{}, err
@@ -409,9 +394,6 @@ func (s *surface) PointQueryStatsContext(ctx context.Context, p Point) (float64,
 	}
 	if err := checkValue(p.Y); err != nil {
 		return 0, storage.Stats{}, err
-	}
-	if s.spatial == nil {
-		return 0, storage.Stats{}, fmt.Errorf("%w: a file saved from a TIN carries no spatial index", ErrNoSpatialIndex)
 	}
 	return s.spatial.PointQueryContext(ctx, s.index, p)
 }

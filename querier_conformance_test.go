@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -268,8 +269,8 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 		})
 	}
 
-	// A file saved from a TIN carries no locator: its point queries fail with
-	// the typed capability gap, and its value queries answer as the DB's.
+	// A file saved from a TIN carries its buckets: its point queries answer
+	// the DB's value in the DB's reads, and its value queries as the DB's.
 	t.Run("StoredTIN", func(t *testing.T) {
 		mesh, err := NoiseTIN(300, 9)
 		if err != nil {
@@ -289,11 +290,15 @@ func TestQuerierConformanceAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer si.Close()
-		if _, err := db.PointQuery(mesh.Bounds().Center()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := si.PointQuery(mesh.Bounds().Center()); !errors.Is(err, ErrNoSpatialIndex) {
-			t.Fatalf("point on a stored TIN: %v, want ErrNoSpatialIndex", err)
+		b := mesh.Bounds()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 64; i++ {
+			p := Point{X: b.Min.X + rng.Float64()*b.Width(), Y: b.Min.Y + rng.Float64()*b.Height()}
+			want, wst, werr := db.PointQueryStatsContext(context.Background(), p)
+			got, gst, gerr := si.PointQueryStatsContext(context.Background(), p)
+			if math.Float64bits(got) != math.Float64bits(want) || gst != wst || (gerr == nil) != (werr == nil) {
+				t.Fatalf("point %v on a stored TIN: %v in %+v (%v), the DB's %v in %+v (%v)", p, got, gst, gerr, want, wst, werr)
+			}
 		}
 		tvr := mesh.ValueRange()
 		want, err := db.ValueQuery(tvr.Lo, tvr.Hi)
