@@ -37,11 +37,12 @@ test:
 # The suite under the race detector, once, with per-package coverage floors
 # read from the same run: internal/obs is small and fully unit-testable (85%),
 # the facade carries the error-path and cancellation tables (70%),
-# internal/core holds the one query executor every method runs on (80%), and
+# internal/core holds the one query executor every method runs on (80%),
 # internal/storage and internal/rstar hold the one page read every query goes
-# through (85% each): a refactor there must not shed tested paths silently.
+# through (85% each), and internal/sfc keys every cell of every build (95%):
+# a refactor there must not shed tested paths silently.
 COVER_FLOORS = fielddb=70 fielddb/internal/obs=85 fielddb/internal/core=80 \
-	fielddb/internal/storage=85 fielddb/internal/rstar=85
+	fielddb/internal/storage=85 fielddb/internal/rstar=85 fielddb/internal/sfc=95
 race:
 	@{ $(GO) test -race -coverprofile=cover.out ./...; echo $$? > race.status; } | tee race.out; \
 	status=$$(cat race.status); rm -f cover.out race.status; \

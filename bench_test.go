@@ -15,7 +15,6 @@ package fielddb_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"fielddb"
@@ -25,7 +24,6 @@ import (
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/storage"
-	"fielddb/internal/volume"
 	"fielddb/internal/workload"
 )
 
@@ -285,41 +283,6 @@ func BenchmarkPointQuery(b *testing.B) {
 // pt keeps the benchmark imports tidy.
 func pt(x, y float64) geom.Point { return geom.Pt(x, y) }
 
-// BenchmarkVolume3D measures 3-D value queries (extension E2): the
-// 3-D Hilbert subfield index vs an exhaustive scan over a 64³ voxel grid.
-func BenchmarkVolume3D(b *testing.B) {
-	g, err := volume.FromFunc(64, 64, 64, 1, 1, 1, func(x, y, z float64) float64 {
-		return x + 20*mathSin(y/9) + 10*mathCos(z/7)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pager := storage.NewPager(storage.NewMemDisk(storage.DefaultPageSize), storage.DefaultDiskModel, 1<<14)
-	ix, err := volume.BuildIndex(g, pager)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lo, hi := g.ValueRange()
-	width := (hi - lo) * 0.02
-	b.Run("I-Hilbert3D", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			qlo := lo + float64(i%37)/37*(hi-lo-width)
-			if _, err := ix.Query(geom.Interval{Lo: qlo, Hi: qlo + width}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Scan3D", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qlo := lo + float64(i%37)/37*(hi-lo-width)
-			if _, err := ix.ScanQuery(geom.Interval{Lo: qlo, Hi: qlo + width}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkContours measures isoline extraction + assembly through the
 // value index (extension E4).
 func BenchmarkContours(b *testing.B) {
@@ -341,6 +304,3 @@ func BenchmarkContours(b *testing.B) {
 		}
 	}
 }
-
-func mathSin(x float64) float64 { return math.Sin(x) }
-func mathCos(x float64) float64 { return math.Cos(x) }

@@ -54,8 +54,8 @@ type BuildOptions struct {
 
 // hilbert linearizes cells by the Hilbert value of their centers on a
 // 2^16 × 2^16 grid over the field's bounds: the heap order of the partitioned
-// methods. NewHilbert refuses only an order or dimension out of range, which
-// these constants are not.
+// methods. NewHilbert refuses only an order out of [1, 32] or a curve that is
+// not 2-D, which these constants are not.
 var hilbert, _ = sfc.NewHilbert(16, 2)
 
 // methodSpec is one row of the method table: everything in which one method

@@ -327,7 +327,7 @@ func checkBuckets(t *testing.T, f *tin.TIN) {
 		pts = append(pts, c.Center())
 	}
 	b := f.Bounds()
-	side := int(math.Ceil(math.Sqrt(float64(f.NumCells()))))
+	side := bucketSide(f.NumCells())
 	rng := rand.New(rand.NewSource(9))
 	for k := 0; k <= side; k++ {
 		x := b.Min.X + float64(k)*b.Width()/float64(side)

@@ -183,8 +183,22 @@ var harnessFields = sync.OnceValue(func() []*harnessField {
 		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		vals[i] = 50 + 30*math.Sin(pts[i].X/15)*math.Cos(pts[i].Y/15) + rng.NormFloat64()
 	}
+	// Every tenth point strictly inside the bounds moves onto its nearest
+	// interior bucket column edge (see bucketEdge), so that cells end exactly
+	// where a locator's bucket starts. The hull stays, so the cell count
+	// does, and with it the side of the locator's grid.
 	tris, err := tin.Delaunay(pts)
 	mustHarness(err)
+	bounds, side := geom.RectFromPoints(pts...), bucketSide(len(tris))
+	for i := 0; i < len(pts); i += 10 {
+		if p := pts[i]; p.X > bounds.Min.X && p.X < bounds.Max.X {
+			j := min(max(int(math.Round(float64(side)*(p.X-bounds.Min.X)/bounds.Width())), 1), side-1)
+			pts[i].X = bucketEdge(bounds, side, j)
+		}
+	}
+	if tris, err = tin.Delaunay(pts); err != nil || bucketSide(len(tris)) != side {
+		panic(fmt.Sprintf("harness TIN: snapping to bucket edges changed the grid (%v)", err))
+	}
 	// Delaunay hands its triangles over in map order: number them by content,
 	// so a program meets the same cell ids in every run.
 	for i, tr := range tris {
@@ -414,9 +428,32 @@ func (h *harness) meshPoint(a, b byte) geom.Point {
 	case 2:
 		return geom.Pt(math.Nextafter(v[k].X, math.Inf(-1)), math.Nextafter(v[k].Y, math.Inf(-1)))
 	}
-	r := h.cfg.hf.f.Bounds()
-	side := int(math.Ceil(math.Sqrt(float64(h.model.NumCells()))))
-	return geom.Pt(r.Min.X+float64(int(b)%(side+1))*r.Width()/float64(side), c.Center().Y)
+	side := bucketSide(h.model.NumCells())
+	return geom.Pt(bucketEdge(h.cfg.hf.f.Bounds(), side, int(b)%(side+1)), c.Center().Y)
+}
+
+// bucketSide is the side of the bucket grid a TIN of n cells is located by.
+func bucketSide(n int) int { return int(math.Ceil(math.Sqrt(float64(n)))) }
+
+// bucketEdge is the left edge of bucket column j of a side × side grid over
+// r: the least x that buckets.slot puts in column j, so the float below it
+// falls in column j − 1. Column side's edge is r's right edge.
+func bucketEdge(r geom.Rect, side, j int) float64 {
+	switch {
+	case j <= 0:
+		return r.Min.X
+	case j >= side:
+		return r.Max.X
+	}
+	b := buckets{side: side}
+	x := r.Min.X + float64(j)*r.Width()/float64(side)
+	for b.slot(x, r.Min.X, r.Width()) < j {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for b.slot(math.Nextafter(x, math.Inf(-1)), r.Min.X, r.Width()) >= j {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
 }
 
 // latticePoint maps two parameter bytes onto the lattice of 240ths of the
@@ -1299,7 +1336,10 @@ var latticeSteps = []step{
 
 // meshSteps are point steps on the mesh (see meshPoint): vertices, edge
 // midpoints — shared edges, mostly, where two cells hold the point and the
-// first in id order answers —, vertices an ulp off, and bucket boundaries.
+// first in id order answers —, vertices an ulp off, and bucket boundaries,
+// the last two on a vertical edge between two points snapped onto one bucket
+// edge: the cell left of it ends exactly where the point's bucket starts, and
+// answers.
 var meshSteps = []step{
 	{opPoint, 40, 1, 2},
 	{opPoint, 77, 2, 2},
@@ -1308,6 +1348,8 @@ var meshSteps = []step{
 	{opPoint, 9, 129, 2},
 	{opPoint, 40, 197, 2},
 	{opPoint, 200, 205, 2},
+	{opPoint, 8, 193, 2},
+	{opPoint, 31, 198, 2},
 }
 
 // pointSeeds are programs asking latticeSteps of an untiled and a tiled DEM

@@ -18,11 +18,8 @@ type Mapper struct {
 }
 
 // NewMapper returns a Mapper that snaps points inside bounds onto the curve's
-// grid. The curve must be 2-dimensional.
+// grid.
 func NewMapper(curve *Hilbert, bounds geom.Rect) (*Mapper, error) {
-	if curve.dims != 2 {
-		return nil, fmt.Errorf("sfc: Mapper requires a 2-D curve, got %d dims", curve.dims)
-	}
 	if bounds.IsEmpty() {
 		return nil, fmt.Errorf("sfc: Mapper requires non-empty bounds")
 	}
@@ -42,8 +39,7 @@ func NewMapper(curve *Hilbert, bounds geom.Rect) (*Mapper, error) {
 func (m *Mapper) Index(p geom.Point) uint64 {
 	gx := m.snap((p.X - m.bounds.Min.X) * m.scaleX)
 	gy := m.snap((p.Y - m.bounds.Min.Y) * m.scaleY)
-	xy := [2]uint32{gx, gy}
-	return m.curve.Index(xy[:])
+	return m.curve.Index(gx, gy)
 }
 
 func (m *Mapper) snap(v float64) uint32 {

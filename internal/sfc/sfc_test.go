@@ -7,114 +7,119 @@ import (
 	"fielddb/internal/geom"
 )
 
-// hilbert2dRef is the classic iterative 2-D Hilbert xy->d conversion
-// (Griffiths'86 style), used as an independent reference implementation to
-// cross-check the n-dimensional transpose algorithm.
-func hilbert2dRef(order int, x, y uint32) uint64 {
-	var rx, ry uint32
-	var d uint64
-	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
-		if x&s > 0 {
-			rx = 1
-		} else {
-			rx = 0
-		}
-		if y&s > 0 {
-			ry = 1
-		} else {
-			ry = 0
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		// Rotate quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
+// transposeIndex is the n-dimensional transpose-form Hilbert index
+// (J. Skilling, "Programming the Hilbert curve", AIP 2004 — an explicit form
+// of Butz's 1969 construction) run at 2 dimensions: an independent reference
+// for Index, which must key every point as it does.
+func transposeIndex(order int, x, y uint32) uint64 {
+	p := [2]uint32{x, y}
+	m := uint32(1) << (order - 1)
+	// Inverse undo excess work.
+	for q := m; q > 1; q >>= 1 {
+		r := q - 1
+		for i := range p {
+			if p[i]&q != 0 {
+				p[0] ^= r // invert
+			} else {
+				t := (p[0] ^ p[i]) & r
+				p[0] ^= t
+				p[i] ^= t
 			}
-			x, y = y, x
 		}
 	}
-	return d
+	// Reflected-binary encode.
+	p[1] ^= p[0]
+	var t uint32
+	for q := m; q > 1; q >>= 1 {
+		if p[1]&q != 0 {
+			t ^= q - 1
+		}
+	}
+	p[0] ^= t
+	p[1] ^= t
+	// Bit b of p[i] is bit 2b + 1 − i of the index.
+	return interleave(order, p[0], p[1])
 }
 
+// TestHilbertMatchesReference2D: Index keys every point of the lattices of
+// orders 1–5 and 8, and 10^6 random points of order 16 — the order every
+// build uses —, as the transpose form does.
 func TestHilbertMatchesReference2D(t *testing.T) {
-	for _, order := range []int{1, 2, 3, 5, 8} {
-		h, err := NewHilbert(order, 2)
-		if err != nil {
-			t.Fatal(err)
+	check := func(h *Hilbert, order int, x, y uint32) {
+		if got, want := h.Index(x, y), transposeIndex(order, x, y); got != want {
+			t.Fatalf("order %d: Index(%d, %d) = %d, want %d", order, x, y, got, want)
 		}
-		side := uint32(1) << uint(order)
-		step := side / 16
-		if step == 0 {
-			step = 1
-		}
-		for x := uint32(0); x < side; x += step {
-			for y := uint32(0); y < side; y += step {
-				got := h.Index([]uint32{x, y})
-				want := hilbert2dRef(order, x, y)
-				if got != want {
-					t.Fatalf("order %d: Index(%d,%d) = %d, want %d", order, x, y, got, want)
-				}
+	}
+	for _, order := range []int{1, 2, 3, 4, 5, 8} {
+		h := mustHilbert(t, order)
+		side := uint32(1) << order
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				check(h, order, x, y)
 			}
 		}
 	}
+	h := mustHilbert(t, 16)
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 1_000_000; i++ {
+		check(h, 16, uint32(rng.Intn(1<<16)), uint32(rng.Intn(1<<16)))
+	}
+}
+
+func mustHilbert(t testing.TB, order int) *Hilbert {
+	t.Helper()
+	h, err := NewHilbert(order, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// inverse keys every point of the order's lattice and returns the points in
+// key order, failing unless the keys are exactly 0 .. 4^order − 1.
+func inverse(t *testing.T, order int) [][2]uint32 {
+	h := mustHilbert(t, order)
+	side := uint32(1) << order
+	pts := make([][2]uint32, int(side)*int(side))
+	seen := make([]bool, len(pts))
+	for x := uint32(0); x < side; x++ {
+		for y := uint32(0); y < side; y++ {
+			d := h.Index(x, y)
+			if d >= uint64(len(pts)) || seen[d] {
+				t.Fatalf("order %d: (%d, %d) keys %d, out of range or already taken", order, x, y, d)
+			}
+			seen[d] = true
+			pts[d] = [2]uint32{x, y}
+		}
+	}
+	return pts
 }
 
 func TestHilbertFigure4(t *testing.T) {
 	// Figure 4 of the paper shows the order-2 Hilbert curve on a 4x4 grid:
 	// the traversal starts at (0,0) and ends at (3,0), visiting 16 cells.
-	h, _ := NewHilbert(2, 2)
-	if got := h.Index([]uint32{0, 0}); got != 0 {
+	h := mustHilbert(t, 2)
+	if got := h.Index(0, 0); got != 0 {
 		t.Errorf("start cell index = %d, want 0", got)
 	}
-	if got := h.Index([]uint32{3, 0}); got != 15 {
+	if got := h.Index(3, 0); got != 15 {
 		t.Errorf("end cell index = %d, want 15", got)
 	}
 }
 
 func TestCurvesAreBijections(t *testing.T) {
-	for _, tc := range []struct{ order, dims int }{
-		{3, 2}, {2, 3}, {4, 2}, {2, 4}, {1, 12}, // 12 dims: past Hilbert.Index's stack array
-	} {
-		h, err := NewHilbert(tc.order, tc.dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := uint64(1) << uint(tc.order*tc.dims)
-		seen := make(map[uint64]bool, total)
-		coords := make([]uint32, tc.dims)
-		// Enumerate every d, map to coords, back to d.
-		for d := uint64(0); d < total; d++ {
-			h.Coords(d, coords)
-			for _, x := range coords {
-				if x >= 1<<uint(tc.order) {
-					t.Fatalf("%d/%d: coord %d out of range at d=%d", tc.order, tc.dims, x, d)
-				}
-			}
-			back := h.Index(coords)
-			if back != d {
-				t.Fatalf("order=%d dims=%d: roundtrip %d -> %v -> %d", tc.order, tc.dims, d, coords, back)
-			}
-			if seen[back] {
-				t.Fatalf("duplicate index %d", back)
-			}
-			seen[back] = true
-		}
+	for order := 1; order <= 6; order++ {
+		inverse(t, order)
 	}
 }
 
 func TestHilbertAdjacency(t *testing.T) {
 	// The defining property the paper relies on (§3.1.2): consecutive cells
 	// along the Hilbert curve are spatially adjacent — "there is no jumps".
-	for _, dims := range []int{2, 3} {
-		order := 4
-		h, _ := NewHilbert(order, dims)
-		total := uint64(1) << uint(order*dims)
-		prev := make([]uint32, dims)
-		cur := make([]uint32, dims)
-		h.Coords(0, prev)
-		for d := uint64(1); d < total; d++ {
-			h.Coords(d, cur)
+	for order := 1; order <= 6; order++ {
+		pts := inverse(t, order)
+		for d := 1; d < len(pts); d++ {
+			prev, cur := pts[d-1], pts[d]
 			manhattan := 0
 			for i := range cur {
 				diff := int(cur[i]) - int(prev[i])
@@ -124,21 +129,25 @@ func TestHilbertAdjacency(t *testing.T) {
 				manhattan += diff
 			}
 			if manhattan != 1 {
-				t.Fatalf("dims=%d: step %d -> %d jumps by %d (from %v to %v)", dims, d-1, d, manhattan, prev, cur)
+				t.Fatalf("order %d: step %d -> %d jumps by %d (from %v to %v)", order, d-1, d, manhattan, prev, cur)
 			}
-			copy(prev, cur)
 		}
 	}
 }
 
 func TestParamValidation(t *testing.T) {
 	cases := []struct{ order, dims int }{
-		{0, 2}, {2, 0}, {33, 2}, {32, 3}, {-1, 2}, {2, -1},
+		{0, 2}, {2, 0}, {33, 2}, {-1, 2}, {2, -1},
+		{2, 1}, {2, 3}, {16, 3}, {32, 1}, // only 2-D curves
 	}
 	for _, c := range cases {
 		if _, err := NewHilbert(c.order, c.dims); err == nil {
 			t.Errorf("NewHilbert(%d,%d): expected error", c.order, c.dims)
 		}
+	}
+	// The widest curve fills all 64 bits: it ends at (2^32 − 1, 0).
+	if got := mustHilbert(t, 32).Index(1<<32-1, 0); got != 1<<64-1 {
+		t.Errorf("order 32: end cell index = %d, want %d", got, uint64(1<<64-1))
 	}
 }
 
@@ -150,9 +159,9 @@ func TestHilbertClusteringBeatsZOrder(t *testing.T) {
 	order := 6
 	side := 1 << order
 	rng := rand.New(rand.NewSource(42))
-	h, _ := NewHilbert(order, 2)
+	h := mustHilbert(t, order)
 	curves := map[string]func(x, y uint32) uint64{
-		"hilbert": func(x, y uint32) uint64 { return h.Index([]uint32{x, y}) },
+		"hilbert": h.Index,
 		"zorder":  func(x, y uint32) uint64 { return interleave(order, x, y) },
 		"gray":    func(x, y uint32) uint64 { return reflectedRank(interleave(order, x, y)) },
 	}
@@ -221,7 +230,7 @@ func countRuns(ids []uint64) int {
 }
 
 func TestMapper(t *testing.T) {
-	h, _ := NewHilbert(4, 2)
+	h := mustHilbert(t, 4)
 	bounds := geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 16, Y: 16}}
 	m, err := NewMapper(h, bounds)
 	if err != nil {
@@ -231,7 +240,7 @@ func TestMapper(t *testing.T) {
 	for x := uint32(0); x < 16; x += 3 {
 		for y := uint32(0); y < 16; y += 3 {
 			got := m.Index(geom.Point{X: float64(x) + 0.5, Y: float64(y) + 0.5})
-			want := h.Index([]uint32{x, y})
+			want := h.Index(x, y)
 			if got != want {
 				t.Fatalf("Mapper.Index(%d.5,%d.5) = %d, want %d", x, y, got, want)
 			}
@@ -245,31 +254,18 @@ func TestMapper(t *testing.T) {
 }
 
 func TestMapperErrors(t *testing.T) {
-	h3, _ := NewHilbert(2, 3)
-	if _, err := NewMapper(h3, geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 1, Y: 1}}); err == nil {
-		t.Error("3-D curve accepted by Mapper")
-	}
-	h2, _ := NewHilbert(2, 2)
-	if _, err := NewMapper(h2, geom.EmptyRect()); err == nil {
+	if _, err := NewMapper(mustHilbert(t, 2), geom.EmptyRect()); err == nil {
 		t.Error("empty bounds accepted by Mapper")
 	}
 }
 
-func TestIndexPanicsOnWrongArity(t *testing.T) {
-	h, _ := NewHilbert(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on wrong coord arity")
-		}
-	}()
-	h.Index([]uint32{1})
-}
-
 func BenchmarkHilbertIndex2D(b *testing.B) {
-	h, _ := NewHilbert(16, 2)
-	coords := []uint32{12345, 54321}
+	h := mustHilbert(b, 16)
+	x, y := uint32(12345), uint32(54321)
+	var sink uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = h.Index(coords)
+		sink += h.Index(x, y)
 	}
+	_ = sink
 }
